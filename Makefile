@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check alloc-guard shard-balance bench bench-smoke codecgen codecgen-check
+.PHONY: build test vet race check alloc-guard conn-stress shard-balance bench bench-smoke codecgen codecgen-check
 
 build:
 	$(GO) build ./...
@@ -34,9 +34,10 @@ codecgen-check:
 # pinned budget (0 allocs/op encode, frame+payload only on decode), a full
 # echo round trip over the in-memory network must allocate at most the
 # server-side request context, and WAL appends must reuse their encode
-# scratch instead of re-marshaling per record.
+# scratch instead of re-marshaling per record. The in-memory connection under
+# all of it must itself be allocation-free once its buffers have grown.
 alloc-guard:
-	$(GO) test -run 'TestFrameAllocGuard|TestEchoAllocGuard' -count=1 ./internal/rpc/
+	$(GO) test -run 'TestFrameAllocGuard|TestEchoAllocGuard|TestMemConnAllocGuard' -count=1 ./internal/rpc/
 	$(GO) test -run TestWALAppendBufferReuse -count=1 ./internal/docstore/
 
 # Ring-imbalance guard: at the default 128 vnodes, the consistent-hash
@@ -45,7 +46,13 @@ alloc-guard:
 shard-balance:
 	$(GO) test -run TestRingBalanceGuard -count=1 ./internal/shard/
 
-check: vet race build test alloc-guard shard-balance codecgen-check
+# Every app, experiment and test rides rpc.Mem's connection, and its
+# wake-ups (close, deadline, capacity) are timing-dependent: repeat its
+# net.Conn contract test under the race detector.
+conn-stress:
+	$(GO) test -race -run TestMemConnContract -count=20 ./internal/rpc/
+
+check: vet race build test alloc-guard conn-stress shard-balance codecgen-check
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...

@@ -103,10 +103,11 @@ func (l *faultListener) Accept() (net.Conn, error) {
 
 // faultConn applies byte-level rules per direction: writes travel
 // local→remote, reads carry remote→local traffic. A partitioned write
-// pretends success and discards its bytes — the dropped-packet model, which
-// keeps synchronous in-memory pipes from wedging writers — while a
-// partitioned read simply stalls until the rule lifts or the conn closes,
-// so late replies surface only after the partition heals.
+// pretends success and discards its bytes — the dropped-packet model: the
+// sender cannot tell, and nothing piles up in the connection's buffer to
+// burst out when the partition heals — while a partitioned read simply
+// stalls until the rule lifts or the conn closes, so late replies surface
+// only after the partition heals.
 type faultConn struct {
 	net.Conn
 	inj           *Injector

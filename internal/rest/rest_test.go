@@ -2,7 +2,9 @@ package rest
 
 import (
 	"context"
+	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -210,5 +212,77 @@ func BenchmarkRESTCallMem(b *testing.B) {
 		if err := c.Do(context.Background(), "GET", "/items/bench", nil, &it); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// countingNet counts the connections a server accepts and closes.
+type countingNet struct {
+	rpc.Network
+	accepted, closed atomic.Int32
+}
+
+func (n *countingNet) Listen(addr string) (net.Listener, error) {
+	l, err := n.Network.Listen(addr)
+	return &countingListener{Listener: l, n: n}, err
+}
+
+type countingListener struct {
+	net.Listener
+	n *countingNet
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	l.n.accepted.Add(1)
+	return &countingConn{Conn: c, n: l.n}, nil
+}
+
+type countingConn struct {
+	net.Conn
+	n    *countingNet
+	once sync.Once
+}
+
+func (c *countingConn) Close() error {
+	c.once.Do(func() { c.n.closed.Add(1) })
+	return c.Conn.Close()
+}
+
+// TestShutdownReapsIdleKeepAlive pins what net/http needs from the in-memory
+// connection beyond bytes: sequential requests reuse one keep-alive
+// connection (the server's between-request background read is aborted by a
+// past read deadline and re-armed by a zero one), and a graceful shutdown
+// closes that idle connection under its parked read instead of waiting out
+// the context.
+func TestShutdownReapsIdleKeepAlive(t *testing.T) {
+	n := &countingNet{Network: rpc.NewMem()}
+	addr, s := startCatalogue(t, n)
+	c := NewClient(n, "catalogue", addr)
+	defer c.Close()
+	ctx := context.Background()
+	if err := c.Do(ctx, "POST", "/items", item{ID: "a", Name: "sock"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	var got item
+	if err := c.Do(ctx, "GET", "/items/a", nil, &got); err != nil || got.Name != "sock" {
+		t.Fatalf("GET = %+v, %v", got, err)
+	}
+	if a := n.accepted.Load(); a != 1 {
+		t.Fatalf("two sequential requests used %d connections, want 1 kept alive", a)
+	}
+
+	sctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	if err := s.hs.Shutdown(sctx); err != nil {
+		t.Fatalf("Shutdown with only an idle keep-alive conn open: %v", err)
+	}
+	if cl := n.closed.Load(); cl != 1 {
+		t.Fatalf("Shutdown closed %d connections, want 1", cl)
+	}
+	if err := c.Do(ctx, "GET", "/items/a", nil, &got); err == nil {
+		t.Fatal("request after Shutdown succeeded")
 	}
 }

@@ -6,8 +6,8 @@
 //
 // Two transports implement the Network interface: TCP (real sockets, used by
 // the cmd/ tools and latency-sensitive benchmarks) and Mem (in-process
-// pipes, used by tests and examples so an entire application boots in one
-// process with no ports).
+// buffered connections, used by tests, examples and the benchmark so an
+// entire application boots in one process with no ports).
 package rpc
 
 import (
@@ -17,7 +17,7 @@ import (
 )
 
 // Network abstracts the transport so the same client/server code runs over
-// real sockets or in-memory pipes.
+// real sockets or in-memory connections.
 type Network interface {
 	// Listen creates a listener on addr. For TCP, addr may have port 0 to
 	// pick a free port; the chosen address is available from the listener.
@@ -36,9 +36,11 @@ func (TCP) Listen(addr string) (net.Listener, error) { return net.Listen("tcp", 
 func (TCP) Dial(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 
 // Mem is an in-process transport: listeners are registered in a name space
-// held by the Mem value, and Dial creates a synchronous pipe to the
-// listener. A Mem value must be shared by all parties that want to talk to
-// each other; distinct Mem values are isolated networks.
+// held by the Mem value, and Dial hands the listener one end of a buffered
+// duplex connection (memConn) — like a socket, a Write returns once its
+// bytes are buffered, not once the peer has read them. A Mem value must be
+// shared by all parties that want to talk to each other; distinct Mem values
+// are isolated networks.
 type Mem struct {
 	mu        sync.Mutex
 	listeners map[string]*memListener
@@ -69,7 +71,7 @@ func (m *Mem) Dial(addr string) (net.Conn, error) {
 	if !ok {
 		return nil, fmt.Errorf("mem: connection refused: %s", addr)
 	}
-	client, server := net.Pipe()
+	client, server := newMemConnPair(memAddr(addr))
 	select {
 	case l.accept <- server:
 		return client, nil

@@ -297,6 +297,49 @@ func TestInterceptorsOrderAndHeaders(t *testing.T) {
 	}
 }
 
+// TestDispatchFollowsLateRegistration pins the lock-free dispatch table to
+// registrations made after it was first published: a Handle on a serving
+// server is callable, and a Use after Handle wraps the methods already there.
+func TestDispatchFollowsLateRegistration(t *testing.T) {
+	n := NewMem()
+	s := NewServer("svc")
+	reply := func(text string) Handler {
+		return func(ctx *Ctx, payload []byte) ([]byte, error) { return []byte(text), nil }
+	}
+	s.Handle("Early", reply("early"))
+	addr, err := s.Start(n, "svc:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c := NewClient(n, "svc", addr)
+	defer c.Close()
+	call := func(method string) string {
+		t.Helper()
+		out, err := c.CallRaw(context.Background(), method, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", method, err)
+		}
+		return string(out)
+	}
+	if got := call("Early"); got != "early" {
+		t.Fatalf("Early = %q", got)
+	}
+	s.Handle("Late", reply("late"))
+	if got := call("Late"); got != "late" {
+		t.Fatalf("Late (registered after Serve) = %q", got)
+	}
+	s.Use(func(ctx *Ctx, payload []byte, next Handler) ([]byte, error) {
+		out, err := next(ctx, payload)
+		return append([]byte("wrapped-"), out...), err
+	})
+	for method, want := range map[string]string{"Early": "wrapped-early", "Late": "wrapped-late"} {
+		if got := call(method); got != want {
+			t.Fatalf("%s after Use = %q, want %q", method, got, want)
+		}
+	}
+}
+
 func TestConcurrencyLimit(t *testing.T) {
 	n := NewMem()
 	var inflight, peak atomic.Int64

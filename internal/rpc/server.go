@@ -103,7 +103,6 @@ type Server struct {
 	handlers     map[string]Handler
 	streams      map[string]StreamHandler
 	interceptors []ServerInterceptor
-	composed     map[string]Handler // per-method interceptor chain, built lazily
 	listeners    []net.Listener
 	conns        map[net.Conn]struct{}
 	closed       bool
@@ -112,6 +111,11 @@ type Server struct {
 	hung         atomic.Bool
 	onClose      []func()
 	tasks        chan task
+
+	// dispatchTable holds a map[string]Handler from each unary method to its
+	// handler already wrapped in the interceptor chain. Handle and Use
+	// republish it whole, so dispatch reads it without taking mu.
+	dispatchTable atomic.Value
 
 	// methodNames holds a map[string]string of registered method (and
 	// stream-method) names to themselves; frame readers intern incoming
@@ -131,7 +135,6 @@ func NewServer(service string) *Server {
 		service:  service,
 		handlers: make(map[string]Handler),
 		streams:  make(map[string]StreamHandler),
-		composed: make(map[string]Handler),
 		conns:    make(map[net.Conn]struct{}),
 		tasks:    make(chan task),
 	}
@@ -140,12 +143,13 @@ func NewServer(service string) *Server {
 // Service returns the service name.
 func (s *Server) Service() string { return s.service }
 
-// Use appends a server interceptor. Must be called before Serve.
+// Use appends a server interceptor; it wraps every method, including ones
+// registered earlier.
 func (s *Server) Use(i ServerInterceptor) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.interceptors = append(s.interceptors, i)
-	clear(s.composed) // cached chains are stale now
+	s.publishDispatchLocked()
 }
 
 // SetConcurrency bounds the number of requests processed simultaneously.
@@ -164,9 +168,9 @@ func (s *Server) SetConcurrency(n int) {
 // Hang switches the server into the failure mode of a crashed-but-connected
 // peer: it keeps accepting connections and reading request frames but drops
 // them without dispatching or replying, so callers burn their full deadline
-// instead of failing fast on a refused dial. Frames are still consumed —
-// in-memory pipes are synchronous, and a reader that stops draining would
-// wedge client writers instead of modeling a silent peer. The fault layer
+// instead of failing fast on a refused dial. Frames are still consumed — a
+// reader that stops draining would fill the connection's buffer and then
+// park client writers instead of modeling a silent peer. The fault layer
 // uses this to simulate crashes that only lease expiry can detect.
 func (s *Server) Hang() { s.hung.Store(true) }
 
@@ -216,6 +220,7 @@ func (s *Server) Handle(method string, h Handler) {
 	}
 	s.handlers[method] = h
 	s.internMethodLocked(method)
+	s.publishDispatchLocked()
 }
 
 // HandleStream registers a stream handler for method. Unary and stream
@@ -415,22 +420,15 @@ func (s *Server) runTask(t task) {
 	s.dispatch(t.conn, t.cw, t.f)
 }
 
-// composedHandler returns the interceptor-wrapped handler for method, or nil
-// if no handler is registered. Chains are composed once per method and
-// cached; an interceptor-free server dispatches the raw handler directly.
-func (s *Server) composedHandler(method string) Handler {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h := s.handlers[method]
-	if h == nil || len(s.interceptors) == 0 {
-		return h
+// publishDispatchLocked rebuilds dispatchTable from the current handlers and
+// interceptors; an interceptor-free server maps each method to its raw
+// handler. Caller holds s.mu.
+func (s *Server) publishDispatchLocked() {
+	table := make(map[string]Handler, len(s.handlers))
+	for method, h := range s.handlers {
+		table[method] = composeChain(h, s.interceptors)
 	}
-	if w, ok := s.composed[method]; ok {
-		return w
-	}
-	w := composeChain(h, s.interceptors)
-	s.composed[method] = w
-	return w
+	s.dispatchTable.Store(table)
 }
 
 // composeChain wraps h in chain, chain[0] outermost.
@@ -498,7 +496,8 @@ func (s *Server) dispatch(conn net.Conn, cw *connWriter, f *frame) {
 
 	var resp []byte
 	var err error
-	if h := s.composedHandler(f.method); h == nil {
+	table, _ := s.dispatchTable.Load().(map[string]Handler)
+	if h := table[f.method]; h == nil {
 		err = Errorf(CodeNotFound, "%s: no such method %q", s.service, f.method)
 	} else {
 		resp, err = safeCall(h, ctx, f.payload)

@@ -7,12 +7,13 @@ import (
 
 	"dsb/internal/core"
 	"dsb/internal/rpc"
+	"dsb/internal/transport"
 )
 
-func bootEcom(t *testing.T) *Ecommerce {
+func bootEcom(t *testing.T, mw ...transport.Middleware) *Ecommerce {
 	t.Helper()
 	app := core.NewApp("ecom-test", core.Options{})
-	ec, err := New(app, Config{})
+	ec, err := New(app, Config{Middleware: mw})
 	if err != nil {
 		t.Fatalf("boot: %v", err)
 	}

@@ -270,7 +270,7 @@ func registerOrders(srv *rpc.Server, deps ordersDeps) {
 			return nil, err
 		}
 		// Hand off to queueMaster for serialized commit, then clear cart.
-		if err := deps.queueMaster.Call(ctx, "Enqueue", GetOrderReq{ID: order.ID}, nil); err != nil {
+		if err := enqueueOrder(ctx, deps.queueMaster, order.ID); err != nil {
 			return nil, err
 		}
 		if err := deps.cart.Call(ctx, "Clear", CartReq{Username: auth.Username}, nil); err != nil {

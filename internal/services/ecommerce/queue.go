@@ -40,9 +40,10 @@ const maxQueueDepth = 256
 // the topic forever. Sized far above any transient-overload retry run.
 const orderMaxAttempts = 512
 
-// overloadRetryBackoff spaces redeliveries of an order whose commit was shed
-// by the catalogue tier, so the consumer does not hot-loop on a downstream
-// that just said "not now".
+// overloadRetryBackoff spaces retries after a CodeOverloaded — redeliveries
+// of an order whose commit the catalogue tier shed, re-enqueues of an order
+// the full queue shed — so nobody hot-loops on a tier that just said "not
+// now".
 const overloadRetryBackoff = 5 * time.Millisecond
 
 // consumePoll bounds each long-poll against the broker; it is also the
@@ -174,6 +175,29 @@ func (qm *queueMaster) commit(orderID string) (retry bool) {
 	order.Status = status
 	storeOrder(ctx, qm.db, order) //nolint:errcheck // terminal status write is best-effort on teardown
 	return false
+}
+
+// enqueueOrder hands a charged, stored order to queueMaster. A full queue is
+// the retryable "not now" maxQueueDepth promises — failing the checkout on it
+// would strand the order StatusQueued forever — so it becomes backpressure:
+// wait overloadRetryBackoff and enqueue again (idempotent, the order ID is the
+// message key) until the order lands or ctx has no room left for another wait
+// and another try, and only then hand the shed to the caller.
+func enqueueOrder(ctx context.Context, queueMaster svcutil.Caller, orderID string) error {
+	for {
+		err := queueMaster.Call(ctx, "Enqueue", GetOrderReq{ID: orderID}, nil)
+		if !transport.IsCode(err, transport.CodeOverloaded) {
+			return err
+		}
+		if dl, ok := ctx.Deadline(); ok && time.Until(dl) < 2*overloadRetryBackoff {
+			return err
+		}
+		select {
+		case <-ctx.Done():
+			return err
+		case <-time.After(overloadRetryBackoff):
+		}
+	}
 }
 
 // Close stops the consumer workers; a worker parked in a long poll notices

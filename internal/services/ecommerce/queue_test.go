@@ -3,6 +3,7 @@ package ecommerce
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -164,5 +165,143 @@ func TestEnqueueShedsWhenFull(t *testing.T) {
 	err := enqueue.Call(ctx, "Enqueue", GetOrderReq{ID: "ord-overflow"}, nil)
 	if !transport.IsCode(err, transport.CodeOverloaded) {
 		t.Fatalf("enqueue beyond cap = %v, want CodeOverloaded", err)
+	}
+}
+
+// TestPlaceWaitsOutFullQueue fills the order queue to maxQueueDepth behind a
+// commit worker parked in its first AdjustStock, then places one more order.
+// By then the buyer is charged and the order stored, so a shed Enqueue must
+// not fail the checkout: Place re-enqueues until the queue has room, or until
+// its caller's deadline leaves no room to wait, and only then reports the
+// shed.
+func TestPlaceWaitsOutFullQueue(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		deadline time.Duration // 0 = none: the worker is released instead
+	}{
+		{"worker released", 0},
+		{"caller deadline", 50 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gate := make(chan struct{})
+			var open sync.Once
+			release := func() { open.Do(func() { close(gate) }) }
+			var sheds atomic.Int64
+			ec := bootEcom(t, func(next transport.Invoker) transport.Invoker {
+				return func(ctx context.Context, call *transport.Call) error {
+					if call.Method == "AdjustStock" {
+						<-gate
+					}
+					err := next(ctx, call)
+					if call.Method == "Enqueue" && transport.IsCode(err, transport.CodeOverloaded) {
+						sheds.Add(1)
+					}
+					return err
+				}
+			})
+			t.Cleanup(release) // registered after bootEcom's: runs first, so Close finds no parked worker
+			bg := context.Background()
+			token := login(t, ec, "shopper", 100000)
+			place := func(ctx context.Context) (Order, error) {
+				if err := ec.Cart.Call(bg, "Add", CartAddReq{Username: "shopper", ItemID: "sock-red", Quantity: 1}, nil); err != nil {
+					t.Error(err)
+				}
+				var placed PlaceOrderResp
+				err := ec.Orders.Call(ctx, "Place", PlaceOrderReq{Token: token, Shipping: "standard"}, &placed)
+				return placed.Order, err
+			}
+
+			first, err := place(bg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "the commit worker to lease the first order", func() bool {
+				return ec.Broker.GroupStats(orderTopic, orderGroup).InFlight == 1
+			})
+			topic := ec.Broker.Brokers()[0].Topic(orderTopic)
+			for i := 1; i < maxQueueDepth; i++ {
+				// Fillers name no stored order: once released, the worker
+				// acks them away without touching stock.
+				id := fmt.Sprintf("filler-%d", i)
+				if _, err := topic.PublishKey(id, []byte(id)); err != nil {
+					t.Fatalf("filler %d: %v", i, err)
+				}
+			}
+
+			ctx := bg
+			if tc.deadline > 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(bg, tc.deadline)
+				defer cancel()
+			}
+			type outcome struct {
+				order Order
+				err   error
+			}
+			done := make(chan outcome, 1)
+			go func() {
+				o, err := place(ctx)
+				done <- outcome{o, err}
+			}()
+
+			if tc.deadline > 0 {
+				got := <-done
+				if !transport.IsCode(got.err, transport.CodeOverloaded) {
+					t.Fatalf("Place against a full queue under a %v deadline = %v, want CodeOverloaded", tc.deadline, got.err)
+				}
+				if n := sheds.Load(); n < 2 {
+					t.Fatalf("Place gave up after %d shed enqueue(s); it must keep trying while the deadline has room", n)
+				}
+				return
+			}
+
+			waitFor(t, "Place to re-enqueue after a shed", func() bool { return sheds.Load() >= 2 })
+			select {
+			case got := <-done:
+				t.Fatalf("Place returned (%v) while the queue was still full", got.err)
+			default:
+			}
+			release()
+			got := <-done
+			if got.err != nil {
+				t.Fatalf("Place after the queue drained: %v", got.err)
+			}
+			for _, id := range []string{first.ID, got.order.ID} {
+				final, err := ec.WaitForOrder(id, 5*time.Second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if final.Status != StatusCommitted {
+					t.Fatalf("order %s is %s, want %s", id, final.Status, StatusCommitted)
+				}
+			}
+			// Exactly once: every publish (two orders + fillers; the retried
+			// Enqueues were shed, not published) is acked, none redelivered.
+			var s mq.Stats
+			waitFor(t, "every published order to be acked", func() bool {
+				s = ec.Broker.GroupStats(orderTopic, orderGroup)
+				return s.Acked == s.Published
+			})
+			if s.Published != maxQueueDepth+1 || s.Redelivered != 0 || s.DeadLettered != 0 {
+				t.Fatalf("broker stats %+v, want %d published, 0 redelivered, 0 dead-lettered", s, maxQueueDepth+1)
+			}
+			var item GetItemResp
+			if err := ec.Catalogue.Call(bg, "Get", GetItemReq{ID: "sock-red"}, &item); err != nil {
+				t.Fatal(err)
+			}
+			if item.Item.Stock != 48 {
+				t.Fatalf("stock = %d after two one-sock orders from 50, want 48", item.Item.Stock)
+			}
+		})
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
 	}
 }
