@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check alloc-guard conn-stress shard-balance bench bench-smoke codecgen codecgen-check
+.PHONY: build test vet race check alloc-guard conn-stress shard-balance bench bench-smoke codecgen codecgen-check ledger
 
 build:
 	$(GO) build ./...
@@ -35,10 +35,13 @@ codecgen-check:
 # echo round trip over the in-memory network must allocate at most the
 # server-side request context, and WAL appends must reuse their encode
 # scratch instead of re-marshaling per record. The in-memory connection under
-# all of it must itself be allocation-free once its buffers have grown.
+# all of it must itself be allocation-free once its buffers have grown. A hop
+# to a store tier (kv Get, docstore Get and Put through the svcutil clients)
+# has its own budget: pooled reply, one Doc copy per direction and no more.
 alloc-guard:
 	$(GO) test -run 'TestFrameAllocGuard|TestEchoAllocGuard|TestMemConnAllocGuard' -count=1 ./internal/rpc/
 	$(GO) test -run TestWALAppendBufferReuse -count=1 ./internal/docstore/
+	$(GO) test -run TestStoreHopAllocGuard -count=1 ./internal/svcutil/
 
 # Ring-imbalance guard: at the default 128 vnodes, the consistent-hash
 # ring must spread keys over 8 shards within +/-15% of even; a hash or
@@ -63,3 +66,19 @@ bench:
 bench-smoke:
 	$(GO) test -bench='QueryDiversity|RPCvsREST|SlowServerResilience|AutoscaleLive|ChaosRecovery|HotKeyStampede|TailAtScale|ClusterParity|AsyncFanout' -benchtime=1x .
 	$(GO) test -run 'TestClusterParityShape|TestAsyncFanoutShape|TestBrokerCrashShape|TestPushShape' -count=1 ./internal/experiments/
+
+# The perf ledger in one command (see benchmark/README.md): every workload
+# untraced (the six end-to-end metrics) and traced (the per-layer rungs), as
+# BENCHMARK.json runs them. The final JSON line of each of the eight runs is
+# collected, one per line, in .bench_build/BENCH_$(PR).json, so a PR's
+# before/after is `make ledger` on each commit. About eight minutes.
+PR ?= $(shell git rev-parse --short HEAD)
+LEDGER = .bench_build/BENCH_$(PR).json
+ledger:
+	@mkdir -p .bench_build && : > $(LEDGER)
+	@for w in social_read social_mixed ecommerce_checkout wire_echo; do for tr in 0 1; do \
+		echo "ledger: $$w --trace $$tr"; \
+		bash benchmark/run.sh --workload $$w --seed 1 --seconds 18 --trace $$tr > .bench_build/ledger.out || exit 1; \
+		printf '{"workload":"%s","trace":%s,"result":%s}\n' $$w $$tr "$$(tail -n 1 .bench_build/ledger.out)" >> $(LEDGER); \
+	done; done
+	@rm -f .bench_build/ledger.out; echo "wrote $(LEDGER)"

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"dsb/internal/codec"
 	"dsb/internal/rpc"
@@ -55,9 +56,9 @@ func (d Doc) clone() Doc {
 
 // Store is a set of named collections.
 type Store struct {
-	mu          sync.Mutex
+	mu          sync.RWMutex // guards collections; written only on first use of a name
 	collections map[string]*Collection
-	wal         *WAL
+	wal         atomic.Pointer[WAL]
 }
 
 // NewStore creates an in-memory store.
@@ -67,10 +68,15 @@ func NewStore() *Store {
 
 // Collection returns the named collection, creating it if needed.
 func (s *Store) Collection(name string) *Collection {
+	s.mu.RLock()
+	c, ok := s.collections[name]
+	s.mu.RUnlock()
+	if ok {
+		return c
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	c, ok := s.collections[name]
-	if !ok {
+	if c, ok = s.collections[name]; !ok {
 		c = newCollection(name, s)
 		s.collections[name] = c
 	}
@@ -79,8 +85,8 @@ func (s *Store) Collection(name string) *Collection {
 
 // Collections returns collection names, sorted.
 func (s *Store) Collections() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	names := make([]string, 0, len(s.collections))
 	for n := range s.collections {
 		names = append(names, n)
@@ -90,6 +96,12 @@ func (s *Store) Collections() []string {
 }
 
 // Collection is one document collection with its indexes.
+//
+// Ownership rule: a stored Doc is never mutated in place — every mutator
+// replaces the map entry with a new value — so the RPC service may read a
+// stored Doc (encode it) without copying and may store a Doc it has just
+// decoded without copying, while in-process callers of the exported methods
+// still hand in and get back copies they are free to modify.
 type Collection struct {
 	name  string
 	store *Store
@@ -99,10 +111,11 @@ type Collection struct {
 	fields map[string]map[string]map[string]struct{} // field -> value -> ids
 	nums   map[string][]numEntry                     // field -> sorted (value, id)
 
-	// mutMu serializes read-modify-write operations (Update, ListPrepend)
-	// so concurrent mutators cannot interleave and lose each other's
-	// changes. It is acquired before mu and held across the WAL append so
-	// the log order matches the apply order.
+	// mutMu serializes mutations: a read-modify-write (Update, ListPrepend)
+	// cannot lose another's change, and because it is held across the WAL
+	// append and the apply, log order is apply order. Lock order is mutMu,
+	// then the WAL's own mutex inside logOp, then mu; logOp takes no store
+	// lock.
 	mutMu sync.Mutex
 }
 
@@ -131,17 +144,27 @@ func (c *Collection) Len() int {
 	return len(c.docs)
 }
 
-// Put inserts or replaces a document by ID.
-func (c *Collection) Put(d Doc) error {
+// Put inserts or replaces a document by ID, storing a copy of d.
+func (c *Collection) Put(d Doc) error { return c.put(d.clone()) }
+
+// put is Put for a document nothing else references: it is stored as is.
+func (c *Collection) put(d Doc) error {
 	if d.ID == "" {
 		return rpc.Errorf(rpc.CodeBadRequest, "docstore: empty document ID")
 	}
+	c.mutMu.Lock()
+	defer c.mutMu.Unlock()
+	return c.commit(d)
+}
+
+// commit logs and then stores d, which the caller gives up; mutMu is held.
+func (c *Collection) commit(d Doc) error {
 	if err := c.logOp(opPut, d); err != nil {
 		return err
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.putLocked(d.clone())
+	c.putLocked(d)
+	c.mu.Unlock()
 	return nil
 }
 
@@ -204,19 +227,27 @@ func removeNum(s []numEntry, e numEntry) []numEntry {
 	return s
 }
 
-// Get returns the document by ID.
+// Get returns a copy of the document by ID.
 func (c *Collection) Get(id string) (Doc, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	d, ok := c.docs[id]
+	d, ok := c.view(id)
 	if !ok {
 		return Doc{}, false
 	}
 	return d.clone(), true
 }
 
+// view returns the stored document itself: read it, never modify it.
+func (c *Collection) view(id string) (Doc, bool) {
+	c.mu.RLock()
+	d, ok := c.docs[id]
+	c.mu.RUnlock()
+	return d, ok
+}
+
 // Delete removes a document, reporting whether it existed.
 func (c *Collection) Delete(id string) (bool, error) {
+	c.mutMu.Lock()
+	defer c.mutMu.Unlock()
 	if err := c.logOp(opDelete, Doc{ID: id}); err != nil {
 		return false, err
 	}
@@ -280,28 +311,13 @@ func (c *Collection) Update(id string, fn func(Doc) Doc) error {
 	c.mutMu.Lock()
 	defer c.mutMu.Unlock()
 
-	c.mu.RLock()
-	d, ok := c.docs[id]
-	if ok {
-		d = d.clone()
-	}
-	c.mu.RUnlock()
+	d, ok := c.view(id)
 	if !ok {
 		return rpc.NotFoundf("docstore: %s/%s", c.name, id)
 	}
-	updated := fn(d)
+	updated := fn(d.clone())
 	updated.ID = id
-
-	// mutMu is held across the log append so WAL order matches apply order
-	// for read-modify-write ops; logOp only takes store.mu, so there is no
-	// lock-order cycle.
-	if err := c.logOp(opPut, updated); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.putLocked(updated)
-	c.mu.Unlock()
-	return nil
+	return c.commit(updated)
 }
 
 // ListPrepend atomically prepends value to the codec-encoded []string
@@ -330,12 +346,9 @@ func (c *Collection) listPrepend(id, value string, max int, unique bool) (int, e
 	c.mutMu.Lock()
 	defer c.mutMu.Unlock()
 
-	c.mu.RLock()
-	d, ok := c.docs[id]
-	if ok {
-		d = d.clone()
-	}
-	c.mu.RUnlock()
+	// The new version shares the stored one's index maps and replaces only
+	// Body, so nothing stored is modified and nothing needs copying.
+	d, ok := c.view(id)
 	if !ok {
 		d = Doc{ID: id}
 	}
@@ -363,13 +376,9 @@ func (c *Collection) listPrepend(id, value string, max int, unique bool) (int, e
 		return 0, err
 	}
 	d.Body = body
-
-	if err := c.logOp(opPut, d); err != nil {
+	if err := c.commit(d); err != nil {
 		return 0, err
 	}
-	c.mu.Lock()
-	c.putLocked(d)
-	c.mu.Unlock()
 	return len(list), nil
 }
 
@@ -391,9 +400,7 @@ func (c *Collection) All() []Doc {
 }
 
 func (c *Collection) logOp(kind byte, d Doc) error {
-	c.store.mu.Lock()
-	wal := c.store.wal
-	c.store.mu.Unlock()
+	wal := c.store.wal.Load()
 	if wal == nil {
 		return nil
 	}

@@ -343,6 +343,40 @@ func TestConcurrentAccess(t *testing.T) {
 	wg.Wait()
 }
 
+// Store.Collection looks names up under a read lock; a name's first users
+// race to create it, and all of them must end up on one collection.
+func TestCollectionCreatedOnceUnderConcurrentFirstUse(t *testing.T) {
+	s := NewStore()
+	const users = 16
+	got := make([]*Collection, users)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			got[i] = s.Collection("posts")
+			if err := got[i].Put(Doc{ID: fmt.Sprintf("p%d", i)}); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, c := range got {
+		if c != got[0] {
+			t.Fatalf("user %d got a different collection than user 0", i)
+		}
+	}
+	if n := got[0].Len(); n != users {
+		t.Fatalf("collection holds %d docs, want %d: a write went to a collection that was dropped", n, users)
+	}
+	if names := s.Collections(); len(names) != 1 {
+		t.Fatalf("Collections() = %v", names)
+	}
+}
+
 func TestWALPersistence(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "store.wal")

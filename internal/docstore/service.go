@@ -79,15 +79,16 @@ func RegisterService(srv *rpc.Server, store *Store) {
 		if err := codec.Unmarshal(payload, &req); err != nil {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "decode: %v", err)
 		}
-		return nil, store.Collection(req.Collection).Put(req.Doc)
+		// req.Doc was decoded just now and nothing else refers to it.
+		return nil, store.Collection(req.Collection).put(req.Doc)
 	})
 	srv.Handle("Get", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
 		var req GetReq
 		if err := codec.Unmarshal(payload, &req); err != nil {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "decode: %v", err)
 		}
-		d, ok := store.Collection(req.Collection).Get(req.ID)
-		return codec.Marshal(GetResp{Doc: d, Found: ok})
+		d, ok := store.Collection(req.Collection).view(req.ID)
+		return ctx.PooledReply(&GetResp{Doc: d, Found: ok})
 	})
 	srv.Handle("Find", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
 		var req FindReq
@@ -95,7 +96,7 @@ func RegisterService(srv *rpc.Server, store *Store) {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "decode: %v", err)
 		}
 		docs := store.Collection(req.Collection).Find(req.Field, req.Value, int(req.Limit))
-		return codec.Marshal(FindResp{Docs: docs})
+		return ctx.PooledReply(&FindResp{Docs: docs})
 	})
 	srv.Handle("FindRange", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
 		var req FindRangeReq
@@ -103,7 +104,7 @@ func RegisterService(srv *rpc.Server, store *Store) {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "decode: %v", err)
 		}
 		docs := store.Collection(req.Collection).FindRange(req.Field, req.Min, req.Max, int(req.Limit))
-		return codec.Marshal(FindResp{Docs: docs})
+		return ctx.PooledReply(&FindResp{Docs: docs})
 	})
 	srv.Handle("ListPrepend", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
 		var req ListPrependReq
@@ -114,7 +115,7 @@ func RegisterService(srv *rpc.Server, store *Store) {
 		if err != nil {
 			return nil, err
 		}
-		return codec.Marshal(ListPrependResp{Len: int64(n)})
+		return ctx.PooledReply(&ListPrependResp{Len: int64(n)})
 	})
 	srv.Handle("Delete", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
 		var req DeleteReq
@@ -125,6 +126,6 @@ func RegisterService(srv *rpc.Server, store *Store) {
 		if err != nil {
 			return nil, err
 		}
-		return codec.Marshal(DeleteResp{Existed: existed})
+		return ctx.PooledReply(&DeleteResp{Existed: existed})
 	})
 }

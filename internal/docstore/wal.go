@@ -59,9 +59,7 @@ func Open(path string) (*Store, *WAL, error) {
 		return nil, nil, err
 	}
 	w := &WAL{f: f, w: bufio.NewWriter(f), path: path}
-	s.mu.Lock()
-	s.wal = w
-	s.mu.Unlock()
+	s.wal.Store(w)
 	return s, w, nil
 }
 

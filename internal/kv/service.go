@@ -62,7 +62,7 @@ func RegisterService(srv *rpc.Server, cache *Cache) {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "decode: %v", err)
 		}
 		v, ver, ok := cache.Get(req.Key)
-		return codec.Marshal(GetResp{Value: v, Version: ver, Found: ok})
+		return ctx.PooledReply(&GetResp{Value: v, Version: ver, Found: ok})
 	})
 	srv.Handle("MGet", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
 		var req MGetReq
@@ -76,7 +76,7 @@ func RegisterService(srv *rpc.Server, cache *Cache) {
 		for i, key := range req.Keys {
 			resp.Values[i], _, resp.Found[i] = cache.Get(key)
 		}
-		return codec.Marshal(resp)
+		return ctx.PooledReply(&resp)
 	})
 	srv.Handle("Set", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
 		var req SetReq
@@ -91,13 +91,13 @@ func RegisterService(srv *rpc.Server, cache *Cache) {
 		if err := codec.Unmarshal(payload, &req); err != nil {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "decode: %v", err)
 		}
-		return codec.Marshal(DeleteResp{Existed: cache.Delete(req.Key)})
+		return ctx.PooledReply(&DeleteResp{Existed: cache.Delete(req.Key)})
 	})
 	srv.Handle("Incr", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
 		var req IncrReq
 		if err := codec.Unmarshal(payload, &req); err != nil {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "decode: %v", err)
 		}
-		return codec.Marshal(IncrResp{Value: cache.Incr(req.Key, req.Delta)})
+		return ctx.PooledReply(&IncrResp{Value: cache.Incr(req.Key, req.Delta)})
 	})
 }

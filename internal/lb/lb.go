@@ -18,10 +18,8 @@ import (
 	"math/rand/v2"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dsb/internal/codec"
-	"dsb/internal/metrics"
 	"dsb/internal/registry"
 	"dsb/internal/rpc"
 	"dsb/internal/transport"
@@ -85,27 +83,19 @@ func (p *PowerOfTwo) Pick(n int, outstanding func(int) int64) int {
 	return a
 }
 
-// statsWindow is the sliding window over which per-backend latency stats
-// are kept; long enough to smooth policy jitter, short enough that a
-// controller reading Stats sees the current regime, not history.
-const statsWindow = 5 * time.Second
-
 type backend struct {
 	addr        string
 	client      *rpc.Client
 	outstanding atomic.Int64
 	requests    atomic.Int64
 	failures    atomic.Int64
-	latency     *metrics.Windowed
 	breaker     func() string // nil when no instrumented breaker installed
 }
 
 func (be *backend) invoke(ctx context.Context, call *transport.Call) error {
 	be.outstanding.Add(1)
 	be.requests.Add(1)
-	start := time.Now()
 	err := be.client.Invoke(ctx, call)
-	be.latency.RecordDuration(time.Since(start))
 	be.outstanding.Add(-1)
 	if transport.FailureSignal(err) {
 		be.failures.Add(1)
@@ -126,8 +116,22 @@ type Balanced struct {
 	instrument func(addr string) ([]transport.Middleware, func() string)
 	invoke     transport.Invoker
 
-	mu       sync.RWMutex
-	backends []*backend
+	mu   sync.Mutex               // serializes AddBackend, RemoveBackend and Close
+	snap atomic.Pointer[snapshot] // what calls and Stats read, without mu
+}
+
+// snapshot is one immutable version of the backend set. Membership changes
+// publish a new one; a call picks from the one it loaded, so it takes no
+// lock, and outstanding is bound here once so a pick allocates no closure.
+type snapshot struct {
+	backends    []*backend
+	outstanding func(i int) int64
+}
+
+func (b *Balanced) publish(backends []*backend) {
+	b.snap.Store(&snapshot{backends: backends, outstanding: func(i int) int64 {
+		return backends[i].outstanding.Load()
+	}})
 }
 
 // Option configures a Balanced client.
@@ -173,6 +177,7 @@ func New(network rpc.Network, target string, addrs []string, policy Policy, opts
 		o(b)
 	}
 	b.invoke = transport.Build(b.invokeOnce, b.mws...)
+	b.publish(nil)
 	for _, a := range addrs {
 		b.AddBackend(a)
 	}
@@ -182,12 +187,12 @@ func New(network rpc.Network, target string, addrs []string, policy Policy, opts
 // Target returns the balanced service name.
 func (b *Balanced) Target() string { return b.target }
 
-// AddBackend adds an instance address (idempotent). The backend slice is
-// copy-on-write: Call holds snapshots of it outside the lock.
+// AddBackend adds an instance address (idempotent).
 func (b *Balanced) AddBackend(addr string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for _, be := range b.backends {
+	backends := b.snap.Load().backends
+	for _, be := range backends {
 		if be.addr == addr {
 			return
 		}
@@ -203,14 +208,11 @@ func (b *Balanced) AddBackend(addr string) {
 	if len(mws) > 0 {
 		opts = append(opts[:len(opts):len(opts)], rpc.WithMiddleware(mws...))
 	}
-	next := make([]*backend, len(b.backends), len(b.backends)+1)
-	copy(next, b.backends)
-	b.backends = append(next, &backend{
+	b.publish(append(backends[:len(backends):len(backends)], &backend{
 		addr:    addr,
 		client:  rpc.NewClient(b.network, b.target, addr, opts...),
-		latency: metrics.NewWindowed(statsWindow, 5, nil),
 		breaker: probe,
-	})
+	}))
 }
 
 // RemoveBackend drops an instance address, closing its client. In-flight
@@ -219,13 +221,13 @@ func (b *Balanced) AddBackend(addr string) {
 func (b *Balanced) RemoveBackend(addr string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for i, be := range b.backends {
+	backends := b.snap.Load().backends
+	for i, be := range backends {
 		if be.addr == addr {
 			be.client.Close()
-			next := make([]*backend, 0, len(b.backends)-1)
-			next = append(next, b.backends[:i]...)
-			next = append(next, b.backends[i+1:]...)
-			b.backends = next
+			next := make([]*backend, 0, len(backends)-1)
+			next = append(next, backends[:i]...)
+			b.publish(append(next, backends[i+1:]...))
 			return
 		}
 	}
@@ -233,10 +235,9 @@ func (b *Balanced) RemoveBackend(addr string) {
 
 // Backends returns the current backend addresses.
 func (b *Balanced) Backends() []string {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	out := make([]string, len(b.backends))
-	for i, be := range b.backends {
+	backends := b.snap.Load().backends
+	out := make([]string, len(backends))
+	for i, be := range backends {
 		out[i] = be.addr
 	}
 	return out
@@ -282,18 +283,13 @@ type BackendStats struct {
 	// "half-open"), or "" when the balancer was built without
 	// WithBackendInstrument.
 	Breaker string
-	// P99 is the recent 99th-percentile attempt latency over the stats
-	// window (zero when no recent samples).
-	P99 time.Duration
 }
 
 // Stats returns a per-backend health snapshot, in backend order — the view
 // the control plane and experiments read instead of reaching into balancer
 // internals.
 func (b *Balanced) Stats() []BackendStats {
-	b.mu.RLock()
-	backends := b.backends
-	b.mu.RUnlock()
+	backends := b.snap.Load().backends
 	out := make([]BackendStats, len(backends))
 	for i, be := range backends {
 		s := BackendStats{
@@ -301,7 +297,6 @@ func (b *Balanced) Stats() []BackendStats {
 			InFlight: be.outstanding.Load(),
 			Requests: be.requests.Load(),
 			Failures: be.failures.Load(),
-			P99:      time.Duration(be.latency.Snapshot().P99),
 		}
 		if be.breaker != nil {
 			s.Breaker = be.breaker()
@@ -364,15 +359,12 @@ var _ transport.Streamer = (*Balanced)(nil)
 // so a dead instance doesn't surface to callers while the registry catches
 // up; application errors are returned as-is.
 func (b *Balanced) invokeOnce(ctx context.Context, call *transport.Call) error {
-	b.mu.RLock()
-	backends := b.backends
-	b.mu.RUnlock()
+	snap := b.snap.Load()
+	backends := snap.backends
 	if len(backends) == 0 {
 		return rpc.Errorf(rpc.CodeUnavailable, "lb: no backends for %q", b.target)
 	}
-	idx := b.policy.Pick(len(backends), func(i int) int64 {
-		return backends[i].outstanding.Load()
-	})
+	idx := b.policy.Pick(len(backends), snap.outstanding)
 	if idx < 0 || idx >= len(backends) {
 		return fmt.Errorf("lb: policy picked invalid backend %d/%d", idx, len(backends))
 	}
@@ -388,9 +380,9 @@ func (b *Balanced) invokeOnce(ctx context.Context, call *transport.Call) error {
 func (b *Balanced) Close() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for _, be := range b.backends {
+	for _, be := range b.snap.Load().backends {
 		be.client.Close()
 	}
-	b.backends = nil
+	b.publish(nil)
 	return nil
 }

@@ -275,8 +275,8 @@ func TestNoFailoverOnApplicationError(t *testing.T) {
 	}
 }
 
-// Stats exposes per-backend health — in-flight, totals, recent p99, breaker
-// state — without callers reaching into balancer internals.
+// Stats exposes per-backend health — in-flight, totals, breaker state —
+// without callers reaching into balancer internals.
 func TestBackendStats(t *testing.T) {
 	net := rpc.NewMem()
 	addrs := startInstances(t, net, 2)
@@ -306,9 +306,6 @@ func TestBackendStats(t *testing.T) {
 		if s.Breaker != "closed" {
 			t.Fatalf("%s: breaker state = %q, want closed", s.Addr, s.Breaker)
 		}
-		if s.P99 <= 0 {
-			t.Fatalf("%s: P99 = %v, want > 0 after traffic", s.Addr, s.P99)
-		}
 	}
 
 	// Add a never-listening backend and route traffic: its failures show up
@@ -337,5 +334,57 @@ func TestBackendStats(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("dead backend missing from stats")
+	}
+}
+
+// Calls pick from an atomically published snapshot of the backend set: a
+// replica joining and leaving while 8 callers run must lose no call — one
+// caught on the leaving replica's closed client fails over to a neighbour.
+func TestMembershipChurnLosesNoCall(t *testing.T) {
+	net := rpc.NewMem()
+	addrs := startInstances(t, net, 3)
+	b := New(net, "svc", addrs[:2], &RoundRobin{})
+	defer b.Close()
+
+	stop := make(chan struct{})
+	churned := make(chan struct{})
+	go func() {
+		defer close(churned)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			b.AddBackend(addrs[2])
+			b.RemoveBackend(addrs[2])
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				var resp whoResp
+				if err := b.Call(context.Background(), "Who", nil, &resp); err != nil {
+					t.Errorf("call lost during churn: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-churned
+
+	for _, s := range b.Stats() {
+		if s.InFlight != 0 {
+			t.Errorf("%s: %d in flight after every call returned", s.Addr, s.InFlight)
+		}
+	}
+	if got := b.Backends(); len(got) != 2 {
+		t.Errorf("backends after churn = %v, want the two stable replicas", got)
 	}
 }

@@ -199,7 +199,7 @@ func RegisterService(srv *rpc.Server, broker *Broker) {
 			if err != nil {
 				return nil, err
 			}
-			return codec.Marshal(PublishResp{ID: id})
+			return ctx.PooledReply(&PublishResp{ID: id})
 		}
 		if req.Queue == "" {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "mq: no topic or queue named")
@@ -208,7 +208,7 @@ func RegisterService(srv *rpc.Server, broker *Broker) {
 		if err != nil {
 			return nil, err
 		}
-		return codec.Marshal(PublishResp{ID: id})
+		return ctx.PooledReply(&PublishResp{ID: id})
 	})
 	srv.Handle("Mirror", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
 		var req MirrorReq
@@ -219,7 +219,7 @@ func RegisterService(srv *rpc.Server, broker *Broker) {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "mq: mirror requires a key")
 		}
 		if req.Topic != "" {
-			return codec.Marshal(MirrorResp{N: broker.Topic(req.Topic).Insert(req.Key, req.Body)})
+			return ctx.PooledReply(&MirrorResp{N: broker.Topic(req.Topic).Insert(req.Key, req.Body)})
 		}
 		if req.Queue == "" {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "mq: no topic or queue named")
@@ -228,7 +228,7 @@ func RegisterService(srv *rpc.Server, broker *Broker) {
 		if broker.Queue(req.Queue).Insert(req.Key, req.Body) {
 			n = 1
 		}
-		return codec.Marshal(MirrorResp{N: n})
+		return ctx.PooledReply(&MirrorResp{N: n})
 	})
 	srv.Handle("Subscribe", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
 		var req SubscribeReq
@@ -269,9 +269,9 @@ func RegisterService(srv *rpc.Server, broker *Broker) {
 				// over to a sibling replica, not come back here.
 				return nil, rpc.Errorf(rpc.CodeUnavailable, "mq: queue %q closed", q.Name())
 			}
-			return codec.Marshal(ConsumeResp{})
+			return ctx.PooledReply(&ConsumeResp{})
 		}
-		return codec.Marshal(ConsumeResp{ID: msg.ID, Key: msg.Key, Body: msg.Body, Attempts: msg.Attempts, OK: true})
+		return ctx.PooledReply(&ConsumeResp{ID: msg.ID, Key: msg.Key, Body: msg.Body, Attempts: msg.Attempts, OK: true})
 	})
 	srv.HandleStream("Push", func(ctx *rpc.Ctx, payload []byte, st *rpc.ServerStream) error {
 		var req PushReq
@@ -330,9 +330,9 @@ func RegisterService(srv *rpc.Server, broker *Broker) {
 			return nil, err
 		}
 		if req.Key != "" {
-			return codec.Marshal(AckResp{OK: q.Remove(req.Key)})
+			return ctx.PooledReply(&AckResp{OK: q.Remove(req.Key)})
 		}
-		return codec.Marshal(AckResp{OK: q.Ack(req.ID)})
+		return ctx.PooledReply(&AckResp{OK: q.Ack(req.ID)})
 	})
 	srv.Handle("Nack", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
 		var req AckReq
@@ -344,9 +344,9 @@ func RegisterService(srv *rpc.Server, broker *Broker) {
 			return nil, err
 		}
 		if req.Key != "" {
-			return codec.Marshal(AckResp{OK: q.NackKey(req.Key)})
+			return ctx.PooledReply(&AckResp{OK: q.NackKey(req.Key)})
 		}
-		return codec.Marshal(AckResp{OK: q.Nack(req.ID)})
+		return ctx.PooledReply(&AckResp{OK: q.Nack(req.ID)})
 	})
 	srv.Handle("Peek", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
 		var req PeekReq
@@ -363,7 +363,7 @@ func RegisterService(srv *rpc.Server, broker *Broker) {
 		if req.DLQ {
 			name += DeadLetterSuffix
 		}
-		return codec.Marshal(PeekResp{Msgs: broker.Queue(name).Peek(req.Limit)})
+		return ctx.PooledReply(&PeekResp{Msgs: broker.Queue(name).Peek(req.Limit)})
 	})
 	srv.Handle("Redrive", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
 		var req RedriveReq
@@ -377,7 +377,7 @@ func RegisterService(srv *rpc.Server, broker *Broker) {
 		if req.Topic != "" {
 			broker.Topic(req.Topic).Subscribe(req.Group)
 		}
-		return codec.Marshal(RedriveResp{N: broker.Redrive(name)})
+		return ctx.PooledReply(&RedriveResp{N: broker.Redrive(name)})
 	})
 	srv.Handle("Stats", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
 		var req StatsReq
@@ -389,7 +389,7 @@ func RegisterService(srv *rpc.Server, broker *Broker) {
 			return nil, err
 		}
 		s := q.Stats()
-		return codec.Marshal(StatsResp{
+		return ctx.PooledReply(&StatsResp{
 			Queued:       s.Queued,
 			InFlight:     s.InFlight,
 			Published:    s.Published,

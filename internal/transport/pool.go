@@ -4,7 +4,10 @@ import "sync"
 
 // Pooled buffers and call descriptors for the wire hot path. The RPC layer
 // moves payload bytes through here so a steady request stream recirculates
-// a small working set of buffers instead of allocating per call.
+// a small working set of buffers instead of allocating per call. The pool
+// caches per P (sync.Pool), so tiers sharing a process never contend on it,
+// and the collector, not a fixed entry count, bounds what it retains: an
+// idle pool is emptied within two collections.
 //
 // Ownership rules (see DESIGN.md "wire speed"):
 //
@@ -21,31 +24,26 @@ const (
 	// maxPooledBuf bounds a recyclable buffer so one jumbo payload does not
 	// pin megabytes in the pool.
 	maxPooledBuf = 64 << 10
-	// maxPoolEntries bounds the freelist.
-	maxPoolEntries = 64
 	// minBufCap is the smallest capacity AcquireBuf mints, so tiny first
 	// requests do not seed the pool with useless slivers.
 	minBufCap = 512
 )
 
-var bufPool struct {
-	mu   sync.Mutex
-	free [][]byte
-}
+// A sync.Pool stores interface values, and putting a slice header into one
+// allocates, so buffers travel in *[]byte boxes: bufPool holds boxes that
+// carry a buffer, boxPool the empty ones AcquireBuf has unloaded.
+var bufPool, boxPool sync.Pool
 
 // AcquireBuf returns a zero-length buffer with at least hint spare capacity
 // when freshly minted; a recycled buffer may be smaller (append will grow it
 // once, after which the grown buffer recirculates).
 func AcquireBuf(hint int) []byte {
-	bufPool.mu.Lock()
-	if n := len(bufPool.free); n > 0 {
-		b := bufPool.free[n-1]
-		bufPool.free[n-1] = nil
-		bufPool.free = bufPool.free[:n-1]
-		bufPool.mu.Unlock()
+	if box, _ := bufPool.Get().(*[]byte); box != nil {
+		b := *box
+		*box = nil
+		boxPool.Put(box)
 		return b
 	}
-	bufPool.mu.Unlock()
 	if hint < minBufCap {
 		hint = minBufCap
 	}
@@ -61,12 +59,12 @@ func ReleaseBuf(b []byte) {
 	if b == nil || cap(b) > maxPooledBuf {
 		return
 	}
-	b = b[:0]
-	bufPool.mu.Lock()
-	if len(bufPool.free) < maxPoolEntries {
-		bufPool.free = append(bufPool.free, b)
+	box, _ := boxPool.Get().(*[]byte)
+	if box == nil {
+		box = new([]byte)
 	}
-	bufPool.mu.Unlock()
+	*box = b[:0]
+	bufPool.Put(box)
 }
 
 var callPool = sync.Pool{New: func() any { return new(Call) }}
