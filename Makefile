@@ -23,12 +23,14 @@ race:
 # Regenerate the fast-path marshalers (wire_gen.go) from the registered
 # message types; codecgen-check fails if any are stale against the source
 # structs, so hand edits to a message type can't silently fall back to the
-# reflect plans (or worse, desync the generated encoding).
+# reflect plans (or worse, desync the generated encoding); it also holds the
+# emitter — wire and JSON output both — to its golden fixture.
 codecgen:
 	$(GO) run ./cmd/codecgen
 
 codecgen-check:
 	$(GO) run ./cmd/codecgen -check
+	$(GO) test -count=1 ./cmd/codecgen/
 
 # Alloc-regression guards for the wire hot path: frame encode/decode has a
 # pinned budget (0 allocs/op encode, frame+payload only on decode), a full
@@ -38,10 +40,14 @@ codecgen-check:
 # all of it must itself be allocation-free once its buffers have grown. A hop
 # to a store tier (kv Get, docstore Get and Put through the svcutil clients)
 # has its own budget: pooled reply, one Doc copy per direction and no more.
+# A relay tier may add no more to a path than a typed hop does, and one
+# warmed timeline page through the REST front door — eight hops, the page
+# materialised twice — has an end-to-end object budget.
 alloc-guard:
 	$(GO) test -run 'TestFrameAllocGuard|TestEchoAllocGuard|TestMemConnAllocGuard' -count=1 ./internal/rpc/
 	$(GO) test -run TestWALAppendBufferReuse -count=1 ./internal/docstore/
-	$(GO) test -run TestStoreHopAllocGuard -count=1 ./internal/svcutil/
+	$(GO) test -run 'TestStoreHopAllocGuard|TestRelayHopAllocGuard' -count=1 ./internal/svcutil/
+	$(GO) test -run TestTimelinePageAllocGuard -count=1 ./internal/services/socialnetwork/
 
 # Ring-imbalance guard: at the default 128 vnodes, the consistent-hash
 # ring must spread keys over 8 shards within +/-15% of even; a hash or

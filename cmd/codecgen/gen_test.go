@@ -16,7 +16,8 @@ var update = flag.Bool("update", false, "rewrite testdata/fixture/wire_gen.go fr
 const golden = "testdata/fixture/wire_gen.go"
 
 func TestGenerateGolden(t *testing.T) {
-	got, err := generate("fixture", "dsb/cmd/codecgen/testdata/fixture", []reflect.Type{reflect.TypeOf(fixture.Outer{})})
+	got, err := generate("fixture", "dsb/cmd/codecgen/testdata/fixture",
+		[]reflect.Type{reflect.TypeOf(fixture.Outer{})}, []reflect.Type{reflect.TypeOf(fixture.Page{})})
 	if err != nil {
 		t.Fatal(err)
 	}

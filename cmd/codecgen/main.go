@@ -6,7 +6,10 @@
 //
 // The manifest below lists the root types per package; the emitter closes
 // over nested same-package structs automatically, so adding a new request
-// type with nested payload structs only needs the root here.
+// type with nested payload structs only needs the root here. A target's
+// jsonRoots additionally get AppendJSON/DecodeJSON methods: list a type
+// there when a REST front door returns it or a REST client decodes it on a
+// hot path.
 package main
 
 import (
@@ -31,6 +34,8 @@ type target struct {
 	dir     string // relative to module root
 	pkgName string
 	roots   []any // zero values of the root message types, in output order
+	// jsonRoots are the REST front-door types that also get generated JSON.
+	jsonRoots []any
 }
 
 var targets = []target{
@@ -73,6 +78,7 @@ var targets = []target{
 			socialnetwork.InfoReq{}, socialnetwork.InfoResp{},
 			socialnetwork.AdsReq{}, socialnetwork.AdsResp{},
 		},
+		jsonRoots: []any{socialnetwork.Post{}},
 	},
 	{
 		dir: "internal/services/media", pkgName: "media",
@@ -113,18 +119,22 @@ var targets = []target{
 	},
 }
 
+func typesOf(values []any) []reflect.Type {
+	types := make([]reflect.Type, len(values))
+	for i, v := range values {
+		types[i] = reflect.TypeOf(v)
+	}
+	return types
+}
+
 func main() {
 	check := flag.Bool("check", false, "verify generated files are up to date instead of writing")
 	flag.Parse()
 
 	stale := 0
 	for _, t := range targets {
-		roots := make([]reflect.Type, len(t.roots))
-		for i, r := range t.roots {
-			roots[i] = reflect.TypeOf(r)
-		}
 		pkgPath := "dsb/" + t.dir
-		src, err := generate(t.pkgName, pkgPath, roots)
+		src, err := generate(t.pkgName, pkgPath, typesOf(t.roots), typesOf(t.jsonRoots))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "codecgen: %s: %v\n", t.dir, err)
 			os.Exit(1)

@@ -113,12 +113,42 @@ func UnmarshalReflect(data []byte, v any) error {
 	return nil
 }
 
+// Valid reports whether data is exactly one wire encoding of a T — nil if
+// and only if Unmarshal(data, new(T)) would return nil — without building
+// the value: it walks the plan's skippers, which apply every check the
+// decoders do (length bounds, narrow-integer and float32 overflow, trailing
+// bytes) and allocate nothing. A tier that forwards stored encodings
+// instead of decoding and re-encoding them validates with this first.
+func Valid[T any](data []byte) error {
+	return validType(reflect.TypeFor[T](), data)
+}
+
+func validType(t reflect.Type, data []byte) error {
+	p, err := planFor(t)
+	if err != nil {
+		return err
+	}
+	rest, err := p.skip(data)
+	if err != nil {
+		return err
+	}
+	if len(rest) != 0 {
+		return ErrTrailingBytes
+	}
+	return nil
+}
+
 type encFunc func(buf []byte, v reflect.Value) ([]byte, error)
 type decFunc func(data []byte, v reflect.Value) (rest []byte, err error)
 
+// skipFunc consumes one encoded value from the front of data, rejecting
+// exactly what the matching decFunc rejects.
+type skipFunc func(data []byte) (rest []byte, err error)
+
 type plan struct {
-	enc encFunc
-	dec decFunc
+	enc  encFunc
+	dec  decFunc
+	skip skipFunc
 }
 
 // Plan caching: completed plans live in a lock-free read-mostly map; builds
@@ -171,18 +201,20 @@ func buildLocked(t reflect.Type, session map[reflect.Type]*plan) (*plan, error) 
 func buildPlan(t reflect.Type, session map[reflect.Type]*plan) (plan, error) {
 	switch t.Kind() {
 	case reflect.Bool:
-		return plan{encBool, decBool}, nil
+		return plan{encBool, decBool, skipBool}, nil
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return plan{encInt, decInt}, nil
+		return plan{encInt, decInt, skipInt(t)}, nil
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		return plan{encUint, decUint}, nil
-	case reflect.Float32, reflect.Float64:
-		return plan{encFloat, decFloat}, nil
+		return plan{encUint, decUint, skipUint(t)}, nil
+	case reflect.Float32:
+		return plan{encFloat, decFloat, skipFloat32}, nil
+	case reflect.Float64:
+		return plan{encFloat, decFloat, skipFloat64}, nil
 	case reflect.String:
-		return plan{encString, decString}, nil
+		return plan{encString, decString, skipBytes}, nil
 	case reflect.Slice:
 		if t.Elem().Kind() == reflect.Uint8 {
-			return plan{encBytes, decBytes}, nil
+			return plan{encBytes, decBytes, skipBytes}, nil
 		}
 		return buildSlicePlan(t, session)
 	case reflect.Array:
@@ -213,6 +245,11 @@ func decBool(data []byte, v reflect.Value) ([]byte, error) {
 	return data[1:], nil
 }
 
+func skipBool(data []byte) ([]byte, error) {
+	_, rest, err := DecBool(data)
+	return rest, err
+}
+
 func encInt(buf []byte, v reflect.Value) ([]byte, error) {
 	return binary.AppendVarint(buf, v.Int()), nil
 }
@@ -227,6 +264,21 @@ func decInt(data []byte, v reflect.Value) ([]byte, error) {
 	}
 	v.SetInt(x)
 	return data[n:], nil
+}
+
+// skipInt checks the range of t's width, as decInt's OverflowInt does.
+func skipInt(t reflect.Type) skipFunc {
+	shift := 64 - t.Bits()
+	return func(data []byte) ([]byte, error) {
+		x, n := binary.Varint(data)
+		if n <= 0 {
+			return nil, ErrShortBuffer
+		}
+		if (x<<shift)>>shift != x {
+			return nil, fmt.Errorf("codec: value %d overflows %s", x, t)
+		}
+		return data[n:], nil
+	}
 }
 
 func encUint(buf []byte, v reflect.Value) ([]byte, error) {
@@ -245,6 +297,20 @@ func decUint(data []byte, v reflect.Value) ([]byte, error) {
 	return data[n:], nil
 }
 
+func skipUint(t reflect.Type) skipFunc {
+	shift := 64 - t.Bits()
+	return func(data []byte) ([]byte, error) {
+		x, n := binary.Uvarint(data)
+		if n <= 0 {
+			return nil, ErrShortBuffer
+		}
+		if (x<<shift)>>shift != x {
+			return nil, fmt.Errorf("codec: value %d overflows %s", x, t)
+		}
+		return data[n:], nil
+	}
+}
+
 func encFloat(buf []byte, v reflect.Value) ([]byte, error) {
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Float())), nil
 }
@@ -259,6 +325,16 @@ func decFloat(data []byte, v reflect.Value) ([]byte, error) {
 	}
 	v.SetFloat(f)
 	return data[8:], nil
+}
+
+func skipFloat64(data []byte) ([]byte, error) {
+	_, rest, err := DecFloat64(data)
+	return rest, err
+}
+
+func skipFloat32(data []byte) ([]byte, error) {
+	_, rest, err := DecFloat32(data)
+	return rest, err
 }
 
 func encString(buf []byte, v reflect.Value) ([]byte, error) {
@@ -287,6 +363,18 @@ func decString(data []byte, v reflect.Value) ([]byte, error) {
 		return nil, ErrShortBuffer
 	}
 	v.SetString(string(rest[:n]))
+	return rest[n:], nil
+}
+
+// skipBytes skips a length-prefixed string or byte slice.
+func skipBytes(data []byte) ([]byte, error) {
+	n, rest, err := decLen(data)
+	if err != nil {
+		return nil, err
+	}
+	if len(rest) < n {
+		return nil, ErrShortBuffer
+	}
 	return rest[n:], nil
 }
 
@@ -358,7 +446,14 @@ func buildSlicePlan(t reflect.Type, session map[reflect.Type]*plan) (plan, error
 		v.Set(s)
 		return rest, nil
 	}
-	return plan{enc, dec}, nil
+	skip := func(data []byte) ([]byte, error) {
+		n, rest, err := decLen(data)
+		for i := 0; i < n && err == nil; i++ {
+			rest, err = elem.skip(rest)
+		}
+		return rest, err
+	}
+	return plan{enc, dec, skip}, nil
 }
 
 func buildArrayPlan(t reflect.Type, session map[reflect.Type]*plan) (plan, error) {
@@ -387,7 +482,14 @@ func buildArrayPlan(t reflect.Type, session map[reflect.Type]*plan) (plan, error
 		}
 		return data, nil
 	}
-	return plan{enc, dec}, nil
+	skip := func(data []byte) ([]byte, error) {
+		var err error
+		for i := 0; i < n && err == nil; i++ {
+			data, err = elem.skip(data)
+		}
+		return data, err
+	}
+	return plan{enc, dec, skip}, nil
 }
 
 func buildMapPlan(t reflect.Type, session map[reflect.Type]*plan) (plan, error) {
@@ -445,7 +547,16 @@ func buildMapPlan(t reflect.Type, session map[reflect.Type]*plan) (plan, error) 
 		v.Set(m)
 		return rest, nil
 	}
-	return plan{enc, dec}, nil
+	skip := func(data []byte) ([]byte, error) {
+		n, rest, err := decLen(data)
+		for i := 0; i < n && err == nil; i++ {
+			if rest, err = keyPlan.skip(rest); err == nil {
+				rest, err = valPlan.skip(rest)
+			}
+		}
+		return rest, err
+	}
+	return plan{enc, dec, skip}, nil
 }
 
 func sortKeys(keys []reflect.Value) {
@@ -512,7 +623,16 @@ func buildStructPlan(t reflect.Type, session map[reflect.Type]*plan) (plan, erro
 		}
 		return data, nil
 	}
-	return plan{enc, dec}, nil
+	skip := func(data []byte) ([]byte, error) {
+		var err error
+		for _, f := range fields {
+			if data, err = f.plan.skip(data); err != nil {
+				return nil, err
+			}
+		}
+		return data, nil
+	}
+	return plan{enc, dec, skip}, nil
 }
 
 func buildPtrPlan(t reflect.Type, session map[reflect.Type]*plan) (plan, error) {
@@ -544,5 +664,14 @@ func buildPtrPlan(t reflect.Type, session map[reflect.Type]*plan) (plan, error) 
 		v.Set(p)
 		return data, nil
 	}
-	return plan{enc, dec}, nil
+	skip := func(data []byte) ([]byte, error) {
+		if len(data) < 1 {
+			return nil, ErrShortBuffer
+		}
+		if data[0] == 0 {
+			return data[1:], nil
+		}
+		return elem.skip(data[1:])
+	}
+	return plan{enc, dec, skip}, nil
 }

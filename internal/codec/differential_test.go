@@ -170,3 +170,76 @@ func FuzzRegisteredFastPaths(f *testing.F) {
 		}
 	})
 }
+
+// checkValid holds Valid to its definition on one input: nil exactly when
+// Unmarshal into a fresh value is nil.
+func checkValid(t *testing.T, typ reflect.Type, data []byte) {
+	t.Helper()
+	verr := codec.ValidType(typ, data)
+	uerr := codec.Unmarshal(data, reflect.New(typ).Interface())
+	if (verr == nil) != (uerr == nil) {
+		t.Fatalf("%s on %x: Valid says %v, Unmarshal says %v", typ, data, verr, uerr)
+	}
+}
+
+// corruptions returns enc and damaged variants of it: every truncation,
+// trailing bytes, single-byte flips, and hostile length headers spliced in
+// where a length or value may sit.
+func corruptions(enc []byte, rng *rand.Rand) [][]byte {
+	out := [][]byte{enc, append(bytes.Clone(enc), 0), append(bytes.Clone(enc), 0xff, 0x01)}
+	for i := 0; i < len(enc); i++ {
+		out = append(out, enc[:i])
+	}
+	hostile := [][]byte{
+		{0x80, 0x80, 0x80, 0x10},                                     // 32M elements backed by nothing
+		{0xff, 0xff, 0xff, 0xff, 0x0f},                               // past the length bound
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, // a full-width varint
+		{0x80}, // an unterminated varint
+	}
+	for i := 0; i < 24 && len(enc) > 0; i++ {
+		c := bytes.Clone(enc)
+		at := rng.Intn(len(c))
+		c[at] = byte(rng.Intn(256))
+		out = append(out, c)
+		h := hostile[rng.Intn(len(hostile))]
+		out = append(out, append(append(bytes.Clone(enc[:at]), h...), enc[at:]...))
+	}
+	return out
+}
+
+// TestValidMatchesUnmarshal sweeps every registered type: the skippers
+// behind Valid must accept and reject exactly what the generated decoders
+// do, on honest encodings and on damaged ones.
+func TestValidMatchesUnmarshal(t *testing.T) {
+	for _, typ := range codec.RegisteredTypes() {
+		for seed := int64(0); seed <= 6; seed++ {
+			rng := rand.New(rand.NewSource(seed * 15485863))
+			pv := reflect.New(typ)
+			if seed > 0 {
+				fill(pv.Elem(), rng, 0)
+			}
+			enc, err := codec.Marshal(pv.Elem().Interface())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := codec.ValidType(typ, enc); err != nil {
+				t.Fatalf("%s: Valid rejects an honest encoding: %v", typ, err)
+			}
+			for _, data := range corruptions(enc, rng) {
+				checkValid(t, typ, data)
+			}
+		}
+	}
+}
+
+// FuzzValid lets the fuzzer supply the bytes for every registered type.
+func FuzzValid(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x80, 0x80, 0x80, 0x10})
+	f.Add([]byte{3, 'a', 'b', 'c', 1, 'x', 0, 2, 1, 'm', 1, 'n', 0, 0, 9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, typ := range codec.RegisteredTypes() {
+			checkValid(t, typ, data)
+		}
+	})
+}

@@ -142,3 +142,26 @@ func TestHostileLengthHeaderBounded(t *testing.T) {
 		t.Fatalf("grown decode corrupted the slice: len=%d", len(back))
 	}
 }
+
+// Valid is what lets a tier forward a stored encoding without decoding it;
+// it has to cost no allocation, or the decode it replaces was cheaper.
+func TestValidAllocatesNothing(t *testing.T) {
+	msg := fuzzMsg{
+		Label: "seed", Raw: []byte{0, 1, 2}, Items: []fuzzInner{{Name: "a", Tags: []string{"x", "y"}}},
+		ByName: map[string]fuzzInner{"k": {Name: "v"}}, Opt: &fuzzInner{Name: "opt"},
+	}
+	enc, err := Marshal(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Valid[fuzzMsg](enc); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if Valid[fuzzMsg](enc) != nil || Valid[fuzzMsg](enc[:len(enc)-1]) != ErrShortBuffer {
+			t.Fatal("Valid changed its mind")
+		}
+	}); n != 0 {
+		t.Fatalf("Valid allocates %v objects per call, want 0", n)
+	}
+}

@@ -19,13 +19,60 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"dsb/internal/codec"
 	"dsb/internal/rpc"
 	"dsb/internal/transport"
 )
+
+// maxBody bounds a request or reply body. A body past it is refused with a
+// coded error: cutting it short would hand the JSON decoder a prefix, and
+// the caller a syntax error about a document that was in fact well formed.
+const maxBody = 16 << 20
+
+var errBodyTooLarge = fmt.Errorf("body exceeds the %d-byte limit", maxBody)
+
+// deadlineKey is transport.DeadlineHeader in the form net/http stores header
+// names, so neither side canonicalises it again on every request.
+var deadlineKey = http.CanonicalHeaderKey(transport.DeadlineHeader)
+
+// readBody reads r to EOF into a pooled buffer sized from the declared
+// length (-1 when unknown); the caller releases it once the bytes are dead.
+func readBody(r io.Reader, length int64) ([]byte, error) {
+	if length > maxBody {
+		return nil, errBodyTooLarge
+	}
+	buf := transport.AcquireBuf(int(length) + 1)
+	if int64(cap(buf)) <= length {
+		// A recycled buffer smaller than the body, or a body larger than
+		// the pool keeps: one exact allocation instead of regrowth.
+		transport.ReleaseBuf(buf)
+		buf = make([]byte, 0, length+1)
+	}
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if len(buf) > maxBody {
+			err = errBodyTooLarge
+		}
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			transport.ReleaseBuf(buf)
+			return nil, err
+		}
+	}
+}
 
 // Ctx is the per-request server context for REST handlers.
 type Ctx struct {
@@ -36,6 +83,8 @@ type Ctx struct {
 	Request *http.Request
 	// ReplyHeaders are returned as HTTP response headers.
 	ReplyHeaders map[string]string
+
+	query url.Values // parsed by the first Query call
 }
 
 // Header returns a request header value.
@@ -44,8 +93,14 @@ func (c *Ctx) Header(key string) string { return c.Request.Header.Get(key) }
 // PathValue returns a path wildcard value (Go 1.22 mux patterns).
 func (c *Ctx) PathValue(name string) string { return c.Request.PathValue(name) }
 
-// Query returns a query parameter.
-func (c *Ctx) Query(name string) string { return c.Request.URL.Query().Get(name) }
+// Query returns a query parameter; the URL's query is parsed once per
+// request, not once per parameter.
+func (c *Ctx) Query(name string) string {
+	if c.query == nil {
+		c.query = c.Request.URL.Query()
+	}
+	return c.query.Get(name)
+}
 
 // SetReplyHeader adds a response header.
 func (c *Ctx) SetReplyHeader(key, value string) {
@@ -55,8 +110,11 @@ func (c *Ctx) SetReplyHeader(key, value string) {
 	c.ReplyHeaders[key] = value
 }
 
-// Handler consumes the decoded request body (raw bytes; most handlers
-// unmarshal JSON via DecodeJSON) and returns a value to encode as JSON.
+// Handler consumes the request body (raw bytes; most handlers unmarshal
+// JSON via DecodeJSON) and returns a value to encode as JSON. The body is
+// pooled: it must not be retained past the handler's return (returning it,
+// or something aliasing it, as the value to encode is fine — the server
+// encodes the reply before recycling the request).
 type Handler func(ctx *Ctx, body []byte) (any, error)
 
 // Interceptor wraps server-side handling.
@@ -75,7 +133,27 @@ type Server struct {
 	hs           *http.Server
 	mu           sync.Mutex
 	interceptors []Interceptor
+	routes       []*route
 	listener     net.Listener
+}
+
+// route is one registered handler and, in chain, that handler wrapped in
+// the server's interceptors. Handle and Use republish chain whole, so a
+// request loads it without taking the server's lock or building closures.
+type route struct {
+	handler Handler
+	chain   atomic.Pointer[Handler]
+}
+
+func (rt *route) compose(interceptors []Interceptor) {
+	wrapped := rt.handler
+	for i := len(interceptors) - 1; i >= 0; i-- {
+		ic, next := interceptors[i], wrapped
+		wrapped = func(ctx *Ctx, body []byte) (any, error) {
+			return ic(ctx, body, next)
+		}
+	}
+	rt.chain.Store(&wrapped)
 }
 
 // NewServer creates a REST server for the named service.
@@ -88,60 +166,72 @@ func NewServer(service string) *Server {
 // Service returns the service name.
 func (s *Server) Service() string { return s.service }
 
-// Use appends a server interceptor. Must be called before Start.
+// Use appends a server interceptor; it wraps every route, including ones
+// registered earlier.
 func (s *Server) Use(i Interceptor) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.interceptors = append(s.interceptors, i)
+	for _, rt := range s.routes {
+		rt.compose(s.interceptors)
+	}
 }
 
 // Handle registers a handler for a mux pattern such as "POST /orders" or
 // "GET /catalogue/{id}".
 func (s *Server) Handle(pattern string, h Handler) {
-	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
-		if err != nil {
-			writeError(w, rpc.Errorf(rpc.CodeBadRequest, "read body: %v", err))
+	rt := &route{handler: h}
+	s.mu.Lock()
+	s.routes = append(s.routes, rt)
+	rt.compose(s.interceptors)
+	s.mu.Unlock()
+	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) { s.serve(rt, w, r) })
+}
+
+func (s *Server) serve(rt *route, w http.ResponseWriter, r *http.Request) {
+	var body []byte
+	if r.ContentLength != 0 { // a request that declares no body has none to read
+		var err error
+		if body, err = readBody(r.Body, r.ContentLength); err != nil {
+			writeError(w, rpc.Errorf(rpc.CodeBadRequest, "read request body: %v", err))
 			return
 		}
-		ctx := &Ctx{Context: r.Context(), Service: s.service, Request: r}
-		if v := r.Header.Get(transport.DeadlineHeader); v != "" {
-			if dl, ok := transport.ParseDeadline(v); ok {
-				var cancel context.CancelFunc
-				ctx.Context, cancel = context.WithDeadline(ctx.Context, dl)
-				defer cancel()
-			}
+		// Released on return: after the handler, and after the reply — which
+		// may alias the body — is encoded.
+		defer transport.ReleaseBuf(body)
+	}
+	ctx := &Ctx{Context: r.Context(), Service: s.service, Request: r}
+	if v := r.Header[deadlineKey]; len(v) > 0 {
+		if dl, ok := transport.ParseDeadline(v[0]); ok {
+			var cancel context.CancelFunc
+			ctx.Context, cancel = context.WithDeadline(ctx.Context, dl)
+			defer cancel()
 		}
-		s.mu.Lock()
-		chain := s.interceptors
-		s.mu.Unlock()
-		wrapped := h
-		for i := len(chain) - 1; i >= 0; i-- {
-			ic, next := chain[i], wrapped
-			wrapped = func(ctx *Ctx, body []byte) (any, error) {
-				return ic(ctx, body, next)
-			}
-		}
-		out, err := safeServe(wrapped, ctx, body)
-		for k, v := range ctx.ReplyHeaders {
-			w.Header().Set(k, v)
-		}
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		if out == nil {
-			w.WriteHeader(http.StatusNoContent)
-			return
-		}
-		data, err := json.Marshal(out)
-		if err != nil {
-			writeError(w, rpc.Errorf(rpc.CodeInternal, "encode response: %v", err))
-			return
-		}
-		w.Write(data) //nolint:errcheck // client disconnects are routine
-	})
+	}
+	out, err := safeServe(*rt.chain.Load(), ctx, body)
+	for k, v := range ctx.ReplyHeaders {
+		w.Header().Set(k, v)
+	}
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	if out == nil {
+		w.WriteHeader(http.StatusNoContent)
+		return
+	}
+	data, err := codec.AppendMarshalJSON(transport.AcquireBuf(0), out)
+	if err != nil {
+		transport.ReleaseBuf(data)
+		writeError(w, rpc.Errorf(rpc.CodeInternal, "encode response: %v", err))
+		return
+	}
+	// The length is known, so say it: the client sizes its read from it, and
+	// net/http need not chunk a reply that outgrows its write buffer.
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
+	w.Write(data) //nolint:errcheck // client disconnects are routine
+	transport.ReleaseBuf(data)
 }
 
 func safeServe(h Handler, ctx *Ctx, body []byte) (out any, err error) {
@@ -256,27 +346,29 @@ func (c *Client) Target() string { return c.target }
 // Do issues method (e.g. "POST") against path, JSON-encoding req (nil for
 // no body) and decoding the JSON response into resp (nil to discard). The
 // call flows through the middleware chain as a transport.Call whose Method
-// is "VERB /path"; the reply body is decoded after the chain returns, so
-// hedged or retried attempts never race on resp.
+// is "VERB /path"; the reply body — a pooled buffer — is decoded after the
+// chain returns, so hedged or retried attempts never race on resp, and
+// released once decoded (neither JSON decoder aliases its input).
 func (c *Client) Do(ctx context.Context, method, path string, req, resp any) error {
 	var payload []byte
 	if req != nil {
 		var err error
-		payload, err = json.Marshal(req)
+		payload, err = codec.AppendMarshalJSON(nil, req)
 		if err != nil {
 			return fmt.Errorf("rest: marshal %s %s: %w", method, path, err)
 		}
 	}
-	call := transport.NewCall(c.target, method+" "+path, payload)
-	if err := c.invoke(ctx, call); err != nil {
-		return err
-	}
-	if resp != nil && len(call.Reply) > 0 {
-		if err := json.Unmarshal(call.Reply, resp); err != nil {
-			return fmt.Errorf("rest: decode %s %s: %w", method, path, err)
+	call := transport.AcquireCall(c.target, method+" "+path)
+	call.Payload = payload
+	err := c.invoke(ctx, call)
+	if err == nil && resp != nil && len(call.Reply) > 0 {
+		if derr := codec.UnmarshalJSON(call.Reply, resp); derr != nil {
+			err = fmt.Errorf("rest: decode %s %s: %w", method, path, derr)
 		}
 	}
-	return nil
+	transport.ReleaseBuf(call.Reply)
+	transport.ReleaseCall(call)
+	return err
 }
 
 // exchangeCall is the terminal invoker: it stamps the deadline header and
@@ -295,7 +387,7 @@ func (c *Client) exchangeCall(ctx context.Context, call *transport.Call) error {
 		hr.Header.Set("Content-Type", "application/json")
 	}
 	if dl, ok := ctx.Deadline(); ok {
-		hr.Header.Set(transport.DeadlineHeader, transport.EncodeDeadline(dl))
+		hr.Header[deadlineKey] = []string{transport.EncodeDeadline(dl)}
 	}
 	for k, v := range call.Headers {
 		hr.Header.Set(k, v)
@@ -308,22 +400,26 @@ func (c *Client) exchangeCall(ctx context.Context, call *transport.Call) error {
 		return fmt.Errorf("rest: %s %s: %w", method, c.target+path, err)
 	}
 	defer res.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(res.Body, 16<<20))
+	if res.StatusCode == http.StatusNoContent {
+		call.Reply = nil
+		return nil
+	}
+	data, err := readBody(res.Body, res.ContentLength)
+	if errors.Is(err, errBodyTooLarge) {
+		return rpc.Errorf(rpc.CodeInternal, "%s %s: reply %v", method, path, err)
+	}
 	if err != nil {
 		return err
 	}
 	if res.StatusCode >= 400 {
+		defer transport.ReleaseBuf(data)
 		var eb errorBody
 		if json.Unmarshal(data, &eb) == nil && eb.Error != "" {
 			return &rpc.Error{Code: eb.Code, Msg: eb.Error}
 		}
 		return rpc.Errorf(rpc.CodeInternal, "%s %s: HTTP %d", method, path, res.StatusCode)
 	}
-	if res.StatusCode == http.StatusNoContent {
-		call.Reply = nil
-		return nil
-	}
-	call.Reply = data
+	call.Reply = data // pooled; Do releases it once decoded
 	return nil
 }
 
@@ -336,7 +432,7 @@ func (c *Client) Close() error {
 // DecodeJSON decodes a request body into v, returning a coded error on
 // malformed input; handlers use it as their first line.
 func DecodeJSON(body []byte, v any) error {
-	if err := json.Unmarshal(body, v); err != nil {
+	if err := codec.UnmarshalJSON(body, v); err != nil {
 		return rpc.Errorf(rpc.CodeBadRequest, "bad request body: %v", err)
 	}
 	return nil

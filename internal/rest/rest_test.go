@@ -2,7 +2,14 @@ package rest
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
+	"io"
 	"net"
+	"net/http"
+	"net/http/httptest"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -284,5 +291,101 @@ func TestShutdownReapsIdleKeepAlive(t *testing.T) {
 	}
 	if err := c.Do(ctx, "GET", "/items/a", nil, &got); err == nil {
 		t.Fatal("request after Shutdown succeeded")
+	}
+}
+
+// A body past the limit used to be cut at 16 MiB without a word, so the
+// JSON decoder met a prefix and the caller a syntax error about a document
+// that was well formed. Both directions now refuse it with a coded error.
+func TestBodyOverLimitIsACodedError(t *testing.T) {
+	n := rpc.NewMem()
+	s := NewServer("big")
+	handled := false
+	s.Handle("POST /in", func(ctx *Ctx, body []byte) (any, error) {
+		handled = true
+		return nil, nil
+	})
+	s.Handle("GET /out", func(ctx *Ctx, body []byte) (any, error) {
+		return strings.Repeat("a", maxBody), nil // two quotes past the limit as JSON
+	})
+	addr, err := s.Start(n, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	// Request side, straight at the handler: a client racing the server's
+	// early 400 against its own 16 MiB upload may see either.
+	rec := httptest.NewRecorder()
+	s.mux.ServeHTTP(rec, httptest.NewRequest("POST", "/in", io.LimitReader(zeros{}, maxBody+1)))
+	var eb errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusBadRequest || eb.Code != rpc.CodeBadRequest || !strings.Contains(eb.Error, "exceeds") || handled {
+		t.Fatalf("oversize request: HTTP %d, %+v, handler ran: %v; want 400, CodeBadRequest naming the limit, no handler", rec.Code, eb, handled)
+	}
+
+	c := NewClient(n, "big", addr)
+	defer c.Close()
+	var out string
+	err = c.Do(context.Background(), "GET", "/out", nil, &out)
+	if !rpc.IsCode(err, rpc.CodeInternal) || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("oversize reply: %v, want CodeInternal naming the limit", err)
+	}
+
+	// An undeclared length is caught while reading, and at the limit passes.
+	if _, err := readBody(io.LimitReader(zeros{}, maxBody+1), -1); !errors.Is(err, errBodyTooLarge) {
+		t.Fatalf("oversize stream: %v, want errBodyTooLarge", err)
+	}
+	if body, err := readBody(io.LimitReader(zeros{}, maxBody), -1); err != nil || len(body) != maxBody {
+		t.Fatalf("stream at the limit: %d bytes, %v", len(body), err)
+	}
+}
+
+// zeros is an endless reader.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// Interceptors wrap a route whichever side of Handle they were installed
+// on, run outermost first, and every query parameter reads from one parse.
+func TestInterceptorOrderAndQuery(t *testing.T) {
+	n := rpc.NewMem()
+	s := NewServer("chain")
+	var order []string
+	tag := func(name string) Interceptor {
+		return func(ctx *Ctx, body []byte, next Handler) (any, error) {
+			order = append(order, name)
+			return next(ctx, body)
+		}
+	}
+	s.Use(tag("first"))
+	s.Handle("GET /q", func(ctx *Ctx, body []byte) (any, error) {
+		if body != nil {
+			t.Errorf("body-less request handed a %d-byte body", len(body))
+		}
+		return []string{ctx.Query("a"), ctx.Query("b"), ctx.Query("missing")}, nil
+	})
+	s.Use(tag("second"))
+	addr, err := s.Start(n, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c := NewClient(n, "chain", addr)
+	defer c.Close()
+	var got []string
+	if err := c.Do(context.Background(), "GET", "/q?a=1&b=two+words", nil, &got); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"1", "two words", ""}; !slices.Equal(got, want) {
+		t.Fatalf("query = %q, want %q", got, want)
+	}
+	if want := []string{"first", "second"}; !slices.Equal(order, want) {
+		t.Fatalf("interceptors ran %q, want %q", order, want)
 	}
 }

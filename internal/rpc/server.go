@@ -40,8 +40,8 @@ type Ctx struct {
 	// back with the response.
 	ReplyHeaders map[string]string
 
-	// replyBuf is the pooled buffer handed out by PooledReply, recycled by
-	// the dispatcher once the reply frame is written.
+	// replyBuf is the pooled buffer behind the reply payload (PooledReply,
+	// OwnReply), recycled by the dispatcher once the reply frame is written.
 	replyBuf []byte
 }
 
@@ -68,8 +68,17 @@ func (c *Ctx) PooledReply(v any) ([]byte, error) {
 		transport.ReleaseBuf(buf)
 		return nil, err
 	}
-	c.replyBuf = out
-	return out, nil
+	return c.OwnReply(out), nil
+}
+
+// OwnReply makes buf — a pooled buffer the handler owns outright: one it
+// acquired and filled itself, or the pooled reply of a downstream call it
+// is relaying — this request's reply payload, and returns it. Ownership
+// passes to the dispatcher, which recycles it after the reply frame is
+// written; the handler must not touch it again.
+func (c *Ctx) OwnReply(buf []byte) []byte {
+	c.replyBuf = buf
+	return buf
 }
 
 // Handler processes a raw request payload and returns the raw response.

@@ -2,6 +2,7 @@ package socialnetwork
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"dsb/internal/docstore"
 	"dsb/internal/rpc"
 	"dsb/internal/svcutil"
+	"dsb/internal/transport"
 )
 
 // StorePostReq persists a composed post.
@@ -96,42 +98,56 @@ func registerPostStorage(srv *rpc.Server, db svcutil.DB, mc svcutil.KV, noCoales
 		return &ReadPostResp{Post: p, Found: found}, nil
 	})
 
-	svcutil.Handle(srv, "ReadBatch", func(ctx *rpc.Ctx, req *ReadPostsReq) (*ReadPostsResp, error) {
-		// Hydrating a timeline reads K posts at once; one MGet replaces K
-		// per-key cache RPCs (and on a sharded cache costs at most one call
-		// per shard). A batch-level failure just skips the optimization.
-		hits := make(map[string][]byte, len(req.IDs))
-		if len(req.IDs) > 1 {
-			keys := make([]string, len(req.IDs))
-			for i, id := range req.IDs {
-				keys[i] = "post:" + id
-			}
-			if got, err := mc.MGet(ctx, keys); err == nil {
-				hits = got
-			}
+	// ReadBatch hydrates a timeline: K posts at once. One MGet replaces K
+	// per-key cache RPCs (on a sharded cache, at most one call per shard),
+	// and the hits are not decoded: a "post:" value is a Post's wire
+	// encoding, and []Post on the wire is the count followed by the
+	// elements' encodings, so a hit is spliced into the pooled reply as it
+	// is — once codec.Valid has confirmed it decodes, which keeps the
+	// ReadPath invariant that a corrupt entry is purged and refetched, never
+	// served. The reply is byte for byte the typed encoding of ReadPostsResp.
+	srv.Handle("ReadBatch", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
+		keys, err := postKeys(payload)
+		if err != nil {
+			return nil, rpc.Errorf(rpc.CodeBadRequest, "%s.ReadBatch: decode: %v", ctx.Service, err)
 		}
-		out := make([]Post, 0, len(req.IDs))
-		for _, id := range req.IDs {
-			if raw, ok := hits["post:"+id]; ok {
-				var p Post
-				if err := codec.Unmarshal(raw, &p); err == nil {
-					out = append(out, p)
+		var hits map[string][]byte
+		if len(keys) > 1 {
+			// A batch-level failure just skips the optimization.
+			hits, _ = mc.MGet(ctx, keys)
+		}
+		// The count is written for a full page and corrected below if the
+		// store no longer has some of the posts.
+		reply := codec.AppendLen(transport.AcquireBuf(0), len(keys))
+		head, found := len(reply), 0
+		for _, key := range keys {
+			if raw, ok := hits[key]; ok {
+				if codec.Valid[Post](raw) == nil {
+					reply = append(reply, raw...)
+					found++
 					continue
 				}
 				// Corrupt batch entry: purge and take the single-key path,
-				// which refetches from the store (the ReadPath invariant).
-				mc.Delete(ctx, "post:"+id) //nolint:errcheck
+				// which refetches from the store.
+				mc.Delete(ctx, key) //nolint:errcheck
 			}
 			// Miss: the per-key path keeps coalescing and cache population.
-			p, found, err := readOne(ctx, id)
+			p, ok, err := postPath.Get(ctx, key)
+			if err == nil && ok {
+				reply, err = p.AppendTo(reply)
+				found++
+			}
 			if err != nil {
+				transport.ReleaseBuf(reply)
 				return nil, err
 			}
-			if found {
-				out = append(out, p)
-			}
 		}
-		return &ReadPostsResp{Posts: out}, nil
+		if found != len(keys) {
+			var count [binary.MaxVarintLen64]byte
+			n := copy(reply[:head], codec.AppendLen(count[:0], found)) // never wider than the full page's
+			reply = append(reply[:n], reply[head:]...)
+		}
+		return ctx.OwnReply(reply), nil
 	})
 
 	svcutil.Handle(srv, "AuthorPosts", func(ctx *rpc.Ctx, req *InfoReq) (*ReadPostsResp, error) {
@@ -151,14 +167,50 @@ func registerPostStorage(srv *rpc.Server, db svcutil.DB, mc svcutil.KV, noCoales
 	})
 }
 
-// registerReadPost installs the readPost service, the batching layer
-// between timelines and post storage (distinct tiers in Figure 4).
-func registerReadPost(srv *rpc.Server, storage svcutil.Caller) {
-	svcutil.Handle(srv, "Read", func(ctx *rpc.Ctx, req *ReadPostsReq) (*ReadPostsResp, error) {
-		var resp ReadPostsResp
-		if err := storage.Call(ctx, "ReadBatch", ReadPostsReq{IDs: req.IDs}, &resp); err != nil {
+// postKeys decodes a ReadPostsReq — on the wire, its IDs: a count, then each
+// ID's length and bytes — straight into the cache keys of those IDs, all
+// carved from one string, so a batch costs two allocations however many
+// posts it names (decoding the IDs and then prefixing each costs two per
+// post).
+func postKeys(payload []byte) ([]string, error) {
+	n, ids, err := codec.DecLen(payload)
+	if err != nil {
+		return nil, err
+	}
+	if n > len(ids) { // every ID takes at least its length byte
+		return nil, codec.ErrShortBuffer
+	}
+	buf := transport.AcquireBuf(len(ids) + n*len("post:"))
+	defer func() { transport.ReleaseBuf(buf) }()
+	rest := ids
+	for i := 0; i < n; i++ {
+		var l int
+		if l, rest, err = codec.DecLen(rest); err != nil {
 			return nil, err
 		}
-		return &resp, nil
-	})
+		if l > len(rest) {
+			return nil, codec.ErrShortBuffer
+		}
+		buf = append(append(buf, "post:"...), rest[:l]...)
+		rest = rest[l:]
+	}
+	if len(rest) != 0 {
+		return nil, codec.ErrTrailingBytes
+	}
+	all, keys := string(buf), make([]string, n)
+	for i := range keys {
+		l, after, _ := codec.DecLen(ids) // validated by the pass above
+		ids = after[l:]
+		width := len("post:") + l
+		keys[i], all = all[:width], all[width:]
+	}
+	return keys, nil
+}
+
+// registerReadPost installs the readPost service, the batching layer
+// between timelines and post storage (distinct tiers in Figure 4). It adds
+// nothing to a batch and takes nothing away, so it relays the wire bytes
+// both ways instead of materialising the posts a third time.
+func registerReadPost(srv *rpc.Server, storage svcutil.Caller) {
+	svcutil.Relay(srv, "Read", storage, "ReadBatch")
 }

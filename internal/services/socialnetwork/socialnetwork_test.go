@@ -1,22 +1,33 @@
 package socialnetwork
 
 import (
+	"bytes"
 	"context"
 	"encoding/base64"
+	"encoding/json"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"dsb/internal/core"
 	"dsb/internal/rpc"
+	"dsb/internal/transport"
 )
 
 // boot creates a full deployment and registers + logs in the given users,
 // returning their tokens.
 func boot(t *testing.T, users ...string) (*SocialNetwork, map[string]string) {
 	t.Helper()
-	app := core.NewApp("social-test", core.Options{})
+	return bootWith(t, core.Options{}, Config{SearchShards: 2}, users...)
+}
+
+// bootWith is boot for a test that needs its own app options or config.
+func bootWith(t *testing.T, opts core.Options, cfg Config, users ...string) (*SocialNetwork, map[string]string) {
+	t.Helper()
+	app := core.NewApp("social-test", opts)
 	t.Cleanup(func() { app.Close() })
-	sn, err := New(app, Config{SearchShards: 2})
+	sn, err := New(app, cfg)
 	if err != nil {
 		t.Fatalf("boot: %v", err)
 	}
@@ -355,5 +366,61 @@ func TestRegisterDuplicate(t *testing.T) {
 	err := sn.User.Call(context.Background(), "Register", RegisterReq{Username: "alice", Password: "x"}, nil)
 	if !rpc.IsCode(err, rpc.CodeConflict) {
 		t.Fatalf("duplicate register: %v", err)
+	}
+}
+
+// The front door writes its timeline page with generated JSON and the
+// client reads it with generated JSON; both must be indistinguishable from
+// encoding/json, which wrote and read that page before: the raw reply is
+// json.Marshal of the posts, escapes and all, and decodes back to them.
+func TestTimelineReplyIsEncodingJSON(t *testing.T) {
+	var mu sync.Mutex
+	var raw []byte
+	capture := func(next transport.Invoker) transport.Invoker {
+		return func(ctx context.Context, call *transport.Call) error {
+			err := next(ctx, call)
+			if call.Target == "social.frontend" {
+				mu.Lock()
+				raw = bytes.Clone(call.Reply) // pooled: dead once Do has decoded it
+				mu.Unlock()
+			}
+			return err
+		}
+	}
+	sn, tokens := bootWith(t, core.Options{ClientMiddleware: []transport.Middleware{capture}}, Config{SearchShards: 1}, "alice", "bob")
+	ctx := context.Background()
+	if err := sn.Graph.Call(ctx, "Follow", FollowReq{Follower: "bob", Followee: "alice"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, text := range []string{
+		"plain hello @bob see https://dsb.example/a/1",
+		"<b>bold</b> & \"quoted\" \\ back/slash",
+		"tab\there\nnewline \u2028 sep, snowman ☃, clef 𝄞, bad \xff byte",
+	} {
+		compose(t, sn, tokens["alice"], text)
+	}
+	want := timeline(t, sn, "bob")
+	if len(want) != 3 {
+		t.Fatalf("timeline has %d posts, want 3", len(want))
+	}
+	var got []Post
+	if err := sn.Frontend.Do(ctx, "GET", "/timeline/bob", nil, &got); err != nil {
+		t.Fatal(err)
+	}
+	wantRaw, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !bytes.Equal(raw, wantRaw) {
+		t.Fatalf("front door wrote\n%s\nencoding/json writes\n%s", raw, wantRaw)
+	}
+	var viaStd []Post
+	if err := json.Unmarshal(raw, &viaStd); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, viaStd) {
+		t.Fatalf("client decoded %+v, encoding/json decodes %+v", got, viaStd)
 	}
 }

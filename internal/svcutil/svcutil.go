@@ -5,7 +5,9 @@
 package svcutil
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"time"
 
 	"dsb/internal/codec"
@@ -79,6 +81,42 @@ func Handle[Req, Resp any](srv *rpc.Server, method string, fn func(ctx *rpc.Ctx,
 		// Unregistered type: encode the value, not the pointer — a pointer
 		// would take the reflect pointer plan and grow a nil-flag byte.
 		return ctx.PooledReply(*resp)
+	})
+}
+
+// Relay registers method as a wire relay to downMethod on down: the request
+// payload goes out as it came in, and the downstream reply — still in its
+// pooled buffer — comes back as this request's reply, released by the
+// dispatcher after the reply frame is written (rpc.Ctx.OwnReply). A tier
+// whose handler would decode a request only to re-encode it, and decode the
+// reply only to re-encode that, registers this instead. The hop runs down's
+// whole middleware chain under the request's context, so tracing, deadline
+// propagation, retries and hedges see it as they see a typed call, and a
+// coded downstream error reaches the caller with its code.
+//
+// down must expose the Invoke surface (*rpc.Client and *lb.Balanced do); a
+// Caller that does not is a wiring bug, reported at registration.
+func Relay(srv *rpc.Server, method string, down Caller, downMethod string) {
+	inv, ok := down.(interface {
+		Invoke(ctx context.Context, call *transport.Call) error
+	})
+	if !ok {
+		panic(fmt.Sprintf("svcutil: relay %s.%s: %T has no Invoke", srv.Service(), method, down))
+	}
+	target := down.Target()
+	srv.Handle(method, func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
+		call := transport.AcquireCall(target, downMethod)
+		// The request buffer is recycled when this handler's reply is out,
+		// but a hedged attempt that lost the race may still be writing its
+		// request then: attempts get a copy that outlives the handler.
+		call.Payload = bytes.Clone(payload)
+		err := inv.Invoke(ctx, call)
+		reply := call.Reply
+		transport.ReleaseCall(call)
+		if err != nil {
+			return nil, err
+		}
+		return ctx.OwnReply(reply), nil
 	})
 }
 
