@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check alloc-guard conn-stress shard-balance bench bench-smoke codecgen codecgen-check ledger
+.PHONY: build test vet fmt-check lines race check alloc-guard conn-stress shard-balance bench bench-smoke codecgen codecgen-check ledger
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,31 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Hand-written non-test Go: what a PR's line delta is counted over. Tests,
+# the generated marshalers, the benchmark and test fixtures are out.
+HANDWRITTEN = grep -E '\.go$$' | grep -v -e '_test\.go$$' -e '/wire_gen\.go$$' -e '^benchmark/' -e '/testdata/'
+
+# gofmt gate over the hand-written set: any file it names fails the check.
+fmt-check:
+	@out=$$(git ls-files -co --exclude-standard | $(HANDWRITTEN) | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
+# make lines [BASE=<ref>]: hand-written non-test Go lines in the tree and,
+# with BASE, the net and per-file delta against that commit.
+lines:
+	@files=$$(git ls-files -co --exclude-standard | $(HANDWRITTEN)); \
+	here=$$(cat $$files | wc -l); \
+	echo "hand-written non-test Go lines: $$here"; \
+	if [ -n "$(BASE)" ]; then \
+		base=$$(git ls-tree -r --name-only $(BASE) | $(HANDWRITTEN) | sed 's|^|$(BASE):|' | xargs git show | wc -l); \
+		echo "at $(BASE): $$base, net $$((here - base))"; \
+		for f in $$( { echo "$$files"; git ls-tree -r --name-only $(BASE) | $(HANDWRITTEN); } | sort -u); do \
+			now=0; [ -f "$$f" ] && now=$$(wc -l < "$$f"); \
+			was=$$(git show "$(BASE):$$f" 2>/dev/null | wc -l); \
+			[ "$$now" -ne "$$was" ] && printf '  %+5d  %s\n' $$((now - was)) "$$f"; \
+		done | sort -n; \
+	fi
 
 # The call-path packages carry the concurrency-heavy code (connection
 # pools, hedges, breakers, admission queues, fault injection, lease
@@ -61,7 +86,7 @@ shard-balance:
 conn-stress:
 	$(GO) test -race -run TestMemConnContract -count=20 ./internal/rpc/
 
-check: vet race build test alloc-guard conn-stress shard-balance codecgen-check
+check: vet fmt-check race build test alloc-guard conn-stress shard-balance codecgen-check
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...

@@ -480,15 +480,6 @@ type closerFunc func() error
 
 func (f closerFunc) Close() error { return f() }
 
-// OnClose registers fn to run during Close, before the servers and trace
-// collector shut down. Deployments register their long-running consumers
-// (broker consumer groups) here, so forgetting an explicit deployment
-// Close never leaks consume loops past the app they run on; fn must be
-// idempotent, since callers may also close the deployment explicitly.
-func (a *App) OnClose(fn func()) {
-	a.track(closerFunc(func() error { fn(); return nil }))
-}
-
 // Close shuts down every client and server started through the app and
 // stops trace collection.
 func (a *App) Close() error {

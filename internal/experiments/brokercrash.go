@@ -32,12 +32,14 @@ const (
 	bcFollowers  = 8
 	bcStoreSlots = 4
 	bcStoreRTT   = 2 * time.Millisecond
-	// bcRate offers posts above the fan-out drain capacity
-	// (bcStoreSlots/(bcFollowers·bcStoreRTT) = 250/s), so a consumer-group
-	// backlog is guaranteed to be standing on both shards when the crash
-	// lands.
-	bcRate  = 420.0
-	bcPosts = 300
+	// bcRate offers posts far above the fan-out drain capacity
+	// (bcStoreSlots/(bcFollowers·bcStoreRTT) = 250/s): push delivery
+	// pre-stages a stream window (32 messages) with each of a shard's two
+	// consumers, and those survive the broker, so the backlog standing when
+	// the crash lands has to be deeper than 64 a shard for any of it to
+	// still be queued on the corpse.
+	bcRate  = 900.0
+	bcPosts = 450
 	// bcLease is the broker tier's health lease: the crash window — during
 	// which publishes to the dead shard fail over or stall and its backlog
 	// is unreachable — ends when the lease evicts the corpse and the ring
@@ -78,10 +80,7 @@ type bcResult struct {
 
 // bcRun boots one arm, kills shard 0's primary broker mid-drive, and
 // watches the probe follower's timeline until the delivered set settles.
-// push switches the fanout consumers from poll to push delivery — the push
-// experiment reruns the replicated crash under it to show the durability
-// contract carries over to streamed delivery.
-func bcRun(replicated, push bool, seed int64) (bcResult, error) {
+func bcRun(replicated bool, seed int64) (bcResult, error) {
 	inj := fault.NewInjector(seed)
 	app := core.NewApp("brokercrash", core.Options{
 		DisableTracing: true,
@@ -107,7 +106,6 @@ func bcRun(replicated, push bool, seed int64) (bcResult, error) {
 		FanoutConsumers: 2,
 		FanoutWorkers:   bcStoreSlots,
 		BrokerShards:    2,
-		PushFanout:      push,
 	}
 	if replicated {
 		cfg.BrokerReplicas = 2
@@ -294,7 +292,7 @@ func BrokerCrash() *Report {
 		if replicated {
 			arm = "replicated (2 shards x 2)"
 		}
-		res, err := bcRun(replicated, false, 41)
+		res, err := bcRun(replicated, 41)
 		if err != nil {
 			r.Notes = append(r.Notes, fmt.Sprintf("brokercrash %s: %v", arm, err))
 			continue

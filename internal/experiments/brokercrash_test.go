@@ -15,11 +15,11 @@ const bcRecoveryBound = 8 * time.Second
 // durability claims that did not hold. An empty list is a clean pass.
 func bcShapeViolations(seed int64) []string {
 	var v []string
-	repl, err := bcRun(true, false, seed)
+	repl, err := bcRun(true, seed)
 	if err != nil {
 		return []string{fmt.Sprintf("replicated arm failed: %v", err)}
 	}
-	unrepl, err := bcRun(false, false, seed)
+	unrepl, err := bcRun(false, seed)
 	if err != nil {
 		return []string{fmt.Sprintf("unreplicated arm failed: %v", err)}
 	}

@@ -17,18 +17,18 @@ import (
 	"dsb/internal/shard"
 )
 
-// Push experiment: what does retiring the consume poll loop buy? Both arms
-// run one consumer group against the same two-shard broker tier at the same
-// offered publish rate; the poll arm long-polls Consume (paying a broker
-// RPC per sweep, empty or not, plus the per-sweep grace), the push arm
-// holds one standing stream per shard primary and the broker sends
-// messages as they arrive. Delivery latency is measured from the publish
-// timestamp each message carries; the broker tier counts every Consume RPC
-// it serves, split into productive and idle (empty) polls — the polling
-// tax the run's trailing idle window makes visible. A separate rerun of the
-// broker-crash experiment under push mode checks the durability contract
-// (acked ⇒ delivered, zero loss with mirrors) survives the delivery-path
-// swap.
+// Push experiment: what does a standing push stream buy over a consume poll
+// loop? Both arms run one consumer group against the same two-shard broker
+// tier at the same offered publish rate; the poll arm long-polls Consume
+// (paying a broker RPC per sweep, empty or not, plus the per-sweep grace),
+// the push arm holds one standing stream per shard primary and the broker
+// sends messages as they arrive. Delivery latency is measured from the publish timestamp each
+// message carries; the broker tier counts every Consume RPC it serves,
+// split into productive and idle (empty) polls — the polling tax the run's
+// trailing idle window makes visible. Both arms drive the raw mq surface;
+// the durability contract under push delivery (acked ⇒ delivered, zero
+// loss with mirrors) is the brokercrash experiment's, whose consumers are
+// mq.Serve workers.
 const (
 	pushShards = 2
 	pushMsgs   = 150
@@ -208,13 +208,11 @@ func pushRun(mode string) (pushResult, error) {
 }
 
 // Push contrasts push-based and poll-based consumer delivery at equal
-// offered throughput, then reruns the replicated broker-crash arm under
-// push to show the at-least-once durability contract is delivery-path
-// independent.
+// offered throughput.
 func Push() *Report {
 	r := &Report{
-		ID:    "push",
-		Title: "Push vs poll consumer delivery: latency and the polling tax (live stack)",
+		ID:     "push",
+		Title:  "Push vs poll consumer delivery: latency and the polling tax (live stack)",
 		Header: []string{"arm", "delivered", "p50", "p99", "consume RPCs", "idle polls"},
 	}
 	for _, mode := range []string{"push", "poll"} {
@@ -233,18 +231,5 @@ func Push() *Report {
 		fmt.Sprintf("%s msgs at %s/s into a %d-shard tier; consumers then idle %v — the window where polling keeps paying a broker RPC per sweep and push pays none",
 			fmt.Sprintf("%d", pushMsgs), qpsStr(pushRate), pushShards, pushIdleWindow),
 		"push holds one standing stream per shard primary; delivery rides the stream's credit window (backpressure with at most a window leased ahead), settles stay Ack/Nack by key")
-
-	// Crash rerun: the replicated broker-crash arm with push-mode consumers.
-	if res, err := bcRun(true, true, 41); err != nil {
-		r.Notes = append(r.Notes, fmt.Sprintf("push crash rerun: %v", err))
-	} else {
-		recovery := "-"
-		if res.recovered {
-			recovery = fmt.Sprintf("%.0fms", float64(res.recovery)/1e6)
-		}
-		r.Notes = append(r.Notes, fmt.Sprintf(
-			"broker-crash rerun under push (replicated 2x2): %d acked, %d delivered, %d lost, %d dups, recovery %s — streams die with the corpse, consumers reopen against the promoted mirror, and every acked message still arrives",
-			res.acked, res.delivered, res.lost, res.dups, recovery))
-	}
 	return r
 }

@@ -1,6 +1,10 @@
 package mq
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+	"time"
+)
 
 // Cluster is the composition root's white-box handle over the broker tier:
 // the local *Broker instances behind the RPC facade, in boot order. Tests
@@ -45,6 +49,28 @@ func (c *Cluster) GroupLag(topic, group string) int64 {
 		sum += b.Topic(topic).GroupLag(group)
 	}
 	return sum
+}
+
+// Drain blocks until the group's backlog reaches zero — every published
+// message handled and settled tier-wide — or the timeout elapses: the
+// convergence bound deterministic tests use before asserting state the
+// consumers write. A nil cluster (a deployment with no broker tier) drains
+// trivially.
+func (c *Cluster) Drain(topic, group string, timeout time.Duration) error {
+	if c == nil {
+		return nil
+	}
+	deadline := time.Now().Add(timeout)
+	for {
+		lag := c.GroupLag(topic, group)
+		if lag == 0 {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("mq: %s@%s backlog still %d after %v", topic, group, lag, timeout)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // QueueLag is GroupLag for a plain named queue.

@@ -100,6 +100,7 @@ type queue struct {
 	inflight map[uint64]*item
 	index    map[string]*item // key -> live item (queued or in-flight)
 	nextID   uint64
+	sessions uint64 // last Session id handed out
 	closed   bool
 	now      func() time.Time
 
@@ -120,6 +121,7 @@ type item struct {
 	enqueued time.Time
 	leasedAt time.Time
 	lease    time.Duration
+	owner    uint64 // Session holding the current lease; 0 = none
 }
 
 // Option configures a Broker.
@@ -338,7 +340,7 @@ func (qq *queue) tombstoneLocked(key string) {
 // leases it to the caller for leaseFor; if not acked in time, the message
 // is redelivered. leaseFor <= 0 means a 30s default.
 func (q *Queue) Receive(leaseFor time.Duration) (Message, bool) {
-	return q.receive(leaseFor, nil)
+	return q.receive(leaseFor, nil, 0)
 }
 
 // ReceiveWait is Receive bounded by a wait budget: it returns ok=false once
@@ -349,6 +351,10 @@ func (q *Queue) ReceiveWait(leaseFor, wait time.Duration) (Message, bool) {
 	if wait <= 0 {
 		return q.TryReceive(leaseFor)
 	}
+	return q.receiveWait(leaseFor, wait, 0)
+}
+
+func (q *Queue) receiveWait(leaseFor, wait time.Duration, owner uint64) (Message, bool) {
 	timedOut := false
 	qq := q.q
 	// sync.Cond has no timed wait; a timer flips timedOut under the queue
@@ -360,19 +366,53 @@ func (q *Queue) ReceiveWait(leaseFor, wait time.Duration) (Message, bool) {
 		qq.mu.Unlock()
 	})
 	defer timer.Stop()
-	return q.receive(leaseFor, &timedOut)
+	return q.receive(leaseFor, &timedOut, owner)
 }
 
 // TryReceive is Receive without blocking; ok is false when empty.
 func (q *Queue) TryReceive(leaseFor time.Duration) (Message, bool) {
 	expired := true
-	return q.receive(leaseFor, &expired)
+	return q.receive(leaseFor, &expired, 0)
+}
+
+// Session is a lease owner on one queue — the broker's end of a push
+// stream. Whatever it received that nobody has settled returns to the queue
+// when it closes, the way RabbitMQ requeues a closed channel's unacked
+// deliveries: messages buffered in the consumer's stream window, dropped in
+// transit by the teardown, or in the hands of a consumer that died all
+// redeliver at once instead of at lease expiry.
+type Session struct {
+	q  *Queue
+	id uint64
+}
+
+// Session opens a lease owner on the queue.
+func (q *Queue) Session() *Session {
+	q.q.mu.Lock()
+	defer q.q.mu.Unlock()
+	q.q.sessions++
+	return &Session{q: q, id: q.q.sessions}
+}
+
+// ReceiveWait is Queue.ReceiveWait with the lease owned by the session.
+func (s *Session) ReceiveWait(leaseFor, wait time.Duration) (Message, bool) {
+	return s.q.receiveWait(leaseFor, wait, s.id)
+}
+
+// Close returns the session's unsettled leases to the front of the queue,
+// in ID order, dead-lettering the ones that have exhausted MaxAttempts.
+func (s *Session) Close() {
+	qq := s.q.q
+	qq.mu.Lock()
+	defer qq.mu.Unlock()
+	qq.requeueLocked(func(it *item) bool { return it.owner == s.id })
 }
 
 // receive is the shared dequeue path. timedOut, when non-nil, is read under
 // the queue lock: the loop gives up once it is true and nothing is
-// deliverable (nil means block until delivery or close).
-func (q *Queue) receive(leaseFor time.Duration, timedOut *bool) (Message, bool) {
+// deliverable (nil means block until delivery or close). owner, when
+// nonzero, is the Session the lease belongs to.
+func (q *Queue) receive(leaseFor time.Duration, timedOut *bool, owner uint64) (Message, bool) {
 	if leaseFor <= 0 {
 		leaseFor = 30 * time.Second
 	}
@@ -387,6 +427,7 @@ func (q *Queue) receive(leaseFor time.Duration, timedOut *bool) (Message, bool) 
 			it.msg.Attempts++
 			it.leasedAt = qq.now()
 			it.lease = leaseFor
+			it.owner = owner
 			qq.inflight[it.msg.ID] = it
 			return it.msg, true
 		}
@@ -405,27 +446,34 @@ func (qq *queue) reclaimExpiredLocked() {
 		return
 	}
 	now := qq.now()
-	var expired []*item
+	qq.requeueLocked(func(it *item) bool { return now.Sub(it.leasedAt) >= it.lease })
+}
+
+// requeueLocked returns the in-flight messages lost selects to the front of
+// the queue, preserving ID order among them, and diverts those that have
+// exhausted MaxAttempts to the dead-letter queue.
+func (qq *queue) requeueLocked(lost func(*item) bool) {
+	var back []*item
 	for id, it := range qq.inflight {
-		if now.Sub(it.leasedAt) >= it.lease {
+		if lost(it) {
 			delete(qq.inflight, id)
 			if qq.deadLetterLocked(it) {
 				continue
 			}
 			qq.redelivered++
-			expired = append(expired, it)
+			back = append(back, it)
 		}
 	}
-	if len(expired) == 0 {
+	if len(back) == 0 {
 		return
 	}
-	// Order reclaimed items by ID, then put them ahead of fresh items.
-	for i := 1; i < len(expired); i++ {
-		for j := i; j > 0 && expired[j].msg.ID < expired[j-1].msg.ID; j-- {
-			expired[j], expired[j-1] = expired[j-1], expired[j]
+	// Order requeued items by ID, then put them ahead of fresh items.
+	for i := 1; i < len(back); i++ {
+		for j := i; j > 0 && back[j].msg.ID < back[j-1].msg.ID; j-- {
+			back[j], back[j-1] = back[j-1], back[j]
 		}
 	}
-	qq.items = append(expired, qq.items...)
+	qq.items = append(back, qq.items...)
 	qq.cond.Broadcast()
 }
 

@@ -27,8 +27,13 @@ type Bus interface {
 	PublishKey(ctx context.Context, topic, key string, body []byte) (uint64, error)
 	// Subscribe registers a consumer group on a topic with the given bounds.
 	Subscribe(ctx context.Context, topic, group string, cfg QueueConfig) error
-	// Consume long-polls one message for the group.
+	// Consume long-polls one message for the group: the bounded one-shot
+	// primitive drains, tests and the benchmark ladder use. Standing
+	// consumers take delivery through Serve.
 	Consume(ctx context.Context, topic, group string, lease, wait time.Duration) (ConsumeResp, error)
+	// Push opens a push-delivery session for the group on the topic. lease
+	// bounds per-message processing time exactly as in Consume.
+	Push(ctx context.Context, topic, group string, lease time.Duration) (Deliveries, error)
 	// Ack settles a consumed message as done.
 	Ack(ctx context.Context, topic, group string, m ConsumeResp) error
 	// Nack returns a consumed message for redelivery (or dead-lettering).

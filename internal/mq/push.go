@@ -5,10 +5,10 @@ package mq
 // idle — a consumer opens one standing Push stream per broker primary and
 // the broker sends messages as they become deliverable. Leases, settles,
 // and redelivery are unchanged: the broker leases before it sends, the
-// consumer still Acks/Nacks by key, and a message in flight on a dying
-// stream is nacked back for immediate redelivery. The stream's flow-control
-// window is the delivery backpressure: a slow consumer parks the broker's
-// sender with at most a window of messages leased ahead.
+// consumer still Acks/Nacks by key, and what a dying stream had delivered
+// that nobody settled is requeued for immediate redelivery. The stream's
+// flow-control window is the delivery backpressure: a slow consumer parks
+// the broker's sender with at most a window of messages leased ahead.
 
 import (
 	"context"
@@ -36,32 +36,18 @@ const (
 // Deliveries is an open push-delivery session. Next blocks for the next
 // leased message; the consumer settles it with the bus's Ack/Nack exactly
 // as it would a polled one. Close ends the session and releases its
-// streams; messages leased but undelivered at Close are nacked back.
+// streams; the broker takes back every message the session was sent and
+// nobody settled (see Session), so they redeliver at once.
 type Deliveries interface {
 	// Next returns the next delivered message. An error means this session
 	// has stopped delivering — the single-broker session ends when its
-	// stream does (the consumer reopens, its failover moment), while the
-	// partitioned session fails over internally and errors only when its
-	// context ends.
+	// stream does, after draining what the stream had already buffered (the
+	// consumer reopens, its failover moment), while the partitioned session
+	// fails over internally and errors only when its context ends.
 	Next() (ConsumeResp, error)
 	// Close tears the session down; a blocked Next wakes with an error.
 	Close()
 }
-
-// PushBus is the optional Bus extension for push-based delivery. Both
-// broker clients implement it; whether a consumer uses push or falls back
-// to polling is its own config switch.
-type PushBus interface {
-	Bus
-	// Push opens a push-delivery session for the group on the topic. lease
-	// bounds per-message processing time exactly as in Consume.
-	Push(ctx context.Context, topic, group string, lease time.Duration) (Deliveries, error)
-}
-
-var (
-	_ PushBus = Client{}
-	_ PushBus = (*Partitioned)(nil)
-)
 
 // streamDeliveries is the single-broker session: one stream, no failover —
 // Next surfaces the stream's end and the consumer reopens.
@@ -79,7 +65,7 @@ func (d *streamDeliveries) Close() { d.st.Cancel() }
 
 // Push opens a push stream on the broker. The underlying transport must
 // support streaming (rpc clients, balanced pools, and shard replicas all
-// do); callers get a coded error otherwise and fall back to polling.
+// do); callers get a coded error otherwise.
 func (c Client) Push(ctx context.Context, topic, group string, lease time.Duration) (Deliveries, error) {
 	sc, ok := c.C.(transport.Streamer)
 	if !ok {
@@ -138,8 +124,7 @@ func (p *Partitioned) Push(ctx context.Context, topic, group string, lease time.
 // pushShard keeps one shard's push stream alive for the session: resolve
 // the primary (lowest live addr — the same rule publishers use), stream
 // deliveries into the merged channel, and on any stream death back off and
-// re-resolve. A message received but not yet handed to the consumer when
-// the session closes is nacked back so the redelivery is immediate.
+// re-resolve.
 func (p *Partitioned) pushShard(d *partDeliveries, label, topic, group string, lease time.Duration) {
 	defer d.wg.Done()
 	backoff := pushReopenBase
@@ -166,27 +151,27 @@ func (p *Partitioned) pushShard(d *partDeliveries, label, topic, group string, l
 			select {
 			case d.out <- m:
 			case <-d.ctx.Done():
-				st.Cancel()
-				// Best-effort: return the orphaned lease now rather than at
-				// lease expiry.
-				nctx, ncancel := context.WithTimeout(context.Background(), 2*time.Second)
-				p.Nack(nctx, topic, group, m) //nolint:errcheck
-				ncancel()
+				st.Cancel() // the primary requeues m with the rest of the stream's leases
 				return
 			}
 		}
 	}
 }
 
-// pushSleep waits out one backoff step (or the session's end) and returns
-// the next, doubled up to pushReopenMax.
-func pushSleep(ctx context.Context, backoff time.Duration) time.Duration {
-	t := time.NewTimer(backoff)
+// pause waits out d or the context's end, whichever comes first.
+func pause(ctx context.Context, d time.Duration) {
+	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
 	case <-ctx.Done():
 	}
+}
+
+// pushSleep waits out one backoff step (or the session's end) and returns
+// the next, doubled up to pushReopenMax.
+func pushSleep(ctx context.Context, backoff time.Duration) time.Duration {
+	pause(ctx, backoff)
 	backoff *= 2
 	if backoff > pushReopenMax {
 		backoff = pushReopenMax

@@ -282,23 +282,22 @@ func RegisterService(srv *rpc.Server, broker *Broker) {
 		if err != nil {
 			return err
 		}
+		// The session owns every lease this stream hands out: whatever the
+		// consumer has not settled when the stream ends — buffered in its
+		// window, dropped in transit by the teardown, or in hand below — goes
+		// straight back, so a failed-over consumer gets it now, not at lease
+		// expiry.
+		sess := q.Session()
+		defer sess.Close()
 		for {
 			// Short wait slices — a local cond wait, no RPCs — keep the loop
 			// responsive to stream teardown (client gone, conn death, server
 			// shutdown) without busy-spinning an idle queue.
-			msg, ok := q.ReceiveWait(time.Duration(req.LeaseNs), pushWaitSlice)
+			msg, ok := sess.ReceiveWait(time.Duration(req.LeaseNs), pushWaitSlice)
 			select {
 			case <-st.Done():
-				if ok {
-					// Leased after the client left: hand it straight back so a
-					// failed-over consumer gets it now, not at lease expiry.
-					q.Nack(msg.ID)
-				}
 				return nil
 			case <-ctx.Done():
-				if ok {
-					q.Nack(msg.ID)
-				}
 				return nil
 			default:
 			}
@@ -315,8 +314,7 @@ func RegisterService(srv *rpc.Server, broker *Broker) {
 			// without breaking at-least-once.
 			err := st.SendMsg(ConsumeResp{ID: msg.ID, Key: msg.Key, Body: msg.Body, Attempts: msg.Attempts, OK: true})
 			if err != nil {
-				q.Nack(msg.ID) // stream died mid-delivery; redeliver immediately
-				return err
+				return err // stream died mid-delivery
 			}
 		}
 	})

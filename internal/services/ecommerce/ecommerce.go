@@ -80,7 +80,7 @@ type Ecommerce struct {
 	// across every broker instance.
 	Broker *mq.Cluster
 
-	qm *queueMaster
+	stack *svcutil.Stack
 }
 
 // New boots the E-commerce application.
@@ -106,7 +106,7 @@ func New(app *core.App, cfg Config) (*Ecommerce, error) {
 	degrade := !cfg.DisableDegradation
 	cl, db, mc, start := stack.Caller, stack.DB, stack.KV, stack.Start
 
-	ec := &Ecommerce{App: app}
+	ec := &Ecommerce{App: app, stack: stack}
 
 	start("catalogue", func(s *rpc.Server) {
 		registerCatalogue(s, db("catalogue", "db-catalogue"), mc("catalogue", "mc-catalogue"), cfg.DisableCoalescing)
@@ -138,8 +138,11 @@ func New(app *core.App, cfg Config) (*Ecommerce, error) {
 	// publish can miss the group.
 	ec.Broker = stack.StartBroker("broker", ConfigureOrderBroker)
 	start("queueMaster", func(s *rpc.Server) {
-		ec.qm = registerQueueMaster(s, stack.MQ("queueMaster", "broker"),
-			db("queueMaster", "db-orders"), cl("queueMaster", "catalogue"), cfg.OrderWorkers)
+		bus := stack.MQ("queueMaster", "broker")
+		qm := registerQueueMaster(s, bus, db("queueMaster", "db-orders"), cl("queueMaster", "catalogue"))
+		for i := 0; i < max(cfg.OrderWorkers, 1); i++ {
+			stack.Serve(s, bus, orderTopic, orderGroup, orderLease, qm.commit)
+		}
 	})
 	start("orders", func(s *rpc.Server) {
 		registerOrders(s, ordersDeps{
@@ -162,9 +165,6 @@ func New(app *core.App, cfg Config) (*Ecommerce, error) {
 	if err := stack.Boot(); err != nil {
 		return nil, fmt.Errorf("ecommerce: boot: %w", err)
 	}
-	// Stop the commit consumers on app teardown even when the caller never
-	// calls Ecommerce.Close: their long polls must not outlive the stack.
-	app.OnClose(ec.Close)
 
 	if _, err := app.StartREST("ecom.frontend", func(s *rest.Server) {
 		registerFrontend(s, frontendDeps{
@@ -233,9 +233,7 @@ func (ec *Ecommerce) WaitForOrder(id string, timeout time.Duration) (Order, erro
 	}
 }
 
-// Close stops the queueMaster consumer; call before closing the app.
-func (ec *Ecommerce) Close() {
-	if ec.qm != nil {
-		ec.qm.Close()
-	}
-}
+// Close stops the queueMaster commit workers and leaves the rest of the
+// deployment up; closing the app stops them too. Unprocessed orders stay
+// with the broker.
+func (ec *Ecommerce) Close() { ec.stack.StopConsumers() }

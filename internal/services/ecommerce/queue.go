@@ -2,8 +2,6 @@ package ecommerce
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"dsb/internal/mq"
@@ -12,14 +10,14 @@ import (
 	"dsb/internal/transport"
 )
 
-// registerQueueMaster installs the queueMaster service: Enqueue publishes
-// the order ID to the broker tier's orderQueue topic and returns once the
-// broker has acknowledged it, and a pool of consumer workers in the
-// "commit" consumer group receives, validates stock, decrements inventory,
-// and marks each order committed. The broker redelivers any order whose
-// worker dies mid-commit (lease expiry), so a crashed worker never loses an
-// order; with one worker, commits stay strictly serialized — the point the
-// paper identifies as constraining queueMaster's scalability at high load.
+// The queueMaster service: Enqueue publishes the order ID to the broker
+// tier's orderQueue topic and returns once the broker has acknowledged it,
+// and a pool of workers in the "commit" consumer group receives, validates
+// stock, decrements inventory, and marks each order committed. The broker
+// redelivers any order whose worker dies mid-commit (lease expiry), so a
+// crashed worker never loses an order; with one worker, commits stay
+// strictly serialized — the point the paper identifies as constraining
+// queueMaster's scalability at high load.
 
 // orderTopic and orderGroup name the broker topic orders flow through and
 // the consumer group that commits them.
@@ -40,15 +38,11 @@ const maxQueueDepth = 256
 // the topic forever. Sized far above any transient-overload retry run.
 const orderMaxAttempts = 512
 
-// overloadRetryBackoff spaces retries after a CodeOverloaded — redeliveries
-// of an order whose commit the catalogue tier shed, re-enqueues of an order
-// the full queue shed — so nobody hot-loops on a tier that just said "not
-// now".
+// overloadRetryBackoff spaces re-enqueues of an order the full queue shed
+// with CodeOverloaded, so Place does not hot-loop on a tier that just said
+// "not now". (Redeliveries of an order whose commit the catalogue shed are
+// spaced by the consumer worker itself.)
 const overloadRetryBackoff = 5 * time.Millisecond
-
-// consumePoll bounds each long-poll against the broker; it is also the
-// worst-case delay between Close and a parked worker noticing.
-const consumePoll = 250 * time.Millisecond
 
 // orderLease bounds one commit attempt before the broker assumes the
 // worker died and redelivers.
@@ -64,19 +58,14 @@ func ConfigureOrderBroker(b *mq.Broker) {
 }
 
 type queueMaster struct {
-	bus       mq.Bus
 	db        svcutil.DB
 	catalogue svcutil.Caller
-	wg        sync.WaitGroup
-	stop      chan struct{}
-	closed    atomic.Bool
 }
 
-func registerQueueMaster(srv *rpc.Server, bus mq.Bus, db svcutil.DB, catalogue svcutil.Caller, workers int) *queueMaster {
-	if workers < 1 {
-		workers = 1
-	}
-	qm := &queueMaster{bus: bus, db: db, catalogue: catalogue, stop: make(chan struct{})}
+// registerQueueMaster installs Enqueue on srv and returns the queueMaster
+// whose commit the composition root serves the commit group with.
+func registerQueueMaster(srv *rpc.Server, bus mq.Bus, db svcutil.DB, catalogue svcutil.Caller) *queueMaster {
+	qm := &queueMaster{db: db, catalogue: catalogue}
 	svcutil.Handle(srv, "Enqueue", func(ctx *rpc.Ctx, req *GetOrderReq) (*struct{}, error) {
 		if req.ID == "" {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "queueMaster: order ID required")
@@ -85,74 +74,26 @@ func registerQueueMaster(srv *rpc.Server, bus mq.Bus, db svcutil.DB, catalogue s
 		// broker's CodeOverloaded to the caller unchanged. The order ID is
 		// the message key: an enqueue retried through a broker failover
 		// dedups instead of committing twice.
-		_, err := qm.bus.PublishKey(ctx, orderTopic, req.ID, []byte(req.ID))
+		_, err := bus.PublishKey(ctx, orderTopic, req.ID, []byte(req.ID))
 		return nil, err
 	})
-	svcutil.Handle(srv, "Depth", func(ctx *rpc.Ctx, req *struct{}) (*struct{ Depth int64 }, error) {
-		s, err := qm.bus.Stats(ctx, orderTopic, orderGroup)
-		if err != nil {
-			return nil, err
-		}
-		return &struct{ Depth int64 }{Depth: s.Lag()}, nil
-	})
-	qm.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go qm.consume()
-	}
 	return qm
 }
 
-// consume is one commit worker: a member of the "commit" consumer group
-// long-polling the broker. A commit shed by the catalogue tier
-// (CodeOverloaded) is not a verdict on the order: the message is Nacked back
-// to the broker and redelivered once the tier has room, instead of being
+// commit is the commit group's handler: it applies one order's stock
+// decrements. A commit shed by the catalogue tier (CodeOverloaded) is not a
+// verdict on the order — the tier was healthy but full — so that error is
+// returned, the worker nacks the message back to the broker, and the order
+// stays StatusQueued until a redelivery finds room, rather than being
 // swallowed into a StatusRejected like any other error.
-func (qm *queueMaster) consume() {
-	defer qm.wg.Done()
-	ctx := context.Background()
-	for {
-		select {
-		case <-qm.stop:
-			return
-		default:
-		}
-		cctx, cancel := context.WithTimeout(ctx, consumePoll+time.Second)
-		msg, err := qm.bus.Consume(cctx, orderTopic, orderGroup, orderLease, consumePoll)
-		cancel()
-		if err != nil {
-			if qm.closed.Load() {
-				return
-			}
-			time.Sleep(overloadRetryBackoff) // broker unreachable: don't hot-loop
-			continue
-		}
-		if !msg.OK {
-			continue // poll expired empty
-		}
-		if retry := qm.commit(string(msg.Body)); retry && !qm.closed.Load() {
-			qm.bus.Nack(ctx, orderTopic, orderGroup, msg) //nolint:errcheck // lease expiry redelivers anyway
-			time.Sleep(overloadRetryBackoff)
-			continue
-		}
-		// On teardown a still-shed order is acked away (it keeps StatusQueued
-		// in the store) rather than spinning Close forever. The ack itself is
-		// one-way: a lost ack only costs a redelivery.
-		qm.bus.Ack(ctx, orderTopic, orderGroup, msg) //nolint:errcheck
-	}
-}
-
-// commit applies one order's stock decrements. It returns true when the
-// order must be redelivered: the catalogue shed the call with
-// CodeOverloaded, meaning the tier was healthy but full, so the order stays
-// StatusQueued rather than becoming a spurious rejection.
-func (qm *queueMaster) commit(orderID string) (retry bool) {
+func (qm *queueMaster) commit(_ context.Context, msg mq.ConsumeResp) error {
 	ctx := &rpc.Ctx{Context: context.Background(), Method: "commit", Service: "ecom.queueMaster"}
-	order, found, err := loadOrder(ctx, qm.db, orderID)
+	order, found, err := loadOrder(ctx, qm.db, string(msg.Body))
 	if err != nil || !found {
-		return false
+		return nil
 	}
 	if order.Status != StatusQueued {
-		return false // already processed (redelivery)
+		return nil // already processed (redelivery)
 	}
 	status := StatusCommitted
 	var decremented []CartLine
@@ -167,14 +108,14 @@ func (qm *queueMaster) commit(orderID string) (retry bool) {
 			qm.catalogue.Call(ctx, "AdjustStock", AdjustStockReq{ItemID: d.ItemID, Delta: d.Quantity}, nil) //nolint:errcheck
 		}
 		if transport.IsCode(err, transport.CodeOverloaded) {
-			return true
+			return err
 		}
 		status = StatusRejected
 		break
 	}
 	order.Status = status
 	storeOrder(ctx, qm.db, order) //nolint:errcheck // terminal status write is best-effort on teardown
-	return false
+	return nil
 }
 
 // enqueueOrder hands a charged, stored order to queueMaster. A full queue is
@@ -198,15 +139,4 @@ func enqueueOrder(ctx context.Context, queueMaster svcutil.Caller, orderID strin
 		case <-time.After(overloadRetryBackoff):
 		}
 	}
-}
-
-// Close stops the consumer workers; a worker parked in a long poll notices
-// within consumePoll. Unprocessed orders stay with the broker. Idempotent:
-// both the deployment's Close and the app's OnClose hook may call it.
-func (qm *queueMaster) Close() {
-	if !qm.closed.CompareAndSwap(false, true) {
-		return
-	}
-	close(qm.stop)
-	qm.wg.Wait()
 }

@@ -60,13 +60,12 @@ func bootQueueRig(t *testing.T, adjust func(call int) error) (broker *mq.Broker,
 	if err != nil {
 		t.Fatal(err)
 	}
-	var qm *queueMaster
 	if _, err := app.StartRPC("ecom.queueMaster", func(s *rpc.Server) {
-		qm = registerQueueMaster(s, mq.Client{C: busC}, db, cat, 1)
+		bus := mq.Client{C: busC}
+		mq.Serve(s, bus, orderTopic, orderGroup, orderLease, registerQueueMaster(s, bus, db, cat).commit)
 	}); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(qm.Close)
 	enqueue, err = app.RPC("client", "ecom.queueMaster")
 	if err != nil {
 		t.Fatal(err)
@@ -132,35 +131,31 @@ func TestOverloadedCommitRetriesNotRejects(t *testing.T) {
 	}
 }
 
-// TestEnqueueShedsWhenFull pins the consumer on an order whose commit is
-// perpetually shed, fills the queue to maxQueueDepth, and expects the next
+// TestEnqueueShedsWhenFull parks the commit worker in its first order's
+// AdjustStock, fills the queue to maxQueueDepth, and expects the next
 // Enqueue to surface CodeOverloaded to the caller instead of queueing
 // without bound.
 func TestEnqueueShedsWhenFull(t *testing.T) {
+	gate := make(chan struct{})
 	_, enqueue, db := bootQueueRig(t, func(int) error {
-		return rpc.Errorf(rpc.CodeOverloaded, "catalogue: admission shed")
+		<-gate
+		return nil
 	})
+	t.Cleanup(func() { close(gate) }) // registered after the rig's: runs first, so Close finds no parked worker
 	ctx := context.Background()
-	// ord-0 is real and its commit always sheds: after every redelivery it
-	// returns to the queue front, so nothing behind it ever drains.
+	// ord-0 is real and its commit never returns: the worker holds it, the
+	// stream window behind it stays leased, and nothing drains — queued and
+	// in-flight both count against the cap.
 	queueOrder(t, db, "ord-0")
 	if err := enqueue.Call(ctx, "Enqueue", GetOrderReq{ID: "ord-0"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Filler IDs must be distinct: Enqueue keys messages by order ID, so a
 	// repeated ID dedups broker-side instead of deepening the queue.
-	filled := 1
 	for i := 1; i < maxQueueDepth; i++ {
 		if err := enqueue.Call(ctx, "Enqueue", GetOrderReq{ID: fmt.Sprintf("ord-filler-%d", i)}, nil); err != nil {
-			if transport.IsCode(err, transport.CodeOverloaded) {
-				break // consumer timing already pushed depth to the cap
-			}
-			t.Fatal(err)
+			t.Fatalf("filler %d of %d: %v", i, maxQueueDepth-1, err)
 		}
-		filled++
-	}
-	if filled < maxQueueDepth/2 {
-		t.Fatalf("only %d orders enqueued before shed; cap not exercised", filled)
 	}
 	err := enqueue.Call(ctx, "Enqueue", GetOrderReq{ID: "ord-overflow"}, nil)
 	if !transport.IsCode(err, transport.CodeOverloaded) {

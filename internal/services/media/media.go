@@ -3,7 +3,6 @@ package media
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"dsb/internal/blobstore"
@@ -90,8 +89,7 @@ type Media struct {
 	// read backlog stats directly across every broker instance.
 	Broker *mq.Cluster
 
-	mu      sync.Mutex
-	workers []*reviewWorker
+	stack *svcutil.Stack
 }
 
 // DrainReviews blocks until the enrich consumer group's backlog reaches
@@ -100,40 +98,13 @@ type Media struct {
 // asserting the rating aggregate or search index. A nil-broker (sync)
 // deployment drains trivially.
 func (m *Media) DrainReviews(timeout time.Duration) error {
-	if m.Broker == nil {
-		return nil
-	}
-	deadline := time.Now().Add(timeout)
-	for {
-		lag := m.Broker.GroupLag(reviewTopic, reviewGroup)
-		if lag == 0 {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("media: review backlog still %d after %v", lag, timeout)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	return m.Broker.Drain(reviewTopic, reviewGroup, timeout)
 }
 
-// Close stops the review enrich workers; call before closing the app.
-// Synchronous deployments have none and close trivially.
-func (m *Media) Close() {
-	m.mu.Lock()
-	workers := m.workers
-	m.workers = nil
-	m.mu.Unlock()
-	for _, rw := range workers {
-		rw.Close()
-	}
-}
-
-// addWorker records an enrich replica for teardown.
-func (m *Media) addWorker(rw *reviewWorker) {
-	m.mu.Lock()
-	m.workers = append(m.workers, rw)
-	m.mu.Unlock()
-}
+// Close stops the review enrich workers and leaves the rest of the
+// deployment up; closing the app stops them too. Synchronous deployments
+// have none and close trivially.
+func (m *Media) Close() { m.stack.StopConsumers() }
 
 // New boots the Media Service.
 func New(app *core.App, cfg Config) (*Media, error) {
@@ -188,7 +159,7 @@ func New(app *core.App, cfg Config) (*Media, error) {
 	degrade := !cfg.DisableDegradation
 	cl, db, mc, start := stack.Caller, stack.DB, stack.KV, stack.Start
 
-	m := &Media{App: app}
+	m := &Media{App: app, stack: stack}
 
 	start("movieDB", func(s *rpc.Server) { registerMovieDB(s, movieCluster) })
 	start("plot", func(s *rpc.Server) {
@@ -223,10 +194,8 @@ func New(app *core.App, cfg Config) (*Media, error) {
 	})
 	if cfg.AsyncReviews {
 		start("reviewWorker", func(s *rpc.Server) {
-			m.addWorker(registerReviewWorker(s,
-				stack.MQ("reviewWorker", "broker"),
-				cl("reviewWorker", "movieDB"),
-				cl("reviewWorker", "reviewSearch")))
+			rw := &reviewWorker{movieDB: cl("reviewWorker", "movieDB"), search: cl("reviewWorker", "reviewSearch")}
+			stack.Serve(s, stack.MQ("reviewWorker", "broker"), reviewTopic, reviewGroup, reviewLease, rw.enrich)
 		})
 	}
 	start("userReview", func(s *rpc.Server) {
@@ -250,9 +219,6 @@ func New(app *core.App, cfg Config) (*Media, error) {
 	if err := stack.Boot(); err != nil {
 		return nil, fmt.Errorf("media: boot: %w", err)
 	}
-	// Stop the enrich workers on app teardown even when the caller never
-	// calls Media.Close: their long polls must not outlive the stack.
-	app.OnClose(m.Close)
 
 	// Streaming tier (nginx-hls) with its NFS-equivalent blob store.
 	films := blobstore.New()

@@ -37,10 +37,6 @@ const reviewMaxAttempts = 8
 // worker died and redelivers.
 const reviewLease = 30 * time.Second
 
-// reviewPoll bounds each worker long-poll; it is also the worst-case delay
-// between Close and a parked worker noticing.
-const reviewPoll = 250 * time.Millisecond
-
 // ConfigureReviewBroker declares the review topic and subscribes the enrich
 // group — it must run at broker boot, before composeReview starts, so no
 // publish misses the group.
@@ -126,63 +122,12 @@ func registerReviewSearch(srv *rpc.Server) {
 
 // reviewWorker is one replica of the enrich tier: a member of the "enrich"
 // consumer group draining the review topic into the rating aggregate and
-// the search index.
+// the search index. The composition root hands its enrich to Stack.Serve
+// on the replica's server.
 type reviewWorker struct {
-	bus     mq.Bus
 	movieDB svcutil.Caller
 	search  svcutil.Caller
 	seen    mq.Dedup
-	stop    chan struct{}
-	wg      sync.WaitGroup
-}
-
-// registerReviewWorker installs an enrich-tier replica on srv and starts
-// its consume loop.
-func registerReviewWorker(srv *rpc.Server, bus mq.Bus, movieDB, search svcutil.Caller) *reviewWorker {
-	rw := &reviewWorker{bus: bus, movieDB: movieDB, search: search, stop: make(chan struct{})}
-	svcutil.Handle(srv, "Lag", func(ctx *rpc.Ctx, req *struct{}) (*struct{ Lag int64 }, error) {
-		s, err := rw.bus.Stats(ctx, reviewTopic, reviewGroup)
-		if err != nil {
-			return nil, err
-		}
-		return &struct{ Lag int64 }{Lag: s.Lag()}, nil
-	})
-	rw.wg.Add(1)
-	go rw.run()
-	return rw
-}
-
-// run is the consume loop: long-poll, enrich, settle. Failures nack for
-// redelivery; the broker dead-letters the event after reviewMaxAttempts.
-func (rw *reviewWorker) run() {
-	defer rw.wg.Done()
-	ctx := context.Background()
-	for {
-		select {
-		case <-rw.stop:
-			return
-		default:
-		}
-		cctx, cancel := context.WithTimeout(ctx, reviewPoll+time.Second)
-		msg, err := rw.bus.Consume(cctx, reviewTopic, reviewGroup, reviewLease, reviewPoll)
-		cancel()
-		if err != nil {
-			select {
-			case <-rw.stop:
-				return
-			case <-time.After(5 * time.Millisecond): // broker unreachable: don't hot-loop
-			}
-			continue
-		}
-		if !msg.OK {
-			continue // poll expired empty
-		}
-		if err := rw.enrich(ctx, msg); err != nil {
-			rw.bus.Nack(ctx, reviewTopic, reviewGroup, msg) //nolint:errcheck // lease expiry redelivers anyway
-			continue
-		}
-		rw.bus.Ack(ctx, reviewTopic, reviewGroup, msg) //nolint:errcheck // one-way; a lost ack costs a redelivery
-	}
 }
 
 // enrich applies one review's non-critical follow-ups. Dedup on the message
@@ -207,11 +152,4 @@ func (rw *reviewWorker) enrich(ctx context.Context, msg mq.ConsumeResp) error {
 	}
 	rw.seen.Mark(msg.Key)
 	return nil
-}
-
-// Close stops the consume loop; a worker parked in a long poll notices
-// within reviewPoll.
-func (rw *reviewWorker) Close() {
-	close(rw.stop)
-	rw.wg.Wait()
 }

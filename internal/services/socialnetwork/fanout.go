@@ -2,12 +2,10 @@ package socialnetwork
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"dsb/internal/codec"
 	"dsb/internal/mq"
-	"dsb/internal/rpc"
 	"dsb/internal/svcutil"
 )
 
@@ -36,10 +34,6 @@ const fanoutMaxAttempts = 8
 // fanoutLease bounds one delivery attempt before the broker assumes the
 // consumer died and redelivers.
 const fanoutLease = 30 * time.Second
-
-// fanoutPoll bounds each consumer long-poll; it is also the worst-case
-// delay between Close and a parked consumer noticing.
-const fanoutPoll = 250 * time.Millisecond
 
 // FanoutEvent is the broker message behind one async fan-out: deliver
 // Author's post to every follower timeline.
@@ -80,133 +74,23 @@ func fanoutPush(ctx context.Context, db svcutil.DB, mc svcutil.KV, users []strin
 }
 
 // fanoutConsumer is one replica of the fanout tier: a member of the
-// "fanout" consumer group draining the timeline topic.
+// "fanout" consumer group draining the timeline topic. The composition root
+// hands its deliver to Stack.Serve on the replica's server — the server
+// exists to give the replica service identity (load reports and the control
+// plane's lag probe attach to it) and its lifetime.
 type fanoutConsumer struct {
-	bus     mq.Bus
 	graph   svcutil.Caller
 	db      svcutil.DB
 	mc      svcutil.KV
 	workers int
-	push    bool
 	seen    mq.Dedup
-	stop    chan struct{}
-	wg      sync.WaitGroup
 }
 
-// registerFanoutConsumer installs a fanout-tier replica on srv (the server
-// exists to give the replica service identity — load reports and the
-// control plane's lag probe attach to it) and starts its consume loop.
-// With push set the replica takes delivery over a standing push stream
-// instead of polling (falling back to polling if the bus cannot push).
-func registerFanoutConsumer(srv *rpc.Server, bus mq.Bus, graph svcutil.Caller, db svcutil.DB, mc svcutil.KV, workers int, push bool) *fanoutConsumer {
+func newFanoutConsumer(graph svcutil.Caller, db svcutil.DB, mc svcutil.KV, workers int) *fanoutConsumer {
 	if workers <= 0 {
 		workers = defaultFanoutWorkers
 	}
-	fc := &fanoutConsumer{
-		bus: bus, graph: graph, db: db, mc: mc, workers: workers, push: push,
-		stop: make(chan struct{}),
-	}
-	// Lag is served RPC-side too, so anything holding a caller to the tier
-	// (experiments, debugging) can read the group backlog it works against.
-	svcutil.Handle(srv, "Lag", func(ctx *rpc.Ctx, req *struct{}) (*struct{ Lag int64 }, error) {
-		s, err := fc.bus.Stats(ctx, timelineTopic, fanoutGroup)
-		if err != nil {
-			return nil, err
-		}
-		return &struct{ Lag int64 }{Lag: s.Lag()}, nil
-	})
-	fc.wg.Add(1)
-	go fc.run()
-	return fc
-}
-
-// run takes delivery in the configured mode. Push needs a PushBus; a bus
-// that cannot push (a bare Bus implementation) degrades to polling, so the
-// switch is safe to flip regardless of broker layout.
-func (fc *fanoutConsumer) run() {
-	defer fc.wg.Done()
-	if fc.push {
-		if pb, ok := fc.bus.(mq.PushBus); ok {
-			fc.runPush(pb)
-			return
-		}
-	}
-	fc.runPoll()
-}
-
-// runPush is the push-mode loop: one standing delivery session replaces the
-// poll cycle — the broker streams events as they arrive, so an idle topic
-// costs zero RPCs. Settles are unchanged. A dead session (broker crash,
-// conn loss) is reopened with a short pause; lease redelivery covers
-// whatever was in flight.
-func (fc *fanoutConsumer) runPush(pb mq.PushBus) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		<-fc.stop
-		cancel() // wakes a Next parked on an idle session
-	}()
-	for {
-		select {
-		case <-fc.stop:
-			return
-		default:
-		}
-		d, err := pb.Push(ctx, timelineTopic, fanoutGroup, fanoutLease)
-		if err != nil {
-			select {
-			case <-fc.stop:
-				return
-			case <-time.After(50 * time.Millisecond):
-			}
-			continue
-		}
-		for {
-			msg, err := d.Next()
-			if err != nil {
-				d.Close()
-				break // reopen the session
-			}
-			if err := fc.deliver(ctx, msg); err != nil {
-				fc.bus.Nack(ctx, timelineTopic, fanoutGroup, msg) //nolint:errcheck // lease expiry redelivers anyway
-				continue
-			}
-			fc.bus.Ack(ctx, timelineTopic, fanoutGroup, msg) //nolint:errcheck // one-way; a lost ack costs a redelivery
-		}
-	}
-}
-
-// runPoll is the poll-mode loop: long-poll, deliver, settle. Delivery
-// failures nack for redelivery (another replica may succeed); the broker
-// dead-letters the event after fanoutMaxAttempts.
-func (fc *fanoutConsumer) runPoll() {
-	ctx := context.Background()
-	for {
-		select {
-		case <-fc.stop:
-			return
-		default:
-		}
-		cctx, cancel := context.WithTimeout(ctx, fanoutPoll+time.Second)
-		msg, err := fc.bus.Consume(cctx, timelineTopic, fanoutGroup, fanoutLease, fanoutPoll)
-		cancel()
-		if err != nil {
-			select {
-			case <-fc.stop:
-				return
-			case <-time.After(5 * time.Millisecond): // broker unreachable: don't hot-loop
-			}
-			continue
-		}
-		if !msg.OK {
-			continue // poll expired empty
-		}
-		if err := fc.deliver(ctx, msg); err != nil {
-			fc.bus.Nack(ctx, timelineTopic, fanoutGroup, msg) //nolint:errcheck // lease expiry redelivers anyway
-			continue
-		}
-		fc.bus.Ack(ctx, timelineTopic, fanoutGroup, msg) //nolint:errcheck // one-way; a lost ack costs a redelivery
-	}
+	return &fanoutConsumer{graph: graph, db: db, mc: mc, workers: workers}
 }
 
 // deliver hydrates follower timelines for one event. The author's own
@@ -234,11 +118,4 @@ func (fc *fanoutConsumer) deliver(ctx context.Context, msg mq.ConsumeResp) error
 	}
 	fc.seen.Mark(msg.Key)
 	return nil
-}
-
-// Close stops the consume loop; a replica parked in a long poll notices
-// within fanoutPoll.
-func (fc *fanoutConsumer) Close() {
-	close(fc.stop)
-	fc.wg.Wait()
 }

@@ -2,19 +2,27 @@ package socialnetwork
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"dsb/internal/controlplane"
 	"dsb/internal/core"
+	"dsb/internal/rpc"
 )
 
 // bootAsync boots a deployment with the broker-backed fan-out path and
 // registers + logs in the given users.
 func bootAsync(t *testing.T, cfg Config, users ...string) (*SocialNetwork, map[string]string) {
 	t.Helper()
+	return bootAsyncOn(t, core.NewApp("social-async", core.Options{}), cfg, users...)
+}
+
+// bootAsyncOn is bootAsync on an app the caller configured.
+func bootAsyncOn(t *testing.T, app *core.App, cfg Config, users ...string) (*SocialNetwork, map[string]string) {
+	t.Helper()
 	cfg.SearchShards = 2
 	cfg.AsyncFanout = true
-	app := core.NewApp("social-async", core.Options{})
 	t.Cleanup(func() { app.Close() })
 	sn, err := New(app, cfg)
 	if err != nil {
@@ -68,116 +76,151 @@ func TestAsyncFanoutReadYourWrites(t *testing.T) {
 	}
 }
 
+// brokerLayouts are the broker-tier shapes the delivery and shutdown tests
+// run over: the consumers are the same mq.Serve workers on either, but a
+// partitioned session merges one stream per shard where the single broker's
+// is the stream itself.
+var brokerLayouts = []struct {
+	name string
+	cfg  Config
+}{
+	{"1-broker", Config{FanoutConsumers: 3}},
+	{"2-shards-2-consumers", Config{BrokerShards: 2, FanoutConsumers: 2}},
+}
+
 // TestAsyncFanoutManyPosts pushes a burst of composes through the broker and
-// checks the follower timeline converges on all of them, newest first —
-// at-least-once delivery with the shared consumer group never drops or
-// double-counts a post under normal operation.
+// checks every follower timeline converges on all of them — at-least-once
+// delivery with the shared consumer group never drops or double-counts a
+// post under normal operation.
 func TestAsyncFanoutManyPosts(t *testing.T) {
-	sn, tokens := bootAsync(t, Config{FanoutConsumers: 3}, "alice", "bob")
-	ctx := context.Background()
-	if err := sn.Graph.Call(ctx, "Follow", FollowReq{Follower: "bob", Followee: "alice"}, nil); err != nil {
-		t.Fatal(err)
-	}
-	const n = 20
-	ids := make(map[string]bool, n)
-	for i := 0; i < n; i++ {
-		ids[compose(t, sn, tokens["alice"], "burst post").ID] = true
-	}
-	if err := sn.DrainFanout(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	posts := timeline(t, sn, "bob")
-	if len(posts) != n {
-		t.Fatalf("bob sees %d posts, want %d", len(posts), n)
-	}
-	for _, p := range posts {
-		if !ids[p.ID] {
-			t.Fatalf("unexpected post %s in timeline", p.ID)
-		}
-		delete(ids, p.ID)
-	}
-}
-
-// TestPushFanoutDelivery runs the async path in push mode over a sharded
-// broker tier: consumers take delivery on standing streams instead of
-// polling, and followers must converge exactly as under polling.
-func TestPushFanoutDelivery(t *testing.T) {
-	sn, tokens := bootAsync(t, Config{PushFanout: true, BrokerShards: 2, FanoutConsumers: 2}, "alice", "bob", "carol")
-	ctx := context.Background()
-	for _, f := range []string{"bob", "carol"} {
-		if err := sn.Graph.Call(ctx, "Follow", FollowReq{Follower: f, Followee: "alice"}, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	const n = 10
-	ids := make(map[string]bool, n)
-	for i := 0; i < n; i++ {
-		ids[compose(t, sn, tokens["alice"], "pushed post").ID] = true
-	}
-	if err := sn.DrainFanout(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	for _, reader := range []string{"bob", "carol"} {
-		posts := timeline(t, sn, reader)
-		if len(posts) != n {
-			t.Fatalf("%s sees %d posts, want %d", reader, len(posts), n)
-		}
-		for _, p := range posts {
-			if !ids[p.ID] {
-				t.Fatalf("unexpected post %s in %s's timeline", p.ID, reader)
+	for _, layout := range brokerLayouts {
+		t.Run(layout.name, func(t *testing.T) {
+			sn, tokens := bootAsync(t, layout.cfg, "alice", "bob", "carol")
+			ctx := context.Background()
+			for _, f := range []string{"bob", "carol"} {
+				if err := sn.Graph.Call(ctx, "Follow", FollowReq{Follower: f, Followee: "alice"}, nil); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-	}
-}
-
-// TestPushFanoutClose mirrors the shutdown test in push mode: Close must
-// not hang on a consumer parked in a standing push stream.
-func TestPushFanoutClose(t *testing.T) {
-	sn, tokens := bootAsync(t, Config{PushFanout: true}, "alice", "bob")
-	ctx := context.Background()
-	if err := sn.Graph.Call(ctx, "Follow", FollowReq{Follower: "bob", Followee: "alice"}, nil); err != nil {
-		t.Fatal(err)
-	}
-	compose(t, sn, tokens["alice"], "before close")
-	if err := sn.DrainFanout(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() { sn.Close(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close did not return; consumer stuck in push stream")
+			const n = 20
+			ids := make(map[string]bool, n)
+			for i := 0; i < n; i++ {
+				ids[compose(t, sn, tokens["alice"], "burst post").ID] = true
+			}
+			if err := sn.DrainFanout(10 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			for _, reader := range []string{"bob", "carol"} {
+				posts := timeline(t, sn, reader)
+				if len(posts) != n {
+					t.Fatalf("%s sees %d posts, want %d", reader, len(posts), n)
+				}
+				seen := make(map[string]bool, n)
+				for _, p := range posts {
+					if !ids[p.ID] || seen[p.ID] {
+						t.Fatalf("unexpected or repeated post %s in %s's timeline", p.ID, reader)
+					}
+					seen[p.ID] = true
+				}
+			}
+		})
 	}
 }
 
 // TestAsyncFanoutClose stops the consumer tier cleanly: Close returns (no
-// deadlock against a parked long poll) and a post composed afterwards still
-// succeeds — the write path only needs the broker ack, not a live consumer.
+// deadlock against a worker parked on its standing push session) and a post
+// composed afterwards still succeeds — the write path only needs the broker
+// ack, not a live consumer.
 func TestAsyncFanoutClose(t *testing.T) {
-	sn, tokens := bootAsync(t, Config{}, "alice", "bob")
+	for _, layout := range brokerLayouts {
+		t.Run(layout.name, func(t *testing.T) {
+			sn, tokens := bootAsync(t, layout.cfg, "alice", "bob")
+			ctx := context.Background()
+			if err := sn.Graph.Call(ctx, "Follow", FollowReq{Follower: "bob", Followee: "alice"}, nil); err != nil {
+				t.Fatal(err)
+			}
+			compose(t, sn, tokens["alice"], "before close")
+			if err := sn.DrainFanout(5 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan struct{})
+			go func() { sn.Close(); close(done) }()
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("Close did not return; consumer stuck on its push session")
+			}
+			// The write path survives: compose returns at broker ack and the
+			// author still reads their own write; the event just waits for a
+			// consumer.
+			post := compose(t, sn, tokens["alice"], "after close")
+			if posts := timeline(t, sn, "alice"); len(posts) != 2 || posts[0].ID != post.ID {
+				t.Fatalf("author timeline after close = %+v", posts)
+			}
+			if lag := sn.Broker.GroupLag(timelineTopic, fanoutGroup); lag != 1 {
+				t.Fatalf("orphaned event lag = %d, want 1", lag)
+			}
+		})
+	}
+}
+
+// TestScaledDownFanoutReplicaStopsConsuming: the control plane's scale-down
+// is deregister, drain, close the replica's server — and the consumer must
+// go with it, or the policy believes it removed capacity it did not. Two
+// fanout replicas boot through an AppSpawner; after one is stopped the
+// broker must hold exactly one open push session for the group (the
+// survivor's — a replica without a session is handed nothing), and the
+// survivor alone must still deliver every event.
+func TestScaledDownFanoutReplicaStopsConsuming(t *testing.T) {
+	var sessions atomic.Int64 // Push streams open on the broker tier
+	app := core.NewApp("social-scale", core.Options{
+		RPCServerHook: func(service string, srv *rpc.Server) {
+			if service != "social.broker" {
+				return
+			}
+			// A stream's interceptor chain wraps its whole lifetime.
+			srv.Use(func(ctx *rpc.Ctx, payload []byte, next rpc.Handler) ([]byte, error) {
+				if ctx.Method == "Push" {
+					sessions.Add(1)
+					defer sessions.Add(-1)
+				}
+				return next(ctx, payload)
+			})
+		},
+	})
+	spawner := controlplane.NewAppSpawner(app)
+	sn, tokens := bootAsyncOn(t, app, Config{FanoutConsumers: 2, Spawner: spawner}, "alice", "bob")
 	ctx := context.Background()
 	if err := sn.Graph.Call(ctx, "Follow", FollowReq{Follower: "bob", Followee: "alice"}, nil); err != nil {
 		t.Fatal(err)
 	}
-	compose(t, sn, tokens["alice"], "before close")
-	if err := sn.DrainFanout(5 * time.Second); err != nil {
+	waitSessions := func(want int64) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); sessions.Load() != want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("broker holds %d open push sessions for the fanout group, want %d", sessions.Load(), want)
+			}
+		}
+	}
+	waitSessions(2)
+	replicas, err := app.Registry.MustLookup("social.fanout")
+	if err != nil || len(replicas) != 2 {
+		t.Fatalf("fanout replicas = %v, %v; want 2", replicas, err)
+	}
+	if err := spawner.Stop("social.fanout", replicas[0]); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan struct{})
-	go func() { sn.Close(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close did not return; consumer stuck in long poll")
+	waitSessions(1)
+
+	const n = 20
+	for i := 0; i < n; i++ {
+		compose(t, sn, tokens["alice"], "after scale-down")
 	}
-	// The write path survives: compose returns at broker ack and the author
-	// still reads their own write; the event just waits for a consumer.
-	post := compose(t, sn, tokens["alice"], "after close")
-	if posts := timeline(t, sn, "alice"); len(posts) != 2 || posts[0].ID != post.ID {
-		t.Fatalf("author timeline after close = %+v", posts)
+	if err := sn.DrainFanout(10 * time.Second); err != nil {
+		t.Fatal(err)
 	}
-	if lag := sn.Broker.GroupLag(timelineTopic, fanoutGroup); lag != 1 {
-		t.Fatalf("orphaned event lag = %d, want 1", lag)
+	if posts := timeline(t, sn, "bob"); len(posts) != n {
+		t.Fatalf("bob sees %d posts, want %d", len(posts), n)
 	}
+	waitSessions(1)
 }

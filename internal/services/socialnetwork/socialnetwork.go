@@ -2,7 +2,6 @@ package socialnetwork
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"dsb/internal/core"
@@ -62,15 +61,6 @@ type Config struct {
 	// broker crash: when the ring evicts the dead instance, consumers fail
 	// over and leased-but-unacked messages redeliver from a mirror.
 	BrokerReplicas int
-	// PushFanout switches the fanout consumer tier from long-poll Consume
-	// loops to standing push streams: each consumer opens one Push stream
-	// per broker (per shard primary on a partitioned tier) and the broker
-	// streams FanoutEvents as they arrive — no idle-poll RPCs, no
-	// per-shard grace tax. Delivery stays lease-based at-least-once; a
-	// consumer whose stream dies reopens against the surviving replica.
-	// Only meaningful with AsyncFanout; polling remains the default (and
-	// the ablation arm of the push experiment).
-	PushFanout bool
 	// DisableCoalescing turns off miss coalescing on the cache-aside read
 	// paths (timelines, posts, profiles), so every concurrent miss becomes
 	// its own backing-store read. Used by the hotpath experiment's
@@ -127,16 +117,7 @@ type SocialNetwork struct {
 	// backlog stats directly across every broker instance.
 	Broker *mq.Cluster
 
-	mu        sync.Mutex
-	consumers []*fanoutConsumer
-}
-
-// addConsumer records a fanout replica for teardown; replicas spawned by
-// the control plane at runtime register here too.
-func (sn *SocialNetwork) addConsumer(fc *fanoutConsumer) {
-	sn.mu.Lock()
-	sn.consumers = append(sn.consumers, fc)
-	sn.mu.Unlock()
+	stack *svcutil.Stack
 }
 
 // DrainFanout blocks until the fanout consumer group's backlog reaches
@@ -145,33 +126,13 @@ func (sn *SocialNetwork) addConsumer(fc *fanoutConsumer) {
 // tests use before asserting follower-visible state. A nil-broker (sync
 // fan-out) deployment drains trivially.
 func (sn *SocialNetwork) DrainFanout(timeout time.Duration) error {
-	if sn.Broker == nil {
-		return nil
-	}
-	deadline := time.Now().Add(timeout)
-	for {
-		lag := sn.Broker.GroupLag(timelineTopic, fanoutGroup)
-		if lag == 0 {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("socialnetwork: fanout backlog still %d after %v", lag, timeout)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	return sn.Broker.Drain(timelineTopic, fanoutGroup, timeout)
 }
 
-// Close stops the fanout consumer replicas; call before closing the app.
-// Synchronous deployments have none and close trivially.
-func (sn *SocialNetwork) Close() {
-	sn.mu.Lock()
-	consumers := sn.consumers
-	sn.consumers = nil
-	sn.mu.Unlock()
-	for _, fc := range consumers {
-		fc.Close()
-	}
-}
+// Close stops the fanout consumer replicas and leaves the rest of the
+// deployment up; closing the app stops them too. Synchronous deployments
+// have none and close trivially.
+func (sn *SocialNetwork) Close() { sn.stack.StopConsumers() }
 
 // New boots the full Social Network on the given app: storage tiers first,
 // then leaf services, then orchestrators, then the front door.
@@ -229,7 +190,7 @@ func New(app *core.App, cfg Config) (*SocialNetwork, error) {
 	}
 
 	degrade := !cfg.DisableDegradation
-	sn := &SocialNetwork{App: app}
+	sn := &SocialNetwork{App: app, stack: stack}
 
 	cl, db, mc := stack.Caller, stack.DB, stack.KV
 	// Boot order respects the dependency graph, so every client resolves.
@@ -287,12 +248,9 @@ func New(app *core.App, cfg Config) (*SocialNetwork, error) {
 	})
 	if cfg.AsyncFanout {
 		start("fanout", func(s *rpc.Server) {
-			sn.addConsumer(registerFanoutConsumer(s,
-				stack.MQ("fanout", "broker"),
-				cl("fanout", "socialGraph"),
-				db("fanout", "db-timeline"),
-				mc("fanout", "mc-timeline"),
-				cfg.FanoutWorkers, cfg.PushFanout))
+			fc := newFanoutConsumer(cl("fanout", "socialGraph"),
+				db("fanout", "db-timeline"), mc("fanout", "mc-timeline"), cfg.FanoutWorkers)
+			stack.Serve(s, stack.MQ("fanout", "broker"), timelineTopic, fanoutGroup, fanoutLease, fc.deliver)
 		})
 	}
 	start("readTimeline", func(s *rpc.Server) {
@@ -336,9 +294,6 @@ func New(app *core.App, cfg Config) (*SocialNetwork, error) {
 	if err := stack.Boot(); err != nil {
 		return nil, err
 	}
-	// Stop the fanout consumers on app teardown even when the caller never
-	// calls SocialNetwork.Close: their long polls must not outlive the stack.
-	app.OnClose(sn.Close)
 
 	// Front door (nginx tier).
 	if _, err := app.StartREST("social.frontend", func(s *rest.Server) {

@@ -2,6 +2,7 @@ package svcutil
 
 import (
 	"context"
+	"sync"
 	"time"
 
 	"dsb/internal/docstore"
@@ -77,6 +78,9 @@ type Stack struct {
 	Spawner Definer
 
 	boot []func() error
+
+	mu        sync.Mutex
+	consumers []*mq.Worker
 }
 
 func (st *Stack) shape() (shards, replicas int) {
@@ -224,6 +228,29 @@ func (st *Stack) MQ(caller, target string) mq.Bus {
 		panic(err)
 	}
 	return mq.NewPartitioned(router)
+}
+
+// Serve starts one mq.Serve worker for a consumer tier's replica on srv and
+// records it for StopConsumers. The worker also stops with srv, so a
+// replica the control plane spawns at runtime is covered either way.
+func (st *Stack) Serve(srv *rpc.Server, bus mq.Bus, topic, group string, lease time.Duration, handle mq.Handler) {
+	w := mq.Serve(srv, bus, topic, group, lease, handle)
+	st.mu.Lock()
+	st.consumers = append(st.consumers, w)
+	st.mu.Unlock()
+}
+
+// StopConsumers stops every worker Serve started and waits for them to
+// exit, leaving the rest of the deployment up — the body of each app's
+// Close. Idempotent.
+func (st *Stack) StopConsumers() {
+	st.mu.Lock()
+	consumers := st.consumers
+	st.consumers = nil
+	st.mu.Unlock()
+	for _, w := range consumers {
+		w.Close()
+	}
 }
 
 // Caller builds a load-balanced client from one tier to another. Wiring
