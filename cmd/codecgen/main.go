@@ -53,6 +53,7 @@ var targets = []target{
 			docstore.FindReq{}, docstore.FindRangeReq{}, docstore.FindResp{},
 			docstore.DeleteReq{}, docstore.DeleteResp{},
 			docstore.ListPrependReq{}, docstore.ListPrependResp{}, docstore.WALRecord{},
+			docstore.AddNumReq{}, docstore.AddNumResp{},
 		},
 	},
 	{

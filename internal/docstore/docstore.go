@@ -12,8 +12,13 @@
 package docstore
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -21,7 +26,10 @@ import (
 	"dsb/internal/rpc"
 )
 
-// Doc is one stored document.
+// Doc is one document as callers hand it in and get it back. The store keeps
+// none of it: a Doc is encoded on the way in and decoded on the way out, so
+// its holder owns its maps and body outright. A zero-length Fields, Nums or
+// Body comes back empty and non-nil, in process as over RPC.
 type Doc struct {
 	// ID is the primary key, unique within a collection.
 	ID string
@@ -32,26 +40,6 @@ type Doc struct {
 	Nums map[string]int64
 	// Body is the opaque payload owned by the writing service.
 	Body []byte
-}
-
-func (d Doc) clone() Doc {
-	out := Doc{ID: d.ID}
-	if d.Fields != nil {
-		out.Fields = make(map[string]string, len(d.Fields))
-		for k, v := range d.Fields {
-			out.Fields[k] = v
-		}
-	}
-	if d.Nums != nil {
-		out.Nums = make(map[string]int64, len(d.Nums))
-		for k, v := range d.Nums {
-			out.Nums[k] = v
-		}
-	}
-	if d.Body != nil {
-		out.Body = append([]byte(nil), d.Body...)
-	}
-	return out
 }
 
 // Store is a set of named collections.
@@ -67,56 +55,70 @@ func NewStore() *Store {
 }
 
 // Collection returns the named collection, creating it if needed.
-func (s *Store) Collection(name string) *Collection {
+func (s *Store) Collection(name string) *Collection { return s.collection(name, true) }
+
+// collection looks name up. A name nobody has written is created if keep is
+// set and otherwise reads as an empty collection the store does not hold, so
+// reads cannot grow it. name is copied on first use and never retained: a
+// caller's string(bytes) argument costs nothing.
+func (s *Store) collection(name string, keep bool) *Collection {
 	s.mu.RLock()
-	c, ok := s.collections[name]
+	c := s.collections[name]
 	s.mu.RUnlock()
-	if ok {
+	if c != nil {
 		return c
+	}
+	own := strings.Clone(name)
+	if !keep {
+		return newCollection(own, s)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if c, ok = s.collections[name]; !ok {
-		c = newCollection(name, s)
-		s.collections[name] = c
+	if s.collections[own] == nil {
+		s.collections[own] = newCollection(own, s)
 	}
-	return c
+	return s.collections[own]
 }
 
 // Collections returns collection names, sorted.
 func (s *Store) Collections() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	names := make([]string, 0, len(s.collections))
-	for n := range s.collections {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(s.collections))
 }
 
 // Collection is one document collection with its indexes.
 //
-// Ownership rule: a stored Doc is never mutated in place — every mutator
-// replaces the map entry with a new value — so the RPC service may read a
-// stored Doc (encode it) without copying and may store a Doc it has just
-// decoded without copying, while in-process callers of the exported methods
-// still hand in and get back copies they are free to modify.
+// Each document is held as its canonical wire encoding (see stored.go), and
+// that slice is immutable once stored: every mutator installs a fresh one.
+// So a reader takes the slice under mu and copies from it under no lock, the
+// RPC service moves documents in and out without building a Doc, and nothing
+// a caller holds can alias what is stored.
 type Collection struct {
 	name  string
 	store *Store
 
-	mu     sync.RWMutex
-	docs   map[string]Doc
-	fields map[string]map[string]map[string]struct{} // field -> value -> ids
-	nums   map[string][]numEntry                     // field -> sorted (value, id)
+	mu   sync.RWMutex
+	docs map[string]stored
+	// Both indexes map a key to an ascending list: the wire bytes of a
+	// (field, value) pair to document IDs, a num field to (value, ID).
+	fields map[string]*[]string
+	nums   map[string]*[]numEntry
 
-	// mutMu serializes mutations: a read-modify-write (Update, ListPrepend)
-	// cannot lose another's change, and because it is held across the WAL
-	// append and the apply, log order is apply order. Lock order is mutMu,
-	// then the WAL's own mutex inside logOp, then mu; logOp takes no store
-	// lock.
+	// mutMu serializes mutations: a read-modify-write (Update, ListPrepend,
+	// AddNum) cannot lose another's change, and because it is held across
+	// the WAL append and the apply, log order is apply order. Lock order is
+	// mutMu, then the WAL's own mutex inside logOp, then mu; logOp takes no
+	// store lock.
 	mutMu sync.Mutex
+}
+
+// stored is one document: its encoding and its ID, the string that is its
+// docs key and that its index entries share (a map lookup does not hand the
+// key back).
+type stored struct {
+	id  string
+	enc []byte
 }
 
 type numEntry struct {
@@ -124,13 +126,17 @@ type numEntry struct {
 	id  string
 }
 
+func cmpNum(a, b numEntry) int {
+	return cmp.Or(cmp.Compare(a.val, b.val), strings.Compare(a.id, b.id))
+}
+
 func newCollection(name string, store *Store) *Collection {
 	return &Collection{
 		name:   name,
 		store:  store,
-		docs:   make(map[string]Doc),
-		fields: make(map[string]map[string]map[string]struct{}),
-		nums:   make(map[string][]numEntry),
+		docs:   make(map[string]stored),
+		fields: make(map[string]*[]string),
+		nums:   make(map[string]*[]numEntry),
 	}
 }
 
@@ -144,166 +150,204 @@ func (c *Collection) Len() int {
 	return len(c.docs)
 }
 
-// Put inserts or replaces a document by ID, storing a copy of d.
-func (c *Collection) Put(d Doc) error { return c.put(d.clone()) }
-
-// put is Put for a document nothing else references: it is stored as is.
-func (c *Collection) put(d Doc) error {
-	if d.ID == "" {
-		return rpc.Errorf(rpc.CodeBadRequest, "docstore: empty document ID")
-	}
-	c.mutMu.Lock()
-	defer c.mutMu.Unlock()
-	return c.commit(d)
+// Put inserts or replaces a document by ID.
+func (c *Collection) Put(d Doc) error {
+	var scratch [512]byte
+	enc, _ := d.AppendTo(scratch[:0]) // fails only on a nil receiver
+	return c.putWire(enc)
 }
 
-// commit logs and then stores d, which the caller gives up; mutMu is held.
-func (c *Collection) commit(d Doc) error {
-	if err := c.logOp(opPut, d); err != nil {
+// putWire is Put for a document in wire form, as a request carries it:
+// validated, copied once (the caller's buffer is pooled) and stored.
+func (c *Collection) putWire(doc []byte) error {
+	doc, p, err := canonical(doc)
+	if err != nil {
+		return rpc.Errorf(rpc.CodeBadRequest, "decode: %v", err)
+	}
+	if p.id == p.fields {
+		return rpc.Errorf(rpc.CodeBadRequest, "docstore: empty document ID")
+	}
+	enc := bytes.Clone(doc)
+	c.mutMu.Lock()
+	defer c.mutMu.Unlock()
+	return c.commit(enc)
+}
+
+// commit logs and then stores enc, a canonical encoding the caller gives up;
+// mutMu is held.
+func (c *Collection) commit(enc []byte) error {
+	if err := c.logOp(opPut, enc); err != nil {
 		return err
 	}
 	c.mu.Lock()
-	c.putLocked(d)
+	c.apply(enc)
 	c.mu.Unlock()
 	return nil
 }
 
-func (c *Collection) putLocked(d Doc) {
-	if old, exists := c.docs[d.ID]; exists {
-		c.unindexLocked(old)
+// apply installs enc under mu. A replace keeps the ID string it has and
+// re-indexes only the section, fields or nums, whose bytes changed.
+func (c *Collection) apply(enc []byte) {
+	p, _ := layoutOf(enc)
+	old, replaces := c.docs[string(enc[p.id:p.fields])]
+	id, fields, nums := old.id, true, true
+	if replaces {
+		q, _ := layoutOf(old.enc)
+		fields = !bytes.Equal(old.enc[q.fields:q.nums], enc[p.fields:p.nums])
+		nums = !bytes.Equal(old.enc[q.nums:q.body], enc[p.nums:p.body])
+		c.index(id, old.enc[q.fields:], fields, nums, false)
+	} else {
+		id = string(enc[p.id:p.fields])
 	}
-	c.docs[d.ID] = d
-	for f, v := range d.Fields {
-		byVal, ok := c.fields[f]
-		if !ok {
-			byVal = make(map[string]map[string]struct{})
-			c.fields[f] = byVal
-		}
-		ids, ok := byVal[v]
-		if !ok {
-			ids = make(map[string]struct{})
-			byVal[v] = ids
-		}
-		ids[d.ID] = struct{}{}
-	}
-	for f, v := range d.Nums {
-		c.nums[f] = insertNum(c.nums[f], numEntry{v, d.ID})
-	}
+	c.docs[id] = stored{id, enc}
+	c.index(id, enc[p.fields:], fields, nums, true)
 }
 
-func (c *Collection) unindexLocked(d Doc) {
-	for f, v := range d.Fields {
-		if byVal, ok := c.fields[f]; ok {
-			if ids, ok := byVal[v]; ok {
-				delete(ids, d.ID)
-				if len(ids) == 0 {
-					delete(byVal, v)
-				}
-			}
+// index adds id to, or removes it from, the indexes that the chosen sections
+// of an encoding (given from its field count on) name.
+func (c *Collection) index(id string, sections []byte, fields, nums, add bool) {
+	r := reader{b: sections}
+	for n := r.count(); n > 0; n-- {
+		pair := r.b
+		r.str()
+		r.str()
+		if fields {
+			update(c.fields, pair[:len(pair)-len(r.b)], id, strings.Compare, add)
 		}
 	}
-	for f, v := range d.Nums {
-		c.nums[f] = removeNum(c.nums[f], numEntry{v, d.ID})
+	for n := r.count(); n > 0 && nums; n-- {
+		k := r.str()
+		update(c.nums, k, numEntry{r.int(), id}, cmpNum, add)
 	}
 }
 
-func insertNum(s []numEntry, e numEntry) []numEntry {
-	i := sort.Search(len(s), func(i int) bool {
-		return s[i].val > e.val || (s[i].val == e.val && s[i].id >= e.id)
-	})
-	s = append(s, numEntry{})
-	copy(s[i+1:], s[i:])
-	s[i] = e
-	return s
-}
-
-func removeNum(s []numEntry, e numEntry) []numEntry {
-	i := sort.Search(len(s), func(i int) bool {
-		return s[i].val > e.val || (s[i].val == e.val && s[i].id >= e.id)
-	})
-	if i < len(s) && s[i] == e {
-		return append(s[:i], s[i+1:]...)
+// update adds e to, or removes it from, the ascending list m[k]. Only a key
+// not seen before is allocated, and a list's last entry takes the key along.
+func update[E any](m map[string]*[]E, k []byte, e E, cmp func(E, E) int, add bool) {
+	s := m[string(k)]
+	if s == nil {
+		if !add {
+			return
+		}
+		s = new([]E)
+		m[string(k)] = s
 	}
-	return s
+	i, found := slices.BinarySearchFunc(*s, e, cmp)
+	if add && !found {
+		*s = slices.Insert(*s, i, e)
+	} else if !add && found {
+		if *s = slices.Delete(*s, i, i+1); len(*s) == 0 {
+			delete(m, string(k))
+		}
+	}
 }
 
-// Get returns a copy of the document by ID.
+// encoded returns the stored bytes of a document: read them, never write.
+func (c *Collection) encoded(id string) ([]byte, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	d, ok := c.docs[id]
+	return d.enc, ok
+}
+
+// Get returns the document by ID.
 func (c *Collection) Get(id string) (Doc, bool) {
-	d, ok := c.view(id)
+	enc, ok := c.encoded(id)
 	if !ok {
 		return Doc{}, false
 	}
-	return d.clone(), true
+	return decode(enc), true
 }
 
-// view returns the stored document itself: read it, never modify it.
-func (c *Collection) view(id string) (Doc, bool) {
-	c.mu.RLock()
-	d, ok := c.docs[id]
-	c.mu.RUnlock()
-	return d, ok
-}
-
-// Delete removes a document, reporting whether it existed.
+// Delete removes a document, reporting whether it existed. Deleting what is
+// not there changes nothing and logs nothing.
 func (c *Collection) Delete(id string) (bool, error) {
 	c.mutMu.Lock()
 	defer c.mutMu.Unlock()
-	if err := c.logOp(opDelete, Doc{ID: id}); err != nil {
+	if _, ok := c.encoded(id); !ok {
+		return false, nil
+	}
+	if err := c.logOp(opDelete, encode(&Doc{ID: id})); err != nil {
 		return false, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	d, ok := c.docs[id]
-	if !ok {
-		return false, nil
-	}
-	c.unindexLocked(d)
-	delete(c.docs, id)
+	c.remove(id)
 	return true, nil
+}
+
+// remove drops a document and its index entries, under mu.
+func (c *Collection) remove(id string) {
+	if old, ok := c.docs[id]; ok {
+		p, _ := layoutOf(old.enc)
+		c.index(id, old.enc[p.fields:], true, true, false)
+		delete(c.docs, id)
+	}
 }
 
 // Find returns documents whose indexed string field equals value, in ID
 // order, up to limit (<=0 means all).
 func (c *Collection) Find(field, value string, limit int) []Doc {
+	return decodeAll(c.appendFind(nil, field, value, limit))
+}
+
+// appendFind appends Find's result to b as FindResp encodes it: a count,
+// then each document's stored bytes.
+func (c *Collection) appendFind(b []byte, field, value string, limit int) []byte {
+	var scratch [64]byte
+	pair := codec.AppendString(codec.AppendString(scratch[:0], field), value)
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	ids := c.fields[field][value]
-	sorted := make([]string, 0, len(ids))
-	for id := range ids {
-		sorted = append(sorted, id)
+	var ids []string
+	if s := c.fields[string(pair)]; s != nil {
+		ids = *s
 	}
-	sort.Strings(sorted)
-	if limit > 0 && len(sorted) > limit {
-		sorted = sorted[:limit]
+	if limit > 0 && len(ids) > limit {
+		ids = ids[:limit]
 	}
-	out := make([]Doc, 0, len(sorted))
-	for _, id := range sorted {
-		out = append(out, c.docs[id].clone())
+	b = codec.AppendLen(b, len(ids))
+	for _, id := range ids {
+		b = append(b, c.docs[id].enc...)
 	}
-	return out
+	return b
 }
 
 // FindRange returns documents whose numeric field lies in [min, max],
 // sorted descending by the field (newest-first for timestamp fields), up to
 // limit (<=0 means all).
 func (c *Collection) FindRange(field string, min, max int64, limit int) []Doc {
+	return decodeAll(c.appendRange(nil, field, min, max, limit))
+}
+
+// appendRange is appendFind for FindRange.
+func (c *Collection) appendRange(b []byte, field string, min, max int64, limit int) []byte {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	s := c.nums[field]
+	var s []numEntry
+	if p := c.nums[field]; p != nil {
+		s = *p
+	}
 	lo := sort.Search(len(s), func(i int) bool { return s[i].val >= min })
 	hi := sort.Search(len(s), func(i int) bool { return s[i].val > max })
-	out := make([]Doc, 0, hi-lo)
-	for i := hi - 1; i >= lo; i-- {
-		out = append(out, c.docs[s[i].id].clone())
-		if limit > 0 && len(out) >= limit {
-			break
-		}
+	if limit > 0 && hi-lo > limit {
+		lo = hi - limit
 	}
-	return out
+	b = codec.AppendLen(b, hi-lo)
+	for i := hi - 1; i >= lo; i-- {
+		b = append(b, c.docs[s[i].id].enc...)
+	}
+	return b
+}
+
+// decodeAll decodes what appendFind and appendRange wrote.
+func decodeAll(b []byte) []Doc {
+	var resp FindResp
+	resp.DecodeFrom(b) //nolint:errcheck // a count and stored bytes, just written
+	return resp.Docs
 }
 
 // Update atomically applies fn to the document: fn receives a copy and
-// returns the new version, and no other Update or ListPrepend can
+// returns the new version, and no other Update, ListPrepend or AddNum can
 // interleave between the read and the write. Returns NotFound if the
 // document does not exist. (Plain Put remains last-writer-wins, matching
 // the document stores the suite models.)
@@ -311,13 +355,13 @@ func (c *Collection) Update(id string, fn func(Doc) Doc) error {
 	c.mutMu.Lock()
 	defer c.mutMu.Unlock()
 
-	d, ok := c.view(id)
+	enc, ok := c.encoded(id)
 	if !ok {
 		return rpc.NotFoundf("docstore: %s/%s", c.name, id)
 	}
-	updated := fn(d.clone())
+	updated := fn(decode(enc))
 	updated.ID = id
-	return c.commit(updated)
+	return c.commit(encode(&updated))
 }
 
 // ListPrepend atomically prepends value to the codec-encoded []string
@@ -339,6 +383,9 @@ func (c *Collection) ListPrependUnique(id, value string, max int) (int, error) {
 	return c.listPrepend(id, value, max, true)
 }
 
+// listPrepend splices: the stored bytes up to the body, then a new body of
+// count, value and the old list's element bytes, cut where the cap falls.
+// The old list is walked, to validate it and find the cut, never decoded.
 func (c *Collection) listPrepend(id, value string, max int, unique bool) (int, error) {
 	if id == "" {
 		return 0, rpc.Errorf(rpc.CodeBadRequest, "docstore: empty document ID")
@@ -346,66 +393,105 @@ func (c *Collection) listPrepend(id, value string, max int, unique bool) (int, e
 	c.mutMu.Lock()
 	defer c.mutMu.Unlock()
 
-	// The new version shares the stored one's index maps and replaces only
-	// Body, so nothing stored is modified and nothing needs copying.
-	d, ok := c.view(id)
+	old, ok := c.encoded(id)
 	if !ok {
-		d = Doc{ID: id}
+		old = encode(&Doc{ID: id})
 	}
-	var list []string
-	if len(d.Body) > 0 {
-		if err := codec.Unmarshal(d.Body, &list); err != nil {
-			return 0, fmt.Errorf("docstore: %s/%s body is not a list: %w", c.name, id, err)
+	p, _ := layoutOf(old)
+	body := reader{b: old[p.body:]}
+	list := reader{b: body.str()}
+	n := 0
+	if len(list.b) > 0 {
+		n = list.count()
+	}
+	elems, keep, dup := list.b, len(list.b), false
+	for i := 0; i < n && !list.bad; i++ {
+		if i == max-1 {
+			keep = len(elems) - len(list.b)
 		}
+		dup = string(list.str()) == value || dup
 	}
-	if unique {
-		for _, v := range list {
-			if v == value {
-				return len(list), nil
-			}
+	if list.bad || len(list.b) != 0 {
+		return 0, fmt.Errorf("docstore: %s/%s body is not a list", c.name, id)
+	}
+	if unique && dup {
+		return n, nil
+	}
+	if n++; max > 0 && n > max {
+		n = max
+	}
+	size := uvarintLen(n) + uvarintLen(len(value)) + len(value) + keep
+	enc := make([]byte, 0, p.body+uvarintLen(size)+size)
+	enc = codec.AppendLen(append(enc, old[:p.body]...), size)
+	enc = codec.AppendString(codec.AppendLen(enc, n), value)
+	return n, c.commit(append(enc, elems[:keep]...))
+}
+
+// AddNum atomically adds delta to a numeric field (absent counts as 0) unless
+// the sum would fall below floor, and reports the field's value afterwards,
+// whether the document exists and whether the add applied. Adds commute, so
+// replicas that apply the same ones agree. It splices, as listPrepend does:
+// field's entry among the nums is replaced, or inserted in key order.
+func (c *Collection) AddNum(id, field string, delta, floor int64) (value int64, found, ok bool, err error) {
+	c.mutMu.Lock()
+	defer c.mutMu.Unlock()
+
+	old, found := c.encoded(id)
+	if !found {
+		return 0, false, false, nil
+	}
+	p, _ := layoutOf(old)
+	r := reader{b: old[p.nums:p.body]}
+	n := r.count()
+	// The entry is old[lo:hi]; an absent one belongs at lo.
+	first, lo, hi := p.body-len(r.b), p.body, p.body
+	for i := 0; i < n; i++ {
+		at := p.body - len(r.b)
+		k, v := r.str(), r.int()
+		if string(k) < field {
+			continue
 		}
+		if lo, hi = at, at; string(k) == field {
+			hi, value = p.body-len(r.b), v
+		}
+		break
 	}
-	list = append(list, "")
-	copy(list[1:], list)
-	list[0] = value
-	if max > 0 && len(list) > max {
-		list = list[:max]
+	if value += delta; value < floor {
+		return value - delta, true, false, nil
 	}
-	body, err := codec.Marshal(list)
-	if err != nil {
-		return 0, err
+	if lo == hi {
+		n++
 	}
-	d.Body = body
-	if err := c.commit(d); err != nil {
-		return 0, err
-	}
-	return len(list), nil
+	var scratch [64]byte
+	entry := codec.AppendInt(codec.AppendString(scratch[:0], field), value)
+	enc := make([]byte, 0, p.nums+uvarintLen(n)+len(old)-first-(hi-lo)+len(entry))
+	enc = append(codec.AppendLen(append(enc, old[:p.nums]...), n), old[first:lo]...)
+	return value, true, true, c.commit(append(append(enc, entry...), old[hi:]...))
 }
 
 // All returns every document, ID-sorted. Intended for tests and small
 // administrative scans.
 func (c *Collection) All() []Doc {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	ids := make([]string, 0, len(c.docs))
-	for id := range c.docs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	out := make([]Doc, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, c.docs[id].clone())
+	all := c.sorted()
+	out := make([]Doc, len(all))
+	for i, d := range all {
+		out[i] = decode(d.enc)
 	}
 	return out
 }
 
-func (c *Collection) logOp(kind byte, d Doc) error {
-	wal := c.store.wal.Load()
-	if wal == nil {
-		return nil
-	}
-	if err := wal.append(kind, c.name, d); err != nil {
-		return fmt.Errorf("docstore: wal append: %w", err)
+// sorted returns every stored document in ID order.
+func (c *Collection) sorted() []stored {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return slices.SortedFunc(maps.Values(c.docs), func(a, b stored) int { return strings.Compare(a.id, b.id) })
+}
+
+func (c *Collection) logOp(kind byte, doc []byte) error {
+	if wal := c.store.wal.Load(); wal != nil {
+		if err := wal.append(kind, c.name, doc); err != nil {
+			return fmt.Errorf("docstore: wal append: %w", err)
+		}
 	}
 	return nil
 }

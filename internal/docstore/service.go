@@ -3,6 +3,7 @@ package docstore
 import (
 	"dsb/internal/codec"
 	"dsb/internal/rpc"
+	"dsb/internal/transport"
 )
 
 // Wire messages for the store's RPC interface.
@@ -70,62 +71,84 @@ type ListPrependReq struct {
 // ListPrependResp returns the list length after the prepend.
 type ListPrependResp struct{ Len int64 }
 
+// AddNumReq atomically adds Delta to a numeric field of a document unless
+// the sum would fall below Floor (see Collection.AddNum).
+type AddNumReq struct {
+	Collection, ID, Field string
+	Delta, Floor          int64
+}
+
+// AddNumResp is the field's value after the call, and what AddNum reports.
+type AddNumResp struct {
+	Value     int64
+	Found, OK bool
+}
+
 // RegisterService exposes store as an RPC microservice with methods Put,
-// Get, Find, FindRange, ListPrepend, and Delete — the "mongodb" tier in
-// the application graphs.
+// Get, Find, FindRange, ListPrepend, AddNum, and Delete — the "mongodb"
+// tier in the application graphs. Documents cross it in wire form: Put
+// validates and stores the request's Doc bytes, and the reads append stored
+// bytes to a pooled reply, so no handler builds a Doc. Only Put and
+// ListPrepend create a collection; asking about a name nobody has written
+// leaves nothing behind.
 func RegisterService(srv *rpc.Server, store *Store) {
 	srv.Handle("Put", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
-		var req PutReq
-		if err := codec.Unmarshal(payload, &req); err != nil {
-			return nil, rpc.Errorf(rpc.CodeBadRequest, "decode: %v", err)
+		// A PutReq is the collection name, then the Doc.
+		req := reader{b: payload}
+		name := req.str()
+		if req.bad {
+			return nil, rpc.Errorf(rpc.CodeBadRequest, "decode: malformed collection name")
 		}
-		// req.Doc was decoded just now and nothing else refers to it.
-		return nil, store.Collection(req.Collection).put(req.Doc)
+		return nil, store.Collection(string(name)).putWire(req.b)
 	})
-	srv.Handle("Get", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
-		var req GetReq
-		if err := codec.Unmarshal(payload, &req); err != nil {
-			return nil, rpc.Errorf(rpc.CodeBadRequest, "decode: %v", err)
+	handle(srv, "Get", func(ctx *rpc.Ctx, req *GetReq) ([]byte, error) {
+		// A GetResp is the Doc, then Found; a miss carries the empty Doc.
+		enc, found := store.collection(req.Collection, false).encoded(req.ID)
+		if !found {
+			enc = []byte{0, 0, 0, 0}
 		}
-		d, ok := store.Collection(req.Collection).view(req.ID)
-		return ctx.PooledReply(&GetResp{Doc: d, Found: ok})
+		reply := append(transport.AcquireBuf(0), enc...)
+		return ctx.OwnReply(codec.AppendBool(reply, found)), nil
 	})
-	srv.Handle("Find", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
-		var req FindReq
-		if err := codec.Unmarshal(payload, &req); err != nil {
-			return nil, rpc.Errorf(rpc.CodeBadRequest, "decode: %v", err)
-		}
-		docs := store.Collection(req.Collection).Find(req.Field, req.Value, int(req.Limit))
-		return ctx.PooledReply(&FindResp{Docs: docs})
+	handle(srv, "Find", func(ctx *rpc.Ctx, req *FindReq) ([]byte, error) {
+		c := store.collection(req.Collection, false)
+		return ctx.OwnReply(c.appendFind(transport.AcquireBuf(0), req.Field, req.Value, int(req.Limit))), nil
 	})
-	srv.Handle("FindRange", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
-		var req FindRangeReq
-		if err := codec.Unmarshal(payload, &req); err != nil {
-			return nil, rpc.Errorf(rpc.CodeBadRequest, "decode: %v", err)
-		}
-		docs := store.Collection(req.Collection).FindRange(req.Field, req.Min, req.Max, int(req.Limit))
-		return ctx.PooledReply(&FindResp{Docs: docs})
+	handle(srv, "FindRange", func(ctx *rpc.Ctx, req *FindRangeReq) ([]byte, error) {
+		c := store.collection(req.Collection, false)
+		return ctx.OwnReply(c.appendRange(transport.AcquireBuf(0), req.Field, req.Min, req.Max, int(req.Limit))), nil
 	})
-	srv.Handle("ListPrepend", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
-		var req ListPrependReq
-		if err := codec.Unmarshal(payload, &req); err != nil {
-			return nil, rpc.Errorf(rpc.CodeBadRequest, "decode: %v", err)
-		}
+	handle(srv, "ListPrepend", func(ctx *rpc.Ctx, req *ListPrependReq) ([]byte, error) {
 		n, err := store.Collection(req.Collection).listPrepend(req.ID, req.Value, int(req.Cap), req.Unique)
 		if err != nil {
 			return nil, err
 		}
 		return ctx.PooledReply(&ListPrependResp{Len: int64(n)})
 	})
-	srv.Handle("Delete", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
-		var req DeleteReq
-		if err := codec.Unmarshal(payload, &req); err != nil {
-			return nil, rpc.Errorf(rpc.CodeBadRequest, "decode: %v", err)
+	handle(srv, "AddNum", func(ctx *rpc.Ctx, req *AddNumReq) ([]byte, error) {
+		c := store.collection(req.Collection, false)
+		v, found, ok, err := c.AddNum(req.ID, req.Field, req.Delta, req.Floor)
+		if err != nil {
+			return nil, err
 		}
-		existed, err := store.Collection(req.Collection).Delete(req.ID)
+		return ctx.PooledReply(&AddNumResp{Value: v, Found: found, OK: ok})
+	})
+	handle(srv, "Delete", func(ctx *rpc.Ctx, req *DeleteReq) ([]byte, error) {
+		existed, err := store.collection(req.Collection, false).Delete(req.ID)
 		if err != nil {
 			return nil, err
 		}
 		return ctx.PooledReply(&DeleteResp{Existed: existed})
+	})
+}
+
+// handle registers fn behind the decode of its request.
+func handle[Req any](srv *rpc.Server, method string, fn func(ctx *rpc.Ctx, req *Req) ([]byte, error)) {
+	srv.Handle(method, func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
+		var req Req
+		if err := codec.Unmarshal(payload, &req); err != nil {
+			return nil, rpc.Errorf(rpc.CodeBadRequest, "decode: %v", err)
+		}
+		return fn(ctx, &req)
 	})
 }

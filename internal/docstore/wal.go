@@ -18,9 +18,9 @@ const (
 	opDelete byte = 2
 )
 
-// WALRecord is the codec-encoded log entry. It is exported so cmd/codecgen
-// can emit a fast-path marshaler for it; the wire format is positional and
-// unchanged from when the type was unexported.
+// WALRecord is the codec-encoded log entry: what each record decodes to. The
+// log itself is written and replayed in wire form (Kind, Collection, then the
+// stored Doc bytes as they are), which is this type's positional encoding.
 type WALRecord struct {
 	Kind       byte
 	Collection string
@@ -32,7 +32,7 @@ type WAL struct {
 	mu   sync.Mutex
 	f    *os.File
 	w    *bufio.Writer
-	buf  []byte // reusable encode scratch, guarded by mu
+	buf  []byte // record-head scratch, guarded by mu
 	path string
 }
 
@@ -58,7 +58,7 @@ func Open(path string) (*Store, *WAL, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	w := &WAL{f: f, w: bufio.NewWriter(f), path: path}
+	w := &WAL{f: f, w: bufio.NewWriter(f), buf: make([]byte, 4, 64), path: path}
 	s.wal.Store(w)
 	return s, w, nil
 }
@@ -87,49 +87,55 @@ func replay(f *os.File, s *Store) (int64, error) {
 			}
 			return 0, err
 		}
-		var rec WALRecord
-		if err := codec.Unmarshal(body, &rec); err != nil {
+		// The record's tail is the Doc; it becomes the stored slice as it is.
+		kind, rest, err := codec.DecUint8(body)
+		if err != nil {
 			return offset, nil // corrupt tail
 		}
-		col := s.Collection(rec.Collection)
+		name, rest, err := codec.DecString(rest)
+		if err != nil {
+			return offset, nil
+		}
+		enc, p, err := canonical(rest)
+		if err != nil {
+			return offset, nil
+		}
+		col := s.Collection(name)
 		col.mu.Lock()
-		switch rec.Kind {
+		switch kind {
 		case opPut:
-			col.putLocked(rec.Doc)
+			col.apply(enc)
 		case opDelete:
-			if d, ok := col.docs[rec.Doc.ID]; ok {
-				col.unindexLocked(d)
-				delete(col.docs, rec.Doc.ID)
-			}
+			col.remove(string(enc[p.id:p.fields]))
 		}
 		col.mu.Unlock()
 		offset += int64(4 + n)
 	}
 }
 
-func (w *WAL) append(kind byte, collection string, d Doc) error {
+func (w *WAL) append(kind byte, collection string, doc []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
 		return errors.New("docstore: wal closed")
 	}
-	// Encode into the WAL's own scratch buffer: appends are serialized by
-	// w.mu anyway, so one buffer amortizes across every record instead of a
-	// fresh Marshal allocation per append.
-	var err error
-	w.buf, err = codec.AppendMarshal(w.buf[:0], WALRecord{Kind: kind, Collection: collection, Doc: d})
-	if err != nil {
-		return err
-	}
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(w.buf)))
-	if _, err := w.w.Write(lenBuf[:]); err != nil {
-		return err
-	}
-	if _, err := w.w.Write(w.buf); err != nil {
+	if err := w.writeRecord(w.w, kind, collection, doc); err != nil {
 		return err
 	}
 	return w.w.Flush()
+}
+
+// writeRecord frames one record onto bw: a length, the record's head encoded
+// into the WAL's own scratch (w.mu is held), and doc's bytes as they are —
+// nothing is re-encoded and nothing allocated per record.
+func (w *WAL) writeRecord(bw *bufio.Writer, kind byte, collection string, doc []byte) error {
+	w.buf = codec.AppendString(codec.AppendUint(w.buf[:4], uint64(kind)), collection)
+	binary.LittleEndian.PutUint32(w.buf, uint32(len(w.buf)-4+len(doc)))
+	if _, err := bw.Write(w.buf); err != nil {
+		return err
+	}
+	_, err := bw.Write(doc)
+	return err
 }
 
 // Sync flushes buffered records to stable storage.
@@ -161,23 +167,9 @@ func (w *WAL) Compact(s *Store) error {
 		return err
 	}
 	bw := bufio.NewWriter(tmp)
-	writeRec := func(collection string, d Doc) error {
-		var err error
-		w.buf, err = codec.AppendMarshal(w.buf[:0], WALRecord{Kind: opPut, Collection: collection, Doc: d})
-		if err != nil {
-			return err
-		}
-		var lenBuf [4]byte
-		binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(w.buf)))
-		if _, err := bw.Write(lenBuf[:]); err != nil {
-			return err
-		}
-		_, err = bw.Write(w.buf)
-		return err
-	}
 	for _, name := range s.Collections() {
-		for _, d := range s.Collection(name).All() {
-			if err := writeRec(name, d); err != nil {
+		for _, d := range s.Collection(name).sorted() {
+			if err := w.writeRecord(bw, opPut, name, d.enc); err != nil {
 				tmp.Close()
 				os.Remove(tmpPath) //nolint:errcheck
 				return err

@@ -6,12 +6,13 @@ import (
 	"testing"
 )
 
-// TestWALAppendBufferReuse pins the WAL's pooled encode scratch: appends
-// serialize on w.mu and encode into w.buf, so a steady stream of records
-// must not allocate a fresh marshal buffer per append. The regression this
-// guards against — codec.Marshal per record — allocates at least the
-// encoded size (>8 KiB here) every append, which the TotalAlloc budget
-// below catches with an order of magnitude to spare.
+// TestWALAppendBufferReuse pins the WAL's append path: appends serialize on
+// w.mu, encode the record's head into w.buf and write the stored Doc bytes
+// as they are, so a steady stream of records must not allocate a marshal
+// buffer per append. The regression this guards against — codec.Marshal per
+// record — allocates at least the encoded size (>8 KiB here) every append,
+// which the TotalAlloc budget below catches with an order of magnitude to
+// spare.
 func TestWALAppendBufferReuse(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "alloc.wal")
 	_, w, err := Open(path)
@@ -21,13 +22,13 @@ func TestWALAppendBufferReuse(t *testing.T) {
 	defer w.Close()
 
 	const records = 1000
-	doc := Doc{
+	doc := encode(&Doc{
 		ID:     "doc-under-test",
 		Fields: map[string]string{"author": "alloc-guard"},
 		Nums:   map[string]int64{"ts": 12345},
 		Body:   make([]byte, 8<<10),
-	}
-	// Warm up: first append grows w.buf to the record size; later appends
+	})
+	// Warm up: first append grows w.buf to the head size; later appends
 	// reuse it.
 	if err := w.append(opPut, "posts", doc); err != nil {
 		t.Fatal(err)

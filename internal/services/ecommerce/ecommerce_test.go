@@ -2,6 +2,7 @@ package ecommerce
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
@@ -329,5 +330,44 @@ func TestShippingQuoteBands(t *testing.T) {
 	// 2500g rounds to 3kg: standard = 300 + 150.
 	if opts[0].Method != "standard" || opts[0].CostCents != 450 {
 		t.Fatalf("standard = %+v", opts[0])
+	}
+}
+
+// Regression: Debit used to be a Get, a check and a Put over two RPCs, so two
+// concurrent checkouts by one buyer both read the opening balance and one
+// debit vanished. accountInfo is a replicated tier, so nothing inside the
+// service can serialise them; the store's AddNum does.
+func TestDebitConcurrentNoLostUpdates(t *testing.T) {
+	ec := bootEcom(t)
+	ctx := context.Background()
+	const workers, debits, opening = 8, 200, 100000
+	login(t, ec, "spender", opening)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < debits; i++ {
+				if err := ec.User.Call(ctx, "Debit", AuthorizePaymentReq{Username: "spender", AmountCents: 1}, nil); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	var bal BalanceResp
+	if err := ec.User.Call(ctx, "Balance", AccountReq{Username: "spender"}, &bal); err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(opening - workers*debits); bal.BalanceCents != want {
+		t.Fatalf("balance = %d after %d one-cent debits, want %d (lost updates)", bal.BalanceCents, workers*debits, want)
+	}
+	// The floor still holds, and a missing account is still NotFound.
+	if err := ec.User.Call(ctx, "Debit", AuthorizePaymentReq{Username: "spender", AmountCents: opening}, nil); !rpc.IsCode(err, rpc.CodeUnauthorized) {
+		t.Fatalf("overdraft: want CodeUnauthorized, got %v", err)
+	}
+	if err := ec.User.Call(ctx, "Debit", AuthorizePaymentReq{Username: "nobody", AmountCents: 1}, nil); !rpc.IsCode(err, rpc.CodeNotFound) {
+		t.Fatalf("unknown account: want CodeNotFound, got %v", err)
 	}
 }

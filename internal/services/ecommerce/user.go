@@ -91,19 +91,19 @@ func registerAccountInfo(srv *rpc.Server, db svcutil.DB, mc svcutil.KV) {
 		}
 		return &BalanceResp{BalanceCents: doc.Nums["balance"]}, nil
 	})
+	// One store-side AddNum: accountInfo is replicated, and a Get, a check and
+	// a Put from two replicas would both debit the same opening balance.
 	svcutil.Handle(srv, "Debit", func(ctx *rpc.Ctx, req *AuthorizePaymentReq) (*struct{}, error) {
-		doc, found, err := db.Get(ctx, "accounts", req.Username)
-		if err != nil {
+		_, found, ok, err := db.AddNum(ctx, "accounts", req.Username, "balance", -req.AmountCents, 0)
+		switch {
+		case err != nil:
 			return nil, err
-		}
-		if !found {
+		case !found:
 			return nil, rpc.NotFoundf("accountInfo: no account %q", req.Username)
-		}
-		if doc.Nums["balance"] < req.AmountCents {
+		case !ok:
 			return nil, rpc.Errorf(rpc.CodeUnauthorized, "accountInfo: insufficient funds")
 		}
-		doc.Nums["balance"] -= req.AmountCents
-		return nil, db.Put(ctx, "accounts", doc)
+		return nil, nil
 	})
 }
 

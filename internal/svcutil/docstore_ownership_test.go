@@ -13,9 +13,10 @@ import (
 	"dsb/internal/rpc"
 )
 
-// The docstore service stores the Doc it decoded and encodes the Doc it
-// stores, both without copying (see the docstore.Collection doc comment).
-// These tests hold it to that rule from outside, over rpc.Mem.
+// docstore keeps each document as an immutable wire encoding (see the
+// docstore.Collection doc comment), so nothing a caller holds can alias what
+// is stored. These tests hold it to that from outside, over rpc.Mem and
+// through the exported in-process API.
 
 func serveDB(t *testing.T, store *docstore.Store) DB {
 	t.Helper()
@@ -96,7 +97,7 @@ func TestDocstoreCallersCannotReachStoredDoc(t *testing.T) {
 	scribble(got)
 	check("mutating the Doc returned by Get")
 
-	// In-process callers of the exported API still get, and hand in, copies.
+	// In-process callers of the exported API get, and hand in, copies too.
 	local, _ := store.Collection("c").Get("d1")
 	scribble(local)
 	check("mutating the Doc returned by Collection.Get")

@@ -104,15 +104,32 @@ func (d DB) ListPrependUnique(ctx context.Context, collection, id, value string,
 }
 
 func (d DB) listPrepend(ctx context.Context, collection, id, value string, max int, unique bool) (int, error) {
+	resp, err := dbWrite[docstore.ListPrependResp](ctx, d, id, "ListPrepend",
+		docstore.ListPrependReq{Collection: collection, ID: id, Value: value, Cap: int64(max), Unique: unique})
+	return int(resp.Len), err
+}
+
+// AddNum atomically adds delta to a numeric field of the document unless
+// the sum would fall below floor (see docstore.Collection.AddNum). It is how
+// a replicated service keeps a balance or a counter: a Get, a check and a Put
+// from two replicas lose an update.
+func (d DB) AddNum(ctx context.Context, collection, id, field string, delta, floor int64) (value int64, found, ok bool, err error) {
+	resp, err := dbWrite[docstore.AddNumResp](ctx, d, id, "AddNum",
+		docstore.AddNumReq{Collection: collection, ID: id, Field: field, Delta: delta, Floor: floor})
+	return resp.Value, resp.Found, resp.OK, err
+}
+
+// dbWrite sends a store-side read-modify-write of document id: to the one
+// backend, or sharded to every replica of id's owner group, the first ack
+// answering. Each replica applies the operation to its own copy, so replicas
+// that saw the same adds (they commute) or unique prepends (as sets; two
+// racing prepends may order differently) agree, where a Put pair need not.
+func dbWrite[Resp any](ctx context.Context, d DB, id, method string, req any) (resp Resp, err error) {
 	if d.Shards != nil {
-		return d.shardedListPrepend(ctx, collection, id, value, max, unique)
+		return firstAck[Resp](ctx, d.Shards, id, method, req)
 	}
-	var resp docstore.ListPrependResp
-	req := docstore.ListPrependReq{Collection: collection, ID: id, Value: value, Cap: int64(max), Unique: unique}
-	if err := d.C.Call(ctx, "ListPrepend", req, &resp); err != nil {
-		return 0, err
-	}
-	return int(resp.Len), nil
+	err = d.C.Call(ctx, method, req, &resp)
+	return resp, err
 }
 
 // Parallel runs fn(0..n-1) across at most workers goroutines and returns

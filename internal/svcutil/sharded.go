@@ -140,35 +140,36 @@ func (k KV) shardedDelete(ctx context.Context, key string) error {
 	})
 }
 
+// firstAck is writeAll for a call that answers: every replica of key's owner
+// group gets req, and the first ack's response is returned.
+func firstAck[Resp any](ctx context.Context, r *shard.Router, key, method string, req any) (Resp, error) {
+	var first Resp
+	reps := r.Route(key)
+	if len(reps) == 0 {
+		return first, noShards(r)
+	}
+	got := false
+	err := writeAll(reps, func(rep *shard.Replica) error {
+		var resp Resp
+		if err := rep.Call(ctx, method, req, &resp); err != nil {
+			return err
+		}
+		if !got {
+			first, got = resp, true
+		}
+		return nil
+	})
+	return first, err
+}
+
 // shardedIncr applies the delta to every replica of the owner group (each
 // keeps its own copy of the counter) and returns the first acked value.
 // A replica that misses a delta diverges until the key expires or is
 // rewritten — counters get no read-repair, matching the loose semantics
 // cache-side counters already have under eviction.
 func (k KV) shardedIncr(ctx context.Context, key string, delta int64) (int64, error) {
-	reps := k.Shards.Route(key)
-	if len(reps) == 0 {
-		return 0, noShards(k.Shards)
-	}
-	var val int64
-	got := false
-	var firstErr error
-	for _, rep := range reps {
-		var resp kv.IncrResp
-		if err := rep.Call(ctx, "Incr", kv.IncrReq{Key: key, Delta: delta}, &resp); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if !got {
-			val, got = resp.Value, true
-		}
-	}
-	if !got {
-		return 0, firstErr
-	}
-	return val, nil
+	resp, err := firstAck[kv.IncrResp](ctx, k.Shards, key, "Incr", kv.IncrReq{Key: key, Delta: delta})
+	return resp.Value, err
 }
 
 // MGet fetches a batch of keys in one round trip per backend, returning
@@ -295,27 +296,6 @@ func (d DB) shardedDocDelete(ctx context.Context, collection, id string) (bool, 
 		return nil
 	})
 	return existed, err
-}
-
-func (d DB) shardedListPrepend(ctx context.Context, collection, id, value string, max int, unique bool) (int, error) {
-	reps := d.Shards.Route(id)
-	if len(reps) == 0 {
-		return 0, noShards(d.Shards)
-	}
-	length := 0
-	got := false
-	err := writeAll(reps, func(rep *shard.Replica) error {
-		var resp docstore.ListPrependResp
-		req := docstore.ListPrependReq{Collection: collection, ID: id, Value: value, Cap: int64(max), Unique: unique}
-		if err := rep.Call(ctx, "ListPrepend", req, &resp); err != nil {
-			return err
-		}
-		if !got {
-			length, got = int(resp.Len), true
-		}
-		return nil
-	})
-	return length, err
 }
 
 // scatterFind fans one query out per live shard (with per-shard replica

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -167,12 +168,15 @@ func TestShardedKVMGet(t *testing.T) {
 
 // TestShardedDB exercises the docstore policies: point ops route by ID,
 // Find/FindRange scatter to every shard and merge with the single-store
-// ordering contract, ListPrepend applies to the whole replica set.
+// ordering contract, ListPrepend and AddNum apply to the whole replica set.
 func TestShardedDB(t *testing.T) {
 	app := core.NewApp("shardtest", core.Options{DisableTracing: true})
 	t.Cleanup(func() { app.Close() })
+	var stores []*docstore.Store
 	err := svcutil.StartShardReplicas(app, "store.db", 3, 2, func(s, r int) func(*rpc.Server) {
-		return func(srv *rpc.Server) { docstore.RegisterService(srv, docstore.NewStore()) }
+		store := docstore.NewStore()
+		stores = append(stores, store)
+		return func(srv *rpc.Server) { docstore.RegisterService(srv, store) }
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -236,6 +240,42 @@ func TestShardedDB(t *testing.T) {
 	}
 	if n, err := db.ListPrepend(ctx, "timelines", "u0", "doc-28", 10); err != nil || n != 2 {
 		t.Fatalf("ListPrepend = %d, %v", n, err)
+	}
+
+	// AddNum reaches every replica of the owner group, and adds commute: after
+	// eight concurrent adders both copies of the document hold the same sum.
+	const adders, adds = 8, 50
+	var wg sync.WaitGroup
+	for g := 0; g < adders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < adds; i++ {
+				if _, found, ok, err := db.AddNum(ctx, "posts", "doc-05", "likes", 1, 0); err != nil || !found || !ok {
+					t.Errorf("AddNum = %v, %v, %v", found, ok, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	copies := 0
+	for _, store := range stores {
+		if d, ok := store.Collection("posts").Get("doc-05"); ok {
+			copies++
+			if d.Nums["likes"] != adders*adds || d.Nums["ts"] != 1005 {
+				t.Fatalf("a replica holds likes=%d ts=%d, want %d and 1005", d.Nums["likes"], d.Nums["ts"], adders*adds)
+			}
+		}
+	}
+	if copies != 2 {
+		t.Fatalf("doc-05 lives on %d replicas, want 2", copies)
+	}
+	if v, found, ok, err := db.AddNum(ctx, "posts", "doc-05", "likes", -adders*adds-1, 0); err != nil || !found || ok || v != adders*adds {
+		t.Fatalf("AddNum below the floor = %d, %v, %v, %v", v, found, ok, err)
+	}
+	if _, found, _, err := db.AddNum(ctx, "posts", "no-such-doc", "likes", 1, 0); err != nil || found {
+		t.Fatalf("AddNum on a missing document: found=%v err=%v", found, err)
 	}
 
 	if existed, err := db.Delete(ctx, "posts", "doc-07"); err != nil || !existed {
