@@ -108,12 +108,3 @@ func (g *Group[V]) Do(ctx context.Context, key string, fn func(context.Context) 
 	normal = true
 	return c.val, c.err
 }
-
-// Forget drops any in-flight record for key so the next Do starts a fresh
-// flight instead of joining the current one. The current flight still
-// completes and delivers to its existing waiters.
-func (g *Group[V]) Forget(key string) {
-	g.mu.Lock()
-	delete(g.inflight, key)
-	g.mu.Unlock()
-}

@@ -377,8 +377,8 @@ func (a *App) RPC(caller, target string, extra ...transport.Middleware) (*lb.Bal
 	opts := []lb.Option{}
 	if a.Resilience != nil {
 		mws = append(mws, a.Resilience.Stack()...)
-		// The instrumented factory is BackendFactory plus a breaker-state
-		// probe, so Balanced.Stats reports per-replica ejection state.
+		// One breaker per replica plus a breaker-state probe, so
+		// Balanced.Stats reports per-replica ejection state.
 		opts = append(opts, lb.WithBackendInstrument(a.Resilience.InstrumentedBackendFactory()))
 	}
 	if len(mws) > 0 {

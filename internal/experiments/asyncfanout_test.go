@@ -7,20 +7,20 @@ import (
 
 // afShapeViolations runs the three asyncfanout arms once and returns the
 // directional claims that did not hold. An empty list is a clean pass.
-func afShapeViolations() []string {
+func afShapeViolations() ([]string, error) {
 	var v []string
 	arms := make(map[afMode]afArmResult, 5)
 	for _, mode := range []afMode{afSync, afPipelined, afAsync} {
 		arm, err := afLadder(mode, afLevels)
 		if err != nil {
-			return []string{fmt.Sprintf("%s arm failed: %v", mode, err)}
+			return nil, fmt.Errorf("%s arm failed: %w", mode, err)
 		}
 		arms[mode] = arm
 	}
 	for _, mode := range []afMode{afAsyncCapped, afAsyncPart} {
 		arm, err := afLadder(mode, afPartLevels)
 		if err != nil {
-			return []string{fmt.Sprintf("%s arm failed: %v", mode, err)}
+			return nil, fmt.Errorf("%s arm failed: %w", mode, err)
 		}
 		arms[mode] = arm
 	}
@@ -34,7 +34,7 @@ func afShapeViolations() []string {
 		}
 	}
 	if len(v) > 0 {
-		return v
+		return v, nil
 	}
 
 	// The acceptance bar: async fan-out sustains strictly higher offered
@@ -86,7 +86,7 @@ func afShapeViolations() []string {
 	if partQ <= cappedQ {
 		v = append(v, fmt.Sprintf("partitioned broker sustained %.0f posts/s, single %.0f — partitioning must be strictly higher", partQ, cappedQ))
 	}
-	return v
+	return v, nil
 }
 
 // TestAsyncFanoutShape asserts the directional claims of the asyncfanout
@@ -102,16 +102,5 @@ func TestAsyncFanoutShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live fan-out ladder runs skipped in -short mode")
 	}
-	const attempts = 3
-	var last []string
-	for i := 1; i <= attempts; i++ {
-		last = afShapeViolations()
-		if len(last) == 0 {
-			return
-		}
-		t.Logf("attempt %d/%d violated the shape: %v", i, attempts, last)
-	}
-	for _, violation := range last {
-		t.Error(violation)
-	}
+	retryShape(t, func(int) ([]string, error) { return afShapeViolations() })
 }

@@ -13,15 +13,15 @@ const bcRecoveryBound = 8 * time.Second
 
 // bcShapeViolations runs both broker-crash arms once and returns the
 // durability claims that did not hold. An empty list is a clean pass.
-func bcShapeViolations(seed int64) []string {
+func bcShapeViolations(seed int64) ([]string, error) {
 	var v []string
 	repl, err := bcRun(true, seed)
 	if err != nil {
-		return []string{fmt.Sprintf("replicated arm failed: %v", err)}
+		return nil, fmt.Errorf("replicated arm failed: %w", err)
 	}
 	unrepl, err := bcRun(false, seed)
 	if err != nil {
-		return []string{fmt.Sprintf("unreplicated arm failed: %v", err)}
+		return nil, fmt.Errorf("unreplicated arm failed: %w", err)
 	}
 
 	// Both arms must have acked a meaningful share of the drive — the loss
@@ -37,7 +37,7 @@ func bcShapeViolations(seed int64) []string {
 		}
 	}
 	if len(v) > 0 {
-		return v
+		return v, nil
 	}
 
 	// The tentpole claim: with per-shard mirrors, a broker crash mid-fanout
@@ -65,7 +65,7 @@ func bcShapeViolations(seed int64) []string {
 	if unrepl.dups != 0 {
 		v = append(v, fmt.Sprintf("unreplicated arm delivered %d duplicates — unique prepends should hold in both arms", unrepl.dups))
 	}
-	return v
+	return v, nil
 }
 
 // TestBrokerCrashShape asserts the broker-crash experiment's durability
@@ -80,16 +80,5 @@ func TestBrokerCrashShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live broker-crash runs skipped in -short mode")
 	}
-	const attempts = 3
-	var last []string
-	for i := 1; i <= attempts; i++ {
-		last = bcShapeViolations(int64(41 * i))
-		if len(last) == 0 {
-			return
-		}
-		t.Logf("attempt %d/%d violated the shape: %v", i, attempts, last)
-	}
-	for _, violation := range last {
-		t.Error(violation)
-	}
+	retryShape(t, func(i int) ([]string, error) { return bcShapeViolations(int64(41 * i)) })
 }

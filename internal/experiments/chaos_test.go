@@ -94,9 +94,7 @@ func TestChaosRecoveryShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live chaos runs skipped in -short mode")
 	}
-	const attempts = 3
-	var last []string
-	for i := 1; i <= attempts; i++ {
+	retryShape(t, func(int) ([]string, error) {
 		prot := runChaos(true, chaosSeed)
 		prot2 := runChaos(true, chaosSeed)
 		if prot.schedule == "" || prot.schedule != prot2.schedule {
@@ -109,13 +107,6 @@ func TestChaosRecoveryShape(t *testing.T) {
 		if unprot.crashAt != prot.crashAt {
 			t.Fatalf("arms crashed at different instants: %v vs %v", unprot.crashAt, prot.crashAt)
 		}
-		last = chaosShapeViolations(prot, unprot)
-		if len(last) == 0 {
-			return
-		}
-		t.Logf("attempt %d/%d violated the shape: %v", i, attempts, last)
-	}
-	for _, violation := range last {
-		t.Error(violation)
-	}
+		return chaosShapeViolations(prot, unprot), nil
+	})
 }

@@ -7,16 +7,16 @@ import (
 
 // cpShapeViolations runs both cluster-parity arms once and returns the
 // directional claims that did not hold. An empty list is a clean pass.
-func cpShapeViolations() []string {
+func cpShapeViolations() ([]string, error) {
 	var v []string
 
 	protected, err := cpRun(true)
 	if err != nil {
-		return []string{"plane arm failed to boot: " + err.Error()}
+		return nil, fmt.Errorf("plane arm failed to boot: %w", err)
 	}
 	unprotected, err := cpRun(false)
 	if err != nil {
-		return []string{"static arm failed to boot: " + err.Error()}
+		return nil, fmt.Errorf("static arm failed to boot: %w", err)
 	}
 
 	// Both arms must have a healthy warm phase for every tenant — the
@@ -34,7 +34,7 @@ func cpShapeViolations() []string {
 		}
 	}
 	if len(v) > 0 {
-		return v
+		return v, nil
 	}
 
 	// The acceptance bar: with the control plane on, the flash crowd costs
@@ -60,7 +60,7 @@ func cpShapeViolations() []string {
 	if unprotected.socialShed != 0 {
 		v = append(v, fmt.Sprintf("plane off: %d sheds recorded without a control plane", unprotected.socialShed))
 	}
-	return v
+	return v, nil
 }
 
 // TestClusterParityShape asserts the directional claims of the
@@ -75,16 +75,5 @@ func TestClusterParityShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live mixed-tenant cluster runs skipped in -short mode")
 	}
-	const attempts = 3
-	var last []string
-	for i := 1; i <= attempts; i++ {
-		last = cpShapeViolations()
-		if len(last) == 0 {
-			return
-		}
-		t.Logf("attempt %d/%d violated the shape: %v", i, attempts, last)
-	}
-	for _, violation := range last {
-		t.Error(violation)
-	}
+	retryShape(t, func(int) ([]string, error) { return cpShapeViolations() })
 }

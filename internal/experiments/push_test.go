@@ -9,15 +9,15 @@ import (
 
 // pushShapeViolations runs both delivery arms at equal offered load and
 // returns the claims that did not hold. An empty list is a clean pass.
-func pushShapeViolations() []string {
+func pushShapeViolations() ([]string, error) {
 	var v []string
 	push, err := pushRun("push")
 	if err != nil {
-		return []string{fmt.Sprintf("push arm failed: %v", err)}
+		return nil, fmt.Errorf("push arm failed: %w", err)
 	}
 	poll, err := pushRun("poll")
 	if err != nil {
-		return []string{fmt.Sprintf("poll arm failed: %v", err)}
+		return nil, fmt.Errorf("poll arm failed: %w", err)
 	}
 
 	// Both arms must drain the drive — a latency contrast between partial
@@ -28,7 +28,7 @@ func pushShapeViolations() []string {
 		}
 	}
 	if len(v) > 0 {
-		return v
+		return v, nil
 	}
 
 	// The tentpole claim: push delivery rides the standing stream, so a
@@ -48,7 +48,7 @@ func pushShapeViolations() []string {
 	if poll.idlePolls == 0 {
 		v = append(v, "poll arm paid zero idle polls — the idle window missed the tax, so the contrast shows nothing")
 	}
-	return v
+	return v, nil
 }
 
 // TestPushShape asserts the push experiment's contrast — push delivery is
@@ -64,18 +64,7 @@ func TestPushShape(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 
-	const attempts = 3
-	var last []string
-	for i := 1; i <= attempts; i++ {
-		last = pushShapeViolations()
-		if len(last) == 0 {
-			break
-		}
-		t.Logf("attempt %d/%d violated the shape: %v", i, attempts, last)
-	}
-	for _, violation := range last {
-		t.Error(violation)
-	}
+	retryShape(t, func(int) ([]string, error) { return pushShapeViolations() })
 
 	// Leak guard: every arm tears its stack down; standing streams, push
 	// sessions, and reopen loops must all unwind. Allow brief settling and a

@@ -70,16 +70,5 @@ func TestTailAtScaleShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live tail-at-scale runs skipped in -short mode")
 	}
-	const attempts = 3
-	var last []string
-	for i := 1; i <= attempts; i++ {
-		last = tailShapeViolations()
-		if len(last) == 0 {
-			return
-		}
-		t.Logf("attempt %d/%d violated the shape: %v", i, attempts, last)
-	}
-	for _, violation := range last {
-		t.Error(violation)
-	}
+	retryShape(t, func(int) ([]string, error) { return tailShapeViolations(), nil })
 }

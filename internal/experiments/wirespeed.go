@@ -123,8 +123,9 @@ func wirespeedCalibrate() (reflectPerOp, fastPerOp time.Duration) {
 
 // runWirespeedArm drives one arm at the paced rate: workers fire requests
 // on a fixed schedule (falling behind queues, it never skips), recording
-// wall latency per request.
-func runWirespeedArm(doCall func() error) (wirespeedArmResult, error) {
+// wall latency per request. doCall gets the worker's index, for per-worker
+// state.
+func runWirespeedArm(doCall func(w int) error) (wirespeedArmResult, error) {
 	perWorker := wirespeedRequests / wirespeedWorkers
 	interval := time.Second * time.Duration(wirespeedWorkers) / time.Duration(wirespeedRate)
 
@@ -142,7 +143,7 @@ func runWirespeedArm(doCall func() error) (wirespeedArmResult, error) {
 				time.Sleep(time.Until(next))
 				next = next.Add(interval)
 				t0 := time.Now()
-				if err := doCall(); err != nil {
+				if err := doCall(w); err != nil {
 					errs[w] = err
 					return
 				}
@@ -191,7 +192,7 @@ func wirespeedArms() (reflectRes, fastRes, pooledRes wirespeedArmResult, err err
 	ctx := context.Background()
 	post := wirespeedPost()
 
-	reflectRes, err = runWirespeedArm(func() error {
+	reflectRes, err = runWirespeedArm(func(int) error {
 		payload, err := codec.MarshalReflect(post)
 		if err != nil {
 			return err
@@ -208,13 +209,15 @@ func wirespeedArms() (reflectRes, fastRes, pooledRes wirespeedArmResult, err err
 	}
 	reflectRes.codecPerOp, _ = wirespeedCalibrate()
 
-	var scratch []byte
-	fastRes, err = runWirespeedArm(func() error {
-		buf, err := codec.AppendMarshal(scratch[:0], post)
+	// One encode scratch per worker: a shared one is overwritten by the next
+	// worker's marshal while CallRaw is still copying it to the wire.
+	scratch := make([][]byte, wirespeedWorkers)
+	fastRes, err = runWirespeedArm(func(w int) error {
+		buf, err := codec.AppendMarshal(scratch[w][:0], post)
 		if err != nil {
 			return err
 		}
-		scratch = buf
+		scratch[w] = buf
 		reply, err := c.CallRaw(ctx, "EchoFast", buf)
 		if err != nil {
 			return err
@@ -227,7 +230,7 @@ func wirespeedArms() (reflectRes, fastRes, pooledRes wirespeedArmResult, err err
 	}
 	_, fastRes.codecPerOp = wirespeedCalibrate()
 
-	pooledRes, err = runWirespeedArm(func() error {
+	pooledRes, err = runWirespeedArm(func(int) error {
 		var out socialnetwork.Post
 		return c.Call(ctx, "EchoFast", &post, &out)
 	})

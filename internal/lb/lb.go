@@ -9,7 +9,7 @@
 // wraps the replica choice, so every retry or hedged attempt re-picks a
 // backend and can land on a different instance. Per-replica middleware
 // (the circuit breaker) is installed on each backend's client through the
-// WithBackendMiddleware factory.
+// WithBackendInstrument factory.
 package lb
 
 import (
@@ -112,7 +112,6 @@ type Balanced struct {
 	policy     Policy
 	clientOpts []rpc.ClientOption
 	mws        []transport.Middleware
-	backendMW  func(addr string) []transport.Middleware
 	instrument func(addr string) ([]transport.Middleware, func() string)
 	invoke     transport.Invoker
 
@@ -150,19 +149,13 @@ func WithMiddleware(mws ...transport.Middleware) Option {
 	return func(b *Balanced) { b.mws = append(b.mws, mws...) }
 }
 
-// WithBackendMiddleware installs a factory producing per-replica middleware
+// WithBackendInstrument installs a factory producing per-replica middleware
 // for each backend address as it is added — the circuit breaker installs
 // here, one instance per replica, so a slow or dead instance is ejected
-// individually and its CodeUnavailable rejections fail over to peers.
-func WithBackendMiddleware(f func(addr string) []transport.Middleware) Option {
-	return func(b *Balanced) { b.backendMW = f }
-}
-
-// WithBackendInstrument is WithBackendMiddleware plus a per-replica health
-// probe: the factory also returns a function reporting the replica's breaker
+// individually and its CodeUnavailable rejections fail over to peers — plus
+// a per-replica health probe: a function reporting the replica's breaker
 // state ("closed", "open", "half-open"), surfaced through Stats. Use
-// transport.ResilienceConfig.InstrumentedBackendFactory to build one. When
-// both options are set, this one wins.
+// transport.ResilienceConfig.InstrumentedBackendFactory to build one.
 func WithBackendInstrument(f func(addr string) ([]transport.Middleware, func() string)) Option {
 	return func(b *Balanced) { b.instrument = f }
 }
@@ -202,8 +195,6 @@ func (b *Balanced) AddBackend(addr string) {
 	var mws []transport.Middleware
 	if b.instrument != nil {
 		mws, probe = b.instrument(addr)
-	} else if b.backendMW != nil {
-		mws = b.backendMW(addr)
 	}
 	if len(mws) > 0 {
 		opts = append(opts[:len(opts):len(opts)], rpc.WithMiddleware(mws...))

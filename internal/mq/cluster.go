@@ -73,15 +73,6 @@ func (c *Cluster) Drain(topic, group string, timeout time.Duration) error {
 	}
 }
 
-// QueueLag is GroupLag for a plain named queue.
-func (c *Cluster) QueueLag(name string) int64 {
-	var sum int64
-	for _, b := range c.Brokers() {
-		sum += b.Queue(name).Stats().Lag()
-	}
-	return sum
-}
-
 // GroupStats aggregates one group queue's stats across the local instances —
 // lifetime counters sum, point-in-time gauges sum, oldest age maxes.
 func (c *Cluster) GroupStats(topic, group string) Stats {

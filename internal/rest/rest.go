@@ -314,14 +314,6 @@ func WithMiddleware(mws ...transport.Middleware) ClientOption {
 	return func(c *Client) { c.mws = append(c.mws, mws...) }
 }
 
-// WithMaxConns bounds connections to the host, reproducing HTTP/1
-// head-of-line blocking when set to a small number.
-func WithMaxConns(n int) ClientOption {
-	return func(c *Client) {
-		c.hc.Transport.(*http.Transport).MaxConnsPerHost = n
-	}
-}
-
 // NewClient creates a client for the target service at addr, dialing
 // through the given network.
 func NewClient(network rpc.Network, target, addr string, opts ...ClientOption) *Client {

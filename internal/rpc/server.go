@@ -186,9 +186,6 @@ func (s *Server) Hang() { s.hung.Store(true) }
 // Resume returns a hung server to normal dispatch (a restarted replica).
 func (s *Server) Resume() { s.hung.Store(false) }
 
-// Hung reports whether the server is currently dropping requests.
-func (s *Server) Hung() bool { return s.hung.Load() }
-
 // OneWayErrors returns how many one-way requests failed server-side. The
 // caller of a one-way RPC only sees send failures; everything after the
 // frame is on the wire — admission sheds, missing methods, handler errors —

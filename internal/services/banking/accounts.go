@@ -33,7 +33,7 @@ const customerCacheTTL = 5 * time.Minute
 // summary request — run through the shared cache-aside ReadPath: cached
 // under "cust:<username>" (invalidated by Put), with concurrent misses on
 // one customer coalesced into a single backing Get.
-func registerCustomerInfo(srv *rpc.Server, db svcutil.DB, mc svcutil.KV, noCoalesce bool) {
+func registerCustomerInfo(srv *rpc.Server, db svcutil.DB, mc svcutil.KV) {
 	svcutil.Handle(srv, "Put", func(ctx *rpc.Ctx, req *PutCustomerReq) (*struct{}, error) {
 		c := req.Customer
 		if c.Username == "" {
@@ -50,9 +50,8 @@ func registerCustomerInfo(srv *rpc.Server, db svcutil.DB, mc svcutil.KV, noCoale
 		return nil, nil
 	})
 	custPath := &svcutil.ReadPath[Customer]{
-		MC:         mc,
-		TTL:        customerCacheTTL,
-		NoCoalesce: noCoalesce,
+		MC:  mc,
+		TTL: customerCacheTTL,
 		Decode: func(b []byte) (Customer, error) {
 			var c Customer
 			err := codec.Unmarshal(b, &c)

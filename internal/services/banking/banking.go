@@ -32,12 +32,6 @@ type Config struct {
 	Middleware []transport.Middleware
 	// Replicas scales replicable logic tiers out at boot, keyed by tier name.
 	Replicas map[string]int
-	// DisableDegradation makes the account summary fail hard when the
-	// wealthMgmt tier is unreachable instead of omitting the portfolio.
-	DisableDegradation bool
-	// DisableCoalescing turns off miss coalescing on the customer-profile
-	// read path.
-	DisableCoalescing bool
 	// Spawner, when set, receives replicable tier boots so the control plane
 	// can autoscale them.
 	Spawner svcutil.Definer
@@ -94,11 +88,10 @@ func New(app *core.App, cfg Config) (*Banking, error) {
 		return nil, err
 	}
 
-	degrade := !cfg.DisableDegradation
 	cl, db, mc, start := stack.Caller, stack.DB, stack.KV, stack.Start
 
 	start("customerInfo", func(s *rpc.Server) {
-		registerCustomerInfo(s, db("customerInfo", "db-customers"), mc("customerInfo", "mc-customers"), cfg.DisableCoalescing)
+		registerCustomerInfo(s, db("customerInfo", "db-customers"), mc("customerInfo", "mc-customers"))
 	})
 	start("authentication", func(s *rpc.Server) {
 		registerAuthentication(s, db("authentication", "db-credentials"), mc("authentication", "mc-sessions"))
@@ -181,7 +174,7 @@ func New(app *core.App, cfg Config) (*Banking, error) {
 			offers:    cl("frontend", "offerBanners"),
 			info:      cl("frontend", "bankInfo"),
 			activity:  cl("frontend", "customerActivity"),
-		}, degrade)
+		})
 	}); err != nil {
 		return nil, err
 	}

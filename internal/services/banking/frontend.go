@@ -77,11 +77,10 @@ type SummaryBody struct {
 	Degraded     bool      `json:"degraded,omitempty"`
 }
 
-// registerFrontend installs the Banking REST front door. With degrade on,
-// the wealth-management hop of GET /summary is non-critical: a failure
-// there omits the portfolio and marks the response Degraded instead of
-// erroring.
-func registerFrontend(srv *rest.Server, d bankFrontendDeps, degrade bool) {
+// registerFrontend installs the Banking REST front door. The
+// wealth-management hop of GET /summary is non-critical: a failure there
+// omits the portfolio and marks the response Degraded instead of erroring.
+func registerFrontend(srv *rest.Server, d bankFrontendDeps) {
 	srv.Handle("POST /login", func(ctx *rest.Ctx, body []byte) (any, error) {
 		var req CredentialsBody
 		if err := rest.DecodeJSON(body, &req); err != nil {
@@ -142,10 +141,7 @@ func registerFrontend(srv *rest.Server, d bankFrontendDeps, degrade bool) {
 			out.BalanceCents += a.BalanceCents
 		}
 		var portfolio PortfolioResp
-		if err := svcutil.CallBounded(ctx, degrade, d.wealth, "Portfolio", PortfolioReq{Token: token}, &portfolio); err != nil {
-			if !degrade {
-				return nil, err
-			}
+		if err := svcutil.CallBounded(ctx, d.wealth, "Portfolio", PortfolioReq{Token: token}, &portfolio); err != nil {
 			out.Degraded = true
 			return out, nil
 		}

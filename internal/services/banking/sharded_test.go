@@ -110,16 +110,14 @@ func TestShardedSurvivesReplicaFault(t *testing.T) {
 	}
 }
 
-// TestSummaryDegradesWithoutWealth kills the wealthMgmt tier: with
-// degradation on GET /summary serves accounts and balance with the
-// portfolio omitted and Degraded set; with it off the same fault fails the
-// request.
+// TestSummaryDegradesWithoutWealth kills the wealthMgmt tier: GET /summary
+// serves accounts and balance with the portfolio omitted and Degraded set.
 func TestSummaryDegradesWithoutWealth(t *testing.T) {
-	boot := func(t *testing.T, disable bool) (*Banking, *fault.Injector, string) {
+	boot := func(t *testing.T) (*Banking, *fault.Injector, string) {
 		inj := fault.NewInjector(29)
 		app := core.NewApp("bank-degrade", core.Options{Network: inj.Wrap(rpc.NewMem())})
 		t.Cleanup(func() { app.Close() })
-		b, err := New(app, Config{DisableDegradation: disable})
+		b, err := New(app, Config{})
 		if err != nil {
 			t.Fatalf("boot: %v", err)
 		}
@@ -131,7 +129,7 @@ func TestSummaryDegradesWithoutWealth(t *testing.T) {
 	}
 
 	t.Run("degraded", func(t *testing.T) {
-		b, inj, token := boot(t, false)
+		b, inj, token := boot(t)
 		defer inj.Add(fault.Rule{To: "bank.wealthMgmt", ErrCode: rpc.CodeUnavailable})()
 		var sum SummaryBody
 		if err := b.Frontend.Do(context.Background(), "GET", "/summary?token="+token, nil, &sum); err != nil {
@@ -145,13 +143,6 @@ func TestSummaryDegradesWithoutWealth(t *testing.T) {
 		}
 		if sum.WealthCents != 0 || len(sum.Holdings) != 0 {
 			t.Fatalf("degraded summary should omit portfolio: %+v", sum)
-		}
-	})
-	t.Run("failhard", func(t *testing.T) {
-		b, inj, token := boot(t, true)
-		defer inj.Add(fault.Rule{To: "bank.wealthMgmt", ErrCode: rpc.CodeUnavailable})()
-		if err := b.Frontend.Do(context.Background(), "GET", "/summary?token="+token, nil, nil); err == nil {
-			t.Fatal("fail-hard mode served summary despite wealth fault")
 		}
 	})
 }

@@ -49,7 +49,7 @@ const itemCacheTTL = 5 * time.Minute
 // run through the shared cache-aside ReadPath: cached under "item:<id>"
 // (invalidated by Add and AdjustStock), with concurrent misses on one item
 // coalesced into a single backing Get.
-func registerCatalogue(srv *rpc.Server, db svcutil.DB, mc svcutil.KV, noCoalesce bool) {
+func registerCatalogue(srv *rpc.Server, db svcutil.DB, mc svcutil.KV) {
 	svcutil.Handle(srv, "Add", func(ctx *rpc.Ctx, req *AddItemReq) (*struct{}, error) {
 		it := req.Item
 		if it.ID == "" || it.Name == "" || it.PriceCents < 0 {
@@ -71,9 +71,8 @@ func registerCatalogue(srv *rpc.Server, db svcutil.DB, mc svcutil.KV, noCoalesce
 	})
 
 	itemPath := &svcutil.ReadPath[Item]{
-		MC:         mc,
-		TTL:        itemCacheTTL,
-		NoCoalesce: noCoalesce,
+		MC:  mc,
+		TTL: itemCacheTTL,
 		Decode: func(b []byte) (Item, error) {
 			var it Item
 			err := codec.Unmarshal(b, &it)

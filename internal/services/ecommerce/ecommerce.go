@@ -40,13 +40,6 @@ type Config struct {
 	// CacheBytes bounds each cache tier (0 = unbounded, the historical
 	// layout).
 	CacheBytes int64
-	// DisableDegradation makes GET /recommend fail hard when the
-	// recommender tier is unreachable instead of serving an empty, Degraded
-	// recommendation list.
-	DisableDegradation bool
-	// DisableCoalescing turns off miss coalescing on the catalogue item
-	// read path.
-	DisableCoalescing bool
 	// OrderWorkers sizes the queueMaster commit pool (default 1, the
 	// paper's serialized layout). Workers are members of one broker
 	// consumer group, so raising it parallelizes commits without
@@ -103,13 +96,12 @@ func New(app *core.App, cfg Config) (*Ecommerce, error) {
 		return nil, err
 	}
 
-	degrade := !cfg.DisableDegradation
 	cl, db, mc, start := stack.Caller, stack.DB, stack.KV, stack.Start
 
 	ec := &Ecommerce{App: app, stack: stack}
 
 	start("catalogue", func(s *rpc.Server) {
-		registerCatalogue(s, db("catalogue", "db-catalogue"), mc("catalogue", "mc-catalogue"), cfg.DisableCoalescing)
+		registerCatalogue(s, db("catalogue", "db-catalogue"), mc("catalogue", "mc-catalogue"))
 	})
 	start("accountInfo", func(s *rpc.Server) {
 		registerAccountInfo(s, db("accountInfo", "db-accounts"), mc("accountInfo", "mc-accounts"))
@@ -177,7 +169,7 @@ func New(app *core.App, cfg Config) (*Ecommerce, error) {
 			recommender: cl("frontend", "recommender"),
 			discounts:   cl("frontend", "discounts"),
 			shipping:    cl("frontend", "shipping"),
-		}, degrade)
+		})
 	}); err != nil {
 		return nil, err
 	}

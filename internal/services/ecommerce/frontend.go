@@ -53,9 +53,9 @@ type frontendDeps struct {
 }
 
 // registerFrontend installs the REST front door (the node.js front-end of
-// Figure 6). With degrade on, the recommendation hop is non-critical: a
-// failure there yields an empty Degraded list instead of an error.
-func registerFrontend(srv *rest.Server, d frontendDeps, degrade bool) {
+// Figure 6). The recommendation hop is non-critical: a failure there yields
+// an empty Degraded list instead of an error.
+func registerFrontend(srv *rest.Server, d frontendDeps) {
 	authed := func(ctx *rest.Ctx, token string) (string, error) {
 		var auth VerifyTokenResp
 		if err := d.user.Call(ctx, "VerifyToken", VerifyTokenReq{Token: token}, &auth); err != nil {
@@ -201,10 +201,7 @@ func registerFrontend(srv *rest.Server, d frontendDeps, degrade bool) {
 			return nil, err
 		}
 		var resp ItemsResp
-		if err := svcutil.CallBounded(ctx, degrade, d.recommender, "Recommend", RecommendItemsReq{Username: user, Limit: 5}, &resp); err != nil {
-			if !degrade {
-				return nil, err
-			}
+		if err := svcutil.CallBounded(ctx, d.recommender, "Recommend", RecommendItemsReq{Username: user, Limit: 5}, &resp); err != nil {
 			return RecommendationsBody{Degraded: true}, nil
 		}
 		return RecommendationsBody{Items: resp.Items}, nil

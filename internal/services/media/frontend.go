@@ -53,10 +53,10 @@ type frontendDeps struct {
 
 // registerFrontend installs the REST front door. GET /movies/{title} is the
 // composePage path: movie info, plot, cast, and reviews fetched in parallel
-// and merged, as the real service's page composer does. With degrade on, the
-// reviews hop is non-critical: a failure there yields a Degraded page
-// without reviews instead of an error.
-func registerFrontend(srv *rest.Server, d frontendDeps, degrade bool) {
+// and merged, as the real service's page composer does. The reviews hop is
+// non-critical: a failure there yields a Degraded page without reviews
+// instead of an error.
+func registerFrontend(srv *rest.Server, d frontendDeps) {
 	srv.Handle("POST /register", func(ctx *rest.Ctx, body []byte) (any, error) {
 		var req CredentialsBody
 		if err := rest.DecodeJSON(body, &req); err != nil {
@@ -116,11 +116,7 @@ func registerFrontend(srv *rest.Server, d frontendDeps, degrade bool) {
 		go func() {
 			defer wg.Done()
 			var reviews ReviewsResp
-			if err := svcutil.CallBounded(ctx, degrade, d.movieReview, "List", ReviewsByMovieReq{MovieID: movie.Movie.ID, Limit: 10}, &reviews); err != nil {
-				if !degrade {
-					fail(err)
-					return
-				}
+			if err := svcutil.CallBounded(ctx, d.movieReview, "List", ReviewsByMovieReq{MovieID: movie.Movie.ID, Limit: 10}, &reviews); err != nil {
 				mu.Lock()
 				page.Degraded = true
 				mu.Unlock()

@@ -7,7 +7,6 @@ import (
 
 	"dsb/internal/blobstore"
 	"dsb/internal/core"
-	"dsb/internal/mq"
 	"dsb/internal/rest"
 	"dsb/internal/rpc"
 	"dsb/internal/svcutil"
@@ -35,24 +34,6 @@ type Config struct {
 	Middleware []transport.Middleware
 	// Replicas scales replicable logic tiers out at boot, keyed by tier name.
 	Replicas map[string]int
-	// DisableDegradation makes the movie page fail hard when the review tier
-	// is unreachable instead of serving the page without reviews.
-	DisableDegradation bool
-	// DisableCoalescing turns off miss coalescing on the review-list read
-	// path.
-	DisableCoalescing bool
-	// AsyncReviews moves composeReview's non-critical follow-ups — the
-	// rating-aggregate fold and review-text indexing — off the write path:
-	// movieReview publishes a ReviewEvent to the broker tier at Record and
-	// returns at broker ack; the "enrich" consumer group applies both behind
-	// the write. The review itself is always stored synchronously, so the
-	// movie's review list keeps read-your-writes; the aggregate and search
-	// index converge within the group's drain time (bounded by DrainReviews
-	// in tests).
-	AsyncReviews bool
-	// ReviewWorkers sizes the enrich consumer tier at boot (default 2).
-	// Only meaningful with AsyncReviews.
-	ReviewWorkers int
 	// Spawner, when set, receives replicable tier boots so the control plane
 	// can autoscale them.
 	Spawner svcutil.Definer
@@ -60,15 +41,12 @@ type Config struct {
 
 // replicable names the logic tiers safe to run multi-instance: their state
 // lives in the db/mc tiers (or the shared movie cluster). composeReview
-// stays single-instance — its review IDs derive from a per-process sequence.
+// (per-process review ID sequence) and reviewSearch (in-process index) stay
+// single-instance.
 var replicable = map[string]bool{
 	"movieDB": true, "plot": true, "user": true, "movieID": true,
 	"rating": true, "reviewStorage": true, "movieReview": true,
 	"userReview": true, "rent": true, "recommender": true,
-	// reviewWorker replicas are members of one broker consumer group — they
-	// share the partition, so scaling the tier out never double-enriches.
-	// reviewSearch stays single-instance: it holds the index in-process.
-	"reviewWorker": true,
 }
 
 // Media is a running Media Service deployment.
@@ -83,28 +61,7 @@ type Media struct {
 	User          svcutil.Caller
 	Rent          svcutil.Caller
 	ReviewSearch  svcutil.Caller
-
-	// Broker is the message-broker tier behind async review enrichment (nil
-	// unless Config.AsyncReviews); exported so tests and experiments can
-	// read backlog stats directly across every broker instance.
-	Broker *mq.Cluster
-
-	stack *svcutil.Stack
 }
-
-// DrainReviews blocks until the enrich consumer group's backlog reaches
-// zero — every published review event applied and settled — or the timeout
-// elapses. This is the convergence bound deterministic tests use before
-// asserting the rating aggregate or search index. A nil-broker (sync)
-// deployment drains trivially.
-func (m *Media) DrainReviews(timeout time.Duration) error {
-	return m.Broker.Drain(reviewTopic, reviewGroup, timeout)
-}
-
-// Close stops the review enrich workers and leaves the rest of the
-// deployment up; closing the app stops them too. Synchronous deployments
-// have none and close trivially.
-func (m *Media) Close() { m.stack.StopConsumers() }
 
 // New boots the Media Service.
 func New(app *core.App, cfg Config) (*Media, error) {
@@ -122,22 +79,6 @@ func New(app *core.App, cfg Config) (*Media, error) {
 	if err != nil {
 		return nil, err
 	}
-	replicas := cfg.Replicas
-	if cfg.AsyncReviews {
-		// The enrich tier's boot size rides the same replica map as every
-		// other tier; copy so the caller's map is never mutated.
-		replicas = make(map[string]int, len(cfg.Replicas)+1)
-		for k, v := range cfg.Replicas {
-			replicas[k] = v
-		}
-		if replicas["reviewWorker"] <= 0 {
-			n := cfg.ReviewWorkers
-			if n <= 0 {
-				n = 2
-			}
-			replicas["reviewWorker"] = n
-		}
-	}
 	stack := &svcutil.Stack{
 		App:           app,
 		Prefix:        "media.",
@@ -146,7 +87,7 @@ func New(app *core.App, cfg Config) (*Media, error) {
 		CacheBytes:    cfg.CacheBytes,
 		Middleware:    cfg.Middleware,
 		Replicable:    replicable,
-		Replicas:      replicas,
+		Replicas:      cfg.Replicas,
 		Spawner:       cfg.Spawner,
 	}
 	if err := stack.StartStores("db-reviews", "db-users", "db-plots", "db-rentals"); err != nil {
@@ -156,10 +97,9 @@ func New(app *core.App, cfg Config) (*Media, error) {
 		return nil, err
 	}
 
-	degrade := !cfg.DisableDegradation
 	cl, db, mc, start := stack.Caller, stack.DB, stack.KV, stack.Start
 
-	m := &Media{App: app, stack: stack}
+	m := &Media{App: app}
 
 	start("movieDB", func(s *rpc.Server) { registerMovieDB(s, movieCluster) })
 	start("plot", func(s *rpc.Server) {
@@ -173,31 +113,14 @@ func New(app *core.App, cfg Config) (*Media, error) {
 	})
 	start("rating", registerRating)
 	start("reviewStorage", func(s *rpc.Server) {
-		registerReviewStorage(s, db("reviewStorage", "db-reviews"), mc("reviewStorage", "mc-reviews"), cfg.DisableCoalescing)
+		registerReviewStorage(s, db("reviewStorage", "db-reviews"), mc("reviewStorage", "mc-reviews"))
 	})
-	// The review text index boots before movieReview (its synchronous-mode
-	// downstream) and before the enrich workers that feed it asynchronously.
+	// The review text index boots before movieReview, its downstream.
 	start("reviewSearch", registerReviewSearch)
-	// The broker tier boots just before movieReview when enrichment is
-	// async: its configure hook declares the review topic and subscribes the
-	// enrich group, so no publish misses the group.
-	if cfg.AsyncReviews {
-		m.Broker = stack.StartBroker("broker", ConfigureReviewBroker)
-	}
 	start("movieReview", func(s *rpc.Server) {
-		var bus mq.Bus
-		if cfg.AsyncReviews {
-			bus = stack.MQ("movieReview", "broker")
-		}
 		registerMovieReview(s, cl("movieReview", "reviewStorage"),
-			cl("movieReview", "movieDB"), cl("movieReview", "reviewSearch"), bus)
+			cl("movieReview", "movieDB"), cl("movieReview", "reviewSearch"))
 	})
-	if cfg.AsyncReviews {
-		start("reviewWorker", func(s *rpc.Server) {
-			rw := &reviewWorker{movieDB: cl("reviewWorker", "movieDB"), search: cl("reviewWorker", "reviewSearch")}
-			stack.Serve(s, stack.MQ("reviewWorker", "broker"), reviewTopic, reviewGroup, reviewLease, rw.enrich)
-		})
-	}
 	start("userReview", func(s *rpc.Server) {
 		registerUserReview(s, cl("userReview", "reviewStorage"))
 	})
@@ -238,7 +161,7 @@ func New(app *core.App, cfg Config) (*Media, error) {
 			userReview:    cl("frontend", "userReview"),
 			rent:          cl("frontend", "rent"),
 			recommender:   cl("frontend", "recommender"),
-		}, degrade)
+		})
 	}); err != nil {
 		return nil, err
 	}

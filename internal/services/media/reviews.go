@@ -9,7 +9,6 @@ import (
 
 	"dsb/internal/codec"
 	"dsb/internal/docstore"
-	"dsb/internal/mq"
 	"dsb/internal/rpc"
 	"dsb/internal/svcutil"
 )
@@ -55,7 +54,7 @@ const reviewCacheTTL = 5 * time.Minute
 // composition — runs through the shared cache-aside ReadPath: cached under
 // "movie-reviews:<id>" (invalidated by Store), with concurrent misses on one
 // movie coalesced into a single backing Find.
-func registerReviewStorage(srv *rpc.Server, db svcutil.DB, mc svcutil.KV, noCoalesce bool) {
+func registerReviewStorage(srv *rpc.Server, db svcutil.DB, mc svcutil.KV) {
 	svcutil.Handle(srv, "Store", func(ctx *rpc.Ctx, req *StoreReviewReq) (*struct{}, error) {
 		r := req.Review
 		if r.ID == "" || r.MovieID == "" || r.Username == "" {
@@ -104,9 +103,8 @@ func registerReviewStorage(srv *rpc.Server, db svcutil.DB, mc svcutil.KV, noCoal
 	}
 
 	byMovie := &svcutil.ReadPath[[]Review]{
-		MC:         mc,
-		TTL:        reviewCacheTTL,
-		NoCoalesce: noCoalesce,
+		MC:  mc,
+		TTL: reviewCacheTTL,
 		Decode: func(b []byte) ([]Review, error) {
 			var cached ReviewsResp
 			if err := codec.Unmarshal(b, &cached); err != nil {
@@ -148,25 +146,11 @@ func registerReviewStorage(srv *rpc.Server, db svcutil.DB, mc svcutil.KV, noCoal
 
 // registerMovieReview installs the movieReview service, which maintains the
 // per-movie review index, folds ratings into MovieDB's aggregate, and feeds
-// the review text index. The review itself is always stored synchronously —
-// that is what keeps read-your-writes on the movie's review list — but the
-// two follow-ups are non-critical: with bus set (Config.AsyncReviews) they
-// leave the write path as one keyed ReviewEvent publish, applied behind the
-// write by the "enrich" consumer group (see reviewasync.go).
-func registerMovieReview(srv *rpc.Server, storage, movieDB, search svcutil.Caller, bus mq.Bus) {
+// the review text index, all on the write path (Figure 5): the review list,
+// the aggregate and the index reflect a review when Record returns.
+func registerMovieReview(srv *rpc.Server, storage, movieDB, search svcutil.Caller) {
 	svcutil.Handle(srv, "Record", func(ctx *rpc.Ctx, req *StoreReviewReq) (*struct{}, error) {
 		if err := storage.Call(ctx, "Store", *req, nil); err != nil {
-			return nil, err
-		}
-		if bus != nil {
-			body, err := codec.Marshal(req.Review)
-			if err != nil {
-				return nil, err
-			}
-			// The review ID keys the event: a retried Record republishes the
-			// same key and dedups broker-side instead of double-counting the
-			// rating.
-			_, err = bus.PublishKey(ctx, reviewTopic, req.Review.ID, body)
 			return nil, err
 		}
 		if err := movieDB.Call(ctx, "Rate", RateMovieReq{MovieID: req.Review.MovieID, Rating: req.Review.Rating}, nil); err != nil {

@@ -12,9 +12,12 @@ import (
 const nonCriticalBudget = svcutil.NonCriticalBudget
 
 // callBounded invokes a degradable downstream under nonCriticalBudget when
-// degrade is on, and transparently when it is off (fail-hard mode keeps the
-// caller's full deadline semantics). It delegates to the shared
-// svcutil.CallBounded.
+// degrade is on, and transparently when it is off: fail-hard mode — the
+// suite's only one, Config.DisableDegradation — keeps the caller's full
+// deadline semantics.
 func callBounded(ctx context.Context, degrade bool, c svcutil.Caller, method string, req, resp any) error {
-	return svcutil.CallBounded(ctx, degrade, c, method, req, resp)
+	if !degrade {
+		return c.Call(ctx, method, req, resp)
+	}
+	return svcutil.CallBounded(ctx, c, method, req, resp)
 }

@@ -51,17 +51,11 @@ type Drone struct {
 	// iteration — a hook for failure injection (e.g. dropping an obstacle
 	// onto the remaining path mid-flight).
 	OnTick func(pos Point, remaining []Point)
-	// Degrade makes the telemetry hops (Report, StoreFrame) non-critical:
-	// when the cloud sensor DBs are unreachable the mission flies on with
-	// samples dropped and the result marked Degraded, instead of aborting
-	// mid-air. Route construction and obstacle avoidance stay critical —
-	// a drone without them cannot safely move.
-	Degrade bool
 	// StreamTelemetry batches the mission's sensor samples and frame
 	// archives onto one standing Telemetry stream instead of a unary call
 	// per tick — behind the wifi hop that turns an RTT per sample into an
 	// RTT per mission. If the stream cannot open or dies mid-flight the
-	// drone falls back to unary calls, keeping Degrade semantics.
+	// drone falls back to unary calls.
 	StreamTelemetry bool
 }
 
@@ -101,7 +95,7 @@ func (ts *telemetry) push(ctx context.Context, item TelemetryItem, method string
 		ts.st.Cancel()
 		ts.st = nil
 	}
-	return svcutil.CallBounded(ctx, ts.d.Degrade, ts.d.Clients.Telemetry, method, req, nil)
+	return svcutil.CallBounded(ctx, ts.d.Clients.Telemetry, method, req, nil)
 }
 
 // finish half-closes the stream and waits for the server's end-of-stream,
@@ -137,7 +131,11 @@ type MissionResult struct {
 	SensorLogs int
 	Elapsed    time.Duration
 	// Degraded marks a mission that completed while shedding telemetry
-	// because the cloud sensor DBs were unreachable.
+	// because the cloud sensor DBs were unreachable. The telemetry hops
+	// (Report, StoreFrame) are non-critical: the mission flies on with
+	// samples dropped instead of aborting mid-air. Route construction and
+	// obstacle avoidance stay critical — a drone without them cannot
+	// safely move.
 	Degraded bool
 }
 
@@ -200,9 +198,6 @@ func (d *Drone) FlyTo(ctx context.Context, target Point) (MissionResult, error) 
 		}
 		d.Heading = headingOf(move)
 		if err := d.report(ctx, ts); err != nil {
-			if !d.Degrade {
-				return res, err
-			}
 			res.Degraded = true
 		} else {
 			res.SensorLogs++
@@ -218,18 +213,12 @@ func (d *Drone) FlyTo(ctx context.Context, target Point) (MissionResult, error) 
 	res.Label, res.Confident = rec.Label, rec.Confident
 	sf := StoreFrameReq{DroneID: d.ID, At: d.Pos, Frame: frame, Label: rec.Label}
 	if err := ts.push(ctx, TelemetryItem{Frame: &sf}, "StoreFrame", sf); err != nil {
-		if !d.Degrade {
-			return res, err
-		}
 		res.Degraded = true
 	}
 	// Drain the stream: a persist error the server hit after the last
 	// accepted Send surfaces here, where the unary path would have seen it
 	// per call.
 	if err := ts.finish(); err != nil {
-		if !d.Degrade {
-			return res, err
-		}
 		res.Degraded = true
 	}
 	d.log(ctx, fmt.Sprintf("recognized %q (confident=%v)", rec.Label, rec.Confident))

@@ -32,11 +32,10 @@ const routeCacheTTL = time.Minute
 // cache-aside ReadPath, keyed by (world version, from, to): a whole fleet
 // launching at the same corner coalesces into one BFS, and any obstacle
 // change bumps the version so stale paths are never served.
-func registerConstructRoute(srv *rpc.Server, world *World, mc svcutil.KV, noCoalesce bool) {
+func registerConstructRoute(srv *rpc.Server, world *World, mc svcutil.KV) {
 	routePath := &svcutil.ReadPath[[]Point]{
-		MC:         mc,
-		TTL:        routeCacheTTL,
-		NoCoalesce: noCoalesce,
+		MC:  mc,
+		TTL: routeCacheTTL,
 		Decode: func(b []byte) ([]Point, error) {
 			var resp RouteResp
 			err := codec.Unmarshal(b, &resp)

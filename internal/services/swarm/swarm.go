@@ -35,16 +35,10 @@ type Config struct {
 	Middleware []transport.Middleware
 	// Replicas scales replicable logic tiers out at boot, keyed by tier name.
 	Replicas map[string]int
-	// DisableDegradation makes missions abort when the cloud sensor DBs are
-	// unreachable instead of flying on with telemetry shed.
-	DisableDegradation bool
-	// DisableCoalescing turns off miss coalescing on the route-construction
-	// read path.
-	DisableCoalescing bool
 	// StreamTelemetry has drones batch sensor samples and frame archives on
 	// one per-mission Telemetry stream instead of a unary call per tick —
 	// one wifi RTT per mission rather than per sample. Drones fall back to
-	// unary calls when the stream dies, preserving Degrade semantics.
+	// unary calls when the stream dies.
 	StreamTelemetry bool
 	// Spawner, when set, receives replicable tier boots so the control plane
 	// can autoscale them.
@@ -109,7 +103,7 @@ func New(app *core.App, cfg Config) (*Swarm, error) {
 
 	// Cloud services.
 	start("constructRoute", func(s *rpc.Server) {
-		registerConstructRoute(s, world, mc("constructRoute", "mc-routes"), cfg.DisableCoalescing)
+		registerConstructRoute(s, world, mc("constructRoute", "mc-routes"))
 	})
 	start("telemetry", func(s *rpc.Server) {
 		registerTelemetry(s, db("telemetry", "db-telemetry"), nil)
@@ -138,7 +132,6 @@ func New(app *core.App, cfg Config) (*Swarm, error) {
 			Pos:             Point{0, 0},
 			Seed:            cfg.Seed + uint64(i),
 			Clients:         clients,
-			Degrade:         !cfg.DisableDegradation,
 			StreamTelemetry: cfg.StreamTelemetry,
 		})
 	}

@@ -32,7 +32,6 @@ import (
 type Router struct {
 	network    rpc.Network
 	target     string
-	vnodes     int
 	mws        []transport.Middleware
 	instrument func(addr string) ([]transport.Middleware, func() string)
 	replicaMW  func(addr string) []transport.Middleware
@@ -103,11 +102,6 @@ var _ transport.Streamer = (*Replica)(nil)
 // Option configures a Router.
 type Option func(*Router)
 
-// WithVnodes sets the virtual-node count per shard (default DefaultVnodes).
-func WithVnodes(n int) Option {
-	return func(r *Router) { r.vnodes = n }
-}
-
 // WithMiddleware appends the per-call chain every replica invocation runs,
 // outermost first — tracing, app middleware, and the per-target half of the
 // resilience stack (deadline budget, retry, hedge) install here.
@@ -143,7 +137,6 @@ func NewRouter(network rpc.Network, target string, opts ...Option) *Router {
 	r := &Router{
 		network: network,
 		target:  target,
-		vnodes:  DefaultVnodes,
 		groups:  make(map[string]*group),
 		ring:    NewRing(DefaultVnodes, nil),
 	}
@@ -219,7 +212,7 @@ func (r *Router) Sync(instances []registry.Instance) {
 		for label := range r.groups {
 			labels = append(labels, label)
 		}
-		r.ring = NewRing(r.vnodes, labels)
+		r.ring = NewRing(DefaultVnodes, labels)
 	}
 	// Close evicted clients outside nothing: Close is non-blocking enough,
 	// and in-flight calls holding the old replica fail over at the caller.
@@ -384,6 +377,6 @@ func (r *Router) Close() error {
 		}
 	}
 	r.groups = make(map[string]*group)
-	r.ring = NewRing(r.vnodes, nil)
+	r.ring = NewRing(DefaultVnodes, nil)
 	return nil
 }

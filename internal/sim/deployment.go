@@ -448,15 +448,6 @@ func (d *Deployment) NetworkFraction() float64 {
 	return (d.NetNs + d.WireTotNs) / d.TotalNs
 }
 
-// KernelNetFraction returns only the kernel TCP-processing share — the part
-// the FPGA offload removes (wire propagation stays).
-func (d *Deployment) KernelNetFraction() float64 {
-	if d.TotalNs == 0 {
-		return 0
-	}
-	return d.NetNs / d.TotalNs
-}
-
 // Utilization returns a service's mean worker utilization across instances
 // for the current sample window.
 func (svc *Service) Utilization() float64 {

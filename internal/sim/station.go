@@ -35,9 +35,6 @@ func NewStation(s *Sim, name string, workers int) *Station {
 // Workers returns the station's parallelism.
 func (st *Station) Workers() int { return st.workers }
 
-// QueueLen returns the current backlog.
-func (st *Station) QueueLen() int { return len(st.queue) }
-
 func (st *Station) account() {
 	now := st.sim.Now()
 	st.busyIntegral += time.Duration(st.busy) * (now - st.lastChange)

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"dsb/internal/rpc"
 )
@@ -301,7 +302,7 @@ type Cluster struct {
 	mu     sync.RWMutex
 	shards [][]*DB // [shard][replica]
 	slow   map[*DB]bool
-	rr     int
+	rr     atomic.Int64 // readers advance it holding only mu.RLock
 }
 
 // NewCluster creates a cluster with the given shard and replica counts.
@@ -363,14 +364,14 @@ func (c *Cluster) Get(tableName, pk string) (Row, error) {
 }
 
 func (c *Cluster) pickReplica(group []*DB) *DB {
-	c.rr++
+	rr := int(c.rr.Add(1))
 	for i := 0; i < len(group); i++ {
-		db := group[(c.rr+i)%len(group)]
+		db := group[(rr+i)%len(group)]
 		if !c.slow[db] {
 			return db
 		}
 	}
-	return group[c.rr%len(group)]
+	return group[rr%len(group)]
 }
 
 // SelectAll fans a Select out to one replica per shard and merges results

@@ -351,22 +351,17 @@ func (st *Stack) Boot() error {
 	return nil
 }
 
-// NonCriticalBudget bounds each call to a degradable downstream when
-// graceful degradation is enabled. Without a bound, a *partitioned* (as
-// opposed to fast-failing) tier would hang the call until the request's
-// whole deadline expired, so the degraded fallback would always arrive too
-// late for the caller; with it, a hung hop costs at most this much before
-// the fallback is served. Normal in-process calls finish in microseconds,
-// so the budget only bites when the hop is genuinely sick.
+// NonCriticalBudget bounds each call to a degradable downstream. Without a
+// bound, a *partitioned* (as opposed to fast-failing) tier would hang the
+// call until the request's whole deadline expired, so the degraded fallback
+// would always arrive too late for the caller; with it, a hung hop costs at
+// most this much before the fallback is served. Normal in-process calls
+// finish in microseconds, so the budget only bites when the hop is genuinely
+// sick.
 const NonCriticalBudget = 40 * time.Millisecond
 
-// CallBounded invokes a degradable downstream under NonCriticalBudget when
-// degrade is on, and transparently when it is off (fail-hard mode keeps the
-// caller's full deadline semantics).
-func CallBounded(ctx context.Context, degrade bool, c Caller, method string, req, resp any) error {
-	if !degrade {
-		return c.Call(ctx, method, req, resp)
-	}
+// CallBounded invokes a degradable downstream under NonCriticalBudget.
+func CallBounded(ctx context.Context, c Caller, method string, req, resp any) error {
 	bctx, cancel := context.WithTimeout(ctx, NonCriticalBudget)
 	defer cancel()
 	return c.Call(bctx, method, req, resp)

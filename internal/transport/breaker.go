@@ -49,17 +49,17 @@ type BreakerConfig struct {
 	// MaxEjected caps how many replicas of one target may be held open at
 	// once (Envoy's max_ejection_percent, as a count). It takes effect when
 	// the per-replica breakers of a target are built through
-	// ResilienceConfig.BackendFactory, which gives them a shared ledger; a
-	// breaker that cannot get an ejection slot stays closed. The cap stops
-	// latency that cascades up from a deeper slow server from ejecting an
-	// entire healthy tier. Zero means no cap.
+	// ResilienceConfig.InstrumentedBackendFactory, which gives them a shared
+	// ledger; a breaker that cannot get an ejection slot stays closed. The
+	// cap stops latency that cascades up from a deeper slow server from
+	// ejecting an entire healthy tier. Zero means no cap.
 	MaxEjected int
 
 	Stats    *Stats
 	Annotate AnnotateFunc
 
 	now    func() time.Time // test hook
-	ledger *ejectionLedger  // shared per target by BackendFactory
+	ledger *ejectionLedger  // shared per target by InstrumentedBackendFactory
 }
 
 // ejectionLedger bounds simultaneous open breakers across one target's

@@ -79,28 +79,13 @@ func (cfg *ResilienceConfig) BackendMiddleware() []Middleware {
 	return []Middleware{Breaker(b)}
 }
 
-// BackendFactory returns a per-replica middleware factory for one target,
-// suitable for lb.WithBackendMiddleware. Each replica gets its own breaker,
-// but all breakers of the target share one ejection ledger when
-// Breaker.MaxEjected is set, so at most that many replicas can be held open
-// at once. Call it once per target so the ledger is not shared across
-// targets.
-func (cfg *ResilienceConfig) BackendFactory() func(addr string) []Middleware {
-	if cfg == nil || cfg.Breaker == nil {
-		return func(string) []Middleware { return nil }
-	}
-	b := *cfg.Breaker
-	cfg.fill(&b.Stats, &b.Annotate)
-	if b.MaxEjected > 0 {
-		b.ledger = &ejectionLedger{cap: b.MaxEjected}
-	}
-	return func(string) []Middleware { return []Middleware{Breaker(b)} }
-}
-
-// InstrumentedBackendFactory is BackendFactory plus a per-replica breaker
-// state probe, matching lb.WithBackendInstrument: the balancer surfaces the
-// probe in its per-backend stats. The ledger-sharing semantics are the same
-// as BackendFactory's.
+// InstrumentedBackendFactory returns a per-replica middleware factory for
+// one target, matching lb.WithBackendInstrument and
+// shard.WithReplicaInstrument. Each replica gets its own breaker and a state
+// probe the balancer surfaces in its per-backend stats, but all breakers of
+// the target share one ejection ledger when Breaker.MaxEjected is set, so at
+// most that many replicas can be held open at once. Call it once per target
+// so the ledger is not shared across targets.
 func (cfg *ResilienceConfig) InstrumentedBackendFactory() func(addr string) ([]Middleware, func() string) {
 	if cfg == nil || cfg.Breaker == nil {
 		return func(string) ([]Middleware, func() string) { return nil, nil }

@@ -162,13 +162,6 @@ type Invoker func(ctx context.Context, call *Call) error
 // closure.
 type Middleware func(next Invoker) Invoker
 
-// Chain composes middlewares into one; mws[0] is outermost.
-func Chain(mws ...Middleware) Middleware {
-	return func(next Invoker) Invoker {
-		return Build(next, mws...)
-	}
-}
-
 // Build wraps terminal with mws, mws[0] outermost, and returns the composed
 // invoker. Clients call this once at construction.
 func Build(terminal Invoker, mws ...Middleware) Invoker {

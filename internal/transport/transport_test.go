@@ -455,8 +455,9 @@ func TestBreakerNeutralDeadline(t *testing.T) {
 	}
 }
 
-// TestBreakerEjectionCapSharedLedger: replicas built through BackendFactory
-// share an ejection ledger; with MaxEjected 1 the second breaker cannot
+// TestBreakerEjectionCapSharedLedger: replicas built through
+// InstrumentedBackendFactory — the factory core.App.RPC and ShardedRPC
+// install — share an ejection ledger; with MaxEjected 1 the second breaker cannot
 // trip while the first holds the slot, and claims it once the first closes.
 func TestBreakerEjectionCapSharedLedger(t *testing.T) {
 	now := time.Unix(0, 0)
@@ -466,7 +467,11 @@ func TestBreakerEjectionCapSharedLedger(t *testing.T) {
 		Breaker: &BreakerConfig{Failures: 1, Cooldown: time.Second, MaxEjected: 1, now: clock},
 		Stats:   stats,
 	}
-	factory := cfg.BackendFactory()
+	instrumented := cfg.InstrumentedBackendFactory()
+	factory := func(addr string) []Middleware {
+		mws, _ := instrumented(addr)
+		return mws
+	}
 	var aDown, bDown atomic.Bool
 	mk := func(down *atomic.Bool, mws []Middleware) Invoker {
 		return Build(func(ctx context.Context, call *Call) error {
