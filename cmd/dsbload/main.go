@@ -1,6 +1,9 @@
 // Command dsbload boots an application on the live in-process stack and
 // drives it with the open-loop workload generator, printing a latency
-// report — the suite's equivalent of running its client machines.
+// report — the suite's equivalent of running its client machines. Open-loop
+// arrivals follow a Poisson schedule fixed by -qps, -duration and -seed, and
+// the printed latency runs from each request's scheduled instant, so a late
+// send counts against the system; closed-loop latency runs from the send.
 //
 // Usage:
 //
@@ -25,7 +28,7 @@ import (
 func main() {
 	var (
 		appName  = flag.String("app", "social", "application: social | ecommerce | banking")
-		qps      = flag.Float64("qps", 100, "open-loop arrival rate")
+		qps      = flag.Float64("qps", 100, "open-loop arrival rate; latency is measured from the scheduled arrival")
 		duration = flag.Duration("duration", 10*time.Second, "run length")
 		closed   = flag.Bool("closed", false, "closed-loop instead of open-loop")
 		workers  = flag.Int("workers", 8, "closed-loop worker count")
@@ -44,9 +47,9 @@ func main() {
 	fmt.Printf("driving %s: qps=%.0f duration=%v closed=%v\n", *appName, *qps, *duration, *closed)
 	var res loadgen.Result
 	if *closed {
-		res = loadgen.RunClosedLoop(context.Background(), *workers, *duration, do)
+		res = loadgen.RunClosedLoop(context.Background(), *workers, 0, *duration, do)
 	} else {
-		res = loadgen.RunOpenLoop(context.Background(), loadgen.NewPoisson(*qps, *seed), *duration, do)
+		res = loadgen.RunOpenLoop(context.Background(), loadgen.Schedule(loadgen.NewPoisson(*qps, *seed), *duration), 0, do)
 	}
 	fmt.Printf("issued=%d completed=%d errors=%d throughput=%.1f req/s\n",
 		res.Issued, res.Completed, res.Errors, res.Throughput())
@@ -55,7 +58,7 @@ func main() {
 
 // buildWorkload boots the app and returns a request generator mixing the
 // app's dominant query classes.
-func buildWorkload(name string, users int, seed uint64) (func(ctx context.Context) error, func(), error) {
+func buildWorkload(name string, users int, seed uint64) (func(context.Context, loadgen.Arrival) error, func(), error) {
 	app := core.NewApp("dsbload", core.Options{DisableTracing: true})
 	cleanup := func() { app.Close() }
 	// The request generators returned below run concurrently under the
@@ -91,7 +94,7 @@ func buildWorkload(name string, users int, seed uint64) (func(ctx context.Contex
 			}
 		}
 		picker := loadgen.NewSkewedUsers(users, 30, seed)
-		return func(ctx context.Context) error {
+		return func(ctx context.Context, _ loadgen.Arrival) error {
 			u := picker.Draw()
 			if rng.Float64() < 0.3 {
 				return sn.Compose.Call(ctx, "Compose", socialnetwork.ComposePostReq{
@@ -131,7 +134,7 @@ func buildWorkload(name string, users int, seed uint64) (func(ctx context.Contex
 			}
 			tokens[i] = lr.Token
 		}
-		return func(ctx context.Context) error {
+		return func(ctx context.Context, _ loadgen.Arrival) error {
 			u := rng.IntN(users)
 			if rng.Float64() < 0.85 {
 				return ec.Catalogue.Call(ctx, "List", ecommerce.ListItemsReq{Limit: 20}, nil)
@@ -156,7 +159,7 @@ func buildWorkload(name string, users int, seed uint64) (func(ctx context.Contex
 				return nil, cleanup, err
 			}
 		}
-		return func(ctx context.Context) error {
+		return func(ctx context.Context, _ loadgen.Arrival) error {
 			from := rng.IntN(users)
 			to := rng.IntN(users)
 			if to == from {

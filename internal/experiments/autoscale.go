@@ -45,15 +45,7 @@ func AutoscaleLive() *Report {
 			"good/offered", "p99", "compose replicas"},
 	}
 
-	configs := []aslConfig{
-		{name: "static, no admission"},
-		{name: "static + admission", admission: true},
-		{name: "autoscale threshold", admission: true,
-			policy: controlplane.UtilizationThreshold{Up: 0.75, Down: 0.2}},
-		{name: "autoscale latency-aware", admission: true,
-			policy: controlplane.LatencyAware{QoS: aslQoS}},
-	}
-	for _, cfg := range configs {
+	for _, cfg := range aslConfigs {
 		res := runAutoscale(cfg)
 		for i, ph := range res.phases {
 			r.Rows = append(r.Rows, []string{
@@ -90,6 +82,15 @@ const (
 )
 
 var aslPhaseNames = [3]string{"warm", "ramp", "overload"}
+
+var aslConfigs = []aslConfig{
+	{name: "static, no admission"},
+	{name: "static + admission", admission: true},
+	{name: "autoscale threshold", admission: true,
+		policy: controlplane.UtilizationThreshold{Up: 0.75, Down: 0.2}},
+	{name: "autoscale latency-aware", admission: true,
+		policy: controlplane.LatencyAware{QoS: aslQoS}},
+}
 
 type aslConfig struct {
 	name      string
@@ -208,14 +209,10 @@ func runAutoscale(cfg aslConfig) aslResult {
 		defer ctrl.Stop()
 	}
 
-	// Pre-generate the open-loop arrival schedule so issue times follow the
-	// absolute ramp clock: a lagging send loop batches catch-up arrivals
-	// instead of silently thinning the offered load.
 	total := aslWarm + aslRise + aslPeakD
 	arr := loadgen.NewNonHomogeneous(aslBaseRate,
 		loadgen.Ramp{Start: aslWarm, Rise: aslRise, From: 1, To: aslPeakMult},
 		aslPeakMult, 0xA5CA1E)
-	sched := loadgen.Schedule(arr, total)
 	phaseOf := func(at time.Duration) int {
 		switch {
 		case at < aslWarm:
@@ -233,39 +230,32 @@ func runAutoscale(cfg aslConfig) aslResult {
 	}
 	var replicasAtPhaseEnd [3]int
 	var mu sync.Mutex
-	var wg sync.WaitGroup
-	start := time.Now()
 	prevPhase := 0
-	for _, at := range sched {
-		if d := at - time.Since(start); d > 0 {
-			time.Sleep(d)
-		}
-		ph := phaseOf(at)
-		if ph != prevPhase {
+	loadgen.RunOpenLoop(context.Background(), loadgen.Schedule(arr, total), 0, func(_ context.Context, a loadgen.Arrival) error {
+		ph := phaseOf(a.At)
+		mu.Lock()
+		if ph > prevPhase { // the first arrival of a phase closes the one before
 			replicasAtPhaseEnd[prevPhase] = len(app.Registry.Lookup("asl.compose"))
 			prevPhase = ph
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), aslTimeout)
-			t0 := time.Now()
-			err := front.Do(ctx, "GET", "/compose", nil, nil)
-			cancel()
-			lat := time.Since(t0)
-			mu.Lock()
-			st := &stats[ph]
-			st.issued++
-			if err == nil {
-				st.lat.RecordDuration(lat)
-				if lat <= aslQoS {
-					st.good++
-				}
+		mu.Unlock()
+		ctx, cancel := context.WithTimeout(context.Background(), aslTimeout)
+		t0 := time.Now()
+		err := front.Do(ctx, "GET", "/compose", nil, nil)
+		cancel()
+		lat := time.Since(t0)
+		mu.Lock()
+		defer mu.Unlock()
+		st := &stats[ph]
+		st.issued++
+		if err == nil {
+			st.lat.RecordDuration(lat)
+			if lat <= aslQoS {
+				st.good++
 			}
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
+		}
+		return err
+	})
 	replicasAtPhaseEnd[2] = len(app.Registry.Lookup("asl.compose"))
 	if ctrl != nil {
 		ctrl.Stop()

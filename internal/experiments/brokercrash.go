@@ -3,14 +3,13 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math/rand/v2"
 	"strings"
 	"sync"
 	"time"
 
-	"dsb/internal/codec"
 	"dsb/internal/core"
 	"dsb/internal/fault"
+	"dsb/internal/loadgen"
 	"dsb/internal/rpc"
 	"dsb/internal/services/socialnetwork"
 	"dsb/internal/shard"
@@ -88,20 +87,10 @@ func bcRun(replicated bool, seed int64) (bcResult, error) {
 		LeaseTTL:       bcLease,
 	})
 	defer app.Close()
-	sem := make(chan struct{}, bcStoreSlots)
-	mw := func(next transport.Invoker) transport.Invoker {
-		return func(ctx context.Context, call *transport.Call) error {
-			if call.Target == "social.db-timeline" && call.Method == "ListPrepend" {
-				sem <- struct{}{}
-				time.Sleep(bcStoreRTT)
-				<-sem
-			}
-			return next(ctx, call)
-		}
-	}
 	cfg := socialnetwork.Config{
-		SearchShards:    2,
-		Middleware:      []transport.Middleware{mw},
+		SearchShards: 2,
+		Middleware: []transport.Middleware{fault.Capacity{Target: "social.db-timeline", Method: "ListPrepend",
+			Slots: bcStoreSlots, ServiceTime: bcStoreRTT}.Middleware()},
 		AsyncFanout:     true,
 		FanoutConsumers: 2,
 		FanoutWorkers:   bcStoreSlots,
@@ -116,17 +105,8 @@ func bcRun(replicated bool, seed int64) (bcResult, error) {
 	}
 	defer sn.Close()
 	ctx := context.Background()
-	if err := sn.User.Call(ctx, "Register", socialnetwork.RegisterReq{Username: "author", Password: "pw"}, nil); err != nil {
+	if err := seedAuthor(sn, bcFollowers); err != nil {
 		return bcResult{}, err
-	}
-	for i := 0; i < bcFollowers; i++ {
-		u := fmt.Sprintf("f%d", i)
-		if err := sn.User.Call(ctx, "Register", socialnetwork.RegisterReq{Username: u, Password: "pw"}, nil); err != nil {
-			return bcResult{}, err
-		}
-		if err := sn.Graph.Call(ctx, "Follow", socialnetwork.FollowReq{Follower: u, Followee: "author"}, nil); err != nil {
-			return bcResult{}, err
-		}
 	}
 	wt, err := app.RPC("brokercrash", "social.writeTimeline")
 	if err != nil {
@@ -161,51 +141,41 @@ func bcRun(replicated bool, seed int64) (bcResult, error) {
 
 	playCtx, stopPlay := context.WithCancel(ctx)
 	defer stopPlay()
+	// The first bcPosts arrivals of a Poisson clock at bcRate.
+	sched := loadgen.Schedule(loadgen.NewPoisson(bcRate, 29), 2*bcPosts*time.Second/bcRate)[:bcPosts]
 	start := time.Now()
 	played := sc.Play(playCtx)
 
-	// Open-loop keyed Appends on a Poisson clock. Every post retries with
-	// the same PostID until acked or its budget lapses: the retry
-	// republishes the same broker key, so broker-side publish dedup plus
-	// consumer idempotency make the crash-window retries safe end to end.
+	// Open-loop keyed Appends. Every post retries with the same PostID until
+	// acked or its budget lapses: the retry republishes the same broker key,
+	// so broker-side publish dedup plus consumer idempotency make the
+	// crash-window retries safe end to end.
 	var mu sync.Mutex
 	ackedSet := make(map[string]struct{}, bcPosts)
 	retries := 0
-	rng := rand.New(rand.NewPCG(29, 0xC4A5))
-	var wg sync.WaitGroup
-	var sched time.Duration
-	for i := 1; i <= bcPosts; i++ {
-		sched += time.Duration(rng.ExpFloat64() * float64(time.Second) / bcRate)
-		if d := sched - time.Since(start); d > 0 {
-			time.Sleep(d)
-		}
-		postID := fmt.Sprintf("p%06d", i)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			deadline := time.Now().Add(bcAckBudget)
-			req := socialnetwork.AppendTimelineReq{Author: "author", PostID: postID, Ts: 1}
-			for {
-				cctx, cancel := context.WithTimeout(ctx, bcAttempt)
-				err := wt.Call(cctx, "Append", req, nil)
-				cancel()
-				if err == nil {
-					mu.Lock()
-					ackedSet[postID] = struct{}{}
-					mu.Unlock()
-					return
-				}
+	loadgen.RunOpenLoop(ctx, sched, 0, func(ctx context.Context, a loadgen.Arrival) error {
+		postID := fmt.Sprintf("p%06d", a.Index+1)
+		deadline := time.Now().Add(bcAckBudget)
+		req := socialnetwork.AppendTimelineReq{Author: "author", PostID: postID, Ts: 1}
+		for {
+			cctx, cancel := context.WithTimeout(ctx, bcAttempt)
+			err := wt.Call(cctx, "Append", req, nil)
+			cancel()
+			if err == nil {
 				mu.Lock()
-				retries++
+				ackedSet[postID] = struct{}{}
 				mu.Unlock()
-				if time.Now().After(deadline) {
-					return // shed, not acked — excluded from the loss account
-				}
-				time.Sleep(20 * time.Millisecond)
+				return nil
 			}
-		}()
-	}
-	wg.Wait()
+			mu.Lock()
+			retries++
+			mu.Unlock()
+			if time.Now().After(deadline) {
+				return err // shed, not acked — excluded from the loss account
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	})
 	<-played
 	crashWall := start.Add(bcCrashAt)
 	res.appended = bcPosts
@@ -222,17 +192,6 @@ func bcRun(replicated bool, seed int64) (bcResult, error) {
 		return res, err
 	}
 	db := svcutil.DB{C: dbCaller}
-	readTimeline := func() []string {
-		doc, found, err := db.Get(ctx, "timelines", "tl:f0")
-		if err != nil || !found {
-			return nil
-		}
-		var ids []string
-		if codec.Unmarshal(doc.Body, &ids) != nil {
-			return nil
-		}
-		return ids
-	}
 	tally := func(ids []string) (delivered, dups int) {
 		seen := make(map[string]int, len(ids))
 		for _, id := range ids {
@@ -252,7 +211,7 @@ func bcRun(replicated bool, seed int64) (bcResult, error) {
 	lastGrow := time.Now()
 	lastLen := -1
 	for {
-		ids := readTimeline()
+		ids, _ := probeTimeline(db) // a failed read is an empty poll
 		res.delivered, res.dups = tally(ids)
 		if res.delivered == res.acked {
 			res.recovered = true

@@ -293,34 +293,23 @@ func runChaos(protected bool, seed int64) chaosResult {
 	played := sc.Play(playCtx)
 
 	var mu sync.Mutex
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i, at := range arrivals {
-		if d := at - time.Since(start); d > 0 {
-			time.Sleep(d)
-		}
-		user := users[i%chaosUsers]
-		bucket := int(at / chaosBucket)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rctx, cancel := context.WithTimeout(ctx, chaosTimeout)
-			defer cancel()
-			var resp socialnetwork.ReadTimelineResp
-			err := sn.ReadTimeline.Call(rctx, "Read", socialnetwork.ReadTimelineReq{User: user}, &resp)
-			mu.Lock()
-			b := &res.buckets[bucket]
-			b.issued++
-			if err == nil {
-				b.good++
-				if resp.Degraded {
-					b.degraded++
-				}
+	loadgen.RunOpenLoop(ctx, arrivals, 0, func(ctx context.Context, a loadgen.Arrival) error {
+		rctx, cancel := context.WithTimeout(ctx, chaosTimeout)
+		defer cancel()
+		var resp socialnetwork.ReadTimelineResp
+		err := sn.ReadTimeline.Call(rctx, "Read", socialnetwork.ReadTimelineReq{User: users[a.Index%chaosUsers]}, &resp)
+		mu.Lock()
+		defer mu.Unlock()
+		b := &res.buckets[int(a.At/chaosBucket)]
+		b.issued++
+		if err == nil {
+			b.good++
+			if resp.Degraded {
+				b.degraded++
 			}
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
+		}
+		return err
+	})
 	stopPlay()
 	<-played
 	return res

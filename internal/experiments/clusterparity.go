@@ -8,6 +8,7 @@ import (
 
 	"dsb/internal/controlplane"
 	"dsb/internal/core"
+	"dsb/internal/fault"
 	"dsb/internal/loadgen"
 	"dsb/internal/metrics"
 	"dsb/internal/services/banking"
@@ -109,35 +110,6 @@ const (
 )
 
 var cpTenantNames = [5]string{"social", "media", "ecommerce", "banking", "swarm"}
-
-// cpMachine models the shared machine budget as a fixed pool of cores:
-// each inter-tier hop (it is installed as client-wire middleware on every
-// app's Stack) occupies one core for the hop's service time before the
-// call proceeds. Queueing for a core is unbounded — exactly the Fig 17
-// collapse channel when offered hops exceed capacity — and waiters give
-// up when their request deadline expires.
-type cpMachine struct{ cores chan struct{} }
-
-func newCPMachine(cores int) *cpMachine {
-	m := &cpMachine{cores: make(chan struct{}, cores)}
-	for i := 0; i < cores; i++ {
-		m.cores <- struct{}{}
-	}
-	return m
-}
-
-func (m *cpMachine) middleware(next transport.Invoker) transport.Invoker {
-	return func(ctx context.Context, call *transport.Call) error {
-		select {
-		case slot := <-m.cores:
-			time.Sleep(cpHopCost)
-			m.cores <- slot
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-		return next(ctx, call)
-	}
-}
 
 // cpTenant is one application's slice of the mixed workload: its hottest
 // read, driven through the app's own front door.
@@ -268,7 +240,8 @@ func cpPhase(tenants []cpTenant, socialWeight float64, dur time.Duration, seed u
 			}})
 	}
 	mix := loadgen.NewMix(seed, entries...)
-	loadgen.RunOpenLoopMix(context.Background(), loadgen.NewPoisson(combined, seed+1), dur, mix)
+	loadgen.RunOpenLoop(context.Background(), loadgen.Schedule(loadgen.NewPoisson(combined, seed+1), dur), 0,
+		func(ctx context.Context, _ loadgen.Arrival) error { return mix.Pick().Do(ctx) })
 
 	out := make(map[string]cpStat, len(tallies))
 	for name, tl := range tallies {
@@ -322,8 +295,12 @@ func cpBoot(withPlane bool) (*cpCluster, error) {
 		return nil, err
 	}
 
-	machine := newCPMachine(cpMachineCores)
-	mw := []transport.Middleware{machine.middleware}
+	// The shared machine: every inter-tier hop of every app (the middleware
+	// rides each Stack's client wires) occupies one of cpMachineCores for
+	// cpHopCost before the call proceeds. Queueing for a core is unbounded —
+	// exactly the Fig 17 collapse channel when offered hops exceed capacity
+	// — and waiters give up when their request deadline expires.
+	mw := []transport.Middleware{fault.Capacity{Slots: cpMachineCores, ServiceTime: cpHopCost}.Middleware()}
 	sp := controlplane.NewAppSpawner(app)
 	var spawner svcutil.Definer
 	if withPlane {

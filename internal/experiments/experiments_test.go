@@ -169,31 +169,12 @@ func TestHeavyExperimentsSmoke(t *testing.T) {
 	}
 }
 
-// autoscaleLiveViolations runs the autoscale-live experiment once and
-// returns the directional claims that did not hold. Structural problems
-// (wrong row count, unparsable cells) still fail the test immediately —
-// those are deterministic bugs, not timing noise.
-func autoscaleLiveViolations(t *testing.T) []string {
-	t.Helper()
-	rep := AutoscaleLive()
-	if len(rep.Rows) != 12 { // 4 configs × 3 phases
-		t.Fatalf("rows = %d, want 12:\n%s", len(rep.Rows), rep)
-	}
-	type phase struct {
-		ratio    float64
-		p99ms    float64
-		replicas float64
-	}
-	overload := map[string]phase{}
-	for _, row := range rep.Rows {
-		if row[1] != "overload" {
-			continue
-		}
-		overload[row[0]] = phase{
-			ratio:    parseFloat(t, row[4]),
-			p99ms:    parseFloat(t, row[5]),
-			replicas: parseFloat(t, row[6]),
-		}
+// autoscaleLiveViolations runs every autoscale-live configuration once and
+// returns the directional claims its overload phase did not hold.
+func autoscaleLiveViolations() []string {
+	overload := map[string]aslPhaseResult{}
+	for _, cfg := range aslConfigs {
+		overload[cfg.name] = runAutoscale(cfg).phases[2]
 	}
 	noadm := overload["static, no admission"]
 	adm := overload["static + admission"]
@@ -201,12 +182,11 @@ func autoscaleLiveViolations(t *testing.T) []string {
 	threshold := overload["autoscale threshold"]
 
 	var v []string
-	qosMS := float64(aslQoS) / 1e6
 	if noadm.ratio >= 0.45 {
 		v = append(v, fmt.Sprintf("no-admission overload good/offered = %.2f, want < 0.45 (backpressure collapse)", noadm.ratio))
 	}
-	if noadm.p99ms <= qosMS {
-		v = append(v, fmt.Sprintf("no-admission overload p99 = %.1fms, want > QoS %.0fms", noadm.p99ms, qosMS))
+	if noadm.p99 <= aslQoS {
+		v = append(v, fmt.Sprintf("no-admission overload p99 = %v, want > QoS %v", noadm.p99, aslQoS))
 	}
 	if adm.ratio < 0.5 {
 		v = append(v, fmt.Sprintf("admission overload good/offered = %.2f, want >= 0.5 (sheds protect served requests)", adm.ratio))
@@ -217,14 +197,14 @@ func autoscaleLiveViolations(t *testing.T) []string {
 	if latency.ratio <= noadm.ratio {
 		v = append(v, fmt.Sprintf("latency-aware ratio %.2f not above no-admission %.2f", latency.ratio, noadm.ratio))
 	}
-	if latency.p99ms > qosMS {
-		v = append(v, fmt.Sprintf("latency-aware overload p99 = %.1fms, want <= QoS %.0fms", latency.p99ms, qosMS))
+	if latency.p99 > aslQoS {
+		v = append(v, fmt.Sprintf("latency-aware overload p99 = %v, want <= QoS %v", latency.p99, aslQoS))
 	}
-	if latency.replicas <= 2 {
-		v = append(v, fmt.Sprintf("latency-aware compose replicas = %.0f, want > 2 (scaled up)", latency.replicas))
+	if latency.composeReplicas <= 2 {
+		v = append(v, fmt.Sprintf("latency-aware compose replicas = %d, want > 2 (scaled up)", latency.composeReplicas))
 	}
-	if threshold.replicas <= 2 {
-		v = append(v, fmt.Sprintf("threshold compose replicas = %.0f, want > 2 (utilization crossed Up)", threshold.replicas))
+	if threshold.composeReplicas <= 2 {
+		v = append(v, fmt.Sprintf("threshold compose replicas = %d, want > 2 (utilization crossed Up)", threshold.composeReplicas))
 	}
 	return v
 }
@@ -240,5 +220,5 @@ func TestAutoscaleLiveShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live autoscale ramp skipped in -short mode")
 	}
-	retryShape(t, func(int) ([]string, error) { return autoscaleLiveViolations(t), nil })
+	retryShape(t, func(int) ([]string, error) { return autoscaleLiveViolations(), nil })
 }

@@ -7,8 +7,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dsb/internal/codec"
 	"dsb/internal/core"
+	"dsb/internal/fault"
 	"dsb/internal/metrics"
 	"dsb/internal/services/socialnetwork"
 	"dsb/internal/svcutil"
@@ -43,11 +43,10 @@ func hotpathStampede(disableCoalescing bool) (stampedeResult, error) {
 	app := core.NewApp("hotpath-stampede", core.Options{DisableTracing: true})
 	defer app.Close()
 	var dbGets atomic.Int64
-	mw := func(next transport.Invoker) transport.Invoker {
+	count := func(next transport.Invoker) transport.Invoker {
 		return func(ctx context.Context, call *transport.Call) error {
 			if call.Target == "social.db-timeline" && call.Method == "Get" {
 				dbGets.Add(1)
-				time.Sleep(hotpathStoreRTT)
 			}
 			return next(ctx, call)
 		}
@@ -55,7 +54,8 @@ func hotpathStampede(disableCoalescing bool) (stampedeResult, error) {
 	sn, err := socialnetwork.New(app, socialnetwork.Config{
 		SearchShards:      2,
 		DisableCoalescing: disableCoalescing,
-		Middleware:        []transport.Middleware{mw},
+		Middleware: []transport.Middleware{count,
+			fault.Capacity{Target: "social.db-timeline", Method: "Get", ServiceTime: hotpathStoreRTT}.Middleware()},
 	})
 	if err != nil {
 		return stampedeResult{}, err
@@ -118,34 +118,18 @@ type fanoutResult struct {
 func hotpathFanout(workers int) (fanoutResult, error) {
 	app := core.NewApp("hotpath-fanout", core.Options{DisableTracing: true})
 	defer app.Close()
-	mw := func(next transport.Invoker) transport.Invoker {
-		return func(ctx context.Context, call *transport.Call) error {
-			if call.Target == "social.db-timeline" && call.Method == "ListPrepend" {
-				time.Sleep(hotpathFanoutRTT)
-			}
-			return next(ctx, call)
-		}
-	}
 	sn, err := socialnetwork.New(app, socialnetwork.Config{
 		SearchShards:  2,
 		FanoutWorkers: workers,
-		Middleware:    []transport.Middleware{mw},
+		Middleware: []transport.Middleware{fault.Capacity{Target: "social.db-timeline", Method: "ListPrepend",
+			ServiceTime: hotpathFanoutRTT}.Middleware()},
 	})
 	if err != nil {
 		return fanoutResult{}, err
 	}
 	ctx := context.Background()
-	if err := sn.User.Call(ctx, "Register", socialnetwork.RegisterReq{Username: "author", Password: "pw"}, nil); err != nil {
+	if err := seedAuthor(sn, hotpathFollowers); err != nil {
 		return fanoutResult{}, err
-	}
-	for i := 0; i < hotpathFollowers; i++ {
-		u := fmt.Sprintf("f%d", i)
-		if err := sn.User.Call(ctx, "Register", socialnetwork.RegisterReq{Username: u, Password: "pw"}, nil); err != nil {
-			return fanoutResult{}, err
-		}
-		if err := sn.Graph.Call(ctx, "Follow", socialnetwork.FollowReq{Follower: u, Followee: "author"}, nil); err != nil {
-			return fanoutResult{}, err
-		}
 	}
 	wt, err := app.RPC("hotpath", "social.writeTimeline")
 	if err != nil {
@@ -168,15 +152,9 @@ func hotpathFanout(workers int) (fanoutResult, error) {
 	if err != nil {
 		return fanoutResult{}, err
 	}
-	doc, found, err := svcutil.DB{C: dbCaller}.Get(ctx, "timelines", "tl:f0")
+	ids, err := probeTimeline(svcutil.DB{C: dbCaller})
 	if err != nil {
 		return fanoutResult{}, err
-	}
-	var ids []string
-	if found {
-		if err := codec.Unmarshal(doc.Body, &ids); err != nil {
-			return fanoutResult{}, err
-		}
 	}
 	return fanoutResult{
 		p50:       time.Duration(qs[0]),

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math/rand/v2"
 	"sort"
 	"strconv"
 	"sync"
@@ -11,6 +10,7 @@ import (
 	"time"
 
 	"dsb/internal/codec"
+	"dsb/internal/loadgen"
 	"dsb/internal/mq"
 	"dsb/internal/registry"
 	"dsb/internal/rpc"
@@ -166,21 +166,18 @@ func pushRun(mode string) (pushResult, error) {
 		return pushResult{}, fmt.Errorf("push: unknown mode %q", mode)
 	}
 
-	// Poisson publisher: every message carries its send time.
-	rng := rand.New(rand.NewPCG(17, 0xD15B))
-	start := time.Now()
-	var sched time.Duration
-	for i := 0; i < pushMsgs; i++ {
-		sched += time.Duration(rng.ExpFloat64() * float64(time.Second) / pushRate)
-		if d := sched - time.Since(start); d > 0 {
-			time.Sleep(d)
-		}
+	// Poisson publisher, the first pushMsgs arrivals at pushRate: every
+	// message carries its send time.
+	sched := loadgen.Schedule(loadgen.NewPoisson(pushRate, 17), 2*pushMsgs*time.Second/pushRate)[:pushMsgs]
+	pub := loadgen.RunOpenLoop(ctx, sched, 0, func(ctx context.Context, a loadgen.Arrival) error {
 		body, _ := codec.Marshal(time.Now().UnixNano())
-		if _, err := rig.bus.PublishKey(ctx, "t", fmt.Sprintf("m%d", i), body); err != nil {
-			stop()
-			wg.Wait()
-			return pushResult{}, err
-		}
+		_, err := rig.bus.PublishKey(ctx, "t", fmt.Sprintf("m%d", a.Index), body)
+		return err
+	})
+	if pub.Errors > 0 {
+		stop()
+		wg.Wait()
+		return pushResult{}, fmt.Errorf("push: %d of %d publishes failed", pub.Errors, pushMsgs)
 	}
 	// Wait for the drain, then hold the consumer through an idle window —
 	// where the polling tax keeps accruing and push costs nothing.

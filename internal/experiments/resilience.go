@@ -3,12 +3,11 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"dsb/internal/core"
-	"dsb/internal/metrics"
+	"dsb/internal/loadgen"
 	"dsb/internal/rpc"
 	"dsb/internal/svcutil"
 	"dsb/internal/transport"
@@ -179,39 +178,25 @@ func runChain(cfg chainConfig) chainResult {
 		warmup  = 700 * time.Millisecond
 		measure = 500 * time.Millisecond
 	)
+	// do returns nil so timed-out requests are recorded too: the latency
+	// columns show what callers waited, and goodness is counted apart.
 	var good atomic.Int64
-	lat := metrics.NewHistogram()
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				elapsed := time.Since(start)
-				if elapsed >= warmup+measure {
-					return
-				}
-				ctx, cancel := context.WithTimeout(context.Background(), cfg.qos)
-				t0 := time.Now()
-				err := root.Call(ctx, "Work", nil, nil)
-				cancel()
-				took := time.Since(t0)
-				if time.Since(start) > warmup {
-					lat.RecordDuration(took)
-					if err == nil && took <= cfg.qos {
-						good.Add(1)
-					}
-				}
+	run := loadgen.RunClosedLoop(context.Background(), workers, warmup, warmup+measure,
+		func(_ context.Context, a loadgen.Arrival) error {
+			ctx, cancel := context.WithTimeout(context.Background(), cfg.qos)
+			defer cancel()
+			t0 := time.Now()
+			err := root.Call(ctx, "Work", nil, nil)
+			if err == nil && time.Since(t0) <= cfg.qos && a.At >= warmup {
+				good.Add(1)
 			}
-		}()
-	}
-	wg.Wait()
+			return nil
+		})
 
 	res := chainResult{
 		goodput: float64(good.Load()) / measure.Seconds(),
-		p50:     lat.PercentileDuration(50),
-		p99:     lat.PercentileDuration(99),
+		p50:     time.Duration(run.Latency.P50),
+		p99:     time.Duration(run.Latency.P99),
 	}
 	if app.Transport != nil {
 		res.hedgeWins = app.Transport.HedgeWins.Value()

@@ -392,21 +392,6 @@ func TestRPCService(t *testing.T) {
 	}
 }
 
-func BenchmarkCacheGet(b *testing.B) {
-	c := New(64 << 20)
-	for i := 0; i < 1000; i++ {
-		c.Set(fmt.Sprintf("key-%d", i), make([]byte, 128), 0)
-	}
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			c.Get(fmt.Sprintf("key-%d", i%1000))
-			i++
-		}
-	})
-}
-
 func BenchmarkCacheSet(b *testing.B) {
 	c := New(64 << 20)
 	val := make([]byte, 128)

@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dsb/internal/metrics"
@@ -51,11 +52,10 @@ func (s *Source) IntN(n int) int {
 }
 
 // Schedule materializes every arrival of an open-loop process inside the
-// horizon as absolute offsets from the run start. Pre-generating the
-// schedule makes a run's arrival times a pure function of the seed — the
-// chaos experiments depend on that for bit-reproducible fault timing — and
-// lets a lagging send loop batch catch-up arrivals instead of silently
-// thinning the offered load.
+// horizon as absolute offsets from the run start, for RunOpenLoop to play.
+// Pre-generating the schedule makes a run's arrival times a pure function
+// of the seed — the chaos experiments depend on that for bit-reproducible
+// fault timing.
 func Schedule(a Arrivals, horizon time.Duration) []time.Duration {
 	var out []time.Duration
 	for t := a.Next(); t < horizon; t += a.Next() {
@@ -280,12 +280,13 @@ func (s *SkewedUsers) Draw() int {
 	return s.hotSize + s.rng.IntN(s.n-s.hotSize)
 }
 
-// Result summarizes one load-generation run.
+// Result summarizes the measured part of one load-generation run: the
+// requests issued at or after the warm-up cut.
 type Result struct {
 	Issued    int64
 	Completed int64
 	Errors    int64
-	Elapsed   time.Duration
+	Elapsed   time.Duration // run length after the warm-up cut, drain included
 	Latency   metrics.Snapshot
 }
 
@@ -297,93 +298,113 @@ func (r Result) Throughput() float64 {
 	return float64(r.Completed) / r.Elapsed.Seconds()
 }
 
-// RunOpenLoop fires requests following the arrival process for the given
-// duration, never waiting for responses before issuing the next request —
-// the open-loop methodology the paper uses so that server slowdowns surface
-// as queueing rather than reduced offered load. Each request runs in its
-// own goroutine; do must be safe for concurrent use.
-func RunOpenLoop(ctx context.Context, arrivals Arrivals, duration time.Duration, do func(ctx context.Context) error) Result {
-	hist := metrics.NewHistogram()
-	var res Result
-	var mu sync.Mutex
+// Arrival is one request handed to a run's do function.
+type Arrival struct {
+	// Index counts the run's requests from 0 in issue order; open-loop it
+	// is the position in the schedule.
+	Index int
+	// At is the request's offset from the run start: open-loop the
+	// scheduled offset, closed-loop the instant its worker sent it.
+	At time.Duration
+}
+
+// run tallies one run: the requests whose At falls before warmup execute
+// but leave no trace in the Result.
+type run struct {
+	start  time.Time
+	warmup time.Duration
+	mu     sync.Mutex
+	res    Result
+	hist   *metrics.Histogram
+}
+
+func newRun(warmup time.Duration) *run {
+	return &run{start: time.Now(), warmup: warmup, hist: metrics.NewHistogram()}
+}
+
+// issue runs one request and records it, latency counted from a.At.
+func (r *run) issue(ctx context.Context, a Arrival, do func(context.Context, Arrival) error) {
+	err := do(ctx, a)
+	lat := time.Since(r.start) - a.At
+	if a.At < r.warmup {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.res.Issued++
+	if err != nil {
+		r.res.Errors++
+		return
+	}
+	r.res.Completed++
+	r.hist.RecordDuration(lat)
+}
+
+func (r *run) result() Result {
+	r.res.Elapsed = time.Since(r.start) - r.warmup
+	r.res.Latency = r.hist.Snapshot()
+	return r.res
+}
+
+// RunOpenLoop plays a Schedule: each request fires at its absolute offset
+// from the run start, in its own goroutine, never waiting on an earlier
+// response — the open-loop methodology the paper uses so that server
+// slowdowns surface as queueing rather than reduced offered load. A send
+// loop that falls behind fires the overdue arrivals back to back, and
+// latency runs from the scheduled instant, so the lag is charged to the
+// system under test instead of thinning the offered load. Arrivals
+// scheduled before warmup are issued but not recorded. do must be safe for
+// concurrent use; a cancelled ctx stops the schedule early.
+func RunOpenLoop(ctx context.Context, sched []time.Duration, warmup time.Duration, do func(ctx context.Context, a Arrival) error) Result {
+	r := newRun(warmup)
 	var wg sync.WaitGroup
-	start := time.Now()
 	timer := time.NewTimer(0)
-	<-timer.C
 	defer timer.Stop()
-	for {
-		elapsed := time.Since(start)
-		if elapsed >= duration || ctx.Err() != nil {
+	for i, at := range sched {
+		if d := at - time.Since(r.start); d > 0 {
+			timer.Reset(d)
+			select {
+			case <-ctx.Done():
+			case <-timer.C:
+			}
+		}
+		if ctx.Err() != nil {
 			break
 		}
-		gap := arrivals.Next()
-		timer.Reset(gap)
-		select {
-		case <-ctx.Done():
-		case <-timer.C:
-		}
-		if ctx.Err() != nil || time.Since(start) >= duration {
-			break
-		}
-		mu.Lock()
-		res.Issued++
-		mu.Unlock()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			t0 := time.Now()
-			err := do(ctx)
-			lat := time.Since(t0)
-			mu.Lock()
-			if err != nil {
-				res.Errors++
-			} else {
-				res.Completed++
-				hist.RecordDuration(lat)
-			}
-			mu.Unlock()
+			r.issue(ctx, Arrival{Index: i, At: at}, do)
 		}()
 	}
 	wg.Wait()
-	res.Elapsed = time.Since(start)
-	res.Latency = hist.Snapshot()
-	return res
+	return r.result()
 }
 
-// RunClosedLoop drives the target with a fixed number of workers, each
-// issuing its next request only after the previous one completes — the
-// contrast case to open-loop generation.
-func RunClosedLoop(ctx context.Context, workers int, duration time.Duration, do func(ctx context.Context) error) Result {
+// RunClosedLoop drives the target with a fixed number of workers for the
+// given duration, each issuing its next request only after the previous one
+// completes — the contrast case to open-loop generation. Requests sent
+// before warmup are issued but not recorded.
+func RunClosedLoop(ctx context.Context, workers int, warmup, duration time.Duration, do func(ctx context.Context, a Arrival) error) Result {
 	if workers < 1 {
 		workers = 1
 	}
-	hist := metrics.NewHistogram()
-	var res Result
-	var mu sync.Mutex
+	r := newRun(warmup)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	start := time.Now()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for time.Since(start) < duration && ctx.Err() == nil {
-				t0 := time.Now()
-				err := do(ctx)
-				lat := time.Since(t0)
-				mu.Lock()
-				res.Issued++
-				if err != nil {
-					res.Errors++
-				} else {
-					res.Completed++
-					hist.RecordDuration(lat)
+			for ctx.Err() == nil {
+				at := time.Since(r.start)
+				if at >= duration {
+					return
 				}
-				mu.Unlock()
+				r.issue(ctx, Arrival{Index: int(next.Add(1) - 1), At: at}, do)
 			}
 		}()
 	}
 	wg.Wait()
-	res.Elapsed = time.Since(start)
-	res.Latency = hist.Snapshot()
-	return res
+	return r.result()
 }

@@ -1,12 +1,6 @@
 package loadgen
 
-import (
-	"context"
-	"sync"
-	"time"
-
-	"dsb/internal/metrics"
-)
+import "context"
 
 // MixEntry is one tenant in a multi-application workload mix: a named
 // request generator and its relative weight in the combined arrival stream.
@@ -25,7 +19,8 @@ type MixEntry struct {
 // draw, modelling several applications sharing a cluster: the *combined*
 // offered load follows the arrival process, and every tenant sees a
 // binomially-thinned slice of it — exactly how co-located services share a
-// front door. Pick is safe for concurrent use.
+// front door. A mix is driven by RunOpenLoop with a do that calls
+// mix.Pick().Do. Pick is safe for concurrent use.
 type Mix struct {
 	entries []MixEntry
 	cdf     []float64
@@ -68,73 +63,4 @@ func (m *Mix) Pick() MixEntry {
 		}
 	}
 	return m.entries[lo]
-}
-
-// RunOpenLoopMix fires the combined arrival stream open-loop for the given
-// duration, routing each arrival to a tenant by weighted draw, and returns
-// one Result per tenant name plus the combined Result under "". Like
-// RunOpenLoop, requests never wait on each other, so a slowdown in one
-// tenant surfaces as queueing there without thinning the others' offered
-// load — the property the mixed-tenant cluster experiment measures.
-func RunOpenLoopMix(ctx context.Context, arrivals Arrivals, duration time.Duration, mix *Mix) map[string]Result {
-	type tally struct {
-		res  Result
-		hist *metrics.Histogram
-	}
-	tallies := make(map[string]*tally, len(mix.entries)+1)
-	for _, e := range mix.entries {
-		tallies[e.Name] = &tally{hist: metrics.NewHistogram()}
-	}
-	tallies[""] = &tally{hist: metrics.NewHistogram()}
-
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	start := time.Now()
-	timer := time.NewTimer(0)
-	<-timer.C
-	defer timer.Stop()
-	for {
-		if time.Since(start) >= duration || ctx.Err() != nil {
-			break
-		}
-		timer.Reset(arrivals.Next())
-		select {
-		case <-ctx.Done():
-		case <-timer.C:
-		}
-		if ctx.Err() != nil || time.Since(start) >= duration {
-			break
-		}
-		entry := mix.Pick()
-		mu.Lock()
-		tallies[entry.Name].res.Issued++
-		tallies[""].res.Issued++
-		mu.Unlock()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			t0 := time.Now()
-			err := entry.Do(ctx)
-			lat := time.Since(t0)
-			mu.Lock()
-			defer mu.Unlock()
-			for _, tl := range []*tally{tallies[entry.Name], tallies[""]} {
-				if err != nil {
-					tl.res.Errors++
-				} else {
-					tl.res.Completed++
-					tl.hist.RecordDuration(lat)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	out := make(map[string]Result, len(tallies))
-	for name, tl := range tallies {
-		tl.res.Elapsed = elapsed
-		tl.res.Latency = tl.hist.Snapshot()
-		out[name] = tl.res
-	}
-	return out
 }

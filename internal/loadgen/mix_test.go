@@ -52,9 +52,10 @@ func TestMixDropsNonPositiveWeights(t *testing.T) {
 	NewMix(7, MixEntry{Name: "off", Weight: 0})
 }
 
-// TestRunOpenLoopMix runs a two-tenant mix and checks per-tenant and
-// combined accounting line up.
-func TestRunOpenLoopMix(t *testing.T) {
+// TestMixDrivesOpenLoop runs a 3:1 two-tenant mix the way its caller does —
+// RunOpenLoop with mix.Pick().Do — and checks every arrival reached exactly
+// one tenant, in proportion, with the tenants' outcomes kept apart.
+func TestMixDrivesOpenLoop(t *testing.T) {
 	var aCalls, bCalls atomic.Int64
 	mix := NewMix(11,
 		MixEntry{Name: "a", Weight: 3, Do: func(ctx context.Context) error {
@@ -66,28 +67,21 @@ func TestRunOpenLoopMix(t *testing.T) {
 			return errors.New("tenant b always fails")
 		}},
 	)
-	results := RunOpenLoopMix(context.Background(), ConstantRate{Gap: 200 * time.Microsecond}, 100*time.Millisecond, mix)
+	sched := Schedule(ConstantRate{Gap: 200 * time.Microsecond}, 100*time.Millisecond)
+	res := RunOpenLoop(context.Background(), sched, 0,
+		func(ctx context.Context, _ Arrival) error { return mix.Pick().Do(ctx) })
 
-	a, b, all := results["a"], results["b"], results[""]
-	if a.Issued == 0 || b.Issued == 0 {
-		t.Fatalf("tenants starved: a=%+v b=%+v", a, b)
+	a, b := aCalls.Load(), bCalls.Load()
+	if a == 0 || b == 0 {
+		t.Fatalf("tenants starved: a=%d b=%d", a, b)
 	}
-	if a.Issued+b.Issued != all.Issued {
-		t.Fatalf("combined issued %d != %d + %d", all.Issued, a.Issued, b.Issued)
+	if res.Issued != int64(len(sched)) || a+b != res.Issued {
+		t.Fatalf("issued %d of %d scheduled, tenants saw %d + %d", res.Issued, len(sched), a, b)
 	}
-	if a.Issued != aCalls.Load() || b.Issued != bCalls.Load() {
-		t.Fatalf("issued (%d, %d) != calls (%d, %d)", a.Issued, b.Issued, aCalls.Load(), bCalls.Load())
+	if res.Completed != a || res.Errors != b {
+		t.Fatalf("completed %d, errors %d; want tenant a's %d calls and tenant b's %d", res.Completed, res.Errors, a, b)
 	}
-	if a.Errors != 0 || a.Completed != a.Issued {
-		t.Fatalf("tenant a = %+v, want all completed", a)
-	}
-	if b.Completed != 0 || b.Errors != b.Issued {
-		t.Fatalf("tenant b = %+v, want all errored", b)
-	}
-	if all.Completed != a.Completed || all.Errors != b.Errors {
-		t.Fatalf("combined = %+v", all)
-	}
-	if a.Issued < 2*b.Issued {
-		t.Fatalf("3:1 weights but issued %d vs %d", a.Issued, b.Issued)
+	if a < 2*b {
+		t.Fatalf("3:1 weights but issued %d vs %d", a, b)
 	}
 }

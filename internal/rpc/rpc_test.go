@@ -490,19 +490,3 @@ func BenchmarkCallMem(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkCallTCP(b *testing.B) {
-	n := TCP{}
-	addr, _ := startEcho(b, n)
-	c := NewClient(n, "echo", addr)
-	defer c.Close()
-	req := echoReq{Text: "benchmark payload of moderate size", N: 42}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var resp echoResp
-		if err := c.Call(context.Background(), "Echo", req, &resp); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
