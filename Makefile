@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check lines race check alloc-guard conn-stress shard-balance bench bench-smoke codecgen codecgen-check ledger pair
+.PHONY: build test vet fmt-check lines race check alloc-guard conn-stress fuzz-frame shard-balance bench bench-smoke codecgen codecgen-check ledger pair
 
 build:
 	$(GO) build ./...
@@ -63,7 +63,9 @@ codecgen-check:
 # echo round trip over the in-memory network must allocate at most the
 # server-side request context, and WAL appends must reuse their encode
 # scratch instead of re-marshaling per record. The in-memory connection under
-# all of it must itself be allocation-free once its buffers have grown. A hop
+# all of it must itself be allocation-free once its buffers have grown, and a
+# parked one must stay within its live-heap budget: an edge holds one per
+# concurrent call. A hop
 # to a store tier (kv Get, docstore Get and Put through the svcutil clients)
 # has its own budget: pooled reply and, for docstore, no Doc on the server's
 # side at all — its handlers' own allocations (Get, replacing Put, ListPrepend
@@ -73,7 +75,7 @@ codecgen-check:
 # warmed timeline page through the REST front door — eight hops, the page
 # materialised twice — has an end-to-end object budget.
 alloc-guard:
-	$(GO) test -run 'TestFrameAllocGuard|TestEchoAllocGuard|TestMemConnAllocGuard' -count=1 ./internal/rpc/
+	$(GO) test -run 'TestFrameAllocGuard|TestEchoAllocGuard|TestMemConnAllocGuard|TestIdleConnFootprint' -count=1 ./internal/rpc/
 	$(GO) test -run 'TestWALAppendBufferReuse|TestServiceAllocGuard|TestStoredDocFootprint' -count=1 ./internal/docstore/
 	$(GO) test -run 'TestStoreHopAllocGuard|TestRelayHopAllocGuard' -count=1 ./internal/svcutil/
 	$(GO) test -run TestTimelinePageAllocGuard -count=1 ./internal/services/socialnetwork/
@@ -90,7 +92,14 @@ shard-balance:
 conn-stress:
 	$(GO) test -race -run TestMemConnContract -count=20 ./internal/rpc/
 
-check: vet fmt-check race build test alloc-guard conn-stress shard-balance codecgen-check
+# A call reads its own reply, so the frame reader parses a peer's bytes on
+# the calling goroutine of every hop: ten seconds of hostile input on top of
+# the committed seeds (internal/rpc/testdata/fuzz), which plain `go test`
+# already replays.
+fuzz-frame:
+	$(GO) test -run '^$$' -fuzz FuzzFrameReader -fuzztime 10s ./internal/rpc/
+
+check: vet fmt-check race build test alloc-guard conn-stress fuzz-frame shard-balance codecgen-check
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...

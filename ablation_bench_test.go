@@ -89,41 +89,6 @@ func BenchmarkAblationCodec(b *testing.B) {
 	})
 }
 
-func startEchoServer(b *testing.B, network rpc.Network) string {
-	b.Helper()
-	s := rpc.NewServer("echo")
-	s.Handle("Echo", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) { return payload, nil })
-	addr, err := s.Start(network, "echo:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { s.Close() })
-	return addr
-}
-
-// BenchmarkAblationConnPool measures the effect of the client connection
-// pool size under concurrent callers.
-func BenchmarkAblationConnPool(b *testing.B) {
-	for _, pool := range []int{1, 2, 8} {
-		b.Run(fmt.Sprintf("pool%d", pool), func(b *testing.B) {
-			n := rpc.NewMem()
-			addr := startEchoServer(b, n)
-			c := rpc.NewClient(n, "echo", addr, rpc.WithPoolSize(pool))
-			defer c.Close()
-			payload := samplePayload()
-			b.ReportAllocs()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					var out wirePayload
-					if err := c.Call(context.Background(), "Echo", payload, &out); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
-	}
-}
-
 // BenchmarkAblationLBPolicy compares balancing policies over 4 backends.
 func BenchmarkAblationLBPolicy(b *testing.B) {
 	policies := map[string]func() lb.Policy{

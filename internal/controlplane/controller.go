@@ -217,7 +217,7 @@ func (c *Controller) fetchReport(ctx context.Context, service, addr string) (Loa
 	c.mu.Lock()
 	cl, ok := c.clients[key]
 	if !ok {
-		cl = rpc.NewClient(c.cfg.Network, service, addr, rpc.WithPoolSize(1))
+		cl = rpc.NewClient(c.cfg.Network, service, addr)
 		c.clients[key] = cl
 	}
 	c.mu.Unlock()

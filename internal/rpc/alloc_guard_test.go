@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"context"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -55,7 +56,7 @@ func startGuardEcho(t testing.TB) (*Client, func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewClient(n, "allocguard", addr, WithPoolSize(1))
+	c := NewClient(n, "allocguard", addr)
 	return c, func() { c.Close(); s.Close() }
 }
 
@@ -65,8 +66,8 @@ func startGuardEcho(t testing.TB) (*Client, func()) {
 // pooled, because handlers derive child contexts (context.WithTimeout)
 // whose timer goroutines may call parent.Done() after the request
 // completes — recycling the Ctx under them is a use-after-free. Everything
-// else — frames, payload buffers, reply buffers, call structs, waiter
-// channels, the request encoding itself — must come from pools.
+// else — frames, payload buffers, reply buffers, call structs, the request
+// encoding itself — must come from pools.
 func TestEchoAllocGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; budget pinned by the non-race run in make alloc-guard")
@@ -85,19 +86,15 @@ func TestEchoAllocGuard(t *testing.T) {
 			t.Fatalf("resp = %+v", resp)
 		}
 	}
-	// Warm every pool well past the worker-spawn race: after a reply is
-	// written the client can send the next request before the worker
-	// re-parks on the task channel, so early iterations occasionally spawn
-	// fresh worker goroutines. A long warmup grows the pool to cover that
-	// window.
+	// Warm every pool: frames, payload buffers, call structs, the
+	// connection's segment and ring.
 	for i := 0; i < 2000; i++ {
 		call()
 	}
 
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	// Best-of-N: a single AllocsPerRun can still catch a straggler worker
-	// spawn or pool refill; the minimum over several runs is the steady
-	// state.
+	// Best-of-N: a single AllocsPerRun can still catch a pool refill; the
+	// minimum over several runs is the steady state.
 	best := 1 << 30
 	for i := 0; i < 5; i++ {
 		if got := int(testing.AllocsPerRun(200, call)); got < best {
@@ -126,5 +123,45 @@ func BenchmarkEchoFastPath(b *testing.B) {
 		if err := c.Call(ctx, "TypedEcho", &req, &resp); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// idleConnBudget is the live heap one parked connection may hold, both ends
+// together: two frameReaders' 16 KiB read buffers, and some 4.5 KiB for
+// two connWriter segments and two memPipe rings sized by the small frames
+// that crossed them and the structs around them (36.5 KiB measured). An
+// edge holds a connection per concurrent call, not two in all, so this is
+// what a burst leaves behind per caller — 209 of them on the ledger's
+// social_mixed, where 32 KiB read buffers cost 11 MiB of peak RSS.
+const idleConnBudget = 40 << 10
+
+// TestIdleConnFootprint parks a thousand rpc.Mem connections on one client
+// and holds the heap they keep alive to idleConnBudget each, so a change
+// cannot quietly make a connection expensive.
+func TestIdleConnFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector shadow memory is not the footprint")
+	}
+	const conns = 1000
+	n := NewMem()
+	barrierServer(t, n, "barrier:0", conns)
+	c := NewClient(n, "barrier", "barrier:0")
+	defer c.Close()
+
+	heap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heap()
+	meet(t, c, conns)
+	if idle := c.idleConns(); idle != conns {
+		t.Fatalf("%d connections parked, want %d", idle, conns)
+	}
+	per := (heap() - before) / conns
+	t.Logf("%d B of live heap per parked connection (budget %d)", per, idleConnBudget)
+	if per > idleConnBudget {
+		t.Fatalf("a parked connection keeps %d B alive, budget %d", per, idleConnBudget)
 	}
 }

@@ -41,14 +41,14 @@ func startSleeper(t testing.TB, network Network) string {
 	return addr
 }
 
-// TestPipelinedOutOfOrderReplies pins the wire-level pipelining contract on
-// a single connection: a slow request issued first must not block the fast
-// requests pipelined behind it, and every out-of-order reply must be
-// matched back to its own request by sequence number.
+// TestPipelinedOutOfOrderReplies pins the pipelining contract of Go: a slow
+// request issued first must not block the fast requests issued behind it,
+// and every reply, in whatever order they complete, must reach its own
+// request.
 func TestPipelinedOutOfOrderReplies(t *testing.T) {
 	testNetworks(t, func(t *testing.T, n Network) {
 		addr := startSleeper(t, n)
-		c := NewClient(n, "sleeper", addr, WithPoolSize(1)) // one conn: all calls share the pipe
+		c := NewClient(n, "sleeper", addr)
 		defer c.Close()
 		ctx := context.Background()
 
@@ -70,7 +70,7 @@ func TestPipelinedOutOfOrderReplies(t *testing.T) {
 			}
 		}
 		// All fast replies are in; the slow one — sent FIRST — must still be
-		// outstanding, proving the later requests overtook it on one conn.
+		// outstanding, proving the later requests overtook it.
 		select {
 		case <-slow.Done():
 			t.Fatal("slow call finished before the fast calls pipelined behind it — no out-of-order completion")
@@ -85,14 +85,14 @@ func TestPipelinedOutOfOrderReplies(t *testing.T) {
 	})
 }
 
-// TestPipelinedConcurrentSenders interleaves many concurrent senders over a
-// single pooled connection and verifies every reply lands on the request
-// that issued it. Run under -race this exercises the pending-map and
-// flush-coalescing paths the pipelining relies on.
+// TestPipelinedConcurrentSenders runs many concurrent pipelining senders on
+// one client and verifies every reply lands on the request that issued it.
+// Run under -race this exercises the idle stack's check-out and parking
+// under contention.
 func TestPipelinedConcurrentSenders(t *testing.T) {
 	testNetworks(t, func(t *testing.T, n Network) {
 		addr, _ := startEcho(t, n)
-		c := NewClient(n, "echo", addr, WithPoolSize(1))
+		c := NewClient(n, "echo", addr)
 		defer c.Close()
 		ctx := context.Background()
 
@@ -153,7 +153,7 @@ func TestOneWaySemantics(t *testing.T) {
 		}
 		defer s.Close()
 
-		c := NewClient(n, "notify", addr, WithPoolSize(1))
+		c := NewClient(n, "notify", addr)
 		defer c.Close()
 		ctx := context.Background()
 

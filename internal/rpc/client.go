@@ -4,19 +4,27 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"dsb/internal/codec"
 	"dsb/internal/transport"
 )
 
-// Client issues RPCs to a single target address over a small pool of
-// multiplexed connections, mirroring how each DeathStarBench tier keeps
-// persistent Thrift connections to its downstream tiers. Outgoing calls
-// flow through a transport.Middleware chain — the same chain type the REST
-// client accepts — composed once at construction, so an unadorned client
-// pays nothing per call for the abstraction.
+// Client issues RPCs to a single target address over pooled synchronous
+// connections, the way each DeathStarBench tier keeps persistent Thrift
+// connections to its downstream tiers: a call checks a connection out of the
+// client's idle stack (dialing when it is empty), writes its request, reads
+// its own reply on the calling goroutine and parks the connection again. A
+// connection carries one call at a time, so nothing stands between caller
+// and socket — no reader goroutine, no waiter, no table of calls in flight —
+// and an edge holds as many connections as its peak concurrency. Outgoing
+// calls flow through a transport.Middleware chain — the same chain type the
+// REST client accepts — composed once at construction, so an unadorned
+// client pays nothing per call for the abstraction.
 //
 // Requests travel as typed values (transport.Call.Body) all the way to the
 // connection writer, which marshals them straight into its write segment —
@@ -33,20 +41,24 @@ type Client struct {
 	mws     []transport.Middleware
 	invoke  transport.Invoker // composed chain ending in exchangeCall
 
-	mu     sync.Mutex
-	conns  []*clientConn
-	next   atomic.Uint64
-	closed bool
+	mu      sync.Mutex
+	idle    []*conn            // parked connections; last in, first out
+	conns   map[*conn]struct{} // every open one, parked or carrying a call: Close's list
+	streams []*clientConn      // multiplexed stream connections, dialed per slot on first use
+	next    atomic.Uint64      // round-robin over streams
+	closed  bool
 }
 
 // ClientOption configures a Client.
 type ClientOption func(*Client)
 
-// WithPoolSize sets the number of pooled connections (default 2).
+// WithPoolSize sets how many multiplexed connections the client's streams
+// are spread over (default 2). Unary and one-way calls are not its business:
+// they take one connection each for as long as they last.
 func WithPoolSize(n int) ClientOption {
 	return func(c *Client) {
 		if n > 0 {
-			c.conns = make([]*clientConn, n)
+			c.streams = make([]*clientConn, n)
 		}
 	}
 }
@@ -60,7 +72,8 @@ func WithMiddleware(mws ...transport.Middleware) ClientOption {
 // NewClient creates a client for the target service at addr. Connections
 // are dialed lazily on first use.
 func NewClient(network Network, target, addr string, opts ...ClientOption) *Client {
-	c := &Client{network: network, addr: addr, target: target, conns: make([]*clientConn, 2)}
+	c := &Client{network: network, addr: addr, target: target,
+		conns: make(map[*conn]struct{}), streams: make([]*clientConn, 2)}
 	for _, o := range opts {
 		o(c)
 	}
@@ -115,13 +128,13 @@ func (c *Client) Invoke(ctx context.Context, call *transport.Call) error {
 }
 
 // CallOneWay issues a fire-and-forget request: it completes once the frame
-// is written, the server never sends a reply, and no reply waiter is
-// registered, so a one-way burst costs one wire write per call with zero
-// round trips. Errors returned here are send-side only (marshal, dial, a
-// dead connection); anything that goes wrong after the frame leaves —
-// admission shed, handler failure — surfaces in the server's OneWayErrors
-// stat, never to this caller. The call still runs the full middleware
-// chain with Call.OneWay set, so per-hop stats and fault rules apply.
+// is written and the server never sends a reply, so a one-way burst costs
+// one wire write per call with zero round trips. Errors returned here are
+// send-side only (marshal, dial, a dead connection); anything that goes
+// wrong after the frame leaves — admission shed, handler failure — surfaces
+// in the server's OneWayErrors stat, never to this caller. The call still
+// runs the full middleware chain with Call.OneWay set, so per-hop stats and
+// fault rules apply.
 func (c *Client) CallOneWay(ctx context.Context, method string, req any) error {
 	call := transport.AcquireCall(c.target, method)
 	call.Body = req
@@ -149,12 +162,12 @@ func (p *Pending) Wait() error {
 	return p.err
 }
 
-// Go issues a pipelined call: the request is sent immediately and the
-// caller collects the reply later through the returned Pending, so N calls
-// issued back-to-back share the multiplexed connection with N requests in
-// flight at once and replies matched out of order by sequence number —
-// wall-clock cost ~one round trip instead of N. The middleware chain wraps
-// each call end-to-end exactly as with Call.
+// Go issues a pipelined call: the request is sent immediately, on a
+// goroutine and a connection of its own, and the caller collects the reply
+// later through the returned Pending — so N calls issued back-to-back are N
+// connections and N server goroutines at work at once, wall-clock cost ~one
+// round trip instead of N. The middleware chain wraps each call end-to-end
+// exactly as with Call.
 //
 // Unlike Call, the request is marshaled eagerly, before Go returns: a
 // pipelined caller is free to reuse or mutate req immediately, so the
@@ -192,9 +205,9 @@ func (c *Client) Go(ctx context.Context, method string, req, resp any) *Pending 
 
 // Stream opens a streaming call: the open runs through the full middleware
 // chain (Call.Stream set), and the returned typed stream multiplexes item
-// frames on a pooled connection alongside unary traffic. ctx governs the
-// stream's whole lifetime — cancellation aborts it, waking parked Sends and
-// Recvs on both ends.
+// frames with the client's other streams on a connection unary calls never
+// touch. ctx governs the stream's whole lifetime — cancellation aborts it,
+// waking parked Sends and Recvs on both ends.
 func (c *Client) Stream(ctx context.Context, method string, req any) (*transport.Stream, error) {
 	return transport.OpenStream(ctx, c.invoke, c.target, "", method, req)
 }
@@ -202,13 +215,14 @@ func (c *Client) Stream(ctx context.Context, method string, req any) (*transport
 var _ transport.Streamer = (*Client)(nil)
 
 // openStream is the terminal invoker's streaming branch: it writes the open
-// frame on a pooled conn (with the same one-shot dead-on-arrival redial as
-// exchange) and attaches the stream to the call. A watcher goroutine ties
-// the stream to ctx — cancellation sends the server a coded End (waking its
-// handler) and tears the client side down; it exits with the stream.
+// frame on a stream conn (with one redial when the write fails — the frame
+// never left, as in send) and attaches the stream to the call. A watcher
+// goroutine ties the stream to ctx — cancellation sends the server a coded
+// End (waking its handler) and tears the client side down; it exits with
+// the stream.
 func (c *Client) openStream(ctx context.Context, call *transport.Call) error {
 	for attempt := 0; ; attempt++ {
-		cc, err := c.pick()
+		cc, err := c.pickStream()
 		if err != nil {
 			return err
 		}
@@ -218,8 +232,8 @@ func (c *Client) openStream(ctx context.Context, call *transport.Call) error {
 		putFrame(f)
 		if err != nil {
 			cc.fail(err)
-			if attempt == 0 && !cc.delivered() {
-				continue // dead-on-arrival pooled conn: one fresh dial
+			if attempt == 0 {
+				continue // a stream conn that died idle: one fresh dial
 			}
 			return transport.WrapCode(transport.CodeUnavailable, err, "rpc: open stream to %s: %v", c.target, err)
 		}
@@ -250,109 +264,218 @@ func (c *Client) exchangeCall(ctx context.Context, call *transport.Call) error {
 	return c.exchange(ctx, call)
 }
 
-// sendOneWay writes a one-way frame and returns at send: no waiter, no
-// reply. Like exchange, a dead-on-arrival pooled connection gets one
-// transparent redial — the frame never left, so the retry is free.
+// sendOneWay writes a one-way frame and returns at send: there is nothing to
+// read, so the connection goes straight back on the stack — where a serial
+// caller's next call finds it first and queues behind the frames just
+// written.
 func (c *Client) sendOneWay(call *transport.Call) error {
-	for attempt := 0; ; attempt++ {
-		cc, err := c.pick()
-		if err != nil {
-			return err
-		}
-		f := getFrame()
-		f.kind, f.method, f.headers, f.payload, f.body = kindOneWay, call.Method, call.Headers, call.Payload, call.Body
-		err = cc.sendNoReply(f)
-		putFrame(f)
-		if err != nil {
-			if errors.Is(err, errEncode) {
-				// The body would not serialize; the connection is fine.
-				return fmt.Errorf("rpc: marshal %s.%s: %w", c.target, call.Method, err)
-			}
-			cc.fail(err)
-			if attempt == 0 && !cc.delivered() {
-				continue
-			}
-			return fmt.Errorf("rpc: send to %s: %w", c.target, err)
-		}
-		return nil
+	cn, err := c.send(kindOneWay, call)
+	if err != nil {
+		return err
 	}
+	c.park(cn)
+	return nil
 }
 
-// exchange performs the unary wire round trip for call, setting call.Reply
-// (a pooled buffer — the caller that owns the Call decides when to release
-// it) on success.
+// exchange performs the unary wire round trip for call, reading the reply on
+// the calling goroutine and setting call.Reply (a pooled buffer — the caller
+// that owns the Call decides when to release it) on success.
 func (c *Client) exchange(ctx context.Context, call *transport.Call) error {
-	// A pooled connection to a peer that crashed since the last call fails
-	// immediately (io.EOF / ECONNRESET) without ever having served a reply.
-	// That is a property of the stale pool slot, not of the request, so it is
-	// redialed once right here — below the retry middleware, where it charges
-	// nothing to the retry token budget. Connections that have delivered
-	// replies and die mid-call are left to the retry layer, which does pay.
-	for attempt := 0; ; attempt++ {
-		cc, err := c.pick()
-		if err != nil {
-			return err
+	cn, err := c.send(kindRequest, call)
+	if err != nil {
+		return err
+	}
+	// The connection is this call's alone, so giving up on the read means
+	// failing it: a context that can end is tied to the read deadline.
+	var stop func() bool
+	if ctx.Done() != nil {
+		stop = context.AfterFunc(ctx, cn.interrupt)
+	}
+	reply, err := cn.readReply()
+	// A connection whose read failed may still be sent the reply, and one
+	// that was interrupted — even too late to matter to this call — carries
+	// a spent deadline: either is closed, never parked, so no later call can
+	// meet what this one left behind.
+	if err == nil && (stop == nil || stop()) {
+		c.park(cn)
+	} else {
+		c.drop(cn)
+	}
+	if err != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			return transport.WrapCode(CodeDeadline, cerr, "call %s.%s: %v", c.target, call.Method, cerr)
 		}
-		f := getFrame()
-		f.kind, f.method, f.headers, f.payload, f.body = kindRequest, call.Method, call.Headers, call.Payload, call.Body
-		ch, seq, err := cc.send(f)
-		putFrame(f) // cw.write is synchronous: encoded (or rolled back) by now
+		// The frame was delivered (the send succeeded), so resending it here
+		// could execute it twice — and against a parked long-poll handler
+		// would re-park until the deadline. Fail with a coded retryable
+		// error; the retry middleware, which owns the is-it-safe-to-retry
+		// budget, decides what to reissue. A peer that dropped this
+		// connection has most likely dropped them all, so the parked ones
+		// are closed too rather than left to fail one call each.
+		c.closeIdle()
+		return transport.Errorf(transport.CodeUnavailable,
+			"rpc: connection to %s lost with %s.%s in flight", c.target, c.target, call.Method)
+	}
+	if reply.kind == kindError {
+		err = &Error{Code: int(reply.code), Msg: string(reply.payload)}
+		transport.ReleaseBuf(reply.payload)
+	} else {
+		call.Reply = reply.payload // ownership moves to the call's owner
+	}
+	putFrame(reply)
+	return err
+}
+
+// conn is one pooled connection. Whoever holds it — the call that checked it
+// out — is its only writer and its only reader, so it needs no lock.
+type conn struct {
+	nc  net.Conn
+	cw  *connWriter
+	fr  *frameReader
+	seq uint64 // of the frame last written
+	// interrupt fails the read a cancelled call is parked in. Built once, at
+	// the dial, so that arming it costs a call no closure of its own.
+	interrupt func()
+}
+
+func newConn(nc net.Conn) *conn {
+	return &conn{nc: nc, cw: newConnWriter(nc), fr: newFrameReader(nc), interrupt: func() {
+		_ = nc.SetReadDeadline(time.Unix(1, 0)) // on a closed conn the read has failed already
+	}}
+}
+
+// readReply reads frames up to the reply to the request last written. With
+// one call per connection and interrupted connections closed, the next frame
+// is that reply; the sequence check is the second line of defence, and what
+// fails it is discarded as the late reply it would have to be.
+func (cn *conn) readReply() (*frame, error) {
+	for {
+		f, err := cn.fr.read()
 		if err != nil {
-			if errors.Is(err, errEncode) {
-				// Serialization failure, not a transport failure: the frame was
-				// rolled back and the connection is healthy. Report it like the
-				// eager-marshal path used to, without burning the connection.
-				return fmt.Errorf("rpc: marshal %s.%s: %w", c.target, call.Method, err)
-			}
-			cc.fail(err)
-			if attempt == 0 && !cc.delivered() {
-				continue // dead-on-arrival pooled conn: one fresh dial
-			}
-			return fmt.Errorf("rpc: send to %s: %w", c.target, err)
+			return nil, err
 		}
-		select {
-		case reply, ok := <-ch:
-			if !ok {
-				// The conn died with this request outstanding. The frame was
-				// delivered (the send succeeded), so resending transparently
-				// here could execute it twice — and against a parked long-poll
-				// handler would re-park until the deadline. Fail fast with a
-				// coded retryable error instead: every pipelined call parked in
-				// the pending map unblocks at once, and the retry middleware
-				// (which owns the is-it-safe-to-retry budget) decides what to
-				// reissue.
-				return transport.Errorf(transport.CodeUnavailable,
-					"rpc: connection to %s lost with %s.%s in flight", c.target, c.target, call.Method)
-			}
-			cc.putWaiter(ch) // happy receive: the channel is drained and reusable
-			if reply.kind == kindError {
-				err := &Error{Code: int(reply.code), Msg: string(reply.payload)}
-				transport.ReleaseBuf(reply.payload)
-				putFrame(reply)
-				return err
-			}
-			call.Reply = reply.payload // ownership moves to the call's owner
-			putFrame(reply)
-			return nil
-		case <-ctx.Done():
-			cc.abandon(seq)
-			return transport.WrapCode(CodeDeadline, ctx.Err(), "call %s.%s: %v", c.target, call.Method, ctx.Err())
+		if f.seq == cn.seq && (f.kind == kindReply || f.kind == kindError) {
+			return f, nil
+		}
+		transport.ReleaseBuf(f.payload)
+		putFrame(f)
+	}
+}
+
+// send checks a connection out, writes call on it as a frame of the given
+// kind and returns it still checked out. A write that fails provably never delivered the frame, so it costs
+// the caller nothing: parked connections that died while idle are discarded
+// one after another, and a fresh dial that was dead on arrival (the peer
+// accepted and crashed) is redialed once — all below the retry middleware,
+// free of its token budget.
+func (c *Client) send(kind byte, call *transport.Call) (*conn, error) {
+	f := getFrame()
+	defer putFrame(f) // cw.write is synchronous: encoded (or rolled back) when it returns
+	f.kind, f.method, f.headers, f.payload, f.body = kind, call.Method, call.Headers, call.Payload, call.Body
+	for dials := 0; ; {
+		cn, dialed, err := c.checkOut()
+		if err != nil {
+			return nil, err
+		}
+		if dialed {
+			dials++
+		}
+		cn.seq++
+		f.seq = cn.seq
+		err = cn.cw.write(f)
+		if err == nil {
+			return cn, nil
+		}
+		if errors.Is(err, errEncode) {
+			// Serialization failure, not a transport failure: the frame was
+			// rolled back and the connection is healthy.
+			c.park(cn)
+			return nil, fmt.Errorf("rpc: marshal %s.%s: %w", c.target, f.method, err)
+		}
+		c.drop(cn)
+		if dials >= 2 {
+			return nil, fmt.Errorf("rpc: send to %s: %w", c.target, err)
 		}
 	}
 }
 
-// pick returns a live pooled connection, dialing if necessary. The dial
-// happens outside the client lock — a slow or hung dial must not serialize
-// every other caller on the pool — with a re-check under the lock
-// afterwards so concurrent pickers of the same slot don't leak connections.
-func (c *Client) pick() (*clientConn, error) {
-	idx := int(c.next.Add(1)) % len(c.conns)
+var errClientClosed = errors.New("rpc: client closed")
+
+// checkOut pops the most recently parked connection, or dials one when none
+// is idle — outside the client lock: a slow dial must not hold up callers
+// that have a connection waiting.
+func (c *Client) checkOut() (cn *conn, dialed bool, err error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, errors.New("rpc: client closed")
+		return nil, false, errClientClosed
 	}
-	cc := c.conns[idx]
+	if n := len(c.idle); n > 0 {
+		cn, c.idle[n-1] = c.idle[n-1], nil
+		c.idle = c.idle[:n-1]
+		c.mu.Unlock()
+		return cn, false, nil
+	}
+	c.mu.Unlock()
+
+	nc, err := c.network.Dial(c.addr)
+	if err != nil {
+		return nil, false, fmt.Errorf("rpc: dial %s (%s): %w", c.target, c.addr, err)
+	}
+	cn = newConn(nc)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		nc.Close()
+		return nil, false, errClientClosed
+	}
+	c.conns[cn] = struct{}{}
+	return cn, true, nil
+}
+
+// park returns a healthy connection to the idle stack.
+func (c *Client) park(cn *conn) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.closed { // else Close has closed it already
+		c.idle = append(c.idle, cn)
+	}
+}
+
+// drop closes a checked-out connection for good.
+func (c *Client) drop(cn *conn) {
+	cn.nc.Close()
+	c.mu.Lock()
+	delete(c.conns, cn)
+	c.mu.Unlock()
+}
+
+// closeIdle closes every parked connection.
+func (c *Client) closeIdle() {
+	c.mu.Lock()
+	idle := c.idle
+	c.idle = nil
+	for _, cn := range idle {
+		delete(c.conns, cn)
+	}
+	c.mu.Unlock()
+	for _, cn := range idle {
+		cn.nc.Close()
+	}
+}
+
+// pickStream returns a live stream connection, dialing if necessary. The
+// dial happens outside the client lock — a slow or hung dial must not
+// serialize every other caller — with a re-check under the lock afterwards
+// so concurrent pickers of the same slot don't leak connections.
+func (c *Client) pickStream() (*clientConn, error) {
+	idx := int(c.next.Add(1)) % len(c.streams)
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return nil, errClientClosed
+	}
+	cc := c.streams[idx]
 	c.mu.Unlock()
 	if cc != nil && !cc.dead() {
 		return cc, nil
@@ -366,26 +489,32 @@ func (c *Client) pick() (*clientConn, error) {
 	if c.closed {
 		c.mu.Unlock()
 		conn.Close()
-		return nil, errors.New("rpc: client closed")
+		return nil, errClientClosed
 	}
-	if existing := c.conns[idx]; existing != nil && !existing.dead() {
+	if existing := c.streams[idx]; existing != nil && !existing.dead() {
 		// A concurrent caller re-dialed this slot first; use theirs.
 		c.mu.Unlock()
 		conn.Close()
 		return existing, nil
 	}
 	cc = newClientConn(conn)
-	c.conns[idx] = cc
+	c.streams[idx] = cc
 	c.mu.Unlock()
 	return cc, nil
 }
 
-// Close tears down all pooled connections. In-flight calls fail.
+// Close tears down every connection: parked ones close, calls in flight
+// fail at their read, open streams end.
 func (c *Client) Close() error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.closed = true
-	for _, cc := range c.conns {
+	conns := c.conns
+	c.conns, c.idle = nil, nil
+	c.mu.Unlock()
+	for cn := range conns {
+		cn.nc.Close()
+	}
+	for _, cc := range c.streams { // slots are written under mu only while !closed
 		if cc != nil {
 			cc.fail(errors.New("client closed"))
 		}
@@ -393,48 +522,25 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// waiterPool recycles reply-waiter channels. A channel is only returned to
-// the pool on a happy receive: a closed channel (conn failure) can never be
-// reused, and an abandoned one (local timeout) may still receive a late
-// reply frame, so both fall to the garbage collector instead.
-var waiterPool = sync.Pool{New: func() any { return make(chan *frame, 1) }}
-
-// clientConn is one multiplexed connection: writes are serialized (and
-// flush-coalesced across concurrent senders) by a connWriter, replies are
-// dispatched to waiters by sequence number by a reader goroutine.
+// clientConn is one multiplexed stream connection: writes are serialized
+// (and flush-coalesced across concurrent senders) by a connWriter, and a
+// reader goroutine — a stream needs a standing reader, for credits — routes
+// item, credit and end frames to the open streams by sequence number.
 type clientConn struct {
-	conn interface{ Close() error }
+	conn io.Closer
 	cw   *connWriter
 
 	mu      sync.Mutex
-	pending map[uint64]chan *frame
 	streams map[uint64]*streamCore
 	seq     uint64
 	err     error
-
-	// gotReply records that at least one reply frame arrived; a conn that
-	// dies without it was dead on arrival (peer crashed while the conn sat
-	// in the pool) and is safe to redial transparently.
-	gotReply atomic.Bool
 }
 
-func newClientConn(conn interface {
-	Close() error
-	Read([]byte) (int, error)
-	Write([]byte) (int, error)
-}) *clientConn {
-	cc := &clientConn{
-		conn:    conn,
-		cw:      newConnWriter(conn),
-		pending: make(map[uint64]chan *frame),
-		streams: make(map[uint64]*streamCore),
-	}
+func newClientConn(conn net.Conn) *clientConn {
+	cc := &clientConn{conn: conn, cw: newConnWriter(conn), streams: make(map[uint64]*streamCore)}
 	go cc.readLoop(newFrameReader(conn))
 	return cc
 }
-
-// delivered reports whether this connection ever carried a reply.
-func (cc *clientConn) delivered() bool { return cc.gotReply.Load() }
 
 func (cc *clientConn) dead() bool {
 	cc.mu.Lock()
@@ -442,76 +548,14 @@ func (cc *clientConn) dead() bool {
 	return cc.err != nil
 }
 
-// putWaiter recycles a drained, still-open waiter channel.
-func (cc *clientConn) putWaiter(ch chan *frame) { waiterPool.Put(ch) }
-
-// send registers a waiter and writes the frame, returning the reply channel.
-func (cc *clientConn) send(f *frame) (chan *frame, uint64, error) {
-	ch := waiterPool.Get().(chan *frame)
-	cc.mu.Lock()
-	if cc.err != nil {
-		err := cc.err
-		cc.mu.Unlock()
-		waiterPool.Put(ch)
-		return nil, 0, err
-	}
-	cc.seq++
-	f.seq = cc.seq
-	seq := f.seq
-	cc.pending[seq] = ch
-	cc.mu.Unlock()
-
-	if err := cc.cw.write(f); err != nil {
-		cc.mu.Lock()
-		_, registered := cc.pending[seq]
-		delete(cc.pending, seq)
-		cc.mu.Unlock()
-		if registered {
-			// Still ours, never written to: safe to reuse. (If fail() raced us
-			// it closed the channel and removed it; leave that one to the GC.)
-			waiterPool.Put(ch)
-		}
-		return nil, 0, err
-	}
-	return ch, seq, nil
-}
-
-// sendNoReply assigns a sequence number and writes the frame without
-// registering a reply waiter — the one-way wire path.
-func (cc *clientConn) sendNoReply(f *frame) error {
-	cc.mu.Lock()
-	if cc.err != nil {
-		err := cc.err
-		cc.mu.Unlock()
-		return err
-	}
-	cc.seq++
-	f.seq = cc.seq
-	cc.mu.Unlock()
-	return cc.cw.write(f)
-}
-
-// abandon drops the waiter for seq after a local timeout; a late reply for
-// the sequence is discarded by the read loop.
-func (cc *clientConn) abandon(seq uint64) {
-	cc.mu.Lock()
-	delete(cc.pending, seq)
-	cc.mu.Unlock()
-}
-
-// fail marks the connection dead and wakes all waiters with closed channels.
-// Open streams are torn down outside the lock (their unregister hooks
-// re-enter the conn), with a coded retryable error so stream consumers fail
-// over the way unary callers do.
+// fail marks the connection dead and tears its open streams down, outside
+// the lock (their unregister hooks re-enter the conn), with a coded
+// retryable error so stream consumers fail over the way unary callers do.
 func (cc *clientConn) fail(err error) {
 	var streams []*streamCore
 	cc.mu.Lock()
 	if cc.err == nil {
 		cc.err = err
-		for seq, ch := range cc.pending {
-			close(ch)
-			delete(cc.pending, seq)
-		}
 		streams = make([]*streamCore, 0, len(cc.streams))
 		for seq, st := range cc.streams {
 			streams = append(streams, st)
@@ -563,42 +607,24 @@ func (cc *clientConn) readLoop(fr *frameReader) {
 			cc.fail(err)
 			return
 		}
-		cc.gotReply.Store(true)
-		switch f.kind {
-		case kindStreamItem, kindStreamEnd, kindStreamCredit:
-			cc.mu.Lock()
-			st := cc.streams[f.seq]
-			cc.mu.Unlock()
-			if st != nil {
-				switch f.kind {
-				case kindStreamItem:
-					st.deliver(f.payload)
-				case kindStreamEnd:
-					// Any server End is terminal client-side: the handler
-					// returned, so sends have no one to reach.
-					st.peerEnd(f.code, f.payload, true)
-				case kindStreamCredit:
-					st.peerCredit(int(f.code))
-				}
-			}
-			// Stream payloads are plain allocations retained by the stream
-			// core (or dropped, for a torn-down stream); only the frame
-			// struct recycles.
-			putFrame(f)
-			continue
-		}
 		cc.mu.Lock()
-		ch, ok := cc.pending[f.seq]
-		if ok {
-			delete(cc.pending, f.seq)
-		}
+		st := cc.streams[f.seq]
 		cc.mu.Unlock()
-		if ok {
-			ch <- f
-		} else {
-			// Late reply for an abandoned call: nobody will read it.
-			transport.ReleaseBuf(f.payload)
-			putFrame(f)
+		if st != nil {
+			switch f.kind {
+			case kindStreamItem:
+				st.deliver(f.payload)
+			case kindStreamEnd:
+				// Any server End is terminal client-side: the handler
+				// returned, so sends have no one to reach.
+				st.peerEnd(f.code, f.payload, true)
+			case kindStreamCredit:
+				st.peerCredit(int(f.code))
+			}
 		}
+		// Stream payloads are plain allocations retained by the stream core
+		// (or dropped, for a torn-down stream); only the frame struct
+		// recycles.
+		putFrame(f)
 	}
 }

@@ -1,14 +1,15 @@
 package rpc
 
-// Death and recovery of pooled client connections: late replies for
-// abandoned calls, sends racing connection failure, and pool re-dial after
-// the peer goes away. All of these run under -race in `make check`.
+// Ownership, death and recovery of pooled client connections: one call per
+// connection at a time, abandoned connections closed instead of reused,
+// calls racing Close, and re-dial after the peer goes away. All of these run
+// under -race in `make check`.
 
 import (
 	"context"
 	"errors"
-	"io"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -43,10 +44,12 @@ func mustMarshal(t testing.TB, v any) []byte {
 }
 
 // TestLateReplyAfterAbandonDiscarded abandons a call at its deadline while
-// the server is still working; the late reply must be discarded — not
-// delivered to the next call multiplexed on the same connection.
+// the server is still working. The connection it rode is closed, not parked:
+// the late reply has nowhere to land, and the next call on the same client
+// dials afresh and reads its own reply.
 func TestLateReplyAfterAbandonDiscarded(t *testing.T) {
-	n := NewMem()
+	mem := NewMem()
+	n := &connGrabber{Network: mem}
 	s := NewServer("slow")
 	release := make(chan struct{})
 	s.Handle("Slow", func(ctx *Ctx, payload []byte) ([]byte, error) {
@@ -56,22 +59,29 @@ func TestLateReplyAfterAbandonDiscarded(t *testing.T) {
 	s.Handle("Fast", func(ctx *Ctx, payload []byte) ([]byte, error) {
 		return []byte("fresh"), nil
 	})
-	addr, err := s.Start(n, "slow:0")
+	addr, err := s.Start(mem, "slow:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
-	c := NewClient(n, "slow", addr, WithPoolSize(1))
+	c := NewClient(n, "slow", addr)
 	defer c.Close()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	_, err = c.CallRaw(ctx, "Slow", nil)
 	if !IsCode(err, CodeDeadline) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want CodeDeadline wrapping DeadlineExceeded", err)
 	}
-	close(release) // the stale reply now lands on the shared connection
+	abandoned := n.dialed(t, 1)[0]
+	if _, err := abandoned.Write([]byte{0}); err == nil {
+		t.Fatal("the abandoned call's connection is still open")
+	}
+	if idle := c.idleConns(); idle != 0 {
+		t.Fatalf("%d connections parked after an abandoned call, want 0", idle)
+	}
+	close(release) // the stale reply goes out on the closed connection
 
 	out, err := c.CallRaw(context.Background(), "Fast", nil)
 	if err != nil {
@@ -80,52 +90,76 @@ func TestLateReplyAfterAbandonDiscarded(t *testing.T) {
 	if string(out) != "fresh" {
 		t.Fatalf("reply = %q; the abandoned call's late reply leaked", out)
 	}
+	n.dialed(t, 2)
 }
 
-// TestConcurrentFailAndSend races sends against a connection failure; every
-// in-flight waiter must resolve (error or closed channel) and the pending
-// map must drain.
-func TestConcurrentFailAndSend(t *testing.T) {
-	client, server := net.Pipe()
-	go io.Copy(io.Discard, server) //nolint:errcheck // sink so writes complete
-	cc := newClientConn(client)
+// dialed returns the connections handed out so far, which must number want.
+func (g *connGrabber) dialed(t *testing.T, want int) []net.Conn {
+	t.Helper()
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if len(g.conns) != want {
+		t.Fatalf("%d connections dialed, want %d", len(g.conns), want)
+	}
+	return g.conns
+}
 
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
+// idleConns counts the parked connections.
+func (c *Client) idleConns() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.idle)
+}
+
+// TestConcurrentFailAndSend races calls against Client.Close on a server
+// that never answers: every call in flight must fail, none may hang, calls
+// after Close are refused, and the client ends up holding no connection.
+func TestConcurrentFailAndSend(t *testing.T) {
+	n := NewMem()
+	s := startEchoAt(t, n, "echo:0")
+	c := NewClient(n, "echo", "echo:0")
+	if _, err := c.CallRaw(context.Background(), "Echo", []byte("warm")); err != nil {
+		t.Fatal(err) // leaves one connection parked for Close to close
+	}
+	s.Hang()
+
+	const callers = 16
+	var started, wg sync.WaitGroup
+	started.Add(callers)
+	errs := make(chan error, callers)
+	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := 0; j < 50; j++ {
-				ch, _, err := cc.send(&frame{kind: kindRequest, method: "M"})
-				if err != nil {
-					return // connection already failed
-				}
-				select {
-				case _, ok := <-ch:
-					if ok {
-						t.Error("got a reply from a server that never replies")
-					}
-				case <-time.After(5 * time.Second):
-					t.Error("waiter never resolved after fail")
-					return
-				}
-			}
+			started.Done()
+			_, err := c.CallRaw(context.Background(), "Echo", []byte("x"))
+			errs <- err
 		}()
 	}
-	time.Sleep(time.Millisecond)
-	cc.fail(errors.New("injected"))
-	wg.Wait()
-
-	if !cc.dead() {
-		t.Fatal("conn should be dead")
+	started.Wait()
+	c.Close()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("calls in flight never resolved after Client.Close")
 	}
-	cc.mu.Lock()
-	pending := len(cc.pending)
-	cc.mu.Unlock()
-	if pending != 0 {
-		t.Fatalf("pending = %d after fail, want 0", pending)
+	close(errs)
+	for err := range errs {
+		if err == nil {
+			t.Error("got a reply from a server that never replies")
+		}
 	}
-	server.Close()
+	if _, err := c.CallRaw(context.Background(), "Echo", nil); !errors.Is(err, errClientClosed) {
+		t.Fatalf("call after Close: %v, want %v", err, errClientClosed)
+	}
+	c.mu.Lock()
+	open, idle := len(c.conns), len(c.idle)
+	c.mu.Unlock()
+	if open != 0 || idle != 0 {
+		t.Fatalf("after Close the client holds %d connections (%d parked), want none", open, idle)
+	}
 }
 
 // countingNetwork counts dials, to observe re-dial behaviour.
@@ -139,14 +173,15 @@ func (n *countingNetwork) Dial(addr string) (net.Conn, error) {
 	return n.Network.Dial(addr)
 }
 
-// TestPoolRedialAfterConnDeath kills the server out from under a pooled
-// connection and brings a replacement up on the same address; the pool must
-// notice the dead connection and re-dial.
+// TestPoolRedialAfterConnDeath kills the server out from under a parked
+// connection and brings a replacement up on the same address. The dead
+// connection fails at the write, where the frame provably never left, so
+// the very next call redials and succeeds — no caller sees the restart.
 func TestPoolRedialAfterConnDeath(t *testing.T) {
 	mem := NewMem()
 	n := &countingNetwork{Network: mem}
 	s1 := startEchoAt(t, mem, "echo:0")
-	c := NewClient(n, "echo", "echo:0", WithPoolSize(1))
+	c := NewClient(n, "echo", "echo:0")
 	defer c.Close()
 
 	if _, err := c.CallRaw(context.Background(), "Echo", mustMarshal(t, echoReq{Text: "a", N: 1})); err != nil {
@@ -155,32 +190,22 @@ func TestPoolRedialAfterConnDeath(t *testing.T) {
 	s1.Close()
 	startEchoAt(t, mem, "echo:0")
 
-	// The pooled conn dies asynchronously; calls racing the death may fail
-	// once, but the pool must converge on the new server.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		_, err := c.CallRaw(context.Background(), "Echo", mustMarshal(t, echoReq{Text: "b", N: 1}))
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("pool never recovered: %v", err)
-		}
+	if _, err := c.CallRaw(context.Background(), "Echo", mustMarshal(t, echoReq{Text: "b", N: 1})); err != nil {
+		t.Fatalf("first call after the peer restarted: %v", err)
 	}
-	if n.dials.Load() < 2 {
-		t.Fatalf("dials = %d, want ≥2 (one per server generation)", n.dials.Load())
+	if got := n.dials.Load(); got != 2 {
+		t.Fatalf("dials = %d, want 2 (one per server generation)", got)
 	}
 }
 
-// TestConcurrentRedialKeepsOneConn hammers a single-conn pool from many
-// goroutines right after its connection dies; every call must eventually
-// succeed and racing re-dials must not wedge the pool (losers close their
-// extra connection and adopt the winner's).
+// TestConcurrentRedialKeepsOneConn hammers a client from many goroutines
+// right after its one parked connection died: one caller finds the corpse
+// and redials past it, the rest dial their own, and every call succeeds.
 func TestConcurrentRedialKeepsOneConn(t *testing.T) {
 	mem := NewMem()
 	n := &countingNetwork{Network: mem}
 	s1 := startEchoAt(t, mem, "echo:0")
-	c := NewClient(n, "echo", "echo:0", WithPoolSize(1))
+	c := NewClient(n, "echo", "echo:0")
 	defer c.Close()
 
 	if _, err := c.CallRaw(context.Background(), "Echo", mustMarshal(t, echoReq{Text: "warm", N: 1})); err != nil {
@@ -189,54 +214,85 @@ func TestConcurrentRedialKeepsOneConn(t *testing.T) {
 	s1.Close()
 	startEchoAt(t, mem, "echo:0")
 
+	payload := mustMarshal(t, echoReq{Text: "x", N: 1})
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			deadline := time.Now().Add(5 * time.Second)
-			for {
-				_, err := c.CallRaw(context.Background(), "Echo", mustMarshal(t, echoReq{Text: "x", N: 1}))
-				if err == nil {
-					return
-				}
-				if time.Now().After(deadline) {
-					t.Errorf("call never recovered: %v", err)
-					return
-				}
+			if _, err := c.CallRaw(context.Background(), "Echo", payload); err != nil {
+				t.Errorf("call after the peer restarted: %v", err)
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-// TestDeadPooledConnRedialTransparent models a peer that crashed with the
-// conn still pooled: the listener accepts the first conn and immediately
-// closes it. The pool must notice the immediate EOF, redial once below the
-// retry middleware, and succeed — without charging the retry token budget.
-func TestDeadPooledConnRedialTransparent(t *testing.T) {
-	mem := NewMem()
-	l, err := mem.Listen("echo:0")
+// resettingPeer is a listener that accepts its first `resets` connections
+// only to close them — a peer that crashed with the connection still open —
+// and a Network whose Dial returns such a connection only once the server
+// side is closed, so what the client then does with it is not a race.
+type resettingPeer struct {
+	Network
+	closed chan struct{} // one token per connection reset
+	dials  atomic.Int64
+}
+
+// startResettingPeer resets the first `resets` connections to srv's listener
+// at addr and serves the rest.
+func startResettingPeer(t *testing.T, network Network, srv *Server, addr string, resets int) (*resettingPeer, string) {
+	t.Helper()
+	l, err := network.Listen(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := &resettingPeer{Network: network, closed: make(chan struct{}, resets)}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < resets; i++ {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			conn.Close()
+			p.closed <- struct{}{}
+		}
+		srv.Serve(l) //nolint:errcheck // the replacement generation
+	}()
+	t.Cleanup(func() { srv.Close(); l.Close(); <-done })
+	return p, l.Addr().String()
+}
+
+func (p *resettingPeer) Dial(addr string) (net.Conn, error) {
+	conn, err := p.Network.Dial(addr)
+	if err == nil && p.dials.Add(1) <= int64(cap(p.closed)) {
+		<-p.closed
+	}
+	return conn, err
+}
+
+// countingEcho is an echo server that counts its executions.
+func countingEcho() (*Server, *atomic.Int64) {
+	var runs atomic.Int64
 	srv := NewServer("echo")
 	srv.Handle("Echo", func(ctx *Ctx, payload []byte) ([]byte, error) {
+		runs.Add(1)
 		return payload, nil
 	})
-	go func() {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		conn.Close() // crashed peer: accepted, then reset
-		srv.Serve(l) //nolint:errcheck // replacement generation
-	}()
-	t.Cleanup(func() { srv.Close(); l.Close() })
+	return srv, &runs
+}
 
-	n := &countingNetwork{Network: mem}
+// TestDeadPooledConnRedialTransparent models a peer that crashed with the
+// conn still open: the listener accepts the first conn and closes it. On
+// rpc.Mem the write fails — the frame provably never left — so the client
+// redials once below the retry middleware and succeeds, without charging
+// the retry token budget.
+func TestDeadPooledConnRedialTransparent(t *testing.T) {
+	srv, runs := countingEcho()
+	n, addr := startResettingPeer(t, NewMem(), srv, "echo:0", 1)
 	var stats transport.Stats
-	c := NewClient(n, "echo", "echo:0", WithPoolSize(1),
+	c := NewClient(n, "echo", addr,
 		WithMiddleware(transport.Retry(transport.RetryConfig{Stats: &stats})))
 	defer c.Close()
 
@@ -253,32 +309,46 @@ func TestDeadPooledConnRedialTransparent(t *testing.T) {
 	if got := stats.Retries.Value(); got != 0 {
 		t.Fatalf("middleware retries = %d, want 0 (pool redial must not charge the budget)", got)
 	}
+	if got := runs.Load(); got != 1 {
+		t.Fatalf("handler ran %d times, want 1", got)
+	}
+}
+
+// TestDeadConnLostInFlightTCP is the TCP twin: a socket the peer has closed
+// still takes the write, and only the read sees the end. The frame may have
+// been delivered, so there is no transparent redial: the call fails with
+// the coded retryable error — it does not hang and nothing runs twice — and
+// the next call dials afresh.
+func TestDeadConnLostInFlightTCP(t *testing.T) {
+	srv, runs := countingEcho()
+	n, addr := startResettingPeer(t, TCP{}, srv, "127.0.0.1:0", 1)
+	c := NewClient(n, "echo", addr)
+	defer c.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	_, err := c.CallRaw(ctx, "Echo", []byte("hi"))
+	if !IsCode(err, CodeUnavailable) || !transport.Retryable(err) {
+		t.Fatalf("call on a reset socket: %v, want retryable CodeUnavailable", err)
+	}
+	if dials, ran := n.dials.Load(), runs.Load(); dials != 1 || ran != 0 {
+		t.Fatalf("dials = %d, handler runs = %d; want 1 and 0 (lost in flight is not redialed)", dials, ran)
+	}
+	out, err := c.CallRaw(ctx, "Echo", []byte("again"))
+	if err != nil || string(out) != "again" {
+		t.Fatalf("next call: %q, %v", out, err)
+	}
+	if dials, ran := n.dials.Load(), runs.Load(); dials != 2 || ran != 1 {
+		t.Fatalf("dials = %d, handler runs = %d; want 2 and 1", dials, ran)
+	}
 }
 
 // TestDeadPooledConnRedialsOnlyOnce: against a peer that resets every conn,
-// the transparent redial is bounded to a single fresh dial — the coded error
-// then surfaces to the retry layer, which does pay the budget.
+// the transparent redial is bounded to a single fresh dial — the error then
+// surfaces to the retry layer, which does pay the budget.
 func TestDeadPooledConnRedialsOnlyOnce(t *testing.T) {
-	mem := NewMem()
-	l, err := mem.Listen("echo:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	t.Cleanup(func() { l.Close(); <-done })
-	go func() {
-		defer close(done)
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			conn.Close()
-		}
-	}()
-
-	n := &countingNetwork{Network: mem}
-	c := NewClient(n, "echo", "echo:0", WithPoolSize(1))
+	n, addr := startResettingPeer(t, NewMem(), NewServer("echo"), "echo:0", 2)
+	c := NewClient(n, "echo", addr)
 	defer c.Close()
 	if _, err := c.CallRaw(context.Background(), "Echo", []byte("hi")); err == nil {
 		t.Fatal("call to always-resetting peer succeeded")
@@ -288,13 +358,202 @@ func TestDeadPooledConnRedialsOnlyOnce(t *testing.T) {
 	}
 }
 
+// TestStaleParkedConnsSkipped: connections that died while parked fail at
+// the write, where the frame provably never left, so a call works through
+// them to a fresh dial without failing — however many the restart left.
+func TestStaleParkedConnsSkipped(t *testing.T) {
+	const k = 4
+	mem := NewMem()
+	n := &countingNetwork{Network: mem}
+	s1 := barrierServer(t, mem, "echo:0", k)
+	c := NewClient(n, "echo", "echo:0")
+	defer c.Close()
+	meet(t, c, k) // k connections parked
+	s1.Close()
+	startEchoAt(t, mem, "echo:0")
+
+	out, err := c.CallRaw(context.Background(), "Echo", []byte("b"))
+	if err != nil || string(out) != "b" {
+		t.Fatalf("first call after the peer restarted: %q, %v", out, err)
+	}
+	if got := n.dials.Load(); got != k+1 {
+		t.Fatalf("dials = %d, want %d (one fresh dial past %d stale conns)", got, k+1, k)
+	}
+	if idle := c.idleConns(); idle != 1 {
+		t.Fatalf("%d connections parked, want 1 (the stale ones are gone)", idle)
+	}
+}
+
+// barrierServer answers "Meet" only once `parties` calls are inside the
+// handler together, so the callers provably overlap.
+func barrierServer(t testing.TB, n Network, addr string, parties int) *Server {
+	t.Helper()
+	var arrived sync.WaitGroup
+	arrived.Add(parties)
+	s := NewServer("barrier")
+	s.Handle("Meet", func(ctx *Ctx, payload []byte) ([]byte, error) {
+		arrived.Done()
+		arrived.Wait()
+		return payload, nil
+	})
+	s.Handle("Echo", func(ctx *Ctx, payload []byte) ([]byte, error) { return payload, nil })
+	if _, err := s.Start(n, addr); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// meet issues k overlapping calls and leaves k connections parked.
+func meet(t testing.TB, c *Client, k int) {
+	t.Helper()
+	pend := make([]*Pending, k)
+	for i := range pend {
+		pend[i] = c.Go(context.Background(), "Meet", nil, nil)
+	}
+	for _, p := range pend {
+		if err := p.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSerialCallsOneConnNoGoroutine: a serial caller dials once, and the
+// client side of a connection is no goroutine at all — the caller reads its
+// own reply — so the only goroutine a client's first call adds to the
+// process is the server's for that connection.
+func TestSerialCallsOneConnNoGoroutine(t *testing.T) {
+	mem := NewMem()
+	n := &countingNetwork{Network: mem}
+	startEchoAt(t, mem, "echo:0")
+	c := NewClient(n, "echo", "echo:0")
+	defer c.Close()
+
+	before := runtime.NumGoroutine()
+	for i := 0; i < 200; i++ {
+		out, err := c.CallRaw(context.Background(), "Echo", []byte("x"))
+		if err != nil || string(out) != "x" {
+			t.Fatalf("call %d: %q, %v", i, out, err)
+		}
+	}
+	// Not !=: a goroutine of an earlier test may still be on its way out.
+	if got := runtime.NumGoroutine(); got > before+1 {
+		t.Fatalf("200 serial calls left %d goroutines more than before, want 1 (the server's end of the connection)", got-before)
+	}
+	// One-way frames ride the same connection, and a call behind them too.
+	for i := 0; i < 200; i++ {
+		if err := c.CallOneWay(context.Background(), "Echo", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.CallRaw(context.Background(), "Echo", nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := n.dials.Load(); got != 1 {
+		t.Fatalf("401 serial calls dialed %d connections, want 1", got)
+	}
+}
+
+// TestConcurrentCallsOneConnEach: k overlapping calls hold k connections,
+// all k are parked afterwards, and later calls reuse them instead of dialing.
+func TestConcurrentCallsOneConnEach(t *testing.T) {
+	const k = 12
+	mem := NewMem()
+	n := &countingNetwork{Network: mem}
+	barrierServer(t, mem, "barrier:0", k)
+	c := NewClient(n, "barrier", "barrier:0")
+	defer c.Close()
+
+	meet(t, c, k)
+	if dials, idle := n.dials.Load(), c.idleConns(); dials != k || idle != k {
+		t.Fatalf("%d overlapping calls: %d dials, %d parked; want %d and %d", k, dials, idle, k, k)
+	}
+	for i := 0; i < 3*k; i++ {
+		if _, err := c.CallRaw(context.Background(), "Echo", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if dials, idle := n.dials.Load(), c.idleConns(); dials != k || idle != k {
+		t.Fatalf("after serial reuse: %d dials, %d parked; want %d and %d", dials, idle, k, k)
+	}
+}
+
+// TestCloseWithParkedConns: Client.Close closes parked connections (the
+// server's end of each sees the end and its goroutine exits), and
+// Server.Close returns while every one of its connections is idle, parked
+// in Read.
+func TestCloseWithParkedConns(t *testing.T) {
+	const k = 8
+	n := NewMem()
+	s := barrierServer(t, n, "barrier:0", k)
+	serverConns := func() int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.conns)
+	}
+
+	c := NewClient(n, "barrier", "barrier:0")
+	meet(t, c, k)
+	if got := serverConns(); got != k {
+		t.Fatalf("server holds %d connections, want %d", got, k)
+	}
+	c.Close()
+	waitFor(t, func() bool { return serverConns() == 0 })
+
+	// A second client parks its own connections; the server closes under them.
+	c2 := NewClient(n, "barrier", "barrier:0")
+	defer c2.Close()
+	if _, err := c2.CallRaw(context.Background(), "Echo", nil); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Server.Close hung on idle connections")
+	}
+}
+
+// TestPipelinedRawFramesAnsweredInOrder: the server does not depend on its
+// clients' one-call-at-a-time discipline. A hand-written peer that writes a
+// burst of requests on one connection gets every one answered, in order.
+func TestPipelinedRawFramesAnsweredInOrder(t *testing.T) {
+	n := NewMem()
+	startEchoAt(t, n, "echo:0")
+	conn, err := n.Dial("echo:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	const burst = 50
+	var wire []byte
+	for i := 1; i <= burst; i++ {
+		wire = append(wire, encodeWire(t, &frame{kind: kindRequest, seq: uint64(i), method: "Echo", payload: []byte{byte(i)}})...)
+	}
+	if _, err := conn.Write(wire); err != nil {
+		t.Fatal(err)
+	}
+	fr := newFrameReader(conn)
+	for i := 1; i <= burst; i++ {
+		f, err := fr.read()
+		if err != nil {
+			t.Fatalf("reply %d: %v", i, err)
+		}
+		if f.kind != kindReply || f.seq != uint64(i) || len(f.payload) != 1 || f.payload[0] != byte(i) {
+			t.Fatalf("reply %d = kind %d seq %d payload %v", i, f.kind, f.seq, f.payload)
+		}
+	}
+}
+
 // TestHungServerDropsRequests: a hung server reads frames but never answers,
 // so callers burn their deadline (the crashed-but-connected failure mode the
-// chaos experiment relies on); Resume restores dispatch on the same conns.
+// chaos experiment relies on); Resume restores dispatch, on new connections.
 func TestHungServerDropsRequests(t *testing.T) {
 	n := NewMem()
 	s := startEchoAt(t, n, "echo:9")
-	c := NewClient(n, "echo", "echo:9", WithPoolSize(1))
+	c := NewClient(n, "echo", "echo:9")
 	defer c.Close()
 
 	if _, err := c.CallRaw(context.Background(), "Echo", []byte("a")); err != nil {

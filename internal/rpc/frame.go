@@ -7,9 +7,9 @@ import (
 
 // Frame kinds. A request carries a method; a reply or error carries the
 // originating sequence number only. A one-way frame is a request the server
-// never answers: the client completes at send and registers no reply waiter.
+// never answers: the client completes at send.
 //
-// The stream kinds multiplex open streams on the same connection, keyed by
+// The stream kinds multiplex open streams on one connection, keyed by
 // the opening frame's sequence number: StreamOpen is a request that starts
 // a stream instead of a unary exchange, StreamItem carries one data frame
 // in either direction, StreamEnd half-closes a direction (code 0 = clean,
@@ -58,90 +58,9 @@ func hasCode(kind byte) bool {
 	return kind == kindError || kind == kindStreamEnd || kind == kindStreamCredit
 }
 
-// appendFrame serializes f (excluding the outer length prefix) into buf.
-func appendFrame(buf []byte, f *frame) []byte {
-	buf = append(buf, f.kind)
-	buf = binary.AppendUvarint(buf, f.seq)
-	if hasMethod(f.kind) {
-		buf = appendString(buf, f.method)
-	}
-	if hasCode(f.kind) {
-		buf = binary.AppendVarint(buf, f.code)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(f.headers)))
-	// Header maps are tiny (trace context, deadline); ordering on the wire
-	// does not matter for correctness so we skip sorting here.
-	for k, v := range f.headers {
-		buf = appendString(buf, k)
-		buf = appendString(buf, v)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(f.payload)))
-	return append(buf, f.payload...)
-}
-
 func appendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
-}
-
-// parseFrame decodes a frame body (excluding the outer length prefix). The
-// returned frame's payload and header values alias or copy out of body as
-// noted: strings are copied, payload aliases body (frameReader.read copies
-// it out before the buffer is reused).
-func parseFrame(body []byte) (*frame, error) {
-	f := &frame{}
-	if len(body) < 1 {
-		return nil, fmt.Errorf("rpc: empty frame")
-	}
-	f.kind = body[0]
-	rest := body[1:]
-	var err error
-	if f.seq, rest, err = readUvarint(rest); err != nil {
-		return nil, err
-	}
-	if hasMethod(f.kind) {
-		if f.method, rest, err = readString(rest); err != nil {
-			return nil, err
-		}
-	}
-	if hasCode(f.kind) {
-		if f.code, rest, err = readVarint(rest); err != nil {
-			return nil, err
-		}
-	}
-	var nh uint64
-	if nh, rest, err = readUvarint64(rest); err != nil {
-		return nil, err
-	}
-	if nh > 1024 {
-		return nil, fmt.Errorf("rpc: too many headers: %d", nh)
-	}
-	if nh > 0 {
-		f.headers = make(map[string]string, nh)
-		for i := uint64(0); i < nh; i++ {
-			var k, v string
-			if k, rest, err = readString(rest); err != nil {
-				return nil, err
-			}
-			if v, rest, err = readString(rest); err != nil {
-				return nil, err
-			}
-			f.headers[k] = v
-		}
-	}
-	var np uint64
-	if np, rest, err = readUvarint64(rest); err != nil {
-		return nil, err
-	}
-	if np > uint64(len(rest)) {
-		return nil, fmt.Errorf("rpc: payload length %d exceeds frame", np)
-	}
-	f.payload = rest[:np]
-	return f, nil
-}
-
-func readUvarint(b []byte) (uint64, []byte, error) {
-	return readUvarint64(b)
 }
 
 func readUvarint64(b []byte) (uint64, []byte, error) {

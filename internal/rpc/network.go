@@ -1,8 +1,9 @@
 // Package rpc implements the suite's RPC framework — the role Apache Thrift
 // and gRPC play in DeathStarBench. It provides a framed binary protocol over
-// persistent connections with request multiplexing, client connection pools,
-// deadline propagation, application error codes, and client/server
-// interceptor chains used by the tracing and metrics layers.
+// pooled persistent connections — one call at a time on each, as Thrift's
+// synchronous clients have it; streams multiplexed on connections of their
+// own — with deadline propagation, application error codes, and
+// client/server interceptor chains used by the tracing and metrics layers.
 //
 // Two transports implement the Network interface: TCP (real sockets, used by
 // the cmd/ tools and latency-sensitive benchmarks) and Mem (in-process

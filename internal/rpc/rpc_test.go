@@ -137,7 +137,7 @@ func TestDeadlinePropagation(t *testing.T) {
 func TestConcurrentCallsMultiplexed(t *testing.T) {
 	testNetworks(t, func(t *testing.T, n Network) {
 		addr, _ := startEcho(t, n)
-		c := NewClient(n, "echo", addr, WithPoolSize(2))
+		c := NewClient(n, "echo", addr)
 		defer c.Close()
 		const workers, per = 8, 50
 		var wg sync.WaitGroup
@@ -203,7 +203,7 @@ func TestDialError(t *testing.T) {
 func TestClientReconnects(t *testing.T) {
 	n := NewMem()
 	addr, srv := startEcho(t, n)
-	c := NewClient(n, "echo", addr, WithPoolSize(1))
+	c := NewClient(n, "echo", addr)
 	defer c.Close()
 	var resp echoResp
 	if err := c.Call(context.Background(), "Echo", echoReq{Text: "a"}, &resp); err != nil {
@@ -362,7 +362,7 @@ func TestConcurrencyLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	c := NewClient(n, "limited", addr, WithPoolSize(4))
+	c := NewClient(n, "limited", addr)
 	defer c.Close()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -441,8 +441,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		headers: map[string]string{"trace": "abc", "span": "1"},
 		payload: []byte{1, 2, 3},
 	}
-	body := appendFrame(nil, in)
-	out, err := parseFrame(body)
+	out, err := parseBody(frameBody(t, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +450,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	// Error frame carries a code.
 	ein := &frame{kind: kindError, seq: 9, code: -42, payload: []byte("msg")}
-	eout, err := parseFrame(appendFrame(nil, ein))
+	eout, err := parseBody(frameBody(t, ein))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,16 +460,16 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestParseFrameCorrupt(t *testing.T) {
-	good := appendFrame(nil, &frame{kind: kindRequest, seq: 1, method: "M", payload: []byte("xyz")})
+	good := frameBody(t, &frame{kind: kindRequest, seq: 1, method: "M", payload: []byte("xyz")})
 	for i := 0; i < len(good); i++ {
-		if _, err := parseFrame(good[:i]); err == nil && i < len(good)-3 {
+		if _, err := parseBody(good[:i]); err == nil && i < len(good)-3 {
 			// Some prefixes legitimately parse as smaller frames only when
 			// truncation falls after the payload length; the payload length
 			// check catches the rest.
 			_ = err
 		}
 	}
-	if _, err := parseFrame(nil); err == nil {
+	if _, err := parseBody(nil); err == nil {
 		t.Fatal("empty frame parsed")
 	}
 }

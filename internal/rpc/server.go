@@ -91,21 +91,18 @@ type Handler func(ctx *Ctx, payload []byte) ([]byte, error)
 // registration order, outermost first.
 type ServerInterceptor func(ctx *Ctx, payload []byte, next Handler) ([]byte, error)
 
-// task is one unary request handed from a connection read loop to the
-// worker pool.
-type task struct {
-	conn net.Conn
-	cw   *connWriter
-	f    *frame
-}
-
 // Server serves RPC requests for one microservice instance.
 //
-// Unary dispatch runs on a demand-grown worker pool: the read loop hands a
-// request to a parked worker when one is ready instantly, and spawns a new
-// worker (which parks itself afterwards) when none is — so concurrency stays
-// unlimited, parked long-polls cannot starve anyone, and a steady serial
-// load reuses one goroutine instead of spawning per request.
+// A request runs on the goroutine of the connection it arrived on: a client
+// sends one call at a time per connection, so while the handler runs there
+// is nothing else to read, and a hop costs the server one wake-up. Tier
+// concurrency is the number of connections callers hold open; a parked
+// long-poll occupies its own connection and starves nobody. One-way frames
+// are the exception — their sender does not wait, so the next frame may be
+// right behind: they run on a demand-grown worker pool (a parked worker
+// takes the frame when one is ready instantly, a new one is spawned and
+// parks itself afterwards when none is), and a slow one-way handler never
+// sits in front of the next call on its connection.
 type Server struct {
 	service      string
 	mu           sync.Mutex
@@ -119,7 +116,7 @@ type Server struct {
 	sem          chan struct{} // nil = unlimited concurrency
 	hung         atomic.Bool
 	onClose      []func()
-	tasks        chan task
+	oneways      chan *frame
 
 	// dispatchTable holds a map[string]Handler from each unary method to its
 	// handler already wrapped in the interceptor chain. Handle and Use
@@ -145,7 +142,7 @@ func NewServer(service string) *Server {
 		handlers: make(map[string]Handler),
 		streams:  make(map[string]StreamHandler),
 		conns:    make(map[net.Conn]struct{}),
-		tasks:    make(chan task),
+		oneways:  make(chan *frame),
 	}
 }
 
@@ -175,16 +172,23 @@ func (s *Server) SetConcurrency(n int) {
 }
 
 // Hang switches the server into the failure mode of a crashed-but-connected
-// peer: it keeps accepting connections and reading request frames but drops
-// them without dispatching or replying, so callers burn their full deadline
-// instead of failing fast on a refused dial. Frames are still consumed — a
+// peer: it keeps accepting connections and reading frames but drops them
+// without dispatching or replying, and whatever its open streams' handlers
+// send — items, ends, credits — is dropped too, so callers burn their full
+// deadline instead of failing fast on a refused dial. Frames are still consumed — a
 // reader that stops draining would fill the connection's buffer and then
 // park client writers instead of modeling a silent peer. The fault layer
 // uses this to simulate crashes that only lease expiry can detect.
 func (s *Server) Hang() { s.hung.Store(true) }
 
-// Resume returns a hung server to normal dispatch (a restarted replica).
-func (s *Server) Resume() { s.hung.Store(false) }
+// Resume returns a hung server to normal dispatch — a restarted replica,
+// which has none of its old connections: they are closed, so calls still
+// waiting on the corpse fail at once instead of at their deadline, streams
+// that went silent end, and clients redial.
+func (s *Server) Resume() {
+	s.hung.Store(false)
+	s.closeConns()
+}
 
 // OneWayErrors returns how many one-way requests failed server-side. The
 // caller of a one-way RPC only sees send failures; everything after the
@@ -299,28 +303,35 @@ func (s *Server) Close() error {
 		s.mu.Unlock()
 		return nil
 	}
-	s.closed = true
+	s.closed = true // Serve admits no connection from here on
 	ls := s.listeners
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
 	hooks := s.onClose
 	s.mu.Unlock()
 	for _, l := range ls {
 		l.Close()
 	}
-	for _, c := range conns {
-		c.Close()
-	}
+	s.closeConns()
 	for _, fn := range hooks {
 		fn()
 	}
 	s.wg.Wait()
 	// All read loops have exited and all dispatches drained, so nothing can
 	// enqueue anymore; closing the channel retires the parked workers.
-	close(s.tasks)
+	close(s.oneways)
 	return nil
+}
+
+// closeConns closes every open connection; each one's serveConn unwinds.
+func (s *Server) closeConns() {
+	s.mu.Lock()
+	conns := make([]net.Conn, 0, len(s.conns))
+	for c := range s.conns {
+		conns = append(conns, c)
+	}
+	s.mu.Unlock()
+	for _, c := range conns {
+		c.Close()
+	}
 }
 
 func (s *Server) serveConn(conn net.Conn) {
@@ -352,13 +363,14 @@ func (s *Server) serveConn(conn net.Conn) {
 			continue
 		}
 		switch f.kind {
-		case kindRequest, kindOneWay:
+		case kindRequest:
+			s.dispatch(conn, cw, f)
+		case kindOneWay:
 			s.wg.Add(1)
-			t := task{conn: conn, cw: cw, f: f}
 			select {
-			case s.tasks <- t: // a parked worker takes it immediately
+			case s.oneways <- f: // a parked worker takes it immediately
 			default:
-				go s.worker(t) // none parked: grow the pool
+				go s.worker(f) // none parked: grow the pool
 			}
 		case kindStreamOpen:
 			// Register the stream here, in the read loop, before the handler
@@ -376,6 +388,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				}
 			}
 			st := &ServerStream{core: newStreamCore(f.seq, cw), cancel: cancel}
+			st.core.mute = &s.hung
 			if !streams.add(f.seq, st) {
 				cancel()
 				continue // conn torn down (or seq reuse)
@@ -412,18 +425,18 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// worker runs one task, then parks on the task channel to serve more until
-// the server closes it.
-func (s *Server) worker(t task) {
-	s.runTask(t)
-	for t := range s.tasks {
-		s.runTask(t)
+// worker runs one one-way frame, then parks on the channel to serve more
+// until the server closes it.
+func (s *Server) worker(f *frame) {
+	s.runOneWay(f)
+	for f := range s.oneways {
+		s.runOneWay(f)
 	}
 }
 
-func (s *Server) runTask(t task) {
+func (s *Server) runOneWay(f *frame) {
 	defer s.wg.Done()
-	s.dispatch(t.conn, t.cw, t.f)
+	s.dispatch(nil, nil, f) // nothing is written back
 }
 
 // publishDispatchLocked rebuilds dispatchTable from the current handlers and

@@ -5,15 +5,16 @@ import (
 	"errors"
 	"io"
 	"sync"
+	"sync/atomic"
 
 	"dsb/internal/codec"
 	"dsb/internal/transport"
 )
 
 // Streaming: a stream is opened by a kindStreamOpen request and then
-// carries kindStreamItem frames in either direction on the same multiplexed
-// connection as unary, one-way, and pipelined traffic, keyed by the opening
-// sequence number. Flow control is credit-based: each direction starts with
+// carries kindStreamItem frames in either direction, multiplexed with the
+// client's other streams on a connection calls never use, keyed by the
+// opening sequence number. Flow control is credit-based: each direction starts with
 // streamWindow item frames of send window, and the receiver grants credit
 // back (kindStreamCredit) as its application consumes items, so a slow
 // consumer parks the sender instead of ballooning the receiver's inbox —
@@ -49,10 +50,13 @@ var errStreamEnded = errors.New("rpc: stream ended by peer")
 // streamCore is one endpoint's half of an open stream: the send window, the
 // receive inbox, and the teardown latch, shared by the client and server
 // stream types. The wire writer is the conn's shared flush-coalescing
-// writer, so stream frames interleave with unary traffic.
+// writer, so the frames of a connection's streams interleave.
 type streamCore struct {
 	seq uint64
 	cw  *connWriter
+	// mute, set on a server's streams, is the server's hung flag: while it
+	// reads true every frame this end would write is dropped instead.
+	mute *atomic.Bool
 
 	mu     sync.Mutex
 	sendCv *sync.Cond // senders park here awaiting credit
@@ -78,6 +82,16 @@ func newStreamCore(seq uint64, cw *connWriter) *streamCore {
 	return sc
 }
 
+// write puts one stream frame on the wire — unless this end is a hung
+// server's, which falls silent on its open streams the way it stops
+// answering calls: the frame is lost and the writer none the wiser.
+func (sc *streamCore) write(f *frame) error {
+	if sc.mute != nil && sc.mute.Load() {
+		return nil
+	}
+	return sc.cw.write(f)
+}
+
 // send writes one item frame, parking while the peer's window is exhausted.
 func (sc *streamCore) send(b []byte) error {
 	sc.mu.Lock()
@@ -91,7 +105,7 @@ func (sc *streamCore) send(b []byte) error {
 	}
 	sc.credit--
 	sc.mu.Unlock()
-	if err := sc.cw.write(&frame{kind: kindStreamItem, seq: sc.seq, payload: b}); err != nil {
+	if err := sc.write(&frame{kind: kindStreamItem, seq: sc.seq, payload: b}); err != nil {
 		// The conn is broken; its read loop will fail every stream on it, but
 		// tear this one down now so the caller's error is immediate.
 		sc.teardown(transport.WrapCode(transport.CodeUnavailable, err, "rpc: stream conn lost: %v", err))
@@ -120,7 +134,7 @@ func (sc *streamCore) closeSend() error {
 	}
 	sc.sendCv.Broadcast()
 	sc.mu.Unlock()
-	return sc.cw.write(&frame{kind: kindStreamEnd, seq: sc.seq})
+	return sc.write(&frame{kind: kindStreamEnd, seq: sc.seq})
 }
 
 // recv returns the next item. Buffered items always drain before an end
@@ -151,7 +165,7 @@ func (sc *streamCore) recv() ([]byte, error) {
 	if grant > 0 {
 		// Best-effort: a failed credit write means the conn is dying and its
 		// read loop is about to tear the stream down anyway.
-		sc.cw.write(&frame{kind: kindStreamCredit, seq: sc.seq, code: int64(grant)}) //nolint:errcheck
+		sc.write(&frame{kind: kindStreamCredit, seq: sc.seq, code: int64(grant)}) //nolint:errcheck
 	}
 	return b, nil
 }
@@ -218,7 +232,7 @@ func (sc *streamCore) cancelWith(code int, msg string) {
 	torn := sc.torn
 	sc.mu.Unlock()
 	if !torn {
-		sc.cw.write(&frame{kind: kindStreamEnd, seq: sc.seq, code: int64(code), payload: []byte(msg)}) //nolint:errcheck
+		sc.write(&frame{kind: kindStreamEnd, seq: sc.seq, code: int64(code), payload: []byte(msg)}) //nolint:errcheck
 	}
 	sc.teardown(&Error{Code: code, Msg: msg})
 }
@@ -324,7 +338,7 @@ func (st *ServerStream) finish(err error) {
 	torn := st.core.torn
 	st.core.mu.Unlock()
 	if !torn {
-		st.core.cw.write(out) //nolint:errcheck // conn death tears down anyway
+		st.core.write(out) //nolint:errcheck // conn death tears down anyway
 	}
 	if err == nil {
 		err = errStreamEnded

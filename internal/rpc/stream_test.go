@@ -6,6 +6,7 @@ package rpc
 // `make check`.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -468,12 +469,74 @@ func TestServerCloseWakesParkedStreams(t *testing.T) {
 	}
 }
 
+// TestHungServerSilencesOpenStreams: a hung server falls silent on the
+// streams it already has open the way it stops answering calls — what its
+// handlers send is lost, their return sends no End — and Resume, a
+// restarted replica, ends those streams so their consumers reopen.
+func TestHungServerSilencesOpenStreams(t *testing.T) {
+	n := NewMem()
+	s := NewServer("ticker")
+	ticks, sent := make(chan struct{}), make(chan struct{})
+	s.HandleStream("Ticks", func(ctx *Ctx, payload []byte, st *ServerStream) error {
+		for i := int64(0); ; i++ {
+			select {
+			case <-ticks:
+			case <-st.Done():
+				return nil
+			}
+			if err := st.SendMsg(streamItem{Seq: i}); err != nil {
+				return err
+			}
+			sent <- struct{}{}
+		}
+	})
+	addr, err := s.Start(n, "ticker:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c := NewClient(n, "ticker", addr)
+	defer c.Close()
+	st, err := c.Stream(context.Background(), "Ticks", echoReq{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var item streamItem
+	ticks <- struct{}{}
+	<-sent
+	if err := st.Recv(&item); err != nil || item.Seq != 0 {
+		t.Fatalf("live stream: item %+v, %v", item, err)
+	}
+
+	s.Hang()
+	ticks <- struct{}{}
+	<-sent // the handler's Send returned: into the void
+	s.Resume()
+	// Frames on a connection stay in order, so had item 1 been written it
+	// would be read here, ahead of the end of the connection.
+	if err := st.Recv(&item); !IsCode(err, CodeUnavailable) {
+		t.Fatalf("after a hang: item %+v, err %v; want the stream lost, nothing delivered", item, err)
+	}
+
+	// The same on the way out: a handler returning on a hung server sends no
+	// End, clean or coded.
+	var wire bytes.Buffer
+	var hung atomic.Bool
+	hung.Store(true)
+	ss := &ServerStream{core: newStreamCore(1, newConnWriter(&wire))}
+	ss.core.mute = &hung
+	ss.finish(Errorf(CodeInternal, "handler failed"))
+	if wire.Len() != 0 {
+		t.Fatalf("a hung server's handler return wrote %d bytes", wire.Len())
+	}
+}
+
 // connGrabber records every conn it hands out so a test can sever them all
 // while the listener stays up — conn death without server death.
 type connGrabber struct {
 	Network
 	mu    sync.Mutex
-	conns []interface{ Close() error }
+	conns []net.Conn
 }
 
 func (g *connGrabber) Dial(addr string) (conn net.Conn, err error) {
@@ -519,7 +582,7 @@ func TestPipelinedCallsFailFastOnConnDeath(t *testing.T) {
 	defer s.Close()
 	defer close(release)
 
-	c := NewClient(n, "park", addr, WithPoolSize(1))
+	c := NewClient(n, "park", addr)
 	defer c.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

@@ -34,8 +34,11 @@ const maxFreeSegs = 8
 // connection or redialing.
 var errEncode = errors.New("rpc: encode request")
 
-// connWriter serializes frame writes from concurrent senders onto one shared
-// connection. It carries the hot-path optimizations of the write side:
+// connWriter serializes frame writes onto one connection. A connection that
+// carries calls has one sender at a time and the lock is uncontended; the
+// concurrent senders are a stream connection's streams and, on the server,
+// the handlers answering them. It carries the hot-path optimizations of the
+// write side:
 //
 //   - in-place encode: frames are appended directly into a connection-owned
 //     segment under the writer lock — a frame carrying a typed body is
@@ -43,10 +46,10 @@ var errEncode = errors.New("rpc: encode request")
 //     no per-call encode buffer ever exists;
 //   - flush coalescing: a sender that can see another sender already queued
 //     behind it leaves its bytes in the open segment and lets the last
-//     queued sender flush, so K concurrent callers multiplexed on one
-//     connection pay ~1 flush (the syscall-shaped cost on a real socket),
-//     not K. A lone sender still flushes immediately — latency is never
-//     traded for batching;
+//     queued sender flush, so K streams sending on one connection pay ~1
+//     flush (the syscall-shaped cost on a real socket), not K. A lone
+//     sender — every call — flushes immediately: latency is never traded
+//     for batching;
 //   - vectored flush: a burst that spilled across segments goes out in one
 //     net.Buffers writev instead of segment-by-segment writes (or a copy
 //     into one contiguous buffer).
@@ -245,8 +248,15 @@ type frameReader struct {
 	methods *atomic.Value
 }
 
+// readBufSize is a connection's read buffer. A client holds a connection per
+// concurrent call, so its price is paid per caller at peak, at both ends:
+// at 32 KiB the ledger's social_mixed (209 connections) grew 58 to 69 MiB of
+// peak RSS, at 16 KiB it does not move; TestIdleConnFootprint holds the line.
+// A frame larger than this still arrives whole — it only takes a second Read.
+const readBufSize = 16 << 10
+
 func newFrameReader(r io.Reader) *frameReader {
-	return &frameReader{r: bufio.NewReaderSize(r, 32<<10)}
+	return &frameReader{r: bufio.NewReaderSize(r, readBufSize)}
 }
 
 // read returns the next frame from the pool. The returned frame owns its
@@ -262,10 +272,14 @@ func (fr *frameReader) read() (*frame, error) {
 	if size > maxFrameSize {
 		return nil, fmt.Errorf("rpc: frame size %d exceeds limit", size)
 	}
-	if uint64(cap(fr.buf)) < size {
-		fr.buf = make([]byte, size)
+	body := fr.buf
+	if uint64(cap(body)) < size {
+		body = make([]byte, size)
+		if size <= maxRetainedBuffer { // a larger envelope serves its one frame
+			fr.buf = body
+		}
 	}
-	body := fr.buf[:size]
+	body = body[:size]
 	if _, err := io.ReadFull(fr.r, body); err != nil {
 		return nil, err
 	}
@@ -273,9 +287,6 @@ func (fr *frameReader) read() (*frame, error) {
 	if err := fr.parseInto(f, body); err != nil {
 		putFrame(f)
 		return nil, err
-	}
-	if cap(fr.buf) > maxRetainedBuffer {
-		fr.buf = nil
 	}
 	return f, nil
 }
@@ -290,7 +301,7 @@ func (fr *frameReader) parseInto(f *frame, body []byte) error {
 	f.kind = body[0]
 	rest := body[1:]
 	var err error
-	if f.seq, rest, err = readUvarint(rest); err != nil {
+	if f.seq, rest, err = readUvarint64(rest); err != nil {
 		return err
 	}
 	if hasMethod(f.kind) {

@@ -9,7 +9,7 @@ import (
 )
 
 // encodeWire renders f as its on-the-wire bytes.
-func encodeWire(t *testing.T, f *frame) []byte {
+func encodeWire(t testing.TB, f *frame) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	cw := newConnWriter(&buf)
@@ -17,6 +17,17 @@ func encodeWire(t *testing.T, f *frame) []byte {
 		t.Fatalf("encode: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// frameBody is f on the wire less the outer length prefix (always the four
+// padded bytes connWriter reserves).
+func frameBody(t testing.TB, f *frame) []byte { return encodeWire(t, f)[4:] }
+
+// parseBody decodes a frame body the way a connection's reader does.
+func parseBody(body []byte) (*frame, error) {
+	f := new(frame)
+	err := new(frameReader).parseInto(f, body)
+	return f, err
 }
 
 // TestFrameAllocGuard pins the frame path's allocation behavior so hot-path
@@ -140,7 +151,7 @@ func TestConcurrentSendersOneConn(t *testing.T) {
 	}
 	defer srv.Close()
 
-	c := NewClient(n, "echo", addr, WithPoolSize(1))
+	c := NewClient(n, "echo", addr)
 	defer c.Close()
 	ctx := context.Background()
 
