@@ -64,8 +64,9 @@ codecgen-check:
 # server-side request context, and WAL appends must reuse their encode
 # scratch instead of re-marshaling per record. The in-memory connection under
 # all of it must itself be allocation-free once its buffers have grown, and a
-# parked one must stay within its live-heap budget: an edge holds one per
-# concurrent call. A hop
+# parked one must stay within its live-heap budget, as must an open idle
+# stream (heap and goroutines, both ends): an edge holds one per concurrent
+# call and one per open stream. A hop
 # to a store tier (kv Get, docstore Get and Put through the svcutil clients)
 # has its own budget: pooled reply and, for docstore, no Doc on the server's
 # side at all — its handlers' own allocations (Get, replacing Put, ListPrepend
@@ -75,7 +76,7 @@ codecgen-check:
 # warmed timeline page through the REST front door — eight hops, the page
 # materialised twice — has an end-to-end object budget.
 alloc-guard:
-	$(GO) test -run 'TestFrameAllocGuard|TestEchoAllocGuard|TestMemConnAllocGuard|TestIdleConnFootprint' -count=1 ./internal/rpc/
+	$(GO) test -run 'TestFrameAllocGuard|TestEchoAllocGuard|TestMemConnAllocGuard|TestIdleConnFootprint|TestIdleStreamFootprint' -count=1 ./internal/rpc/
 	$(GO) test -run 'TestWALAppendBufferReuse|TestServiceAllocGuard|TestStoredDocFootprint' -count=1 ./internal/docstore/
 	$(GO) test -run 'TestStoreHopAllocGuard|TestRelayHopAllocGuard' -count=1 ./internal/svcutil/
 	$(GO) test -run TestTimelinePageAllocGuard -count=1 ./internal/services/socialnetwork/
@@ -93,11 +94,13 @@ conn-stress:
 	$(GO) test -race -run TestMemConnContract -count=20 ./internal/rpc/
 
 # A call reads its own reply, so the frame reader parses a peer's bytes on
-# the calling goroutine of every hop: ten seconds of hostile input on top of
-# the committed seeds (internal/rpc/testdata/fuzz), which plain `go test`
-# already replays.
+# the calling goroutine of every hop, and a connection is one state machine —
+# calls, or one stream — that a peer drives with whatever frames it likes:
+# ten seconds of hostile input for each, on top of the committed seeds
+# (internal/rpc/testdata/fuzz), which plain `go test` already replays.
 fuzz-frame:
 	$(GO) test -run '^$$' -fuzz FuzzFrameReader -fuzztime 10s ./internal/rpc/
+	$(GO) test -run '^$$' -fuzz FuzzStreamConn -fuzztime 10s ./internal/rpc/
 
 check: vet fmt-check race build test alloc-guard conn-stress fuzz-frame shard-balance codecgen-check
 

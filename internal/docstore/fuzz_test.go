@@ -26,7 +26,7 @@ func fuzzService(t testing.TB) (*Store, func(method string, payload []byte) ([]b
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := rpc.NewClient(n, "db", addr, rpc.WithPoolSize(1))
+	cl := rpc.NewClient(n, "db", addr)
 	t.Cleanup(func() {
 		cl.Close()
 		srv.Close()

@@ -24,7 +24,7 @@ func serveRaw(t testing.TB, store *Store) func(method string, payload []byte) []
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := rpc.NewClient(n, "db", addr, rpc.WithPoolSize(1))
+	c := rpc.NewClient(n, "db", addr)
 	t.Cleanup(func() {
 		c.Close()
 		srv.Close()

@@ -108,9 +108,9 @@ func TestAsymmetricPartition(t *testing.T) {
 	net := inj.Wrap(rpc.NewMem())
 	startEcho(t, net, "b:1")
 
-	ca := rpc.NewClient(net.Bind("a"), "b", "b:1", rpc.WithPoolSize(1))
+	ca := rpc.NewClient(net.Bind("a"), "b", "b:1")
 	defer ca.Close()
-	cc := rpc.NewClient(net.Bind("c"), "b", "b:1", rpc.WithPoolSize(1))
+	cc := rpc.NewClient(net.Bind("c"), "b", "b:1")
 	defer cc.Close()
 
 	// Warm both conns so the partition hits established connections.
@@ -143,7 +143,7 @@ func TestStallDelaysBytes(t *testing.T) {
 	inj := NewInjector(7)
 	net := inj.Wrap(rpc.NewMem())
 	startEcho(t, net, "b:1")
-	cl := rpc.NewClient(net.Bind("a"), "b", "b:1", rpc.WithPoolSize(1))
+	cl := rpc.NewClient(net.Bind("a"), "b", "b:1")
 	defer cl.Close()
 	if _, err := cl.CallRaw(context.Background(), "Echo", []byte("w")); err != nil {
 		t.Fatal(err)

@@ -110,7 +110,6 @@ type Balanced struct {
 	network    rpc.Network
 	target     string
 	policy     Policy
-	clientOpts []rpc.ClientOption
 	mws        []transport.Middleware
 	instrument func(addr string) ([]transport.Middleware, func() string)
 	invoke     transport.Invoker
@@ -135,12 +134,6 @@ func (b *Balanced) publish(backends []*backend) {
 
 // Option configures a Balanced client.
 type Option func(*Balanced)
-
-// WithClientOptions passes options (pool size, per-client middleware) down
-// to every backend's rpc.Client.
-func WithClientOptions(opts ...rpc.ClientOption) Option {
-	return func(b *Balanced) { b.clientOpts = append(b.clientOpts, opts...) }
-}
 
 // WithMiddleware appends per-target middleware around the replica choice:
 // each attempt the chain makes (a retry, a hedge) re-picks a backend. This
@@ -190,18 +183,14 @@ func (b *Balanced) AddBackend(addr string) {
 			return
 		}
 	}
-	opts := b.clientOpts
 	var probe func() string
 	var mws []transport.Middleware
 	if b.instrument != nil {
 		mws, probe = b.instrument(addr)
 	}
-	if len(mws) > 0 {
-		opts = append(opts[:len(opts):len(opts)], rpc.WithMiddleware(mws...))
-	}
 	b.publish(append(backends[:len(backends):len(backends)], &backend{
 		addr:    addr,
-		client:  rpc.NewClient(b.network, b.target, addr, opts...),
+		client:  rpc.NewClient(b.network, b.target, addr, rpc.WithMiddleware(mws...)),
 		breaker: probe,
 	}))
 }

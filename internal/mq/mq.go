@@ -100,7 +100,6 @@ type queue struct {
 	inflight map[uint64]*item
 	index    map[string]*item // key -> live item (queued or in-flight)
 	nextID   uint64
-	sessions uint64 // last Session id handed out
 	closed   bool
 	now      func() time.Time
 
@@ -121,7 +120,7 @@ type item struct {
 	enqueued time.Time
 	leasedAt time.Time
 	lease    time.Duration
-	owner    uint64 // Session holding the current lease; 0 = none
+	owner    *Session // holding the current lease; nil = none
 }
 
 // Option configures a Broker.
@@ -340,7 +339,7 @@ func (qq *queue) tombstoneLocked(key string) {
 // leases it to the caller for leaseFor; if not acked in time, the message
 // is redelivered. leaseFor <= 0 means a 30s default.
 func (q *Queue) Receive(leaseFor time.Duration) (Message, bool) {
-	return q.receive(leaseFor, nil, 0)
+	return q.receive(leaseFor, nil, nil)
 }
 
 // ReceiveWait is Receive bounded by a wait budget: it returns ok=false once
@@ -351,10 +350,10 @@ func (q *Queue) ReceiveWait(leaseFor, wait time.Duration) (Message, bool) {
 	if wait <= 0 {
 		return q.TryReceive(leaseFor)
 	}
-	return q.receiveWait(leaseFor, wait, 0)
+	return q.receiveWait(leaseFor, wait, nil)
 }
 
-func (q *Queue) receiveWait(leaseFor, wait time.Duration, owner uint64) (Message, bool) {
+func (q *Queue) receiveWait(leaseFor, wait time.Duration, owner *Session) (Message, bool) {
 	timedOut := false
 	qq := q.q
 	// sync.Cond has no timed wait; a timer flips timedOut under the queue
@@ -372,7 +371,7 @@ func (q *Queue) receiveWait(leaseFor, wait time.Duration, owner uint64) (Message
 // TryReceive is Receive without blocking; ok is false when empty.
 func (q *Queue) TryReceive(leaseFor time.Duration) (Message, bool) {
 	expired := true
-	return q.receive(leaseFor, &expired, 0)
+	return q.receive(leaseFor, &expired, nil)
 }
 
 // Session is a lease owner on one queue — the broker's end of a push
@@ -382,37 +381,38 @@ func (q *Queue) TryReceive(leaseFor time.Duration) (Message, bool) {
 // transit by the teardown, or in the hands of a consumer that died all
 // redeliver at once instead of at lease expiry.
 type Session struct {
-	q  *Queue
-	id uint64
+	q      *Queue
+	closed bool // under the queue lock
 }
 
 // Session opens a lease owner on the queue.
-func (q *Queue) Session() *Session {
-	q.q.mu.Lock()
-	defer q.q.mu.Unlock()
-	q.q.sessions++
-	return &Session{q: q, id: q.q.sessions}
-}
+func (q *Queue) Session() *Session { return &Session{q: q} }
 
-// ReceiveWait is Queue.ReceiveWait with the lease owned by the session.
+// ReceiveWait is Queue.ReceiveWait with the lease owned by the session; on
+// a closed session it returns ok=false at once.
 func (s *Session) ReceiveWait(leaseFor, wait time.Duration) (Message, bool) {
-	return s.q.receiveWait(leaseFor, wait, s.id)
+	return s.q.receiveWait(leaseFor, wait, s)
 }
 
 // Close returns the session's unsettled leases to the front of the queue,
-// in ID order, dead-lettering the ones that have exhausted MaxAttempts.
+// in ID order, dead-lettering the ones that have exhausted MaxAttempts, and
+// ends the session: a ReceiveWait parked on it wakes empty-handed instead of
+// leasing back what was just returned. Safe to call from another goroutine
+// than the receiver's, and more than once.
 func (s *Session) Close() {
 	qq := s.q.q
 	qq.mu.Lock()
 	defer qq.mu.Unlock()
-	qq.requeueLocked(func(it *item) bool { return it.owner == s.id })
+	s.closed = true
+	qq.requeueLocked(func(it *item) bool { return it.owner == s })
+	qq.cond.Broadcast() // with nothing to requeue, the session's own waiter still has to hear
 }
 
 // receive is the shared dequeue path. timedOut, when non-nil, is read under
 // the queue lock: the loop gives up once it is true and nothing is
 // deliverable (nil means block until delivery or close). owner, when
-// nonzero, is the Session the lease belongs to.
-func (q *Queue) receive(leaseFor time.Duration, timedOut *bool, owner uint64) (Message, bool) {
+// non-nil, is the Session the lease belongs to, and closing it ends the wait.
+func (q *Queue) receive(leaseFor time.Duration, timedOut *bool, owner *Session) (Message, bool) {
 	if leaseFor <= 0 {
 		leaseFor = 30 * time.Second
 	}
@@ -420,6 +420,9 @@ func (q *Queue) receive(leaseFor time.Duration, timedOut *bool, owner uint64) (M
 	qq.mu.Lock()
 	defer qq.mu.Unlock()
 	for {
+		if owner != nil && owner.closed {
+			return Message{}, false
+		}
 		qq.reclaimExpiredLocked()
 		if len(qq.items) > 0 {
 			it := qq.items[0]

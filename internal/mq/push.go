@@ -19,10 +19,11 @@ import (
 	"dsb/internal/transport"
 )
 
-// pushWaitSlice bounds each broker-side queue wait between liveness checks
-// of the push stream: a local cond wait, so an idle topic costs no RPCs —
-// the whole point versus polling — while teardown is noticed within one
-// slice.
+// pushWaitSlice bounds each broker-side queue wait of a push stream: a local
+// cond wait, so an idle topic costs no RPCs — the whole point versus polling.
+// Nothing wakes a waiter when a lease runs out, so the slice is how late an
+// expired lease can be noticed on an idle queue; stream teardown does not
+// wait for it (it closes the Session, which wakes the wait).
 const pushWaitSlice = 250 * time.Millisecond
 
 // pushReopenBase and pushReopenMax bound the backoff a push consumer's

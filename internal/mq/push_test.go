@@ -144,6 +144,57 @@ func TestPushSessionCloseWakesNext(t *testing.T) {
 	}
 }
 
+// TestPushHandBackIsPrompt: a consumer that stops while holding a leased
+// message hands it to its sibling in the group at once. The broker's Push
+// handler used to look at the stream's end only when its queue wait came
+// round, so on an idle queue the hand-back waited out pushWaitSlice. Timing
+// on a shared machine can lose one round to the scheduler, so the fastest
+// of three counts; before the fix none is under the slice.
+func TestPushHandBackIsPrompt(t *testing.T) {
+	_, bus := bootPushBroker(t)
+	ctx := context.Background()
+	best := time.Hour
+	for round := 0; round < 3; round++ {
+		topic := fmt.Sprintf("t%d", round) // a round's closing streams stay out of the next
+		if err := bus.Subscribe(ctx, topic, "g", QueueConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		holder, err := bus.Push(ctx, topic, "g", time.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bus.Publish(ctx, topic, []byte("m")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := holder.Next(); err != nil {
+			t.Fatal(err)
+		}
+		// Leased to holder, whose broker-side loop is parked on the now idle
+		// queue; the sibling's parks there too.
+		sibling, err := bus.Push(ctx, topic, "g", time.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		holder.Close()
+		m, err := sibling.Next()
+		took := time.Since(start)
+		if err != nil || string(m.Body) != "m" || m.Attempts != 2 {
+			t.Fatalf("sibling got %+v, %v; want the handed-back message, attempt 2", m, err)
+		}
+		if err := bus.Ack(ctx, topic, "g", m); err != nil {
+			t.Fatal(err)
+		}
+		sibling.Close()
+		if took < best {
+			best = took
+		}
+	}
+	if limit := pushWaitSlice / 5; best > limit {
+		t.Fatalf("hand-back took %v at best, want under %v: it waited for the broker's %v wait slice", best, limit, pushWaitSlice)
+	}
+}
+
 // TestPushPartitioned drives push across the sharded replicated tier: every
 // keyed message lands exactly once through the merged per-shard streams and
 // key-addressed acks retire mirrors as usual.

@@ -289,10 +289,13 @@ func RegisterService(srv *rpc.Server, broker *Broker) {
 		// expiry.
 		sess := q.Session()
 		defer sess.Close()
+		// Stream teardown (client gone, conn death, server shutdown) cancels
+		// ctx, and that closes the session at once — the hand-back does not
+		// wait for the loop below to come round.
+		defer context.AfterFunc(ctx, sess.Close)()
 		for {
-			// Short wait slices — a local cond wait, no RPCs — keep the loop
-			// responsive to stream teardown (client gone, conn death, server
-			// shutdown) without busy-spinning an idle queue.
+			// A local cond wait, no RPCs; the slice only bounds how late an
+			// expired lease on an idle queue is noticed.
 			msg, ok := sess.ReceiveWait(time.Duration(req.LeaseNs), pushWaitSlice)
 			select {
 			case <-st.Done():

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dsb/internal/codec"
+	"dsb/internal/transport"
 )
 
 // guardMsg is a minimal registered message so the echo round trip below
@@ -164,4 +165,56 @@ func TestIdleConnFootprint(t *testing.T) {
 	if per > idleConnBudget {
 		t.Fatalf("a parked connection keeps %d B alive, budget %d", per, idleConnBudget)
 	}
+}
+
+// idleStreamBudget is the live heap one open, idle stream may hold, both ends
+// together: its connection (see idleConnBudget; a stream has one to itself,
+// and an idle one's rings have carried only the open frame), the two
+// streamCores, the server's handler context and three goroutines' descriptors
+// — 35.5 KiB measured. Those goroutines are the rest of the price: the
+// client's reader of the connection, the server's, and the handler; their
+// stacks are not heap.
+const (
+	idleStreamBudget    = 38 << 10
+	goroutinesPerStream = 3
+)
+
+// TestIdleStreamFootprint opens a thousand streams on rpc.Mem, leaves them
+// idle, and holds what each keeps alive — heap and goroutines — to the budget,
+// so a change that re-grows per-stream state fails here, not in a ledger run.
+func TestIdleStreamFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector shadow memory is not the footprint")
+	}
+	const streams = 1000
+	n := NewMem()
+	addr, _ := startStreamServer(t, n)
+	c := NewClient(n, "stream", addr)
+	defer c.Close()
+
+	heap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before, goroutines := heap(), runtime.NumGoroutine()
+	open := make([]*transport.Stream, streams)
+	for i := range open {
+		var err error
+		if open[i], err = c.Stream(context.Background(), "Parked", echoReq{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, func() bool { return runtime.NumGoroutine() >= goroutines+goroutinesPerStream*streams })
+	per := (heap() - before) / streams
+	perG := float64(runtime.NumGoroutine()-goroutines) / streams
+	t.Logf("%d B of live heap and %.2f goroutines per open idle stream (budget %d and %d)", per, perG, idleStreamBudget, goroutinesPerStream)
+	if per > idleStreamBudget {
+		t.Errorf("an open idle stream keeps %d B alive, budget %d", per, idleStreamBudget)
+	}
+	if perG > goroutinesPerStream {
+		t.Errorf("an open idle stream runs %.2f goroutines, budget %d", perG, goroutinesPerStream)
+	}
+	runtime.KeepAlive(open)
 }

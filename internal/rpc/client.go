@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dsb/internal/codec"
@@ -19,9 +17,12 @@ import (
 // connections to its downstream tiers: a call checks a connection out of the
 // client's idle stack (dialing when it is empty), writes its request, reads
 // its own reply on the calling goroutine and parks the connection again. A
-// connection carries one call at a time, so nothing stands between caller
-// and socket — no reader goroutine, no waiter, no table of calls in flight —
-// and an edge holds as many connections as its peak concurrency. Outgoing
+// connection carries one conversation at a time — a call, a one-way frame or
+// a stream — so nothing stands between caller and socket — no waiter, no
+// table of calls or streams in flight, and a reader goroutine only for as
+// long as a stream is open on it — and an edge holds as many connections as
+// its peak concurrency. A stream keeps its connection until it ends, and that
+// connection is closed, never parked. Outgoing
 // calls flow through a transport.Middleware chain — the same chain type the
 // REST client accepts — composed once at construction, so an unadorned
 // client pays nothing per call for the abstraction.
@@ -41,27 +42,20 @@ type Client struct {
 	mws     []transport.Middleware
 	invoke  transport.Invoker // composed chain ending in exchangeCall
 
-	mu      sync.Mutex
-	idle    []*conn            // parked connections; last in, first out
-	conns   map[*conn]struct{} // every open one, parked or carrying a call: Close's list
-	streams []*clientConn      // multiplexed stream connections, dialed per slot on first use
-	next    atomic.Uint64      // round-robin over streams
-	closed  bool
+	mu     sync.Mutex
+	idle   []*conn            // parked connections; last in, first out
+	conns  map[*conn]struct{} // every open one, parked or checked out: Close's list
+	closed bool
 }
 
 // ClientOption configures a Client.
 type ClientOption func(*Client)
 
-// WithPoolSize sets how many multiplexed connections the client's streams
-// are spread over (default 2). Unary and one-way calls are not its business:
-// they take one connection each for as long as they last.
-func WithPoolSize(n int) ClientOption {
-	return func(c *Client) {
-		if n > 0 {
-			c.streams = make([]*clientConn, n)
-		}
-	}
-}
+// WithPoolSize does nothing: every call and every stream takes a connection
+// of its own, so there is no pool left to size. It exists only because
+// benchmark/ladder.go, which a PR outside benchmark/ may not edit, still
+// passes it; the benchmark PR that drops that one call deletes this.
+func WithPoolSize(int) ClientOption { return func(*Client) {} }
 
 // WithMiddleware appends client middleware; mws run in registration order,
 // outermost first, around the wire exchange.
@@ -72,8 +66,7 @@ func WithMiddleware(mws ...transport.Middleware) ClientOption {
 // NewClient creates a client for the target service at addr. Connections
 // are dialed lazily on first use.
 func NewClient(network Network, target, addr string, opts ...ClientOption) *Client {
-	c := &Client{network: network, addr: addr, target: target,
-		conns: make(map[*conn]struct{}), streams: make([]*clientConn, 2)}
+	c := &Client{network: network, addr: addr, target: target, conns: make(map[*conn]struct{})}
 	for _, o := range opts {
 		o(c)
 	}
@@ -204,10 +197,10 @@ func (c *Client) Go(ctx context.Context, method string, req, resp any) *Pending 
 }
 
 // Stream opens a streaming call: the open runs through the full middleware
-// chain (Call.Stream set), and the returned typed stream multiplexes item
-// frames with the client's other streams on a connection unary calls never
-// touch. ctx governs the stream's whole lifetime — cancellation aborts it,
-// waking parked Sends and Recvs on both ends.
+// chain (Call.Stream set) and takes a connection the way a call does; the
+// returned typed stream has that connection to itself until it ends. ctx
+// governs the stream's whole lifetime — cancellation aborts it, waking parked
+// Sends and Recvs on both ends.
 func (c *Client) Stream(ctx context.Context, method string, req any) (*transport.Stream, error) {
 	return transport.OpenStream(ctx, c.invoke, c.target, "", method, req)
 }
@@ -215,38 +208,27 @@ func (c *Client) Stream(ctx context.Context, method string, req any) (*transport
 var _ transport.Streamer = (*Client)(nil)
 
 // openStream is the terminal invoker's streaming branch: it writes the open
-// frame on a stream conn (with one redial when the write fails — the frame
-// never left, as in send) and attaches the stream to the call. A watcher
-// goroutine ties the stream to ctx — cancellation sends the server a coded
-// End (waking its handler) and tears the client side down; it exits with
-// the stream.
+// frame on a checked-out connection and hands the connection to the stream,
+// whose one goroutine reads it until the stream is over — at which point the
+// connection is closed, never parked: item and credit frames may still be in
+// flight on it. Cancelling ctx sends the server a coded End (waking its
+// handler) and tears the client side down.
 func (c *Client) openStream(ctx context.Context, call *transport.Call) error {
-	for attempt := 0; ; attempt++ {
-		cc, err := c.pickStream()
-		if err != nil {
-			return err
-		}
-		f := getFrame()
-		f.kind, f.method, f.headers, f.payload = kindStreamOpen, call.Method, call.Headers, call.Payload
-		st, err := cc.openStream(f)
-		putFrame(f)
-		if err != nil {
-			cc.fail(err)
-			if attempt == 0 {
-				continue // a stream conn that died idle: one fresh dial
-			}
-			return transport.WrapCode(transport.CodeUnavailable, err, "rpc: open stream to %s: %v", c.target, err)
-		}
-		go func() {
-			select {
-			case <-ctx.Done():
-				st.cancelWith(CodeDeadline, "stream context done: "+ctx.Err().Error())
-			case <-st.done:
-			}
-		}()
-		call.StreamBody = &clientStream{core: st}
-		return nil
+	cn, err := c.send(kindStreamOpen, call)
+	if err != nil {
+		return err
 	}
+	st := newStreamCore(cn.seq, cn.cw)
+	st.onTeardown = func() { c.drop(cn) }
+	stop := context.AfterFunc(ctx, func() {
+		st.cancelWith(CodeDeadline, "stream context done: "+ctx.Err().Error())
+	})
+	go func() {
+		st.teardown(errStreamConnLost(st.readFrom(cn.fr)))
+		stop()
+	}()
+	call.StreamBody = &clientStream{core: st}
+	return nil
 }
 
 // exchangeCall is the terminal invoker: it stamps the deadline header from
@@ -326,8 +308,9 @@ func (c *Client) exchange(ctx context.Context, call *transport.Call) error {
 	return err
 }
 
-// conn is one pooled connection. Whoever holds it — the call that checked it
-// out — is its only writer and its only reader, so it needs no lock.
+// conn is one pooled connection. Whoever holds it — the call or stream that
+// checked it out — is its only reader, so it needs no lock of its own (a
+// stream's concurrent writers meet in cw's).
 type conn struct {
 	nc  net.Conn
 	cw  *connWriter
@@ -464,47 +447,8 @@ func (c *Client) closeIdle() {
 	}
 }
 
-// pickStream returns a live stream connection, dialing if necessary. The
-// dial happens outside the client lock — a slow or hung dial must not
-// serialize every other caller — with a re-check under the lock afterwards
-// so concurrent pickers of the same slot don't leak connections.
-func (c *Client) pickStream() (*clientConn, error) {
-	idx := int(c.next.Add(1)) % len(c.streams)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, errClientClosed
-	}
-	cc := c.streams[idx]
-	c.mu.Unlock()
-	if cc != nil && !cc.dead() {
-		return cc, nil
-	}
-
-	conn, err := c.network.Dial(c.addr)
-	if err != nil {
-		return nil, fmt.Errorf("rpc: dial %s (%s): %w", c.target, c.addr, err)
-	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		conn.Close()
-		return nil, errClientClosed
-	}
-	if existing := c.streams[idx]; existing != nil && !existing.dead() {
-		// A concurrent caller re-dialed this slot first; use theirs.
-		c.mu.Unlock()
-		conn.Close()
-		return existing, nil
-	}
-	cc = newClientConn(conn)
-	c.streams[idx] = cc
-	c.mu.Unlock()
-	return cc, nil
-}
-
 // Close tears down every connection: parked ones close, calls in flight
-// fail at their read, open streams end.
+// fail at their read, open streams end when their readers do.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	c.closed = true
@@ -514,117 +458,5 @@ func (c *Client) Close() error {
 	for cn := range conns {
 		cn.nc.Close()
 	}
-	for _, cc := range c.streams { // slots are written under mu only while !closed
-		if cc != nil {
-			cc.fail(errors.New("client closed"))
-		}
-	}
 	return nil
-}
-
-// clientConn is one multiplexed stream connection: writes are serialized
-// (and flush-coalesced across concurrent senders) by a connWriter, and a
-// reader goroutine — a stream needs a standing reader, for credits — routes
-// item, credit and end frames to the open streams by sequence number.
-type clientConn struct {
-	conn io.Closer
-	cw   *connWriter
-
-	mu      sync.Mutex
-	streams map[uint64]*streamCore
-	seq     uint64
-	err     error
-}
-
-func newClientConn(conn net.Conn) *clientConn {
-	cc := &clientConn{conn: conn, cw: newConnWriter(conn), streams: make(map[uint64]*streamCore)}
-	go cc.readLoop(newFrameReader(conn))
-	return cc
-}
-
-func (cc *clientConn) dead() bool {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	return cc.err != nil
-}
-
-// fail marks the connection dead and tears its open streams down, outside
-// the lock (their unregister hooks re-enter the conn), with a coded
-// retryable error so stream consumers fail over the way unary callers do.
-func (cc *clientConn) fail(err error) {
-	var streams []*streamCore
-	cc.mu.Lock()
-	if cc.err == nil {
-		cc.err = err
-		streams = make([]*streamCore, 0, len(cc.streams))
-		for seq, st := range cc.streams {
-			streams = append(streams, st)
-			delete(cc.streams, seq)
-		}
-	}
-	cc.mu.Unlock()
-	for _, st := range streams {
-		st.teardown(transport.WrapCode(transport.CodeUnavailable, err, "rpc: stream conn lost: %v", err))
-	}
-	cc.conn.Close()
-}
-
-// openStream registers a stream for the open frame's sequence number and
-// writes it. The returned core is routed item/credit/end frames by the read
-// loop until teardown unregisters it.
-func (cc *clientConn) openStream(f *frame) (*streamCore, error) {
-	cc.mu.Lock()
-	if cc.err != nil {
-		err := cc.err
-		cc.mu.Unlock()
-		return nil, err
-	}
-	cc.seq++
-	f.seq = cc.seq
-	seq := f.seq
-	st := newStreamCore(seq, cc.cw)
-	st.onTeardown = func() { cc.dropStream(seq) }
-	cc.streams[seq] = st
-	cc.mu.Unlock()
-
-	if err := cc.cw.write(f); err != nil {
-		cc.dropStream(seq)
-		return nil, err
-	}
-	return st, nil
-}
-
-func (cc *clientConn) dropStream(seq uint64) {
-	cc.mu.Lock()
-	delete(cc.streams, seq)
-	cc.mu.Unlock()
-}
-
-func (cc *clientConn) readLoop(fr *frameReader) {
-	for {
-		f, err := fr.read()
-		if err != nil {
-			cc.fail(err)
-			return
-		}
-		cc.mu.Lock()
-		st := cc.streams[f.seq]
-		cc.mu.Unlock()
-		if st != nil {
-			switch f.kind {
-			case kindStreamItem:
-				st.deliver(f.payload)
-			case kindStreamEnd:
-				// Any server End is terminal client-side: the handler
-				// returned, so sends have no one to reach.
-				st.peerEnd(f.code, f.payload, true)
-			case kindStreamCredit:
-				st.peerCredit(int(f.code))
-			}
-		}
-		// Stream payloads are plain allocations retained by the stream core
-		// (or dropped, for a torn-down stream); only the frame struct
-		// recycles.
-		putFrame(f)
-	}
 }

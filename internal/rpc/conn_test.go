@@ -486,19 +486,14 @@ func TestCloseWithParkedConns(t *testing.T) {
 	const k = 8
 	n := NewMem()
 	s := barrierServer(t, n, "barrier:0", k)
-	serverConns := func() int {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return len(s.conns)
-	}
 
 	c := NewClient(n, "barrier", "barrier:0")
 	meet(t, c, k)
-	if got := serverConns(); got != k {
+	if got := serverConns(s); got != k {
 		t.Fatalf("server holds %d connections, want %d", got, k)
 	}
 	c.Close()
-	waitFor(t, func() bool { return serverConns() == 0 })
+	waitFor(t, func() bool { return serverConns(s) == 0 })
 
 	// A second client parks its own connections; the server closes under them.
 	c2 := NewClient(n, "barrier", "barrier:0")

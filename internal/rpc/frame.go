@@ -9,12 +9,12 @@ import (
 // originating sequence number only. A one-way frame is a request the server
 // never answers: the client completes at send.
 //
-// The stream kinds multiplex open streams on one connection, keyed by
-// the opening frame's sequence number: StreamOpen is a request that starts
-// a stream instead of a unary exchange, StreamItem carries one data frame
-// in either direction, StreamEnd half-closes a direction (code 0 = clean,
-// nonzero = the coded error that ended it), and StreamCredit grants the
-// peer `code` more item frames of send window (flow control).
+// The stream kinds carry one stream on a connection it has to itself, each
+// frame bearing the opening frame's sequence number: StreamOpen is a request
+// that starts a stream instead of a unary exchange, StreamItem carries one
+// data frame in either direction, StreamEnd half-closes a direction (code 0
+// = clean, nonzero = the coded error that ended it), and StreamCredit grants
+// the peer `code` more item frames of send window (flow control).
 const (
 	kindRequest      = 0
 	kindReply        = 1

@@ -2,8 +2,11 @@ package rpc
 
 import (
 	"bytes"
+	"io"
 	"maps"
+	"math"
 	"testing"
+	"time"
 
 	"dsb/internal/transport"
 )
@@ -61,6 +64,126 @@ func FuzzFrameReader(f *testing.F) {
 			if reply.seq != seq || (reply.kind != kindReply && reply.kind != kindError) {
 				t.Fatalf("call %d was handed frame kind %d seq %d", seq, reply.kind, reply.seq)
 			}
+		}
+	})
+}
+
+// A FuzzStreamConn script is a run of three-byte steps — frame kind, sequence
+// number, code — each byte an index (modulo) into one of these tables. The
+// stream under test is opened with sequence number 1, which is why the table
+// leans that way; the rest are the hostile ones.
+var (
+	scriptKinds = []byte{kindStreamOpen, kindStreamItem, kindStreamEnd, kindStreamCredit, kindRequest}
+	scriptSeqs  = []uint64{1, 1, 1, 0, 2, 1 << 63, math.MaxUint64}
+	scriptCodes = []int64{0, 1, creditBatch, streamWindow, 2*streamWindow + 1, 1 << 31, math.MaxInt64, -1, math.MinInt64, int64(CodeInternal)}
+)
+
+// scriptWire renders a script as the bytes a peer would write, and reports
+// whether the stream with sequence number 1 is sent an End before the first
+// frame that ends the reading (a request-shaped one; for the client's reader
+// that includes the open).
+func scriptWire(t testing.TB, script []byte, openStops bool) (wire []byte, ended bool) {
+	stopped := false
+	for ; len(script) >= 3; script = script[3:] {
+		f := &frame{
+			kind: scriptKinds[int(script[0])%len(scriptKinds)],
+			seq:  scriptSeqs[int(script[1])%len(scriptSeqs)],
+			code: scriptCodes[int(script[2])%len(scriptCodes)],
+		}
+		switch f.kind {
+		case kindStreamOpen:
+			f.method = "Hold"
+			stopped = stopped || openStops
+		case kindRequest:
+			f.method = "Echo"
+			stopped = true
+		case kindStreamItem:
+			f.payload = []byte("item")
+		case kindStreamEnd:
+			ended = ended || (!stopped && f.seq == 1)
+		}
+		wire = append(wire, encodeWire(t, f)...)
+	}
+	return wire, ended
+}
+
+// FuzzStreamConn drives the one state machine a connection has — no stream
+// yet, or one stream and nothing else — with arbitrary sequences of open,
+// item, end, credit and request frames bearing hostile sequence numbers and
+// credit grants, against a server's connection and against a client stream's
+// reader. Neither may panic; a stream's inbox never passes 2*streamWindow
+// items and its send window stays within [0, 2*streamWindow] whatever the
+// peer grants; a connection runs at most one stream handler; and the
+// connection's reader and the stream's handler are both gone once the
+// connection is.
+//
+// Seeds for each hostile shape are committed under testdata/fuzz; `make
+// check` runs the target for ten seconds.
+func FuzzStreamConn(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 0, 0, 3, 0, 2, 2, 0, 0})
+
+	within := func(t *testing.T, what string, done <-chan struct{}) {
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s outlived the connection", what)
+		}
+	}
+	checkWindow := func(t *testing.T, end string, sc *streamCore) {
+		sc.mu.Lock()
+		defer sc.mu.Unlock()
+		if len(sc.inbox) > 2*streamWindow {
+			t.Fatalf("%s stream buffered %d items, cap is %d", end, len(sc.inbox), 2*streamWindow)
+		}
+		if sc.credit < 0 || sc.credit > 2*streamWindow {
+			t.Fatalf("%s stream's send window is %d, outside [0, %d]", end, sc.credit, 2*streamWindow)
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) > 3*1024 {
+			script = script[:3*1024]
+		}
+
+		// A server's connection. The handler never reads, so what the inbox
+		// holds at the end is the most it ever held.
+		s := NewServer("fuzz")
+		s.Handle("Echo", func(ctx *Ctx, payload []byte) ([]byte, error) { return payload, nil })
+		held := make(chan *streamCore, 2)
+		s.HandleStream("Hold", func(ctx *Ctx, payload []byte, st *ServerStream) error {
+			held <- st.core
+			<-st.Done()
+			<-ctx.Done() // teardown cancels the handler's ctx, whatever caused it
+			return nil
+		})
+		wire, _ := scriptWire(t, script, false)
+		peer, conn := newMemConnPair("fuzz")
+		served, unwound := make(chan struct{}), make(chan struct{})
+		s.wg.Add(1)
+		go func() { s.serveConn(conn); close(served) }()
+		go io.Copy(io.Discard, peer) //nolint:errcheck // replies to the script's requests
+		peer.Write(wire)             //nolint:errcheck // fails where the server hung up on a second conversation
+		peer.Close()
+		within(t, "the connection's reader", served)
+		go func() { s.wg.Wait(); close(unwound) }()
+		within(t, "a stream handler", unwound)
+		if len(held) > 1 {
+			t.Fatal("one connection ran two stream handlers")
+		}
+		if len(held) == 1 {
+			checkWindow(t, "server", <-held)
+		}
+		s.Close()
+
+		// A client stream's reader, fed the same frames by a hostile server.
+		wire, ended := scriptWire(t, script, true)
+		sc := newStreamCore(1, newConnWriter(io.Discard))
+		if err := sc.readFrom(newFrameReader(bytes.NewReader(wire))); err == nil {
+			t.Fatal("the reader returned without an error")
+		}
+		checkWindow(t, "client", sc)
+		if sc.torn != ended {
+			t.Fatalf("client stream torn down = %v, sent an End = %v", sc.torn, ended)
 		}
 	})
 }

@@ -1,8 +1,8 @@
 // Package rpc implements the suite's RPC framework — the role Apache Thrift
 // and gRPC play in DeathStarBench. It provides a framed binary protocol over
-// pooled persistent connections — one call at a time on each, as Thrift's
-// synchronous clients have it; streams multiplexed on connections of their
-// own — with deadline propagation, application error codes, and
+// pooled persistent connections — one conversation at a time on each, as
+// Thrift's synchronous clients have it: a call, a one-way frame or a stream
+// — with deadline propagation, application error codes, and
 // client/server interceptor chains used by the tracing and metrics layers.
 //
 // Two transports implement the Network interface: TCP (real sockets, used by

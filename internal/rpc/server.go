@@ -336,13 +336,18 @@ func (s *Server) closeConns() {
 
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
-	streams := newConnStreams()
+	// A connection carries one conversation at a time: calls one after
+	// another, or — once a stream opens on it — that stream alone until the
+	// connection closes.
+	var stream *ServerStream
 	defer func() {
-		// Conn teardown (peer death or Server.Close closing the conn) fails
-		// every open stream: parked stream senders and receivers wake, their
-		// handlers unwind, and Close's wg.Wait completes instead of
-		// deadlocking on a stream parked mid-window.
-		streams.failAll(Errorf(CodeUnavailable, "%s: connection closed", s.service))
+		if stream != nil {
+			// Conn teardown (peer death or Server.Close closing the conn) fails
+			// the stream: a parked sender or receiver wakes, the handler's ctx is
+			// cancelled, and Close's wg.Wait completes instead of deadlocking on
+			// a stream parked mid-window.
+			stream.core.teardown(Errorf(CodeUnavailable, "%s: connection closed", s.service))
+		}
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
@@ -356,28 +361,35 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		if s.hung.Load() {
+		switch {
+		case s.hung.Load():
 			// Crashed peer: consume every frame, never answer.
 			transport.ReleaseBuf(f.payload)
 			putFrame(f)
-			continue
-		}
-		switch f.kind {
-		case kindRequest:
+		case stream != nil:
+			// Clean End = client half-close (handler's Recv drains to io.EOF,
+			// sends continue); coded End = client abort, whose teardown also
+			// cancels the handler's ctx.
+			ok := stream.core.accept(f, false)
+			putFrame(f)
+			if !ok {
+				return
+			}
+		case f.kind == kindRequest:
 			s.dispatch(conn, cw, f)
-		case kindOneWay:
+		case f.kind == kindOneWay:
 			s.wg.Add(1)
 			select {
 			case s.oneways <- f: // a parked worker takes it immediately
 			default:
 				go s.worker(f) // none parked: grow the pool
 			}
-		case kindStreamOpen:
-			// Register the stream here, in the read loop, before the handler
-			// goroutine exists: the client's first item can be one frame
-			// behind the open, and a stream registered only once its handler
-			// gets scheduled would silently drop it. The open frame is
-			// retained by the handler goroutine, so it is not recycled.
+		case f.kind == kindStreamOpen:
+			// The stream exists from here, in the read loop, before the handler
+			// goroutine does: the client's first item can be one frame behind
+			// the open, and a stream created only once its handler gets
+			// scheduled would silently drop it. The open frame is retained by
+			// the handler goroutine, so it is not recycled.
 			base, cancel := context.WithCancel(context.Background())
 			if v, ok := f.headers[deadlineHeader]; ok {
 				if dl, ok := transport.ParseDeadline(v); ok {
@@ -387,38 +399,11 @@ func (s *Server) serveConn(conn net.Conn) {
 					cancel = func() { cancelDL(); inner() }
 				}
 			}
-			st := &ServerStream{core: newStreamCore(f.seq, cw), cancel: cancel}
-			st.core.mute = &s.hung
-			if !streams.add(f.seq, st) {
-				cancel()
-				continue // conn torn down (or seq reuse)
-			}
+			stream = &ServerStream{core: newStreamCore(f.seq, cw)}
+			stream.core.mute = &s.hung
+			stream.core.onTeardown = cancel
 			s.wg.Add(1)
-			go func(f *frame) {
-				defer s.wg.Done()
-				s.dispatchStream(streams, st, base, cancel, f)
-			}(f)
-		case kindStreamItem:
-			if st := streams.get(f.seq); st != nil {
-				st.core.deliver(f.payload)
-			}
-			putFrame(f) // payload (plain alloc) is retained by the inbox
-		case kindStreamEnd:
-			if st := streams.get(f.seq); st != nil {
-				// Clean End = client half-close (handler's Recv drains to
-				// io.EOF, sends continue); coded End = client abort, which
-				// also cancels the handler's ctx.
-				st.core.peerEnd(f.code, f.payload, f.code != 0)
-				if f.code != 0 && st.cancel != nil {
-					st.cancel()
-				}
-			}
-			putFrame(f)
-		case kindStreamCredit:
-			if st := streams.get(f.seq); st != nil {
-				st.core.peerCredit(int(f.code))
-			}
-			putFrame(f)
+			go s.dispatchStream(stream, base, f)
 		default:
 			putFrame(f) // ignore stray frames
 		}
@@ -462,15 +447,14 @@ func composeChain(h Handler, chain []ServerInterceptor) Handler {
 	return wrapped
 }
 
-// dispatchStream runs one stream handler to completion; the stream is
-// already registered on the conn (items arriving before the handler is
-// scheduled buffer into the inbox). The unary interceptor chain wraps the
+// dispatchStream runs one stream handler to completion; the stream already
+// has its connection (items arriving before the handler is scheduled buffer
+// into the inbox). The unary interceptor chain wraps the
 // stream's whole lifetime with the opening payload — admission control
 // parks or sheds the open, tracing spans the stream — and the handler's
 // return value goes back as the End frame.
-func (s *Server) dispatchStream(streams *connStreams, st *ServerStream, base context.Context, cancel context.CancelFunc, f *frame) {
-	defer cancel()
-	defer streams.remove(f.seq)
+func (s *Server) dispatchStream(st *ServerStream, base context.Context, f *frame) {
+	defer s.wg.Done()
 	if s.sem != nil {
 		// A stream holds one concurrency slot for its lifetime, like the
 		// long-poll request it replaces.

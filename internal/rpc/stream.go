@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"context"
 	"errors"
 	"io"
 	"sync"
@@ -11,29 +10,32 @@ import (
 	"dsb/internal/transport"
 )
 
-// Streaming: a stream is opened by a kindStreamOpen request and then
-// carries kindStreamItem frames in either direction, multiplexed with the
-// client's other streams on a connection calls never use, keyed by the
-// opening sequence number. Flow control is credit-based: each direction starts with
-// streamWindow item frames of send window, and the receiver grants credit
-// back (kindStreamCredit) as its application consumes items, so a slow
-// consumer parks the sender instead of ballooning the receiver's inbox —
-// the per-stream bound the broker's push delivery leans on for
-// backpressure. A kindStreamEnd half-closes a direction: the client's clean
-// End means "no more requests" (the server keeps sending), the server's End
-// means the handler returned and the whole stream is over, and a nonzero
-// code from either side aborts everything.
+// Streaming: a stream is opened by a kindStreamOpen request on a connection
+// checked out the way a call's is, and from then on that connection carries
+// only the stream's kindStreamItem, kindStreamEnd and kindStreamCredit frames,
+// in either direction, each bearing the opening sequence number; when the
+// stream is over the connection is closed. Flow control is credit-based: each
+// direction starts with streamWindow item frames of send window, and the
+// receiver grants credit back (kindStreamCredit) as its application consumes
+// items, so a slow consumer parks the sender instead of ballooning the
+// receiver's inbox — the per-stream bound the broker's push delivery leans
+// on for backpressure. A kindStreamEnd half-closes a direction: the client's
+// clean End means "no more requests" (the server keeps sending), the
+// server's End means the handler returned and the whole stream is over, and
+// a nonzero code from either side aborts everything.
 //
 // Teardown matrix (who wakes whom):
-//   - conn death: both endpoints' read loops fail every stream on the conn —
+//   - conn death: each endpoint's reader fails the connection's stream —
 //     parked senders (awaiting credit) and receivers (awaiting items) wake
-//     with a coded retryable error.
-//   - Server.Close: closes conns, which is conn death as above; Close's
-//     wg.Wait then observes every stream handler unwind.
+//     with a coded retryable error. Nothing else rode that connection.
+//   - Server.Close, Client.Close: close conns, which is conn death as above;
+//     Server.Close's wg.Wait then observes every stream handler unwind.
 //   - context cancellation (client): sends a coded End to the server —
-//     canceling the handler's ctx — and tears the client side down.
+//     canceling the handler's ctx — tears the client side down and closes
+//     the connection.
 //   - handler return (server): sends End (clean or coded) and tears down;
-//     the client drains buffered items, then sees io.EOF or the error.
+//     the client drains buffered items, then sees io.EOF or the error, and
+//     closes the connection.
 const streamWindow = 32
 
 // creditBatch is how many consumed items a receiver accumulates before
@@ -49,10 +51,10 @@ var errStreamEnded = errors.New("rpc: stream ended by peer")
 
 // streamCore is one endpoint's half of an open stream: the send window, the
 // receive inbox, and the teardown latch, shared by the client and server
-// stream types. The wire writer is the conn's shared flush-coalescing
-// writer, so the frames of a connection's streams interleave.
+// stream types. The wire writer is its connection's, whose lock keeps a
+// Send, a Recv's credit grant and a cancel from interleaving their frames.
 type streamCore struct {
-	seq uint64
+	seq uint64 // of the open frame; every frame of the stream carries it
 	cw  *connWriter
 	// mute, set on a server's streams, is the server's hung flag: while it
 	// reads true every frame this end would write is dropped instead.
@@ -70,9 +72,11 @@ type streamCore struct {
 	consumed int      // items consumed since the last credit grant
 	recvErr  error    // set: inbox is final; drained recvs return this
 
-	torn       bool
-	done       chan struct{} // closed at teardown
-	onTeardown func()        // unregister hook; run once, outside mu
+	torn bool
+	done chan struct{} // closed at teardown
+	// onTeardown drops the connection (client) or cancels the handler's ctx
+	// (server); run once, outside mu.
+	onTeardown func()
 }
 
 func newStreamCore(seq uint64, cw *connWriter) *streamCore {
@@ -106,12 +110,18 @@ func (sc *streamCore) send(b []byte) error {
 	sc.credit--
 	sc.mu.Unlock()
 	if err := sc.write(&frame{kind: kindStreamItem, seq: sc.seq, payload: b}); err != nil {
-		// The conn is broken; its read loop will fail every stream on it, but
-		// tear this one down now so the caller's error is immediate.
-		sc.teardown(transport.WrapCode(transport.CodeUnavailable, err, "rpc: stream conn lost: %v", err))
+		// The conn is broken; its reader will fail the stream, but tear it
+		// down now so the caller's error is immediate.
+		sc.teardown(errStreamConnLost(err))
 		return sc.sendErrLocked()
 	}
 	return nil
+}
+
+// errStreamConnLost is what a stream fails with when its connection does:
+// coded retryable, so stream consumers fail over the way unary callers do.
+func errStreamConnLost(err error) error {
+	return transport.WrapCode(transport.CodeUnavailable, err, "rpc: stream conn lost: %v", err)
 }
 
 func (sc *streamCore) sendErrLocked() error {
@@ -164,13 +174,13 @@ func (sc *streamCore) recv() ([]byte, error) {
 	sc.mu.Unlock()
 	if grant > 0 {
 		// Best-effort: a failed credit write means the conn is dying and its
-		// read loop is about to tear the stream down anyway.
+		// reader is about to tear the stream down anyway.
 		sc.write(&frame{kind: kindStreamCredit, seq: sc.seq, code: int64(grant)}) //nolint:errcheck
 	}
 	return b, nil
 }
 
-// deliver enqueues an item from the peer (called by the conn read loop,
+// deliver enqueues an item from the peer (called by the conn's reader,
 // never blocking it). Items past teardown or a flow-control violation are
 // dropped; the window bound keeps the inbox finite against a law-abiding
 // peer and the 2× cap guards against a broken one.
@@ -185,18 +195,69 @@ func (sc *streamCore) deliver(b []byte) {
 	sc.mu.Unlock()
 }
 
-// peerCredit refills the send window from a credit frame.
-func (sc *streamCore) peerCredit(n int) {
+// peerCredit refills the send window from a credit frame, up to a cap a
+// law-abiding peer never reaches. The grant is the peer's to name, so it is
+// capped before it is added: a hostile one must not wrap the window negative
+// and park the sender for good.
+func (sc *streamCore) peerCredit(n int64) {
 	if n <= 0 {
 		return
 	}
 	sc.mu.Lock()
-	sc.credit += n
+	sc.credit += int(min(n, 2*streamWindow))
 	if sc.credit > 2*streamWindow {
 		sc.credit = 2 * streamWindow
 	}
 	sc.sendCv.Broadcast()
 	sc.mu.Unlock()
+}
+
+// errNotStreamFrame is what a call frame does to a stream's connection.
+var errNotStreamFrame = errors.New("rpc: request frame on a stream's connection")
+
+// readFrom is the client stream's reader: it feeds the stream what the server
+// writes on the connection until the read fails — which, once the stream is
+// over, it does at once, the connection being closed — or the server breaks
+// the one-conversation rule.
+func (sc *streamCore) readFrom(fr *frameReader) error {
+	for {
+		f, err := fr.read()
+		if err != nil {
+			return err
+		}
+		ok := sc.accept(f, true)
+		putFrame(f)
+		if !ok {
+			return errNotStreamFrame
+		}
+	}
+}
+
+// accept routes one frame read off the stream's connection and reports
+// whether the connection may go on: a request-shaped frame — a call, a
+// one-way, a second open — is a second conversation, and the reader closes
+// the connection on it. Any other frame that is not the stream's own (the
+// sequence number is checked, as readReply checks a reply's) is discarded.
+// terminalEnd is the client's reading of an End — the handler returned, so
+// sends have no one to reach; a server reads a clean End as the client's
+// half-close. Item payloads are plain allocations the inbox keeps; the frame
+// struct stays the caller's to recycle.
+func (sc *streamCore) accept(f *frame, terminalEnd bool) bool {
+	if hasMethod(f.kind) {
+		return false
+	}
+	if f.seq != sc.seq {
+		return true
+	}
+	switch f.kind {
+	case kindStreamItem:
+		sc.deliver(f.payload)
+	case kindStreamEnd:
+		sc.peerEnd(f.code, f.payload, terminalEnd)
+	case kindStreamCredit:
+		sc.peerCredit(f.code)
+	}
+	return true
 }
 
 // peerEnd handles an End frame from the peer. A clean non-terminal End is a
@@ -225,21 +286,27 @@ func (sc *streamCore) peerEnd(code int64, msg []byte, terminal bool) {
 	}
 }
 
-// cancelWith aborts the stream from this side: best-effort coded End to the
-// peer, then local teardown.
+// cancelWith aborts the stream from this side with a coded End.
 func (sc *streamCore) cancelWith(code int, msg string) {
+	sc.endWith(int64(code), msg, &Error{Code: code, Msg: msg})
+}
+
+// endWith ends the stream from this side: a best-effort End to the peer
+// (clean when code is 0) unless teardown already happened — conn death tears
+// down anyway — then local teardown with err.
+func (sc *streamCore) endWith(code int64, msg string, err error) {
 	sc.mu.Lock()
 	torn := sc.torn
 	sc.mu.Unlock()
 	if !torn {
-		sc.write(&frame{kind: kindStreamEnd, seq: sc.seq, code: int64(code), payload: []byte(msg)}) //nolint:errcheck
+		sc.write(&frame{kind: kindStreamEnd, seq: sc.seq, code: code, payload: []byte(msg)}) //nolint:errcheck
 	}
-	sc.teardown(&Error{Code: code, Msg: msg})
+	sc.teardown(err)
 }
 
 // teardown finalizes both directions (keeping any earlier, more specific
 // per-direction error), wakes every parked sender and receiver, closes
-// done, and runs the unregister hook. Buffered inbox items still drain
+// done, and runs the onTeardown hook. Buffered inbox items still drain
 // through recv afterwards. Idempotent.
 func (sc *streamCore) teardown(err error) {
 	sc.mu.Lock()
@@ -285,8 +352,7 @@ func (st *clientStream) Cancel() {
 // client items (io.EOF after the client's CloseSend). The handler returning
 // ends the stream — nil sends a clean End, an error sends its code.
 type ServerStream struct {
-	core   *streamCore
-	cancel context.CancelFunc // cancels the handler ctx on client abort
+	core *streamCore
 }
 
 // Send writes one response item, blocking while the client's receive
@@ -320,30 +386,19 @@ func (st *ServerStream) RecvMsg(v any) error {
 // between waits.
 func (st *ServerStream) Done() <-chan struct{} { return st.core.done }
 
-// finish ends the stream after the handler returns: an End frame (clean or
-// carrying the handler's error code) goes to the client unless teardown
-// already happened, then the local side is torn down.
+// finish ends the stream after the handler returns: an End frame, clean or
+// carrying the handler's error code and message, goes to the client.
 func (st *ServerStream) finish(err error) {
-	out := &frame{kind: kindStreamEnd, seq: st.core.seq}
-	if err != nil {
-		out.code = int64(ErrorCode(err))
-		var e *Error
-		if errors.As(err, &e) {
-			out.payload = []byte(e.Msg)
-		} else {
-			out.payload = []byte(err.Error())
-		}
-	}
-	st.core.mu.Lock()
-	torn := st.core.torn
-	st.core.mu.Unlock()
-	if !torn {
-		st.core.write(out) //nolint:errcheck // conn death tears down anyway
-	}
 	if err == nil {
-		err = errStreamEnded
+		st.core.endWith(0, "", errStreamEnded)
+		return
 	}
-	st.core.teardown(err)
+	msg := err.Error()
+	var e *Error
+	if errors.As(err, &e) {
+		msg = e.Msg
+	}
+	st.core.endWith(int64(ErrorCode(err)), msg, err)
 }
 
 // StreamHandler processes one open stream: payload is the opening request
@@ -352,63 +407,3 @@ func (st *ServerStream) finish(err error) {
 // lifetime with the opening payload, so admission control and tracing see
 // streaming calls like unary ones.
 type StreamHandler func(ctx *Ctx, payload []byte, st *ServerStream) error
-
-// connStreams tracks the open streams of one server connection, so the
-// read loop can route item/credit/end frames and conn teardown can fail
-// every stream at once — the wake-up that keeps Server.Close from
-// deadlocking on a parked stream sender.
-type connStreams struct {
-	mu   sync.Mutex
-	m    map[uint64]*ServerStream
-	dead bool
-}
-
-func newConnStreams() *connStreams {
-	return &connStreams{m: make(map[uint64]*ServerStream)}
-}
-
-// add registers an open stream; false means the conn is already torn down
-// (or the seq is in use) and the stream must not start.
-func (cs *connStreams) add(seq uint64, st *ServerStream) bool {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if cs.dead {
-		return false
-	}
-	if _, dup := cs.m[seq]; dup {
-		return false
-	}
-	cs.m[seq] = st
-	return true
-}
-
-func (cs *connStreams) get(seq uint64) *ServerStream {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return cs.m[seq]
-}
-
-func (cs *connStreams) remove(seq uint64) {
-	cs.mu.Lock()
-	delete(cs.m, seq)
-	cs.mu.Unlock()
-}
-
-// failAll tears down every open stream on the conn: parked senders and
-// receivers wake, stream handlers unwind, and the conn's wg entries drain.
-func (cs *connStreams) failAll(err error) {
-	cs.mu.Lock()
-	cs.dead = true
-	streams := make([]*ServerStream, 0, len(cs.m))
-	for seq, st := range cs.m {
-		streams = append(streams, st)
-		delete(cs.m, seq)
-	}
-	cs.mu.Unlock()
-	for _, st := range streams {
-		st.core.teardown(err)
-		if st.cancel != nil {
-			st.cancel()
-		}
-	}
-}

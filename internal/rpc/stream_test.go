@@ -298,7 +298,7 @@ func TestStreamConnDeathFailsBothEnds(t *testing.T) {
 	mem := NewMem()
 	n := &connGrabber{Network: mem}
 	addr, _ := startStreamServer(t, mem)
-	c := NewClient(n, "stream", addr, WithPoolSize(1))
+	c := NewClient(n, "stream", addr)
 	defer c.Close()
 
 	st, err := c.Stream(context.Background(), "Firehose", echoReq{})
@@ -329,7 +329,8 @@ func TestStreamConnDeathFailsBothEnds(t *testing.T) {
 }
 
 // TestStreamsMultiplexWithUnary runs streams, unary calls, and one-way
-// notifications concurrently over a single pooled connection.
+// notifications concurrently on one Client: each conversation has its own
+// connection, and none disturbs another.
 func TestStreamsMultiplexWithUnary(t *testing.T) {
 	n := NewMem()
 	s := NewServer("mux")
@@ -358,7 +359,7 @@ func TestStreamsMultiplexWithUnary(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	c := NewClient(n, "mux", addr, WithPoolSize(1))
+	c := NewClient(n, "mux", addr)
 	defer c.Close()
 
 	var wg sync.WaitGroup

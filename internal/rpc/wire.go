@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"sync"
 	"sync/atomic"
 
@@ -15,100 +14,61 @@ import (
 )
 
 // maxRetainedBuffer bounds the scratch buffers a connection keeps across
-// frames (encode segments, read envelope) so one oversized frame does not
-// pin megabytes on an otherwise idle connection.
+// frames (encode buffer, read envelope) so one oversized frame does not pin
+// megabytes on an otherwise idle connection.
 const maxRetainedBuffer = 64 << 10
 
-// segSize is the target size of one write segment. A segment that grows past
-// it is sealed and a fresh one opened, so a coalesced burst becomes a short
-// chain of segments flushed in one vectored write instead of one ever-growing
-// contiguous buffer that would have to be copied to grow.
-const segSize = 32 << 10
-
-// maxFreeSegs bounds the recycled-segment freelist per connection.
-const maxFreeSegs = 8
-
 // errEncode marks a failure to serialize the frame's typed body. The
-// connection itself is untouched — the half-written frame was rolled back —
-// so callers must report it to the application instead of failing the
+// connection itself is untouched — nothing of the frame was written — so
+// callers must report it to the application instead of failing the
 // connection or redialing.
 var errEncode = errors.New("rpc: encode request")
 
-// connWriter serializes frame writes onto one connection. A connection that
-// carries calls has one sender at a time and the lock is uncontended; the
-// concurrent senders are a stream connection's streams and, on the server,
-// the handlers answering them. It carries the hot-path optimizations of the
-// write side:
-//
-//   - in-place encode: frames are appended directly into a connection-owned
-//     segment under the writer lock — a frame carrying a typed body is
-//     marshaled straight into that segment through the codec fast path, so
-//     no per-call encode buffer ever exists;
-//   - flush coalescing: a sender that can see another sender already queued
-//     behind it leaves its bytes in the open segment and lets the last
-//     queued sender flush, so K streams sending on one connection pay ~1
-//     flush (the syscall-shaped cost on a real socket), not K. A lone
-//     sender — every call — flushes immediately: latency is never traded
-//     for batching;
-//   - vectored flush: a burst that spilled across segments goes out in one
-//     net.Buffers writev instead of segment-by-segment writes (or a copy
-//     into one contiguous buffer).
+// connWriter serializes frame writes onto one connection. A connection
+// carries one conversation, so the lock is uncontended on every call; what
+// it orders is the one stream's Send, its Recv's credit grants and a cancel,
+// whose frames must never interleave. Frames are encoded in place: appended
+// into a connection-owned buffer under the lock — a typed body is marshaled
+// straight into it through the codec fast path, so no per-call encode buffer
+// ever exists — and written out at once, one Write per frame.
 type connWriter struct {
-	// queued counts senders that have entered write and not yet performed
-	// their buffered write; the sender that decrements it to zero is the
-	// last of the burst and owns the flush.
-	queued atomic.Int32
-
-	mu   sync.Mutex
-	w    io.Writer
-	err  error    // sticky: first write failure; the conn is dead
-	cur  []byte   // open segment, frames append here
-	bufs [][]byte // sealed segments awaiting flush, in write order
-	free [][]byte // recycled segments
-	iov  net.Buffers
+	mu  sync.Mutex
+	w   io.Writer
+	err error  // sticky: first write failure; the conn is dead
+	buf []byte // encode scratch, empty between frames
 }
 
 func newConnWriter(w io.Writer) *connWriter {
 	return &connWriter{w: w}
 }
 
-// write appends the length-prefixed frame to the connection, flushing unless
-// a queued sender behind this one is guaranteed to flush later. An errEncode
-// failure rolls the frame back and leaves the connection usable; any other
-// error is sticky.
+// write puts the length-prefixed frame on the connection. An errEncode
+// failure writes nothing and leaves the connection usable; any other error
+// is sticky.
 func (cw *connWriter) write(f *frame) error {
-	cw.queued.Add(1)
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
-	last := cw.queued.Add(-1) == 0
 	if cw.err != nil {
 		return cw.err
 	}
-	encErr := cw.encodeLocked(f)
-	if len(cw.cur) >= segSize {
-		cw.sealLocked()
+	if err := cw.encodeLocked(f); err != nil {
+		return err
 	}
-	if last {
-		// Flush even when this frame's encode failed: earlier senders of the
-		// burst left their (complete) frames behind and counted on the last
-		// sender to push them out.
-		if ferr := cw.flushLocked(); ferr != nil && encErr == nil {
-			return ferr
-		}
+	_, cw.err = cw.w.Write(cw.buf)
+	cw.buf = cw.buf[:0]
+	if cap(cw.buf) > maxRetainedBuffer {
+		cw.buf = nil
 	}
-	// Not last: a sender is queued behind us — it either flushes or fails
-	// the connection, so our bytes are never stranded in the segment.
-	return encErr
+	return cw.err
 }
 
-// encodeLocked appends f to the open segment. The outer length prefix (and,
-// for typed bodies, the payload length prefix) is reserved as a fixed-width
-// padded uvarint and patched once the final size is known, so the body is
-// marshaled exactly once, directly into the segment. On error the segment is
-// rolled back to its pre-frame length.
+// encodeLocked encodes f into the (empty) buffer. The outer length prefix
+// (and, for typed bodies, the payload length prefix) is reserved as a
+// fixed-width padded uvarint and patched once the final size is known, so the
+// body is marshaled exactly once, directly into the buffer. On error the
+// buffer is left empty.
 func (cw *connWriter) encodeLocked(f *frame) error {
-	mark := len(cw.cur)
-	buf := append(cw.cur, 0, 0, 0, 0) // outer length, patched below
+	buf := append(cw.buf, 0, 0, 0, 0) // outer length, patched below
 	start := len(buf)
 	buf = append(buf, f.kind)
 	buf = binary.AppendUvarint(buf, f.seq)
@@ -130,7 +90,7 @@ func (cw *connWriter) encodeLocked(f *frame) error {
 		pstart := len(buf)
 		out, err := codec.AppendMarshal(buf, f.body)
 		if err != nil {
-			cw.cur = buf[:mark]
+			cw.buf = buf[:0]
 			return fmt.Errorf("%w: %v", errEncode, err)
 		}
 		buf = out
@@ -141,11 +101,11 @@ func (cw *connWriter) encodeLocked(f *frame) error {
 	}
 	size := len(buf) - start
 	if size > maxFrameSize {
-		cw.cur = buf[:mark]
+		cw.buf = buf[:0]
 		return fmt.Errorf("%w: frame size %d exceeds limit", errEncode, size)
 	}
 	putPadded(buf[start-4:], uint64(size))
-	cw.cur = buf
+	cw.buf = buf
 	return nil
 }
 
@@ -158,64 +118,6 @@ func putPadded(dst []byte, x uint64) {
 	dst[1] = byte(x>>7) | 0x80
 	dst[2] = byte(x>>14) | 0x80
 	dst[3] = byte(x >> 21)
-}
-
-// sealLocked closes the open segment onto the flush chain and opens a fresh
-// one (recycled when possible).
-func (cw *connWriter) sealLocked() {
-	if len(cw.cur) == 0 {
-		return
-	}
-	cw.bufs = append(cw.bufs, cw.cur)
-	if n := len(cw.free); n > 0 {
-		cw.cur = cw.free[n-1]
-		cw.free[n-1] = nil
-		cw.free = cw.free[:n-1]
-	} else {
-		cw.cur = make([]byte, 0, segSize)
-	}
-}
-
-// flushLocked writes every sealed segment plus the open one to the
-// connection — one plain Write for the common single-segment case, one
-// vectored net.Buffers write when a burst spilled across segments — and
-// recycles the segments. Write errors are sticky.
-func (cw *connWriter) flushLocked() error {
-	var err error
-	if len(cw.bufs) == 0 {
-		if len(cw.cur) == 0 {
-			return nil
-		}
-		_, err = cw.w.Write(cw.cur)
-	} else {
-		// net.Buffers.WriteTo consumes its receiver, so hand it a scratch
-		// copy of the slice headers and keep the originals for recycling.
-		iov := cw.iov[:0]
-		for _, b := range cw.bufs {
-			iov = append(iov, b)
-		}
-		if len(cw.cur) > 0 {
-			iov = append(iov, cw.cur)
-		}
-		cw.iov = iov
-		nb := iov
-		_, err = nb.WriteTo(cw.w)
-		for i, b := range cw.bufs {
-			if cap(b) <= maxRetainedBuffer && len(cw.free) < maxFreeSegs {
-				cw.free = append(cw.free, b[:0])
-			}
-			cw.bufs[i] = nil
-		}
-		cw.bufs = cw.bufs[:0]
-	}
-	cw.cur = cw.cur[:0]
-	if cap(cw.cur) > maxRetainedBuffer {
-		cw.cur = nil
-	}
-	if err != nil {
-		cw.err = err
-	}
-	return err
 }
 
 // framePool recycles frame structs across reads and writes; see getFrame.

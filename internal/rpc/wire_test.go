@@ -96,49 +96,9 @@ func TestFrameAllocGuard(t *testing.T) {
 	}
 }
 
-// TestFlushCoalescing verifies the mechanism directly: a sender that sees
-// another sender queued behind it leaves its bytes buffered, and the last
-// sender of the burst flushes everything.
-func TestFlushCoalescing(t *testing.T) {
-	var buf bytes.Buffer
-	cw := newConnWriter(&buf)
-
-	f1 := &frame{kind: kindRequest, seq: 1, method: "A", payload: []byte("one")}
-	f2 := &frame{kind: kindRequest, seq: 2, method: "B", payload: []byte("two")}
-
-	// Simulate a second sender already queued: the first write must not
-	// flush.
-	cw.queued.Add(1)
-	if err := cw.write(f1); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != 0 {
-		t.Fatalf("first write flushed %d bytes despite a queued sender", buf.Len())
-	}
-	// The queued sender arrives: it is last, so it flushes both frames.
-	cw.queued.Add(-1)
-	if err := cw.write(f2); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 {
-		t.Fatal("last sender did not flush")
-	}
-
-	fr := newFrameReader(bytes.NewReader(buf.Bytes()))
-	for i, want := range []*frame{f1, f2} {
-		got, err := fr.read()
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if got.seq != want.seq || got.method != want.method || string(got.payload) != string(want.payload) {
-			t.Fatalf("frame %d = %+v, want %+v", i, got, want)
-		}
-	}
-}
-
-// TestConcurrentSendersOneConn hammers a single pooled connection with
-// concurrent callers; every reply must match its request (flush coalescing
-// and buffer reuse must not corrupt or misdeliver frames).
+// TestConcurrentSendersOneConn hammers one client with concurrent callers;
+// every reply must match its request (connection and buffer reuse must not
+// corrupt or misdeliver frames).
 func TestConcurrentSendersOneConn(t *testing.T) {
 	n := NewMem()
 	srv := NewServer("echo")

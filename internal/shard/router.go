@@ -35,7 +35,6 @@ type Router struct {
 	mws        []transport.Middleware
 	instrument func(addr string) ([]transport.Middleware, func() string)
 	replicaMW  func(addr string) []transport.Middleware
-	clientOpts []rpc.ClientOption
 
 	mu     sync.RWMutex
 	groups map[string]*group
@@ -124,11 +123,6 @@ func WithReplicaInstrument(f func(addr string) ([]transport.Middleware, func() s
 // on the sharded path the fault layer plays the wire, not the caller.
 func WithReplicaMiddleware(f func(addr string) []transport.Middleware) Option {
 	return func(r *Router) { r.replicaMW = f }
-}
-
-// WithClientOptions passes options down to every replica's rpc.Client.
-func WithClientOptions(opts ...rpc.ClientOption) Option {
-	return func(r *Router) { r.clientOpts = append(r.clientOpts, opts...) }
 }
 
 // NewRouter creates a router for the sharded service target. It starts
@@ -222,7 +216,6 @@ func (r *Router) Sync(instances []registry.Instance) {
 }
 
 func (r *Router) newReplica(label, addr string) *Replica {
-	opts := r.clientOpts
 	rep := &Replica{addr: addr, shard: label, target: r.target}
 	var inner []transport.Middleware
 	if r.instrument != nil {
@@ -233,7 +226,7 @@ func (r *Router) newReplica(label, addr string) *Replica {
 	if r.replicaMW != nil {
 		inner = append(inner, r.replicaMW(addr)...)
 	}
-	rep.client = rpc.NewClient(r.network, r.target, addr, opts...)
+	rep.client = rpc.NewClient(r.network, r.target, addr)
 	chain := make([]transport.Middleware, 0, len(r.mws)+len(inner))
 	chain = append(chain, r.mws...)
 	chain = append(chain, inner...)

@@ -32,7 +32,7 @@ func TestStoreHopAllocGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer kvSrv.Close()
-	kvClient := rpc.NewClient(n, "mc", kvAddr, rpc.WithPoolSize(1))
+	kvClient := rpc.NewClient(n, "mc", kvAddr)
 	defer kvClient.Close()
 	db := serveDB(t, docstore.NewStore())
 	cache := KV{C: kvClient}

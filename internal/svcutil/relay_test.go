@@ -45,7 +45,7 @@ func startRelay(t testing.TB, down func(n rpc.Network, addr string) Caller) (*rp
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := rpc.NewClient(n, "relay", relayAddr, rpc.WithPoolSize(1))
+	c := rpc.NewClient(n, "relay", relayAddr)
 	return c, func() {
 		c.Close()
 		relay.Close()
@@ -57,7 +57,7 @@ func startRelay(t testing.TB, down func(n rpc.Network, addr string) Caller) (*rp
 }
 
 func overClient(n rpc.Network, addr string) Caller {
-	return rpc.NewClient(n, "backend", addr, rpc.WithPoolSize(1))
+	return rpc.NewClient(n, "backend", addr)
 }
 
 // A relayed call is indistinguishable from a typed forward: same reply
