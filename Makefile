@@ -5,6 +5,15 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# Tests that wait — on a timer, a lease, a TTL, a queue — run on virtual time
+# (internal/vtime: a testing/synctest bubble, which go1.24 builds only under
+# GOEXPERIMENT=synctest). These targets set it, so bubbles run in-process and
+# vet sees the tagged file; a plain `go test ./...` cannot, and there vtime.Run
+# re-executes each such test alone in a child `go test` that does — same
+# bodies, same assertions, one link per test slower, plus one rebuild of the
+# standard library (about half a minute) the first time a GOCACHE sees it.
+test race vet check: export GOEXPERIMENT = synctest
+
 test:
 	$(GO) test ./...
 
@@ -37,12 +46,11 @@ lines:
 	fi
 
 # Every package under the race detector, not a hand-kept list: a package
-# left off a list is a package nobody checked. The pinned alloc budgets and
-# the wall-clock shape tests read their package's raceEnabled constant
-# (race_on_test.go / race_off_test.go): under the detector the guards skip,
-# and internal/experiments runs each live experiment once with errors, panics
-# and races still fatal but the numeric shape unasserted. About seven minutes
-# cold on two cores, five to six of them internal/experiments.
+# left off a list is a package nobody checked. The pinned alloc budgets read
+# their package's raceEnabled constant (race_on_test.go / race_off_test.go)
+# and skip under the detector; the live experiments' shape tests run on
+# virtual time, which the detector's slowdown does not touch, and assert the
+# same numbers here as in `make test`.
 race:
 	$(GO) test -race ./...
 
@@ -107,12 +115,14 @@ check: vet fmt-check race build test alloc-guard conn-stress fuzz-frame shard-ba
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
 
-# One pass over the live-stack benchmarks only — the quick signal that the
-# real service path (transport, lb, control plane) still behaves, without
-# re-deriving every simulator figure.
+# One wall-clock pass over every live-stack experiment — the numbers
+# EXPERIMENTS.md quotes next to the virtual-time ones the shape tests assert,
+# and the quick signal that the real service path (transport, lb, control
+# plane) still behaves on a real clock — then the three simulator sweeps
+# whole, which TestHeavyExperimentsSmoke runs only at their crossover points.
 bench-smoke:
-	$(GO) test -bench='QueryDiversity|RPCvsREST|SlowServerResilience|AutoscaleLive|ChaosRecovery|HotKeyStampede|TailAtScale|ClusterParity|AsyncFanout' -benchtime=1x .
-	$(GO) test -run 'TestClusterParityShape|TestAsyncFanoutShape|TestBrokerCrashShape|TestPushShape' -count=1 ./internal/experiments/
+	$(GO) test -run '^$$' -bench='QueryDiversity|RPCvsREST|SlowServerResilience|AutoscaleLive|ChaosRecovery|HotKeyStampede|TailAtScale|ClusterParity|AsyncFanout' -benchtime=1x .
+	$(GO) test -run '^$$' -bench='Fig9Swarm|Fig13Brawny|Fig17Backpressure' -benchtime=1x .
 
 # The perf ledger in one command (see benchmark/README.md): every workload
 # untraced (the six end-to-end metrics) and traced (the per-layer rungs), as

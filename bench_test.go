@@ -86,8 +86,10 @@ func BenchmarkClusterParity(b *testing.B) { runExperiment(b, "clusterparity") }
 // write-path layouts (single, capacity-capped, and partitioned broker
 // tiers) up an offered-load ladder at a fixed p99 QoS target — the async
 // backbone's headline contrast — then runs the broker-crash arms:
-// replicated vs unreplicated partitioned tiers under a mid-fanout kill.
+// replicated vs unreplicated partitioned tiers under a mid-fanout kill, and
+// push against poll delivery.
 func BenchmarkAsyncFanout(b *testing.B) {
 	runExperiment(b, "asyncfanout")
 	runExperiment(b, "brokercrash")
+	runExperiment(b, "push")
 }

@@ -37,8 +37,6 @@ type AdmissionConfig struct {
 	MinBudget time.Duration
 	// Window sizes the sliding windows behind the load report (default 1s).
 	Window time.Duration
-
-	now func() time.Time // test hook
 }
 
 func (cfg AdmissionConfig) withDefaults() AdmissionConfig {
@@ -56,9 +54,6 @@ func (cfg AdmissionConfig) withDefaults() AdmissionConfig {
 	}
 	if cfg.Window <= 0 {
 		cfg.Window = time.Second
-	}
-	if cfg.now == nil {
-		cfg.now = time.Now
 	}
 	return cfg
 }
@@ -104,11 +99,11 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 	cfg = cfg.withDefaults()
 	a := &Admission{
 		cfg:      cfg,
-		doneRate: metrics.NewMeter(cfg.Window, 10, cfg.now),
-		shedRate: metrics.NewMeter(cfg.Window, 10, cfg.now),
-		busyNs:   metrics.NewMeter(cfg.Window, 10, cfg.now),
-		sojourn:  metrics.NewWindowed(cfg.Window, 5, cfg.now),
-		wait:     metrics.NewWindowed(cfg.Window, 5, cfg.now),
+		doneRate: metrics.NewMeter(cfg.Window, 10),
+		shedRate: metrics.NewMeter(cfg.Window, 10),
+		busyNs:   metrics.NewMeter(cfg.Window, 10),
+		sojourn:  metrics.NewWindowed(cfg.Window, 5),
+		wait:     metrics.NewWindowed(cfg.Window, 5),
 	}
 	if cfg.MaxConcurrent > 0 {
 		a.sem = make(chan struct{}, cfg.MaxConcurrent)
@@ -126,7 +121,7 @@ func overloadErr(why string) error {
 // queued). The queue is the set of goroutines blocked on the worker
 // semaphore; its length is bounded before blocking.
 func (a *Admission) Admit(ctx context.Context) (release func(), err error) {
-	enq := a.cfg.now()
+	enq := time.Now()
 	if int(a.queued.Value()) >= a.cfg.MaxQueue {
 		a.shed(&a.shedQueue)
 		return nil, overloadErr("queue full")
@@ -140,11 +135,11 @@ func (a *Admission) Admit(ctx context.Context) (release func(), err error) {
 			// The client departed while we queued; not a shed (the queue
 			// was survivable), but the work must not run.
 			return nil, transport.WrapCode(transport.CodeDeadline, ctx.Err(),
-				"admission: caller gave up in queue after %v", a.cfg.now().Sub(enq))
+				"admission: caller gave up in queue after %v", time.Since(enq))
 		}
 	}
 	a.queued.Add(-1)
-	start := a.cfg.now()
+	start := time.Now()
 	waited := start.Sub(enq)
 
 	reject := func(counter *metrics.Counter, why string) (func(), error) {
@@ -165,7 +160,7 @@ func (a *Admission) Admit(ctx context.Context) (release func(), err error) {
 	if a.cfg.MinBudget >= 0 {
 		if dl, ok := ctx.Deadline(); ok {
 			need := a.expectedServiceTime()
-			if remaining := dl.Sub(a.cfg.now()); remaining < need {
+			if remaining := time.Until(dl); remaining < need {
 				return reject(&a.shedOver, "deadline budget spent")
 			}
 		}
@@ -176,7 +171,7 @@ func (a *Admission) Admit(ctx context.Context) (release func(), err error) {
 	var once sync.Once
 	return func() {
 		once.Do(func() {
-			end := a.cfg.now()
+			end := time.Now()
 			dur := end.Sub(start)
 			a.inFlight.Add(-1)
 			if a.sem != nil {

@@ -13,129 +13,107 @@ import (
 	"dsb/internal/rest"
 	"dsb/internal/rpc"
 	"dsb/internal/transport"
+	"dsb/internal/vtime"
 )
 
-// fakeClock is a manually-advanced clock shared by admission tests.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newFakeClock() *fakeClock {
-	return &fakeClock{t: time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)}
-}
-
-func (c *fakeClock) now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
 func TestAdmissionQueueBoundSheds(t *testing.T) {
-	a := NewAdmission(AdmissionConfig{MaxConcurrent: 1, MaxQueue: 2, CoDelTarget: -1, MinBudget: -1})
-	ctx := context.Background()
+	vtime.Run(t, func() {
+		a := NewAdmission(AdmissionConfig{MaxConcurrent: 1, MaxQueue: 2, CoDelTarget: -1, MinBudget: -1})
+		ctx := context.Background()
 
-	// Occupy the single worker.
-	release, err := a.Admit(ctx)
-	if err != nil {
-		t.Fatalf("first admit: %v", err)
-	}
+		// Occupy the single worker.
+		release, err := a.Admit(ctx)
+		if err != nil {
+			t.Fatalf("first admit: %v", err)
+		}
 
-	// Fill the queue with two blocked admits.
-	var wg sync.WaitGroup
-	queued := make(chan struct{}, 2)
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			queued <- struct{}{}
-			rel, err := a.Admit(ctx)
-			if err != nil {
-				t.Errorf("queued admit: %v", err)
-				return
-			}
-			rel()
-		}()
-	}
-	<-queued
-	<-queued
-	// Queued gauge is incremented inside Admit; poll briefly until both
-	// goroutines are parked on the semaphore.
-	for i := 0; i < 1000 && a.queued.Value() < 2; i++ {
-		time.Sleep(100 * time.Microsecond)
-	}
-	if a.queued.Value() != 2 {
-		t.Fatalf("queued = %d, want 2", a.queued.Value())
-	}
+		// Fill the queue with two blocked admits.
+		var wg sync.WaitGroup
+		queued := make(chan struct{}, 2)
+		for i := 0; i < 2; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				queued <- struct{}{}
+				rel, err := a.Admit(ctx)
+				if err != nil {
+					t.Errorf("queued admit: %v", err)
+					return
+				}
+				rel()
+			}()
+		}
+		<-queued
+		<-queued
+		vtime.Wait() // both are parked on the semaphore
+		if a.queued.Value() != 2 {
+			t.Fatalf("queued = %d, want 2", a.queued.Value())
+		}
 
-	// The queue is full: the next arrival is shed without blocking.
-	if _, err := a.Admit(ctx); !transport.IsCode(err, transport.CodeOverloaded) {
-		t.Fatalf("overfull admit err = %v, want CodeOverloaded", err)
-	}
-	if got := a.shedQueue.Value(); got != 1 {
-		t.Fatalf("shedQueue = %d, want 1", got)
-	}
+		// The queue is full: the next arrival is shed without blocking.
+		if _, err := a.Admit(ctx); !transport.IsCode(err, transport.CodeOverloaded) {
+			t.Fatalf("overfull admit err = %v, want CodeOverloaded", err)
+		}
+		if got := a.shedQueue.Value(); got != 1 {
+			t.Fatalf("shedQueue = %d, want 1", got)
+		}
 
-	release()
-	wg.Wait()
-	r := a.Report()
-	if r.Admitted != 3 {
-		t.Fatalf("Admitted = %d, want 3", r.Admitted)
-	}
-	if r.Shed != 1 {
-		t.Fatalf("Shed = %d, want 1", r.Shed)
-	}
-	if r.InFlight != 0 || r.QueueDepth != 0 {
-		t.Fatalf("InFlight/QueueDepth = %d/%d, want 0/0", r.InFlight, r.QueueDepth)
-	}
+		release()
+		wg.Wait()
+		r := a.Report()
+		if r.Admitted != 3 {
+			t.Fatalf("Admitted = %d, want 3", r.Admitted)
+		}
+		if r.Shed != 1 {
+			t.Fatalf("Shed = %d, want 1", r.Shed)
+		}
+		if r.InFlight != 0 || r.QueueDepth != 0 {
+			t.Fatalf("InFlight/QueueDepth = %d/%d, want 0/0", r.InFlight, r.QueueDepth)
+		}
+	})
 }
 
 func TestAdmissionDeadlineBudgetSheds(t *testing.T) {
-	clk := newFakeClock()
-	a := NewAdmission(AdmissionConfig{CoDelTarget: -1, MinBudget: time.Millisecond, now: clk.now})
+	vtime.Run(t, func() {
+		a := NewAdmission(AdmissionConfig{CoDelTarget: -1, MinBudget: time.Millisecond})
 
-	// Teach the EWMA a ~10ms service time.
-	rel, err := a.Admit(context.Background())
-	if err != nil {
-		t.Fatalf("admit: %v", err)
-	}
-	clk.advance(10 * time.Millisecond)
-	rel()
-	if est := a.expectedServiceTime(); est != 10*time.Millisecond {
-		t.Fatalf("expectedServiceTime = %v, want 10ms", est)
-	}
+		// Teach the EWMA a ~10ms service time.
+		rel, err := a.Admit(context.Background())
+		if err != nil {
+			t.Fatalf("admit: %v", err)
+		}
+		vtime.Advance(10 * time.Millisecond)
+		rel()
+		if est := a.expectedServiceTime(); est != 10*time.Millisecond {
+			t.Fatalf("expectedServiceTime = %v, want 10ms", est)
+		}
 
-	// 3ms of budget < 10ms expected service time: shed.
-	ctx, cancel := context.WithDeadline(context.Background(), clk.now().Add(3*time.Millisecond))
-	defer cancel()
-	if _, err := a.Admit(ctx); !transport.IsCode(err, transport.CodeOverloaded) {
-		t.Fatalf("short-budget admit err = %v, want CodeOverloaded", err)
-	}
-	if got := a.shedOver.Value(); got != 1 {
-		t.Fatalf("shedOver = %d, want 1", got)
-	}
+		// 3ms of budget < 10ms expected service time: shed.
+		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(3*time.Millisecond))
+		defer cancel()
+		if _, err := a.Admit(ctx); !transport.IsCode(err, transport.CodeOverloaded) {
+			t.Fatalf("short-budget admit err = %v, want CodeOverloaded", err)
+		}
+		if got := a.shedOver.Value(); got != 1 {
+			t.Fatalf("shedOver = %d, want 1", got)
+		}
 
-	// Ample budget is admitted.
-	ctx2, cancel2 := context.WithDeadline(context.Background(), clk.now().Add(time.Second))
-	defer cancel2()
-	rel2, err := a.Admit(ctx2)
-	if err != nil {
-		t.Fatalf("ample-budget admit: %v", err)
-	}
-	rel2()
+		// Ample budget is admitted.
+		ctx2, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(time.Second))
+		defer cancel2()
+		rel2, err := a.Admit(ctx2)
+		if err != nil {
+			t.Fatalf("ample-budget admit: %v", err)
+		}
+		rel2()
 
-	// A deadline-less request is never budget-shed.
-	rel3, err := a.Admit(context.Background())
-	if err != nil {
-		t.Fatalf("no-deadline admit: %v", err)
-	}
-	rel3()
+		// A deadline-less request is never budget-shed.
+		rel3, err := a.Admit(context.Background())
+		if err != nil {
+			t.Fatalf("no-deadline admit: %v", err)
+		}
+		rel3()
+	})
 }
 
 func TestCoDelStateMachine(t *testing.T) {
@@ -174,73 +152,72 @@ func TestCoDelStateMachine(t *testing.T) {
 }
 
 func TestAdmissionCoDelShedsThroughAdmit(t *testing.T) {
-	clk := newFakeClock()
-	a := NewAdmission(AdmissionConfig{
-		MaxConcurrent: 1,
-		CoDelTarget:   5 * time.Millisecond,
-		CoDelInterval: 100 * time.Millisecond,
-		MinBudget:     -1,
-		now:           clk.now,
-	})
-	// Hold the worker so a queued request accumulates over-target wait.
-	// (Admitted first: its own zero wait would otherwise reset the episode
-	// installed below — exactly the disarm-on-low-delay rule CoDel wants.)
-	hold, err := a.Admit(context.Background())
-	if err != nil {
-		t.Fatalf("hold admit: %v", err)
-	}
-	// Place the state machine mid-episode with the next drop due, as a
-	// sustained standing queue would have.
-	a.mu.Lock()
-	a.dropping = true
-	a.firstAbove = clk.now().Add(-time.Second)
-	a.dropNext = clk.now()
-	a.dropCount = 1
-	a.mu.Unlock()
-	done := make(chan error, 1)
-	go func() {
-		rel, err := a.Admit(context.Background())
-		if err == nil {
-			rel()
+	vtime.Run(t, func() {
+		a := NewAdmission(AdmissionConfig{
+			MaxConcurrent: 1,
+			CoDelTarget:   5 * time.Millisecond,
+			CoDelInterval: 100 * time.Millisecond,
+			MinBudget:     -1,
+		})
+		// Hold the worker so a queued request accumulates over-target wait.
+		// (Admitted first: its own zero wait would otherwise reset the episode
+		// installed below — exactly the disarm-on-low-delay rule CoDel wants.)
+		hold, err := a.Admit(context.Background())
+		if err != nil {
+			t.Fatalf("hold admit: %v", err)
 		}
-		done <- err
-	}()
-	for i := 0; i < 1000 && a.queued.Value() < 1; i++ {
-		time.Sleep(100 * time.Microsecond)
-	}
-	clk.advance(20 * time.Millisecond)
-	hold()
-	if err := <-done; !transport.IsCode(err, transport.CodeOverloaded) {
-		t.Fatalf("standing-queue admit err = %v, want CodeOverloaded", err)
-	}
-	if got := a.shedCoDel.Value(); got != 1 {
-		t.Fatalf("shedCoDel = %d, want 1", got)
-	}
+		// Place the state machine mid-episode with the next drop due, as a
+		// sustained standing queue would have.
+		a.mu.Lock()
+		a.dropping = true
+		a.firstAbove = time.Now().Add(-time.Second)
+		a.dropNext = time.Now()
+		a.dropCount = 1
+		a.mu.Unlock()
+		done := make(chan error, 1)
+		go func() {
+			rel, err := a.Admit(context.Background())
+			if err == nil {
+				rel()
+			}
+			done <- err
+		}()
+		vtime.Wait() // queued behind the held worker
+		vtime.Advance(20 * time.Millisecond)
+		hold()
+		if err := <-done; !transport.IsCode(err, transport.CodeOverloaded) {
+			t.Fatalf("standing-queue admit err = %v, want CodeOverloaded", err)
+		}
+		if got := a.shedCoDel.Value(); got != 1 {
+			t.Fatalf("shedCoDel = %d, want 1", got)
+		}
+	})
 }
 
 func TestAdmissionUtilizationReport(t *testing.T) {
-	clk := newFakeClock()
-	a := NewAdmission(AdmissionConfig{MaxConcurrent: 2, CoDelTarget: -1, MinBudget: -1,
-		Window: time.Second, now: clk.now})
+	vtime.Run(t, func() {
+		a := NewAdmission(AdmissionConfig{MaxConcurrent: 2, CoDelTarget: -1, MinBudget: -1,
+			Window: time.Second})
 
-	// One worker busy 500ms within the 1s window across 2 workers = 0.25.
-	rel, err := a.Admit(context.Background())
-	if err != nil {
-		t.Fatalf("admit: %v", err)
-	}
-	clk.advance(500 * time.Millisecond)
-	rel()
-	clk.advance(100 * time.Millisecond) // land the busy slot inside the window
-	r := a.Report()
-	if r.Utilization < 0.2 || r.Utilization > 0.3 {
-		t.Fatalf("Utilization = %v, want ~0.25", r.Utilization)
-	}
-	if r.Workers != 2 {
-		t.Fatalf("Workers = %d, want 2", r.Workers)
-	}
-	if r.P99Ns <= 0 || r.ServiceEWMANs <= 0 {
-		t.Fatalf("P99Ns/ServiceEWMANs = %d/%d, want > 0", r.P99Ns, r.ServiceEWMANs)
-	}
+		// One worker busy 500ms within the 1s window across 2 workers = 0.25.
+		rel, err := a.Admit(context.Background())
+		if err != nil {
+			t.Fatalf("admit: %v", err)
+		}
+		vtime.Advance(500 * time.Millisecond)
+		rel()
+		vtime.Advance(100 * time.Millisecond) // land the busy slot inside the window
+		r := a.Report()
+		if r.Utilization != 0.25 {
+			t.Fatalf("Utilization = %v, want 0.25", r.Utilization)
+		}
+		if r.Workers != 2 {
+			t.Fatalf("Workers = %d, want 2", r.Workers)
+		}
+		if r.P99Ns <= 0 || r.ServiceEWMANs <= 0 {
+			t.Fatalf("P99Ns/ServiceEWMANs = %d/%d, want > 0", r.P99Ns, r.ServiceEWMANs)
+		}
+	})
 }
 
 func TestReportRoundTripOverRPC(t *testing.T) {
@@ -482,89 +459,88 @@ func TestControllerHoldsOnMuteReplicas(t *testing.T) {
 // resilience stack treats it as a healthy shed — retried without consuming
 // the retry budget, and invisible to the breaker's failure count.
 func TestOverloadRoundTripOverREST(t *testing.T) {
-	n := rpc.NewMem()
-	a := NewAdmission(AdmissionConfig{MaxConcurrent: 1, MaxQueue: 1, CoDelTarget: -1, MinBudget: -1})
-	srv := rest.NewServer("svc")
-	srv.Use(RESTInterceptor(a))
-	entered := make(chan struct{}, 2)
-	release := make(chan struct{})
-	srv.Handle("GET /slow", func(ctx *rest.Ctx, body []byte) (any, error) {
-		entered <- struct{}{}
-		<-release
-		return nil, nil
-	})
-	addr, err := srv.Start(n, "svc:1")
-	if err != nil {
-		t.Fatalf("start: %v", err)
-	}
-	defer srv.Close()
-
-	var stats transport.Stats
-	breakerMW, probe := transport.BreakerWithProbe(transport.BreakerConfig{Failures: 1})
-	cl := rest.NewClient(n, "svc", addr, rest.WithMiddleware(
-		transport.Retry(transport.RetryConfig{Attempts: 3, Stats: &stats}),
-		breakerMW,
-	))
-	defer cl.Close()
-
-	ctx := context.Background()
-	var held sync.WaitGroup
-	// Occupy the single worker, then the single queue slot.
-	held.Add(1)
-	go func() {
-		defer held.Done()
-		if err := cl.Do(ctx, "GET", "/slow", nil, nil); err != nil {
-			t.Errorf("held request: %v", err)
+	vtime.Run(t, func() {
+		n := rpc.NewMem()
+		a := NewAdmission(AdmissionConfig{MaxConcurrent: 1, MaxQueue: 1, CoDelTarget: -1, MinBudget: -1})
+		srv := rest.NewServer("svc")
+		srv.Use(RESTInterceptor(a))
+		entered := make(chan struct{}, 2)
+		release := make(chan struct{})
+		srv.Handle("GET /slow", func(ctx *rest.Ctx, body []byte) (any, error) {
+			entered <- struct{}{}
+			<-release
+			return nil, nil
+		})
+		addr, err := srv.Start(n, "svc:1")
+		if err != nil {
+			t.Fatalf("start: %v", err)
 		}
-	}()
-	<-entered
-	held.Add(1)
-	go func() {
-		defer held.Done()
-		if err := cl.Do(ctx, "GET", "/slow", nil, nil); err != nil {
-			t.Errorf("queued request: %v", err)
-		}
-	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for a.Report().QueueDepth < 1 {
-		if time.Now().After(deadline) {
+		defer srv.Close()
+
+		var stats transport.Stats
+		breakerMW, probe := transport.BreakerWithProbe(transport.BreakerConfig{Failures: 1})
+		cl := rest.NewClient(n, "svc", addr, rest.WithMiddleware(
+			transport.Retry(transport.RetryConfig{Attempts: 3, Stats: &stats}),
+			breakerMW,
+		))
+		defer cl.Close()
+
+		ctx := context.Background()
+		var held sync.WaitGroup
+		// Occupy the single worker, then the single queue slot.
+		held.Add(1)
+		go func() {
+			defer held.Done()
+			if err := cl.Do(ctx, "GET", "/slow", nil, nil); err != nil {
+				t.Errorf("held request: %v", err)
+			}
+		}()
+		<-entered
+		held.Add(1)
+		go func() {
+			defer held.Done()
+			if err := cl.Do(ctx, "GET", "/slow", nil, nil); err != nil {
+				t.Errorf("queued request: %v", err)
+			}
+		}()
+		vtime.Wait()
+		if a.Report().QueueDepth != 1 {
 			t.Fatal("second request never queued")
 		}
-		time.Sleep(time.Millisecond)
-	}
 
-	// Every further request sheds. Fire enough that, were overload charged
-	// to the retry budget, the default burst of 10 would drain and
-	// RetryBudgetExhausted would fire.
-	const shedCalls = 8
-	for i := 0; i < shedCalls; i++ {
-		err := cl.Do(ctx, "GET", "/slow", nil, nil)
-		if !transport.IsCode(err, transport.CodeOverloaded) {
-			t.Fatalf("shed request error = %v, want CodeOverloaded round-tripped via 429", err)
+		// Every further request sheds. Fire enough that, were overload charged
+		// to the retry budget, the default burst of 10 would drain and
+		// RetryBudgetExhausted would fire.
+		const shedCalls = 8
+		for i := 0; i < shedCalls; i++ {
+			err := cl.Do(ctx, "GET", "/slow", nil, nil)
+			if !transport.IsCode(err, transport.CodeOverloaded) {
+				t.Fatalf("shed request error = %v, want CodeOverloaded round-tripped via 429", err)
+			}
+			if !transport.Retryable(err) {
+				t.Fatalf("decoded shed %v not retryable — lb failover would skip healthy replicas", err)
+			}
 		}
-		if !transport.Retryable(err) {
-			t.Fatalf("decoded shed %v not retryable — lb failover would skip healthy replicas", err)
+
+		// Each shed call burned all three attempts, exempt from the budget...
+		if got, want := stats.Retries.Value(), int64(shedCalls*2); got != want {
+			t.Fatalf("Retries = %d, want %d (overload retried without budget tokens)", got, want)
 		}
-	}
+		if got := stats.RetryBudgetExhausted.Value(); got != 0 {
+			t.Fatalf("RetryBudgetExhausted = %d, want 0 (overload is budget-exempt)", got)
+		}
+		// ...and none of them counted as a breaker failure (Failures: 1 would
+		// have tripped on the first one).
+		if state := probe(); state != "closed" {
+			t.Fatalf("breaker %s after %d sheds, want closed (sheds are healthy)", state, shedCalls)
+		}
 
-	// Each shed call burned all three attempts, exempt from the budget...
-	if got, want := stats.Retries.Value(), int64(shedCalls*2); got != want {
-		t.Fatalf("Retries = %d, want %d (overload retried without budget tokens)", got, want)
-	}
-	if got := stats.RetryBudgetExhausted.Value(); got != 0 {
-		t.Fatalf("RetryBudgetExhausted = %d, want 0 (overload is budget-exempt)", got)
-	}
-	// ...and none of them counted as a breaker failure (Failures: 1 would
-	// have tripped on the first one).
-	if state := probe(); state != "closed" {
-		t.Fatalf("breaker %s after %d sheds, want closed (sheds are healthy)", state, shedCalls)
-	}
-
-	close(release)
-	held.Wait()
-	if got := a.Report().Shed; got < shedCalls {
-		t.Fatalf("server recorded %d sheds, want >= %d", got, shedCalls)
-	}
+		close(release)
+		held.Wait()
+		if got := a.Report().Shed; got < shedCalls {
+			t.Fatalf("server recorded %d sheds, want >= %d", got, shedCalls)
+		}
+	})
 }
 
 func TestLagAwarePolicy(t *testing.T) {

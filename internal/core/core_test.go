@@ -10,6 +10,7 @@ import (
 	"dsb/internal/rest"
 	"dsb/internal/rpc"
 	"dsb/internal/transport"
+	"dsb/internal/vtime"
 )
 
 // buildTwoTier boots backend (RPC) and frontend (REST) tiers where the
@@ -178,46 +179,43 @@ func TestCloseIdempotent(t *testing.T) {
 }
 
 func TestInstanceFailureRecovery(t *testing.T) {
-	app := NewApp("failover", Options{})
-	defer app.Close()
-	mk := func(name string) (*rpc.Server, string) {
-		var srv *rpc.Server
-		addr, err := app.StartRPC("svc", func(s *rpc.Server) {
-			srv = s
-			s.Handle("Who", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
-				return codec.Marshal(name)
+	vtime.Run(t, func() {
+		app := NewApp("failover", Options{})
+		defer app.Close()
+		mk := func(name string) (*rpc.Server, string) {
+			var srv *rpc.Server
+			addr, err := app.StartRPC("svc", func(s *rpc.Server) {
+				srv = s
+				s.Handle("Who", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
+					return codec.Marshal(name)
+				})
 			})
-		})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return srv, addr
+		}
+		srv1, addr1 := mk("one")
+		mk("two")
+		cl, err := app.RPC("caller", "svc")
 		if err != nil {
 			t.Fatal(err)
 		}
-		return srv, addr
-	}
-	srv1, addr1 := mk("one")
-	mk("two")
-	cl, err := app.RPC("caller", "svc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Kill instance one: close its server and deregister it, as a health
-	// checker would.
-	srv1.Close()
-	app.Registry.Deregister("svc", addr1)
-	deadline := time.Now().Add(2 * time.Second)
-	for i := 0; i < 50; i++ {
-		var who string
-		err := cl.Call(context.Background(), "Who", nil, &who)
-		if err != nil {
-			if time.Now().After(deadline) {
-				t.Fatalf("traffic never recovered: %v", err)
+		// Kill instance one: close its server and deregister it, as a health
+		// checker would.
+		srv1.Close()
+		app.Registry.Deregister("svc", addr1)
+		vtime.Wait() // the balancer has followed the registry
+		for i := 0; i < 50; i++ {
+			var who string
+			if err := cl.Call(context.Background(), "Who", nil, &who); err != nil {
+				t.Fatalf("call %d after the eviction: %v", i, err)
 			}
-			time.Sleep(5 * time.Millisecond)
-			continue
+			if who != "two" {
+				t.Fatalf("routed to dead instance: %q", who)
+			}
 		}
-		if who != "two" {
-			t.Fatalf("routed to dead instance: %q", who)
-		}
-	}
+	})
 }
 
 // TestDeadlineBudgetShrinksAcrossTwoHops drives a root→mid→leaf RPC chain
@@ -324,62 +322,60 @@ func TestResilienceFailsFastOnSpentBudget(t *testing.T) {
 // a killed replica stops heartbeating, its lease expires, FollowRegistry
 // drops it from the balancer within ~2 TTLs, and Revive re-enrolls it.
 func TestKillEvictsViaLeaseAndReviveReturns(t *testing.T) {
-	const ttl = 60 * time.Millisecond
-	app := NewApp("test", Options{LeaseTTL: ttl})
-	defer app.Close()
+	vtime.Run(t, func() {
+		const ttl = 60 * time.Millisecond
+		app := NewApp("test", Options{LeaseTTL: ttl})
+		defer app.Close()
 
-	register := func(s *rpc.Server) {
-		s.Handle("Ping", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
-			return []byte("pong"), nil
-		})
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := app.StartRPCInstance("backend", register); err != nil {
+		register := func(s *rpc.Server) {
+			s.Handle("Ping", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
+				return []byte("pong"), nil
+			})
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := app.StartRPCInstance("backend", register); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bal, err := app.RPC("frontend", "backend")
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	bal, err := app.RPC("frontend", "backend")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(bal.Backends()); got != 2 {
-		t.Fatalf("backends = %d, want 2", got)
-	}
-
-	victims := app.Instances("backend")
-	if len(victims) != 2 {
-		t.Fatalf("Instances = %d, want 2", len(victims))
-	}
-	victim := victims[1]
-	victim.Kill()
-
-	// The registration lingers until lease expiry; the balancer must converge
-	// within two TTLs of the crash.
-	deadline := time.Now().Add(2*ttl + 50*time.Millisecond)
-	for {
-		got := bal.Backends()
-		if len(got) == 1 && got[0] != victim.Addr {
-			break
+		if got := len(bal.Backends()); got != 2 {
+			t.Fatalf("backends = %d, want 2", got)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("backends = %v two TTLs after kill, want victim %s evicted", got, victim.Addr)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
 
-	// Calls keep succeeding against the survivor.
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	if err := bal.Call(ctx, "Ping", nil, nil); err != nil {
-		t.Fatalf("call after eviction: %v", err)
-	}
-
-	victim.Revive()
-	deadline = time.Now().Add(2 * time.Second)
-	for len(bal.Backends()) != 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("backends = %v after revive, want 2", bal.Backends())
+		victims := app.Instances("backend")
+		if len(victims) != 2 {
+			t.Fatalf("Instances = %d, want 2", len(victims))
 		}
-		time.Sleep(2 * time.Millisecond)
-	}
+		victim := victims[1]
+		victim.Kill()
+
+		// The registration lingers until the lease runs out, one TTL after the
+		// last heartbeat — which was a heartbeat interval (TTL/3) before the
+		// kill at the earliest — and the balancer follows at once.
+		vtime.Advance(ttl - ttl/3 - time.Nanosecond)
+		if got := bal.Backends(); len(got) != 2 {
+			t.Fatalf("backends = %v before any lease could have run out", got)
+		}
+		vtime.Advance(ttl/3 + time.Nanosecond)
+		vtime.Wait()
+		if got := bal.Backends(); len(got) != 1 || got[0] == victim.Addr {
+			t.Fatalf("backends = %v one TTL after kill, want victim %s evicted", got, victim.Addr)
+		}
+
+		// Calls keep succeeding against the survivor.
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		if err := bal.Call(ctx, "Ping", nil, nil); err != nil {
+			t.Fatalf("call after eviction: %v", err)
+		}
+
+		victim.Revive()
+		vtime.Wait()
+		if got := bal.Backends(); len(got) != 2 {
+			t.Fatalf("backends = %v after revive, want 2", got)
+		}
+	})
 }

@@ -103,12 +103,16 @@ func Fig14() *Report {
 // Fig13 compares saturation throughput under a QoS target across the Xeon
 // at nominal frequency, the Xeon clocked to 1.8GHz, and the ThunderX.
 func Fig13() *Report {
+	return fig13(graph.SocialNetwork, graph.MediaService, graph.Ecommerce, graph.Banking, graph.SwarmCloud)
+}
+
+func fig13(apps ...func() *graph.App) *Report {
 	r := &Report{
 		ID:     "fig13",
 		Title:  "Max QPS under QoS: Xeon vs Xeon@1.8 vs ThunderX",
 		Header: []string{"application", "xeon", "xeon@1.8", "thunderx", "xeon/thunderx"},
 	}
-	for _, build := range []func() *graph.App{graph.SocialNetwork, graph.MediaService, graph.Ecommerce, graph.Banking, graph.SwarmCloud} {
+	for _, build := range apps {
 		app := build()
 		cap := func(plat archsim.Platform) float64 {
 			return findCapacity(func() *sim.Deployment {

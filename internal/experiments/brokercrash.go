@@ -79,8 +79,8 @@ type bcResult struct {
 
 // bcRun boots one arm, kills shard 0's primary broker mid-drive, and
 // watches the probe follower's timeline until the delivered set settles.
-func bcRun(replicated bool, seed int64) (bcResult, error) {
-	inj := fault.NewInjector(seed)
+func bcRun(replicated bool) (bcResult, error) {
+	inj := fault.NewInjector(41)
 	app := core.NewApp("brokercrash", core.Options{
 		DisableTracing: true,
 		Network:        inj.Wrap(rpc.NewMem()),
@@ -251,7 +251,7 @@ func BrokerCrash() *Report {
 		if replicated {
 			arm = "replicated (2 shards x 2)"
 		}
-		res, err := bcRun(replicated, 41)
+		res, err := bcRun(replicated)
 		if err != nil {
 			r.Notes = append(r.Notes, fmt.Sprintf("brokercrash %s: %v", arm, err))
 			continue

@@ -1,11 +1,11 @@
 package experiments
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
 	"dsb/internal/fault"
+	"dsb/internal/vtime"
 )
 
 // TestChaosScheduleDeterministic builds the chaos fault schedule twice from
@@ -33,68 +33,18 @@ func TestChaosScheduleDeterministic(t *testing.T) {
 	}
 }
 
-// chaosShapeViolations checks one pair of chaos-arm results and returns
-// the directional claims that did not hold; an empty list is a clean pass.
-// Schedule determinism and crash-window placement are not wall-clock
-// sensitive, so those stay hard failures in the caller.
-func chaosShapeViolations(prot, unprot chaosResult) []string {
-	var v []string
-	// Protected: the trough stays shallow and recovery fits in two TTLs.
-	if tr := prot.trough(); tr < 0.5 {
-		v = append(v, fmt.Sprintf("protected trough = %.2f of steady, want >= 0.5", tr))
-	}
-	if rec := prot.recovery(); rec > 2*chaosLease {
-		v = append(v, fmt.Sprintf("protected recovery = %v, want <= %v", rec, 2*chaosLease))
-	}
-	if issued, good, degraded := prot.window(chaosPartStart, chaosPartEnd); issued > 0 {
-		if ratio := float64(good) / float64(issued); ratio < 0.8 {
-			v = append(v, fmt.Sprintf("protected partition good/offered = %.2f, want >= 0.8 (degraded serves)", ratio))
-		}
-		if degraded == 0 {
-			v = append(v, "protected partition window served no degraded responses")
-		}
-	}
-
-	// Unprotected: collapse until the operator action, dead partition window.
-	if issued, good, _ := unprot.window(chaosCrashHi, chaosManualAt); issued > 0 {
-		if ratio := float64(good) / float64(issued); ratio > 0.7 {
-			v = append(v, fmt.Sprintf("unprotected crash good/offered = %.2f, want <= 0.7 (corpse eats picks)", ratio))
-		}
-	}
-	if rec, outage := unprot.recovery(), chaosManualAt-unprot.crashAt; rec < outage {
-		v = append(v, fmt.Sprintf("unprotected recovered at %v, before the operator deregistration (%v after crash)", rec, outage))
-	}
-	if issued, good, _ := unprot.window(chaosManualAt, chaosPartStart); issued > 0 {
-		if ratio := float64(good) / float64(issued); ratio < 0.9 {
-			v = append(v, fmt.Sprintf("unprotected healed good/offered = %.2f, want >= 0.9 after deregistration", ratio))
-		}
-	}
-	if issued, good, _ := unprot.window(chaosPartStart, chaosPartEnd); issued > 0 {
-		if ratio := float64(good) / float64(issued); ratio > 0.2 {
-			v = append(v, fmt.Sprintf("unprotected partition good/offered = %.2f, want <= 0.2", ratio))
-		}
-	}
-	if tr := prot.trough(); tr <= unprot.trough() && tr < 1 {
-		v = append(v, fmt.Sprintf("protected trough %.2f not above unprotected %.2f", tr, unprot.trough()))
-	}
-	return v
-}
-
 // TestChaosRecoveryShape asserts the directional claims of the chaos
 // experiment (Fig 20's recovery contrast). Two consecutive protected runs
 // must play the identical fault schedule (fixed seed); with leases +
-// degradation the post-crash goodput trough stays at or above half of
-// steady state and recovers within two lease TTLs, while the unprotected
-// arm collapses until the scheduled operator deregistration and loses the
-// partition window outright. The goodput claims are wall-clock
-// measurements, so — like the other live shape tests in this package —
-// they get three attempts and pass on the first clean one; the fixed seed
-// means a real regression fails all three identically.
+// degradation the crash costs no 100ms bucket any goodput and the partition
+// window is served degraded, while the unprotected arm collapses until the
+// scheduled operator deregistration and loses the partition window outright.
 func TestChaosRecoveryShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live chaos runs skipped in -short mode")
 	}
-	retryShape(t, func(int) ([]string, error) {
+	t.Parallel() // virtual time: a busy core cannot move its numbers
+	vtime.Run(t, func() {
 		prot := runChaos(true, chaosSeed)
 		prot2 := runChaos(true, chaosSeed)
 		if prot.schedule == "" || prot.schedule != prot2.schedule {
@@ -107,6 +57,39 @@ func TestChaosRecoveryShape(t *testing.T) {
 		if unprot.crashAt != prot.crashAt {
 			t.Fatalf("arms crashed at different instants: %v vs %v", unprot.crashAt, prot.crashAt)
 		}
-		return chaosShapeViolations(prot, unprot), nil
+
+		// Protected: degraded reads bridge the crash, so no 100ms bucket dips and
+		// the run is "recovered" by the end of the bucket the crash landed in; the
+		// partition window is served whole, every response degraded.
+		if tr := prot.trough(); tr != 1 {
+			t.Errorf("protected trough = %.2f of steady, want 1.00", tr)
+		}
+		if rec := prot.recovery(); rec > chaosBucket {
+			t.Errorf("protected recovery = %v, want inside the crash's own %v bucket", rec, chaosBucket)
+		}
+		if issued, good, degraded := prot.window(chaosPartStart, chaosPartEnd); issued == 0 || good != issued || degraded != issued {
+			t.Errorf("protected partition window: %d good, %d degraded of %d offered, want all of both (degraded serves)", good, degraded, issued)
+		}
+
+		// Unprotected: the corpse eats its share of picks until the operator
+		// action, goodput is whole again in the very next bucket, and the
+		// partition window is dead.
+		if issued, good, _ := unprot.window(chaosCrashHi, chaosManualAt); issued > 0 {
+			if ratio := float64(good) / float64(issued); ratio > 0.7 {
+				t.Errorf("unprotected crash good/offered = %.2f, want <= 0.7 (corpse eats picks)", ratio)
+			}
+		}
+		if rec, want := unprot.recovery(), chaosManualAt+chaosBucket-unprot.crashAt; rec != want {
+			t.Errorf("unprotected recovered %v after the crash, want %v: the bucket after the operator deregistration", rec, want)
+		}
+		if issued, good, _ := unprot.window(chaosManualAt, chaosPartStart); issued == 0 || good != issued {
+			t.Errorf("unprotected healed: %d good of %d offered, want all after deregistration", good, issued)
+		}
+		if issued, good, _ := unprot.window(chaosPartStart, chaosPartEnd); issued == 0 || good != 0 {
+			t.Errorf("unprotected partition: %d good of %d offered, want none", good, issued)
+		}
+		if tr := unprot.trough(); tr >= 0.7 {
+			t.Errorf("unprotected trough %.2f, want the corpse's share of picks gone (< 0.7)", tr)
+		}
 	})
 }

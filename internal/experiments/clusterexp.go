@@ -53,6 +53,10 @@ func rampOpenLoop(d *sim.Deployment, levels []float64, stepDur time.Duration, se
 // autoscaler sees only nginx saturated, scales the wrong tier, and the
 // tail never recovers.
 func Fig17() *Report {
+	return fig17(60*time.Second, 5*time.Second, 20*time.Second, 40*time.Second, 58*time.Second)
+}
+
+func fig17(dur time.Duration, samples ...time.Duration) *Report {
 	r := &Report{
 		ID:     "fig17",
 		Title:  "Two-tier backpressure: autoscaling helps case A, not case B",
@@ -68,7 +72,6 @@ func Fig17() *Report {
 		as := cluster.NewAutoscaler(d)
 		as.Interval = 2 * time.Second
 		as.StartupDelay = 3 * time.Second
-		const dur = 60 * time.Second
 		mon.Start(dur)
 		as.Start(dur)
 
@@ -77,14 +80,14 @@ func Fig17() *Report {
 			// Steady load above the connection-table capacity once
 			// memcached slows 10x at t=14s; its 32-worker pool keeps CPU
 			// utilization low throughout.
-			for i := 0; i < 60; i++ {
+			for i := 0; i < int(dur/time.Second); i++ {
 				levels = append(levels, 7000)
 			}
 			d.Sim.After(14*time.Second, func() { d.SetSlow("memcached", 0, 10) }) //nolint:errcheck
 		} else {
 			// Ramp that exceeds nginx CPU capacity (~9.5k QPS on 4 workers)
 			// at t=14s and again at t=35s.
-			for i := 0; i < 60; i++ {
+			for i := 0; i < int(dur/time.Second); i++ {
 				switch {
 				case i < 14:
 					levels = append(levels, 6000)
@@ -97,7 +100,7 @@ func Fig17() *Report {
 		}
 		rampOpenLoop(d, levels, time.Second, 17)
 
-		for _, t := range []time.Duration{5 * time.Second, 20 * time.Second, 40 * time.Second, 58 * time.Second} {
+		for _, t := range samples {
 			instances := 1
 			for _, e := range as.Events {
 				if e.Service == "nginx" && e.At <= t && e.Instances > instances {
@@ -118,14 +121,14 @@ func Fig17() *Report {
 				nginxScaled = e.Instances
 			}
 		}
-		return mon.E2EP99.At(20 * time.Second), mon.E2EP99.At(58 * time.Second), nginxScaled
+		return mon.E2EP99.At(20 * time.Second), mon.E2EP99.At(samples[len(samples)-1]), nginxScaled
 	}
 
 	aPeak, aEnd, aScaled := run("A: nginx saturation", false)
 	bPeak, bEnd, bScaled := run("B: memcached backpressure", true)
 	r.Notes = append(r.Notes,
-		fmt.Sprintf("case A: p99 %.2fms at t=20s -> %.2fms at t=58s after scaling nginx to %d (autoscaling works)", aPeak, aEnd, aScaled),
-		fmt.Sprintf("case B: p99 %.2fms at t=20s -> %.2fms at t=58s despite scaling nginx to %d (wrong tier; memcached stays CPU-idle)", bPeak, bEnd, bScaled),
+		fmt.Sprintf("case A: p99 %.2fms at t=20s -> %.2fms at t=%v after scaling nginx to %d (autoscaling works)", aPeak, aEnd, samples[len(samples)-1], aScaled),
+		fmt.Sprintf("case B: p99 %.2fms at t=20s -> %.2fms at t=%v despite scaling nginx to %d (wrong tier; memcached stays CPU-idle)", bPeak, bEnd, samples[len(samples)-1], bScaled),
 		"paper: utilization-driven autoscalers cannot see connection-level backpressure")
 	return r
 }

@@ -78,20 +78,25 @@ func swarmDeployment(kind string, edge bool, seed uint64) *sim.Deployment {
 // ≈20× lower latency at equal load), while obstacle avoidance — light and
 // latency-critical — is better served at the edge at low load.
 func Fig9() *Report {
+	return fig9([]fig9Sweep{
+		{"imageRecognition", []float64{1, 4, 16, 64, 128, 256, 512, 1024}},
+		{"obstacleAvoidance", []float64{1, 8, 32, 128, 512, 2048, 8192}},
+	})
+}
+
+// fig9Sweep is one query class and its offered loads, the low-load point first.
+type fig9Sweep struct {
+	kind string
+	qps  []float64
+}
+
+func fig9(sweeps []fig9Sweep) *Report {
 	r := &Report{
 		ID:     "fig9",
 		Title:  "Swarm: tail latency vs offered load, edge vs cloud execution",
 		Header: []string{"query", "placement", "qps", "p99"},
 	}
 	dur := 3 * time.Second
-	type sweep struct {
-		kind string
-		qps  []float64
-	}
-	sweeps := []sweep{
-		{"imageRecognition", []float64{1, 4, 16, 64, 128, 256, 512, 1024}},
-		{"obstacleAvoidance", []float64{1, 8, 32, 128, 512, 2048, 8192}},
-	}
 	capAtTail := map[string]map[bool]float64{}
 	lowLoadP99 := map[string]map[bool]float64{}
 	for _, sw := range sweeps {
@@ -119,7 +124,8 @@ func Fig9() *Report {
 			capAtTail[sw.kind][edge] = best
 		}
 	}
-	for _, kind := range []string{"imageRecognition", "obstacleAvoidance"} {
+	for _, sw := range sweeps {
+		kind := sw.kind
 		cloudCap, edgeCap := capAtTail[kind][false], capAtTail[kind][true]
 		ratio := "n/a"
 		if edgeCap > 0 {

@@ -75,7 +75,8 @@ func SlowServerResilience() *Report {
 
 // burn spins for d; handler service times are far below the scheduler's
 // sleep granularity, so sleeping would distort them by an order of
-// magnitude.
+// magnitude. A spin never blocks, so this one live experiment cannot run on
+// virtual time; as 20µs timers it can, but then its wall-clock run reads lag.
 func burn(d time.Duration) {
 	end := time.Now().Add(d)
 	for time.Now().Before(end) {

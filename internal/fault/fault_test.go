@@ -8,8 +8,10 @@ import (
 
 	"dsb/internal/rpc"
 	"dsb/internal/transport"
+	"dsb/internal/vtime"
 )
 
+// startEcho boots an echo server at addr, for its caller to close.
 func startEcho(t *testing.T, n rpc.Network, addr string) *rpc.Server {
 	t.Helper()
 	s := rpc.NewServer(ServiceOf(addr))
@@ -19,7 +21,6 @@ func startEcho(t *testing.T, n rpc.Network, addr string) *rpc.Server {
 	if _, err := s.Start(n, addr); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s.Close() })
 	return s
 }
 
@@ -81,7 +82,7 @@ func TestMiddlewareBlackholeBurnsDeadline(t *testing.T) {
 func TestResetKillsNewConns(t *testing.T) {
 	inj := NewInjector(7)
 	net := inj.Wrap(rpc.NewMem())
-	startEcho(t, net, "b:1")
+	defer startEcho(t, net, "b:1").Close()
 
 	disarm := inj.Add(Rule{From: "a", To: "b", Reset: true})
 	c, err := net.Bind("a").Dial("b:1")
@@ -106,7 +107,7 @@ func TestResetKillsNewConns(t *testing.T) {
 func TestAsymmetricPartition(t *testing.T) {
 	inj := NewInjector(7)
 	net := inj.Wrap(rpc.NewMem())
-	startEcho(t, net, "b:1")
+	defer startEcho(t, net, "b:1").Close()
 
 	ca := rpc.NewClient(net.Bind("a"), "b", "b:1")
 	defer ca.Close()
@@ -142,7 +143,7 @@ func TestAsymmetricPartition(t *testing.T) {
 func TestStallDelaysBytes(t *testing.T) {
 	inj := NewInjector(7)
 	net := inj.Wrap(rpc.NewMem())
-	startEcho(t, net, "b:1")
+	defer startEcho(t, net, "b:1").Close()
 	cl := rpc.NewClient(net.Bind("a"), "b", "b:1")
 	defer cl.Close()
 	if _, err := cl.CallRaw(context.Background(), "Echo", []byte("w")); err != nil {
@@ -183,53 +184,53 @@ func TestScenarioDeterministicSchedule(t *testing.T) {
 }
 
 func TestScenarioPlayArmsAndDisarms(t *testing.T) {
-	inj := NewInjector(1)
-	s := NewScenario(inj)
-	var fired atomic.Bool
-	s.During(5*time.Millisecond, 60*time.Millisecond, Partition("a", "b"))
-	s.At(20*time.Millisecond, Action("mark", func() { fired.Store(true) }))
+	vtime.Run(t, func() {
+		inj := NewInjector(1)
+		s := NewScenario(inj)
+		var fired atomic.Bool
+		s.During(5*time.Millisecond, 60*time.Millisecond, Partition("a", "b"))
+		s.At(20*time.Millisecond, Action("mark", func() { fired.Store(true) }))
 
-	done := s.Play(context.Background())
-	deadline := time.Now().Add(2 * time.Second)
-	for inj.Active() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if inj.Active() != 1 {
-		t.Fatal("During never armed its rule")
-	}
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Play never finished")
-	}
-	if inj.Active() != 0 {
-		t.Fatalf("rules left armed after play: %d", inj.Active())
-	}
-	if !fired.Load() {
-		t.Fatal("Action step never ran")
-	}
+		start := time.Now()
+		done := s.Play(context.Background())
+		vtime.Advance(5*time.Millisecond - time.Nanosecond)
+		if inj.Active() != 0 {
+			t.Fatal("During armed its rule early")
+		}
+		vtime.Advance(time.Nanosecond)
+		vtime.Wait()
+		if inj.Active() != 1 {
+			t.Fatal("During did not arm its rule at 5ms")
+		}
+		<-done
+		if took := time.Since(start); took != 60*time.Millisecond {
+			t.Fatalf("Play finished at %v, want at its last step, 60ms", took)
+		}
+		if inj.Active() != 0 {
+			t.Fatalf("rules left armed after play: %d", inj.Active())
+		}
+		if !fired.Load() {
+			t.Fatal("Action step never ran")
+		}
+	})
 }
 
 func TestScenarioPlayCancelDisarms(t *testing.T) {
-	inj := NewInjector(1)
-	s := NewScenario(inj)
-	s.During(time.Millisecond, time.Hour, Blackhole("a", ""))
-	ctx, cancel := context.WithCancel(context.Background())
-	done := s.Play(ctx)
-	deadline := time.Now().Add(2 * time.Second)
-	for inj.Active() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if inj.Active() != 1 {
-		t.Fatal("rule never armed")
-	}
-	cancel()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Play never exited after cancel")
-	}
-	if inj.Active() != 0 {
-		t.Fatalf("canceled play left %d rules armed", inj.Active())
-	}
+	vtime.Run(t, func() {
+		inj := NewInjector(1)
+		s := NewScenario(inj)
+		s.During(time.Millisecond, time.Hour, Blackhole("a", ""))
+		ctx, cancel := context.WithCancel(context.Background())
+		done := s.Play(ctx)
+		vtime.Advance(time.Millisecond)
+		vtime.Wait()
+		if inj.Active() != 1 {
+			t.Fatal("rule not armed at 1ms")
+		}
+		cancel()
+		<-done // an hour early
+		if inj.Active() != 0 {
+			t.Fatalf("canceled play left %d rules armed", inj.Active())
+		}
+	})
 }

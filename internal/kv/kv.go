@@ -73,7 +73,6 @@ type Stats struct {
 type Cache struct {
 	shards  []shard
 	mask    uint32
-	now     func() time.Time
 	stripes int // requested via WithStripes; 0 = machine default
 }
 
@@ -94,11 +93,6 @@ type shard struct {
 // Option configures a Cache.
 type Option func(*Cache)
 
-// WithClock injects a clock for TTL handling in tests and simulations.
-func WithClock(now func() time.Time) Option {
-	return func(c *Cache) { c.now = now }
-}
-
 // WithStripes pins the lock-stripe count instead of the GOMAXPROCS-scaled
 // default — tests that reason about the per-stripe byte budget
 // (maxBytes/stripes) pin it so the budget does not move with the machine.
@@ -114,7 +108,7 @@ func New(maxBytes int64, opts ...Option) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = 64 << 20
 	}
-	c := &Cache{now: time.Now}
+	c := &Cache{}
 	for _, o := range opts {
 		o(c)
 	}
@@ -163,7 +157,7 @@ func (c *Cache) Get(key string) (value []byte, version uint64, ok bool) {
 		s.misses++
 		return nil, 0, false
 	}
-	if !e.expires.IsZero() && !c.now().Before(e.expires) {
+	if !e.expires.IsZero() && !time.Now().Before(e.expires) {
 		s.remove(e)
 		s.expired++
 		s.misses++
@@ -213,7 +207,7 @@ func (c *Cache) set(key string, value []byte, ttl time.Duration, casVersion uint
 	}
 	var expires time.Time
 	if ttl > 0 {
-		expires = c.now().Add(ttl)
+		expires = time.Now().Add(ttl)
 	}
 	if exists {
 		s.bytes += int64(len(value)) - int64(len(e.value))
@@ -256,7 +250,7 @@ func (c *Cache) Incr(key string, delta int64) int64 {
 	defer s.mu.Unlock()
 	var cur int64
 	e, exists := s.items[key]
-	if exists && (e.expires.IsZero() || c.now().Before(e.expires)) {
+	if exists && (e.expires.IsZero() || time.Now().Before(e.expires)) {
 		cur = parseInt(e.value)
 	}
 	cur += delta

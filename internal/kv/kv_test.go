@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dsb/internal/rpc"
+	"dsb/internal/vtime"
 )
 
 func TestSetGet(t *testing.T) {
@@ -35,19 +36,21 @@ func TestOverwriteBumpsVersion(t *testing.T) {
 }
 
 func TestTTLExpiry(t *testing.T) {
-	now := time.Unix(0, 0)
-	c := New(1<<20, WithClock(func() time.Time { return now }))
-	c.Set("k", []byte("v"), time.Second)
-	if _, _, ok := c.Get("k"); !ok {
-		t.Fatal("fresh key should be present")
-	}
-	now = now.Add(2 * time.Second)
-	if _, _, ok := c.Get("k"); ok {
-		t.Fatal("expired key should be gone")
-	}
-	if st := c.Stats(); st.Expired != 1 {
-		t.Fatalf("Expired = %d", st.Expired)
-	}
+	vtime.Run(t, func() {
+		c := New(1 << 20)
+		c.Set("k", []byte("v"), time.Second)
+		vtime.Advance(time.Second - time.Nanosecond)
+		if _, _, ok := c.Get("k"); !ok {
+			t.Fatal("key should be present until its TTL has run")
+		}
+		vtime.Advance(time.Nanosecond)
+		if _, _, ok := c.Get("k"); ok {
+			t.Fatal("expired key should be gone")
+		}
+		if st := c.Stats(); st.Expired != 1 {
+			t.Fatalf("Expired = %d", st.Expired)
+		}
+	})
 }
 
 func TestDelete(t *testing.T) {

@@ -12,6 +12,7 @@ import (
 	"dsb/internal/registry"
 	"dsb/internal/rpc"
 	"dsb/internal/transport"
+	"dsb/internal/vtime"
 )
 
 // TestLeaseExpiryEjectsBackend wires FollowRegistry to a registry with
@@ -19,70 +20,73 @@ import (
 // drop it from rotation within one lease TTL — no probing, no failed calls
 // required — while the healthy replica keeps serving.
 func TestLeaseExpiryEjectsBackend(t *testing.T) {
-	net := rpc.NewMem()
-	addrs := startInstances(t, net, 2)
-	reg := registry.New()
-	const ttl = 60 * time.Millisecond
-	healthy := reg.RegisterLease("svc", addrs[0], ttl)
-	crashed := reg.RegisterLease("svc", addrs[1], ttl)
+	vtime.Run(t, func() {
+		net := rpc.NewMem()
+		addrs, stop := startInstances(t, net, 2)
+		defer stop()
+		reg := registry.New()
+		const ttl = 60 * time.Millisecond
+		healthy := reg.RegisterLease("svc", addrs[0], ttl)
+		crashed := reg.RegisterLease("svc", addrs[1], ttl)
 
-	b := New(net, "svc", reg.Lookup("svc"), &RoundRobin{})
-	defer b.Close()
-	stop := make(chan struct{})
-	defer close(stop)
-	go b.FollowRegistry(reg, stop)
+		b := New(net, "svc", reg.Lookup("svc"), &RoundRobin{})
+		defer b.Close()
+		unfollow := make(chan struct{})
+		defer close(unfollow)
+		go b.FollowRegistry(reg, unfollow)
 
-	// Heartbeat the healthy replica; let the crashed one's lease lapse.
-	hbStop := make(chan struct{})
-	defer close(hbStop)
-	go func() {
-		tick := time.NewTicker(ttl / 3)
-		defer tick.Stop()
-		for {
-			select {
-			case <-hbStop:
-				return
-			case <-tick.C:
-				healthy.Renew()
+		// Heartbeat the healthy replica; let the crashed one's lease lapse.
+		hbStop := make(chan struct{})
+		defer close(hbStop)
+		go func() {
+			tick := time.NewTicker(ttl / 3)
+			defer tick.Stop()
+			for {
+				select {
+				case <-hbStop:
+					return
+				case <-tick.C:
+					healthy.Renew()
+				}
 			}
-		}
-	}()
+		}()
 
-	// Within one TTL of the crash (lease armed at RegisterLease above), the
-	// backend set must shrink to the healthy replica.
-	deadline := time.Now().Add(ttl + 30*time.Millisecond)
-	for {
-		got := b.Backends()
-		if len(got) == 1 && got[0] == addrs[0] {
-			break
+		// One TTL after the crash (lease armed at RegisterLease above), and no
+		// sooner, the backend set shrinks to the healthy replica.
+		vtime.Advance(ttl - time.Nanosecond)
+		if got := b.Backends(); len(got) != 2 {
+			t.Fatalf("backends = %v inside the lease TTL, want both", got)
 		}
-		if time.Now().After(deadline) {
+		vtime.Advance(time.Nanosecond)
+		vtime.Wait()
+		if got := b.Backends(); len(got) != 1 || got[0] != addrs[0] {
 			t.Fatalf("backends = %v after a lease TTL, want only %s", got, addrs[0])
 		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if !crashed.Expired() {
-		t.Fatal("crashed lease should be expired")
-	}
+		if !crashed.Expired() {
+			t.Fatal("crashed lease should be expired")
+		}
 
-	// Every subsequent pick lands on the survivor.
-	for i := 0; i < 10; i++ {
-		var resp whoResp
-		if err := b.Call(context.Background(), "Who", nil, &resp); err != nil {
-			t.Fatal(err)
+		// Every subsequent pick lands on the survivor.
+		for i := 0; i < 10; i++ {
+			var resp whoResp
+			if err := b.Call(context.Background(), "Who", nil, &resp); err != nil {
+				t.Fatal(err)
+			}
+			if resp.Instance != "inst-0" {
+				t.Fatalf("pick %d routed to crashed backend %s", i, resp.Instance)
+			}
 		}
-		if resp.Instance != "inst-0" {
-			t.Fatalf("pick %d routed to crashed backend %s", i, resp.Instance)
-		}
-	}
+	})
 }
 
 type whoResp struct{ Instance string }
 
-// startInstances boots n echo servers that identify themselves.
-func startInstances(t testing.TB, net rpc.Network, n int) []string {
+// startInstances boots n echo servers that identify themselves; stop closes
+// them.
+func startInstances(t testing.TB, net rpc.Network, n int) (addrs []string, stop func()) {
 	t.Helper()
-	addrs := make([]string, n)
+	addrs = make([]string, n)
+	var servers []*rpc.Server
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("inst-%d", i)
 		s := rpc.NewServer("svc")
@@ -90,22 +94,27 @@ func startInstances(t testing.TB, net rpc.Network, n int) []string {
 			return codec.Marshal(whoResp{Instance: name})
 		})
 		s.Handle("Slow", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
-			time.Sleep(30 * time.Millisecond)
+			vtime.Advance(30 * time.Millisecond)
 			return codec.Marshal(whoResp{Instance: name})
 		})
 		addr, err := s.Start(net, fmt.Sprintf("svc/%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { s.Close() })
+		servers = append(servers, s)
 		addrs[i] = addr
 	}
-	return addrs
+	return addrs, func() {
+		for _, s := range servers {
+			s.Close()
+		}
+	}
 }
 
 func TestRoundRobinSpreads(t *testing.T) {
 	net := rpc.NewMem()
-	addrs := startInstances(t, net, 3)
+	addrs, stop := startInstances(t, net, 3)
+	defer stop()
 	b := New(net, "svc", addrs, &RoundRobin{})
 	defer b.Close()
 	counts := map[string]int{}
@@ -137,7 +146,8 @@ func TestNoBackends(t *testing.T) {
 
 func TestAddRemoveBackend(t *testing.T) {
 	net := rpc.NewMem()
-	addrs := startInstances(t, net, 2)
+	addrs, stop := startInstances(t, net, 2)
+	defer stop()
 	b := New(net, "svc", addrs[:1], &RoundRobin{})
 	defer b.Close()
 	b.AddBackend(addrs[1])
@@ -159,36 +169,39 @@ func TestAddRemoveBackend(t *testing.T) {
 }
 
 func TestLeastConnAvoidsBusy(t *testing.T) {
-	net := rpc.NewMem()
-	addrs := startInstances(t, net, 2)
-	b := New(net, "svc", addrs, LeastConn{})
-	defer b.Close()
+	vtime.Run(t, func() {
+		net := rpc.NewMem()
+		addrs, stop := startInstances(t, net, 2)
+		defer stop()
+		b := New(net, "svc", addrs, LeastConn{})
+		defer b.Close()
 
-	// Stagger three slow calls so least-conn assigns them 0, 1, 0 (ties go
-	// to the lowest index), leaving outstanding = (2, 1). Fast calls issued
-	// while they run must all land on the less-loaded backend 1.
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var resp whoResp
-			b.Call(context.Background(), "Slow", nil, &resp) //nolint:errcheck
-		}()
-		time.Sleep(5 * time.Millisecond)
-	}
-	counts := map[string]int{}
-	for i := 0; i < 5; i++ {
-		var resp whoResp
-		if err := b.Call(context.Background(), "Who", nil, &resp); err != nil {
-			t.Fatal(err)
+		// Stagger three slow calls so least-conn assigns them 0, 1, 0 (ties go
+		// to the lowest index), leaving outstanding = (2, 1). Fast calls issued
+		// while they run must all land on the less-loaded backend 1.
+		var wg sync.WaitGroup
+		for i := 0; i < 3; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var resp whoResp
+				b.Call(context.Background(), "Slow", nil, &resp) //nolint:errcheck
+			}()
+			vtime.Wait() // the call is in its handler
 		}
-		counts[resp.Instance]++
-	}
-	wg.Wait()
-	if counts["inst-1"] != 5 {
-		t.Fatalf("least-conn did not prefer idle backend: %v", counts)
-	}
+		counts := map[string]int{}
+		for i := 0; i < 5; i++ {
+			var resp whoResp
+			if err := b.Call(context.Background(), "Who", nil, &resp); err != nil {
+				t.Fatal(err)
+			}
+			counts[resp.Instance]++
+		}
+		wg.Wait()
+		if counts["inst-1"] != 5 {
+			t.Fatalf("least-conn did not prefer idle backend: %v", counts)
+		}
+	})
 }
 
 func TestPowerOfTwoPick(t *testing.T) {
@@ -225,7 +238,8 @@ func TestRoundRobinPolicyCycle(t *testing.T) {
 
 func TestFailoverOnDeadBackend(t *testing.T) {
 	net := rpc.NewMem()
-	addrs := startInstances(t, net, 2)
+	addrs, stop := startInstances(t, net, 2)
+	defer stop()
 	b := New(net, "svc", addrs, &RoundRobin{})
 	defer b.Close()
 
@@ -279,7 +293,8 @@ func TestNoFailoverOnApplicationError(t *testing.T) {
 // without callers reaching into balancer internals.
 func TestBackendStats(t *testing.T) {
 	net := rpc.NewMem()
-	addrs := startInstances(t, net, 2)
+	addrs, stop := startInstances(t, net, 2)
+	defer stop()
 	factory := (&transport.ResilienceConfig{
 		Breaker: &transport.BreakerConfig{Failures: 1, Cooldown: time.Minute},
 	}).InstrumentedBackendFactory()
@@ -342,7 +357,8 @@ func TestBackendStats(t *testing.T) {
 // caught on the leaving replica's closed client fails over to a neighbour.
 func TestMembershipChurnLosesNoCall(t *testing.T) {
 	net := rpc.NewMem()
-	addrs := startInstances(t, net, 3)
+	addrs, stopServers := startInstances(t, net, 3)
+	defer stopServers()
 	b := New(net, "svc", addrs[:2], &RoundRobin{})
 	defer b.Close()
 

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"dsb/internal/vtime"
 )
 
 func TestPoissonMeanRate(t *testing.T) {
@@ -223,29 +225,31 @@ func TestSkewedUsersBounds(t *testing.T) {
 }
 
 func TestRunOpenLoop(t *testing.T) {
-	sched := Schedule(ConstantRate{Gap: time.Millisecond}, 200*time.Millisecond)
-	seen := make([]atomic.Bool, len(sched))
-	res := RunOpenLoop(context.Background(), sched, 0,
-		func(ctx context.Context, a Arrival) error {
-			if a.At != sched[a.Index] || seen[a.Index].Swap(true) {
-				t.Errorf("arrival %+v: want each schedule entry handed to do exactly once", a)
-			}
-			time.Sleep(time.Millisecond)
-			return nil
-		})
-	// The offered load is the schedule's, however late the timer wakes.
-	if res.Issued != int64(len(sched)) || res.Completed != res.Issued {
-		t.Fatalf("issued = %d, completed = %d, want the schedule's %d", res.Issued, res.Completed, len(sched))
-	}
-	if res.Errors != 0 {
-		t.Fatalf("errors = %d", res.Errors)
-	}
-	if res.Latency.Count != res.Completed {
-		t.Fatal("latency samples != completions")
-	}
-	if res.Throughput() <= 0 {
-		t.Fatal("throughput = 0")
-	}
+	vtime.Run(t, func() {
+		sched := Schedule(ConstantRate{Gap: time.Millisecond}, 200*time.Millisecond)
+		seen := make([]atomic.Bool, len(sched))
+		res := RunOpenLoop(context.Background(), sched, 0,
+			func(ctx context.Context, a Arrival) error {
+				if a.At != sched[a.Index] || seen[a.Index].Swap(true) {
+					t.Errorf("arrival %+v: want each schedule entry handed to do exactly once", a)
+				}
+				vtime.Advance(time.Millisecond)
+				return nil
+			})
+		// The offered load is the schedule's, however late the timer wakes.
+		if res.Issued != int64(len(sched)) || res.Completed != res.Issued {
+			t.Fatalf("issued = %d, completed = %d, want the schedule's %d", res.Issued, res.Completed, len(sched))
+		}
+		if res.Errors != 0 {
+			t.Fatalf("errors = %d", res.Errors)
+		}
+		if res.Latency.Count != res.Completed {
+			t.Fatal("latency samples != completions")
+		}
+		if res.Throughput() <= 0 {
+			t.Fatal("throughput = 0")
+		}
+	})
 }
 
 // TestRunOpenLoopTimesFromSchedule pins what latency is counted from. An
@@ -253,50 +257,55 @@ func TestRunOpenLoop(t *testing.T) {
 // lagging generator: it is sent 40ms late, returns at once, and must be
 // charged those 40ms.
 func TestRunOpenLoopTimesFromSchedule(t *testing.T) {
-	const late = 40 * time.Millisecond
-	res := RunOpenLoop(context.Background(), []time.Duration{late, 0}, 0,
-		func(ctx context.Context, a Arrival) error { return nil })
-	if res.Completed != 2 {
-		t.Fatalf("completed = %d, want 2", res.Completed)
-	}
-	if got := time.Duration(res.Latency.Max); got < late || got > late+30*time.Millisecond {
-		t.Fatalf("overdue arrival's latency = %v, want %v (+ up to 30ms of scheduling) counted from its scheduled instant", got, late)
-	}
-	if got := time.Duration(res.Latency.Min); got > 30*time.Millisecond {
-		t.Fatalf("on-time arrival's latency = %v, want ~0", got)
-	}
+	vtime.Run(t, func() {
+		const late = 40 * time.Millisecond
+		res := RunOpenLoop(context.Background(), []time.Duration{late, 0}, 0,
+			func(ctx context.Context, a Arrival) error { return nil })
+		if res.Completed != 2 {
+			t.Fatalf("completed = %d, want 2", res.Completed)
+		}
+		if got := time.Duration(res.Latency.Max); got != late {
+			t.Fatalf("overdue arrival's latency = %v, want %v, counted from its scheduled instant", got, late)
+		}
+		if got := time.Duration(res.Latency.Min); got != 0 {
+			t.Fatalf("on-time arrival's latency = %v, want 0", got)
+		}
+	})
 }
 
 // TestWarmupCut checks both loops run their warm-up requests but leave them
 // out of the Result.
 func TestWarmupCut(t *testing.T) {
-	const warmup = 50 * time.Millisecond
-	sched := Schedule(ConstantRate{Gap: time.Millisecond}, 100*time.Millisecond)
-	var calls, measured atomic.Int64
-	do := func(ctx context.Context, a Arrival) error {
-		calls.Add(1)
-		if a.At >= warmup {
-			measured.Add(1)
+	vtime.Run(t, func() {
+		const warmup = 50 * time.Millisecond
+		sched := Schedule(ConstantRate{Gap: time.Millisecond}, 100*time.Millisecond)
+		var calls, measured atomic.Int64
+		do := func(ctx context.Context, a Arrival) error {
+			calls.Add(1)
+			if a.At >= warmup {
+				measured.Add(1)
+			}
+			vtime.Advance(time.Millisecond)
+			return nil
 		}
-		time.Sleep(time.Millisecond)
-		return nil
-	}
-	open := RunOpenLoop(context.Background(), sched, warmup, do)
-	if calls.Load() != int64(len(sched)) || open.Issued != 50 || open.Issued != measured.Load() {
-		t.Fatalf("open loop: %d calls, issued %d, measured %d; want %d calls and the 50 arrivals at or after %v issued",
-			calls.Load(), open.Issued, measured.Load(), len(sched), warmup)
-	}
-	if open.Latency.Count != open.Completed || open.Elapsed < 40*time.Millisecond || open.Elapsed > 90*time.Millisecond {
-		t.Fatalf("open loop: %d samples for %d completions over %v, want the 50ms after the cut", open.Latency.Count, open.Completed, open.Elapsed)
-	}
+		open := RunOpenLoop(context.Background(), sched, warmup, do)
+		if calls.Load() != int64(len(sched)) || open.Issued != 50 || open.Issued != measured.Load() {
+			t.Fatalf("open loop: %d calls, issued %d, measured %d; want %d calls and the 50 arrivals at or after %v issued",
+				calls.Load(), open.Issued, measured.Load(), len(sched), warmup)
+		}
+		if open.Latency.Count != open.Completed || open.Elapsed != 50*time.Millisecond {
+			t.Fatalf("open loop: %d samples for %d completions over %v, want the 50ms after the cut", open.Latency.Count, open.Completed, open.Elapsed)
+		}
 
-	calls.Store(0)
-	measured.Store(0)
-	closed := RunClosedLoop(context.Background(), 2, warmup, 100*time.Millisecond, do)
-	if closed.Issued != measured.Load() || closed.Issued == 0 || closed.Issued >= calls.Load() {
-		t.Fatalf("closed loop: %d calls, issued %d, measured %d; want only the requests sent after %v issued",
-			calls.Load(), closed.Issued, measured.Load(), warmup)
-	}
+		calls.Store(0)
+		measured.Store(0)
+		closed := RunClosedLoop(context.Background(), 2, warmup, 100*time.Millisecond, do)
+		// Two workers, one request a millisecond each: 200 calls, half after the cut.
+		if closed.Issued != measured.Load() || closed.Issued != 100 || calls.Load() != 200 {
+			t.Fatalf("closed loop: %d calls, issued %d, measured %d; want 200 calls and only the 100 sent after %v issued",
+				calls.Load(), closed.Issued, measured.Load(), warmup)
+		}
+	})
 }
 
 func TestRunOpenLoopCountsErrors(t *testing.T) {
@@ -317,31 +326,31 @@ func TestRunOpenLoopCountsErrors(t *testing.T) {
 }
 
 func TestRunOpenLoopRespectsCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	RunOpenLoop(ctx, Schedule(ConstantRate{Gap: time.Millisecond}, 10*time.Second), 0,
-		func(ctx context.Context, a Arrival) error { return nil })
-	if time.Since(start) > 2*time.Second {
-		t.Fatal("cancel not honored")
-	}
+	vtime.Run(t, func() {
+		ctx, cancel := context.WithCancel(context.Background())
+		time.AfterFunc(30*time.Millisecond, cancel)
+		start := time.Now()
+		RunOpenLoop(ctx, Schedule(ConstantRate{Gap: time.Millisecond}, 10*time.Second), 0,
+			func(ctx context.Context, a Arrival) error { return nil })
+		if took := time.Since(start); took != 30*time.Millisecond {
+			t.Fatalf("returned after %v, want at the cancel 30ms in", took)
+		}
+	})
 }
 
 func TestRunClosedLoop(t *testing.T) {
-	res := RunClosedLoop(context.Background(), 4, 0, 100*time.Millisecond,
-		func(ctx context.Context, a Arrival) error {
-			time.Sleep(5 * time.Millisecond)
-			return nil
-		})
-	// 4 workers * up to ~20 iterations each; scheduling noise on a loaded
-	// machine can slow the workers, so only assert sane bounds.
-	if res.Completed < 4 || res.Completed > 200 {
-		t.Fatalf("completed = %d, want within [4, 200]", res.Completed)
-	}
-	if res.Issued != res.Completed {
-		t.Fatal("issued != completed for error-free run")
-	}
+	vtime.Run(t, func() {
+		res := RunClosedLoop(context.Background(), 4, 0, 100*time.Millisecond,
+			func(ctx context.Context, a Arrival) error {
+				vtime.Advance(5 * time.Millisecond)
+				return nil
+			})
+		// 4 workers * 20 iterations each.
+		if res.Completed != 80 {
+			t.Fatalf("completed = %d, want 80", res.Completed)
+		}
+		if res.Issued != res.Completed {
+			t.Fatal("issued != completed for error-free run")
+		}
+	})
 }

@@ -39,20 +39,14 @@ type Meter struct {
 	slotDur  time.Duration
 	slots    []int64
 	slotBase int64 // slot index of slots[0] in absolute slot numbering
-	now      func() time.Time
 }
 
 // NewMeter creates a meter covering window, divided into n slots.
-// now may be nil, in which case time.Now is used; experiments on virtual
-// time inject their own clock.
-func NewMeter(window time.Duration, n int, now func() time.Time) *Meter {
+func NewMeter(window time.Duration, n int) *Meter {
 	if n <= 0 {
 		n = 10
 	}
-	if now == nil {
-		now = time.Now
-	}
-	return &Meter{slotDur: window / time.Duration(n), slots: make([]int64, n), now: now}
+	return &Meter{slotDur: window / time.Duration(n), slots: make([]int64, n)}
 }
 
 func (m *Meter) slotOf(t time.Time) int64 {
@@ -86,7 +80,7 @@ func (m *Meter) advance(abs int64) {
 func (m *Meter) Mark(n int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	abs := m.slotOf(m.now())
+	abs := m.slotOf(time.Now())
 	m.advance(abs)
 	idx := abs - m.slotBase
 	if idx < 0 {
@@ -99,7 +93,7 @@ func (m *Meter) Mark(n int64) {
 func (m *Meter) Rate() float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.advance(m.slotOf(m.now()))
+	m.advance(m.slotOf(time.Now()))
 	var total int64
 	for _, s := range m.slots {
 		total += s

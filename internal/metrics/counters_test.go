@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dsb/internal/vtime"
 )
 
 func TestCounter(t *testing.T) {
@@ -43,41 +45,40 @@ func TestGauge(t *testing.T) {
 }
 
 func TestMeterRate(t *testing.T) {
-	// Inject a controllable clock.
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
-	m := NewMeter(time.Second, 10, clock)
-	for i := 0; i < 100; i++ {
-		m.Mark(1)
-	}
-	got := m.Rate()
-	if got < 99 || got > 101 {
-		t.Fatalf("Rate = %f, want ~100", got)
-	}
-	// Advance past the window: rate decays to zero.
-	now = now.Add(2 * time.Second)
-	if got := m.Rate(); got != 0 {
-		t.Fatalf("Rate after window = %f, want 0", got)
-	}
+	vtime.Run(t, func() {
+		m := NewMeter(time.Second, 10)
+		for i := 0; i < 100; i++ {
+			m.Mark(1)
+		}
+		got := m.Rate()
+		if got < 99 || got > 101 {
+			t.Fatalf("Rate = %f, want ~100", got)
+		}
+		// Advance past the window: rate decays to zero.
+		vtime.Advance(2 * time.Second)
+		if got := m.Rate(); got != 0 {
+			t.Fatalf("Rate after window = %f, want 0", got)
+		}
+	})
 }
 
 func TestMeterRotation(t *testing.T) {
-	now := time.Unix(2000, 0)
-	clock := func() time.Time { return now }
-	m := NewMeter(time.Second, 10, clock)
-	m.Mark(10)
-	now = now.Add(500 * time.Millisecond)
-	m.Mark(10)
-	// Both marks inside the 1s window.
-	if got := m.Rate(); got < 19 || got > 21 {
-		t.Fatalf("Rate = %f, want ~20", got)
-	}
-	// Slide so only the second mark remains.
-	now = now.Add(700 * time.Millisecond)
-	got := m.Rate()
-	if got < 9 || got > 11 {
-		t.Fatalf("Rate after slide = %f, want ~10", got)
-	}
+	vtime.Run(t, func() {
+		m := NewMeter(time.Second, 10)
+		m.Mark(10)
+		vtime.Advance(500 * time.Millisecond)
+		m.Mark(10)
+		// Both marks inside the 1s window.
+		if got := m.Rate(); got < 19 || got > 21 {
+			t.Fatalf("Rate = %f, want ~20", got)
+		}
+		// Slide so only the second mark remains.
+		vtime.Advance(700 * time.Millisecond)
+		got := m.Rate()
+		if got < 9 || got > 11 {
+			t.Fatalf("Rate after slide = %f, want ~10", got)
+		}
+	})
 }
 
 func TestRegistry(t *testing.T) {

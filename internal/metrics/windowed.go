@@ -15,25 +15,20 @@ type Windowed struct {
 	slotDur  time.Duration
 	slots    []*Histogram
 	slotBase int64 // slot index of slots[0] in absolute slot numbering
-	now      func() time.Time
 }
 
 // NewWindowed creates a windowed histogram covering window, divided into n
 // slots (coarser slots mean cheaper rotation, at the cost of up to one
-// slot's worth of stale samples). now may be nil, in which case time.Now is
-// used; tests inject their own clock.
-func NewWindowed(window time.Duration, n int, now func() time.Time) *Windowed {
+// slot's worth of stale samples).
+func NewWindowed(window time.Duration, n int) *Windowed {
 	if n <= 0 {
 		n = 4
-	}
-	if now == nil {
-		now = time.Now
 	}
 	slots := make([]*Histogram, n)
 	for i := range slots {
 		slots[i] = NewHistogram()
 	}
-	return &Windowed{slotDur: window / time.Duration(n), slots: slots, now: now}
+	return &Windowed{slotDur: window / time.Duration(n), slots: slots}
 }
 
 func (w *Windowed) slotOf(t time.Time) int64 {
@@ -71,7 +66,7 @@ func (w *Windowed) advance(abs int64) {
 func (w *Windowed) Record(v int64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	abs := w.slotOf(w.now())
+	abs := w.slotOf(time.Now())
 	w.advance(abs)
 	idx := abs - w.slotBase
 	if idx < 0 {
@@ -88,7 +83,7 @@ func (w *Windowed) RecordDuration(d time.Duration) { w.Record(int64(d)) }
 func (w *Windowed) Snapshot() Snapshot {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.advance(w.slotOf(w.now()))
+	w.advance(w.slotOf(time.Now()))
 	merged := NewHistogram()
 	for _, h := range w.slots {
 		merged.Merge(h)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dsb/internal/rpc"
+	"dsb/internal/vtime"
 )
 
 // TestPoisonMessageDeadLetters is the head-of-line regression test: a
@@ -55,23 +56,24 @@ func TestPoisonMessageDeadLetters(t *testing.T) {
 // crashes (never settles) burns attempts via lease expiry, and the message
 // dead-letters instead of recycling forever.
 func TestLeaseExpiryDeadLetters(t *testing.T) {
-	now := time.Unix(0, 0)
-	b := NewBroker(WithClock(func() time.Time { return now }))
-	q := b.Configure("q", QueueConfig{MaxAttempts: 2})
-	q.Publish([]byte("m")) //nolint:errcheck
-	for attempt := 1; attempt <= 2; attempt++ {
-		msg, ok := q.TryReceive(time.Second)
-		if !ok || msg.Attempts != attempt {
-			t.Fatalf("attempt %d: %+v ok=%v", attempt, msg, ok)
+	vtime.Run(t, func() {
+		b := NewBroker()
+		q := b.Configure("q", QueueConfig{MaxAttempts: 2})
+		q.Publish([]byte("m")) //nolint:errcheck
+		for attempt := 1; attempt <= 2; attempt++ {
+			msg, ok := q.TryReceive(time.Second)
+			if !ok || msg.Attempts != attempt {
+				t.Fatalf("attempt %d: %+v ok=%v", attempt, msg, ok)
+			}
+			vtime.Advance(time.Second) // lease expires, consumer never acks
 		}
-		now = now.Add(2 * time.Second) // lease expires, consumer never acks
-	}
-	if _, ok := q.TryReceive(time.Second); ok {
-		t.Fatal("exhausted message redelivered instead of dead-lettered")
-	}
-	if got := b.Queue("q" + DeadLetterSuffix).Len(); got != 1 {
-		t.Fatalf("DLQ Len = %d, want 1", got)
-	}
+		if _, ok := q.TryReceive(time.Second); ok {
+			t.Fatal("exhausted message redelivered instead of dead-lettered")
+		}
+		if got := b.Queue("q" + DeadLetterSuffix).Len(); got != 1 {
+			t.Fatalf("DLQ Len = %d, want 1", got)
+		}
+	})
 }
 
 func TestPublishShedsAtMaxDepth(t *testing.T) {
@@ -99,36 +101,37 @@ func TestPublishShedsAtMaxDepth(t *testing.T) {
 }
 
 func TestStatsCountsAndOldestAge(t *testing.T) {
-	now := time.Unix(1000, 0)
-	b := NewBroker(WithClock(func() time.Time { return now }))
-	q := b.Queue("q")
-	q.Publish([]byte("a")) //nolint:errcheck
-	now = now.Add(3 * time.Second)
-	q.Publish([]byte("b")) //nolint:errcheck
-	msg, _ := q.TryReceive(time.Minute)
-	s := q.Stats()
-	if s.Queued != 1 || s.InFlight != 1 || s.Published != 2 {
-		t.Fatalf("Stats = %+v", s)
-	}
-	if s.Lag() != 2 {
-		t.Fatalf("Lag = %d, want 2 — in-flight must count toward backlog", s.Lag())
-	}
-	// "b" was published at t+3s and is the only queued item; its age is 0
-	// until the clock moves.
-	if s.OldestAge != 0 {
-		t.Fatalf("OldestAge = %v, want 0", s.OldestAge)
-	}
-	now = now.Add(5 * time.Second)
-	if got := q.Stats().OldestAge; got != 5*time.Second {
-		t.Fatalf("OldestAge = %v, want 5s", got)
-	}
-	q.Nack(msg.ID)
-	q2, _ := q.TryReceive(time.Minute)
-	q.Ack(q2.ID)
-	s = q.Stats()
-	if s.Redelivered != 1 || s.Acked != 1 {
-		t.Fatalf("Redelivered/Acked = %d/%d, want 1/1", s.Redelivered, s.Acked)
-	}
+	vtime.Run(t, func() {
+		b := NewBroker()
+		q := b.Queue("q")
+		q.Publish([]byte("a")) //nolint:errcheck
+		vtime.Advance(3 * time.Second)
+		q.Publish([]byte("b")) //nolint:errcheck
+		msg, _ := q.TryReceive(time.Minute)
+		s := q.Stats()
+		if s.Queued != 1 || s.InFlight != 1 || s.Published != 2 {
+			t.Fatalf("Stats = %+v", s)
+		}
+		if s.Lag() != 2 {
+			t.Fatalf("Lag = %d, want 2 — in-flight must count toward backlog", s.Lag())
+		}
+		// "b" was published at t+3s and is the only queued item; its age is 0
+		// until the clock moves.
+		if s.OldestAge != 0 {
+			t.Fatalf("OldestAge = %v, want 0", s.OldestAge)
+		}
+		vtime.Advance(5 * time.Second)
+		if got := q.Stats().OldestAge; got != 5*time.Second {
+			t.Fatalf("OldestAge = %v, want 5s", got)
+		}
+		q.Nack(msg.ID)
+		q2, _ := q.TryReceive(time.Minute)
+		q.Ack(q2.ID)
+		s = q.Stats()
+		if s.Redelivered != 1 || s.Acked != 1 {
+			t.Fatalf("Redelivered/Acked = %d/%d, want 1/1", s.Redelivered, s.Acked)
+		}
+	})
 }
 
 // TestEveryGroupGetsEveryMessage pins topic fan-out: each subscribed group
@@ -195,45 +198,46 @@ func TestPublishWithNoGroupsDrops(t *testing.T) {
 // (lease expires, never settles) must see the broker redeliver that message
 // to a surviving member of the same group.
 func TestGroupRedeliveryOnLeaseExpiry(t *testing.T) {
-	now := time.Unix(0, 0)
-	b := NewBroker(WithClock(func() time.Time { return now }))
-	topic := b.Topic("orders")
-	topic.Subscribe("commit")
-	if _, err := topic.Publish([]byte("order-7")); err != nil {
-		t.Fatalf("publish: %v", err)
-	}
+	vtime.Run(t, func() {
+		b := NewBroker()
+		topic := b.Topic("orders")
+		topic.Subscribe("commit")
+		if _, err := topic.Publish([]byte("order-7")); err != nil {
+			t.Fatalf("publish: %v", err)
+		}
 
-	// Member A of group "commit" takes the message and crashes.
-	memberA := topic.Subscribe("commit")
-	msg, ok := memberA.TryReceive(time.Second)
-	if !ok || msg.Attempts != 1 {
-		t.Fatalf("member A receive = %+v ok=%v", msg, ok)
-	}
-	if topic.GroupLag("commit") != 1 {
-		t.Fatalf("lag with message in flight = %d, want 1", topic.GroupLag("commit"))
-	}
+		// Member A of group "commit" takes the message and crashes.
+		memberA := topic.Subscribe("commit")
+		msg, ok := memberA.TryReceive(time.Second)
+		if !ok || msg.Attempts != 1 {
+			t.Fatalf("member A receive = %+v ok=%v", msg, ok)
+		}
+		if topic.GroupLag("commit") != 1 {
+			t.Fatalf("lag with message in flight = %d, want 1", topic.GroupLag("commit"))
+		}
 
-	// Before the lease expires, member B sees nothing: the partition is
-	// shared, not duplicated.
-	memberB := topic.Subscribe("commit")
-	if _, ok := memberB.TryReceive(time.Second); ok {
-		t.Fatal("member B received a message member A holds a live lease on")
-	}
+		// Before the lease expires, member B sees nothing: the partition is
+		// shared, not duplicated.
+		memberB := topic.Subscribe("commit")
+		if _, ok := memberB.TryReceive(time.Second); ok {
+			t.Fatal("member B received a message member A holds a live lease on")
+		}
 
-	now = now.Add(2 * time.Second)
-	again, ok := memberB.TryReceive(time.Second)
-	if !ok || string(again.Body) != "order-7" || again.Attempts != 2 {
-		t.Fatalf("member B redelivery = %+v ok=%v", again, ok)
-	}
-	if !memberB.Ack(again.ID) {
-		t.Fatal("member B ack failed")
-	}
-	if got := topic.GroupLag("commit"); got != 0 {
-		t.Fatalf("lag after settle = %d, want 0", got)
-	}
-	if s := memberB.Stats(); s.Redelivered != 1 {
-		t.Fatalf("Redelivered = %d, want 1", s.Redelivered)
-	}
+		vtime.Advance(time.Second) // member A's lease runs out
+		again, ok := memberB.TryReceive(time.Second)
+		if !ok || string(again.Body) != "order-7" || again.Attempts != 2 {
+			t.Fatalf("member B redelivery = %+v ok=%v", again, ok)
+		}
+		if !memberB.Ack(again.ID) {
+			t.Fatal("member B ack failed")
+		}
+		if got := topic.GroupLag("commit"); got != 0 {
+			t.Fatalf("lag after settle = %d, want 0", got)
+		}
+		if s := memberB.Stats(); s.Redelivered != 1 {
+			t.Fatalf("Redelivered = %d, want 1", s.Redelivered)
+		}
+	})
 }
 
 func TestTopicConfigureAppliesToGroups(t *testing.T) {
@@ -256,30 +260,32 @@ func TestTopicConfigureAppliesToGroups(t *testing.T) {
 }
 
 func TestReceiveWait(t *testing.T) {
-	b := NewBroker()
-	q := b.Queue("q")
-	start := time.Now()
-	if _, ok := q.ReceiveWait(time.Minute, 30*time.Millisecond); ok {
-		t.Fatal("ReceiveWait on empty queue returned a message")
-	}
-	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
-		t.Fatalf("ReceiveWait returned after %v, did not park", elapsed)
-	}
-	// A publish during the park wakes the receiver early.
-	got := make(chan Message, 1)
-	go func() {
-		if msg, ok := q.ReceiveWait(time.Minute, 5*time.Second); ok {
-			got <- msg
+	vtime.Run(t, func() {
+		b := NewBroker()
+		q := b.Queue("q")
+		start := time.Now()
+		if _, ok := q.ReceiveWait(time.Minute, 30*time.Millisecond); ok {
+			t.Fatal("ReceiveWait on empty queue returned a message")
 		}
-	}()
-	time.Sleep(20 * time.Millisecond)
-	q.Publish([]byte("wake")) //nolint:errcheck
-	select {
-	case msg := <-got:
-		if string(msg.Body) != "wake" {
-			t.Fatalf("got %q", msg.Body)
+		if elapsed := time.Since(start); elapsed != 30*time.Millisecond {
+			t.Fatalf("ReceiveWait returned after %v, want its whole 30ms wait", elapsed)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("parked ReceiveWait never woke on publish")
-	}
+		// A publish during the park wakes the receiver early.
+		got := make(chan Message, 1)
+		go func() {
+			if msg, ok := q.ReceiveWait(time.Minute, 5*time.Second); ok {
+				got <- msg
+			}
+		}()
+		vtime.Wait()              // the receiver is parked
+		q.Publish([]byte("wake")) //nolint:errcheck
+		select {
+		case msg := <-got:
+			if string(msg.Body) != "wake" {
+				t.Fatalf("got %q", msg.Body)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("parked ReceiveWait never woke on publish")
+		}
+	})
 }

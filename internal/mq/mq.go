@@ -80,7 +80,6 @@ type Broker struct {
 	queues map[string]*queue
 	topics map[string]*Topic
 	closed bool
-	now    func() time.Time
 }
 
 // tombstoneCap bounds each queue's settled-key memory. A tombstone records
@@ -101,7 +100,6 @@ type queue struct {
 	index    map[string]*item // key -> live item (queued or in-flight)
 	nextID   uint64
 	closed   bool
-	now      func() time.Time
 
 	cfg QueueConfig
 	dlq *queue // destination when MaxAttempts is exhausted; nil = drop to requeue
@@ -123,21 +121,9 @@ type item struct {
 	owner    *Session // holding the current lease; nil = none
 }
 
-// Option configures a Broker.
-type Option func(*Broker)
-
-// WithClock injects a clock for lease expiry in tests.
-func WithClock(now func() time.Time) Option {
-	return func(b *Broker) { b.now = now }
-}
-
 // NewBroker returns an empty broker.
-func NewBroker(opts ...Option) *Broker {
-	b := &Broker{queues: make(map[string]*queue), topics: make(map[string]*Topic), now: time.Now}
-	for _, o := range opts {
-		o(b)
-	}
-	return b
+func NewBroker() *Broker {
+	return &Broker{queues: make(map[string]*queue), topics: make(map[string]*Topic)}
 }
 
 // Queue returns the named queue, creating it if needed.
@@ -153,7 +139,7 @@ func (b *Broker) queueLocked(name string) *queue {
 		q = &queue{
 			name: name, inflight: make(map[uint64]*item),
 			index: make(map[string]*item), tombs: make(map[string]struct{}),
-			now: b.now, closed: b.closed,
+			closed: b.closed,
 		}
 		q.cond = sync.NewCond(&q.mu)
 		b.queues[name] = q
@@ -249,7 +235,7 @@ func (qq *queue) enqueueLocked(key string, body []byte, attempts int) uint64 {
 	qq.published++
 	cp := make([]byte, len(body))
 	copy(cp, body)
-	it := &item{msg: Message{ID: qq.nextID, Key: key, Body: cp, Attempts: attempts}, enqueued: qq.now()}
+	it := &item{msg: Message{ID: qq.nextID, Key: key, Body: cp, Attempts: attempts}, enqueued: time.Now()}
 	qq.items = append(qq.items, it)
 	if key != "" {
 		qq.index[key] = it
@@ -428,7 +414,7 @@ func (q *Queue) receive(leaseFor time.Duration, timedOut *bool, owner *Session) 
 			it := qq.items[0]
 			qq.items = qq.items[1:]
 			it.msg.Attempts++
-			it.leasedAt = qq.now()
+			it.leasedAt = time.Now()
 			it.lease = leaseFor
 			it.owner = owner
 			qq.inflight[it.msg.ID] = it
@@ -448,7 +434,7 @@ func (qq *queue) reclaimExpiredLocked() {
 	if len(qq.inflight) == 0 {
 		return
 	}
-	now := qq.now()
+	now := time.Now()
 	qq.requeueLocked(func(it *item) bool { return now.Sub(it.leasedAt) >= it.lease })
 }
 
@@ -502,7 +488,7 @@ func (qq *queue) deadLetterLocked(it *item) bool {
 		d.published++
 		d.items = append(d.items, &item{
 			msg:      Message{ID: d.nextID, Key: it.msg.Key, Body: it.msg.Body, Attempts: it.msg.Attempts},
-			enqueued: d.now(),
+			enqueued: time.Now(),
 		})
 		d.cond.Signal()
 	}
@@ -696,7 +682,7 @@ func (q *Queue) Stats() Stats {
 		DeadLettered: qq.deadLettered,
 	}
 	if len(qq.items) > 0 {
-		now := qq.now()
+		now := time.Now()
 		for _, it := range qq.items {
 			if age := now.Sub(it.enqueued); age > s.OldestAge {
 				s.OldestAge = age

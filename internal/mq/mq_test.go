@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"dsb/internal/vtime"
 )
 
 func TestPublishReceiveAck(t *testing.T) {
@@ -64,30 +66,32 @@ func TestPublishBodyIsCopied(t *testing.T) {
 }
 
 func TestLeaseExpiryRedelivers(t *testing.T) {
-	now := time.Unix(0, 0)
-	b := NewBroker(WithClock(func() time.Time { return now }))
-	q := b.Queue("q")
-	q.Publish([]byte("m")) //nolint:errcheck
-	msg, _ := q.TryReceive(time.Second)
-	if msg.Attempts != 1 {
-		t.Fatalf("attempts = %d", msg.Attempts)
-	}
-	// Lease not yet expired: nothing to receive.
-	if _, ok := q.TryReceive(time.Second); ok {
-		t.Fatal("received during active lease")
-	}
-	now = now.Add(2 * time.Second)
-	again, ok := q.TryReceive(time.Second)
-	if !ok || again.ID != msg.ID || again.Attempts != 2 {
-		t.Fatalf("redelivery = %+v, %v", again, ok)
-	}
-	// Ack of the expired first lease must fail (it was reclaimed).
-	if q.Ack(msg.ID) != true {
-		// The second lease is active for the same ID, so Ack succeeds via
-		// that lease; this documents at-least-once (not exactly-once)
-		// semantics.
-		t.Log("ack after redelivery failed; at-least-once still holds")
-	}
+	vtime.Run(t, func() {
+		b := NewBroker()
+		q := b.Queue("q")
+		q.Publish([]byte("m")) //nolint:errcheck
+		msg, _ := q.TryReceive(time.Second)
+		if msg.Attempts != 1 {
+			t.Fatalf("attempts = %d", msg.Attempts)
+		}
+		// Lease not yet expired: nothing to receive.
+		vtime.Advance(time.Second - time.Nanosecond)
+		if _, ok := q.TryReceive(time.Second); ok {
+			t.Fatal("received during active lease")
+		}
+		vtime.Advance(time.Nanosecond) // the instant the lease runs out
+		again, ok := q.TryReceive(time.Second)
+		if !ok || again.ID != msg.ID || again.Attempts != 2 {
+			t.Fatalf("redelivery = %+v, %v", again, ok)
+		}
+		// Ack of the expired first lease must fail (it was reclaimed).
+		if q.Ack(msg.ID) != true {
+			// The second lease is active for the same ID, so Ack succeeds via
+			// that lease; this documents at-least-once (not exactly-once)
+			// semantics.
+			t.Log("ack after redelivery failed; at-least-once still holds")
+		}
+	})
 }
 
 func TestNackReturnsToFront(t *testing.T) {
@@ -109,48 +113,52 @@ func TestNackReturnsToFront(t *testing.T) {
 }
 
 func TestBlockingReceive(t *testing.T) {
-	b := NewBroker()
-	q := b.Queue("q")
-	got := make(chan Message, 1)
-	go func() {
-		msg, ok := q.Receive(time.Minute)
-		if ok {
-			got <- msg
+	vtime.Run(t, func() {
+		b := NewBroker()
+		q := b.Queue("q")
+		got := make(chan Message, 1)
+		go func() {
+			msg, ok := q.Receive(time.Minute)
+			if ok {
+				got <- msg
+			}
+		}()
+		vtime.Wait()              // the receiver is parked
+		q.Publish([]byte("wake")) //nolint:errcheck
+		select {
+		case msg := <-got:
+			if string(msg.Body) != "wake" {
+				t.Fatalf("got %q", msg.Body)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("blocked receive never woke")
 		}
-	}()
-	time.Sleep(20 * time.Millisecond)
-	q.Publish([]byte("wake")) //nolint:errcheck
-	select {
-	case msg := <-got:
-		if string(msg.Body) != "wake" {
-			t.Fatalf("got %q", msg.Body)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("blocked receive never woke")
-	}
+	})
 }
 
 func TestCloseWakesReceivers(t *testing.T) {
-	b := NewBroker()
-	q := b.Queue("q")
-	done := make(chan bool, 1)
-	go func() {
-		_, ok := q.Receive(time.Minute)
-		done <- ok
-	}()
-	time.Sleep(20 * time.Millisecond)
-	q.Close()
-	select {
-	case ok := <-done:
-		if ok {
-			t.Fatal("closed receive reported a message")
+	vtime.Run(t, func() {
+		b := NewBroker()
+		q := b.Queue("q")
+		done := make(chan bool, 1)
+		go func() {
+			_, ok := q.Receive(time.Minute)
+			done <- ok
+		}()
+		vtime.Wait() // the receiver is parked
+		q.Close()
+		select {
+		case ok := <-done:
+			if ok {
+				t.Fatal("closed receive reported a message")
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("receive did not wake on close")
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("receive did not wake on close")
-	}
-	if _, err := q.Publish([]byte("x")); err == nil {
-		t.Fatal("publish to closed queue succeeded")
-	}
+		if _, err := q.Publish([]byte("x")); err == nil {
+			t.Fatal("publish to closed queue succeeded")
+		}
+	})
 }
 
 func TestQueueIdentity(t *testing.T) {
@@ -173,64 +181,57 @@ func TestQueueIdentity(t *testing.T) {
 // message is consumed exactly once (no loss, no duplication when acks are
 // timely) and total counts match.
 func TestExactlyOnceUnderAckProperty(t *testing.T) {
-	f := func(nMsgs uint8) bool {
-		n := int(nMsgs%50) + 1
-		b := NewBroker()
-		q := b.Queue("q")
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				q.Publish([]byte(fmt.Sprintf("m%d", i))) //nolint:errcheck
-			}(i)
-		}
-		seen := make(map[string]int)
-		var mu sync.Mutex
-		var cg sync.WaitGroup
-		for w := 0; w < 4; w++ {
-			cg.Add(1)
-			go func() {
-				defer cg.Done()
-				for {
-					msg, ok := q.Receive(time.Minute)
-					if !ok {
-						return
-					}
-					mu.Lock()
-					seen[string(msg.Body)]++
-					mu.Unlock()
-					q.Ack(msg.ID)
-				}
-			}()
-		}
-		wg.Wait()
-		// Drain: wait until all consumed, then close.
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			mu.Lock()
-			total := len(seen)
-			mu.Unlock()
-			if total == n || time.Now().After(deadline) {
-				break
+	vtime.Run(t, func() {
+		f := func(nMsgs uint8) bool {
+			n := int(nMsgs%50) + 1
+			b := NewBroker()
+			q := b.Queue("q")
+			var wg sync.WaitGroup
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					q.Publish([]byte(fmt.Sprintf("m%d", i))) //nolint:errcheck
+				}(i)
 			}
-			time.Sleep(time.Millisecond)
-		}
-		q.Close()
-		cg.Wait()
-		if len(seen) != n {
-			return false
-		}
-		for _, c := range seen {
-			if c != 1 {
+			seen := make(map[string]int)
+			var mu sync.Mutex
+			var cg sync.WaitGroup
+			for w := 0; w < 4; w++ {
+				cg.Add(1)
+				go func() {
+					defer cg.Done()
+					for {
+						msg, ok := q.Receive(time.Minute)
+						if !ok {
+							return
+						}
+						mu.Lock()
+						seen[string(msg.Body)]++
+						mu.Unlock()
+						q.Ack(msg.ID)
+					}
+				}()
+			}
+			wg.Wait()
+			// Drain: every consumer parked on an empty queue, then close.
+			vtime.Wait()
+			q.Close()
+			cg.Wait()
+			if len(seen) != n {
 				return false
 			}
+			for _, c := range seen {
+				if c != 1 {
+					return false
+				}
+			}
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
-	}
+		if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 func BenchmarkPublishReceiveAck(b *testing.B) {

@@ -53,17 +53,19 @@ func bootPartitioned(t *testing.T, shards, replicas int) (*partRig, *Partitioned
 		rig.servers = append(rig.servers, srvs)
 		rig.addrs = append(rig.addrs, as)
 	}
-	t.Cleanup(func() {
-		for _, srvs := range rig.servers {
-			for _, srv := range srvs {
-				srv.Close()
-			}
-		}
-	})
 	rig.router = shard.NewRouter(rig.net, "broker")
-	t.Cleanup(func() { rig.router.Close() })
 	rig.router.Sync(rig.reg.Instances("broker"))
 	return rig, NewPartitioned(rig.router)
+}
+
+// stop closes the router and every broker server still up.
+func (rig *partRig) stop() {
+	rig.router.Close()
+	for _, srvs := range rig.servers {
+		for _, srv := range srvs {
+			srv.Close()
+		}
+	}
 }
 
 // crash kills shard s replica r: the server goes away (its broker closes
@@ -93,6 +95,7 @@ func (rig *partRig) primary(s int) int {
 // retire primary and mirror copies alike.
 func TestPartitionedRoundTrip(t *testing.T) {
 	rig, bus := bootPartitioned(t, 2, 2)
+	defer rig.stop()
 	ctx := context.Background()
 	if err := bus.Subscribe(ctx, "t", "g", QueueConfig{}); err != nil {
 		t.Fatal(err)
@@ -159,7 +162,8 @@ func TestPartitionedRoundTrip(t *testing.T) {
 // key (the retry path after a partial mirror failure) neither duplicates
 // the message nor changes its ID.
 func TestPartitionedPublishIdempotent(t *testing.T) {
-	_, bus := bootPartitioned(t, 2, 2)
+	rig, bus := bootPartitioned(t, 2, 2)
+	defer rig.stop()
 	ctx := context.Background()
 	if err := bus.Subscribe(ctx, "t", "g", QueueConfig{}); err != nil {
 		t.Fatal(err)
@@ -200,6 +204,7 @@ func TestPartitionedCrashRedelivery(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rig, bus := bootPartitioned(t, 1, 2)
+			defer rig.stop()
 			ctx := context.Background()
 			if err := bus.Subscribe(ctx, "t", "g", QueueConfig{}); err != nil {
 				t.Fatal(err)
@@ -273,6 +278,7 @@ func TestPartitionedCrashRedelivery(t *testing.T) {
 // one copy, delivered once.
 func TestPartitionedPublishFailover(t *testing.T) {
 	rig, bus := bootPartitioned(t, 1, 2)
+	defer rig.stop()
 	ctx := context.Background()
 	if err := bus.Subscribe(ctx, "t", "g", QueueConfig{}); err != nil {
 		t.Fatal(err)

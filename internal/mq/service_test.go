@@ -6,14 +6,15 @@ import (
 	"time"
 
 	"dsb/internal/rpc"
+	"dsb/internal/vtime"
 )
 
-// bootBrokerService serves a broker over an in-memory network and returns a
-// typed client wired through the real RPC stack, plus the broker for
-// white-box assertions.
-func bootBrokerService(t *testing.T) (Client, *Broker) {
+// bootBrokerService serves a broker over an in-memory network and returns it
+// for white-box assertions, a typed client wired through the real RPC stack,
+// and stop, which closes client and server.
+func bootBrokerService(t *testing.T) (b *Broker, bus Client, stop func()) {
 	t.Helper()
-	b := NewBroker()
+	b = NewBroker()
 	srv := rpc.NewServer("broker")
 	RegisterService(srv, b)
 	n := rpc.NewMem()
@@ -21,98 +22,93 @@ func bootBrokerService(t *testing.T) (Client, *Broker) {
 	if err != nil {
 		t.Fatalf("start broker: %v", err)
 	}
-	t.Cleanup(func() { srv.Close() })
 	c := rpc.NewClient(n, "broker", addr)
-	t.Cleanup(func() { c.Close() })
-	return Client{C: c}, b
+	return b, Client{C: c}, func() { c.Close(); srv.Close() }
 }
 
 // TestBrokerServiceRoundTrip drives the full networked lifecycle:
 // subscribe, publish (ack'd by the broker), long-poll consume, one-way ack,
 // and stats — the exact sequence the application tiers run.
 func TestBrokerServiceRoundTrip(t *testing.T) {
-	bus, _ := bootBrokerService(t)
-	ctx := context.Background()
+	vtime.Run(t, func() {
+		_, bus, stop := bootBrokerService(t)
+		defer stop()
+		ctx := context.Background()
 
-	if err := bus.Subscribe(ctx, "orders", "commit", QueueConfig{MaxAttempts: 4, MaxDepth: 64}); err != nil {
-		t.Fatalf("Subscribe: %v", err)
-	}
-	id, err := bus.Publish(ctx, "orders", []byte("order-1"))
-	if err != nil || id == 0 {
-		t.Fatalf("Publish = %d, %v", id, err)
-	}
-	msg, err := bus.Consume(ctx, "orders", "commit", time.Minute, 2*time.Second)
-	if err != nil || !msg.OK {
-		t.Fatalf("Consume = %+v, %v", msg, err)
-	}
-	if string(msg.Body) != "order-1" || msg.Attempts != 1 {
-		t.Fatalf("consumed %+v", msg)
-	}
-	if err := bus.Ack(ctx, "orders", "commit", msg); err != nil {
-		t.Fatalf("Ack: %v", err)
-	}
-	// Ack is one-way; poll stats until the settle lands.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+		if err := bus.Subscribe(ctx, "orders", "commit", QueueConfig{MaxAttempts: 4, MaxDepth: 64}); err != nil {
+			t.Fatalf("Subscribe: %v", err)
+		}
+		id, err := bus.Publish(ctx, "orders", []byte("order-1"))
+		if err != nil || id == 0 {
+			t.Fatalf("Publish = %d, %v", id, err)
+		}
+		msg, err := bus.Consume(ctx, "orders", "commit", time.Minute, 2*time.Second)
+		if err != nil || !msg.OK {
+			t.Fatalf("Consume = %+v, %v", msg, err)
+		}
+		if string(msg.Body) != "order-1" || msg.Attempts != 1 {
+			t.Fatalf("consumed %+v", msg)
+		}
+		if err := bus.Ack(ctx, "orders", "commit", msg); err != nil {
+			t.Fatalf("Ack: %v", err)
+		}
+		vtime.Wait() // Ack is one-way: let the settle land
 		s, err := bus.Stats(ctx, "orders", "commit")
 		if err != nil {
 			t.Fatalf("Stats: %v", err)
 		}
-		if s.Acked == 1 && s.Lag() == 0 {
-			if s.Published != 1 {
-				t.Fatalf("Stats = %+v", s)
-			}
-			break
+		if s.Acked != 1 || s.Lag() != 0 || s.Published != 1 {
+			t.Fatalf("Stats after the ack landed = %+v", s)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("ack never landed: %+v", s)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	})
 }
 
 // TestBrokerServiceConsumeWaits pins the long-poll contract over the wire:
 // an empty consume parks for the wait budget and a concurrent publish wakes
 // it with the message.
 func TestBrokerServiceConsumeWaits(t *testing.T) {
-	bus, _ := bootBrokerService(t)
-	ctx := context.Background()
-	if err := bus.Subscribe(ctx, "t", "g", QueueConfig{}); err != nil {
-		t.Fatalf("Subscribe: %v", err)
-	}
-	start := time.Now()
-	msg, err := bus.Consume(ctx, "t", "g", time.Minute, 50*time.Millisecond)
-	if err != nil || msg.OK {
-		t.Fatalf("empty consume = %+v, %v", msg, err)
-	}
-	if time.Since(start) < 30*time.Millisecond {
-		t.Fatal("consume returned immediately instead of long-polling")
-	}
+	vtime.Run(t, func() {
+		_, bus, stop := bootBrokerService(t)
+		defer stop()
+		ctx := context.Background()
+		if err := bus.Subscribe(ctx, "t", "g", QueueConfig{}); err != nil {
+			t.Fatalf("Subscribe: %v", err)
+		}
+		start := time.Now()
+		msg, err := bus.Consume(ctx, "t", "g", time.Minute, 50*time.Millisecond)
+		if err != nil || msg.OK {
+			t.Fatalf("empty consume = %+v, %v", msg, err)
+		}
+		if took := time.Since(start); took != 50*time.Millisecond {
+			t.Fatalf("empty consume took %v, want its whole 50ms long poll", took)
+		}
 
-	got := make(chan ConsumeResp, 1)
-	go func() {
-		if m, err := bus.Consume(ctx, "t", "g", time.Minute, 5*time.Second); err == nil && m.OK {
-			got <- m
+		got := make(chan ConsumeResp, 1)
+		go func() {
+			if m, err := bus.Consume(ctx, "t", "g", time.Minute, 5*time.Second); err == nil && m.OK {
+				got <- m
+			}
+		}()
+		vtime.Wait() // the consume is parked server-side
+		if _, err := bus.Publish(ctx, "t", []byte("wake")); err != nil {
+			t.Fatalf("Publish: %v", err)
 		}
-	}()
-	time.Sleep(20 * time.Millisecond)
-	if _, err := bus.Publish(ctx, "t", []byte("wake")); err != nil {
-		t.Fatalf("Publish: %v", err)
-	}
-	select {
-	case m := <-got:
-		if string(m.Body) != "wake" {
-			t.Fatalf("got %q", m.Body)
+		select {
+		case m := <-got:
+			if string(m.Body) != "wake" {
+				t.Fatalf("got %q", m.Body)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("parked networked consume never woke on publish")
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("parked networked consume never woke on publish")
-	}
+	})
 }
 
 // TestBrokerServiceNackRedelivers checks the networked settle path for the
 // failure case, including the dead-letter diversion.
 func TestBrokerServiceNackRedelivers(t *testing.T) {
-	bus, b := bootBrokerService(t)
+	b, bus, stop := bootBrokerService(t)
+	defer stop()
 	ctx := context.Background()
 	if err := bus.Subscribe(ctx, "t", "g", QueueConfig{MaxAttempts: 2}); err != nil {
 		t.Fatalf("Subscribe: %v", err)

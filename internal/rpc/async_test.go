@@ -30,6 +30,8 @@ func startSleeper(t testing.TB, network Network) string {
 		if err := codec.Unmarshal(payload, &req); err != nil {
 			return nil, Errorf(CodeBadRequest, "bad payload: %v", err)
 		}
+		// Real time: the sleeper serves the TCP subtests too, and a goroutine
+		// blocked on a real socket never lets a bubble's clock move.
 		time.Sleep(time.Duration(req.Ms) * time.Millisecond)
 		return codec.Marshal(sleepResp{Tag: req.Tag})
 	})
@@ -240,7 +242,9 @@ func TestOneWayRunsMiddleware(t *testing.T) {
 
 // waitFor polls cond until it holds or a generous deadline passes — one-way
 // completion is asynchronous by design, so assertions on server-side effects
-// must wait for the dispatch goroutine.
+// must wait for the dispatch goroutine. It polls in real time: its callers
+// run over real TCP sockets or count the process's goroutines, neither of
+// which a bubble can wait on.
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

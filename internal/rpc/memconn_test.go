@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"dsb/internal/vtime"
 )
 
 const memTestAddr = "svc:7"
@@ -40,18 +42,18 @@ func memPair(t testing.TB) (client, server net.Conn) {
 	return client, server
 }
 
-// parked runs call on its own goroutine, gives it time to block, and returns
-// the channel its error arrives on. The assertions that follow hold whether
-// or not the call had parked yet; the pause only makes "woken while parked"
-// the path that usually runs.
+// parked runs call on its own goroutine, waits until it has blocked, and
+// returns the channel its error arrives on: what follows wakes a call that
+// really is parked.
 func parked(t *testing.T, call func() error) <-chan error {
 	t.Helper()
 	done := make(chan error, 1)
 	go func() { done <- call() }()
+	vtime.Wait()
 	select {
 	case err := <-done:
 		t.Fatalf("call returned %v, want it to block", err)
-	case <-time.After(10 * time.Millisecond):
+	default:
 	}
 	return done
 }
@@ -88,206 +90,207 @@ func writeByte(c net.Conn) func() error {
 // TestMemConnContract pins what connWriter, frameReader, fault.faultConn and
 // net/http rely on a net.Conn for, on the connection rpc.Mem hands out.
 func TestMemConnContract(t *testing.T) {
-	soon := func() time.Time { return time.Now().Add(20 * time.Millisecond) }
-	past := time.Unix(1, 0)
-	for _, tc := range []struct {
-		name string
-		run  func(t *testing.T, client, server net.Conn)
-	}{
-		{"bytes written before Close are read, then EOF", func(t *testing.T, client, server net.Conn) {
-			if _, err := client.Write([]byte("hello")); err != nil {
-				t.Fatal(err)
-			}
-			client.Close()
-			got, err := io.ReadAll(server)
-			if string(got) != "hello" || err != nil {
-				t.Fatalf("ReadAll = %q, %v", got, err)
-			}
-		}},
-		{"a Write fills a parked Read's buffer and buffers the rest", func(t *testing.T, client, server net.Conn) {
-			head := make([]byte, 2)
-			done := parked(t, func() error { _, err := io.ReadFull(server, head); return err })
-			if _, err := client.Write([]byte("hello")); err != nil {
-				t.Fatal(err)
-			}
-			wantErr(t, done, nil)
-			client.Close()
-			tail, err := io.ReadAll(server)
-			if got := string(head) + string(tail); got != "hello" || err != nil {
-				t.Fatalf("read %q, %v", got, err)
-			}
-		}},
-		{"Write after peer close errors", func(t *testing.T, client, server net.Conn) {
-			server.Close()
-			if _, err := client.Write([]byte("x")); err == nil {
-				t.Fatal("Write to a closed peer succeeded")
-			}
-		}},
-		{"Read and Write after own Close error", func(t *testing.T, client, server net.Conn) {
-			if _, err := server.Write([]byte("unread")); err != nil {
-				t.Fatal(err)
-			}
-			client.Close()
-			if err := readByte(client)(); err == nil || err == io.EOF {
-				t.Fatalf("Read on a closed conn = %v", err)
-			}
-			if err := writeByte(client)(); err == nil {
-				t.Fatal("Write on a closed conn succeeded")
-			}
-		}},
-		{"blocked Read wakes on peer Close", func(t *testing.T, client, server net.Conn) {
-			done := parked(t, readByte(client))
-			server.Close()
-			wantErr(t, done, io.EOF)
-		}},
-		{"blocked Read wakes on own Close", func(t *testing.T, client, server net.Conn) {
-			done := parked(t, readByte(client))
-			client.Close()
-			wantErr(t, done, io.ErrClosedPipe)
-		}},
-		{"Write blocked at capacity wakes on peer Close", func(t *testing.T, client, server net.Conn) {
-			fill(t, client)
-			done := parked(t, writeByte(client))
-			server.Close()
-			wantErr(t, done, io.ErrClosedPipe)
-		}},
-		{"Write blocked at capacity wakes on own Close", func(t *testing.T, client, server net.Conn) {
-			fill(t, client)
-			done := parked(t, writeByte(client))
-			client.Close()
-			wantErr(t, done, io.ErrClosedPipe)
-		}},
-		{"blocked Read wakes on a deadline set later", func(t *testing.T, client, server net.Conn) {
-			done := parked(t, readByte(client))
-			client.SetReadDeadline(soon()) //nolint:errcheck
-			wantErr(t, done, os.ErrDeadlineExceeded)
-		}},
-		{"blocked Write wakes on a deadline set later", func(t *testing.T, client, server net.Conn) {
-			fill(t, client)
-			done := parked(t, writeByte(client))
-			client.SetDeadline(soon()) //nolint:errcheck
-			wantErr(t, done, os.ErrDeadlineExceeded)
-		}},
-		{"Write queued behind a blocked Write wakes on the deadline too", func(t *testing.T, client, server net.Conn) {
-			fill(t, client)
-			first := parked(t, writeByte(client))
-			second := parked(t, writeByte(client))
-			client.SetWriteDeadline(soon()) //nolint:errcheck
-			wantErr(t, first, os.ErrDeadlineExceeded)
-			wantErr(t, second, os.ErrDeadlineExceeded)
-		}},
-		{"past deadline fails at once, zero deadline clears", func(t *testing.T, client, server net.Conn) {
-			if _, err := server.Write([]byte("x")); err != nil {
-				t.Fatal(err)
-			}
-			client.SetDeadline(past) //nolint:errcheck
-			if err := readByte(client)(); !errors.Is(err, os.ErrDeadlineExceeded) {
-				t.Fatalf("Read under a past deadline = %v", err)
-			}
-			if err := writeByte(client)(); !errors.Is(err, os.ErrDeadlineExceeded) {
-				t.Fatalf("Write under a past deadline = %v", err)
-			}
-			var ne net.Error
-			if err := readByte(client)(); !errors.As(err, &ne) || !ne.Timeout() {
-				t.Fatalf("deadline error %v is not a net.Error timeout", err)
-			}
-			client.SetDeadline(time.Time{}) //nolint:errcheck
-			if err := readByte(client)(); err != nil {
-				t.Fatalf("Read after clearing the deadline = %v", err)
-			}
-			if err := writeByte(client)(); err != nil {
-				t.Fatalf("Write after clearing the deadline = %v", err)
-			}
-		}},
-		{"a replaced deadline does not fire", func(t *testing.T, client, server net.Conn) {
-			client.SetReadDeadline(soon())      //nolint:errcheck
-			client.SetReadDeadline(time.Time{}) //nolint:errcheck
-			done := parked(t, readByte(client))
-			time.Sleep(30 * time.Millisecond)
-			if _, err := server.Write([]byte("x")); err != nil {
-				t.Fatal(err)
-			}
-			wantErr(t, done, nil)
-		}},
-		{"a Write larger than the capacity completes against a slow reader", func(t *testing.T, client, server net.Conn) {
-			payload := make([]byte, 3*memConnCapacity+17)
-			for i := range payload {
-				payload[i] = byte(i * 7)
-			}
-			done := make(chan error, 1)
-			go func() {
-				n, err := client.Write(payload)
-				if err == nil && n != len(payload) {
-					err = fmt.Errorf("short write: %d of %d", n, len(payload))
+	vtime.Run(t, func() {
+		soon := func() time.Time { return time.Now().Add(20 * time.Millisecond) }
+		past := time.Unix(1, 0)
+		for _, tc := range []struct {
+			name string
+			run  func(t *testing.T, client, server net.Conn)
+		}{
+			{"bytes written before Close are read, then EOF", func(t *testing.T, client, server net.Conn) {
+				if _, err := client.Write([]byte("hello")); err != nil {
+					t.Fatal(err)
 				}
 				client.Close()
-				done <- err
-			}()
-			var got bytes.Buffer
-			chunk := make([]byte, 5000) // not a divisor of the ring: reads wrap
-			for {
-				n, err := server.Read(chunk)
-				got.Write(chunk[:n])
-				if err == io.EOF {
-					break
+				got, err := io.ReadAll(server)
+				if string(got) != "hello" || err != nil {
+					t.Fatalf("ReadAll = %q, %v", got, err)
 				}
-				if err != nil {
+			}},
+			{"a Write fills a parked Read's buffer and buffers the rest", func(t *testing.T, client, server net.Conn) {
+				head := make([]byte, 2)
+				done := parked(t, func() error { _, err := io.ReadFull(server, head); return err })
+				if _, err := client.Write([]byte("hello")); err != nil {
 					t.Fatal(err)
 				}
-				if got.Len()%(64<<10) < len(chunk) {
-					time.Sleep(time.Millisecond)
+				wantErr(t, done, nil)
+				client.Close()
+				tail, err := io.ReadAll(server)
+				if got := string(head) + string(tail); got != "hello" || err != nil {
+					t.Fatalf("read %q, %v", got, err)
 				}
-			}
-			if err := <-done; err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got.Bytes(), payload) {
-				t.Fatalf("read %d bytes that differ from the %d written", got.Len(), len(payload))
-			}
-		}},
-		{"concurrent writers' payloads never interleave", func(t *testing.T, client, server net.Conn) {
-			// Two payloads do not fit the buffer together, so writers park
-			// mid-payload and would interleave without Write's ownership.
-			const size, each, writers = memConnCapacity*3/4 + 1, 8, 2
-			var wg sync.WaitGroup
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				go func(id byte) {
-					defer wg.Done()
-					payload := bytes.Repeat([]byte{id}, size)
-					for i := 0; i < each; i++ {
-						if _, err := client.Write(payload); err != nil {
-							t.Error(err)
-							return
-						}
+			}},
+			{"Write after peer close errors", func(t *testing.T, client, server net.Conn) {
+				server.Close()
+				if _, err := client.Write([]byte("x")); err == nil {
+					t.Fatal("Write to a closed peer succeeded")
+				}
+			}},
+			{"Read and Write after own Close error", func(t *testing.T, client, server net.Conn) {
+				if _, err := server.Write([]byte("unread")); err != nil {
+					t.Fatal(err)
+				}
+				client.Close()
+				if err := readByte(client)(); err == nil || err == io.EOF {
+					t.Fatalf("Read on a closed conn = %v", err)
+				}
+				if err := writeByte(client)(); err == nil {
+					t.Fatal("Write on a closed conn succeeded")
+				}
+			}},
+			{"blocked Read wakes on peer Close", func(t *testing.T, client, server net.Conn) {
+				done := parked(t, readByte(client))
+				server.Close()
+				wantErr(t, done, io.EOF)
+			}},
+			{"blocked Read wakes on own Close", func(t *testing.T, client, server net.Conn) {
+				done := parked(t, readByte(client))
+				client.Close()
+				wantErr(t, done, io.ErrClosedPipe)
+			}},
+			{"Write blocked at capacity wakes on peer Close", func(t *testing.T, client, server net.Conn) {
+				fill(t, client)
+				done := parked(t, writeByte(client))
+				server.Close()
+				wantErr(t, done, io.ErrClosedPipe)
+			}},
+			{"Write blocked at capacity wakes on own Close", func(t *testing.T, client, server net.Conn) {
+				fill(t, client)
+				done := parked(t, writeByte(client))
+				client.Close()
+				wantErr(t, done, io.ErrClosedPipe)
+			}},
+			{"blocked Read wakes on a deadline set later", func(t *testing.T, client, server net.Conn) {
+				done := parked(t, readByte(client))
+				client.SetReadDeadline(soon()) //nolint:errcheck
+				wantErr(t, done, os.ErrDeadlineExceeded)
+			}},
+			{"blocked Write wakes on a deadline set later", func(t *testing.T, client, server net.Conn) {
+				fill(t, client)
+				done := parked(t, writeByte(client))
+				client.SetDeadline(soon()) //nolint:errcheck
+				wantErr(t, done, os.ErrDeadlineExceeded)
+			}},
+			{"Write queued behind a blocked Write wakes on the deadline too", func(t *testing.T, client, server net.Conn) {
+				fill(t, client)
+				first := parked(t, writeByte(client))
+				second := parked(t, writeByte(client))
+				client.SetWriteDeadline(soon()) //nolint:errcheck
+				wantErr(t, first, os.ErrDeadlineExceeded)
+				wantErr(t, second, os.ErrDeadlineExceeded)
+			}},
+			{"past deadline fails at once, zero deadline clears", func(t *testing.T, client, server net.Conn) {
+				if _, err := server.Write([]byte("x")); err != nil {
+					t.Fatal(err)
+				}
+				client.SetDeadline(past) //nolint:errcheck
+				if err := readByte(client)(); !errors.Is(err, os.ErrDeadlineExceeded) {
+					t.Fatalf("Read under a past deadline = %v", err)
+				}
+				if err := writeByte(client)(); !errors.Is(err, os.ErrDeadlineExceeded) {
+					t.Fatalf("Write under a past deadline = %v", err)
+				}
+				var ne net.Error
+				if err := readByte(client)(); !errors.As(err, &ne) || !ne.Timeout() {
+					t.Fatalf("deadline error %v is not a net.Error timeout", err)
+				}
+				client.SetDeadline(time.Time{}) //nolint:errcheck
+				if err := readByte(client)(); err != nil {
+					t.Fatalf("Read after clearing the deadline = %v", err)
+				}
+				if err := writeByte(client)(); err != nil {
+					t.Fatalf("Write after clearing the deadline = %v", err)
+				}
+			}},
+			{"a replaced deadline does not fire", func(t *testing.T, client, server net.Conn) {
+				client.SetReadDeadline(soon())      //nolint:errcheck
+				client.SetReadDeadline(time.Time{}) //nolint:errcheck
+				done := parked(t, readByte(client))
+				vtime.Advance(30 * time.Millisecond) // past the deadline that was replaced
+				if _, err := server.Write([]byte("x")); err != nil {
+					t.Fatal(err)
+				}
+				wantErr(t, done, nil)
+			}},
+			{"a Write larger than the capacity completes against a slow reader", func(t *testing.T, client, server net.Conn) {
+				payload := make([]byte, 3*memConnCapacity+17)
+				for i := range payload {
+					payload[i] = byte(i * 7)
+				}
+				done := make(chan error, 1)
+				go func() {
+					n, err := client.Write(payload)
+					if err == nil && n != len(payload) {
+						err = fmt.Errorf("short write: %d of %d", n, len(payload))
 					}
-				}(byte('a' + w))
-			}
-			block := make([]byte, size)
-			for i := 0; i < writers*each; i++ {
-				if _, err := io.ReadFull(server, block); err != nil {
+					client.Close()
+					done <- err
+				}()
+				var got bytes.Buffer
+				chunk := make([]byte, 5000) // not a divisor of the ring: reads wrap
+				for {
+					n, err := server.Read(chunk)
+					got.Write(chunk[:n])
+					if err == io.EOF {
+						break
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Len()%(64<<10) < len(chunk) {
+						vtime.Advance(time.Millisecond)
+					}
+				}
+				if err := <-done; err != nil {
 					t.Fatal(err)
 				}
-				if n := bytes.Count(block, block[:1]); n != size {
-					t.Fatalf("payload %d mixes writers: %d of %d bytes are %q", i, n, size, block[0])
+				if !bytes.Equal(got.Bytes(), payload) {
+					t.Fatalf("read %d bytes that differ from the %d written", got.Len(), len(payload))
 				}
-			}
-			wg.Wait()
-		}},
-		{"both ends report the listener's mem address", func(t *testing.T, client, server net.Conn) {
-			for _, a := range []net.Addr{client.LocalAddr(), client.RemoteAddr(), server.LocalAddr(), server.RemoteAddr()} {
-				if a.Network() != "mem" || a.String() != memTestAddr {
-					t.Fatalf("addr = %s/%s, want mem/%s", a.Network(), a, memTestAddr)
+			}},
+			{"concurrent writers' payloads never interleave", func(t *testing.T, client, server net.Conn) {
+				// Two payloads do not fit the buffer together, so writers park
+				// mid-payload and would interleave without Write's ownership.
+				const size, each, writers = memConnCapacity*3/4 + 1, 8, 2
+				var wg sync.WaitGroup
+				for w := 0; w < writers; w++ {
+					wg.Add(1)
+					go func(id byte) {
+						defer wg.Done()
+						payload := bytes.Repeat([]byte{id}, size)
+						for i := 0; i < each; i++ {
+							if _, err := client.Write(payload); err != nil {
+								t.Error(err)
+								return
+							}
+						}
+					}(byte('a' + w))
 				}
-			}
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			t.Parallel()
-			client, server := memPair(t)
-			tc.run(t, client, server)
-		})
-	}
+				block := make([]byte, size)
+				for i := 0; i < writers*each; i++ {
+					if _, err := io.ReadFull(server, block); err != nil {
+						t.Fatal(err)
+					}
+					if n := bytes.Count(block, block[:1]); n != size {
+						t.Fatalf("payload %d mixes writers: %d of %d bytes are %q", i, n, size, block[0])
+					}
+				}
+				wg.Wait()
+			}},
+			{"both ends report the listener's mem address", func(t *testing.T, client, server net.Conn) {
+				for _, a := range []net.Addr{client.LocalAddr(), client.RemoteAddr(), server.LocalAddr(), server.RemoteAddr()} {
+					if a.Network() != "mem" || a.String() != memTestAddr {
+						t.Fatalf("addr = %s/%s, want mem/%s", a.Network(), a, memTestAddr)
+					}
+				}
+			}},
+		} {
+			t.Run(tc.name, func(t *testing.T) {
+				client, server := memPair(t)
+				tc.run(t, client, server)
+			})
+		}
+	})
 }
 
 // echoLoop echoes size-byte messages arriving at server until it closes.

@@ -11,6 +11,7 @@ import (
 
 	"dsb/internal/codec"
 	"dsb/internal/transport"
+	"dsb/internal/vtime"
 )
 
 type echoReq struct {
@@ -169,26 +170,27 @@ func TestConcurrentCallsMultiplexed(t *testing.T) {
 }
 
 func TestServerCloseFailsInflight(t *testing.T) {
-	n := NewMem()
-	addr, srv := startEcho(t, n)
-	c := NewClient(n, "echo", addr)
-	defer c.Close()
-	done := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-		defer cancel()
-		done <- c.Call(ctx, "Slow", echoReq{}, nil)
-	}()
-	time.Sleep(50 * time.Millisecond)
-	go srv.Close() // Close waits for handlers; Slow exits via ctx cancel on conn close or deadline
-	select {
-	case err := <-done:
-		if err == nil {
+	vtime.Run(t, func() {
+		n := NewMem()
+		addr, srv := startEcho(t, n)
+		c := NewClient(n, "echo", addr)
+		defer c.Close()
+		done := make(chan error, 1)
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+			defer cancel()
+			done <- c.Call(ctx, "Slow", echoReq{}, nil)
+		}()
+		vtime.Wait() // the call is parked in its handler
+		start := time.Now()
+		go srv.Close() // Close waits for handlers; Slow exits via ctx cancel on conn close or deadline
+		if err := <-done; err == nil {
 			t.Fatal("expected error after server close")
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("call did not fail after server close")
-	}
+		if took := time.Since(start); took != 0 {
+			t.Fatalf("call failed %v after server close, want at once", took)
+		}
+	})
 }
 
 func TestDialError(t *testing.T) {
@@ -220,18 +222,9 @@ func TestClientReconnects(t *testing.T) {
 		return addr, s
 	}()
 	defer srv2.Close()
-	// The pooled conn is dead; the client must redial. Allow one failure
-	// while the failure is detected.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		err := c.Call(context.Background(), "Echo", echoReq{Text: "b"}, &echoResp{})
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("client did not recover: %v", err)
-		}
-		time.Sleep(10 * time.Millisecond)
+	// The parked conn is dead; the client redials below the call.
+	if err := c.Call(context.Background(), "Echo", echoReq{Text: "b"}, &echoResp{}); err != nil {
+		t.Fatalf("client did not recover: %v", err)
 	}
 }
 
@@ -341,41 +334,43 @@ func TestDispatchFollowsLateRegistration(t *testing.T) {
 }
 
 func TestConcurrencyLimit(t *testing.T) {
-	n := NewMem()
-	var inflight, peak atomic.Int64
-	s := NewServer("limited")
-	s.SetConcurrency(2)
-	s.Handle("Work", func(ctx *Ctx, payload []byte) ([]byte, error) {
-		cur := inflight.Add(1)
-		for {
-			p := peak.Load()
-			if cur <= p || peak.CompareAndSwap(p, cur) {
-				break
+	vtime.Run(t, func() {
+		n := NewMem()
+		var inflight, peak atomic.Int64
+		s := NewServer("limited")
+		s.SetConcurrency(2)
+		s.Handle("Work", func(ctx *Ctx, payload []byte) ([]byte, error) {
+			cur := inflight.Add(1)
+			for {
+				p := peak.Load()
+				if cur <= p || peak.CompareAndSwap(p, cur) {
+					break
+				}
 			}
+			vtime.Advance(20 * time.Millisecond)
+			inflight.Add(-1)
+			return nil, nil
+		})
+		addr, err := s.Start(n, "limited:0")
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(20 * time.Millisecond)
-		inflight.Add(-1)
-		return nil, nil
+		defer s.Close()
+		c := NewClient(n, "limited", addr)
+		defer c.Close()
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c.Call(context.Background(), "Work", nil, nil) //nolint:errcheck
+			}()
+		}
+		wg.Wait()
+		if p := peak.Load(); p != 2 {
+			t.Fatalf("peak concurrency %d, want the limit, 2", p)
+		}
 	})
-	addr, err := s.Start(n, "limited:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	c := NewClient(n, "limited", addr)
-	defer c.Close()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c.Call(context.Background(), "Work", nil, nil) //nolint:errcheck
-		}()
-	}
-	wg.Wait()
-	if p := peak.Load(); p > 2 {
-		t.Fatalf("peak concurrency %d exceeds limit 2", p)
-	}
 }
 
 func TestDuplicateHandlerPanics(t *testing.T) {

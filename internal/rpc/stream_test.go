@@ -18,6 +18,7 @@ import (
 
 	"dsb/internal/codec"
 	"dsb/internal/transport"
+	"dsb/internal/vtime"
 )
 
 type streamItem struct {
@@ -156,45 +157,49 @@ func TestStreamBidirectionalEcho(t *testing.T) {
 // sender: with the client not consuming, the firehose handler must stall at
 // the window instead of running away, then resume once the client drains.
 func TestStreamFlowControlParksSender(t *testing.T) {
-	n := NewMem()
-	s := NewServer("stream")
-	var sent atomic.Int64
-	s.HandleStream("Firehose", func(ctx *Ctx, payload []byte, st *ServerStream) error {
-		for i := int64(0); ; i++ {
-			if err := st.SendMsg(streamItem{Seq: i}); err != nil {
-				return err
+	vtime.Run(t, func() {
+		n := NewMem()
+		s := NewServer("stream")
+		var sent atomic.Int64
+		s.HandleStream("Firehose", func(ctx *Ctx, payload []byte, st *ServerStream) error {
+			for i := int64(0); ; i++ {
+				if err := st.SendMsg(streamItem{Seq: i}); err != nil {
+					return err
+				}
+				sent.Store(i + 1)
 			}
-			sent.Store(i + 1)
+		})
+		addr, err := s.Start(n, "stream:0")
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	addr, err := s.Start(n, "stream:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	c := NewClient(n, "stream", addr)
-	defer c.Close()
+		defer s.Close()
+		c := NewClient(n, "stream", addr)
+		defer c.Close()
 
-	st, err := c.Stream(context.Background(), "Firehose", echoReq{})
-	if err != nil {
-		t.Fatalf("Stream: %v", err)
-	}
-	// Let the sender run without a consumer: it must park at the window.
-	waitFor(t, func() bool { return sent.Load() >= streamWindow })
-	time.Sleep(50 * time.Millisecond)
-	if got := sent.Load(); got > 2*streamWindow {
-		t.Fatalf("sender pushed %d items with no consumer; window does not bound it", got)
-	}
-	stalled := sent.Load()
-	// Drain a full window: credit flows back and the sender resumes.
-	for i := 0; i < streamWindow; i++ {
-		var item streamItem
-		if err := st.Recv(&item); err != nil {
-			t.Fatalf("Recv: %v", err)
+		st, err := c.Stream(context.Background(), "Firehose", echoReq{})
+		if err != nil {
+			t.Fatalf("Stream: %v", err)
 		}
-	}
-	waitFor(t, func() bool { return sent.Load() > stalled })
-	st.Cancel()
+		// Let the sender run without a consumer: it must park at the window.
+		vtime.Wait()
+		if got := sent.Load(); got < streamWindow || got > 2*streamWindow {
+			t.Fatalf("sender parked after %d items with no consumer; want the window, %d, to bound it", got, streamWindow)
+		}
+		stalled := sent.Load()
+		// Drain a full window: credit flows back and the sender resumes.
+		for i := 0; i < streamWindow; i++ {
+			var item streamItem
+			if err := st.Recv(&item); err != nil {
+				t.Fatalf("Recv: %v", err)
+			}
+		}
+		vtime.Wait()
+		if sent.Load() <= stalled {
+			t.Fatalf("sender still stalled at %d after a window was drained", stalled)
+		}
+		st.Cancel()
+	})
 }
 
 func TestStreamHandlerError(t *testing.T) {
@@ -422,52 +427,54 @@ func TestStreamsMultiplexWithUnary(t *testing.T) {
 // shutdown fix, Close may not hang on them and the client must see a coded
 // error.
 func TestServerCloseWakesParkedStreams(t *testing.T) {
-	n := NewMem()
-	addr, s := startStreamServer(t, n)
-	c := NewClient(n, "stream", addr)
-	defer c.Close()
+	vtime.Run(t, func() {
+		n := NewMem()
+		addr, s := startStreamServer(t, n)
+		c := NewClient(n, "stream", addr)
+		defer c.Close()
 
-	// Parked sender: firehose with a client that never consumes.
-	sendSt, err := c.Stream(context.Background(), "Firehose", echoReq{})
-	if err != nil {
-		t.Fatalf("Stream(Firehose): %v", err)
-	}
-	// Parked receiver: handler blocked in Recv with no client items.
-	recvSt, err := c.Stream(context.Background(), "Parked", echoReq{})
-	if err != nil {
-		t.Fatalf("Stream(Parked): %v", err)
-	}
-	var item streamItem
-	if err := sendSt.Recv(&item); err != nil { // stream is live
-		t.Fatalf("Recv: %v", err)
-	}
-	time.Sleep(20 * time.Millisecond) // let the firehose hit the window
+		// Parked sender: firehose with a client that never consumes.
+		sendSt, err := c.Stream(context.Background(), "Firehose", echoReq{})
+		if err != nil {
+			t.Fatalf("Stream(Firehose): %v", err)
+		}
+		// Parked receiver: handler blocked in Recv with no client items.
+		recvSt, err := c.Stream(context.Background(), "Parked", echoReq{})
+		if err != nil {
+			t.Fatalf("Stream(Parked): %v", err)
+		}
+		var item streamItem
+		if err := sendSt.Recv(&item); err != nil { // stream is live
+			t.Fatalf("Recv: %v", err)
+		}
+		vtime.Wait() // the firehose is parked on its window
 
-	closed := make(chan struct{})
-	go func() {
-		s.Close() // must not hang on the parked handlers
-		close(closed)
-	}()
-	select {
-	case <-closed:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Server.Close hung on parked stream handlers")
-	}
+		closed := make(chan struct{})
+		go func() {
+			s.Close() // must not hang on the parked handlers
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(5 * time.Second):
+			t.Fatal("Server.Close hung on parked stream handlers")
+		}
 
-	for _, st := range []*transport.Stream{sendSt, recvSt} {
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			if err := st.Recv(&item); err != nil {
-				if transport.IsStreamEnd(err) || IsCode(err, CodeUnavailable) {
-					break
+		for _, st := range []*transport.Stream{sendSt, recvSt} {
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				if err := st.Recv(&item); err != nil {
+					if transport.IsStreamEnd(err) || IsCode(err, CodeUnavailable) {
+						break
+					}
+					t.Fatalf("post-Close err = %v, want stream end or CodeUnavailable", err)
 				}
-				t.Fatalf("post-Close err = %v, want stream end or CodeUnavailable", err)
-			}
-			if time.Now().After(deadline) {
-				t.Fatal("client stream never observed server shutdown")
+				if time.Now().After(deadline) {
+					t.Fatal("client stream never observed server shutdown")
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestHungServerSilencesOpenStreams: a hung server falls silent on the
@@ -565,47 +572,49 @@ func (g *connGrabber) closeAll() {
 // error as soon as the conn dies — not hang until their deadlines, and not
 // be transparently resent (the request may have executed).
 func TestPipelinedCallsFailFastOnConnDeath(t *testing.T) {
-	mem := NewMem()
-	n := &connGrabber{Network: mem}
-	s := NewServer("park")
-	release := make(chan struct{})
-	s.Handle("Park", func(ctx *Ctx, payload []byte) ([]byte, error) {
-		select {
-		case <-release:
-		case <-ctx.Done():
+	vtime.Run(t, func() {
+		mem := NewMem()
+		n := &connGrabber{Network: mem}
+		s := NewServer("park")
+		release := make(chan struct{})
+		s.Handle("Park", func(ctx *Ctx, payload []byte) ([]byte, error) {
+			select {
+			case <-release:
+			case <-ctx.Done():
+			}
+			return nil, nil
+		})
+		addr, err := s.Start(mem, "park:0")
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil, nil
+		defer s.Close()
+		defer close(release)
+
+		c := NewClient(n, "park", addr)
+		defer c.Close()
+
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		var pendings []*Pending
+		for i := 0; i < 8; i++ {
+			pendings = append(pendings, c.Go(ctx, "Park", nil, nil))
+		}
+		vtime.Wait() // every request is parked in its handler
+		n.closeAll()
+
+		start := time.Now()
+		for i, p := range pendings {
+			err := p.Wait()
+			if err == nil {
+				t.Fatalf("call #%d succeeded against a severed conn", i)
+			}
+			if !IsCode(err, CodeUnavailable) || !transport.Retryable(err) {
+				t.Fatalf("call #%d err = %v, want retryable CodeUnavailable", i, err)
+			}
+		}
+		if took := time.Since(start); took != 0 {
+			t.Fatalf("pending calls took %v to fail after conn death; they hung", took)
+		}
 	})
-	addr, err := s.Start(mem, "park:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	defer close(release)
-
-	c := NewClient(n, "park", addr)
-	defer c.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	var pendings []*Pending
-	for i := 0; i < 8; i++ {
-		pendings = append(pendings, c.Go(ctx, "Park", nil, nil))
-	}
-	time.Sleep(10 * time.Millisecond) // let the requests reach the server
-	n.closeAll()
-
-	start := time.Now()
-	for i, p := range pendings {
-		err := p.Wait()
-		if err == nil {
-			t.Fatalf("call #%d succeeded against a severed conn", i)
-		}
-		if !IsCode(err, CodeUnavailable) || !transport.Retryable(err) {
-			t.Fatalf("call #%d err = %v, want retryable CodeUnavailable", i, err)
-		}
-	}
-	if took := time.Since(start); took > 5*time.Second {
-		t.Fatalf("pending calls took %v to fail after conn death; they hung", took)
-	}
 }

@@ -127,10 +127,7 @@ type LedgerResp struct{ Entries []LedgerEntry }
 // deposit and investment accounts and is the single writer of balances, so
 // transfers serialize through its posting lock — double-entry legs either
 // both post or neither does.
-func registerTransactionPosting(srv *rpc.Server, db svcutil.DB, now func() time.Time) {
-	if now == nil {
-		now = time.Now
-	}
+func registerTransactionPosting(srv *rpc.Server, db svcutil.DB) {
 	var seq atomic.Uint64
 	var postMu sync.Mutex // serializes balance mutations (single writer)
 
@@ -220,7 +217,7 @@ func registerTransactionPosting(srv *rpc.Server, db svcutil.DB, now func() time.
 		if from.BalanceCents < req.AmountCents {
 			return nil, rpc.Errorf(rpc.CodeUnauthorized, "transactionPosting: insufficient funds in %s", req.From)
 		}
-		txn := fmt.Sprintf("txn-%d-%06d", now().UnixMilli(), seq.Add(1))
+		txn := fmt.Sprintf("txn-%d-%06d", time.Now().UnixMilli(), seq.Add(1))
 		from.BalanceCents -= req.AmountCents
 		to.BalanceCents += req.AmountCents
 		if err := storeAccount(ctx, from); err != nil {
@@ -233,7 +230,7 @@ func registerTransactionPosting(srv *rpc.Server, db svcutil.DB, now func() time.
 			storeAccount(ctx, from) //nolint:errcheck
 			return nil, err
 		}
-		at := now().UnixNano()
+		at := time.Now().UnixNano()
 		for i, leg := range []LedgerEntry{
 			{TxnID: txn, AccountID: req.From, DeltaCents: -req.AmountCents, PostedAt: at, Description: req.Description},
 			{TxnID: txn, AccountID: req.To, DeltaCents: req.AmountCents, PostedAt: at, Description: req.Description},

@@ -26,8 +26,6 @@ type Config struct {
 	ShardReplicas int
 	// CacheBytes bounds each cache tier (0 = unbounded).
 	CacheBytes int64
-	// Clock overrides time for deterministic tests.
-	Clock func() time.Time
 	// Middleware is installed on every inter-tier client wire.
 	Middleware []transport.Middleware
 	// Replicas scales replicable logic tiers out at boot, keyed by tier name.
@@ -97,13 +95,13 @@ func New(app *core.App, cfg Config) (*Banking, error) {
 		registerAuthentication(s, db("authentication", "db-credentials"), mc("authentication", "mc-sessions"))
 	})
 	start("transactionPosting", func(s *rpc.Server) {
-		registerTransactionPosting(s, db("transactionPosting", "db-accounts"), cfg.Clock)
+		registerTransactionPosting(s, db("transactionPosting", "db-accounts"))
 	})
 	start("acl", func(s *rpc.Server) {
 		registerACL(s, cl("acl", "transactionPosting"))
 	})
 	start("customerActivity", func(s *rpc.Server) {
-		registerCustomerActivity(s, db("customerActivity", "db-activity"), cfg.Clock)
+		registerCustomerActivity(s, db("customerActivity", "db-activity"))
 	})
 	start("payments", func(s *rpc.Server) {
 		registerPayments(s, paymentsDeps{

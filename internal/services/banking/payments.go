@@ -82,16 +82,13 @@ type ActivityListReq struct {
 type ActivityListResp struct{ Activities []Activity }
 
 // registerCustomerActivity installs the customerActivity log service.
-func registerCustomerActivity(srv *rpc.Server, db svcutil.DB, now func() time.Time) {
-	if now == nil {
-		now = time.Now
-	}
+func registerCustomerActivity(srv *rpc.Server, db svcutil.DB) {
 	var seq atomic.Int64
 	svcutil.Handle(srv, "Log", func(ctx *rpc.Ctx, req *LogActivityReq) (*struct{}, error) {
 		if req.Username == "" {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "customerActivity: username required")
 		}
-		a := Activity{Username: req.Username, Kind: req.Kind, Detail: req.Detail, At: now().UnixNano()}
+		a := Activity{Username: req.Username, Kind: req.Kind, Detail: req.Detail, At: time.Now().UnixNano()}
 		body, err := codec.Marshal(a)
 		if err != nil {
 			return nil, err

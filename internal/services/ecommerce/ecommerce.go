@@ -19,8 +19,6 @@ func errNotFound(what string) error { return rpc.NotFoundf("no such resource %q"
 
 // Config sizes the deployment.
 type Config struct {
-	// Clock overrides time for deterministic tests.
-	Clock func() time.Time
 	// Middleware is installed on every inter-tier client wire (between
 	// tracing and the app's resilience stack): fault injection and
 	// per-experiment instrumentation hook in here.
@@ -121,9 +119,9 @@ func New(app *core.App, cfg Config) (*Ecommerce, error) {
 	start("payment", func(s *rpc.Server) {
 		registerPayment(s, cl("payment", "authorization"), cl("payment", "accountInfo"))
 	})
-	start("transactionID", func(s *rpc.Server) { registerTransactionID(s, cfg.Clock) })
+	start("transactionID", func(s *rpc.Server) { registerTransactionID(s) })
 	start("invoicing", func(s *rpc.Server) {
-		registerInvoicing(s, db("invoicing", "db-invoices"), cfg.Clock)
+		registerInvoicing(s, db("invoicing", "db-invoices"))
 	})
 	// The broker tier boots just before queueMaster: its configure hook
 	// declares the order topic and subscribes the commit group, so no
@@ -148,7 +146,6 @@ func New(app *core.App, cfg Config) (*Ecommerce, error) {
 			invoicing:   cl("orders", "invoicing"),
 			queueMaster: cl("orders", "queueMaster"),
 			db:          db("orders", "db-orders"),
-			now:         cfg.Clock,
 		})
 	})
 	start("recommender", func(s *rpc.Server) {

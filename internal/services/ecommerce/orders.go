@@ -84,13 +84,10 @@ func registerAuthorization(srv *rpc.Server, accountInfo svcutil.Caller) {
 type TransactionIDResp struct{ ID string }
 
 // registerTransactionID installs the transactionID service.
-func registerTransactionID(srv *rpc.Server, now func() time.Time) {
-	if now == nil {
-		now = time.Now
-	}
+func registerTransactionID(srv *rpc.Server) {
 	var seq atomic.Uint64
 	svcutil.Handle(srv, "Next", func(ctx *rpc.Ctx, req *struct{}) (*TransactionIDResp, error) {
-		return &TransactionIDResp{ID: fmt.Sprintf("txn-%d-%06d", now().UnixMilli(), seq.Add(1))}, nil
+		return &TransactionIDResp{ID: fmt.Sprintf("txn-%d-%06d", time.Now().UnixMilli(), seq.Add(1))}, nil
 	})
 }
 
@@ -105,10 +102,7 @@ type InvoiceReq struct {
 type InvoiceResp struct{ Invoice Invoice }
 
 // registerInvoicing installs the invoicing service.
-func registerInvoicing(srv *rpc.Server, db svcutil.DB, now func() time.Time) {
-	if now == nil {
-		now = time.Now
-	}
+func registerInvoicing(srv *rpc.Server, db svcutil.DB) {
 	var seq atomic.Uint64
 	svcutil.Handle(srv, "Issue", func(ctx *rpc.Ctx, req *InvoiceReq) (*InvoiceResp, error) {
 		inv := Invoice{
@@ -116,7 +110,7 @@ func registerInvoicing(srv *rpc.Server, db svcutil.DB, now func() time.Time) {
 			OrderID:    req.OrderID,
 			Username:   req.Username,
 			TotalCents: req.TotalCents,
-			IssuedAt:   now().UnixNano(),
+			IssuedAt:   time.Now().UnixNano(),
 		}
 		body, err := codec.Marshal(inv)
 		if err != nil {
@@ -165,7 +159,6 @@ type ordersDeps struct {
 	invoicing   svcutil.Caller
 	queueMaster svcutil.Caller
 	db          svcutil.DB
-	now         func() time.Time
 }
 
 // registerOrders installs the orders orchestrator — the longest path in the
@@ -174,9 +167,6 @@ type ordersDeps struct {
 // discounts, authorize and charge payment, issue the transaction ID and
 // invoice, enqueue the order for serialized commit, and clear the cart.
 func registerOrders(srv *rpc.Server, deps ordersDeps) {
-	if deps.now == nil {
-		deps.now = time.Now
-	}
 	var seq atomic.Uint64
 
 	svcutil.Handle(srv, "Place", func(ctx *rpc.Ctx, req *PlaceOrderReq) (*PlaceOrderResp, error) {
@@ -248,7 +238,7 @@ func registerOrders(srv *rpc.Server, deps ordersDeps) {
 		}
 
 		order := Order{
-			ID:            fmt.Sprintf("ord-%d-%06d", deps.now().UnixMilli(), seq.Add(1)),
+			ID:            fmt.Sprintf("ord-%d-%06d", time.Now().UnixMilli(), seq.Add(1)),
 			Username:      auth.Username,
 			Lines:         cart.Lines,
 			ItemsCents:    itemsCents,
@@ -258,7 +248,7 @@ func registerOrders(srv *rpc.Server, deps ordersDeps) {
 			Shipping:      shipping.Method,
 			TransactionID: txn.ID,
 			Status:        StatusQueued,
-			CreatedAt:     deps.now().UnixNano(),
+			CreatedAt:     time.Now().UnixNano(),
 		}
 		var inv InvoiceResp
 		if err := deps.invoicing.Call(ctx, "Issue", InvoiceReq{OrderID: order.ID, Username: order.Username, TotalCents: total}, &inv); err != nil {

@@ -81,19 +81,23 @@ func registerQueueMaster(srv *rpc.Server, bus mq.Bus, db svcutil.DB, catalogue s
 }
 
 // commit is the commit group's handler: it applies one order's stock
-// decrements. A commit shed by the catalogue tier (CodeOverloaded) is not a
-// verdict on the order — the tier was healthy but full — so that error is
-// returned, the worker nacks the message back to the broker, and the order
-// stays StatusQueued until a redelivery finds room, rather than being
-// swallowed into a StatusRejected like any other error.
-func (qm *queueMaster) commit(_ context.Context, msg mq.ConsumeResp) error {
-	ctx := &rpc.Ctx{Context: context.Background(), Method: "commit", Service: "ecom.queueMaster"}
+// decrements, under the delivery's context and for no longer than its lease,
+// so a hung catalogue cannot park the worker. Only the catalogue's own
+// verdict (out of stock, no such item) rejects the order; any other failure —
+// shed, unreachable, out of time — says nothing about a paid order and is
+// returned: the worker nacks and the order stays StatusQueued for redelivery.
+func (qm *queueMaster) commit(parent context.Context, msg mq.ConsumeResp) error {
+	// A cancel, not a deadline: every hop below would pay to carry one.
+	attempt, cancel := context.WithCancel(parent)
+	defer time.AfterFunc(orderLease, cancel).Stop()
+	defer cancel()
+	ctx := &rpc.Ctx{Context: attempt, Method: "commit", Service: "ecom.queueMaster"}
 	order, found, err := loadOrder(ctx, qm.db, string(msg.Body))
-	if err != nil || !found {
-		return nil
+	if err != nil {
+		return err
 	}
-	if order.Status != StatusQueued {
-		return nil // already processed (redelivery)
+	if !found || order.Status != StatusQueued {
+		return nil // nothing stored under the ID, or already processed (redelivery)
 	}
 	status := StatusCommitted
 	var decremented []CartLine
@@ -103,11 +107,13 @@ func (qm *queueMaster) commit(_ context.Context, msg mq.ConsumeResp) error {
 			decremented = append(decremented, line)
 			continue
 		}
-		// Roll back the lines already taken.
+		// Roll back on a context of its own: the attempt's may be what ran out.
+		undo, done := context.WithTimeout(context.WithoutCancel(parent), orderLease)
 		for _, d := range decremented {
-			qm.catalogue.Call(ctx, "AdjustStock", AdjustStockReq{ItemID: d.ItemID, Delta: d.Quantity}, nil) //nolint:errcheck
+			qm.catalogue.Call(undo, "AdjustStock", AdjustStockReq{ItemID: d.ItemID, Delta: d.Quantity}, nil) //nolint:errcheck
 		}
-		if transport.IsCode(err, transport.CodeOverloaded) {
+		done()
+		if !transport.IsCode(err, transport.CodeConflict) && !transport.IsCode(err, transport.CodeNotFound) {
 			return err
 		}
 		status = StatusRejected

@@ -28,8 +28,6 @@ type Config struct {
 	// CacheBytes bounds each cache tier (0 = unbounded, the historical
 	// layout).
 	CacheBytes int64
-	// Clock overrides time for deterministic tests.
-	Clock func() time.Time
 	// Middleware is installed on every inter-tier client wire.
 	Middleware []transport.Middleware
 	// Replicas scales replicable logic tiers out at boot, keyed by tier name.
@@ -130,11 +128,10 @@ func New(app *core.App, cfg Config) (*Media, error) {
 			movieID:     cl("composeReview", "movieID"),
 			rating:      cl("composeReview", "rating"),
 			movieReview: cl("composeReview", "movieReview"),
-			now:         cfg.Clock,
 		})
 	})
 	start("rent", func(s *rpc.Server) {
-		registerRent(s, cl("rent", "user"), db("rent", "db-rentals"), cfg.Clock)
+		registerRent(s, cl("rent", "user"), db("rent", "db-rentals"))
 	})
 	start("recommender", func(s *rpc.Server) {
 		registerRecommender(s, cl("recommender", "user"), cl("recommender", "userReview"), cl("recommender", "movieDB"))

@@ -159,10 +159,7 @@ const (
 // registerRent installs the rent service: payment authentication (balance
 // check + debit) followed by issuing a time-bounded streaming lease the
 // video streaming tier validates per segment.
-func registerRent(srv *rpc.Server, user svcutil.Caller, db svcutil.DB, now func() time.Time) {
-	if now == nil {
-		now = time.Now
-	}
+func registerRent(srv *rpc.Server, user svcutil.Caller, db svcutil.DB) {
 	svcutil.Handle(srv, "Rent", func(ctx *rpc.Ctx, req *RentReq) (*RentResp, error) {
 		var auth VerifyTokenResp
 		if err := user.Call(ctx, "VerifyToken", VerifyTokenReq{Token: req.Token}, &auth); err != nil {
@@ -178,7 +175,7 @@ func registerRent(srv *rpc.Server, user svcutil.Caller, db svcutil.DB, now func(
 			Username:   auth.Username,
 			MovieID:    req.MovieID,
 			Token:      randomHex(12),
-			ExpiresAt:  now().Add(rentalPeriod).UnixNano(),
+			ExpiresAt:  time.Now().Add(rentalPeriod).UnixNano(),
 			PriceCents: rentalPriceCents,
 		}
 		body, err := codec.Marshal(r)
@@ -202,7 +199,7 @@ func registerRent(srv *rpc.Server, user svcutil.Caller, db svcutil.DB, now func(
 		if err := codec.Unmarshal(doc.Body, &r); err != nil {
 			return nil, err
 		}
-		valid := r.MovieID == req.MovieID && now().UnixNano() < r.ExpiresAt
+		valid := r.MovieID == req.MovieID && time.Now().UnixNano() < r.ExpiresAt
 		return &ValidateLeaseResp{Valid: valid}, nil
 	})
 }

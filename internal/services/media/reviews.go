@@ -208,16 +208,12 @@ type composeReviewDeps struct {
 	movieID     svcutil.Caller
 	rating      svcutil.Caller
 	movieReview svcutil.Caller
-	now         func() time.Time
 }
 
 // registerComposeReview installs the composeReview orchestrator: token
 // verification, title resolution via movieID, text/rating validation, then
 // the movieReview record path (reviewStorage + MovieDB aggregate).
 func registerComposeReview(srv *rpc.Server, deps composeReviewDeps) {
-	if deps.now == nil {
-		deps.now = time.Now
-	}
 	var seq atomic.Uint64
 	svcutil.Handle(srv, "Compose", func(ctx *rpc.Ctx, req *ComposeReviewReq) (*ComposeReviewResp, error) {
 		var auth VerifyTokenResp
@@ -239,7 +235,7 @@ func registerComposeReview(srv *rpc.Server, deps composeReviewDeps) {
 		if err := deps.rating.Call(ctx, "Validate", RatingReq{Rating: req.Rating}, &rating); err != nil {
 			return nil, err
 		}
-		now := deps.now()
+		now := time.Now()
 		review := Review{
 			ID:        fmt.Sprintf("rev-%d-%d", now.UnixMilli(), seq.Add(1)),
 			MovieID:   movie.Movie.ID,

@@ -40,7 +40,6 @@ type composeDeps struct {
 	timeline svcutil.Caller
 	search   svcutil.Caller
 	readPost svcutil.Caller
-	now      func() time.Time
 }
 
 // registerComposePost installs the composePost orchestrator: token
@@ -52,9 +51,6 @@ type composeDeps struct {
 // Degraded. Timeline fan-out stays fatal: a post nobody's timeline shows
 // is a lost write, not a degraded one.
 func registerComposePost(srv *rpc.Server, deps composeDeps, degrade bool) {
-	if deps.now == nil {
-		deps.now = time.Now
-	}
 	svcutil.Handle(srv, "Compose", func(ctx *rpc.Ctx, req *ComposePostReq) (*ComposePostResp, error) {
 		var auth VerifyTokenResp
 		if err := deps.user.Call(ctx, "VerifyToken", VerifyTokenReq{Token: req.Token}, &auth); err != nil {
@@ -140,7 +136,7 @@ func registerComposePost(srv *rpc.Server, deps composeDeps, degrade bool) {
 			Mentions:  txtResp.Mentions,
 			URLs:      txtResp.URLs,
 			MediaIDs:  mediaIDs,
-			CreatedAt: deps.now().UnixNano(),
+			CreatedAt: time.Now().UnixNano(),
 		}
 		if err := deps.storage.Call(ctx, "Store", StorePostReq{Post: post}, nil); err != nil {
 			return nil, err

@@ -9,26 +9,29 @@ import (
 	"dsb/internal/controlplane"
 	"dsb/internal/core"
 	"dsb/internal/rpc"
+	"dsb/internal/vtime"
 )
 
 // bootAsync boots a deployment with the broker-backed fan-out path and
 // registers + logs in the given users.
 func bootAsync(t *testing.T, cfg Config, users ...string) (*SocialNetwork, map[string]string) {
 	t.Helper()
-	return bootAsyncOn(t, core.NewApp("social-async", core.Options{}), cfg, users...)
+	sn, tokens, stop := bootAsyncOn(t, core.NewApp("social-async", core.Options{}), cfg, users...)
+	t.Cleanup(stop)
+	return sn, tokens
 }
 
-// bootAsyncOn is bootAsync on an app the caller configured.
-func bootAsyncOn(t *testing.T, app *core.App, cfg Config, users ...string) (*SocialNetwork, map[string]string) {
+// bootAsyncOn is bootAsync on an app the caller configured, and stops with
+// stop.
+func bootAsyncOn(t *testing.T, app *core.App, cfg Config, users ...string) (_ *SocialNetwork, _ map[string]string, stop func()) {
 	t.Helper()
 	cfg.SearchShards = 2
 	cfg.AsyncFanout = true
-	t.Cleanup(func() { app.Close() })
 	sn, err := New(app, cfg)
 	if err != nil {
+		app.Close()
 		t.Fatalf("boot: %v", err)
 	}
-	t.Cleanup(sn.Close)
 	ctx := context.Background()
 	tokens := make(map[string]string, len(users))
 	for _, u := range users {
@@ -41,7 +44,7 @@ func bootAsyncOn(t *testing.T, app *core.App, cfg Config, users ...string) (*Soc
 		}
 		tokens[u] = lr.Token
 	}
-	return sn, tokens
+	return sn, tokens, func() { sn.Close(); app.Close() }
 }
 
 // TestAsyncFanoutReadYourWrites: with the broker-backed path, a compose
@@ -172,55 +175,57 @@ func TestAsyncFanoutClose(t *testing.T) {
 // survivor's — a replica without a session is handed nothing), and the
 // survivor alone must still deliver every event.
 func TestScaledDownFanoutReplicaStopsConsuming(t *testing.T) {
-	var sessions atomic.Int64 // Push streams open on the broker tier
-	app := core.NewApp("social-scale", core.Options{
-		RPCServerHook: func(service string, srv *rpc.Server) {
-			if service != "social.broker" {
-				return
-			}
-			// A stream's interceptor chain wraps its whole lifetime.
-			srv.Use(func(ctx *rpc.Ctx, payload []byte, next rpc.Handler) ([]byte, error) {
-				if ctx.Method == "Push" {
-					sessions.Add(1)
-					defer sessions.Add(-1)
+	vtime.Run(t, func() {
+		var sessions atomic.Int64 // Push streams open on the broker tier
+		app := core.NewApp("social-scale", core.Options{
+			RPCServerHook: func(service string, srv *rpc.Server) {
+				if service != "social.broker" {
+					return
 				}
-				return next(ctx, payload)
-			})
-		},
-	})
-	spawner := controlplane.NewAppSpawner(app)
-	sn, tokens := bootAsyncOn(t, app, Config{FanoutConsumers: 2, Spawner: spawner}, "alice", "bob")
-	ctx := context.Background()
-	if err := sn.Graph.Call(ctx, "Follow", FollowReq{Follower: "bob", Followee: "alice"}, nil); err != nil {
-		t.Fatal(err)
-	}
-	waitSessions := func(want int64) {
-		t.Helper()
-		for deadline := time.Now().Add(5 * time.Second); sessions.Load() != want; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("broker holds %d open push sessions for the fanout group, want %d", sessions.Load(), want)
+				// A stream's interceptor chain wraps its whole lifetime.
+				srv.Use(func(ctx *rpc.Ctx, payload []byte, next rpc.Handler) ([]byte, error) {
+					if ctx.Method == "Push" {
+						sessions.Add(1)
+						defer sessions.Add(-1)
+					}
+					return next(ctx, payload)
+				})
+			},
+		})
+		spawner := controlplane.NewAppSpawner(app)
+		sn, tokens, stop := bootAsyncOn(t, app, Config{FanoutConsumers: 2, Spawner: spawner}, "alice", "bob")
+		defer stop()
+		ctx := context.Background()
+		if err := sn.Graph.Call(ctx, "Follow", FollowReq{Follower: "bob", Followee: "alice"}, nil); err != nil {
+			t.Fatal(err)
+		}
+		wantSessions := func(want int64) {
+			t.Helper()
+			vtime.Wait()
+			if got := sessions.Load(); got != want {
+				t.Fatalf("broker holds %d open push sessions for the fanout group, want %d", got, want)
 			}
 		}
-	}
-	waitSessions(2)
-	replicas, err := app.Registry.MustLookup("social.fanout")
-	if err != nil || len(replicas) != 2 {
-		t.Fatalf("fanout replicas = %v, %v; want 2", replicas, err)
-	}
-	if err := spawner.Stop("social.fanout", replicas[0]); err != nil {
-		t.Fatal(err)
-	}
-	waitSessions(1)
+		wantSessions(2)
+		replicas, err := app.Registry.MustLookup("social.fanout")
+		if err != nil || len(replicas) != 2 {
+			t.Fatalf("fanout replicas = %v, %v; want 2", replicas, err)
+		}
+		if err := spawner.Stop("social.fanout", replicas[0]); err != nil {
+			t.Fatal(err)
+		}
+		wantSessions(1)
 
-	const n = 20
-	for i := 0; i < n; i++ {
-		compose(t, sn, tokens["alice"], "after scale-down")
-	}
-	if err := sn.DrainFanout(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if posts := timeline(t, sn, "bob"); len(posts) != n {
-		t.Fatalf("bob sees %d posts, want %d", len(posts), n)
-	}
-	waitSessions(1)
+		const n = 20
+		for i := 0; i < n; i++ {
+			compose(t, sn, tokens["alice"], "after scale-down")
+		}
+		if err := sn.DrainFanout(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if posts := timeline(t, sn, "bob"); len(posts) != n {
+			t.Fatalf("bob sees %d posts, want %d", len(posts), n)
+		}
+		wantSessions(1)
+	})
 }

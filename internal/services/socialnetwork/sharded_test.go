@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	"dsb/internal/core"
 	"dsb/internal/fault"
@@ -146,19 +145,11 @@ func TestShardedSurvivesReplicaFault(t *testing.T) {
 		defer inj.Add(fault.Rule{To: "social.db-posts", Addr: inst.Addr, ErrCode: rpc.CodeUnavailable})()
 	}
 
-	// Force the read path to the store: wipe the post cache via TTL-free
-	// timeline reads. (The cache may still serve; the point is the read
-	// must not error even when a store replica does.)
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		var resp ReadTimelineResp
-		err := sn.ReadTimeline.Call(ctx, "Read", ReadTimelineReq{User: "bob", Limit: 50}, &resp)
-		if err == nil && len(resp.Posts) == 8 && !resp.Degraded {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("timeline under replica fault: err=%v posts=%d degraded=%v", err, len(resp.Posts), resp.Degraded)
-		}
-		time.Sleep(10 * time.Millisecond)
+	// The cache may still serve; the point is that the read does not error,
+	// first time, even when a store replica does.
+	var resp ReadTimelineResp
+	err = sn.ReadTimeline.Call(ctx, "Read", ReadTimelineReq{User: "bob", Limit: 50}, &resp)
+	if err != nil || len(resp.Posts) != 8 || resp.Degraded {
+		t.Fatalf("timeline under replica fault: err=%v posts=%d degraded=%v", err, len(resp.Posts), resp.Degraded)
 	}
 }

@@ -18,8 +18,6 @@ type Config struct {
 	SearchShards int
 	// CacheBytes bounds each cache tier (default 64 MiB).
 	CacheBytes int64
-	// Clock overrides time for deterministic tests.
-	Clock func() time.Time
 	// Middleware is installed on every inter-tier client wire (between
 	// tracing and the app's resilience stack): fault injection and
 	// per-experiment instrumentation hook in here.
@@ -201,7 +199,7 @@ func New(app *core.App, cfg Config) (*SocialNetwork, error) {
 	// Each unique-ID replica gets its own worker number so IDs never
 	// collide across replicas.
 	startN("uniqueID", func(i int) func(*rpc.Server) {
-		return func(s *rpc.Server) { registerUniqueID(s, uint64(i+1), cfg.Clock) }
+		return func(s *rpc.Server) { registerUniqueID(s, uint64(i+1)) }
 	})
 	start("user", func(s *rpc.Server) {
 		registerUser(s, db("user", "db-users"), mc("user", "mc-users"), cfg.DisableCoalescing)
@@ -288,7 +286,6 @@ func New(app *core.App, cfg Config) (*SocialNetwork, error) {
 			timeline: cl("composePost", "writeTimeline"),
 			search:   cl("composePost", "search"),
 			readPost: cl("composePost", "readPost"),
-			now:      cfg.Clock,
 		}, degrade)
 	})
 	if err := stack.Boot(); err != nil {

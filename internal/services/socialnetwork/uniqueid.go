@@ -23,14 +23,10 @@ type uniqueID struct {
 	mu      sync.Mutex
 	lastMs  int64
 	seq     uint64
-	now     func() time.Time
 }
 
-func registerUniqueID(srv *rpc.Server, machine uint64, now func() time.Time) {
-	if now == nil {
-		now = time.Now
-	}
-	u := &uniqueID{machine: machine & 0x3FF, now: now}
+func registerUniqueID(srv *rpc.Server, machine uint64) {
+	u := &uniqueID{machine: machine & 0x3FF}
 	svcutil.Handle(srv, "Next", func(ctx *rpc.Ctx, req *UniqueIDReq) (*UniqueIDResp, error) {
 		return &UniqueIDResp{ID: u.next()}, nil
 	})
@@ -39,13 +35,13 @@ func registerUniqueID(srv *rpc.Server, machine uint64, now func() time.Time) {
 func (u *uniqueID) next() string {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	ms := u.now().UnixMilli()
+	ms := time.Now().UnixMilli()
 	if ms == u.lastMs {
 		u.seq = (u.seq + 1) & 0xFFF
 		if u.seq == 0 {
 			// Sequence exhausted within this millisecond; spin to the next.
 			for ms <= u.lastMs {
-				ms = u.now().UnixMilli()
+				ms = time.Now().UnixMilli()
 			}
 		}
 	} else {

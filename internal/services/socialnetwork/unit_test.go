@@ -4,6 +4,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"dsb/internal/vtime"
 )
 
 func TestTokenize(t *testing.T) {
@@ -107,24 +109,25 @@ func TestAverageHashStabilityProperty(t *testing.T) {
 }
 
 func TestSnowflakeUniqueAndOrdered(t *testing.T) {
-	now := time.Unix(1000, 0)
-	u := &uniqueID{machine: 5, now: func() time.Time { return now }}
-	seen := map[string]bool{}
-	prev := ""
-	for i := 0; i < 5000; i++ {
-		if i%100 == 0 {
-			now = now.Add(time.Millisecond)
+	vtime.Run(t, func() {
+		u := &uniqueID{machine: 5}
+		seen := map[string]bool{}
+		prev := ""
+		for i := 0; i < 5000; i++ {
+			if i%100 == 0 {
+				vtime.Advance(time.Millisecond)
+			}
+			id := u.next()
+			if seen[id] {
+				t.Fatalf("duplicate id %s at %d", id, i)
+			}
+			seen[id] = true
+			if id < prev {
+				t.Fatalf("ids not monotone: %s < %s", id, prev)
+			}
+			prev = id
 		}
-		id := u.next()
-		if seen[id] {
-			t.Fatalf("duplicate id %s at %d", id, i)
-		}
-		seen[id] = true
-		if id < prev {
-			t.Fatalf("ids not monotone: %s < %s", id, prev)
-		}
-		prev = id
-	}
+	})
 }
 
 func TestHashPasswordSaltMatters(t *testing.T) {

@@ -163,12 +163,12 @@ type TelemetryItem struct {
 
 // persistReport writes one sensor sample into the four per-sensor
 // collections; shared by the unary Report handler and the stream path.
-func persistReport(ctx context.Context, db svcutil.DB, seq *atomic.Int64, now func() time.Time, req *SensorReport) error {
+func persistReport(ctx context.Context, db svcutil.DB, seq *atomic.Int64, req *SensorReport) error {
 	if req.DroneID == "" {
 		return rpc.Errorf(rpc.CodeBadRequest, "telemetry: drone ID required")
 	}
 	if req.At == 0 {
-		req.At = now().UnixNano()
+		req.At = time.Now().UnixNano()
 	}
 	body, err := codec.Marshal(*req)
 	if err != nil {
@@ -191,13 +191,13 @@ func persistReport(ctx context.Context, db svcutil.DB, seq *atomic.Int64, now fu
 
 // persistFrame archives one captured frame; shared by the unary StoreFrame
 // handler and the stream path.
-func persistFrame(ctx context.Context, db svcutil.DB, now func() time.Time, req *StoreFrameReq) error {
+func persistFrame(ctx context.Context, db svcutil.DB, req *StoreFrameReq) error {
 	body, err := codec.Marshal(*req)
 	if err != nil {
 		return err
 	}
 	doc := docstore.Doc{
-		ID:     fmt.Sprintf("%s-%d-%d-%d", req.DroneID, req.At.X, req.At.Y, now().UnixNano()),
+		ID:     fmt.Sprintf("%s-%d-%d-%d", req.DroneID, req.At.X, req.At.Y, time.Now().UnixNano()),
 		Fields: map[string]string{"drone": req.DroneID, "label": req.Label},
 		Body:   body,
 	}
@@ -211,16 +211,13 @@ func persistFrame(ctx context.Context, db svcutil.DB, now func() time.Time, req 
 // every other stateful tier in the suite. Samples arrive either as unary
 // Report/StoreFrame calls (one RTT each) or batched on a per-mission
 // Telemetry stream.
-func registerTelemetry(srv *rpc.Server, db svcutil.DB, now func() time.Time) {
-	if now == nil {
-		now = time.Now
-	}
+func registerTelemetry(srv *rpc.Server, db svcutil.DB) {
 	var seq atomic.Int64
 	svcutil.Handle(srv, "Report", func(ctx *rpc.Ctx, req *SensorReport) (*struct{}, error) {
-		return nil, persistReport(ctx, db, &seq, now, req)
+		return nil, persistReport(ctx, db, &seq, req)
 	})
 	svcutil.Handle(srv, "StoreFrame", func(ctx *rpc.Ctx, req *StoreFrameReq) (*struct{}, error) {
-		return nil, persistFrame(ctx, db, now, req)
+		return nil, persistFrame(ctx, db, req)
 	})
 	srv.HandleStream("Telemetry", func(ctx *rpc.Ctx, payload []byte, st *rpc.ServerStream) error {
 		for {
@@ -233,11 +230,11 @@ func registerTelemetry(srv *rpc.Server, db svcutil.DB, now func() time.Time) {
 			}
 			switch {
 			case item.Report != nil:
-				if err := persistReport(ctx, db, &seq, now, item.Report); err != nil {
+				if err := persistReport(ctx, db, &seq, item.Report); err != nil {
 					return err
 				}
 			case item.Frame != nil:
-				if err := persistFrame(ctx, db, now, item.Frame); err != nil {
+				if err := persistFrame(ctx, db, item.Frame); err != nil {
 					return err
 				}
 			default:

@@ -106,7 +106,7 @@ func New(app *core.App, cfg Config) (*Swarm, error) {
 		registerConstructRoute(s, world, mc("constructRoute", "mc-routes"))
 	})
 	start("telemetry", func(s *rpc.Server) {
-		registerTelemetry(s, db("telemetry", "db-telemetry"), nil)
+		registerTelemetry(s, db("telemetry", "db-telemetry"))
 	})
 	// Compute tiers exist once; placement decides which side of the wifi
 	// hop the *callers* are on.

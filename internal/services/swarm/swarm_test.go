@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dsb/internal/core"
+	"dsb/internal/vtime"
 )
 
 func bootSwarm(t *testing.T, placement Placement) *Swarm {
@@ -182,27 +183,30 @@ func TestDynamicObstacleForcesReplan(t *testing.T) {
 }
 
 func TestCloudPlacementPaysWifiOnCompute(t *testing.T) {
-	// With a large RTT, the cloud placement's mission takes visibly longer
-	// than edge for the same world — the Figure 9 low-load regime.
-	rtt := 3 * time.Millisecond
-	durations := map[Placement]time.Duration{}
-	for _, placement := range []Placement{Edge, Cloud} {
-		app := core.NewApp("swarm-rtt", core.Options{DisableTracing: true})
-		sw, err := New(app, Config{Placement: placement, Drones: 1, WorldSize: 16, Seed: 11, WifiRTT: rtt})
-		if err != nil {
-			t.Fatal(err)
+	vtime.Run(t, func() {
+		// With a large RTT, the cloud placement's mission takes longer than
+		// edge for the same world — the Figure 9 low-load regime — by exactly
+		// the wifi round trips it adds: every duration below is whole RTTs.
+		rtt := 3 * time.Millisecond
+		durations := map[Placement]time.Duration{}
+		for _, placement := range []Placement{Edge, Cloud} {
+			app := core.NewApp("swarm-rtt", core.Options{DisableTracing: true})
+			sw, err := New(app, Config{Placement: placement, Drones: 1, WorldSize: 16, Seed: 11, WifiRTT: rtt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			target, _ := anyTarget(t, sw.World)
+			start := time.Now()
+			if _, err := sw.Drones[0].FlyTo(context.Background(), target); err != nil {
+				t.Fatal(err)
+			}
+			durations[placement] = time.Since(start)
+			app.Close()
 		}
-		target, _ := anyTarget(t, sw.World)
-		start := time.Now()
-		if _, err := sw.Drones[0].FlyTo(context.Background(), target); err != nil {
-			t.Fatal(err)
+		if edge, cloud := durations[Edge], durations[Cloud]; edge != 16*rtt || cloud != 31*rtt {
+			t.Fatalf("edge %v, cloud %v; want %v and %v (16 and 31 wifi round trips)", edge, cloud, 16*rtt, 31*rtt)
 		}
-		durations[placement] = time.Since(start)
-		app.Close()
-	}
-	if durations[Cloud] <= durations[Edge] {
-		t.Fatalf("cloud (%v) not slower than edge (%v) at low load", durations[Cloud], durations[Edge])
-	}
+	})
 }
 
 func TestMultiDroneFleetSharesWorld(t *testing.T) {

@@ -12,15 +12,17 @@ import (
 	"dsb/internal/registry"
 	"dsb/internal/rpc"
 	"dsb/internal/transport"
+	"dsb/internal/vtime"
 )
 
 type echoResp struct{ Instance string }
 
 // startShardServers boots shards×replicas echo servers on net, registering
 // each with its shard index as instance metadata, and returns addrs[shard].
-func startShardServers(t testing.TB, net rpc.Network, reg *registry.Registry, shards, replicas int) [][]string {
+func startShardServers(t testing.TB, net rpc.Network, reg *registry.Registry, shards, replicas int) (addrs [][]string, stop func()) {
 	t.Helper()
-	addrs := make([][]string, shards)
+	addrs = make([][]string, shards)
+	var servers []*rpc.Server
 	for s := 0; s < shards; s++ {
 		for rep := 0; rep < replicas; rep++ {
 			name := fmt.Sprintf("s%d-r%d", s, rep)
@@ -32,14 +34,18 @@ func startShardServers(t testing.TB, net rpc.Network, reg *registry.Registry, sh
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(func() { srv.Close() })
+			servers = append(servers, srv)
 			if reg != nil {
 				reg.RegisterInstance("store", addr, map[string]string{MetaShard: strconv.Itoa(s)})
 			}
 			addrs[s] = append(addrs[s], addr)
 		}
 	}
-	return addrs
+	return addrs, func() {
+		for _, srv := range servers {
+			srv.Close()
+		}
+	}
 }
 
 // TestRouterGroupsByShardMeta checks that Sync partitions one service name
@@ -48,7 +54,8 @@ func startShardServers(t testing.TB, net rpc.Network, reg *registry.Registry, sh
 func TestRouterGroupsByShardMeta(t *testing.T) {
 	net := rpc.NewMem()
 	reg := registry.New()
-	addrs := startShardServers(t, net, reg, 4, 2)
+	addrs, stop := startShardServers(t, net, reg, 4, 2)
+	defer stop()
 
 	r := NewRouter(net, "store")
 	defer r.Close()
@@ -89,7 +96,8 @@ func TestRouterGroupsByShardMeta(t *testing.T) {
 func TestRouterReadRotation(t *testing.T) {
 	net := rpc.NewMem()
 	reg := registry.New()
-	startShardServers(t, net, reg, 1, 3)
+	_, stop := startShardServers(t, net, reg, 1, 3)
+	defer stop()
 	r := NewRouter(net, "store")
 	defer r.Close()
 	r.Sync(reg.Instances("store"))
@@ -121,7 +129,8 @@ func TestRouterReadRotation(t *testing.T) {
 func TestRouterCallStampsAddr(t *testing.T) {
 	net := rpc.NewMem()
 	reg := registry.New()
-	addrs := startShardServers(t, net, reg, 2, 1)
+	addrs, stop := startShardServers(t, net, reg, 2, 1)
+	defer stop()
 
 	var mu sync.Mutex
 	seen := make(map[string]string) // addr stamped on call -> replica mw addr
@@ -183,85 +192,83 @@ func TestRouterCallStampsAddr(t *testing.T) {
 // ring must re-form without the dead shard within one TTL — keys remap to
 // surviving shards, and the survivors' keys do not move.
 func TestRouterLeaseEvictionReformsRing(t *testing.T) {
-	net := rpc.NewMem()
-	reg := registry.New()
-	addrs := startShardServers(t, net, nil, 3, 2)
+	vtime.Run(t, func() {
+		net := rpc.NewMem()
+		reg := registry.New()
+		addrs, stopServers := startShardServers(t, net, nil, 3, 2)
+		defer stopServers()
 
-	const ttl = 60 * time.Millisecond
-	var leases []*registry.Lease
-	for s := range addrs {
-		for _, a := range addrs[s] {
-			leases = append(leases, reg.RegisterLeaseMeta("store", a, ttl,
-				map[string]string{MetaShard: strconv.Itoa(s)}))
-		}
-	}
-
-	r := NewRouter(net, "store")
-	defer r.Close()
-	stop := make(chan struct{})
-	defer close(stop)
-	go r.FollowRegistry(reg, stop)
-
-	waitShards := func(n int) {
-		t.Helper()
-		deadline := time.Now().Add(ttl + 100*time.Millisecond)
-		for {
-			if len(r.Shards()) == n {
-				return
+		const ttl = 60 * time.Millisecond
+		var leases []*registry.Lease
+		for s := range addrs {
+			for _, a := range addrs[s] {
+				leases = append(leases, reg.RegisterLeaseMeta("store", a, ttl,
+					map[string]string{MetaShard: strconv.Itoa(s)}))
 			}
-			if time.Now().After(deadline) {
+		}
+
+		r := NewRouter(net, "store")
+		defer r.Close()
+		stop := make(chan struct{})
+		defer close(stop)
+		go r.FollowRegistry(reg, stop)
+
+		wantShards := func(n int) {
+			t.Helper()
+			vtime.Wait() // the router has followed the registry
+			if len(r.Shards()) != n {
 				t.Fatalf("shards = %v, want %d live", r.Shards(), n)
 			}
-			time.Sleep(2 * time.Millisecond)
 		}
-	}
-	waitShards(3)
+		wantShards(3)
 
-	before := make(map[string]string)
-	for i := 0; i < 300; i++ {
-		key := fmt.Sprintf("key-%d", i)
-		before[key] = r.Owner(key)
-	}
+		before := make(map[string]string)
+		for i := 0; i < 300; i++ {
+			key := fmt.Sprintf("key-%d", i)
+			before[key] = r.Owner(key)
+		}
 
-	// Crash shard 1: its replicas stop heartbeating; keep the rest renewed.
-	hbStop := make(chan struct{})
-	defer close(hbStop)
-	go func() {
-		tick := time.NewTicker(ttl / 3)
-		defer tick.Stop()
-		for {
-			select {
-			case <-hbStop:
-				return
-			case <-tick.C:
-				for i, l := range leases {
-					if i/2 != 1 {
-						l.Renew()
+		// Crash shard 1: its replicas stop heartbeating; keep the rest renewed.
+		hbStop := make(chan struct{})
+		defer close(hbStop)
+		go func() {
+			tick := time.NewTicker(ttl / 3)
+			defer tick.Stop()
+			for {
+				select {
+				case <-hbStop:
+					return
+				case <-tick.C:
+					for i, l := range leases {
+						if i/2 != 1 {
+							l.Renew()
+						}
 					}
 				}
 			}
-		}
-	}()
-	waitShards(2)
+		}()
+		vtime.Advance(ttl) // shard 1's leases run out
+		wantShards(2)
 
-	for key, owner := range before {
-		now := r.Owner(key)
-		if owner == "1" {
-			if now == "1" || now == "" {
-				t.Fatalf("key %q still owned by evicted shard (owner %q)", key, now)
+		for key, owner := range before {
+			now := r.Owner(key)
+			if owner == "1" {
+				if now == "1" || now == "" {
+					t.Fatalf("key %q still owned by evicted shard (owner %q)", key, now)
+				}
+			} else if now != owner {
+				t.Fatalf("key %q moved %s→%s though its shard survived", key, owner, now)
 			}
-		} else if now != owner {
-			t.Fatalf("key %q moved %s→%s though its shard survived", key, owner, now)
 		}
-	}
-	// The survivors still serve their keys end to end.
-	for i := 0; i < 50; i++ {
-		key := fmt.Sprintf("key-%d", i)
-		var resp echoResp
-		if err := r.Route(key)[0].Call(context.Background(), "Who", nil, &resp); err != nil {
-			t.Fatalf("post-eviction call for %q: %v", key, err)
+		// The survivors still serve their keys end to end.
+		for i := 0; i < 50; i++ {
+			key := fmt.Sprintf("key-%d", i)
+			var resp echoResp
+			if err := r.Route(key)[0].Call(context.Background(), "Who", nil, &resp); err != nil {
+				t.Fatalf("post-eviction call for %q: %v", key, err)
+			}
 		}
-	}
+	})
 }
 
 // TestRouterScatter checks the fan-out view covers every live shard once,
@@ -269,7 +276,8 @@ func TestRouterLeaseEvictionReformsRing(t *testing.T) {
 func TestRouterScatter(t *testing.T) {
 	net := rpc.NewMem()
 	reg := registry.New()
-	startShardServers(t, net, reg, 3, 2)
+	_, stop := startShardServers(t, net, reg, 3, 2)
+	defer stop()
 	r := NewRouter(net, "store")
 	defer r.Close()
 	r.Sync(reg.Instances("store"))

@@ -12,24 +12,23 @@ import (
 	"dsb/internal/codec"
 	"dsb/internal/kv"
 	"dsb/internal/rpc"
+	"dsb/internal/vtime"
 )
 
 // startCache boots a real kv tier over in-memory RPC and returns the typed
 // client plus the raw cache for poisoning entries directly.
-func startCache(t *testing.T) (KV, *kv.Cache) {
+func startCache(t *testing.T) (mc KV, raw *kv.Cache, stop func()) {
 	t.Helper()
 	n := rpc.NewMem()
 	srv := rpc.NewServer("mc")
-	raw := kv.New(0)
+	raw = kv.New(0)
 	kv.RegisterService(srv, raw)
 	addr, err := srv.Start(n, "mc:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { srv.Close() })
 	c := rpc.NewClient(n, "mc", addr)
-	t.Cleanup(func() { c.Close() })
-	return KV{C: c}, raw
+	return KV{C: c}, raw, func() { c.Close(); srv.Close() }
 }
 
 func stringsReadPath(mc KV, fetches *atomic.Int64, data map[string][]string) *ReadPath[[]string] {
@@ -56,7 +55,8 @@ func stringsReadPath(mc KV, fetches *atomic.Int64, data map[string][]string) *Re
 }
 
 func TestReadPathHitMissPopulate(t *testing.T) {
-	mc, _ := startCache(t)
+	mc, _, stop := startCache(t)
+	defer stop()
 	var fetches atomic.Int64
 	rp := stringsReadPath(mc, &fetches, map[string][]string{"k": {"a", "b"}})
 	ctx := context.Background()
@@ -81,7 +81,8 @@ func TestReadPathHitMissPopulate(t *testing.T) {
 // to non-nil garbage plus an error must be purged and served from the
 // backing store, not returned as truth.
 func TestReadPathPurgesCorruptEntry(t *testing.T) {
-	mc, raw := startCache(t)
+	mc, raw, stop := startCache(t)
+	defer stop()
 	var fetches atomic.Int64
 	rp := stringsReadPath(mc, &fetches, map[string][]string{"k": {"real"}})
 	ctx := context.Background()
@@ -115,52 +116,56 @@ func TestReadPathPurgesCorruptEntry(t *testing.T) {
 
 // Concurrent misses on one key collapse into a single backing fetch.
 func TestReadPathCoalescesMisses(t *testing.T) {
-	mc, _ := startCache(t)
-	var fetches atomic.Int64
-	gate := make(chan struct{})
-	rp := &ReadPath[[]string]{
-		MC:  mc,
-		TTL: time.Minute,
-		Decode: func(b []byte) ([]string, error) {
-			var v []string
-			err := codec.Unmarshal(b, &v)
-			return v, err
-		},
-		Fetch: func(ctx context.Context, key string) ([]string, []byte, bool, error) {
-			fetches.Add(1)
-			<-gate // hold the flight open so every reader joins it
-			v := []string{"x"}
-			enc, err := codec.Marshal(v)
-			return v, enc, true, err
-		},
-	}
-	ctx := context.Background()
+	vtime.Run(t, func() {
+		mc, _, stop := startCache(t)
+		defer stop()
+		var fetches atomic.Int64
+		gate := make(chan struct{})
+		rp := &ReadPath[[]string]{
+			MC:  mc,
+			TTL: time.Minute,
+			Decode: func(b []byte) ([]string, error) {
+				var v []string
+				err := codec.Unmarshal(b, &v)
+				return v, err
+			},
+			Fetch: func(ctx context.Context, key string) ([]string, []byte, bool, error) {
+				fetches.Add(1)
+				<-gate // hold the flight open so every reader joins it
+				v := []string{"x"}
+				enc, err := codec.Marshal(v)
+				return v, enc, true, err
+			},
+		}
+		ctx := context.Background()
 
-	const readers = 24
-	var wg sync.WaitGroup
-	for i := 0; i < readers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if v, found, err := rp.Get(ctx, "hot"); err != nil || !found || v[0] != "x" {
-				t.Errorf("Get = %v, %v, %v", v, found, err)
-			}
-		}()
-	}
-	// Release the fetch once every reader has had a chance to pile in; the
-	// piggyback counter is the signal that they joined the flight.
-	for rp.Stats().Shared < readers-1 {
-		time.Sleep(time.Millisecond)
-	}
-	close(gate)
-	wg.Wait()
-	if got := fetches.Load(); got != 1 {
-		t.Fatalf("fetches = %d, want 1 (stampede not coalesced)", got)
-	}
+		const readers = 24
+		var wg sync.WaitGroup
+		for i := 0; i < readers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if v, found, err := rp.Get(ctx, "hot"); err != nil || !found || v[0] != "x" {
+					t.Errorf("Get = %v, %v, %v", v, found, err)
+				}
+			}()
+		}
+		// Release the fetch once every reader is parked on the flight.
+		vtime.Wait()
+		if joined := rp.Stats().Shared; joined != readers-1 {
+			t.Fatalf("%d of %d readers joined the flight", joined, readers-1)
+		}
+		close(gate)
+		wg.Wait()
+		if got := fetches.Load(); got != 1 {
+			t.Fatalf("fetches = %d, want 1 (stampede not coalesced)", got)
+		}
+	})
 }
 
 func TestReadPathNoCoalesceContrast(t *testing.T) {
-	mc, raw := startCache(t)
+	mc, raw, stop := startCache(t)
+	defer stop()
 	var fetches atomic.Int64
 	rp := stringsReadPath(mc, &fetches, map[string][]string{"k": {"v"}})
 	rp.NoCoalesce = true
@@ -177,35 +182,37 @@ func TestReadPathNoCoalesceContrast(t *testing.T) {
 }
 
 func TestParallel(t *testing.T) {
-	const n = 100
-	var (
-		running, peak atomic.Int64
-		done          [n]atomic.Bool
-	)
-	err := Parallel(4, n, func(i int) error {
-		cur := running.Add(1)
-		for {
-			p := peak.Load()
-			if cur <= p || peak.CompareAndSwap(p, cur) {
-				break
+	vtime.Run(t, func() {
+		const n = 100
+		var (
+			running, peak atomic.Int64
+			done          [n]atomic.Bool
+		)
+		err := Parallel(4, n, func(i int) error {
+			cur := running.Add(1)
+			for {
+				p := peak.Load()
+				if cur <= p || peak.CompareAndSwap(p, cur) {
+					break
+				}
+			}
+			vtime.Advance(100 * time.Microsecond)
+			running.Add(-1)
+			done[i].Store(true)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range done {
+			if !done[i].Load() {
+				t.Fatalf("index %d never ran", i)
 			}
 		}
-		time.Sleep(100 * time.Microsecond)
-		running.Add(-1)
-		done[i].Store(true)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range done {
-		if !done[i].Load() {
-			t.Fatalf("index %d never ran", i)
+		if p := peak.Load(); p != 4 {
+			t.Fatalf("peak concurrency = %d, want 4", p)
 		}
-	}
-	if p := peak.Load(); p > 4 {
-		t.Fatalf("peak concurrency = %d, want <= 4", p)
-	}
+	})
 }
 
 func TestParallelFirstErrorEveryIndexRuns(t *testing.T) {

@@ -14,6 +14,7 @@ import (
 	"dsb/internal/rpc"
 	"dsb/internal/shard"
 	"dsb/internal/svcutil"
+	"dsb/internal/vtime"
 )
 
 // bootKVShards starts a sharded kv tier on a fresh app and returns the
@@ -291,56 +292,55 @@ func TestShardedDB(t *testing.T) {
 // head fall back to the sibling; after lease expiry the ring re-forms and
 // routes around the corpse entirely.
 func TestShardedKVLeaseFailover(t *testing.T) {
-	const ttl = 80 * time.Millisecond
-	app := core.NewApp("shardtest", core.Options{DisableTracing: true, LeaseTTL: ttl})
-	t.Cleanup(func() { app.Close() })
-	err := svcutil.StartShardReplicas(app, "store.kv", 2, 2, func(s, r int) func(*rpc.Server) {
-		return func(srv *rpc.Server) { kv.RegisterService(srv, kv.New(1<<20)) }
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	router, err := app.ShardedRPC("client", "store.kv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := svcutil.KV{Shards: router}
-	ctx := context.Background()
-	for i := 0; i < 16; i++ {
-		if err := store.Set(ctx, fmt.Sprintf("key-%d", i), []byte("v"), 0); err != nil {
+	vtime.Run(t, func() {
+		const ttl = 80 * time.Millisecond
+		app := core.NewApp("shardtest", core.Options{DisableTracing: true, LeaseTTL: ttl})
+		defer app.Close()
+		err := svcutil.StartShardReplicas(app, "store.kv", 2, 2, func(s, r int) func(*rpc.Server) {
+			return func(srv *rpc.Server) { kv.RegisterService(srv, kv.New(1<<20)) }
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	// Crash the first replica of shard 0: it stops heartbeating and hangs.
-	victim := router.GroupReplicas("0")[0].Addr()
-	for _, inst := range app.Instances("store.kv") {
-		if inst.Addr == victim {
-			inst.Kill()
+		router, err := app.ShardedRPC("client", "store.kv")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	// Until eviction, calls that pick the corpse hang to their deadline and
-	// fall back to the live sibling — reads still succeed, just slower.
-	shortCtx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
-	_, _, _ = store.Get(shortCtx, "key-0") //nolint:errcheck // warms nothing; may hit either replica
-	cancel()
-
-	// After one TTL the registry evicts the corpse and the router drops it.
-	deadline := time.Now().Add(ttl + 200*time.Millisecond)
-	for {
-		if len(router.GroupReplicas("0")) == 1 {
-			break
+		store := svcutil.KV{Shards: router}
+		ctx := context.Background()
+		for i := 0; i < 16; i++ {
+			if err := store.Set(ctx, fmt.Sprintf("key-%d", i), []byte("v"), 0); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if time.Now().After(deadline) {
+
+		// Crash the first replica of shard 0: it stops heartbeating and hangs.
+		victim := router.GroupReplicas("0")[0].Addr()
+		killed := time.Now()
+		for _, inst := range app.Instances("store.kv") {
+			if inst.Addr == victim {
+				inst.Kill()
+			}
+		}
+
+		// Until eviction, calls that pick the corpse hang to their deadline and
+		// fall back to the live sibling — reads still succeed, just slower.
+		shortCtx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+		_, _, _ = store.Get(shortCtx, "key-0") //nolint:errcheck // warms nothing; may hit either replica
+		cancel()
+
+		// One TTL after the kill the registry has evicted the corpse and the
+		// router dropped it.
+		vtime.Advance(time.Until(killed.Add(ttl)))
+		vtime.Wait()
+		if len(router.GroupReplicas("0")) != 1 {
 			t.Fatalf("router still routes to killed replica: %v", router.Stats())
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	for i := 0; i < 16; i++ {
-		key := fmt.Sprintf("key-%d", i)
-		if _, found, err := store.Get(ctx, key); err != nil || !found {
-			t.Fatalf("post-eviction Get(%s): found=%v err=%v", key, found, err)
+		for i := 0; i < 16; i++ {
+			key := fmt.Sprintf("key-%d", i)
+			if _, found, err := store.Get(ctx, key); err != nil || !found {
+				t.Fatalf("post-eviction Get(%s): found=%v err=%v", key, found, err)
+			}
 		}
-	}
+	})
 }

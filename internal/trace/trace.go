@@ -141,7 +141,6 @@ func Annotate(ctx context.Context, key, value string) {
 // services can be wired with tracing disabled at zero cost.
 type Tracer struct {
 	collector   *Collector
-	now         func() time.Time
 	idBase      uint64
 	idCounter   atomic.Uint64
 	sampleMille uint32 // per-trace sampling rate in 1/1000ths (1000 = all)
@@ -149,11 +148,6 @@ type Tracer struct {
 
 // TracerOption configures a Tracer.
 type TracerOption func(*Tracer)
-
-// WithClock injects a clock, used by tests and virtual-time experiments.
-func WithClock(now func() time.Time) TracerOption {
-	return func(t *Tracer) { t.now = now }
-}
 
 // WithSampleRate keeps the given fraction of new traces (head-based
 // sampling); the root's decision propagates to every downstream span. The
@@ -172,7 +166,7 @@ func WithSampleRate(rate float64) TracerOption {
 
 // NewTracer returns a tracer feeding the given collector.
 func NewTracer(c *Collector, opts ...TracerOption) *Tracer {
-	t := &Tracer{collector: c, now: time.Now, idBase: rand.Uint64() | 1, sampleMille: 1000}
+	t := &Tracer{collector: c, idBase: rand.Uint64() | 1, sampleMille: 1000}
 	for _, o := range opts {
 		o(t)
 	}
@@ -211,7 +205,7 @@ func (t *Tracer) StartSpan(service, operation, kind string, parent SpanContext) 
 	s.span.Service = service
 	s.span.Operation = operation
 	s.span.Kind = kind
-	s.span.Start = t.now()
+	s.span.Start = time.Now()
 	s.span.SpanID = SpanID(t.nextID())
 	if parent.Valid() {
 		s.span.TraceID = parent.TraceID
@@ -270,7 +264,7 @@ func (s *ActiveSpan) Finish() {
 		return
 	}
 	s.done = true
-	s.span.Duration = s.tracer.now().Sub(s.span.Start)
+	s.span.Duration = time.Since(s.span.Start)
 	span := s.span
 	dropped := s.dropped
 	s.mu.Unlock()

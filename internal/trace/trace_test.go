@@ -7,54 +7,49 @@ import (
 	"time"
 
 	"dsb/internal/rpc"
+	"dsb/internal/vtime"
 )
 
-// fixedClock is a controllable clock for deterministic span timing.
-type fixedClock struct{ t time.Time }
-
-func (c *fixedClock) now() time.Time          { return c.t }
-func (c *fixedClock) advance(d time.Duration) { c.t = c.t.Add(d) }
-
-func newTestTracer() (*Tracer, *Store, *Collector, *fixedClock) {
-	clock := &fixedClock{t: time.Unix(1000, 0)}
+func newTestTracer() (*Tracer, *Store, *Collector) {
 	store := NewStore()
 	col := NewCollector(store, 1024)
-	tr := NewTracer(col, WithClock(clock.now))
-	return tr, store, col, clock
+	return NewTracer(col), store, col
 }
 
 func TestSpanLifecycle(t *testing.T) {
-	tr, store, col, clock := newTestTracer()
-	root := tr.StartSpan("frontend", "ComposePost", KindServer, SpanContext{})
-	clock.advance(5 * time.Millisecond)
-	child := tr.StartSpan("frontend", "text.Process", KindClient, root.Context())
-	clock.advance(2 * time.Millisecond)
-	child.Finish()
-	clock.advance(time.Millisecond)
-	root.Finish()
-	col.Close()
+	vtime.Run(t, func() {
+		tr, store, col := newTestTracer()
+		root := tr.StartSpan("frontend", "ComposePost", KindServer, SpanContext{})
+		vtime.Advance(5 * time.Millisecond)
+		child := tr.StartSpan("frontend", "text.Process", KindClient, root.Context())
+		vtime.Advance(2 * time.Millisecond)
+		child.Finish()
+		vtime.Advance(time.Millisecond)
+		root.Finish()
+		col.Close()
 
-	if store.Len() != 1 {
-		t.Fatalf("traces = %d, want 1", store.Len())
-	}
-	id := store.TraceIDs()[0]
-	spans := store.Spans(id)
-	if len(spans) != 2 {
-		t.Fatalf("spans = %d, want 2", len(spans))
-	}
-	if spans[0].Operation != "ComposePost" {
-		t.Fatalf("spans not sorted by start: %v", spans[0].Operation)
-	}
-	if spans[0].Duration != 8*time.Millisecond {
-		t.Fatalf("root duration = %v", spans[0].Duration)
-	}
-	if spans[1].Parent != spans[0].SpanID {
-		t.Fatal("child not parented to root")
-	}
+		if store.Len() != 1 {
+			t.Fatalf("traces = %d, want 1", store.Len())
+		}
+		id := store.TraceIDs()[0]
+		spans := store.Spans(id)
+		if len(spans) != 2 {
+			t.Fatalf("spans = %d, want 2", len(spans))
+		}
+		if spans[0].Operation != "ComposePost" {
+			t.Fatalf("spans not sorted by start: %v", spans[0].Operation)
+		}
+		if spans[0].Duration != 8*time.Millisecond {
+			t.Fatalf("root duration = %v", spans[0].Duration)
+		}
+		if spans[1].Parent != spans[0].SpanID {
+			t.Fatal("child not parented to root")
+		}
+	})
 }
 
 func TestFinishIdempotent(t *testing.T) {
-	tr, store, col, _ := newTestTracer()
+	tr, store, col := newTestTracer()
 	s := tr.StartSpan("svc", "op", KindServer, SpanContext{})
 	s.Finish()
 	s.Finish()
@@ -104,7 +99,7 @@ func TestContextRoundTrip(t *testing.T) {
 }
 
 func TestUniqueIDs(t *testing.T) {
-	tr, _, col, _ := newTestTracer()
+	tr, _, col := newTestTracer()
 	defer col.Close()
 	seen := make(map[SpanID]bool)
 	for i := 0; i < 10000; i++ {
@@ -117,106 +112,114 @@ func TestUniqueIDs(t *testing.T) {
 }
 
 func TestTreeAssembly(t *testing.T) {
-	tr, store, col, clock := newTestTracer()
-	root := tr.StartSpan("nginx", "GET /", KindServer, SpanContext{})
-	clock.advance(time.Millisecond)
-	c1 := tr.StartSpan("nginx", "compose.Call", KindClient, root.Context())
-	s1 := tr.StartSpan("compose", "Call", KindServer, c1.Context())
-	clock.advance(2 * time.Millisecond)
-	c2 := tr.StartSpan("compose", "store.Put", KindClient, s1.Context())
-	s2 := tr.StartSpan("store", "Put", KindServer, c2.Context())
-	clock.advance(3 * time.Millisecond)
-	s2.Finish()
-	c2.Finish()
-	s1.Finish()
-	c1.Finish()
-	root.Finish()
-	col.Close()
+	vtime.Run(t, func() {
+		tr, store, col := newTestTracer()
+		root := tr.StartSpan("nginx", "GET /", KindServer, SpanContext{})
+		vtime.Advance(time.Millisecond)
+		c1 := tr.StartSpan("nginx", "compose.Call", KindClient, root.Context())
+		s1 := tr.StartSpan("compose", "Call", KindServer, c1.Context())
+		vtime.Advance(2 * time.Millisecond)
+		c2 := tr.StartSpan("compose", "store.Put", KindClient, s1.Context())
+		s2 := tr.StartSpan("store", "Put", KindServer, c2.Context())
+		vtime.Advance(3 * time.Millisecond)
+		s2.Finish()
+		c2.Finish()
+		s1.Finish()
+		c1.Finish()
+		root.Finish()
+		col.Close()
 
-	tree := store.Tree(store.TraceIDs()[0])
-	if tree == nil || tree.Span.Service != "nginx" || tree.Span.Kind != KindServer {
-		t.Fatalf("bad root: %+v", tree)
-	}
-	if len(tree.Children) != 1 {
-		t.Fatalf("root children = %d", len(tree.Children))
-	}
-	// nginx client -> compose server -> compose client -> store server
-	depth := 0
-	for n := tree; len(n.Children) > 0; n = n.Children[0] {
-		depth++
-	}
-	if depth != 4 {
-		t.Fatalf("tree depth = %d, want 4", depth)
-	}
-	if store.Tree(TraceID(999)) != nil {
-		t.Fatal("unknown trace should return nil tree")
-	}
+		tree := store.Tree(store.TraceIDs()[0])
+		if tree == nil || tree.Span.Service != "nginx" || tree.Span.Kind != KindServer {
+			t.Fatalf("bad root: %+v", tree)
+		}
+		if len(tree.Children) != 1 {
+			t.Fatalf("root children = %d", len(tree.Children))
+		}
+		// nginx client -> compose server -> compose client -> store server
+		depth := 0
+		for n := tree; len(n.Children) > 0; n = n.Children[0] {
+			depth++
+		}
+		if depth != 4 {
+			t.Fatalf("tree depth = %d, want 4", depth)
+		}
+		if store.Tree(TraceID(999)) != nil {
+			t.Fatal("unknown trace should return nil tree")
+		}
+	})
 }
 
 func TestNetworkVsApplication(t *testing.T) {
-	tr, store, col, clock := newTestTracer()
-	// Client span lasts 10ms; nested server span lasts 6ms => 4ms network.
-	c := tr.StartSpan("caller", "svc.Op", KindClient, SpanContext{})
-	clock.advance(2 * time.Millisecond) // network out
-	s := tr.StartSpan("svc", "Op", KindServer, c.Context())
-	clock.advance(6 * time.Millisecond) // application
-	s.Finish()
-	clock.advance(2 * time.Millisecond) // network back
-	c.Finish()
-	col.Close()
+	vtime.Run(t, func() {
+		tr, store, col := newTestTracer()
+		// Client span lasts 10ms; nested server span lasts 6ms => 4ms network.
+		c := tr.StartSpan("caller", "svc.Op", KindClient, SpanContext{})
+		vtime.Advance(2 * time.Millisecond) // network out
+		s := tr.StartSpan("svc", "Op", KindServer, c.Context())
+		vtime.Advance(6 * time.Millisecond) // application
+		s.Finish()
+		vtime.Advance(2 * time.Millisecond) // network back
+		c.Finish()
+		col.Close()
 
-	bd := store.NetworkVsApplication()
-	got := bd["svc"]
-	if got.Application != 6*time.Millisecond {
-		t.Fatalf("app = %v", got.Application)
-	}
-	if got.Network != 4*time.Millisecond {
-		t.Fatalf("net = %v", got.Network)
-	}
+		bd := store.NetworkVsApplication()
+		got := bd["svc"]
+		if got.Application != 6*time.Millisecond {
+			t.Fatalf("app = %v", got.Application)
+		}
+		if got.Network != 4*time.Millisecond {
+			t.Fatalf("net = %v", got.Network)
+		}
+	})
 }
 
 func TestCriticalPath(t *testing.T) {
-	tr, store, col, clock := newTestTracer()
-	root := tr.StartSpan("fe", "Req", KindServer, SpanContext{})
-	// Two parallel children: fast (1ms) and slow (5ms). Critical path must
-	// pass through the slow one.
-	fast := tr.StartSpan("fast", "F", KindServer, root.Context())
-	slow := tr.StartSpan("slow", "S", KindServer, root.Context())
-	clock.advance(time.Millisecond)
-	fast.Finish()
-	clock.advance(4 * time.Millisecond)
-	slow.Finish()
-	root.Finish()
-	col.Close()
+	vtime.Run(t, func() {
+		tr, store, col := newTestTracer()
+		root := tr.StartSpan("fe", "Req", KindServer, SpanContext{})
+		// Two parallel children: fast (1ms) and slow (5ms). Critical path must
+		// pass through the slow one.
+		fast := tr.StartSpan("fast", "F", KindServer, root.Context())
+		slow := tr.StartSpan("slow", "S", KindServer, root.Context())
+		vtime.Advance(time.Millisecond)
+		fast.Finish()
+		vtime.Advance(4 * time.Millisecond)
+		slow.Finish()
+		root.Finish()
+		col.Close()
 
-	path := store.CriticalPath(store.TraceIDs()[0])
-	if len(path) != 2 {
-		t.Fatalf("path len = %d", len(path))
-	}
-	if path[1].Service != "slow" {
-		t.Fatalf("critical path chose %s", path[1].Service)
-	}
-	if store.CriticalPath(TraceID(12345)) != nil {
-		t.Fatal("unknown trace critical path should be nil")
-	}
+		path := store.CriticalPath(store.TraceIDs()[0])
+		if len(path) != 2 {
+			t.Fatalf("path len = %d", len(path))
+		}
+		if path[1].Service != "slow" {
+			t.Fatalf("critical path chose %s", path[1].Service)
+		}
+		if store.CriticalPath(TraceID(12345)) != nil {
+			t.Fatal("unknown trace critical path should be nil")
+		}
+	})
 }
 
 func TestServiceLatencies(t *testing.T) {
-	tr, store, col, clock := newTestTracer()
-	for i := 0; i < 10; i++ {
-		s := tr.StartSpan("svc", "Op", KindServer, SpanContext{})
-		clock.advance(time.Millisecond)
-		s.Finish()
-		// Client spans are excluded from service latency.
-		c := tr.StartSpan("svc", "Op", KindClient, SpanContext{})
-		clock.advance(time.Millisecond)
-		c.Finish()
-	}
-	col.Close()
-	lat := store.ServiceLatencies()
-	if lat["svc"].Count() != 10 {
-		t.Fatalf("latency count = %d, want 10 (server spans only)", lat["svc"].Count())
-	}
+	vtime.Run(t, func() {
+		tr, store, col := newTestTracer()
+		for i := 0; i < 10; i++ {
+			s := tr.StartSpan("svc", "Op", KindServer, SpanContext{})
+			vtime.Advance(time.Millisecond)
+			s.Finish()
+			// Client spans are excluded from service latency.
+			c := tr.StartSpan("svc", "Op", KindClient, SpanContext{})
+			vtime.Advance(time.Millisecond)
+			c.Finish()
+		}
+		col.Close()
+		lat := store.ServiceLatencies()
+		if lat["svc"].Count() != 10 {
+			t.Fatalf("latency count = %d, want 10 (server spans only)", lat["svc"].Count())
+		}
+	})
 }
 
 func TestCollectorDropsWhenSaturated(t *testing.T) {
@@ -237,7 +240,7 @@ func TestCollectorDropsWhenSaturated(t *testing.T) {
 }
 
 func TestStoreReset(t *testing.T) {
-	_, store, col, _ := newTestTracer()
+	_, store, col := newTestTracer()
 	col.Submit(Span{TraceID: 1, SpanID: 1})
 	col.Close()
 	store.Reset()

@@ -58,8 +58,7 @@ type BreakerConfig struct {
 	Stats    *Stats
 	Annotate AnnotateFunc
 
-	now    func() time.Time // test hook
-	ledger *ejectionLedger  // shared per target by InstrumentedBackendFactory
+	ledger *ejectionLedger // shared per target by InstrumentedBackendFactory
 }
 
 // ejectionLedger bounds simultaneous open breakers across one target's
@@ -96,9 +95,6 @@ func (cfg BreakerConfig) withDefaults() BreakerConfig {
 	if cfg.Probes <= 0 {
 		cfg.Probes = 1
 	}
-	if cfg.now == nil {
-		cfg.now = time.Now
-	}
 	return cfg
 }
 
@@ -132,7 +128,7 @@ func (b *breaker) allow() bool {
 	case breakerClosed:
 		return true
 	case breakerOpen:
-		if b.cfg.now().Sub(b.openedAt) < b.cfg.Cooldown {
+		if time.Since(b.openedAt) < b.cfg.Cooldown {
 			return false
 		}
 		b.state = breakerHalfOpen
@@ -209,7 +205,7 @@ func (b *breaker) trip() {
 	}
 	b.state = breakerOpen
 	b.failures = 0
-	b.openedAt = b.cfg.now()
+	b.openedAt = time.Now()
 	if b.cfg.Stats != nil {
 		b.cfg.Stats.BreakerOpened.Inc()
 	}
@@ -251,9 +247,9 @@ func BreakerWithProbe(cfg BreakerConfig) (Middleware, func() string) {
 				return WrapCode(CodeUnavailable, ErrBreakerOpen,
 					"transport: %s.%s: %v", call.Target, call.Method, ErrBreakerOpen)
 			}
-			start := cfg.now()
+			start := time.Now()
 			err := next(ctx, call)
-			br.record(call, err, cfg.now().Sub(start))
+			br.record(call, err, time.Since(start))
 			return err
 		}
 	}, probe

@@ -4,10 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"dsb/internal/vtime"
 )
 
 func TestChainOrder(t *testing.T) {
@@ -220,97 +221,100 @@ func TestRetryBudgetStopsRetryStorm(t *testing.T) {
 }
 
 func TestBreakerStateMachine(t *testing.T) {
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	stats := &Stats{}
-	var mode atomic.Int32 // 0 = fail, 1 = succeed
-	inv := Build(func(ctx context.Context, call *Call) error {
-		if mode.Load() == 0 {
-			return errors.New("down")
+	vtime.Run(t, func() {
+		stats := &Stats{}
+		var mode atomic.Int32 // 0 = fail, 1 = succeed
+		inv := Build(func(ctx context.Context, call *Call) error {
+			if mode.Load() == 0 {
+				return errors.New("down")
+			}
+			return nil
+		}, Breaker(BreakerConfig{Failures: 3, Cooldown: time.Second, Probes: 2, Stats: stats}))
+
+		ctx := context.Background()
+		// Trip it: 3 consecutive failures.
+		for i := 0; i < 3; i++ {
+			if err := inv(ctx, NewCall("svc", "M", nil)); err == nil {
+				t.Fatal("want failure")
+			}
 		}
-		return nil
-	}, Breaker(BreakerConfig{Failures: 3, Cooldown: time.Second, Probes: 2, Stats: stats, now: clock}))
-
-	ctx := context.Background()
-	// Trip it: 3 consecutive failures.
-	for i := 0; i < 3; i++ {
-		if err := inv(ctx, NewCall("svc", "M", nil)); err == nil {
-			t.Fatal("want failure")
+		if stats.BreakerOpened.Value() != 1 {
+			t.Fatalf("BreakerOpened = %d", stats.BreakerOpened.Value())
 		}
-	}
-	if stats.BreakerOpened.Value() != 1 {
-		t.Fatalf("BreakerOpened = %d", stats.BreakerOpened.Value())
-	}
-	// Open: rejects instantly with a retryable CodeUnavailable.
-	err := inv(ctx, NewCall("svc", "M", nil))
-	if !IsBreakerOpen(err) || !IsCode(err, CodeUnavailable) || !Retryable(err) {
-		t.Fatalf("open-state err = %v", err)
-	}
-	if stats.BreakerRejected.Value() != 1 {
-		t.Fatalf("BreakerRejected = %d", stats.BreakerRejected.Value())
-	}
+		// Open: rejects instantly with a retryable CodeUnavailable.
+		err := inv(ctx, NewCall("svc", "M", nil))
+		if !IsBreakerOpen(err) || !IsCode(err, CodeUnavailable) || !Retryable(err) {
+			t.Fatalf("open-state err = %v", err)
+		}
+		if stats.BreakerRejected.Value() != 1 {
+			t.Fatalf("BreakerRejected = %d", stats.BreakerRejected.Value())
+		}
 
-	// After cooldown: half-open admits probes; server recovered.
-	now = now.Add(2 * time.Second)
-	mode.Store(1)
-	if err := inv(ctx, NewCall("svc", "M", nil)); err != nil {
-		t.Fatalf("probe 1: %v", err)
-	}
-	if stats.BreakerHalfOpened.Value() != 1 {
-		t.Fatalf("BreakerHalfOpened = %d", stats.BreakerHalfOpened.Value())
-	}
-	if err := inv(ctx, NewCall("svc", "M", nil)); err != nil {
-		t.Fatalf("probe 2: %v", err)
-	}
-	if stats.BreakerClosed.Value() != 1 {
-		t.Fatalf("BreakerClosed = %d (two probe successes should close)", stats.BreakerClosed.Value())
-	}
-	// Closed again: calls flow.
-	if err := inv(ctx, NewCall("svc", "M", nil)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBreakerReopensOnFailedProbe(t *testing.T) {
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	stats := &Stats{}
-	inv := Build(func(ctx context.Context, call *Call) error {
-		return errors.New("still down")
-	}, Breaker(BreakerConfig{Failures: 1, Cooldown: time.Second, Stats: stats, now: clock}))
-
-	ctx := context.Background()
-	inv(ctx, NewCall("svc", "M", nil)) //nolint:errcheck // trips
-	now = now.Add(2 * time.Second)
-	inv(ctx, NewCall("svc", "M", nil)) //nolint:errcheck // failed probe re-trips
-	if stats.BreakerOpened.Value() != 2 {
-		t.Fatalf("BreakerOpened = %d, want 2", stats.BreakerOpened.Value())
-	}
-	if !IsBreakerOpen(inv(ctx, NewCall("svc", "M", nil))) {
-		t.Fatal("breaker should be open again")
-	}
-}
-
-func TestBreakerSlowCallCountsAsFailure(t *testing.T) {
-	now := time.Unix(0, 0)
-	var mu sync.Mutex
-	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
-	stats := &Stats{}
-	inv := Build(func(ctx context.Context, call *Call) error {
-		advance(10 * time.Millisecond) // slower than the threshold, but succeeds
-		return nil
-	}, Breaker(BreakerConfig{Failures: 2, SlowThreshold: time.Millisecond, Stats: stats, now: clock}))
-
-	ctx := context.Background()
-	for i := 0; i < 2; i++ {
+		// Still open a nanosecond short of the cooldown.
+		vtime.Advance(time.Second - time.Nanosecond)
+		if !IsBreakerOpen(inv(ctx, NewCall("svc", "M", nil))) {
+			t.Fatal("breaker let a call through before its cooldown had run")
+		}
+		// After cooldown: half-open admits probes; server recovered.
+		vtime.Advance(time.Nanosecond)
+		mode.Store(1)
+		if err := inv(ctx, NewCall("svc", "M", nil)); err != nil {
+			t.Fatalf("probe 1: %v", err)
+		}
+		if stats.BreakerHalfOpened.Value() != 1 {
+			t.Fatalf("BreakerHalfOpened = %d", stats.BreakerHalfOpened.Value())
+		}
+		if err := inv(ctx, NewCall("svc", "M", nil)); err != nil {
+			t.Fatalf("probe 2: %v", err)
+		}
+		if stats.BreakerClosed.Value() != 1 {
+			t.Fatalf("BreakerClosed = %d (two probe successes should close)", stats.BreakerClosed.Value())
+		}
+		// Closed again: calls flow.
 		if err := inv(ctx, NewCall("svc", "M", nil)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if stats.BreakerOpened.Value() != 1 {
-		t.Fatal("slow-but-successful calls should trip the breaker")
-	}
+	})
+}
+
+func TestBreakerReopensOnFailedProbe(t *testing.T) {
+	vtime.Run(t, func() {
+		stats := &Stats{}
+		inv := Build(func(ctx context.Context, call *Call) error {
+			return errors.New("still down")
+		}, Breaker(BreakerConfig{Failures: 1, Cooldown: time.Second, Stats: stats}))
+
+		ctx := context.Background()
+		inv(ctx, NewCall("svc", "M", nil)) //nolint:errcheck // trips
+		vtime.Advance(time.Second)         // the cooldown
+		inv(ctx, NewCall("svc", "M", nil)) //nolint:errcheck // failed probe re-trips
+		if stats.BreakerOpened.Value() != 2 {
+			t.Fatalf("BreakerOpened = %d, want 2", stats.BreakerOpened.Value())
+		}
+		if !IsBreakerOpen(inv(ctx, NewCall("svc", "M", nil))) {
+			t.Fatal("breaker should be open again")
+		}
+	})
+}
+
+func TestBreakerSlowCallCountsAsFailure(t *testing.T) {
+	vtime.Run(t, func() {
+		stats := &Stats{}
+		inv := Build(func(ctx context.Context, call *Call) error {
+			vtime.Advance(10 * time.Millisecond) // slower than the threshold, but succeeds
+			return nil
+		}, Breaker(BreakerConfig{Failures: 2, SlowThreshold: time.Millisecond, Stats: stats}))
+
+		ctx := context.Background()
+		for i := 0; i < 2; i++ {
+			if err := inv(ctx, NewCall("svc", "M", nil)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if stats.BreakerOpened.Value() != 1 {
+			t.Fatal("slow-but-successful calls should trip the breaker")
+		}
+	})
 }
 
 func TestHedgeRescuesSlowPrimary(t *testing.T) {
@@ -386,44 +390,42 @@ func TestDelayHonorsContext(t *testing.T) {
 // hedge loss (a sibling outran it); a cancellation from further up the
 // chain is neutral, however slow the call looked.
 func TestBreakerOutrunAttribution(t *testing.T) {
-	// Neutral: parent cancel, no hedge involved.
-	stats := &Stats{}
-	parked := Build(func(ctx context.Context, call *Call) error {
-		<-ctx.Done()
-		return ctx.Err()
-	}, Breaker(BreakerConfig{Failures: 1, SlowThreshold: time.Millisecond, Stats: stats}))
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() { time.Sleep(5 * time.Millisecond); cancel() }()
-	if err := parked(ctx, NewCall("svc", "M", nil)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want Canceled", err)
-	}
-	if stats.BreakerOpened.Value() != 0 {
-		t.Fatal("ancestor cancellation must not charge the breaker")
-	}
-
-	// Charged: the same slow call loses to a sibling hedge attempt.
-	stats = &Stats{}
-	var calls atomic.Int64
-	inv := Build(func(ctx context.Context, call *Call) error {
-		if calls.Add(1) == 1 {
+	vtime.Run(t, func() {
+		// Neutral: parent cancel, no hedge involved.
+		stats := &Stats{}
+		parked := Build(func(ctx context.Context, call *Call) error {
 			<-ctx.Done()
 			return ctx.Err()
+		}, Breaker(BreakerConfig{Failures: 1, SlowThreshold: time.Millisecond, Stats: stats}))
+		ctx, cancel := context.WithCancel(context.Background())
+		time.AfterFunc(5*time.Millisecond, cancel)
+		if err := parked(ctx, NewCall("svc", "M", nil)); !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want Canceled", err)
 		}
-		return nil
-	},
-		Hedge(HedgeConfig{Delay: 5 * time.Millisecond, Stats: stats}),
-		Breaker(BreakerConfig{Failures: 1, SlowThreshold: time.Millisecond, Stats: stats}))
-	if err := inv(context.Background(), NewCall("svc", "M", nil)); err != nil {
-		t.Fatal(err)
-	}
-	// The loser records asynchronously after the hedge returns.
-	deadline := time.Now().Add(2 * time.Second)
-	for stats.BreakerOpened.Value() == 0 {
-		if time.Now().After(deadline) {
+		if stats.BreakerOpened.Value() != 0 {
+			t.Fatal("ancestor cancellation must not charge the breaker")
+		}
+
+		// Charged: the same slow call loses to a sibling hedge attempt.
+		stats = &Stats{}
+		var calls atomic.Int64
+		inv := Build(func(ctx context.Context, call *Call) error {
+			if calls.Add(1) == 1 {
+				<-ctx.Done()
+				return ctx.Err()
+			}
+			return nil
+		},
+			Hedge(HedgeConfig{Delay: 5 * time.Millisecond, Stats: stats}),
+			Breaker(BreakerConfig{Failures: 1, SlowThreshold: time.Millisecond, Stats: stats}))
+		if err := inv(context.Background(), NewCall("svc", "M", nil)); err != nil {
+			t.Fatal(err)
+		}
+		vtime.Wait() // the loser records asynchronously after the hedge returns
+		if stats.BreakerOpened.Value() != 1 {
 			t.Fatal("outrun loser never charged the breaker")
 		}
-		time.Sleep(time.Millisecond)
-	}
+	})
 }
 
 // TestBreakerNeutralDeadline checks the mid-chain tuning: CodeDeadline
@@ -460,60 +462,60 @@ func TestBreakerNeutralDeadline(t *testing.T) {
 // install — share an ejection ledger; with MaxEjected 1 the second breaker cannot
 // trip while the first holds the slot, and claims it once the first closes.
 func TestBreakerEjectionCapSharedLedger(t *testing.T) {
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	stats := &Stats{}
-	cfg := &ResilienceConfig{
-		Breaker: &BreakerConfig{Failures: 1, Cooldown: time.Second, MaxEjected: 1, now: clock},
-		Stats:   stats,
-	}
-	instrumented := cfg.InstrumentedBackendFactory()
-	factory := func(addr string) []Middleware {
-		mws, _ := instrumented(addr)
-		return mws
-	}
-	var aDown, bDown atomic.Bool
-	mk := func(down *atomic.Bool, mws []Middleware) Invoker {
-		return Build(func(ctx context.Context, call *Call) error {
-			if down.Load() {
-				return errors.New("down")
-			}
-			return nil
-		}, mws...)
-	}
-	invA, invB := mk(&aDown, factory("a")), mk(&bDown, factory("b"))
-
-	ctx := context.Background()
-	aDown.Store(true)
-	bDown.Store(true)
-	invA(ctx, NewCall("svc", "M", nil)) //nolint:errcheck // trips A
-	if stats.BreakerOpened.Value() != 1 {
-		t.Fatalf("BreakerOpened = %d, want 1", stats.BreakerOpened.Value())
-	}
-	// B fails repeatedly but the target is at its ejection cap: it must stay
-	// closed and keep admitting calls rather than rejecting.
-	for i := 0; i < 3; i++ {
-		if err := invB(ctx, NewCall("svc", "M", nil)); IsBreakerOpen(err) {
-			t.Fatal("capped breaker must not reject")
+	vtime.Run(t, func() {
+		stats := &Stats{}
+		cfg := &ResilienceConfig{
+			Breaker: &BreakerConfig{Failures: 1, Cooldown: time.Second, MaxEjected: 1},
+			Stats:   stats,
 		}
-	}
-	if stats.BreakerOpened.Value() != 1 {
-		t.Fatal("second trip should have been blocked by the ejection cap")
-	}
-	// A recovers and closes on its half-open probe, freeing the slot; B's
-	// next failure claims it.
-	aDown.Store(false)
-	now = now.Add(2 * time.Second)
-	if err := invA(ctx, NewCall("svc", "M", nil)); err != nil {
-		t.Fatalf("probe: %v", err)
-	}
-	invB(ctx, NewCall("svc", "M", nil)) //nolint:errcheck // trips B
-	if stats.BreakerOpened.Value() != 2 {
-		t.Fatalf("BreakerOpened = %d, want 2 after slot freed", stats.BreakerOpened.Value())
-	}
-	if !IsBreakerOpen(invB(ctx, NewCall("svc", "M", nil))) {
-		t.Fatal("B should now be open")
-	}
+		instrumented := cfg.InstrumentedBackendFactory()
+		factory := func(addr string) []Middleware {
+			mws, _ := instrumented(addr)
+			return mws
+		}
+		var aDown, bDown atomic.Bool
+		mk := func(down *atomic.Bool, mws []Middleware) Invoker {
+			return Build(func(ctx context.Context, call *Call) error {
+				if down.Load() {
+					return errors.New("down")
+				}
+				return nil
+			}, mws...)
+		}
+		invA, invB := mk(&aDown, factory("a")), mk(&bDown, factory("b"))
+
+		ctx := context.Background()
+		aDown.Store(true)
+		bDown.Store(true)
+		invA(ctx, NewCall("svc", "M", nil)) //nolint:errcheck // trips A
+		if stats.BreakerOpened.Value() != 1 {
+			t.Fatalf("BreakerOpened = %d, want 1", stats.BreakerOpened.Value())
+		}
+		// B fails repeatedly but the target is at its ejection cap: it must stay
+		// closed and keep admitting calls rather than rejecting.
+		for i := 0; i < 3; i++ {
+			if err := invB(ctx, NewCall("svc", "M", nil)); IsBreakerOpen(err) {
+				t.Fatal("capped breaker must not reject")
+			}
+		}
+		if stats.BreakerOpened.Value() != 1 {
+			t.Fatal("second trip should have been blocked by the ejection cap")
+		}
+		// A recovers and closes on its half-open probe, freeing the slot; B's
+		// next failure claims it.
+		aDown.Store(false)
+		vtime.Advance(time.Second) // the cooldown
+		if err := invA(ctx, NewCall("svc", "M", nil)); err != nil {
+			t.Fatalf("probe: %v", err)
+		}
+		invB(ctx, NewCall("svc", "M", nil)) //nolint:errcheck // trips B
+		if stats.BreakerOpened.Value() != 2 {
+			t.Fatalf("BreakerOpened = %d, want 2 after slot freed", stats.BreakerOpened.Value())
+		}
+		if !IsBreakerOpen(invB(ctx, NewCall("svc", "M", nil))) {
+			t.Fatal("B should now be open")
+		}
+	})
 }
 
 // TestHedgeBudgetFractionDelay: with a deadline on the context, the hedge
@@ -521,31 +523,33 @@ func TestBreakerEjectionCapSharedLedger(t *testing.T) {
 // static floor, so a moderately slow call under a generous deadline does
 // not hedge at all.
 func TestHedgeBudgetFractionDelay(t *testing.T) {
-	mkInv := func(stats *Stats) Invoker {
-		return Build(func(ctx context.Context, call *Call) error {
-			time.Sleep(20 * time.Millisecond)
-			return nil
-		}, Hedge(HedgeConfig{Delay: time.Millisecond, BudgetFraction: 0.5, Stats: stats}))
-	}
+	vtime.Run(t, func() {
+		mkInv := func(stats *Stats) Invoker {
+			return Build(func(ctx context.Context, call *Call) error {
+				vtime.Advance(20 * time.Millisecond)
+				return nil
+			}, Hedge(HedgeConfig{Delay: time.Millisecond, BudgetFraction: 0.5, Stats: stats}))
+		}
 
-	stats := &Stats{}
-	ctx, cancel := context.WithTimeout(context.Background(), 400*time.Millisecond)
-	defer cancel()
-	if err := mkInv(stats)(ctx, NewCall("svc", "M", nil)); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Hedges.Value() != 0 {
-		t.Fatalf("Hedges = %d; 20ms < half of a 400ms budget, must not hedge", stats.Hedges.Value())
-	}
+		stats := &Stats{}
+		ctx, cancel := context.WithTimeout(context.Background(), 400*time.Millisecond)
+		defer cancel()
+		if err := mkInv(stats)(ctx, NewCall("svc", "M", nil)); err != nil {
+			t.Fatal(err)
+		}
+		if stats.Hedges.Value() != 0 {
+			t.Fatalf("Hedges = %d; 20ms < half of a 400ms budget, must not hedge", stats.Hedges.Value())
+		}
 
-	// No deadline: the static floor applies and the same call hedges.
-	stats = &Stats{}
-	if err := mkInv(stats)(context.Background(), NewCall("svc", "M", nil)); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Hedges.Value() == 0 {
-		t.Fatal("without a deadline the 1ms floor should have hedged")
-	}
+		// No deadline: the static floor applies and the same call hedges.
+		stats = &Stats{}
+		if err := mkInv(stats)(context.Background(), NewCall("svc", "M", nil)); err != nil {
+			t.Fatal(err)
+		}
+		if stats.Hedges.Value() == 0 {
+			t.Fatal("without a deadline the 1ms floor should have hedged")
+		}
+	})
 }
 
 // An admission-control shed (CodeOverloaded) is retryable — another replica
@@ -645,30 +649,30 @@ func TestOverloadClassification(t *testing.T) {
 }
 
 func TestBreakerWithProbeReportsState(t *testing.T) {
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	mw, probe := BreakerWithProbe(BreakerConfig{Failures: 1, Cooldown: time.Second, now: clock})
-	var mode atomic.Int32 // 0 = fail, 1 = succeed
-	inv := Build(func(ctx context.Context, call *Call) error {
-		if mode.Load() == 0 {
-			return errors.New("down")
-		}
-		return nil
-	}, mw)
+	vtime.Run(t, func() {
+		mw, probe := BreakerWithProbe(BreakerConfig{Failures: 1, Cooldown: time.Second})
+		var mode atomic.Int32 // 0 = fail, 1 = succeed
+		inv := Build(func(ctx context.Context, call *Call) error {
+			if mode.Load() == 0 {
+				return errors.New("down")
+			}
+			return nil
+		}, mw)
 
-	if got := probe(); got != "closed" {
-		t.Fatalf("initial state = %q", got)
-	}
-	inv(context.Background(), NewCall("svc", "M", nil)) //nolint:errcheck
-	if got := probe(); got != "open" {
-		t.Fatalf("state after trip = %q", got)
-	}
-	now = now.Add(2 * time.Second)
-	mode.Store(1)
-	if err := inv(context.Background(), NewCall("svc", "M", nil)); err != nil {
-		t.Fatal(err)
-	}
-	if got := probe(); got != "closed" {
-		t.Fatalf("state after probe success = %q", got)
-	}
+		if got := probe(); got != "closed" {
+			t.Fatalf("initial state = %q", got)
+		}
+		inv(context.Background(), NewCall("svc", "M", nil)) //nolint:errcheck
+		if got := probe(); got != "open" {
+			t.Fatalf("state after trip = %q", got)
+		}
+		vtime.Advance(time.Second) // the cooldown
+		mode.Store(1)
+		if err := inv(context.Background(), NewCall("svc", "M", nil)); err != nil {
+			t.Fatal(err)
+		}
+		if got := probe(); got != "closed" {
+			t.Fatalf("state after probe success = %q", got)
+		}
+	})
 }

@@ -12,6 +12,7 @@ import (
 	"dsb/internal/services/socialnetwork"
 	"dsb/internal/services/swarm"
 	"dsb/internal/shard"
+	"dsb/internal/vtime"
 )
 
 const (
@@ -25,184 +26,189 @@ const (
 // health leases — and asserts the live-stack invariants every app now
 // shares: shard labels in the registry metadata, lease heartbeats keeping
 // the serving set alive across several TTLs, and a Degraded flag that is
-// present and false on a healthy probe of the app's degradable read.
+// present and false on a healthy probe of the app's degradable read. It runs
+// in one bubble, which cannot return while anything an app started is still
+// running: every app booting, serving and closing here is also the proof that
+// no goroutine outlives Close.
 func TestSuiteParity(t *testing.T) {
-	cases := []struct {
-		name string
-		// storeTier is one representative sharded stateful tier.
-		storeTier string
-		// boot starts the app on the shared registry and returns a healthy
-		// probe of the degradable read, reporting its Degraded flag.
-		boot func(t *testing.T, app *core.App) func(ctx context.Context) (bool, error)
-	}{
-		{
-			name:      "social",
-			storeTier: "social.db-posts",
-			boot: func(t *testing.T, app *core.App) func(ctx context.Context) (bool, error) {
-				sn, err := socialnetwork.New(app, socialnetwork.Config{
-					Shards: parityShards, ShardReplicas: parityReplicas,
-				})
-				if err != nil {
-					t.Fatalf("boot: %v", err)
-				}
-				return func(ctx context.Context) (bool, error) {
-					var resp socialnetwork.ReadTimelineResp
-					err := sn.ReadTimeline.Call(ctx, "Read", socialnetwork.ReadTimelineReq{User: "nobody", Limit: 5}, &resp)
-					return resp.Degraded, err
-				}
+	vtime.Run(t, func() {
+		cases := []struct {
+			name string
+			// storeTier is one representative sharded stateful tier.
+			storeTier string
+			// boot starts the app on the shared registry and returns a healthy
+			// probe of the degradable read, reporting its Degraded flag.
+			boot func(t *testing.T, app *core.App) func(ctx context.Context) (bool, error)
+		}{
+			{
+				name:      "social",
+				storeTier: "social.db-posts",
+				boot: func(t *testing.T, app *core.App) func(ctx context.Context) (bool, error) {
+					sn, err := socialnetwork.New(app, socialnetwork.Config{
+						Shards: parityShards, ShardReplicas: parityReplicas,
+					})
+					if err != nil {
+						t.Fatalf("boot: %v", err)
+					}
+					return func(ctx context.Context) (bool, error) {
+						var resp socialnetwork.ReadTimelineResp
+						err := sn.ReadTimeline.Call(ctx, "Read", socialnetwork.ReadTimelineReq{User: "nobody", Limit: 5}, &resp)
+						return resp.Degraded, err
+					}
+				},
 			},
-		},
-		{
-			name:      "media",
-			storeTier: "media.db-reviews",
-			boot: func(t *testing.T, app *core.App) func(ctx context.Context) (bool, error) {
-				md, err := media.New(app, media.Config{
-					Shards: parityShards, ShardReplicas: parityReplicas,
-				})
-				if err != nil {
-					t.Fatalf("boot: %v", err)
-				}
-				if err := md.SeedMovie(media.Movie{ID: "mv-1", Title: "Heat", Year: 1995, Genre: "crime"},
-					"a heist crew and a detective circle each other",
-					[]media.CastMember{{MovieID: "mv-1", Actor: "A. Actor", Role: "lead"}}, nil); err != nil {
-					t.Fatalf("seed: %v", err)
-				}
-				return func(ctx context.Context) (bool, error) {
-					var page media.MoviePage
-					err := md.Frontend.Do(ctx, "GET", "/movies/Heat", nil, &page)
-					return page.Degraded, err
-				}
+			{
+				name:      "media",
+				storeTier: "media.db-reviews",
+				boot: func(t *testing.T, app *core.App) func(ctx context.Context) (bool, error) {
+					md, err := media.New(app, media.Config{
+						Shards: parityShards, ShardReplicas: parityReplicas,
+					})
+					if err != nil {
+						t.Fatalf("boot: %v", err)
+					}
+					if err := md.SeedMovie(media.Movie{ID: "mv-1", Title: "Heat", Year: 1995, Genre: "crime"},
+						"a heist crew and a detective circle each other",
+						[]media.CastMember{{MovieID: "mv-1", Actor: "A. Actor", Role: "lead"}}, nil); err != nil {
+						t.Fatalf("seed: %v", err)
+					}
+					return func(ctx context.Context) (bool, error) {
+						var page media.MoviePage
+						err := md.Frontend.Do(ctx, "GET", "/movies/Heat", nil, &page)
+						return page.Degraded, err
+					}
+				},
 			},
-		},
-		{
-			name:      "ecommerce",
-			storeTier: "ecom.db-catalogue",
-			boot: func(t *testing.T, app *core.App) func(ctx context.Context) (bool, error) {
-				ec, err := ecommerce.New(app, ecommerce.Config{
-					Shards: parityShards, ShardReplicas: parityReplicas,
-				})
-				if err != nil {
-					t.Fatalf("boot: %v", err)
-				}
-				t.Cleanup(ec.Close)
-				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				defer cancel()
-				if err := ec.User.Call(ctx, "Register", ecommerce.RegisterUserReq{Username: "pat", Password: "pw"}, nil); err != nil {
-					t.Fatalf("seed: %v", err)
-				}
-				var login ecommerce.LoginResp
-				if err := ec.User.Call(ctx, "Login", ecommerce.LoginReq{Username: "pat", Password: "pw"}, &login); err != nil {
-					t.Fatalf("seed: %v", err)
-				}
-				return func(ctx context.Context) (bool, error) {
-					var rec ecommerce.RecommendationsBody
-					err := ec.Frontend.Do(ctx, "GET", "/recommend?token="+login.Token, nil, &rec)
-					return rec.Degraded, err
-				}
+			{
+				name:      "ecommerce",
+				storeTier: "ecom.db-catalogue",
+				boot: func(t *testing.T, app *core.App) func(ctx context.Context) (bool, error) {
+					ec, err := ecommerce.New(app, ecommerce.Config{
+						Shards: parityShards, ShardReplicas: parityReplicas,
+					})
+					if err != nil {
+						t.Fatalf("boot: %v", err)
+					}
+					t.Cleanup(ec.Close)
+					ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+					defer cancel()
+					if err := ec.User.Call(ctx, "Register", ecommerce.RegisterUserReq{Username: "pat", Password: "pw"}, nil); err != nil {
+						t.Fatalf("seed: %v", err)
+					}
+					var login ecommerce.LoginResp
+					if err := ec.User.Call(ctx, "Login", ecommerce.LoginReq{Username: "pat", Password: "pw"}, &login); err != nil {
+						t.Fatalf("seed: %v", err)
+					}
+					return func(ctx context.Context) (bool, error) {
+						var rec ecommerce.RecommendationsBody
+						err := ec.Frontend.Do(ctx, "GET", "/recommend?token="+login.Token, nil, &rec)
+						return rec.Degraded, err
+					}
+				},
 			},
-		},
-		{
-			name:      "banking",
-			storeTier: "bank.db-accounts",
-			boot: func(t *testing.T, app *core.App) func(ctx context.Context) (bool, error) {
-				bk, err := banking.New(app, banking.Config{
-					Shards: parityShards, ShardReplicas: parityReplicas,
-				})
-				if err != nil {
-					t.Fatalf("boot: %v", err)
-				}
-				token, _, err := bk.Onboard("pat", 9_000_000, 120_000)
-				if err != nil {
-					t.Fatalf("seed: %v", err)
-				}
-				return func(ctx context.Context) (bool, error) {
-					var sum banking.SummaryBody
-					err := bk.Frontend.Do(ctx, "GET", "/summary?token="+token, nil, &sum)
-					return sum.Degraded, err
-				}
+			{
+				name:      "banking",
+				storeTier: "bank.db-accounts",
+				boot: func(t *testing.T, app *core.App) func(ctx context.Context) (bool, error) {
+					bk, err := banking.New(app, banking.Config{
+						Shards: parityShards, ShardReplicas: parityReplicas,
+					})
+					if err != nil {
+						t.Fatalf("boot: %v", err)
+					}
+					token, _, err := bk.Onboard("pat", 9_000_000, 120_000)
+					if err != nil {
+						t.Fatalf("seed: %v", err)
+					}
+					return func(ctx context.Context) (bool, error) {
+						var sum banking.SummaryBody
+						err := bk.Frontend.Do(ctx, "GET", "/summary?token="+token, nil, &sum)
+						return sum.Degraded, err
+					}
+				},
 			},
-		},
-		{
-			name:      "swarm",
-			storeTier: "swarm.db-telemetry",
-			boot: func(t *testing.T, app *core.App) func(ctx context.Context) (bool, error) {
-				sw, err := swarm.New(app, swarm.Config{
-					Placement: swarm.Edge, Drones: 1, WorldSize: 16, Seed: 11,
-					WifiRTT: 200 * time.Microsecond,
-					Shards:  parityShards, ShardReplicas: parityReplicas,
-				})
-				if err != nil {
-					t.Fatalf("boot: %v", err)
+			{
+				name:      "swarm",
+				storeTier: "swarm.db-telemetry",
+				boot: func(t *testing.T, app *core.App) func(ctx context.Context) (bool, error) {
+					sw, err := swarm.New(app, swarm.Config{
+						Placement: swarm.Edge, Drones: 1, WorldSize: 16, Seed: 11,
+						WifiRTT: 200 * time.Microsecond,
+						Shards:  parityShards, ShardReplicas: parityReplicas,
+					})
+					if err != nil {
+						t.Fatalf("boot: %v", err)
+					}
+					// Deterministic target pick: smallest (Y, X).
+					var target swarm.Point
+					first := true
+					for p := range sw.World.Targets {
+						if first || p.Y < target.Y || (p.Y == target.Y && p.X < target.X) {
+							target = p
+							first = false
+						}
+					}
+					if first {
+						t.Fatal("world has no targets")
+					}
+					return func(ctx context.Context) (bool, error) {
+						res, err := sw.Drones[0].FlyTo(ctx, target)
+						return res.Degraded, err
+					}
+				},
+			},
+		}
+
+		for _, tc := range cases {
+			t.Run(tc.name, func(t *testing.T) {
+				app := core.NewApp("parity-"+tc.name, core.Options{LeaseTTL: parityLeaseTTL})
+				t.Cleanup(func() { app.Close() })
+				probe := tc.boot(t, app)
+
+				// Shard metadata: the stateful tier runs shards x replicas
+				// instances, every one labelled with its shard index, each
+				// label carried by exactly one replica set.
+				want := parityShards * parityReplicas
+				instances := app.Registry.Instances(tc.storeTier)
+				if len(instances) != want {
+					t.Fatalf("%s has %d instances, want %d", tc.storeTier, len(instances), want)
 				}
-				// Deterministic target pick: smallest (Y, X).
-				var target swarm.Point
-				first := true
-				for p := range sw.World.Targets {
-					if first || p.Y < target.Y || (p.Y == target.Y && p.X < target.X) {
-						target = p
-						first = false
+				labels := make(map[string]int)
+				for _, inst := range instances {
+					label, ok := inst.Meta[shard.MetaShard]
+					if !ok || label == "" {
+						t.Fatalf("instance %s carries no %s metadata", inst.Addr, shard.MetaShard)
+					}
+					labels[label]++
+				}
+				if len(labels) != parityShards {
+					t.Fatalf("%s shard labels = %v, want %d distinct", tc.storeTier, labels, parityShards)
+				}
+				for label, n := range labels {
+					if n != parityReplicas {
+						t.Fatalf("shard %s has %d replicas, want %d", label, n, parityReplicas)
 					}
 				}
-				if first {
-					t.Fatal("world has no targets")
-				}
-				return func(ctx context.Context) (bool, error) {
-					res, err := sw.Drones[0].FlyTo(ctx, target)
-					return res.Degraded, err
-				}
-			},
-		},
-	}
 
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			app := core.NewApp("parity-"+tc.name, core.Options{LeaseTTL: parityLeaseTTL})
-			t.Cleanup(func() { app.Close() })
-			probe := tc.boot(t, app)
-
-			// Shard metadata: the stateful tier runs shards x replicas
-			// instances, every one labelled with its shard index, each
-			// label carried by exactly one replica set.
-			want := parityShards * parityReplicas
-			instances := app.Registry.Instances(tc.storeTier)
-			if len(instances) != want {
-				t.Fatalf("%s has %d instances, want %d", tc.storeTier, len(instances), want)
-			}
-			labels := make(map[string]int)
-			for _, inst := range instances {
-				label, ok := inst.Meta[shard.MetaShard]
-				if !ok || label == "" {
-					t.Fatalf("instance %s carries no %s metadata", inst.Addr, shard.MetaShard)
+				// Lease heartbeats: the serving set survives several TTLs —
+				// an instance that stopped renewing would have been evicted.
+				vtime.Advance(3 * parityLeaseTTL)
+				if got := len(app.Registry.Lookup(tc.storeTier)); got != want {
+					t.Fatalf("after 3x lease TTL %s serves %d addrs, want %d (heartbeat lapsed)", tc.storeTier, got, want)
 				}
-				labels[label]++
-			}
-			if len(labels) != parityShards {
-				t.Fatalf("%s shard labels = %v, want %d distinct", tc.storeTier, labels, parityShards)
-			}
-			for label, n := range labels {
-				if n != parityReplicas {
-					t.Fatalf("shard %s has %d replicas, want %d", label, n, parityReplicas)
+
+				// Degradation flag: present on the degradable read and false
+				// while every dependency is healthy.
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancel()
+				degraded, err := probe(ctx)
+				if err != nil {
+					t.Fatalf("healthy probe: %v", err)
 				}
-			}
-
-			// Lease heartbeats: the serving set survives several TTLs —
-			// an instance that stopped renewing would have been evicted.
-			time.Sleep(3 * parityLeaseTTL)
-			if got := len(app.Registry.Lookup(tc.storeTier)); got != want {
-				t.Fatalf("after 3x lease TTL %s serves %d addrs, want %d (heartbeat lapsed)", tc.storeTier, got, want)
-			}
-
-			// Degradation flag: present on the degradable read and false
-			// while every dependency is healthy.
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			degraded, err := probe(ctx)
-			if err != nil {
-				t.Fatalf("healthy probe: %v", err)
-			}
-			if degraded {
-				t.Fatal("healthy probe reported Degraded")
-			}
-		})
-	}
+				if degraded {
+					t.Fatal("healthy probe reported Degraded")
+				}
+			})
+		}
+	})
 }
