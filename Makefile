@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check lines race check alloc-guard conn-stress fuzz-frame shard-balance bench bench-smoke codecgen codecgen-check ledger pair
+.PHONY: build test vet fmt-check lines census race check alloc-guard conn-stress fuzz-frame shard-balance bench bench-smoke codecgen codecgen-check ledger pair
 
 build:
 	$(GO) build ./...
@@ -22,7 +22,7 @@ vet:
 
 # Hand-written non-test Go: what a PR's line delta is counted over. Tests,
 # the generated marshalers, the benchmark and test fixtures are out.
-HANDWRITTEN = grep -E '\.go$$' | grep -v -e '_test\.go$$' -e '/wire_gen\.go$$' -e '^benchmark/' -e '/testdata/'
+HANDWRITTEN = grep -E '\.go$$' | grep -v -e '_test\.go$$' -e '/wire_gen\.go$$' -e '^benchmark/' -e '^testdata/' -e '/testdata/'
 
 # gofmt gate over the hand-written set: any file it names fails the check.
 fmt-check:
@@ -44,6 +44,13 @@ lines:
 			[ "$$now" -ne "$$was" ] && printf '  %+5d  %s\n' $$((now - was)) "$$f"; \
 		done | sort -n; \
 	fi
+
+# The reachability census (reach_test.go): what no non-test package reaches
+# under internal/, and every Config field no code sets, must equal the
+# allowlist there, each entry with its reason. -v prints the allowlist and
+# the names only benchmark/ keeps alive; tier-1 runs the same test.
+census:
+	$(GO) test -count=1 -run 'TestReachCensus' -v .
 
 # Every package under the race detector, not a hand-kept list: a package
 # left off a list is a package nobody checked. The pinned alloc budgets read

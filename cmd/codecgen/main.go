@@ -62,7 +62,6 @@ var targets = []target{
 			mq.Message{}, mq.PublishReq{}, mq.MirrorReq{}, mq.MirrorResp{}, mq.PublishResp{},
 			mq.SubscribeReq{}, mq.ConsumeReq{}, mq.ConsumeResp{}, mq.PushReq{},
 			mq.AckReq{}, mq.AckResp{}, mq.StatsReq{}, mq.StatsResp{},
-			mq.PeekReq{}, mq.PeekResp{}, mq.RedriveReq{}, mq.RedriveResp{},
 		},
 	},
 	{

@@ -53,13 +53,6 @@ func (g *Group[V]) Stats() Stats {
 	return Stats{Fetches: g.fetches.Load(), Shared: g.shared.Load()}
 }
 
-// Inflight returns the number of keys with a fetch currently in flight.
-func (g *Group[V]) Inflight() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.inflight)
-}
-
 // Do returns the result of running fn for key, coalescing concurrent calls:
 // while a flight for key is in progress, additional callers wait for its
 // result instead of invoking fn. The winner runs fn with its own context;

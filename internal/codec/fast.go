@@ -21,7 +21,6 @@ package codec
 import (
 	"errors"
 	"reflect"
-	"sort"
 	"sync"
 )
 
@@ -82,23 +81,6 @@ func Register[T any, PT interface {
 		fastTypes = append(fastTypes, t)
 		fastMu.Unlock()
 	}
-}
-
-// RegisteredTypes returns the value types registered so far, sorted by
-// package path and name. The differential fuzz harness iterates it to hold
-// every generated marshaler to the reflect plan's encoding.
-func RegisteredTypes() []reflect.Type {
-	fastMu.Lock()
-	out := make([]reflect.Type, len(fastTypes))
-	copy(out, fastTypes)
-	fastMu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].PkgPath() != out[j].PkgPath() {
-			return out[i].PkgPath() < out[j].PkgPath()
-		}
-		return out[i].Name() < out[j].Name()
-	})
-	return out
 }
 
 // fastAppend dispatches v through the fast path if possible, reporting

@@ -23,7 +23,6 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
-	"sort"
 	"strings"
 	"sync"
 	"unicode/utf8"
@@ -145,21 +144,6 @@ func appendJSONSlice[T any, PT interface {
 		buf = PT(&s[i]).AppendJSON(buf)
 	}
 	return append(buf, ']'), true
-}
-
-// JSONTypes returns the value types registered with RegisterJSON, sorted by
-// package path and name, for the differential tests against encoding/json.
-func JSONTypes() []reflect.Type {
-	jsonMu.Lock()
-	out := append([]reflect.Type(nil), jsonTypes...)
-	jsonMu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].PkgPath() != out[j].PkgPath() {
-			return out[i].PkgPath() < out[j].PkgPath()
-		}
-		return out[i].Name() < out[j].Name()
-	})
-	return out
 }
 
 // AppendMarshalJSON appends v's JSON encoding to buf: through v's generated

@@ -11,11 +11,9 @@ import (
 
 // PlaneConfig configures per-service admission control for a Plane.
 type PlaneConfig struct {
-	// Default is the admission config for services without an entry in
-	// PerService. A zero Default still bounds queues and sheds on CoDel and
-	// deadline budget (worker pools stay unbounded unless set).
-	Default AdmissionConfig
-	// PerService overrides Default by service name.
+	// PerService is the admission config by service name. A service
+	// without an entry gets the zero config, which still bounds queues and
+	// sheds on CoDel and deadline budget (worker pools stay unbounded).
 	PerService map[string]AdmissionConfig
 }
 
@@ -42,11 +40,7 @@ func NewPlane(cfg PlaneConfig) *Plane {
 }
 
 func (p *Plane) admissionFor(service string) *Admission {
-	cfg := p.cfg.Default
-	if c, ok := p.cfg.PerService[service]; ok {
-		cfg = c
-	}
-	a := NewAdmission(cfg)
+	a := NewAdmission(p.cfg.PerService[service])
 	p.mu.Lock()
 	p.admissions[service] = append(p.admissions[service], a)
 	probe := p.lagProbes[service]
@@ -55,21 +49,6 @@ func (p *Plane) admissionFor(service string) *Admission {
 		a.SetLagProbe(probe)
 	}
 	return a
-}
-
-// SetLagProbe attaches a consumer-backlog source to every replica of an
-// async-consumer service — those already started and those spawned later —
-// so their load reports carry the lag a LagAware policy scales on. Every
-// replica of the service shares the probe: group backlog is a per-group
-// fact, not a per-replica one, and the aggregator takes the max.
-func (p *Plane) SetLagProbe(service string, fn func() int64) {
-	p.mu.Lock()
-	p.lagProbes[service] = fn
-	existing := append([]*Admission(nil), p.admissions[service]...)
-	p.mu.Unlock()
-	for _, a := range existing {
-		a.SetLagProbe(fn)
-	}
 }
 
 // HookRPC matches core.Options.RPCServerHook: it guards the replica with a

@@ -113,44 +113,6 @@ func (p UtilizationThreshold) Desired(agg Aggregate) int {
 	return agg.Replicas
 }
 
-// LagAware autoscales async consumer tiers on their reported broker
-// backlog. Request-side policies are blind here: an async consumer's
-// admission queue is always near-empty (it pulls work at its own pace) and
-// its utilization says nothing about how far behind the group has fallen.
-// Lag — messages the broker holds that no one has processed — is the
-// backlog itself, so the policy sizes the tier directly from it: enough
-// replicas that each one's share of the backlog is at most
-// TargetPerReplica. Scale-up jumps straight to that size; scale-down
-// releases one replica per pass only once the group is fully drained, so a
-// bursty producer doesn't flap the tier.
-type LagAware struct {
-	// TargetPerReplica is the backlog one replica is expected to absorb
-	// (default 32 messages).
-	TargetPerReplica int
-}
-
-// Name implements Policy.
-func (p LagAware) Name() string { return "lag-aware" }
-
-// Desired implements Policy.
-func (p LagAware) Desired(agg Aggregate) int {
-	target := p.TargetPerReplica
-	if target <= 0 {
-		target = 32
-	}
-	if agg.Reporting == 0 {
-		return agg.Replicas // no signal: hold
-	}
-	needed := int(math.Ceil(float64(agg.Lag) / float64(target)))
-	if needed > agg.Replicas {
-		return needed // jump to the backlog-implied size, no one-step creep
-	}
-	if agg.Lag == 0 && agg.Replicas > 1 {
-		return agg.Replicas - 1
-	}
-	return agg.Replicas
-}
-
 // LatencyAware scales on the tier's own congestion signals — queue wait,
 // sheds, backlog — and sizes the jump from demand (completed + shed load)
 // against measured per-replica capacity, Little's-law style. Utilization

@@ -172,18 +172,6 @@ func (i *Instance) Kill() {
 	i.srv.Hang()
 }
 
-// Revive restarts a killed replica in place: dispatch resumes and the
-// instance re-enrolls in discovery — with its original metadata, so a
-// revived shard replica rejoins the same replica set — under a fresh lease
-// and heartbeat.
-func (i *Instance) Revive() {
-	i.srv.Resume()
-	stopHB, release := i.app.enroll(i.Service, i.Addr, i.meta)
-	i.mu.Lock()
-	i.stopHB, i.release = stopHB, release
-	i.mu.Unlock()
-}
-
 // StartRPCShard boots one replica of a sharded stateful service: like
 // StartRPC, but the instance registers with its shard index as metadata
 // (shard.MetaShard) so routing clients can group the service's replicas
@@ -261,7 +249,7 @@ func (a *App) enroll(service, addr string, meta map[string]string) (stopHB, rele
 		a.Registry.RegisterInstance(service, addr, meta)
 		return func() {}, func() { a.Registry.Deregister(service, addr) }
 	}
-	lease := a.Registry.RegisterLeaseMeta(service, addr, a.leaseTTL, meta)
+	lease := a.Registry.RegisterLease(service, addr, a.leaseTTL, meta)
 	stop := make(chan struct{})
 	var once sync.Once
 	stopHB = func() { once.Do(func() { close(stop) }) }
@@ -278,7 +266,7 @@ func (a *App) enroll(service, addr string, meta map[string]string) (stopHB, rele
 				return
 			case <-t.C:
 				if !lease.Renew() {
-					return // evicted; only Revive brings the replica back
+					return // evicted; only a restart brings the replica back
 				}
 			}
 		}
@@ -377,8 +365,7 @@ func (a *App) RPC(caller, target string, extra ...transport.Middleware) (*lb.Bal
 	opts := []lb.Option{}
 	if a.Resilience != nil {
 		mws = append(mws, a.Resilience.Stack()...)
-		// One breaker per replica plus a breaker-state probe, so
-		// Balanced.Stats reports per-replica ejection state.
+		// One breaker per replica, with a probe of its state.
 		opts = append(opts, lb.WithBackendInstrument(a.Resilience.InstrumentedBackendFactory()))
 	}
 	if len(mws) > 0 {

@@ -7,8 +7,8 @@
 //
 // Durability is optional: with a write-ahead log attached, every mutation
 // is appended to the log before being applied, and Open replays the log on
-// startup. The services use in-memory stores in tests and examples, and
-// WAL-backed stores in the cmd/ tools.
+// startup. No tier boots a WAL today: every application, tool and example
+// runs its stores in memory, and only the tests open one.
 package docstore
 
 import (
@@ -80,13 +80,6 @@ func (s *Store) collection(name string, keep bool) *Collection {
 	return s.collections[own]
 }
 
-// Collections returns collection names, sorted.
-func (s *Store) Collections() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return slices.Sorted(maps.Keys(s.collections))
-}
-
 // Collection is one document collection with its indexes.
 //
 // Each document is held as its canonical wire encoding (see stored.go), and
@@ -138,16 +131,6 @@ func newCollection(name string, store *Store) *Collection {
 		fields: make(map[string]*[]string),
 		nums:   make(map[string]*[]numEntry),
 	}
-}
-
-// Name returns the collection name.
-func (c *Collection) Name() string { return c.name }
-
-// Len returns the number of documents.
-func (c *Collection) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.docs)
 }
 
 // Put inserts or replaces a document by ID.
@@ -312,13 +295,6 @@ func (c *Collection) appendFind(b []byte, field, value string, limit int) []byte
 	return b
 }
 
-// FindRange returns documents whose numeric field lies in [min, max],
-// sorted descending by the field (newest-first for timestamp fields), up to
-// limit (<=0 means all).
-func (c *Collection) FindRange(field string, min, max int64, limit int) []Doc {
-	return decodeAll(c.appendRange(nil, field, min, max, limit))
-}
-
 // appendRange is appendFind for FindRange.
 func (c *Collection) appendRange(b []byte, field string, min, max int64, limit int) []byte {
 	c.mu.RLock()
@@ -372,15 +348,6 @@ func (c *Collection) Update(id string, fn func(Doc) Doc) error {
 // Get/modify/Put cycle would lose updates under contention.
 func (c *Collection) ListPrepend(id, value string, max int) (int, error) {
 	return c.listPrepend(id, value, max, false)
-}
-
-// ListPrependUnique is ListPrepend that skips the write when value is
-// already in the list, returning the unchanged length. It is the
-// store-level idempotency backstop for at-least-once delivery pipelines:
-// whatever slips past consumer-side dedup — a redelivery consumed by a
-// different replica, a crash-window replay — cannot double-prepend here.
-func (c *Collection) ListPrependUnique(id, value string, max int) (int, error) {
-	return c.listPrepend(id, value, max, true)
 }
 
 // listPrepend splices: the stored bytes up to the body, then a new body of

@@ -526,64 +526,3 @@ func BenchmarkFindRange(b *testing.B) {
 		c.FindRange("ts", int64(i%9000), int64(i%9000+100), 10)
 	}
 }
-
-func TestWALCompaction(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "store.wal")
-	s, w, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := s.Collection("posts")
-	// Churn: many overwrites and deletes bloat the log.
-	for i := 0; i < 50; i++ {
-		for j := 0; j < 10; j++ {
-			if err := c.Put(Doc{ID: fmt.Sprintf("p%d", j), Nums: map[string]int64{"v": int64(i)}, Body: []byte("body")}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for j := 5; j < 10; j++ {
-		if _, err := c.Delete(fmt.Sprintf("p%d", j)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before, err := w.Size()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Compact(s); err != nil {
-		t.Fatal(err)
-	}
-	after, err := w.Size()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after >= before/10 {
-		t.Fatalf("compaction ineffective: %d -> %d bytes", before, after)
-	}
-	// The log stays appendable post-compaction.
-	if err := c.Put(Doc{ID: "new", Body: []byte("x")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Recovery from the compacted log restores exactly the live state.
-	s2, w2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w2.Close()
-	c2 := s2.Collection("posts")
-	if c2.Len() != 6 { // p0..p4 + new
-		t.Fatalf("recovered %d docs, want 6", c2.Len())
-	}
-	got, _ := c2.Get("p3")
-	if got.Nums["v"] != 49 {
-		t.Fatalf("latest version lost: %+v", got)
-	}
-	if _, ok := c2.Get("p7"); ok {
-		t.Fatal("deleted doc resurrected by compaction")
-	}
-}

@@ -29,11 +29,10 @@ type WALRecord struct {
 
 // WAL is an append-only write-ahead log backing a Store.
 type WAL struct {
-	mu   sync.Mutex
-	f    *os.File
-	w    *bufio.Writer
-	buf  []byte // record-head scratch, guarded by mu
-	path string
+	mu  sync.Mutex
+	f   *os.File
+	w   *bufio.Writer
+	buf []byte // record-head scratch, guarded by mu
 }
 
 // Open opens (creating if needed) a WAL-backed store at path, replaying any
@@ -58,7 +57,7 @@ func Open(path string) (*Store, *WAL, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	w := &WAL{f: f, w: bufio.NewWriter(f), buf: make([]byte, 4, 64), path: path}
+	w := &WAL{f: f, w: bufio.NewWriter(f), buf: make([]byte, 4, 64)}
 	s.wal.Store(w)
 	return s, w, nil
 }
@@ -136,87 +135,6 @@ func (w *WAL) writeRecord(bw *bufio.Writer, kind byte, collection string, doc []
 	}
 	_, err := bw.Write(doc)
 	return err
-}
-
-// Sync flushes buffered records to stable storage.
-func (w *WAL) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return nil
-	}
-	if err := w.w.Flush(); err != nil {
-		return err
-	}
-	return w.f.Sync()
-}
-
-// Compact rewrites the log as a snapshot of the store's current contents,
-// dropping superseded records (overwrites and deletes). The store must be
-// quiescent for the duration of the call; concurrent mutations during a
-// compaction may be lost from the rewritten log.
-func (w *WAL) Compact(s *Store) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return errors.New("docstore: wal closed")
-	}
-	tmpPath := w.path + ".compact"
-	tmp, err := os.Create(tmpPath)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(tmp)
-	for _, name := range s.Collections() {
-		for _, d := range s.Collection(name).sorted() {
-			if err := w.writeRecord(bw, opPut, name, d.enc); err != nil {
-				tmp.Close()
-				os.Remove(tmpPath) //nolint:errcheck
-				return err
-			}
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmpPath, w.path); err != nil {
-		return err
-	}
-	// Swap the live handle to the compacted file, appending at its end.
-	f, err := os.OpenFile(w.path, os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	w.w.Flush() //nolint:errcheck // old handle is being discarded
-	w.f.Close() //nolint:errcheck
-	w.f = f
-	w.w = bufio.NewWriter(f)
-	return nil
-}
-
-// Size returns the log's current byte size.
-func (w *WAL) Size() (int64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return 0, errors.New("docstore: wal closed")
-	}
-	if err := w.w.Flush(); err != nil {
-		return 0, err
-	}
-	st, err := w.f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	return st.Size(), nil
 }
 
 // Close flushes and closes the log. The store remains usable in-memory but

@@ -110,13 +110,6 @@ func (inj *Injector) Add(r Rule) func() {
 	}
 }
 
-// Active returns the number of armed rules.
-func (inj *Injector) Active() int {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	return len(inj.rules)
-}
-
 // snapshot copies the rules matching (from, to) under the lock.
 func (inj *Injector) snapshot(from, to string) []Rule {
 	inj.mu.Lock()

@@ -53,9 +53,6 @@ func (n *Network) CallMiddleware(from string) transport.Middleware {
 	return n.inj.Middleware(from)
 }
 
-// Injector returns the injector driving this network.
-func (n *Network) Injector() *Injector { return n.inj }
-
 // Unwrap returns the underlying transport, letting infrastructure that
 // special-cases a concrete network type (address generation for rpc.Mem)
 // see through the fault layer.

@@ -17,53 +17,12 @@ type Fault struct {
 	do   func()
 }
 
-// Latency injects fixed delay plus jitter on from→to calls.
-func Latency(from, to string, d, jitter time.Duration) Fault {
-	return Fault{
-		Name: fmt.Sprintf("latency(%s→%s,%v+%v)", orAny(from), orAny(to), d, jitter),
-		rule: &Rule{From: from, To: to, Latency: d, Jitter: jitter},
-	}
-}
-
-// ErrorCode fails from→to calls with the given transport code at rate
-// (rate 0 = always).
-func ErrorCode(from, to string, code int, rate float64) Fault {
-	return Fault{
-		Name: fmt.Sprintf("error(%s→%s,code=%d,p=%g)", orAny(from), orAny(to), code, rate),
-		rule: &Rule{From: from, To: to, ErrCode: code, ErrRate: rate},
-	}
-}
-
-// Blackhole swallows from→to calls until their deadline.
-func Blackhole(from, to string) Fault {
-	return Fault{
-		Name: fmt.Sprintf("blackhole(%s→%s)", orAny(from), orAny(to)),
-		rule: &Rule{From: from, To: to, Blackhole: true},
-	}
-}
-
 // Partition drops from→to traffic at the connection level (one direction;
 // partition both ways with two faults).
 func Partition(from, to string) Fault {
 	return Fault{
 		Name: fmt.Sprintf("partition(%s→%s)", orAny(from), orAny(to)),
 		rule: &Rule{From: from, To: to, Partition: true},
-	}
-}
-
-// Reset kills new from→to connections at dial time.
-func Reset(from, to string) Fault {
-	return Fault{
-		Name: fmt.Sprintf("reset(%s→%s)", orAny(from), orAny(to)),
-		rule: &Rule{From: from, To: to, Reset: true},
-	}
-}
-
-// Stall delays every byte on from→to connections.
-func Stall(from, to string, d time.Duration) Fault {
-	return Fault{
-		Name: fmt.Sprintf("stall(%s→%s,%v)", orAny(from), orAny(to), d),
-		rule: &Rule{From: from, To: to, Stall: d},
 	}
 }
 

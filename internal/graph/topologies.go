@@ -274,8 +274,3 @@ func Recommender() *App {
 func EndToEndApps() []*App {
 	return []*App{SocialNetwork(), MediaService(), Ecommerce(), Banking(), SwarmCloud()}
 }
-
-// SingleTierApps returns the five single-tier baselines in paper order.
-func SingleTierApps() []*App {
-	return []*App{Nginx(), Memcached(), MongoDB(), Xapian(), Recommender()}
-}

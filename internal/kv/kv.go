@@ -1,6 +1,6 @@
 // Package kv implements the suite's in-memory lookaside cache — the role
 // memcached plays in every DeathStarBench backend. It is a sharded LRU
-// cache with TTL expiry, CAS, counters, and memcached-style statistics, and
+// cache with TTL expiry, counters and memcached-style statistics, and
 // it can be exposed as an RPC microservice (see Service) so cache tiers
 // appear in dependency graphs and traces exactly like the paper's
 // memcached instances.
@@ -53,27 +53,14 @@ type entry struct {
 	prev, next *entry
 }
 
-// Stats mirrors the memcached counters the experiments read.
-type Stats struct {
-	Hits      int64
-	Misses    int64
-	Sets      int64
-	Evictions int64
-	Expired   int64
-	Items     int64
-	Bytes     int64
-}
-
 // Cache is a lock-striped LRU cache bounded by total value bytes. The
-// stripe count is fixed at construction: GOMAXPROCS-scaled by default,
-// pinned with WithStripes. Statistics counters live per stripe, incremented
-// under the stripe lock the operation already holds, so a 64-way box never
-// serializes its cache traffic on one shared counter cache line; Stats
-// folds them.
+// stripe count is fixed at construction and scales with GOMAXPROCS.
+// Statistics counters live per stripe, incremented under the stripe lock the
+// operation already holds, so a 64-way box never serializes its cache
+// traffic on one shared counter cache line.
 type Cache struct {
-	shards  []shard
-	mask    uint32
-	stripes int // requested via WithStripes; 0 = machine default
+	shards []shard
+	mask   uint32
 }
 
 type shard struct {
@@ -90,47 +77,24 @@ type shard struct {
 	hits, misses, sets, evictions, expired int64
 }
 
-// Option configures a Cache.
-type Option func(*Cache)
-
-// WithStripes pins the lock-stripe count instead of the GOMAXPROCS-scaled
-// default — tests that reason about the per-stripe byte budget
-// (maxBytes/stripes) pin it so the budget does not move with the machine.
-// Rounded up to a power of two and capped at maxStripes; n <= 0 keeps the
-// default.
-func WithStripes(n int) Option {
-	return func(c *Cache) { c.stripes = n }
-}
-
 // New creates a cache bounded to maxBytes of value data (split evenly
 // across stripes). maxBytes <= 0 means a generous default of 64 MiB.
-func New(maxBytes int64, opts ...Option) *Cache {
+func New(maxBytes int64) *Cache { return newCache(maxBytes, defaultStripes()) }
+
+// newCache is New with the stripe count given, rounded up to a power of two
+// and capped at maxStripes.
+func newCache(maxBytes int64, stripes int) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = 64 << 20
 	}
-	c := &Cache{}
-	for _, o := range opts {
-		o(c)
-	}
-	n := c.stripes
-	if n <= 0 {
-		n = defaultStripes()
-	}
-	n = nextPow2(n)
-	if n > maxStripes {
-		n = maxStripes
-	}
-	c.shards = make([]shard, n)
-	c.mask = uint32(n - 1)
+	n := min(nextPow2(stripes), maxStripes)
+	c := &Cache{shards: make([]shard, n), mask: uint32(n - 1)}
 	for i := range c.shards {
 		c.shards[i].items = make(map[string]*entry)
 		c.shards[i].maxBytes = maxBytes / int64(n)
 	}
 	return c
 }
-
-// Stripes returns the stripe count the cache was built with.
-func (c *Cache) Stripes() int { return len(c.shards) }
 
 // fnv1a hashes the key for shard selection.
 func fnv1a(s string) uint32 {
@@ -174,12 +138,6 @@ func (c *Cache) Get(key string) (value []byte, version uint64, ok bool) {
 // and any previous value for the key is removed as stale.
 func (c *Cache) Set(key string, value []byte, ttl time.Duration) {
 	c.set(key, value, ttl, 0, false)
-}
-
-// CompareAndSwap stores value only if the entry's current version matches.
-// It reports whether the swap happened; a missing key never matches.
-func (c *Cache) CompareAndSwap(key string, value []byte, ttl time.Duration, version uint64) bool {
-	return c.set(key, value, ttl, version, true)
 }
 
 func (c *Cache) set(key string, value []byte, ttl time.Duration, casVersion uint64, cas bool) bool {
@@ -267,49 +225,6 @@ func (c *Cache) Incr(key string, delta int64) int64 {
 		s.pushFront(e)
 	}
 	return cur
-}
-
-// Len returns the total number of cached items (including not-yet-reaped
-// expired entries).
-func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.items)
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// Stats returns a snapshot of the cache counters, folding the per-stripe
-// counters under each stripe's lock.
-func (c *Cache) Stats() Stats {
-	var st Stats
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		st.Hits += s.hits
-		st.Misses += s.misses
-		st.Sets += s.sets
-		st.Evictions += s.evictions
-		st.Expired += s.expired
-		st.Items += int64(len(s.items))
-		st.Bytes += s.bytes
-		s.mu.Unlock()
-	}
-	return st
-}
-
-// Flush removes every entry.
-func (c *Cache) Flush() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.items = make(map[string]*entry)
-		s.head, s.tail, s.bytes = nil, nil, 0
-		s.mu.Unlock()
-	}
 }
 
 // --- intrusive LRU list (shard lock held) ---

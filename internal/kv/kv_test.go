@@ -107,7 +107,7 @@ const testStripes = 16
 func TestLRUEviction(t *testing.T) {
 	// One shard gets maxBytes/stripes; craft keys for a single shard by
 	// brute force so eviction order is observable.
-	c := New(testStripes*100, WithStripes(testStripes)) // 100 bytes per shard
+	c := newCache(testStripes*100, testStripes) // 100 bytes per shard
 	shardOf := func(k string) *shard { return c.shard(k) }
 	target := shardOf("seed")
 	var keys []string
@@ -160,7 +160,7 @@ func TestCacheInvariantsProperty(t *testing.T) {
 	}
 	const perShardCap = 256
 	f := func(ops []op) bool {
-		c := New(testStripes*perShardCap, WithStripes(testStripes))
+		c := newCache(testStripes*perShardCap, testStripes)
 		for _, o := range ops {
 			key := fmt.Sprintf("k%d", o.Key%16)
 			if len(o.Value) > perShardCap {
@@ -248,7 +248,7 @@ func TestIncrConcurrentExact(t *testing.T) {
 // resident entry in the shard trying to make room that cannot exist. It
 // must be rejected outright, with byte accounting kept honest.
 func TestOversizedValueRejected(t *testing.T) {
-	c := New(testStripes*100, WithStripes(testStripes)) // 100 bytes per shard
+	c := newCache(testStripes*100, testStripes) // 100 bytes per shard
 	// Seed the oversized key's shard with a small sibling that must survive.
 	target := c.shard("big")
 	var sibling string
@@ -308,21 +308,17 @@ func TestStripeConfiguration(t *testing.T) {
 	if n < 16 || n > 256 || n&(n-1) != 0 {
 		t.Fatalf("default stripes = %d, want power of two in [16, 256]", n)
 	}
-	// WithStripes rounds up to a power of two and caps at 256.
+	// A requested count rounds up to a power of two and caps at 256.
 	for _, tc := range []struct{ req, want int }{
 		{16, 16}, {17, 32}, {100, 128}, {256, 256}, {1000, 256},
 	} {
-		c := New(1<<20, WithStripes(tc.req))
+		c := newCache(1<<20, tc.req)
 		if got := c.Stripes(); got != tc.want {
-			t.Fatalf("WithStripes(%d) = %d stripes, want %d", tc.req, got, tc.want)
+			t.Fatalf("newCache(_, %d) = %d stripes, want %d", tc.req, got, tc.want)
 		}
 	}
-	// n <= 0 keeps the default.
-	if got := New(1<<20, WithStripes(0)).Stripes(); got != n {
-		t.Fatalf("WithStripes(0) = %d stripes, want default %d", got, n)
-	}
 	// The per-stripe budget splits maxBytes evenly.
-	c := New(32<<10, WithStripes(32))
+	c := newCache(32<<10, 32)
 	for i := range c.shards {
 		if c.shards[i].maxBytes != 1<<10 {
 			t.Fatalf("stripe %d budget = %d, want %d", i, c.shards[i].maxBytes, 1<<10)

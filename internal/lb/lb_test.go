@@ -26,8 +26,8 @@ func TestLeaseExpiryEjectsBackend(t *testing.T) {
 		defer stop()
 		reg := registry.New()
 		const ttl = 60 * time.Millisecond
-		healthy := reg.RegisterLease("svc", addrs[0], ttl)
-		crashed := reg.RegisterLease("svc", addrs[1], ttl)
+		healthy := reg.RegisterLease("svc", addrs[0], ttl, nil)
+		crashed := reg.RegisterLease("svc", addrs[1], ttl, nil)
 
 		b := New(net, "svc", reg.Lookup("svc"), &RoundRobin{})
 		defer b.Close()
@@ -62,7 +62,7 @@ func TestLeaseExpiryEjectsBackend(t *testing.T) {
 		if got := b.Backends(); len(got) != 1 || got[0] != addrs[0] {
 			t.Fatalf("backends = %v after a lease TTL, want only %s", got, addrs[0])
 		}
-		if !crashed.Expired() {
+		if crashed.Renew() {
 			t.Fatal("crashed lease should be expired")
 		}
 

@@ -114,20 +114,6 @@ func (d Diurnal) Eval(elapsed time.Duration) float64 {
 	return d.Min + (d.Max-d.Min)*unit
 }
 
-// Spike is flat at 1.0 with a multiplicative burst in [Start, Start+Width).
-type Spike struct {
-	Start, Width time.Duration
-	Factor       float64
-}
-
-// Eval implements Pattern.
-func (s Spike) Eval(elapsed time.Duration) float64 {
-	if elapsed >= s.Start && elapsed < s.Start+s.Width {
-		return s.Factor
-	}
-	return 1
-}
-
 // Ramp rises linearly from From to To across [Start, Start+Rise), holding
 // flat before and after — the load-ramp shape the autoscale-live experiment
 // drives through a static-vs-autoscaled deployment. A zero Rise is a step.

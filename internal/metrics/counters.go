@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,18 +12,11 @@ type Counter struct{ v atomic.Int64 }
 // Inc adds 1.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds delta, which must be non-negative for the counter to remain
-// monotone; callers own that invariant.
-func (c *Counter) Add(delta int64) { c.v.Add(delta) }
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Gauge is an atomic instantaneous value.
 type Gauge struct{ v atomic.Int64 }
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
 // Add adjusts the gauge by delta (may be negative).
 func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
@@ -103,47 +95,4 @@ func (m *Meter) Rate() float64 {
 		return 0
 	}
 	return float64(total) / window.Seconds()
-}
-
-// Registry is a named collection of histograms, used as the per-process
-// metrics root. Lookups create on first use.
-type Registry struct {
-	mu    sync.Mutex
-	hists map[string]*Histogram
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{hists: make(map[string]*Histogram)}
-}
-
-// Histogram returns the named histogram, creating it if needed.
-func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = NewHistogram()
-		r.hists[name] = h
-	}
-	return h
-}
-
-// Names returns the registered histogram names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.hists))
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Each calls fn for every histogram in name order.
-func (r *Registry) Each(fn func(name string, h *Histogram)) {
-	for _, n := range r.Names() {
-		fn(n, r.Histogram(n))
-	}
 }

@@ -10,8 +10,9 @@ import (
 
 func TestCounter(t *testing.T) {
 	var c Counter
-	c.Inc()
-	c.Add(4)
+	for range 5 {
+		c.Inc()
+	}
 	if got := c.Value(); got != 5 {
 		t.Fatalf("Value = %d, want 5", got)
 	}
@@ -37,7 +38,7 @@ func TestCounterConcurrent(t *testing.T) {
 
 func TestGauge(t *testing.T) {
 	var g Gauge
-	g.Set(10)
+	g.Add(10)
 	g.Add(-3)
 	if got := g.Value(); got != 7 {
 		t.Fatalf("Value = %d, want 7", got)
@@ -81,36 +82,16 @@ func TestMeterRotation(t *testing.T) {
 	})
 }
 
-func TestRegistry(t *testing.T) {
-	r := NewRegistry()
-	h1 := r.Histogram("b")
-	h2 := r.Histogram("a")
-	if r.Histogram("b") != h1 {
-		t.Fatal("Histogram not memoized")
-	}
-	h1.Record(1)
-	h2.Record(2)
-	names := r.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("Names = %v", names)
-	}
-	var visited []string
-	r.Each(func(name string, h *Histogram) { visited = append(visited, name) })
-	if len(visited) != 2 || visited[0] != "a" {
-		t.Fatalf("Each visited %v", visited)
-	}
-}
-
 func TestSeries(t *testing.T) {
 	s := NewSeries("lat")
-	if s.Last() != 0 || s.Max() != 0 || s.Mean() != 0 {
+	if s.Max() != 0 || s.Mean() != 0 {
 		t.Fatal("empty series should report zeros")
 	}
 	s.Add(0, 1)
 	s.Add(time.Second, 3)
 	s.Add(2*time.Second, 2)
-	if got := s.Last(); got != 2 {
-		t.Errorf("Last = %f", got)
+	if got := s.At(2 * time.Second); got != 2 {
+		t.Errorf("At(2s) = %f, want 2", got)
 	}
 	if got := s.Max(); got != 3 {
 		t.Errorf("Max = %f", got)

@@ -119,47 +119,6 @@ func (h *Histogram) Record(v int64) {
 // RecordDuration records a latency sample.
 func (h *Histogram) RecordDuration(d time.Duration) { h.Record(int64(d)) }
 
-// Count returns the number of recorded values.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Sum returns the sum of recorded values.
-func (h *Histogram) Sum() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
-// Mean returns the mean of recorded values, or 0 if empty.
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
-// Min returns the smallest recorded value, or 0 if empty.
-func (h *Histogram) Min() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
-
-// Max returns the largest recorded value, or 0 if empty.
-func (h *Histogram) Max() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.max
-}
-
 // Percentile returns the value at quantile p in [0,100]. The result is the
 // lower bound of the bucket containing the p-th sample, clamped to the
 // recorded min/max so exact values are returned for the extremes. Returns 0

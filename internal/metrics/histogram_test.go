@@ -11,17 +11,14 @@ import (
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram()
-	if got := h.Count(); got != 0 {
+	if got := h.Snapshot().Count; got != 0 {
 		t.Fatalf("Count = %d, want 0", got)
 	}
 	if got := h.Percentile(99); got != 0 {
 		t.Fatalf("Percentile(99) on empty = %d, want 0", got)
 	}
-	if got := h.Mean(); got != 0 {
-		t.Fatalf("Mean on empty = %f, want 0", got)
-	}
-	if got := h.Min(); got != 0 {
-		t.Fatalf("Min on empty = %d, want 0", got)
+	if s := h.Snapshot(); s.Mean != 0 || s.Min != 0 {
+		t.Fatalf("empty snapshot = %+v, want zero mean and min", s)
 	}
 }
 
@@ -33,11 +30,8 @@ func TestHistogramSingleValue(t *testing.T) {
 			t.Errorf("Percentile(%v) = %d, want ~12345", p, got)
 		}
 	}
-	if got := h.Min(); got != 12345 {
-		t.Errorf("Min = %d, want 12345", got)
-	}
-	if got := h.Max(); got != 12345 {
-		t.Errorf("Max = %d, want 12345", got)
+	if s := h.Snapshot(); s.Min != 12345 || s.Max != 12345 {
+		t.Errorf("Min, Max = %d, %d, want 12345", s.Min, s.Max)
 	}
 }
 
@@ -127,12 +121,13 @@ func TestHistogramPercentileMonotoneProperty(t *testing.T) {
 			h.Record(int64(v))
 		}
 		prev := int64(-1)
+		s := h.Snapshot()
 		for p := 0.0; p <= 100; p += 2.5 {
 			cur := h.Percentile(p)
 			if cur < prev {
 				return false
 			}
-			if cur < h.Min() || cur > h.Max() {
+			if cur < s.Min || cur > s.Max {
 				return false
 			}
 			prev = cur
@@ -155,14 +150,13 @@ func TestHistogramMergeProperty(t *testing.T) {
 		for _, v := range b {
 			hb.Record(int64(v))
 		}
-		wantCount := ha.Count() + hb.Count()
-		wantSum := ha.Sum() + hb.Sum()
-		wantMax := ha.Max()
-		if hb.Max() > wantMax {
-			wantMax = hb.Max()
-		}
+		sa, sb := ha.Snapshot(), hb.Snapshot()
+		wantCount := sa.Count + sb.Count
+		wantSum := sa.Sum + sb.Sum
+		wantMax := max(sa.Max, sb.Max)
 		ha.Merge(hb)
-		return ha.Count() == wantCount && ha.Sum() == wantSum && ha.Max() == wantMax
+		got := ha.Snapshot()
+		return got.Count == wantCount && got.Sum == wantSum && got.Max == wantMax
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -183,7 +177,7 @@ func TestHistogramConcurrentRecord(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := h.Count(); got != goroutines*per {
+	if got := h.Snapshot().Count; got != goroutines*per {
 		t.Fatalf("Count = %d, want %d", got, goroutines*per)
 	}
 }
@@ -192,12 +186,12 @@ func TestHistogramReset(t *testing.T) {
 	h := NewHistogram()
 	h.Record(100)
 	h.Reset()
-	if h.Count() != 0 || h.Max() != 0 || h.Percentile(50) != 0 {
-		t.Fatalf("Reset did not clear: %+v", h.Snapshot())
+	if s := h.Snapshot(); s.Count != 0 || s.Max != 0 || h.Percentile(50) != 0 {
+		t.Fatalf("Reset did not clear: %+v", s)
 	}
 	h.Record(7)
-	if h.Min() != 7 || h.Max() != 7 {
-		t.Fatalf("post-reset record broken: min=%d max=%d", h.Min(), h.Max())
+	if s := h.Snapshot(); s.Min != 7 || s.Max != 7 {
+		t.Fatalf("post-reset record broken: min=%d max=%d", s.Min, s.Max)
 	}
 }
 

@@ -29,14 +29,6 @@ func (s *Series) Add(t time.Duration, v float64) {
 	s.Points = append(s.Points, Point{T: t, V: v})
 }
 
-// Last returns the most recent value, or 0 if empty.
-func (s *Series) Last() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	return s.Points[len(s.Points)-1].V
-}
-
 // Max returns the largest value, or 0 if empty.
 func (s *Series) Max() float64 {
 	var max float64

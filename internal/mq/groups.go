@@ -1,7 +1,6 @@
 package mq
 
 import (
-	"sort"
 	"sync"
 )
 
@@ -36,9 +35,6 @@ func (b *Broker) Topic(name string) *Topic {
 	return t
 }
 
-// Name returns the topic name.
-func (t *Topic) Name() string { return t.name }
-
 // Configure sets the per-group queue bounds; it applies to groups already
 // subscribed and to future subscriptions.
 func (t *Topic) Configure(cfg QueueConfig) {
@@ -68,29 +64,12 @@ func (t *Topic) Subscribe(group string) *Queue {
 // ("timeline@fanout"), which is how the RPC service and stats find them.
 func (t *Topic) groupQueueName(group string) string { return t.name + "@" + group }
 
-// Groups returns the subscribed group names, sorted.
-func (t *Topic) Groups() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	names := make([]string, 0, len(t.groups))
-	for g := range t.groups {
-		names = append(names, g)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Publish fans the message out to every subscribed group's queue and
+// PublishKey fans the message out to every subscribed group's queue and
 // returns the ID assigned by the first group (IDs are per-queue). If any
 // group's queue sheds on MaxDepth the error is returned, but groups already
-// appended keep the message — at-least-once delivery, never silent loss.
-func (t *Topic) Publish(body []byte) (uint64, error) {
-	return t.PublishKey("", body)
-}
-
-// PublishKey is Publish with a publisher-assigned message key; replicated
-// publishes use it so retries against the same broker are idempotent per
-// group (see Queue.PublishKey).
+// appended keep the message — at-least-once delivery, never silent loss. A
+// non-empty key makes retries against the same broker idempotent per group
+// (see Queue.PublishKey); replicated publishes carry one.
 func (t *Topic) PublishKey(key string, body []byte) (uint64, error) {
 	var first uint64
 	for i, q := range t.groupQueues() {
@@ -138,21 +117,4 @@ func (t *Topic) GroupLag(group string) int64 {
 		return 0
 	}
 	return q.Stats().Lag()
-}
-
-// Lag reports the worst backlog across all groups.
-func (t *Topic) Lag() int64 {
-	t.mu.Lock()
-	qs := make([]*Queue, 0, len(t.groups))
-	for _, q := range t.groups {
-		qs = append(qs, q)
-	}
-	t.mu.Unlock()
-	var max int64
-	for _, q := range qs {
-		if l := q.Stats().Lag(); l > max {
-			max = l
-		}
-	}
-	return max
 }

@@ -321,15 +321,10 @@ func (qq *queue) tombstoneLocked(key string) {
 	}
 }
 
-// Receive blocks until a message is available (or the queue closes) and
-// leases it to the caller for leaseFor; if not acked in time, the message
-// is redelivered. leaseFor <= 0 means a 30s default.
-func (q *Queue) Receive(leaseFor time.Duration) (Message, bool) {
-	return q.receive(leaseFor, nil, nil)
-}
-
-// ReceiveWait is Receive bounded by a wait budget: it returns ok=false once
-// wait elapses with nothing deliverable. This is the long-poll primitive the
+// ReceiveWait leases the next message to the caller for leaseFor (if not
+// acked in time it is redelivered; leaseFor <= 0 means a 30s default),
+// waiting for one to arrive, and returns ok=false once wait elapses with
+// nothing deliverable or the queue closes. This is the long-poll primitive the
 // networked broker service builds Consume on — consumers park here instead
 // of hot-polling, and a publish or lease expiry wakes them early.
 func (q *Queue) ReceiveWait(leaseFor, wait time.Duration) (Message, bool) {
@@ -354,7 +349,7 @@ func (q *Queue) receiveWait(leaseFor, wait time.Duration, owner *Session) (Messa
 	return q.receive(leaseFor, &timedOut, owner)
 }
 
-// TryReceive is Receive without blocking; ok is false when empty.
+// TryReceive is ReceiveWait without waiting; ok is false when empty.
 func (q *Queue) TryReceive(leaseFor time.Duration) (Message, bool) {
 	expired := true
 	return q.receive(leaseFor, &expired, nil)
@@ -469,9 +464,8 @@ func (qq *queue) requeueLocked(lost func(*item) bool) {
 // deadLetterLocked moves an exhausted message to the DLQ, reporting whether
 // it did. Called with qq.mu held; takes the DLQ's lock, which is safe
 // because a dead-letter queue never has a DLQ of its own (no cycle). The
-// message keeps its Key in the DLQ so an operator Redrive re-enters the
-// replicated identity space, and the origin queue tombstones the key so a
-// mirror copy cannot resurrect a dead-lettered message.
+// message keeps its Key in the DLQ, and the origin queue tombstones the key
+// so a mirror copy cannot resurrect a dead-lettered message.
 func (qq *queue) deadLetterLocked(it *item) bool {
 	if qq.cfg.MaxAttempts <= 0 || it.msg.Attempts < qq.cfg.MaxAttempts || qq.dlq == nil {
 		return false
@@ -574,73 +568,6 @@ func (q *Queue) NackKey(key string) bool {
 	return false
 }
 
-// Peek snapshots up to limit queued messages without leasing them — the
-// inspection primitive behind DLQ operability (limit <= 0 means all).
-// Bodies are copied so callers cannot mutate queued payloads.
-func (q *Queue) Peek(limit int) []Message {
-	qq := q.q
-	qq.mu.Lock()
-	defer qq.mu.Unlock()
-	qq.reclaimExpiredLocked()
-	n := len(qq.items)
-	if limit > 0 && limit < n {
-		n = limit
-	}
-	out := make([]Message, 0, n)
-	for _, it := range qq.items[:n] {
-		m := it.msg
-		m.Body = append([]byte(nil), it.msg.Body...)
-		out = append(out, m)
-	}
-	return out
-}
-
-// Redrive drains the named queue's dead-letter companion back into the
-// origin queue with attempt counts reset, returning how many messages were
-// requeued. Keys are preserved and their origin tombstones cleared — an
-// operator redrive is an explicit statement that the message should get a
-// fresh at-least-once run, overriding the settled-here memory that
-// dead-lettering left behind.
-func (b *Broker) Redrive(name string) int {
-	b.mu.Lock()
-	origin := b.queueLocked(name)
-	dlq := b.queueLocked(name + DeadLetterSuffix)
-	b.mu.Unlock()
-
-	dlq.mu.Lock()
-	drained := dlq.items
-	dlq.items = nil
-	for _, it := range drained {
-		if it.msg.Key != "" {
-			delete(dlq.index, it.msg.Key)
-		}
-		dlq.acked++
-	}
-	dlq.mu.Unlock()
-
-	origin.mu.Lock()
-	for _, it := range drained {
-		if key := it.msg.Key; key != "" {
-			if _, dead := origin.tombs[key]; dead {
-				delete(origin.tombs, key)
-				for i, k := range origin.tombOrder {
-					if k == key {
-						origin.tombOrder = append(origin.tombOrder[:i], origin.tombOrder[i+1:]...)
-						break
-					}
-				}
-			}
-			if _, live := origin.index[key]; live {
-				continue // already back in the queue (e.g. a mirror raced us)
-			}
-		}
-		origin.enqueueLocked(it.msg.Key, it.msg.Body, 0)
-	}
-	n := len(drained)
-	origin.mu.Unlock()
-	return n
-}
-
 // Closed reports whether the queue (or its broker) has been shut down. The
 // Consume RPC handler uses this to distinguish "closed, go away" from
 // "empty poll, come back" for parked long-pollers.
@@ -648,22 +575,6 @@ func (q *Queue) Closed() bool {
 	q.q.mu.Lock()
 	defer q.q.mu.Unlock()
 	return q.q.closed
-}
-
-// Len returns the number of queued (not in-flight) messages. Depth checks
-// should use Stats().Lag() instead: a queue with everything leased out
-// reports Len 0 while still holding unprocessed work.
-func (q *Queue) Len() int {
-	q.q.mu.Lock()
-	defer q.q.mu.Unlock()
-	return len(q.q.items)
-}
-
-// InFlight returns the number of leased, unacked messages.
-func (q *Queue) InFlight() int {
-	q.q.mu.Lock()
-	defer q.q.mu.Unlock()
-	return len(q.q.inflight)
 }
 
 // Stats snapshots the queue. Expired leases are reclaimed first so the
@@ -690,13 +601,4 @@ func (q *Queue) Stats() Stats {
 		}
 	}
 	return s
-}
-
-// Close wakes all blocked receivers; subsequent publishes fail and
-// receives drain remaining items then report closed.
-func (q *Queue) Close() {
-	q.q.mu.Lock()
-	q.q.closed = true
-	q.q.cond.Broadcast()
-	q.q.mu.Unlock()
 }

@@ -9,85 +9,6 @@ import (
 	"dsb/internal/vtime"
 )
 
-// TestDLQPeekAndRedrive walks the operator loop for a poison message over
-// the wire: it dead-letters after exhausting attempts, PeekDLQ shows it
-// without consuming, Redrive drains it back to the origin queue with a
-// reset attempt budget, and — once "fixed" — it is delivered and settles.
-func TestDLQPeekAndRedrive(t *testing.T) {
-	vtime.Run(t, func() {
-		b, bus, stop := bootBrokerService(t)
-		defer stop()
-		ctx := context.Background()
-		if err := bus.Subscribe(ctx, "t", "g", QueueConfig{MaxAttempts: 2}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := bus.PublishKey(ctx, "t", "poison", []byte("bad")); err != nil {
-			t.Fatal(err)
-		}
-		for attempt := 1; attempt <= 2; attempt++ {
-			msg, err := bus.Consume(ctx, "t", "g", time.Minute, time.Second)
-			if err != nil || !msg.OK || msg.Attempts != attempt {
-				t.Fatalf("attempt %d consume = %+v, %v", attempt, msg, err)
-			}
-			if err := bus.Nack(ctx, "t", "g", msg); err != nil {
-				t.Fatal(err)
-			}
-		}
-
-		// Dead-lettered: gone from the group queue, visible via PeekDLQ with its
-		// key intact, and Peek does not consume (two peeks agree).
-		if msg, err := bus.Consume(ctx, "t", "g", time.Minute, 30*time.Millisecond); err != nil || msg.OK {
-			t.Fatalf("consume after dead-letter = %+v, %v", msg, err)
-		}
-		for i := 0; i < 2; i++ {
-			dead, err := bus.PeekDLQ(ctx, "t", "g", 10)
-			if err != nil || len(dead) != 1 {
-				t.Fatalf("PeekDLQ #%d = %+v, %v", i, dead, err)
-			}
-			if dead[0].Key != "poison" || string(dead[0].Body) != "bad" {
-				t.Fatalf("DLQ contents = %+v", dead[0])
-			}
-		}
-
-		// Redrive: back to the origin with attempts reset, deliverable again.
-		n, err := bus.Redrive(ctx, "t", "g")
-		if err != nil || n != 1 {
-			t.Fatalf("Redrive = %d, %v", n, err)
-		}
-		if dead, err := bus.PeekDLQ(ctx, "t", "g", 10); err != nil || len(dead) != 0 {
-			t.Fatalf("DLQ after redrive = %+v, %v", dead, err)
-		}
-		msg, err := bus.Consume(ctx, "t", "g", time.Minute, time.Second)
-		if err != nil || !msg.OK || msg.Attempts != 1 || msg.Key != "poison" {
-			t.Fatalf("redriven consume = %+v, %v", msg, err)
-		}
-		if err := bus.Ack(ctx, "t", "g", msg); err != nil {
-			t.Fatal(err)
-		}
-		vtime.Wait() // Ack is one-way (fire-and-forget): let the settle land
-		if got := b.Queue("t@g").Len() + b.Queue("t@g").InFlight(); got != 0 {
-			t.Fatalf("residual backlog = %d after ack settled", got)
-		}
-	})
-}
-
-// TestRedriveEmptyDLQ pins the no-op path: redriving a group with nothing
-// dead-lettered reports zero without erroring.
-func TestRedriveEmptyDLQ(t *testing.T) {
-	_, bus, stop := bootBrokerService(t)
-	defer stop()
-	ctx := context.Background()
-	if err := bus.Subscribe(ctx, "t", "g", QueueConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := bus.Redrive(ctx, "t", "g"); err != nil || n != 0 {
-		t.Fatalf("Redrive = %d, %v", n, err)
-	}
-}
-
-// TestBrokerCloseWakesReceiveWait is the broker-level shutdown contract: a
-// waiter parked in ReceiveWait returns promptly when the broker closes,
-// instead of burning the rest of its wait budget.
 func TestBrokerCloseWakesReceiveWait(t *testing.T) {
 	vtime.Run(t, func() {
 		b := NewBroker()

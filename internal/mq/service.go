@@ -117,34 +117,6 @@ type StatsResp struct {
 	OldestAgeNs  int64
 }
 
-// Lag is the consumer backlog (queued + in-flight).
-func (s StatsResp) Lag() int64 { return int64(s.Queued + s.InFlight) }
-
-// PeekReq snapshots queued messages without leasing them. DLQ=true peeks
-// the addressed queue's dead-letter companion — the operator's view into
-// poisoned work. Limit <= 0 means all.
-type PeekReq struct {
-	Topic string
-	Group string
-	Queue string
-	DLQ   bool
-	Limit int
-}
-
-// PeekResp carries the snapshot.
-type PeekResp struct{ Msgs []Message }
-
-// RedriveReq drains the addressed queue's dead-letter companion back into
-// the origin queue with attempt counts reset.
-type RedriveReq struct {
-	Topic string
-	Group string
-	Queue string
-}
-
-// RedriveResp reports how many messages were requeued.
-type RedriveResp struct{ N int }
-
 // queueFor resolves the queue a request addresses: a topic's group queue,
 // or a plain named queue. Consume on a topic implies Subscribe, so a
 // consumer that outlives a broker restart re-registers its group on first
@@ -161,21 +133,6 @@ func queueFor(b *Broker, topic, group, queue string) (*Queue, error) {
 		return nil, rpc.Errorf(rpc.CodeBadRequest, "mq: no topic or queue named")
 	}
 	return b.Queue(queue), nil
-}
-
-// queueNameFor resolves the broker-level queue name a request addresses —
-// the string form Peek/Redrive need to reach dead-letter companions.
-func queueNameFor(topic, group, queue string) (string, error) {
-	if topic != "" {
-		if group == "" {
-			return "", rpc.Errorf(rpc.CodeBadRequest, "mq: topic %q requires a group", topic)
-		}
-		return topic + "@" + group, nil
-	}
-	if queue == "" {
-		return "", rpc.Errorf(rpc.CodeBadRequest, "mq: no topic or queue named")
-	}
-	return queue, nil
 }
 
 // RegisterService exposes broker as an RPC microservice on srv with methods
@@ -349,37 +306,6 @@ func RegisterService(srv *rpc.Server, broker *Broker) {
 		}
 		return ctx.PooledReply(&AckResp{OK: q.Nack(req.ID)})
 	})
-	srv.Handle("Peek", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
-		var req PeekReq
-		if err := codec.Unmarshal(payload, &req); err != nil {
-			return nil, rpc.Errorf(rpc.CodeBadRequest, "decode: %v", err)
-		}
-		name, err := queueNameFor(req.Topic, req.Group, req.Queue)
-		if err != nil {
-			return nil, err
-		}
-		if req.Topic != "" {
-			broker.Topic(req.Topic).Subscribe(req.Group) // materialize + configure
-		}
-		if req.DLQ {
-			name += DeadLetterSuffix
-		}
-		return ctx.PooledReply(&PeekResp{Msgs: broker.Queue(name).Peek(req.Limit)})
-	})
-	srv.Handle("Redrive", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
-		var req RedriveReq
-		if err := codec.Unmarshal(payload, &req); err != nil {
-			return nil, rpc.Errorf(rpc.CodeBadRequest, "decode: %v", err)
-		}
-		name, err := queueNameFor(req.Topic, req.Group, req.Queue)
-		if err != nil {
-			return nil, err
-		}
-		if req.Topic != "" {
-			broker.Topic(req.Topic).Subscribe(req.Group)
-		}
-		return ctx.PooledReply(&RedriveResp{N: broker.Redrive(name)})
-	})
 	srv.Handle("Stats", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
 		var req StatsReq
 		if err := codec.Unmarshal(payload, &req); err != nil {
@@ -464,21 +390,4 @@ func (c Client) Stats(ctx context.Context, topic, group string) (StatsResp, erro
 	var resp StatsResp
 	err := c.C.Call(ctx, "Stats", StatsReq{Topic: topic, Group: group}, &resp)
 	return resp, err
-}
-
-// PeekDLQ snapshots a group's dead-letter queue without leasing anything —
-// the operator's look at poisoned work (limit <= 0 means all).
-func (c Client) PeekDLQ(ctx context.Context, topic, group string, limit int) ([]Message, error) {
-	var resp PeekResp
-	err := c.C.Call(ctx, "Peek", PeekReq{Topic: topic, Group: group, DLQ: true, Limit: limit}, &resp)
-	return resp.Msgs, err
-}
-
-// Redrive drains a group's dead-letter queue back into the group queue
-// with attempt counts reset, returning how many messages were requeued —
-// the "we fixed the bug, run the poison again" operation.
-func (c Client) Redrive(ctx context.Context, topic, group string) (int, error) {
-	var resp RedriveResp
-	err := c.C.Call(ctx, "Redrive", RedriveReq{Topic: topic, Group: group}, &resp)
-	return resp.N, err
 }

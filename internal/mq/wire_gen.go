@@ -25,10 +25,6 @@ func init() {
 	codec.Register[AckResp]()
 	codec.Register[StatsReq]()
 	codec.Register[StatsResp]()
-	codec.Register[PeekReq]()
-	codec.Register[PeekResp]()
-	codec.Register[RedriveReq]()
-	codec.Register[RedriveResp]()
 }
 
 // AppendTo appends m's wire encoding to b (codec.Message fast path).
@@ -666,177 +662,6 @@ func (m *StatsResp) DecodeFrom(b []byte) ([]byte, error) {
 			return nil, derr
 		}
 		m.OldestAgeNs = int64(v7)
-		b = rest
-	}
-	return b, nil
-}
-
-// AppendTo appends m's wire encoding to b (codec.Message fast path).
-func (m *PeekReq) AppendTo(b []byte) ([]byte, error) {
-	if m == nil {
-		return nil, codec.ErrNilMessage
-	}
-	b = codec.AppendString(b, string(m.Topic))
-	b = codec.AppendString(b, string(m.Group))
-	b = codec.AppendString(b, string(m.Queue))
-	b = codec.AppendBool(b, bool(m.DLQ))
-	b = codec.AppendInt(b, int64(m.Limit))
-	return b, nil
-}
-
-// DecodeFrom consumes m's wire encoding from b, returning the rest.
-func (m *PeekReq) DecodeFrom(b []byte) ([]byte, error) {
-	if m == nil {
-		return nil, codec.ErrNilMessage
-	}
-	{
-		v1, rest, derr := codec.DecString(b)
-		if derr != nil {
-			return nil, derr
-		}
-		m.Topic = string(v1)
-		b = rest
-	}
-	{
-		v2, rest, derr := codec.DecString(b)
-		if derr != nil {
-			return nil, derr
-		}
-		m.Group = string(v2)
-		b = rest
-	}
-	{
-		v3, rest, derr := codec.DecString(b)
-		if derr != nil {
-			return nil, derr
-		}
-		m.Queue = string(v3)
-		b = rest
-	}
-	{
-		v4, rest, derr := codec.DecBool(b)
-		if derr != nil {
-			return nil, derr
-		}
-		m.DLQ = bool(v4)
-		b = rest
-	}
-	{
-		v5, rest, derr := codec.DecInt(b)
-		if derr != nil {
-			return nil, derr
-		}
-		m.Limit = int(v5)
-		b = rest
-	}
-	return b, nil
-}
-
-// AppendTo appends m's wire encoding to b (codec.Message fast path).
-func (m *PeekResp) AppendTo(b []byte) ([]byte, error) {
-	if m == nil {
-		return nil, codec.ErrNilMessage
-	}
-	var err error
-	_ = err
-	b = codec.AppendLen(b, len(m.Msgs))
-	for i1 := range m.Msgs {
-		if b, err = m.Msgs[i1].AppendTo(b); err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
-}
-
-// DecodeFrom consumes m's wire encoding from b, returning the rest.
-func (m *PeekResp) DecodeFrom(b []byte) ([]byte, error) {
-	if m == nil {
-		return nil, codec.ErrNilMessage
-	}
-	var err error
-	_ = err
-	{
-		n1, rest, derr := codec.DecLen(b)
-		if derr != nil {
-			return nil, derr
-		}
-		b = rest
-		s1 := make([]Message, 0, codec.EagerLen(n1))
-		for i1 := 0; i1 < n1; i1++ {
-			var e1 Message
-			if b, err = e1.DecodeFrom(b); err != nil {
-				return nil, err
-			}
-			s1 = append(s1, e1)
-		}
-		m.Msgs = s1
-	}
-	return b, nil
-}
-
-// AppendTo appends m's wire encoding to b (codec.Message fast path).
-func (m *RedriveReq) AppendTo(b []byte) ([]byte, error) {
-	if m == nil {
-		return nil, codec.ErrNilMessage
-	}
-	b = codec.AppendString(b, string(m.Topic))
-	b = codec.AppendString(b, string(m.Group))
-	b = codec.AppendString(b, string(m.Queue))
-	return b, nil
-}
-
-// DecodeFrom consumes m's wire encoding from b, returning the rest.
-func (m *RedriveReq) DecodeFrom(b []byte) ([]byte, error) {
-	if m == nil {
-		return nil, codec.ErrNilMessage
-	}
-	{
-		v1, rest, derr := codec.DecString(b)
-		if derr != nil {
-			return nil, derr
-		}
-		m.Topic = string(v1)
-		b = rest
-	}
-	{
-		v2, rest, derr := codec.DecString(b)
-		if derr != nil {
-			return nil, derr
-		}
-		m.Group = string(v2)
-		b = rest
-	}
-	{
-		v3, rest, derr := codec.DecString(b)
-		if derr != nil {
-			return nil, derr
-		}
-		m.Queue = string(v3)
-		b = rest
-	}
-	return b, nil
-}
-
-// AppendTo appends m's wire encoding to b (codec.Message fast path).
-func (m *RedriveResp) AppendTo(b []byte) ([]byte, error) {
-	if m == nil {
-		return nil, codec.ErrNilMessage
-	}
-	b = codec.AppendInt(b, int64(m.N))
-	return b, nil
-}
-
-// DecodeFrom consumes m's wire encoding from b, returning the rest.
-func (m *RedriveResp) DecodeFrom(b []byte) ([]byte, error) {
-	if m == nil {
-		return nil, codec.ErrNilMessage
-	}
-	{
-		v1, rest, derr := codec.DecInt(b)
-		if derr != nil {
-			return nil, derr
-		}
-		m.N = int(v1)
 		b = rest
 	}
 	return b, nil

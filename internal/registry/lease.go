@@ -22,19 +22,13 @@ type Lease struct {
 	done     bool
 }
 
-// RegisterLease registers the address and arms a TTL. It behaves like
-// Register for watchers (notified only when the address is new); eviction on
-// expiry behaves like Deregister (notified only when the address was still
-// present), so a lease that expires fires Changed exactly once and a lease
-// that is renewed fires nothing.
-func (r *Registry) RegisterLease(service, addr string, ttl time.Duration) *Lease {
-	return r.RegisterLeaseMeta(service, addr, ttl, nil)
-}
-
-// RegisterLeaseMeta is RegisterLease with instance metadata attached —
-// the leased counterpart of RegisterInstance, used by sharded stateful
-// tiers whose replicas carry a shard index.
-func (r *Registry) RegisterLeaseMeta(service, addr string, ttl time.Duration, meta map[string]string) *Lease {
+// RegisterLease registers the address with its instance metadata (nil for
+// none; sharded stateful tiers carry a shard index) and arms a TTL. It
+// behaves like RegisterInstance for watchers (notified only when the address
+// is new); eviction on expiry behaves like Deregister (notified only when the
+// address was still present), so a lease that expires fires Changed exactly
+// once and a lease that is renewed fires nothing.
+func (r *Registry) RegisterLease(service, addr string, ttl time.Duration, meta map[string]string) *Lease {
 	r.RegisterInstance(service, addr, meta)
 	l := &Lease{r: r, service: service, addr: addr, ttl: ttl}
 	l.deadline = time.Now().Add(ttl)
@@ -69,13 +63,6 @@ func (l *Lease) Release() {
 	l.timer.Stop()
 	l.mu.Unlock()
 	l.r.Deregister(l.service, l.addr)
-}
-
-// Expired reports whether the lease ended by TTL expiry or Release.
-func (l *Lease) Expired() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.done
 }
 
 // expire runs on the lease timer. A Renew that landed while the timer was

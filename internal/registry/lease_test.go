@@ -13,7 +13,7 @@ func TestLeaseExpiryEvicts(t *testing.T) {
 		r := New()
 		ch := r.Changed("svc")
 		start := time.Now()
-		l := r.RegisterLease("svc", "a:1", 30*time.Millisecond)
+		l := r.RegisterLease("svc", "a:1", 30*time.Millisecond, nil)
 		// Registration itself is a membership change.
 		select {
 		case <-ch:
@@ -44,7 +44,7 @@ func TestLeaseExpiryEvicts(t *testing.T) {
 func TestLeaseRenewKeepsAlive(t *testing.T) {
 	vtime.Run(t, func() {
 		r := New()
-		l := r.RegisterLease("svc", "a:1", 60*time.Millisecond)
+		l := r.RegisterLease("svc", "a:1", 60*time.Millisecond, nil)
 		ch := r.Changed("svc")
 		deadline := time.Now().Add(250 * time.Millisecond)
 		for time.Now().Before(deadline) {
@@ -76,7 +76,7 @@ func TestLeaseRenewKeepsAlive(t *testing.T) {
 func TestLeaseExpiryNotifiesExactlyOnce(t *testing.T) {
 	vtime.Run(t, func() {
 		r := New()
-		l := r.RegisterLease("svc", "a:1", 20*time.Millisecond)
+		l := r.RegisterLease("svc", "a:1", 20*time.Millisecond, nil)
 
 		var fires atomic.Int64
 		stop := make(chan struct{})
@@ -111,7 +111,7 @@ func TestLeaseExpiryNotifiesExactlyOnce(t *testing.T) {
 
 func TestLeaseReleaseIdempotent(t *testing.T) {
 	r := New()
-	l := r.RegisterLease("svc", "a:1", time.Hour)
+	l := r.RegisterLease("svc", "a:1", time.Hour, nil)
 	ch := r.Changed("svc")
 	l.Release()
 	select {

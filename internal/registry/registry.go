@@ -117,14 +117,6 @@ func (r *Registry) Instances(service string) []Instance {
 	return out
 }
 
-// Meta returns the metadata an instance registered with (nil when the
-// instance is unknown or registered without metadata).
-func (r *Registry) Meta(service, addr string) map[string]string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return cloneMeta(r.entries[service][addr])
-}
-
 func cloneMeta(meta map[string]string) map[string]string {
 	if meta == nil {
 		return nil

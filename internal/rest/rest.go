@@ -102,14 +102,6 @@ func (c *Ctx) Query(name string) string {
 	return c.query.Get(name)
 }
 
-// SetReplyHeader adds a response header.
-func (c *Ctx) SetReplyHeader(key, value string) {
-	if c.ReplyHeaders == nil {
-		c.ReplyHeaders = make(map[string]string, 4)
-	}
-	c.ReplyHeaders[key] = value
-}
-
 // Handler consumes the request body (raw bytes; most handlers unmarshal
 // JSON via DecodeJSON) and returns a value to encode as JSON. The body is
 // pooled: it must not be retained past the handler's return (returning it,
@@ -162,9 +154,6 @@ func NewServer(service string) *Server {
 	s.hs = &http.Server{Handler: s.mux}
 	return s
 }
-
-// Service returns the service name.
-func (s *Server) Service() string { return s.service }
 
 // Use appends a server interceptor; it wraps every route, including ones
 // registered earlier.
@@ -331,9 +320,6 @@ func NewClient(network rpc.Network, target, addr string, opts ...ClientOption) *
 	c.invoke = transport.Build(c.exchangeCall, c.mws...)
 	return c
 }
-
-// Target returns the service name this client talks to.
-func (c *Client) Target() string { return c.target }
 
 // Do issues method (e.g. "POST") against path, JSON-encoding req (nil for
 // no body) and decoding the JSON response into resp (nil to discard). The

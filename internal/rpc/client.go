@@ -125,7 +125,7 @@ func (c *Client) Invoke(ctx context.Context, call *transport.Call) error {
 // one wire write per call with zero round trips. Errors returned here are
 // send-side only (marshal, dial, a dead connection); anything that goes
 // wrong after the frame leaves — admission shed, handler failure — surfaces
-// in the server's OneWayErrors stat, never to this caller. The call still
+// in the server's one-way error count, never to this caller. The call still
 // runs the full middleware chain with Call.OneWay set, so per-hop stats and
 // fault rules apply.
 func (c *Client) CallOneWay(ctx context.Context, method string, req any) error {
@@ -144,9 +144,6 @@ type Pending struct {
 	done chan struct{}
 	err  error
 }
-
-// Done is closed when the call completes.
-func (p *Pending) Done() <-chan struct{} { return p.done }
 
 // Wait blocks until the call completes and returns its error. The decoded
 // response passed to Go is fully written before Wait returns.

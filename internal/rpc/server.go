@@ -45,17 +45,6 @@ type Ctx struct {
 	replyBuf []byte
 }
 
-// Header returns a request header value, or "".
-func (c *Ctx) Header(key string) string { return c.Headers[key] }
-
-// SetReplyHeader adds a response header.
-func (c *Ctx) SetReplyHeader(key, value string) {
-	if c.ReplyHeaders == nil {
-		c.ReplyHeaders = make(map[string]string, 4)
-	}
-	c.ReplyHeaders[key] = value
-}
-
 // PooledReply encodes v into a pooled buffer and returns it for use as the
 // handler's reply payload. The dispatcher recycles the buffer after the
 // reply frame is written, so a steady stream of typed replies allocates
@@ -189,12 +178,6 @@ func (s *Server) Resume() {
 	s.hung.Store(false)
 	s.closeConns()
 }
-
-// OneWayErrors returns how many one-way requests failed server-side. The
-// caller of a one-way RPC only sees send failures; everything after the
-// frame is on the wire — admission sheds, missing methods, handler errors —
-// lands here instead of in a reply.
-func (s *Server) OneWayErrors() int64 { return s.onewayErrs.Load() }
 
 // OnClose registers a hook that runs during Close, after the server stops
 // accepting but before it waits for in-flight handlers. Hooks are how

@@ -369,9 +369,6 @@ func (st *ServerStream) SendMsg(v any) error {
 	return st.core.send(payload)
 }
 
-// Recv returns the next client item, io.EOF after the client half-closed.
-func (st *ServerStream) Recv() ([]byte, error) { return st.core.recv() }
-
 // RecvMsg decodes the next client item into v.
 func (st *ServerStream) RecvMsg(v any) error {
 	payload, err := st.core.recv()

@@ -24,12 +24,8 @@ type Config struct {
 	Shards int
 	// ShardReplicas is the replica count per storage shard (default 1).
 	ShardReplicas int
-	// CacheBytes bounds each cache tier (0 = unbounded).
-	CacheBytes int64
 	// Middleware is installed on every inter-tier client wire.
 	Middleware []transport.Middleware
-	// Replicas scales replicable logic tiers out at boot, keyed by tier name.
-	Replicas map[string]int
 	// Spawner, when set, receives replicable tier boots so the control plane
 	// can autoscale them.
 	Spawner svcutil.Definer
@@ -69,10 +65,8 @@ func New(app *core.App, cfg Config) (*Banking, error) {
 		Prefix:        "bank.",
 		Shards:        cfg.Shards,
 		ShardReplicas: cfg.ShardReplicas,
-		CacheBytes:    cfg.CacheBytes,
 		Middleware:    cfg.Middleware,
 		Replicable:    replicable,
-		Replicas:      cfg.Replicas,
 		Spawner:       cfg.Spawner,
 	}
 	if err := stack.StartStores("db-customers", "db-accounts", "db-credentials", "db-activity", "db-cards", "db-portfolios", "db-preferences"); err != nil {

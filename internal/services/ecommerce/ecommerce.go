@@ -23,11 +23,6 @@ type Config struct {
 	// tracing and the app's resilience stack): fault injection and
 	// per-experiment instrumentation hook in here.
 	Middleware []transport.Middleware
-	// Replicas scales stateless logic stages out at boot, keyed by stage
-	// name ("orders", "catalogue", ...). Stages holding per-instance state
-	// (transactionID's sequence, queueMaster's consumer) and the storage
-	// tiers ignore it. Stages default to one replica.
-	Replicas map[string]int
 	// Shards partitions every db/mc storage tier into this many
 	// consistent-hash shards (default 1 = single-instance layout); with
 	// Shards > 1 or ShardReplicas > 1 the tiers boot through
@@ -35,9 +30,6 @@ type Config struct {
 	Shards int
 	// ShardReplicas is the replica count per storage shard (default 1).
 	ShardReplicas int
-	// CacheBytes bounds each cache tier (0 = unbounded, the historical
-	// layout).
-	CacheBytes int64
 	// OrderWorkers sizes the queueMaster commit pool (default 1, the
 	// paper's serialized layout). Workers are members of one broker
 	// consumer group, so raising it parallelizes commits without
@@ -81,10 +73,8 @@ func New(app *core.App, cfg Config) (*Ecommerce, error) {
 		Prefix:        "ecom.",
 		Shards:        cfg.Shards,
 		ShardReplicas: cfg.ShardReplicas,
-		CacheBytes:    cfg.CacheBytes,
 		Middleware:    cfg.Middleware,
 		Replicable:    replicable,
-		Replicas:      cfg.Replicas,
 		Spawner:       cfg.Spawner,
 	}
 	if err := stack.StartStores("db-catalogue", "db-carts", "db-orders", "db-accounts", "db-invoices", "db-wishlists"); err != nil {

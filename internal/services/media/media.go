@@ -25,13 +25,8 @@ type Config struct {
 	Shards int
 	// ShardReplicas is the replica count per storage shard (default 1).
 	ShardReplicas int
-	// CacheBytes bounds each cache tier (0 = unbounded, the historical
-	// layout).
-	CacheBytes int64
 	// Middleware is installed on every inter-tier client wire.
 	Middleware []transport.Middleware
-	// Replicas scales replicable logic tiers out at boot, keyed by tier name.
-	Replicas map[string]int
 	// Spawner, when set, receives replicable tier boots so the control plane
 	// can autoscale them.
 	Spawner svcutil.Definer
@@ -82,10 +77,8 @@ func New(app *core.App, cfg Config) (*Media, error) {
 		Prefix:        "media.",
 		Shards:        cfg.Shards,
 		ShardReplicas: cfg.ShardReplicas,
-		CacheBytes:    cfg.CacheBytes,
 		Middleware:    cfg.Middleware,
 		Replicable:    replicable,
-		Replicas:      cfg.Replicas,
 		Spawner:       cfg.Spawner,
 	}
 	if err := stack.StartStores("db-reviews", "db-users", "db-plots", "db-rentals"); err != nil {

@@ -35,14 +35,16 @@ func registerUniqueID(srv *rpc.Server, machine uint64) {
 func (u *uniqueID) next() string {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	ms := time.Now().UnixMilli()
+	// A wall clock can step backwards; issuing under the older millisecond
+	// would restart its sequence and could repeat an ID already handed out,
+	// so the timestamp never falls below the last one issued.
+	ms := max(time.Now().UnixMilli(), u.lastMs)
 	if ms == u.lastMs {
 		u.seq = (u.seq + 1) & 0xFFF
 		if u.seq == 0 {
-			// Sequence exhausted within this millisecond; spin to the next.
-			for ms <= u.lastMs {
-				ms = time.Now().UnixMilli()
-			}
+			// Sequence exhausted within this millisecond: wait for the next.
+			time.Sleep(time.Until(time.UnixMilli(u.lastMs + 1)))
+			ms = max(time.Now().UnixMilli(), u.lastMs+1)
 		}
 	} else {
 		u.seq = 0

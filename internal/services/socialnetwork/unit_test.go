@@ -1,6 +1,7 @@
 package socialnetwork
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -128,6 +129,44 @@ func TestSnowflakeUniqueAndOrdered(t *testing.T) {
 			prev = id
 		}
 	})
+}
+
+// Exhausting the 12-bit sequence inside one millisecond waits for the next
+// millisecond: on a clock that never moves by itself, three exhaustions in a
+// row still finish after exactly three milliseconds, every ID distinct and in
+// order.
+func TestSnowflakeSequenceExhaustionWaits(t *testing.T) {
+	vtime.Run(t, func() {
+		u := &uniqueID{machine: 5}
+		start := time.Now()
+		seen := map[string]bool{}
+		prev := ""
+		for i := 0; i < 3*4096+1; i++ {
+			id := u.next()
+			if seen[id] || id <= prev {
+				t.Fatalf("id %d = %s after %s: not unique and increasing", i, id, prev)
+			}
+			seen[id] = true
+			prev = id
+		}
+		if waited := time.Since(start); waited != 3*time.Millisecond {
+			t.Fatalf("three exhaustions waited %v, want 3ms", waited)
+		}
+	})
+}
+
+// A clock behind the last issued millisecond (stepped backwards) keeps the
+// IDs issuing under that millisecond, unique and increasing.
+func TestSnowflakeClockStepBack(t *testing.T) {
+	u := &uniqueID{machine: 5, lastMs: time.Now().Add(time.Minute).UnixMilli(), seq: 7}
+	prev := fmt.Sprintf("%016x", uint64(u.lastMs)<<22|u.machine<<12|u.seq)
+	for i := 0; i < 100; i++ {
+		id := u.next()
+		if id <= prev {
+			t.Fatalf("id %d = %s after %s issued ahead of the clock", i, id, prev)
+		}
+		prev = id
+	}
 }
 
 func TestHashPasswordSaltMatters(t *testing.T) {

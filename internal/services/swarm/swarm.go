@@ -29,12 +29,8 @@ type Config struct {
 	Shards int
 	// ShardReplicas is the replica count per storage shard (default 1).
 	ShardReplicas int
-	// CacheBytes bounds the route cache tier (0 = unbounded).
-	CacheBytes int64
 	// Middleware is installed on every inter-tier client wire.
 	Middleware []transport.Middleware
-	// Replicas scales replicable logic tiers out at boot, keyed by tier name.
-	Replicas map[string]int
 	// StreamTelemetry has drones batch sensor samples and frame archives on
 	// one per-mission Telemetry stream instead of a unary call per tick —
 	// one wifi RTT per mission rather than per sample. Drones fall back to
@@ -86,10 +82,8 @@ func New(app *core.App, cfg Config) (*Swarm, error) {
 		Prefix:        "swarm.",
 		Shards:        cfg.Shards,
 		ShardReplicas: cfg.ShardReplicas,
-		CacheBytes:    cfg.CacheBytes,
 		Middleware:    cfg.Middleware,
 		Replicable:    swarmReplicable,
-		Replicas:      cfg.Replicas,
 		Spawner:       cfg.Spawner,
 	}
 	if err := stack.StartStores("db-telemetry"); err != nil {

@@ -96,30 +96,6 @@ func (r *Ring) Owner(key string) string {
 	return r.points[i].member
 }
 
-// OwnerSuccessors returns up to n distinct members starting at key's owner
-// and walking the ring — the deterministic fallback order when a whole
-// shard is unreachable.
-func (r *Ring) OwnerSuccessors(key string, n int) []string {
-	if len(r.points) == 0 || n <= 0 {
-		return nil
-	}
-	if n > len(r.members) {
-		n = len(r.members)
-	}
-	h := hash64(key)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]string, 0, n)
-	seen := make(map[string]bool, n)
-	for j := 0; j < len(r.points) && len(out) < n; j++ {
-		m := r.points[(i+j)%len(r.points)].member
-		if !seen[m] {
-			seen[m] = true
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 // Labels returns the canonical shard labels "0".."n-1" for an n-shard tier.
 func Labels(n int) []string {
 	out := make([]string, n)

@@ -77,15 +77,4 @@ func TestRingEdgeCases(t *testing.T) {
 	if got := single.Owner("anything"); got != "only" {
 		t.Fatalf("single-member owner = %q", got)
 	}
-	succ := NewRing(8, Labels(3)).OwnerSuccessors("k", 5)
-	if len(succ) != 3 {
-		t.Fatalf("successors = %v, want all 3 distinct members", succ)
-	}
-	seen := map[string]bool{}
-	for _, s := range succ {
-		if seen[s] {
-			t.Fatalf("duplicate member %q in successors %v", s, succ)
-		}
-		seen[s] = true
-	}
 }

@@ -63,9 +63,6 @@ type Replica struct {
 // Addr returns the replica's instance address.
 func (r *Replica) Addr() string { return r.addr }
 
-// Shard returns the replica's shard label.
-func (r *Replica) Shard() string { return r.shard }
-
 // Target returns the sharded service name.
 func (r *Replica) Target() string { return r.target }
 

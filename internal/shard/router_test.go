@@ -202,7 +202,7 @@ func TestRouterLeaseEvictionReformsRing(t *testing.T) {
 		var leases []*registry.Lease
 		for s := range addrs {
 			for _, a := range addrs[s] {
-				leases = append(leases, reg.RegisterLeaseMeta("store", a, ttl,
+				leases = append(leases, reg.RegisterLease("store", a, ttl,
 					map[string]string{MetaShard: strconv.Itoa(s)}))
 			}
 		}

@@ -133,7 +133,7 @@ func TestPerServiceNetResidRecorded(t *testing.T) {
 	d, _ := NewDeployment(New(), Config{App: twoTierApp(), Seed: 36})
 	d.RunOpenLoop(50, time.Second)
 	back := d.Service("back")
-	if back.NetResid.Count() == 0 {
+	if back.NetResid.Snapshot().Count == 0 {
 		t.Fatal("no per-service network residence recorded")
 	}
 	// Network residence must be below total residence.

@@ -181,7 +181,7 @@ func TestDocstoreConcurrentMutatorsAndWALReplay(t *testing.T) {
 				case 3:
 					_, err = db.ListPrepend(ctx, "c", id, tag, 4)
 				case 4:
-					_, err = db.Delete(ctx, "c", id)
+					err = db.C.Call(ctx, "Delete", docstore.DeleteReq{Collection: "c", ID: id}, &docstore.DeleteResp{})
 				}
 				if err != nil {
 					t.Errorf("writer %d step %d on %s: %v", g, i, id, err)

@@ -279,25 +279,6 @@ func (d DB) shardedGet(ctx context.Context, collection, id string) (docstore.Doc
 	return docstore.Doc{}, false, lastErr
 }
 
-func (d DB) shardedDocDelete(ctx context.Context, collection, id string) (bool, error) {
-	reps := d.Shards.Route(id)
-	if len(reps) == 0 {
-		return false, noShards(d.Shards)
-	}
-	existed := false
-	err := writeAll(reps, func(rep *shard.Replica) error {
-		var resp docstore.DeleteResp
-		if err := rep.Call(ctx, "Delete", docstore.DeleteReq{Collection: collection, ID: id}, &resp); err != nil {
-			return err
-		}
-		if resp.Existed {
-			existed = true
-		}
-		return nil
-	})
-	return existed, err
-}
-
 // scatterFind fans one query out per live shard (with per-shard replica
 // fallback) and concatenates the result sets. A document lives on exactly
 // one shard — Put routes by ID — so the union has no duplicates; ordering
@@ -341,27 +322,6 @@ func (d DB) shardedFind(ctx context.Context, collection, field, value string, li
 	// Each shard returned its own top-limit sorted by ID; merge preserves
 	// the single-store contract (ID ascending, then the global limit).
 	sort.Slice(docs, func(i, j int) bool { return docs[i].ID < docs[j].ID })
-	if limit > 0 && len(docs) > limit {
-		docs = docs[:limit]
-	}
-	return docs, nil
-}
-
-func (d DB) shardedFindRange(ctx context.Context, collection, field string, min, max int64, limit int) ([]docstore.Doc, error) {
-	req := docstore.FindRangeReq{Collection: collection, Field: field, Min: min, Max: max, Limit: int64(limit)}
-	docs, err := d.scatterFind(ctx, "FindRange", req)
-	if err != nil {
-		return nil, err
-	}
-	// Newest-first across shards; ID descending breaks timestamp ties
-	// deterministically regardless of shard interleaving.
-	sort.Slice(docs, func(i, j int) bool {
-		vi, vj := docs[i].Nums[field], docs[j].Nums[field]
-		if vi != vj {
-			return vi > vj
-		}
-		return docs[i].ID > docs[j].ID
-	})
 	if limit > 0 && len(docs) > limit {
 		docs = docs[:limit]
 	}

@@ -175,8 +175,8 @@ func (k KV) Incr(ctx context.Context, key string, delta int64) (int64, error) {
 // DB is a typed client for a document-store tier exposed via
 // docstore.RegisterService. Like KV it is dual-mode: C for the single
 // backend path, Shards for consistent-hash routing with replica sets —
-// point ops route by document ID, Find/FindRange scatter to every shard
-// and merge (see sharded.go).
+// point ops route by document ID, Find scatters to every shard and merges
+// (see sharded.go).
 type DB struct {
 	C      Caller
 	Shards *shard.Router
@@ -210,24 +210,4 @@ func (d DB) Find(ctx context.Context, collection, field, value string, limit int
 	var resp docstore.FindResp
 	err := d.C.Call(ctx, "Find", docstore.FindReq{Collection: collection, Field: field, Value: value, Limit: int64(limit)}, &resp)
 	return resp.Docs, err
-}
-
-// FindRange queries an indexed numeric field, newest-first.
-func (d DB) FindRange(ctx context.Context, collection, field string, min, max int64, limit int) ([]docstore.Doc, error) {
-	if d.Shards != nil {
-		return d.shardedFindRange(ctx, collection, field, min, max, limit)
-	}
-	var resp docstore.FindResp
-	err := d.C.Call(ctx, "FindRange", docstore.FindRangeReq{Collection: collection, Field: field, Min: min, Max: max, Limit: int64(limit)}, &resp)
-	return resp.Docs, err
-}
-
-// Delete removes a document.
-func (d DB) Delete(ctx context.Context, collection, id string) (bool, error) {
-	if d.Shards != nil {
-		return d.shardedDocDelete(ctx, collection, id)
-	}
-	var resp docstore.DeleteResp
-	err := d.C.Call(ctx, "Delete", docstore.DeleteReq{Collection: collection, ID: id}, &resp)
-	return resp.Existed, err
 }

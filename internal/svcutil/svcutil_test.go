@@ -101,11 +101,4 @@ func TestKVAndDBWrappers(t *testing.T) {
 	if docs, err := db.Find(ctx, "c", "f", "v", 10); err != nil || len(docs) != 1 {
 		t.Fatalf("Find = %d, %v", len(docs), err)
 	}
-	if docs, err := db.FindRange(ctx, "c", "n", 0, 10, 10); err != nil || len(docs) != 1 {
-		t.Fatalf("FindRange = %d, %v", len(docs), err)
-	}
-	existed, err := db.Delete(ctx, "c", "d1")
-	if err != nil || !existed {
-		t.Fatalf("Delete = %v, %v", existed, err)
-	}
 }

@@ -83,9 +83,6 @@ func (c *Collector) Flush() {
 	}
 }
 
-// Dropped returns the number of spans lost to backpressure.
-func (c *Collector) Dropped() int64 { return c.dropped.Value() }
-
 // Close drains buffered spans into the store and stops the collector.
 func (c *Collector) Close() {
 	c.mu.Lock()

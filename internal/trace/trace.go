@@ -29,9 +29,8 @@ type SpanID uint64
 
 // Span kinds.
 const (
-	KindClient   = "client"
-	KindServer   = "server"
-	KindInternal = "internal"
+	KindClient = "client"
+	KindServer = "server"
 )
 
 // Header keys used for context propagation across RPC and REST hops.
@@ -148,21 +147,6 @@ type Tracer struct {
 
 // TracerOption configures a Tracer.
 type TracerOption func(*Tracer)
-
-// WithSampleRate keeps the given fraction of new traces (head-based
-// sampling); the root's decision propagates to every downstream span. The
-// default is 1.0 (trace everything), matching the paper's deployments.
-func WithSampleRate(rate float64) TracerOption {
-	return func(t *Tracer) {
-		if rate < 0 {
-			rate = 0
-		}
-		if rate > 1 {
-			rate = 1
-		}
-		t.sampleMille = uint32(rate * 1000)
-	}
-}
 
 // NewTracer returns a tracer feeding the given collector.
 func NewTracer(c *Collector, opts ...TracerOption) *Tracer {

@@ -103,7 +103,7 @@ func TestUniqueIDs(t *testing.T) {
 	defer col.Close()
 	seen := make(map[SpanID]bool)
 	for i := 0; i < 10000; i++ {
-		s := tr.StartSpan("svc", "op", KindInternal, SpanContext{})
+		s := tr.StartSpan("svc", "op", KindClient, SpanContext{})
 		if seen[s.Context().SpanID] {
 			t.Fatalf("duplicate span id after %d spans", i)
 		}
@@ -216,8 +216,8 @@ func TestServiceLatencies(t *testing.T) {
 		}
 		col.Close()
 		lat := store.ServiceLatencies()
-		if lat["svc"].Count() != 10 {
-			t.Fatalf("latency count = %d, want 10 (server spans only)", lat["svc"].Count())
+		if lat["svc"].Snapshot().Count != 10 {
+			t.Fatalf("latency count = %d, want 10 (server spans only)", lat["svc"].Snapshot().Count)
 		}
 	})
 }

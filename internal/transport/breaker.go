@@ -8,12 +8,9 @@ import (
 )
 
 // ErrBreakerOpen is the cause carried by breaker rejections; detect it with
-// IsBreakerOpen. The rejection itself is a CodeUnavailable error, so load
+// errors.Is. The rejection itself is a CodeUnavailable error, so load
 // balancers fail the call over to another replica.
 var ErrBreakerOpen = errors.New("circuit breaker open")
-
-// IsBreakerOpen reports whether err is a circuit-breaker rejection.
-func IsBreakerOpen(err error) bool { return errors.Is(err, ErrBreakerOpen) }
 
 // BreakerConfig tunes a circuit breaker. The zero value gets sane defaults
 // from Breaker.

@@ -18,13 +18,6 @@ type BudgetConfig struct {
 	// remaining budget is below it the call fails fast with CodeDeadline
 	// instead of burning a doomed downstream round trip.
 	Floor time.Duration
-	// Max caps the granted budget (0 = no cap). A per-attempt cap bounds
-	// how long one slow replica can hold a request, letting retries,
-	// hedges, and the breaker's failure counter react quickly.
-	Max time.Duration
-	// Default is the budget installed when the caller has no deadline at
-	// all (0 = leave the context unbounded).
-	Default time.Duration
 
 	Stats    *Stats
 	Annotate AnnotateFunc
@@ -52,12 +45,7 @@ func DeadlineBudget(cfg BudgetConfig) Middleware {
 		return func(ctx context.Context, call *Call) error {
 			dl, ok := ctx.Deadline()
 			if !ok {
-				if cfg.Default <= 0 {
-					return next(ctx, call)
-				}
-				dctx, cancel := context.WithTimeout(ctx, cfg.Default)
-				defer cancel()
-				return next(dctx, call)
+				return next(ctx, call)
 			}
 			remaining := time.Until(dl)
 			if remaining < cfg.Floor {
@@ -71,9 +59,6 @@ func DeadlineBudget(cfg BudgetConfig) Middleware {
 			budget := time.Duration(float64(remaining) * cfg.Fraction)
 			if budget < cfg.Floor {
 				budget = cfg.Floor
-			}
-			if cfg.Max > 0 && budget > cfg.Max {
-				budget = cfg.Max
 			}
 			if cfg.Stats != nil {
 				cfg.Stats.DeadlineTruncated.Inc()

@@ -3,8 +3,6 @@ package transport
 import (
 	"context"
 	"time"
-
-	"dsb/internal/metrics"
 )
 
 // HedgeConfig tunes request hedging. The zero value gets sane defaults from
@@ -21,13 +19,6 @@ type HedgeConfig struct {
 	// a slow server wins first, and upstream primaries finish before their
 	// own (larger) delays fire — no redundant upstream hedges.
 	BudgetFraction float64
-	// Quantile, when non-zero, adapts the delay upward to the given
-	// percentile of recently observed successful-call latencies once
-	// MinSamples have accumulated — e.g. 95 hedges only the slowest ~5% of
-	// calls, the classic tail-at-scale policy that bounds extra load.
-	Quantile float64
-	// MinSamples gates the adaptive delay (default 64).
-	MinSamples int
 	// MaxHedges bounds the extra attempts per call (default 1). Further
 	// hedges are staggered by the same delay.
 	MaxHedges int
@@ -39,9 +30,6 @@ type HedgeConfig struct {
 func (cfg HedgeConfig) withDefaults() HedgeConfig {
 	if cfg.Delay <= 0 {
 		cfg.Delay = time.Millisecond
-	}
-	if cfg.MinSamples <= 0 {
-		cfg.MinSamples = 64
 	}
 	if cfg.MaxHedges <= 0 {
 		cfg.MaxHedges = 1
@@ -55,11 +43,9 @@ func (cfg HedgeConfig) withDefaults() HedgeConfig {
 // first successful response wins; the loser is canceled. Hedging converts
 // the tail of the latency distribution into a small amount of extra load —
 // the counter to the paper's finding that one slow server on any critical
-// path collapses end-to-end goodput. One middleware instance owns one
-// latency tracker; install a fresh instance per target.
+// path collapses end-to-end goodput.
 func Hedge(cfg HedgeConfig) Middleware {
 	cfg = cfg.withDefaults()
-	hist := metrics.NewHistogram()
 	return func(next Invoker) Invoker {
 		return func(ctx context.Context, call *Call) error {
 			delay := cfg.Delay
@@ -68,11 +54,6 @@ func Hedge(cfg HedgeConfig) Middleware {
 					if d := time.Duration(float64(time.Until(dl)) * cfg.BudgetFraction); d > delay {
 						delay = d
 					}
-				}
-			}
-			if cfg.Quantile > 0 && hist.Count() >= int64(cfg.MinSamples) {
-				if q := hist.PercentileDuration(cfg.Quantile); q > delay {
-					delay = q
 				}
 			}
 
@@ -90,12 +71,7 @@ func Hedge(cfg HedgeConfig) Middleware {
 				att := call.Clone()
 				attempts = append(attempts, att)
 				go func() {
-					start := time.Now()
-					err := next(hctx, att)
-					if err == nil {
-						hist.RecordDuration(time.Since(start))
-					}
-					results <- result{att, err, hedged}
+					results <- result{att, next(hctx, att), hedged}
 				}()
 			}
 

@@ -43,7 +43,7 @@ func NewResilience() *ResilienceConfig {
 
 // Stack returns a fresh per-target middleware chain, outermost first:
 // deadline budget → retry → hedge. Every invocation creates new middleware
-// state (retry budget, hedge latency tracker), so call it once per target.
+// state (the retry budget), so call it once per target.
 func (cfg *ResilienceConfig) Stack() []Middleware {
 	if cfg == nil {
 		return nil

@@ -45,9 +45,6 @@ func NewStream(raw StreamConn, target, method string) *Stream {
 	return &Stream{raw: raw, target: target, method: method}
 }
 
-// Raw exposes the underlying stream conn (tests, byte-level adopters).
-func (s *Stream) Raw() StreamConn { return s.raw }
-
 // Send encodes v and writes one item frame.
 func (s *Stream) Send(v any) error {
 	payload, err := codec.Marshal(v)

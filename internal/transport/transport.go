@@ -107,9 +107,6 @@ func NewCall(target, method string, payload []byte) *Call {
 	return &Call{Target: target, Method: method, Payload: payload}
 }
 
-// Header returns a header value, or "".
-func (c *Call) Header(key string) string { return c.Headers[key] }
-
 // SetHeader sets a propagated header, allocating the map on first use.
 func (c *Call) SetHeader(key, value string) {
 	if c.Headers == nil {

@@ -54,7 +54,7 @@ func TestCallLazyHeadersAndClone(t *testing.T) {
 	call.SetHeader("k", "v")
 	cp2 := call.Clone()
 	cp2.SetHeader("k", "other")
-	if call.Header("k") != "v" {
+	if call.Headers["k"] != "v" {
 		t.Fatal("clone shares header map with original")
 	}
 	if &call.Payload[0] != &cp2.Payload[0] {
@@ -147,18 +147,6 @@ func TestDeadlineBudgetFailsFastWhenSpent(t *testing.T) {
 	}
 }
 
-func TestDeadlineBudgetDefault(t *testing.T) {
-	inv := Build(func(ctx context.Context, call *Call) error {
-		if _, ok := ctx.Deadline(); !ok {
-			t.Fatal("Default did not install a deadline")
-		}
-		return nil
-	}, DeadlineBudget(BudgetConfig{Default: time.Second}))
-	if err := inv(context.Background(), NewCall("svc", "M", nil)); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRetrySucceedsAfterTransportFailures(t *testing.T) {
 	stats := &Stats{}
 	var attempts atomic.Int64
@@ -243,7 +231,7 @@ func TestBreakerStateMachine(t *testing.T) {
 		}
 		// Open: rejects instantly with a retryable CodeUnavailable.
 		err := inv(ctx, NewCall("svc", "M", nil))
-		if !IsBreakerOpen(err) || !IsCode(err, CodeUnavailable) || !Retryable(err) {
+		if !errors.Is(err, ErrBreakerOpen) || !IsCode(err, CodeUnavailable) || !Retryable(err) {
 			t.Fatalf("open-state err = %v", err)
 		}
 		if stats.BreakerRejected.Value() != 1 {
@@ -252,7 +240,7 @@ func TestBreakerStateMachine(t *testing.T) {
 
 		// Still open a nanosecond short of the cooldown.
 		vtime.Advance(time.Second - time.Nanosecond)
-		if !IsBreakerOpen(inv(ctx, NewCall("svc", "M", nil))) {
+		if !errors.Is(inv(ctx, NewCall("svc", "M", nil)), ErrBreakerOpen) {
 			t.Fatal("breaker let a call through before its cooldown had run")
 		}
 		// After cooldown: half-open admits probes; server recovered.
@@ -291,7 +279,7 @@ func TestBreakerReopensOnFailedProbe(t *testing.T) {
 		if stats.BreakerOpened.Value() != 2 {
 			t.Fatalf("BreakerOpened = %d, want 2", stats.BreakerOpened.Value())
 		}
-		if !IsBreakerOpen(inv(ctx, NewCall("svc", "M", nil))) {
+		if !errors.Is(inv(ctx, NewCall("svc", "M", nil)), ErrBreakerOpen) {
 			t.Fatal("breaker should be open again")
 		}
 	})
@@ -494,7 +482,7 @@ func TestBreakerEjectionCapSharedLedger(t *testing.T) {
 		// B fails repeatedly but the target is at its ejection cap: it must stay
 		// closed and keep admitting calls rather than rejecting.
 		for i := 0; i < 3; i++ {
-			if err := invB(ctx, NewCall("svc", "M", nil)); IsBreakerOpen(err) {
+			if err := invB(ctx, NewCall("svc", "M", nil)); errors.Is(err, ErrBreakerOpen) {
 				t.Fatal("capped breaker must not reject")
 			}
 		}
@@ -512,7 +500,7 @@ func TestBreakerEjectionCapSharedLedger(t *testing.T) {
 		if stats.BreakerOpened.Value() != 2 {
 			t.Fatalf("BreakerOpened = %d, want 2 after slot freed", stats.BreakerOpened.Value())
 		}
-		if !IsBreakerOpen(invB(ctx, NewCall("svc", "M", nil))) {
+		if !errors.Is(invB(ctx, NewCall("svc", "M", nil)), ErrBreakerOpen) {
 			t.Fatal("B should now be open")
 		}
 	})
@@ -627,7 +615,7 @@ func TestBreakerIgnoresOverloadShed(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		inv(ctx, NewCall("svc", "M", nil)) //nolint:errcheck
 	}
-	if err := inv(ctx, NewCall("svc", "M", nil)); !IsBreakerOpen(err) {
+	if err := inv(ctx, NewCall("svc", "M", nil)); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("err = %v, want breaker open after real failures", err)
 	}
 }
