@@ -87,13 +87,15 @@ codecgen-check:
 # side at all — its handlers' own allocations (Get, replacing Put, ListPrepend
 # onto a long list) and the live heap a stored document costs, indexes
 # included, are pinned next to the WAL's.
-# A relay tier may add no more to a path than a typed hop does, and one
-# warmed timeline page through the REST front door — eight hops, the page
-# materialised twice — has an end-to-end object budget.
+# A relay tier may add no more to a path than a typed hop does, a REST round
+# trip has a budget of its own, and one warmed timeline page through the REST
+# front door — eight hops, the page never decoded between the post cache and
+# the caller — has an end-to-end object budget.
 alloc-guard:
 	$(GO) test -run 'TestFrameAllocGuard|TestEchoAllocGuard|TestMemConnAllocGuard|TestIdleConnFootprint|TestIdleStreamFootprint' -count=1 ./internal/rpc/
 	$(GO) test -run 'TestWALAppendBufferReuse|TestServiceAllocGuard|TestStoredDocFootprint' -count=1 ./internal/docstore/
 	$(GO) test -run 'TestStoreHopAllocGuard|TestRelayHopAllocGuard' -count=1 ./internal/svcutil/
+	$(GO) test -run TestRESTAllocGuard -count=1 ./internal/rest/
 	$(GO) test -run TestTimelinePageAllocGuard -count=1 ./internal/services/socialnetwork/
 
 # Ring-imbalance guard: at the default 128 vnodes, the consistent-hash
@@ -110,12 +112,15 @@ conn-stress:
 
 # A call reads its own reply, so the frame reader parses a peer's bytes on
 # the calling goroutine of every hop, and a connection is one state machine —
-# calls, or one stream — that a peer drives with whatever frames it likes:
-# ten seconds of hostile input for each, on top of the committed seeds
-# (internal/rpc/testdata/fuzz), which plain `go test` already replays.
+# calls, or one stream — that a peer drives with whatever frames it likes;
+# a REST server connection parses whatever HTTP a peer sends, up to a header
+# bound: ten seconds of hostile input for each, on top of the committed seeds
+# (internal/rpc/testdata/fuzz, FuzzRESTConn's f.Add list), which plain
+# `go test` already replays.
 fuzz-frame:
 	$(GO) test -run '^$$' -fuzz FuzzFrameReader -fuzztime 10s ./internal/rpc/
 	$(GO) test -run '^$$' -fuzz FuzzStreamConn -fuzztime 10s ./internal/rpc/
+	$(GO) test -run '^$$' -fuzz FuzzRESTConn -fuzztime 10s ./internal/rest/
 
 check: vet fmt-check race build test alloc-guard conn-stress fuzz-frame shard-balance codecgen-check
 

@@ -1,9 +1,12 @@
 package main
 
 // The JSON emitter: AppendJSON/DecodeJSON methods for the REST front-door
-// types (the jsonRoots of a target and their same-package closure). The
-// output is held to encoding/json — marshal bytes identical, decode results
-// identical — by the differential fuzzer in internal/codec, under the
+// types (the jsonRoots of a target and their same-package closure), and
+// AppendWireJSON, which turns a value's wire encoding into the JSON AppendJSON
+// would write for the decoded value without decoding it. The output is held
+// to encoding/json — marshal bytes identical, decode results identical — and
+// the transcoder to the wire decoder followed by AppendJSON, by the
+// differential fuzzer in internal/codec, under the
 // contract written on codec.JSONMessage: the generated decoder accepts only
 // the strict shape both encoders write and declines everything else, so
 // whatever it does not handle is decoded by encoding/json itself. Shapes
@@ -118,7 +121,90 @@ func (g *gen) emitJSONType(w *bytes.Buffer, t reflect.Type) error {
 		fmt.Fprintf(w, "\tif b, ok = codec.JSONLit(b, \"{\"); !ok {\n\t\treturn \"\", false\n\t}\n")
 	}
 	fmt.Fprintf(w, "\treturn codec.JSONLit(b, \"}\")\n}\n\n")
+
+	g.tmp = 0
+	fmt.Fprintf(w, "// AppendWireJSON appends, as JSON, the %s whose wire encoding starts w,\n// and returns the rest of w (codec.JSONMessage).\n", t.Name())
+	fmt.Fprintf(w, "func (*%s) AppendWireJSON(b, w []byte) ([]byte, []byte, error) {\n", t.Name())
+	open = "{"
+	for _, f := range fields {
+		if f.Tag.Get("codec") == "-" {
+			return fmt.Errorf("%s.%s: a field off the wire cannot be transcoded from it", t.Name(), f.Name)
+		}
+		fmt.Fprintf(w, "\tb = append(b, `%s\"%s\":`...)\n", open, jsonKey(f))
+		open = ","
+		if err := g.emitWireJSON(w, f.Type, 1); err != nil {
+			return fmt.Errorf("%s.%s: %w", t.Name(), f.Name, err)
+		}
+	}
+	if len(fields) == 0 {
+		fmt.Fprintf(w, "\tb = append(b, '{')\n")
+	}
+	fmt.Fprintf(w, "\treturn append(b, '}'), w, nil\n}\n\n")
 	return nil
+}
+
+// emitWireJSON writes statements consuming one ft from the wire bytes w and
+// appending its JSON encoding to b. A decoded slice is never nil, so it is
+// always an array.
+func (g *gen) emitWireJSON(w *bytes.Buffer, ft reflect.Type, depth int) error {
+	p, kind := ind(depth), ft.Kind().String()
+	scalar := func(dec, enc string) {
+		g.tmp++
+		v := fmt.Sprintf("v%d", g.tmp)
+		fmt.Fprintf(w, "%s{\n%s\t%s, rest, err := codec.%s(w)\n", p, p, v, dec)
+		fmt.Fprintf(w, "%s\tif err != nil {\n%s\t\treturn b, nil, err\n%s\t}\n", p, p, p)
+		fmt.Fprintf(w, "%s\tb = %s\n%s\tw = rest\n%s}\n", p, fmt.Sprintf(enc, v), p, p)
+	}
+	switch ft.Kind() {
+	case reflect.Bool:
+		scalar("DecBool", "strconv.AppendBool(b, %s)")
+	case reflect.Int, reflect.Int64:
+		scalar("DecInt", "strconv.AppendInt(b, %s, 10)")
+	case reflect.Int8, reflect.Int16, reflect.Int32: // DecInt8 for an int8, ...
+		scalar("Dec"+strings.ToUpper(kind[:1])+kind[1:], "strconv.AppendInt(b, int64(%s), 10)")
+	case reflect.Uint, reflect.Uint64:
+		scalar("DecUint", "strconv.AppendUint(b, %s, 10)")
+	case reflect.Uint8, reflect.Uint16, reflect.Uint32:
+		scalar("Dec"+strings.ToUpper(kind[:1])+kind[1:], "strconv.AppendUint(b, uint64(%s), 10)")
+	case reflect.String:
+		scalar("DecStringBytes", "codec.AppendJSONBytes(b, %s)")
+	case reflect.Slice:
+		if zeroWidth(ft.Elem()) {
+			// A hostile length would buy an unbounded array out of no input.
+			return fmt.Errorf("a slice of zero-width %s cannot be transcoded", ft.Elem())
+		}
+		g.tmp++
+		n, i := fmt.Sprintf("n%d", g.tmp), fmt.Sprintf("i%d", g.tmp)
+		fmt.Fprintf(w, "%s{\n%s\t%s, rest, err := codec.DecLen(w)\n", p, p, n)
+		fmt.Fprintf(w, "%s\tif err != nil {\n%s\t\treturn b, nil, err\n%s\t}\n", p, p, p)
+		fmt.Fprintf(w, "%s\tw = rest\n%s\tb = append(b, '[')\n", p, p)
+		fmt.Fprintf(w, "%s\tfor %s := 0; %s < %s; %s++ {\n", p, i, i, n, i)
+		fmt.Fprintf(w, "%s\t\tif %s > 0 {\n%s\t\t\tb = append(b, ',')\n%s\t\t}\n", p, i, p, p)
+		if err := g.emitWireJSON(w, ft.Elem(), depth+2); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "%s\t}\n%s\tb = append(b, ']')\n%s}\n", p, p, p)
+	case reflect.Struct:
+		fmt.Fprintf(w, "%s{\n%s\tvar err error\n", p, p)
+		fmt.Fprintf(w, "%s\tif b, w, err = (*%s)(nil).AppendWireJSON(b, w); err != nil {\n%s\t\treturn b, nil, err\n%s\t}\n%s}\n", p, ft.Name(), p, p, p)
+	default:
+		return fmt.Errorf("kind %s is not supported in a JSON root", ft.Kind())
+	}
+	return nil
+}
+
+// zeroWidth reports whether t's wire encoding is always empty: a struct of
+// zero-width fields, or of none.
+func zeroWidth(t reflect.Type) bool {
+	if t.Kind() != reflect.Struct {
+		return false
+	}
+	for _, f := range wireFields(t) {
+		if !zeroWidth(f.Type) {
+			return false
+		}
+	}
+	return true
 }
 
 // emitJSONEncode writes statements appending expr's JSON encoding to b.

@@ -124,11 +124,7 @@ func Valid[T any](data []byte) error {
 }
 
 func validType(t reflect.Type, data []byte) error {
-	p, err := planFor(t)
-	if err != nil {
-		return err
-	}
-	rest, err := p.skip(data)
+	rest, err := skipType(t, data)
 	if err != nil {
 		return err
 	}
@@ -136,6 +132,21 @@ func validType(t reflect.Type, data []byte) error {
 		return ErrTrailingBytes
 	}
 	return nil
+}
+
+// Skip consumes one wire encoding of a T from the front of data and returns
+// the rest: the walk Valid makes, every check a decoder applies and nothing
+// built, for a tier that steps over encodings it forwards.
+func Skip[T any](data []byte) ([]byte, error) {
+	return skipType(reflect.TypeFor[T](), data)
+}
+
+func skipType(t reflect.Type, data []byte) ([]byte, error) {
+	p, err := planFor(t)
+	if err != nil {
+		return nil, err
+	}
+	return p.skip(data)
 }
 
 type encFunc func(buf []byte, v reflect.Value) ([]byte, error)

@@ -11,6 +11,9 @@ import (
 // tests sweep RegisteredTypes with it.
 var ValidType = validType
 
+// SkipType is Skip for a type known only at run time.
+var SkipType = skipType
+
 // RegisteredTypes returns the value types registered so far, sorted by
 // package path and name. The differential fuzz harness iterates it to hold
 // every generated marshaler to the reflect plan's encoding.

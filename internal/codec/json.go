@@ -36,9 +36,16 @@ import (
 // unescaping are substrings of s: a body is copied into one string and its
 // values share it, instead of each being allocated — which also means that
 // retaining any one of them retains the body's worth of bytes.
+//
+// AppendWireJSON transcodes: it appends, as JSON, the value whose wire
+// encoding starts w — byte for byte the AppendJSON of the wire-decoded value,
+// which it never builds — and returns the rest of w. It does not read its
+// receiver, so a nil one serves. Input the wire decoder refuses is an error,
+// and b then holds a partial encoding for the caller to discard.
 type JSONMessage interface {
 	AppendJSON(b []byte) []byte
 	DecodeJSON(s string) (rest string, ok bool)
+	AppendWireJSON(b, w []byte) (out, rest []byte, err error)
 }
 
 type jsonFuncs struct {
@@ -146,6 +153,29 @@ func appendJSONSlice[T any, PT interface {
 	return append(buf, ']'), true
 }
 
+// AppendWireJSONList appends, as a JSON array, the []T whose wire encoding
+// starts w, and returns the rest of w: byte for byte the AppendMarshalJSON of
+// the wire-decoded list, which is never nil, so an empty one is [].
+func AppendWireJSONList[T any, PT interface {
+	JSONMessage
+	*T
+}](b, w []byte) ([]byte, []byte, error) {
+	n, w, err := DecLen(w)
+	if err != nil {
+		return b, nil, err
+	}
+	b = append(b, '[')
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if b, w, err = PT(nil).AppendWireJSON(b, w); err != nil {
+			return b, nil, err
+		}
+	}
+	return append(b, ']'), w, nil
+}
+
 // AppendMarshalJSON appends v's JSON encoding to buf: through v's generated
 // codec when its type is registered, through encoding/json otherwise (and
 // for a nil pointer or slice of a registered type, whose "null" is
@@ -203,6 +233,16 @@ func init() {
 // writes it: HTML-unsafe characters, control characters, U+2028/9 and
 // invalid UTF-8 escaped.
 func AppendJSONString(b []byte, s string) []byte {
+	return appendJSONText(b, s, utf8.DecodeRuneInString)
+}
+
+// AppendJSONBytes is AppendJSONString for a string's bytes — a wire
+// encoding's, say — which it does not copy into a string first.
+func AppendJSONBytes(b, s []byte) []byte {
+	return appendJSONText(b, s, utf8.DecodeRune)
+}
+
+func appendJSONText[S ~string | ~[]byte](b []byte, s S, decodeRune func(S) (rune, int)) []byte {
 	b = append(b, '"')
 	start := 0
 	for i := 0; i < len(s); {
@@ -233,7 +273,7 @@ func AppendJSONString(b []byte, s string) []byte {
 			start = i
 			continue
 		}
-		r, size := utf8.DecodeRuneInString(s[i:])
+		r, size := decodeRune(s[i:])
 		switch {
 		case r == utf8.RuneError && size == 1:
 			b = append(b, s[start:i]...)

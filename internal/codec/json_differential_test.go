@@ -8,6 +8,10 @@ package codec_test
 // leaves — on clean input, and on everything the strict path is meant to
 // hand back: escapes, \u pairs, invalid UTF-8, whitespace, unknown,
 // duplicate and case-folded keys, null, numbers out of range, truncation.
+// The transcoders (AppendWireJSON, AppendWireJSONList) are held to the wire
+// decoder followed by AppendMarshalJSON, on the encodings of those values and
+// on their corruptions: they fail where the decoder fails, stop where it
+// stops, and write what the decoded value encodes to.
 
 import (
 	"bytes"
@@ -19,9 +23,9 @@ import (
 	"strings"
 	"testing"
 
+	"dsb/cmd/codecgen/testdata/fixture"
 	"dsb/internal/codec"
-
-	_ "dsb/cmd/codecgen/testdata/fixture"
+	"dsb/internal/services/socialnetwork"
 )
 
 // hostileStrings are the string values the filler mixes in: everything
@@ -177,6 +181,67 @@ func mutations(valid []byte, rng *rand.Rand) [][]byte {
 	return out
 }
 
+// checkWireJSON holds typ's transcoder to decoding wire — any bytes — and
+// encoding the result.
+func checkWireJSON(t *testing.T, typ reflect.Type, wire []byte) {
+	t.Helper()
+	got, rest, err := reflect.New(typ).Interface().(codec.JSONMessage).AppendWireJSON([]byte("prefix"), wire)
+	checkTranscoded(t, typ, wire, got, rest, err)
+}
+
+// checkWireJSONList is checkWireJSON for the list transcoder over []T.
+func checkWireJSONList[T any, PT interface {
+	codec.JSONMessage
+	*T
+}](t *testing.T, wire []byte) {
+	t.Helper()
+	got, rest, err := codec.AppendWireJSONList[T, PT]([]byte("prefix"), wire)
+	checkTranscoded(t, reflect.TypeFor[[]T](), wire, got, rest, err)
+}
+
+func checkTranscoded(t *testing.T, typ reflect.Type, wire, got, rest []byte, err error) {
+	t.Helper()
+	after, derr := codec.SkipType(typ, wire)
+	if (err == nil) != (derr == nil) {
+		t.Fatalf("%s from wire %x: transcoder err %v, decoder err %v", typ, wire, err, derr)
+	}
+	if err != nil {
+		return
+	}
+	if len(rest) != len(after) {
+		t.Fatalf("%s from wire %x: transcoder left %d bytes, decoder %d", typ, wire, len(rest), len(after))
+	}
+	v := reflect.New(typ)
+	if err := codec.Unmarshal(wire[:len(wire)-len(rest)], v.Interface()); err != nil {
+		t.Fatalf("%s from wire %x: the prefix the decoder skips does not decode: %v", typ, wire, err)
+	}
+	want, err := codec.AppendMarshalJSON([]byte("prefix"), v.Interface())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s from wire %x:\n transcoded %s\n decoded    %s", typ, wire, got[len("prefix"):], want[len("prefix"):])
+	}
+}
+
+// wireMutations returns a wire encoding and its corruptions: every
+// truncation, trailing bytes, a hostile length up front and random bytes.
+func wireMutations(wire []byte, rng *rand.Rand) [][]byte {
+	out := [][]byte{wire, append(bytes.Clone(wire), 0), append(bytes.Clone(wire), 0xff, 0x01)}
+	for i := 0; i < len(wire); i++ {
+		out = append(out, wire[:i])
+	}
+	if len(wire) > 0 {
+		out = append(out, append([]byte{0xff, 0xff, 0xff, 0xff, 0x0f}, wire[1:]...), append([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, wire[1:]...))
+	}
+	for i := 0; i < 16 && len(wire) > 0; i++ {
+		c := bytes.Clone(wire)
+		c[rng.Intn(len(c))] = byte(rng.Intn(256))
+		out = append(out, c)
+	}
+	return out
+}
+
 func TestGeneratedJSONMatchesEncodingJSON(t *testing.T) {
 	types := codec.JSONTypes()
 	if len(types) < 4 {
@@ -198,6 +263,13 @@ func TestGeneratedJSONMatchesEncodingJSON(t *testing.T) {
 			}
 			for _, data := range mutations(valid, rng) {
 				checkJSONDecode(t, typ, data)
+			}
+			wire, err := codec.Marshal(v.Interface())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, data := range wireMutations(wire, rng) {
+				checkWireJSON(t, typ, data)
 			}
 			// The comparison above passes trivially if the generated decoder
 			// declines everything: what either encoder writes for a value
@@ -221,8 +293,35 @@ func TestGeneratedJSONMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+// The list transcoder over the two roots the tree has: lists of every length
+// the filler makes, nil and empty included, and their corruptions.
+func TestWireJSONListMatchesDecode(t *testing.T) {
+	for seed := int64(0); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed * 7919))
+		var posts []socialnetwork.Post
+		var pages []fixture.Page
+		fillJSON(reflect.ValueOf(&posts).Elem(), rng)
+		fillJSON(reflect.ValueOf(&pages).Elem(), rng)
+		for _, wire := range wireMutations(mustMarshal(t, posts), rng) {
+			checkWireJSONList[socialnetwork.Post](t, wire)
+		}
+		for _, wire := range wireMutations(mustMarshal(t, pages), rng) {
+			checkWireJSONList[fixture.Page](t, wire)
+		}
+	}
+}
+
+func mustMarshal(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := codec.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // FuzzGeneratedJSON lets the fuzzer drive both the value (through the
-// filler's seed) and the decoder's input.
+// filler's seed) and the decoders' input, JSON and wire alike.
 func FuzzGeneratedJSON(f *testing.F) {
 	f.Add(int64(1), []byte(`{"ID":"a","Author":"b","Text":"c","Mentions":[],"URLs":null,"MediaIDs":["m"],"CreatedAt":-5}`))
 	f.Add(int64(7), []byte(`[{"id":"\ud834\udd1e","Kind":"k","Draft":true,"Level":-128,"Created":1,"Port":65535,"Hash":0,"Labels":[],"Rows":[],"Top":{"name":"","Tags":[],"Rank":0},"Nothing":{}}]`))
@@ -235,7 +334,14 @@ func FuzzGeneratedJSON(f *testing.F) {
 				checkJSONMarshal(t, shape)
 			}
 			checkJSONDecode(t, typ, data)
+			wire, err := codec.Marshal(v.Interface())
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkWireJSON(t, typ, wire)
+			checkWireJSON(t, typ, data)
 		}
+		checkWireJSONList[socialnetwork.Post](t, data)
 	})
 }
 

@@ -8,7 +8,7 @@ package codec
 // enforces the same maxLen bound and narrow-integer overflow checks the
 // plans do. Decoders never alias their input: strings and byte slices are
 // copied out, so the caller may recycle the buffer as soon as decode
-// returns.
+// returns — all but DecStringBytes, which says so.
 
 import (
 	"encoding/binary"
@@ -196,6 +196,20 @@ func DecString(b []byte) (string, []byte, error) {
 		return "", nil, ErrShortBuffer
 	}
 	return string(rest[:n]), rest[n:], nil
+}
+
+// DecStringBytes consumes a length-prefixed string without copying it: the
+// bytes returned are b's own, for a caller that reads them before b is
+// recycled. DecString is its copying twin.
+func DecStringBytes(b []byte) ([]byte, []byte, error) {
+	n, rest, err := DecLen(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(rest) < n {
+		return nil, nil, ErrShortBuffer
+	}
+	return rest[:n], rest[n:], nil
 }
 
 // DecBytes consumes a length-prefixed byte slice, copying it out of b. A

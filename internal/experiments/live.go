@@ -147,6 +147,29 @@ func RPCvsREST() *Report {
 		Title:  "RPC vs REST: median round-trip per payload size (live, in-memory transport)",
 		Header: []string{"payload", "RPC", "REST", "REST/RPC"},
 	}
+	rows, err := rpcVsREST()
+	if err != nil {
+		r.Notes = append(r.Notes, err.Error())
+		return r
+	}
+	for _, row := range rows {
+		r.Rows = append(r.Rows, []string{row.payload, fmt.Sprint(row.rpc), fmt.Sprint(row.rest),
+			fmt.Sprintf("%.1fx", float64(row.rest)/float64(row.rpc))})
+	}
+	r.Notes = append(r.Notes,
+		"paper: RPCs introduce considerably lower latencies than HTTP at low load; both suffer network processing at high load")
+	return r
+}
+
+// rpcRESTRow is one payload's median round trip on each substrate.
+type rpcRESTRow struct {
+	payload   string
+	rpc, rest time.Duration
+}
+
+// rpcVsREST measures the rows of RPCvsREST. A sample is an RPC call and then
+// a REST call of the same payload, so host noise lands on both substrates.
+func rpcVsREST() ([]rpcRESTRow, error) {
 	ctx := context.Background()
 	net := rpc.NewMem()
 
@@ -158,8 +181,7 @@ func RPCvsREST() *Report {
 	})
 	rpcAddr, err := rpcSrv.Start(net, "echo-rpc:0")
 	if err != nil {
-		r.Notes = append(r.Notes, err.Error())
-		return r
+		return nil, err
 	}
 	defer rpcSrv.Close()
 	rpcClient := rpc.NewClient(net, "echo", rpcAddr)
@@ -184,46 +206,43 @@ func RPCvsREST() *Report {
 	})
 	restAddr, err := restSrv.Start(net, "echo-rest:0")
 	if err != nil {
-		r.Notes = append(r.Notes, err.Error())
-		return r
+		return nil, err
 	}
 	defer restSrv.Close()
 	restClient := rest.NewClient(net, "echo", restAddr)
 	defer restClient.Close()
 
-	median := func(n int, fn func() error) time.Duration {
-		lats := make([]int64, 0, n)
-		for i := 0; i < n; i++ {
-			t0 := time.Now()
-			if err := fn(); err != nil {
-				return 0
+	var rows []rpcRESTRow
+	measure := func(payload string, rpcCall, restCall func() error) error {
+		var lats [2][]int64
+		for i := 0; i < 200; i++ {
+			for side, call := range []func() error{rpcCall, restCall} {
+				t0 := time.Now()
+				if err := call(); err != nil {
+					return fmt.Errorf("%s: %w", payload, err)
+				}
+				lats[side] = append(lats[side], time.Since(t0).Nanoseconds())
 			}
-			lats = append(lats, time.Since(t0).Nanoseconds())
 		}
-		return time.Duration(metrics.Quantiles(lats, 50)[0])
-	}
-
-	row := func(label string, rpcLat, restLat time.Duration) {
-		ratio := "-"
-		if rpcLat > 0 {
-			ratio = fmt.Sprintf("%.1fx", float64(restLat)/float64(rpcLat))
-		}
-		r.Rows = append(r.Rows, []string{label, fmt.Sprint(rpcLat), fmt.Sprint(restLat), ratio})
+		rows = append(rows, rpcRESTRow{payload,
+			time.Duration(metrics.Quantiles(lats[0], 50)[0]), time.Duration(metrics.Quantiles(lats[1], 50)[0])})
+		return nil
 	}
 	for _, size := range []int{64, 1024, 16 << 10, 128 << 10} {
 		payload := make([]byte, size)
 		req := echoMsg{Data: payload}
-		rpcLat := median(200, func() error {
+		err := measure(fmt.Sprintf("%dB", size), func() error {
 			var out echoMsg
 			return rpcClient.Call(ctx, "Echo", req, &out)
-		})
-		restLat := median(200, func() error {
+		}, func() error {
 			var out struct {
 				Data []byte `json:"data"`
 			}
 			return restClient.Do(ctx, "POST", "/echo", map[string][]byte{"data": payload}, &out)
 		})
-		row(fmt.Sprintf("%dB", size), rpcLat, restLat)
+		if err != nil {
+			return nil, err
+		}
 	}
 	page := socialnetwork.ReadPostsResp{Posts: make([]socialnetwork.Post, 20)}
 	for i := range page.Posts {
@@ -235,16 +254,12 @@ func RPCvsREST() *Report {
 			CreatedAt: 1700000000000000000 + int64(i),
 		}
 	}
-	row("20-post page (typed)",
-		median(200, func() error {
-			var out socialnetwork.ReadPostsResp
-			return rpcClient.Call(ctx, "Page", &page, &out)
-		}),
-		median(200, func() error {
-			var out []socialnetwork.Post
-			return restClient.Do(ctx, "POST", "/page", page.Posts, &out)
-		}))
-	r.Notes = append(r.Notes,
-		"paper: RPCs introduce considerably lower latencies than HTTP at low load; both suffer network processing at high load")
-	return r
+	err = measure("20-post page (typed)", func() error {
+		var out socialnetwork.ReadPostsResp
+		return rpcClient.Call(ctx, "Page", &page, &out)
+	}, func() error {
+		var out []socialnetwork.Post
+		return restClient.Do(ctx, "POST", "/page", page.Posts, &out)
+	})
+	return rows, err
 }

@@ -1,22 +1,32 @@
 // Package rest implements the suite's JSON-over-HTTP API layer, the role
-// REST plays in the E-commerce and Swarm applications. It reuses the rpc
-// Network abstraction so REST services run over real TCP or in-memory
-// pipes, and it propagates the same header-based trace context as the RPC
-// layer, so traces cross RPC/REST boundaries intact.
+// REST plays at the applications' front doors. It reuses the rpc Network
+// abstraction so REST services run over real TCP or in-memory connections,
+// and it propagates the same header-based trace context and deadline as the
+// RPC layer, so traces cross RPC/REST boundaries intact.
 //
-// HTTP/1 semantics matter to the paper's backpressure results: within one
+// It speaks HTTP/1.1 through net/http's parsers (http.ReadRequest,
+// http.ReadResponse) and router (http.ServeMux), not through its Server or
+// Transport: as on an rpc hop, one exchange runs on one connection at a time.
+// The client keeps its connections on rpc's ConnStack, writes a request in
+// one Write and reads the response on the calling goroutine; the server
+// answers a connection's requests in turn on that connection's goroutine,
+// each response, Content-Length included, in one Write. A handler's context
+// is context.Background() plus the deadline the caller propagated, as in rpc,
+// so the hops beneath a front door arm no cancellation watcher. Within one
 // connection requests are serialized, so a slow backend stalls the
-// connection and queues form ahead of the front-end. The client exposes
-// MaxConnsPerHost to reproduce that regime.
+// connection and queues form ahead of the front end — the HTTP/1 semantics
+// the paper's backpressure results rest on.
 package rest
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/url"
@@ -24,7 +34,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dsb/internal/codec"
 	"dsb/internal/rpc"
@@ -37,6 +46,15 @@ import (
 const maxBody = 16 << 20
 
 var errBodyTooLarge = fmt.Errorf("body exceeds the %d-byte limit", maxBody)
+
+// maxHeaderBytes bounds the start line and headers of a message, as net/http
+// does by default: the server answers a longer request 431 and the client
+// refuses a longer response, neither reading on. A connection's buffered
+// reader reads ahead by up to readBufSize, which the limit allows for.
+const (
+	maxHeaderBytes = 1 << 20
+	readBufSize    = 4 << 10
+)
 
 // deadlineKey is transport.DeadlineHeader in the form net/http stores header
 // names, so neither side canonicalises it again on every request.
@@ -81,10 +99,9 @@ type Ctx struct {
 	Service string
 	// Request is the underlying HTTP request (path params, query).
 	Request *http.Request
-	// ReplyHeaders are returned as HTTP response headers.
-	ReplyHeaders map[string]string
 
 	query url.Values // parsed by the first Query call
+	reply []byte     // the pooled body handed over with OwnReply
 }
 
 // Header returns a request header value.
@@ -101,6 +118,19 @@ func (c *Ctx) Query(name string) string {
 	}
 	return c.query.Get(name)
 }
+
+// OwnReply is rpc.Ctx.OwnReply for a REST handler: it makes buf — a pooled
+// buffer holding an encoded JSON body, which the handler owns outright — this
+// request's reply, and returns the value for the handler to return. The
+// server writes buf as it is and recycles it; the handler must not touch it
+// again.
+func (c *Ctx) OwnReply(buf []byte) any {
+	c.reply = buf
+	return ownedReply{}
+}
+
+// ownedReply is what a handler returns for a body handed over with OwnReply.
+type ownedReply struct{}
 
 // Handler consumes the request body (raw bytes; most handlers unmarshal
 // JSON via DecodeJSON) and returns a value to encode as JSON. The body is
@@ -122,11 +152,10 @@ type errorBody struct {
 type Server struct {
 	service      string
 	mux          *http.ServeMux
-	hs           *http.Server
+	acc          rpc.Acceptor
 	mu           sync.Mutex
 	interceptors []Interceptor
 	routes       []*route
-	listener     net.Listener
 }
 
 // route is one registered handler and, in chain, that handler wrapped in
@@ -150,9 +179,7 @@ func (rt *route) compose(interceptors []Interceptor) {
 
 // NewServer creates a REST server for the named service.
 func NewServer(service string) *Server {
-	s := &Server{service: service, mux: http.NewServeMux()}
-	s.hs = &http.Server{Handler: s.mux}
-	return s
+	return &Server{service: service, mux: http.NewServeMux()}
 }
 
 // Use appends a server interceptor; it wraps every route, including ones
@@ -174,22 +201,23 @@ func (s *Server) Handle(pattern string, h Handler) {
 	s.routes = append(s.routes, rt)
 	rt.compose(s.interceptors)
 	s.mu.Unlock()
-	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) { s.serve(rt, w, r) })
+	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) { s.serve(rt, w.(*response), r) })
 }
 
-func (s *Server) serve(rt *route, w http.ResponseWriter, r *http.Request) {
+func (s *Server) serve(rt *route, w *response, r *http.Request) {
 	var body []byte
 	if r.ContentLength != 0 { // a request that declares no body has none to read
 		var err error
 		if body, err = readBody(r.Body, r.ContentLength); err != nil {
-			writeError(w, rpc.Errorf(rpc.CodeBadRequest, "read request body: %v", err))
+			w.fail(rpc.Errorf(rpc.CodeBadRequest, "read request body: %v", err))
 			return
 		}
+		w.drained = true
 		// Released on return: after the handler, and after the reply — which
 		// may alias the body — is encoded.
 		defer transport.ReleaseBuf(body)
 	}
-	ctx := &Ctx{Context: r.Context(), Service: s.service, Request: r}
+	ctx := &Ctx{Context: context.Background(), Service: s.service, Request: r}
 	if v := r.Header[deadlineKey]; len(v) > 0 {
 		if dl, ok := transport.ParseDeadline(v[0]); ok {
 			var cancel context.CancelFunc
@@ -198,29 +226,25 @@ func (s *Server) serve(rt *route, w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	out, err := safeServe(*rt.chain.Load(), ctx, body)
-	for k, v := range ctx.ReplyHeaders {
-		w.Header().Set(k, v)
-	}
-	if err != nil {
-		writeError(w, err)
+	if _, own := out.(ownedReply); own && err == nil {
+		w.json, w.body = true, ctx.reply
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if out == nil {
-		w.WriteHeader(http.StatusNoContent)
-		return
+	transport.ReleaseBuf(ctx.reply)
+	switch {
+	case err != nil:
+		w.fail(err)
+	case out == nil:
+		w.json, w.status = true, http.StatusNoContent
+	default:
+		data, err := codec.AppendMarshalJSON(transport.AcquireBuf(0), out)
+		if err != nil {
+			transport.ReleaseBuf(data)
+			w.fail(rpc.Errorf(rpc.CodeInternal, "encode response: %v", err))
+			return
+		}
+		w.json, w.body = true, data
 	}
-	data, err := codec.AppendMarshalJSON(transport.AcquireBuf(0), out)
-	if err != nil {
-		transport.ReleaseBuf(data)
-		writeError(w, rpc.Errorf(rpc.CodeInternal, "encode response: %v", err))
-		return
-	}
-	// The length is known, so say it: the client sizes its read from it, and
-	// net/http need not chunk a reply that outgrows its write buffer.
-	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-	w.Write(data) //nolint:errcheck // client disconnects are routine
-	transport.ReleaseBuf(data)
 }
 
 func safeServe(h Handler, ctx *Ctx, body []byte) (out any, err error) {
@@ -232,37 +256,6 @@ func safeServe(h Handler, ctx *Ctx, body []byte) (out any, err error) {
 	return h(ctx, body)
 }
 
-func writeError(w http.ResponseWriter, err error) {
-	code := rpc.ErrorCode(err)
-	status := http.StatusInternalServerError
-	switch code {
-	case rpc.CodeNotFound:
-		status = http.StatusNotFound
-	case rpc.CodeBadRequest:
-		status = http.StatusBadRequest
-	case rpc.CodeUnauthorized:
-		status = http.StatusUnauthorized
-	case rpc.CodeUnavailable:
-		status = http.StatusServiceUnavailable
-	case rpc.CodeConflict:
-		status = http.StatusConflict
-	case rpc.CodeDeadline:
-		status = http.StatusGatewayTimeout
-	case rpc.CodeOverloaded:
-		// Admission-control shed: 429 rather than 503 — the replica is
-		// healthy, the client should try elsewhere or back off.
-		status = http.StatusTooManyRequests
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	msg := err.Error()
-	var e *rpc.Error
-	if errors.As(err, &e) {
-		msg = e.Msg
-	}
-	json.NewEncoder(w).Encode(errorBody{Code: code, Error: msg}) //nolint:errcheck
-}
-
 // Start listens on addr via network and serves in the background,
 // returning the bound address.
 func (s *Server) Start(network rpc.Network, addr string) (string, error) {
@@ -270,141 +263,169 @@ func (s *Server) Start(network rpc.Network, addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s.mu.Lock()
-	s.listener = l
-	s.mu.Unlock()
-	go s.hs.Serve(l) //nolint:errcheck // exit is signaled via Close
+	go s.acc.Serve(l, s.serveConn) //nolint:errcheck // exit is signaled via Close
 	return l.Addr().String(), nil
 }
 
-// Close shuts the server down immediately.
+// Close stops accepting, closes every connection — an idle keep-alive under
+// its parked read included — and waits for the requests in flight.
 func (s *Server) Close() error {
-	return s.hs.Close()
+	s.acc.Shut()
+	s.acc.Wait()
+	return nil
 }
 
-// Client issues REST calls to one service. It runs the same
-// transport.Middleware chain as the RPC client — composed once at
-// construction — so tracing and the resilience layer instrument both
-// protocols identically.
-type Client struct {
-	target string
-	base   string // e.g. "http://addr"
-	hc     *http.Client
-	mws    []transport.Middleware
-	invoke transport.Invoker
+// serveConn reads, routes and answers one connection's requests in turn.
+func (s *Server) serveConn(nc net.Conn) {
+	c := &serverConn{nc: nc, lim: io.LimitedReader{R: nc}}
+	c.br = bufio.NewReaderSize(&c.lim, readBufSize)
+	for c.next(s) {
+	}
 }
 
-// ClientOption configures a REST client.
-type ClientOption func(*Client)
-
-// WithMiddleware appends client middleware (the same chain type the RPC
-// client accepts); mws run in registration order, outermost first.
-func WithMiddleware(mws ...transport.Middleware) ClientOption {
-	return func(c *Client) { c.mws = append(c.mws, mws...) }
+// serverConn is one accepted connection, reused request after request.
+type serverConn struct {
+	nc   net.Conn
+	lim  io.LimitedReader // what the start line and headers may still take
+	br   *bufio.Reader
+	resp response
+	out  bytes.Buffer // the response on its way out
 }
 
-// NewClient creates a client for the target service at addr, dialing
-// through the given network.
-func NewClient(network rpc.Network, target, addr string, opts ...ClientOption) *Client {
-	tr := &http.Transport{
-		DialContext: func(ctx context.Context, _, _ string) (net.Conn, error) {
-			return network.Dial(addr)
-		},
-		MaxIdleConnsPerHost: 16,
-		IdleConnTimeout:     time.Minute,
+// next answers one request and reports whether the connection carries
+// another.
+func (c *serverConn) next(s *Server) bool {
+	c.lim.N = maxHeaderBytes + readBufSize
+	req, err := http.ReadRequest(c.br)
+	switch {
+	case err == io.EOF:
+		return false // the peer closed between requests
+	case err != nil && c.lim.N <= 0:
+		return c.fail(http.StatusRequestHeaderFieldsTooLarge)
+	case err != nil:
+		return c.fail(http.StatusBadRequest)
 	}
-	c := &Client{target: target, base: "http://" + addr, hc: &http.Client{Transport: tr}}
-	for _, o := range opts {
-		o(c)
+	c.lim.N = math.MaxInt64 // a body is bounded where it is read (maxBody)
+	if req.ContentLength != 0 && req.ProtoAtLeast(1, 1) && strings.EqualFold(req.Header.Get("Expect"), "100-continue") {
+		io.WriteString(c.nc, "HTTP/1.1 100 Continue\r\n\r\n") //nolint:errcheck // a dead connection fails the read
 	}
-	c.invoke = transport.Build(c.exchangeCall, c.mws...)
-	return c
+	s.mux.ServeHTTP(&c.resp, req)
+	// Body bytes left unread would stand in front of the next request, and
+	// an HTTP/1.0 client expects the connection to end with the response.
+	keep := (req.Body == http.NoBody || c.resp.drained) && !req.Close && req.ProtoAtLeast(1, 1)
+	return c.write(req.Method == http.MethodHead, !keep) == nil && keep
 }
 
-// Do issues method (e.g. "POST") against path, JSON-encoding req (nil for
-// no body) and decoding the JSON response into resp (nil to discard). The
-// call flows through the middleware chain as a transport.Call whose Method
-// is "VERB /path"; the reply body — a pooled buffer — is decoded after the
-// chain returns, so hedged or retried attempts never race on resp, and
-// released once decoded (neither JSON decoder aliases its input).
-func (c *Client) Do(ctx context.Context, method, path string, req, resp any) error {
-	var payload []byte
-	if req != nil {
-		var err error
-		payload, err = codec.AppendMarshalJSON(nil, req)
-		if err != nil {
-			return fmt.Errorf("rest: marshal %s %s: %w", method, path, err)
-		}
+// fail answers a request that could not be read with status, and ends the
+// connection.
+func (c *serverConn) fail(status int) bool {
+	http.Error(&c.resp, strconv.Itoa(status)+" "+http.StatusText(status), status)
+	c.write(false, true) //nolint:errcheck // the connection ends either way
+	return false
+}
+
+// ownHeaders are the headers write sets itself.
+var ownHeaders = map[string]bool{"Content-Length": true, "Connection": true, "Transfer-Encoding": true}
+
+// write puts the response on the connection in one Write — status line,
+// headers, the Content-Length of a status that has a body, and the body,
+// which a HEAD response only announces — and readies it for the next one.
+func (c *serverConn) write(head, closing bool) error {
+	r, b := &c.resp, &c.out
+	status := r.status
+	if status == 0 {
+		status = http.StatusOK
 	}
-	call := transport.AcquireCall(c.target, method+" "+path)
-	call.Payload = payload
-	err := c.invoke(ctx, call)
-	if err == nil && resp != nil && len(call.Reply) > 0 {
-		if derr := codec.UnmarshalJSON(call.Reply, resp); derr != nil {
-			err = fmt.Errorf("rest: decode %s %s: %w", method, path, derr)
-		}
+	b.WriteString("HTTP/1.1 ")
+	b.Write(strconv.AppendInt(b.AvailableBuffer(), int64(status), 10))
+	b.WriteByte(' ')
+	b.WriteString(http.StatusText(status))
+	b.WriteString("\r\n")
+	if r.json {
+		b.WriteString("Content-Type: application/json\r\n")
 	}
-	transport.ReleaseBuf(call.Reply)
-	transport.ReleaseCall(call)
+	r.header.WriteSubset(b, ownHeaders) //nolint:errcheck // a bytes.Buffer does not fail
+	bodyless := status < http.StatusOK || status == http.StatusNoContent || status == http.StatusNotModified
+	if !bodyless {
+		b.WriteString("Content-Length: ")
+		b.Write(strconv.AppendInt(b.AvailableBuffer(), int64(len(r.body)), 10))
+		b.WriteString("\r\n")
+	}
+	if closing {
+		b.WriteString("Connection: close\r\n")
+	}
+	b.WriteString("\r\n")
+	if !head && !bodyless {
+		b.Write(r.body)
+	}
+	_, err := c.nc.Write(b.Bytes())
+	if b.Reset(); b.Cap() > 64<<10 {
+		*b = bytes.Buffer{} // one large reply does not pin memory on an idle connection
+	}
+	transport.ReleaseBuf(r.body)
+	r.status, r.json, r.drained, r.body = 0, false, false, nil
+	clear(r.header)
 	return err
 }
 
-// exchangeCall is the terminal invoker: it stamps the deadline header and
-// performs the HTTP exchange, leaving the raw reply body in call.Reply.
-func (c *Client) exchangeCall(ctx context.Context, call *transport.Call) error {
-	method, path, _ := strings.Cut(call.Method, " ")
-	var body io.Reader
-	if call.Payload != nil {
-		body = bytes.NewReader(call.Payload)
-	}
-	hr, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
-	if err != nil {
-		return err
-	}
-	if call.Payload != nil {
-		hr.Header.Set("Content-Type", "application/json")
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		hr.Header[deadlineKey] = []string{transport.EncodeDeadline(dl)}
-	}
-	for k, v := range call.Headers {
-		hr.Header.Set(k, v)
-	}
-	res, err := c.hc.Do(hr)
-	if err != nil {
-		if ctx.Err() != nil {
-			return transport.WrapCode(transport.CodeDeadline, ctx.Err(), "rest: %s %s: %v", method, c.target+path, ctx.Err())
-		}
-		return fmt.Errorf("rest: %s %s: %w", method, c.target+path, err)
-	}
-	defer res.Body.Close()
-	if res.StatusCode == http.StatusNoContent {
-		call.Reply = nil
-		return nil
-	}
-	data, err := readBody(res.Body, res.ContentLength)
-	if errors.Is(err, errBodyTooLarge) {
-		return rpc.Errorf(rpc.CodeInternal, "%s %s: reply %v", method, path, err)
-	}
-	if err != nil {
-		return err
-	}
-	if res.StatusCode >= 400 {
-		defer transport.ReleaseBuf(data)
-		var eb errorBody
-		if json.Unmarshal(data, &eb) == nil && eb.Error != "" {
-			return &rpc.Error{Code: eb.Code, Msg: eb.Error}
-		}
-		return rpc.Errorf(rpc.CodeInternal, "%s %s: HTTP %d", method, path, res.StatusCode)
-	}
-	call.Reply = data // pooled; Do releases it once decoded
-	return nil
+// response collects what a handler — or the mux, for its own 404s, 405s and
+// redirects — answers, for the connection to write out whole.
+type response struct {
+	status  int
+	header  http.Header // made the first time it is asked for
+	json    bool        // Content-Type: application/json
+	drained bool        // the request's body was read to its end
+	body    []byte      // pooled
 }
 
-// Close releases idle connections.
-func (c *Client) Close() error {
-	c.hc.CloseIdleConnections()
-	return nil
+func (r *response) Header() http.Header {
+	if r.header == nil {
+		r.header = make(http.Header)
+	}
+	return r.header
+}
+
+func (r *response) WriteHeader(status int) {
+	if r.status == 0 {
+		r.status = status
+	}
+}
+
+func (r *response) Write(p []byte) (int, error) {
+	r.WriteHeader(http.StatusOK)
+	if r.body == nil {
+		r.body = transport.AcquireBuf(len(p))
+	}
+	r.body = append(r.body, p...)
+	return len(p), nil
+}
+
+// statusOf is the HTTP status an error code is answered with, 500 for the
+// rest. An admission shed is 429, not 503: the replica is healthy, and the
+// client should try elsewhere or back off.
+var statusOf = map[int]int{
+	rpc.CodeNotFound: http.StatusNotFound, rpc.CodeBadRequest: http.StatusBadRequest,
+	rpc.CodeUnauthorized: http.StatusUnauthorized, rpc.CodeUnavailable: http.StatusServiceUnavailable,
+	rpc.CodeConflict: http.StatusConflict, rpc.CodeDeadline: http.StatusGatewayTimeout,
+	rpc.CodeOverloaded: http.StatusTooManyRequests,
+}
+
+// fail answers err: its code as the HTTP status, and the JSON envelope the
+// client turns back into the coded error.
+func (r *response) fail(err error) {
+	code := rpc.ErrorCode(err)
+	msg := err.Error()
+	var e *rpc.Error
+	if errors.As(err, &e) {
+		msg = e.Msg
+	}
+	status, ok := statusOf[code]
+	if !ok {
+		status = http.StatusInternalServerError
+	}
+	data, _ := json.Marshal(errorBody{Code: code, Error: msg}) // an int and a string always encode
+	r.status, r.json = status, true
+	r.body = append(append(transport.AcquireBuf(len(data)+1), data...), '\n')
 }
 
 // DecodeJSON decodes a request body into v, returning a coded error on

@@ -1,13 +1,14 @@
 package rest
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"slices"
 	"strings"
 	"sync"
@@ -61,7 +62,6 @@ func startCatalogue(t testing.TB, n rpc.Network) (string, *Server) {
 		return nil, ctx.Err()
 	})
 	s.Handle("GET /headers", func(ctx *Ctx, body []byte) (any, error) {
-		ctx.SetReplyHeader("x-reply", "pong")
 		return map[string]string{"got": ctx.Header("x-req")}, nil
 	})
 	addr, err := s.Start(n, "127.0.0.1:0")
@@ -222,10 +222,12 @@ func BenchmarkRESTCallMem(b *testing.B) {
 	}
 }
 
-// countingNet counts the connections a server accepts and closes.
+// countingNet counts the connections a server accepts and closes, and the
+// bytes it reads from them.
 type countingNet struct {
 	rpc.Network
 	accepted, closed atomic.Int32
+	read             atomic.Int64
 }
 
 func (n *countingNet) Listen(addr string) (net.Listener, error) {
@@ -253,18 +255,22 @@ type countingConn struct {
 	once sync.Once
 }
 
+func (c *countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.n.read.Add(int64(n))
+	return n, err
+}
+
 func (c *countingConn) Close() error {
 	c.once.Do(func() { c.n.closed.Add(1) })
 	return c.Conn.Close()
 }
 
-// TestShutdownReapsIdleKeepAlive pins what net/http needs from the in-memory
-// connection beyond bytes: sequential requests reuse one keep-alive
-// connection (the server's between-request background read is aborted by a
-// past read deadline and re-armed by a zero one), and a graceful shutdown
-// closes that idle connection under its parked read instead of waiting out
-// the context.
-func TestShutdownReapsIdleKeepAlive(t *testing.T) {
+// TestCloseReapsIdleKeepAlive pins the two lifetimes of a server
+// connection: sequential requests ride one kept-alive connection, and Close
+// closes that idle connection under its parked read — returning at once,
+// not when the client hangs up — after which a request fails.
+func TestCloseReapsIdleKeepAlive(t *testing.T) {
 	n := &countingNet{Network: rpc.NewMem()}
 	addr, s := startCatalogue(t, n)
 	c := NewClient(n, "catalogue", addr)
@@ -281,16 +287,18 @@ func TestShutdownReapsIdleKeepAlive(t *testing.T) {
 		t.Fatalf("two sequential requests used %d connections, want 1 kept alive", a)
 	}
 
-	sctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-	defer cancel()
-	if err := s.hs.Shutdown(sctx); err != nil {
-		t.Fatalf("Shutdown with only an idle keep-alive conn open: %v", err)
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close waited on an idle keep-alive connection")
 	}
 	if cl := n.closed.Load(); cl != 1 {
-		t.Fatalf("Shutdown closed %d connections, want 1", cl)
+		t.Fatalf("Close closed %d connections, want 1", cl)
 	}
 	if err := c.Do(ctx, "GET", "/items/a", nil, &got); err == nil {
-		t.Fatal("request after Shutdown succeeded")
+		t.Fatal("request after Close succeeded")
 	}
 }
 
@@ -314,16 +322,29 @@ func TestBodyOverLimitIsACodedError(t *testing.T) {
 	}
 	defer s.Close()
 
-	// Request side, straight at the handler: a client racing the server's
-	// early 400 against its own 16 MiB upload may see either.
-	rec := httptest.NewRecorder()
-	s.mux.ServeHTTP(rec, httptest.NewRequest("POST", "/in", io.LimitReader(zeros{}, maxBody+1)))
-	var eb errorBody
-	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
+	// Request side: a declared length past the limit is refused before a
+	// byte of the body is read, and the connection — its unread body in the
+	// way of any next request — ends with the answer.
+	conn, err := n.Dial(addr)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Code != http.StatusBadRequest || eb.Code != rpc.CodeBadRequest || !strings.Contains(eb.Error, "exceeds") || handled {
-		t.Fatalf("oversize request: HTTP %d, %+v, handler ran: %v; want 400, CodeBadRequest naming the limit, no handler", rec.Code, eb, handled)
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST /in HTTP/1.1\r\nHost: big\r\nContent-Length: %d\r\n\r\n", maxBody+1)
+	br := bufio.NewReader(conn)
+	res, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eb errorBody
+	if err := json.NewDecoder(res.Body).Decode(&eb); err != nil {
+		t.Fatal(err)
+	}
+	if res.StatusCode != http.StatusBadRequest || eb.Code != rpc.CodeBadRequest || !strings.Contains(eb.Error, "exceeds") || handled {
+		t.Fatalf("oversize request: HTTP %d, %+v, handler ran: %v; want 400, CodeBadRequest naming the limit, no handler", res.StatusCode, eb, handled)
+	}
+	if !res.Close {
+		t.Fatal("oversize request: the connection stays open in front of an unread body")
 	}
 
 	c := NewClient(n, "big", addr)

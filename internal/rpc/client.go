@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
-	"time"
 
 	"dsb/internal/codec"
 	"dsb/internal/transport"
@@ -14,18 +12,14 @@ import (
 
 // Client issues RPCs to a single target address over pooled synchronous
 // connections, the way each DeathStarBench tier keeps persistent Thrift
-// connections to its downstream tiers: a call checks a connection out of the
-// client's idle stack (dialing when it is empty), writes its request, reads
-// its own reply on the calling goroutine and parks the connection again. A
-// connection carries one conversation at a time — a call, a one-way frame or
-// a stream — so nothing stands between caller and socket — no waiter, no
-// table of calls or streams in flight, and a reader goroutine only for as
-// long as a stream is open on it — and an edge holds as many connections as
-// its peak concurrency. A stream keeps its connection until it ends, and that
-// connection is closed, never parked. Outgoing
-// calls flow through a transport.Middleware chain — the same chain type the
-// REST client accepts — composed once at construction, so an unadorned
-// client pays nothing per call for the abstraction.
+// connections to its downstream tiers: the connections sit on a ConnStack,
+// and each carries one conversation at a time — a call, a one-way frame or a
+// stream — so there is no waiter, no table of calls or streams in flight, and
+// a reader goroutine only for as long as a stream is open. A stream keeps its
+// connection until it ends, and that connection is closed, never parked.
+// Outgoing calls flow through a transport.Middleware chain — the same chain
+// type the REST client accepts — composed once at construction, so an
+// unadorned client pays nothing per call for the abstraction.
 //
 // Requests travel as typed values (transport.Call.Body) all the way to the
 // connection writer, which marshals them straight into its write segment —
@@ -36,16 +30,10 @@ import (
 // including any hedged attempts still in flight (they share the value and
 // re-encode it at the wire).
 type Client struct {
-	network Network
-	addr    string
-	target  string // service name, for errors and tracing
-	mws     []transport.Middleware
-	invoke  transport.Invoker // composed chain ending in exchangeCall
-
-	mu     sync.Mutex
-	idle   []*conn            // parked connections; last in, first out
-	conns  map[*conn]struct{} // every open one, parked or checked out: Close's list
-	closed bool
+	target string // service name, for errors and tracing
+	mws    []transport.Middleware
+	invoke transport.Invoker // composed chain ending in exchangeCall
+	stack  *ConnStack[framing]
 }
 
 // ClientOption configures a Client.
@@ -66,7 +54,7 @@ func WithMiddleware(mws ...transport.Middleware) ClientOption {
 // NewClient creates a client for the target service at addr. Connections
 // are dialed lazily on first use.
 func NewClient(network Network, target, addr string, opts ...ClientOption) *Client {
-	c := &Client{network: network, addr: addr, target: target, conns: make(map[*conn]struct{})}
+	c := &Client{target: target, stack: NewConnStack(network, "rpc", target, addr, newFraming)}
 	for _, o := range opts {
 		o(c)
 	}
@@ -215,13 +203,13 @@ func (c *Client) openStream(ctx context.Context, call *transport.Call) error {
 	if err != nil {
 		return err
 	}
-	st := newStreamCore(cn.seq, cn.cw)
-	st.onTeardown = func() { c.drop(cn) }
+	st := newStreamCore(cn.State.seq, cn.State.cw)
+	st.onTeardown = func() { c.stack.drop(cn) }
 	stop := context.AfterFunc(ctx, func() {
 		st.cancelWith(CodeDeadline, "stream context done: "+ctx.Err().Error())
 	})
 	go func() {
-		st.teardown(errStreamConnLost(st.readFrom(cn.fr)))
+		st.teardown(errStreamConnLost(st.readFrom(cn.State.fr)))
 		stop()
 	}()
 	call.StreamBody = &clientStream{core: st}
@@ -252,7 +240,7 @@ func (c *Client) sendOneWay(call *transport.Call) error {
 	if err != nil {
 		return err
 	}
-	c.park(cn)
+	c.stack.park(cn)
 	return nil
 }
 
@@ -264,36 +252,13 @@ func (c *Client) exchange(ctx context.Context, call *transport.Call) error {
 	if err != nil {
 		return err
 	}
-	// The connection is this call's alone, so giving up on the read means
-	// failing it: a context that can end is tied to the read deadline.
-	var stop func() bool
-	if ctx.Done() != nil {
-		stop = context.AfterFunc(ctx, cn.interrupt)
-	}
-	reply, err := cn.readReply()
-	// A connection whose read failed may still be sent the reply, and one
-	// that was interrupted — even too late to matter to this call — carries
-	// a spent deadline: either is closed, never parked, so no later call can
-	// meet what this one left behind.
-	if err == nil && (stop == nil || stop()) {
-		c.park(cn)
-	} else {
-		c.drop(cn)
-	}
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return transport.WrapCode(CodeDeadline, cerr, "call %s.%s: %v", c.target, call.Method, cerr)
-		}
-		// The frame was delivered (the send succeeded), so resending it here
-		// could execute it twice — and against a parked long-poll handler
-		// would re-park until the deadline. Fail with a coded retryable
-		// error; the retry middleware, which owns the is-it-safe-to-retry
-		// budget, decides what to reissue. A peer that dropped this
-		// connection has most likely dropped them all, so the parked ones
-		// are closed too rather than left to fail one call each.
-		c.closeIdle()
-		return transport.Errorf(transport.CodeUnavailable,
-			"rpc: connection to %s lost with %s.%s in flight", c.target, c.target, call.Method)
+	var reply *frame
+	if err := c.stack.Await(ctx, cn, call.Method, func(cn *conn) (bool, error) {
+		var err error
+		reply, err = cn.State.readReply()
+		return err == nil, err
+	}); err != nil {
+		return err
 	}
 	if reply.kind == kindError {
 		err = &Error{Code: int(reply.code), Msg: string(reply.payload)}
@@ -305,36 +270,33 @@ func (c *Client) exchange(ctx context.Context, call *transport.Call) error {
 	return err
 }
 
-// conn is one pooled connection. Whoever holds it — the call or stream that
-// checked it out — is its only reader, so it needs no lock of its own (a
-// stream's concurrent writers meet in cw's).
-type conn struct {
-	nc  net.Conn
+// conn is one pooled connection of a Client.
+type conn = Conn[framing]
+
+// framing is a client connection's protocol state. The call or stream that
+// checked the connection out is its only reader, so it needs no lock of its
+// own (a stream's concurrent writers meet in cw's).
+type framing struct {
 	cw  *connWriter
 	fr  *frameReader
 	seq uint64 // of the frame last written
-	// interrupt fails the read a cancelled call is parked in. Built once, at
-	// the dial, so that arming it costs a call no closure of its own.
-	interrupt func()
 }
 
-func newConn(nc net.Conn) *conn {
-	return &conn{nc: nc, cw: newConnWriter(nc), fr: newFrameReader(nc), interrupt: func() {
-		_ = nc.SetReadDeadline(time.Unix(1, 0)) // on a closed conn the read has failed already
-	}}
+func newFraming(nc net.Conn) framing {
+	return framing{cw: newConnWriter(nc), fr: newFrameReader(nc)}
 }
 
 // readReply reads frames up to the reply to the request last written. With
 // one call per connection and interrupted connections closed, the next frame
 // is that reply; the sequence check is the second line of defence, and what
 // fails it is discarded as the late reply it would have to be.
-func (cn *conn) readReply() (*frame, error) {
+func (w *framing) readReply() (*frame, error) {
 	for {
-		f, err := cn.fr.read()
+		f, err := w.fr.read()
 		if err != nil {
 			return nil, err
 		}
-		if f.seq == cn.seq && (f.kind == kindReply || f.kind == kindError) {
+		if f.seq == w.seq && (f.kind == kindReply || f.kind == kindError) {
 			return f, nil
 		}
 		transport.ReleaseBuf(f.payload)
@@ -342,118 +304,28 @@ func (cn *conn) readReply() (*frame, error) {
 	}
 }
 
-// send checks a connection out, writes call on it as a frame of the given
-// kind and returns it still checked out. A write that fails provably never delivered the frame, so it costs
-// the caller nothing: parked connections that died while idle are discarded
-// one after another, and a fresh dial that was dead on arrival (the peer
-// accepted and crashed) is redialed once — all below the retry middleware,
-// free of its token budget.
+// send checks a connection out and writes call on it as a frame of the given
+// kind, returning it still checked out (see ConnStack.Send).
 func (c *Client) send(kind byte, call *transport.Call) (*conn, error) {
 	f := getFrame()
 	defer putFrame(f) // cw.write is synchronous: encoded (or rolled back) when it returns
 	f.kind, f.method, f.headers, f.payload, f.body = kind, call.Method, call.Headers, call.Payload, call.Body
-	for dials := 0; ; {
-		cn, dialed, err := c.checkOut()
-		if err != nil {
-			return nil, err
-		}
-		if dialed {
-			dials++
-		}
-		cn.seq++
-		f.seq = cn.seq
-		err = cn.cw.write(f)
-		if err == nil {
-			return cn, nil
-		}
-		if errors.Is(err, errEncode) {
-			// Serialization failure, not a transport failure: the frame was
-			// rolled back and the connection is healthy.
-			c.park(cn)
-			return nil, fmt.Errorf("rpc: marshal %s.%s: %w", c.target, f.method, err)
-		}
-		c.drop(cn)
-		if dials >= 2 {
-			return nil, fmt.Errorf("rpc: send to %s: %w", c.target, err)
-		}
+	cn, err := c.stack.Send(func(cn *conn) error {
+		cn.State.seq++
+		f.seq = cn.State.seq
+		return cn.State.cw.write(f)
+	})
+	if errors.Is(err, errEncode) {
+		// Serialization failure, not a transport failure: the frame was
+		// rolled back and the connection is healthy.
+		return nil, fmt.Errorf("rpc: marshal %s.%s: %w", c.target, f.method, err)
 	}
-}
-
-var errClientClosed = errors.New("rpc: client closed")
-
-// checkOut pops the most recently parked connection, or dials one when none
-// is idle — outside the client lock: a slow dial must not hold up callers
-// that have a connection waiting.
-func (c *Client) checkOut() (cn *conn, dialed bool, err error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, false, errClientClosed
-	}
-	if n := len(c.idle); n > 0 {
-		cn, c.idle[n-1] = c.idle[n-1], nil
-		c.idle = c.idle[:n-1]
-		c.mu.Unlock()
-		return cn, false, nil
-	}
-	c.mu.Unlock()
-
-	nc, err := c.network.Dial(c.addr)
-	if err != nil {
-		return nil, false, fmt.Errorf("rpc: dial %s (%s): %w", c.target, c.addr, err)
-	}
-	cn = newConn(nc)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		nc.Close()
-		return nil, false, errClientClosed
-	}
-	c.conns[cn] = struct{}{}
-	return cn, true, nil
-}
-
-// park returns a healthy connection to the idle stack.
-func (c *Client) park(cn *conn) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.closed { // else Close has closed it already
-		c.idle = append(c.idle, cn)
-	}
-}
-
-// drop closes a checked-out connection for good.
-func (c *Client) drop(cn *conn) {
-	cn.nc.Close()
-	c.mu.Lock()
-	delete(c.conns, cn)
-	c.mu.Unlock()
-}
-
-// closeIdle closes every parked connection.
-func (c *Client) closeIdle() {
-	c.mu.Lock()
-	idle := c.idle
-	c.idle = nil
-	for _, cn := range idle {
-		delete(c.conns, cn)
-	}
-	c.mu.Unlock()
-	for _, cn := range idle {
-		cn.nc.Close()
-	}
+	return cn, err
 }
 
 // Close tears down every connection: parked ones close, calls in flight
 // fail at their read, open streams end when their readers do.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	c.closed = true
-	conns := c.conns
-	c.conns, c.idle = nil, nil
-	c.mu.Unlock()
-	for cn := range conns {
-		cn.nc.Close()
-	}
+	c.stack.Close()
 	return nil
 }

@@ -106,9 +106,9 @@ func (g *connGrabber) dialed(t *testing.T, want int) []net.Conn {
 
 // idleConns counts the parked connections.
 func (c *Client) idleConns() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.idle)
+	c.stack.mu.Lock()
+	defer c.stack.mu.Unlock()
+	return len(c.stack.idle)
 }
 
 // TestConcurrentFailAndSend races calls against Client.Close on a server
@@ -154,9 +154,7 @@ func TestConcurrentFailAndSend(t *testing.T) {
 	if _, err := c.CallRaw(context.Background(), "Echo", nil); !errors.Is(err, errClientClosed) {
 		t.Fatalf("call after Close: %v, want %v", err, errClientClosed)
 	}
-	c.mu.Lock()
-	open, idle := len(c.conns), len(c.idle)
-	c.mu.Unlock()
+	open, idle := c.openConns(), c.idleConns()
 	if open != 0 || idle != 0 {
 		t.Fatalf("after Close the client holds %d connections (%d parked), want none", open, idle)
 	}

@@ -59,8 +59,8 @@ func FuzzFrameReader(f *testing.F) {
 			putFrame(got)
 		}
 
-		cn := &conn{fr: newFrameReader(bytes.NewReader(wire)), seq: seq}
-		if reply, err := cn.readReply(); err == nil {
+		w := &framing{fr: newFrameReader(bytes.NewReader(wire)), seq: seq}
+		if reply, err := w.readReply(); err == nil {
 			if reply.seq != seq || (reply.kind != kindReply && reply.kind != kindError) {
 				t.Fatalf("call %d was handed frame kind %d seq %d", seq, reply.kind, reply.seq)
 			}
@@ -159,7 +159,6 @@ func FuzzStreamConn(f *testing.F) {
 		wire, _ := scriptWire(t, script, false)
 		peer, conn := newMemConnPair("fuzz")
 		served, unwound := make(chan struct{}), make(chan struct{})
-		s.wg.Add(1)
 		go func() { s.serveConn(conn); close(served) }()
 		go io.Copy(io.Discard, peer) //nolint:errcheck // replies to the script's requests
 		peer.Write(wire)             //nolint:errcheck // fails where the server hung up on a second conversation

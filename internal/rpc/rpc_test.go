@@ -250,7 +250,6 @@ func TestInterceptorsOrderAndHeaders(t *testing.T) {
 		if ctx.Header("tag") != "v" {
 			return nil, Errorf(CodeBadRequest, "missing header")
 		}
-		ctx.SetReplyHeader("echoed", ctx.Header("tag"))
 		return next(ctx, payload)
 	})
 	s.Handle("M", func(ctx *Ctx, payload []byte) ([]byte, error) {

@@ -36,9 +36,6 @@ type Ctx struct {
 	Service string
 	// Headers are the request headers (trace context, deadline).
 	Headers map[string]string
-	// ReplyHeaders, if populated by the handler or an interceptor, are sent
-	// back with the response.
-	ReplyHeaders map[string]string
 
 	// replyBuf is the pooled buffer behind the reply payload (PooledReply,
 	// OwnReply), recycled by the dispatcher once the reply frame is written.
@@ -98,11 +95,9 @@ type Server struct {
 	handlers     map[string]Handler
 	streams      map[string]StreamHandler
 	interceptors []ServerInterceptor
-	listeners    []net.Listener
-	conns        map[net.Conn]struct{}
-	closed       bool
-	wg           sync.WaitGroup
-	sem          chan struct{} // nil = unlimited concurrency
+	acc          Acceptor
+	wg           sync.WaitGroup // one per one-way frame and stream in flight
+	sem          chan struct{}  // nil = unlimited concurrency
 	hung         atomic.Bool
 	onClose      []func()
 	oneways      chan *frame
@@ -130,7 +125,6 @@ func NewServer(service string) *Server {
 		service:  service,
 		handlers: make(map[string]Handler),
 		streams:  make(map[string]StreamHandler),
-		conns:    make(map[net.Conn]struct{}),
 		oneways:  make(chan *frame),
 	}
 }
@@ -176,7 +170,7 @@ func (s *Server) Hang() { s.hung.Store(true) }
 // that went silent end, and clients redial.
 func (s *Server) Resume() {
 	s.hung.Store(false)
-	s.closeConns()
+	s.acc.closeConns()
 }
 
 // OnClose registers a hook that runs during Close, after the server stops
@@ -235,37 +229,7 @@ func (s *Server) HandleStream(method string, h StreamHandler) {
 // Serve accepts connections on l until the listener or server is closed.
 // It returns after the accept loop exits; in-flight requests drain in the
 // background and are waited on by Close.
-func (s *Server) Serve(l net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		// Close raced ahead of us and never saw this listener; shut it
-		// down here or dials to its address would block forever.
-		l.Close()
-		return errors.New("rpc: server closed")
-	}
-	s.listeners = append(s.listeners, l)
-	s.mu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
+func (s *Server) Serve(l net.Listener) error { return s.acc.Serve(l, s.serveConn) }
 
 // Start listens on addr on the given network and serves in a background
 // goroutine, returning the bound address (useful with TCP port 0).
@@ -281,22 +245,16 @@ func (s *Server) Start(network Network, addr string) (string, error) {
 // Close stops accepting, closes all connections, and waits for in-flight
 // handlers to finish.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if !s.acc.Shut() { // Serve admits no connection from here on
 		return nil
 	}
-	s.closed = true // Serve admits no connection from here on
-	ls := s.listeners
+	s.mu.Lock()
 	hooks := s.onClose
 	s.mu.Unlock()
-	for _, l := range ls {
-		l.Close()
-	}
-	s.closeConns()
 	for _, fn := range hooks {
 		fn()
 	}
+	s.acc.Wait()
 	s.wg.Wait()
 	// All read loops have exited and all dispatches drained, so nothing can
 	// enqueue anymore; closing the channel retires the parked workers.
@@ -304,21 +262,7 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// closeConns closes every open connection; each one's serveConn unwinds.
-func (s *Server) closeConns() {
-	s.mu.Lock()
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
-}
-
 func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
 	// A connection carries one conversation at a time: calls one after
 	// another, or — once a stream opens on it — that stream alone until the
 	// connection closes.
@@ -331,10 +275,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			// a stream parked mid-window.
 			stream.core.teardown(Errorf(CodeUnavailable, "%s: connection closed", s.service))
 		}
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		conn.Close()
 	}()
 	fr := newFrameReader(conn)
 	fr.methods = &s.methodNames
@@ -500,7 +440,7 @@ func (s *Server) dispatch(conn net.Conn, cw *connWriter, f *frame) {
 	}
 
 	out := getFrame()
-	out.seq, out.headers = f.seq, ctx.ReplyHeaders
+	out.seq = f.seq
 	if err != nil {
 		out.kind = kindError
 		out.code = int64(ErrorCode(err))

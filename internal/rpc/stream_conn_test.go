@@ -21,16 +21,16 @@ import (
 
 // serverConns counts the connections s is serving.
 func serverConns(s *Server) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.conns)
+	s.acc.mu.Lock()
+	defer s.acc.mu.Unlock()
+	return len(s.acc.conns)
 }
 
 // openConns counts the client's connections, parked or checked out.
 func (c *Client) openConns() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.conns)
+	c.stack.mu.Lock()
+	defer c.stack.mu.Unlock()
+	return len(c.stack.conns)
 }
 
 // mustBeClosed fails the test unless this end of conn has been closed. (It

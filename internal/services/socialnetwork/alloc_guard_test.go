@@ -10,14 +10,16 @@ import (
 )
 
 // timelinePageBudget is the pinned object count of one warmed timeline page
-// (see TestTimelinePageAllocGuard).
-const timelinePageBudget = 575
+// (see TestTimelinePageAllocGuard), 176 measured.
+const timelinePageBudget = 193
 
 // TestTimelinePageAllocGuard pins what one warmed GET /timeline/{user} — a
 // 20-post page, empty block list, every id and post a cache hit — allocates
 // end to end over rpc.Mem: the REST exchange, the eight inter-tier hops and
-// the places the page is still materialised — readTimeline (it filters by
-// author), the front end (wire to JSON) and the caller's []Post.
+// the one place the page is still materialised, the caller's []Post. Between
+// the post cache and the caller the page travels as bytes: postStorage and
+// readPost forward it, readTimeline drops blocked authors' posts from it
+// without decoding it, and the front end transcodes it to JSON.
 func TestTimelinePageAllocGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; budget pinned by the non-race run in make alloc-guard")

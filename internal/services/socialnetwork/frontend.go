@@ -3,9 +3,11 @@ package socialnetwork
 import (
 	"encoding/base64"
 
+	"dsb/internal/codec"
 	"dsb/internal/rest"
 	"dsb/internal/rpc"
 	"dsb/internal/svcutil"
+	"dsb/internal/transport"
 )
 
 // REST request/response bodies for the front door. Media attachments are
@@ -47,7 +49,7 @@ type FavoriteBody struct {
 // frontendDeps are the tiers the front door fans out to.
 type frontendDeps struct {
 	compose      svcutil.Caller
-	readTimeline svcutil.Caller
+	readTimeline svcutil.RawCaller
 	readPost     svcutil.Caller
 	user         svcutil.Caller
 	graph        svcutil.Caller
@@ -124,13 +126,24 @@ func registerFrontend(srv *rest.Server, d frontendDeps) {
 		return resp.Post, nil
 	})
 
+	// A page goes from readTimeline's wire bytes straight into the JSON array
+	// the caller gets, never decoded into Posts on the way.
 	srv.Handle("GET /timeline/{user}", func(ctx *rest.Ctx, body []byte) (any, error) {
-		var resp ReadTimelineResp
-		err := d.readTimeline.Call(ctx, "Read", ReadTimelineReq{User: ctx.PathValue("user"), Limit: 20}, &resp)
+		call := transport.AcquireCall(d.readTimeline.Target(), "Read")
+		call.Body = &ReadTimelineReq{User: ctx.PathValue("user"), Limit: 20}
+		err := d.readTimeline.Invoke(ctx, call)
+		page := call.Reply
+		transport.ReleaseCall(call)
 		if err != nil {
 			return nil, err
 		}
-		return resp.Posts, nil
+		defer transport.ReleaseBuf(page)
+		out, err := timelineJSON(transport.AcquireBuf(2*len(page)), page)
+		if err != nil {
+			transport.ReleaseBuf(out)
+			return nil, rpc.Errorf(rpc.CodeInternal, "timeline page from readTimeline: %v", err)
+		}
+		return ctx.OwnReply(out), nil
 	})
 
 	srv.Handle("GET /posts/{id}", func(ctx *rest.Ctx, body []byte) (any, error) {
@@ -215,4 +228,18 @@ func registerFrontend(srv *rest.Server, d frontendDeps) {
 		}
 		return resp, nil
 	})
+}
+
+// timelineJSON appends the posts of a ReadTimelineResp wire encoding as the
+// JSON array the front door answers with; the Degraded flag after them is
+// not part of the answer.
+func timelineJSON(b, page []byte) ([]byte, error) {
+	b, rest, err := codec.AppendWireJSONList[Post](b, page)
+	if err == nil {
+		_, rest, err = codec.DecBool(rest)
+	}
+	if err == nil && len(rest) != 0 {
+		err = codec.ErrTrailingBytes
+	}
+	return b, err
 }

@@ -119,7 +119,7 @@ func registerPostStorage(srv *rpc.Server, db svcutil.DB, mc svcutil.KV, noCoales
 		// The count is written for a full page and corrected below if the
 		// store no longer has some of the posts.
 		reply := codec.AppendLen(transport.AcquireBuf(0), len(keys))
-		head, found := len(reply), 0
+		head, found := len(reply), 0 // the list's elements start at head
 		for _, key := range keys {
 			if raw, ok := hits[key]; ok {
 				if codec.Valid[Post](raw) == nil {
@@ -142,12 +142,7 @@ func registerPostStorage(srv *rpc.Server, db svcutil.DB, mc svcutil.KV, noCoales
 				return nil, err
 			}
 		}
-		if found != len(keys) {
-			var count [binary.MaxVarintLen64]byte
-			n := copy(reply[:head], codec.AppendLen(count[:0], found)) // never wider than the full page's
-			reply = append(reply[:n], reply[head:]...)
-		}
-		return ctx.OwnReply(reply), nil
+		return ctx.OwnReply(recount(reply, head, found)), nil
 	})
 
 	svcutil.Handle(srv, "AuthorPosts", func(ctx *rpc.Ctx, req *InfoReq) (*ReadPostsResp, error) {
@@ -165,6 +160,17 @@ func registerPostStorage(srv *rpc.Server, db svcutil.DB, mc svcutil.KV, noCoales
 		}
 		return &ReadPostsResp{Posts: out}, nil
 	})
+}
+
+// recount rewrites the count that opens list as n — its elements start at
+// head, after the count of a list at least as long — moving them up when n
+// takes fewer bytes.
+func recount(list []byte, head, n int) []byte {
+	var count [binary.MaxVarintLen64]byte
+	if w := copy(list, codec.AppendLen(count[:0], n)); w < head {
+		return append(list[:w], list[head:]...)
+	}
+	return list
 }
 
 // postKeys decodes a ReadPostsReq — on the wire, its IDs: a count, then each

@@ -255,7 +255,7 @@ func New(app *core.App, cfg Config) (*SocialNetwork, error) {
 		registerReadTimeline(s,
 			db("readTimeline", "db-timeline"),
 			mc("readTimeline", "mc-timeline"),
-			cl("readTimeline", "readPost"), cl("readTimeline", "blockedUsers"),
+			cl("readTimeline", "readPost").(svcutil.RawCaller), cl("readTimeline", "blockedUsers"),
 			degrade, cfg.DisableCoalescing)
 	})
 	for i := 0; i < cfg.SearchShards; i++ {
@@ -296,7 +296,7 @@ func New(app *core.App, cfg Config) (*SocialNetwork, error) {
 	if _, err := app.StartREST("social.frontend", func(s *rest.Server) {
 		registerFrontend(s, frontendDeps{
 			compose:      cl("frontend", "composePost"),
-			readTimeline: cl("frontend", "readTimeline"),
+			readTimeline: cl("frontend", "readTimeline").(svcutil.RawCaller),
 			readPost:     cl("frontend", "readPost"),
 			user:         cl("frontend", "user"),
 			graph:        cl("frontend", "socialGraph"),

@@ -1,6 +1,7 @@
 package socialnetwork
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"dsb/internal/mq"
 	"dsb/internal/rpc"
 	"dsb/internal/svcutil"
+	"dsb/internal/transport"
 )
 
 // AppendTimelineReq broadcasts a new post to its audience.
@@ -111,7 +113,14 @@ func registerWriteTimeline(srv *rpc.Server, graph svcutil.Caller, db svcutil.DB,
 // downgrade the response instead of failing it: a dead readPost tier is
 // bridged by the last successfully hydrated timeline ("tlp:" cache), and
 // an unreachable blockedUsers tier skips filtering — both marked Degraded.
-func registerReadTimeline(srv *rpc.Server, db svcutil.DB, mc svcutil.KV, readPost, blocked svcutil.Caller, degrade, noCoalesce bool) {
+//
+// The page is never decoded here. readPost's reply is a []Post encoding, and
+// so is the Posts field that opens a ReadTimelineResp, so the reply is
+// readPost's bytes less the posts of blocked authors, then the Degraded flag:
+// byte for byte the typed encoding. The stale "tlp:" entry is the same list
+// bytes, stored as they are and served as they are once codec.Valid passes
+// them, so both degrade modes take this one path.
+func registerReadTimeline(srv *rpc.Server, db svcutil.DB, mc svcutil.KV, readPost svcutil.RawCaller, blocked svcutil.Caller, degrade, noCoalesce bool) {
 	idsPath := &svcutil.ReadPath[[]string]{
 		MC:         mc,
 		TTL:        timelineCacheTTL,
@@ -135,7 +144,11 @@ func registerReadTimeline(srv *rpc.Server, db svcutil.DB, mc svcutil.KV, readPos
 			return ids, doc.Body, true, nil
 		},
 	}
-	svcutil.Handle(srv, "Read", func(ctx *rpc.Ctx, req *ReadTimelineReq) (*ReadTimelineResp, error) {
+	srv.Handle("Read", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
+		var req ReadTimelineReq
+		if err := codec.Unmarshal(payload, &req); err != nil {
+			return nil, rpc.Errorf(rpc.CodeBadRequest, "%s.Read: decode: %v", ctx.Service, err)
+		}
 		if req.User == "" {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "readTimeline: user required")
 		}
@@ -150,29 +163,28 @@ func registerReadTimeline(srv *rpc.Server, db svcutil.DB, mc svcutil.KV, readPos
 		if len(ids) > limit {
 			ids = ids[:limit]
 		}
+		reply := transport.AcquireBuf(0)
 		if len(ids) == 0 {
-			return &ReadTimelineResp{}, nil
+			return ctx.OwnReply(codec.AppendBool(codec.AppendLen(reply, 0), false)), nil
 		}
-		staleKey := "tlp:" + req.User
-		var posts ReadPostsResp
-		if err := callBounded(ctx, degrade, readPost, "Read", ReadPostsReq{IDs: ids}, &posts); err != nil {
-			if !degrade {
-				return nil, err
-			}
+		page, err := readPage(ctx, degrade, readPost, ids)
+		if err != nil {
 			// Hydration tier down: serve the last good timeline from the
 			// stale-posts cache rather than erroring the whole read.
-			if v, found, cerr := mc.Get(ctx, staleKey); cerr == nil && found {
-				var stale []Post
-				if codec.Unmarshal(v, &stale) == nil {
-					return &ReadTimelineResp{Posts: stale, Degraded: true}, nil
+			if degrade {
+				if v, found, cerr := mc.Get(ctx, "tlp:"+req.User); cerr == nil && found && codec.Valid[[]Post](v) == nil {
+					return ctx.OwnReply(codec.AppendBool(append(reply, v...), true)), nil
 				}
 			}
+			transport.ReleaseBuf(reply)
 			return nil, err
 		}
+		defer transport.ReleaseBuf(page)
 		degraded := false
 		var bl BlockedListResp
 		if err := callBounded(ctx, degrade, blocked, "List", BlockedListReq{User: req.User}, &bl); err != nil {
 			if !degrade {
+				transport.ReleaseBuf(reply)
 				return nil, err
 			}
 			// Block list unreachable: an unfiltered timeline beats no
@@ -180,25 +192,74 @@ func registerReadTimeline(srv *rpc.Server, db svcutil.DB, mc svcutil.KV, readPos
 			degraded = true
 			bl.Users = nil
 		}
-		out := posts.Posts
-		if len(bl.Users) > 0 {
-			blockedSet := make(map[string]bool, len(bl.Users))
-			for _, u := range bl.Users {
-				blockedSet[u] = true
-			}
-			out = posts.Posts[:0]
-			for _, p := range posts.Posts {
-				if !blockedSet[p.Author] {
-					out = append(out, p)
-				}
-			}
+		if reply, err = filterPage(reply, page, bl.Users); err != nil {
+			transport.ReleaseBuf(reply)
+			return nil, rpc.Errorf(rpc.CodeInternal, "readTimeline: page from readPost: %v", err)
 		}
 		if degrade && !degraded {
-			// Only fully assembled timelines become the stale fallback.
-			if body, err := codec.Marshal(out); err == nil {
-				mc.Set(ctx, staleKey, body, staleTimelineTTL) //nolint:errcheck // best-effort
-			}
+			// Only fully assembled timelines become the stale fallback. The
+			// reply buffer is recycled once it is sent; the cache gets a copy.
+			mc.Set(ctx, "tlp:"+req.User, bytes.Clone(reply), staleTimelineTTL) //nolint:errcheck // best-effort
 		}
-		return &ReadTimelineResp{Posts: out, Degraded: degraded}, nil
+		return ctx.OwnReply(codec.AppendBool(reply, degraded)), nil
 	})
+}
+
+// readPage asks readPost for the posts of ids and returns its reply as it
+// came: a pooled []Post encoding for the caller to release. A read that may
+// degrade gives the hop the non-critical budget.
+func readPage(ctx context.Context, degrade bool, readPost svcutil.RawCaller, ids []string) ([]byte, error) {
+	if degrade {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, svcutil.NonCriticalBudget)
+		defer cancel()
+	}
+	call := transport.AcquireCall(readPost.Target(), "Read")
+	call.Body = &ReadPostsReq{IDs: ids}
+	err := readPost.Invoke(ctx, call)
+	page := call.Reply
+	transport.ReleaseCall(call)
+	return page, err
+}
+
+// filterPage appends to reply the []Post encoding page less the posts whose
+// author is blocked, each kept post's bytes as they are. Of a post only the
+// author is read, and it is looked up without being made a string.
+func filterPage(reply, page []byte, blocked []string) ([]byte, error) {
+	var drop map[string]bool
+	if len(blocked) > 0 {
+		drop = make(map[string]bool, len(blocked))
+		for _, u := range blocked {
+			drop[u] = true
+		}
+	}
+	n, rest, err := codec.DecLen(page)
+	if err != nil {
+		return reply, err
+	}
+	reply = codec.AppendLen(reply, n) // rewritten below if a post is dropped
+	start, kept := len(reply), 0
+	for i := 0; i < n; i++ {
+		post := rest
+		if rest, err = codec.Skip[Post](post); err != nil {
+			return reply, err
+		}
+		if drop != nil && drop[string(postAuthor(post))] {
+			continue
+		}
+		reply = append(reply, post[:len(post)-len(rest)]...)
+		kept++
+	}
+	if len(rest) != 0 {
+		return reply, codec.ErrTrailingBytes
+	}
+	return recount(reply, start, kept), nil
+}
+
+// postAuthor returns the author of the valid Post encoding that starts b —
+// its second field, after the ID — as b's own bytes.
+func postAuthor(b []byte) []byte {
+	_, rest, _ := codec.DecStringBytes(b)
+	author, _, _ := codec.DecStringBytes(rest)
+	return author
 }

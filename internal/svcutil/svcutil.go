@@ -24,6 +24,15 @@ import (
 // historical import path working.
 type Caller = transport.Caller
 
+// RawCaller is a Caller that also runs a caller-built transport.Call through
+// its middleware chain — wire bytes in, the pooled reply out — for a tier
+// that forwards or splices encodings instead of decoding them. *rpc.Client
+// and *lb.Balanced are RawCallers.
+type RawCaller interface {
+	Caller
+	Invoke(ctx context.Context, call *transport.Call) error
+}
+
 // RPCStarter is the slice of core.App that boots replicas; declared here so
 // svcutil does not import the composition root.
 type RPCStarter interface {
@@ -94,12 +103,10 @@ func Handle[Req, Resp any](srv *rpc.Server, method string, fn func(ctx *rpc.Ctx,
 // propagation, retries and hedges see it as they see a typed call, and a
 // coded downstream error reaches the caller with its code.
 //
-// down must expose the Invoke surface (*rpc.Client and *lb.Balanced do); a
-// Caller that does not is a wiring bug, reported at registration.
+// down must be a RawCaller; a Caller that is not is a wiring bug, reported
+// at registration.
 func Relay(srv *rpc.Server, method string, down Caller, downMethod string) {
-	inv, ok := down.(interface {
-		Invoke(ctx context.Context, call *transport.Call) error
-	})
+	inv, ok := down.(RawCaller)
 	if !ok {
 		panic(fmt.Sprintf("svcutil: relay %s.%s: %T has no Invoke", srv.Service(), method, down))
 	}
