@@ -1,24 +1,21 @@
 package dsb_test
 
 // Ablation benchmarks for the design choices DESIGN.md calls out: the
-// hand-rolled wire codec vs stdlib encoders, connection pooling, load
-// balancing policies, tracing overhead on the live stack, and the
-// simulator's provisioning (balanced vs naive).
+// hand-rolled wire codec vs stdlib encoders, connection pooling, tracing
+// overhead on the live stack, and the simulator's provisioning (balanced vs
+// naive).
 
 import (
 	"bytes"
 	"context"
 	"encoding/gob"
 	"encoding/json"
-	"fmt"
 	"testing"
 	"time"
 
 	"dsb/internal/codec"
 	"dsb/internal/core"
 	"dsb/internal/graph"
-	"dsb/internal/lb"
-	"dsb/internal/rpc"
 	"dsb/internal/services/socialnetwork"
 	"dsb/internal/sim"
 )
@@ -87,41 +84,6 @@ func BenchmarkAblationCodec(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAblationLBPolicy compares balancing policies over 4 backends.
-func BenchmarkAblationLBPolicy(b *testing.B) {
-	policies := map[string]func() lb.Policy{
-		"roundrobin": func() lb.Policy { return &lb.RoundRobin{} },
-		"leastconn":  func() lb.Policy { return lb.LeastConn{} },
-		"p2c":        func() lb.Policy { return lb.NewPowerOfTwo(1) },
-	}
-	for name, mk := range policies {
-		b.Run(name, func(b *testing.B) {
-			n := rpc.NewMem()
-			addrs := make([]string, 4)
-			for i := range addrs {
-				s := rpc.NewServer("echo")
-				s.Handle("Echo", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) { return payload, nil })
-				addr, err := s.Start(n, fmt.Sprintf("echo-%s-%d:0", name, i))
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.Cleanup(func() { s.Close() })
-				addrs[i] = addr
-			}
-			bal := lb.New(n, "echo", addrs, mk())
-			defer bal.Close()
-			b.ReportAllocs()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if err := bal.Call(context.Background(), "Echo", int64(1), new(int64)); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
-	}
 }
 
 // BenchmarkAblationTracing measures the distributed tracer's overhead on a

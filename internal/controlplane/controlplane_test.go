@@ -478,10 +478,9 @@ func TestOverloadRoundTripOverREST(t *testing.T) {
 		defer srv.Close()
 
 		var stats transport.Stats
-		breakerMW, probe := transport.BreakerWithProbe(transport.BreakerConfig{Failures: 1})
 		cl := rest.NewClient(n, "svc", addr, rest.WithMiddleware(
 			transport.Retry(transport.RetryConfig{Attempts: 3, Stats: &stats}),
-			breakerMW,
+			transport.Breaker(transport.BreakerConfig{Failures: 1, Stats: &stats}),
 		))
 		defer cl.Close()
 
@@ -531,8 +530,8 @@ func TestOverloadRoundTripOverREST(t *testing.T) {
 		}
 		// ...and none of them counted as a breaker failure (Failures: 1 would
 		// have tripped on the first one).
-		if state := probe(); state != "closed" {
-			t.Fatalf("breaker %s after %d sheds, want closed (sheds are healthy)", state, shedCalls)
+		if got := stats.BreakerOpened.Value(); got != 0 {
+			t.Fatalf("breaker opened %d times after %d sheds, want closed (sheds are healthy)", got, shedCalls)
 		}
 
 		close(release)

@@ -342,79 +342,68 @@ func (a *App) faultMW(caller string) []transport.Middleware {
 }
 
 // RPC returns a load-balanced, traced client from caller to every live
-// instance of target. The backend set follows registry changes, so scaling
+// instance of target. The replica set follows registry changes, so scaling
 // target out or in — or losing a replica to lease expiry — redirects
-// traffic without rewiring. The client's middleware chain composes,
-// outermost first: tracing, app-wide client middleware, fault injection
-// (when the network carries it), extra (per-wire middleware from the
-// service config), and — when Options.Resilience is set — the
-// deadline-budget → retry → hedge stack, with a circuit breaker per backend
-// replica underneath.
+// traffic without rewiring. The client's middleware chain composes around
+// the round-robin pick, outermost first: tracing, app-wide client
+// middleware, fault injection (when the network carries it), extra
+// (per-wire middleware from the service config), and — when
+// Options.Resilience is set — the deadline-budget → retry → hedge stack,
+// with a circuit breaker per replica underneath the pick.
 func (a *App) RPC(caller, target string, extra ...transport.Middleware) (*lb.Balanced, error) {
-	addrs, err := a.Registry.MustLookup(target)
+	mws, router, err := a.replicaSet(caller, target, false, extra)
 	if err != nil {
 		return nil, err
 	}
-	var mws []transport.Middleware
-	if a.Tracer != nil {
-		mws = append(mws, trace.ClientMiddleware(a.Tracer, caller))
-	}
-	mws = append(mws, a.clientMW...)
-	mws = append(mws, a.faultMW(caller)...)
-	mws = append(mws, extra...)
-	opts := []lb.Option{}
-	if a.Resilience != nil {
-		mws = append(mws, a.Resilience.Stack()...)
-		// One breaker per replica, with a probe of its state.
-		opts = append(opts, lb.WithBackendInstrument(a.Resilience.InstrumentedBackendFactory()))
-	}
-	if len(mws) > 0 {
-		opts = append(opts, lb.WithMiddleware(mws...))
-	}
-	bal := lb.New(a.clientNet(caller), target, addrs, &lb.RoundRobin{}, opts...)
-	stop := make(chan struct{})
-	go bal.FollowRegistry(a.Registry, stop)
-	a.track(closerFunc(func() error {
-		close(stop)
-		return bal.Close()
-	}))
-	return bal, nil
+	return lb.Over(router, mws...), nil
 }
 
 // ShardedRPC returns a shard router from caller to the sharded service
 // target, for tiers whose replicas were started with StartRPCShard. It is
-// the stateful-tier sibling of RPC: the same middleware composition, but
-// routing is by key rather than round-robin, and two layers move to
-// per-replica positions. The circuit breaker (from Options.Resilience)
-// instruments each replica individually, exactly as on the balanced path;
-// fault injection moves *inside* the breaker — on a sharded tier a fault
-// targets one replica address, and the breaker must time the injected
-// slowness to eject that replica, not have the fault layer hide above it
-// where every sibling would appear slow. Membership follows the registry,
-// so lease eviction of a replica or a whole shard re-forms the ring.
+// the stateful-tier sibling of RPC: the same replica set and middleware,
+// but routing is by key rather than round-robin, so the whole chain runs
+// per replica, and fault injection moves *inside* the breaker — on a
+// sharded tier a fault targets one replica address, and the breaker must
+// time the injected slowness to eject that replica, not have the fault
+// layer hide above it where every sibling would appear slow. Membership
+// follows the registry, so lease eviction of a replica or a whole shard
+// re-forms the ring.
 func (a *App) ShardedRPC(caller, target string, extra ...transport.Middleware) (*shard.Router, error) {
+	_, router, err := a.replicaSet(caller, target, true, extra)
+	return router, err
+}
+
+// replicaSet builds the registry-following shard.Router every client from
+// caller to target runs on, and the per-target chain RPC wraps around its
+// pick. Outermost first, the chain is tracing, app-wide client middleware,
+// fault injection, extra, and the resilience stack; under it each replica
+// runs its own circuit breaker. A sharded router runs the chain per
+// replica instead, with fault injection moved under the breaker.
+func (a *App) replicaSet(caller, target string, sharded bool, extra []transport.Middleware) ([]transport.Middleware, *shard.Router, error) {
 	instances := a.Registry.Instances(target)
 	if len(instances) == 0 {
-		return nil, fmt.Errorf("registry: no instances of %q", target)
+		return nil, nil, fmt.Errorf("registry: no instances of %q", target)
 	}
 	var mws []transport.Middleware
 	if a.Tracer != nil {
 		mws = append(mws, trace.ClientMiddleware(a.Tracer, caller))
 	}
 	mws = append(mws, a.clientMW...)
+	fault := a.faultMW(caller)
+	if !sharded {
+		mws = append(mws, fault...)
+	}
 	mws = append(mws, extra...)
-	opts := []shard.Option{}
-	if a.Resilience != nil {
-		mws = append(mws, a.Resilience.Stack()...)
-		opts = append(opts, shard.WithReplicaInstrument(a.Resilience.InstrumentedBackendFactory()))
-	}
-	if fmws := a.faultMW(caller); len(fmws) > 0 {
-		opts = append(opts, shard.WithReplicaMiddleware(func(string) []transport.Middleware {
-			return fmws
-		}))
-	}
-	if len(mws) > 0 {
-		opts = append(opts, shard.WithMiddleware(mws...))
+	mws = append(mws, a.Resilience.Stack()...)
+	breakers := a.Resilience.BackendFactory()
+	opts := []shard.Option{shard.WithReplicaMiddleware(breakers)}
+	if sharded {
+		opts = []shard.Option{
+			shard.WithMiddleware(mws...),
+			shard.WithReplicaMiddleware(func(addr string) []transport.Middleware {
+				return append(breakers(addr), fault...)
+			}),
+		}
 	}
 	router := shard.NewRouter(a.clientNet(caller), target, opts...)
 	router.Sync(instances)
@@ -424,7 +413,7 @@ func (a *App) ShardedRPC(caller, target string, extra ...transport.Middleware) (
 		close(stop)
 		return router.Close()
 	}))
-	return router, nil
+	return mws, router, nil
 }
 
 // REST returns a traced REST client from caller to target (first live

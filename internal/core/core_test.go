@@ -320,7 +320,9 @@ func TestResilienceFailsFastOnSpentBudget(t *testing.T) {
 
 // TestKillEvictsViaLeaseAndReviveReturns drives the crash path end to end:
 // a killed replica stops heartbeating, its lease expires, FollowRegistry
-// drops it from the balancer within ~2 TTLs, and Revive re-enrolls it.
+// drops it from the replica set within ~2 TTLs, and Revive re-enrolls it.
+// RPC and ShardedRPC build the same registry-following replica set; the
+// router ShardedRPC hands out shows its membership.
 func TestKillEvictsViaLeaseAndReviveReturns(t *testing.T) {
 	vtime.Run(t, func() {
 		const ttl = 60 * time.Millisecond
@@ -341,7 +343,18 @@ func TestKillEvictsViaLeaseAndReviveReturns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := len(bal.Backends()); got != 2 {
+		set, err := app.ShardedRPC("frontend", "backend")
+		if err != nil {
+			t.Fatal(err)
+		}
+		backends := func() []string {
+			var out []string
+			for _, rep := range set.Replicas() {
+				out = append(out, rep.Addr())
+			}
+			return out
+		}
+		if got := len(backends()); got != 2 {
 			t.Fatalf("backends = %d, want 2", got)
 		}
 
@@ -356,25 +369,28 @@ func TestKillEvictsViaLeaseAndReviveReturns(t *testing.T) {
 		// last heartbeat — which was a heartbeat interval (TTL/3) before the
 		// kill at the earliest — and the balancer follows at once.
 		vtime.Advance(ttl - ttl/3 - time.Nanosecond)
-		if got := bal.Backends(); len(got) != 2 {
+		if got := backends(); len(got) != 2 {
 			t.Fatalf("backends = %v before any lease could have run out", got)
 		}
 		vtime.Advance(ttl/3 + time.Nanosecond)
 		vtime.Wait()
-		if got := bal.Backends(); len(got) != 1 || got[0] == victim.Addr {
+		if got := backends(); len(got) != 1 || got[0] == victim.Addr {
 			t.Fatalf("backends = %v one TTL after kill, want victim %s evicted", got, victim.Addr)
 		}
 
-		// Calls keep succeeding against the survivor.
+		// Calls keep succeeding against the survivor: the balancer dropped the
+		// victim too, or one of two round-robin picks would hang on it.
 		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 		defer cancel()
-		if err := bal.Call(ctx, "Ping", nil, nil); err != nil {
-			t.Fatalf("call after eviction: %v", err)
+		for i := 0; i < 2; i++ {
+			if err := bal.Call(ctx, "Ping", nil, nil); err != nil {
+				t.Fatalf("call %d after eviction: %v", i, err)
+			}
 		}
 
 		victim.Revive()
 		vtime.Wait()
-		if got := bal.Backends(); len(got) != 2 {
+		if got := backends(); len(got) != 2 {
 			t.Fatalf("backends = %v after revive, want 2", got)
 		}
 	})

@@ -237,14 +237,10 @@ func tailSlowRun(slow, protected bool) tailResult {
 	if slow {
 		// Slow the first replica of the shard that owns the hottest key —
 		// by address, so its siblings and the other shards stay healthy.
-		// Stats is sorted by (shard, addr), giving a rotation-independent
-		// pick. The fault lands after preload, so only reads pay it.
-		hot := router.Owner(tailHotKey)
-		for _, st := range router.Stats() {
-			if st.Shard == hot {
-				defer inj.Add(fault.Rule{To: "tail.kv", Addr: st.Addr, Latency: tailSlowLatency})()
-				break
-			}
+		// Group is in address order, giving a rotation-independent pick.
+		// The fault lands after preload, so only reads pay it.
+		if reps := router.Group(router.Owner(tailHotKey)); len(reps) > 0 {
+			defer inj.Add(fault.Rule{To: "tail.kv", Addr: reps[0].Addr(), Latency: tailSlowLatency})()
 		}
 	}
 	// Few enough workers that even a fully saturated lone survivor bounds

@@ -11,14 +11,33 @@ import (
 	"dsb/internal/codec"
 	"dsb/internal/registry"
 	"dsb/internal/rpc"
+	"dsb/internal/shard"
 	"dsb/internal/transport"
 	"dsb/internal/vtime"
 )
 
-// TestLeaseExpiryEjectsBackend wires FollowRegistry to a registry with
-// health leases: when a crashed replica's lease expires, the balancer must
-// drop it from rotation within one lease TTL — no probing, no failed calls
-// required — while the healthy replica keeps serving.
+// addrsOf lists a balancer's live replica addresses.
+func addrsOf(b *Balanced) []string {
+	var out []string
+	for _, rep := range b.router.Replicas() {
+		out = append(out, rep.Addr())
+	}
+	return out
+}
+
+// syncAddrs sets a balancer's replica set to addrs, unlabelled.
+func syncAddrs(b *Balanced, addrs ...string) {
+	instances := make([]registry.Instance, len(addrs))
+	for i, addr := range addrs {
+		instances[i].Addr = addr
+	}
+	b.router.Sync(instances)
+}
+
+// TestLeaseExpiryEjectsBackend follows a registry with health leases: when
+// a crashed replica's lease expires, the balancer must drop it from
+// rotation within one lease TTL — no probing, no failed calls required —
+// while the healthy replica keeps serving.
 func TestLeaseExpiryEjectsBackend(t *testing.T) {
 	vtime.Run(t, func() {
 		net := rpc.NewMem()
@@ -29,11 +48,11 @@ func TestLeaseExpiryEjectsBackend(t *testing.T) {
 		healthy := reg.RegisterLease("svc", addrs[0], ttl, nil)
 		crashed := reg.RegisterLease("svc", addrs[1], ttl, nil)
 
-		b := New(net, "svc", reg.Lookup("svc"), &RoundRobin{})
+		b := Over(shard.NewRouter(net, "svc"))
 		defer b.Close()
 		unfollow := make(chan struct{})
 		defer close(unfollow)
-		go b.FollowRegistry(reg, unfollow)
+		go b.router.FollowRegistry(reg, unfollow)
 
 		// Heartbeat the healthy replica; let the crashed one's lease lapse.
 		hbStop := make(chan struct{})
@@ -52,15 +71,15 @@ func TestLeaseExpiryEjectsBackend(t *testing.T) {
 		}()
 
 		// One TTL after the crash (lease armed at RegisterLease above), and no
-		// sooner, the backend set shrinks to the healthy replica.
+		// sooner, the replica set shrinks to the healthy replica.
 		vtime.Advance(ttl - time.Nanosecond)
-		if got := b.Backends(); len(got) != 2 {
-			t.Fatalf("backends = %v inside the lease TTL, want both", got)
+		if got := addrsOf(b); len(got) != 2 {
+			t.Fatalf("replicas = %v inside the lease TTL, want both", got)
 		}
 		vtime.Advance(time.Nanosecond)
 		vtime.Wait()
-		if got := b.Backends(); len(got) != 1 || got[0] != addrs[0] {
-			t.Fatalf("backends = %v after a lease TTL, want only %s", got, addrs[0])
+		if got := addrsOf(b); len(got) != 1 || got[0] != addrs[0] {
+			t.Fatalf("replicas = %v after a lease TTL, want only %s", got, addrs[0])
 		}
 		if crashed.Renew() {
 			t.Fatal("crashed lease should be expired")
@@ -91,10 +110,6 @@ func startInstances(t testing.TB, net rpc.Network, n int) (addrs []string, stop 
 		name := fmt.Sprintf("inst-%d", i)
 		s := rpc.NewServer("svc")
 		s.Handle("Who", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
-			return codec.Marshal(whoResp{Instance: name})
-		})
-		s.Handle("Slow", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
-			vtime.Advance(30 * time.Millisecond)
 			return codec.Marshal(whoResp{Instance: name})
 		})
 		addr, err := s.Start(net, fmt.Sprintf("svc/%d", i))
@@ -135,6 +150,35 @@ func TestRoundRobinSpreads(t *testing.T) {
 	}
 }
 
+// The pick cycles through the replicas in address order, whatever their
+// shard labels: a balanced client over a sharded tier spreads over all of
+// it.
+func TestRoundRobinPolicyCycle(t *testing.T) {
+	net := rpc.NewMem()
+	addrs, stop := startInstances(t, net, 3)
+	defer stop()
+	router := shard.NewRouter(net, "svc")
+	router.Sync([]registry.Instance{
+		{Addr: addrs[2], Meta: map[string]string{shard.MetaShard: "0"}},
+		{Addr: addrs[0], Meta: map[string]string{shard.MetaShard: "1"}},
+		{Addr: addrs[1], Meta: map[string]string{shard.MetaShard: "0"}},
+	})
+	b := Over(router)
+	defer b.Close()
+	var got []string
+	for i := 0; i < 6; i++ {
+		var resp whoResp
+		if err := b.Call(context.Background(), "Who", nil, &resp); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, resp.Instance)
+	}
+	want := []string{"inst-0", "inst-1", "inst-2", "inst-0", "inst-1", "inst-2"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("cycle = %v, want %v", got, want)
+	}
+}
+
 func TestNoBackends(t *testing.T) {
 	b := New(rpc.NewMem(), "svc", nil, &RoundRobin{})
 	defer b.Close()
@@ -150,13 +194,16 @@ func TestAddRemoveBackend(t *testing.T) {
 	defer stop()
 	b := New(net, "svc", addrs[:1], &RoundRobin{})
 	defer b.Close()
-	b.AddBackend(addrs[1])
-	b.AddBackend(addrs[1]) // idempotent
-	if got := b.Backends(); len(got) != 2 {
-		t.Fatalf("Backends = %v", got)
+	first := b.router.Replicas()[0]
+	syncAddrs(b, addrs...)
+	if got := addrsOf(b); len(got) != 2 {
+		t.Fatalf("replicas = %v", got)
 	}
-	b.RemoveBackend(addrs[0])
-	if got := b.Backends(); len(got) != 1 || got[0] != addrs[1] {
+	if b.router.Replicas()[0] != first {
+		t.Fatal("a Sync that kept a replica rebuilt it")
+	}
+	syncAddrs(b, addrs[1])
+	if got := addrsOf(b); len(got) != 1 || got[0] != addrs[1] {
 		t.Fatalf("after remove = %v", got)
 	}
 	var resp whoResp
@@ -165,74 +212,6 @@ func TestAddRemoveBackend(t *testing.T) {
 	}
 	if resp.Instance != "inst-1" {
 		t.Fatalf("routed to removed backend: %s", resp.Instance)
-	}
-}
-
-func TestLeastConnAvoidsBusy(t *testing.T) {
-	vtime.Run(t, func() {
-		net := rpc.NewMem()
-		addrs, stop := startInstances(t, net, 2)
-		defer stop()
-		b := New(net, "svc", addrs, LeastConn{})
-		defer b.Close()
-
-		// Stagger three slow calls so least-conn assigns them 0, 1, 0 (ties go
-		// to the lowest index), leaving outstanding = (2, 1). Fast calls issued
-		// while they run must all land on the less-loaded backend 1.
-		var wg sync.WaitGroup
-		for i := 0; i < 3; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var resp whoResp
-				b.Call(context.Background(), "Slow", nil, &resp) //nolint:errcheck
-			}()
-			vtime.Wait() // the call is in its handler
-		}
-		counts := map[string]int{}
-		for i := 0; i < 5; i++ {
-			var resp whoResp
-			if err := b.Call(context.Background(), "Who", nil, &resp); err != nil {
-				t.Fatal(err)
-			}
-			counts[resp.Instance]++
-		}
-		wg.Wait()
-		if counts["inst-1"] != 5 {
-			t.Fatalf("least-conn did not prefer idle backend: %v", counts)
-		}
-	})
-}
-
-func TestPowerOfTwoPick(t *testing.T) {
-	p := NewPowerOfTwo(42)
-	if got := p.Pick(1, func(int) int64 { return 0 }); got != 0 {
-		t.Fatalf("single backend pick = %d", got)
-	}
-	loads := []int64{100, 0, 100, 100}
-	hits := make([]int, 4)
-	for i := 0; i < 200; i++ {
-		idx := p.Pick(4, func(i int) int64 { return loads[i] })
-		hits[idx]++
-	}
-	// The idle backend must win every comparison it appears in (~half of
-	// picks in expectation); it must clearly dominate.
-	if hits[1] < 60 {
-		t.Fatalf("power-of-two ignored idle backend: %v", hits)
-	}
-}
-
-func TestRoundRobinPolicyCycle(t *testing.T) {
-	p := &RoundRobin{}
-	got := []int{}
-	for i := 0; i < 6; i++ {
-		got = append(got, p.Pick(3, nil))
-	}
-	want := []int{0, 1, 2, 0, 1, 2}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("cycle = %v", got)
-		}
 	}
 }
 
@@ -245,7 +224,7 @@ func TestFailoverOnDeadBackend(t *testing.T) {
 
 	// Register a third, never-listening backend; calls picked for it must
 	// fail over to a live neighbor instead of erroring.
-	b.AddBackend("dead:0")
+	syncAddrs(b, append(addrs, "dead:0")...)
 	failures := 0
 	for i := 0; i < 30; i++ {
 		var resp whoResp
@@ -268,15 +247,10 @@ func TestNoFailoverOnApplicationError(t *testing.T) {
 			atomic.AddInt32(&hits[i], 1)
 			return nil, rpc.Errorf(rpc.CodeConflict, "app error")
 		})
-		addr, err := s.Start(net, fmt.Sprintf("svc-fail/%d", i))
-		if err != nil {
+		if _, err := s.Start(net, fmt.Sprintf("svc-fail/%d", i)); err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { s.Close() })
-		if i == 0 {
-			b := New(net, "svc", []string{addr}, &RoundRobin{})
-			t.Cleanup(func() { b.Close() })
-		}
 	}
 	addrs := []string{"svc-fail/0", "svc-fail/1"}
 	b := New(net, "svc", addrs, &RoundRobin{})
@@ -289,78 +263,77 @@ func TestNoFailoverOnApplicationError(t *testing.T) {
 	}
 }
 
-// Stats exposes per-backend health — in-flight, totals, breaker state —
-// without callers reaching into balancer internals.
+// TestBackendStats checks what each replica's circuit breaker sees: the
+// round-robin split sends healthy replicas equal shares without a trip,
+// and a dead replica's breaker opens while the healthy ones stay closed —
+// every call still succeeding, on failover and then on breaker rejection.
 func TestBackendStats(t *testing.T) {
 	net := rpc.NewMem()
 	addrs, stop := startInstances(t, net, 2)
 	defer stop()
+	stats := &transport.Stats{}
 	factory := (&transport.ResilienceConfig{
 		Breaker: &transport.BreakerConfig{Failures: 1, Cooldown: time.Minute},
-	}).InstrumentedBackendFactory()
-	b := New(net, "svc", addrs, &RoundRobin{}, WithBackendInstrument(factory))
+		Stats:   stats,
+	}).BackendFactory()
+	router := shard.NewRouter(net, "svc", shard.WithReplicaMiddleware(factory))
+	b := Over(router)
 	defer b.Close()
+	syncAddrs(b, addrs...)
 
+	counts := map[string]int{}
 	for i := 0; i < 10; i++ {
 		var resp whoResp
 		if err := b.Call(context.Background(), "Who", nil, &resp); err != nil {
 			t.Fatal(err)
 		}
+		counts[resp.Instance]++
 	}
-	stats := b.Stats()
-	if len(stats) != 2 {
-		t.Fatalf("stats for %d backends, want 2", len(stats))
+	if counts["inst-0"] != 5 || counts["inst-1"] != 5 {
+		t.Fatalf("round-robin split = %v, want 5 each", counts)
 	}
-	for _, s := range stats {
-		if s.Requests != 5 {
-			t.Fatalf("%s: Requests = %d, want 5 (round-robin split)", s.Addr, s.Requests)
-		}
-		if s.Failures != 0 || s.InFlight != 0 {
-			t.Fatalf("%s: unexpected failures/in-flight: %+v", s.Addr, s)
-		}
-		if s.Breaker != "closed" {
-			t.Fatalf("%s: breaker state = %q, want closed", s.Addr, s.Breaker)
-		}
+	if got := stats.BreakerOpened.Value(); got != 0 {
+		t.Fatalf("BreakerOpened = %d on healthy replicas", got)
 	}
 
-	// Add a never-listening backend and route traffic: its failures show up
-	// in the snapshot and its breaker trips to "open" while the healthy
-	// replicas stay "closed".
-	b.AddBackend("dead:0")
+	// A never-listening replica, first in address order: its first pick
+	// fails over and trips its breaker; its later picks are rejected by the
+	// open breaker and fail over too. One trip, so the healthy replicas'
+	// breakers stayed closed.
+	syncAddrs(b, append(addrs, "dead:0")...)
 	for i := 0; i < 9; i++ {
 		var resp whoResp
-		b.Call(context.Background(), "Who", nil, &resp) //nolint:errcheck
-	}
-	found := false
-	for _, s := range b.Stats() {
-		if s.Addr != "dead:0" {
-			if s.Breaker != "closed" {
-				t.Fatalf("healthy backend %s breaker = %q", s.Addr, s.Breaker)
-			}
-			continue
-		}
-		found = true
-		if s.Failures == 0 {
-			t.Fatalf("dead backend shows no failures: %+v", s)
-		}
-		if s.Breaker != "open" {
-			t.Fatalf("dead backend breaker = %q, want open", s.Breaker)
+		if err := b.Call(context.Background(), "Who", nil, &resp); err != nil {
+			t.Fatalf("call %d: %v", i, err)
 		}
 	}
-	if !found {
-		t.Fatal("dead backend missing from stats")
+	if got := stats.BreakerOpened.Value(); got != 1 {
+		t.Fatalf("BreakerOpened = %d, want 1: the dead replica's alone", got)
+	}
+	if got := stats.BreakerRejected.Value(); got != 2 {
+		t.Fatalf("BreakerRejected = %d, want 2: the dead replica's later picks", got)
 	}
 }
 
-// Calls pick from an atomically published snapshot of the backend set: a
-// replica joining and leaving while 8 callers run must lose no call — one
-// caught on the leaving replica's closed client fails over to a neighbour.
+// Calls pick from an atomically published snapshot of the replica set: a
+// replica joining and leaving while 8 callers go through Balanced and 8
+// through Route on a sharded target must lose no call — one caught on the
+// leaving replica's closed client fails over to a neighbour.
 func TestMembershipChurnLosesNoCall(t *testing.T) {
 	net := rpc.NewMem()
-	addrs, stopServers := startInstances(t, net, 3)
+	addrs, stopServers := startInstances(t, net, 5)
 	defer stopServers()
-	b := New(net, "svc", addrs[:2], &RoundRobin{})
-	defer b.Close()
+	inst := func(addr, label string) registry.Instance {
+		return registry.Instance{Addr: addr, Meta: map[string]string{shard.MetaShard: label}}
+	}
+	stable := []registry.Instance{inst(addrs[0], "0"), inst(addrs[1], "0"), inst(addrs[2], "1"), inst(addrs[3], "1")}
+	churn := append(stable[:4:4], inst(addrs[4], "1"))
+
+	bal := New(net, "svc", addrs[:2], &RoundRobin{})
+	defer bal.Close()
+	sharded := shard.NewRouter(net, "svc")
+	defer sharded.Close()
+	sharded.Sync(stable)
 
 	stop := make(chan struct{})
 	churned := make(chan struct{})
@@ -372,35 +345,51 @@ func TestMembershipChurnLosesNoCall(t *testing.T) {
 				return
 			default:
 			}
-			b.AddBackend(addrs[2])
-			b.RemoveBackend(addrs[2])
+			syncAddrs(bal, addrs[:3]...)
+			syncAddrs(bal, addrs[:2]...)
+			sharded.Sync(churn)
+			sharded.Sync(stable)
 		}
 	}()
 
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+	call := func(f func(i int) error) func() {
+		return func() {
 			for i := 0; i < 300; i++ {
-				var resp whoResp
-				if err := b.Call(context.Background(), "Who", nil, &resp); err != nil {
+				if err := f(i); err != nil {
 					t.Errorf("call lost during churn: %v", err)
 					return
 				}
 			}
-		}()
+		}
+	}
+	viaBalanced := call(func(int) error {
+		var resp whoResp
+		return bal.Call(context.Background(), "Who", nil, &resp)
+	})
+	viaRoute := call(func(i int) error {
+		var err error
+		for _, rep := range sharded.Route(fmt.Sprintf("key-%d", i)) {
+			var resp whoResp
+			if err = rep.Call(context.Background(), "Who", nil, &resp); err == nil {
+				return nil
+			}
+		}
+		return err
+	})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(2)
+		go func() { defer wg.Done(); viaBalanced() }()
+		go func() { defer wg.Done(); viaRoute() }()
 	}
 	wg.Wait()
 	close(stop)
 	<-churned
 
-	for _, s := range b.Stats() {
-		if s.InFlight != 0 {
-			t.Errorf("%s: %d in flight after every call returned", s.Addr, s.InFlight)
-		}
+	if got := addrsOf(bal); len(got) != 2 {
+		t.Errorf("replicas after churn = %v, want the two stable ones", got)
 	}
-	if got := b.Backends(); len(got) != 2 {
-		t.Errorf("backends after churn = %v, want the two stable replicas", got)
+	if got := len(sharded.Replicas()); got != 4 {
+		t.Errorf("sharded replicas after churn = %d, want the four stable ones", got)
 	}
 }

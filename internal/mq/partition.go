@@ -3,7 +3,6 @@ package mq
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -92,16 +91,6 @@ func (p *Partitioned) nextKey() string {
 	return fmt.Sprintf("%s-%d", p.node, p.seq.Add(1))
 }
 
-// byAddr re-sorts a rotated replica slice into address order. The router
-// rotates read order to spread load, but the broker tier needs a
-// *deterministic* primary per shard — every publisher and consumer must
-// agree on it from registry state alone — so the tier uses lowest-addr.
-func byAddr(reps []*shard.Replica) []*shard.Replica {
-	out := append([]*shard.Replica(nil), reps...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr() < out[j].Addr() })
-	return out
-}
-
 // Publish mints a fresh key and publishes. Producers that may retry a
 // logical message should use PublishKey with a stable key instead.
 func (p *Partitioned) Publish(ctx context.Context, topic string, body []byte) (uint64, error) {
@@ -119,7 +108,7 @@ func (p *Partitioned) PublishKey(ctx context.Context, topic, key string, body []
 	if key == "" {
 		key = p.nextKey()
 	}
-	reps := byAddr(p.router.Route(key))
+	reps := p.router.Group(p.router.Owner(key))
 	if len(reps) == 0 {
 		return 0, rpc.Errorf(rpc.CodeUnavailable, "mq: no live brokers for topic %q", topic)
 	}
@@ -205,7 +194,7 @@ func (p *Partitioned) Consume(ctx context.Context, topic, group string, lease, w
 			break
 		}
 		label := shards[(start+i)%len(shards)]
-		reps := byAddr(p.router.GroupReplicas(label))
+		reps := p.router.Group(label)
 		if len(reps) == 0 {
 			continue
 		}
@@ -292,7 +281,7 @@ func (p *Partitioned) Stats(ctx context.Context, topic, group string) (StatsResp
 	var out StatsResp
 	req := StatsReq{Topic: topic, Group: group}
 	for _, label := range p.router.Shards() {
-		reps := byAddr(p.router.GroupReplicas(label))
+		reps := p.router.Group(label)
 		if len(reps) == 0 {
 			continue
 		}

@@ -130,7 +130,7 @@ func (p *Partitioned) pushShard(d *partDeliveries, label, topic, group string, l
 	defer d.wg.Done()
 	backoff := pushReopenBase
 	for d.ctx.Err() == nil {
-		reps := byAddr(p.router.GroupReplicas(label))
+		reps := p.router.Group(label)
 		if len(reps) == 0 {
 			backoff = pushSleep(d.ctx, backoff)
 			continue

@@ -69,19 +69,7 @@ func (c *Client) Target() string { return c.target }
 // reply into resp (which may be nil for fire-and-forget-style methods that
 // return no body). req must not be mutated until Call returns (see Client).
 func (c *Client) Call(ctx context.Context, method string, req, resp any) error {
-	call := transport.AcquireCall(c.target, method)
-	call.Body = req
-	err := c.invoke(ctx, call)
-	if err == nil && resp != nil {
-		if uerr := codec.Unmarshal(call.Reply, resp); uerr != nil {
-			err = fmt.Errorf("rpc: unmarshal %s.%s reply: %w", c.target, method, uerr)
-		}
-	}
-	// The decode copied everything out (DecodeFrom never aliases), so the
-	// pooled reply buffer is dead either way.
-	transport.ReleaseBuf(call.Reply)
-	transport.ReleaseCall(call)
-	return err
+	return transport.Unary(ctx, c.invoke, c.target, "", method, req, resp)
 }
 
 // CallRaw invokes method with a pre-encoded payload and returns the raw
@@ -101,9 +89,8 @@ func (c *Client) CallRaw(ctx context.Context, method string, payload []byte) ([]
 }
 
 // Invoke runs the client's middleware chain for a caller-built call
-// descriptor, storing the reply in call.Reply. Load balancers use it so
-// their own middleware stack (retry, hedging) and this client's (tracing,
-// breaker) compose around one shared Call.
+// descriptor, storing the reply in call.Reply. A shard replica calls it
+// for every call it and lb.Balanced's pick make on the replica.
 func (c *Client) Invoke(ctx context.Context, call *transport.Call) error {
 	return c.invoke(ctx, call)
 }
@@ -117,12 +104,7 @@ func (c *Client) Invoke(ctx context.Context, call *transport.Call) error {
 // runs the full middleware chain with Call.OneWay set, so per-hop stats and
 // fault rules apply.
 func (c *Client) CallOneWay(ctx context.Context, method string, req any) error {
-	call := transport.AcquireCall(c.target, method)
-	call.Body = req
-	call.OneWay = true
-	err := c.invoke(ctx, call)
-	transport.ReleaseCall(call)
-	return err
+	return transport.OneWay(ctx, c.invoke, c.target, "", method, req)
 }
 
 // Pending is one in-flight pipelined call issued with Go. Wait blocks until

@@ -75,14 +75,6 @@ func NewRing(vnodes int, members []string) *Ring {
 	return r
 }
 
-// Members returns the ring's member labels, sorted.
-func (r *Ring) Members() []string {
-	return append([]string(nil), r.members...)
-}
-
-// Size returns the number of members.
-func (r *Ring) Size() int { return len(r.members) }
-
 // Owner returns the member owning key, or "" on an empty ring.
 func (r *Ring) Owner(key string) string {
 	if len(r.points) == 0 {

@@ -22,7 +22,7 @@ func TestRingBalanceGuard(t *testing.T) {
 		counts[r.Owner(fmt.Sprintf("key-%d", i))]++
 	}
 	mean := float64(keys) / float64(shards)
-	for _, m := range r.Members() {
+	for _, m := range r.members {
 		dev := (float64(counts[m]) - mean) / mean
 		t.Logf("shard %s: %d keys (%+.1f%%)", m, counts[m], dev*100)
 		if dev > tolerance || dev < -tolerance {

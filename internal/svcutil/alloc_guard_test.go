@@ -2,13 +2,17 @@ package svcutil
 
 import (
 	"context"
+	"errors"
 	"runtime/debug"
+	"strconv"
 	"testing"
 	"time"
 
 	"dsb/internal/docstore"
 	"dsb/internal/kv"
+	"dsb/internal/registry"
 	"dsb/internal/rpc"
+	"dsb/internal/shard"
 )
 
 // TestStoreHopAllocGuard pins the allocations of one round trip to a store
@@ -37,6 +41,25 @@ func TestStoreHopAllocGuard(t *testing.T) {
 	db := serveDB(t, docstore.NewStore())
 	cache := KV{C: kvClient}
 
+	// The 2×2 layout social_mixed's stores run: two shards of two replicas
+	// behind one Router with no middleware.
+	var instances []registry.Instance
+	for i := 0; i < 4; i++ {
+		s := rpc.NewServer("smc")
+		kv.RegisterService(s, kv.New(0))
+		addr, err := s.Start(n, "smc:"+strconv.Itoa(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		instances = append(instances, registry.Instance{Addr: addr, Meta: map[string]string{shard.MetaShard: strconv.Itoa(i / 2)}})
+	}
+	router := shard.NewRouter(n, "smc")
+	defer router.Close()
+	router.Sync(instances)
+	sharded := KV{Shards: router}
+	label := router.Owner("k")
+
 	ctx := context.Background()
 	doc := docstore.Doc{
 		ID:     "order-1",
@@ -44,8 +67,11 @@ func TestStoreHopAllocGuard(t *testing.T) {
 		Nums:   map[string]int64{"ts": 1700000000},
 		Body:   make([]byte, 200),
 	}
-	if err := cache.Set(ctx, "k", make([]byte, 64), time.Hour); err != nil {
-		t.Fatal(err)
+	value := make([]byte, 64)
+	for _, c := range []KV{cache, sharded} {
+		if err := c.Set(ctx, "k", value, time.Hour); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := db.Put(ctx, "orders", doc); err != nil {
 		t.Fatal(err)
@@ -60,6 +86,12 @@ func TestStoreHopAllocGuard(t *testing.T) {
 		{"KV.Get hit", 7, func() error { _, _, err := cache.Get(ctx, "k"); return err }},
 		{"DB.Get", 16, func() error { _, _, err := db.Get(ctx, "orders", "order-1"); return err }},
 		{"DB.Put", 6, func() error { return db.Put(ctx, "orders", doc) }},
+		// The sharded hop is the unsharded one through a Router snapshot,
+		// which hands out its read order without copying it.
+		{"sharded KV.Get hit", 7, func() error { _, _, err := sharded.Get(ctx, "k"); return err }},
+		{"sharded KV.Set to two replicas", 10, func() error { return sharded.Set(ctx, "k", value, time.Hour) }},
+		{"Router.Route", 0, func() error { return want2(router.Route("k")) }},
+		{"Router.GroupReplicas", 0, func() error { return want2(router.GroupReplicas(label)) }},
 	} {
 		call := func() {
 			if err := hop.call(); err != nil {
@@ -81,4 +113,13 @@ func TestStoreHopAllocGuard(t *testing.T) {
 			t.Errorf("%s allocates %d objects per round trip, want ≤%d", hop.name, best, hop.budget)
 		}
 	}
+}
+
+var errNotTwo = errors.New("want the two replicas of a shard")
+
+func want2(reps []*shard.Replica) error {
+	if len(reps) != 2 {
+		return errNotTwo
+	}
+	return nil
 }

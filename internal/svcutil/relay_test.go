@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"dsb/internal/lb"
+	"dsb/internal/registry"
 	"dsb/internal/rpc"
+	"dsb/internal/shard"
 	"dsb/internal/transport"
 )
 
@@ -66,8 +68,9 @@ func overClient(n rpc.Network, addr string) Caller {
 // concurrent callers whose replies must never cross.
 func TestRelayForwardsReplyErrorAndDeadline(t *testing.T) {
 	hedged := func(n rpc.Network, addr string) Caller {
-		return lb.New(n, "backend", []string{addr}, nil,
-			lb.WithMiddleware(transport.Hedge(transport.HedgeConfig{Delay: time.Microsecond})))
+		router := shard.NewRouter(n, "backend")
+		router.Sync([]registry.Instance{{Addr: addr}})
+		return lb.Over(router, transport.Hedge(transport.HedgeConfig{Delay: time.Microsecond}))
 	}
 	for name, down := range map[string]func(rpc.Network, string) Caller{"client": overClient, "hedged balancer": hedged} {
 		t.Run(name, func(t *testing.T) {

@@ -105,11 +105,11 @@ func TestShardedKVReadRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stats := store.Shards.Stats()
-	if len(stats) != 2 {
-		t.Fatalf("want 2 replicas, got %v", stats)
+	reps := store.Shards.Replicas()
+	if len(reps) != 2 {
+		t.Fatalf("want 2 replicas, got %d", len(reps))
 	}
-	wiped := stats[1].Addr
+	wiped := reps[1].Addr()
 	direct := rpc.NewClient(app.Net, "store.kv", wiped)
 	defer direct.Close()
 	var del kv.DeleteResp
@@ -313,7 +313,7 @@ func TestShardedKVLeaseFailover(t *testing.T) {
 		vtime.Advance(time.Until(killed.Add(ttl)))
 		vtime.Wait()
 		if len(router.GroupReplicas("0")) != 1 {
-			t.Fatalf("router still routes to killed replica: %v", router.Stats())
+			t.Fatalf("router still routes to killed replica %s", victim)
 		}
 		for i := 0; i < 16; i++ {
 			key := fmt.Sprintf("key-%d", i)

@@ -19,11 +19,9 @@ type BreakerConfig struct {
 	// open (default 5).
 	Failures int
 	// Cooldown is how long an open breaker rejects calls before admitting a
-	// half-open probe (default 1s).
+	// half-open probe (default 1s). The probe's success closes it again; its
+	// failure re-opens it.
 	Cooldown time.Duration
-	// Probes is the number of consecutive probe successes in half-open
-	// needed to close again (default 1); any probe failure re-opens.
-	Probes int
 	// SlowThreshold, when non-zero, counts a call that ran longer than it as
 	// a failure when the call either completed (slow success) or was
 	// canceled because a sibling hedge attempt outran it (Call.Outrun). A
@@ -46,7 +44,7 @@ type BreakerConfig struct {
 	// MaxEjected caps how many replicas of one target may be held open at
 	// once (Envoy's max_ejection_percent, as a count). It takes effect when
 	// the per-replica breakers of a target are built through
-	// ResilienceConfig.InstrumentedBackendFactory, which gives them a shared
+	// ResilienceConfig.BackendFactory, which gives them a shared
 	// ledger; a breaker that cannot get an ejection slot stays closed. The
 	// cap stops latency that cascades up from a deeper slow server from
 	// ejecting an entire healthy tier. Zero means no cap.
@@ -55,7 +53,7 @@ type BreakerConfig struct {
 	Stats    *Stats
 	Annotate AnnotateFunc
 
-	ledger *ejectionLedger // shared per target by InstrumentedBackendFactory
+	ledger *ejectionLedger // shared per target by BackendFactory
 }
 
 // ejectionLedger bounds simultaneous open breakers across one target's
@@ -89,9 +87,6 @@ func (cfg BreakerConfig) withDefaults() BreakerConfig {
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = time.Second
 	}
-	if cfg.Probes <= 0 {
-		cfg.Probes = 1
-	}
 	return cfg
 }
 
@@ -101,19 +96,14 @@ const (
 	breakerHalfOpen
 )
 
-// breakerStateNames are the human-readable states reported by the probe
-// returned from BreakerWithProbe, in the order of the state constants.
-var breakerStateNames = [...]string{"closed", "open", "half-open"}
-
 type breaker struct {
 	cfg BreakerConfig
 
-	mu        sync.Mutex
-	state     int
-	failures  int       // consecutive failures while closed
-	successes int       // consecutive probe successes while half-open
-	openedAt  time.Time // when the breaker last tripped
-	probing   bool      // a half-open probe is in flight
+	mu       sync.Mutex
+	state    int
+	failures int       // consecutive failures while closed
+	openedAt time.Time // when the breaker last tripped
+	probing  bool      // a half-open probe is in flight
 }
 
 // allow decides whether a call may proceed, advancing open→half-open after
@@ -129,7 +119,6 @@ func (b *breaker) allow() bool {
 			return false
 		}
 		b.state = breakerHalfOpen
-		b.successes = 0
 		b.probing = true
 		if b.cfg.Stats != nil {
 			b.cfg.Stats.BreakerHalfOpened.Inc()
@@ -174,16 +163,13 @@ func (b *breaker) record(call *Call, err error, elapsed time.Duration) {
 		if failure {
 			b.trip()
 		} else if !neutral {
-			b.successes++
-			if b.successes >= b.cfg.Probes {
-				b.state = breakerClosed
-				b.failures = 0
-				if b.cfg.ledger != nil {
-					b.cfg.ledger.restore()
-				}
-				if b.cfg.Stats != nil {
-					b.cfg.Stats.BreakerClosed.Inc()
-				}
+			b.state = breakerClosed
+			b.failures = 0
+			if b.cfg.ledger != nil {
+				b.cfg.ledger.restore()
+			}
+			if b.cfg.Stats != nil {
+				b.cfg.Stats.BreakerClosed.Inc()
 			}
 		}
 	default:
@@ -211,27 +197,13 @@ func (b *breaker) trip() {
 // Breaker returns a circuit-breaker middleware guarding one target. Closed
 // it passes calls through counting consecutive failures; tripped open it
 // rejects instantly with CodeUnavailable (cause ErrBreakerOpen) so the
-// caller fails over; after Cooldown it admits single half-open probes and
-// closes again once Probes of them succeed. Install one instance per
-// replica (see ResilienceConfig.BackendMiddleware) so a slow instance is
-// ejected without condemning its healthy peers.
+// caller fails over; after Cooldown it admits a single half-open probe and
+// closes again once it succeeds. Install one instance per replica (see
+// ResilienceConfig.BackendFactory) so a slow instance is ejected without
+// condemning its healthy peers.
 func Breaker(cfg BreakerConfig) Middleware {
-	mw, _ := BreakerWithProbe(cfg)
-	return mw
-}
-
-// BreakerWithProbe is Breaker plus a live state probe ("closed", "open",
-// "half-open") for health snapshots — lb.Balanced surfaces it through
-// per-backend stats so controllers and experiments can see ejections
-// without reaching into transport internals.
-func BreakerWithProbe(cfg BreakerConfig) (Middleware, func() string) {
 	cfg = cfg.withDefaults()
 	br := &breaker{cfg: cfg}
-	probe := func() string {
-		br.mu.Lock()
-		defer br.mu.Unlock()
-		return breakerStateNames[br.state]
-	}
 	return func(next Invoker) Invoker {
 		return func(ctx context.Context, call *Call) error {
 			if !br.allow() {
@@ -249,5 +221,5 @@ func BreakerWithProbe(cfg BreakerConfig) (Middleware, func() string) {
 			br.record(call, err, time.Since(start))
 			return err
 		}
-	}, probe
+	}
 }

@@ -14,21 +14,19 @@ type BudgetConfig struct {
 	// descends the service graph and every tier still has time to handle a
 	// downstream timeout gracefully.
 	Fraction float64
-	// Floor is the minimum budget worth granting (default 100µs); when the
-	// remaining budget is below it the call fails fast with CodeDeadline
-	// instead of burning a doomed downstream round trip.
-	Floor time.Duration
 
 	Stats    *Stats
 	Annotate AnnotateFunc
 }
 
+// budgetFloor is the minimum budget worth granting; when the remaining
+// budget is below it the call fails fast with CodeDeadline instead of
+// burning a doomed downstream round trip.
+const budgetFloor = 100 * time.Microsecond
+
 func (cfg BudgetConfig) withDefaults() BudgetConfig {
 	if cfg.Fraction <= 0 || cfg.Fraction > 1 {
 		cfg.Fraction = 0.9
-	}
-	if cfg.Floor <= 0 {
-		cfg.Floor = 100 * time.Microsecond
 	}
 	return cfg
 }
@@ -48,7 +46,7 @@ func DeadlineBudget(cfg BudgetConfig) Middleware {
 				return next(ctx, call)
 			}
 			remaining := time.Until(dl)
-			if remaining < cfg.Floor {
+			if remaining < budgetFloor {
 				if cfg.Stats != nil {
 					cfg.Stats.DeadlineExhausted.Inc()
 				}
@@ -56,10 +54,7 @@ func DeadlineBudget(cfg BudgetConfig) Middleware {
 					"transport: no deadline budget left for %s.%s (%v remaining)",
 					call.Target, call.Method, remaining)
 			}
-			budget := time.Duration(float64(remaining) * cfg.Fraction)
-			if budget < cfg.Floor {
-				budget = cfg.Floor
-			}
+			budget := max(time.Duration(float64(remaining)*cfg.Fraction), budgetFloor)
 			if cfg.Stats != nil {
 				cfg.Stats.DeadlineTruncated.Inc()
 			}

@@ -7,14 +7,16 @@ package transport
 //
 // The stack splits across two levels of the call path:
 //
-//   - Stack() — per-target middlewares installed on the load-balanced
-//     client, outermost first: deadline budget (shrink the hop's budget),
-//     retry (re-issue retryable failures, re-picking a replica), hedge
-//     (race a second replica after the hedge delay).
-//   - BackendMiddleware() — per-replica middlewares installed on each
-//     backend's client: the circuit breaker, one instance per replica, so
-//     a slow or dead instance is ejected individually and its rejections
-//     (CodeUnavailable) fail over to healthy peers.
+//   - Stack() — per-target middlewares, outermost first: deadline budget
+//     (shrink the hop's budget), retry (re-issue retryable failures), hedge
+//     (race a second attempt after the hedge delay). On a load-balanced
+//     client they wrap the round-robin pick, so each attempt can land on a
+//     different replica; on a shard router they wrap each replica's call.
+//   - BackendFactory() — per-replica middlewares, installed under the
+//     stack on each replica of the target's shard.Router: the circuit
+//     breaker, one instance per replica, so a slow or dead instance is
+//     ejected individually and its rejections (CodeUnavailable) fail over
+//     to healthy peers.
 type ResilienceConfig struct {
 	Budget  *BudgetConfig
 	Retry   *RetryConfig
@@ -67,38 +69,28 @@ func (cfg *ResilienceConfig) Stack() []Middleware {
 	return mws
 }
 
-// BackendMiddleware returns a fresh per-replica middleware chain (the
-// circuit breaker); call it once per backend address so replicas trip
-// independently.
+// BackendMiddleware returns the per-replica middleware chain (the circuit
+// breaker) of a target with one replica.
 func (cfg *ResilienceConfig) BackendMiddleware() []Middleware {
-	if cfg == nil || cfg.Breaker == nil {
-		return nil
-	}
-	b := *cfg.Breaker
-	cfg.fill(&b.Stats, &b.Annotate)
-	return []Middleware{Breaker(b)}
+	return cfg.BackendFactory()("")
 }
 
-// InstrumentedBackendFactory returns a per-replica middleware factory for
-// one target, matching lb.WithBackendInstrument and
-// shard.WithReplicaInstrument. Each replica gets its own breaker and a state
-// probe the balancer surfaces in its per-backend stats, but all breakers of
-// the target share one ejection ledger when Breaker.MaxEjected is set, so at
-// most that many replicas can be held open at once. Call it once per target
-// so the ledger is not shared across targets.
-func (cfg *ResilienceConfig) InstrumentedBackendFactory() func(addr string) ([]Middleware, func() string) {
+// BackendFactory returns the per-replica middleware factory for one target,
+// the shape shard.WithReplicaMiddleware takes. Each replica gets its own
+// breaker, but all breakers of the target share one ejection ledger when
+// Breaker.MaxEjected is set, so at most that many replicas can be held open
+// at once. Call it once per target so the ledger is not shared across
+// targets.
+func (cfg *ResilienceConfig) BackendFactory() func(addr string) []Middleware {
 	if cfg == nil || cfg.Breaker == nil {
-		return func(string) ([]Middleware, func() string) { return nil, nil }
+		return func(string) []Middleware { return nil }
 	}
 	b := *cfg.Breaker
 	cfg.fill(&b.Stats, &b.Annotate)
 	if b.MaxEjected > 0 {
 		b.ledger = &ejectionLedger{cap: b.MaxEjected}
 	}
-	return func(string) ([]Middleware, func() string) {
-		mw, probe := BreakerWithProbe(b)
-		return []Middleware{mw}, probe
-	}
+	return func(string) []Middleware { return []Middleware{Breaker(b)} }
 }
 
 func (cfg *ResilienceConfig) fill(stats **Stats, annotate *AnnotateFunc) {

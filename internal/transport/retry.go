@@ -13,39 +13,28 @@ import (
 type RetryConfig struct {
 	// Attempts is the total attempt cap including the first (default 3).
 	Attempts int
-	// BaseDelay seeds the exponential backoff (default 500µs): retry i
-	// waits a uniformly random ("full jitter") duration in
-	// [0, min(MaxDelay, BaseDelay·2^i)].
-	BaseDelay time.Duration
-	// MaxDelay caps a single backoff (default 50ms).
-	MaxDelay time.Duration
-	// BudgetRatio refills the token-bucket retry budget by this many tokens
-	// per successful call (default 0.1, i.e. at most ~10% extra load from
-	// retries in steady state); BudgetBurst caps the bucket (default 10).
-	// Under a full outage the bucket drains and retries stop, so the retry
-	// layer cannot amplify the very overload it is reacting to.
-	BudgetRatio float64
-	BudgetBurst float64
 
 	Stats    *Stats
 	Annotate AnnotateFunc
 }
 
+const (
+	// Retry i waits a uniformly random ("full jitter") duration in
+	// [0, min(retryMaxDelay, retryBaseDelay·2^i)].
+	retryBaseDelay = 500 * time.Microsecond
+	retryMaxDelay  = 50 * time.Millisecond
+	// Each successful call refills the token-bucket retry budget by
+	// retryBudgetRatio tokens (at most ~10% extra load from retries in steady
+	// state), up to retryBudgetBurst. Under a full outage the bucket drains
+	// and retries stop, so the retry layer cannot amplify the very overload
+	// it is reacting to.
+	retryBudgetRatio = 0.1
+	retryBudgetBurst = 10
+)
+
 func (cfg RetryConfig) withDefaults() RetryConfig {
 	if cfg.Attempts <= 0 {
 		cfg.Attempts = 3
-	}
-	if cfg.BaseDelay <= 0 {
-		cfg.BaseDelay = 500 * time.Microsecond
-	}
-	if cfg.MaxDelay <= 0 {
-		cfg.MaxDelay = 50 * time.Millisecond
-	}
-	if cfg.BudgetRatio <= 0 {
-		cfg.BudgetRatio = 0.1
-	}
-	if cfg.BudgetBurst <= 0 {
-		cfg.BudgetBurst = 10
 	}
 	return cfg
 }
@@ -54,16 +43,11 @@ func (cfg RetryConfig) withDefaults() RetryConfig {
 type retryBudget struct {
 	mu     sync.Mutex
 	tokens float64
-	cap    float64
-	ratio  float64
 }
 
 func (b *retryBudget) success() {
 	b.mu.Lock()
-	b.tokens += b.ratio
-	if b.tokens > b.cap {
-		b.tokens = b.cap
-	}
+	b.tokens = min(b.tokens+retryBudgetRatio, retryBudgetBurst)
 	b.mu.Unlock()
 }
 
@@ -84,7 +68,7 @@ func (b *retryBudget) take() bool {
 // middleware instance owns one budget; install a fresh instance per target.
 func Retry(cfg RetryConfig) Middleware {
 	cfg = cfg.withDefaults()
-	budget := &retryBudget{tokens: cfg.BudgetBurst, cap: cfg.BudgetBurst, ratio: cfg.BudgetRatio}
+	budget := &retryBudget{tokens: retryBudgetBurst}
 	return func(next Invoker) Invoker {
 		return func(ctx context.Context, call *Call) error {
 			for attempt := 0; ; attempt++ {
@@ -116,7 +100,7 @@ func Retry(cfg RetryConfig) Middleware {
 				if cfg.Stats != nil {
 					cfg.Stats.Retries.Inc()
 				}
-				ceil := min(cfg.MaxDelay, cfg.BaseDelay<<attempt)
+				ceil := min(retryMaxDelay, retryBaseDelay<<attempt)
 				backoff := time.Duration(rand.Int64N(int64(ceil) + 1))
 				timer := time.NewTimer(backoff)
 				select {

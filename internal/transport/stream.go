@@ -80,9 +80,10 @@ func (s *Stream) Cancel() { s.raw.Cancel() }
 func IsStreamEnd(err error) bool { return errors.Is(err, io.EOF) }
 
 // Streamer is the optional streaming extension of Caller. *rpc.Client,
-// *lb.Balanced, and *shard.Replica implement it; adopters type-assert and
-// fall back to their unary path (long-poll consume, per-sample calls) when
-// the underlying caller is a fake or an older transport.
+// *lb.Balanced, and *shard.Replica implement it through OpenStream;
+// adopters type-assert and fall back to their unary path (long-poll
+// consume, per-sample calls) when the underlying caller is a fake or an
+// older transport.
 type Streamer interface {
 	Stream(ctx context.Context, method string, req any) (*Stream, error)
 }
@@ -91,8 +92,8 @@ type Streamer interface {
 // request, runs the caller's composed middleware chain with Call.Stream
 // set — so tracing, breakers, retries, and fault injection all observe the
 // streaming hop like any other — and wraps the StreamConn the terminal
-// invoker attached. addr pins the call to one replica ("" for balanced
-// callers). ctx governs the whole stream's lifetime, not just the open:
+// invoker attached. addr pins the call to one replica, as in Unary. ctx
+// governs the whole stream's lifetime, not just the open:
 // cancellation tears the stream down.
 func OpenStream(ctx context.Context, invoke Invoker, target, addr, method string, req any) (*Stream, error) {
 	var payload []byte

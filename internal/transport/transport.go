@@ -16,9 +16,12 @@ package transport
 
 import (
 	"context"
+	"fmt"
 	"strconv"
 	"sync/atomic"
 	"time"
+
+	"dsb/internal/codec"
 )
 
 // DeadlineHeader carries the absolute call deadline (unix nanoseconds) so
@@ -70,10 +73,10 @@ type Call struct {
 	// success.
 	Reply []byte
 
-	// Addr is the replica address this call is pinned to, when routing is
-	// per-replica (the shard router stamps it before running the chain).
-	// Load-balanced calls leave it empty — the replica is picked under the
-	// chain, not above it. Fault rules use it to target a single replica.
+	// Addr is the replica address this call is pinned to. A shard replica
+	// stamps it before running the chain; a load-balanced call has it empty
+	// above the chain and stamped under it, where the replica is picked.
+	// Fault rules use it to target a single replica.
 	Addr string
 
 	// OneWay marks a fire-and-forget call: the terminal invoker completes at
@@ -170,20 +173,56 @@ func Build(terminal Invoker, mws ...Middleware) Invoker {
 }
 
 // Caller is the typed client surface services use to talk to a downstream
-// tier; *rpc.Client, *lb.Balanced, and test fakes satisfy it. (Promoted
-// from svcutil so every layer shares one definition.)
+// tier; *rpc.Client, *lb.Balanced, *shard.Replica and test fakes satisfy
+// it, the first three through Unary. (Promoted from svcutil so every layer
+// shares one definition.)
 type Caller interface {
 	Call(ctx context.Context, method string, req, resp any) error
 	Target() string
 }
 
 // OneWayCaller is the optional fire-and-forget extension of Caller.
-// *rpc.Client and *lb.Balanced implement it; typed clients with a
-// naturally idempotent method (e.g. the broker's Ack under at-least-once
-// delivery) type-assert for it and fall back to a synchronous Call when the
-// underlying caller is a fake or an older transport.
+// *rpc.Client and *lb.Balanced implement it through OneWay; typed clients
+// with a naturally idempotent method (e.g. the broker's Ack under
+// at-least-once delivery) type-assert for it and fall back to a synchronous
+// Call when the underlying caller is a fake or an older transport.
 type OneWayCaller interface {
 	CallOneWay(ctx context.Context, method string, req any) error
+}
+
+// Unary is the typed call every Caller makes: it acquires a pooled call
+// carrying req as its Body, pinned to addr ("" when the replica is picked
+// under the chain), runs invoke, decodes the reply into resp (nil skips the
+// decode), and recycles the call and its reply buffer. req must not be
+// mutated until Unary returns (see Call.Body).
+func Unary(ctx context.Context, invoke Invoker, target, addr, method string, req, resp any) error {
+	call := AcquireCall(target, method)
+	call.Body = req
+	call.Addr = addr
+	err := invoke(ctx, call)
+	if err == nil && resp != nil {
+		if uerr := codec.Unmarshal(call.Reply, resp); uerr != nil {
+			err = fmt.Errorf("transport: unmarshal %s.%s reply: %w", target, method, uerr)
+		}
+	}
+	// The decode copied everything out (the codec never aliases its input),
+	// so the pooled reply buffer is dead either way.
+	ReleaseBuf(call.Reply)
+	ReleaseCall(call)
+	return err
+}
+
+// OneWay is Unary for a fire-and-forget call: the chain runs with
+// Call.OneWay set, the terminal invoker completes at send, and only
+// send-side errors come back.
+func OneWay(ctx context.Context, invoke Invoker, target, addr, method string, req any) error {
+	call := AcquireCall(target, method)
+	call.Body = req
+	call.Addr = addr
+	call.OneWay = true
+	err := invoke(ctx, call)
+	ReleaseCall(call)
+	return err
 }
 
 // AnnotateFunc records a key/value on the active trace span in ctx, if any.

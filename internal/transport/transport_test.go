@@ -131,9 +131,10 @@ func TestDeadlineBudgetFailsFastWhenSpent(t *testing.T) {
 	inv := Build(func(ctx context.Context, call *Call) error {
 		called = true
 		return nil
-	}, DeadlineBudget(BudgetConfig{Floor: 10 * time.Millisecond, Stats: stats}))
+	}, DeadlineBudget(BudgetConfig{Stats: stats}))
 
-	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	// Less than the 100µs floor is left before the call starts.
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Microsecond)
 	defer cancel()
 	err := inv(ctx, NewCall("svc", "M", nil))
 	if !IsCode(err, CodeDeadline) || !errors.Is(err, context.DeadlineExceeded) {
@@ -148,26 +149,28 @@ func TestDeadlineBudgetFailsFastWhenSpent(t *testing.T) {
 }
 
 func TestRetrySucceedsAfterTransportFailures(t *testing.T) {
-	stats := &Stats{}
-	var attempts atomic.Int64
-	inv := Build(func(ctx context.Context, call *Call) error {
-		if attempts.Add(1) < 3 {
-			return errors.New("conn lost")
-		}
-		call.Reply = []byte("ok")
-		return nil
-	}, Retry(RetryConfig{Attempts: 3, BaseDelay: time.Microsecond, Stats: stats}))
+	vtime.Run(t, func() {
+		stats := &Stats{}
+		var attempts atomic.Int64
+		inv := Build(func(ctx context.Context, call *Call) error {
+			if attempts.Add(1) < 3 {
+				return errors.New("conn lost")
+			}
+			call.Reply = []byte("ok")
+			return nil
+		}, Retry(RetryConfig{Attempts: 3, Stats: stats}))
 
-	call := NewCall("svc", "M", nil)
-	if err := inv(context.Background(), call); err != nil {
-		t.Fatal(err)
-	}
-	if string(call.Reply) != "ok" {
-		t.Fatalf("reply = %q, want ok (copied from the winning attempt)", call.Reply)
-	}
-	if got := stats.Retries.Value(); got != 2 {
-		t.Fatalf("Retries = %d, want 2", got)
-	}
+		call := NewCall("svc", "M", nil)
+		if err := inv(context.Background(), call); err != nil {
+			t.Fatal(err)
+		}
+		if string(call.Reply) != "ok" {
+			t.Fatalf("reply = %q, want ok (copied from the winning attempt)", call.Reply)
+		}
+		if got := stats.Retries.Value(); got != 2 {
+			t.Fatalf("Retries = %d, want 2", got)
+		}
+	})
 }
 
 func TestRetryStopsOnApplicationError(t *testing.T) {
@@ -175,7 +178,7 @@ func TestRetryStopsOnApplicationError(t *testing.T) {
 	inv := Build(func(ctx context.Context, call *Call) error {
 		attempts.Add(1)
 		return Errorf(CodeNotFound, "nope")
-	}, Retry(RetryConfig{Attempts: 5, BaseDelay: time.Microsecond}))
+	}, Retry(RetryConfig{Attempts: 5}))
 	if err := inv(context.Background(), NewCall("svc", "M", nil)); !IsCode(err, CodeNotFound) {
 		t.Fatalf("err = %v", err)
 	}
@@ -185,27 +188,29 @@ func TestRetryStopsOnApplicationError(t *testing.T) {
 }
 
 func TestRetryBudgetStopsRetryStorm(t *testing.T) {
-	stats := &Stats{}
-	var attempts atomic.Int64
-	inv := Build(func(ctx context.Context, call *Call) error {
-		attempts.Add(1)
-		return errors.New("down")
-	}, Retry(RetryConfig{Attempts: 2, BaseDelay: time.Microsecond, BudgetRatio: 0.1, BudgetBurst: 3, Stats: stats}))
+	vtime.Run(t, func() {
+		stats := &Stats{}
+		var attempts atomic.Int64
+		inv := Build(func(ctx context.Context, call *Call) error {
+			attempts.Add(1)
+			return errors.New("down")
+		}, Retry(RetryConfig{Attempts: 2, Stats: stats}))
 
-	// Never a success, so the bucket starts at burst (3) and never refills:
-	// only the first 3 calls may retry.
-	for i := 0; i < 10; i++ {
-		inv(context.Background(), NewCall("svc", "M", nil)) //nolint:errcheck
-	}
-	if got := stats.Retries.Value(); got != 3 {
-		t.Fatalf("Retries = %d, want 3 (budget-capped)", got)
-	}
-	if got := stats.RetryBudgetExhausted.Value(); got != 7 {
-		t.Fatalf("RetryBudgetExhausted = %d, want 7", got)
-	}
-	if attempts.Load() != 13 {
-		t.Fatalf("attempts = %d, want 13", attempts.Load())
-	}
+		// Never a success, so the bucket starts at its burst of 10 and never
+		// refills: only the first 10 calls may retry.
+		for i := 0; i < 11; i++ {
+			inv(context.Background(), NewCall("svc", "M", nil)) //nolint:errcheck
+		}
+		if got := stats.Retries.Value(); got != 10 {
+			t.Fatalf("Retries = %d, want 10 (budget-capped)", got)
+		}
+		if got := stats.RetryBudgetExhausted.Value(); got != 1 {
+			t.Fatalf("RetryBudgetExhausted = %d, want 1", got)
+		}
+		if attempts.Load() != 21 {
+			t.Fatalf("attempts = %d, want 21", attempts.Load())
+		}
+	})
 }
 
 func TestBreakerStateMachine(t *testing.T) {
@@ -217,7 +222,7 @@ func TestBreakerStateMachine(t *testing.T) {
 				return errors.New("down")
 			}
 			return nil
-		}, Breaker(BreakerConfig{Failures: 3, Cooldown: time.Second, Probes: 2, Stats: stats}))
+		}, Breaker(BreakerConfig{Failures: 3, Cooldown: time.Second, Stats: stats}))
 
 		ctx := context.Background()
 		// Trip it: 3 consecutive failures.
@@ -243,20 +248,17 @@ func TestBreakerStateMachine(t *testing.T) {
 		if !errors.Is(inv(ctx, NewCall("svc", "M", nil)), ErrBreakerOpen) {
 			t.Fatal("breaker let a call through before its cooldown had run")
 		}
-		// After cooldown: half-open admits probes; server recovered.
+		// After cooldown: half-open admits a probe; server recovered.
 		vtime.Advance(time.Nanosecond)
 		mode.Store(1)
 		if err := inv(ctx, NewCall("svc", "M", nil)); err != nil {
-			t.Fatalf("probe 1: %v", err)
+			t.Fatalf("probe: %v", err)
 		}
 		if stats.BreakerHalfOpened.Value() != 1 {
 			t.Fatalf("BreakerHalfOpened = %d", stats.BreakerHalfOpened.Value())
 		}
-		if err := inv(ctx, NewCall("svc", "M", nil)); err != nil {
-			t.Fatalf("probe 2: %v", err)
-		}
 		if stats.BreakerClosed.Value() != 1 {
-			t.Fatalf("BreakerClosed = %d (two probe successes should close)", stats.BreakerClosed.Value())
+			t.Fatalf("BreakerClosed = %d (the probe's success should close)", stats.BreakerClosed.Value())
 		}
 		// Closed again: calls flow.
 		if err := inv(ctx, NewCall("svc", "M", nil)); err != nil {
@@ -446,9 +448,9 @@ func TestBreakerNeutralDeadline(t *testing.T) {
 }
 
 // TestBreakerEjectionCapSharedLedger: replicas built through
-// InstrumentedBackendFactory — the factory core.App.RPC and ShardedRPC
-// install — share an ejection ledger; with MaxEjected 1 the second breaker cannot
-// trip while the first holds the slot, and claims it once the first closes.
+// BackendFactory — the factory core.App.RPC and ShardedRPC install — share
+// an ejection ledger; with MaxEjected 1 the second breaker cannot trip
+// while the first holds the slot, and claims it once the first closes.
 func TestBreakerEjectionCapSharedLedger(t *testing.T) {
 	vtime.Run(t, func() {
 		stats := &Stats{}
@@ -456,11 +458,7 @@ func TestBreakerEjectionCapSharedLedger(t *testing.T) {
 			Breaker: &BreakerConfig{Failures: 1, Cooldown: time.Second, MaxEjected: 1},
 			Stats:   stats,
 		}
-		instrumented := cfg.InstrumentedBackendFactory()
-		factory := func(addr string) []Middleware {
-			mws, _ := instrumented(addr)
-			return mws
-		}
+		factory := cfg.BackendFactory()
 		var aDown, bDown atomic.Bool
 		mk := func(down *atomic.Bool, mws []Middleware) Invoker {
 			return Build(func(ctx context.Context, call *Call) error {
@@ -546,45 +544,49 @@ func TestHedgeBudgetFractionDelay(t *testing.T) {
 // the bucket, clients of an overloaded tier would lose the very tokens they
 // need to route around real failures.
 func TestRetryOverloadShedDoesNotConsumeBudget(t *testing.T) {
-	stats := &Stats{}
-	var attempts atomic.Int64
-	inv := Build(func(ctx context.Context, call *Call) error {
-		if attempts.Add(1)%2 == 1 {
-			return Errorf(CodeOverloaded, "queue full")
-		}
-		return nil
-	}, Retry(RetryConfig{Attempts: 3, BaseDelay: time.Microsecond, BudgetRatio: 0.001, BudgetBurst: 1, Stats: stats}))
+	vtime.Run(t, func() {
+		stats := &Stats{}
+		var attempts atomic.Int64
+		inv := Build(func(ctx context.Context, call *Call) error {
+			if attempts.Add(1)%2 == 1 {
+				return Errorf(CodeOverloaded, "queue full")
+			}
+			return nil
+		}, Retry(RetryConfig{Attempts: 3, Stats: stats}))
 
-	// Every call sheds once then succeeds on the free retry. With a burst of
-	// 1 and a negligible refill ratio, a budget-charged retry path could
-	// afford roughly one retry total; the shed-exempt path affords them all.
-	for i := 0; i < 10; i++ {
-		if err := inv(context.Background(), NewCall("svc", "M", nil)); err != nil {
-			t.Fatalf("call %d: %v", i, err)
+		// Every call sheds once then succeeds on the free retry. A
+		// budget-charged retry path nets -0.9 tokens a call from the burst of
+		// 10, so it would run dry by the twelfth call; the shed-exempt path
+		// affords them all.
+		const calls = 20
+		for i := 0; i < calls; i++ {
+			if err := inv(context.Background(), NewCall("svc", "M", nil)); err != nil {
+				t.Fatalf("call %d: %v", i, err)
+			}
 		}
-	}
-	if got := stats.Retries.Value(); got != 10 {
-		t.Fatalf("Retries = %d, want 10 (sheds retry for free)", got)
-	}
-	if got := stats.RetryBudgetExhausted.Value(); got != 0 {
-		t.Fatalf("RetryBudgetExhausted = %d, want 0", got)
-	}
+		if got := stats.Retries.Value(); got != calls {
+			t.Fatalf("Retries = %d, want %d (sheds retry for free)", got, calls)
+		}
+		if got := stats.RetryBudgetExhausted.Value(); got != 0 {
+			t.Fatalf("RetryBudgetExhausted = %d, want 0", got)
+		}
 
-	// Transport failures still pay: same shape, but the budget gates them.
-	stats = &Stats{}
-	var n atomic.Int64
-	inv = Build(func(ctx context.Context, call *Call) error {
-		if n.Add(1)%2 == 1 {
-			return errors.New("conn lost")
+		// Transport failures still pay: same shape, but the budget gates them.
+		stats = &Stats{}
+		var n atomic.Int64
+		inv = Build(func(ctx context.Context, call *Call) error {
+			if n.Add(1)%2 == 1 {
+				return errors.New("conn lost")
+			}
+			return nil
+		}, Retry(RetryConfig{Attempts: 3, Stats: stats}))
+		for i := 0; i < calls; i++ {
+			inv(context.Background(), NewCall("svc", "M", nil)) //nolint:errcheck
 		}
-		return nil
-	}, Retry(RetryConfig{Attempts: 3, BaseDelay: time.Microsecond, BudgetRatio: 0.001, BudgetBurst: 1, Stats: stats}))
-	for i := 0; i < 10; i++ {
-		inv(context.Background(), NewCall("svc", "M", nil)) //nolint:errcheck
-	}
-	if got := stats.RetryBudgetExhausted.Value(); got == 0 {
-		t.Fatal("transport failures must still consume the retry budget")
-	}
+		if got := stats.RetryBudgetExhausted.Value(); got == 0 {
+			t.Fatal("transport failures must still consume the retry budget")
+		}
+	})
 }
 
 // A replica that sheds under admission control is healthy — the breaker must
@@ -634,33 +636,4 @@ func TestOverloadClassification(t *testing.T) {
 	if !IsCode(wrapped, CodeOverloaded) || !Retryable(wrapped) || FailureSignal(wrapped) {
 		t.Fatalf("wrapped shed misclassified: %v", wrapped)
 	}
-}
-
-func TestBreakerWithProbeReportsState(t *testing.T) {
-	vtime.Run(t, func() {
-		mw, probe := BreakerWithProbe(BreakerConfig{Failures: 1, Cooldown: time.Second})
-		var mode atomic.Int32 // 0 = fail, 1 = succeed
-		inv := Build(func(ctx context.Context, call *Call) error {
-			if mode.Load() == 0 {
-				return errors.New("down")
-			}
-			return nil
-		}, mw)
-
-		if got := probe(); got != "closed" {
-			t.Fatalf("initial state = %q", got)
-		}
-		inv(context.Background(), NewCall("svc", "M", nil)) //nolint:errcheck
-		if got := probe(); got != "open" {
-			t.Fatalf("state after trip = %q", got)
-		}
-		vtime.Advance(time.Second) // the cooldown
-		mode.Store(1)
-		if err := inv(context.Background(), NewCall("svc", "M", nil)); err != nil {
-			t.Fatal(err)
-		}
-		if got := probe(); got != "closed" {
-			t.Fatalf("state after probe success = %q", got)
-		}
-	})
 }

@@ -44,8 +44,6 @@ var unreached = map[string]string{
 	// Seams other packages' tests need, so they cannot move into a _test.go.
 	"docstore.Collection.All":               "svcutil's WAL-replay test compares the live and the replayed store",
 	"docstore.Collection.Update":            "svcutil's WAL-replay test mixes in-process read-modify-writes with RPC writes",
-	"lb.LeastConn":                          "an arm of the root LB-policy ablation (BenchmarkAblationLBPolicy)",
-	"lb.NewPowerOfTwo":                      "an arm of the root LB-policy ablation (BenchmarkAblationLBPolicy)",
 	"loadgen.ConstantRate":                  "deterministic arrivals for loadgen's and fault's open-loop tests",
 	"rpc.IsCode":                            "the coded-error predicate tests in thirteen packages assert with",
 	"rpc.Server.Resume":                     "restarts a hung replica in core's Revive seam and ecommerce's hung-catalogue test",
