@@ -46,7 +46,8 @@ lines:
 	fi
 
 # The reachability census (reach_test.go): what no non-test package reaches
-# under internal/, and every Config field no code sets, must equal the
+# under internal/, every Config field no code sets, and every unexported
+# struct field non-test code writes but never reads, must equal the
 # allowlist there, each entry with its reason. -v prints the allowlist and
 # the names only benchmark/ keeps alive; tier-1 runs the same test.
 census:
@@ -114,13 +115,16 @@ conn-stress:
 # the calling goroutine of every hop, and a connection is one state machine —
 # calls, or one stream — that a peer drives with whatever frames it likes;
 # a REST server connection parses whatever HTTP a peer sends, up to a header
-# bound: ten seconds of hostile input for each, on top of the committed seeds
-# (internal/rpc/testdata/fuzz, FuzzRESTConn's f.Add list), which plain
-# `go test` already replays.
+# bound; and the broker's handlers take whatever sequence of requests its
+# clients send, and must keep every queue's books balanced through it: ten
+# seconds of hostile input for each, on top of the committed seeds
+# (internal/rpc/testdata/fuzz, the f.Add lists of FuzzRESTConn and
+# FuzzBrokerService), which plain `go test` already replays.
 fuzz-frame:
 	$(GO) test -run '^$$' -fuzz FuzzFrameReader -fuzztime 10s ./internal/rpc/
 	$(GO) test -run '^$$' -fuzz FuzzStreamConn -fuzztime 10s ./internal/rpc/
 	$(GO) test -run '^$$' -fuzz FuzzRESTConn -fuzztime 10s ./internal/rest/
+	$(GO) test -run '^$$' -fuzz FuzzBrokerService -fuzztime 10s ./internal/mq/
 
 check: vet fmt-check race build test alloc-guard conn-stress fuzz-frame shard-balance codecgen-check
 

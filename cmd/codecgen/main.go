@@ -50,8 +50,7 @@ var targets = []target{
 		dir: "internal/docstore", pkgName: "docstore",
 		roots: []any{
 			docstore.Doc{}, docstore.PutReq{}, docstore.GetReq{}, docstore.GetResp{},
-			docstore.FindReq{}, docstore.FindRangeReq{}, docstore.FindResp{},
-			docstore.DeleteReq{}, docstore.DeleteResp{},
+			docstore.FindReq{}, docstore.FindResp{},
 			docstore.ListPrependReq{}, docstore.ListPrependResp{}, docstore.WALRecord{},
 			docstore.AddNumReq{}, docstore.AddNumResp{},
 		},
@@ -61,7 +60,7 @@ var targets = []target{
 		roots: []any{
 			mq.Message{}, mq.PublishReq{}, mq.MirrorReq{}, mq.MirrorResp{}, mq.PublishResp{},
 			mq.SubscribeReq{}, mq.ConsumeReq{}, mq.ConsumeResp{}, mq.PushReq{},
-			mq.AckReq{}, mq.AckResp{}, mq.StatsReq{}, mq.StatsResp{},
+			mq.AckReq{}, mq.AckResp{},
 		},
 	},
 	{

@@ -2,15 +2,11 @@
 // NFS plays for movie files in the Media service. Blobs are stored as
 // fixed-size chunks so readers can stream ranges without loading whole
 // files, which is how the nginx-hls streaming tier serves HTTP live
-// streaming segments. The store keeps chunks in memory; its tests also run
-// it over a directory.
+// streaming segments. The store keeps chunks in memory.
 package blobstore
 
 import (
-	"fmt"
 	"hash/crc32"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"dsb/internal/rpc"
@@ -31,27 +27,22 @@ type Meta struct {
 // Store is a chunked blob store.
 type Store struct {
 	chunkSize int64
-	dir       string // "" = memory only
 
 	mu    sync.RWMutex
 	metas map[string]Meta
-	data  map[string][][]byte // name -> chunks (memory mode)
+	data  map[string][][]byte // name -> chunks
 }
 
-// Option configures a Store.
-type Option func(*Store)
-
 // New creates a blob store.
-func New(opts ...Option) *Store {
-	s := &Store{
-		chunkSize: DefaultChunkSize,
+func New() *Store { return newStore(DefaultChunkSize) }
+
+// newStore is New with the chunk size given.
+func newStore(chunkSize int64) *Store {
+	return &Store{
+		chunkSize: chunkSize,
 		metas:     make(map[string]Meta),
 		data:      make(map[string][][]byte),
 	}
-	for _, o := range opts {
-		o(s)
-	}
-	return s
 }
 
 // Put stores content under name, replacing any existing blob.
@@ -76,24 +67,11 @@ func (s *Store) Put(name string, content []byte) (Meta, error) {
 		copy(chunk, content[off:end])
 		chunks = append(chunks, chunk)
 	}
-	if s.dir != "" {
-		for i, chunk := range chunks {
-			if err := os.WriteFile(s.chunkPath(name, i), chunk, 0o644); err != nil {
-				return Meta{}, err
-			}
-		}
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.metas[name] = meta
-	if s.dir == "" {
-		s.data[name] = chunks
-	}
+	s.data[name] = chunks
 	return meta, nil
-}
-
-func (s *Store) chunkPath(name string, i int) string {
-	return filepath.Join(s.dir, fmt.Sprintf("%08x-%d.chunk", crc32.ChecksumIEEE([]byte(name)), i))
 }
 
 // Stat returns a blob's metadata.
@@ -115,9 +93,6 @@ func (s *Store) Chunk(name string, i int) ([]byte, error) {
 	}
 	if i < 0 || i >= m.Chunks {
 		return nil, rpc.Errorf(rpc.CodeBadRequest, "blobstore: %s: chunk %d out of %d", name, i, m.Chunks)
-	}
-	if s.dir != "" {
-		return os.ReadFile(s.chunkPath(name, i))
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()

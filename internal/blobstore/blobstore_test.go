@@ -21,7 +21,7 @@ func randomBytes(n int, seed uint64) []byte {
 }
 
 func TestPutStatChunk(t *testing.T) {
-	s := New(WithChunkSize(100))
+	s := newStore(100)
 	content := randomBytes(250, 1)
 	m, err := s.Put("movie.mp4", content)
 	if err != nil {
@@ -53,7 +53,7 @@ func TestPutStatChunk(t *testing.T) {
 }
 
 func TestChunkReturnsCopy(t *testing.T) {
-	s := New(WithChunkSize(10))
+	s := newStore(10)
 	s.Put("b", []byte("0123456789")) //nolint:errcheck
 	c, _ := s.Chunk("b", 0)
 	c[0] = 'X'
@@ -64,7 +64,7 @@ func TestChunkReturnsCopy(t *testing.T) {
 }
 
 func TestStreamingReaderIntegrity(t *testing.T) {
-	s := New(WithChunkSize(64))
+	s := newStore(64)
 	content := randomBytes(1000, 2)
 	s.Put("stream", content) //nolint:errcheck
 	r, err := s.Open("stream")
@@ -84,7 +84,7 @@ func TestStreamingReaderIntegrity(t *testing.T) {
 }
 
 func TestReadAtSemantics(t *testing.T) {
-	s := New(WithChunkSize(16))
+	s := newStore(16)
 	content := []byte("abcdefghijklmnopqrstuvwxyz")
 	s.Put("b", content) //nolint:errcheck
 	p := make([]byte, 10)
@@ -120,33 +120,12 @@ func TestDeleteAndList(t *testing.T) {
 	}
 }
 
-func TestDirBackedStore(t *testing.T) {
-	dir := t.TempDir()
-	s := New(WithDir(dir), WithChunkSize(32))
-	content := randomBytes(100, 3)
-	if _, err := s.Put("file", content); err != nil {
-		t.Fatal(err)
-	}
-	r, err := s.Open("file")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := io.ReadAll(r)
-	if !bytes.Equal(got, content) {
-		t.Fatal("dir-backed content mismatch")
-	}
-	s.Delete("file")
-	if _, err := s.Chunk("file", 0); err == nil {
-		t.Fatal("deleted chunk readable")
-	}
-}
-
 // Property: any content round-trips through Put + sequential chunk reads,
 // for any chunk size.
 func TestChunkingRoundTripProperty(t *testing.T) {
 	f := func(content []byte, chunkSize uint8) bool {
 		cs := int64(chunkSize%63) + 1
-		s := New(WithChunkSize(cs))
+		s := newStore(cs)
 		m, err := s.Put("blob", content)
 		if err != nil {
 			return false

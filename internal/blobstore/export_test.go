@@ -2,25 +2,10 @@ package blobstore
 
 import (
 	"io"
-	"os"
 	"sort"
 
 	"dsb/internal/rpc"
 )
-
-// WithChunkSize overrides the chunk size.
-func WithChunkSize(n int64) Option {
-	return func(s *Store) {
-		if n > 0 {
-			s.chunkSize = n
-		}
-	}
-}
-
-// WithDir spills chunks to files under dir instead of memory.
-func WithDir(dir string) Option {
-	return func(s *Store) { s.dir = dir }
-}
 
 // Open returns a streaming reader over the blob.
 func (s *Store) Open(name string) (io.Reader, error) {
@@ -55,15 +40,10 @@ func (r *reader) Read(p []byte) (int, error) {
 // Delete removes a blob, reporting whether it existed.
 func (s *Store) Delete(name string) bool {
 	s.mu.Lock()
-	m, ok := s.metas[name]
+	defer s.mu.Unlock()
+	_, ok := s.metas[name]
 	delete(s.metas, name)
 	delete(s.data, name)
-	s.mu.Unlock()
-	if ok && s.dir != "" {
-		for i := 0; i < m.Chunks; i++ {
-			os.Remove(s.chunkPath(name, i)) //nolint:errcheck // best-effort cleanup
-		}
-	}
 	return ok
 }
 

@@ -18,7 +18,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // call is one in-flight fetch; waiters block on done.
@@ -33,24 +32,6 @@ type call[V any] struct {
 type Group[V any] struct {
 	mu       sync.Mutex
 	inflight map[string]*call[V]
-
-	fetches atomic.Int64
-	shared  atomic.Int64
-}
-
-// Stats counts flight outcomes since the group was created.
-type Stats struct {
-	// Fetches is the number of times a caller actually ran the fetch
-	// function (one per flight).
-	Fetches int64
-	// Shared is the number of callers that piggybacked on another caller's
-	// flight instead of fetching themselves.
-	Shared int64
-}
-
-// Stats returns a snapshot of the group's counters.
-func (g *Group[V]) Stats() Stats {
-	return Stats{Fetches: g.fetches.Load(), Shared: g.shared.Load()}
 }
 
 // Do returns the result of running fn for key, coalescing concurrent calls:
@@ -71,7 +52,6 @@ func (g *Group[V]) Do(ctx context.Context, key string, fn func(context.Context) 
 	}
 	if c, ok := g.inflight[key]; ok {
 		g.mu.Unlock()
-		g.shared.Add(1)
 		select {
 		case <-c.done:
 			return c.val, c.err
@@ -84,7 +64,6 @@ func (g *Group[V]) Do(ctx context.Context, key string, fn func(context.Context) 
 	g.inflight[key] = c
 	g.mu.Unlock()
 
-	g.fetches.Add(1)
 	normal := false
 	defer func() {
 		if !normal {

@@ -42,8 +42,8 @@ func TestConcurrentMissCollapse(t *testing.T) {
 		}
 		<-entered
 		vtime.Wait() // every other caller is parked on the flight
-		if joined := g.Stats().Shared; joined != n-1 {
-			t.Fatalf("%d/%d callers joined the flight", joined, n-1)
+		if got := fetches.Load(); got != 1 || g.Inflight() != 1 {
+			t.Fatalf("with every caller in: %d fetches, %d flights, want one of each", got, g.Inflight())
 		}
 		close(gate)
 		wg.Wait()
@@ -55,10 +55,6 @@ func TestConcurrentMissCollapse(t *testing.T) {
 			if errs[i] != nil || results[i] != "value" {
 				t.Fatalf("caller %d = %q, %v", i, results[i], errs[i])
 			}
-		}
-		st := g.Stats()
-		if st.Fetches != 1 || st.Shared != n-1 {
-			t.Fatalf("stats = %+v", st)
 		}
 		if g.Inflight() != 0 {
 			t.Fatalf("inflight = %d after completion", g.Inflight())
@@ -90,8 +86,8 @@ func TestErrorPropagatesAndIsNotCached(t *testing.T) {
 			}(i)
 		}
 		vtime.Wait()
-		if st := g.Stats(); st.Shared+st.Fetches != n {
-			t.Fatalf("callers never converged on one flight: %+v", st)
+		if got := fetches.Load(); got != 1 || g.Inflight() != 1 {
+			t.Fatalf("callers never converged on one flight: %d fetches, %d flights", got, g.Inflight())
 		}
 		close(gate)
 		wg.Wait()

@@ -25,38 +25,20 @@ type AdmissionConfig struct {
 	// eventually times out client-side but still burns a worker when its
 	// turn comes.
 	MaxQueue int
-	// CoDelTarget is the acceptable standing queueing delay (default 5ms);
-	// CoDelInterval is how long delay must stay above target before
-	// shedding starts (default 100ms). Zero CoDelTarget disables CoDel.
-	CoDelTarget   time.Duration
-	CoDelInterval time.Duration
-	// MinBudget sheds requests whose remaining deadline is below the
-	// expected service time (EWMA of observed handler latency, floored at
-	// MinBudget). The work would be wasted: the client gives up before the
-	// reply. Default 1ms; negative disables budget shedding.
-	MinBudget time.Duration
-	// Window sizes the sliding windows behind the load report (default 1s).
-	Window time.Duration
 }
 
-func (cfg AdmissionConfig) withDefaults() AdmissionConfig {
-	if cfg.MaxQueue <= 0 {
-		cfg.MaxQueue = 256
-	}
-	if cfg.CoDelTarget == 0 {
-		cfg.CoDelTarget = 5 * time.Millisecond
-	}
-	if cfg.CoDelInterval <= 0 {
-		cfg.CoDelInterval = 100 * time.Millisecond
-	}
-	if cfg.MinBudget == 0 {
-		cfg.MinBudget = time.Millisecond
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = time.Second
-	}
-	return cfg
-}
+const (
+	// codelTarget is the acceptable standing queueing delay; codelInterval
+	// is how long delay must stay above target before shedding starts.
+	codelTarget   = 5 * time.Millisecond
+	codelInterval = 100 * time.Millisecond
+	// minBudget floors the expected service time a request's remaining
+	// deadline must cover: below it the work would be wasted, the client
+	// giving up before the reply.
+	minBudget = time.Millisecond
+	// reportWindow sizes the sliding windows behind the load report.
+	reportWindow = time.Second
+)
 
 // Admission is one replica's server-side overload guard. Protocol adapters
 // (Interceptor for rpc, RESTInterceptor for rest) wrap handlers in
@@ -80,12 +62,6 @@ type Admission struct {
 	sojourn  *metrics.Windowed
 	wait     *metrics.Windowed
 
-	// lagFn, when set, reports the consumer-group backlog this replica
-	// drains; Report copies it into LoadReport.Lag. Async consumers need
-	// it because their pending work lives in the broker, not in the
-	// admission queue this controller can see.
-	lagFn func() int64
-
 	mu         sync.Mutex
 	ewmaNs     float64   // EWMA of handler service time
 	firstAbove time.Time // CoDel: when delay first exceeded target
@@ -96,14 +72,16 @@ type Admission struct {
 
 // NewAdmission builds an admission controller for one replica.
 func NewAdmission(cfg AdmissionConfig) *Admission {
-	cfg = cfg.withDefaults()
+	if cfg.MaxQueue <= 0 {
+		cfg.MaxQueue = 256
+	}
 	a := &Admission{
 		cfg:      cfg,
-		doneRate: metrics.NewMeter(cfg.Window, 10),
-		shedRate: metrics.NewMeter(cfg.Window, 10),
-		busyNs:   metrics.NewMeter(cfg.Window, 10),
-		sojourn:  metrics.NewWindowed(cfg.Window, 5),
-		wait:     metrics.NewWindowed(cfg.Window, 5),
+		doneRate: metrics.NewMeter(reportWindow, 10),
+		shedRate: metrics.NewMeter(reportWindow, 10),
+		busyNs:   metrics.NewMeter(reportWindow, 10),
+		sojourn:  metrics.NewWindowed(reportWindow, 5),
+		wait:     metrics.NewWindowed(reportWindow, 5),
 	}
 	if cfg.MaxConcurrent > 0 {
 		a.sem = make(chan struct{}, cfg.MaxConcurrent)
@@ -157,13 +135,8 @@ func (a *Admission) Admit(ctx context.Context) (release func(), err error) {
 	}
 	// Deadline budget: running a request whose client will time out before
 	// the reply wastes exactly the capacity an overloaded tier lacks.
-	if a.cfg.MinBudget >= 0 {
-		if dl, ok := ctx.Deadline(); ok {
-			need := a.expectedServiceTime()
-			if remaining := time.Until(dl); remaining < need {
-				return reject(&a.shedOver, "deadline budget spent")
-			}
-		}
+	if dl, ok := ctx.Deadline(); ok && time.Until(dl) < a.expectedServiceTime() {
+		return reject(&a.shedOver, "deadline budget spent")
 	}
 
 	a.inFlight.Add(1)
@@ -192,16 +165,12 @@ func (a *Admission) shed(counter *metrics.Counter) {
 }
 
 // expectedServiceTime is the EWMA of observed handler latency, floored at
-// MinBudget so a cold replica does not reject everything or nothing.
+// minBudget so a cold replica does not reject everything or nothing.
 func (a *Admission) expectedServiceTime() time.Duration {
 	a.mu.Lock()
 	ewma := a.ewmaNs
 	a.mu.Unlock()
-	need := time.Duration(ewma)
-	if need < a.cfg.MinBudget {
-		need = a.cfg.MinBudget
-	}
-	return need
+	return max(time.Duration(ewma), minBudget)
 }
 
 func (a *Admission) observeServiceTime(dur time.Duration) {
@@ -221,12 +190,9 @@ func (a *Admission) observeServiceTime(dur time.Duration) {
 // root of the drop count (the CoDel control law) until delay dips below
 // target.
 func (a *Admission) codelDrop(waited time.Duration, now time.Time) bool {
-	if a.cfg.CoDelTarget <= 0 {
-		return false
-	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if waited < a.cfg.CoDelTarget {
+	if waited < codelTarget {
 		a.firstAbove = time.Time{}
 		a.dropping = false
 		return false
@@ -236,7 +202,7 @@ func (a *Admission) codelDrop(waited time.Duration, now time.Time) bool {
 		return false
 	}
 	if !a.dropping {
-		if now.Sub(a.firstAbove) < a.cfg.CoDelInterval {
+		if now.Sub(a.firstAbove) < codelInterval {
 			return false
 		}
 		a.dropping = true
@@ -253,25 +219,13 @@ func (a *Admission) codelDrop(waited time.Duration, now time.Time) bool {
 }
 
 func (a *Admission) nextDropGap() time.Duration {
-	return time.Duration(float64(a.cfg.CoDelInterval) / math.Sqrt(float64(a.dropCount)))
-}
-
-// SetLagProbe attaches the backlog source an async-consumer replica reports
-// through LoadReport.Lag (typically a broker Stats call for its consumer
-// group). Call before the replica starts serving load probes.
-func (a *Admission) SetLagProbe(fn func() int64) {
-	a.mu.Lock()
-	a.lagFn = fn
-	a.mu.Unlock()
+	return time.Duration(float64(codelInterval) / math.Sqrt(float64(a.dropCount)))
 }
 
 // Report snapshots the replica's windowed load view.
 func (a *Admission) Report() LoadReport {
 	s := a.sojourn.Snapshot()
 	w := a.wait.Snapshot()
-	a.mu.Lock()
-	lagFn := a.lagFn
-	a.mu.Unlock()
 	r := LoadReport{
 		Workers:       a.cfg.MaxConcurrent,
 		QueueDepth:    a.queued.Value(),
@@ -292,9 +246,6 @@ func (a *Admission) Report() LoadReport {
 		if r.Utilization > 1 {
 			r.Utilization = 1
 		}
-	}
-	if lagFn != nil {
-		r.Lag = lagFn()
 	}
 	return r
 }

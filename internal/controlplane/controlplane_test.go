@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,7 +17,7 @@ import (
 
 func TestAdmissionQueueBoundSheds(t *testing.T) {
 	vtime.Run(t, func() {
-		a := NewAdmission(AdmissionConfig{MaxConcurrent: 1, MaxQueue: 2, CoDelTarget: -1, MinBudget: -1})
+		a := NewAdmission(AdmissionConfig{MaxConcurrent: 1, MaxQueue: 2})
 		ctx := context.Background()
 
 		// Occupy the single worker.
@@ -75,7 +74,7 @@ func TestAdmissionQueueBoundSheds(t *testing.T) {
 
 func TestAdmissionDeadlineBudgetSheds(t *testing.T) {
 	vtime.Run(t, func() {
-		a := NewAdmission(AdmissionConfig{CoDelTarget: -1, MinBudget: time.Millisecond})
+		a := NewAdmission(AdmissionConfig{})
 
 		// Teach the EWMA a ~10ms service time.
 		rel, err := a.Admit(context.Background())
@@ -117,10 +116,7 @@ func TestAdmissionDeadlineBudgetSheds(t *testing.T) {
 }
 
 func TestCoDelStateMachine(t *testing.T) {
-	a := NewAdmission(AdmissionConfig{
-		CoDelTarget:   5 * time.Millisecond,
-		CoDelInterval: 100 * time.Millisecond,
-	})
+	a := NewAdmission(AdmissionConfig{})
 	over := 20 * time.Millisecond
 	now := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
 
@@ -153,12 +149,7 @@ func TestCoDelStateMachine(t *testing.T) {
 
 func TestAdmissionCoDelShedsThroughAdmit(t *testing.T) {
 	vtime.Run(t, func() {
-		a := NewAdmission(AdmissionConfig{
-			MaxConcurrent: 1,
-			CoDelTarget:   5 * time.Millisecond,
-			CoDelInterval: 100 * time.Millisecond,
-			MinBudget:     -1,
-		})
+		a := NewAdmission(AdmissionConfig{MaxConcurrent: 1})
 		// Hold the worker so a queued request accumulates over-target wait.
 		// (Admitted first: its own zero wait would otherwise reset the episode
 		// installed below — exactly the disarm-on-low-delay rule CoDel wants.)
@@ -196,8 +187,7 @@ func TestAdmissionCoDelShedsThroughAdmit(t *testing.T) {
 
 func TestAdmissionUtilizationReport(t *testing.T) {
 	vtime.Run(t, func() {
-		a := NewAdmission(AdmissionConfig{MaxConcurrent: 2, CoDelTarget: -1, MinBudget: -1,
-			Window: time.Second})
+		a := NewAdmission(AdmissionConfig{MaxConcurrent: 2})
 
 		// One worker busy 500ms within the 1s window across 2 workers = 0.25.
 		rel, err := a.Admit(context.Background())
@@ -461,7 +451,7 @@ func TestControllerHoldsOnMuteReplicas(t *testing.T) {
 func TestOverloadRoundTripOverREST(t *testing.T) {
 	vtime.Run(t, func() {
 		n := rpc.NewMem()
-		a := NewAdmission(AdmissionConfig{MaxConcurrent: 1, MaxQueue: 1, CoDelTarget: -1, MinBudget: -1})
+		a := NewAdmission(AdmissionConfig{MaxConcurrent: 1, MaxQueue: 1})
 		srv := rest.NewServer("svc")
 		srv.Use(RESTInterceptor(a))
 		entered := make(chan struct{}, 2)
@@ -540,115 +530,4 @@ func TestOverloadRoundTripOverREST(t *testing.T) {
 			t.Fatalf("server recorded %d sheds, want >= %d", got, shedCalls)
 		}
 	})
-}
-
-func TestLagAwarePolicy(t *testing.T) {
-	p := LagAware{TargetPerReplica: 32}
-	cases := []struct {
-		agg  Aggregate
-		want int
-	}{
-		// Backlog of 100 against a 32/replica target: jump straight to 4.
-		{Aggregate{Replicas: 1, Reporting: 1, Lag: 100}, 4},
-		// Backlog within the current tier's target: hold.
-		{Aggregate{Replicas: 4, Reporting: 4, Lag: 120}, 4},
-		// Fully drained: release one replica per pass, never below 1.
-		{Aggregate{Replicas: 4, Reporting: 4, Lag: 0}, 3},
-		{Aggregate{Replicas: 1, Reporting: 1, Lag: 0}, 1},
-		// No reports: hold, lag unknown is not lag zero.
-		{Aggregate{Replicas: 3, Reporting: 0, Lag: 0}, 3},
-	}
-	for i, c := range cases {
-		if got := p.Desired(c.agg); got != c.want {
-			t.Errorf("case %d: Desired(%+v) = %d, want %d", i, c.agg, got, c.want)
-		}
-	}
-}
-
-func TestAggregateLagIsMaxNotSum(t *testing.T) {
-	// Three members of one consumer group each report the same shared
-	// backlog; summing would triple-count it and over-scale 3x.
-	agg := AggregateReports("consumers", 3, []LoadReport{
-		{Lag: 40}, {Lag: 40}, {Lag: 38},
-	})
-	if agg.Lag != 40 {
-		t.Fatalf("Aggregate.Lag = %d, want 40 (max)", agg.Lag)
-	}
-}
-
-// TestLagDrivenAutoscaleUp is the acceptance test for lag-driven
-// autoscaling: a consumer tier whose broker backlog grows must be scaled up
-// by the controller on lag alone — its request-side signals (utilization,
-// queue depth) stay idle because async consumers pull work — and released
-// again once the group drains.
-func TestLagDrivenAutoscaleUp(t *testing.T) {
-	reg := registry.New()
-	sp := &fakeSpawner{reg: reg}
-	if _, err := sp.Spawn("fanout"); err != nil {
-		t.Fatal(err)
-	}
-
-	// The shared group backlog every replica reports: it shrinks as the
-	// tier grows, the way real consumers eat a fixed backlog.
-	var mu sync.Mutex
-	lag := int64(100)
-	c := NewController(ControllerConfig{
-		Registry: reg,
-		Spawner:  sp,
-		Policy:   LagAware{TargetPerReplica: 25},
-		Services: []ManagedService{{Name: "fanout", Min: 1, Max: 8}},
-		fetch: func(ctx context.Context, service, addr string) (LoadReport, error) {
-			mu.Lock()
-			defer mu.Unlock()
-			// Request-side signals idle: lag is the only thing moving.
-			return LoadReport{Workers: 2, Utilization: 0.01, Lag: lag}, nil
-		},
-	})
-
-	// Backlog 100 @ 25/replica: one tick jumps 1 -> 4, no per-tick creep.
-	d := c.Tick()[0]
-	if d.From != 1 || d.To != 4 {
-		t.Fatalf("scale-up tick: %d -> %d (%s), want 1 -> 4", d.From, d.To, d.Reason)
-	}
-	if got := len(reg.Lookup("fanout")); got != 4 {
-		t.Fatalf("live replicas = %d, want 4", got)
-	}
-
-	// The grown tier eats the backlog; a partially-drained group holds.
-	mu.Lock()
-	lag = 60
-	mu.Unlock()
-	if d := c.Tick()[0]; d.To != 4 {
-		t.Fatalf("draining tick: To = %d (%s), want hold at 4", d.To, d.Reason)
-	}
-
-	// Drained: release one per tick back toward Min.
-	mu.Lock()
-	lag = 0
-	mu.Unlock()
-	for i, want := range []int{3, 2, 1, 1} {
-		if d := c.Tick()[0]; d.To != want {
-			t.Fatalf("drain tick %d: To = %d (%s), want %d", i, d.To, d.Reason, want)
-		}
-	}
-}
-
-func TestLagProbeFlowsThroughReport(t *testing.T) {
-	p := NewPlane(PlaneConfig{})
-	srv := rpc.NewServer("consumer")
-	p.HookRPC("consumer", srv)
-	// Probe attached AFTER the replica started: must reach it anyway.
-	var lag atomic.Int64
-	lag.Store(17)
-	p.SetLagProbe("consumer", lag.Load)
-	r := p.Admissions("consumer")[0].Report()
-	if r.Lag != 17 {
-		t.Fatalf("Report.Lag = %d, want 17", r.Lag)
-	}
-	// Replicas added after the probe inherit it.
-	srv2 := rpc.NewServer("consumer")
-	p.HookRPC("consumer", srv2)
-	if r := p.Admissions("consumer")[1].Report(); r.Lag != 17 {
-		t.Fatalf("late replica Report.Lag = %d, want 17", r.Lag)
-	}
 }

@@ -27,7 +27,6 @@ type Plane struct {
 
 	mu         sync.Mutex
 	admissions map[string][]*Admission // by service, in start order
-	lagProbes  map[string]func() int64 // by service; attached to every replica
 }
 
 // NewPlane builds a Plane.
@@ -35,7 +34,6 @@ func NewPlane(cfg PlaneConfig) *Plane {
 	return &Plane{
 		cfg:        cfg,
 		admissions: make(map[string][]*Admission),
-		lagProbes:  make(map[string]func() int64),
 	}
 }
 
@@ -43,11 +41,7 @@ func (p *Plane) admissionFor(service string) *Admission {
 	a := NewAdmission(p.cfg.PerService[service])
 	p.mu.Lock()
 	p.admissions[service] = append(p.admissions[service], a)
-	probe := p.lagProbes[service]
 	p.mu.Unlock()
-	if probe != nil {
-		a.SetLagProbe(probe)
-	}
 	return a
 }
 

@@ -30,10 +30,6 @@ type Aggregate struct {
 	QueueP99 time.Duration
 	// ServiceTime is the mean expected per-request service time.
 	ServiceTime time.Duration
-	// Lag is the worst consumer-group backlog any replica reports. Max, not
-	// sum: every member of a consumer group reports the same shared group
-	// backlog, so summing would multiply it by the replica count.
-	Lag int64
 }
 
 // AggregateReports folds replica reports into the policy input.
@@ -56,9 +52,6 @@ func AggregateReports(service string, replicas int, reports []LoadReport) Aggreg
 		}
 		if p := time.Duration(r.QueueP99Ns); p > agg.QueueP99 {
 			agg.QueueP99 = p
-		}
-		if r.Lag > agg.Lag {
-			agg.Lag = r.Lag
 		}
 	}
 	n := float64(len(reports))

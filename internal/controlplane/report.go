@@ -50,13 +50,6 @@ type LoadReport struct {
 	// Admitted and Shed are lifetime totals.
 	Admitted int64
 	Shed     int64
-	// Lag is the consumer backlog this replica works against (queued +
-	// in-flight messages in its consumer group), filled by a lag probe when
-	// the replica is an async consumer. It measures work accepted by a
-	// broker but not yet processed — invisible to request-side signals like
-	// queue depth or utilization, because an async producer's publish
-	// returns at broker ack. Zero for ordinary request-serving replicas.
-	Lag int64
 }
 
 // RegisterReport installs the load-report method on an RPC server.

@@ -135,9 +135,7 @@ type Instance struct {
 	Service string
 	Addr    string
 
-	app  *App
 	srv  *rpc.Server
-	meta map[string]string
 	once sync.Once
 
 	mu      sync.Mutex
@@ -210,7 +208,7 @@ func (a *App) startRPCInstance(service string, meta map[string]string, register 
 	if err != nil {
 		return nil, fmt.Errorf("start %s: %w", service, err)
 	}
-	inst := &Instance{Service: service, Addr: addr, app: a, srv: srv, meta: meta}
+	inst := &Instance{Service: service, Addr: addr, srv: srv}
 	inst.stopHB, inst.release = a.enroll(service, addr, meta)
 	a.mu.Lock()
 	a.servers = append(a.servers, srv)

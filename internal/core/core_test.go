@@ -388,7 +388,7 @@ func TestKillEvictsViaLeaseAndReviveReturns(t *testing.T) {
 			}
 		}
 
-		victim.Revive()
+		app.Revive(victim)
 		vtime.Wait()
 		if got := backends(); len(got) != 2 {
 			t.Fatalf("backends = %v after revive, want 2", got)

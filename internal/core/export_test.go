@@ -1,12 +1,12 @@
 package core
 
 // Revive restarts a killed replica in place: dispatch resumes and the
-// instance re-enrolls in discovery — with its original metadata, so a
-// revived shard replica rejoins the same replica set — under a fresh lease
-// and heartbeat.
-func (i *Instance) Revive() {
+// instance re-enrolls in discovery under a fresh lease and heartbeat. It
+// re-enrolls without metadata, so it revives a replica StartRPCInstance
+// started, not a shard replica.
+func (a *App) Revive(i *Instance) {
 	i.srv.Resume()
-	stopHB, release := i.app.enroll(i.Service, i.Addr, i.meta)
+	stopHB, release := a.enroll(i.Service, i.Addr, nil)
 	i.mu.Lock()
 	i.stopHB, i.release = stopHB, release
 	i.mu.Unlock()

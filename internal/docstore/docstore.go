@@ -1,9 +1,10 @@
 // Package docstore implements the suite's persistent document database —
 // the role MongoDB plays in DeathStarBench backends (posts, profiles,
 // orders, reviews, sensor data). Documents carry an opaque body (the
-// owning service's codec-encoded struct) plus declared scalar fields that
-// the store indexes for equality and range queries, mirroring how the
-// suite's services keep queryable metadata next to blob-ish payloads.
+// owning service's codec-encoded struct) plus string fields the store
+// indexes for equality lookups and numbers it adds to atomically, mirroring
+// how the suite's services keep queryable metadata next to blob-ish
+// payloads.
 //
 // Durability is optional: with a write-ahead log attached, every mutation
 // is appended to the log before being applied, and Open replays the log on
@@ -13,11 +14,9 @@ package docstore
 
 import (
 	"bytes"
-	"cmp"
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -35,8 +34,8 @@ type Doc struct {
 	ID string
 	// Fields are indexed string attributes (equality lookups).
 	Fields map[string]string
-	// Nums are indexed numeric attributes (equality and range lookups,
-	// e.g. timestamps for timeline queries).
+	// Nums are numeric attributes, not indexed: the counters and balances
+	// AddNum adjusts in place.
 	Nums map[string]int64
 	// Body is the opaque payload owned by the writing service.
 	Body []byte
@@ -80,7 +79,7 @@ func (s *Store) collection(name string, keep bool) *Collection {
 	return s.collections[own]
 }
 
-// Collection is one document collection with its indexes.
+// Collection is one document collection with its field index.
 //
 // Each document is held as its canonical wire encoding (see stored.go), and
 // that slice is immutable once stored: every mutator installs a fresh one.
@@ -93,15 +92,14 @@ type Collection struct {
 
 	mu   sync.RWMutex
 	docs map[string]stored
-	// Both indexes map a key to an ascending list: the wire bytes of a
-	// (field, value) pair to document IDs, a num field to (value, ID).
+	// fields maps the wire bytes of a (field, value) pair to the ascending
+	// IDs of the documents that carry it.
 	fields map[string]*[]string
-	nums   map[string]*[]numEntry
 
 	// mutMu serializes mutations: a read-modify-write (Update, ListPrepend,
 	// AddNum) cannot lose another's change, and because it is held across
 	// the WAL append and the apply, log order is apply order. Lock order is
-	// mutMu, then the WAL's own mutex inside logOp, then mu; logOp takes no
+	// mutMu, then the WAL's own mutex inside logPut, then mu; logPut takes no
 	// store lock.
 	mutMu sync.Mutex
 }
@@ -114,22 +112,12 @@ type stored struct {
 	enc []byte
 }
 
-type numEntry struct {
-	val int64
-	id  string
-}
-
-func cmpNum(a, b numEntry) int {
-	return cmp.Or(cmp.Compare(a.val, b.val), strings.Compare(a.id, b.id))
-}
-
 func newCollection(name string, store *Store) *Collection {
 	return &Collection{
 		name:   name,
 		store:  store,
 		docs:   make(map[string]stored),
 		fields: make(map[string]*[]string),
-		nums:   make(map[string]*[]numEntry),
 	}
 }
 
@@ -159,7 +147,7 @@ func (c *Collection) putWire(doc []byte) error {
 // commit logs and then stores enc, a canonical encoding the caller gives up;
 // mutMu is held.
 func (c *Collection) commit(enc []byte) error {
-	if err := c.logOp(opPut, enc); err != nil {
+	if err := c.logPut(enc); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -169,55 +157,51 @@ func (c *Collection) commit(enc []byte) error {
 }
 
 // apply installs enc under mu. A replace keeps the ID string it has and
-// re-indexes only the section, fields or nums, whose bytes changed.
+// re-indexes only when the fields' bytes changed.
 func (c *Collection) apply(enc []byte) {
 	p, _ := layoutOf(enc)
 	old, replaces := c.docs[string(enc[p.id:p.fields])]
-	id, fields, nums := old.id, true, true
+	id, reindex := old.id, true
 	if replaces {
 		q, _ := layoutOf(old.enc)
-		fields = !bytes.Equal(old.enc[q.fields:q.nums], enc[p.fields:p.nums])
-		nums = !bytes.Equal(old.enc[q.nums:q.body], enc[p.nums:p.body])
-		c.index(id, old.enc[q.fields:], fields, nums, false)
+		if reindex = !bytes.Equal(old.enc[q.fields:q.nums], enc[p.fields:p.nums]); reindex {
+			c.index(id, old.enc[q.fields:q.nums], false)
+		}
 	} else {
 		id = string(enc[p.id:p.fields])
 	}
 	c.docs[id] = stored{id, enc}
-	c.index(id, enc[p.fields:], fields, nums, true)
+	if reindex {
+		c.index(id, enc[p.fields:p.nums], true)
+	}
 }
 
-// index adds id to, or removes it from, the indexes that the chosen sections
-// of an encoding (given from its field count on) name.
-func (c *Collection) index(id string, sections []byte, fields, nums, add bool) {
-	r := reader{b: sections}
+// index adds id to, or removes it from, the field index entries the fields
+// section of an encoding names.
+func (c *Collection) index(id string, fields []byte, add bool) {
+	r := reader{b: fields}
 	for n := r.count(); n > 0; n-- {
 		pair := r.b
 		r.str()
 		r.str()
-		if fields {
-			update(c.fields, pair[:len(pair)-len(r.b)], id, strings.Compare, add)
-		}
-	}
-	for n := r.count(); n > 0 && nums; n-- {
-		k := r.str()
-		update(c.nums, k, numEntry{r.int(), id}, cmpNum, add)
+		update(c.fields, pair[:len(pair)-len(r.b)], id, add)
 	}
 }
 
-// update adds e to, or removes it from, the ascending list m[k]. Only a key
+// update adds id to, or removes it from, the ascending list m[k]. Only a key
 // not seen before is allocated, and a list's last entry takes the key along.
-func update[E any](m map[string]*[]E, k []byte, e E, cmp func(E, E) int, add bool) {
+func update(m map[string]*[]string, k []byte, id string, add bool) {
 	s := m[string(k)]
 	if s == nil {
 		if !add {
 			return
 		}
-		s = new([]E)
+		s = new([]string)
 		m[string(k)] = s
 	}
-	i, found := slices.BinarySearchFunc(*s, e, cmp)
+	i, found := slices.BinarySearch(*s, id)
 	if add && !found {
-		*s = slices.Insert(*s, i, e)
+		*s = slices.Insert(*s, i, id)
 	} else if !add && found {
 		if *s = slices.Delete(*s, i, i+1); len(*s) == 0 {
 			delete(m, string(k))
@@ -240,32 +224,6 @@ func (c *Collection) Get(id string) (Doc, bool) {
 		return Doc{}, false
 	}
 	return decode(enc), true
-}
-
-// Delete removes a document, reporting whether it existed. Deleting what is
-// not there changes nothing and logs nothing.
-func (c *Collection) Delete(id string) (bool, error) {
-	c.mutMu.Lock()
-	defer c.mutMu.Unlock()
-	if _, ok := c.encoded(id); !ok {
-		return false, nil
-	}
-	if err := c.logOp(opDelete, encode(&Doc{ID: id})); err != nil {
-		return false, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.remove(id)
-	return true, nil
-}
-
-// remove drops a document and its index entries, under mu.
-func (c *Collection) remove(id string) {
-	if old, ok := c.docs[id]; ok {
-		p, _ := layoutOf(old.enc)
-		c.index(id, old.enc[p.fields:], true, true, false)
-		delete(c.docs, id)
-	}
 }
 
 // Find returns documents whose indexed string field equals value, in ID
@@ -295,27 +253,7 @@ func (c *Collection) appendFind(b []byte, field, value string, limit int) []byte
 	return b
 }
 
-// appendRange is appendFind for FindRange.
-func (c *Collection) appendRange(b []byte, field string, min, max int64, limit int) []byte {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var s []numEntry
-	if p := c.nums[field]; p != nil {
-		s = *p
-	}
-	lo := sort.Search(len(s), func(i int) bool { return s[i].val >= min })
-	hi := sort.Search(len(s), func(i int) bool { return s[i].val > max })
-	if limit > 0 && hi-lo > limit {
-		lo = hi - limit
-	}
-	b = codec.AppendLen(b, hi-lo)
-	for i := hi - 1; i >= lo; i-- {
-		b = append(b, c.docs[s[i].id].enc...)
-	}
-	return b
-}
-
-// decodeAll decodes what appendFind and appendRange wrote.
+// decodeAll decodes what appendFind wrote.
 func decodeAll(b []byte) []Doc {
 	var resp FindResp
 	resp.DecodeFrom(b) //nolint:errcheck // a count and stored bytes, just written
@@ -454,9 +392,9 @@ func (c *Collection) sorted() []stored {
 	return slices.SortedFunc(maps.Values(c.docs), func(a, b stored) int { return strings.Compare(a.id, b.id) })
 }
 
-func (c *Collection) logOp(kind byte, doc []byte) error {
+func (c *Collection) logPut(doc []byte) error {
 	if wal := c.store.wal.Load(); wal != nil {
-		if err := wal.append(kind, c.name, doc); err != nil {
+		if err := wal.append(c.name, doc); err != nil {
 			return fmt.Errorf("docstore: wal append: %w", err)
 		}
 	}

@@ -13,27 +13,19 @@ import (
 	"dsb/internal/rpc"
 )
 
-func TestPutGetDelete(t *testing.T) {
+func TestPutGet(t *testing.T) {
 	s := NewStore()
 	posts := s.Collection("posts")
-	d := Doc{ID: "p1", Fields: map[string]string{"author": "alice"}, Nums: map[string]int64{"ts": 100}, Body: []byte("hello")}
+	d := Doc{ID: "p1", Fields: map[string]string{"author": "alice"}, Nums: map[string]int64{"likes": 3}, Body: []byte("hello")}
 	if err := posts.Put(d); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := posts.Get("p1")
-	if !ok || string(got.Body) != "hello" || got.Fields["author"] != "alice" {
+	if !ok || string(got.Body) != "hello" || got.Fields["author"] != "alice" || got.Nums["likes"] != 3 {
 		t.Fatalf("Get = %+v, %v", got, ok)
 	}
-	existed, err := posts.Delete("p1")
-	if err != nil || !existed {
-		t.Fatalf("Delete = %v, %v", existed, err)
-	}
-	if _, ok := posts.Get("p1"); ok {
-		t.Fatal("deleted doc present")
-	}
-	existed, _ = posts.Delete("p1")
-	if existed {
-		t.Fatal("double delete reported existed")
+	if _, ok := posts.Get("p2"); ok {
+		t.Fatal("a document nobody put is present")
 	}
 }
 
@@ -82,25 +74,6 @@ func TestFindByField(t *testing.T) {
 	}
 }
 
-func TestFindRangeNewestFirst(t *testing.T) {
-	s := NewStore()
-	c := s.Collection("timeline")
-	for i := int64(1); i <= 10; i++ {
-		c.Put(Doc{ID: fmt.Sprintf("p%d", i), Nums: map[string]int64{"ts": i * 10}}) //nolint:errcheck
-	}
-	got := c.FindRange("ts", 25, 75, 0)
-	if len(got) != 5 {
-		t.Fatalf("range size = %d", len(got))
-	}
-	// Descending by ts: 70, 60, 50, 40, 30.
-	if got[0].Nums["ts"] != 70 || got[4].Nums["ts"] != 30 {
-		t.Fatalf("order = %v ... %v", got[0].Nums["ts"], got[4].Nums["ts"])
-	}
-	if lim := c.FindRange("ts", 0, 1000, 3); len(lim) != 3 || lim[0].Nums["ts"] != 100 {
-		t.Fatalf("limit: %v", lim)
-	}
-}
-
 func TestReindexOnUpdate(t *testing.T) {
 	s := NewStore()
 	c := s.Collection("c")
@@ -109,14 +82,8 @@ func TestReindexOnUpdate(t *testing.T) {
 	if got := c.Find("state", "open", 0); len(got) != 0 {
 		t.Fatal("stale string index")
 	}
-	if got := c.Find("state", "closed", 0); len(got) != 1 {
-		t.Fatal("missing new string index")
-	}
-	if got := c.FindRange("v", 1, 1, 0); len(got) != 0 {
-		t.Fatal("stale numeric index")
-	}
-	if got := c.FindRange("v", 2, 2, 0); len(got) != 1 {
-		t.Fatal("missing new numeric index")
+	if got := c.Find("state", "closed", 0); len(got) != 1 || got[0].Nums["v"] != 2 {
+		t.Fatalf("new string index finds %+v, want the replacement", got)
 	}
 }
 
@@ -259,11 +226,10 @@ func TestListPrependConcurrentNoLostEntries(t *testing.T) {
 	}
 }
 
-// Property: for any operation sequence, Find(field, v) returns exactly the
-// live docs whose field equals v, and FindRange agrees with a linear scan.
+// Property: for any sequence of puts and replaces, Find(field, v) returns
+// exactly the live docs whose field equals v.
 func TestIndexConsistencyProperty(t *testing.T) {
 	type op struct {
-		Del bool
 		ID  uint8
 		Val uint8
 		Num int16
@@ -274,11 +240,6 @@ func TestIndexConsistencyProperty(t *testing.T) {
 		live := map[string]Doc{}
 		for _, o := range ops {
 			id := fmt.Sprintf("d%d", o.ID%24)
-			if o.Del {
-				c.Delete(id) //nolint:errcheck
-				delete(live, id)
-				continue
-			}
 			d := Doc{
 				ID:     id,
 				Fields: map[string]string{"f": fmt.Sprintf("v%d", o.Val%4)},
@@ -303,15 +264,7 @@ func TestIndexConsistencyProperty(t *testing.T) {
 				return false
 			}
 		}
-		// Range via index vs linear scan.
-		got := c.FindRange("n", -100, 100, 0)
-		want := 0
-		for _, d := range live {
-			if n := d.Nums["n"]; n >= -100 && n <= 100 {
-				want++
-			}
-		}
-		return len(got) == want
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -335,7 +288,7 @@ func TestConcurrentAccess(t *testing.T) {
 					c.Get(id)
 					c.Find("g", fmt.Sprint(g), 10)
 				case 2:
-					c.FindRange("i", 0, 250, 5)
+					c.AddNum(id, "i", 1, 0) //nolint:errcheck
 				}
 			}
 		}(g)
@@ -387,12 +340,9 @@ func TestWALPersistence(t *testing.T) {
 	}
 	c := s.Collection("posts")
 	for i := 0; i < 10; i++ {
-		if err := c.Put(Doc{ID: fmt.Sprintf("p%d", i), Nums: map[string]int64{"ts": int64(i)}, Body: []byte("body")}); err != nil {
+		if err := c.Put(Doc{ID: fmt.Sprintf("p%d", i), Fields: map[string]string{"parity": fmt.Sprint(i % 2)}, Body: []byte("body")}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if _, err := c.Delete("p3"); err != nil {
-		t.Fatal(err)
 	}
 	if err := c.Update("p4", func(d Doc) Doc { d.Body = []byte("updated"); return d }); err != nil {
 		t.Fatal(err)
@@ -407,19 +357,16 @@ func TestWALPersistence(t *testing.T) {
 	}
 	defer w2.Close()
 	c2 := s2.Collection("posts")
-	if c2.Len() != 9 {
-		t.Fatalf("recovered %d docs, want 9", c2.Len())
-	}
-	if _, ok := c2.Get("p3"); ok {
-		t.Fatal("deleted doc resurrected")
+	if c2.Len() != 10 {
+		t.Fatalf("recovered %d docs, want 10", c2.Len())
 	}
 	got, _ := c2.Get("p4")
 	if string(got.Body) != "updated" {
 		t.Fatalf("update lost: %q", got.Body)
 	}
 	// Index rebuilt from log.
-	if r := c2.FindRange("ts", 5, 9, 0); len(r) != 5 {
-		t.Fatalf("recovered range = %d", len(r))
+	if r := c2.Find("parity", "1", 0); len(r) != 5 {
+		t.Fatalf("recovered index finds %d odd posts, want 5", len(r))
 	}
 }
 
@@ -469,7 +416,7 @@ func TestRPCService(t *testing.T) {
 	defer cl.Close()
 	ctx := context.Background()
 
-	put := PutReq{Collection: "posts", Doc: Doc{ID: "p1", Fields: map[string]string{"author": "a"}, Nums: map[string]int64{"ts": 5}, Body: []byte("b")}}
+	put := PutReq{Collection: "posts", Doc: Doc{ID: "p1", Fields: map[string]string{"author": "a"}, Nums: map[string]int64{"likes": 5}, Body: []byte("b")}}
 	if err := cl.Call(ctx, "Put", put, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -487,15 +434,9 @@ func TestRPCService(t *testing.T) {
 	if len(fr.Docs) != 1 {
 		t.Fatalf("Find = %d docs", len(fr.Docs))
 	}
-	if err := cl.Call(ctx, "FindRange", FindRangeReq{Collection: "posts", Field: "ts", Min: 0, Max: 10}, &fr); err != nil {
-		t.Fatal(err)
-	}
-	if len(fr.Docs) != 1 {
-		t.Fatalf("FindRange = %d docs", len(fr.Docs))
-	}
-	var dr DeleteResp
-	if err := cl.Call(ctx, "Delete", DeleteReq{Collection: "posts", ID: "p1"}, &dr); err != nil || !dr.Existed {
-		t.Fatalf("Delete = %+v, %v", dr, err)
+	var ar AddNumResp
+	if err := cl.Call(ctx, "AddNum", AddNumReq{Collection: "posts", ID: "p1", Field: "likes", Delta: 1}, &ar); err != nil || !ar.OK || ar.Value != 6 {
+		t.Fatalf("AddNum = %+v, %v", ar, err)
 	}
 }
 
@@ -511,18 +452,5 @@ func BenchmarkPut(b *testing.B) {
 			Nums:   map[string]int64{"ts": int64(i)},
 			Body:   body,
 		})
-	}
-}
-
-func BenchmarkFindRange(b *testing.B) {
-	s := NewStore()
-	c := s.Collection("bench")
-	for i := 0; i < 10000; i++ {
-		c.Put(Doc{ID: fmt.Sprintf("d%d", i), Nums: map[string]int64{"ts": int64(i)}}) //nolint:errcheck
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.FindRange("ts", int64(i%9000), int64(i%9000+100), 10)
 	}
 }

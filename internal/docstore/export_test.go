@@ -18,10 +18,3 @@ func (c *Collection) Len() int {
 	defer c.mu.RUnlock()
 	return len(c.docs)
 }
-
-// FindRange returns documents whose numeric field lies in [min, max],
-// sorted descending by the field (newest-first for timestamp fields), up to
-// limit (<=0 means all).
-func (c *Collection) FindRange(field string, min, max int64, limit int) []Doc {
-	return decodeAll(c.appendRange(nil, field, min, max, limit))
-}

@@ -49,14 +49,13 @@ func mustMarshal(t testing.TB, v any) []byte {
 }
 
 // checkoutDocs are the two document shapes one ecommerce checkout leaves
-// behind: an order (two fields, one num, 180 B body) and its invoice (one
-// field whose value no other document shares, 70 B body).
+// behind: an order (two fields, 180 B body) and its invoice (one field whose
+// value no other document shares, 70 B body).
 func checkoutDocs(i int) (order, invoice Doc) {
 	id := fmt.Sprintf("%016x", 0x0192a1b2c3d40000+i)
 	order = Doc{
 		ID:     id,
 		Fields: map[string]string{"user": fmt.Sprintf("u%d", i%512), "status": "committed"},
-		Nums:   map[string]int64{"ts": 1_700_000_000_000 + int64(i)},
 		Body:   make([]byte, 180),
 	}
 	invoice = Doc{ID: "inv-" + id, Fields: map[string]string{"order": id}, Body: make([]byte, 70)}

@@ -17,12 +17,10 @@ import (
 type backend interface {
 	Put(d Doc) error
 	Get(id string) (Doc, bool)
-	Delete(id string) (bool, error)
 	Update(id string, fn func(Doc) Doc) error
 	Prepend(id, value string, max int, unique bool) (int, error)
 	AddNum(id, field string, delta, floor int64) (int64, bool, bool, error)
 	Find(field, value string, limit int) []Doc
-	FindRange(field string, min, max int64, limit int) []Doc
 }
 
 // model is the reference: a map of Docs, linear scans, and the typed codec
@@ -38,12 +36,6 @@ func (m model) Put(d Doc) error {
 }
 
 func (m model) Get(id string) (Doc, bool) { d, ok := m[id]; return d, ok }
-
-func (m model) Delete(id string) (bool, error) {
-	_, ok := m[id]
-	delete(m, id)
-	return ok, nil
-}
 
 func (m model) Update(id string, fn func(Doc) Doc) error {
 	d, ok := m[id]
@@ -113,16 +105,6 @@ func (m model) Find(field, value string, limit int) []Doc {
 		func(a, b Doc) bool { return a.ID < b.ID }, limit)
 }
 
-func (m model) FindRange(field string, min, max int64, limit int) []Doc {
-	return m.scan(func(d Doc) bool { v, ok := d.Nums[field]; return ok && v >= min && v <= max },
-		func(a, b Doc) bool {
-			if a.Nums[field] != b.Nums[field] {
-				return a.Nums[field] > b.Nums[field]
-			}
-			return a.ID > b.ID
-		}, limit)
-}
-
 // local drives a Collection in process.
 type local struct{ *Collection }
 
@@ -149,12 +131,6 @@ func (r remote) Get(id string) (Doc, bool) {
 	return resp.Doc, resp.Found
 }
 
-func (r remote) Delete(id string) (bool, error) {
-	var resp DeleteResp
-	err := r.cl.Call(bg, "Delete", DeleteReq{Collection: "c", ID: id}, &resp)
-	return resp.Existed, err
-}
-
 func (r remote) Prepend(id, value string, max int, unique bool) (int, error) {
 	var resp ListPrependResp
 	err := r.cl.Call(bg, "ListPrepend", ListPrependReq{Collection: "c", ID: id, Value: value, Cap: int64(max), Unique: unique}, &resp)
@@ -170,14 +146,6 @@ func (r remote) AddNum(id, field string, delta, floor int64) (int64, bool, bool,
 func (r remote) Find(field, value string, limit int) []Doc {
 	var resp FindResp
 	if err := r.cl.Call(bg, "Find", FindReq{Collection: "c", Field: field, Value: value, Limit: int64(limit)}, &resp); err != nil {
-		panic(err)
-	}
-	return resp.Docs
-}
-
-func (r remote) FindRange(field string, min, max int64, limit int) []Doc {
-	var resp FindResp
-	if err := r.cl.Call(bg, "FindRange", FindRangeReq{Collection: "c", Field: field, Min: min, Max: max, Limit: int64(limit)}, &resp); err != nil {
 		panic(err)
 	}
 	return resp.Docs
@@ -248,14 +216,12 @@ func randomOp(rng *rand.Rand) (string, func(b backend) []any) {
 		}
 		return d
 	}
-	switch rng.Intn(10) {
+	switch rng.Intn(9) {
 	case 0, 1:
 		d := doc()
 		return fmt.Sprintf("Put(%+v)", d), func(b backend) []any { return []any{b.Put(d) != nil} }
-	case 2:
+	case 2, 3:
 		return fmt.Sprintf("Get(%q)", id), func(b backend) []any { d, ok := b.Get(id); return []any{d, ok} }
-	case 3:
-		return fmt.Sprintf("Delete(%q)", id), func(b backend) []any { ok, err := b.Delete(id); return []any{ok, err != nil} }
 	case 4:
 		d := doc()
 		return fmt.Sprintf("Update(%q, -> %+v)", id, d), func(b backend) []any {
@@ -280,10 +246,8 @@ func randomOp(rng *rand.Rand) (string, func(b backend) []any) {
 			v, found, ok, err := b.AddNum(id, num, n, floor)
 			return []any{v, found, ok, err != nil}
 		}
-	case 8:
-		return fmt.Sprintf("Find(%q, %q, %d)", field, value, limit), func(b backend) []any { return []any{b.Find(field, value, limit)} }
 	default:
-		return fmt.Sprintf("FindRange(%q, %d, %d, %d)", num, n-2, n+2, limit), func(b backend) []any { return []any{b.FindRange(num, n-2, n+2, limit)} }
+		return fmt.Sprintf("Find(%q, %q, %d)", field, value, limit), func(b backend) []any { return []any{b.Find(field, value, limit)} }
 	}
 }
 
@@ -344,8 +308,8 @@ func TestModelDifferential(t *testing.T) {
 	}
 }
 
-// checkAll holds a collection's whole contents, and what its indexes answer
-// for every key and value the model holds, to the model.
+// checkAll holds a collection's whole contents, and what its index answers
+// for every field and value the model holds, to the model.
 func checkAll(t *testing.T, what string, ref model, col *Collection) {
 	t.Helper()
 	want := ref.scan(func(Doc) bool { return true }, func(a, b Doc) bool { return a.ID < b.ID }, 0)
@@ -356,11 +320,6 @@ func checkAll(t *testing.T, what string, ref model, col *Collection) {
 		for k, v := range d.Fields {
 			if got, want := col.Find(k, v, 0), ref.Find(k, v, 0); !reflect.DeepEqual(norm(want), norm(got)) {
 				t.Fatalf("%s Find(%q, %q) = %+v, the model %+v", what, k, v, got, want)
-			}
-		}
-		for k, v := range d.Nums {
-			if got, want := col.FindRange(k, v, v, 0), ref.FindRange(k, v, v, 0); !reflect.DeepEqual(norm(want), norm(got)) {
-				t.Fatalf("%s FindRange(%q, %d) = %+v, the model %+v", what, k, v, got, want)
 			}
 		}
 	}

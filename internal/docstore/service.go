@@ -34,25 +34,8 @@ type FindReq struct {
 	Limit      int64
 }
 
-// FindRangeReq queries an indexed numeric field.
-type FindRangeReq struct {
-	Collection string
-	Field      string
-	Min, Max   int64
-	Limit      int64
-}
-
 // FindResp returns matching documents.
 type FindResp struct{ Docs []Doc }
-
-// DeleteReq removes a document.
-type DeleteReq struct {
-	Collection string
-	ID         string
-}
-
-// DeleteResp reports whether the document existed.
-type DeleteResp struct{ Existed bool }
 
 // ListPrependReq atomically prepends Value to the []string body of a
 // document, creating it if absent and capping the list at Cap entries
@@ -85,12 +68,11 @@ type AddNumResp struct {
 }
 
 // RegisterService exposes store as an RPC microservice with methods Put,
-// Get, Find, FindRange, ListPrepend, AddNum, and Delete — the "mongodb"
-// tier in the application graphs. Documents cross it in wire form: Put
-// validates and stores the request's Doc bytes, and the reads append stored
-// bytes to a pooled reply, so no handler builds a Doc. Only Put and
-// ListPrepend create a collection; asking about a name nobody has written
-// leaves nothing behind.
+// Get, Find, ListPrepend and AddNum — the "mongodb" tier in the application
+// graphs. Documents cross it in wire form: Put validates and stores the
+// request's Doc bytes, and the reads append stored bytes to a pooled reply,
+// so no handler builds a Doc. Only Put and ListPrepend create a collection;
+// asking about a name nobody has written leaves nothing behind.
 func RegisterService(srv *rpc.Server, store *Store) {
 	srv.Handle("Put", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
 		// A PutReq is the collection name, then the Doc.
@@ -114,10 +96,6 @@ func RegisterService(srv *rpc.Server, store *Store) {
 		c := store.collection(req.Collection, false)
 		return ctx.OwnReply(c.appendFind(transport.AcquireBuf(0), req.Field, req.Value, int(req.Limit))), nil
 	})
-	handle(srv, "FindRange", func(ctx *rpc.Ctx, req *FindRangeReq) ([]byte, error) {
-		c := store.collection(req.Collection, false)
-		return ctx.OwnReply(c.appendRange(transport.AcquireBuf(0), req.Field, req.Min, req.Max, int(req.Limit))), nil
-	})
 	handle(srv, "ListPrepend", func(ctx *rpc.Ctx, req *ListPrependReq) ([]byte, error) {
 		n, err := store.Collection(req.Collection).listPrepend(req.ID, req.Value, int(req.Cap), req.Unique)
 		if err != nil {
@@ -132,13 +110,6 @@ func RegisterService(srv *rpc.Server, store *Store) {
 			return nil, err
 		}
 		return ctx.PooledReply(&AddNumResp{Value: v, Found: found, OK: ok})
-	})
-	handle(srv, "Delete", func(ctx *rpc.Ctx, req *DeleteReq) ([]byte, error) {
-		existed, err := store.collection(req.Collection, false).Delete(req.ID)
-		if err != nil {
-			return nil, err
-		}
-		return ctx.PooledReply(&DeleteResp{Existed: existed})
 	})
 }
 

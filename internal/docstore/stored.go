@@ -11,7 +11,7 @@ import (
 // The stored form of a document is its canonical wire encoding — exactly the
 // bytes (*Doc).AppendTo writes: ID, fields by ascending key, nums by ascending
 // key, body, every length and integer in its shortest varint. Canonical makes
-// equal documents equal bytes, so a replace compares index sections instead
+// equal documents equal bytes, so a replace compares fields sections instead
 // of maps and what the store indexes is what a map decode would have kept.
 // This file reads that form without building a Doc.
 
@@ -63,7 +63,7 @@ func (r *reader) int() int64 {
 
 // layout is where the parts of an encoded Doc start: the ID's bytes, the
 // field count (where the ID ends), the num count and the body's length
-// prefix. The two index sections are enc[fields:nums] and enc[nums:body].
+// prefix. The indexed fields are enc[fields:nums], the nums enc[nums:body].
 type layout struct{ id, fields, nums, body int }
 
 // layoutOf finds the parts of enc and reports whether enc is one canonical

@@ -12,11 +12,9 @@ import (
 	"dsb/internal/codec"
 )
 
-// WAL op kinds.
-const (
-	opPut    byte = 1
-	opDelete byte = 2
-)
+// opPut is the kind of every record: a document stored whole. Every mutation
+// logs the document it leaves behind.
+const opPut byte = 1
 
 // WALRecord is the codec-encoded log entry: what each record decodes to. The
 // log itself is written and replayed in wire form (Kind, Collection, then the
@@ -88,53 +86,43 @@ func replay(f *os.File, s *Store) (int64, error) {
 		}
 		// The record's tail is the Doc; it becomes the stored slice as it is.
 		kind, rest, err := codec.DecUint8(body)
-		if err != nil {
+		if err != nil || kind != opPut {
 			return offset, nil // corrupt tail
 		}
 		name, rest, err := codec.DecString(rest)
 		if err != nil {
 			return offset, nil
 		}
-		enc, p, err := canonical(rest)
+		enc, _, err := canonical(rest)
 		if err != nil {
 			return offset, nil
 		}
 		col := s.Collection(name)
 		col.mu.Lock()
-		switch kind {
-		case opPut:
-			col.apply(enc)
-		case opDelete:
-			col.remove(string(enc[p.id:p.fields]))
-		}
+		col.apply(enc)
 		col.mu.Unlock()
 		offset += int64(4 + n)
 	}
 }
 
-func (w *WAL) append(kind byte, collection string, doc []byte) error {
+// append logs doc, stored in collection, and flushes: a length, the
+// record's head encoded into the WAL's own scratch (w.mu is held), and doc's
+// bytes as they are — nothing is re-encoded and nothing allocated per record.
+func (w *WAL) append(collection string, doc []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
 		return errors.New("docstore: wal closed")
 	}
-	if err := w.writeRecord(w.w, kind, collection, doc); err != nil {
+	w.buf = codec.AppendString(codec.AppendUint(w.buf[:4], uint64(opPut)), collection)
+	binary.LittleEndian.PutUint32(w.buf, uint32(len(w.buf)-4+len(doc)))
+	if _, err := w.w.Write(w.buf); err != nil {
+		return err
+	}
+	if _, err := w.w.Write(doc); err != nil {
 		return err
 	}
 	return w.w.Flush()
-}
-
-// writeRecord frames one record onto bw: a length, the record's head encoded
-// into the WAL's own scratch (w.mu is held), and doc's bytes as they are —
-// nothing is re-encoded and nothing allocated per record.
-func (w *WAL) writeRecord(bw *bufio.Writer, kind byte, collection string, doc []byte) error {
-	w.buf = codec.AppendString(codec.AppendUint(w.buf[:4], uint64(kind)), collection)
-	binary.LittleEndian.PutUint32(w.buf, uint32(len(w.buf)-4+len(doc)))
-	if _, err := bw.Write(w.buf); err != nil {
-		return err
-	}
-	_, err := bw.Write(doc)
-	return err
 }
 
 // Close flushes and closes the log. The store remains usable in-memory but

@@ -30,7 +30,7 @@ func TestWALAppendBufferReuse(t *testing.T) {
 	})
 	// Warm up: first append grows w.buf to the head size; later appends
 	// reuse it.
-	if err := w.append(opPut, "posts", doc); err != nil {
+	if err := w.append("posts", doc); err != nil {
 		t.Fatal(err)
 	}
 
@@ -38,7 +38,7 @@ func TestWALAppendBufferReuse(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < records; i++ {
-		if err := w.append(opPut, "posts", doc); err != nil {
+		if err := w.append("posts", doc); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -13,9 +13,9 @@ import (
 // mix the services actually generate: Update and ListPrepend are
 // read-modify-write operations logged as opPut of their *result* under the
 // collection's mutation lock, so the log's record order IS the apply
-// order. Interleaving them with Delete makes ordering observable — a
-// delete replayed out of order either resurrects the doc or erases writes
-// that landed after it.
+// order. Interleaving them with whole-document replaces makes ordering
+// observable — a replace replayed out of order either brings back what it
+// replaced or erases writes that landed after it.
 func TestWALReplayMixedOpOrdering(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "mixed.wal")
 	s, w, err := Open(path)
@@ -43,19 +43,17 @@ func TestWALReplayMixedOpOrdering(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Delete then re-Put the same ID: a replay that reorders the delete
-	// after the second put would erase the resurrected doc.
-	if _, err := posts.Delete("p2"); err != nil {
-		t.Fatal(err)
-	}
+	// Replace p2 whole: a replay that reorders the replace after the update
+	// below would erase that update.
 	if err := posts.Put(Doc{ID: "p2", Fields: map[string]string{"author": "u9"}, Body: []byte("reborn")}); err != nil {
 		t.Fatal(err)
 	}
-	// Delete with no re-create: must stay gone after replay.
-	if _, err := posts.Delete("p3"); err != nil {
+	// Replace p3 with a document that has no author: it must leave the
+	// author index after replay.
+	if err := posts.Put(Doc{ID: "p3", Body: []byte("anonymous")}); err != nil {
 		t.Fatal(err)
 	}
-	// Update of the re-created doc: applies on top of the second Put.
+	// Update of the replaced doc: applies on top of the second Put.
 	if err := posts.Update("p2", func(d Doc) Doc {
 		d.Body = append(d.Body, []byte("+tail")...)
 		return d
@@ -63,16 +61,16 @@ func TestWALReplayMixedOpOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Timeline collection: prepends interleaved with a delete. The delete
-	// lands between prepends, so the final list holds only the entries
-	// prepended after it — order-sensitive in both directions.
+	// Timeline collection: prepends interleaved with a reset to an empty
+	// list. The reset lands between prepends, so the final list holds only
+	// the entries prepended after it — order-sensitive in both directions.
 	tl := s.Collection("timelines")
 	for _, v := range []string{"a", "b", "c"} {
 		if _, err := tl.ListPrepend("bob", v, 10); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := tl.Delete("bob"); err != nil {
+	if err := tl.Put(Doc{ID: "bob"}); err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range []string{"d", "e"} {
@@ -127,10 +125,11 @@ func TestWALReplayMixedOpOrdering(t *testing.T) {
 	}
 
 	// Spot-check the order-sensitive outcomes directly.
-	if _, ok := s2.Collection("posts").Get("p3"); ok {
-		t.Fatal("p3 resurrected by replay")
+	d, ok := s2.Collection("posts").Get("p3")
+	if !ok || string(d.Body) != "anonymous" || len(d.Fields) != 0 {
+		t.Fatalf("p3 after replay = %+v, %v", d, ok)
 	}
-	d, ok := s2.Collection("posts").Get("p2")
+	d, ok = s2.Collection("posts").Get("p2")
 	if !ok || string(d.Body) != "reborn+tail" || d.Fields["author"] != "u9" {
 		t.Fatalf("p2 after replay = %+v, %v", d, ok)
 	}
@@ -155,14 +154,17 @@ func TestWALReplayMixedOpOrdering(t *testing.T) {
 		t.Fatalf("alice's capped timeline after replay = %v, want [e7 e6 e5]", aliceList)
 	}
 
-	// The indexes must be rebuilt too, not just the documents: the updated
-	// timestamp and the re-created author land in the right index buckets.
+	// The index must be rebuilt too, not just the documents: the replaced
+	// authors land in the right buckets and leave the ones they had.
 	byAuthor := s2.Collection("posts").Find("author", "u9", 0)
 	if len(byAuthor) != 1 || byAuthor[0].ID != "p2" {
 		t.Fatalf("author index after replay = %+v", byAuthor)
 	}
-	inRange := s2.Collection("posts").FindRange("ts", 500, 500, 0)
-	if len(inRange) != 1 || inRange[0].ID != "p1" {
-		t.Fatalf("ts index after replay = %+v", inRange)
+	var ids []string
+	for _, d := range s2.Collection("posts").Find("author", "u1", 0) {
+		ids = append(ids, d.ID)
+	}
+	if !reflect.DeepEqual(ids, []string{"p1", "p5"}) {
+		t.Fatalf("u1's posts after replay = %v, want [p1 p5]", ids)
 	}
 }

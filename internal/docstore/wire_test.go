@@ -26,7 +26,7 @@ func TestReadReplyIsTypedEncoding(t *testing.T) {
 		d := Doc{
 			ID:     fmt.Sprintf("p%d", i),
 			Fields: map[string]string{"author": fmt.Sprintf("u%d", i%2), "lang": "en"},
-			Nums:   map[string]int64{"ts": int64(100 + i/2)}, // ties
+			Nums:   map[string]int64{"likes": int64(100 + i/2)},
 			Body:   bytes.Repeat([]byte{byte(i)}, i*40),
 		}
 		if err := col.Put(d); err != nil {
@@ -44,9 +44,6 @@ func TestReadReplyIsTypedEncoding(t *testing.T) {
 		{"Find", "Find", FindReq{Collection: "posts", Field: "author", Value: "u0"}, FindResp{Docs: []Doc{docs[0], docs[2], docs[4]}}},
 		{"Find limit", "Find", FindReq{Collection: "posts", Field: "lang", Value: "en", Limit: 2}, FindResp{Docs: docs[:2]}},
 		{"Find nothing", "Find", FindReq{Collection: "posts", Field: "author", Value: "u9"}, FindResp{}},
-		{"FindRange", "FindRange", FindRangeReq{Collection: "posts", Field: "ts", Min: 100, Max: 101}, FindResp{Docs: []Doc{docs[3], docs[2], docs[1], docs[0]}}},
-		{"FindRange limit", "FindRange", FindRangeReq{Collection: "posts", Field: "ts", Min: 0, Max: 1000, Limit: 2}, FindResp{Docs: []Doc{docs[4], docs[3]}}},
-		{"FindRange nothing", "FindRange", FindRangeReq{Collection: "posts", Field: "ts", Min: 500, Max: 600}, FindResp{}},
 	} {
 		got := call(tc.method, mustMarshal(t, tc.req))
 		if want := mustMarshal(t, tc.want); !bytes.Equal(got, want) {
@@ -56,45 +53,8 @@ func TestReadReplyIsTypedEncoding(t *testing.T) {
 	}
 }
 
-// Delete used to log its record before looking: deleting what is not there
-// grew the log forever.
-func TestDeleteOfMissingDocLogsNothing(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "noop.wal")
-	store, wal, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wal.Close()
-	size := func() int64 { // every append is flushed before it returns
-		st, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st.Size()
-	}
-	col := store.Collection("c")
-	if err := col.Put(Doc{ID: "keep"}); err != nil {
-		t.Fatal(err)
-	}
-	before := size()
-	for i := 0; i < 100; i++ {
-		if existed, err := col.Delete("ghost"); existed || err != nil {
-			t.Fatalf("Delete = %v, %v", existed, err)
-		}
-	}
-	if after := size(); after != before {
-		t.Fatalf("100 deletes of a missing document grew the log from %d to %d bytes", before, after)
-	}
-	if existed, _ := col.Delete("keep"); !existed {
-		t.Fatal("a real delete reported nothing")
-	}
-	if size() <= before {
-		t.Fatal("a real delete logged nothing")
-	}
-}
-
-// The read handlers, Delete and AddNum used to create the collection they
-// were asked about, so any caller could grow the store with reads.
+// The read handlers and AddNum used to create the collection they were asked
+// about, so any caller could grow the store with reads.
 func TestReadsOfUnknownCollectionsCreateNothing(t *testing.T) {
 	store := NewStore()
 	call := serveRaw(t, store)
@@ -103,8 +63,6 @@ func TestReadsOfUnknownCollectionsCreateNothing(t *testing.T) {
 		name := fmt.Sprintf("ghost-%d", i)
 		call("Get", mustMarshal(t, GetReq{Collection: name, ID: "d"}))
 		call("Find", mustMarshal(t, FindReq{Collection: name, Field: "f", Value: "v"}))
-		call("FindRange", mustMarshal(t, FindRangeReq{Collection: name, Field: "n", Max: 10}))
-		call("Delete", mustMarshal(t, DeleteReq{Collection: name, ID: "d"}))
 		call("AddNum", mustMarshal(t, AddNumReq{Collection: name, ID: "d", Field: "n", Delta: 1}))
 	}
 	if names := store.Collections(); !reflect.DeepEqual(names, []string{"real"}) {
@@ -155,13 +113,7 @@ func TestAddNum(t *testing.T) {
 	if want := encode(&doc); !bytes.Equal(enc, want) {
 		t.Fatalf("the spliced encoding %x is not the canonical one %x", enc, want)
 	}
-	// The num index moved with the value; the string index was left alone.
-	if r := col.FindRange("balance", 1<<40, 1<<40, 0); len(r) != 1 {
-		t.Fatalf("balance index holds %d documents at the new value", len(r))
-	}
-	if r := col.FindRange("balance", 0, 100, 0); len(r) != 0 {
-		t.Fatalf("balance index still holds an old value: %+v", r)
-	}
+	// The string index was left alone.
 	if r := col.Find("salt", "s", 0); len(r) != 1 {
 		t.Fatalf("salt index holds %d documents", len(r))
 	}
@@ -227,8 +179,6 @@ func TestWALCrossVersion(t *testing.T) {
 		{Kind: opPut, Collection: "posts", Doc: Doc{ID: "p2", Body: []byte("two")}},
 		{Kind: opPut, Collection: "timelines", Doc: Doc{ID: "tl:ann", Body: list}},
 		{Kind: opPut, Collection: "posts", Doc: p1v2},
-		{Kind: opDelete, Collection: "posts", Doc: Doc{ID: "p2"}},
-		{Kind: opDelete, Collection: "posts", Doc: Doc{ID: "never-there"}},
 	}
 	var typed [][]byte
 	for _, rec := range records {
@@ -243,14 +193,14 @@ func TestWALCrossVersion(t *testing.T) {
 	if names := store.Collections(); !reflect.DeepEqual(names, []string{"posts", "timelines"}) {
 		t.Fatalf("replay built collections %v", names)
 	}
-	if all := store.Collection("posts").All(); len(all) != 1 || !reflect.DeepEqual(all[0], decode(encode(&p1v2))) {
-		t.Fatalf("replay built posts %+v, want only %+v", all, p1v2)
+	if all := store.Collection("posts").All(); len(all) != 2 || !reflect.DeepEqual(all[0], decode(encode(&p1v2))) {
+		t.Fatalf("replay built posts %+v, want %+v and p2", all, p1v2)
 	}
 	if ann := store.Collection("posts").Find("author", "ann", 0); len(ann) != 0 {
 		t.Fatalf("replay left a stale index entry: %+v", ann)
 	}
-	if r := store.Collection("posts").FindRange("ts", 9, 9, 0); len(r) != 1 {
-		t.Fatalf("replay did not index the replacement: %+v", r)
+	if bob := store.Collection("posts").Find("author", "bob", 0); len(bob) != 1 {
+		t.Fatalf("replay did not index the replacement: %+v", bob)
 	}
 	if n, err := store.Collection("timelines").ListPrepend("tl:ann", "p3", 0); err != nil || n != 3 {
 		t.Fatalf("prepend onto a replayed timeline = %d, %v", n, err)
@@ -262,9 +212,6 @@ func TestWALCrossVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, _, _, err := store.Collection("posts").AddNum("p1", "ts", 2, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := store.Collection("posts").Delete("p1"); err != nil {
 		t.Fatal(err)
 	}
 	if err := wal.Close(); err != nil {
@@ -288,8 +235,8 @@ func TestWALCrossVersion(t *testing.T) {
 		decoded = append(decoded, rec)
 		log = log[4+n:]
 	}
-	if len(decoded) != len(records)+4 {
-		t.Fatalf("the log holds %d records, want %d", len(decoded), len(records)+4)
+	if len(decoded) != len(records)+3 {
+		t.Fatalf("the log holds %d records, want %d", len(decoded), len(records)+3)
 	}
 	tail := decoded[len(records):]
 	p1v3 := decode(encode(&p1))
@@ -298,7 +245,6 @@ func TestWALCrossVersion(t *testing.T) {
 		{Kind: opPut, Collection: "timelines", Doc: Doc{ID: "tl:ann"}},
 		{Kind: opPut, Collection: "posts", Doc: decode(encode(&p1))},
 		{Kind: opPut, Collection: "posts", Doc: p1v3},
-		{Kind: opDelete, Collection: "posts", Doc: decode(encode(&Doc{ID: "p1"}))},
 	} {
 		if i == 0 {
 			want.Doc = tail[0].Doc // checked by the prepend above; only its place matters here

@@ -129,7 +129,6 @@ type afLevelResult struct {
 
 // afArmResult is one arm's walk up the ladder.
 type afArmResult struct {
-	mode      afMode
 	levels    []afLevelResult
 	sustained float64 // highest offered load with good=true (0 = none)
 }
@@ -270,7 +269,7 @@ func afRun(mode afMode, qps float64) (afLevelResult, error) {
 // level it fails to sustain (offered load is monotone; levels above a
 // failed one only queue deeper).
 func afLadder(mode afMode, levels []float64) (afArmResult, error) {
-	arm := afArmResult{mode: mode}
+	var arm afArmResult
 	for _, qps := range levels {
 		res, err := afRun(mode, qps)
 		if err != nil {

@@ -65,16 +65,15 @@ const (
 // acked posts that never arrive — the quantity replication must hold at
 // zero.
 type bcResult struct {
-	replicated bool
-	appended   int // unique posts driven
-	acked      int // posts whose Append eventually succeeded
-	retries    int // failed Append attempts (crash-window stall, quantified)
-	delivered  int // acked posts on the probe timeline at settle
-	lost       int // acked - delivered
-	dups       int // duplicate timeline entries (must stay 0)
-	recovered  bool
-	recovery   time.Duration // crash → last acked post delivered
-	schedule   string
+	appended  int // unique posts driven
+	acked     int // posts whose Append eventually succeeded
+	retries   int // failed Append attempts (crash-window stall, quantified)
+	delivered int // acked posts on the probe timeline at settle
+	lost      int // acked - delivered
+	dups      int // duplicate timeline entries (must stay 0)
+	recovered bool
+	recovery  time.Duration // crash → last acked post delivered
+	schedule  string
 }
 
 // bcRun boots one arm, kills shard 0's primary broker mid-drive, and
@@ -137,7 +136,7 @@ func bcRun(replicated bool) (bcResult, error) {
 	}
 	sc := fault.NewScenario(inj)
 	sc.At(bcCrashAt, fault.Action("crash(social.broker shard0 primary)", victim.Kill))
-	res := bcResult{replicated: replicated, schedule: sc.String()}
+	res := bcResult{schedule: sc.String()}
 
 	playCtx, stopPlay := context.WithCancel(ctx)
 	defer stopPlay()

@@ -35,11 +35,7 @@ func TestBrokerCrashShape(t *testing.T) {
 
 		// Producers retry through the crash window, so both arms must have
 		// acked the whole drive — the loss contrast says nothing otherwise.
-		for _, res := range []bcResult{repl, unrepl} {
-			arm := "unreplicated"
-			if res.replicated {
-				arm = "replicated"
-			}
+		for arm, res := range map[string]bcResult{"replicated": repl, "unreplicated": unrepl} {
 			if res.acked != res.appended {
 				t.Errorf("%s arm acked only %d/%d posts — the drive never established the contract under test",
 					arm, res.acked, res.appended)

@@ -1,9 +1,8 @@
 // Package kv implements the suite's in-memory lookaside cache — the role
 // memcached plays in every DeathStarBench backend. It is a sharded LRU
-// cache with TTL expiry, counters and memcached-style statistics, and
-// it can be exposed as an RPC microservice (see Service) so cache tiers
-// appear in dependency graphs and traces exactly like the paper's
-// memcached instances.
+// cache with TTL expiry and counters, and it can be exposed as an RPC
+// microservice (see RegisterService) so cache tiers appear in dependency
+// graphs and traces exactly like the paper's memcached instances.
 package kv
 
 import (
@@ -48,16 +47,12 @@ func nextPow2(n int) int {
 type entry struct {
 	key        string
 	value      []byte
-	version    uint64
 	expires    time.Time // zero = no expiry
 	prev, next *entry
 }
 
 // Cache is a lock-striped LRU cache bounded by total value bytes. The
 // stripe count is fixed at construction and scales with GOMAXPROCS.
-// Statistics counters live per stripe, incremented under the stripe lock the
-// operation already holds, so a 64-way box never serializes its cache
-// traffic on one shared counter cache line.
 type Cache struct {
 	shards []shard
 	mask   uint32
@@ -70,11 +65,6 @@ type shard struct {
 	tail     *entry // least recently used
 	bytes    int64
 	maxBytes int64
-
-	// Stats counters for operations that routed to this stripe; plain
-	// fields guarded by mu — the lock is already held everywhere they
-	// change, so they cost nothing extra and contend with nobody.
-	hits, misses, sets, evictions, expired int64
 }
 
 // New creates a cache bounded to maxBytes of value data (split evenly
@@ -110,58 +100,45 @@ func (c *Cache) shard(key string) *shard {
 	return &c.shards[fnv1a(key)&c.mask]
 }
 
-// Get returns the cached value and its CAS version. The returned slice is
-// shared; callers must not modify it.
-func (c *Cache) Get(key string) (value []byte, version uint64, ok bool) {
+// Get returns the cached value. The returned slice is shared; callers must
+// not modify it.
+func (c *Cache) Get(key string) (value []byte, ok bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, exists := s.items[key]
 	if !exists {
-		s.misses++
-		return nil, 0, false
+		return nil, false
 	}
 	if !e.expires.IsZero() && !time.Now().Before(e.expires) {
 		s.remove(e)
-		s.expired++
-		s.misses++
-		return nil, 0, false
+		return nil, false
 	}
 	s.touch(e)
-	s.hits++
-	return e.value, e.version, true
+	return e.value, true
 }
 
 // Set stores value under key with the given TTL (0 = never expires).
 // A value larger than its stripe's byte budget (maxBytes/stripes) cannot
-// be cached: memcached-style, the set is counted and immediately evicted,
-// and any previous value for the key is removed as stale.
+// be cached: memcached-style, the set stores nothing, and any previous
+// value for the key is removed as stale.
 func (c *Cache) Set(key string, value []byte, ttl time.Duration) {
-	c.set(key, value, ttl, 0, false)
-}
-
-func (c *Cache) set(key string, value []byte, ttl time.Duration, casVersion uint64, cas bool) bool {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, exists := s.items[key]
-	if cas && (!exists || e.version != casVersion) {
-		return false
-	}
-	s.sets++
 	// A value larger than the shard budget can never be admitted: the
 	// eviction loop below deliberately refuses to evict the entry being
 	// written (s.tail != e), so an oversized value would be pinned above
 	// maxBytes forever — and would first evict every other entry in the
 	// shard trying to make room that cannot exist. Mirror memcached's
-	// "object too large" handling: account the set, drop any previous
-	// version of the key (it is stale now), and store nothing.
+	// "object too large" handling: drop any previous version of the key
+	// (it is stale now), and store nothing.
 	if int64(len(value)) > s.maxBytes {
 		if exists {
 			s.remove(e)
 		}
-		s.evictions++
-		return true
+		return
 	}
 	var expires time.Time
 	if ttl > 0 {
@@ -170,20 +147,17 @@ func (c *Cache) set(key string, value []byte, ttl time.Duration, casVersion uint
 	if exists {
 		s.bytes += int64(len(value)) - int64(len(e.value))
 		e.value = value
-		e.version++
 		e.expires = expires
 		s.touch(e)
 	} else {
-		e = &entry{key: key, value: value, version: 1, expires: expires}
+		e = &entry{key: key, value: value, expires: expires}
 		s.items[key] = e
 		s.bytes += int64(len(value))
 		s.pushFront(e)
 	}
 	for s.bytes > s.maxBytes && s.tail != nil && s.tail != e {
-		s.evictions++
 		s.remove(s.tail)
 	}
-	return true
 }
 
 // Delete removes key, reporting whether it was present.
@@ -216,10 +190,9 @@ func (c *Cache) Incr(key string, delta int64) int64 {
 	if exists {
 		s.bytes += int64(len(val)) - int64(len(e.value))
 		e.value = val
-		e.version++
 		s.touch(e)
 	} else {
-		e = &entry{key: key, value: val, version: 1}
+		e = &entry{key: key, value: val}
 		s.items[key] = e
 		s.bytes += int64(len(val))
 		s.pushFront(e)

@@ -14,9 +14,8 @@ type GetReq struct{ Key string }
 
 // GetResp returns the value if found.
 type GetResp struct {
-	Value   []byte
-	Version uint64
-	Found   bool
+	Value []byte
+	Found bool
 }
 
 // SetReq stores a value with a TTL in nanoseconds (0 = no expiry).
@@ -61,8 +60,8 @@ func RegisterService(srv *rpc.Server, cache *Cache) {
 		if err := codec.Unmarshal(payload, &req); err != nil {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "decode: %v", err)
 		}
-		v, ver, ok := cache.Get(req.Key)
-		return ctx.PooledReply(&GetResp{Value: v, Version: ver, Found: ok})
+		v, ok := cache.Get(req.Key)
+		return ctx.PooledReply(&GetResp{Value: v, Found: ok})
 	})
 	srv.Handle("MGet", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
 		var req MGetReq
@@ -74,7 +73,7 @@ func RegisterService(srv *rpc.Server, cache *Cache) {
 			Found:  make([]bool, len(req.Keys)),
 		}
 		for i, key := range req.Keys {
-			resp.Values[i], _, resp.Found[i] = cache.Get(key)
+			resp.Values[i], resp.Found[i] = cache.Get(key)
 		}
 		return ctx.PooledReply(&resp)
 	})

@@ -33,9 +33,6 @@ func (q *Queue) Close() {
 	q.q.mu.Unlock()
 }
 
-// Lag is the consumer backlog (queued + in-flight).
-func (s StatsResp) Lag() int64 { return int64(s.Queued + s.InFlight) }
-
 // Groups returns the subscribed group names, sorted.
 func (t *Topic) Groups() []string {
 	t.mu.Lock()

@@ -60,8 +60,8 @@ func (t *Topic) Subscribe(group string) *Queue {
 	return q
 }
 
-// groupQueueName makes group queues addressable as plain broker queues
-// ("timeline@fanout"), which is how the RPC service and stats find them.
+// groupQueueName names a group's queue on the broker ("timeline@fanout"),
+// which is also how a test reaches it as a plain queue.
 func (t *Topic) groupQueueName(group string) string { return t.name + "@" + group }
 
 // PublishKey fans the message out to every subscribed group's queue and
@@ -108,7 +108,7 @@ func (t *Topic) groupQueues() []*Queue {
 }
 
 // GroupLag reports one group's backlog (queued + in-flight): the signal
-// lag-driven autoscaling watches.
+// drain loops watch.
 func (t *Topic) GroupLag(group string) int64 {
 	t.mu.Lock()
 	q, ok := t.groups[group]

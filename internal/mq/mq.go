@@ -55,8 +55,8 @@ type QueueConfig struct {
 	MaxDepth int
 }
 
-// Stats is a point-in-time snapshot of one queue, the backlog signal the
-// control plane's lag-driven autoscaling consumes.
+// Stats is a point-in-time snapshot of one queue: the backlog drain loops
+// and the benchmark's order check read.
 type Stats struct {
 	// Queued is the number of deliverable messages (excludes in-flight).
 	Queued int
@@ -94,7 +94,6 @@ const tombstoneCap = 4096
 type queue struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
-	name     string
 	items    []*item // FIFO: items[0] is next
 	inflight map[uint64]*item
 	index    map[string]*item // key -> live item (queued or in-flight)
@@ -137,8 +136,8 @@ func (b *Broker) queueLocked(name string) *queue {
 	q, ok := b.queues[name]
 	if !ok {
 		q = &queue{
-			name: name, inflight: make(map[uint64]*item),
-			index: make(map[string]*item), tombs: make(map[string]struct{}),
+			inflight: make(map[uint64]*item),
+			index:    make(map[string]*item), tombs: make(map[string]struct{}),
 			closed: b.closed,
 		}
 		q.cond = sync.NewCond(&q.mu)

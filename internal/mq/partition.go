@@ -37,8 +37,6 @@ type Bus interface {
 	Ack(ctx context.Context, topic, group string, m ConsumeResp) error
 	// Nack returns a consumed message for redelivery (or dead-lettering).
 	Nack(ctx context.Context, topic, group string, m ConsumeResp) error
-	// Stats snapshots the group's backlog across the whole tier.
-	Stats(ctx context.Context, topic, group string) (StatsResp, error)
 }
 
 var (
@@ -272,32 +270,4 @@ func (p *Partitioned) Ack(ctx context.Context, topic, group string, m ConsumeRes
 // hold a live copy.
 func (p *Partitioned) Nack(ctx context.Context, topic, group string, m ConsumeResp) error {
 	return p.settle(ctx, "Nack", topic, group, m.Key)
-}
-
-// Stats sums the group's backlog across shard primaries — the partition-
-// aware lag the control plane's lag probes feed autoscaling. Mirrors are
-// excluded: their copies shadow the primaries' and would double-count.
-func (p *Partitioned) Stats(ctx context.Context, topic, group string) (StatsResp, error) {
-	var out StatsResp
-	req := StatsReq{Topic: topic, Group: group}
-	for _, label := range p.router.Shards() {
-		reps := p.router.Group(label)
-		if len(reps) == 0 {
-			continue
-		}
-		var s StatsResp
-		if err := reps[0].Call(ctx, "Stats", req, &s); err != nil {
-			return out, err
-		}
-		out.Queued += s.Queued
-		out.InFlight += s.InFlight
-		out.Published += s.Published
-		out.Acked += s.Acked
-		out.Redelivered += s.Redelivered
-		out.DeadLettered += s.DeadLettered
-		if s.OldestAgeNs > out.OldestAgeNs {
-			out.OldestAgeNs = s.OldestAgeNs
-		}
-	}
-	return out, nil
 }

@@ -10,15 +10,14 @@ import (
 )
 
 // Wire messages for the broker's RPC interface. Consumers address work by
-// (Topic, Group); plain queues (no fan-out) use Topic="" and Queue set.
+// (Topic, Group).
 
 // PublishReq publishes one message to a topic (fan-out to all subscribed
-// groups) or, when Topic is empty, to the named plain queue. Key, when set,
-// makes the publish idempotent on this broker (retries and hedges are safe)
-// and identifies the message across broker replicas.
+// groups). Key, when set, makes the publish idempotent on this broker
+// (retries and hedges are safe) and identifies the message across broker
+// replicas.
 type PublishReq struct {
 	Topic string
-	Queue string
 	Key   string
 	Body  []byte
 }
@@ -28,7 +27,6 @@ type PublishReq struct {
 // Publish it never sheds on MaxDepth and requires a Key.
 type MirrorReq struct {
 	Topic string
-	Queue string
 	Key   string
 	Body  []byte
 }
@@ -55,7 +53,6 @@ type SubscribeReq struct {
 type ConsumeReq struct {
 	Topic   string
 	Group   string
-	Queue   string
 	LeaseNs int64
 	WaitNs  int64
 }
@@ -80,7 +77,6 @@ type ConsumeResp struct {
 type PushReq struct {
 	Topic   string
 	Group   string
-	Queue   string
 	LeaseNs int64
 }
 
@@ -91,7 +87,6 @@ type PushReq struct {
 type AckReq struct {
 	Topic string
 	Group string
-	Queue string
 	ID    uint64
 	Key   string
 }
@@ -99,45 +94,20 @@ type AckReq struct {
 // AckResp reports whether the lease was still live.
 type AckResp struct{ OK bool }
 
-// StatsReq asks for one group queue's snapshot.
-type StatsReq struct {
-	Topic string
-	Group string
-	Queue string
-}
-
-// StatsResp mirrors Stats over the wire.
-type StatsResp struct {
-	Queued       int
-	InFlight     int
-	Published    int64
-	Acked        int64
-	Redelivered  int64
-	DeadLettered int64
-	OldestAgeNs  int64
-}
-
-// queueFor resolves the queue a request addresses: a topic's group queue,
-// or a plain named queue. Consume on a topic implies Subscribe, so a
-// consumer that outlives a broker restart re-registers its group on first
-// poll; publishes before that first poll still require the boot-time
-// Subscribe to be fanned out.
-func queueFor(b *Broker, topic, group, queue string) (*Queue, error) {
-	if topic != "" {
-		if group == "" {
-			return nil, rpc.Errorf(rpc.CodeBadRequest, "mq: topic %q requires a group", topic)
-		}
-		return b.Topic(topic).Subscribe(group), nil
+// queueFor resolves the topic's group queue a request addresses. Consume on
+// a topic implies Subscribe, so a consumer that outlives a broker restart
+// re-registers its group on first poll; publishes before that first poll
+// still require the boot-time Subscribe to be fanned out.
+func queueFor(b *Broker, topic, group string) (*Queue, error) {
+	if topic == "" || group == "" {
+		return nil, rpc.Errorf(rpc.CodeBadRequest, "mq: a topic and a group are required")
 	}
-	if queue == "" {
-		return nil, rpc.Errorf(rpc.CodeBadRequest, "mq: no topic or queue named")
-	}
-	return b.Queue(queue), nil
+	return b.Topic(topic).Subscribe(group), nil
 }
 
 // RegisterService exposes broker as an RPC microservice on srv with methods
-// Publish, Subscribe, Consume, Ack, Nack, and Stats — the networked broker
-// tier the async application paths publish through. Ack and Nack are safe
+// Publish, Mirror, Subscribe, Consume, Push, Ack, and Nack — the networked
+// broker tier the async application paths publish through. Ack and Nack are safe
 // to invoke one-way: a lost settle only costs a redelivery, which
 // at-least-once consumers already tolerate.
 func RegisterService(srv *rpc.Server, broker *Broker) {
@@ -151,17 +121,10 @@ func RegisterService(srv *rpc.Server, broker *Broker) {
 		if err := codec.Unmarshal(payload, &req); err != nil {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "decode: %v", err)
 		}
-		if req.Topic != "" {
-			id, err := broker.Topic(req.Topic).PublishKey(req.Key, req.Body)
-			if err != nil {
-				return nil, err
-			}
-			return ctx.PooledReply(&PublishResp{ID: id})
+		if req.Topic == "" {
+			return nil, rpc.Errorf(rpc.CodeBadRequest, "mq: publish requires a topic")
 		}
-		if req.Queue == "" {
-			return nil, rpc.Errorf(rpc.CodeBadRequest, "mq: no topic or queue named")
-		}
-		id, err := broker.Queue(req.Queue).PublishKey(req.Key, req.Body)
+		id, err := broker.Topic(req.Topic).PublishKey(req.Key, req.Body)
 		if err != nil {
 			return nil, err
 		}
@@ -172,20 +135,10 @@ func RegisterService(srv *rpc.Server, broker *Broker) {
 		if err := codec.Unmarshal(payload, &req); err != nil {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "decode: %v", err)
 		}
-		if req.Key == "" {
-			return nil, rpc.Errorf(rpc.CodeBadRequest, "mq: mirror requires a key")
+		if req.Topic == "" || req.Key == "" {
+			return nil, rpc.Errorf(rpc.CodeBadRequest, "mq: mirror requires a topic and a key")
 		}
-		if req.Topic != "" {
-			return ctx.PooledReply(&MirrorResp{N: broker.Topic(req.Topic).Insert(req.Key, req.Body)})
-		}
-		if req.Queue == "" {
-			return nil, rpc.Errorf(rpc.CodeBadRequest, "mq: no topic or queue named")
-		}
-		n := 0
-		if broker.Queue(req.Queue).Insert(req.Key, req.Body) {
-			n = 1
-		}
-		return ctx.PooledReply(&MirrorResp{N: n})
+		return ctx.PooledReply(&MirrorResp{N: broker.Topic(req.Topic).Insert(req.Key, req.Body)})
 	})
 	srv.Handle("Subscribe", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
 		var req SubscribeReq
@@ -207,7 +160,7 @@ func RegisterService(srv *rpc.Server, broker *Broker) {
 		if err := codec.Unmarshal(payload, &req); err != nil {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "decode: %v", err)
 		}
-		q, err := queueFor(broker, req.Topic, req.Group, req.Queue)
+		q, err := queueFor(broker, req.Topic, req.Group)
 		if err != nil {
 			return nil, err
 		}
@@ -235,7 +188,7 @@ func RegisterService(srv *rpc.Server, broker *Broker) {
 		if err := codec.Unmarshal(payload, &req); err != nil {
 			return rpc.Errorf(rpc.CodeBadRequest, "decode: %v", err)
 		}
-		q, err := queueFor(broker, req.Topic, req.Group, req.Queue)
+		q, err := queueFor(broker, req.Topic, req.Group)
 		if err != nil {
 			return err
 		}
@@ -283,7 +236,7 @@ func RegisterService(srv *rpc.Server, broker *Broker) {
 		if err := codec.Unmarshal(payload, &req); err != nil {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "decode: %v", err)
 		}
-		q, err := queueFor(broker, req.Topic, req.Group, req.Queue)
+		q, err := queueFor(broker, req.Topic, req.Group)
 		if err != nil {
 			return nil, err
 		}
@@ -297,7 +250,7 @@ func RegisterService(srv *rpc.Server, broker *Broker) {
 		if err := codec.Unmarshal(payload, &req); err != nil {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "decode: %v", err)
 		}
-		q, err := queueFor(broker, req.Topic, req.Group, req.Queue)
+		q, err := queueFor(broker, req.Topic, req.Group)
 		if err != nil {
 			return nil, err
 		}
@@ -305,26 +258,6 @@ func RegisterService(srv *rpc.Server, broker *Broker) {
 			return ctx.PooledReply(&AckResp{OK: q.NackKey(req.Key)})
 		}
 		return ctx.PooledReply(&AckResp{OK: q.Nack(req.ID)})
-	})
-	srv.Handle("Stats", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
-		var req StatsReq
-		if err := codec.Unmarshal(payload, &req); err != nil {
-			return nil, rpc.Errorf(rpc.CodeBadRequest, "decode: %v", err)
-		}
-		q, err := queueFor(broker, req.Topic, req.Group, req.Queue)
-		if err != nil {
-			return nil, err
-		}
-		s := q.Stats()
-		return ctx.PooledReply(&StatsResp{
-			Queued:       s.Queued,
-			InFlight:     s.InFlight,
-			Published:    s.Published,
-			Acked:        s.Acked,
-			Redelivered:  s.Redelivered,
-			DeadLettered: s.DeadLettered,
-			OldestAgeNs:  int64(s.OldestAge),
-		})
 	})
 }
 
@@ -383,11 +316,4 @@ func (c Client) Ack(ctx context.Context, topic, group string, m ConsumeResp) err
 func (c Client) Nack(ctx context.Context, topic, group string, m ConsumeResp) error {
 	var resp AckResp
 	return c.C.Call(ctx, "Nack", AckReq{Topic: topic, Group: group, ID: m.ID}, &resp)
-}
-
-// Stats snapshots a group queue.
-func (c Client) Stats(ctx context.Context, topic, group string) (StatsResp, error) {
-	var resp StatsResp
-	err := c.C.Call(ctx, "Stats", StatsReq{Topic: topic, Group: group}, &resp)
-	return resp, err
 }

@@ -27,11 +27,11 @@ func bootBrokerService(t *testing.T) (b *Broker, bus Client, stop func()) {
 }
 
 // TestBrokerServiceRoundTrip drives the full networked lifecycle:
-// subscribe, publish (ack'd by the broker), long-poll consume, one-way ack,
-// and stats — the exact sequence the application tiers run.
+// subscribe, publish (ack'd by the broker), long-poll consume and one-way
+// ack — the exact sequence the application tiers run.
 func TestBrokerServiceRoundTrip(t *testing.T) {
 	vtime.Run(t, func() {
-		_, bus, stop := bootBrokerService(t)
+		b, bus, stop := bootBrokerService(t)
 		defer stop()
 		ctx := context.Background()
 
@@ -53,11 +53,7 @@ func TestBrokerServiceRoundTrip(t *testing.T) {
 			t.Fatalf("Ack: %v", err)
 		}
 		vtime.Wait() // Ack is one-way: let the settle land
-		s, err := bus.Stats(ctx, "orders", "commit")
-		if err != nil {
-			t.Fatalf("Stats: %v", err)
-		}
-		if s.Acked != 1 || s.Lag() != 0 || s.Published != 1 {
+		if s := b.Topic("orders").Subscribe("commit").Stats(); s.Acked != 1 || s.Lag() != 0 || s.Published != 1 {
 			t.Fatalf("Stats after the ack landed = %+v", s)
 		}
 	})
@@ -138,8 +134,7 @@ func TestBrokerServiceNackRedelivers(t *testing.T) {
 	if got := b.Queue("t@g" + DeadLetterSuffix).Len(); got != 1 {
 		t.Fatalf("DLQ Len = %d, want 1", got)
 	}
-	s, err := bus.Stats(ctx, "t", "g")
-	if err != nil || s.DeadLettered != 1 || s.Redelivered != 1 {
-		t.Fatalf("Stats = %+v, %v", s, err)
+	if s := b.Topic("t").Subscribe("g").Stats(); s.DeadLettered != 1 || s.Redelivered != 1 {
+		t.Fatalf("Stats = %+v", s)
 	}
 }

@@ -99,8 +99,8 @@ func (c *Client) Invoke(ctx context.Context, call *transport.Call) error {
 // is written and the server never sends a reply, so a one-way burst costs
 // one wire write per call with zero round trips. Errors returned here are
 // send-side only (marshal, dial, a dead connection); anything that goes
-// wrong after the frame leaves — admission shed, handler failure — surfaces
-// in the server's one-way error count, never to this caller. The call still
+// wrong after the frame leaves — admission shed, handler failure — is the
+// server's alone and never reaches this caller. The call still
 // runs the full middleware chain with Call.OneWay set, so per-hop stats and
 // fault rules apply.
 func (c *Client) CallOneWay(ctx context.Context, method string, req any) error {

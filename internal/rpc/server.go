@@ -111,12 +111,6 @@ type Server struct {
 	// stream-method) names to themselves; frame readers intern incoming
 	// method strings against it instead of copying per frame.
 	methodNames atomic.Value
-
-	// onewayErrs counts one-way requests whose handler (or an interceptor)
-	// failed. There is no reply frame to carry the error back, so this
-	// counter is where post-send failures surface — the stats half of the
-	// fire-and-forget contract.
-	onewayErrs atomic.Int64
 }
 
 // NewServer creates a server for the named service.
@@ -431,10 +425,7 @@ func (s *Server) dispatch(conn net.Conn, cw *connWriter, f *frame) {
 
 	if f.kind == kindOneWay {
 		// Fire-and-forget: the full interceptor chain and handler ran, but
-		// nothing goes back on the wire. Failures are counted, not replied.
-		if err != nil {
-			s.onewayErrs.Add(1)
-		}
+		// nothing goes back on the wire, a failure included.
 		s.recycle(ctx, f, nil)
 		return
 	}

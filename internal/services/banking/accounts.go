@@ -242,7 +242,6 @@ func registerTransactionPosting(srv *rpc.Server, db svcutil.DB) {
 			doc := docstore.Doc{
 				ID:     fmt.Sprintf("%s-%d", txn, i),
 				Fields: map[string]string{"account": leg.AccountID},
-				Nums:   map[string]int64{"ts": at},
 				Body:   body,
 			}
 			if err := db.Put(ctx, "ledger", doc); err != nil {

@@ -155,7 +155,6 @@ func New(app *core.App, cfg Config) (*Banking, error) {
 	if _, err := app.StartREST("bank.frontend", func(s *rest.Server) {
 		registerFrontend(s, bankFrontendDeps{
 			auth:      cl("frontend", "authentication"),
-			customer:  cl("frontend", "customerInfo"),
 			posting:   cl("frontend", "transactionPosting"),
 			payments:  cl("frontend", "payments"),
 			personal:  cl("frontend", "personalLending"),

@@ -51,7 +51,6 @@ type CardActionBody struct {
 
 type bankFrontendDeps struct {
 	auth      svcutil.Caller
-	customer  svcutil.Caller
 	posting   svcutil.Caller
 	payments  svcutil.Caller
 	personal  svcutil.Caller

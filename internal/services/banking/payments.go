@@ -96,7 +96,6 @@ func registerCustomerActivity(srv *rpc.Server, db svcutil.DB) {
 		doc := docstore.Doc{
 			ID:     fmt.Sprintf("act-%d-%d", a.At, seq.Add(1)),
 			Fields: map[string]string{"user": a.Username},
-			Nums:   map[string]int64{"ts": a.At},
 			Body:   body,
 		}
 		return nil, db.Put(ctx, "activity", doc)

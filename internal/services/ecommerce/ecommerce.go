@@ -154,7 +154,6 @@ func New(app *core.App, cfg Config) (*Ecommerce, error) {
 			wishlist:    cl("frontend", "wishlist"),
 			orders:      cl("frontend", "orders"),
 			recommender: cl("frontend", "recommender"),
-			discounts:   cl("frontend", "discounts"),
 			shipping:    cl("frontend", "shipping"),
 		})
 	}); err != nil {

@@ -48,7 +48,6 @@ type frontendDeps struct {
 	wishlist    svcutil.Caller
 	orders      svcutil.Caller
 	recommender svcutil.Caller
-	discounts   svcutil.Caller
 	shipping    svcutil.Caller
 }
 

@@ -301,7 +301,6 @@ func storeOrder(ctx *rpc.Ctx, db svcutil.DB, o Order) error {
 	return db.Put(ctx, "orders", docstore.Doc{
 		ID:     o.ID,
 		Fields: map[string]string{"user": o.Username, "status": o.Status},
-		Nums:   map[string]int64{"ts": o.CreatedAt},
 		Body:   body,
 	})
 }

@@ -182,7 +182,7 @@ func registerRent(srv *rpc.Server, user svcutil.Caller, db svcutil.DB) {
 		if err != nil {
 			return nil, err
 		}
-		if err := db.Put(ctx, "rentals", docstore.Doc{ID: r.Token, Nums: map[string]int64{"exp": r.ExpiresAt}, Body: body}); err != nil {
+		if err := db.Put(ctx, "rentals", docstore.Doc{ID: r.Token, Body: body}); err != nil {
 			return nil, err
 		}
 		return &RentResp{Rental: r}, nil

@@ -67,7 +67,6 @@ func registerReviewStorage(srv *rpc.Server, db svcutil.DB, mc svcutil.KV) {
 		doc := docstore.Doc{
 			ID:     r.ID,
 			Fields: map[string]string{"movie": r.MovieID, "user": r.Username},
-			Nums:   map[string]int64{"ts": r.CreatedAt},
 			Body:   body,
 		}
 		if err := db.Put(ctx, "reviews", doc); err != nil {

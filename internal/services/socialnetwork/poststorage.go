@@ -53,7 +53,6 @@ func registerPostStorage(srv *rpc.Server, db svcutil.DB, mc svcutil.KV, noCoales
 		doc := docstore.Doc{
 			ID:     p.ID,
 			Fields: map[string]string{"author": p.Author},
-			Nums:   map[string]int64{"ts": p.CreatedAt},
 			Body:   body,
 		}
 		if err := db.Put(ctx, "posts", doc); err != nil {

@@ -179,7 +179,6 @@ func persistReport(ctx context.Context, db svcutil.DB, seq *atomic.Int64, req *S
 		doc := docstore.Doc{
 			ID:     fmt.Sprintf("%s-%d-%d", req.DroneID, req.At, n),
 			Fields: map[string]string{"drone": req.DroneID},
-			Nums:   map[string]int64{"ts": req.At},
 			Body:   body,
 		}
 		if err := db.Put(ctx, col, doc); err != nil {

@@ -280,7 +280,7 @@ func (r *Router) Group(label string) []*Replica {
 func (r *Router) Replicas() []*Replica { return r.view.Load().all }
 
 // Scatter returns every live shard's replicas in read order, sorted by
-// shard label — the fan-out set for whole-tier queries (Find, FindRange).
+// shard label — the fan-out set for whole-tier queries (Find, Subscribe).
 func (r *Router) Scatter() [][]*Replica {
 	v := r.view.Load()
 	out := make([][]*Replica, len(v.ring.members))

@@ -85,10 +85,6 @@ func (rp *ReadPath[V]) Get(ctx context.Context, key string) (V, bool, error) {
 	return res.val, res.found, nil
 }
 
-// Stats exposes the coalescing counters (backing fetches vs. piggybacked
-// waiters) for the experiments.
-func (rp *ReadPath[V]) Stats() coalesce.Stats { return rp.group.Stats() }
-
 // ListPrepend atomically prepends value to the []string body of the
 // document, creating it if absent and capping the list at max entries
 // (<=0 = unbounded). Returns the resulting list length.

@@ -104,7 +104,7 @@ func TestReadPathPurgesCorruptEntry(t *testing.T) {
 		t.Fatalf("fetches = %d, want 1", got)
 	}
 	// The corrupt entry was replaced by the fresh encoding.
-	if cached, _, ok := raw.Get("k"); !ok {
+	if cached, ok := raw.Get("k"); !ok {
 		t.Fatal("cache not repopulated after purge")
 	} else {
 		var got []string
@@ -152,8 +152,8 @@ func TestReadPathCoalescesMisses(t *testing.T) {
 		}
 		// Release the fetch once every reader is parked on the flight.
 		vtime.Wait()
-		if joined := rp.Stats().Shared; joined != readers-1 {
-			t.Fatalf("%d of %d readers joined the flight", joined, readers-1)
+		if got := fetches.Load(); got != 1 {
+			t.Fatalf("%d fetches with every reader in, want 1: not every reader joined the flight", got)
 		}
 		close(gate)
 		wg.Wait()

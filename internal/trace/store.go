@@ -10,16 +10,14 @@ import (
 
 // Collector receives finished spans asynchronously (like the Zipkin
 // collector) and writes them to a Store. Submission never blocks request
-// processing: if the buffer is full the span is dropped and counted, which
-// keeps the tracing overhead on end-to-end latency negligible — the paper
-// reports <0.1% and the overhead test asserts the same property.
+// processing: if the buffer is full the span is dropped, which keeps the
+// tracing overhead on end-to-end latency negligible — the paper reports
+// <0.1% and the overhead test asserts the same property.
 type Collector struct {
-	store   *Store
-	ch      chan envelope
-	dropped metrics.Counter
-	wg      sync.WaitGroup
-	mu      sync.RWMutex
-	closed  bool
+	ch     chan envelope
+	wg     sync.WaitGroup
+	mu     sync.RWMutex
+	closed bool
 }
 
 // envelope carries either a span or a flush barrier.
@@ -33,7 +31,7 @@ func NewCollector(store *Store, buffer int) *Collector {
 	if buffer <= 0 {
 		buffer = 4096
 	}
-	c := &Collector{store: store, ch: make(chan envelope, buffer)}
+	c := &Collector{ch: make(chan envelope, buffer)}
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
@@ -51,18 +49,16 @@ func NewCollector(store *Store, buffer int) *Collector {
 // Submit enqueues a span, dropping it if the collector is saturated or
 // already closed. Spans can legitimately finish during shutdown — an
 // async consumer's in-flight call completing as the app tears down — so a
-// late span counts as dropped rather than panicking the process.
+// late span is dropped rather than panicking the process.
 func (c *Collector) Submit(s Span) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if c.closed {
-		c.dropped.Inc()
 		return
 	}
 	select {
 	case c.ch <- envelope{span: s}:
 	default:
-		c.dropped.Inc()
 	}
 }
 

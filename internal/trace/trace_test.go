@@ -231,9 +231,6 @@ func TestCollectorDropsWhenSaturated(t *testing.T) {
 		col.Submit(Span{TraceID: TraceID(i + 1), SpanID: SpanID(i + 1)})
 	}
 	col.Close()
-	if col.Dropped() == 0 {
-		t.Log("no drops observed (drain kept up); acceptable but unusual")
-	}
 	if store.Len() == 0 {
 		t.Fatal("store is empty")
 	}

@@ -42,13 +42,16 @@ var unreached = map[string]string{
 	"docstore.Open": "durability substrate ROADMAP item 5 records op IDs in; no tier boots it today",
 
 	// Seams other packages' tests need, so they cannot move into a _test.go.
-	"docstore.Collection.All":               "svcutil's WAL-replay test compares the live and the replayed store",
-	"docstore.Collection.Update":            "svcutil's WAL-replay test mixes in-process read-modify-writes with RPC writes",
-	"loadgen.ConstantRate":                  "deterministic arrivals for loadgen's and fault's open-loop tests",
-	"rpc.IsCode":                            "the coded-error predicate tests in thirteen packages assert with",
-	"rpc.Server.Resume":                     "restarts a hung replica in core's Revive seam and ecommerce's hung-catalogue test",
-	"sqlstore.Cluster.MarkSlow":             "media's shard-fault test degrades a replica with it",
-	"sqlstore.Cluster.Shards":               "media's shard-fault test walks every shard with it",
+	"docstore.Collection.All":    "svcutil's WAL-replay test compares the live and the replayed store",
+	"docstore.Collection.Update": "svcutil's WAL-replay test mixes in-process read-modify-writes with RPC writes",
+	"loadgen.ConstantRate":       "deterministic arrivals for loadgen's and fault's open-loop tests",
+	"rpc.IsCode":                 "the coded-error predicate tests in thirteen packages assert with",
+	"rpc.Server.Resume":          "restarts a hung replica in core's Revive seam and ecommerce's hung-catalogue test",
+	"sqlstore.Cluster.MarkSlow":  "media's shard-fault test degrades a replica with it",
+	"sqlstore.Cluster.Shards":    "media's shard-fault test walks every shard with it",
+
+	// State only a test reads.
+	"experiments.chaosResult.schedule":      "the reproducibility witness TestChaosRecoveryShape compares across two same-seed live runs",
 	"services/swarm.Config.StreamTelemetry": "TestModeFlagCensus's one open mode (modes_test.go); only swarm's stream test sets it",
 }
 
@@ -84,16 +87,18 @@ func TestReachCensus(t *testing.T) {
 // TestReachCensusFixture pins the census's rules on a module built to probe
 // them: a method kept alive only by satisfying an interface, a generic
 // type's method used through an instantiation, a Config field written only
-// through its address and a positionally initialised Config all count as
-// reached; an exported func nothing calls but itself and one only a test
-// calls do not.
+// through its address, a positionally initialised Config, an atomic whose
+// Add result is used and a field both written and read all count as
+// reached; an exported func nothing calls but itself, one only a test
+// calls, a counter only ever updated, a field only a test reads and one
+// only a composite literal sets do not.
 func TestReachCensusFixture(t *testing.T) {
 	c, err := reachCensus(filepath.Join("testdata", "reach"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := slices.Sorted(maps.Keys(c.dead))
-	want := []string{"lib.Dead", "lib.TestOnly"}
+	want := []string{"lib.Counter.hits", "lib.Counter.label", "lib.Counter.last", "lib.Dead", "lib.TestOnly"}
 	if !slices.Equal(got, want) {
 		t.Fatalf("census of the fixture = %q, want %q", got, want)
 	}
@@ -195,7 +200,10 @@ func reachCensus(dir string) (*census, error) {
 	}
 
 	ifaces := interfacesByMethod(pkgs)
-	r := &reachability{names: map[types.Object]string{}, own: map[types.Object][]ast.Node{}, config: map[types.Object]bool{}}
+	r := &reachability{
+		names: map[types.Object]string{}, own: map[types.Object][]ast.Node{},
+		config: map[types.Object]bool{}, metrics: module + "/internal/metrics",
+	}
 	for _, cp := range pkgs {
 		// internal/vtime is test support by design: only tests call it.
 		if pkg, ok := strings.CutPrefix(cp.path, module+"/internal/"); ok && pkg != "vtime" {
@@ -234,12 +242,13 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 
 // reachability holds the declarations under census: their names, the
 // syntax a use from inside does not count in (a declaration's own body, and
-// a type's methods), and which of them are Config fields, reached by a
-// write rather than a use.
+// a type's methods), and which of them are Config fields, reached by a write
+// rather than a use. An unexported struct field is reached only by a read.
 type reachability struct {
-	names  map[types.Object]string
-	own    map[types.Object][]ast.Node
-	config map[types.Object]bool
+	names   map[types.Object]string
+	own     map[types.Object][]ast.Node
+	config  map[types.Object]bool
+	metrics string // import path of internal/metrics, whose updates count as writes
 }
 
 func (r *reachability) declare(pkg string, cp *checkedPackage, ifaces map[string][]*types.Interface) {
@@ -270,13 +279,18 @@ func (r *reachability) declare(pkg string, cp *checkedPackage, ifaces map[string
 						obj := cp.info.Defs[s.Name]
 						r.add(obj, pkg+"."+s.Name.Name, s)
 						st, ok := s.Type.(*ast.StructType)
-						if !ok || !(strings.HasSuffix(s.Name.Name, "Config") || s.Name.Name == "Options") {
+						if !ok {
 							continue
 						}
+						config := strings.HasSuffix(s.Name.Name, "Config") || s.Name.Name == "Options"
 						for _, field := range st.Fields.List {
 							for _, id := range field.Names {
-								if id.IsExported() {
-									fobj := cp.info.Defs[id]
+								fobj := cp.info.Defs[id]
+								switch {
+								case id.Name == "_":
+								case !id.IsExported():
+									r.names[fobj] = pkg + "." + s.Name.Name + "." + id.Name
+								case config:
 									r.names[fobj] = pkg + "." + s.Name.Name + "." + id.Name
 									r.config[fobj] = true
 								}
@@ -300,14 +314,87 @@ func (r *reachability) add(obj types.Object, name string, decl ast.Node) {
 	r.own[obj] = append(r.own[obj], decl)
 }
 
-// uses marks every declaration cp refers to from outside its own syntax.
+// uses marks every declaration cp refers to from outside its own syntax,
+// and every unexported field it reads.
 func (r *reachability) uses(cp *checkedPackage, reached map[types.Object]bool) {
+	written := r.stateWrites(cp)
 	for id, obj := range cp.info.Uses {
 		obj = origin(obj)
-		if _, ok := r.names[obj]; ok && !r.config[obj] && !r.inside(obj, id.Pos()) {
+		if _, ok := r.names[obj]; ok && !r.config[obj] && !written[id] && !r.inside(obj, id.Pos()) {
 			reached[obj] = true
 		}
 	}
+}
+
+// updates are the methods of a sync/atomic or internal/metrics value that
+// store into it; called as a statement, their result unused, they are a
+// write to the field they are called on. Record* is matched by prefix.
+var updates = []string{"Add", "Store", "Swap", "CompareAndSwap", "Inc", "Mark", "Set", "Record"}
+
+// stateWrites returns the identifiers in cp that only write an unexported
+// field: the selector of an assignment target or ++/-- (through an index or
+// parens), a composite literal's key, and the selector an update is called
+// on as a statement. Every other use of a field reads it, &x.f included.
+func (r *reachability) stateWrites(cp *checkedPackage) map[*ast.Ident]bool {
+	written := map[*ast.Ident]bool{}
+	var target func(e ast.Expr)
+	target = func(e ast.Expr) {
+		switch x := e.(type) {
+		case *ast.SelectorExpr:
+			written[x.Sel] = true
+		case *ast.IndexExpr:
+			target(x.X)
+		case *ast.ParenExpr:
+			target(x.X)
+		}
+	}
+	for _, f := range cp.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.KeyValueExpr:
+				if id, ok := x.Key.(*ast.Ident); ok {
+					written[id] = true
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range x.Lhs {
+					target(lhs)
+				}
+			case *ast.IncDecStmt:
+				target(x.X)
+			case *ast.ExprStmt:
+				if call, ok := x.X.(*ast.CallExpr); ok {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && r.isUpdate(cp, sel) {
+						target(sel.X)
+					}
+				}
+			}
+			return true
+		})
+	}
+	return written
+}
+
+// isUpdate reports whether sel names an update method of a sync/atomic or
+// internal/metrics type.
+func (r *reachability) isUpdate(cp *checkedPackage, sel *ast.SelectorExpr) bool {
+	s := cp.info.Selections[sel]
+	if s == nil || s.Kind() != types.MethodVal {
+		return false
+	}
+	recv := s.Recv()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	named, ok := recv.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return false
+	}
+	if path := named.Obj().Pkg().Path(); path != "sync/atomic" && path != r.metrics {
+		return false
+	}
+	return slices.ContainsFunc(updates, func(u string) bool {
+		return sel.Sel.Name == u || u == "Record" && strings.HasPrefix(sel.Sel.Name, u)
+	})
 }
 
 // inside reports whether pos lies in obj's own syntax.
@@ -324,7 +411,11 @@ func (r *reachability) inside(obj types.Object, pos token.Pos) bool {
 // composite literal, as the target of an assignment or ++/--, or by taking
 // its address.
 func (r *reachability) writes(cp *checkedPackage, reached map[types.Object]bool) {
-	write := func(field types.Object) { reached[origin(field)] = true }
+	write := func(field types.Object) {
+		if field = origin(field); r.config[field] {
+			reached[field] = true
+		}
+	}
 	var target func(e ast.Expr)
 	target = func(e ast.Expr) {
 		switch x := e.(type) {

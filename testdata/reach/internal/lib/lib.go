@@ -1,6 +1,8 @@
 // Package lib holds one declaration per census rule.
 package lib
 
+import "sync/atomic"
+
 // Namer is how Describe reaches Named.Name.
 type Namer interface{ Name() string }
 
@@ -33,3 +35,23 @@ func Dead(n int) int {
 
 // TestOnly is reached only by a test: the census reports it.
 func TestOnly() int { return 1 }
+
+// Counter holds one unexported field per state rule.
+type Counter struct {
+	hits  atomic.Int64 // only ever updated as a statement: reported
+	seq   atomic.Int64 // its Add's result is used: read
+	n     int          // written and read
+	last  int          // read only by a test: reported
+	label string       // set only by a composite literal: reported
+}
+
+// NewCounter is the only write to label.
+func NewCounter() *Counter { return &Counter{label: "counter"} }
+
+// Hit updates every field but label, and returns seq's new value.
+func (c *Counter) Hit() int64 {
+	c.hits.Add(1)
+	c.n++
+	c.last = c.n
+	return c.seq.Add(1)
+}

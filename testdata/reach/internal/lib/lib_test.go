@@ -7,3 +7,11 @@ func TestTestOnly(t *testing.T) {
 		t.Fatal("TestOnly() != 1")
 	}
 }
+
+func TestCounterLast(t *testing.T) {
+	c := NewCounter()
+	c.Hit()
+	if c.last != 1 {
+		t.Fatalf("last = %d after one Hit", c.last)
+	}
+}
