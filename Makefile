@@ -75,7 +75,8 @@ codecgen-check:
 	$(GO) test -count=1 ./cmd/codecgen/
 
 # Alloc-regression guards for the wire hot path: frame encode/decode has a
-# pinned budget (0 allocs/op encode, frame+payload only on decode), a full
+# pinned budget (0 allocs/op encode; 0 to read a buffered frame, which the
+# connection's reader owns and parses in place), a full
 # echo round trip over the in-memory network must allocate at most the
 # server-side request context, and WAL appends must reuse their encode
 # scratch instead of re-marshaling per record. The in-memory connection under
@@ -84,7 +85,8 @@ codecgen-check:
 # stream (heap and goroutines, both ends): an edge holds one per concurrent
 # call and one per open stream. A hop
 # to a store tier (kv Get, docstore Get and Put through the svcutil clients)
-# has its own budget: pooled reply and, for docstore, no Doc on the server's
+# has its own budget: a typed reply the connection writer encodes, one string
+# copy per decode and, for docstore, no Doc on the server's
 # side at all — its handlers' own allocations (Get, replacing Put, ListPrepend
 # onto a long list) and the live heap a stored document costs, indexes
 # included, are pinned next to the WAL's.

@@ -74,3 +74,36 @@ func TestGoldenMatchesReflectPlan(t *testing.T) {
 		t.Fatalf("round trip: got %+v, want %+v", back, v)
 	}
 }
+
+// A generated decode takes every string from one copy of its input and gives
+// every byte slice a copy of its own: overwriting the input afterwards, or
+// appending to a decoded byte slice, changes no decoded string.
+func TestGoldenDecodeOwnsStrings(t *testing.T) {
+	v := fixture.Outer{
+		ID:      "outer",
+		Labels:  map[string]string{"k": "label"},
+		ByRank:  map[int32]fixture.Inner{1: {Name: "ranked"}},
+		Best:    fixture.Inner{Name: "best"},
+		Others:  []fixture.Inner{{Name: "other"}},
+		Payload: []byte("payload"),
+		Parent:  &fixture.Inner{Name: "parent"},
+	}
+	wire, err := codec.Marshal(&v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got fixture.Outer
+	if err := codec.Unmarshal(wire, &got); err != nil {
+		t.Fatal(err)
+	}
+	for i := range wire {
+		wire[i] = 'X'
+	}
+	got.Payload = append(got.Payload, bytes.Repeat([]byte{'Y'}, 64)...)
+	got.Payload = append(got.Payload[:0], bytes.Repeat([]byte{'Z'}, len(got.Payload))...)
+	want := v
+	want.Payload = got.Payload
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded strings changed with the input or a byte slice:\n got  %+v\n want %+v", got, want)
+	}
+}

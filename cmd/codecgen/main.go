@@ -94,7 +94,10 @@ var targets = []target{
 			ecommerce.PlaceOrderReq{}, ecommerce.PlaceOrderResp{},
 			ecommerce.GetOrderReq{}, ecommerce.GetOrderResp{}, ecommerce.OrdersResp{},
 			ecommerce.InvoiceReq{}, ecommerce.InvoiceResp{},
-			ecommerce.DiscountReq{}, ecommerce.DiscountResp{},
+			ecommerce.DiscountReq{}, ecommerce.DiscountResp{}, ecommerce.AdjustStockReq{},
+			ecommerce.VerifyTokenReq{}, ecommerce.VerifyTokenResp{}, ecommerce.AccountReq{}, ecommerce.BalanceResp{},
+			ecommerce.ShippingQuoteReq{}, ecommerce.ShippingQuoteResp{}, ecommerce.TransactionIDResp{},
+			ecommerce.AuthorizePaymentReq{}, ecommerce.AuthorizePaymentResp{},
 		},
 	},
 	{

@@ -78,16 +78,19 @@ func appendMarshalReflect(buf []byte, v any) ([]byte, error) {
 // generated unmarshaler instead of the reflect plans.
 func Unmarshal(data []byte, v any) error {
 	if m, ok := v.(Message); ok {
-		rest, err := m.DecodeFrom(data)
-		if err != nil {
-			return err
-		}
-		if len(rest) != 0 {
-			return ErrTrailingBytes
-		}
-		return nil
+		return Whole(m.DecodeFrom(data))
 	}
 	return UnmarshalReflect(data, v)
+}
+
+// Whole is Unmarshal's verdict on a DecodeFrom called on a concrete type —
+// which, unlike a decode through an interface, lets the target stay on the
+// caller's stack: the decode succeeded and consumed all of its input.
+func Whole(rest []byte, err error) error {
+	if err == nil && len(rest) != 0 {
+		return ErrTrailingBytes
+	}
+	return err
 }
 
 // UnmarshalReflect decodes through the reflect plans unconditionally,

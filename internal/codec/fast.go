@@ -36,47 +36,41 @@ var ErrNilMessage = errors.New("codec: nil message")
 // same struct: same field order, same primitive encodings, sorted map keys.
 // DecodeFrom must not alias its input — decoded strings, byte slices, and
 // the like are copies — so callers may recycle the input buffer the moment
-// it returns.
+// it returns. A generated DecodeFrom copies its input into one string up
+// front and takes every string it decodes from that copy (DecStringOf);
+// byte slices get copies of their own, so none shares bytes with a string.
 type Message interface {
 	AppendTo(b []byte) ([]byte, error)
 	DecodeFrom(b []byte) (rest []byte, err error)
 }
 
-// fastFuncs is the registry entry for one value type T: a closure that
-// encodes an `any` holding a T without reflection.
-type fastFuncs struct {
-	appendVal func(buf []byte, v any) ([]byte, error)
-}
+// appendFunc encodes an `any` holding one registered value type without
+// reflection.
+type appendFunc = func(b []byte, v any) ([]byte, error)
 
 var (
-	fastReg   sync.Map // reflect.Type (the value type T) -> *fastFuncs
+	fastReg   sync.Map // reflect.Type (the value type T) -> appendFunc
 	fastMu    sync.Mutex
 	fastTypes []reflect.Type
 )
 
 // Register records T's generated marshaler so that Marshal of a plain T
-// value (not just a *T) takes the fast path. The PT constraint pins *T to
-// implement Message, which lets the type argument be inferred:
+// value (not just a *T) takes the fast path. appendVal encodes an `any`
+// holding a T; generated wire_gen.go files pass one written for their type,
+// which copies the T onto its stack and calls the pointer receiver there:
 //
-//	codec.Register[GetReq]()
+//	codec.Register[GetReq](func(b []byte, v any) ([]byte, error) {
+//		m := v.(GetReq)
+//		return m.AppendTo(b)
+//	})
 //
-// Registration is idempotent; generated wire_gen.go files call it from
-// init().
-func Register[T any, PT interface {
-	Message
-	*T
-}]() {
+// Written in the type's own package, that costs no allocation — a generic
+// body calling AppendTo through a type parameter could not prove the copy
+// stays on the stack. Registration is idempotent; generated files call it
+// from init().
+func Register[T any](appendVal appendFunc) {
 	t := reflect.TypeOf((*T)(nil)).Elem()
-	fns := &fastFuncs{
-		appendVal: func(buf []byte, v any) ([]byte, error) {
-			// The type assertion copies T onto the stack; PT(&x) is the
-			// pointer receiver the generated marshaler wants. No reflection,
-			// and no allocation unless the marshaler itself allocates.
-			x := v.(T)
-			return PT(&x).AppendTo(buf)
-		},
-	}
-	if _, loaded := fastReg.Swap(t, fns); !loaded {
+	if _, loaded := fastReg.Swap(t, appendVal); !loaded {
 		fastMu.Lock()
 		fastTypes = append(fastTypes, t)
 		fastMu.Unlock()
@@ -91,8 +85,8 @@ func fastAppend(buf []byte, v any) ([]byte, bool, error) {
 		return out, true, err
 	}
 	if v != nil {
-		if fns, ok := fastReg.Load(reflect.TypeOf(v)); ok {
-			out, err := fns.(*fastFuncs).appendVal(buf, v)
+		if fn, ok := fastReg.Load(reflect.TypeOf(v)); ok {
+			out, err := fn.(appendFunc)(buf, v)
 			return out, true, err
 		}
 	}

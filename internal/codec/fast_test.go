@@ -8,8 +8,14 @@ package codec
 // fuzz_test.go.
 
 func init() {
-	Register[fuzzInner]()
-	Register[fuzzMsg]()
+	Register[fuzzInner](func(b []byte, v any) ([]byte, error) {
+		m := v.(fuzzInner)
+		return m.AppendTo(b)
+	})
+	Register[fuzzMsg](func(b []byte, v any) ([]byte, error) {
+		m := v.(fuzzMsg)
+		return m.AppendTo(b)
+	})
 }
 
 func (m *fuzzInner) AppendTo(b []byte) ([]byte, error) {
@@ -29,8 +35,12 @@ func (m *fuzzInner) DecodeFrom(b []byte) ([]byte, error) {
 	if m == nil {
 		return nil, ErrNilMessage
 	}
+	return m.decodeFrom(b, string(b))
+}
+
+func (m *fuzzInner) decodeFrom(b []byte, s string) ([]byte, error) {
 	var err error
-	if m.Name, b, err = DecString(b); err != nil {
+	if m.Name, b, err = DecStringOf(b, s); err != nil {
 		return nil, err
 	}
 	if m.Score, b, err = DecFloat64(b); err != nil {
@@ -42,11 +52,11 @@ func (m *fuzzInner) DecodeFrom(b []byte) ([]byte, error) {
 	}
 	tags := make([]string, 0, EagerLen(n))
 	for i := 0; i < n; i++ {
-		var s string
-		if s, b, err = DecString(b); err != nil {
+		var tag string
+		if tag, b, err = DecStringOf(b, s); err != nil {
 			return nil, err
 		}
-		tags = append(tags, s)
+		tags = append(tags, tag)
 	}
 	m.Tags = tags
 	return b, nil
@@ -123,6 +133,10 @@ func (m *fuzzMsg) DecodeFrom(b []byte) ([]byte, error) {
 	if m == nil {
 		return nil, ErrNilMessage
 	}
+	return m.decodeFrom(b, string(b))
+}
+
+func (m *fuzzMsg) decodeFrom(b []byte, s string) ([]byte, error) {
 	var err error
 	if m.Flag, b, err = DecBool(b); err != nil {
 		return nil, err
@@ -139,7 +153,7 @@ func (m *fuzzMsg) DecodeFrom(b []byte) ([]byte, error) {
 	if m.Ratio, b, err = DecFloat32(b); err != nil {
 		return nil, err
 	}
-	if m.Label, b, err = DecString(b); err != nil {
+	if m.Label, b, err = DecStringOf(b, s); err != nil {
 		return nil, err
 	}
 	if m.Raw, b, err = DecBytes(b); err != nil {
@@ -157,7 +171,7 @@ func (m *fuzzMsg) DecodeFrom(b []byte) ([]byte, error) {
 	items := make([]fuzzInner, 0, EagerLen(n))
 	for i := 0; i < n; i++ {
 		var e fuzzInner
-		if b, err = e.DecodeFrom(b); err != nil {
+		if b, err = e.decodeFrom(b, s); err != nil {
 			return nil, err
 		}
 		items = append(items, e)
@@ -169,11 +183,11 @@ func (m *fuzzMsg) DecodeFrom(b []byte) ([]byte, error) {
 	byName := make(map[string]fuzzInner, EagerLen(n))
 	for i := 0; i < n; i++ {
 		var k string
-		if k, b, err = DecString(b); err != nil {
+		if k, b, err = DecStringOf(b, s); err != nil {
 			return nil, err
 		}
 		var v fuzzInner
-		if b, err = v.DecodeFrom(b); err != nil {
+		if b, err = v.decodeFrom(b, s); err != nil {
 			return nil, err
 		}
 		byName[k] = v
@@ -189,7 +203,7 @@ func (m *fuzzMsg) DecodeFrom(b []byte) ([]byte, error) {
 			return nil, err
 		}
 		var v string
-		if v, b, err = DecString(b); err != nil {
+		if v, b, err = DecStringOf(b, s); err != nil {
 			return nil, err
 		}
 		byID[k] = v
@@ -204,7 +218,7 @@ func (m *fuzzMsg) DecodeFrom(b []byte) ([]byte, error) {
 		m.Opt = nil
 	} else {
 		p := new(fuzzInner)
-		if b, err = p.DecodeFrom(b); err != nil {
+		if b, err = p.decodeFrom(b, s); err != nil {
 			return nil, err
 		}
 		m.Opt = p
@@ -218,7 +232,7 @@ func (m *fuzzMsg) DecodeFrom(b []byte) ([]byte, error) {
 		m.Link = nil
 	} else {
 		p := new(fuzzMsg)
-		if b, err = p.DecodeFrom(b); err != nil {
+		if b, err = p.decodeFrom(b, s); err != nil {
 			return nil, err
 		}
 		m.Link = p

@@ -8,7 +8,9 @@ package codec
 // enforces the same maxLen bound and narrow-integer overflow checks the
 // plans do. Decoders never alias their input: strings and byte slices are
 // copied out, so the caller may recycle the buffer as soon as decode
-// returns — all but DecStringBytes, which says so.
+// returns — all but DecStringBytes, which says so. A generated decoder takes
+// its strings from one copy of its input (DecStringOf), so a decoded message
+// costs one string allocation however many strings it holds.
 
 import (
 	"encoding/binary"
@@ -186,8 +188,10 @@ func DecFloat32(b []byte) (float32, []byte, error) {
 	return float32(f), rest, nil
 }
 
-// DecString consumes a length-prefixed string, copying it out of b.
-func DecString(b []byte) (string, []byte, error) {
+// DecStringOf consumes a length-prefixed string from b, a suffix of s, and
+// returns it as a substring of s — the decode's one copy of its input, which
+// a caller that stores the string for long must not pin: it clones it.
+func DecStringOf(b []byte, s string) (string, []byte, error) {
 	n, rest, err := DecLen(b)
 	if err != nil {
 		return "", nil, err
@@ -195,12 +199,16 @@ func DecString(b []byte) (string, []byte, error) {
 	if len(rest) < n {
 		return "", nil, ErrShortBuffer
 	}
-	return string(rest[:n]), rest[n:], nil
+	if n == 0 {
+		return "", rest, nil
+	}
+	at := len(s) - len(rest)
+	return s[at : at+n], rest[n:], nil
 }
 
 // DecStringBytes consumes a length-prefixed string without copying it: the
 // bytes returned are b's own, for a caller that reads them before b is
-// recycled. DecString is its copying twin.
+// recycled.
 func DecStringBytes(b []byte) ([]byte, []byte, error) {
 	n, rest, err := DecLen(b)
 	if err != nil {

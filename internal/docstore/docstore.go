@@ -129,7 +129,8 @@ func (c *Collection) Put(d Doc) error {
 }
 
 // putWire is Put for a document in wire form, as a request carries it:
-// validated, copied once (the caller's buffer is pooled) and stored.
+// validated, copied once (the caller's is a connection's read buffer) and
+// stored.
 func (c *Collection) putWire(doc []byte) error {
 	doc, p, err := canonical(doc)
 	if err != nil {

@@ -83,7 +83,7 @@ func RegisterService(srv *rpc.Server, store *Store) {
 		}
 		return nil, store.Collection(string(name)).putWire(req.b)
 	})
-	handle(srv, "Get", func(ctx *rpc.Ctx, req *GetReq) ([]byte, error) {
+	rpc.HandleTyped(srv, "Get", func(ctx *rpc.Ctx, req *GetReq) ([]byte, error) {
 		// A GetResp is the Doc, then Found; a miss carries the empty Doc.
 		enc, found := store.collection(req.Collection, false).encoded(req.ID)
 		if !found {
@@ -92,34 +92,23 @@ func RegisterService(srv *rpc.Server, store *Store) {
 		reply := append(transport.AcquireBuf(0), enc...)
 		return ctx.OwnReply(codec.AppendBool(reply, found)), nil
 	})
-	handle(srv, "Find", func(ctx *rpc.Ctx, req *FindReq) ([]byte, error) {
+	rpc.HandleTyped(srv, "Find", func(ctx *rpc.Ctx, req *FindReq) ([]byte, error) {
 		c := store.collection(req.Collection, false)
 		return ctx.OwnReply(c.appendFind(transport.AcquireBuf(0), req.Field, req.Value, int(req.Limit))), nil
 	})
-	handle(srv, "ListPrepend", func(ctx *rpc.Ctx, req *ListPrependReq) ([]byte, error) {
+	rpc.HandleTyped(srv, "ListPrepend", func(ctx *rpc.Ctx, req *ListPrependReq) ([]byte, error) {
 		n, err := store.Collection(req.Collection).listPrepend(req.ID, req.Value, int(req.Cap), req.Unique)
 		if err != nil {
 			return nil, err
 		}
-		return ctx.PooledReply(&ListPrependResp{Len: int64(n)})
+		return ctx.Reply(&ListPrependResp{Len: int64(n)})
 	})
-	handle(srv, "AddNum", func(ctx *rpc.Ctx, req *AddNumReq) ([]byte, error) {
+	rpc.HandleTyped(srv, "AddNum", func(ctx *rpc.Ctx, req *AddNumReq) ([]byte, error) {
 		c := store.collection(req.Collection, false)
 		v, found, ok, err := c.AddNum(req.ID, req.Field, req.Delta, req.Floor)
 		if err != nil {
 			return nil, err
 		}
-		return ctx.PooledReply(&AddNumResp{Value: v, Found: found, OK: ok})
-	})
-}
-
-// handle registers fn behind the decode of its request.
-func handle[Req any](srv *rpc.Server, method string, fn func(ctx *rpc.Ctx, req *Req) ([]byte, error)) {
-	srv.Handle(method, func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
-		var req Req
-		if err := codec.Unmarshal(payload, &req); err != nil {
-			return nil, rpc.Errorf(rpc.CodeBadRequest, "decode: %v", err)
-		}
-		return fn(ctx, &req)
+		return ctx.Reply(&AddNumResp{Value: v, Found: found, OK: ok})
 	})
 }

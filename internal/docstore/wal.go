@@ -89,7 +89,7 @@ func replay(f *os.File, s *Store) (int64, error) {
 		if err != nil || kind != opPut {
 			return offset, nil // corrupt tail
 		}
-		name, rest, err := codec.DecString(rest)
+		name, rest, err := codec.DecStringBytes(rest)
 		if err != nil {
 			return offset, nil
 		}
@@ -97,7 +97,7 @@ func replay(f *os.File, s *Store) (int64, error) {
 		if err != nil {
 			return offset, nil
 		}
-		col := s.Collection(name)
+		col := s.Collection(string(name))
 		col.mu.Lock()
 		col.apply(enc)
 		col.mu.Unlock()

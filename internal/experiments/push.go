@@ -75,8 +75,7 @@ func bootPushRig() (*pushRig, error) {
 			out, err := next(ctx, payload)
 			if ctx.Method == "Consume" {
 				rig.consumeRPCs.Add(1)
-				var resp mq.ConsumeResp
-				if err == nil && codec.Unmarshal(out, &resp) == nil && !resp.OK {
+				if resp, ok := ctx.TypedReply().(*mq.ConsumeResp); err == nil && ok && !resp.OK {
 					rig.idlePolls.Add(1)
 				}
 			}

@@ -50,7 +50,7 @@ func wirespeedServer(n rpc.Network) (*rpc.Server, string, error) {
 		if err := codec.Unmarshal(payload, &p); err != nil {
 			return nil, err
 		}
-		return ctx.PooledReply(&p)
+		return ctx.Reply(&p)
 	})
 	s.Handle("EchoReflect", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
 		var p socialnetwork.Post

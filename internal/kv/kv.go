@@ -7,6 +7,7 @@ package kv
 
 import (
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 )
@@ -150,6 +151,9 @@ func (c *Cache) Set(key string, value []byte, ttl time.Duration) {
 		e.expires = expires
 		s.touch(e)
 	} else {
+		// A key decoded from a request shares its memory with the whole
+		// request: the entry keeps a copy of its own.
+		key = strings.Clone(key)
 		e = &entry{key: key, value: value, expires: expires}
 		s.items[key] = e
 		s.bytes += int64(len(value))
@@ -192,6 +196,7 @@ func (c *Cache) Incr(key string, delta int64) int64 {
 		e.value = val
 		s.touch(e)
 	} else {
+		key = strings.Clone(key)
 		e = &entry{key: key, value: val}
 		s.items[key] = e
 		s.bytes += int64(len(val))

@@ -53,19 +53,19 @@ type IncrResp struct{ Value int64 }
 
 // RegisterService exposes cache as an RPC microservice on srv with methods
 // Get, MGet, Set, Delete, and Incr — the cache tier the application graphs
-// call.
+// call. Each handler decodes its request on its own stack.
 func RegisterService(srv *rpc.Server, cache *Cache) {
 	srv.Handle("Get", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
 		var req GetReq
-		if err := codec.Unmarshal(payload, &req); err != nil {
+		if err := codec.Whole(req.DecodeFrom(payload)); err != nil {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "decode: %v", err)
 		}
 		v, ok := cache.Get(req.Key)
-		return ctx.PooledReply(&GetResp{Value: v, Found: ok})
+		return ctx.Reply(&GetResp{Value: v, Found: ok})
 	})
 	srv.Handle("MGet", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
 		var req MGetReq
-		if err := codec.Unmarshal(payload, &req); err != nil {
+		if err := codec.Whole(req.DecodeFrom(payload)); err != nil {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "decode: %v", err)
 		}
 		resp := MGetResp{
@@ -75,11 +75,11 @@ func RegisterService(srv *rpc.Server, cache *Cache) {
 		for i, key := range req.Keys {
 			resp.Values[i], resp.Found[i] = cache.Get(key)
 		}
-		return ctx.PooledReply(&resp)
+		return ctx.Reply(&resp)
 	})
 	srv.Handle("Set", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
 		var req SetReq
-		if err := codec.Unmarshal(payload, &req); err != nil {
+		if err := codec.Whole(req.DecodeFrom(payload)); err != nil {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "decode: %v", err)
 		}
 		cache.Set(req.Key, req.Value, time.Duration(req.TTLNs))
@@ -87,16 +87,16 @@ func RegisterService(srv *rpc.Server, cache *Cache) {
 	})
 	srv.Handle("Delete", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
 		var req DeleteReq
-		if err := codec.Unmarshal(payload, &req); err != nil {
+		if err := codec.Whole(req.DecodeFrom(payload)); err != nil {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "decode: %v", err)
 		}
-		return ctx.PooledReply(&DeleteResp{Existed: cache.Delete(req.Key)})
+		return ctx.Reply(&DeleteResp{Existed: cache.Delete(req.Key)})
 	})
 	srv.Handle("Incr", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
 		var req IncrReq
-		if err := codec.Unmarshal(payload, &req); err != nil {
+		if err := codec.Whole(req.DecodeFrom(payload)); err != nil {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "decode: %v", err)
 		}
-		return ctx.PooledReply(&IncrResp{Value: cache.Incr(req.Key, req.Delta)})
+		return ctx.Reply(&IncrResp{Value: cache.Incr(req.Key, req.Delta)})
 	})
 }

@@ -1,6 +1,9 @@
 package mq
 
-import "sync"
+import (
+	"strings"
+	"sync"
+)
 
 // DefaultDedupCap bounds a Dedup's memory when Cap is unset. Matched to the
 // broker's tombstone window: a redelivery arriving after eviction is simply
@@ -55,6 +58,7 @@ func (d *Dedup) Mark(key string) {
 	if cap <= 0 {
 		cap = DefaultDedupCap
 	}
+	key = strings.Clone(key) // a decoded key shares its message's memory
 	d.seen[key] = struct{}{}
 	d.order = append(d.order, key)
 	if len(d.order) > cap {

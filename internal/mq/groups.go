@@ -1,6 +1,7 @@
 package mq
 
 import (
+	"strings"
 	"sync"
 )
 
@@ -29,6 +30,7 @@ func (b *Broker) Topic(name string) *Topic {
 	defer b.mu.Unlock()
 	t, ok := b.topics[name]
 	if !ok {
+		name = strings.Clone(name) // kept: a decoded name shares a request's memory
 		t = &Topic{b: b, name: name, groups: make(map[string]*Queue)}
 		b.topics[name] = t
 	}
@@ -54,6 +56,7 @@ func (t *Topic) Subscribe(group string) *Queue {
 	defer t.mu.Unlock()
 	q, ok := t.groups[group]
 	if !ok {
+		group = strings.Clone(group)
 		q = t.b.Configure(t.groupQueueName(group), t.cfg)
 		t.groups[group] = q
 	}

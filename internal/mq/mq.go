@@ -15,6 +15,7 @@
 package mq
 
 import (
+	"strings"
 	"sync"
 	"time"
 
@@ -232,6 +233,9 @@ func (q *Queue) PublishKey(key string, body []byte) (uint64, error) {
 func (qq *queue) enqueueLocked(key string, body []byte, attempts int) uint64 {
 	qq.nextID++
 	qq.published++
+	// The queue keeps copies of its own: a key decoded from a request shares
+	// its memory with the whole request.
+	key = strings.Clone(key)
 	cp := make([]byte, len(body))
 	copy(cp, body)
 	it := &item{msg: Message{ID: qq.nextID, Key: key, Body: cp, Attempts: attempts}, enqueued: time.Now()}
@@ -312,6 +316,7 @@ func (qq *queue) tombstoneLocked(key string) {
 	if _, ok := qq.tombs[key]; ok {
 		return
 	}
+	key = strings.Clone(key)
 	qq.tombs[key] = struct{}{}
 	qq.tombOrder = append(qq.tombOrder, key)
 	if len(qq.tombOrder) > tombstoneCap {

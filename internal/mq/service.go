@@ -116,11 +116,7 @@ func RegisterService(srv *rpc.Server, broker *Broker) {
 	// Consume parked in ReceiveWait returns promptly instead of burning its
 	// full wait budget (or wedging Close forever).
 	srv.OnClose(broker.Close)
-	srv.Handle("Publish", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
-		var req PublishReq
-		if err := codec.Unmarshal(payload, &req); err != nil {
-			return nil, rpc.Errorf(rpc.CodeBadRequest, "decode: %v", err)
-		}
+	rpc.HandleTyped(srv, "Publish", func(ctx *rpc.Ctx, req *PublishReq) ([]byte, error) {
 		if req.Topic == "" {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "mq: publish requires a topic")
 		}
@@ -128,23 +124,15 @@ func RegisterService(srv *rpc.Server, broker *Broker) {
 		if err != nil {
 			return nil, err
 		}
-		return ctx.PooledReply(&PublishResp{ID: id})
+		return ctx.Reply(&PublishResp{ID: id})
 	})
-	srv.Handle("Mirror", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
-		var req MirrorReq
-		if err := codec.Unmarshal(payload, &req); err != nil {
-			return nil, rpc.Errorf(rpc.CodeBadRequest, "decode: %v", err)
-		}
+	rpc.HandleTyped(srv, "Mirror", func(ctx *rpc.Ctx, req *MirrorReq) ([]byte, error) {
 		if req.Topic == "" || req.Key == "" {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "mq: mirror requires a topic and a key")
 		}
-		return ctx.PooledReply(&MirrorResp{N: broker.Topic(req.Topic).Insert(req.Key, req.Body)})
+		return ctx.Reply(&MirrorResp{N: broker.Topic(req.Topic).Insert(req.Key, req.Body)})
 	})
-	srv.Handle("Subscribe", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
-		var req SubscribeReq
-		if err := codec.Unmarshal(payload, &req); err != nil {
-			return nil, rpc.Errorf(rpc.CodeBadRequest, "decode: %v", err)
-		}
+	rpc.HandleTyped(srv, "Subscribe", func(ctx *rpc.Ctx, req *SubscribeReq) ([]byte, error) {
 		if req.Topic == "" || req.Group == "" {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "mq: subscribe requires topic and group")
 		}
@@ -155,11 +143,7 @@ func RegisterService(srv *rpc.Server, broker *Broker) {
 		t.Subscribe(req.Group)
 		return nil, nil
 	})
-	srv.Handle("Consume", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
-		var req ConsumeReq
-		if err := codec.Unmarshal(payload, &req); err != nil {
-			return nil, rpc.Errorf(rpc.CodeBadRequest, "decode: %v", err)
-		}
+	rpc.HandleTyped(srv, "Consume", func(ctx *rpc.Ctx, req *ConsumeReq) ([]byte, error) {
 		q, err := queueFor(broker, req.Topic, req.Group)
 		if err != nil {
 			return nil, err
@@ -179,9 +163,9 @@ func RegisterService(srv *rpc.Server, broker *Broker) {
 				// over to a sibling replica, not come back here.
 				return nil, rpc.Errorf(rpc.CodeUnavailable, "mq: queue %q closed", q.Name())
 			}
-			return ctx.PooledReply(&ConsumeResp{})
+			return ctx.Reply(&ConsumeResp{})
 		}
-		return ctx.PooledReply(&ConsumeResp{ID: msg.ID, Key: msg.Key, Body: msg.Body, Attempts: msg.Attempts, OK: true})
+		return ctx.Reply(&ConsumeResp{ID: msg.ID, Key: msg.Key, Body: msg.Body, Attempts: msg.Attempts, OK: true})
 	})
 	srv.HandleStream("Push", func(ctx *rpc.Ctx, payload []byte, st *rpc.ServerStream) error {
 		var req PushReq
@@ -231,33 +215,25 @@ func RegisterService(srv *rpc.Server, broker *Broker) {
 			}
 		}
 	})
-	srv.Handle("Ack", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
-		var req AckReq
-		if err := codec.Unmarshal(payload, &req); err != nil {
-			return nil, rpc.Errorf(rpc.CodeBadRequest, "decode: %v", err)
-		}
+	rpc.HandleTyped(srv, "Ack", func(ctx *rpc.Ctx, req *AckReq) ([]byte, error) {
 		q, err := queueFor(broker, req.Topic, req.Group)
 		if err != nil {
 			return nil, err
 		}
 		if req.Key != "" {
-			return ctx.PooledReply(&AckResp{OK: q.Remove(req.Key)})
+			return ctx.Reply(&AckResp{OK: q.Remove(req.Key)})
 		}
-		return ctx.PooledReply(&AckResp{OK: q.Ack(req.ID)})
+		return ctx.Reply(&AckResp{OK: q.Ack(req.ID)})
 	})
-	srv.Handle("Nack", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
-		var req AckReq
-		if err := codec.Unmarshal(payload, &req); err != nil {
-			return nil, rpc.Errorf(rpc.CodeBadRequest, "decode: %v", err)
-		}
+	rpc.HandleTyped(srv, "Nack", func(ctx *rpc.Ctx, req *AckReq) ([]byte, error) {
 		q, err := queueFor(broker, req.Topic, req.Group)
 		if err != nil {
 			return nil, err
 		}
 		if req.Key != "" {
-			return ctx.PooledReply(&AckResp{OK: q.NackKey(req.Key)})
+			return ctx.Reply(&AckResp{OK: q.NackKey(req.Key)})
 		}
-		return ctx.PooledReply(&AckResp{OK: q.Nack(req.ID)})
+		return ctx.Reply(&AckResp{OK: q.Nack(req.ID)})
 	})
 }
 

@@ -12,9 +12,9 @@ import (
 
 // guardMsg is a minimal registered message so the echo round trip below
 // exercises the full fast path — typed request marshaled straight into the
-// connection's write segment, pooled reply buffer on the server, pooled
-// payload on the client — with a hand-written marshaler standing in for
-// codecgen output.
+// connection's write segment, typed reply marshaled straight into the
+// server's, pooled payload on the client — with a hand-written marshaler
+// standing in for codecgen output.
 type guardMsg struct {
 	N int64
 }
@@ -29,20 +29,26 @@ func (m *guardMsg) DecodeFrom(b []byte) ([]byte, error) {
 	return b, err
 }
 
-func init() { codec.Register[guardMsg]() }
+func init() {
+	codec.Register[guardMsg](func(b []byte, v any) ([]byte, error) {
+		m := v.(guardMsg)
+		return m.AppendTo(b)
+	})
+}
 
 func startGuardEcho(t testing.TB) (*Client, func()) {
 	t.Helper()
 	n := NewMem()
 	s := NewServer("allocguard")
-	// Raw echo: the reply aliases the pooled request payload, which the
-	// dispatcher releases only after the reply frame is written. Keeping the
+	// Raw echo: the reply aliases the request payload, a view of the read
+	// buffer, which the connection reads over only after the reply frame is
+	// written. Keeping the
 	// handler body allocation-free isolates the guard below to the RPC
 	// runtime itself.
 	s.Handle("Echo", func(ctx *Ctx, payload []byte) ([]byte, error) {
 		return payload, nil
 	})
-	// Typed echo: decode + pooled re-encode, the shape every svcutil
+	// Typed echo: decode + typed reply, the shape every svcutil
 	// handler has. The request value escapes into the codec interfaces
 	// (one extra allocation per call, paid by the handler, not the
 	// runtime); the benchmark uses this to measure the realistic path.
@@ -51,7 +57,7 @@ func startGuardEcho(t testing.TB) (*Client, func()) {
 		if err := codec.Unmarshal(payload, &req); err != nil {
 			return nil, err
 		}
-		return ctx.PooledReply(&req)
+		return ctx.Reply(&req)
 	})
 	addr, err := s.Start(n, "allocguard:0")
 	if err != nil {

@@ -24,8 +24,8 @@ import (
 // Requests travel as typed values (transport.Call.Body) all the way to the
 // connection writer, which marshals them straight into its write segment —
 // through the generated fast path for registered types — so a steady-state
-// Call allocates nothing: pooled call descriptor, pooled frames, pooled
-// reply buffer, in-place encode. The price of that is a narrow aliasing
+// Call allocates nothing: pooled call descriptor, the connection's own
+// frames, pooled reply buffer, in-place encode. The price of that is a narrow aliasing
 // contract: the request value must not be mutated until the call returns,
 // including any hedged attempts still in flight (they share the value and
 // re-encode it at the wire).
@@ -228,28 +228,26 @@ func (c *Client) sendOneWay(call *transport.Call) error {
 
 // exchange performs the unary wire round trip for call, reading the reply on
 // the calling goroutine and setting call.Reply (a pooled buffer — the caller
-// that owns the Call decides when to release it) on success.
+// that owns the Call decides when to release it) on success. The reply is
+// copied out of the read buffer before the connection is parked: the next
+// caller to check it out reads over it.
 func (c *Client) exchange(ctx context.Context, call *transport.Call) error {
 	cn, err := c.send(kindRequest, call)
 	if err != nil {
 		return err
 	}
-	var reply *frame
-	if err := c.stack.Await(ctx, cn, call.Method, func(cn *conn) (bool, error) {
-		var err error
-		reply, err = cn.State.readReply()
-		return err == nil, err
-	}); err != nil {
-		return err
-	}
-	if reply.kind == kindError {
-		err = &Error{Code: int(reply.code), Msg: string(reply.payload)}
-		transport.ReleaseBuf(reply.payload)
-	} else {
-		call.Reply = reply.payload // ownership moves to the call's owner
-	}
-	putFrame(reply)
-	return err
+	return c.stack.Await(ctx, cn, call.Method, func(cn *conn) (bool, error) {
+		reply, err := cn.State.readReply()
+		switch {
+		case err != nil:
+			return false, err
+		case reply.kind == kindError:
+			return true, &Error{Code: int(reply.code), Msg: string(reply.payload)}
+		case len(reply.payload) > 0:
+			call.Reply = append(transport.AcquireBuf(len(reply.payload)), reply.payload...)
+		}
+		return true, nil
+	})
 }
 
 // conn is one pooled connection of a Client.
@@ -268,10 +266,11 @@ func newFraming(nc net.Conn) framing {
 	return framing{cw: newConnWriter(nc), fr: newFrameReader(nc)}
 }
 
-// readReply reads frames up to the reply to the request last written. With
-// one call per connection and interrupted connections closed, the next frame
-// is that reply; the sequence check is the second line of defence, and what
-// fails it is discarded as the late reply it would have to be.
+// readReply reads frames up to the reply to the request last written, and
+// returns it as the reader's frame (see frameReader.read). With one call per
+// connection and interrupted connections closed, the next frame is that
+// reply; the sequence check is the second line of defence, and what fails it
+// is discarded as the late reply it would have to be.
 func (w *framing) readReply() (*frame, error) {
 	for {
 		f, err := w.fr.read()
@@ -281,21 +280,21 @@ func (w *framing) readReply() (*frame, error) {
 		if f.seq == w.seq && (f.kind == kindReply || f.kind == kindError) {
 			return f, nil
 		}
-		transport.ReleaseBuf(f.payload)
-		putFrame(f)
+		if f.kind == kindOneWay {
+			transport.ReleaseBuf(f.payload)
+		}
 	}
 }
 
 // send checks a connection out and writes call on it as a frame of the given
 // kind, returning it still checked out (see ConnStack.Send).
 func (c *Client) send(kind byte, call *transport.Call) (*conn, error) {
-	f := getFrame()
-	defer putFrame(f) // cw.write is synchronous: encoded (or rolled back) when it returns
-	f.kind, f.method, f.headers, f.payload, f.body = kind, call.Method, call.Headers, call.Payload, call.Body
+	// cw.write is synchronous: f is encoded (or rolled back) when it returns.
+	f := frame{kind: kind, method: call.Method, headers: call.Headers, payload: call.Payload, body: call.Body}
 	cn, err := c.stack.Send(func(cn *conn) error {
 		cn.State.seq++
 		f.seq = cn.State.seq
-		return cn.State.cw.write(f)
+		return cn.State.cw.write(&f)
 	})
 	if errors.Is(err, errEncode) {
 		// Serialization failure, not a transport failure: the frame was

@@ -30,9 +30,9 @@ const (
 // stay within a few MB, mirroring production post-size limits.
 const maxFrameSize = 16 << 20
 
-// frame is one protocol message. Frames on the hot path come from framePool
-// (getFrame/putFrame in wire.go); zero-value frames remain valid for
-// test and cold-path use.
+// frame is one protocol message. A connection's reader owns the frame it
+// reads into (frameReader.read); a frame being written lives on its writer's
+// stack.
 type frame struct {
 	kind    byte
 	seq     uint64
@@ -42,8 +42,9 @@ type frame struct {
 	payload []byte
 	// body, when non-nil, is a typed request or reply value that the
 	// connWriter marshals directly into its write segment in place of
-	// payload — the zero-copy leg of transport.Call.Body. Only outgoing
-	// frames carry it; parsed frames always materialize payload bytes.
+	// payload — the zero-copy leg of transport.Call.Body and of a typed
+	// reply (Ctx.Reply). Only outgoing frames carry it; parsed frames always
+	// materialize payload bytes.
 	body any
 }
 

@@ -2,10 +2,12 @@ package rpc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"maps"
 	"math"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"dsb/internal/transport"
@@ -18,9 +20,14 @@ import (
 // allocation from a length it has not checked against maxFrameSize (outer
 // length), the header cap, or the bytes actually present (method, header
 // strings, payload); and what it does accept it understood — the frame
-// re-encodes to bytes that parse back to the same frame. The second half is
-// the caller's view: readReply hands back only the reply to its own
-// sequence number, whatever else the peer interleaves.
+// re-encodes to bytes that parse back to the same frame. The reader has two
+// paths, and they must agree: the same bytes go through a bytes.Reader, whose
+// frames sit whole in the read buffer and are parsed in place, and through
+// an iotest.OneByteReader, whose length prefixes are read byte by byte and
+// bodies copied into the envelope; both must yield the same frames, or fail
+// with the same error. The last part is the caller's view: readReply hands
+// back only the reply to its own sequence number, whatever else the peer
+// interleaves.
 //
 // Seeds for each hostile shape are committed under testdata/fuzz; `make
 // check` runs the target for ten seconds.
@@ -32,16 +39,35 @@ func FuzzFrameReader(f *testing.F) {
 		encodeWire(f, &frame{kind: kindStreamCredit, seq: 2, code: 16}),
 		encodeWire(f, &frame{kind: kindError, seq: 3, code: int64(CodeNotFound), payload: []byte("no such method")}),
 	}, nil), uint64(3))
+	// A one-byte length prefix, as any uvarint writer would put it.
+	body := frameBody(f, &frame{kind: kindReply, seq: 4, payload: []byte("short")})
+	f.Add(append(binary.AppendUvarint(nil, uint64(len(body))), body...), uint64(4))
+	// A frame larger than the read buffer, then one behind it.
+	f.Add(append(encodeWire(f, &frame{kind: kindReply, seq: 5, payload: bytes.Repeat([]byte("z"), readBufSize+100)}),
+		encodeWire(f, &frame{kind: kindOneWay, seq: 6, method: "Ack", payload: []byte("k")})...), uint64(5))
+	// Two frames that arrive in one read.
+	f.Add(append(encodeWire(f, &frame{kind: kindReply, seq: 6, payload: []byte("first")}),
+		encodeWire(f, &frame{kind: kindReply, seq: 7, payload: []byte("second")})...), uint64(7))
 
 	f.Fuzz(func(t *testing.T, wire []byte, seq uint64) {
-		fr := newFrameReader(bytes.NewReader(wire))
+		inPlace := newFrameReader(bytes.NewReader(wire))
+		byteWise := newFrameReader(iotest.OneByteReader(bytes.NewReader(wire)))
 		for {
-			got, err := fr.read()
-			if cap(fr.buf) > maxRetainedBuffer {
-				t.Fatalf("reader kept a %d-byte envelope, cap is %d", cap(fr.buf), maxRetainedBuffer)
+			got, err := inPlace.read()
+			want, werr := byteWise.read()
+			for _, fr := range []*frameReader{inPlace, byteWise} {
+				if cap(fr.buf) > maxRetainedBuffer {
+					t.Fatalf("reader kept a %d-byte envelope, cap is %d", cap(fr.buf), maxRetainedBuffer)
+				}
+			}
+			if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
+				t.Fatalf("in place: %v; byte by byte: %v", err, werr)
 			}
 			if err != nil {
 				break
+			}
+			if !sameFrame(got, want) {
+				t.Fatalf("the paths disagree:\n in place     %+v\n byte by byte %+v", got, want)
 			}
 			if len(got.payload) > len(wire) || len(got.method) > len(wire) || len(got.headers) > 1024 {
 				t.Fatalf("frame larger than its input: %d payload bytes, %d method bytes, %d headers from %d bytes",
@@ -51,12 +77,13 @@ func FuzzFrameReader(f *testing.F) {
 			if err != nil {
 				t.Fatalf("accepted frame %+v does not re-parse: %v", got, err)
 			}
-			if again.kind != got.kind || again.seq != got.seq || again.method != got.method || again.code != got.code ||
-				!maps.Equal(again.headers, got.headers) || !bytes.Equal(again.payload, got.payload) {
+			if !sameFrame(again, got) {
 				t.Fatalf("frame changed in a round trip:\n got   %+v\n again %+v", got, again)
 			}
-			transport.ReleaseBuf(got.payload)
-			putFrame(got)
+			if got.kind == kindOneWay { // the one payload the reader hands over pooled
+				transport.ReleaseBuf(got.payload)
+				transport.ReleaseBuf(want.payload)
+			}
 		}
 
 		w := &framing{fr: newFrameReader(bytes.NewReader(wire)), seq: seq}
@@ -66,6 +93,12 @@ func FuzzFrameReader(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sameFrame reports whether two parsed frames say the same thing.
+func sameFrame(a, b *frame) bool {
+	return a.kind == b.kind && a.seq == b.seq && a.method == b.method && a.code == b.code &&
+		maps.Equal(a.headers, b.headers) && bytes.Equal(a.payload, b.payload)
 }
 
 // A FuzzStreamConn script is a run of three-byte steps — frame kind, sequence

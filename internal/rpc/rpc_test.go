@@ -102,6 +102,38 @@ func TestUnknownMethod(t *testing.T) {
 	}
 }
 
+// TestTypedReplyEncodeFailure: a typed reply the connection writer cannot
+// encode goes back as a CodeInternal error, and the connection it was to go
+// out on carries the next call.
+func TestTypedReplyEncodeFailure(t *testing.T) {
+	n := NewMem()
+	s := NewServer("typed")
+	s.Handle("Bad", func(ctx *Ctx, payload []byte) ([]byte, error) {
+		return ctx.Reply(struct{ F func() }{}) // the codec has no encoding for a func
+	})
+	s.Handle("Good", func(ctx *Ctx, payload []byte) ([]byte, error) {
+		return ctx.Reply(echoResp{Text: "ok", Calls: 1})
+	})
+	addr, err := s.Start(n, "typed:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c := NewClient(n, "typed", addr)
+	defer c.Close()
+	ctx := context.Background()
+	if err := c.Call(ctx, "Bad", echoReq{}, nil); !IsCode(err, CodeInternal) {
+		t.Fatalf("unencodable reply: got %v, want CodeInternal", err)
+	}
+	var resp echoResp
+	if err := c.Call(ctx, "Good", echoReq{}, &resp); err != nil || resp.Text != "ok" {
+		t.Fatalf("next call: %+v, %v", resp, err)
+	}
+	if len(c.stack.conns) != 1 {
+		t.Fatalf("%d connections after the failed reply, want the one, reused", len(c.stack.conns))
+	}
+}
+
 func TestPanicRecovered(t *testing.T) {
 	n := NewMem()
 	addr, _ := startEcho(t, n)

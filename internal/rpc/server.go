@@ -23,10 +23,11 @@ const deadlineHeader = transport.DeadlineHeader
 // derive child contexts from it (context.WithTimeout and friends) whose
 // timer goroutines can outlive the request, so recycling it would be a
 // use-after-free; it is the one per-request allocation the unary hot path
-// keeps. The request payload, by contrast, IS pooled: a handler must not
-// retain the payload slice past its return — copy out anything that needs
-// to live longer. Returning it (or a sub-slice) as the response is fine;
-// the dispatcher writes the reply before recycling the request.
+// keeps. The request payload, by contrast, is a view of the connection's
+// read buffer, which the next frame overwrites: a handler must not retain
+// the payload slice past its return — copy out anything that needs to live
+// longer. Returning it (or a sub-slice) as the response is fine; the
+// dispatcher writes the reply before the connection reads again.
 type Ctx struct {
 	context.Context
 	// Method is the invoked method name, e.g. "ComposePost".
@@ -37,25 +38,26 @@ type Ctx struct {
 	// Headers are the request headers (trace context, deadline).
 	Headers map[string]string
 
-	// replyBuf is the pooled buffer behind the reply payload (PooledReply,
-	// OwnReply), recycled by the dispatcher once the reply frame is written.
+	// reply is the typed reply (Reply), encoded by the connection writer.
+	reply any
+	// replyBuf is the pooled buffer behind the reply payload (OwnReply),
+	// recycled by the dispatcher once the reply frame is written.
 	replyBuf []byte
 }
 
-// PooledReply encodes v into a pooled buffer and returns it for use as the
-// handler's reply payload. The dispatcher recycles the buffer after the
-// reply frame is written, so a steady stream of typed replies allocates
-// nothing. Only the reply payload of this request may use it — do not retain
-// the returned slice past the handler's return.
-func (c *Ctx) PooledReply(v any) ([]byte, error) {
-	buf := transport.AcquireBuf(0)
-	out, err := codec.AppendMarshal(buf, v)
-	if err != nil {
-		transport.ReleaseBuf(buf)
-		return nil, err
-	}
-	return c.OwnReply(out), nil
+// Reply makes v this request's reply and returns the (nil, nil) a handler
+// returns with it: the connection writer encodes v straight into the reply
+// frame, as it encodes a typed request, so no reply buffer exists. v must
+// not change until the handler has returned. A v that fails to encode goes
+// back as a CodeInternal error.
+func (c *Ctx) Reply(v any) ([]byte, error) {
+	c.reply = v
+	return nil, nil
 }
+
+// TypedReply is the value the handler gave Reply, for an interceptor that
+// looks at replies; nil when the reply is raw bytes.
+func (c *Ctx) TypedReply() any { return c.reply }
 
 // OwnReply makes buf — a pooled buffer the handler owns outright: one it
 // acquired and filled itself, or the pooled reply of a downstream call it
@@ -67,10 +69,11 @@ func (c *Ctx) OwnReply(buf []byte) []byte {
 	return buf
 }
 
-// Handler processes a raw request payload and returns the raw response.
-// The payload is pooled: do not retain it past return; returning it (or a
-// sub-slice) as the response is fine — the dispatcher writes the reply
-// before recycling the request.
+// Handler processes a raw request payload and returns the raw response (or,
+// through Ctx.Reply, a typed one). The payload is a view of the connection's
+// read buffer: do not retain it past return; returning it (or a sub-slice)
+// as the response is fine — the dispatcher writes the reply before the
+// connection reads its next frame.
 type Handler func(ctx *Ctx, payload []byte) ([]byte, error)
 
 // ServerInterceptor wraps request handling; interceptors run in
@@ -100,7 +103,7 @@ type Server struct {
 	sem          chan struct{}  // nil = unlimited concurrency
 	hung         atomic.Bool
 	onClose      []func()
-	oneways      chan *frame
+	oneways      chan frame
 
 	// dispatchTable holds a map[string]Handler from each unary method to its
 	// handler already wrapped in the interceptor chain. Handle and Use
@@ -119,7 +122,7 @@ func NewServer(service string) *Server {
 		service:  service,
 		handlers: make(map[string]Handler),
 		streams:  make(map[string]StreamHandler),
-		oneways:  make(chan *frame),
+		oneways:  make(chan frame),
 	}
 }
 
@@ -204,6 +207,19 @@ func (s *Server) Handle(method string, h Handler) {
 	s.publishDispatchLocked()
 }
 
+// HandleTyped registers fn for method behind the decode of its request: an
+// empty payload is the zero Req, one that does not decode into a Req is
+// answered CodeBadRequest.
+func HandleTyped[Req any](s *Server, method string, fn func(ctx *Ctx, req *Req) ([]byte, error)) {
+	s.Handle(method, func(ctx *Ctx, payload []byte) ([]byte, error) {
+		var req Req
+		if err := codec.Unmarshal(payload, &req); len(payload) > 0 && err != nil {
+			return nil, Errorf(CodeBadRequest, "%s.%s: decode: %v", s.service, method, err)
+		}
+		return fn(ctx, &req)
+	})
+}
+
 // HandleStream registers a stream handler for method. Unary and stream
 // methods share one namespace — a streaming open of a unary method (or vice
 // versa) fails with CodeNotFound.
@@ -281,32 +297,33 @@ func (s *Server) serveConn(conn net.Conn) {
 		switch {
 		case s.hung.Load():
 			// Crashed peer: consume every frame, never answer.
-			transport.ReleaseBuf(f.payload)
-			putFrame(f)
+			if f.kind == kindOneWay {
+				transport.ReleaseBuf(f.payload)
+			}
 		case stream != nil:
 			// Clean End = client half-close (handler's Recv drains to io.EOF,
 			// sends continue); coded End = client abort, whose teardown also
 			// cancels the handler's ctx.
-			ok := stream.core.accept(f, false)
-			putFrame(f)
-			if !ok {
+			if !stream.core.accept(f, false) {
 				return
 			}
 		case f.kind == kindRequest:
 			s.dispatch(conn, cw, f)
 		case f.kind == kindOneWay:
+			// The frame is the reader's: the worker gets a copy of it, and
+			// the payload the reader copied out for it.
 			s.wg.Add(1)
 			select {
-			case s.oneways <- f: // a parked worker takes it immediately
+			case s.oneways <- *f: // a parked worker takes it immediately
 			default:
-				go s.worker(f) // none parked: grow the pool
+				go s.worker(*f) // none parked: grow the pool
 			}
 		case f.kind == kindStreamOpen:
 			// The stream exists from here, in the read loop, before the handler
 			// goroutine does: the client's first item can be one frame behind
 			// the open, and a stream created only once its handler gets
-			// scheduled would silently drop it. The open frame is retained by
-			// the handler goroutine, so it is not recycled.
+			// scheduled would silently drop it. The handler goroutine gets a
+			// copy of the open frame, whose payload the reader copied out.
 			base, cancel := context.WithCancel(context.Background())
 			if v, ok := f.headers[deadlineHeader]; ok {
 				if dl, ok := transport.ParseDeadline(v); ok {
@@ -320,19 +337,18 @@ func (s *Server) serveConn(conn net.Conn) {
 			stream.core.mute = &s.hung
 			stream.core.onTeardown = cancel
 			s.wg.Add(1)
-			go s.dispatchStream(stream, base, f)
-		default:
-			putFrame(f) // ignore stray frames
+			go s.dispatchStream(stream, base, *f)
 		}
+		// Anything else is a stray frame, ignored.
 	}
 }
 
 // worker runs one one-way frame, then parks on the channel to serve more
 // until the server closes it.
-func (s *Server) worker(f *frame) {
-	s.runOneWay(f)
+func (s *Server) worker(f frame) {
+	s.runOneWay(&f)
 	for f := range s.oneways {
-		s.runOneWay(f)
+		s.runOneWay(&f)
 	}
 }
 
@@ -370,7 +386,7 @@ func composeChain(h Handler, chain []ServerInterceptor) Handler {
 // stream's whole lifetime with the opening payload — admission control
 // parks or sheds the open, tracing spans the stream — and the handler's
 // return value goes back as the End frame.
-func (s *Server) dispatchStream(st *ServerStream, base context.Context, f *frame) {
+func (s *Server) dispatchStream(st *ServerStream, base context.Context, f frame) {
 	defer s.wg.Done()
 	if s.sem != nil {
 		// A stream holds one concurrency slot for its lifetime, like the
@@ -398,8 +414,9 @@ func (s *Server) dispatchStream(st *ServerStream, base context.Context, f *frame
 }
 
 // dispatch runs one unary (or one-way) request: handler chain, reply frame,
-// and recycling of every pooled resource once the reply is on the wire. It
-// owns f and f.payload from the moment it is called.
+// and the release of what the dispatch owns once the reply is on the wire.
+// f is the connection reader's frame, or for a one-way a worker's copy of
+// it.
 func (s *Server) dispatch(conn net.Conn, cw *connWriter, f *frame) {
 	if s.sem != nil {
 		s.sem <- struct{}{}
@@ -413,6 +430,10 @@ func (s *Server) dispatch(conn net.Conn, cw *connWriter, f *frame) {
 			defer cancel()
 		}
 	}
+	// The reply is on the wire (or the conn is dead) when this runs; the
+	// request payload — which the reply may alias (an echo handler returns
+	// its input) — and any owned reply buffer are dead now, and only now.
+	defer release(ctx, f)
 
 	var resp []byte
 	var err error
@@ -426,46 +447,43 @@ func (s *Server) dispatch(conn net.Conn, cw *connWriter, f *frame) {
 	if f.kind == kindOneWay {
 		// Fire-and-forget: the full interceptor chain and handler ran, but
 		// nothing goes back on the wire, a failure included.
-		s.recycle(ctx, f, nil)
 		return
 	}
 
-	out := getFrame()
-	out.seq = f.seq
-	if err != nil {
-		out.kind = kindError
-		out.code = int64(ErrorCode(err))
-		var e *Error
-		if errors.As(err, &e) {
-			out.payload = []byte(e.Msg)
-		} else {
-			out.payload = []byte(err.Error())
+	out := frame{seq: f.seq}
+	if err == nil {
+		out.kind, out.payload, out.body = kindReply, resp, ctx.reply
+		werr := cw.write(&out)
+		if !errors.Is(werr, errEncode) {
+			if werr != nil {
+				conn.Close()
+			}
+			return
 		}
-	} else {
-		out.kind = kindReply
-		out.payload = resp
+		// Nothing of the reply was written: the caller gets the failure.
+		err = Errorf(CodeInternal, "%s.%s: %v", s.service, f.method, werr)
 	}
-	if werr := cw.write(out); werr != nil {
+	out.kind, out.body = kindError, nil
+	out.code = int64(ErrorCode(err))
+	var e *Error
+	if errors.As(err, &e) {
+		out.payload = []byte(e.Msg)
+	} else {
+		out.payload = []byte(err.Error())
+	}
+	if werr := cw.write(&out); werr != nil {
 		conn.Close()
 	}
-	// The reply is on the wire (or the conn is dead); the request payload —
-	// which the reply may alias (an echo handler returns its input) — and
-	// any pooled reply buffer are dead now, and only now.
-	s.recycle(ctx, f, out)
 }
 
-// recycle returns a dispatch's pooled resources: request payload and frame,
-// reply frame, and any PooledReply buffer. (The Ctx itself is not pooled —
-// see the Ctx doc comment.)
-func (s *Server) recycle(ctx *Ctx, f, out *frame) {
-	transport.ReleaseBuf(f.payload)
-	putFrame(f)
-	if out != nil {
-		putFrame(out)
+// release returns what a dispatch owns: a one-way frame's pooled payload and
+// any reply buffer handed over with OwnReply. (A request payload is the
+// reader's, and the Ctx itself is not pooled — see the Ctx doc comment.)
+func release(ctx *Ctx, f *frame) {
+	if f.kind == kindOneWay {
+		transport.ReleaseBuf(f.payload)
 	}
-	if ctx.replyBuf != nil {
-		transport.ReleaseBuf(ctx.replyBuf)
-	}
+	transport.ReleaseBuf(ctx.replyBuf)
 }
 
 // safeCall converts a handler panic into a coded error so one bad request

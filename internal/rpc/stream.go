@@ -225,9 +225,7 @@ func (sc *streamCore) readFrom(fr *frameReader) error {
 		if err != nil {
 			return err
 		}
-		ok := sc.accept(f, true)
-		putFrame(f)
-		if !ok {
+		if !sc.accept(f, true) {
 			return errNotStreamFrame
 		}
 	}
@@ -240,8 +238,8 @@ func (sc *streamCore) readFrom(fr *frameReader) error {
 // sequence number is checked, as readReply checks a reply's) is discarded.
 // terminalEnd is the client's reading of an End — the handler returned, so
 // sends have no one to reach; a server reads a clean End as the client's
-// half-close. Item payloads are plain allocations the inbox keeps; the frame
-// struct stays the caller's to recycle.
+// half-close. Item payloads are the plain allocations the reader copied out,
+// which the inbox keeps.
 func (sc *streamCore) accept(f *frame, terminalEnd bool) bool {
 	if hasMethod(f.kind) {
 		return false

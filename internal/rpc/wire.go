@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -18,11 +19,11 @@ import (
 // megabytes on an otherwise idle connection.
 const maxRetainedBuffer = 64 << 10
 
-// errEncode marks a failure to serialize the frame's typed body. The
-// connection itself is untouched — nothing of the frame was written — so
-// callers must report it to the application instead of failing the
-// connection or redialing.
-var errEncode = errors.New("rpc: encode request")
+// errEncode marks a failure to serialize the frame's typed body — a request's
+// or a reply's. The connection itself is untouched — nothing of the frame was
+// written — so callers must report it to the application instead of failing
+// the connection or redialing.
+var errEncode = errors.New("rpc: encode body")
 
 // connWriter serializes frame writes onto one connection. A connection
 // carries one conversation, so the lock is uncontended on every call; what
@@ -120,29 +121,16 @@ func putPadded(dst []byte, x uint64) {
 	dst[3] = byte(x >> 21)
 }
 
-// framePool recycles frame structs across reads and writes; see getFrame.
-var framePool = sync.Pool{New: func() any { return new(frame) }}
-
-// getFrame returns a zeroed frame. Pair with putFrame once every field the
-// holder cares about has been detached.
-func getFrame() *frame { return framePool.Get().(*frame) }
-
-// putFrame recycles f. The caller must have detached (or released) the
-// payload first — putFrame only drops the references.
-func putFrame(f *frame) {
-	*f = frame{}
-	framePool.Put(f)
-}
-
-// frameReader reads length-prefixed frames from a connection, reusing one
-// envelope buffer across frames. Frame structs come from a pool, method
-// names are interned against the server's handler table when one is
-// attached, and unary payloads are copied into pooled buffers — so a steady
-// stream of frames recirculates a fixed working set instead of allocating
-// per message.
+// frameReader reads length-prefixed frames from a connection into the one
+// frame it owns. A frame that sits whole in the read buffer is parsed where
+// it lies; one that does not (larger than the buffer, or split across reads)
+// is read into an envelope the reader keeps across frames. Method names are
+// interned against the server's handler table when one is attached. So a
+// steady stream of frames allocates nothing but what outlives the read.
 type frameReader struct {
 	r   *bufio.Reader
-	buf []byte
+	buf []byte // envelope for a frame the read buffer does not hold whole
+	f   frame  // the frame read returns, overwritten by the next read
 	// methods, when set (server side), holds a map[string]string whose keys
 	// and values are the registered method names; looking an incoming method
 	// up through it makes the name a shared string instead of a per-frame
@@ -154,19 +142,45 @@ type frameReader struct {
 // concurrent call, so its price is paid per caller at peak, at both ends:
 // at 32 KiB the ledger's social_mixed (209 connections) grew 58 to 69 MiB of
 // peak RSS, at 16 KiB it does not move; TestIdleConnFootprint holds the line.
-// A frame larger than this still arrives whole — it only takes a second Read.
+// A frame larger than this still arrives whole, through the envelope.
 const readBufSize = 16 << 10
 
 func newFrameReader(r io.Reader) *frameReader {
 	return &frameReader{r: bufio.NewReaderSize(r, readBufSize)}
 }
 
-// read returns the next frame from the pool. The returned frame owns its
-// payload: unary kinds carry a pooled buffer (release with
-// transport.ReleaseBuf once dead), stream kinds a plain allocation (stream
-// inboxes retain payloads indefinitely, so they must not recycle underneath
-// a consumer). Recycle the frame itself with putFrame.
+// read returns the next frame: the reader's own, valid until the next read.
+// Request, reply, error and stream-end payloads are views of the read buffer
+// and die with the frame. The kinds that outlive the read carry their own
+// copy: a one-way payload is pooled (whoever dispatches it releases it with
+// transport.ReleaseBuf), stream-open and stream-item payloads are plain
+// allocations, since a handler or an inbox keeps them with no release point.
 func (fr *frameReader) read() (*frame, error) {
+	body, err := fr.next()
+	if err != nil {
+		return nil, err
+	}
+	if err := fr.parseInto(&fr.f, body); err != nil {
+		return nil, err
+	}
+	return &fr.f, nil
+}
+
+// next returns the body of the next frame, less its length prefix. When the
+// prefix and the body are both buffered the body is the read buffer's own
+// bytes; otherwise the prefix is read byte by byte — any standard uvarint
+// is accepted — and the body copied into the envelope.
+func (fr *frameReader) next() ([]byte, error) {
+	if fr.r.Buffered() == 0 {
+		if _, err := fr.r.Peek(1); err != nil {
+			return nil, err
+		}
+	}
+	buffered, _ := fr.r.Peek(fr.r.Buffered())
+	if size, n := binary.Uvarint(buffered); n > 0 && size <= uint64(len(buffered)-n) {
+		fr.r.Discard(n + int(size)) //nolint:errcheck // the bytes are buffered
+		return buffered[n : n+int(size)], nil
+	}
 	size, err := binary.ReadUvarint(fr.r)
 	if err != nil {
 		return nil, err
@@ -185,18 +199,14 @@ func (fr *frameReader) read() (*frame, error) {
 	if _, err := io.ReadFull(fr.r, body); err != nil {
 		return nil, err
 	}
-	f := getFrame()
-	if err := fr.parseInto(f, body); err != nil {
-		putFrame(f)
-		return nil, err
-	}
-	return f, nil
+	return body, nil
 }
 
 // parseInto decodes a frame body (excluding the outer length prefix) into f,
-// copying the payload out of the shared envelope buffer per the ownership
-// rules documented on read.
+// which it overwrites whole; the payload follows the ownership rules
+// documented on read.
 func (fr *frameReader) parseInto(f *frame, body []byte) error {
+	*f = frame{}
 	if len(body) < 1 {
 		return fmt.Errorf("rpc: empty frame")
 	}
@@ -216,7 +226,6 @@ func (fr *frameReader) parseInto(f *frame, body []byte) error {
 		}
 		mb := rest[:mn]
 		rest = rest[mn:]
-		f.method = ""
 		if fr.methods != nil {
 			if m, _ := fr.methods.Load().(map[string]string); m != nil {
 				// Map lookup keyed by string(mb) does not allocate; a hit
@@ -261,18 +270,15 @@ func (fr *frameReader) parseInto(f *frame, body []byte) error {
 		return fmt.Errorf("rpc: payload length %d exceeds frame", np)
 	}
 	if np == 0 {
-		f.payload = nil
 		return nil
 	}
 	switch f.kind {
-	case kindRequest, kindOneWay, kindReply, kindError:
-		// Unary payloads live until the handler replies (server) or the
-		// caller decodes (client); both release back to the pool.
+	case kindOneWay:
 		f.payload = append(transport.AcquireBuf(int(np)), rest[:np]...)
+	case kindStreamOpen, kindStreamItem:
+		f.payload = bytes.Clone(rest[:np])
 	default:
-		// Stream payloads are retained by stream inboxes with no release
-		// point, so they get plain garbage-collected allocations.
-		f.payload = append([]byte(nil), rest[:np]...)
+		f.payload = rest[:np:np]
 	}
 	return nil
 }

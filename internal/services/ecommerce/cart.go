@@ -1,7 +1,8 @@
 package ecommerce
 
 import (
-	"fmt"
+	"maps"
+	"slices"
 
 	"dsb/internal/codec"
 	"dsb/internal/docstore"
@@ -22,83 +23,53 @@ type CartReq struct{ Username string }
 // CartResp returns the cart lines.
 type CartResp struct{ Lines []CartLine }
 
-// registerCart installs the cart service (Java tier in Figure 6): a
-// per-user line list in its document store.
+// registerCart installs the cart service (Java tier in Figure 6): a cart is
+// a document per user whose numbers are its lines, item ID to quantity, so
+// an add or a remove is one store-side add that no concurrent one can lose.
 func registerCart(srv *rpc.Server, db svcutil.DB) {
-	load := func(ctx *rpc.Ctx, user string) ([]CartLine, error) {
-		doc, found, err := db.Get(ctx, "carts", user)
-		if err != nil || !found {
-			return nil, err
-		}
-		var lines []CartLine
-		if err := codec.Unmarshal(doc.Body, &lines); err != nil {
-			return nil, fmt.Errorf("cart: corrupt cart %s: %w", user, err)
-		}
-		return lines, nil
-	}
-	store := func(ctx *rpc.Ctx, user string, lines []CartLine) error {
-		body, err := codec.Marshal(lines)
-		if err != nil {
-			return err
-		}
-		return db.Put(ctx, "carts", docstore.Doc{ID: user, Body: body})
-	}
-
-	svcutil.Handle(srv, "Add", func(ctx *rpc.Ctx, req *CartAddReq) (*CartResp, error) {
+	svcutil.Handle(srv, "Add", func(ctx *rpc.Ctx, req *CartAddReq) (*struct{}, error) {
 		if req.Username == "" || req.ItemID == "" || req.Quantity <= 0 {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "cart: invalid add")
 		}
-		lines, err := load(ctx, req.Username)
-		if err != nil {
+		_, found, _, err := db.AddNum(ctx, "carts", req.Username, req.ItemID, req.Quantity, 0)
+		if err != nil || found {
 			return nil, err
 		}
-		merged := false
-		for i := range lines {
-			if lines[i].ItemID == req.ItemID {
-				lines[i].Quantity += req.Quantity
-				merged = true
-				break
-			}
-		}
-		if !merged {
-			lines = append(lines, CartLine{ItemID: req.ItemID, Quantity: req.Quantity})
-		}
-		if err := store(ctx, req.Username, lines); err != nil {
+		// A first add creates the cart. A unique prepend is the store's one
+		// create-if-absent: a Put could wipe a concurrent first add's line.
+		if _, err := db.ListPrependUnique(ctx, "carts", req.Username, "", 1); err != nil {
 			return nil, err
 		}
-		return &CartResp{Lines: lines}, nil
+		_, _, _, err = db.AddNum(ctx, "carts", req.Username, req.ItemID, req.Quantity, 0)
+		return nil, err
 	})
 
-	svcutil.Handle(srv, "Remove", func(ctx *rpc.Ctx, req *CartAddReq) (*CartResp, error) {
-		lines, err := load(ctx, req.Username)
-		if err != nil {
+	svcutil.Handle(srv, "Remove", func(ctx *rpc.Ctx, req *CartAddReq) (*struct{}, error) {
+		left, found, ok, err := db.AddNum(ctx, "carts", req.Username, req.ItemID, -req.Quantity, 0)
+		if err != nil || !found || ok {
 			return nil, err
 		}
-		for i := range lines {
-			if lines[i].ItemID == req.ItemID {
-				lines[i].Quantity -= req.Quantity
-				if lines[i].Quantity <= 0 {
-					lines = append(lines[:i], lines[i+1:]...)
-				}
-				break
-			}
-		}
-		if err := store(ctx, req.Username, lines); err != nil {
-			return nil, err
-		}
-		return &CartResp{Lines: lines}, nil
+		// Fewer than Quantity in the cart: the line goes.
+		_, _, _, err = db.AddNum(ctx, "carts", req.Username, req.ItemID, -left, 0)
+		return nil, err
 	})
 
 	svcutil.Handle(srv, "Get", func(ctx *rpc.Ctx, req *CartReq) (*CartResp, error) {
-		lines, err := load(ctx, req.Username)
+		doc, _, err := db.Get(ctx, "carts", req.Username)
 		if err != nil {
 			return nil, err
+		}
+		var lines []CartLine
+		for _, id := range slices.Sorted(maps.Keys(doc.Nums)) {
+			if q := doc.Nums[id]; q > 0 {
+				lines = append(lines, CartLine{ItemID: id, Quantity: q})
+			}
 		}
 		return &CartResp{Lines: lines}, nil
 	})
 
 	svcutil.Handle(srv, "Clear", func(ctx *rpc.Ctx, req *CartReq) (*struct{}, error) {
-		return nil, store(ctx, req.Username, nil)
+		return nil, db.Put(ctx, "carts", docstore.Doc{ID: req.Username})
 	})
 }
 
@@ -122,24 +93,10 @@ func registerWishlist(srv *rpc.Server, db svcutil.DB) {
 		if req.Username == "" || req.ItemID == "" {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "wishlist: invalid add")
 		}
-		doc, _, err := db.Get(ctx, "wishlists", req.Username)
-		if err != nil {
-			return nil, err
-		}
-		var ids []string
-		if doc.Body != nil {
-			codec.Unmarshal(doc.Body, &ids) //nolint:errcheck
-		}
-		for _, id := range ids {
-			if id == req.ItemID {
-				return nil, nil
-			}
-		}
-		body, err := codec.Marshal(append(ids, req.ItemID))
-		if err != nil {
-			return nil, err
-		}
-		return nil, db.Put(ctx, "wishlists", docstore.Doc{ID: req.Username, Body: body})
+		// One store-side prepend, newest first, that skips an item already
+		// listed: no read-modify-write for a concurrent add to lose.
+		_, err := db.ListPrependUnique(ctx, "wishlists", req.Username, req.ItemID, 0)
+		return nil, err
 	})
 	svcutil.Handle(srv, "Get", func(ctx *rpc.Ctx, req *WishlistReq) (*WishlistResp, error) {
 		doc, found, err := db.Get(ctx, "wishlists", req.Username)

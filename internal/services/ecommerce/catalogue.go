@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
+	"dsb/internal/coalesce"
 	"dsb/internal/codec"
 	"dsb/internal/docstore"
 	"dsb/internal/rpc"
@@ -44,17 +46,21 @@ type AdjustStockReq struct {
 const itemCacheTTL = 5 * time.Minute
 
 // registerCatalogue installs the catalogue service (the Go microservice
-// mining memcached and MongoDB in Figure 6). Item lookups — the hottest
-// read in the app, hit by browse, search, discounts, and order placement —
-// run through the shared cache-aside ReadPath: cached under "item:<id>"
-// (invalidated by Add and AdjustStock), with concurrent misses on one item
-// coalesced into a single backing Get.
+// mining memcached and MongoDB in Figure 6). An item's stock is a number in
+// its document, which AdjustStock changes in one store-side add, and it is
+// cached apart from the rest of the item: "item:<id>" holds the item less its
+// stock, "stock:<id>" the stock as a cache counter, which AdjustStock moves
+// by the same delta. So a commit leaves the item cached, and a lookup — the
+// hottest read in the app, hit by browse, search and order placement — is
+// one MGet; concurrent misses on one item coalesce into a single backing Get.
 func registerCatalogue(srv *rpc.Server, db svcutil.DB, mc svcutil.KV) {
 	svcutil.Handle(srv, "Add", func(ctx *rpc.Ctx, req *AddItemReq) (*struct{}, error) {
 		it := req.Item
 		if it.ID == "" || it.Name == "" || it.PriceCents < 0 {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "catalogue: invalid item")
 		}
+		stock := it.Stock
+		it.Stock = 0
 		body, err := codec.Marshal(it)
 		if err != nil {
 			return nil, err
@@ -63,41 +69,46 @@ func registerCatalogue(srv *rpc.Server, db svcutil.DB, mc svcutil.KV) {
 		for _, tag := range it.Tags {
 			fields["tag-"+tag] = "1"
 		}
-		if err := db.Put(ctx, "items", docstore.Doc{ID: it.ID, Fields: fields, Body: body}); err != nil {
+		doc := docstore.Doc{ID: it.ID, Fields: fields, Nums: map[string]int64{"stock": stock}, Body: body}
+		if err := db.Put(ctx, "items", doc); err != nil {
 			return nil, err
 		}
-		mc.Delete(ctx, "item:"+it.ID) //nolint:errcheck
+		// Write-through: the next lookup of a new item hits too.
+		mc.Set(ctx, "item:"+it.ID, body, itemCacheTTL)                               //nolint:errcheck
+		mc.Set(ctx, "stock:"+it.ID, strconv.AppendInt(nil, stock, 10), itemCacheTTL) //nolint:errcheck
 		return nil, nil
 	})
 
-	itemPath := &svcutil.ReadPath[Item]{
-		MC:  mc,
-		TTL: itemCacheTTL,
-		Decode: func(b []byte) (Item, error) {
-			var it Item
-			err := codec.Unmarshal(b, &it)
-			return it, err
-		},
-		Fetch: func(ctx context.Context, key string) (Item, []byte, bool, error) {
-			id := strings.TrimPrefix(key, "item:")
-			doc, found, err := db.Get(ctx, "items", id)
-			if err != nil || !found {
-				return Item{}, nil, false, err
-			}
-			var it Item
-			if err := codec.Unmarshal(doc.Body, &it); err != nil {
-				return Item{}, nil, false, fmt.Errorf("catalogue: corrupt item %s: %w", id, err)
-			}
-			return it, doc.Body, true, nil
-		},
-	}
-
+	var misses coalesce.Group[GetItemResp]
 	svcutil.Handle(srv, "Get", func(ctx *rpc.Ctx, req *GetItemReq) (*GetItemResp, error) {
-		it, found, err := itemPath.Get(ctx, "item:"+req.ID)
+		keys := []string{"item:" + req.ID, "stock:" + req.ID}
+		cached, err := mc.MGet(ctx, keys)
 		if err != nil {
 			return nil, err
 		}
-		return &GetItemResp{Item: it, Found: found}, nil
+		var resp GetItemResp
+		if body, ok := cached[keys[0]]; ok && codec.Unmarshal(body, &resp.Item) == nil {
+			if stock, err := strconv.ParseInt(string(cached[keys[1]]), 10, 64); err == nil {
+				resp.Item.Stock, resp.Found = stock, true
+				return &resp, nil
+			}
+		}
+		// A miss, or an entry that does not decode: the store answers, and
+		// its answer replaces both entries.
+		resp, err = misses.Do(ctx, req.ID, func(ctx context.Context) (GetItemResp, error) {
+			doc, found, err := db.Get(ctx, "items", req.ID)
+			if err != nil || !found {
+				return GetItemResp{}, err
+			}
+			it, err := itemOf(doc)
+			if err != nil {
+				return GetItemResp{}, err
+			}
+			mc.Set(ctx, keys[0], doc.Body, itemCacheTTL)                             //nolint:errcheck
+			mc.Set(ctx, keys[1], strconv.AppendInt(nil, it.Stock, 10), itemCacheTTL) //nolint:errcheck
+			return GetItemResp{Item: it, Found: true}, nil
+		})
+		return &resp, err
 	})
 
 	svcutil.Handle(srv, "List", func(ctx *rpc.Ctx, req *ListItemsReq) (*ItemsResp, error) {
@@ -115,41 +126,43 @@ func registerCatalogue(srv *rpc.Server, db svcutil.DB, mc svcutil.KV) {
 		}
 		out := make([]Item, 0, len(docs))
 		for _, d := range docs {
-			var it Item
-			if codec.Unmarshal(d.Body, &it) == nil {
+			if it, err := itemOf(d); err == nil {
 				out = append(out, it)
 			}
 		}
 		return &ItemsResp{Items: out}, nil
 	})
 
-	svcutil.Handle(srv, "AdjustStock", func(ctx *rpc.Ctx, req *AdjustStockReq) (*GetItemResp, error) {
-		doc, found, err := db.Get(ctx, "items", req.ItemID)
-		if err != nil {
+	svcutil.Handle(srv, "AdjustStock", func(ctx *rpc.Ctx, req *AdjustStockReq) (*struct{}, error) {
+		stock, found, ok, err := db.AddNum(ctx, "items", req.ItemID, "stock", req.Delta, 0)
+		switch {
+		case err != nil:
 			return nil, err
-		}
-		if !found {
+		case !found:
 			return nil, rpc.NotFoundf("catalogue: no item %q", req.ItemID)
-		}
-		var it Item
-		if err := codec.Unmarshal(doc.Body, &it); err != nil {
-			return nil, err
-		}
-		if it.Stock+req.Delta < 0 {
+		case !ok:
 			return nil, rpc.Errorf(rpc.CodeConflict, "catalogue: %s out of stock", req.ItemID)
 		}
-		it.Stock += req.Delta
-		body, err := codec.Marshal(it)
-		if err != nil {
-			return nil, err
+		// Adds commute, so concurrent adjustments leave the counter where they
+		// leave the store. The one that finds no counter creates it at Delta:
+		// it writes the stock whole.
+		key := "stock:" + req.ItemID
+		if got, err := mc.Incr(ctx, key, req.Delta); err == nil && got == req.Delta && got != stock {
+			mc.Set(ctx, key, strconv.AppendInt(nil, stock, 10), itemCacheTTL) //nolint:errcheck
 		}
-		doc.Body = body
-		if err := db.Put(ctx, "items", doc); err != nil {
-			return nil, err
-		}
-		mc.Delete(ctx, "item:"+req.ItemID) //nolint:errcheck
-		return &GetItemResp{Item: it, Found: true}, nil
+		return nil, nil
 	})
+}
+
+// itemOf is the item a catalogue document holds: its body, with the stock
+// from its numbers.
+func itemOf(doc docstore.Doc) (Item, error) {
+	var it Item
+	if err := codec.Unmarshal(doc.Body, &it); err != nil {
+		return Item{}, fmt.Errorf("catalogue: corrupt item %s: %w", doc.ID, err)
+	}
+	it.Stock = doc.Nums["stock"]
+	return it, nil
 }
 
 // SearchReq queries catalogue items by name/tag terms.
@@ -215,8 +228,17 @@ func registerSearch(srv *rpc.Server, catalogue svcutil.Caller) {
 	})
 }
 
-// DiscountReq asks the discount for a set of lines.
-type DiscountReq struct{ Lines []CartLine }
+// PricedLine is a cart line with its item's price and tags, as orders
+// priced it.
+type PricedLine struct {
+	ItemID     string
+	Quantity   int64
+	PriceCents int64
+	Tags       []string
+}
+
+// DiscountReq asks the discount for a set of priced lines.
+type DiscountReq struct{ Lines []PricedLine }
 
 // DiscountResp returns the discount in cents.
 type DiscountResp struct{ DiscountCents int64 }
@@ -227,16 +249,17 @@ type discountRule struct {
 	Pct int64
 }
 
-// registerDiscounts installs the discounts service: per-tag percentage
-// promotions plus a 5% bulk discount on orders of 10+ units.
-func registerDiscounts(srv *rpc.Server, catalogue svcutil.Caller, rules []discountRule) {
-	if rules == nil {
-		rules = []discountRule{{Tag: "sale", Pct: 20}, {Tag: "clearance", Pct: 50}}
-	}
-	pctFor := func(it Item) int64 {
+// discountRules are the promotions the discounts service runs.
+var discountRules = []discountRule{{Tag: "sale", Pct: 20}, {Tag: "clearance", Pct: 50}}
+
+// registerDiscounts installs the discounts service, a leaf: per-tag
+// percentage promotions plus a 5% bulk discount on orders of 10+ units,
+// over the lines orders priced.
+func registerDiscounts(srv *rpc.Server) {
+	pctFor := func(tags []string) int64 {
 		var best int64
-		for _, r := range rules {
-			for _, tag := range it.Tags {
+		for _, r := range discountRules {
+			for _, tag := range tags {
 				if tag == r.Tag && r.Pct > best {
 					best = r.Pct
 				}
@@ -245,27 +268,13 @@ func registerDiscounts(srv *rpc.Server, catalogue svcutil.Caller, rules []discou
 		return best
 	}
 	svcutil.Handle(srv, "Quote", func(ctx *rpc.Ctx, req *DiscountReq) (*DiscountResp, error) {
-		var discount, units int64
+		var discount, units, subtotal int64
 		for _, line := range req.Lines {
-			var item GetItemResp
-			if err := catalogue.Call(ctx, "Get", GetItemReq{ID: line.ItemID}, &item); err != nil {
-				return nil, err
-			}
-			if !item.Found {
-				continue
-			}
-			discount += item.Item.PriceCents * line.Quantity * pctFor(item.Item) / 100
+			discount += line.PriceCents * line.Quantity * pctFor(line.Tags) / 100
 			units += line.Quantity
+			subtotal += line.PriceCents * line.Quantity
 		}
 		if units >= 10 {
-			var subtotal int64
-			for _, line := range req.Lines {
-				var item GetItemResp
-				if err := catalogue.Call(ctx, "Get", GetItemReq{ID: line.ItemID}, &item); err != nil {
-					return nil, err
-				}
-				subtotal += item.Item.PriceCents * line.Quantity
-			}
 			discount += subtotal * 5 / 100
 		}
 		return &DiscountResp{DiscountCents: discount}, nil

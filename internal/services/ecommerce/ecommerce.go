@@ -95,7 +95,7 @@ func New(app *core.App, cfg Config) (*Ecommerce, error) {
 		registerAccountInfo(s, db("accountInfo", "db-accounts"), mc("accountInfo", "mc-accounts"))
 	})
 	start("search", func(s *rpc.Server) { registerSearch(s, cl("search", "catalogue")) })
-	start("discounts", func(s *rpc.Server) { registerDiscounts(s, cl("discounts", "catalogue"), nil) })
+	start("discounts", registerDiscounts)
 	start("cart", func(s *rpc.Server) {
 		registerCart(s, db("cart", "db-carts"))
 	})

@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"dsb/internal/core"
+	"dsb/internal/graph"
 	"dsb/internal/rpc"
+	"dsb/internal/trace"
 	"dsb/internal/transport"
 )
 
@@ -369,5 +371,146 @@ func TestDebitConcurrentNoLostUpdates(t *testing.T) {
 	}
 	if err := ec.User.Call(ctx, "Debit", AuthorizePaymentReq{Username: "nobody", AmountCents: 1}, nil); !rpc.IsCode(err, rpc.CodeNotFound) {
 		t.Fatalf("unknown account: want CodeNotFound, got %v", err)
+	}
+}
+
+// Regression: AdjustStock was a Get and a Put over two RPCs, so concurrent
+// commits (OrderWorkers > 1) each read the same stock and one decrement
+// vanished. It is one store-side add now, and the cached stock moves with it.
+func TestAdjustStockConcurrentNoLostUpdates(t *testing.T) {
+	ec := bootEcom(t)
+	ctx := context.Background()
+	const workers, adjusts, opening = 8, 50, 1000
+	item := Item{ID: "yarn", Name: "Yarn", PriceCents: 100, Stock: opening}
+	if err := ec.Catalogue.Call(ctx, "Add", AddItemReq{Item: item}, nil); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < adjusts; i++ {
+				if err := ec.Catalogue.Call(ctx, "AdjustStock", AdjustStockReq{ItemID: "yarn", Delta: -1}, nil); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	want := int64(opening - workers*adjusts)
+	var got GetItemResp
+	if err := ec.Catalogue.Call(ctx, "Get", GetItemReq{ID: "yarn"}, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Item.Stock != want {
+		t.Fatalf("stock = %d after %d decrements of %d, want %d (lost updates)", got.Item.Stock, workers*adjusts, opening, want)
+	}
+	var listed ItemsResp
+	if err := ec.Catalogue.Call(ctx, "List", ListItemsReq{}, &listed); err != nil {
+		t.Fatal(err)
+	}
+	for _, it := range listed.Items {
+		if it.ID == "yarn" && it.Stock != want {
+			t.Fatalf("stored stock = %d, want %d", it.Stock, want)
+		}
+	}
+	// The floor and a missing item keep the codes queueMaster.commit reads.
+	if err := ec.Catalogue.Call(ctx, "AdjustStock", AdjustStockReq{ItemID: "yarn", Delta: -opening}, nil); !rpc.IsCode(err, rpc.CodeConflict) {
+		t.Fatalf("oversell: want CodeConflict, got %v", err)
+	}
+	if err := ec.Catalogue.Call(ctx, "AdjustStock", AdjustStockReq{ItemID: "nothing", Delta: -1}, nil); !rpc.IsCode(err, rpc.CodeNotFound) {
+		t.Fatalf("unknown item: want CodeNotFound, got %v", err)
+	}
+}
+
+// Regression: Cart.Add was a Get and a Put over two RPCs, so concurrent adds
+// to one cart — a first add that creates it included — lost each other's
+// quantities. A line is a number in the cart's document now.
+func TestCartAddConcurrentNoLostUpdates(t *testing.T) {
+	ec := bootEcom(t)
+	ctx := context.Background()
+	const workers, adds = 8, 50
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < adds; i++ {
+				if err := ec.Cart.Call(ctx, "Add", CartAddReq{Username: "crowd", ItemID: "sock-red", Quantity: 1}, nil); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	var cart CartResp
+	if err := ec.Cart.Call(ctx, "Get", CartReq{Username: "crowd"}, &cart); err != nil {
+		t.Fatal(err)
+	}
+	if len(cart.Lines) != 1 || cart.Lines[0].Quantity != workers*adds {
+		t.Fatalf("cart = %+v after %d adds of one sock, want one line of %d", cart.Lines, workers*adds, workers*adds)
+	}
+}
+
+// The services graph.Ecommerce draws as leaves under orders make no call of
+// their own in a traced checkout: the declared graph and the live one agree
+// at the orders fan-out. A leaf's server span parents no span.
+func TestCheckoutLeavesMatchGraph(t *testing.T) {
+	var orders *graph.Node
+	var walk func(n *graph.Node)
+	walk = func(n *graph.Node) {
+		if n.Service == "orders" && orders == nil {
+			orders = n
+		}
+		for _, c := range n.Calls {
+			walk(c.Node)
+		}
+	}
+	walk(graph.Ecommerce().Root)
+	leaves := map[string]bool{}
+	for _, c := range orders.Calls {
+		if len(c.Node.Calls) == 0 {
+			leaves["ecom."+c.Node.Service] = true
+		}
+	}
+	if len(leaves) == 0 {
+		t.Fatal("graph.Ecommerce draws no leaf under orders")
+	}
+
+	ec := bootEcom(t)
+	ctx := context.Background()
+	token := login(t, ec, "traced", 100000)
+	if err := ec.Cart.Call(ctx, "Add", CartAddReq{Username: "traced", ItemID: "sock-red", Quantity: 1}, nil); err != nil {
+		t.Fatal(err)
+	}
+	var placed PlaceOrderResp
+	if err := ec.Orders.Call(ctx, "Place", PlaceOrderReq{Token: token, Shipping: "standard"}, &placed); err != nil {
+		t.Fatal(err)
+	}
+	ec.App.FlushTraces()
+	served := map[string]bool{}
+	for _, id := range ec.App.Traces.TraceIDs() {
+		spans := ec.App.Traces.Spans(id)
+		parents := map[trace.SpanID]bool{}
+		for _, s := range spans {
+			parents[s.Parent] = true
+		}
+		for _, s := range spans {
+			if s.Kind != trace.KindServer || !leaves[s.Service] {
+				continue
+			}
+			served[s.Service] = true
+			if parents[s.SpanID] {
+				t.Errorf("%s.%s called out; graph.Ecommerce draws it as a leaf under orders", s.Service, s.Operation)
+			}
+		}
+	}
+	for leaf := range leaves {
+		if !served[leaf] {
+			t.Errorf("no span from %s in the checkout's traces", leaf)
+		}
 	}
 }

@@ -119,8 +119,11 @@ func registerFrontend(srv *rest.Server, d frontendDeps) {
 		if err != nil {
 			return nil, err
 		}
+		if err := d.cart.Call(ctx, "Add", CartAddReq{Username: user, ItemID: req.ItemID, Quantity: req.Quantity}, nil); err != nil {
+			return nil, err
+		}
 		var resp CartResp
-		if err := d.cart.Call(ctx, "Add", CartAddReq{Username: user, ItemID: req.ItemID, Quantity: req.Quantity}, &resp); err != nil {
+		if err := d.cart.Call(ctx, "Get", CartReq{Username: user}, &resp); err != nil {
 			return nil, err
 		}
 		return resp.Lines, nil

@@ -116,7 +116,7 @@ func registerInvoicing(srv *rpc.Server, db svcutil.DB) {
 		if err != nil {
 			return nil, err
 		}
-		if err := db.Put(ctx, "invoices", docstore.Doc{ID: inv.ID, Fields: map[string]string{"order": inv.OrderID}, Body: body}); err != nil {
+		if err := db.Put(ctx, "invoices", docstore.Doc{ID: inv.ID, Body: body}); err != nil {
 			return nil, err
 		}
 		return &InvoiceResp{Invoice: inv}, nil
@@ -187,6 +187,7 @@ func registerOrders(srv *rpc.Server, deps ordersDeps) {
 
 		// Price items and total weight.
 		var itemsCents, weight int64
+		priced := make([]PricedLine, 0, len(cart.Lines))
 		for _, line := range cart.Lines {
 			var item GetItemResp
 			if err := deps.catalogue.Call(ctx, "Get", GetItemReq{ID: line.ItemID}, &item); err != nil {
@@ -200,6 +201,7 @@ func registerOrders(srv *rpc.Server, deps ordersDeps) {
 			}
 			itemsCents += item.Item.PriceCents * line.Quantity
 			weight += item.Item.WeightGram * line.Quantity
+			priced = append(priced, PricedLine{ItemID: line.ItemID, Quantity: line.Quantity, PriceCents: item.Item.PriceCents, Tags: item.Item.Tags})
 		}
 
 		// Shipping quote and method selection.
@@ -219,7 +221,7 @@ func registerOrders(srv *rpc.Server, deps ordersDeps) {
 
 		// Discounts.
 		var discount DiscountResp
-		if err := deps.discounts.Call(ctx, "Quote", DiscountReq{Lines: cart.Lines}, &discount); err != nil {
+		if err := deps.discounts.Call(ctx, "Quote", DiscountReq{Lines: priced}, &discount); err != nil {
 			return nil, err
 		}
 		total := itemsCents - discount.DiscountCents + shipping.CostCents
@@ -300,7 +302,7 @@ func storeOrder(ctx *rpc.Ctx, db svcutil.DB, o Order) error {
 	}
 	return db.Put(ctx, "orders", docstore.Doc{
 		ID:     o.ID,
-		Fields: map[string]string{"user": o.Username, "status": o.Status},
+		Fields: map[string]string{"user": o.Username},
 		Body:   body,
 	})
 }

@@ -43,14 +43,16 @@ func registerReviewSearch(srv *rpc.Server) {
 		if _, done := byID[r.ID]; done {
 			return nil, nil // retried Record: already indexed
 		}
-		byID[r.ID] = r.MovieID
+		// The index keeps copies: decoded strings share their request's memory.
+		id := strings.Clone(r.ID)
+		byID[id] = strings.Clone(r.MovieID)
 		for _, term := range strings.Fields(strings.ToLower(r.Text)) {
 			ids, ok := terms[term]
 			if !ok {
 				ids = make(map[string]struct{})
-				terms[term] = ids
+				terms[strings.Clone(term)] = ids
 			}
-			ids[r.ID] = struct{}{}
+			ids[id] = struct{}{}
 		}
 		return nil, nil
 	})

@@ -76,6 +76,7 @@ func newSearchShard() *searchShard {
 
 func (s *searchShard) index(postID, text string) {
 	terms := tokenize(text)
+	postID = strings.Clone(postID) // a decoded ID shares its request's memory
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.docLen[postID] = len(terms)

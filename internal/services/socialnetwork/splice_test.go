@@ -43,7 +43,7 @@ func TestReadTimelineSpliceMatchesTyped(t *testing.T) {
 			if postsDown {
 				return nil, rpc.Errorf(rpc.CodeUnavailable, "readPost down")
 			}
-			return ctx.PooledReply(&ReadPostsResp{Posts: page})
+			return ctx.Reply(&ReadPostsResp{Posts: page})
 		})
 	})
 	blockedUsers := start("blockedUsers", func(s *rpc.Server) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -272,11 +273,12 @@ func registerLog(srv *rpc.Server) {
 	svcutil.Handle(srv, "Append", func(ctx *rpc.Ctx, req *LogReq) (*struct{}, error) {
 		mu.Lock()
 		defer mu.Unlock()
-		lines := append(logs[req.DroneID], req.Line)
+		// The log keeps copies: decoded strings share their request's memory.
+		lines := append(logs[req.DroneID], strings.Clone(req.Line))
 		if len(lines) > 1000 {
 			lines = lines[len(lines)-1000:]
 		}
-		logs[req.DroneID] = lines
+		logs[strings.Clone(req.DroneID)] = lines
 		return nil, nil
 	})
 	svcutil.Handle(srv, "Tail", func(ctx *rpc.Ctx, req *LogTailReq) (*LogTailResp, error) {

@@ -17,13 +17,15 @@ import (
 
 // TestStoreHopAllocGuard pins the allocations of one round trip to a store
 // tier over rpc.Mem — client encode, server decode, the store operation, the
-// reply and the client decode. The store services reply from the pool, and
-// docstore keeps a document as its wire encoding, so its side of a hop builds
-// no Doc: a Get is the server Ctx, the request struct and its two strings,
-// then the client's decode of the reply (the Doc's ID, two maps, their keys
-// and values, and the body); a replacing Put is the client's encode (the
-// request boxed into the codec's interface, one key-sorting scratch per map),
-// the server Ctx and the stored copy.
+// reply and the client decode. The store services reply typed or from the
+// pool, every decode takes its strings from one copy of its input, the cache
+// decodes its requests on the handler's stack, and docstore keeps a document
+// as its wire encoding, so its side of a hop builds no Doc: a Get is the
+// server Ctx, the request struct and its one string copy, then the client's
+// decode of the reply (the Doc's one string copy, two maps and the body); a
+// replacing Put is the client's encode (the request boxed into the codec's
+// interface, one key-sorting scratch per map), the server Ctx and the stored
+// copy.
 func TestStoreHopAllocGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; budget pinned by the non-race run in make alloc-guard")
@@ -83,13 +85,13 @@ func TestStoreHopAllocGuard(t *testing.T) {
 		budget int
 		call   func() error
 	}{
-		{"KV.Get hit", 7, func() error { _, _, err := cache.Get(ctx, "k"); return err }},
-		{"DB.Get", 16, func() error { _, _, err := db.Get(ctx, "orders", "order-1"); return err }},
-		{"DB.Put", 6, func() error { return db.Put(ctx, "orders", doc) }},
+		{"KV.Get hit", 6, func() error { _, _, err := cache.Get(ctx, "k"); return err }},
+		{"DB.Get", 11, func() error { _, _, err := db.Get(ctx, "orders", "order-1"); return err }},
+		{"DB.Put", 5, func() error { return db.Put(ctx, "orders", doc) }},
 		// The sharded hop is the unsharded one through a Router snapshot,
 		// which hands out its read order without copying it.
-		{"sharded KV.Get hit", 7, func() error { _, _, err := sharded.Get(ctx, "k"); return err }},
-		{"sharded KV.Set to two replicas", 10, func() error { return sharded.Set(ctx, "k", value, time.Hour) }},
+		{"sharded KV.Get hit", 6, func() error { _, _, err := sharded.Get(ctx, "k"); return err }},
+		{"sharded KV.Set to two replicas", 8, func() error { return sharded.Set(ctx, "k", value, time.Hour) }},
 		{"Router.Route", 0, func() error { return want2(router.Route("k")) }},
 		{"Router.GroupReplicas", 0, func() error { return want2(router.GroupReplicas(label)) }},
 	} {

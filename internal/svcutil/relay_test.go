@@ -32,7 +32,7 @@ func startRelay(t testing.TB, down func(n rpc.Network, addr string) Caller) (*rp
 		if !ok {
 			return nil, rpc.Errorf(rpc.CodeInternal, "no deadline reached the backend")
 		}
-		return ctx.PooledReply(dl.UnixNano())
+		return ctx.Reply(dl.UnixNano())
 	})
 	backendAddr, err := backend.Start(n, "backend:0")
 	if err != nil {

@@ -174,11 +174,12 @@ func (k KV) shardedIncr(ctx context.Context, key string, delta int64) (int64, er
 
 // MGet fetches a batch of keys in one round trip per backend, returning
 // the found subset keyed by key. Single-backend mode issues one MGet RPC;
-// sharded mode groups the keys by owning shard and fans one MGet out per
-// shard concurrently (with per-shard replica fallback on transport
-// errors), so a K-key batch costs at most one call per live shard instead
-// of K calls. Batch reads skip read-repair — the point of the batch is
-// bounding round trips, and a missed entry is re-fetchable by the caller.
+// sharded mode groups the keys by owning shard and issues one MGet per shard,
+// one after another on the caller's goroutine (with per-shard replica
+// fallback on transport errors), so a K-key batch costs at most one call per
+// live shard instead of K calls. Batch reads skip read-repair — the point of
+// the batch is bounding round trips, and a missed entry is re-fetchable by
+// the caller.
 func (k KV) MGet(ctx context.Context, keys []string) (map[string][]byte, error) {
 	out := make(map[string][]byte, len(keys))
 	if len(keys) == 0 {
@@ -201,40 +202,27 @@ func (k KV) MGet(ctx context.Context, keys []string) (map[string][]byte, error) 
 		owner := k.Shards.Owner(key)
 		byShard[owner] = append(byShard[owner], key)
 	}
-	labels := make([]string, 0, len(byShard))
-	for label := range byShard {
-		labels = append(labels, label)
-	}
-	sort.Strings(labels)
-	var mu sync.Mutex
-	err := Parallel(len(labels), len(labels), func(i int) error {
-		shardKeys := byShard[labels[i]]
-		reps := k.Shards.GroupReplicas(labels[i])
+	for label, shardKeys := range byShard {
+		reps := k.Shards.GroupReplicas(label)
 		if len(reps) == 0 {
-			return noShards(k.Shards)
+			return nil, noShards(k.Shards)
 		}
 		var resp kv.MGetResp
-		var callErr error
+		var err error
 		for _, rep := range reps {
 			resp = kv.MGetResp{}
-			if callErr = rep.Call(ctx, "MGet", kv.MGetReq{Keys: shardKeys}, &resp); callErr == nil {
+			if err = rep.Call(ctx, "MGet", kv.MGetReq{Keys: shardKeys}, &resp); err == nil {
 				break
 			}
 		}
-		if callErr != nil {
-			return callErr
+		if err != nil {
+			return nil, err
 		}
-		mu.Lock()
 		for j, key := range shardKeys {
 			if j < len(resp.Found) && resp.Found[j] {
 				out[key] = resp.Values[j]
 			}
 		}
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }

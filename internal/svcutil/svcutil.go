@@ -63,33 +63,25 @@ func StartReplicas(app RPCStarter, service string, n int, register func(i int) f
 
 // Handle registers a typed handler: the payload is decoded into Req, and
 // the returned Resp is encoded as the reply. A nil Resp sends an empty
-// reply body. Replies encode into a pooled buffer that the RPC dispatcher
-// recycles once the reply frame is written, so a typed handler's encode
-// path allocates nothing for registered (codecgen) response types.
+// reply body. The reply is handed to the RPC dispatcher typed (rpc.Ctx.Reply)
+// and the connection writer encodes it straight into the reply frame, so a
+// typed handler's encode path allocates nothing for registered (codecgen)
+// response types.
 func Handle[Req, Resp any](srv *rpc.Server, method string, fn func(ctx *rpc.Ctx, req *Req) (*Resp, error)) {
-	srv.Handle(method, func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
-		var req Req
-		if len(payload) > 0 {
-			if err := codec.Unmarshal(payload, &req); err != nil {
-				return nil, rpc.Errorf(rpc.CodeBadRequest, "%s.%s: decode: %v", ctx.Service, method, err)
-			}
-		}
-		resp, err := fn(ctx, &req)
-		if err != nil {
+	rpc.HandleTyped(srv, method, func(ctx *rpc.Ctx, req *Req) ([]byte, error) {
+		resp, err := fn(ctx, req)
+		if err != nil || resp == nil {
 			return nil, err
-		}
-		if resp == nil {
-			return nil, nil
 		}
 		if _, ok := any(resp).(codec.Message); ok {
 			// Registered type: the pointer dispatches straight to its
 			// generated marshaler (same bytes as the value encoding, no
 			// interface boxing).
-			return ctx.PooledReply(resp)
+			return ctx.Reply(resp)
 		}
 		// Unregistered type: encode the value, not the pointer — a pointer
 		// would take the reflect pointer plan and grow a nil-flag byte.
-		return ctx.PooledReply(*resp)
+		return ctx.Reply(*resp)
 	})
 }
 
@@ -113,8 +105,8 @@ func Relay(srv *rpc.Server, method string, down Caller, downMethod string) {
 	target := down.Target()
 	srv.Handle(method, func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
 		call := transport.AcquireCall(target, downMethod)
-		// The request buffer is recycled when this handler's reply is out,
-		// but a hedged attempt that lost the race may still be writing its
+		// The connection reads over the request payload once this handler's
+		// reply is out, but a hedged attempt that lost the race may still be writing its
 		// request then: attempts get a copy that outlives the handler.
 		call.Payload = bytes.Clone(payload)
 		err := inv.Invoke(ctx, call)
