@@ -118,15 +118,19 @@ conn-stress:
 # calls, or one stream — that a peer drives with whatever frames it likes;
 # a REST server connection parses whatever HTTP a peer sends, up to a header
 # bound; and the broker's handlers take whatever sequence of requests its
-# clients send, and must keep every queue's books balanced through it: ten
-# seconds of hostile input for each, on top of the committed seeds
-# (internal/rpc/testdata/fuzz, the f.Add lists of FuzzRESTConn and
-# FuzzBrokerService), which plain `go test` already replays.
+# clients send, and must keep every queue's books balanced through it; and a
+# timeline read splices cached post and ID-list bytes into its reply once the
+# generated skippers pass them, which must step over exactly what the reflect
+# plans do: ten seconds of hostile input for each, on top of the committed
+# seeds (internal/rpc/testdata/fuzz, the f.Add lists of FuzzRESTConn,
+# FuzzBrokerService and FuzzGeneratedSkip), which plain `go test` already
+# replays.
 fuzz-frame:
 	$(GO) test -run '^$$' -fuzz FuzzFrameReader -fuzztime 10s ./internal/rpc/
 	$(GO) test -run '^$$' -fuzz FuzzStreamConn -fuzztime 10s ./internal/rpc/
 	$(GO) test -run '^$$' -fuzz FuzzRESTConn -fuzztime 10s ./internal/rest/
 	$(GO) test -run '^$$' -fuzz FuzzBrokerService -fuzztime 10s ./internal/mq/
+	$(GO) test -run '^$$' -fuzz FuzzGeneratedSkip -fuzztime 10s ./internal/codec/
 
 check: vet fmt-check race build test alloc-guard conn-stress fuzz-frame shard-balance codecgen-check
 

@@ -76,6 +76,16 @@ var targets = []target{
 			socialnetwork.TextProcessReq{}, socialnetwork.TextProcessResp{},
 			socialnetwork.InfoReq{}, socialnetwork.InfoResp{},
 			socialnetwork.AdsReq{}, socialnetwork.AdsResp{},
+			socialnetwork.BlockedListReq{}, socialnetwork.BlockedListResp{},
+			socialnetwork.NeighborsReq{}, socialnetwork.NeighborsResp{}, socialnetwork.FollowReq{},
+			socialnetwork.VerifyTokenReq{}, socialnetwork.VerifyTokenResp{},
+			socialnetwork.UniqueIDReq{}, socialnetwork.UniqueIDResp{},
+			socialnetwork.ShortenReq{}, socialnetwork.ShortenResp{},
+			socialnetwork.UserTagReq{}, socialnetwork.UserTagResp{},
+			socialnetwork.ExistsReq{}, socialnetwork.ExistsResp{},
+			socialnetwork.IndexPostReq{}, socialnetwork.BumpStatReq{},
+			socialnetwork.LoginReq{}, socialnetwork.LoginResp{},
+			socialnetwork.RegisterReq{}, socialnetwork.RegisterResp{},
 		},
 		jsonRoots: []any{socialnetwork.Post{}},
 	},

@@ -80,6 +80,13 @@ func Unmarshal(data []byte, v any) error {
 	if m, ok := v.(Message); ok {
 		return Whole(m.DecodeFrom(data))
 	}
+	if p, ok := v.(*[]string); ok {
+		ss, rest, err := DecStrings(data)
+		if err == nil {
+			*p = ss
+		}
+		return Whole(rest, err)
+	}
 	return UnmarshalReflect(data, v)
 }
 
@@ -118,30 +125,31 @@ func UnmarshalReflect(data []byte, v any) error {
 
 // Valid reports whether data is exactly one wire encoding of a T — nil if
 // and only if Unmarshal(data, new(T)) would return nil — without building
-// the value: it walks the plan's skippers, which apply every check the
-// decoders do (length bounds, narrow-integer and float32 overflow, trailing
-// bytes) and allocate nothing. A tier that forwards stored encodings
-// instead of decoding and re-encoding them validates with this first.
+// the value: it walks T's skipper, which applies every check the decoders do
+// (length bounds, narrow-integer and float32 overflow, trailing bytes) and
+// allocates nothing. A tier that forwards stored encodings instead of
+// decoding and re-encoding them validates with this first.
 func Valid[T any](data []byte) error {
-	return validType(reflect.TypeFor[T](), data)
-}
-
-func validType(t reflect.Type, data []byte) error {
-	rest, err := skipType(t, data)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return ErrTrailingBytes
-	}
-	return nil
+	return Whole(Skip[T](data))
 }
 
 // Skip consumes one wire encoding of a T from the front of data and returns
 // the rest: the walk Valid makes, every check a decoder applies and nothing
-// built, for a tier that steps over encodings it forwards.
+// built, for a tier that steps over encodings it forwards. A registered
+// type, a slice of one and []string take their generated or codec-owned
+// skipper, as Marshal takes AppendTo; any other type walks its reflect plan.
 func Skip[T any](data []byte) ([]byte, error) {
-	return skipType(reflect.TypeFor[T](), data)
+	switch p := any((*T)(nil)).(type) {
+	case skipper:
+		return p.SkipFrom(data)
+	case *[]string:
+		return skipStrings(data)
+	}
+	t := reflect.TypeFor[T]()
+	if skip, ok := sliceSkips.Load(t); ok {
+		return skip.(skipFunc)(data)
+	}
+	return skipType(t, data)
 }
 
 func skipType(t reflect.Type, data []byte) ([]byte, error) {

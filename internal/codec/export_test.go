@@ -7,12 +7,27 @@ import (
 	"strings"
 )
 
-// ValidType is Valid for a type known only at run time: the differential
-// tests sweep RegisteredTypes with it.
-var ValidType = validType
+// ValidType is Valid for a type known only at run time, on its reflect plan:
+// the differential tests sweep RegisteredTypes with it.
+func ValidType(t reflect.Type, data []byte) error {
+	return Whole(skipType(t, data))
+}
 
-// SkipType is Skip for a type known only at run time.
+// SkipType is Skip for a type known only at run time, on its reflect plan.
 var SkipType = skipType
+
+// GeneratedSkip returns the skipper Skip takes for t without its reflect
+// plan — t's generated SkipFrom, a registered element type's for a slice of
+// one — or nil when there is none.
+func GeneratedSkip(t reflect.Type) func([]byte) ([]byte, error) {
+	if sk, ok := reflect.New(t).Interface().(skipper); ok {
+		return sk.SkipFrom
+	}
+	if skip, ok := sliceSkips.Load(t); ok {
+		return skip.(skipFunc)
+	}
+	return nil
+}
 
 // RegisteredTypes returns the value types registered so far, sorted by
 // package path and name. The differential fuzz harness iterates it to hold

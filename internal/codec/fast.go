@@ -11,6 +11,8 @@ package codec
 //     no reflection and no allocation beyond what the marshaler itself does;
 //   - a value argument of a Register-ed type dispatches through a stored
 //     closure that re-materializes the pointer receiver on the stack;
+//   - a []string, or a *[]string to decode into, is the codec's own
+//     (AppendStrings, DecStrings): the ID lists the services pass around;
 //   - everything else falls back to the reflect plans, so unregistered
 //     types keep working unchanged.
 //
@@ -44,14 +46,23 @@ type Message interface {
 	DecodeFrom(b []byte) (rest []byte, err error)
 }
 
+// skipper is the generated skip that Skip dispatches to: SkipFrom consumes
+// one wire encoding of the receiver's type from the front of b and returns
+// the rest, applying every check DecodeFrom applies and building nothing. It
+// never reads its receiver, so Skip calls it on a nil pointer.
+type skipper interface {
+	SkipFrom(b []byte) (rest []byte, err error)
+}
+
 // appendFunc encodes an `any` holding one registered value type without
 // reflection.
 type appendFunc = func(b []byte, v any) ([]byte, error)
 
 var (
-	fastReg   sync.Map // reflect.Type (the value type T) -> appendFunc
-	fastMu    sync.Mutex
-	fastTypes []reflect.Type
+	fastReg    sync.Map // reflect.Type (the value type T) -> appendFunc
+	sliceSkips sync.Map // reflect.Type ([]T of a registered T) -> skipFunc
+	fastMu     sync.Mutex
+	fastTypes  []reflect.Type
 )
 
 // Register records T's generated marshaler so that Marshal of a plain T
@@ -66,10 +77,20 @@ var (
 //
 // Written in the type's own package, that costs no allocation — a generic
 // body calling AppendTo through a type parameter could not prove the copy
-// stays on the stack. Registration is idempotent; generated files call it
-// from init().
+// stays on the stack. A T with a generated SkipFrom also gives []T a
+// skipper: the count, then T's skip per element. Registration is idempotent;
+// generated files call it from init().
 func Register[T any](appendVal appendFunc) {
 	t := reflect.TypeOf((*T)(nil)).Elem()
+	if sk, ok := any((*T)(nil)).(skipper); ok {
+		sliceSkips.Store(reflect.TypeFor[[]T](), skipFunc(func(data []byte) ([]byte, error) {
+			n, rest, err := decLen(data)
+			for i := 0; i < n && err == nil; i++ {
+				rest, err = sk.SkipFrom(rest)
+			}
+			return rest, err
+		}))
+	}
 	if _, loaded := fastReg.Swap(t, appendVal); !loaded {
 		fastMu.Lock()
 		fastTypes = append(fastTypes, t)
@@ -83,6 +104,9 @@ func fastAppend(buf []byte, v any) ([]byte, bool, error) {
 	if m, ok := v.(Message); ok {
 		out, err := m.AppendTo(buf)
 		return out, true, err
+	}
+	if ss, ok := v.([]string); ok {
+		return AppendStrings(buf, ss), true, nil
 	}
 	if v != nil {
 		if fn, ok := fastReg.Load(reflect.TypeOf(v)); ok {

@@ -235,6 +235,43 @@ func DecBytes(b []byte) ([]byte, []byte, error) {
 	return out, rest[n:], nil
 }
 
+// AppendStrings appends ss as a []string: its length, then each string's.
+func AppendStrings(b []byte, ss []string) []byte {
+	b = AppendLen(b, len(ss))
+	for _, s := range ss {
+		b = AppendString(b, s)
+	}
+	return b
+}
+
+// DecStrings consumes a []string. Its strings are substrings of one copy of
+// the list's encoding, as a generated decoder's are, so a list costs two
+// allocations however long it is; an empty list decodes to an empty non-nil
+// slice, as the reflect plan's does.
+func DecStrings(b []byte) ([]string, []byte, error) {
+	rest, err := skipStrings(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	enc := b[:len(b)-len(rest)]
+	s := string(enc)
+	n, cur, _ := decLen(enc)
+	out := make([]string, n) // every string of the n took at least a byte
+	for i := range out {
+		out[i], cur, _ = DecStringOf(cur, s)
+	}
+	return out, rest, nil
+}
+
+// skipStrings is the skipper of a []string.
+func skipStrings(b []byte) ([]byte, error) {
+	n, rest, err := decLen(b)
+	for i := 0; i < n && err == nil; i++ {
+		rest, err = skipBytes(rest)
+	}
+	return rest, err
+}
+
 // DecLen consumes a collection length prefix, enforcing the same bound the
 // reflect plans apply against hostile headers.
 func DecLen(b []byte) (int, []byte, error) {

@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand/v2"
@@ -9,6 +10,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"dsb/internal/codec"
 	"dsb/internal/rpc"
 	"dsb/internal/vtime"
 )
@@ -323,6 +325,26 @@ func TestRPCService(t *testing.T) {
 	}
 	if got.Found {
 		t.Fatal("deleted key found over RPC")
+	}
+
+	// MGet writes its reply in place; the bytes are the typed MGetResp's.
+	if err := c.Call(ctx, "Set", SetReq{Key: "e", Value: []byte{}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	req, err := codec.Marshal(MGetReq{Keys: []string{"c", "k", "e"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply, err := c.CallRaw(ctx, "MGet", req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := codec.Marshal(MGetResp{Values: [][]byte{[]byte("3"), nil, {}}, Found: []bool{true, false, true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(reply, want) {
+		t.Fatalf("MGet reply = %x, want the MGetResp encoding %x", reply, want)
 	}
 }
 

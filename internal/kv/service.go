@@ -5,6 +5,7 @@ import (
 
 	"dsb/internal/codec"
 	"dsb/internal/rpc"
+	"dsb/internal/transport"
 )
 
 // Wire messages for the cache's RPC interface.
@@ -36,7 +37,9 @@ type DeleteResp struct{ Existed bool }
 // cache tier's request rate scale with fan-in rather than with requests.
 type MGetReq struct{ Keys []string }
 
-// MGetResp returns parallel arrays: Values[i]/Found[i] answer Keys[i].
+// MGetResp returns parallel arrays: Values[i]/Found[i] answer Keys[i]. The
+// server writes it without building one, and svcutil.KV.MGet reads it in
+// place; this type is its wire layout.
 type MGetResp struct {
 	Values [][]byte
 	Found  []bool
@@ -64,18 +67,26 @@ func RegisterService(srv *rpc.Server, cache *Cache) {
 		return ctx.Reply(&GetResp{Value: v, Found: ok})
 	})
 	srv.Handle("MGet", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
-		var req MGetReq
-		if err := codec.Whole(req.DecodeFrom(payload)); err != nil {
+		// An MGetReq is its keys, looked up where they lie in the payload; the
+		// MGetResp is written as they are: each value straight into the
+		// pooled reply, its found flag into a second buffer that follows the
+		// values.
+		if err := codec.Valid[[]string](payload); err != nil {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "decode: %v", err)
 		}
-		resp := MGetResp{
-			Values: make([][]byte, len(req.Keys)),
-			Found:  make([]bool, len(req.Keys)),
+		n, keys, _ := codec.DecLen(payload)
+		reply := codec.AppendLen(transport.AcquireBuf(0), n)
+		flags := codec.AppendLen(transport.AcquireBuf(0), n)
+		for i := 0; i < n; i++ {
+			var key []byte
+			key, keys, _ = codec.DecStringBytes(keys)
+			v, ok := cache.Get(string(key)) // Get keeps no key: no copy
+			reply = codec.AppendBytes(reply, v)
+			flags = codec.AppendBool(flags, ok)
 		}
-		for i, key := range req.Keys {
-			resp.Values[i], resp.Found[i] = cache.Get(key)
-		}
-		return ctx.Reply(&resp)
+		reply = append(reply, flags...)
+		transport.ReleaseBuf(flags)
+		return ctx.OwnReply(reply), nil
 	})
 	srv.Handle("Set", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
 		var req SetReq

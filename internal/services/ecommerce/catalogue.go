@@ -86,12 +86,17 @@ func registerCatalogue(srv *rpc.Server, db svcutil.DB, mc svcutil.KV) {
 		if err != nil {
 			return nil, err
 		}
+		// Both entries decode from the reply's views, before it is released.
 		var resp GetItemResp
-		if body, ok := cached[keys[0]]; ok && codec.Unmarshal(body, &resp.Item) == nil {
-			if stock, err := strconv.ParseInt(string(cached[keys[1]]), 10, 64); err == nil {
-				resp.Item.Stock, resp.Found = stock, true
-				return &resp, nil
-			}
+		hit := len(cached) == 2 && codec.Unmarshal(cached[0].Value, &resp.Item) == nil
+		if hit {
+			resp.Item.Stock, err = strconv.ParseInt(string(cached[1].Value), 10, 64)
+			hit = err == nil
+		}
+		cached.Release()
+		if hit {
+			resp.Found = true
+			return &resp, nil
 		}
 		// A miss, or an entry that does not decode: the store answers, and
 		// its answer replaces both entries.

@@ -10,16 +10,19 @@ import (
 )
 
 // timelinePageBudget is the pinned object count of one warmed timeline page
-// (see TestTimelinePageAllocGuard), 176 measured.
-const timelinePageBudget = 193
+// (see TestTimelinePageAllocGuard), as measured: no slack for a regression to
+// hide in.
+const timelinePageBudget = 96
 
 // TestTimelinePageAllocGuard pins what one warmed GET /timeline/{user} — a
 // 20-post page, empty block list, every id and post a cache hit — allocates
 // end to end over rpc.Mem: the REST exchange, the eight inter-tier hops and
 // the one place the page is still materialised, the caller's []Post. Between
-// the post cache and the caller the page travels as bytes: postStorage and
-// readPost forward it, readTimeline drops blocked authors' posts from it
-// without decoding it, and the front end transcodes it to JSON.
+// the post cache and the caller the page travels as bytes: postStorage
+// splices the cached posts into its reply straight from the MGet's, readPost
+// forwards it, readTimeline drops blocked authors' posts from it without
+// decoding it, and the front end transcodes it to JSON. The page's IDs travel
+// as bytes too, from the timeline cache to postStorage.
 func TestTimelinePageAllocGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; budget pinned by the non-race run in make alloc-guard")

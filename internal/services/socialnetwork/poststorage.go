@@ -99,28 +99,32 @@ func registerPostStorage(srv *rpc.Server, db svcutil.DB, mc svcutil.KV, noCoales
 
 	// ReadBatch hydrates a timeline: K posts at once. One MGet replaces K
 	// per-key cache RPCs (on a sharded cache, at most one call per shard),
-	// and the hits are not decoded: a "post:" value is a Post's wire
-	// encoding, and []Post on the wire is the count followed by the
-	// elements' encodings, so a hit is spliced into the pooled reply as it
-	// is — once codec.Valid has confirmed it decodes, which keeps the
-	// ReadPath invariant that a corrupt entry is purged and refetched, never
-	// served. The reply is byte for byte the typed encoding of ReadPostsResp.
+	// and the hits are neither decoded nor copied out of the MGet's reply: a
+	// "post:" value is a Post's wire encoding, and []Post on the wire is the
+	// count followed by the elements' encodings, so a hit is spliced into the
+	// pooled reply as it is — once codec.Valid has confirmed it decodes,
+	// which keeps the ReadPath invariant that a corrupt entry is purged and
+	// refetched, never served. The reply is byte for byte the typed encoding
+	// of ReadPostsResp.
 	srv.Handle("ReadBatch", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
 		keys, err := postKeys(payload)
 		if err != nil {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "%s.ReadBatch: decode: %v", ctx.Service, err)
 		}
-		var hits map[string][]byte
+		var hits svcutil.Hits
 		if len(keys) > 1 {
 			// A batch-level failure just skips the optimization.
 			hits, _ = mc.MGet(ctx, keys)
+			defer hits.Release()
 		}
 		// The count is written for a full page and corrected below if the
 		// store no longer has some of the posts.
 		reply := codec.AppendLen(transport.AcquireBuf(0), len(keys))
 		head, found := len(reply), 0 // the list's elements start at head
-		for _, key := range keys {
-			if raw, ok := hits[key]; ok {
+		for i, key := range keys {
+			if len(hits) > 0 && hits[0].Index == i {
+				raw := hits[0].Value
+				hits = hits[1:]
 				if codec.Valid[Post](raw) == nil {
 					reply = append(reply, raw...)
 					found++

@@ -3,6 +3,7 @@ package socialnetwork
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -121,27 +122,23 @@ func registerWriteTimeline(srv *rpc.Server, graph svcutil.Caller, db svcutil.DB,
 // bytes, stored as they are and served as they are once codec.Valid passes
 // them, so both degrade modes take this one path.
 func registerReadTimeline(srv *rpc.Server, db svcutil.DB, mc svcutil.KV, readPost svcutil.RawCaller, blocked svcutil.Caller, degrade, noCoalesce bool) {
-	idsPath := &svcutil.ReadPath[[]string]{
+	// A "tl:" value is a []string encoding, and so is a ReadPostsReq (its
+	// IDs), so the ID list is validated, never decoded: the page's share of
+	// it goes to readPost as it is.
+	idsPath := &svcutil.ReadPath[[]byte]{
 		MC:         mc,
 		TTL:        timelineCacheTTL,
 		NoCoalesce: noCoalesce,
-		Decode: func(b []byte) ([]string, error) {
-			var ids []string
-			if err := codec.Unmarshal(b, &ids); err != nil {
-				return nil, err
-			}
-			return ids, nil
-		},
-		Fetch: func(ctx context.Context, key string) ([]string, []byte, bool, error) {
+		Decode:     func(b []byte) ([]byte, error) { return b, codec.Valid[[]string](b) },
+		Fetch: func(ctx context.Context, key string) ([]byte, []byte, bool, error) {
 			doc, found, err := db.Get(ctx, "timelines", key)
 			if err != nil || !found {
 				return nil, nil, false, err
 			}
-			var ids []string
-			if err := codec.Unmarshal(doc.Body, &ids); err != nil {
+			if err := codec.Valid[[]string](doc.Body); err != nil {
 				return nil, nil, false, fmt.Errorf("readTimeline: corrupt timeline %s: %w", key, err)
 			}
-			return ids, doc.Body, true, nil
+			return doc.Body, doc.Body, true, nil
 		},
 	}
 	srv.Handle("Read", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
@@ -156,15 +153,13 @@ func registerReadTimeline(srv *rpc.Server, db svcutil.DB, mc svcutil.KV, readPos
 		if limit <= 0 || limit > timelineCap {
 			limit = 20
 		}
-		ids, _, err := idsPath.Get(ctx, "tl:"+req.User)
+		all, _, err := idsPath.Get(ctx, "tl:"+req.User)
 		if err != nil {
 			return nil, err
 		}
-		if len(ids) > limit {
-			ids = ids[:limit]
-		}
+		ids := firstIDs(all, limit)
 		reply := transport.AcquireBuf(0)
-		if len(ids) == 0 {
+		if ids == nil {
 			return ctx.OwnReply(codec.AppendBool(codec.AppendLen(reply, 0), false)), nil
 		}
 		page, err := readPage(ctx, degrade, readPost, ids)
@@ -205,17 +200,38 @@ func registerReadTimeline(srv *rpc.Server, db svcutil.DB, mc svcutil.KV, readPos
 	})
 }
 
-// readPage asks readPost for the posts of ids and returns its reply as it
-// came: a pooled []Post encoding for the caller to release. A read that may
-// degrade gives the hop the non-critical budget.
-func readPage(ctx context.Context, degrade bool, readPost svcutil.RawCaller, ids []string) ([]byte, error) {
+// firstIDs returns the []string encoding of the first limit IDs of ids, a
+// valid []string encoding: ids itself when it holds no more, nil when it
+// holds none.
+func firstIDs(ids []byte, limit int) []byte {
+	n, rest, _ := codec.DecLen(ids)
+	switch {
+	case n == 0:
+		return nil
+	case n <= limit:
+		return ids
+	}
+	end := rest
+	for i := 0; i < limit; i++ {
+		_, end, _ = codec.DecStringBytes(end)
+	}
+	page := rest[:len(rest)-len(end)]
+	return append(codec.AppendLen(make([]byte, 0, binary.MaxVarintLen64+len(page)), limit), page...)
+}
+
+// readPage asks readPost for the posts of ids, a ReadPostsReq's encoding, and
+// returns its reply as it came: a pooled []Post encoding for the caller to
+// release. A read that may degrade gives the hop the non-critical budget.
+func readPage(ctx context.Context, degrade bool, readPost svcutil.RawCaller, ids []byte) ([]byte, error) {
 	if degrade {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, svcutil.NonCriticalBudget)
 		defer cancel()
 	}
 	call := transport.AcquireCall(readPost.Target(), "Read")
-	call.Body = &ReadPostsReq{IDs: ids}
+	// Payload, not a pooled copy: a hedged attempt may still be sending it
+	// after the call returns.
+	call.Payload = ids
 	err := readPost.Invoke(ctx, call)
 	page := call.Reply
 	transport.ReleaseCall(call)

@@ -25,7 +25,11 @@ import (
 // decode of the reply (the Doc's one string copy, two maps and the body); a
 // replacing Put is the client's encode (the request boxed into the codec's
 // interface, one key-sorting scratch per map), the server Ctx and the stored
-// copy.
+// copy. An MGet copies no value or key on either side: the server looks the
+// keys up where they lie and writes the values into its pooled reply, and
+// the client reads them there, so a batch is the client's hit list and boxed
+// request and the server's Ctx, plus, sharded, the grouping scratch and a
+// request and a Ctx per shard.
 func TestStoreHopAllocGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; budget pinned by the non-race run in make alloc-guard")
@@ -70,9 +74,22 @@ func TestStoreHopAllocGuard(t *testing.T) {
 		Body:   make([]byte, 200),
 	}
 	value := make([]byte, 64)
+	batch := []string{"k", "k1", "k2", "k3"}
 	for _, c := range []KV{cache, sharded} {
-		if err := c.Set(ctx, "k", value, time.Hour); err != nil {
-			t.Fatal(err)
+		for _, key := range batch {
+			if err := c.Set(ctx, key, value, time.Hour); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	mget := func(c KV) func() error {
+		return func() error {
+			hits, err := c.MGet(ctx, batch)
+			if err == nil && len(hits) != len(batch) {
+				err = errMissed
+			}
+			hits.Release()
+			return err
 		}
 	}
 	if err := db.Put(ctx, "orders", doc); err != nil {
@@ -92,6 +109,8 @@ func TestStoreHopAllocGuard(t *testing.T) {
 		// which hands out its read order without copying it.
 		{"sharded KV.Get hit", 6, func() error { _, _, err := sharded.Get(ctx, "k"); return err }},
 		{"sharded KV.Set to two replicas", 8, func() error { return sharded.Set(ctx, "k", value, time.Hour) }},
+		{"KV.MGet of 4 hits", 3, mget(cache)},
+		{"sharded KV.MGet of 4 hits", 8, mget(sharded)},
 		{"Router.Route", 0, func() error { return want2(router.Route("k")) }},
 		{"Router.GroupReplicas", 0, func() error { return want2(router.GroupReplicas(label)) }},
 	} {
@@ -117,7 +136,10 @@ func TestStoreHopAllocGuard(t *testing.T) {
 	}
 }
 
-var errNotTwo = errors.New("want the two replicas of a shard")
+var (
+	errNotTwo = errors.New("want the two replicas of a shard")
+	errMissed = errors.New("MGet missed a key it was given")
+)
 
 func want2(reps []*shard.Replica) error {
 	if len(reps) != 2 {

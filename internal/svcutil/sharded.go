@@ -3,14 +3,17 @@ package svcutil
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
+	"dsb/internal/codec"
 	"dsb/internal/docstore"
 	"dsb/internal/kv"
 	"dsb/internal/rpc"
 	"dsb/internal/shard"
+	"dsb/internal/transport"
 )
 
 // This file is the replica-set half of the KV/DB clients: the policies
@@ -172,59 +175,132 @@ func (k KV) shardedIncr(ctx context.Context, key string, delta int64) (int64, er
 	return resp.Value, err
 }
 
-// MGet fetches a batch of keys in one round trip per backend, returning
-// the found subset keyed by key. Single-backend mode issues one MGet RPC;
-// sharded mode groups the keys by owning shard and issues one MGet per shard,
-// one after another on the caller's goroutine (with per-shard replica
-// fallback on transport errors), so a K-key batch costs at most one call per
-// live shard instead of K calls. Batch reads skip read-repair — the point of
-// the batch is bounding round trips, and a missed entry is re-fetchable by
-// the caller.
-func (k KV) MGet(ctx context.Context, keys []string) (map[string][]byte, error) {
-	out := make(map[string][]byte, len(keys))
+// Hit is one found key of a KV.MGet: Value is the value of the batch's
+// Index-th key, a view of the pooled reply it arrived in.
+type Hit struct {
+	Index int
+	Value []byte
+	reply []byte // on one hit per reply: the buffer Release recycles
+}
+
+// Hits are the found keys of a KV.MGet, in key order. Their values are views
+// of the replies they arrived in, valid until Release; a caller that keeps
+// one longer copies it.
+type Hits []Hit
+
+// Release recycles the replies the hits view; none of their values may be
+// touched afterwards. Hits never released leave their replies to the
+// collector.
+func (h Hits) Release() {
+	for _, hit := range h {
+		transport.ReleaseBuf(hit.reply)
+	}
+}
+
+// MGet fetches a batch of keys in one round trip per backend and returns the
+// found ones. Single-backend mode issues one MGet RPC; sharded mode groups the
+// keys by owning shard and issues one MGet per shard, one after another on the
+// caller's goroutine (with per-shard replica fallback on errors), so a K-key
+// batch costs at most one call per live shard instead of K calls. Batch reads
+// skip read-repair — the point of the batch is bounding round trips, and a
+// missed entry is re-fetchable by the caller. No value is copied: each reply
+// is read in place, and a reply whose lists do not answer every key is a
+// CodeInternal error.
+func (k KV) MGet(ctx context.Context, keys []string) (Hits, error) {
+	hits := make(Hits, 0, len(keys))
 	if len(keys) == 0 {
-		return out, nil
+		return hits, nil
 	}
 	if k.Shards == nil {
-		var resp kv.MGetResp
-		if err := k.C.Call(ctx, "MGet", kv.MGetReq{Keys: keys}, &resp); err != nil {
+		hits, err := mget(ctx, k.C, keys, nil, hits)
+		if err != nil {
 			return nil, err
 		}
-		for i, key := range keys {
-			if i < len(resp.Found) && resp.Found[i] {
-				out[key] = resp.Values[i]
+		return hits, nil
+	}
+	owner := make([]string, len(keys))
+	for i, key := range keys {
+		owner[i] = k.Shards.Owner(key)
+	}
+	// Each shard's keys get their own stretch of grouped: a hedged attempt
+	// may still be encoding one shard's request while the next is asked.
+	grouped, idx := make([]string, 0, len(keys)), make([]int, 0, len(keys))
+	for first, label := range owner {
+		if slices.Contains(owner[:first], label) {
+			continue // an earlier key's shard, already asked
+		}
+		start := len(grouped)
+		idx = idx[:0]
+		for i := first; i < len(keys); i++ {
+			if owner[i] == label {
+				grouped, idx = append(grouped, keys[i]), append(idx, i)
 			}
 		}
-		return out, nil
-	}
-	byShard := make(map[string][]string)
-	for _, key := range keys {
-		owner := k.Shards.Owner(key)
-		byShard[owner] = append(byShard[owner], key)
-	}
-	for label, shardKeys := range byShard {
+		group := grouped[start:]
 		reps := k.Shards.GroupReplicas(label)
 		if len(reps) == 0 {
+			hits.Release()
 			return nil, noShards(k.Shards)
 		}
-		var resp kv.MGetResp
 		var err error
 		for _, rep := range reps {
-			resp = kv.MGetResp{}
-			if err = rep.Call(ctx, "MGet", kv.MGetReq{Keys: shardKeys}, &resp); err == nil {
+			if hits, err = mget(ctx, rep, group, idx, hits); err == nil {
 				break
 			}
 		}
 		if err != nil {
+			hits.Release()
 			return nil, err
 		}
-		for j, key := range shardKeys {
-			if j < len(resp.Found) && resp.Found[j] {
-				out[key] = resp.Values[j]
+	}
+	slices.SortFunc(hits, func(a, b Hit) int { return a.Index - b.Index })
+	return hits, nil
+}
+
+// mget asks one backend for keys and appends their hits to hits, the i-th
+// key's as the batch's idx[i]-th (its i-th when idx is nil).
+func mget(ctx context.Context, inv RawCaller, keys []string, idx []int, hits Hits) (Hits, error) {
+	call := transport.AcquireCall(inv.Target(), "MGet")
+	call.Body = &kv.MGetReq{Keys: keys}
+	err := inv.Invoke(ctx, call)
+	reply := call.Reply
+	transport.ReleaseCall(call)
+	if err != nil {
+		return hits, err
+	}
+	// An MGetResp: the values, then the found flags, a byte each. Both lists
+	// must answer every key.
+	n, values, err := codec.DecLen(reply)
+	flags, m := values, 0
+	for i := 0; i < n && err == nil; i++ {
+		_, flags, err = codec.DecStringBytes(flags)
+	}
+	if err == nil {
+		m, flags, err = codec.DecLen(flags)
+	}
+	if err != nil || n != len(keys) || m != len(keys) || len(flags) != m {
+		transport.ReleaseBuf(reply)
+		return hits, rpc.Errorf(rpc.CodeInternal, "%s.MGet: %d keys answered by %d values and %d flags (%d bytes): %v",
+			inv.Target(), len(keys), n, m, len(flags), err)
+	}
+	first := len(hits)
+	for i, f := range flags {
+		var v []byte
+		v, values, _ = codec.DecStringBytes(values) // walked above
+		if f != 0 {
+			at := i
+			if idx != nil {
+				at = idx[i]
 			}
+			hits = append(hits, Hit{Index: at, Value: v})
 		}
 	}
-	return out, nil
+	if len(hits) == first {
+		transport.ReleaseBuf(reply)
+	} else {
+		hits[first].reply = reply
+	}
+	return hits, nil
 }
 
 // --- DB (document-store tier) ---

@@ -136,7 +136,7 @@ func TestShardedKVReadRepair(t *testing.T) {
 }
 
 // TestShardedKVMGet checks the batch path groups by owning shard and
-// returns exactly the found subset.
+// returns exactly the found subset, in key order, as views it releases.
 func TestShardedKVMGet(t *testing.T) {
 	_, store := bootKVShards(t, 4, 1)
 	ctx := context.Background()
@@ -147,23 +147,53 @@ func TestShardedKVMGet(t *testing.T) {
 		if err := store.Set(ctx, key, []byte("v-"+key), 0); err != nil {
 			t.Fatal(err)
 		}
+		if i == 15 {
+			keys = append(keys, "absent-1")
+		}
 	}
-	keys = append(keys, "absent-1", "absent-2")
+	keys = append(keys, "absent-2")
 	got, err := store.MGet(ctx, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer got.Release()
 	if len(got) != 32 {
 		t.Fatalf("MGet returned %d entries, want 32", len(got))
 	}
-	for i := 0; i < 32; i++ {
-		key := fmt.Sprintf("mk-%d", i)
-		if string(got[key]) != "v-"+key {
-			t.Fatalf("MGet[%s] = %q", key, got[key])
+	for i, hit := range got {
+		key := keys[hit.Index]
+		if want := fmt.Sprintf("mk-%d", i); key != want || string(hit.Value) != "v-"+key {
+			t.Fatalf("hit %d is %s = %q, want %s = v-%s", i, key, hit.Value, want, want)
 		}
 	}
-	if _, ok := got["absent-1"]; ok {
-		t.Fatal("MGet returned a missing key")
+}
+
+// TestMGetRejectsMismatchedReply: a kv reply whose values and found flags
+// do not both answer every key is a CodeInternal error, not an index past
+// the end of either list.
+func TestMGetRejectsMismatchedReply(t *testing.T) {
+	for _, resp := range []kv.MGetResp{
+		{Values: [][]byte{[]byte("a")}, Found: []bool{true, true}},
+		{Values: [][]byte{[]byte("a"), []byte("b"), []byte("c")}, Found: []bool{true, true}},
+		{Values: [][]byte{[]byte("a"), []byte("b")}, Found: []bool{true}},
+		{Values: [][]byte{[]byte("a"), []byte("b")}, Found: []bool{true, true, true}},
+		{},
+	} {
+		n := rpc.NewMem()
+		srv := rpc.NewServer("mc")
+		srv.Handle("MGet", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) { return ctx.Reply(&resp) })
+		addr, err := srv.Start(n, "mc:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := rpc.NewClient(n, "mc", addr)
+		hits, err := svcutil.KV{C: c}.MGet(context.Background(), []string{"x", "y"})
+		c.Close()
+		srv.Close()
+		if rpc.ErrorCode(err) != rpc.CodeInternal || hits != nil {
+			t.Errorf("MGet of 2 keys answered by %d values and %d flags = %v, %v; want a CodeInternal error",
+				len(resp.Values), len(resp.Found), hits, err)
+		}
 	}
 }
 

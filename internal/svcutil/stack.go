@@ -284,7 +284,7 @@ func (st *Stack) DB(caller, target string) DB {
 // KV is the cache-tier counterpart of DB.
 func (st *Stack) KV(caller, target string) KV {
 	if !st.Sharded() {
-		return KV{C: st.Caller(caller, target)}
+		return KV{C: st.Caller(caller, target).(RawCaller)}
 	}
 	router, err := st.App.ShardedRPC(st.Name(caller), st.Name(target), st.Middleware...)
 	if err != nil {

@@ -124,9 +124,10 @@ func Relay(srv *rpc.Server, method string, down Caller, downMethod string) {
 // (possibly load-balanced) backend, the original wrapper behavior; with
 // Shards set, keys route through the consistent-hash ring to the owning
 // replica set with read-one/write-all semantics and read-repair on
-// fallback (see sharded.go). Exactly one of C and Shards should be set.
+// fallback (see sharded.go). Exactly one of C and Shards should be set. C is
+// a RawCaller because MGet reads its reply where it lands.
 type KV struct {
-	C      Caller
+	C      RawCaller
 	Shards *shard.Router
 }
 
