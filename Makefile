@@ -108,10 +108,12 @@ shard-balance:
 	$(GO) test -run TestRingBalanceGuard -count=1 ./internal/shard/
 
 # Every app, experiment and test rides rpc.Mem's connection, and its
-# wake-ups (close, deadline, capacity) are timing-dependent: repeat its
-# net.Conn contract test under the race detector.
+# wake-ups (close, deadline, capacity) are timing-dependent; and every caller
+# goroutine of an edge, on whichever P it runs, shares its ConnStack's per-P
+# idle lists: repeat the net.Conn contract test and the per-P list test
+# under the race detector.
 conn-stress:
-	$(GO) test -race -run TestMemConnContract -count=20 ./internal/rpc/
+	$(GO) test -race -run 'TestMemConnContract|TestConnStackPerPLists' -count=20 ./internal/rpc/
 
 # A call reads its own reply, so the frame reader parses a peer's bytes on
 # the calling goroutine of every hop, and a connection is one state machine —

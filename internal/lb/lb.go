@@ -96,14 +96,18 @@ var _ transport.Streamer = (*Balanced)(nil)
 // address. Transport-level failures (dial refused, connection lost, breaker
 // rejection) fail over once to the next replica, so a dead instance doesn't
 // surface to callers while the registry catches up; application errors are
-// returned as-is.
+// returned as-is. A lone replica takes no turn, so a call writes nothing to
+// the counter that every caller's core shares.
 func (b *Balanced) pick(ctx context.Context, call *transport.Call) error {
 	reps := b.router.Replicas()
 	n := len(reps)
 	if n == 0 {
 		return rpc.Errorf(rpc.CodeUnavailable, "lb: no backends for %q", b.router.Target())
 	}
-	i := int(b.next.Add(1)-1) % n
+	i := 0
+	if n > 1 {
+		i = int(b.next.Add(1)-1) % n
+	}
 	err := reps[i].Invoke(ctx, call)
 	if err == nil || !transport.Retryable(err) || n < 2 || ctx.Err() != nil {
 		return err

@@ -215,14 +215,14 @@ func (c *Client) exchangeCall(ctx context.Context, call *transport.Call) error {
 
 // sendOneWay writes a one-way frame and returns at send: there is nothing to
 // read, so the connection goes straight back on the stack — where a serial
-// caller's next call finds it first and queues behind the frames just
-// written.
+// caller's next call on the same P finds it first and queues behind the
+// frames just written.
 func (c *Client) sendOneWay(call *transport.Call) error {
 	cn, err := c.send(kindOneWay, call)
 	if err != nil {
 		return err
 	}
-	c.stack.park(cn)
+	c.stack.park(procID(), cn)
 	return nil
 }
 

@@ -67,6 +67,10 @@ func TestLateReplyAfterAbandonDiscarded(t *testing.T) {
 
 	c := NewClient(n, "slow", addr)
 	defer c.Close()
+	// Deferred last, so it runs first: a failed check must not leave s.Close
+	// waiting on the parked handler until the test binary times out.
+	unblock := sync.OnceFunc(func() { close(release) })
+	defer unblock()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
@@ -81,7 +85,7 @@ func TestLateReplyAfterAbandonDiscarded(t *testing.T) {
 	if idle := c.idleConns(); idle != 0 {
 		t.Fatalf("%d connections parked after an abandoned call, want 0", idle)
 	}
-	close(release) // the stale reply goes out on the closed connection
+	unblock() // the stale reply goes out on the closed connection
 
 	out, err := c.CallRaw(context.Background(), "Fast", nil)
 	if err != nil {
@@ -106,9 +110,122 @@ func (g *connGrabber) dialed(t *testing.T, want int) []net.Conn {
 
 // idleConns counts the parked connections.
 func (c *Client) idleConns() int {
-	c.stack.mu.Lock()
-	defer c.stack.mu.Unlock()
-	return len(c.stack.idle)
+	return c.stack.idleConns()
+}
+
+// idleConns counts the parked connections, over every P's list.
+func (s *ConnStack[S]) idleConns() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, idle := range s.idle {
+		n += len(idle)
+	}
+	return n
+}
+
+// TestConnStackPerPLists drives the per-P idle lists by explicit P index and
+// holds them to the behaviour of the one stack they replace: a connection
+// parked on one P is taken from another before anything is dialed, closeIdle
+// and Close reach every list, and an index past the lists — GOMAXPROCS raised
+// after the stack was made — stays in range. Then callers on every P share
+// the lists at once, which `make conn-stress` repeats under -race.
+func TestConnStackPerPLists(t *testing.T) {
+	const lists = 3
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(lists))
+	mem := NewMem()
+	n := &countingNetwork{Network: mem}
+	startEchoAt(t, mem, "echo:0")
+	s := NewConnStack(n, "rpc", "echo", "echo:0", func(net.Conn) struct{} { return struct{}{} })
+	defer s.Close()
+	if len(s.idle) != lists {
+		t.Fatalf("%d idle lists at GOMAXPROCS %d", len(s.idle), lists)
+	}
+	checkOut := func(p int) *Conn[struct{}] {
+		t.Helper()
+		cn, _, err := s.checkOut(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cn
+	}
+	closed := func(cn *Conn[struct{}]) bool {
+		_, err := cn.NC.Write([]byte{0})
+		return err != nil
+	}
+
+	// Parked from P 0, taken from P 1 and P 2: still one dial.
+	cn := checkOut(0)
+	for p := 1; p < lists; p++ {
+		s.park(p-1, cn)
+		if got := checkOut(p); got != cn {
+			t.Fatalf("P %d dialed past the connection parked on P %d", p, p-1)
+		}
+	}
+	if got := n.dials.Load(); got != 1 {
+		t.Fatalf("dials = %d, want 1", got)
+	}
+
+	// An index at or past the lists parks and checks out in range.
+	s.park(lists, cn)
+	if got := checkOut(2*lists + 1); got != cn || n.dials.Load() != 1 {
+		t.Fatal("an index past the lists did not find the parked connection")
+	}
+
+	// closeIdle, then Close, closes what is parked on every list.
+	conns := make([]*Conn[struct{}], 2*lists)
+	for i := range conns {
+		conns[i] = checkOut(i)
+	}
+	for i, cn := range conns {
+		s.park(i, cn)
+	}
+	if idle := s.idleConns(); idle != len(conns) {
+		t.Fatalf("%d parked, want %d", idle, len(conns))
+	}
+	s.closeIdle()
+	for i, cn := range conns {
+		if !closed(cn) {
+			t.Fatalf("closeIdle left the connection parked on P %d open", i%lists)
+		}
+	}
+	for i := range conns {
+		conns[i] = checkOut(i)
+	}
+	for i, cn := range conns {
+		s.park(i, cn)
+	}
+	s.Close()
+	for i, cn := range conns {
+		if !closed(cn) {
+			t.Fatalf("Close left the connection parked on P %d open", i%lists)
+		}
+	}
+
+	// Callers on every P at once: no more connections than callers, and
+	// every one parked again once they are done.
+	const callers = 8
+	s = NewConnStack(n, "rpc", "echo", "echo:0", func(net.Conn) struct{} { return struct{}{} })
+	defer s.Close()
+	var wg sync.WaitGroup
+	for range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 100 {
+				cn, _, err := s.checkOut(procID())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				s.park(procID(), cn)
+			}
+		}()
+	}
+	wg.Wait()
+	if open, idle := len(s.conns), s.idleConns(); open > callers || idle != open {
+		t.Fatalf("%d callers: %d connections, %d parked", callers, open, idle)
+	}
 }
 
 // TestConcurrentFailAndSend races calls against Client.Close on a server

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"time"
 
@@ -12,17 +13,21 @@ import (
 )
 
 // ConnStack is the connections a client — rpc's or rest's — keeps to one
-// address. A call checks one out (the one parked last, or a fresh dial),
-// writes its request, reads its own reply on the calling goroutine and parks
-// it again: one conversation per connection, so an edge holds as many as its
-// peak concurrency. S is the protocol's state on a connection.
+// address. A call checks one out, writes its request, reads its own reply on
+// the calling goroutine and parks it again: one conversation per connection,
+// so an edge holds as many as its peak concurrency. Parked connections sit in
+// one LIFO list per P; a call takes the one parked last on its own P, else on
+// another, and dials only when every list is empty. So a caller reuses what
+// is hot in its core's cache — buffers, rings, the peer's server goroutine —
+// and the edge holds just what one shared stack would. S is the protocol's
+// state on a connection.
 type ConnStack[S any] struct {
 	network             Network
 	proto, target, addr string // proto prefixes errors: "rpc", "rest"
 	newState            func(net.Conn) S
 
 	mu     sync.Mutex
-	idle   []*Conn[S]            // parked connections; last in, first out
+	idle   [][]*Conn[S]          // parked connections, one list per P; last in, first out
 	conns  map[*Conn[S]]struct{} // every open one, parked or checked out: Close's list
 	closed bool
 }
@@ -38,7 +43,7 @@ type Conn[S any] struct {
 // service at addr; newState builds each connection's state.
 func NewConnStack[S any](network Network, proto, target, addr string, newState func(net.Conn) S) *ConnStack[S] {
 	return &ConnStack[S]{network: network, proto: proto, target: target, addr: addr, newState: newState,
-		conns: make(map[*Conn[S]]struct{})}
+		idle: make([][]*Conn[S], runtime.GOMAXPROCS(0)), conns: make(map[*Conn[S]]struct{})}
 }
 
 var errClientClosed = errors.New("client closed")
@@ -51,7 +56,7 @@ var errClientClosed = errors.New("client closed")
 // errEncode failure wrote nothing, so its connection is parked again.
 func (s *ConnStack[S]) Send(write func(*Conn[S]) error) (*Conn[S], error) {
 	for dials := 0; ; {
-		cn, dialed, err := s.checkOut()
+		cn, dialed, err := s.checkOut(procID())
 		if err != nil {
 			return nil, err
 		}
@@ -62,7 +67,7 @@ func (s *ConnStack[S]) Send(write func(*Conn[S]) error) (*Conn[S], error) {
 			return cn, nil
 		}
 		if errors.Is(err, errEncode) {
-			s.park(cn)
+			s.park(procID(), cn)
 			return nil, err
 		}
 		s.drop(cn)
@@ -87,7 +92,7 @@ func (s *ConnStack[S]) Await(ctx context.Context, cn *Conn[S], method string, re
 	// a spent deadline: either is closed, never parked, so no later call can
 	// meet what this one left behind.
 	if reuse && (stop == nil || stop()) {
-		s.park(cn)
+		s.park(procID(), cn)
 	} else {
 		s.drop(cn)
 	}
@@ -110,19 +115,23 @@ func answered(err error) bool {
 	return errors.As(err, &e)
 }
 
-// checkOut pops the most recently parked connection, or dials one outside the
-// lock: a slow dial must not hold up callers that have one waiting.
-func (s *ConnStack[S]) checkOut() (cn *Conn[S], dialed bool, err error) {
+// checkOut pops the connection parked last on P p's list (p wraps), else on
+// the next non-empty one, or dials outside the lock: a slow dial must not
+// hold up callers that have one waiting.
+func (s *ConnStack[S]) checkOut(p int) (cn *Conn[S], dialed bool, err error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil, false, errClientClosed
 	}
-	if n := len(s.idle); n > 0 {
-		cn, s.idle[n-1] = s.idle[n-1], nil
-		s.idle = s.idle[:n-1]
-		s.mu.Unlock()
-		return cn, false, nil
+	for i := range len(s.idle) {
+		l := &s.idle[(p+i)%len(s.idle)]
+		if n := len(*l); n > 0 {
+			cn, (*l)[n-1] = (*l)[n-1], nil
+			*l = (*l)[:n-1]
+			s.mu.Unlock()
+			return cn, false, nil
+		}
 	}
 	s.mu.Unlock()
 
@@ -143,12 +152,13 @@ func (s *ConnStack[S]) checkOut() (cn *Conn[S], dialed bool, err error) {
 	return cn, true, nil
 }
 
-// park returns a healthy connection to the idle stack.
-func (s *ConnStack[S]) park(cn *Conn[S]) {
+// park returns a healthy connection to P p's idle list.
+func (s *ConnStack[S]) park(p int, cn *Conn[S]) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.closed { // else Close has closed it already
-		s.idle = append(s.idle, cn)
+		l := &s.idle[p%len(s.idle)]
+		*l = append(*l, cn)
 	}
 }
 
@@ -160,11 +170,13 @@ func (s *ConnStack[S]) drop(cn *Conn[S]) {
 	s.mu.Unlock()
 }
 
-// closeIdle closes every parked connection.
+// closeIdle closes every parked connection, on every P's list.
 func (s *ConnStack[S]) closeIdle() {
 	s.mu.Lock()
-	idle := s.idle
-	s.idle = nil
+	var idle []*Conn[S]
+	for p := range s.idle {
+		idle, s.idle[p] = append(idle, s.idle[p]...), nil
+	}
 	for _, cn := range idle {
 		delete(s.conns, cn)
 	}

@@ -515,3 +515,25 @@ func BenchmarkCallMem(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCallMemParallel is BenchmarkCallMem with a caller per P on one
+// client, the way a tier's handlers share an edge: with -cpu 1,2 it shows
+// what reusing a connection across cores costs, which one caller cannot.
+func BenchmarkCallMemParallel(b *testing.B) {
+	n := NewMem()
+	addr, _ := startEcho(b, n)
+	c := NewClient(n, "echo", addr)
+	defer c.Close()
+	req := echoReq{Text: "benchmark payload of moderate size", N: 42}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			var resp echoResp
+			if err := c.Call(context.Background(), "Echo", req, &resp); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}

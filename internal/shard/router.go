@@ -70,14 +70,17 @@ func (g *group) byAddr() []*Replica {
 	return g.twice[:n:n]
 }
 
-// rotated returns the group's replicas starting at the next rotation pick;
-// nil for a nil group.
+// rotated returns the group's replicas starting at the next rotation pick (a
+// group of one takes none, so writes nothing shared); nil for a nil group.
 func (g *group) rotated() []*Replica {
 	if g == nil {
 		return nil
 	}
 	n := len(g.twice) / 2
-	i := int(g.rr.Add(1)-1) % n
+	i := 0
+	if n > 1 {
+		i = int(g.rr.Add(1)-1) % n
+	}
 	return g.twice[i : i+n : i+n]
 }
 
