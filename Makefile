@@ -12,7 +12,7 @@ build:
 # re-executes each such test alone in a child `go test` that does — same
 # bodies, same assertions, one link per test slower, plus one rebuild of the
 # standard library (about half a minute) the first time a GOCACHE sees it.
-test race vet check: export GOEXPERIMENT = synctest
+test race vet check conn-stress: export GOEXPERIMENT = synctest
 
 test:
 	$(GO) test ./...
@@ -108,12 +108,16 @@ shard-balance:
 	$(GO) test -run TestRingBalanceGuard -count=1 ./internal/shard/
 
 # Every app, experiment and test rides rpc.Mem's connection, and its
-# wake-ups (close, deadline, capacity) are timing-dependent; and every caller
+# wake-ups (close, deadline, capacity) are timing-dependent; every caller
 # goroutine of an edge, on whichever P it runs, shares its ConnStack's per-P
-# idle lists: repeat the net.Conn contract test and the per-P list test
-# under the race detector.
+# idle lists; and a stream's teardown races its handler's Send, the client's
+# credit grants and its Cancel on one connection: repeat the net.Conn
+# contract test, the per-P list test and the stream teardown tests (client
+# cancel, conn death, Server.Close waking parked handlers, concurrent
+# send/recv/cancel) under the race detector.
 conn-stress:
 	$(GO) test -race -run 'TestMemConnContract|TestConnStackPerPLists' -count=20 ./internal/rpc/
+	$(GO) test -race -run 'TestStreamClientCancel|TestStreamConnDeathFailsBothEnds|TestServerCloseWakesParkedStreams|TestStreamSendRecvCancelConcurrent' -count=20 ./internal/rpc/
 
 # A call reads its own reply, so the frame reader parses a peer's bytes on
 # the calling goroutine of every hop, and a connection is one state machine —

@@ -23,6 +23,7 @@ import (
 	"dsb/internal/docstore"
 	"dsb/internal/kv"
 	"dsb/internal/mq"
+	"dsb/internal/services/accounts"
 	"dsb/internal/services/banking"
 	"dsb/internal/services/ecommerce"
 	"dsb/internal/services/media"
@@ -64,6 +65,13 @@ var targets = []target{
 		},
 	},
 	{
+		dir: "internal/services/accounts", pkgName: "accounts",
+		roots: []any{
+			accounts.RegisterReq{}, accounts.LoginReq{}, accounts.LoginResp{},
+			accounts.VerifyTokenReq{}, accounts.VerifyTokenResp{},
+		},
+	},
+	{
 		dir: "internal/services/socialnetwork", pkgName: "socialnetwork",
 		roots: []any{
 			socialnetwork.ComposePostReq{}, socialnetwork.ComposePostResp{},
@@ -78,14 +86,11 @@ var targets = []target{
 			socialnetwork.AdsReq{}, socialnetwork.AdsResp{},
 			socialnetwork.BlockedListReq{}, socialnetwork.BlockedListResp{},
 			socialnetwork.NeighborsReq{}, socialnetwork.NeighborsResp{}, socialnetwork.FollowReq{},
-			socialnetwork.VerifyTokenReq{}, socialnetwork.VerifyTokenResp{},
 			socialnetwork.UniqueIDReq{}, socialnetwork.UniqueIDResp{},
 			socialnetwork.ShortenReq{}, socialnetwork.ShortenResp{},
 			socialnetwork.UserTagReq{}, socialnetwork.UserTagResp{},
 			socialnetwork.ExistsReq{}, socialnetwork.ExistsResp{},
 			socialnetwork.IndexPostReq{}, socialnetwork.BumpStatReq{},
-			socialnetwork.LoginReq{}, socialnetwork.LoginResp{},
-			socialnetwork.RegisterReq{}, socialnetwork.RegisterResp{},
 		},
 		jsonRoots: []any{socialnetwork.Post{}},
 	},
@@ -105,7 +110,7 @@ var targets = []target{
 			ecommerce.GetOrderReq{}, ecommerce.GetOrderResp{}, ecommerce.OrdersResp{},
 			ecommerce.InvoiceReq{}, ecommerce.InvoiceResp{},
 			ecommerce.DiscountReq{}, ecommerce.DiscountResp{}, ecommerce.AdjustStockReq{},
-			ecommerce.VerifyTokenReq{}, ecommerce.VerifyTokenResp{}, ecommerce.AccountReq{}, ecommerce.BalanceResp{},
+			ecommerce.AccountReq{}, ecommerce.BalanceResp{},
 			ecommerce.ShippingQuoteReq{}, ecommerce.ShippingQuoteResp{}, ecommerce.TransactionIDResp{},
 			ecommerce.AuthorizePaymentReq{}, ecommerce.AuthorizePaymentResp{},
 		},
@@ -125,7 +130,7 @@ var targets = []target{
 		roots: []any{
 			swarm.RouteReq{}, swarm.RouteResp{}, swarm.AvoidReq{}, swarm.AvoidResp{},
 			swarm.RecognizeReq{}, swarm.RecognizeResp{}, swarm.SensorReport{},
-			swarm.StoreFrameReq{}, swarm.TelemetryOpen{}, swarm.TelemetryItem{},
+			swarm.StoreFrameReq{},
 			swarm.LogReq{}, swarm.LogTailReq{}, swarm.LogTailResp{},
 		},
 	},

@@ -82,6 +82,26 @@ func TestMeterRotation(t *testing.T) {
 	})
 }
 
+// TestMeterSlidesSlotBySlot marks slot after slot for two and a half
+// windows: at every step the rate counts exactly the last ten slots, so the
+// window's slots stay in order however often its start wraps past the end.
+func TestMeterSlidesSlotBySlot(t *testing.T) {
+	vtime.Run(t, func() {
+		m := NewMeter(time.Second, 10)
+		for i := 1; i <= 25; i++ {
+			m.Mark(int64(i))
+			want := 0
+			for j := max(1, i-9); j <= i; j++ {
+				want += j
+			}
+			if got := m.Rate(); got != float64(want) {
+				t.Fatalf("after %d slots: Rate = %f, want %d", i, got, want)
+			}
+			vtime.Advance(100 * time.Millisecond)
+		}
+	})
+}
+
 func TestSeries(t *testing.T) {
 	s := NewSeries("lat")
 	if s.Max() != 0 || s.Mean() != 0 {

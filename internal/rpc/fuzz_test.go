@@ -111,12 +111,14 @@ var (
 	scriptCodes = []int64{0, 1, creditBatch, streamWindow, 2*streamWindow + 1, 1 << 31, math.MaxInt64, -1, math.MinInt64, int64(CodeInternal)}
 )
 
-// scriptWire renders a script as the bytes a peer would write, and reports
+// scriptWire renders a script as the bytes a peer would write. It reports
 // whether the stream with sequence number 1 is sent an End before the first
-// frame that ends the reading (a request-shaped one; for the client's reader
-// that includes the open).
-func scriptWire(t testing.TB, script []byte, openStops bool) (wire []byte, ended bool) {
-	stopped := false
+// request-shaped frame (the open included), which ends a client stream's
+// reading; and whether, read by a server, the script breaks its stream
+// connection's rule: after the first open, a request-shaped frame, an item or
+// a clean End, whatever its sequence number.
+func scriptWire(t testing.TB, script []byte) (wire []byte, ended, intrudes bool) {
+	stopped, opened := false, false
 	for ; len(script) >= 3; script = script[3:] {
 		f := &frame{
 			kind: scriptKinds[int(script[0])%len(scriptKinds)],
@@ -126,27 +128,33 @@ func scriptWire(t testing.TB, script []byte, openStops bool) (wire []byte, ended
 		switch f.kind {
 		case kindStreamOpen:
 			f.method = "Hold"
-			stopped = stopped || openStops
+			intrudes = intrudes || opened
+			opened, stopped = true, true
 		case kindRequest:
 			f.method = "Echo"
+			intrudes = intrudes || opened
 			stopped = true
 		case kindStreamItem:
 			f.payload = []byte("item")
+			intrudes = intrudes || opened
 		case kindStreamEnd:
 			ended = ended || (!stopped && f.seq == 1)
+			intrudes = intrudes || (opened && f.code == 0)
 		}
 		wire = append(wire, encodeWire(t, f)...)
 	}
-	return wire, ended
+	return wire, ended, intrudes
 }
 
 // FuzzStreamConn drives the one state machine a connection has — no stream
 // yet, or one stream and nothing else — with arbitrary sequences of open,
 // item, end, credit and request frames bearing hostile sequence numbers and
 // credit grants, against a server's connection and against a client stream's
-// reader. Neither may panic; a stream's inbox never passes 2*streamWindow
-// items and its send window stays within [0, 2*streamWindow] whatever the
-// peer grants; a connection runs at most one stream handler; and the
+// reader. Neither may panic; a client stream's inbox never passes
+// 2*streamWindow items and a server's never holds one; a send window stays
+// within [0, 2*streamWindow] whatever the peer grants; a connection runs at
+// most one stream handler; a server closes a stream's connection by itself
+// when the client breaks the one-way rule (scriptWire's intrudes); and the
 // connection's reader and the stream's handler are both gone once the
 // connection is.
 //
@@ -162,11 +170,11 @@ func FuzzStreamConn(f *testing.F) {
 			t.Fatalf("%s outlived the connection", what)
 		}
 	}
-	checkWindow := func(t *testing.T, end string, sc *streamCore) {
+	checkWindow := func(t *testing.T, end string, sc *streamCore, maxInbox int) {
 		sc.mu.Lock()
 		defer sc.mu.Unlock()
-		if len(sc.inbox) > 2*streamWindow {
-			t.Fatalf("%s stream buffered %d items, cap is %d", end, len(sc.inbox), 2*streamWindow)
+		if len(sc.inbox) > maxInbox {
+			t.Fatalf("%s stream buffered %d items, cap is %d", end, len(sc.inbox), maxInbox)
 		}
 		if sc.credit < 0 || sc.credit > 2*streamWindow {
 			t.Fatalf("%s stream's send window is %d, outside [0, %d]", end, sc.credit, 2*streamWindow)
@@ -178,8 +186,7 @@ func FuzzStreamConn(f *testing.F) {
 			script = script[:3*1024]
 		}
 
-		// A server's connection. The handler never reads, so what the inbox
-		// holds at the end is the most it ever held.
+		// A server's connection.
 		s := NewServer("fuzz")
 		s.Handle("Echo", func(ctx *Ctx, payload []byte) ([]byte, error) { return payload, nil })
 		held := make(chan *streamCore, 2)
@@ -189,12 +196,19 @@ func FuzzStreamConn(f *testing.F) {
 			<-ctx.Done() // teardown cancels the handler's ctx, whatever caused it
 			return nil
 		})
-		wire, _ := scriptWire(t, script, false)
+		wire, ended, intrudes := scriptWire(t, script)
 		peer, conn := newMemConnPair("fuzz")
 		served, unwound := make(chan struct{}), make(chan struct{})
 		go func() { s.serveConn(conn); close(served) }()
 		go io.Copy(io.Discard, peer) //nolint:errcheck // replies to the script's requests
 		peer.Write(wire)             //nolint:errcheck // fails where the server hung up on a second conversation
+		if intrudes {
+			select {
+			case <-served:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the server kept a stream's connection open after the client broke its rule")
+			}
+		}
 		peer.Close()
 		within(t, "the connection's reader", served)
 		go func() { s.wg.Wait(); close(unwound) }()
@@ -203,17 +217,16 @@ func FuzzStreamConn(f *testing.F) {
 			t.Fatal("one connection ran two stream handlers")
 		}
 		if len(held) == 1 {
-			checkWindow(t, "server", <-held)
+			checkWindow(t, "server", <-held, 0)
 		}
 		s.Close()
 
 		// A client stream's reader, fed the same frames by a hostile server.
-		wire, ended := scriptWire(t, script, true)
 		sc := newStreamCore(1, newConnWriter(io.Discard))
 		if err := sc.readFrom(newFrameReader(bytes.NewReader(wire))); err == nil {
 			t.Fatal("the reader returned without an error")
 		}
-		checkWindow(t, "client", sc)
+		checkWindow(t, "client", sc, 2*streamWindow)
 		if sc.torn != ended {
 			t.Fatalf("client stream torn down = %v, sent an End = %v", sc.torn, ended)
 		}

@@ -301,10 +301,10 @@ func (s *Server) serveConn(conn net.Conn) {
 				transport.ReleaseBuf(f.payload)
 			}
 		case stream != nil:
-			// Clean End = client half-close (handler's Recv drains to io.EOF,
-			// sends continue); coded End = client abort, whose teardown also
-			// cancels the handler's ctx.
-			if !stream.core.accept(f, false) {
+			// Credit refills the handler's window; a coded End is the client's
+			// abort, whose teardown also cancels the handler's ctx. An item or
+			// a clean End closes the connection, which tears the stream down.
+			if !stream.core.accept(f, true) {
 				return
 			}
 		case f.kind == kindRequest:
@@ -320,9 +320,9 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 		case f.kind == kindStreamOpen:
 			// The stream exists from here, in the read loop, before the handler
-			// goroutine does: the client's first item can be one frame behind
-			// the open, and a stream created only once its handler gets
-			// scheduled would silently drop it. The handler goroutine gets a
+			// goroutine does: the client's abort can be one frame behind the
+			// open, and a stream created only once its handler gets scheduled
+			// would silently drop it. The handler goroutine gets a
 			// copy of the open frame, whose payload the reader copied out.
 			base, cancel := context.WithCancel(context.Background())
 			if v, ok := f.headers[deadlineHeader]; ok {
@@ -381,8 +381,8 @@ func composeChain(h Handler, chain []ServerInterceptor) Handler {
 }
 
 // dispatchStream runs one stream handler to completion; the stream already
-// has its connection (items arriving before the handler is scheduled buffer
-// into the inbox). The unary interceptor chain wraps the
+// has its connection (an abort arriving before the handler is scheduled has
+// already torn it down). The unary interceptor chain wraps the
 // stream's whole lifetime with the opening payload — admission control
 // parks or sheds the open, tracing spans the stream — and the handler's
 // return value goes back as the End frame.

@@ -12,21 +12,21 @@ import (
 
 // Streaming: a stream is opened by a kindStreamOpen request on a connection
 // checked out the way a call's is, and from then on that connection carries
-// only the stream's kindStreamItem, kindStreamEnd and kindStreamCredit frames,
-// in either direction, each bearing the opening sequence number; when the
-// stream is over the connection is closed. Flow control is credit-based: each
-// direction starts with streamWindow item frames of send window, and the
-// receiver grants credit back (kindStreamCredit) as its application consumes
-// items, so a slow consumer parks the sender instead of ballooning the
-// receiver's inbox — the per-stream bound the broker's push delivery leans
-// on for backpressure. A kindStreamEnd half-closes a direction: the client's
-// clean End means "no more requests" (the server keeps sending), the
-// server's End means the handler returned and the whole stream is over, and
-// a nonzero code from either side aborts everything.
+// only the stream's frames, each bearing the opening sequence number; when
+// the stream is over the connection is closed. Items run one way: the server
+// sends kindStreamItem frames and ends the stream with one kindStreamEnd,
+// clean (the handler returned nil) or coded (its error); the client sends
+// only kindStreamCredit grants and, to abort, a coded kindStreamEnd. An item
+// or a clean End from a client is a second conversation, and the server
+// closes the connection on it. Flow control is credit-based: the server
+// starts with streamWindow item frames of send window, and the client grants
+// credit back as its application consumes items, so a slow consumer parks
+// the sender instead of ballooning the client's inbox — the per-stream bound
+// the broker's push delivery leans on for backpressure.
 //
 // Teardown matrix (who wakes whom):
-//   - conn death: each endpoint's reader fails the connection's stream —
-//     parked senders (awaiting credit) and receivers (awaiting items) wake
+//   - conn death: each endpoint's reader fails the connection's stream — a
+//     handler parked awaiting credit and a client parked awaiting items wake
 //     with a coded retryable error. Nothing else rode that connection.
 //   - Server.Close, Client.Close: close conns, which is conn death as above;
 //     Server.Close's wg.Wait then observes every stream handler unwind.
@@ -43,16 +43,11 @@ const streamWindow = 32
 // healthy stream, instead of one per item.
 const creditBatch = streamWindow / 2
 
-// errSendClosed reports a Send after CloseSend.
-var errSendClosed = errors.New("rpc: stream send side closed")
-
-// errStreamEnded reports a Send after the peer ended the stream cleanly.
-var errStreamEnded = errors.New("rpc: stream ended by peer")
-
-// streamCore is one endpoint's half of an open stream: the send window, the
-// receive inbox, and the teardown latch, shared by the client and server
-// stream types. The wire writer is its connection's, whose lock keeps a
-// Send, a Recv's credit grant and a cancel from interleaving their frames.
+// streamCore is one endpoint's half of an open stream, shared by the client
+// and server stream types: the send window (the server's), the receive
+// inbox (the client's), and the teardown latch. The wire writer is its
+// connection's, whose lock keeps a Recv's credit grant and a cancel, or a
+// Send and the handler's End, from interleaving their frames.
 type streamCore struct {
 	seq uint64 // of the open frame; every frame of the stream carries it
 	cw  *connWriter
@@ -64,9 +59,8 @@ type streamCore struct {
 	sendCv *sync.Cond // senders park here awaiting credit
 	recvCv *sync.Cond // receivers park here awaiting items
 
-	credit     int   // item frames we may still send
-	sendErr    error // set: no more sends (half-close, end, teardown)
-	sendClosed bool  // we sent our clean End
+	credit  int   // item frames we may still send
+	sendErr error // set: no more sends (teardown)
 
 	inbox    [][]byte // received, unconsumed items (bounded by the window)
 	consumed int      // items consumed since the last credit grant
@@ -128,23 +122,6 @@ func (sc *streamCore) sendErrLocked() error {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	return sc.sendErr
-}
-
-// closeSend half-closes the send side: a clean End goes out and further
-// sends fail with errSendClosed. Receiving stays open.
-func (sc *streamCore) closeSend() error {
-	sc.mu.Lock()
-	if sc.torn || sc.sendClosed {
-		sc.mu.Unlock()
-		return nil
-	}
-	sc.sendClosed = true
-	if sc.sendErr == nil {
-		sc.sendErr = errSendClosed
-	}
-	sc.sendCv.Broadcast()
-	sc.mu.Unlock()
-	return sc.write(&frame{kind: kindStreamEnd, seq: sc.seq})
 }
 
 // recv returns the next item. Buffered items always drain before an end
@@ -225,7 +202,7 @@ func (sc *streamCore) readFrom(fr *frameReader) error {
 		if err != nil {
 			return err
 		}
-		if !sc.accept(f, true) {
+		if !sc.accept(f, false) {
 			return errNotStreamFrame
 		}
 	}
@@ -234,14 +211,16 @@ func (sc *streamCore) readFrom(fr *frameReader) error {
 // accept routes one frame read off the stream's connection and reports
 // whether the connection may go on: a request-shaped frame — a call, a
 // one-way, a second open — is a second conversation, and the reader closes
-// the connection on it. Any other frame that is not the stream's own (the
-// sequence number is checked, as readReply checks a reply's) is discarded.
-// terminalEnd is the client's reading of an End — the handler returned, so
-// sends have no one to reach; a server reads a clean End as the client's
-// half-close. Item payloads are the plain allocations the reader copied out,
-// which the inbox keeps.
-func (sc *streamCore) accept(f *frame, terminalEnd bool) bool {
+// the connection on it; so, read by the server (fromClient), is an item or a
+// clean End, whatever its sequence number, items running server to client
+// only. Any other frame that is not the stream's own (the sequence number is
+// checked, as readReply checks a reply's) is discarded. Item payloads are the
+// plain allocations the reader copied out, which the inbox keeps.
+func (sc *streamCore) accept(f *frame, fromClient bool) bool {
 	if hasMethod(f.kind) {
+		return false
+	}
+	if fromClient && (f.kind == kindStreamItem || f.kind == kindStreamEnd && f.code == 0) {
 		return false
 	}
 	if f.seq != sc.seq {
@@ -251,37 +230,22 @@ func (sc *streamCore) accept(f *frame, terminalEnd bool) bool {
 	case kindStreamItem:
 		sc.deliver(f.payload)
 	case kindStreamEnd:
-		sc.peerEnd(f.code, f.payload, terminalEnd)
+		sc.peerEnd(f.code, f.payload)
 	case kindStreamCredit:
 		sc.peerCredit(f.code)
 	}
 	return true
 }
 
-// peerEnd handles an End frame from the peer. A clean non-terminal End is a
-// half-close: recv drains to io.EOF, sending continues (the server's view
-// of a client CloseSend). terminal — the client's view of any server End,
-// or either side's view of a coded abort — tears the whole stream down.
-func (sc *streamCore) peerEnd(code int64, msg []byte, terminal bool) {
-	var rerr error
+// peerEnd handles an End frame from the peer, which ends the stream: the
+// client's view of the handler's return (clean: recv drains to io.EOF), or
+// either side's view of a coded abort.
+func (sc *streamCore) peerEnd(code int64, msg []byte) {
 	if code == 0 {
-		rerr = io.EOF
-	} else {
-		rerr = &Error{Code: int(code), Msg: string(msg)}
+		sc.teardown(io.EOF)
+		return
 	}
-	sc.mu.Lock()
-	if sc.recvErr == nil {
-		sc.recvErr = rerr
-	}
-	sc.recvCv.Broadcast()
-	sc.mu.Unlock()
-	if terminal || code != 0 {
-		if code == 0 {
-			sc.teardown(errStreamEnded)
-		} else {
-			sc.teardown(rerr)
-		}
-	}
+	sc.teardown(&Error{Code: int(code), Msg: string(msg)})
 }
 
 // cancelWith aborts the stream from this side with a coded End.
@@ -338,17 +302,14 @@ type clientStream struct {
 
 var _ transport.StreamConn = (*clientStream)(nil)
 
-func (st *clientStream) Send(payload []byte) error { return st.core.send(payload) }
-func (st *clientStream) CloseSend() error          { return st.core.closeSend() }
-func (st *clientStream) Recv() ([]byte, error)     { return st.core.recv() }
+func (st *clientStream) Recv() ([]byte, error) { return st.core.recv() }
 func (st *clientStream) Cancel() {
 	st.core.cancelWith(CodeDeadline, "stream canceled by caller")
 }
 
-// ServerStream is the handler's half of one open stream: Send pushes
-// response items to the client under the flow-control window, Recv reads
-// client items (io.EOF after the client's CloseSend). The handler returning
-// ends the stream — nil sends a clean End, an error sends its code.
+// ServerStream is the handler's half of one open stream: Send pushes items
+// to the client under the flow-control window. The handler returning ends
+// the stream — nil sends a clean End, an error sends its code.
 type ServerStream struct {
 	core *streamCore
 }
@@ -367,15 +328,6 @@ func (st *ServerStream) SendMsg(v any) error {
 	return st.core.send(payload)
 }
 
-// RecvMsg decodes the next client item into v.
-func (st *ServerStream) RecvMsg(v any) error {
-	payload, err := st.core.recv()
-	if err != nil {
-		return err
-	}
-	return codec.Unmarshal(payload, v)
-}
-
 // Done is closed when the stream is torn down (client cancel, conn death,
 // server shutdown) — the liveness signal long-running push handlers poll
 // between waits.
@@ -385,7 +337,7 @@ func (st *ServerStream) Done() <-chan struct{} { return st.core.done }
 // carrying the handler's error code and message, goes to the client.
 func (st *ServerStream) finish(err error) {
 	if err == nil {
-		st.core.endWith(0, "", errStreamEnded)
+		st.core.endWith(0, "", io.EOF)
 		return
 	}
 	msg := err.Error()

@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"dsb/internal/codec"
 	"dsb/internal/transport"
 )
 
@@ -282,105 +281,124 @@ func TestOneGoroutinePerClientStream(t *testing.T) {
 	waitFor(t, func() bool { return runtime.NumGoroutine() <= before })
 }
 
+// intrudeOnStream opens a stream on a hand-written client connection, checks
+// that frames the server must drop — another stream's credit and abort — do
+// not disturb it, then writes intruder and requires the server to close the
+// connection, tear the stream down under its handler (ctx cancelled, a Send
+// parked on the window woken with CodeUnavailable) and run no second
+// handler.
+func intrudeOnStream(t *testing.T, intruder *frame) {
+	t.Helper()
+	n := NewMem()
+	s := NewServer("stream")
+	s.Handle("Echo", func(ctx *Ctx, payload []byte) ([]byte, error) { return payload, nil })
+	ended := make(chan error, 2)
+	s.HandleStream("Firehose", func(ctx *Ctx, payload []byte, st *ServerStream) error {
+		for i := 0; ; i++ {
+			if err := st.Send([]byte(fmt.Sprint(i))); err != nil {
+				<-ctx.Done()
+				ended <- err
+				return err
+			}
+		}
+	})
+	addr, err := s.Start(n, "stream:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	conn, err := n.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fr := newFrameReader(conn)
+	write := func(f *frame) {
+		t.Helper()
+		if _, err := conn.Write(encodeWire(t, f)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	readItems := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if f, err := fr.read(); err != nil || f.kind != kindStreamItem || f.seq != 1 || string(f.payload) != fmt.Sprint(i) {
+				t.Fatalf("item %d of the stream: %+v, %v", i, f, err)
+			}
+		}
+	}
+
+	write(&frame{kind: kindStreamOpen, seq: 1, method: "Firehose"})
+	readItems(0, streamWindow) // the handler parks on the exhausted window
+	write(&frame{kind: kindStreamCredit, seq: 9, code: creditBatch})
+	write(&frame{kind: kindStreamEnd, seq: 9, code: int64(CodeInternal)})
+	write(&frame{kind: kindStreamCredit, seq: 1, code: creditBatch})
+	readItems(streamWindow, streamWindow+creditBatch) // only the stream's own credit counted
+
+	write(intruder)
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck // a memConn takes any deadline
+	if f, err := fr.read(); err != io.EOF {
+		t.Fatalf("kind-%d frame on a stream's connection was answered with %+v, %v; want the connection closed", intruder.kind, f, err)
+	}
+	select {
+	case err := <-ended:
+		if !IsCode(err, CodeUnavailable) {
+			t.Fatalf("the stream's handler ended with %v, want CodeUnavailable", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the stream's handler outlived its connection")
+	}
+	s.Close()
+	if len(ended) != 0 {
+		t.Fatal("a second stream handler ran on the connection")
+	}
+}
+
 // TestSecondConversationClosesStreamConn: a connection that has opened a
 // stream is that stream's. A hand-written peer that puts a call, a one-way or
 // a second open on it gets the connection closed — not a reply, and not a
-// second stream — while frames bearing another sequence number are dropped
-// and the stream goes on.
+// second stream.
 func TestSecondConversationClosesStreamConn(t *testing.T) {
 	for _, intruder := range []*frame{
 		{kind: kindRequest, seq: 2, method: "Echo", payload: []byte("hi")},
 		{kind: kindOneWay, seq: 2, method: "Echo"},
-		{kind: kindStreamOpen, seq: 2, method: "EchoStream"},
-		{kind: kindStreamOpen, seq: 1, method: "EchoStream"},
+		{kind: kindStreamOpen, seq: 2, method: "Firehose"},
+		{kind: kindStreamOpen, seq: 1, method: "Firehose"},
 	} {
-		n := NewMem()
-		s := NewServer("stream")
-		s.Handle("Echo", func(ctx *Ctx, payload []byte) ([]byte, error) { return payload, nil })
-		ended := make(chan error, 2)
-		s.HandleStream("EchoStream", func(ctx *Ctx, payload []byte, st *ServerStream) error {
-			for {
-				b, err := st.Recv()
-				if err != nil {
-					ended <- err
-					return err
-				}
-				if err := st.Send(b); err != nil {
-					ended <- err
-					return err
-				}
-			}
-		})
-		addr, err := s.Start(n, "stream:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		conn, err := n.Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fr := newFrameReader(conn)
-		write := func(f *frame) {
-			t.Helper()
-			if _, err := conn.Write(encodeWire(t, f)); err != nil {
-				t.Fatal(err)
-			}
-		}
-
-		write(&frame{kind: kindStreamOpen, seq: 1, method: "EchoStream"})
-		write(&frame{kind: kindStreamItem, seq: 9, payload: []byte("not this stream's")})
-		write(&frame{kind: kindStreamEnd, seq: 9, code: int64(CodeInternal)})
-		write(&frame{kind: kindStreamItem, seq: 1, payload: []byte("a")})
-		if f, err := fr.read(); err != nil || f.kind != kindStreamItem || f.seq != 1 || string(f.payload) != "a" {
-			t.Fatalf("echo of the stream's own item: %+v, %v", f, err)
-		}
-
-		write(intruder)
-		if f, err := fr.read(); err != io.EOF {
-			t.Fatalf("kind-%d frame on a stream's connection was answered with %+v, %v; want the connection closed", intruder.kind, f, err)
-		}
-		select {
-		case err := <-ended:
-			if !IsCode(err, CodeUnavailable) {
-				t.Fatalf("the stream's handler ended with %v, want CodeUnavailable", err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("the stream's handler outlived its connection")
-		}
-		conn.Close()
-		s.Close()
-		if len(ended) != 0 {
-			t.Fatal("a second stream handler ran on the connection")
-		}
+		intrudeOnStream(t, intruder)
 	}
 }
 
-// TestStreamSendRecvCancelConcurrent puts a stream's three writers on its
-// connection at once — Send, the credit grants Recv writes, and Cancel — and
-// checks that both ends only ever see whole frames: every item that arrives,
-// either way, is the item that was sent.
+// TestClientItemOrCleanEndClosesStreamConn: items run from server to client
+// only, and only the handler ends a stream cleanly, so an item or a clean End
+// from the client — the stream's sequence number or another — is a second
+// conversation: the server closes the connection and cancels the handler.
+func TestClientItemOrCleanEndClosesStreamConn(t *testing.T) {
+	for _, intruder := range []*frame{
+		{kind: kindStreamItem, seq: 1, payload: []byte("a")},
+		{kind: kindStreamItem, seq: 9, payload: []byte("a")},
+		{kind: kindStreamEnd, seq: 1},
+		{kind: kindStreamEnd, seq: 9},
+	} {
+		intrudeOnStream(t, intruder)
+	}
+}
+
+// TestStreamSendRecvCancelConcurrent puts every writer a stream has on its
+// connection at once — the handler's Send, the credit grants the client's
+// Recv writes, and the client's Cancel from a third goroutine — and checks
+// that the client only ever sees whole frames, every item the item that was
+// sent, and the server only the client's: the abort ends its handler, never
+// a frame it cannot read.
 func TestStreamSendRecvCancelConcurrent(t *testing.T) {
 	n := NewMem()
 	s := NewServer("stream")
-	mangled := make(chan string, 1)
 	check := func(it streamItem) bool { return it.Msg == fmt.Sprint("item-", it.Seq) }
-	s.HandleStream("EchoStream", func(ctx *Ctx, payload []byte, st *ServerStream) error {
-		for {
-			b, err := st.Recv()
-			if err != nil {
-				return nil
-			}
-			var it streamItem
-			if err := codec.Unmarshal(b, &it); err != nil {
-				it = streamItem{Seq: -1, Msg: err.Error()}
-			}
-			if !check(it) {
-				select {
-				case mangled <- fmt.Sprintf("server read %+v", it):
-				default:
-				}
-			}
-			if err := st.SendMsg(it); err != nil {
+	ended := make(chan error, 1)
+	s.HandleStream("Firehose", func(ctx *Ctx, payload []byte, st *ServerStream) error {
+		for i := int64(0); ; i++ {
+			if err := st.SendMsg(streamItem{Seq: i, Msg: fmt.Sprint("item-", i)}); err != nil {
+				ended <- err
 				return nil
 			}
 		}
@@ -394,41 +412,33 @@ func TestStreamSendRecvCancelConcurrent(t *testing.T) {
 	defer c.Close()
 
 	for round := 0; round < 20; round++ {
-		st := mustStream(t, c, "EchoStream")
+		st := mustStream(t, c, "Firehose")
 		cancelAt := int64(streamWindow + 7*round) // somewhere in the second window or later
 		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() { // Send until the stream is gone
-			defer wg.Done()
-			for i := int64(0); ; i++ {
-				if st.Send(streamItem{Seq: i, Msg: fmt.Sprint("item-", i)}) != nil {
-					return
+		for want := int64(0); ; want++ { // Recv (granting credit) and, part-way, Cancel
+			var it streamItem
+			if err := st.Recv(&it); err != nil {
+				if !IsCode(err, CodeDeadline) {
+					t.Errorf("round %d: stream ended with %v, want the cancel's CodeDeadline", round, err)
 				}
+				break
 			}
-		}()
-		go func() { // Recv (granting credit) and, part-way, Cancel — from a third goroutine
-			defer wg.Done()
-			for want := int64(0); ; want++ {
-				var it streamItem
-				if err := st.Recv(&it); err != nil {
-					if !IsCode(err, CodeDeadline) {
-						t.Errorf("round %d: stream ended with %v, want the cancel's CodeDeadline", round, err)
-					}
-					return
-				}
-				if it.Seq != want || !check(it) {
-					t.Errorf("round %d: item %d arrived as %+v", round, want, it)
-				}
-				if want == cancelAt {
-					go st.Cancel()
-				}
+			if it.Seq != want || !check(it) {
+				t.Errorf("round %d: item %d arrived as %+v", round, want, it)
 			}
-		}()
+			if want == cancelAt {
+				wg.Add(1)
+				go func() { defer wg.Done(); st.Cancel() }()
+			}
+		}
 		wg.Wait()
-	}
-	select {
-	case what := <-mangled:
-		t.Fatalf("the server saw a torn frame: %s", what)
-	default:
+		select {
+		case err := <-ended:
+			if !IsCode(err, CodeDeadline) && !IsCode(err, CodeUnavailable) {
+				t.Fatalf("round %d: the handler's Send failed with %v, want the abort or the closed connection", round, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: the handler outlived the cancelled stream", round)
+		}
 	}
 }

@@ -1,9 +1,8 @@
 package rpc
 
-// Streaming RPC: round-trips, flow control, half-close, cancellation, and
-// the teardown matrix — conn death, Server.Close, and context expiry must
-// all wake parked stream senders and receivers. Runs under -race in
-// `make check`.
+// Streaming RPC: server push, flow control, cancellation, and the teardown
+// matrix — conn death, Server.Close, and context expiry must all wake parked
+// stream handlers and receivers. Runs under -race in `make check`.
 
 import (
 	"bytes"
@@ -44,21 +43,6 @@ func startStreamServer(t testing.TB, network Network) (string, *Server) {
 		}
 		return nil
 	})
-	// EchoStream: server echoes every client item back until half-close.
-	s.HandleStream("EchoStream", func(ctx *Ctx, payload []byte, st *ServerStream) error {
-		for {
-			var item streamItem
-			if err := st.RecvMsg(&item); err != nil {
-				if err == io.EOF {
-					return nil
-				}
-				return err
-			}
-			if err := st.SendMsg(item); err != nil {
-				return err
-			}
-		}
-	})
 	// Firehose: server sends until its stream dies; used to exercise window
 	// exhaustion and teardown while parked on credit.
 	s.HandleStream("Firehose", func(ctx *Ctx, payload []byte, st *ServerStream) error {
@@ -75,10 +59,10 @@ func startStreamServer(t testing.TB, network Network) (string, *Server) {
 		}
 		return Errorf(CodeConflict, "handler gave up")
 	})
-	// Parked: receiver parked on an empty inbox until teardown wakes it.
+	// Parked: handler parked on its ctx until teardown cancels it.
 	s.HandleStream("Parked", func(ctx *Ctx, payload []byte, st *ServerStream) error {
-		var item streamItem
-		return st.RecvMsg(&item)
+		<-ctx.Done()
+		return ctx.Err()
 	})
 	addr, err := s.Start(network, "127.0.0.1:0")
 	if err != nil {
@@ -108,49 +92,10 @@ func TestStreamServerPush(t *testing.T) {
 			}
 		}
 		var item streamItem
-		if err := st.Recv(&item); !transport.IsStreamEnd(err) {
+		if err := st.Recv(&item); err != io.EOF {
 			t.Fatalf("after last item err = %v, want clean stream end", err)
 		}
 	})
-}
-
-func TestStreamBidirectionalEcho(t *testing.T) {
-	n := NewMem()
-	addr, _ := startStreamServer(t, n)
-	c := NewClient(n, "stream", addr)
-	defer c.Close()
-
-	st, err := c.Stream(context.Background(), "EchoStream", echoReq{})
-	if err != nil {
-		t.Fatalf("Stream: %v", err)
-	}
-	// More items than one window, so credit has to flow both ways.
-	const total = 3 * streamWindow
-	for i := 0; i < total; i++ {
-		if err := st.Send(streamItem{Seq: int64(i), Msg: "ping"}); err != nil {
-			t.Fatalf("Send #%d: %v", i, err)
-		}
-		var got streamItem
-		if err := st.Recv(&got); err != nil {
-			t.Fatalf("Recv #%d: %v", i, err)
-		}
-		if got.Seq != int64(i) {
-			t.Fatalf("echoed seq = %d, want %d", got.Seq, i)
-		}
-	}
-	// Half-close: the server drains to io.EOF, returns nil, and we see the
-	// clean end.
-	if err := st.CloseSend(); err != nil {
-		t.Fatalf("CloseSend: %v", err)
-	}
-	var got streamItem
-	if err := st.Recv(&got); !transport.IsStreamEnd(err) {
-		t.Fatalf("after CloseSend err = %v, want clean stream end", err)
-	}
-	// Sending after CloseSend fails locally.
-	if err := st.Send(streamItem{}); err == nil {
-		t.Fatal("Send after CloseSend succeeded")
-	}
 }
 
 // TestStreamFlowControlParksSender proves the window actually bounds the
@@ -216,12 +161,11 @@ func TestStreamHandlerError(t *testing.T) {
 	if err := st.Recv(&item); err != nil {
 		t.Fatalf("first Recv: %v", err)
 	}
-	if err := st.Recv(&item); !IsCode(err, CodeConflict) {
-		t.Fatalf("err = %v, want CodeConflict from handler", err)
-	}
-	// The handler's error also poisons the send side.
-	if err := st.Send(streamItem{}); err == nil {
-		t.Fatal("Send after server error succeeded")
+	// The handler's error ends the stream for good: every Recv reports it.
+	for i := 0; i < 2; i++ {
+		if err := st.Recv(&item); !IsCode(err, CodeConflict) {
+			t.Fatalf("Recv #%d after the item: %v, want CodeConflict from handler", i, err)
+		}
 	}
 }
 
@@ -297,12 +241,26 @@ func TestStreamClientCancel(t *testing.T) {
 }
 
 // TestStreamConnDeathFailsBothEnds kills the transport under an open stream;
-// a client parked in Recv and the server handler parked in Send must both
-// wake with coded retryable errors.
+// a client parked in Recv and the server handler parked in Send on an
+// exhausted window must both wake with coded retryable errors.
 func TestStreamConnDeathFailsBothEnds(t *testing.T) {
 	mem := NewMem()
 	n := &connGrabber{Network: mem}
-	addr, _ := startStreamServer(t, mem)
+	s := NewServer("stream")
+	handlerErr := make(chan error, 1)
+	s.HandleStream("Firehose", func(ctx *Ctx, payload []byte, st *ServerStream) error {
+		for i := int64(0); ; i++ {
+			if err := st.SendMsg(streamItem{Seq: i}); err != nil {
+				handlerErr <- err
+				return err
+			}
+		}
+	})
+	addr, err := s.Start(mem, "stream:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
 	c := NewClient(n, "stream", addr)
 	defer c.Close()
 
@@ -328,8 +286,13 @@ func TestStreamConnDeathFailsBothEnds(t *testing.T) {
 			t.Fatal("Recv never observed conn death")
 		}
 	}
-	if err := st.Send(streamItem{}); err == nil {
-		t.Fatal("Send on dead stream succeeded")
+	select {
+	case err := <-handlerErr:
+		if !IsCode(err, CodeUnavailable) || !transport.Retryable(err) {
+			t.Fatalf("the handler's Send failed with %v, want retryable CodeUnavailable", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the handler parked in Send never observed conn death")
 	}
 }
 
@@ -423,9 +386,8 @@ func TestStreamsMultiplexWithUnary(t *testing.T) {
 
 // TestServerCloseWakesParkedStreams is the shutdown-regression test:
 // Server.Close must wake a handler parked in Send on an exhausted window
-// and one parked in Recv on an empty inbox — mirroring the long-poll
-// shutdown fix, Close may not hang on them and the client must see a coded
-// error.
+// and one parked on its ctx — mirroring the long-poll shutdown fix, Close
+// may not hang on them and the client must see a coded error.
 func TestServerCloseWakesParkedStreams(t *testing.T) {
 	vtime.Run(t, func() {
 		n := NewMem()
@@ -438,8 +400,8 @@ func TestServerCloseWakesParkedStreams(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Stream(Firehose): %v", err)
 		}
-		// Parked receiver: handler blocked in Recv with no client items.
-		recvSt, err := c.Stream(context.Background(), "Parked", echoReq{})
+		// Parked handler: blocked on its ctx, sending nothing.
+		parkedSt, err := c.Stream(context.Background(), "Parked", echoReq{})
 		if err != nil {
 			t.Fatalf("Stream(Parked): %v", err)
 		}
@@ -460,11 +422,11 @@ func TestServerCloseWakesParkedStreams(t *testing.T) {
 			t.Fatal("Server.Close hung on parked stream handlers")
 		}
 
-		for _, st := range []*transport.Stream{sendSt, recvSt} {
+		for _, st := range []*transport.Stream{sendSt, parkedSt} {
 			deadline := time.Now().Add(5 * time.Second)
 			for {
 				if err := st.Recv(&item); err != nil {
-					if transport.IsStreamEnd(err) || IsCode(err, CodeUnavailable) {
+					if err == io.EOF || IsCode(err, CodeUnavailable) {
 						break
 					}
 					t.Fatalf("post-Close err = %v, want stream end or CodeUnavailable", err)

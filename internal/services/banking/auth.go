@@ -1,87 +1,17 @@
 package banking
 
 import (
-	"crypto/rand"
-	"crypto/sha256"
-	"encoding/hex"
-	"time"
-
 	"dsb/internal/docstore"
 	"dsb/internal/rpc"
+	"dsb/internal/services/accounts"
 	"dsb/internal/svcutil"
 )
 
-// EnrollReq creates login credentials for a customer.
-type EnrollReq struct{ Username, Password string }
-
-// LoginReq authenticates.
-type LoginReq struct{ Username, Password string }
-
-// LoginResp returns a session token.
-type LoginResp struct{ Token string }
-
-// VerifyTokenReq validates a token.
-type VerifyTokenReq struct{ Token string }
-
-// VerifyTokenResp identifies the session user.
-type VerifyTokenResp struct {
-	Username string
-	Valid    bool
-}
-
-// registerAuthentication installs the authentication service.
-func registerAuthentication(srv *rpc.Server, db svcutil.DB, mc svcutil.KV) {
-	svcutil.Handle(srv, "Enroll", func(ctx *rpc.Ctx, req *EnrollReq) (*struct{}, error) {
-		if req.Username == "" || req.Password == "" {
-			return nil, rpc.Errorf(rpc.CodeBadRequest, "authentication: username and password required")
-		}
-		if _, found, err := db.Get(ctx, "credentials", req.Username); err != nil {
-			return nil, err
-		} else if found {
-			return nil, rpc.Errorf(rpc.CodeConflict, "authentication: %q enrolled", req.Username)
-		}
-		salt := bankRandomHex(8)
-		return nil, db.Put(ctx, "credentials", docstore.Doc{
-			ID:     req.Username,
-			Fields: map[string]string{"salt": salt, "hash": bankHash(req.Password, salt)},
-		})
-	})
-	svcutil.Handle(srv, "Login", func(ctx *rpc.Ctx, req *LoginReq) (*LoginResp, error) {
-		doc, found, err := db.Get(ctx, "credentials", req.Username)
-		if err != nil {
-			return nil, err
-		}
-		if !found || bankHash(req.Password, doc.Fields["salt"]) != doc.Fields["hash"] {
-			return nil, rpc.Errorf(rpc.CodeUnauthorized, "authentication: bad credentials")
-		}
-		token := bankRandomHex(16)
-		if err := mc.Set(ctx, "tok:"+token, []byte(req.Username), 30*time.Minute); err != nil {
-			return nil, err
-		}
-		return &LoginResp{Token: token}, nil
-	})
-	svcutil.Handle(srv, "Verify", func(ctx *rpc.Ctx, req *VerifyTokenReq) (*VerifyTokenResp, error) {
-		v, found, err := mc.Get(ctx, "tok:"+req.Token)
-		if err != nil {
-			return nil, err
-		}
-		if !found {
-			return &VerifyTokenResp{}, nil
-		}
-		return &VerifyTokenResp{Username: string(v), Valid: true}, nil
-	})
-}
-
-func bankHash(password, salt string) string {
-	sum := sha256.Sum256([]byte(salt + "|" + password))
-	return hex.EncodeToString(sum[:])
-}
-
-func bankRandomHex(n int) string {
-	b := make([]byte, n)
-	rand.Read(b) //nolint:errcheck
-	return hex.EncodeToString(b)
-}
+// The authentication service is the shared accounts service.
+type (
+	LoginReq  = accounts.LoginReq
+	LoginResp = accounts.LoginResp
+)
 
 // ACLCheckReq asks whether user may act on an account.
 type ACLCheckReq struct {

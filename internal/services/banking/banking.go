@@ -8,6 +8,7 @@ import (
 	"dsb/internal/core"
 	"dsb/internal/rest"
 	"dsb/internal/rpc"
+	"dsb/internal/services/accounts"
 	"dsb/internal/svcutil"
 	"dsb/internal/transport"
 )
@@ -86,7 +87,7 @@ func New(app *core.App, cfg Config) (*Banking, error) {
 		registerCustomerInfo(s, db("customerInfo", "db-customers"), mc("customerInfo", "mc-customers"))
 	})
 	start("authentication", func(s *rpc.Server) {
-		registerAuthentication(s, db("authentication", "db-credentials"), mc("authentication", "mc-sessions"))
+		accounts.Register(s, db("authentication", "db-credentials"), mc("authentication", "mc-sessions"), "credentials")
 	})
 	start("transactionPosting", func(s *rpc.Server) {
 		registerTransactionPosting(s, db("transactionPosting", "db-accounts"))
@@ -196,7 +197,7 @@ func New(app *core.App, cfg Config) (*Banking, error) {
 func (b *Banking) Onboard(username string, incomeCents, openingCents int64) (string, string, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := b.Auth.Call(ctx, "Enroll", EnrollReq{Username: username, Password: "pw-" + username}, nil); err != nil {
+	if err := b.Auth.Call(ctx, "Register", accounts.RegisterReq{Username: username, Password: "pw-" + username}, nil); err != nil {
 		return "", "", err
 	}
 	if err := b.Customer.Call(ctx, "Put", PutCustomerReq{Customer: Customer{
@@ -214,5 +215,3 @@ func (b *Banking) Onboard(username string, incomeCents, openingCents int64) (str
 	}
 	return login.Token, acct.Account.ID, nil
 }
-
-func rpcUnauthorized() error { return rpc.Errorf(rpc.CodeUnauthorized, "invalid token") }

@@ -2,6 +2,7 @@ package banking
 
 import (
 	"dsb/internal/rest"
+	"dsb/internal/services/accounts"
 	"dsb/internal/svcutil"
 )
 
@@ -108,15 +109,12 @@ func registerFrontend(srv *rest.Server, d bankFrontendDeps) {
 	})
 
 	srv.Handle("GET /accounts", func(ctx *rest.Ctx, body []byte) (any, error) {
-		var auth VerifyTokenResp
-		if err := d.auth.Call(ctx, "Verify", VerifyTokenReq{Token: ctx.Query("token")}, &auth); err != nil {
+		username, err := accounts.Verify(ctx, d.auth, ctx.Query("token"))
+		if err != nil {
 			return nil, err
 		}
-		if !auth.Valid {
-			return nil, errUnauthorizedBank
-		}
 		var resp AccountsResp
-		if err := d.posting.Call(ctx, "ByOwner", AccountsByOwnerReq{Owner: auth.Username}, &resp); err != nil {
+		if err := d.posting.Call(ctx, "ByOwner", AccountsByOwnerReq{Owner: username}, &resp); err != nil {
 			return nil, err
 		}
 		return resp.Accounts, nil
@@ -124,19 +122,16 @@ func registerFrontend(srv *rest.Server, d bankFrontendDeps) {
 
 	srv.Handle("GET /summary", func(ctx *rest.Ctx, body []byte) (any, error) {
 		token := ctx.Query("token")
-		var auth VerifyTokenResp
-		if err := d.auth.Call(ctx, "Verify", VerifyTokenReq{Token: token}, &auth); err != nil {
+		username, err := accounts.Verify(ctx, d.auth, token)
+		if err != nil {
 			return nil, err
 		}
-		if !auth.Valid {
-			return nil, errUnauthorizedBank
-		}
-		var accounts AccountsResp
-		if err := d.posting.Call(ctx, "ByOwner", AccountsByOwnerReq{Owner: auth.Username}, &accounts); err != nil {
+		var owned AccountsResp
+		if err := d.posting.Call(ctx, "ByOwner", AccountsByOwnerReq{Owner: username}, &owned); err != nil {
 			return nil, err
 		}
-		out := SummaryBody{Accounts: accounts.Accounts}
-		for _, a := range accounts.Accounts {
+		out := SummaryBody{Accounts: owned.Accounts}
+		for _, a := range owned.Accounts {
 			out.BalanceCents += a.BalanceCents
 		}
 		var portfolio PortfolioResp
@@ -220,15 +215,12 @@ func registerFrontend(srv *rest.Server, d bankFrontendDeps) {
 		return resp.Branches, nil
 	})
 	srv.Handle("GET /activity", func(ctx *rest.Ctx, body []byte) (any, error) {
-		var auth VerifyTokenResp
-		if err := d.auth.Call(ctx, "Verify", VerifyTokenReq{Token: ctx.Query("token")}, &auth); err != nil {
+		username, err := accounts.Verify(ctx, d.auth, ctx.Query("token"))
+		if err != nil {
 			return nil, err
 		}
-		if !auth.Valid {
-			return nil, errUnauthorizedBank
-		}
 		var resp ActivityListResp
-		if err := d.activity.Call(ctx, "List", ActivityListReq{Username: auth.Username, Limit: 20}, &resp); err != nil {
+		if err := d.activity.Call(ctx, "List", ActivityListReq{Username: username, Limit: 20}, &resp); err != nil {
 			return nil, err
 		}
 		return resp.Activities, nil
@@ -250,5 +242,3 @@ func loanHandler(ctx *rest.Ctx, body []byte, svc svcutil.Caller) (any, error) {
 	}
 	return resp.Decision, nil
 }
-
-var errUnauthorizedBank = rpcUnauthorized()

@@ -8,6 +8,7 @@ import (
 	"dsb/internal/codec"
 	"dsb/internal/docstore"
 	"dsb/internal/rpc"
+	"dsb/internal/services/accounts"
 	"dsb/internal/svcutil"
 )
 
@@ -58,7 +59,7 @@ func underwrite(monthlyIncomeCents, monthlyDebtCents, paymentCents int64, capPct
 // term, amortized payment, 40% DTI cap against customerInfo income.
 func registerPersonalLending(srv *rpc.Server, auth, customer svcutil.Caller) {
 	svcutil.Handle(srv, "Apply", func(ctx *rpc.Ctx, req *LoanApplicationReq) (*LoanApplicationResp, error) {
-		username, err := verifyBank(ctx, auth, req.Token)
+		username, err := accounts.Verify(ctx, auth, req.Token)
 		if err != nil {
 			return nil, err
 		}
@@ -87,7 +88,7 @@ func registerPersonalLending(srv *rpc.Server, auth, customer svcutil.Caller) {
 // coverage plus operating-history requirements.
 func registerBusinessLending(srv *rpc.Server, auth svcutil.Caller) {
 	svcutil.Handle(srv, "Apply", func(ctx *rpc.Ctx, req *LoanApplicationReq) (*LoanApplicationResp, error) {
-		if _, err := verifyBank(ctx, auth, req.Token); err != nil {
+		if _, err := accounts.Verify(ctx, auth, req.Token); err != nil {
 			return nil, err
 		}
 		if req.AmountCents <= 0 || req.TermMonths <= 0 || req.TermMonths > 120 {
@@ -129,7 +130,7 @@ type MortgageQuoteResp struct {
 // amortization schedule computation, and a 35% DTI cap.
 func registerMortgages(srv *rpc.Server, auth, customer svcutil.Caller) {
 	svcutil.Handle(srv, "Quote", func(ctx *rpc.Ctx, req *MortgageQuoteReq) (*MortgageQuoteResp, error) {
-		username, err := verifyBank(ctx, auth, req.Token)
+		username, err := accounts.Verify(ctx, auth, req.Token)
 		if err != nil {
 			return nil, err
 		}
@@ -175,17 +176,6 @@ func registerMortgages(srv *rpc.Server, auth, customer svcutil.Caller) {
 		}
 		return resp, nil
 	})
-}
-
-func verifyBank(ctx *rpc.Ctx, auth svcutil.Caller, token string) (string, error) {
-	var v VerifyTokenResp
-	if err := auth.Call(ctx, "Verify", VerifyTokenReq{Token: token}, &v); err != nil {
-		return "", err
-	}
-	if !v.Valid {
-		return "", rpc.Errorf(rpc.CodeUnauthorized, "invalid token")
-	}
-	return v.Username, nil
 }
 
 // OpenCardReq opens a credit card.
@@ -238,7 +228,7 @@ func registerCreditCard(srv *rpc.Server, auth, customer, posting, acl svcutil.Ca
 	}
 
 	svcutil.Handle(srv, "Open", func(ctx *rpc.Ctx, req *OpenCardReq) (*CardResp, error) {
-		username, err := verifyBank(ctx, auth, req.Token)
+		username, err := accounts.Verify(ctx, auth, req.Token)
 		if err != nil {
 			return nil, err
 		}
@@ -261,7 +251,7 @@ func registerCreditCard(srv *rpc.Server, auth, customer, posting, acl svcutil.Ca
 	})
 
 	svcutil.Handle(srv, "Get", func(ctx *rpc.Ctx, req *ChargeCardReq) (*CardResp, error) {
-		username, err := verifyBank(ctx, auth, req.Token)
+		username, err := accounts.Verify(ctx, auth, req.Token)
 		if err != nil {
 			return nil, err
 		}
@@ -276,7 +266,7 @@ func registerCreditCard(srv *rpc.Server, auth, customer, posting, acl svcutil.Ca
 	})
 
 	svcutil.Handle(srv, "Charge", func(ctx *rpc.Ctx, req *ChargeCardReq) (*CardResp, error) {
-		username, err := verifyBank(ctx, auth, req.Token)
+		username, err := accounts.Verify(ctx, auth, req.Token)
 		if err != nil {
 			return nil, err
 		}
@@ -301,7 +291,7 @@ func registerCreditCard(srv *rpc.Server, auth, customer, posting, acl svcutil.Ca
 	})
 
 	svcutil.Handle(srv, "Pay", func(ctx *rpc.Ctx, req *PayCardReq) (*CardResp, error) {
-		username, err := verifyBank(ctx, auth, req.Token)
+		username, err := accounts.Verify(ctx, auth, req.Token)
 		if err != nil {
 			return nil, err
 		}

@@ -8,6 +8,7 @@ import (
 	"dsb/internal/codec"
 	"dsb/internal/docstore"
 	"dsb/internal/rpc"
+	"dsb/internal/services/accounts"
 	"dsb/internal/svcutil"
 )
 
@@ -35,15 +36,12 @@ type paymentsDeps struct {
 // identifies as dominating Banking's end-to-end latency.
 func registerPayments(srv *rpc.Server, deps paymentsDeps) {
 	svcutil.Handle(srv, "Pay", func(ctx *rpc.Ctx, req *PaymentReq) (*PaymentResp, error) {
-		var auth VerifyTokenResp
-		if err := deps.auth.Call(ctx, "Verify", VerifyTokenReq{Token: req.Token}, &auth); err != nil {
+		username, err := accounts.Verify(ctx, deps.auth, req.Token)
+		if err != nil {
 			return nil, err
 		}
-		if !auth.Valid {
-			return nil, rpc.Errorf(rpc.CodeUnauthorized, "payments: invalid token")
-		}
 		var acl ACLCheckResp
-		if err := deps.acl.Call(ctx, "Check", ACLCheckReq{Username: auth.Username, AccountID: req.From, Action: "debit"}, &acl); err != nil {
+		if err := deps.acl.Call(ctx, "Check", ACLCheckReq{Username: username, AccountID: req.From, Action: "debit"}, &acl); err != nil {
 			return nil, err
 		}
 		if !acl.Allowed {
@@ -56,7 +54,7 @@ func registerPayments(srv *rpc.Server, deps paymentsDeps) {
 			return nil, err
 		}
 		if err := deps.activity.Call(ctx, "Log", LogActivityReq{
-			Username: auth.Username, Kind: "payment",
+			Username: username, Kind: "payment",
 			Detail: fmt.Sprintf("%s -> %s: %d (%s)", req.From, req.To, req.AmountCents, posted.TxnID),
 		}, nil); err != nil {
 			return nil, err

@@ -6,6 +6,7 @@ import (
 	"dsb/internal/codec"
 	"dsb/internal/docstore"
 	"dsb/internal/rpc"
+	"dsb/internal/services/accounts"
 	"dsb/internal/sqlstore"
 	"dsb/internal/svcutil"
 )
@@ -37,7 +38,7 @@ var priceTable = map[string]int64{
 // (wealthMgmtDB in Figure 7).
 func registerWealthMgmt(srv *rpc.Server, auth svcutil.Caller, db svcutil.DB) {
 	svcutil.Handle(srv, "Portfolio", func(ctx *rpc.Ctx, req *PortfolioReq) (*PortfolioResp, error) {
-		username, err := verifyBank(ctx, auth, req.Token)
+		username, err := accounts.Verify(ctx, auth, req.Token)
 		if err != nil {
 			return nil, err
 		}

@@ -13,8 +13,6 @@ import (
 	"dsb/internal/transport"
 )
 
-var errUnauthorized = rpc.Errorf(rpc.CodeUnauthorized, "invalid token")
-
 func errNotFound(what string) error { return rpc.NotFoundf("no such resource %q", what) }
 
 // Config sizes the deployment.

@@ -55,8 +55,6 @@ func TestPlaceOrderEndToEnd(t *testing.T) {
 	token := login(t, ec, "shopper", 100000)
 
 	// Fill the cart: 2 red socks (20% sale) + 1 boot.
-	var auth VerifyTokenResp
-	ec.User.Call(ctx, "VerifyToken", VerifyTokenReq{Token: token}, &auth) //nolint:errcheck
 	if err := ec.Cart.Call(ctx, "Add", CartAddReq{Username: "shopper", ItemID: "sock-red", Quantity: 2}, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package ecommerce
 
 import (
 	"dsb/internal/rest"
+	"dsb/internal/services/accounts"
 	"dsb/internal/svcutil"
 )
 
@@ -55,17 +56,6 @@ type frontendDeps struct {
 // Figure 6). The recommendation hop is non-critical: a failure there yields
 // an empty Degraded list instead of an error.
 func registerFrontend(srv *rest.Server, d frontendDeps) {
-	authed := func(ctx *rest.Ctx, token string) (string, error) {
-		var auth VerifyTokenResp
-		if err := d.user.Call(ctx, "VerifyToken", VerifyTokenReq{Token: token}, &auth); err != nil {
-			return "", err
-		}
-		if !auth.Valid {
-			return "", errUnauthorized
-		}
-		return auth.Username, nil
-	}
-
 	srv.Handle("POST /register", func(ctx *rest.Ctx, body []byte) (any, error) {
 		var req CredentialsBody
 		if err := rest.DecodeJSON(body, &req); err != nil {
@@ -115,7 +105,7 @@ func registerFrontend(srv *rest.Server, d frontendDeps) {
 		if err := rest.DecodeJSON(body, &req); err != nil {
 			return nil, err
 		}
-		user, err := authed(ctx, req.Token)
+		user, err := accounts.Verify(ctx, d.user, req.Token)
 		if err != nil {
 			return nil, err
 		}
@@ -129,7 +119,7 @@ func registerFrontend(srv *rest.Server, d frontendDeps) {
 		return resp.Lines, nil
 	})
 	srv.Handle("GET /cart", func(ctx *rest.Ctx, body []byte) (any, error) {
-		user, err := authed(ctx, ctx.Query("token"))
+		user, err := accounts.Verify(ctx, d.user, ctx.Query("token"))
 		if err != nil {
 			return nil, err
 		}
@@ -145,14 +135,14 @@ func registerFrontend(srv *rest.Server, d frontendDeps) {
 		if err := rest.DecodeJSON(body, &req); err != nil {
 			return nil, err
 		}
-		user, err := authed(ctx, req.Token)
+		user, err := accounts.Verify(ctx, d.user, req.Token)
 		if err != nil {
 			return nil, err
 		}
 		return nil, d.wishlist.Call(ctx, "Add", WishlistAddReq{Username: user, ItemID: req.ItemID}, nil)
 	})
 	srv.Handle("GET /wishlist", func(ctx *rest.Ctx, body []byte) (any, error) {
-		user, err := authed(ctx, ctx.Query("token"))
+		user, err := accounts.Verify(ctx, d.user, ctx.Query("token"))
 		if err != nil {
 			return nil, err
 		}
@@ -198,7 +188,7 @@ func registerFrontend(srv *rest.Server, d frontendDeps) {
 		return resp.Options, nil
 	})
 	srv.Handle("GET /recommend", func(ctx *rest.Ctx, body []byte) (any, error) {
-		user, err := authed(ctx, ctx.Query("token"))
+		user, err := accounts.Verify(ctx, d.user, ctx.Query("token"))
 		if err != nil {
 			return nil, err
 		}

@@ -8,6 +8,7 @@ import (
 	"dsb/internal/codec"
 	"dsb/internal/docstore"
 	"dsb/internal/rpc"
+	"dsb/internal/services/accounts"
 	"dsb/internal/svcutil"
 )
 
@@ -170,15 +171,12 @@ func registerOrders(srv *rpc.Server, deps ordersDeps) {
 	var seq atomic.Uint64
 
 	svcutil.Handle(srv, "Place", func(ctx *rpc.Ctx, req *PlaceOrderReq) (*PlaceOrderResp, error) {
-		var auth VerifyTokenResp
-		if err := deps.user.Call(ctx, "VerifyToken", VerifyTokenReq{Token: req.Token}, &auth); err != nil {
+		username, err := accounts.Verify(ctx, deps.user, req.Token)
+		if err != nil {
 			return nil, err
 		}
-		if !auth.Valid {
-			return nil, rpc.Errorf(rpc.CodeUnauthorized, "orders: invalid token")
-		}
 		var cart CartResp
-		if err := deps.cart.Call(ctx, "Get", CartReq{Username: auth.Username}, &cart); err != nil {
+		if err := deps.cart.Call(ctx, "Get", CartReq{Username: username}, &cart); err != nil {
 			return nil, err
 		}
 		if len(cart.Lines) == 0 {
@@ -231,7 +229,7 @@ func registerOrders(srv *rpc.Server, deps ordersDeps) {
 
 		// Payment: authorize + charge.
 		var authz AuthorizePaymentResp
-		if err := deps.payment.Call(ctx, "Charge", AuthorizePaymentReq{Username: auth.Username, AmountCents: total}, &authz); err != nil {
+		if err := deps.payment.Call(ctx, "Charge", AuthorizePaymentReq{Username: username, AmountCents: total}, &authz); err != nil {
 			return nil, err
 		}
 		var txn TransactionIDResp
@@ -241,7 +239,7 @@ func registerOrders(srv *rpc.Server, deps ordersDeps) {
 
 		order := Order{
 			ID:            fmt.Sprintf("ord-%d-%06d", time.Now().UnixMilli(), seq.Add(1)),
-			Username:      auth.Username,
+			Username:      username,
 			Lines:         cart.Lines,
 			ItemsCents:    itemsCents,
 			DiscountCents: discount.DiscountCents,
@@ -265,7 +263,7 @@ func registerOrders(srv *rpc.Server, deps ordersDeps) {
 		if err := enqueueOrder(ctx, deps.queueMaster, order.ID); err != nil {
 			return nil, err
 		}
-		if err := deps.cart.Call(ctx, "Clear", CartReq{Username: auth.Username}, nil); err != nil {
+		if err := deps.cart.Call(ctx, "Clear", CartReq{Username: username}, nil); err != nil {
 			return nil, err
 		}
 		return &PlaceOrderResp{Order: order}, nil

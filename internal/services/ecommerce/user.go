@@ -1,37 +1,19 @@
 package ecommerce
 
 import (
-	"crypto/rand"
-	"crypto/sha256"
-	"encoding/hex"
 	"sort"
-	"time"
 
-	"dsb/internal/docstore"
 	"dsb/internal/rpc"
+	"dsb/internal/services/accounts"
 	"dsb/internal/svcutil"
 )
 
-// RegisterUserReq creates an account with an opening balance.
-type RegisterUserReq struct {
-	Username, Password string
-	BalanceCents       int64
-}
-
-// LoginReq authenticates.
-type LoginReq struct{ Username, Password string }
-
-// LoginResp returns a session token.
-type LoginResp struct{ Token string }
-
-// VerifyTokenReq validates a token.
-type VerifyTokenReq struct{ Token string }
-
-// VerifyTokenResp identifies the session user.
-type VerifyTokenResp struct {
-	Username string
-	Valid    bool
-}
+// The login half of accountInfo is the shared accounts service.
+type (
+	RegisterUserReq = accounts.RegisterReq
+	LoginReq        = accounts.LoginReq
+	LoginResp       = accounts.LoginResp
+)
 
 // AccountReq identifies an account.
 type AccountReq struct{ Username string }
@@ -39,48 +21,11 @@ type AccountReq struct{ Username string }
 // BalanceResp returns an account balance.
 type BalanceResp struct{ BalanceCents int64 }
 
-// registerAccountInfo installs the login/accountInfo service.
+// registerAccountInfo installs the login/accountInfo service: the shared
+// accounts handlers over the accounts collection, and the balance each
+// account carries.
 func registerAccountInfo(srv *rpc.Server, db svcutil.DB, mc svcutil.KV) {
-	svcutil.Handle(srv, "Register", func(ctx *rpc.Ctx, req *RegisterUserReq) (*struct{}, error) {
-		if req.Username == "" || req.Password == "" {
-			return nil, rpc.Errorf(rpc.CodeBadRequest, "accountInfo: username and password required")
-		}
-		if _, found, err := db.Get(ctx, "accounts", req.Username); err != nil {
-			return nil, err
-		} else if found {
-			return nil, rpc.Errorf(rpc.CodeConflict, "accountInfo: %q taken", req.Username)
-		}
-		salt := ecRandomHex(8)
-		return nil, db.Put(ctx, "accounts", docstore.Doc{
-			ID:     req.Username,
-			Fields: map[string]string{"salt": salt, "hash": ecHashPassword(req.Password, salt)},
-			Nums:   map[string]int64{"balance": req.BalanceCents},
-		})
-	})
-	svcutil.Handle(srv, "Login", func(ctx *rpc.Ctx, req *LoginReq) (*LoginResp, error) {
-		doc, found, err := db.Get(ctx, "accounts", req.Username)
-		if err != nil {
-			return nil, err
-		}
-		if !found || ecHashPassword(req.Password, doc.Fields["salt"]) != doc.Fields["hash"] {
-			return nil, rpc.Errorf(rpc.CodeUnauthorized, "accountInfo: bad credentials")
-		}
-		token := ecRandomHex(16)
-		if err := mc.Set(ctx, "tok:"+token, []byte(req.Username), time.Hour); err != nil {
-			return nil, err
-		}
-		return &LoginResp{Token: token}, nil
-	})
-	svcutil.Handle(srv, "VerifyToken", func(ctx *rpc.Ctx, req *VerifyTokenReq) (*VerifyTokenResp, error) {
-		v, found, err := mc.Get(ctx, "tok:"+req.Token)
-		if err != nil {
-			return nil, err
-		}
-		if !found {
-			return &VerifyTokenResp{}, nil
-		}
-		return &VerifyTokenResp{Username: string(v), Valid: true}, nil
-	})
+	accounts.Register(srv, db, mc, "accounts")
 	svcutil.Handle(srv, "Balance", func(ctx *rpc.Ctx, req *AccountReq) (*BalanceResp, error) {
 		doc, found, err := db.Get(ctx, "accounts", req.Username)
 		if err != nil {
@@ -105,17 +50,6 @@ func registerAccountInfo(srv *rpc.Server, db svcutil.DB, mc svcutil.KV) {
 		}
 		return nil, nil
 	})
-}
-
-func ecHashPassword(password, salt string) string {
-	sum := sha256.Sum256([]byte(salt + ":" + password))
-	return hex.EncodeToString(sum[:])
-}
-
-func ecRandomHex(n int) string {
-	b := make([]byte, n)
-	rand.Read(b) //nolint:errcheck
-	return hex.EncodeToString(b)
 }
 
 // RecommendItemsReq asks for items often co-purchased with a user's

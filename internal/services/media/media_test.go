@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/base64"
 	"hash/crc32"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dsb/internal/core"
@@ -274,5 +276,46 @@ func TestMovieDBShardFaultTolerance(t *testing.T) {
 		if _, err := cluster.Get("movies", "m"+itoa(i)); err != nil {
 			t.Fatalf("read with slow replicas: %v", err)
 		}
+	}
+}
+
+// TestConcurrentChargesNeverOverdraw races more charges than one opening
+// balance covers: the balance never goes below zero, and it ends at the
+// opening balance less exactly the charges that were accepted.
+func TestConcurrentChargesNeverOverdraw(t *testing.T) {
+	m := bootMedia(t)
+	ctx := context.Background()
+	const opening, price, workers, charges = 1000, 30, 8, 10
+	if err := m.User.Call(ctx, "Register", RegisterUserReq{Username: "payer", Password: "pw", BalanceCents: opening}, nil); err != nil {
+		t.Fatal(err)
+	}
+	var accepted atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < charges; i++ {
+				var bal BalanceResp
+				err := m.User.Call(ctx, "Charge", ChargeReq{Username: "payer", AmountCents: price}, &bal)
+				switch {
+				case err == nil:
+					accepted.Add(1)
+					if bal.BalanceCents < 0 {
+						t.Errorf("a charge left the balance at %d", bal.BalanceCents)
+					}
+				case !rpc.IsCode(err, rpc.CodeUnauthorized):
+					t.Errorf("charge: %v", err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	var bal BalanceResp
+	if err := m.User.Call(ctx, "Balance", BalanceReq{Username: "payer"}, &bal); err != nil {
+		t.Fatal(err)
+	}
+	if want := opening - price*accepted.Load(); bal.BalanceCents != want || bal.BalanceCents < 0 {
+		t.Fatalf("balance %d after %d accepted charges of %d from %d, want %d", bal.BalanceCents, accepted.Load(), price, opening, want)
 	}
 }

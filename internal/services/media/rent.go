@@ -1,40 +1,22 @@
 package media
 
 import (
-	"crypto/rand"
-	"crypto/sha256"
-	"encoding/hex"
 	"time"
 
 	"dsb/internal/codec"
 	"dsb/internal/docstore"
 	"dsb/internal/rpc"
+	"dsb/internal/services/accounts"
 	"dsb/internal/svcutil"
 )
 
-// User-service wire types (login mirrors the Social Network's user tier but
-// additionally tracks an account balance for rentals).
-
-// RegisterUserReq creates an account with an opening balance.
-type RegisterUserReq struct {
-	Username, Password string
-	BalanceCents       int64
-}
-
-// LoginReq authenticates.
-type LoginReq struct{ Username, Password string }
-
-// LoginResp returns a session token.
-type LoginResp struct{ Token string }
-
-// VerifyTokenReq validates a token.
-type VerifyTokenReq struct{ Token string }
-
-// VerifyTokenResp identifies the session user.
-type VerifyTokenResp struct {
-	Username string
-	Valid    bool
-}
+// The login half of the user service is the shared accounts service; the
+// rest is the account balance rentals are paid from.
+type (
+	RegisterUserReq = accounts.RegisterReq
+	LoginReq        = accounts.LoginReq
+	LoginResp       = accounts.LoginResp
+)
 
 // BalanceReq fetches an account balance.
 type BalanceReq struct{ Username string }
@@ -48,48 +30,11 @@ type ChargeReq struct {
 	AmountCents int64
 }
 
-// registerUser installs the media login/userInfo service.
+// registerUser installs the media login/userInfo service: the shared
+// accounts handlers over the users collection, and the balance rentals are
+// charged to.
 func registerUser(srv *rpc.Server, db svcutil.DB, mc svcutil.KV) {
-	svcutil.Handle(srv, "Register", func(ctx *rpc.Ctx, req *RegisterUserReq) (*struct{}, error) {
-		if req.Username == "" || req.Password == "" {
-			return nil, rpc.Errorf(rpc.CodeBadRequest, "user: username and password required")
-		}
-		if _, found, err := db.Get(ctx, "users", req.Username); err != nil {
-			return nil, err
-		} else if found {
-			return nil, rpc.Errorf(rpc.CodeConflict, "user: %q taken", req.Username)
-		}
-		salt := randomHex(8)
-		return nil, db.Put(ctx, "users", docstore.Doc{
-			ID:     req.Username,
-			Fields: map[string]string{"salt": salt, "hash": hashPassword(req.Password, salt)},
-			Nums:   map[string]int64{"balance": req.BalanceCents},
-		})
-	})
-	svcutil.Handle(srv, "Login", func(ctx *rpc.Ctx, req *LoginReq) (*LoginResp, error) {
-		doc, found, err := db.Get(ctx, "users", req.Username)
-		if err != nil {
-			return nil, err
-		}
-		if !found || hashPassword(req.Password, doc.Fields["salt"]) != doc.Fields["hash"] {
-			return nil, rpc.Errorf(rpc.CodeUnauthorized, "user: bad credentials")
-		}
-		token := randomHex(16)
-		if err := mc.Set(ctx, "tok:"+token, []byte(req.Username), time.Hour); err != nil {
-			return nil, err
-		}
-		return &LoginResp{Token: token}, nil
-	})
-	svcutil.Handle(srv, "VerifyToken", func(ctx *rpc.Ctx, req *VerifyTokenReq) (*VerifyTokenResp, error) {
-		v, found, err := mc.Get(ctx, "tok:"+req.Token)
-		if err != nil {
-			return nil, err
-		}
-		if !found {
-			return &VerifyTokenResp{}, nil
-		}
-		return &VerifyTokenResp{Username: string(v), Valid: true}, nil
-	})
+	accounts.Register(srv, db, mc, "users")
 	svcutil.Handle(srv, "Balance", func(ctx *rpc.Ctx, req *BalanceReq) (*BalanceResp, error) {
 		doc, found, err := db.Get(ctx, "users", req.Username)
 		if err != nil {
@@ -104,33 +49,19 @@ func registerUser(srv *rpc.Server, db svcutil.DB, mc svcutil.KV) {
 		if req.AmountCents <= 0 {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "user: charge must be positive")
 		}
-		doc, found, err := db.Get(ctx, "users", req.Username)
-		if err != nil {
+		// One store-side AddNum, as ecommerce's Debit: two rentals racing on
+		// one balance must not both pass the check.
+		balance, found, ok, err := db.AddNum(ctx, "users", req.Username, "balance", -req.AmountCents, 0)
+		switch {
+		case err != nil:
 			return nil, err
-		}
-		if !found {
+		case !found:
 			return nil, rpc.NotFoundf("user: no user %q", req.Username)
-		}
-		if doc.Nums["balance"] < req.AmountCents {
+		case !ok:
 			return nil, rpc.Errorf(rpc.CodeUnauthorized, "user: insufficient funds")
 		}
-		doc.Nums["balance"] -= req.AmountCents
-		if err := db.Put(ctx, "users", doc); err != nil {
-			return nil, err
-		}
-		return &BalanceResp{BalanceCents: doc.Nums["balance"]}, nil
+		return &BalanceResp{BalanceCents: balance}, nil
 	})
-}
-
-func hashPassword(password, salt string) string {
-	sum := sha256.Sum256([]byte(salt + ":" + password))
-	return hex.EncodeToString(sum[:])
-}
-
-func randomHex(n int) string {
-	b := make([]byte, n)
-	rand.Read(b) //nolint:errcheck
-	return hex.EncodeToString(b)
 }
 
 // RentReq rents a movie for streaming.
@@ -161,20 +92,17 @@ const (
 // video streaming tier validates per segment.
 func registerRent(srv *rpc.Server, user svcutil.Caller, db svcutil.DB) {
 	svcutil.Handle(srv, "Rent", func(ctx *rpc.Ctx, req *RentReq) (*RentResp, error) {
-		var auth VerifyTokenResp
-		if err := user.Call(ctx, "VerifyToken", VerifyTokenReq{Token: req.Token}, &auth); err != nil {
+		username, err := accounts.Verify(ctx, user, req.Token)
+		if err != nil {
 			return nil, err
 		}
-		if !auth.Valid {
-			return nil, rpc.Errorf(rpc.CodeUnauthorized, "rent: invalid token")
-		}
-		if err := user.Call(ctx, "Charge", ChargeReq{Username: auth.Username, AmountCents: rentalPriceCents}, nil); err != nil {
+		if err := user.Call(ctx, "Charge", ChargeReq{Username: username, AmountCents: rentalPriceCents}, nil); err != nil {
 			return nil, err
 		}
 		r := Rental{
-			Username:   auth.Username,
+			Username:   username,
 			MovieID:    req.MovieID,
-			Token:      randomHex(12),
+			Token:      accounts.RandomHex(12),
 			ExpiresAt:  time.Now().Add(rentalPeriod).UnixNano(),
 			PriceCents: rentalPriceCents,
 		}

@@ -10,6 +10,7 @@ import (
 	"dsb/internal/codec"
 	"dsb/internal/docstore"
 	"dsb/internal/rpc"
+	"dsb/internal/services/accounts"
 	"dsb/internal/svcutil"
 )
 
@@ -215,12 +216,9 @@ type composeReviewDeps struct {
 func registerComposeReview(srv *rpc.Server, deps composeReviewDeps) {
 	var seq atomic.Uint64
 	svcutil.Handle(srv, "Compose", func(ctx *rpc.Ctx, req *ComposeReviewReq) (*ComposeReviewResp, error) {
-		var auth VerifyTokenResp
-		if err := deps.user.Call(ctx, "VerifyToken", VerifyTokenReq{Token: req.Token}, &auth); err != nil {
+		username, err := accounts.Verify(ctx, deps.user, req.Token)
+		if err != nil {
 			return nil, err
-		}
-		if !auth.Valid {
-			return nil, rpc.Errorf(rpc.CodeUnauthorized, "composeReview: invalid token")
 		}
 		var movie GetMovieResp
 		if err := deps.movieID.Call(ctx, "Resolve", FindByTitleReq{Title: req.MovieTitle}, &movie); err != nil {
@@ -238,7 +236,7 @@ func registerComposeReview(srv *rpc.Server, deps composeReviewDeps) {
 		review := Review{
 			ID:        fmt.Sprintf("rev-%d-%d", now.UnixMilli(), seq.Add(1)),
 			MovieID:   movie.Movie.ID,
-			Username:  auth.Username,
+			Username:  username,
 			Text:      text.Text,
 			Rating:    rating.Rating,
 			CreatedAt: now.UnixNano(),

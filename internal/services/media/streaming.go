@@ -7,6 +7,7 @@ import (
 	"dsb/internal/blobstore"
 	"dsb/internal/rest"
 	"dsb/internal/rpc"
+	"dsb/internal/services/accounts"
 	"dsb/internal/svcutil"
 )
 
@@ -83,19 +84,16 @@ type RecommendMoviesReq struct {
 // count), and the top genres' highest-rated unseen movies are returned.
 func registerRecommender(srv *rpc.Server, user, userReview, movieDB svcutil.Caller) {
 	svcutil.Handle(srv, "Recommend", func(ctx *rpc.Ctx, req *RecommendMoviesReq) (*MoviesResp, error) {
-		var auth VerifyTokenResp
-		if err := user.Call(ctx, "VerifyToken", VerifyTokenReq{Token: req.Token}, &auth); err != nil {
+		username, err := accounts.Verify(ctx, user, req.Token)
+		if err != nil {
 			return nil, err
-		}
-		if !auth.Valid {
-			return nil, rpc.Errorf(rpc.CodeUnauthorized, "recommender: invalid token")
 		}
 		limit := int(req.Limit)
 		if limit <= 0 {
 			limit = 5
 		}
 		var history ReviewsResp
-		if err := userReview.Call(ctx, "List", ReviewsByUserReq{Username: auth.Username, Limit: 100}, &history); err != nil {
+		if err := userReview.Call(ctx, "List", ReviewsByUserReq{Username: username, Limit: 100}, &history); err != nil {
 			return nil, err
 		}
 		seen := make(map[string]bool)

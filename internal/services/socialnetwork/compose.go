@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dsb/internal/rpc"
+	"dsb/internal/services/accounts"
 	"dsb/internal/svcutil"
 )
 
@@ -52,12 +53,9 @@ type composeDeps struct {
 // is a lost write, not a degraded one.
 func registerComposePost(srv *rpc.Server, deps composeDeps, degrade bool) {
 	svcutil.Handle(srv, "Compose", func(ctx *rpc.Ctx, req *ComposePostReq) (*ComposePostResp, error) {
-		var auth VerifyTokenResp
-		if err := deps.user.Call(ctx, "VerifyToken", VerifyTokenReq{Token: req.Token}, &auth); err != nil {
+		username, err := accounts.Verify(ctx, deps.user, req.Token)
+		if err != nil {
 			return nil, err
-		}
-		if !auth.Valid {
-			return nil, rpc.Errorf(rpc.CodeUnauthorized, "composePost: invalid token")
 		}
 
 		text := req.Text
@@ -131,7 +129,7 @@ func registerComposePost(srv *rpc.Server, deps composeDeps, degrade bool) {
 
 		post := Post{
 			ID:        idResp.ID,
-			Author:    auth.Username,
+			Author:    username,
 			Text:      txtResp.Text,
 			Mentions:  txtResp.Mentions,
 			URLs:      txtResp.URLs,

@@ -6,6 +6,7 @@ import (
 	"dsb/internal/codec"
 	"dsb/internal/rest"
 	"dsb/internal/rpc"
+	"dsb/internal/services/accounts"
 	"dsb/internal/svcutil"
 	"dsb/internal/transport"
 )
@@ -64,27 +65,12 @@ type frontendDeps struct {
 // Figure 4. Every handler authenticates where needed and translates
 // between JSON and the downstream RPC types.
 func registerFrontend(srv *rest.Server, d frontendDeps) {
-	authed := func(ctx *rest.Ctx, token string) (string, error) {
-		var auth VerifyTokenResp
-		if err := d.user.Call(ctx, "VerifyToken", VerifyTokenReq{Token: token}, &auth); err != nil {
-			return "", err
-		}
-		if !auth.Valid {
-			return "", rpc.Errorf(rpc.CodeUnauthorized, "invalid token")
-		}
-		return auth.Username, nil
-	}
-
 	srv.Handle("POST /register", func(ctx *rest.Ctx, body []byte) (any, error) {
 		var req CredentialsBody
 		if err := rest.DecodeJSON(body, &req); err != nil {
 			return nil, err
 		}
-		var resp RegisterResp
-		if err := d.user.Call(ctx, "Register", RegisterReq{Username: req.Username, Password: req.Password}, &resp); err != nil {
-			return nil, err
-		}
-		return resp, nil
+		return nil, d.user.Call(ctx, "Register", RegisterReq{Username: req.Username, Password: req.Password}, nil)
 	})
 
 	srv.Handle("POST /login", func(ctx *rest.Ctx, body []byte) (any, error) {
@@ -162,7 +148,7 @@ func registerFrontend(srv *rest.Server, d frontendDeps) {
 		if err := rest.DecodeJSON(body, &req); err != nil {
 			return nil, err
 		}
-		follower, err := authed(ctx, req.Token)
+		follower, err := accounts.Verify(ctx, d.user, req.Token)
 		if err != nil {
 			return nil, err
 		}
@@ -174,7 +160,7 @@ func registerFrontend(srv *rest.Server, d frontendDeps) {
 		if err := rest.DecodeJSON(body, &req); err != nil {
 			return nil, err
 		}
-		user, err := authed(ctx, req.Token)
+		user, err := accounts.Verify(ctx, d.user, req.Token)
 		if err != nil {
 			return nil, err
 		}
@@ -186,7 +172,7 @@ func registerFrontend(srv *rest.Server, d frontendDeps) {
 		if err := rest.DecodeJSON(body, &req); err != nil {
 			return nil, err
 		}
-		user, err := authed(ctx, req.Token)
+		user, err := accounts.Verify(ctx, d.user, req.Token)
 		if err != nil {
 			return nil, err
 		}

@@ -424,3 +424,38 @@ func TestTimelineReplyIsEncodingJSON(t *testing.T) {
 		t.Fatalf("client decoded %+v, encoding/json decodes %+v", got, viaStd)
 	}
 }
+
+// TestBumpStatConcurrent: concurrent counter bumps on one user — follows of
+// a celebrity, composes by one author — all land. A Get, an increment and a
+// Put per bump would let two of them read the same count.
+func TestBumpStatConcurrent(t *testing.T) {
+	sn, _ := boot(t, "star")
+	ctx := context.Background()
+	const workers, bumps = 8, 50
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < bumps; i++ {
+				if err := sn.User.Call(ctx, "BumpStat", BumpStatReq{Username: "star", Stat: "followers", Delta: 1}, nil); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	var info InfoResp
+	if err := sn.User.Call(ctx, "Info", InfoReq{Username: "star"}, &info); err != nil {
+		t.Fatal(err)
+	}
+	if got := info.Info.Followers; got != workers*bumps {
+		t.Fatalf("followers = %d after %d concurrent bumps of +1", got, workers*bumps)
+	}
+}

@@ -168,12 +168,3 @@ func TestSnowflakeClockStepBack(t *testing.T) {
 		prev = id
 	}
 }
-
-func TestHashPasswordSaltMatters(t *testing.T) {
-	if hashPassword("pw", "a") == hashPassword("pw", "b") {
-		t.Fatal("salt ignored")
-	}
-	if hashPassword("pw", "a") != hashPassword("pw", "a") {
-		t.Fatal("hash not deterministic")
-	}
-}

@@ -2,38 +2,22 @@ package socialnetwork
 
 import (
 	"context"
-	"crypto/rand"
-	"crypto/sha256"
-	"encoding/hex"
+	"math"
 	"strings"
 	"time"
 
 	"dsb/internal/codec"
-	"dsb/internal/docstore"
 	"dsb/internal/rpc"
+	"dsb/internal/services/accounts"
 	"dsb/internal/svcutil"
 )
 
-// RegisterReq creates an account.
-type RegisterReq struct{ Username, Password string }
-
-// RegisterResp confirms creation.
-type RegisterResp struct{ Username string }
-
-// LoginReq authenticates a user.
-type LoginReq struct{ Username, Password string }
-
-// LoginResp returns a session token.
-type LoginResp struct{ Token string }
-
-// VerifyTokenReq validates a session token.
-type VerifyTokenReq struct{ Token string }
-
-// VerifyTokenResp returns the logged-in username.
-type VerifyTokenResp struct {
-	Username string
-	Valid    bool
-}
+// The login half of the tier is the shared accounts service.
+type (
+	RegisterReq = accounts.RegisterReq
+	LoginReq    = accounts.LoginReq
+	LoginResp   = accounts.LoginResp
+)
 
 // ExistsReq asks which usernames exist.
 type ExistsReq struct{ Usernames []string }
@@ -54,19 +38,17 @@ type BumpStatReq struct {
 	Delta    int64
 }
 
-const tokenTTL = time.Hour
-
 // profileCacheTTL bounds cached profiles; short, because follower counts
 // move constantly and BumpStat invalidation is best-effort.
 const profileCacheTTL = 30 * time.Second
 
-// registerUser installs the login/userInfo service: account registration
-// with salted password hashes, token-based sessions kept in the cache tier
-// with a TTL, existence checks for mention verification, and profile
-// counters. Profile reads ("u:" keys) run through the shared
-// svcutil.ReadPath — a celebrity profile is the textbook hot key, and
-// before coalescing every concurrent Info miss became its own users-store
-// read — with BumpStat invalidating the entry after every counter change.
+// registerUser installs the login/userInfo service: the shared accounts
+// handlers over the users collection, existence checks for mention
+// verification, and profile counters. Profile reads ("u:" keys) run
+// through the shared svcutil.ReadPath — a celebrity profile is the
+// textbook hot key, and before coalescing every concurrent Info miss
+// became its own users-store read — with BumpStat invalidating the entry
+// after every counter change.
 func registerUser(srv *rpc.Server, db svcutil.DB, mc svcutil.KV, noCoalesce bool) {
 	profilePath := &svcutil.ReadPath[UserInfo]{
 		MC:         mc,
@@ -93,55 +75,7 @@ func registerUser(srv *rpc.Server, db svcutil.DB, mc svcutil.KV, noCoalesce bool
 			return info, enc, true, err
 		},
 	}
-	svcutil.Handle(srv, "Register", func(ctx *rpc.Ctx, req *RegisterReq) (*RegisterResp, error) {
-		if req.Username == "" || req.Password == "" {
-			return nil, rpc.Errorf(rpc.CodeBadRequest, "user: username and password required")
-		}
-		if _, found, err := db.Get(ctx, "users", req.Username); err != nil {
-			return nil, err
-		} else if found {
-			return nil, rpc.Errorf(rpc.CodeConflict, "user: %q taken", req.Username)
-		}
-		salt := randomHex(8)
-		doc := docstore.Doc{
-			ID: req.Username,
-			Fields: map[string]string{
-				"salt": salt,
-				"hash": hashPassword(req.Password, salt),
-			},
-			Nums: map[string]int64{"posts": 0, "followers": 0, "followees": 0},
-		}
-		if err := db.Put(ctx, "users", doc); err != nil {
-			return nil, err
-		}
-		return &RegisterResp{Username: req.Username}, nil
-	})
-
-	svcutil.Handle(srv, "Login", func(ctx *rpc.Ctx, req *LoginReq) (*LoginResp, error) {
-		doc, found, err := db.Get(ctx, "users", req.Username)
-		if err != nil {
-			return nil, err
-		}
-		if !found || hashPassword(req.Password, doc.Fields["salt"]) != doc.Fields["hash"] {
-			return nil, rpc.Errorf(rpc.CodeUnauthorized, "user: bad credentials")
-		}
-		token := randomHex(16)
-		if err := mc.Set(ctx, "tok:"+token, []byte(req.Username), tokenTTL); err != nil {
-			return nil, err
-		}
-		return &LoginResp{Token: token}, nil
-	})
-
-	svcutil.Handle(srv, "VerifyToken", func(ctx *rpc.Ctx, req *VerifyTokenReq) (*VerifyTokenResp, error) {
-		v, found, err := mc.Get(ctx, "tok:"+req.Token)
-		if err != nil {
-			return nil, err
-		}
-		if !found {
-			return &VerifyTokenResp{}, nil
-		}
-		return &VerifyTokenResp{Username: string(v), Valid: true}, nil
-	})
+	accounts.Register(srv, db, mc, "users")
 
 	svcutil.Handle(srv, "Exists", func(ctx *rpc.Ctx, req *ExistsReq) (*ExistsResp, error) {
 		var out []string
@@ -172,30 +106,17 @@ func registerUser(srv *rpc.Server, db svcutil.DB, mc svcutil.KV, noCoalesce bool
 		default:
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "user: unknown stat %q", req.Stat)
 		}
-		doc, found, err := db.Get(ctx, "users", req.Username)
+		// One store-side AddNum: two follows of one user, or two composes by
+		// one author, must not both read the same count.
+		_, found, _, err := db.AddNum(ctx, "users", req.Username, req.Stat, req.Delta, math.MinInt64)
 		if err != nil {
 			return nil, err
 		}
 		if !found {
 			return nil, rpc.NotFoundf("user: no user %q", req.Username)
 		}
-		doc.Nums[req.Stat] += req.Delta
-		if err := db.Put(ctx, "users", doc); err != nil {
-			return nil, err
-		}
 		// Drop the cached profile so the next Info reflects the new count.
 		mc.Delete(ctx, "u:"+req.Username) //nolint:errcheck // best-effort; TTL bounds staleness
 		return nil, nil
 	})
-}
-
-func hashPassword(password, salt string) string {
-	sum := sha256.Sum256([]byte(salt + ":" + password))
-	return hex.EncodeToString(sum[:])
-}
-
-func randomHex(n int) string {
-	b := make([]byte, n)
-	rand.Read(b) //nolint:errcheck // crypto/rand.Read never fails on supported platforms
-	return hex.EncodeToString(b)
 }

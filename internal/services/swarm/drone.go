@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"dsb/internal/svcutil"
-	"dsb/internal/transport"
 )
 
 // syncMutex lets services.go avoid importing sync twice across files.
@@ -51,74 +50,6 @@ type Drone struct {
 	// iteration — a hook for failure injection (e.g. dropping an obstacle
 	// onto the remaining path mid-flight).
 	OnTick func(pos Point, remaining []Point)
-	// StreamTelemetry batches the mission's sensor samples and frame
-	// archives onto one standing Telemetry stream instead of a unary call
-	// per tick — behind the wifi hop that turns an RTT per sample into an
-	// RTT per mission. If the stream cannot open or dies mid-flight the
-	// drone falls back to unary calls.
-	StreamTelemetry bool
-}
-
-// telemetry is one mission's telemetry session: the open stream, or nil
-// when streaming is off / unavailable — then every push is a unary call.
-type telemetry struct {
-	d  *Drone
-	st *transport.Stream
-}
-
-// open starts the mission stream if configured and the transport supports
-// it; failures are not fatal (the session just stays unary).
-func (d *Drone) openTelemetry(ctx context.Context) *telemetry {
-	ts := &telemetry{d: d}
-	if !d.StreamTelemetry {
-		return ts
-	}
-	sc, ok := d.Clients.Telemetry.(transport.Streamer)
-	if !ok {
-		return ts
-	}
-	st, err := sc.Stream(ctx, "Telemetry", TelemetryOpen{DroneID: d.ID})
-	if err == nil {
-		ts.st = st
-	}
-	return ts
-}
-
-// push sends one item on the stream, falling back to the given unary call
-// if the stream is gone (and disabling it for the rest of the mission on a
-// send failure — the conn died; unary calls will redial).
-func (ts *telemetry) push(ctx context.Context, item TelemetryItem, method string, req any) error {
-	if ts.st != nil {
-		if err := ts.st.Send(item); err == nil {
-			return nil
-		}
-		ts.st.Cancel()
-		ts.st = nil
-	}
-	return svcutil.CallBounded(ctx, ts.d.Clients.Telemetry, method, req, nil)
-}
-
-// finish half-closes the stream and waits for the server's end-of-stream,
-// surfacing any persist error the server hit after the last accepted Send.
-func (ts *telemetry) finish() error {
-	if ts.st == nil {
-		return nil
-	}
-	st := ts.st
-	ts.st = nil
-	if err := st.CloseSend(); err != nil {
-		return err
-	}
-	var ack struct{}
-	err := st.Recv(&ack)
-	if transport.IsStreamEnd(err) {
-		return nil
-	}
-	if err == nil {
-		err = fmt.Errorf("swarm: unexpected item on telemetry stream")
-		st.Cancel()
-	}
-	return err
 }
 
 // MissionResult summarizes one photograph-the-target mission.
@@ -143,7 +74,7 @@ type MissionResult struct {
 const maxMissionSteps = 10000
 
 // FlyTo executes a mission: route to target, avoid obstacles (re-routing
-// when the path is blocked by something the planner didn't know), stream
+// when the path is blocked by something the planner didn't know), report
 // telemetry, photograph the target, and run image recognition.
 func (d *Drone) FlyTo(ctx context.Context, target Point) (MissionResult, error) {
 	start := time.Now()
@@ -153,13 +84,6 @@ func (d *Drone) FlyTo(ctx context.Context, target Point) (MissionResult, error) 
 		return res, err
 	}
 	d.log(ctx, fmt.Sprintf("mission to (%d,%d): %d waypoints", target.X, target.Y, len(route.Path)))
-
-	ts := d.openTelemetry(ctx)
-	defer func() {
-		if ts.st != nil {
-			ts.st.Cancel() // early return: don't leak the mission stream
-		}
-	}()
 
 	path := route.Path
 	for len(path) > 0 {
@@ -197,7 +121,7 @@ func (d *Drone) FlyTo(ctx context.Context, target Point) (MissionResult, error) 
 			}
 		}
 		d.Heading = headingOf(move)
-		if err := d.report(ctx, ts); err != nil {
+		if err := d.report(ctx); err != nil {
 			res.Degraded = true
 		} else {
 			res.SensorLogs++
@@ -212,13 +136,7 @@ func (d *Drone) FlyTo(ctx context.Context, target Point) (MissionResult, error) 
 	}
 	res.Label, res.Confident = rec.Label, rec.Confident
 	sf := StoreFrameReq{DroneID: d.ID, At: d.Pos, Frame: frame, Label: rec.Label}
-	if err := ts.push(ctx, TelemetryItem{Frame: &sf}, "StoreFrame", sf); err != nil {
-		res.Degraded = true
-	}
-	// Drain the stream: a persist error the server hit after the last
-	// accepted Send surfaces here, where the unary path would have seen it
-	// per call.
-	if err := ts.finish(); err != nil {
+	if err := svcutil.CallBounded(ctx, d.Clients.Telemetry, "StoreFrame", sf, nil); err != nil {
 		res.Degraded = true
 	}
 	d.log(ctx, fmt.Sprintf("recognized %q (confident=%v)", rec.Label, rec.Confident))
@@ -239,7 +157,7 @@ func headingOf(m Point) int64 {
 	}
 }
 
-func (d *Drone) report(ctx context.Context, ts *telemetry) error {
+func (d *Drone) report(ctx context.Context) error {
 	rep := SensorReport{
 		DroneID:        d.ID,
 		Location:       d.Pos,
@@ -247,7 +165,7 @@ func (d *Drone) report(ctx context.Context, ts *telemetry) error {
 		OrientationDeg: d.Heading,
 		LuminosityPct:  int64(60 + (d.Pos.X+d.Pos.Y)%40),
 	}
-	return ts.push(ctx, TelemetryItem{Report: &rep}, "Report", rep)
+	return svcutil.CallBounded(ctx, d.Clients.Telemetry, "Report", rep, nil)
 }
 
 func (d *Drone) log(ctx context.Context, line string) {

@@ -2,9 +2,7 @@ package swarm
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -150,97 +148,48 @@ type StoreFrameReq struct {
 	Label   string
 }
 
-// TelemetryOpen opens a drone's per-mission telemetry stream.
-type TelemetryOpen struct{ DroneID string }
-
-// TelemetryItem is one frame on a drone's telemetry stream: a sensor
-// sample or a captured frame, exactly one field set. Batching many items on
-// one standing stream replaces a unary Report call per mission tick —
-// which, behind the wifi hop, paid the full RTT per sample.
-type TelemetryItem struct {
-	Report *SensorReport
-	Frame  *StoreFrameReq
-}
-
-// persistReport writes one sensor sample into the four per-sensor
-// collections; shared by the unary Report handler and the stream path.
-func persistReport(ctx context.Context, db svcutil.DB, seq *atomic.Int64, req *SensorReport) error {
-	if req.DroneID == "" {
-		return rpc.Errorf(rpc.CodeBadRequest, "telemetry: drone ID required")
-	}
-	if req.At == 0 {
-		req.At = time.Now().UnixNano()
-	}
-	body, err := codec.Marshal(*req)
-	if err != nil {
-		return err
-	}
-	n := seq.Add(1)
-	for _, col := range []string{"location", "speed", "orientation", "luminosity"} {
-		doc := docstore.Doc{
-			ID:     fmt.Sprintf("%s-%d-%d", req.DroneID, req.At, n),
-			Fields: map[string]string{"drone": req.DroneID},
-			Body:   body,
-		}
-		if err := db.Put(ctx, col, doc); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// persistFrame archives one captured frame; shared by the unary StoreFrame
-// handler and the stream path.
-func persistFrame(ctx context.Context, db svcutil.DB, req *StoreFrameReq) error {
-	body, err := codec.Marshal(*req)
-	if err != nil {
-		return err
-	}
-	doc := docstore.Doc{
-		ID:     fmt.Sprintf("%s-%d-%d-%d", req.DroneID, req.At.X, req.At.Y, time.Now().UnixNano()),
-		Fields: map[string]string{"drone": req.DroneID, "label": req.Label},
-		Body:   body,
-	}
-	return db.Put(ctx, "images", doc)
-}
-
 // registerTelemetry installs the cloud sensor databases (LocationDB,
 // SpeedDB, OrientationDB, LuminosityDB, ImageDB of Figure 8) behind one
 // RPC surface. The tier itself is stateless logic: samples persist into
 // per-sensor collections of the db-telemetry store tier, which shards like
-// every other stateful tier in the suite. Samples arrive either as unary
-// Report/StoreFrame calls (one RTT each) or batched on a per-mission
-// Telemetry stream.
+// every other stateful tier in the suite. Samples arrive as unary
+// Report/StoreFrame calls, one RTT each.
 func registerTelemetry(srv *rpc.Server, db svcutil.DB) {
 	var seq atomic.Int64
 	svcutil.Handle(srv, "Report", func(ctx *rpc.Ctx, req *SensorReport) (*struct{}, error) {
-		return nil, persistReport(ctx, db, &seq, req)
-	})
-	svcutil.Handle(srv, "StoreFrame", func(ctx *rpc.Ctx, req *StoreFrameReq) (*struct{}, error) {
-		return nil, persistFrame(ctx, db, req)
-	})
-	srv.HandleStream("Telemetry", func(ctx *rpc.Ctx, payload []byte, st *rpc.ServerStream) error {
-		for {
-			var item TelemetryItem
-			if err := st.RecvMsg(&item); err != nil {
-				if errors.Is(err, io.EOF) {
-					return nil // drone half-closed: mission over, stream drained
-				}
-				return err
+		if req.DroneID == "" {
+			return nil, rpc.Errorf(rpc.CodeBadRequest, "telemetry: drone ID required")
+		}
+		if req.At == 0 {
+			req.At = time.Now().UnixNano()
+		}
+		body, err := codec.Marshal(*req)
+		if err != nil {
+			return nil, err
+		}
+		n := seq.Add(1)
+		for _, col := range []string{"location", "speed", "orientation", "luminosity"} {
+			doc := docstore.Doc{
+				ID:     fmt.Sprintf("%s-%d-%d", req.DroneID, req.At, n),
+				Fields: map[string]string{"drone": req.DroneID},
+				Body:   body,
 			}
-			switch {
-			case item.Report != nil:
-				if err := persistReport(ctx, db, &seq, item.Report); err != nil {
-					return err
-				}
-			case item.Frame != nil:
-				if err := persistFrame(ctx, db, item.Frame); err != nil {
-					return err
-				}
-			default:
-				return rpc.Errorf(rpc.CodeBadRequest, "telemetry: empty stream item")
+			if err := db.Put(ctx, col, doc); err != nil {
+				return nil, err
 			}
 		}
+		return nil, nil
+	})
+	svcutil.Handle(srv, "StoreFrame", func(ctx *rpc.Ctx, req *StoreFrameReq) (*struct{}, error) {
+		body, err := codec.Marshal(*req)
+		if err != nil {
+			return nil, err
+		}
+		return nil, db.Put(ctx, "images", docstore.Doc{
+			ID:     fmt.Sprintf("%s-%d-%d-%d", req.DroneID, req.At.X, req.At.Y, time.Now().UnixNano()),
+			Fields: map[string]string{"drone": req.DroneID, "label": req.Label},
+			Body:   body,
+		})
 	})
 	svcutil.Handle(srv, "History", func(ctx *rpc.Ctx, req *SensorReport) (*struct{ Count int64 }, error) {
 		docs, err := db.Find(ctx, "location", "drone", req.DroneID, 0)

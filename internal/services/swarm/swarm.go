@@ -31,11 +31,6 @@ type Config struct {
 	ShardReplicas int
 	// Middleware is installed on every inter-tier client wire.
 	Middleware []transport.Middleware
-	// StreamTelemetry has drones batch sensor samples and frame archives on
-	// one per-mission Telemetry stream instead of a unary call per tick —
-	// one wifi RTT per mission rather than per sample. Drones fall back to
-	// unary calls when the stream dies.
-	StreamTelemetry bool
 	// Spawner, when set, receives replicable tier boots so the control plane
 	// can autoscale them.
 	Spawner svcutil.Definer
@@ -121,12 +116,11 @@ func New(app *core.App, cfg Config) (*Swarm, error) {
 			return nil, err
 		}
 		sw.Drones = append(sw.Drones, &Drone{
-			ID:              droneID,
-			World:           world,
-			Pos:             Point{0, 0},
-			Seed:            cfg.Seed + uint64(i),
-			Clients:         clients,
-			StreamTelemetry: cfg.StreamTelemetry,
+			ID:      droneID,
+			World:   world,
+			Pos:     Point{0, 0},
+			Seed:    cfg.Seed + uint64(i),
+			Clients: clients,
 		})
 	}
 	return sw, nil

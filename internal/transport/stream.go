@@ -2,31 +2,22 @@ package transport
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
 
 	"dsb/internal/codec"
 )
 
-// StreamConn is the raw wire surface of one open stream: the terminal
-// invoker sets it on a streaming Call, and the typed Stream wraps it. Both
-// directions carry opaque payload frames under per-direction flow-control
-// windows; the semantics (who sends, who receives, when to half-close) are
-// the method contract's business, not the transport's.
+// StreamConn is the client's raw wire surface of one open stream: the
+// terminal invoker sets it on a streaming Call, and the typed Stream wraps
+// it. Items run from server to client as opaque payload frames under a
+// flow-control window the client refills as it consumes them.
 type StreamConn interface {
-	// Send writes one item frame, blocking while the peer's receive window
-	// is exhausted. It fails once the stream is torn down or half-closed.
-	Send(payload []byte) error
-	// CloseSend half-closes the local send side: the peer's Recv drains
-	// whatever is in flight and then sees io.EOF. Receiving stays open.
-	CloseSend() error
-	// Recv returns the next item from the peer, io.EOF after a clean end,
-	// or the peer's coded error. Items already received are always drained
-	// before an end condition is reported.
+	// Recv returns the next item from the server, io.EOF after a clean end,
+	// or the server's coded error. Items already received are always
+	// drained before an end condition is reported.
 	Recv() ([]byte, error)
-	// Cancel aborts the stream from this side: parked Sends and Recvs wake,
-	// and the peer observes the abort. Safe to call more than once.
+	// Cancel aborts the stream from the client: a parked Recv wakes, and
+	// the server observes the abort. Safe to call more than once.
 	Cancel()
 }
 
@@ -45,17 +36,8 @@ func NewStream(raw StreamConn, target, method string) *Stream {
 	return &Stream{raw: raw, target: target, method: method}
 }
 
-// Send encodes v and writes one item frame.
-func (s *Stream) Send(v any) error {
-	payload, err := codec.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("transport: marshal %s.%s stream item: %w", s.target, s.method, err)
-	}
-	return s.raw.Send(payload)
-}
-
 // Recv decodes the next item into v (nil v discards the payload). It
-// returns io.EOF after the peer's clean end, or the peer's coded error.
+// returns io.EOF after the server's clean end, or the server's coded error.
 func (s *Stream) Recv(v any) error {
 	payload, err := s.raw.Recv()
 	if err != nil {
@@ -70,20 +52,13 @@ func (s *Stream) Recv(v any) error {
 	return nil
 }
 
-// CloseSend half-closes the send side; the peer's Recv sees io.EOF.
-func (s *Stream) CloseSend() error { return s.raw.CloseSend() }
-
-// Cancel aborts the stream from this side.
+// Cancel aborts the stream.
 func (s *Stream) Cancel() { s.raw.Cancel() }
-
-// IsStreamEnd reports whether a Recv error is the clean end-of-stream.
-func IsStreamEnd(err error) bool { return errors.Is(err, io.EOF) }
 
 // Streamer is the optional streaming extension of Caller. *rpc.Client,
 // *lb.Balanced, and *shard.Replica implement it through OpenStream;
 // adopters type-assert and fall back to their unary path (long-poll
-// consume, per-sample calls) when the underlying caller is a fake or an
-// older transport.
+// consume) when the underlying caller is a fake or an older transport.
 type Streamer interface {
 	Stream(ctx context.Context, method string, req any) (*Stream, error)
 }

@@ -23,14 +23,9 @@ var pinnedModes = map[string]string{
 	"socialnetwork.Config.DisableCoalescing":  "hotpath",
 }
 
-// openModes is the one exception: StreamTelemetry's unary path is the
-// stream's error fallback and Fig 9's per-tick-RTT arm, so deleting the flag
-// deletes no code; it needs a two-armed experiment (ROADMAP item 5(2)), and
-// moves to pinnedModes when it gets one.
-var openModes = []string{
-	"swarm.Config.StreamTelemetry",
-	"swarm.Drone.StreamTelemetry",
-}
+// openModes would list a mode still waiting for its two-armed experiment;
+// there is none, and a new entry needs a reason as strong as an experiment.
+var openModes []string
 
 var modeName = regexp.MustCompile(`^(Disable|Async|Stream|No)[A-Z]`)
 

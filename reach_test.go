@@ -51,8 +51,7 @@ var unreached = map[string]string{
 	"sqlstore.Cluster.Shards":    "media's shard-fault test walks every shard with it",
 
 	// State only a test reads.
-	"experiments.chaosResult.schedule":      "the reproducibility witness TestChaosRecoveryShape compares across two same-seed live runs",
-	"services/swarm.Config.StreamTelemetry": "TestModeFlagCensus's one open mode (modes_test.go); only swarm's stream test sets it",
+	"experiments.chaosResult.schedule": "the reproducibility witness TestChaosRecoveryShape compares across two same-seed live runs",
 }
 
 // TestReachCensus holds the module to "nothing unreached": it type-checks
