@@ -35,11 +35,11 @@ func main() {
 	ctx := context.Background()
 	fe := ec.Frontend
 
-	if err := fe.Do(ctx, "POST", "/register", ecommerce.CredentialsBody{Username: "hiker", Password: "pw"}, nil); err != nil {
+	if err := fe.Do(ctx, "POST", "/register", ecommerce.LoginReq{Username: "hiker", Password: "pw"}, nil); err != nil {
 		log.Fatalf("register: %v", err)
 	}
 	var login ecommerce.LoginResp
-	if err := fe.Do(ctx, "POST", "/login", ecommerce.CredentialsBody{Username: "hiker", Password: "pw"}, &login); err != nil {
+	if err := fe.Do(ctx, "POST", "/login", ecommerce.LoginReq{Username: "hiker", Password: "pw"}, &login); err != nil {
 		log.Fatalf("login: %v", err)
 	}
 
@@ -77,7 +77,7 @@ func main() {
 	}
 
 	var order ecommerce.Order
-	if err := fe.Do(ctx, "POST", "/orders", ecommerce.OrderBody{Token: login.Token, Shipping: "express"}, &order); err != nil {
+	if err := fe.Do(ctx, "POST", "/orders", ecommerce.PlaceOrderReq{Token: login.Token, Shipping: "express"}, &order); err != nil {
 		log.Fatalf("order: %v", err)
 	}
 	fmt.Printf("\norder %s placed:\n", order.ID)

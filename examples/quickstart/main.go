@@ -30,16 +30,16 @@ func main() {
 
 	// Register and log in two users over REST.
 	for _, user := range []string{"ada", "grace"} {
-		if err := fe.Do(ctx, "POST", "/register", socialnetwork.CredentialsBody{Username: user, Password: "pw-" + user}, nil); err != nil {
+		if err := fe.Do(ctx, "POST", "/register", socialnetwork.LoginReq{Username: user, Password: "pw-" + user}, nil); err != nil {
 			log.Fatalf("register %s: %v", user, err)
 		}
 	}
 	var ada socialnetwork.LoginResp
-	if err := fe.Do(ctx, "POST", "/login", socialnetwork.CredentialsBody{Username: "ada", Password: "pw-ada"}, &ada); err != nil {
+	if err := fe.Do(ctx, "POST", "/login", socialnetwork.LoginReq{Username: "ada", Password: "pw-ada"}, &ada); err != nil {
 		log.Fatalf("login: %v", err)
 	}
 	var grace socialnetwork.LoginResp
-	if err := fe.Do(ctx, "POST", "/login", socialnetwork.CredentialsBody{Username: "grace", Password: "pw-grace"}, &grace); err != nil {
+	if err := fe.Do(ctx, "POST", "/login", socialnetwork.LoginReq{Username: "grace", Password: "pw-grace"}, &grace); err != nil {
 		log.Fatalf("login: %v", err)
 	}
 
@@ -48,7 +48,7 @@ func main() {
 		log.Fatalf("follow: %v", err)
 	}
 	var post socialnetwork.Post
-	if err := fe.Do(ctx, "POST", "/posts", socialnetwork.PostBody{
+	if err := fe.Do(ctx, "POST", "/posts", socialnetwork.ComposePostReq{
 		Token: ada.Token,
 		Text:  "hello @grace — analytical engines at https://example.com/engines are underrated",
 	}, &post); err != nil {

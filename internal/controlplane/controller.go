@@ -42,6 +42,9 @@ func (m ManagedService) bounds() (int, int) {
 	return lo, hi
 }
 
+// fetchTimeout bounds each replica report probe.
+const fetchTimeout = 50 * time.Millisecond
+
 // ControllerConfig wires a Controller.
 type ControllerConfig struct {
 	Registry *registry.Registry
@@ -51,8 +54,6 @@ type ControllerConfig struct {
 	Services []ManagedService
 	// Interval is the reconcile period (default 250ms).
 	Interval time.Duration
-	// FetchTimeout bounds each replica report probe (default 50ms).
-	FetchTimeout time.Duration
 
 	// fetch overrides the report probe in tests.
 	fetch func(ctx context.Context, service, addr string) (LoadReport, error)
@@ -87,9 +88,6 @@ type Controller struct {
 func NewController(cfg ControllerConfig) *Controller {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 250 * time.Millisecond
-	}
-	if cfg.FetchTimeout <= 0 {
-		cfg.FetchTimeout = 50 * time.Millisecond
 	}
 	c := &Controller{
 		cfg:     cfg,
@@ -221,7 +219,7 @@ func (c *Controller) fetchReport(ctx context.Context, service, addr string) (Loa
 		c.clients[key] = cl
 	}
 	c.mu.Unlock()
-	return FetchReport(ctx, cl, c.cfg.FetchTimeout)
+	return FetchReport(ctx, cl, fetchTimeout)
 }
 
 func (c *Controller) dropClient(service, addr string) {

@@ -436,3 +436,23 @@ func DecodeJSON(body []byte, v any) error {
 	}
 	return nil
 }
+
+// Forward is the handler of a route whose JSON body is the RPC request it
+// becomes: it decodes the body into a Req, calls method on to, and answers
+// with out of the response, or with the whole response when out is nil.
+func Forward[Req, Resp any](to transport.Caller, method string, out func(*Resp) any) Handler {
+	return func(ctx *Ctx, body []byte) (any, error) {
+		var req Req
+		if err := DecodeJSON(body, &req); err != nil {
+			return nil, err
+		}
+		var resp Resp
+		if err := to.Call(ctx, method, req, &resp); err != nil {
+			return nil, err
+		}
+		if out == nil {
+			return resp, nil
+		}
+		return out(&resp), nil
+	}
+}

@@ -111,15 +111,18 @@ var (
 	scriptCodes = []int64{0, 1, creditBatch, streamWindow, 2*streamWindow + 1, 1 << 31, math.MaxInt64, -1, math.MinInt64, int64(CodeInternal)}
 )
 
-// scriptWire renders a script as the bytes a peer would write. It reports
-// whether the stream with sequence number 1 is sent an End before the first
-// request-shaped frame (the open included), which ends a client stream's
-// reading; and whether, read by a server, the script breaks its stream
-// connection's rule: after the first open, a request-shaped frame, an item or
-// a clean End, whatever its sequence number.
-func scriptWire(t testing.TB, script []byte) (wire []byte, ended, intrudes bool) {
-	stopped, opened := false, false
-	for ; len(script) >= 3; script = script[3:] {
+// scriptWire renders a script as the bytes a peer would write: toServer is
+// all of it, as a client sends it; toClient is what a hostile server sends
+// back on a stream the client opened — the script after its leading open
+// (the client's own frame), up to the next frame that carries a method,
+// which ends a client stream's reading. ended reports whether toClient sends
+// the stream with sequence number 1 an End; intrudes whether, read by a
+// server, the script breaks its stream connection's rule: after the first
+// open, a request-shaped frame, an item or a clean End, whatever its
+// sequence number.
+func scriptWire(t testing.TB, script []byte) (toServer, toClient []byte, ended, intrudes bool) {
+	opened, stopped := false, false
+	for first := true; len(script) >= 3; script, first = script[3:], false {
 		f := &frame{
 			kind: scriptKinds[int(script[0])%len(scriptKinds)],
 			seq:  scriptSeqs[int(script[1])%len(scriptSeqs)],
@@ -129,21 +132,27 @@ func scriptWire(t testing.TB, script []byte) (wire []byte, ended, intrudes bool)
 		case kindStreamOpen:
 			f.method = "Hold"
 			intrudes = intrudes || opened
-			opened, stopped = true, true
+			opened = true
 		case kindRequest:
 			f.method = "Echo"
 			intrudes = intrudes || opened
-			stopped = true
 		case kindStreamItem:
 			f.payload = []byte("item")
 			intrudes = intrudes || opened
 		case kindStreamEnd:
-			ended = ended || (!stopped && f.seq == 1)
 			intrudes = intrudes || (opened && f.code == 0)
 		}
-		wire = append(wire, encodeWire(t, f)...)
+		wire := encodeWire(t, f)
+		toServer = append(toServer, wire...)
+		if first && f.kind == kindStreamOpen {
+			continue
+		}
+		if stopped = stopped || hasMethod(f.kind); !stopped {
+			toClient = append(toClient, wire...)
+			ended = ended || (f.kind == kindStreamEnd && f.seq == 1)
+		}
 	}
-	return wire, ended, intrudes
+	return toServer, toClient, ended, intrudes
 }
 
 // FuzzStreamConn drives the one state machine a connection has — no stream
@@ -196,7 +205,7 @@ func FuzzStreamConn(f *testing.F) {
 			<-ctx.Done() // teardown cancels the handler's ctx, whatever caused it
 			return nil
 		})
-		wire, ended, intrudes := scriptWire(t, script)
+		wire, toClient, ended, intrudes := scriptWire(t, script)
 		peer, conn := newMemConnPair("fuzz")
 		served, unwound := make(chan struct{}), make(chan struct{})
 		go func() { s.serveConn(conn); close(served) }()
@@ -221,9 +230,10 @@ func FuzzStreamConn(f *testing.F) {
 		}
 		s.Close()
 
-		// A client stream's reader, fed the same frames by a hostile server.
+		// A client stream's reader, fed the frames after the open by a
+		// hostile server.
 		sc := newStreamCore(1, newConnWriter(io.Discard))
-		if err := sc.readFrom(newFrameReader(bytes.NewReader(wire))); err == nil {
+		if err := sc.readFrom(newFrameReader(bytes.NewReader(toClient))); err == nil {
 			t.Fatal("the reader returned without an error")
 		}
 		checkWindow(t, "client", sc, 2*streamWindow)

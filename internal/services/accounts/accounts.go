@@ -1,9 +1,10 @@
 // Package accounts is the login tier four of the suite's applications share:
 // Social Network's login/userInfo, E-commerce's login/accountInfo, Media's
 // user service and Banking's authentication each register these handlers on
-// their own tier, over their own credentials collection and session cache.
-// Passwords are stored as salted SHA-256 hashes; a session is a random token
-// the cache tier holds for tokenTTL.
+// their own tier, over their own credentials collection and session cache,
+// and their front doors install its POST /login (and, but for Banking's,
+// POST /register) routes. Passwords are stored as salted SHA-256 hashes; a
+// session is a random token the cache tier holds for tokenTTL.
 package accounts
 
 import (
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"dsb/internal/docstore"
+	"dsb/internal/rest"
 	"dsb/internal/rpc"
 	"dsb/internal/svcutil"
 )
@@ -25,8 +27,12 @@ type RegisterReq struct {
 	BalanceCents       int64
 }
 
-// LoginReq authenticates.
-type LoginReq struct{ Username, Password string }
+// LoginReq authenticates. It is also the JSON body of the front doors'
+// POST /login and POST /register.
+type LoginReq struct {
+	Username string `json:"username"`
+	Password string `json:"password"`
+}
 
 // LoginResp returns a session token.
 type LoginResp struct{ Token string }
@@ -89,6 +95,25 @@ func Register(srv *rpc.Server, db svcutil.DB, mc svcutil.KV, collection string) 
 			return &VerifyTokenResp{}, nil
 		}
 		return &VerifyTokenResp{Username: string(v), Valid: true}, nil
+	})
+}
+
+// HandleLogin installs POST /login on a front door: the JSON credentials go
+// to the login tier behind login, and the session token comes back.
+func HandleLogin(srv *rest.Server, login svcutil.Caller) {
+	srv.Handle("POST /login", rest.Forward[LoginReq, LoginResp](login, "Login", nil))
+}
+
+// HandleRegister installs POST /register on a front door: the same JSON
+// credentials, registered with the app's opening balance, which is the
+// server's to set and never the client's.
+func HandleRegister(srv *rest.Server, login svcutil.Caller, openingCents int64) {
+	srv.Handle("POST /register", func(ctx *rest.Ctx, body []byte) (any, error) {
+		var req LoginReq
+		if err := rest.DecodeJSON(body, &req); err != nil {
+			return nil, err
+		}
+		return nil, login.Call(ctx, "Register", RegisterReq{Username: req.Username, Password: req.Password, BalanceCents: openingCents}, nil)
 	})
 }
 

@@ -344,11 +344,11 @@ func TestFrontendPaymentFlow(t *testing.T) {
 	_, acctB, _ := b.Onboard("webb", 60000_00, 0)
 
 	var login LoginResp
-	if err := b.Frontend.Do(ctx, "POST", "/login", CredentialsBody{Username: "weba", Password: "pw-weba"}, &login); err != nil {
+	if err := b.Frontend.Do(ctx, "POST", "/login", LoginReq{Username: "weba", Password: "pw-weba"}, &login); err != nil {
 		t.Fatal(err)
 	}
 	var pay PaymentResp
-	if err := b.Frontend.Do(ctx, "POST", "/payments", PaymentBody{
+	if err := b.Frontend.Do(ctx, "POST", "/payments", PaymentReq{
 		Token: login.Token, From: acctA, To: acctB, AmountCents: 100_00, Description: "web transfer",
 	}, &pay); err != nil {
 		t.Fatal(err)

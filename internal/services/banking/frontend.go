@@ -6,49 +6,8 @@ import (
 	"dsb/internal/svcutil"
 )
 
-// REST bodies for the node.js-style front-end.
-
-// CredentialsBody enrolls or logs in.
-type CredentialsBody struct {
-	Username string `json:"username"`
-	Password string `json:"password"`
-}
-
-// PaymentBody submits a transfer.
-type PaymentBody struct {
-	Token       string `json:"token"`
-	From        string `json:"from"`
-	To          string `json:"to"`
-	AmountCents int64  `json:"amount_cents"`
-	Description string `json:"description"`
-}
-
-// LoanBody applies for a loan.
-type LoanBody struct {
-	Token              string `json:"token"`
-	AmountCents        int64  `json:"amount_cents"`
-	TermMonths         int64  `json:"term_months"`
-	MonthlyDebtCents   int64  `json:"monthly_debt_cents"`
-	AnnualRevenueCents int64  `json:"annual_revenue_cents"`
-	YearsInBusiness    int64  `json:"years_in_business"`
-}
-
-// MortgageBody quotes a mortgage.
-type MortgageBody struct {
-	Token            string `json:"token"`
-	PriceCents       int64  `json:"price_cents"`
-	DownCents        int64  `json:"down_cents"`
-	TermMonths       int64  `json:"term_months"`
-	MonthlyDebtCents int64  `json:"monthly_debt_cents"`
-}
-
-// CardActionBody opens/charges/pays a card.
-type CardActionBody struct {
-	Token       string `json:"token"`
-	Number      string `json:"number"`
-	AmountCents int64  `json:"amount_cents"`
-	FromAccount string `json:"from_account"`
-}
+// The front door's POST bodies are the RPC requests they become: each
+// carries the session token, and the tier behind verifies it.
 
 type bankFrontendDeps struct {
 	auth      svcutil.Caller
@@ -81,32 +40,9 @@ type SummaryBody struct {
 // wealth-management hop of GET /summary is non-critical: a failure there
 // omits the portfolio and marks the response Degraded instead of erroring.
 func registerFrontend(srv *rest.Server, d bankFrontendDeps) {
-	srv.Handle("POST /login", func(ctx *rest.Ctx, body []byte) (any, error) {
-		var req CredentialsBody
-		if err := rest.DecodeJSON(body, &req); err != nil {
-			return nil, err
-		}
-		var resp LoginResp
-		if err := d.auth.Call(ctx, "Login", LoginReq{Username: req.Username, Password: req.Password}, &resp); err != nil {
-			return nil, err
-		}
-		return resp, nil
-	})
+	accounts.HandleLogin(srv, d.auth)
 
-	srv.Handle("POST /payments", func(ctx *rest.Ctx, body []byte) (any, error) {
-		var req PaymentBody
-		if err := rest.DecodeJSON(body, &req); err != nil {
-			return nil, err
-		}
-		var resp PaymentResp
-		if err := d.payments.Call(ctx, "Pay", PaymentReq{
-			Token: req.Token, From: req.From, To: req.To,
-			AmountCents: req.AmountCents, Description: req.Description,
-		}, &resp); err != nil {
-			return nil, err
-		}
-		return resp, nil
-	})
+	srv.Handle("POST /payments", rest.Forward[PaymentReq, PaymentResp](d.payments, "Pay", nil))
 
 	srv.Handle("GET /accounts", func(ctx *rest.Ctx, body []byte) (any, error) {
 		username, err := accounts.Verify(ctx, d.auth, ctx.Query("token"))
@@ -144,61 +80,16 @@ func registerFrontend(srv *rest.Server, d bankFrontendDeps) {
 		return out, nil
 	})
 
-	srv.Handle("POST /loans/personal", func(ctx *rest.Ctx, body []byte) (any, error) {
-		return loanHandler(ctx, body, d.personal)
-	})
-	srv.Handle("POST /loans/business", func(ctx *rest.Ctx, body []byte) (any, error) {
-		return loanHandler(ctx, body, d.business)
-	})
+	decision := func(r *LoanApplicationResp) any { return r.Decision }
+	srv.Handle("POST /loans/personal", rest.Forward[LoanApplicationReq](d.personal, "Apply", decision))
+	srv.Handle("POST /loans/business", rest.Forward[LoanApplicationReq](d.business, "Apply", decision))
 
-	srv.Handle("POST /mortgages/quote", func(ctx *rest.Ctx, body []byte) (any, error) {
-		var req MortgageBody
-		if err := rest.DecodeJSON(body, &req); err != nil {
-			return nil, err
-		}
-		var resp MortgageQuoteResp
-		if err := d.mortgages.Call(ctx, "Quote", MortgageQuoteReq{
-			Token: req.Token, PriceCents: req.PriceCents, DownCents: req.DownCents,
-			TermMonths: req.TermMonths, MonthlyDebtCents: req.MonthlyDebtCents,
-		}, &resp); err != nil {
-			return nil, err
-		}
-		return resp, nil
-	})
+	srv.Handle("POST /mortgages/quote", rest.Forward[MortgageQuoteReq, MortgageQuoteResp](d.mortgages, "Quote", nil))
 
-	srv.Handle("POST /cards", func(ctx *rest.Ctx, body []byte) (any, error) {
-		var req CardActionBody
-		if err := rest.DecodeJSON(body, &req); err != nil {
-			return nil, err
-		}
-		var resp CardResp
-		if err := d.cards.Call(ctx, "Open", OpenCardReq{Token: req.Token}, &resp); err != nil {
-			return nil, err
-		}
-		return resp.Card, nil
-	})
-	srv.Handle("POST /cards/charge", func(ctx *rest.Ctx, body []byte) (any, error) {
-		var req CardActionBody
-		if err := rest.DecodeJSON(body, &req); err != nil {
-			return nil, err
-		}
-		var resp CardResp
-		if err := d.cards.Call(ctx, "Charge", ChargeCardReq{Token: req.Token, Number: req.Number, AmountCents: req.AmountCents}, &resp); err != nil {
-			return nil, err
-		}
-		return resp.Card, nil
-	})
-	srv.Handle("POST /cards/pay", func(ctx *rest.Ctx, body []byte) (any, error) {
-		var req CardActionBody
-		if err := rest.DecodeJSON(body, &req); err != nil {
-			return nil, err
-		}
-		var resp CardResp
-		if err := d.cards.Call(ctx, "Pay", PayCardReq{Token: req.Token, Number: req.Number, FromAccount: req.FromAccount, AmountCents: req.AmountCents}, &resp); err != nil {
-			return nil, err
-		}
-		return resp.Card, nil
-	})
+	card := func(r *CardResp) any { return r.Card }
+	srv.Handle("POST /cards", rest.Forward[OpenCardReq](d.cards, "Open", card))
+	srv.Handle("POST /cards/charge", rest.Forward[ChargeCardReq](d.cards, "Charge", card))
+	srv.Handle("POST /cards/pay", rest.Forward[PayCardReq](d.cards, "Pay", card))
 
 	srv.Handle("GET /offers", func(ctx *rest.Ctx, body []byte) (any, error) {
 		var resp OfferResp
@@ -225,20 +116,4 @@ func registerFrontend(srv *rest.Server, d bankFrontendDeps) {
 		}
 		return resp.Activities, nil
 	})
-}
-
-func loanHandler(ctx *rest.Ctx, body []byte, svc svcutil.Caller) (any, error) {
-	var req LoanBody
-	if err := rest.DecodeJSON(body, &req); err != nil {
-		return nil, err
-	}
-	var resp LoanApplicationResp
-	if err := svc.Call(ctx, "Apply", LoanApplicationReq{
-		Token: req.Token, AmountCents: req.AmountCents, TermMonths: req.TermMonths,
-		MonthlyDebtCents: req.MonthlyDebtCents, AnnualRevenueCents: req.AnnualRevenueCents,
-		YearsInBusiness: req.YearsInBusiness,
-	}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Decision, nil
 }

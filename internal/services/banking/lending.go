@@ -12,15 +12,16 @@ import (
 	"dsb/internal/svcutil"
 )
 
-// LoanApplicationReq applies for a personal or business loan.
+// LoanApplicationReq applies for a personal or business loan. It is also
+// the JSON body of POST /loans/personal and POST /loans/business.
 type LoanApplicationReq struct {
-	Token            string
-	AmountCents      int64
-	TermMonths       int64
-	MonthlyDebtCents int64 // existing obligations
+	Token            string `json:"token"`
+	AmountCents      int64  `json:"amount_cents"`
+	TermMonths       int64  `json:"term_months"`
+	MonthlyDebtCents int64  `json:"monthly_debt_cents"` // existing obligations
 	// Business loans only:
-	AnnualRevenueCents int64
-	YearsInBusiness    int64
+	AnnualRevenueCents int64 `json:"annual_revenue_cents"`
+	YearsInBusiness    int64 `json:"years_in_business"`
 }
 
 // LoanApplicationResp returns the decision.
@@ -109,13 +110,14 @@ func registerBusinessLending(srv *rpc.Server, auth svcutil.Caller) {
 	})
 }
 
-// MortgageQuoteReq quotes a mortgage.
+// MortgageQuoteReq quotes a mortgage. It is also the JSON body of
+// POST /mortgages/quote.
 type MortgageQuoteReq struct {
-	Token            string
-	PriceCents       int64
-	DownCents        int64
-	TermMonths       int64
-	MonthlyDebtCents int64
+	Token            string `json:"token"`
+	PriceCents       int64  `json:"price_cents"`
+	DownCents        int64  `json:"down_cents"`
+	TermMonths       int64  `json:"term_months"`
+	MonthlyDebtCents int64  `json:"monthly_debt_cents"`
 }
 
 // MortgageQuoteResp returns the decision and the first amortization rows.
@@ -179,7 +181,9 @@ func registerMortgages(srv *rpc.Server, auth, customer svcutil.Caller) {
 }
 
 // OpenCardReq opens a credit card.
-type OpenCardReq struct{ Token string }
+type OpenCardReq struct {
+	Token string `json:"token"`
+}
 
 // CardResp returns a card.
 type CardResp struct {
@@ -189,17 +193,17 @@ type CardResp struct {
 
 // ChargeCardReq charges a purchase to a card.
 type ChargeCardReq struct {
-	Token       string
-	Number      string
-	AmountCents int64
+	Token       string `json:"token"`
+	Number      string `json:"number"`
+	AmountCents int64  `json:"amount_cents"`
 }
 
 // PayCardReq pays a card balance from a deposit account.
 type PayCardReq struct {
-	Token       string
-	Number      string
-	FromAccount string
-	AmountCents int64
+	Token       string `json:"token"`
+	Number      string `json:"number"`
+	FromAccount string `json:"from_account"`
+	AmountCents int64  `json:"amount_cents"`
 }
 
 // registerCreditCard installs creditCard and openCreditCard behaviour:

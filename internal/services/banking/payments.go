@@ -12,12 +12,14 @@ import (
 	"dsb/internal/svcutil"
 )
 
-// PaymentReq is an authenticated transfer between accounts.
+// PaymentReq is an authenticated transfer between accounts. It is also the
+// JSON body of POST /payments.
 type PaymentReq struct {
-	Token       string
-	From, To    string
-	AmountCents int64
-	Description string
+	Token       string `json:"token"`
+	From        string `json:"from"`
+	To          string `json:"to"`
+	AmountCents int64  `json:"amount_cents"`
+	Description string `json:"description"`
 }
 
 // PaymentResp returns the posted transaction.

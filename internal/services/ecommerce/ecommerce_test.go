@@ -224,11 +224,11 @@ func TestFrontendBrowseAndCheckout(t *testing.T) {
 	ctx := context.Background()
 	fe := ec.Frontend
 
-	if err := fe.Do(ctx, "POST", "/register", CredentialsBody{Username: "webby", Password: "pw"}, nil); err != nil {
+	if err := fe.Do(ctx, "POST", "/register", LoginReq{Username: "webby", Password: "pw"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	var lr LoginResp
-	if err := fe.Do(ctx, "POST", "/login", CredentialsBody{Username: "webby", Password: "pw"}, &lr); err != nil {
+	if err := fe.Do(ctx, "POST", "/login", LoginReq{Username: "webby", Password: "pw"}, &lr); err != nil {
 		t.Fatal(err)
 	}
 
@@ -264,7 +264,7 @@ func TestFrontendBrowseAndCheckout(t *testing.T) {
 		t.Fatal(err)
 	}
 	var order Order
-	if err := fe.Do(ctx, "POST", "/orders", OrderBody{Token: lr.Token, Shipping: "standard"}, &order); err != nil {
+	if err := fe.Do(ctx, "POST", "/orders", PlaceOrderReq{Token: lr.Token, Shipping: "standard"}, &order); err != nil {
 		t.Fatal(err)
 	}
 	// Clearance hat: 50% off 1999 = 999 discount.
@@ -510,5 +510,33 @@ func TestCheckoutLeavesMatchGraph(t *testing.T) {
 		if !served[leaf] {
 			t.Errorf("no span from %s in the checkout's traces", leaf)
 		}
+	}
+}
+
+// TestInvoicingReplicasIssueDistinctIDs: invoicing is replicable, so a
+// second replica must not issue an ID the first already gave another
+// customer's invoice (the Put would overwrite it).
+func TestInvoicingReplicasIssueDistinctIDs(t *testing.T) {
+	ec := bootEcom(t)
+	ctx := context.Background()
+	if _, err := ec.App.StartRPC("ecom.invoicing", func(s *rpc.Server) {
+		registerInvoicing(s, ec.stack.DB("invoicing", "db-invoices"))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	invoicing, err := ec.App.RPC("test", "ecom.invoicing")
+	if err != nil {
+		t.Fatal(err)
+	}
+	issued := map[string]string{} // invoice ID → order ID
+	for _, order := range []string{"ord-1-000001", "ord-1-000002", "ord-1-000003", "ord-1-000004"} {
+		var resp InvoiceResp
+		if err := invoicing.Call(ctx, "Issue", InvoiceReq{OrderID: order, Username: "u-" + order, TotalCents: 100}, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if prev, dup := issued[resp.Invoice.ID]; dup {
+			t.Fatalf("invoice %s issued for order %s and again for %s", resp.Invoice.ID, prev, order)
+		}
+		issued[resp.Invoice.ID] = order
 	}
 }

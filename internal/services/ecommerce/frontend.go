@@ -6,25 +6,15 @@ import (
 	"dsb/internal/svcutil"
 )
 
-// REST bodies for the node.js-style front-end.
-
-// CredentialsBody registers or logs in.
-type CredentialsBody struct {
-	Username string `json:"username"`
-	Password string `json:"password"`
-}
+// REST bodies for the node.js-style front-end whose RPC requests carry the
+// username the server takes from the verified token. POST /orders decodes
+// straight into PlaceOrderReq.
 
 // CartBody mutates the caller's cart.
 type CartBody struct {
 	Token    string `json:"token"`
 	ItemID   string `json:"item_id"`
 	Quantity int64  `json:"quantity"`
-}
-
-// OrderBody places an order.
-type OrderBody struct {
-	Token    string `json:"token"`
-	Shipping string `json:"shipping"`
 }
 
 // WishBody adds to the wishlist.
@@ -56,24 +46,8 @@ type frontendDeps struct {
 // Figure 6). The recommendation hop is non-critical: a failure there yields
 // an empty Degraded list instead of an error.
 func registerFrontend(srv *rest.Server, d frontendDeps) {
-	srv.Handle("POST /register", func(ctx *rest.Ctx, body []byte) (any, error) {
-		var req CredentialsBody
-		if err := rest.DecodeJSON(body, &req); err != nil {
-			return nil, err
-		}
-		return nil, d.user.Call(ctx, "Register", RegisterUserReq{Username: req.Username, Password: req.Password, BalanceCents: 50000}, nil)
-	})
-	srv.Handle("POST /login", func(ctx *rest.Ctx, body []byte) (any, error) {
-		var req CredentialsBody
-		if err := rest.DecodeJSON(body, &req); err != nil {
-			return nil, err
-		}
-		var resp LoginResp
-		if err := d.user.Call(ctx, "Login", LoginReq{Username: req.Username, Password: req.Password}, &resp); err != nil {
-			return nil, err
-		}
-		return resp, nil
-	})
+	accounts.HandleRegister(srv, d.user, 50000)
+	accounts.HandleLogin(srv, d.user)
 
 	srv.Handle("GET /catalogue", func(ctx *rest.Ctx, body []byte) (any, error) {
 		var resp ItemsResp
@@ -153,17 +127,7 @@ func registerFrontend(srv *rest.Server, d frontendDeps) {
 		return resp.ItemIDs, nil
 	})
 
-	srv.Handle("POST /orders", func(ctx *rest.Ctx, body []byte) (any, error) {
-		var req OrderBody
-		if err := rest.DecodeJSON(body, &req); err != nil {
-			return nil, err
-		}
-		var resp PlaceOrderResp
-		if err := d.orders.Call(ctx, "Place", PlaceOrderReq{Token: req.Token, Shipping: req.Shipping}, &resp); err != nil {
-			return nil, err
-		}
-		return resp.Order, nil
-	})
+	srv.Handle("POST /orders", rest.Forward[PlaceOrderReq](d.orders, "Place", func(r *PlaceOrderResp) any { return r.Order }))
 	srv.Handle("GET /orders/{id}", func(ctx *rest.Ctx, body []byte) (any, error) {
 		var resp GetOrderResp
 		if err := d.orders.Call(ctx, "Get", GetOrderReq{ID: ctx.PathValue("id")}, &resp); err != nil {

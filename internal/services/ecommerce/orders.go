@@ -2,6 +2,7 @@ package ecommerce
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -102,12 +103,16 @@ type InvoiceReq struct {
 // InvoiceResp returns the invoice.
 type InvoiceResp struct{ Invoice Invoice }
 
-// registerInvoicing installs the invoicing service.
+// registerInvoicing installs the invoicing service. An order has one
+// invoice, so the invoice ID is the order's: replicas need no counter of
+// their own to agree on.
 func registerInvoicing(srv *rpc.Server, db svcutil.DB) {
-	var seq atomic.Uint64
 	svcutil.Handle(srv, "Issue", func(ctx *rpc.Ctx, req *InvoiceReq) (*InvoiceResp, error) {
+		if req.OrderID == "" {
+			return nil, rpc.Errorf(rpc.CodeBadRequest, "invoicing: order ID required")
+		}
 		inv := Invoice{
-			ID:         fmt.Sprintf("inv-%06d", seq.Add(1)),
+			ID:         "inv-" + strings.TrimPrefix(req.OrderID, "ord-"),
 			OrderID:    req.OrderID,
 			Username:   req.Username,
 			TotalCents: req.TotalCents,
@@ -124,10 +129,11 @@ func registerInvoicing(srv *rpc.Server, db svcutil.DB) {
 	})
 }
 
-// PlaceOrderReq places the caller's cart as an order.
+// PlaceOrderReq places the caller's cart as an order. It is also the JSON
+// body of POST /orders.
 type PlaceOrderReq struct {
-	Token    string
-	Shipping string // "standard" | "express" | "overnight"
+	Token    string `json:"token"`
+	Shipping string `json:"shipping"` // "standard" | "express" | "overnight"
 }
 
 // PlaceOrderResp returns the queued order.
@@ -167,9 +173,10 @@ type ordersDeps struct {
 // Section 3.8): authenticate, price the cart, quote shipping, apply
 // discounts, authorize and charge payment, issue the transaction ID and
 // invoice, enqueue the order for serialized commit, and clear the cart.
+// The order ID is the transaction ID the single transactionID tier issued,
+// so replicas of this tier never mint the same one, and IDs still sort in
+// the order they were issued.
 func registerOrders(srv *rpc.Server, deps ordersDeps) {
-	var seq atomic.Uint64
-
 	svcutil.Handle(srv, "Place", func(ctx *rpc.Ctx, req *PlaceOrderReq) (*PlaceOrderResp, error) {
 		username, err := accounts.Verify(ctx, deps.user, req.Token)
 		if err != nil {
@@ -238,7 +245,7 @@ func registerOrders(srv *rpc.Server, deps ordersDeps) {
 		}
 
 		order := Order{
-			ID:            fmt.Sprintf("ord-%d-%06d", time.Now().UnixMilli(), seq.Add(1)),
+			ID:            "ord-" + strings.TrimPrefix(txn.ID, "txn-"),
 			Username:      username,
 			Lines:         cart.Lines,
 			ItemsCents:    itemsCents,

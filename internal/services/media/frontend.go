@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"dsb/internal/rest"
+	"dsb/internal/services/accounts"
 	"dsb/internal/svcutil"
 )
 
@@ -17,26 +18,6 @@ type MoviePage struct {
 	Cast     []CastMember `json:"cast"`
 	Reviews  []Review     `json:"reviews"`
 	Degraded bool         `json:"degraded,omitempty"`
-}
-
-// ReviewBody is the POST /reviews request.
-type ReviewBody struct {
-	Token  string `json:"token"`
-	Title  string `json:"title"`
-	Text   string `json:"text"`
-	Rating int64  `json:"rating"`
-}
-
-// RentBody is the POST /rent request.
-type RentBody struct {
-	Token   string `json:"token"`
-	MovieID string `json:"movie_id"`
-}
-
-// CredentialsBody is the register/login request.
-type CredentialsBody struct {
-	Username string `json:"username"`
-	Password string `json:"password"`
 }
 
 type frontendDeps struct {
@@ -57,24 +38,8 @@ type frontendDeps struct {
 // non-critical: a failure there yields a Degraded page without reviews
 // instead of an error.
 func registerFrontend(srv *rest.Server, d frontendDeps) {
-	srv.Handle("POST /register", func(ctx *rest.Ctx, body []byte) (any, error) {
-		var req CredentialsBody
-		if err := rest.DecodeJSON(body, &req); err != nil {
-			return nil, err
-		}
-		return nil, d.user.Call(ctx, "Register", RegisterUserReq{Username: req.Username, Password: req.Password, BalanceCents: 2000}, nil)
-	})
-	srv.Handle("POST /login", func(ctx *rest.Ctx, body []byte) (any, error) {
-		var req CredentialsBody
-		if err := rest.DecodeJSON(body, &req); err != nil {
-			return nil, err
-		}
-		var resp LoginResp
-		if err := d.user.Call(ctx, "Login", LoginReq{Username: req.Username, Password: req.Password}, &resp); err != nil {
-			return nil, err
-		}
-		return resp, nil
-	})
+	accounts.HandleRegister(srv, d.user, 2000)
+	accounts.HandleLogin(srv, d.user)
 
 	srv.Handle("GET /movies/{title}", func(ctx *rest.Ctx, body []byte) (any, error) {
 		var movie GetMovieResp
@@ -131,19 +96,7 @@ func registerFrontend(srv *rest.Server, d frontendDeps) {
 		return page, nil
 	})
 
-	srv.Handle("POST /reviews", func(ctx *rest.Ctx, body []byte) (any, error) {
-		var req ReviewBody
-		if err := rest.DecodeJSON(body, &req); err != nil {
-			return nil, err
-		}
-		var resp ComposeReviewResp
-		if err := d.composeReview.Call(ctx, "Compose", ComposeReviewReq{
-			Token: req.Token, MovieTitle: req.Title, Text: req.Text, Rating: req.Rating,
-		}, &resp); err != nil {
-			return nil, err
-		}
-		return resp.Review, nil
-	})
+	srv.Handle("POST /reviews", rest.Forward[ComposeReviewReq](d.composeReview, "Compose", func(r *ComposeReviewResp) any { return r.Review }))
 
 	srv.Handle("GET /users/{name}/reviews", func(ctx *rest.Ctx, body []byte) (any, error) {
 		var resp ReviewsResp
@@ -153,17 +106,7 @@ func registerFrontend(srv *rest.Server, d frontendDeps) {
 		return resp.Reviews, nil
 	})
 
-	srv.Handle("POST /rent", func(ctx *rest.Ctx, body []byte) (any, error) {
-		var req RentBody
-		if err := rest.DecodeJSON(body, &req); err != nil {
-			return nil, err
-		}
-		var resp RentResp
-		if err := d.rent.Call(ctx, "Rent", RentReq{Token: req.Token, MovieID: req.MovieID}, &resp); err != nil {
-			return nil, err
-		}
-		return resp.Rental, nil
-	})
+	srv.Handle("POST /rent", rest.Forward[RentReq](d.rent, "Rent", func(r *RentResp) any { return r.Rental }))
 
 	srv.Handle("GET /recommend", func(ctx *rest.Ctx, body []byte) (any, error) {
 		var resp MoviesResp

@@ -15,9 +15,6 @@ import (
 
 // Config sizes the deployment.
 type Config struct {
-	// MovieDBShards and MovieDBReplicas shape the MySQL-equivalent cluster
-	// (defaults 2 and 2).
-	MovieDBShards, MovieDBReplicas int
 	// Shards partitions every db/mc storage tier into this many
 	// consistent-hash shards (default 1 = single-instance layout); with
 	// Shards > 1 or ShardReplicas > 1 the tiers boot through
@@ -33,7 +30,7 @@ type Config struct {
 }
 
 // replicable names the logic tiers safe to run multi-instance: their state
-// lives in the db/mc tiers (or the shared movie cluster). composeReview
+// lives in the db/mc tiers (or MovieDB's shared database). composeReview
 // (per-process review ID sequence) and reviewSearch (in-process index) stay
 // single-instance.
 var replicable = map[string]bool{
@@ -58,17 +55,10 @@ type Media struct {
 
 // New boots the Media Service.
 func New(app *core.App, cfg Config) (*Media, error) {
-	if cfg.MovieDBShards <= 0 {
-		cfg.MovieDBShards = 2
-	}
-	if cfg.MovieDBReplicas <= 0 {
-		cfg.MovieDBReplicas = 2
-	}
-
-	// The MySQL-equivalent movie cluster keeps its own internal shard/replica
-	// shape; the docstore/kv tiers shard through the shared Stack like every
-	// other app in the suite.
-	movieCluster, err := newMovieCluster(cfg.MovieDBShards, cfg.MovieDBReplicas)
+	// MovieDB's database is shared by every movieDB replica, as BankInfoDB
+	// is by Banking's; the docstore/kv tiers shard through the shared Stack
+	// like every other app in the suite.
+	movieDB, err := newMovieDB()
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +82,7 @@ func New(app *core.App, cfg Config) (*Media, error) {
 
 	m := &Media{App: app}
 
-	start("movieDB", func(s *rpc.Server) { registerMovieDB(s, movieCluster) })
+	start("movieDB", func(s *rpc.Server) { registerMovieDB(s, movieDB) })
 	start("plot", func(s *rpc.Server) {
 		registerPlot(s, db("plot", "db-plots"))
 	})

@@ -10,6 +10,7 @@ import (
 
 	"dsb/internal/core"
 	"dsb/internal/rpc"
+	"dsb/internal/services/accounts"
 )
 
 func bootMedia(t *testing.T) *Media {
@@ -48,11 +49,11 @@ func bootMedia(t *testing.T) *Media {
 func register(t *testing.T, m *Media, user string) string {
 	t.Helper()
 	ctx := context.Background()
-	if err := m.User.Call(ctx, "Register", RegisterUserReq{Username: user, Password: "pw", BalanceCents: 1000}, nil); err != nil {
+	if err := m.User.Call(ctx, "Register", accounts.RegisterReq{Username: user, Password: "pw", BalanceCents: 1000}, nil); err != nil {
 		t.Fatal(err)
 	}
-	var login LoginResp
-	if err := m.User.Call(ctx, "Login", LoginReq{Username: user, Password: "pw"}, &login); err != nil {
+	var login accounts.LoginResp
+	if err := m.User.Call(ctx, "Login", accounts.LoginReq{Username: user, Password: "pw"}, &login); err != nil {
 		t.Fatal(err)
 	}
 	return login.Token
@@ -181,11 +182,11 @@ func itoa(n int) string {
 func TestInsufficientFunds(t *testing.T) {
 	m := bootMedia(t)
 	ctx := context.Background()
-	if err := m.User.Call(ctx, "Register", RegisterUserReq{Username: "broke", Password: "pw", BalanceCents: 10}, nil); err != nil {
+	if err := m.User.Call(ctx, "Register", accounts.RegisterReq{Username: "broke", Password: "pw", BalanceCents: 10}, nil); err != nil {
 		t.Fatal(err)
 	}
-	var login LoginResp
-	if err := m.User.Call(ctx, "Login", LoginReq{Username: "broke", Password: "pw"}, &login); err != nil {
+	var login accounts.LoginResp
+	if err := m.User.Call(ctx, "Login", accounts.LoginReq{Username: "broke", Password: "pw"}, &login); err != nil {
 		t.Fatal(err)
 	}
 	err := m.Rent.Call(ctx, "Rent", RentReq{Token: login.Token, MovieID: "mv-1"}, nil)
@@ -223,15 +224,15 @@ func TestRecommenderPrefersLikedGenre(t *testing.T) {
 func TestFrontendRegisterLoginReviewFlow(t *testing.T) {
 	m := bootMedia(t)
 	ctx := context.Background()
-	if err := m.Frontend.Do(ctx, "POST", "/register", CredentialsBody{Username: "rest-user", Password: "pw"}, nil); err != nil {
+	if err := m.Frontend.Do(ctx, "POST", "/register", accounts.LoginReq{Username: "rest-user", Password: "pw"}, nil); err != nil {
 		t.Fatal(err)
 	}
-	var login LoginResp
-	if err := m.Frontend.Do(ctx, "POST", "/login", CredentialsBody{Username: "rest-user", Password: "pw"}, &login); err != nil {
+	var login accounts.LoginResp
+	if err := m.Frontend.Do(ctx, "POST", "/login", accounts.LoginReq{Username: "rest-user", Password: "pw"}, &login); err != nil {
 		t.Fatal(err)
 	}
 	var review Review
-	if err := m.Frontend.Do(ctx, "POST", "/reviews", ReviewBody{Token: login.Token, Title: "Deadlock", Text: "tense", Rating: 8}, &review); err != nil {
+	if err := m.Frontend.Do(ctx, "POST", "/reviews", ComposeReviewReq{Token: login.Token, MovieTitle: "Deadlock", Text: "tense", Rating: 8}, &review); err != nil {
 		t.Fatal(err)
 	}
 	var mine []Review
@@ -243,39 +244,11 @@ func TestFrontendRegisterLoginReviewFlow(t *testing.T) {
 	}
 	// Rent over REST.
 	var rental Rental
-	if err := m.Frontend.Do(ctx, "POST", "/rent", RentBody{Token: login.Token, MovieID: "mv-3"}, &rental); err != nil {
+	if err := m.Frontend.Do(ctx, "POST", "/rent", RentReq{Token: login.Token, MovieID: "mv-3"}, &rental); err != nil {
 		t.Fatal(err)
 	}
 	if rental.MovieID != "mv-3" || rental.Token == "" {
 		t.Fatalf("rental = %+v", rental)
-	}
-}
-
-func TestMovieDBShardFaultTolerance(t *testing.T) {
-	// With 2 replicas per shard, marking one replica slow must not lose
-	// reads (the Fig 22c monolith-DB story).
-	cluster, err := newMovieCluster(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 40; i++ {
-		id := "m" + itoa(i)
-		if err := cluster.Insert("movies", map[string]string{
-			"id": id, "title": "t" + itoa(i), "year": "2000", "genre": "g",
-			"plot_id": "p", "rating_sum": "0", "rating_count": "0",
-		}, id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for s := 0; s < cluster.Shards(); s++ {
-		if err := cluster.MarkSlow(s, 0, true); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 40; i++ {
-		if _, err := cluster.Get("movies", "m"+itoa(i)); err != nil {
-			t.Fatalf("read with slow replicas: %v", err)
-		}
 	}
 }
 
@@ -286,7 +259,7 @@ func TestConcurrentChargesNeverOverdraw(t *testing.T) {
 	m := bootMedia(t)
 	ctx := context.Background()
 	const opening, price, workers, charges = 1000, 30, 8, 10
-	if err := m.User.Call(ctx, "Register", RegisterUserReq{Username: "payer", Password: "pw", BalanceCents: opening}, nil); err != nil {
+	if err := m.User.Call(ctx, "Register", accounts.RegisterReq{Username: "payer", Password: "pw", BalanceCents: opening}, nil); err != nil {
 		t.Fatal(err)
 	}
 	var accepted atomic.Int64

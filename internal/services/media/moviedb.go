@@ -46,10 +46,10 @@ type RateMovieReq struct {
 	Rating  int64
 }
 
-// newMovieCluster creates the sharded+replicated MovieDB with its schemas.
-func newMovieCluster(shards, replicas int) (*sqlstore.Cluster, error) {
-	c := sqlstore.NewCluster(shards, replicas)
-	if err := c.CreateTable(sqlstore.Schema{
+// newMovieDB creates MovieDB's database with its schemas.
+func newMovieDB() (*sqlstore.DB, error) {
+	db := sqlstore.NewDB()
+	if err := db.CreateTable(sqlstore.Schema{
 		Name:       "movies",
 		PrimaryKey: "id",
 		Columns:    []string{"id", "title", "year", "genre", "plot_id", "rating_sum", "rating_count"},
@@ -57,7 +57,7 @@ func newMovieCluster(shards, replicas int) (*sqlstore.Cluster, error) {
 	}); err != nil {
 		return nil, err
 	}
-	if err := c.CreateTable(sqlstore.Schema{
+	if err := db.CreateTable(sqlstore.Schema{
 		Name:       "cast",
 		PrimaryKey: "id",
 		Columns:    []string{"id", "movie_id", "actor", "role"},
@@ -65,7 +65,7 @@ func newMovieCluster(shards, replicas int) (*sqlstore.Cluster, error) {
 	}); err != nil {
 		return nil, err
 	}
-	return c, nil
+	return db, nil
 }
 
 func rowToMovie(r sqlstore.Row) Movie {
@@ -82,8 +82,8 @@ func rowToMovie(r sqlstore.Row) Movie {
 	return m
 }
 
-// registerMovieDB exposes the MovieDB cluster as an RPC microservice.
-func registerMovieDB(srv *rpc.Server, db *sqlstore.Cluster) {
+// registerMovieDB exposes MovieDB's database as an RPC microservice.
+func registerMovieDB(srv *rpc.Server, db *sqlstore.DB) {
 	svcutil.Handle(srv, "Add", func(ctx *rpc.Ctx, req *AddMovieReq) (*struct{}, error) {
 		m := req.Movie
 		if m.ID == "" || m.Title == "" {
@@ -94,13 +94,13 @@ func registerMovieDB(srv *rpc.Server, db *sqlstore.Cluster) {
 			"genre": m.Genre, "plot_id": m.PlotID,
 			"rating_sum": "0", "rating_count": "0",
 		}
-		if err := db.Insert("movies", row, m.ID); err != nil {
+		if err := db.Insert("movies", row); err != nil {
 			return nil, err
 		}
 		for i, c := range req.Cast {
 			id := m.ID + "-cast-" + strconv.Itoa(i)
 			crow := sqlstore.Row{"id": id, "movie_id": m.ID, "actor": c.Actor, "role": c.Role}
-			if err := db.Insert("cast", crow, id); err != nil {
+			if err := db.Insert("cast", crow); err != nil {
 				return nil, err
 			}
 		}
@@ -116,7 +116,7 @@ func registerMovieDB(srv *rpc.Server, db *sqlstore.Cluster) {
 	})
 
 	svcutil.Handle(srv, "FindByTitle", func(ctx *rpc.Ctx, req *FindByTitleReq) (*GetMovieResp, error) {
-		rows, err := db.SelectAll("movies", "title", req.Title, 1)
+		rows, err := db.Select("movies", "title", req.Title, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -131,7 +131,7 @@ func registerMovieDB(srv *rpc.Server, db *sqlstore.Cluster) {
 		if limit <= 0 {
 			limit = 20
 		}
-		rows, err := db.SelectAll("movies", "genre", req.Genre, limit)
+		rows, err := db.Select("movies", "genre", req.Genre, limit)
 		if err != nil {
 			return nil, err
 		}
@@ -143,7 +143,7 @@ func registerMovieDB(srv *rpc.Server, db *sqlstore.Cluster) {
 	})
 
 	svcutil.Handle(srv, "Cast", func(ctx *rpc.Ctx, req *CastReq) (*CastResp, error) {
-		rows, err := db.SelectAll("cast", "movie_id", req.MovieID, 0)
+		rows, err := db.Select("cast", "movie_id", req.MovieID, 0)
 		if err != nil {
 			return nil, err
 		}

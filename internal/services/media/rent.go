@@ -10,14 +10,6 @@ import (
 	"dsb/internal/svcutil"
 )
 
-// The login half of the user service is the shared accounts service; the
-// rest is the account balance rentals are paid from.
-type (
-	RegisterUserReq = accounts.RegisterReq
-	LoginReq        = accounts.LoginReq
-	LoginResp       = accounts.LoginResp
-)
-
 // BalanceReq fetches an account balance.
 type BalanceReq struct{ Username string }
 
@@ -64,10 +56,11 @@ func registerUser(srv *rpc.Server, db svcutil.DB, mc svcutil.KV) {
 	})
 }
 
-// RentReq rents a movie for streaming.
+// RentReq rents a movie for streaming. It is also the JSON body of
+// POST /rent.
 type RentReq struct {
-	Token   string
-	MovieID string
+	Token   string `json:"token"`
+	MovieID string `json:"movie_id"`
 }
 
 // RentResp returns the streaming lease.

@@ -18,12 +18,13 @@ func docstoreDoc(id string, body []byte) docstore.Doc {
 	return docstore.Doc{ID: id, Body: body}
 }
 
-// ComposeReviewReq creates a review for a movie identified by title.
+// ComposeReviewReq creates a review for a movie identified by title. It is
+// also the JSON body of POST /reviews.
 type ComposeReviewReq struct {
-	Token      string
-	MovieTitle string
-	Text       string
-	Rating     int64
+	Token      string `json:"token"`
+	MovieTitle string `json:"title"`
+	Text       string `json:"text"`
+	Rating     int64  `json:"rating"`
 }
 
 // ComposeReviewResp returns the stored review.

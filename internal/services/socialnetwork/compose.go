@@ -11,16 +11,17 @@ import (
 )
 
 // ComposePostReq creates a new post (or repost) for an authenticated user.
+// It is also the JSON body of POST /posts.
 type ComposePostReq struct {
-	Token string
-	Text  string
-	// Images and Videos carry raw attachment bytes.
-	Images [][]byte
-	Videos [][]byte
+	Token string `json:"token"`
+	Text  string `json:"text"`
+	// Images and Videos carry raw attachment bytes (base64 in JSON).
+	Images [][]byte `json:"images,omitempty"`
+	Videos [][]byte `json:"videos,omitempty"`
 	// RepostOf, when set, makes this a repost of an existing post: the
 	// original is read, quoted, and rebroadcast — the longest-latency query
 	// type in the application (Section 3.8 of the paper).
-	RepostOf string
+	RepostOf string `json:"repost_of,omitempty"`
 }
 
 // ComposePostResp returns the stored post. Degraded marks a post that was

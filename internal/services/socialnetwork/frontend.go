@@ -1,8 +1,6 @@
 package socialnetwork
 
 import (
-	"encoding/base64"
-
 	"dsb/internal/codec"
 	"dsb/internal/rest"
 	"dsb/internal/rpc"
@@ -11,23 +9,9 @@ import (
 	"dsb/internal/transport"
 )
 
-// REST request/response bodies for the front door. Media attachments are
-// base64 strings, as an http client would send them.
-
-// PostBody is the POST /posts request.
-type PostBody struct {
-	Token    string   `json:"token"`
-	Text     string   `json:"text"`
-	Images   []string `json:"images,omitempty"`
-	Videos   []string `json:"videos,omitempty"`
-	RepostOf string   `json:"repost_of,omitempty"`
-}
-
-// CredentialsBody is the register/login request.
-type CredentialsBody struct {
-	Username string `json:"username"`
-	Password string `json:"password"`
-}
+// REST request bodies for the front door whose RPC requests carry a field
+// the server sets from the verified token. POST /posts decodes straight into
+// ComposePostReq, attachments base64 in the JSON.
 
 // FollowBody is the POST /follow request.
 type FollowBody struct {
@@ -65,52 +49,10 @@ type frontendDeps struct {
 // Figure 4. Every handler authenticates where needed and translates
 // between JSON and the downstream RPC types.
 func registerFrontend(srv *rest.Server, d frontendDeps) {
-	srv.Handle("POST /register", func(ctx *rest.Ctx, body []byte) (any, error) {
-		var req CredentialsBody
-		if err := rest.DecodeJSON(body, &req); err != nil {
-			return nil, err
-		}
-		return nil, d.user.Call(ctx, "Register", RegisterReq{Username: req.Username, Password: req.Password}, nil)
-	})
+	accounts.HandleRegister(srv, d.user, 0)
+	accounts.HandleLogin(srv, d.user)
 
-	srv.Handle("POST /login", func(ctx *rest.Ctx, body []byte) (any, error) {
-		var req CredentialsBody
-		if err := rest.DecodeJSON(body, &req); err != nil {
-			return nil, err
-		}
-		var resp LoginResp
-		if err := d.user.Call(ctx, "Login", LoginReq{Username: req.Username, Password: req.Password}, &resp); err != nil {
-			return nil, err
-		}
-		return resp, nil
-	})
-
-	srv.Handle("POST /posts", func(ctx *rest.Ctx, body []byte) (any, error) {
-		var req PostBody
-		if err := rest.DecodeJSON(body, &req); err != nil {
-			return nil, err
-		}
-		rpcReq := ComposePostReq{Token: req.Token, Text: req.Text, RepostOf: req.RepostOf}
-		for _, b64 := range req.Images {
-			data, err := base64.StdEncoding.DecodeString(b64)
-			if err != nil {
-				return nil, rpc.Errorf(rpc.CodeBadRequest, "bad image encoding: %v", err)
-			}
-			rpcReq.Images = append(rpcReq.Images, data)
-		}
-		for _, b64 := range req.Videos {
-			data, err := base64.StdEncoding.DecodeString(b64)
-			if err != nil {
-				return nil, rpc.Errorf(rpc.CodeBadRequest, "bad video encoding: %v", err)
-			}
-			rpcReq.Videos = append(rpcReq.Videos, data)
-		}
-		var resp ComposePostResp
-		if err := d.compose.Call(ctx, "Compose", rpcReq, &resp); err != nil {
-			return nil, err
-		}
-		return resp.Post, nil
-	})
+	srv.Handle("POST /posts", rest.Forward[ComposePostReq](d.compose, "Compose", func(r *ComposePostResp) any { return r.Post }))
 
 	// A page goes from readTimeline's wire bytes straight into the JSON array
 	// the caller gets, never decoded into Posts on the way.

@@ -12,12 +12,13 @@ import (
 	"dsb/internal/transport"
 )
 
+// cacheBytes bounds each cache tier.
+const cacheBytes = 64 << 20
+
 // Config sizes the deployment.
 type Config struct {
 	// SearchShards is the number of index partitions (default 3).
 	SearchShards int
-	// CacheBytes bounds each cache tier (default 64 MiB).
-	CacheBytes int64
 	// Middleware is installed on every inter-tier client wire (between
 	// tracing and the app's resilience stack): fault injection and
 	// per-experiment instrumentation hook in here.
@@ -138,9 +139,6 @@ func New(app *core.App, cfg Config) (*SocialNetwork, error) {
 	if cfg.SearchShards <= 0 {
 		cfg.SearchShards = 3
 	}
-	if cfg.CacheBytes <= 0 {
-		cfg.CacheBytes = 64 << 20
-	}
 
 	// All deployment wiring — sharded storage boots, replica scaling,
 	// load-balanced vs. shard-routed clients — goes through the shared
@@ -168,7 +166,7 @@ func New(app *core.App, cfg Config) (*SocialNetwork, error) {
 		ShardReplicas:  cfg.ShardReplicas,
 		BrokerShards:   cfg.BrokerShards,
 		BrokerReplicas: cfg.BrokerReplicas,
-		CacheBytes:     cfg.CacheBytes,
+		CacheBytes:     cacheBytes,
 		Middleware:     cfg.Middleware,
 		Replicable:     replicable,
 		Replicas:       replicas,

@@ -3,7 +3,6 @@ package socialnetwork
 import (
 	"bytes"
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -253,22 +252,21 @@ func TestFrontendEndToEnd(t *testing.T) {
 	fe := sn.Frontend
 
 	// Register + login over REST.
-	if err := fe.Do(ctx, "POST", "/register", CredentialsBody{Username: "eve", Password: "s3cret"}, nil); err != nil {
+	if err := fe.Do(ctx, "POST", "/register", LoginReq{Username: "eve", Password: "s3cret"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	var login LoginResp
-	if err := fe.Do(ctx, "POST", "/login", CredentialsBody{Username: "eve", Password: "s3cret"}, &login); err != nil {
+	if err := fe.Do(ctx, "POST", "/login", LoginReq{Username: "eve", Password: "s3cret"}, &login); err != nil {
 		t.Fatal(err)
 	}
 	// Wrong password rejected.
-	if err := fe.Do(ctx, "POST", "/login", CredentialsBody{Username: "eve", Password: "wrong"}, nil); !rpc.IsCode(err, rpc.CodeUnauthorized) {
+	if err := fe.Do(ctx, "POST", "/login", LoginReq{Username: "eve", Password: "wrong"}, nil); !rpc.IsCode(err, rpc.CodeUnauthorized) {
 		t.Fatalf("bad login: %v", err)
 	}
 
 	// Post with an image attachment.
-	img := base64.StdEncoding.EncodeToString(make([]byte, 4096))
 	var post Post
-	if err := fe.Do(ctx, "POST", "/posts", PostBody{Token: login.Token, Text: "coffee time", Images: []string{img}}, &post); err != nil {
+	if err := fe.Do(ctx, "POST", "/posts", ComposePostReq{Token: login.Token, Text: "coffee time", Images: [][]byte{make([]byte, 4096)}}, &post); err != nil {
 		t.Fatal(err)
 	}
 	if post.Author != "eve" || len(post.MediaIDs) != 1 {

@@ -12,6 +12,9 @@ import (
 	"dsb/internal/metrics"
 )
 
+// localWireNs is the IPC-ish hop between colocated edge services.
+const localWireNs = 1e3
+
 // Config describes a simulated deployment of one application.
 type Config struct {
 	App      *graph.App
@@ -21,14 +24,12 @@ type Config struct {
 	Replicas map[string]int
 	// EdgeServices marks services placed on edge-class machines (Swarm);
 	// they run on EdgePlatform and reach cloud services across the app's
-	// wire (wifi), while edge↔edge and cloud↔cloud hops use LocalWireNs
+	// wire (wifi), while edge↔edge and cloud↔cloud hops use localWireNs
 	// and the datacenter wire respectively.
 	EdgeServices map[string]bool
 	EdgePlatform archsim.Platform
 	// ClientEdge places the workload source on the edge side (a drone).
 	ClientEdge bool
-	// LocalWireNs is the IPC-ish hop between colocated edge services.
-	LocalWireNs float64
 	// WorkerScale multiplies every profile's worker pool (min 1 worker);
 	// experiments use fractions to provision saturation at the QPS scales
 	// the paper's figures sweep.
@@ -114,9 +115,6 @@ func NewDeployment(s *Sim, cfg Config) (*Deployment, error) {
 	}
 	if cfg.Net.PerMsgCycles == 0 {
 		cfg.Net = archsim.DefaultNetwork
-	}
-	if cfg.LocalWireNs <= 0 {
-		cfg.LocalWireNs = 1e3
 	}
 	d := &Deployment{
 		Sim:        s,
@@ -286,7 +284,7 @@ func (d *Deployment) wireNs(fromEdge, toEdge bool) float64 {
 		return d.cfg.App.WireNs
 	}
 	if fromEdge {
-		return d.cfg.LocalWireNs
+		return localWireNs
 	}
 	// Cloud-to-cloud always rides the datacenter fabric, even when the
 	// app's client hop is wifi.

@@ -1,17 +1,15 @@
 // Package sqlstore implements the suite's relational database — the role
-// MySQL plays in DeathStarBench (the sharded, replicated MovieDB in the
-// Media service and BankInfoDB in Banking). It is a minimal relational
-// engine: tables with declared schemas, a primary key, secondary equality
-// indexes, and ordered scans; plus sharding and replication wrappers that
-// reproduce the deployment the paper describes, including per-replica
-// fault injection used by the slow-server experiments.
+// MySQL plays in DeathStarBench (MovieDB in the Media service and
+// BankInfoDB in Banking). It is a minimal relational engine: tables with
+// declared schemas, a primary key, secondary equality indexes, and ordered
+// scans. One DB is one database node; a tier that wants its rows
+// partitioned across nodes gets that from the Stack's shard.Router, not
+// from here.
 package sqlstore
 
 import (
-	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"dsb/internal/rpc"
 )
@@ -233,151 +231,3 @@ func (db *DB) Update(tableName, pk string, fn func(Row) Row) error {
 	t.insertLocked(pk, updated)
 	return nil
 }
-
-func fnv1a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
-// Cluster is a sharded, replicated deployment of the same schema set: rows
-// are partitioned by primary-key hash across shards, and each shard keeps
-// replicas that receive every write. Reads pick a healthy replica.
-type Cluster struct {
-	mu     sync.RWMutex
-	shards [][]*DB // [shard][replica]
-	slow   map[*DB]bool
-	rr     atomic.Int64 // readers advance it holding only mu.RLock
-}
-
-// NewCluster creates a cluster with the given shard and replica counts.
-func NewCluster(shards, replicas int) *Cluster {
-	if shards < 1 {
-		shards = 1
-	}
-	if replicas < 1 {
-		replicas = 1
-	}
-	c := &Cluster{slow: make(map[*DB]bool)}
-	for i := 0; i < shards; i++ {
-		group := make([]*DB, replicas)
-		for j := range group {
-			group[j] = NewDB()
-		}
-		c.shards = append(c.shards, group)
-	}
-	return c
-}
-
-// CreateTable creates the table on every replica of every shard.
-func (c *Cluster) CreateTable(s Schema) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, group := range c.shards {
-		for _, db := range group {
-			if err := db.CreateTable(s); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func (c *Cluster) shardOf(pk string) []*DB {
-	return c.shards[int(fnv1a(pk))%len(c.shards)]
-}
-
-// Insert writes the row to all replicas of its shard.
-func (c *Cluster) Insert(tableName string, row Row, pk string) error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for _, db := range c.shardOf(pk) {
-		if err := db.Insert(tableName, row); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Get reads from a healthy replica of the row's shard, falling back to any
-// replica if all are marked slow.
-func (c *Cluster) Get(tableName, pk string) (Row, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	group := c.shardOf(pk)
-	return c.pickReplica(group).Get(tableName, pk)
-}
-
-func (c *Cluster) pickReplica(group []*DB) *DB {
-	rr := int(c.rr.Add(1))
-	for i := 0; i < len(group); i++ {
-		db := group[(rr+i)%len(group)]
-		if !c.slow[db] {
-			return db
-		}
-	}
-	return group[rr%len(group)]
-}
-
-// SelectAll fans a Select out to one replica per shard and merges results
-// ordered by primary key.
-func (c *Cluster) SelectAll(tableName, col, val string, limit int) ([]Row, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var out []Row
-	var pkCol string
-	for _, group := range c.shards {
-		db := c.pickReplica(group)
-		rows, err := db.Select(tableName, col, val, 0)
-		if err != nil {
-			return nil, err
-		}
-		if pkCol == "" {
-			if t, err := db.table(tableName); err == nil {
-				pkCol = t.schema.PrimaryKey
-			}
-		}
-		out = append(out, rows...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][pkCol] < out[j][pkCol] })
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
-	return out, nil
-}
-
-// Update applies fn on every replica of the row's shard.
-func (c *Cluster) Update(tableName, pk string, fn func(Row) Row) error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for _, db := range c.shardOf(pk) {
-		if err := db.Update(tableName, pk, fn); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// MarkSlow flags the j-th replica of shard i as degraded so reads avoid it;
-// the slow-server experiments use this to model a database shard landing on
-// a bad machine.
-func (c *Cluster) MarkSlow(shard, replica int, slow bool) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if shard < 0 || shard >= len(c.shards) || replica < 0 || replica >= len(c.shards[shard]) {
-		return fmt.Errorf("sqlstore: no replica %d/%d", shard, replica)
-	}
-	db := c.shards[shard][replica]
-	if slow {
-		c.slow[db] = true
-	} else {
-		delete(c.slow, db)
-	}
-	return nil
-}
-
-// Shards returns the shard count.
-func (c *Cluster) Shards() int { return len(c.shards) }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -47,8 +48,6 @@ var unreached = map[string]string{
 	"loadgen.ConstantRate":       "deterministic arrivals for loadgen's and fault's open-loop tests",
 	"rpc.IsCode":                 "the coded-error predicate tests in thirteen packages assert with",
 	"rpc.Server.Resume":          "restarts a hung replica in core's Revive seam and ecommerce's hung-catalogue test",
-	"sqlstore.Cluster.MarkSlow":  "media's shard-fault test degrades a replica with it",
-	"sqlstore.Cluster.Shards":    "media's shard-fault test walks every shard with it",
 
 	// State only a test reads.
 	"experiments.chaosResult.schedule": "the reproducibility witness TestChaosRecoveryShape compares across two same-seed live runs",
@@ -81,23 +80,28 @@ func TestReachCensus(t *testing.T) {
 	for _, name := range slices.Sorted(maps.Keys(c.benchOnly)) {
 		t.Logf("reached only from benchmark/: %s (%s)", name, c.benchOnly[name])
 	}
+	t.Logf("settable values: %d exported Config/Options fields that non-test code writes", c.knobs)
 }
 
 // TestReachCensusFixture pins the census's rules on a module built to probe
 // them: a method kept alive only by satisfying an interface, a generic
 // type's method used through an instantiation, a Config field written only
-// through its address, a positionally initialised Config, an atomic whose
-// Add result is used and a field both written and read all count as
-// reached; an exported func nothing calls but itself, one only a test
-// calls, a counter only ever updated, a field only a test reads and one
-// only a composite literal sets do not.
+// through its address, a positionally initialised Config, a Config field
+// only clamped, an atomic whose Add result is used and a field both written
+// and read all count as reached; an exported func nothing calls but itself,
+// one only a test calls, a Config field only ever given its default, a
+// counter only ever updated, a field only a test reads and one only a
+// composite literal sets do not.
 func TestReachCensusFixture(t *testing.T) {
 	c, err := reachCensus(filepath.Join("testdata", "reach"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := slices.Sorted(maps.Keys(c.dead))
-	want := []string{"lib.Counter.hits", "lib.Counter.label", "lib.Counter.last", "lib.Dead", "lib.TestOnly"}
+	want := []string{
+		"lib.Config.Depth", "lib.Config.Name", "lib.Counter.hits", "lib.Counter.label", "lib.Counter.last",
+		"lib.Dead", "lib.TestOnly",
+	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("census of the fixture = %q, want %q", got, want)
 	}
@@ -109,6 +113,7 @@ func TestReachCensusFixture(t *testing.T) {
 type census struct {
 	dead      map[string]string // name → position: no non-test package reaches it
 	benchOnly map[string]string // name → position: only benchmark/ reaches it
+	knobs     int               // exported Config/Options fields non-test code writes
 }
 
 type listedPackage struct {
@@ -219,6 +224,11 @@ func reachCensus(dir string) (*census, error) {
 		r.writes(cp, reached)
 	}
 	c := &census{dead: map[string]string{}, benchOnly: map[string]string{}}
+	for obj := range r.config {
+		if other[obj] || bench[obj] {
+			c.knobs++
+		}
+	}
 	for obj, name := range r.names {
 		pos := fset.Position(obj.Pos())
 		if rel, err := filepath.Rel(root, pos.Filename); err == nil {
@@ -408,8 +418,11 @@ func (r *reachability) inside(obj types.Object, pos token.Pos) bool {
 
 // writes marks every Config field cp sets: by key or position in a
 // composite literal, as the target of an assignment or ++/--, or by taking
-// its address.
+// its address. Filling in a default is not setting: an assignment to a
+// field inside an if that tests that same field against its zero value
+// (`if cfg.X <= 0 { cfg.X = d }`) does not count.
 func (r *reachability) writes(cp *checkedPackage, reached map[types.Object]bool) {
+	defaults := defaultFills(cp)
 	write := func(field types.Object) {
 		if field = origin(field); r.config[field] {
 			reached[field] = true
@@ -451,6 +464,9 @@ func (r *reachability) writes(cp *checkedPackage, reached map[types.Object]bool)
 					}
 				}
 			case *ast.AssignStmt:
+				if defaults[x] {
+					break
+				}
 				for _, lhs := range x.Lhs {
 					target(lhs)
 				}
@@ -464,6 +480,55 @@ func (r *reachability) writes(cp *checkedPackage, reached map[types.Object]bool)
 			return true
 		})
 	}
+}
+
+// defaultFills returns the assignments in cp that fill in a default: a
+// statement directly in the body of an if whose condition compares a field
+// (==, <= or <) with a zero constant or nil, assigning that same field and
+// nothing else.
+func defaultFills(cp *checkedPackage) map[*ast.AssignStmt]bool {
+	fills := map[*ast.AssignStmt]bool{}
+	for _, f := range cp.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			ifs, ok := n.(*ast.IfStmt)
+			if !ok {
+				return true
+			}
+			cond, ok := ifs.Cond.(*ast.BinaryExpr)
+			if !ok || cond.Op != token.EQL && cond.Op != token.LEQ && cond.Op != token.LSS {
+				return true
+			}
+			field, ok := cond.X.(*ast.SelectorExpr)
+			if !ok || !isZero(cp.info.Types[cond.Y]) {
+				return true
+			}
+			for _, stmt := range ifs.Body.List {
+				if as, ok := stmt.(*ast.AssignStmt); ok && as.Tok == token.ASSIGN && len(as.Lhs) == 1 &&
+					types.ExprString(as.Lhs[0]) == types.ExprString(field) {
+					fills[as] = true
+				}
+			}
+			return true
+		})
+	}
+	return fills
+}
+
+// isZero reports whether tv is the constant zero value of its type, or nil.
+func isZero(tv types.TypeAndValue) bool {
+	if tv.IsNil() {
+		return true
+	}
+	if tv.Value == nil {
+		return false
+	}
+	switch tv.Value.Kind() {
+	case constant.String:
+		return constant.StringVal(tv.Value) == ""
+	case constant.Int, constant.Float:
+		return constant.Sign(tv.Value) == 0
+	}
+	return false
 }
 
 func origin(obj types.Object) types.Object {

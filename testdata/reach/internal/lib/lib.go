@@ -19,8 +19,30 @@ type Box[T any] struct{ v T }
 
 func (b Box[T]) Get() T { return b.v }
 
-// Config.Size is written only through &cfg.Size.
-type Config struct{ Size int }
+// Config.Size is written only through &cfg.Size (and defaulted); Width
+// only by a clamp, which is a write; Depth and Name only ever get their
+// defaults, which are not settings: both reported.
+type Config struct {
+	Size, Width, Depth int
+	Name               string
+}
+
+// Normalize fills in Config's defaults and clamps Width.
+func Normalize(c Config) Config {
+	if c.Size <= 0 {
+		c.Size = 1
+	}
+	if c.Width > 80 {
+		c.Width = 80
+	}
+	if c.Depth == 0 {
+		c.Depth = 4
+	}
+	if c.Name == "" {
+		c.Name = "lib"
+	}
+	return c
+}
 
 // PairConfig is only ever built positionally: both fields are written.
 type PairConfig struct{ A, B int }

@@ -12,6 +12,7 @@ import (
 func main() {
 	var cfg lib.Config
 	flag.IntVar(&cfg.Size, "size", 1, "the only write to Config.Size")
+	cfg = lib.Normalize(cfg)
 	pair := lib.PairConfig{1, 2}
 	fmt.Println(lib.Describe(lib.Named{}), lib.Box[int]{}.Get(), cfg, pair, lib.NewCounter().Hit())
 }
