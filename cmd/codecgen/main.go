@@ -112,7 +112,7 @@ var targets = []target{
 			ecommerce.DiscountReq{}, ecommerce.DiscountResp{}, ecommerce.AdjustStockReq{},
 			ecommerce.AccountReq{}, ecommerce.BalanceResp{},
 			ecommerce.ShippingQuoteReq{}, ecommerce.ShippingQuoteResp{}, ecommerce.TransactionIDResp{},
-			ecommerce.AuthorizePaymentReq{}, ecommerce.AuthorizePaymentResp{},
+			ecommerce.AuthorizePaymentReq{},
 		},
 	},
 	{

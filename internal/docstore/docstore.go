@@ -286,15 +286,19 @@ func (c *Collection) Update(id string, fn func(Doc) Doc) error {
 // writers push post IDs onto follower timelines concurrently, and a plain
 // Get/modify/Put cycle would lose updates under contention.
 func (c *Collection) ListPrepend(id, value string, max int) (int, error) {
-	return c.listPrepend(id, value, max, false)
+	n, _, err := c.listPrepend(id, value, max, false)
+	return n, err
 }
 
 // listPrepend splices: the stored bytes up to the body, then a new body of
 // count, value and the old list's element bytes, cut where the cap falls.
 // The old list is walked, to validate it and find the cut, never decoded.
-func (c *Collection) listPrepend(id, value string, max int, unique bool) (int, error) {
+// A unique prepend of a value already listed writes nothing; inserted
+// reports whether value went in, so a unique prepend is also the store's
+// one-hop set insert.
+func (c *Collection) listPrepend(id, value string, max int, unique bool) (n int, inserted bool, err error) {
 	if id == "" {
-		return 0, rpc.Errorf(rpc.CodeBadRequest, "docstore: empty document ID")
+		return 0, false, rpc.Errorf(rpc.CodeBadRequest, "docstore: empty document ID")
 	}
 	c.mutMu.Lock()
 	defer c.mutMu.Unlock()
@@ -306,7 +310,6 @@ func (c *Collection) listPrepend(id, value string, max int, unique bool) (int, e
 	p, _ := layoutOf(old)
 	body := reader{b: old[p.body:]}
 	list := reader{b: body.str()}
-	n := 0
 	if len(list.b) > 0 {
 		n = list.count()
 	}
@@ -318,10 +321,10 @@ func (c *Collection) listPrepend(id, value string, max int, unique bool) (int, e
 		dup = string(list.str()) == value || dup
 	}
 	if list.bad || len(list.b) != 0 {
-		return 0, fmt.Errorf("docstore: %s/%s body is not a list", c.name, id)
+		return 0, false, fmt.Errorf("docstore: %s/%s body is not a list", c.name, id)
 	}
 	if unique && dup {
-		return n, nil
+		return n, false, nil
 	}
 	if n++; max > 0 && n > max {
 		n = max
@@ -330,7 +333,7 @@ func (c *Collection) listPrepend(id, value string, max int, unique bool) (int, e
 	enc := make([]byte, 0, p.body+uvarintLen(size)+size)
 	enc = codec.AppendLen(append(enc, old[:p.body]...), size)
 	enc = codec.AppendString(codec.AppendLen(enc, n), value)
-	return n, c.commit(append(enc, elems[:keep]...))
+	return n, true, c.commit(append(enc, elems[:keep]...))
 }
 
 // AddNum atomically adds delta to a numeric field (absent counts as 0) unless

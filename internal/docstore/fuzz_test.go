@@ -123,7 +123,8 @@ func containsID(docs []Doc, id string) bool {
 // through the RPC handler, which walks the body as a []string encoding
 // without decoding it. A body the typed decoder rejects must fail and leave
 // the document as it was; one it accepts must come out as the decoder's list
-// with the value in front, cut at the cap.
+// with the value in front, cut at the cap, and the reply must say whether the
+// value went in.
 func FuzzListPrependBody(f *testing.F) {
 	list := mustMarshal(f, []string{"p3", "p2", "", "p1"})
 	f.Add(list, "p9", uint8(0), false)
@@ -148,7 +149,8 @@ func FuzzListPrependBody(f *testing.F) {
 		var old []string
 		valid := len(body) == 0 || codec.Unmarshal(body, &old) == nil
 		want := old
-		if dup := unique && slices.Contains(old, value); !dup {
+		inserted := !unique || !slices.Contains(old, value)
+		if inserted {
 			want = append([]string{value}, old...)
 			if max > 0 && len(want) > int(max) {
 				want = want[:max]
@@ -172,8 +174,8 @@ func FuzzListPrependBody(f *testing.F) {
 			return
 		}
 		var resp ListPrependResp
-		if err := codec.Unmarshal(reply, &resp); err != nil || int(resp.Len) != len(want) {
-			t.Fatalf("ListPrepend onto %x: Len=%d err=%v, want %d", body, resp.Len, err, len(want))
+		if err := codec.Unmarshal(reply, &resp); err != nil || int(resp.Len) != len(want) || resp.Inserted != inserted {
+			t.Fatalf("ListPrepend onto %x: Len=%d Inserted=%v err=%v, want %d and %v", body, resp.Len, resp.Inserted, err, len(want), inserted)
 		}
 		d, _ := col.Get("tl")
 		var got []string

@@ -109,7 +109,8 @@ func (m model) Find(field, value string, limit int) []Doc {
 type local struct{ *Collection }
 
 func (l local) Prepend(id, value string, max int, unique bool) (int, error) {
-	return l.listPrepend(id, value, max, unique)
+	n, _, err := l.listPrepend(id, value, max, unique)
+	return n, err
 }
 
 // remote drives a served store over rpc.Mem. Update has no RPC method, so it

@@ -51,8 +51,12 @@ type ListPrependReq struct {
 	Unique bool
 }
 
-// ListPrependResp returns the list length after the prepend.
-type ListPrependResp struct{ Len int64 }
+// ListPrependResp returns the list length after the prepend, and whether
+// Value went in: always, unless Unique found it already listed.
+type ListPrependResp struct {
+	Len      int64
+	Inserted bool
+}
 
 // AddNumReq atomically adds Delta to a numeric field of a document unless
 // the sum would fall below Floor (see Collection.AddNum).
@@ -97,11 +101,11 @@ func RegisterService(srv *rpc.Server, store *Store) {
 		return ctx.OwnReply(c.appendFind(transport.AcquireBuf(0), req.Field, req.Value, int(req.Limit))), nil
 	})
 	rpc.HandleTyped(srv, "ListPrepend", func(ctx *rpc.Ctx, req *ListPrependReq) ([]byte, error) {
-		n, err := store.Collection(req.Collection).listPrepend(req.ID, req.Value, int(req.Cap), req.Unique)
+		n, inserted, err := store.Collection(req.Collection).listPrepend(req.ID, req.Value, int(req.Cap), req.Unique)
 		if err != nil {
 			return nil, err
 		}
-		return ctx.Reply(&ListPrependResp{Len: int64(n)})
+		return ctx.Reply(&ListPrependResp{Len: int64(n), Inserted: inserted})
 	})
 	rpc.HandleTyped(srv, "AddNum", func(ctx *rpc.Ctx, req *AddNumReq) ([]byte, error) {
 		c := store.collection(req.Collection, false)

@@ -310,6 +310,7 @@ func (c *serverConn) next(s *Server) bool {
 		io.WriteString(c.nc, "HTTP/1.1 100 Continue\r\n\r\n") //nolint:errcheck // a dead connection fails the read
 	}
 	s.mux.ServeHTTP(&c.resp, req)
+	c.resp.coded(req)
 	// Body bytes left unread would stand in front of the next request, and
 	// an HTTP/1.0 client expects the connection to end with the response.
 	keep := (req.Body == http.NoBody || c.resp.drained) && !req.Close && req.ProtoAtLeast(1, 1)
@@ -398,6 +399,29 @@ func (r *response) Write(p []byte) (int, error) {
 	}
 	r.body = append(r.body, p...)
 	return len(p), nil
+}
+
+// coded turns the mux's own plain-text answer to a request no route takes —
+// 404 for a path nothing serves, 405 for a method its routes do not — into
+// the JSON envelope every other failure goes back in, CodeNotFound and
+// CodeBadRequest, so a client reads a missing route as the caller's fault,
+// not the server's. The status and the mux's Allow header stay.
+func (r *response) coded(req *http.Request) {
+	status := r.status
+	if r.json || status != http.StatusNotFound && status != http.StatusMethodNotAllowed {
+		return
+	}
+	code, allow := rpc.CodeNotFound, r.header.Get("Allow")
+	if status == http.StatusMethodNotAllowed {
+		code = rpc.CodeBadRequest
+	}
+	clear(r.header)
+	if allow != "" {
+		r.header.Set("Allow", allow)
+	}
+	transport.ReleaseBuf(r.body)
+	r.fail(rpc.Errorf(code, "%s %s: %s", req.Method, req.URL.Path, http.StatusText(status)))
+	r.status = status
 }
 
 // statusOf is the HTTP status an error code is answered with, 500 for the

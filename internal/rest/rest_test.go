@@ -111,6 +111,26 @@ func TestNotFoundMapsToCode(t *testing.T) {
 	}
 }
 
+// TestMissingRouteMapsToCode: the mux's own 404 and 405 reach a client as
+// the coded errors a handler's would, not as a server fault.
+func TestMissingRouteMapsToCode(t *testing.T) {
+	n := rpc.NewMem()
+	addr, _ := startCatalogue(t, n)
+	c := NewClient(n, "catalogue", addr)
+	defer c.Close()
+	ctx := context.Background()
+	if err := c.Do(ctx, "GET", "/nowhere", nil, nil); !rpc.IsCode(err, rpc.CodeNotFound) {
+		t.Fatalf("GET of a path no route serves: want CodeNotFound, got %v", err)
+	}
+	if err := c.Do(ctx, "DELETE", "/items/a", nil, nil); !rpc.IsCode(err, rpc.CodeBadRequest) {
+		t.Fatalf("DELETE on a route that does not take it: want CodeBadRequest, got %v", err)
+	}
+	var got item
+	if err := c.Do(ctx, "POST", "/items", item{ID: "a"}, &got); err != nil || got.ID != "a" {
+		t.Fatalf("a route after them: %+v, %v", got, err)
+	}
+}
+
 func TestBadJSONRejected(t *testing.T) {
 	var it item
 	if err := DecodeJSON([]byte("{nope"), &it); !rpc.IsCode(err, rpc.CodeBadRequest) {

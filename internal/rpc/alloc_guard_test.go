@@ -134,13 +134,14 @@ func BenchmarkEchoFastPath(b *testing.B) {
 }
 
 // idleConnBudget is the live heap one parked connection may hold, both ends
-// together: two frameReaders' 16 KiB read buffers, and some 4.5 KiB for
-// two connWriter segments and two memPipe rings sized by the small frames
-// that crossed them and the structs around them (36.5 KiB measured). An
-// edge holds a connection per concurrent call, not two in all, so this is
-// what a burst leaves behind per caller — 209 of them on the ledger's
-// social_mixed, where 32 KiB read buffers cost 11 MiB of peak RSS.
-const idleConnBudget = 40 << 10
+// together: two frameReaders with their 2 KiB read buffers, two connWriters
+// keeping only the small frames that crossed them, and the structs around
+// them — 5.6 to 6.8 KiB measured; no memPipe ring, which exists only while
+// bytes are unread. An edge holds a connection per concurrent call, not two
+// in all, so this is what a burst leaves behind per caller — 209 of them on
+// the ledger's social_mixed, where 16 KiB read buffers held 36.5 KiB per
+// parked connection and 32 KiB ones cost 11 MiB more of peak RSS.
+const idleConnBudget = 8 << 10
 
 // TestIdleConnFootprint parks a thousand rpc.Mem connections on one client
 // and holds the heap they keep alive to idleConnBudget each, so a change
@@ -174,14 +175,13 @@ func TestIdleConnFootprint(t *testing.T) {
 }
 
 // idleStreamBudget is the live heap one open, idle stream may hold, both ends
-// together: its connection (see idleConnBudget; a stream has one to itself,
-// and an idle one's rings have carried only the open frame), the two
-// streamCores, the server's handler context and three goroutines' descriptors
-// — 35.5 KiB measured. Those goroutines are the rest of the price: the
-// client's reader of the connection, the server's, and the handler; their
-// stacks are not heap.
+// together: its connection (see idleConnBudget; a stream has one to itself),
+// the two streamCores, the server's handler context and three goroutines'
+// descriptors — 7.0 to 7.5 KiB measured. Those goroutines are the rest of
+// the price: the client's reader of the connection, the server's, and the
+// handler; their stacks are not heap.
 const (
-	idleStreamBudget    = 38 << 10
+	idleStreamBudget    = 10 << 10
 	goroutinesPerStream = 3
 )
 

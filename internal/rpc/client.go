@@ -228,9 +228,10 @@ func (c *Client) sendOneWay(call *transport.Call) error {
 
 // exchange performs the unary wire round trip for call, reading the reply on
 // the calling goroutine and setting call.Reply (a pooled buffer — the caller
-// that owns the Call decides when to release it) on success. The reply is
-// copied out of the read buffer before the connection is parked: the next
-// caller to check it out reads over it.
+// that owns the Call decides when to release it) on success. A reply too
+// large for the connection's read buffer was read into a pooled one, which
+// becomes call.Reply; a small one is copied out of the read buffer before the
+// connection is parked: the next caller to check it out reads over it.
 func (c *Client) exchange(ctx context.Context, call *transport.Call) error {
 	cn, err := c.send(kindRequest, call)
 	if err != nil {
@@ -244,7 +245,7 @@ func (c *Client) exchange(ctx context.Context, call *transport.Call) error {
 		case reply.kind == kindError:
 			return true, &Error{Code: int(reply.code), Msg: string(reply.payload)}
 		case len(reply.payload) > 0:
-			call.Reply = append(transport.AcquireBuf(len(reply.payload)), reply.payload...)
+			call.Reply = cn.State.fr.keep(reply.payload)
 		}
 		return true, nil
 	})

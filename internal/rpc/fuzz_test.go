@@ -15,19 +15,21 @@ import (
 
 // FuzzFrameReader feeds a connection's reader whatever a peer could write.
 // Since a call reads its own reply, these bytes are parsed on the calling
-// goroutine of every hop, so the reader must hold three lines against any
+// goroutine of every hop, so the reader must hold four lines against any
 // input: it returns an error instead of panicking; it never sizes an
 // allocation from a length it has not checked against maxFrameSize (outer
 // length), the header cap, or the bytes actually present (method, header
-// strings, payload); and what it does accept it understood — the frame
-// re-encodes to bytes that parse back to the same frame. The reader has two
-// paths, and they must agree: the same bytes go through a bytes.Reader, whose
-// frames sit whole in the read buffer and are parsed in place, and through
-// an iotest.OneByteReader, whose length prefixes are read byte by byte and
-// bodies copied into the envelope; both must yield the same frames, or fail
-// with the same error. The last part is the caller's view: readReply hands
-// back only the reply to its own sequence number, whatever else the peer
-// interleaves.
+// strings, payload); what it does accept it understood — the frame
+// re-encodes to bytes that parse back to the same frame; and nothing it
+// borrows is held between frames — a frame that fits the reader's own buffer
+// borrows nothing, a larger one only until the next read, and a failed read
+// holds nothing at all. The same bytes go through three readers, which cut
+// them differently: a bytes.Reader fills the read buffer whole, an
+// iotest.HalfReader half of it at a time, and an iotest.OneByteReader a byte
+// at a time, so a frame larger than the buffer arrives split across reads,
+// at every point; all three must yield the same frames, or fail with the
+// same error. The last part is the caller's view: readReply hands back only
+// the reply to its own sequence number, whatever else the peer interleaves.
 //
 // Seeds for each hostile shape are committed under testdata/fuzz; `make
 // check` runs the target for ten seconds.
@@ -42,32 +44,54 @@ func FuzzFrameReader(f *testing.F) {
 	// A one-byte length prefix, as any uvarint writer would put it.
 	body := frameBody(f, &frame{kind: kindReply, seq: 4, payload: []byte("short")})
 	f.Add(append(binary.AppendUvarint(nil, uint64(len(body))), body...), uint64(4))
-	// A frame larger than the read buffer, then one behind it.
+	// A frame larger than the read buffer, then a one-way behind it.
 	f.Add(append(encodeWire(f, &frame{kind: kindReply, seq: 5, payload: bytes.Repeat([]byte("z"), readBufSize+100)}),
 		encodeWire(f, &frame{kind: kindOneWay, seq: 6, method: "Ack", payload: []byte("k")})...), uint64(5))
 	// Two frames that arrive in one read.
 	f.Add(append(encodeWire(f, &frame{kind: kindReply, seq: 6, payload: []byte("first")}),
 		encodeWire(f, &frame{kind: kindReply, seq: 7, payload: []byte("second")})...), uint64(7))
+	// A frame just larger than the read buffer, whose prefix and first bytes
+	// share a read with the end of a small frame before it.
+	f.Add(append(encodeWire(f, &frame{kind: kindReply, seq: 8, payload: bytes.Repeat([]byte("a"), 1000)}),
+		encodeWire(f, &frame{kind: kindReply, seq: 9, payload: bytes.Repeat([]byte("b"), readBufSize)})...), uint64(9))
+	// A small frame pipelined behind a large one, and a large one behind it.
+	f.Add(bytes.Join([][]byte{
+		encodeWire(f, &frame{kind: kindReply, seq: 10, payload: bytes.Repeat([]byte("c"), 3*readBufSize)}),
+		encodeWire(f, &frame{kind: kindReply, seq: 11, payload: []byte("small")}),
+		encodeWire(f, &frame{kind: kindOneWay, seq: 12, method: "Big", payload: bytes.Repeat([]byte("d"), 2*readBufSize)}),
+	}, nil), uint64(11))
+	// An outer length of exactly maxFrameSize, truncated, is the committed
+	// max-outer-length-truncated.
 
 	f.Fuzz(func(t *testing.T, wire []byte, seq uint64) {
-		inPlace := newFrameReader(bytes.NewReader(wire))
-		byteWise := newFrameReader(iotest.OneByteReader(bytes.NewReader(wire)))
+		readers := []*frameReader{
+			newFrameReader(bytes.NewReader(wire)),
+			newFrameReader(iotest.HalfReader(bytes.NewReader(wire))),
+			newFrameReader(iotest.OneByteReader(bytes.NewReader(wire))),
+		}
+		frames := make([]*frame, len(readers))
 		for {
-			got, err := inPlace.read()
-			want, werr := byteWise.read()
-			for _, fr := range []*frameReader{inPlace, byteWise} {
-				if cap(fr.buf) > maxRetainedBuffer {
-					t.Fatalf("reader kept a %d-byte envelope, cap is %d", cap(fr.buf), maxRetainedBuffer)
+			var err error
+			for i, fr := range readers {
+				f, ferr := fr.read()
+				if fr.borrowed != nil && (ferr != nil || len(fr.borrowed) <= readBufSize) {
+					t.Fatalf("reader %d holds %d borrowed bytes after a read that returned %v", i, len(fr.borrowed), ferr)
 				}
-			}
-			if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
-				t.Fatalf("in place: %v; byte by byte: %v", err, werr)
+				if i == 0 {
+					err = ferr
+				} else if (err == nil) != (ferr == nil) || err != nil && err.Error() != ferr.Error() {
+					t.Fatalf("reader 0: %v; reader %d: %v", err, i, ferr)
+				}
+				frames[i] = f
 			}
 			if err != nil {
 				break
 			}
-			if !sameFrame(got, want) {
-				t.Fatalf("the paths disagree:\n in place     %+v\n byte by byte %+v", got, want)
+			got := frames[0]
+			for i, want := range frames[1:] {
+				if !sameFrame(got, want) {
+					t.Fatalf("the readers disagree:\n reader 0 %+v\n reader %d %+v", got, i+1, want)
+				}
 			}
 			if len(got.payload) > len(wire) || len(got.method) > len(wire) || len(got.headers) > 1024 {
 				t.Fatalf("frame larger than its input: %d payload bytes, %d method bytes, %d headers from %d bytes",
@@ -81,8 +105,9 @@ func FuzzFrameReader(f *testing.F) {
 				t.Fatalf("frame changed in a round trip:\n got   %+v\n again %+v", got, again)
 			}
 			if got.kind == kindOneWay { // the one payload the reader hands over pooled
-				transport.ReleaseBuf(got.payload)
-				transport.ReleaseBuf(want.payload)
+				for _, f := range frames {
+					transport.ReleaseBuf(f.payload)
+				}
 			}
 		}
 

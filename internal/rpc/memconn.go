@@ -16,15 +16,17 @@ import (
 const memConnCapacity = 256 << 10
 
 // memPipe is one direction of a memConn: a ring of unread bytes between a
-// writing end and a reading end. The ring starts at 2 KiB, doubles up to
-// memConnCapacity as unread bytes demand and never shrinks, so a connection
-// settles at the size of its largest burst and allocates nothing after. A
-// Write that finds a Read already parked skips the ring for that Read's
-// buffer, so a large frame is not copied twice on its way to a waiting peer.
+// writing end and a reading end. A ring exists only while bytes are unread:
+// it is borrowed from largeBufs at 2 KiB or, doubling, up to
+// memConnCapacity as unread bytes demand, and goes back to the pool once
+// drained, so a connection holds a burst's bytes while they are in flight,
+// not after. A Write that finds a Read already parked skips the ring for that
+// Read's buffer, so a frame is not copied twice on its way to a waiting peer.
 type memPipe struct {
 	mu       sync.Mutex
 	changed  sync.Cond // broadcast on every change below; parked calls re-check
-	buf      []byte    // ring; len is zero or a power of two
+	buf      []byte    // ring, while bytes are unread; len is a power of two
+	box      *[]byte   // the largeBufs box buf goes back in
 	r, n     int       // read index, unread bytes
 	rbuf     []byte    // the buffer of a Read parked on an empty ring, until a
 	rgot     int       // Write fills it: then rbuf is nil and rgot the byte count
@@ -86,7 +88,8 @@ func (p *memPipe) read(b []byte) (n int, err error) {
 			p.n -= n
 			p.r = (p.r + n) & (len(p.buf) - 1)
 			if p.n == 0 {
-				p.r = 0 // a ping-pong stays on the same cache lines
+				giveLarge(p.box, p.buf)
+				p.buf, p.box, p.r = nil, nil, 0
 			}
 			p.changed.Broadcast()
 		case p.wclosed:
@@ -150,16 +153,21 @@ func (p *memPipe) write(b []byte) (n int, err error) {
 	return n, err
 }
 
-// grow moves the unread bytes to the start of a ring of at least need bytes.
+// grow moves the unread bytes to the start of a borrowed ring of at least
+// need bytes, and returns the one they were in.
 func (p *memPipe) grow(need int) {
-	size := max(len(p.buf), 2<<10)
+	size := 2 << 10
 	for size < need {
 		size *= 2
 	}
-	buf := make([]byte, size)
+	box := takeLarge(size)
+	buf := (*box)[:size]
 	k := copy(buf, p.buf[p.r:min(p.r+p.n, len(p.buf))])
 	copy(buf[k:p.n], p.buf)
-	p.buf, p.r = buf, 0
+	if p.buf != nil {
+		giveLarge(p.box, p.buf)
+	}
+	p.buf, p.box, p.r = buf, box, 0
 }
 
 // memConn is one end of a Mem connection: a buffered duplex byte stream

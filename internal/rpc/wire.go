@@ -1,12 +1,12 @@
 package rpc
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -14,29 +14,95 @@ import (
 	"dsb/internal/transport"
 )
 
-// maxRetainedBuffer bounds the scratch buffers a connection keeps across
-// frames (encode buffer, read envelope) so one oversized frame does not pin
-// megabytes on an otherwise idle connection.
-const maxRetainedBuffer = 64 << 10
-
 // errEncode marks a failure to serialize the frame's typed body — a request's
 // or a reply's. The connection itself is untouched — nothing of the frame was
 // written — so callers must report it to the application instead of failing
 // the connection or redialing.
 var errEncode = errors.New("rpc: encode body")
 
+// readBufSize is what a connection end keeps to read and write with between
+// frames: the reader's own buffer, which holds frame headers and the small
+// frames a call mostly carries — IDs, keys, short posts — and the most a
+// writer keeps of its encode buffer. A frame larger than this is read into,
+// or encoded in, a pooled buffer borrowed for that frame alone. A client
+// holds a connection per concurrent call, so whatever a connection keeps is
+// paid per caller at peak, at both ends. History: at 32 KiB of read buffer
+// the ledger's social_mixed (209 connections) grew 58 to 69 MiB of peak RSS;
+// at 16 KiB, 496 reader ends held 7.9 MiB of a 36 MiB heap at the end of its
+// measured section. TestIdleConnFootprint holds the line.
+const readBufSize = 2 << 10
+
+// largeBufs holds the large buffers rpc borrows and returns itself — a
+// writer's encode buffer for a frame larger than readBufSize, a memPipe
+// ring — boxed so a Put does not allocate. They have a pool of their own:
+// in transport's, a handler's AcquireBuf(0) or a small reply's copy takes
+// whatever large buffer lies on top, and writers borrowing there found a
+// short one for two of every three large frames on social_mixed, 4 KB of
+// fresh encode buffer per operation. A frame read is borrowed from
+// transport's pool, since a client hands it on as a pooled Call.Reply.
+var largeBufs sync.Pool
+
+// maxLargeBuf bounds a buffer largeBufs keeps, so one jumbo frame or burst
+// does not pin megabytes in the pool.
+const maxLargeBuf = 64 << 10
+
+// borrow returns a buffer of length n from transport's pool for one frame
+// read. A pooled buffer too short for it is left to the collector, and the
+// new one is minted at the next power of two, so that back in the pool it
+// serves every frame up to that size.
+func borrow(n int) []byte {
+	b := transport.AcquireBuf(n)
+	if cap(b) < n {
+		c := n
+		if n <= maxLargeBuf {
+			c = 1 << bits.Len(uint(n-1))
+		}
+		b = make([]byte, 0, c)
+	}
+	return b[:n]
+}
+
+// takeLarge returns a box from largeBufs holding an empty buffer of at least
+// n bytes' capacity; giveLarge wants the box back with the buffer.
+func takeLarge(n int) *[]byte {
+	box, _ := largeBufs.Get().(*[]byte)
+	if box == nil {
+		box = new([]byte)
+	}
+	if cap(*box) < n {
+		*box = make([]byte, 0, n) // a short one is left to the collector
+	}
+	return box
+}
+
+// giveLarge puts b back in largeBufs in box, or in a new box when box is
+// nil.
+func giveLarge(box *[]byte, b []byte) {
+	if cap(b) > maxLargeBuf {
+		return
+	}
+	if box == nil {
+		box = new([]byte)
+	}
+	*box = b[:0]
+	largeBufs.Put(box)
+}
+
 // connWriter serializes frame writes onto one connection. A connection
 // carries one conversation, so the lock is uncontended on every call; what
 // it orders is the one stream's Send, its Recv's credit grants and a cancel,
-// whose frames must never interleave. Frames are encoded in place: appended
-// into a connection-owned buffer under the lock — a typed body is marshaled
-// straight into it through the codec fast path, so no per-call encode buffer
-// ever exists — and written out at once, one Write per frame.
+// whose frames must never interleave. Frames are encoded in place — a typed
+// body is marshaled straight into the frame through the codec fast path, so
+// no per-call encode buffer ever exists — and written out at once, one Write
+// per frame. The writer keeps its encode buffer between frames only up to
+// readBufSize; after a larger frame, the next is encoded in a buffer
+// borrowed from largeBufs at that frame's size, and returned once written.
 type connWriter struct {
 	mu  sync.Mutex
 	w   io.Writer
 	err error  // sticky: first write failure; the conn is dead
-	buf []byte // encode scratch, empty between frames
+	buf []byte // encode scratch, empty between frames, cap ≤ readBufSize
+	big int    // length of the last frame, when it outgrew readBufSize
 }
 
 func newConnWriter(w io.Writer) *connWriter {
@@ -52,24 +118,36 @@ func (cw *connWriter) write(f *frame) error {
 	if cw.err != nil {
 		return cw.err
 	}
-	if err := cw.encodeLocked(f); err != nil {
-		return err
+	buf := cw.buf[:0]
+	var box *[]byte
+	if cw.big > 0 {
+		box = takeLarge(cw.big)
+		buf = *box
 	}
-	_, cw.err = cw.w.Write(cw.buf)
-	cw.buf = cw.buf[:0]
-	if cap(cw.buf) > maxRetainedBuffer {
-		cw.buf = nil
+	buf, err := appendFrame(buf, f)
+	if err == nil {
+		_, cw.err = cw.w.Write(buf)
+		err = cw.err
 	}
-	return cw.err
+	cw.big = 0
+	if len(buf) > readBufSize {
+		cw.big = len(buf)
+	}
+	if cap(buf) <= readBufSize {
+		cw.buf = buf[:0]
+	} else {
+		giveLarge(box, buf)
+	}
+	return err
 }
 
-// encodeLocked encodes f into the (empty) buffer. The outer length prefix
-// (and, for typed bodies, the payload length prefix) is reserved as a
-// fixed-width padded uvarint and patched once the final size is known, so the
-// body is marshaled exactly once, directly into the buffer. On error the
-// buffer is left empty.
-func (cw *connWriter) encodeLocked(f *frame) error {
-	buf := append(cw.buf, 0, 0, 0, 0) // outer length, patched below
+// appendFrame encodes f onto the empty buf. The outer length prefix (and,
+// for typed bodies, the payload length prefix) is reserved as a fixed-width
+// padded uvarint and patched once the final size is known, so the body is
+// marshaled exactly once, directly into the buffer. On error the buffer
+// comes back empty.
+func appendFrame(buf []byte, f *frame) ([]byte, error) {
+	buf = append(buf, 0, 0, 0, 0) // outer length, patched below
 	start := len(buf)
 	buf = append(buf, f.kind)
 	buf = binary.AppendUvarint(buf, f.seq)
@@ -91,8 +169,7 @@ func (cw *connWriter) encodeLocked(f *frame) error {
 		pstart := len(buf)
 		out, err := codec.AppendMarshal(buf, f.body)
 		if err != nil {
-			cw.buf = buf[:0]
-			return fmt.Errorf("%w: %v", errEncode, err)
+			return buf[:0], fmt.Errorf("%w: %v", errEncode, err)
 		}
 		buf = out
 		putPadded(buf[pstart-4:], uint64(len(buf)-pstart))
@@ -102,12 +179,10 @@ func (cw *connWriter) encodeLocked(f *frame) error {
 	}
 	size := len(buf) - start
 	if size > maxFrameSize {
-		cw.buf = buf[:0]
-		return fmt.Errorf("%w: frame size %d exceeds limit", errEncode, size)
+		return buf[:0], fmt.Errorf("%w: frame size %d exceeds limit", errEncode, size)
 	}
 	putPadded(buf[start-4:], uint64(size))
-	cw.buf = buf
-	return nil
+	return buf, nil
 }
 
 // putPadded writes x into dst[:4] as a fixed-width uvarint: the low three
@@ -122,15 +197,19 @@ func putPadded(dst []byte, x uint64) {
 }
 
 // frameReader reads length-prefixed frames from a connection into the one
-// frame it owns. A frame that sits whole in the read buffer is parsed where
-// it lies; one that does not (larger than the buffer, or split across reads)
-// is read into an envelope the reader keeps across frames. Method names are
-// interned against the server's handler table when one is attached. So a
-// steady stream of frames allocates nothing but what outlives the read.
+// frame it owns. A frame that fits its own buffer is parsed where it lies;
+// one that does not is read into a pooled buffer borrowed for that frame
+// alone, which the next read releases before it waits for more — so a
+// connection holds memory for the bytes in flight on it, not for the largest
+// frame it ever carried. Method names are interned against the server's
+// handler table when one is attached. So a steady stream of frames allocates
+// nothing but what outlives the read.
 type frameReader struct {
-	r   *bufio.Reader
-	buf []byte // envelope for a frame the read buffer does not hold whole
-	f   frame  // the frame read returns, overwritten by the next read
+	in       io.Reader
+	buf      [readBufSize]byte
+	lo, hi   int    // buf[lo:hi] is read from in and not yet taken
+	borrowed []byte // for the frame last read, when buf could not hold it
+	f        frame  // the frame read returns, overwritten by the next read
 	// methods, when set (server side), holds a map[string]string whose keys
 	// and values are the registered method names; looking an incoming method
 	// up through it makes the name a shared string instead of a per-frame
@@ -138,68 +217,106 @@ type frameReader struct {
 	methods *atomic.Value
 }
 
-// readBufSize is a connection's read buffer. A client holds a connection per
-// concurrent call, so its price is paid per caller at peak, at both ends:
-// at 32 KiB the ledger's social_mixed (209 connections) grew 58 to 69 MiB of
-// peak RSS, at 16 KiB it does not move; TestIdleConnFootprint holds the line.
-// A frame larger than this still arrives whole, through the envelope.
-const readBufSize = 16 << 10
-
-func newFrameReader(r io.Reader) *frameReader {
-	return &frameReader{r: bufio.NewReaderSize(r, readBufSize)}
+func newFrameReader(in io.Reader) *frameReader {
+	return &frameReader{in: in}
 }
 
 // read returns the next frame: the reader's own, valid until the next read.
-// Request, reply, error and stream-end payloads are views of the read buffer
-// and die with the frame. The kinds that outlive the read carry their own
-// copy: a one-way payload is pooled (whoever dispatches it releases it with
-// transport.ReleaseBuf), stream-open and stream-item payloads are plain
-// allocations, since a handler or an inbox keeps them with no release point.
+// Request, reply, error and stream-end payloads are views of the buffer the
+// frame was read into and die with the frame. The kinds that outlive the
+// read carry their own copy: a one-way payload is pooled (whoever dispatches
+// it releases it with transport.ReleaseBuf), stream-open and stream-item
+// payloads are plain allocations, since a handler or an inbox keeps them
+// with no release point. A failed read holds nothing borrowed.
 func (fr *frameReader) read() (*frame, error) {
 	body, err := fr.next()
-	if err != nil {
-		return nil, err
+	if err == nil {
+		err = fr.parseInto(&fr.f, body)
 	}
-	if err := fr.parseInto(&fr.f, body); err != nil {
+	if err != nil {
+		fr.giveBack()
 		return nil, err
 	}
 	return &fr.f, nil
 }
 
-// next returns the body of the next frame, less its length prefix. When the
-// prefix and the body are both buffered the body is the read buffer's own
-// bytes; otherwise the prefix is read byte by byte — any standard uvarint
-// is accepted — and the body copied into the envelope.
+// next returns the body of the next frame, less its length prefix — any
+// standard uvarint is accepted. A body that fits buf is a view of it; a
+// larger one is read, past what buf already holds of it, straight into a
+// borrowed buffer: on TCP one read syscall more than a small frame costs.
 func (fr *frameReader) next() ([]byte, error) {
-	if fr.r.Buffered() == 0 {
-		if _, err := fr.r.Peek(1); err != nil {
+	fr.giveBack()
+	size, n := binary.Uvarint(fr.buf[fr.lo:fr.hi])
+	for n == 0 {
+		if err := fr.fill(); err != nil {
+			if err == io.EOF && fr.hi > 0 {
+				err = io.ErrUnexpectedEOF
+			}
 			return nil, err
 		}
+		size, n = binary.Uvarint(fr.buf[fr.lo:fr.hi])
 	}
-	buffered, _ := fr.r.Peek(fr.r.Buffered())
-	if size, n := binary.Uvarint(buffered); n > 0 && size <= uint64(len(buffered)-n) {
-		fr.r.Discard(n + int(size)) //nolint:errcheck // the bytes are buffered
-		return buffered[n : n+int(size)], nil
-	}
-	size, err := binary.ReadUvarint(fr.r)
-	if err != nil {
-		return nil, err
+	if n < 0 {
+		return nil, errors.New("rpc: frame length overflows 64 bits")
 	}
 	if size > maxFrameSize {
 		return nil, fmt.Errorf("rpc: frame size %d exceeds limit", size)
 	}
-	body := fr.buf
-	if uint64(cap(body)) < size {
-		body = make([]byte, size)
-		if size <= maxRetainedBuffer { // a larger envelope serves its one frame
-			fr.buf = body
+	fr.lo += n
+	if size <= readBufSize {
+		for fr.hi-fr.lo < int(size) {
+			if err := fr.fill(); err != nil {
+				return nil, unexpected(err)
+			}
 		}
+		body := fr.buf[fr.lo : fr.lo+int(size)]
+		fr.lo += int(size)
+		return body, nil
 	}
-	body = body[:size]
-	if _, err := io.ReadFull(fr.r, body); err != nil {
-		return nil, err
+	fr.borrowed = borrow(int(size))
+	k := copy(fr.borrowed, fr.buf[fr.lo:fr.hi])
+	fr.lo += k
+	if _, err := io.ReadFull(fr.in, fr.borrowed[k:]); err != nil {
+		return nil, unexpected(err)
 	}
-	return body, nil
+	return fr.borrowed, nil
+}
+
+// fill moves what buf holds untaken to its front and reads more after it.
+func (fr *frameReader) fill() error {
+	fr.hi = copy(fr.buf[:], fr.buf[fr.lo:fr.hi])
+	fr.lo = 0
+	n, err := fr.in.Read(fr.buf[fr.hi:])
+	if fr.hi += n; n > 0 {
+		return nil
+	}
+	return err
+}
+
+// unexpected is err met inside a frame, where an end of stream is early.
+func unexpected(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// giveBack returns what the reader borrowed for the frame last read.
+func (fr *frameReader) giveBack() {
+	transport.ReleaseBuf(fr.borrowed)
+	fr.borrowed = nil
+}
+
+// keep hands over p, the payload of the frame last read, as a pooled buffer
+// the caller owns and releases with transport.ReleaseBuf: the borrowed
+// buffer p lies in, which the reader lets go of, with p moved to its front
+// so that it goes back to the pool whole — or else a pooled copy of p.
+func (fr *frameReader) keep(p []byte) []byte {
+	if b := fr.borrowed; b != nil {
+		fr.borrowed = nil
+		return b[:copy(b, p)]
+	}
+	return append(transport.AcquireBuf(len(p)), p...)
 }
 
 // parseInto decodes a frame body (excluding the outer length prefix) into f,
@@ -272,13 +389,14 @@ func (fr *frameReader) parseInto(f *frame, body []byte) error {
 	if np == 0 {
 		return nil
 	}
+	p := rest[:np:np]
 	switch f.kind {
 	case kindOneWay:
-		f.payload = append(transport.AcquireBuf(int(np)), rest[:np]...)
+		f.payload = fr.keep(p)
 	case kindStreamOpen, kindStreamItem:
-		f.payload = bytes.Clone(rest[:np])
+		f.payload = bytes.Clone(p)
 	default:
-		f.payload = rest[:np:np]
+		f.payload = p
 	}
 	return nil
 }

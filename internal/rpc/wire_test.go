@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 )
@@ -74,7 +75,6 @@ func TestFrameAllocGuard(t *testing.T) {
 	readOne()
 	if allocs := testing.AllocsPerRun(200, func() {
 		src.Reset(ackWire)
-		fr.r.Reset(src)
 		readOne()
 	}); allocs > 0 {
 		t.Errorf("bodyless decode allocs/op = %.1f, want 0 (the frame is the reader's)", allocs)
@@ -87,12 +87,58 @@ func TestFrameAllocGuard(t *testing.T) {
 	fr2.read() //nolint:errcheck
 	if allocs := testing.AllocsPerRun(200, func() {
 		src2.Reset(replyWire)
-		fr2.r.Reset(src2)
 		if f, err := fr2.read(); err != nil || len(f.payload) != 512 {
 			t.Fatalf("decode: %v", err)
 		}
 	}); allocs > 0 {
 		t.Errorf("payload decode allocs/op = %.1f, want 0 (the payload is parsed in place)", allocs)
+	}
+}
+
+// TestFramesSplitAcrossReads: frames on both sides of the read buffer's size,
+// written over an rpc.Mem connection in pieces cut every few bytes — so a
+// large frame's prefix, head and payload each arrive split, and the end of
+// one frame shares a read with the start of the next — come out whole and in
+// order. The reader holds a borrowed buffer only for a frame that did not
+// fit its own, and nothing once the connection is done.
+func TestFramesSplitAcrossReads(t *testing.T) {
+	client, server := memPair(t)
+	sizes := []int{0, 1, readBufSize - 16, readBufSize, readBufSize + 1, 3*readBufSize + 5, 40 << 10, 9}
+	var wire []byte
+	bodies := make([]int, len(sizes))
+	for i, n := range sizes {
+		w := encodeWire(t, &frame{kind: kindReply, seq: uint64(i), payload: bytes.Repeat([]byte{byte(i)}, n)})
+		wire, bodies[i] = append(wire, w...), len(w)-4
+	}
+	go func() {
+		defer client.Close()
+		for cut, rest := 1, wire; len(rest) > 0; cut = cut*7%1499 + 1 {
+			n := min(cut, len(rest))
+			if _, err := client.Write(rest[:n]); err != nil {
+				t.Error(err)
+				return
+			}
+			rest = rest[n:]
+		}
+	}()
+	fr := newFrameReader(server)
+	for i, n := range sizes {
+		f, err := fr.read()
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if f.seq != uint64(i) || !bytes.Equal(f.payload, bytes.Repeat([]byte{byte(i)}, n)) {
+			t.Fatalf("frame %d: seq %d, %d payload bytes, want %d", i, f.seq, len(f.payload), n)
+		}
+		if big := bodies[i] > readBufSize; (fr.borrowed != nil) != big {
+			t.Fatalf("frame %d of %d payload bytes: reader holds a borrowed buffer: %v", i, n, fr.borrowed != nil)
+		}
+	}
+	if _, err := fr.read(); err != io.EOF {
+		t.Fatalf("after the last frame: %v, want io.EOF", err)
+	}
+	if fr.borrowed != nil {
+		t.Fatal("the reader holds a borrowed buffer after the connection ended")
 	}
 }
 

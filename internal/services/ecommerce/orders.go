@@ -42,29 +42,21 @@ type AuthorizePaymentReq struct {
 	AmountCents int64
 }
 
-// AuthorizePaymentResp returns the authorization code.
-type AuthorizePaymentResp struct{ AuthCode string }
-
 // registerPayment installs the payment service, which consults the
 // authorization tier and debits the account.
 func registerPayment(srv *rpc.Server, authorization, accountInfo svcutil.Caller) {
-	svcutil.Handle(srv, "Charge", func(ctx *rpc.Ctx, req *AuthorizePaymentReq) (*AuthorizePaymentResp, error) {
-		var auth AuthorizePaymentResp
-		if err := authorization.Call(ctx, "Authorize", *req, &auth); err != nil {
+	svcutil.Handle(srv, "Charge", func(ctx *rpc.Ctx, req *AuthorizePaymentReq) (*struct{}, error) {
+		if err := authorization.Call(ctx, "Authorize", *req, nil); err != nil {
 			return nil, err
 		}
-		if err := accountInfo.Call(ctx, "Debit", *req, nil); err != nil {
-			return nil, err
-		}
-		return &auth, nil
+		return nil, accountInfo.Call(ctx, "Debit", *req, nil)
 	})
 }
 
 // registerAuthorization installs the authorization tier: balance check and
-// per-order risk ceiling, returning a deterministic auth code.
+// per-order risk ceiling; an authorized payment is answered empty.
 func registerAuthorization(srv *rpc.Server, accountInfo svcutil.Caller) {
-	var seq atomic.Uint64
-	svcutil.Handle(srv, "Authorize", func(ctx *rpc.Ctx, req *AuthorizePaymentReq) (*AuthorizePaymentResp, error) {
+	svcutil.Handle(srv, "Authorize", func(ctx *rpc.Ctx, req *AuthorizePaymentReq) (*struct{}, error) {
 		if req.AmountCents <= 0 {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "authorization: non-positive amount")
 		}
@@ -78,7 +70,7 @@ func registerAuthorization(srv *rpc.Server, accountInfo svcutil.Caller) {
 		if bal.BalanceCents < req.AmountCents {
 			return nil, rpc.Errorf(rpc.CodeUnauthorized, "authorization: insufficient funds")
 		}
-		return &AuthorizePaymentResp{AuthCode: fmt.Sprintf("auth-%06d", seq.Add(1))}, nil
+		return nil, nil
 	})
 }
 
@@ -235,8 +227,7 @@ func registerOrders(srv *rpc.Server, deps ordersDeps) {
 		}
 
 		// Payment: authorize + charge.
-		var authz AuthorizePaymentResp
-		if err := deps.payment.Call(ctx, "Charge", AuthorizePaymentReq{Username: username, AmountCents: total}, &authz); err != nil {
+		if err := deps.payment.Call(ctx, "Charge", AuthorizePaymentReq{Username: username, AmountCents: total}, nil); err != nil {
 			return nil, err
 		}
 		var txn TransactionIDResp

@@ -61,11 +61,13 @@ func ConfigureTimelineBroker(b *mq.Broker) {
 func fanoutPush(ctx context.Context, db svcutil.DB, mc svcutil.KV, users []string, postID string, workers int, unique bool) error {
 	return svcutil.Parallel(workers, len(users), func(i int) error {
 		key := "tl:" + users[i]
-		prepend := db.ListPrepend
+		var err error
 		if unique {
-			prepend = db.ListPrependUnique
+			_, err = db.ListPrependUnique(ctx, "timelines", key, postID, timelineCap)
+		} else {
+			_, err = db.ListPrepend(ctx, "timelines", key, postID, timelineCap)
 		}
-		if _, err := prepend(ctx, "timelines", key, postID, timelineCap); err != nil {
+		if err != nil {
 			return err
 		}
 		mc.Delete(ctx, key) //nolint:errcheck // invalidation is best-effort

@@ -95,27 +95,15 @@ func readEdges(ctx *rpc.Ctx, db svcutil.DB, key string) ([]string, error) {
 	return users, nil
 }
 
-func writeEdges(ctx *rpc.Ctx, db svcutil.DB, key string, users []string) error {
-	body, err := codec.Marshal(users)
-	if err != nil {
-		return err
-	}
-	return db.Put(ctx, "graph", docstore.Doc{ID: key, Body: body})
-}
-
+// addEdge puts member in the set at key, newest first, and reports whether
+// it was not there yet: one store-side unique prepend, so concurrent adds to
+// one set all land.
 func addEdge(ctx *rpc.Ctx, db svcutil.DB, key, member string) (bool, error) {
-	users, err := readEdges(ctx, db, key)
-	if err != nil {
-		return false, err
-	}
-	for _, u := range users {
-		if u == member {
-			return false, nil
-		}
-	}
-	return true, writeEdges(ctx, db, key, append(users, member))
+	return db.ListPrependUnique(ctx, "graph", key, member, 0)
 }
 
+// removeEdge takes member out of the set at key with a Get and a Put, which
+// a concurrent add or remove on the same set can undo.
 func removeEdge(ctx *rpc.Ctx, db svcutil.DB, key, member string) (bool, error) {
 	users, err := readEdges(ctx, db, key)
 	if err != nil {
@@ -123,7 +111,11 @@ func removeEdge(ctx *rpc.Ctx, db svcutil.DB, key, member string) (bool, error) {
 	}
 	for i, u := range users {
 		if u == member {
-			return true, writeEdges(ctx, db, key, append(users[:i], users[i+1:]...))
+			body, err := codec.Marshal(append(users[:i], users[i+1:]...))
+			if err != nil {
+				return false, err
+			}
+			return true, db.Put(ctx, "graph", docstore.Doc{ID: key, Body: body})
 		}
 	}
 	return false, nil

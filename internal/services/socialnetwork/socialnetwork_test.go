@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -455,5 +457,54 @@ func TestBumpStatConcurrent(t *testing.T) {
 	}
 	if got := info.Info.Followers; got != workers*bumps {
 		t.Fatalf("followers = %d after %d concurrent bumps of +1", got, workers*bumps)
+	}
+}
+
+// TestFollowConcurrent: concurrent follows of one user by different fans all
+// land in its followers list, as they do in its follower count. A Get, an
+// append and a Put per follow would let two of them read the same list, and
+// the later Put drop the earlier one's name.
+func TestFollowConcurrent(t *testing.T) {
+	const workers, follows = 8, 25
+	fans := make([]string, 0, workers*follows)
+	for i := 0; i < workers*follows; i++ {
+		fans = append(fans, fmt.Sprintf("fan-%03d", i))
+	}
+	sn, _ := boot(t, append([]string{"star"}, fans...)...)
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, fan := range fans[w*follows : (w+1)*follows] {
+				if err := sn.Graph.Call(ctx, "Follow", FollowReq{Follower: fan, Followee: "star"}, nil); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	var followers NeighborsResp
+	if err := sn.Graph.Call(ctx, "Followers", NeighborsReq{User: "star"}, &followers); err != nil {
+		t.Fatal(err)
+	}
+	distinct := slices.Compact(slices.Sorted(slices.Values(followers.Users)))
+	if len(followers.Users) != len(fans) || !slices.Equal(distinct, fans) {
+		t.Fatalf("star's followers list holds %d names (%d distinct) after %d concurrent follows, want each once",
+			len(followers.Users), len(distinct), len(fans))
+	}
+	var info InfoResp
+	if err := sn.User.Call(ctx, "Info", InfoReq{Username: "star"}, &info); err != nil {
+		t.Fatal(err)
+	}
+	if info.Info.Followers != int64(len(fans)) {
+		t.Fatalf("followers = %d after %d concurrent follows", info.Info.Followers, len(fans))
 	}
 }

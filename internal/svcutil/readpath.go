@@ -89,20 +89,23 @@ func (rp *ReadPath[V]) Get(ctx context.Context, key string) (V, bool, error) {
 // document, creating it if absent and capping the list at max entries
 // (<=0 = unbounded). Returns the resulting list length.
 func (d DB) ListPrepend(ctx context.Context, collection, id, value string, max int) (int, error) {
-	return d.listPrepend(ctx, collection, id, value, max, false)
+	resp, err := d.listPrepend(ctx, collection, id, value, max, false)
+	return int(resp.Len), err
 }
 
 // ListPrependUnique is ListPrepend that skips the write when value is
-// already in the list — the store-level idempotency backstop at-least-once
-// delivery pipelines write through (see docstore.ListPrependUnique).
-func (d DB) ListPrependUnique(ctx context.Context, collection, id, value string, max int) (int, error) {
-	return d.listPrepend(ctx, collection, id, value, max, true)
+// already in the list, and reports whether it prepended: the store-level
+// idempotency backstop at-least-once delivery pipelines write through, and
+// a set insert in one hop — concurrent inserts of different values all land,
+// where a Get, an append and a Put lose all but one.
+func (d DB) ListPrependUnique(ctx context.Context, collection, id, value string, max int) (bool, error) {
+	resp, err := d.listPrepend(ctx, collection, id, value, max, true)
+	return resp.Inserted, err
 }
 
-func (d DB) listPrepend(ctx context.Context, collection, id, value string, max int, unique bool) (int, error) {
-	resp, err := dbWrite[docstore.ListPrependResp](ctx, d, id, "ListPrepend",
+func (d DB) listPrepend(ctx context.Context, collection, id, value string, max int, unique bool) (docstore.ListPrependResp, error) {
+	return dbWrite[docstore.ListPrependResp](ctx, d, id, "ListPrepend",
 		docstore.ListPrependReq{Collection: collection, ID: id, Value: value, Cap: int64(max), Unique: unique})
-	return int(resp.Len), err
 }
 
 // AddNum atomically adds delta to a numeric field of the document unless

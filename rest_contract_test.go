@@ -16,8 +16,7 @@ import (
 
 // contractStep is one POST to a front door: the literal JSON a client sends
 // (with {name} standing for a value an earlier step saved), the coded error
-// it must get (0 for success, anyError for a failure of any code), and what
-// the JSON reply must hold.
+// it must get (0 for success), and what the JSON reply must hold.
 type contractStep struct {
 	path, body string
 	code       int
@@ -30,10 +29,6 @@ type contractStep struct {
 }
 
 const nonEmpty = "<non-empty>"
-
-// anyError is a step's code when the call must fail but its code is not part
-// of the contract.
-const anyError = -1
 
 // TestRESTContract pins the JSON the four REST front doors accept on every
 // POST route whose body becomes an RPC request: snake_case keys, base64
@@ -150,7 +145,7 @@ func TestRESTContract(t *testing.T) {
 				return map[string]string{"from": from, "to": to}
 			},
 			steps: []contractStep{
-				{path: "/register", body: `{"username":"webc","password":"pw"}`, code: anyError}, // no such route
+				{path: "/register", body: `{"username":"webc","password":"pw"}`, code: rpc.CodeNotFound}, // no such route
 				{path: "/login", body: `{"username":"webc","password":"pw"}`, code: rpc.CodeUnauthorized},
 				{path: "/login", body: `{"username":"weba","password":"wrong"}`, code: rpc.CodeUnauthorized},
 				{path: "/login", body: `{"username":"weba","password":"pw-weba"}`, want: map[string]any{"Token": nonEmpty}, save: map[string]string{"token": "Token"}},
@@ -209,7 +204,7 @@ func TestRESTContract(t *testing.T) {
 				var reply json.RawMessage
 				err := fe.Do(ctx, "POST", st.path, json.RawMessage(body), &reply)
 				if st.code != 0 {
-					if err == nil || st.code != anyError && !rpc.IsCode(err, st.code) {
+					if !rpc.IsCode(err, st.code) {
 						t.Fatalf("step %d: POST %s %s: %v, want code %d", i, st.path, body, err, st.code)
 					}
 					continue
