@@ -9,9 +9,10 @@ build:
 # (internal/vtime: a testing/synctest bubble, which go1.24 builds only under
 # GOEXPERIMENT=synctest). These targets set it, so bubbles run in-process and
 # vet sees the tagged file; a plain `go test ./...` cannot, and there vtime.Run
-# re-executes each such test alone in a child `go test` that does — same
-# bodies, same assertions, one link per test slower, plus one rebuild of the
-# standard library (about half a minute) the first time a GOCACHE sees it.
+# re-executes each such test alone in a child test binary built with it, once
+# per package — same bodies, same assertions, one link per package slower,
+# plus one rebuild of the standard library (about half a minute) the first
+# time a GOCACHE sees it.
 test race vet check conn-stress: export GOEXPERIMENT = synctest
 
 test:

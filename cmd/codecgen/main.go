@@ -53,6 +53,7 @@ var targets = []target{
 			docstore.Doc{}, docstore.PutReq{}, docstore.GetReq{}, docstore.GetResp{},
 			docstore.FindReq{}, docstore.FindResp{},
 			docstore.ListPrependReq{}, docstore.ListPrependResp{}, docstore.WALRecord{},
+			docstore.ListRemoveReq{}, docstore.ListRemoveResp{},
 			docstore.AddNumReq{}, docstore.AddNumResp{},
 		},
 	},

@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // AppendBool appends v as one byte.
@@ -63,6 +64,9 @@ func AppendBytes(b, v []byte) []byte {
 func AppendLen(b []byte, n int) []byte {
 	return binary.AppendUvarint(b, uint64(n))
 }
+
+// LenSize is the size of n as AppendLen, or a length prefix, writes it.
+func LenSize(n int) int { return (bits.Len64(uint64(n)|1) + 6) / 7 }
 
 // DecBool consumes one byte.
 func DecBool(b []byte) (bool, []byte, error) {

@@ -23,6 +23,7 @@ import (
 
 	"dsb/internal/codec"
 	"dsb/internal/rpc"
+	"dsb/internal/transport"
 )
 
 // Doc is one document as callers hand it in and get it back. The store keeps
@@ -230,12 +231,15 @@ func (c *Collection) Get(id string) (Doc, bool) {
 // Find returns documents whose indexed string field equals value, in ID
 // order, up to limit (<=0 means all).
 func (c *Collection) Find(field, value string, limit int) []Doc {
-	return decodeAll(c.appendFind(nil, field, value, limit))
+	b := c.find(field, value, limit)
+	defer transport.ReleaseBuf(b)
+	return decodeAll(b)
 }
 
-// appendFind appends Find's result to b as FindResp encodes it: a count,
-// then each document's stored bytes.
-func (c *Collection) appendFind(b []byte, field, value string, limit int) []byte {
+// find writes Find's result as FindResp encodes it — a count, then each
+// document's stored bytes — into a pooled buffer sized for it, which the
+// caller owns.
+func (c *Collection) find(field, value string, limit int) []byte {
 	var scratch [64]byte
 	pair := codec.AppendString(codec.AppendString(scratch[:0], field), value)
 	c.mu.RLock()
@@ -247,14 +251,18 @@ func (c *Collection) appendFind(b []byte, field, value string, limit int) []byte
 	if limit > 0 && len(ids) > limit {
 		ids = ids[:limit]
 	}
-	b = codec.AppendLen(b, len(ids))
+	size := codec.LenSize(len(ids))
+	for _, id := range ids {
+		size += len(c.docs[id].enc)
+	}
+	b := codec.AppendLen(transport.AcquireBuf(size), len(ids))
 	for _, id := range ids {
 		b = append(b, c.docs[id].enc...)
 	}
 	return b
 }
 
-// decodeAll decodes what appendFind wrote.
+// decodeAll decodes what find wrote.
 func decodeAll(b []byte) []Doc {
 	var resp FindResp
 	resp.DecodeFrom(b) //nolint:errcheck // a count and stored bytes, just written
@@ -329,11 +337,50 @@ func (c *Collection) listPrepend(id, value string, max int, unique bool) (n int,
 	if n++; max > 0 && n > max {
 		n = max
 	}
-	size := uvarintLen(n) + uvarintLen(len(value)) + len(value) + keep
-	enc := make([]byte, 0, p.body+uvarintLen(size)+size)
+	size := codec.LenSize(n) + codec.LenSize(len(value)) + len(value) + keep
+	enc := make([]byte, 0, p.body+codec.LenSize(size)+size)
 	enc = codec.AppendLen(append(enc, old[:p.body]...), size)
 	enc = codec.AppendString(codec.AppendLen(enc, n), value)
 	return n, true, c.commit(append(enc, elems[:keep]...))
+}
+
+// listRemove takes value out of the []string body of the document and
+// reports whether it was listed: the store's one-hop set remove, splicing as
+// listPrepend does. Only the first listing goes, which in a list kept by
+// unique prepends is the only one. A missing document, or one that does not
+// list value, is left as it is.
+func (c *Collection) listRemove(id, value string) (removed bool, err error) {
+	c.mutMu.Lock()
+	defer c.mutMu.Unlock()
+
+	old, ok := c.encoded(id)
+	if !ok {
+		return false, nil
+	}
+	p, _ := layoutOf(old)
+	body := reader{b: old[p.body:]}
+	list := reader{b: body.str()}
+	n := 0
+	if len(list.b) > 0 {
+		n = list.count()
+	}
+	elems, at, hi := list.b, -1, 0 // the first listing is elems[at:hi]
+	for i := 0; i < n && !list.bad; i++ {
+		from := len(elems) - len(list.b)
+		if string(list.str()) == value && at < 0 {
+			at, hi = from, len(elems)-len(list.b)
+		}
+	}
+	if list.bad || len(list.b) != 0 {
+		return false, fmt.Errorf("docstore: %s/%s body is not a list", c.name, id)
+	}
+	if at < 0 {
+		return false, nil
+	}
+	size := codec.LenSize(n-1) + len(elems) - (hi - at)
+	enc := make([]byte, 0, p.body+codec.LenSize(size)+size)
+	enc = codec.AppendLen(codec.AppendLen(append(enc, old[:p.body]...), size), n-1)
+	return true, c.commit(append(append(enc, elems[:at]...), elems[hi:]...))
 }
 
 // AddNum atomically adds delta to a numeric field (absent counts as 0) unless
@@ -373,7 +420,7 @@ func (c *Collection) AddNum(id, field string, delta, floor int64) (value int64, 
 	}
 	var scratch [64]byte
 	entry := codec.AppendInt(codec.AppendString(scratch[:0], field), value)
-	enc := make([]byte, 0, p.nums+uvarintLen(n)+len(old)-first-(hi-lo)+len(entry))
+	enc := make([]byte, 0, p.nums+codec.LenSize(n)+len(old)-first-(hi-lo)+len(entry))
 	enc = append(codec.AppendLen(append(enc, old[:p.nums]...), n), old[first:lo]...)
 	return value, true, true, c.commit(append(append(enc, entry...), old[hi:]...))
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -19,6 +20,7 @@ type backend interface {
 	Get(id string) (Doc, bool)
 	Update(id string, fn func(Doc) Doc) error
 	Prepend(id, value string, max int, unique bool) (int, error)
+	Remove(id, value string) (bool, error)
 	AddNum(id, field string, delta, floor int64) (int64, bool, bool, error)
 	Find(field, value string, limit int) []Doc
 }
@@ -74,6 +76,25 @@ func (m model) Prepend(id, value string, max int, unique bool) (int, error) {
 	return len(list), m.Put(d)
 }
 
+func (m model) Remove(id, value string) (bool, error) {
+	d, ok := m[id]
+	if !ok {
+		return false, nil
+	}
+	var list []string
+	if len(d.Body) > 0 {
+		if err := codec.Unmarshal(d.Body, &list); err != nil {
+			return false, err
+		}
+	}
+	i := slices.Index(list, value)
+	if i < 0 {
+		return false, nil
+	}
+	d.Body, _ = codec.Marshal(slices.Delete(list, i, i+1))
+	return true, m.Put(d)
+}
+
 func (m model) AddNum(id, field string, delta, floor int64) (int64, bool, bool, error) {
 	d, ok := m[id]
 	if !ok {
@@ -113,6 +134,8 @@ func (l local) Prepend(id, value string, max int, unique bool) (int, error) {
 	return n, err
 }
 
+func (l local) Remove(id, value string) (bool, error) { return l.listRemove(id, value) }
+
 // remote drives a served store over rpc.Mem. Update has no RPC method, so it
 // runs on the served collection directly, between the calls.
 type remote struct {
@@ -136,6 +159,12 @@ func (r remote) Prepend(id, value string, max int, unique bool) (int, error) {
 	var resp ListPrependResp
 	err := r.cl.Call(bg, "ListPrepend", ListPrependReq{Collection: "c", ID: id, Value: value, Cap: int64(max), Unique: unique}, &resp)
 	return int(resp.Len), err
+}
+
+func (r remote) Remove(id, value string) (bool, error) {
+	var resp ListRemoveResp
+	err := r.cl.Call(bg, "ListRemove", ListRemoveReq{Collection: "c", ID: id, Value: value}, &resp)
+	return resp.Removed, err
 }
 
 func (r remote) AddNum(id, field string, delta, floor int64) (int64, bool, bool, error) {
@@ -217,7 +246,7 @@ func randomOp(rng *rand.Rand) (string, func(b backend) []any) {
 		}
 		return d
 	}
-	switch rng.Intn(9) {
+	switch rng.Intn(10) {
 	case 0, 1:
 		d := doc()
 		return fmt.Sprintf("Put(%+v)", d), func(b backend) []any { return []any{b.Put(d) != nil} }
@@ -246,6 +275,12 @@ func randomOp(rng *rand.Rand) (string, func(b backend) []any) {
 		return fmt.Sprintf("AddNum(%q, %q, %d, %d)", id, num, n, floor), func(b backend) []any {
 			v, found, ok, err := b.AddNum(id, num, n, floor)
 			return []any{v, found, ok, err != nil}
+		}
+	case 8:
+		v := pick("p0", "p1", "p2", "x", "")
+		return fmt.Sprintf("Remove(%q, %q)", id, v), func(b backend) []any {
+			removed, err := b.Remove(id, v)
+			return []any{removed, err != nil}
 		}
 	default:
 		return fmt.Sprintf("Find(%q, %q, %d)", field, value, limit), func(b backend) []any { return []any{b.Find(field, value, limit)} }

@@ -58,6 +58,15 @@ type ListPrependResp struct {
 	Inserted bool
 }
 
+// ListRemoveReq takes Value out of the []string body of a document, as a
+// set remove (see Collection.listRemove).
+type ListRemoveReq struct {
+	Collection, ID, Value string
+}
+
+// ListRemoveResp reports whether Value was listed, and so removed.
+type ListRemoveResp struct{ Removed bool }
+
 // AddNumReq atomically adds Delta to a numeric field of a document unless
 // the sum would fall below Floor (see Collection.AddNum).
 type AddNumReq struct {
@@ -72,11 +81,12 @@ type AddNumResp struct {
 }
 
 // RegisterService exposes store as an RPC microservice with methods Put,
-// Get, Find, ListPrepend and AddNum — the "mongodb" tier in the application
-// graphs. Documents cross it in wire form: Put validates and stores the
-// request's Doc bytes, and the reads append stored bytes to a pooled reply,
-// so no handler builds a Doc. Only Put and ListPrepend create a collection;
-// asking about a name nobody has written leaves nothing behind.
+// Get, Find, ListPrepend, ListRemove and AddNum — the "mongodb" tier in the
+// application graphs. Documents cross it in wire form: Put validates and
+// stores the request's Doc bytes, and the reads append stored bytes to a
+// pooled reply sized for them, so no handler builds a Doc. Only Put and
+// ListPrepend create a collection; asking about a name nobody has written
+// leaves nothing behind.
 func RegisterService(srv *rpc.Server, store *Store) {
 	srv.Handle("Put", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
 		// A PutReq is the collection name, then the Doc.
@@ -93,12 +103,12 @@ func RegisterService(srv *rpc.Server, store *Store) {
 		if !found {
 			enc = []byte{0, 0, 0, 0}
 		}
-		reply := append(transport.AcquireBuf(0), enc...)
+		reply := append(transport.AcquireBuf(len(enc)+1), enc...)
 		return ctx.OwnReply(codec.AppendBool(reply, found)), nil
 	})
 	rpc.HandleTyped(srv, "Find", func(ctx *rpc.Ctx, req *FindReq) ([]byte, error) {
 		c := store.collection(req.Collection, false)
-		return ctx.OwnReply(c.appendFind(transport.AcquireBuf(0), req.Field, req.Value, int(req.Limit))), nil
+		return ctx.OwnReply(c.find(req.Field, req.Value, int(req.Limit))), nil
 	})
 	rpc.HandleTyped(srv, "ListPrepend", func(ctx *rpc.Ctx, req *ListPrependReq) ([]byte, error) {
 		n, inserted, err := store.Collection(req.Collection).listPrepend(req.ID, req.Value, int(req.Cap), req.Unique)
@@ -106,6 +116,13 @@ func RegisterService(srv *rpc.Server, store *Store) {
 			return nil, err
 		}
 		return ctx.Reply(&ListPrependResp{Len: int64(n), Inserted: inserted})
+	})
+	rpc.HandleTyped(srv, "ListRemove", func(ctx *rpc.Ctx, req *ListRemoveReq) ([]byte, error) {
+		removed, err := store.collection(req.Collection, false).listRemove(req.ID, req.Value)
+		if err != nil {
+			return nil, err
+		}
+		return ctx.Reply(&ListRemoveResp{Removed: removed})
 	})
 	rpc.HandleTyped(srv, "AddNum", func(ctx *rpc.Ctx, req *AddNumReq) ([]byte, error) {
 		c := store.collection(req.Collection, false)

@@ -3,7 +3,6 @@ package docstore
 import (
 	"bytes"
 	"encoding/binary"
-	"math/bits"
 
 	"dsb/internal/codec"
 )
@@ -122,6 +121,3 @@ func decode(enc []byte) (d Doc) {
 	d.DecodeFrom(enc) //nolint:errcheck // stored bytes were validated on the way in
 	return d
 }
-
-// uvarintLen is the size of x as AppendLen writes it.
-func uvarintLen(x int) int { return (bits.Len64(uint64(x)|1) + 6) / 7 }

@@ -54,7 +54,8 @@ func TestReadReplyIsTypedEncoding(t *testing.T) {
 }
 
 // The read handlers and AddNum used to create the collection they were asked
-// about, so any caller could grow the store with reads.
+// about, so any caller could grow the store with reads. ListRemove creates
+// nothing either.
 func TestReadsOfUnknownCollectionsCreateNothing(t *testing.T) {
 	store := NewStore()
 	call := serveRaw(t, store)
@@ -64,6 +65,7 @@ func TestReadsOfUnknownCollectionsCreateNothing(t *testing.T) {
 		call("Get", mustMarshal(t, GetReq{Collection: name, ID: "d"}))
 		call("Find", mustMarshal(t, FindReq{Collection: name, Field: "f", Value: "v"}))
 		call("AddNum", mustMarshal(t, AddNumReq{Collection: name, ID: "d", Field: "n", Delta: 1}))
+		call("ListRemove", mustMarshal(t, ListRemoveReq{Collection: name, ID: "d", Value: "v"}))
 	}
 	if names := store.Collections(); !reflect.DeepEqual(names, []string{"real"}) {
 		t.Fatalf("reads of unknown names left %d collections behind: %v", len(names)-1, names)

@@ -67,25 +67,34 @@ func RegisterService(srv *rpc.Server, cache *Cache) {
 		return ctx.Reply(&GetResp{Value: v, Found: ok})
 	})
 	srv.Handle("MGet", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
-		// An MGetReq is its keys, looked up where they lie in the payload; the
-		// MGetResp is written as they are: each value straight into the
-		// pooled reply, its found flag into a second buffer that follows the
-		// values.
+		// An MGetReq is its keys, looked up where they lie in the payload.
+		// The values found are held while the reply is sized for them, then
+		// written into the pooled reply as an MGetResp: the values, then
+		// their found flags.
 		if err := codec.Valid[[]string](payload); err != nil {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "decode: %v", err)
 		}
 		n, keys, _ := codec.DecLen(payload)
-		reply := codec.AppendLen(transport.AcquireBuf(0), n)
-		flags := codec.AppendLen(transport.AcquireBuf(0), n)
+		type hit struct {
+			v  []byte
+			ok bool
+		}
+		hits, size := make([]hit, 0, 32), 2*codec.LenSize(n)+n
 		for i := 0; i < n; i++ {
 			var key []byte
 			key, keys, _ = codec.DecStringBytes(keys)
 			v, ok := cache.Get(string(key)) // Get keeps no key: no copy
-			reply = codec.AppendBytes(reply, v)
-			flags = codec.AppendBool(flags, ok)
+			hits = append(hits, hit{v, ok})
+			size += codec.LenSize(len(v)) + len(v)
 		}
-		reply = append(reply, flags...)
-		transport.ReleaseBuf(flags)
+		reply := codec.AppendLen(transport.AcquireBuf(size), n)
+		for _, h := range hits {
+			reply = codec.AppendBytes(reply, h.v)
+		}
+		reply = codec.AppendLen(reply, n)
+		for _, h := range hits {
+			reply = codec.AppendBool(reply, h.ok)
+		}
 		return ctx.OwnReply(reply), nil
 	})
 	srv.Handle("Set", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {

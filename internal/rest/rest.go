@@ -67,12 +67,6 @@ func readBody(r io.Reader, length int64) ([]byte, error) {
 		return nil, errBodyTooLarge
 	}
 	buf := transport.AcquireBuf(int(length) + 1)
-	if int64(cap(buf)) <= length {
-		// A recycled buffer smaller than the body, or a body larger than
-		// the pool keeps: one exact allocation instead of regrowth.
-		transport.ReleaseBuf(buf)
-		buf = make([]byte, 0, length+1)
-	}
 	for {
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]
@@ -237,6 +231,7 @@ func (s *Server) serve(rt *route, w *response, r *http.Request) {
 	case out == nil:
 		w.json, w.status = true, http.StatusNoContent
 	default:
+		// A JSON reply's size is not known before it is encoded.
 		data, err := codec.AppendMarshalJSON(transport.AcquireBuf(0), out)
 		if err != nil {
 			transport.ReleaseBuf(data)

@@ -6,6 +6,8 @@ import (
 	"os"
 	"sync"
 	"time"
+
+	"dsb/internal/transport"
 )
 
 // memConnCapacity bounds the unread bytes one direction of a Mem connection
@@ -17,7 +19,7 @@ const memConnCapacity = 256 << 10
 
 // memPipe is one direction of a memConn: a ring of unread bytes between a
 // writing end and a reading end. A ring exists only while bytes are unread:
-// it is borrowed from largeBufs at 2 KiB or, doubling, up to
+// it is borrowed from transport's pool at 2 KiB or, doubling, up to
 // memConnCapacity as unread bytes demand, and goes back to the pool once
 // drained, so a connection holds a burst's bytes while they are in flight,
 // not after. A Write that finds a Read already parked skips the ring for that
@@ -26,7 +28,6 @@ type memPipe struct {
 	mu       sync.Mutex
 	changed  sync.Cond // broadcast on every change below; parked calls re-check
 	buf      []byte    // ring, while bytes are unread; len is a power of two
-	box      *[]byte   // the largeBufs box buf goes back in
 	r, n     int       // read index, unread bytes
 	rbuf     []byte    // the buffer of a Read parked on an empty ring, until a
 	rgot     int       // Write fills it: then rbuf is nil and rgot the byte count
@@ -88,8 +89,8 @@ func (p *memPipe) read(b []byte) (n int, err error) {
 			p.n -= n
 			p.r = (p.r + n) & (len(p.buf) - 1)
 			if p.n == 0 {
-				giveLarge(p.box, p.buf)
-				p.buf, p.box, p.r = nil, nil, 0
+				transport.ReleaseBuf(p.buf)
+				p.buf, p.r = nil, 0
 			}
 			p.changed.Broadcast()
 		case p.wclosed:
@@ -160,14 +161,11 @@ func (p *memPipe) grow(need int) {
 	for size < need {
 		size *= 2
 	}
-	box := takeLarge(size)
-	buf := (*box)[:size]
+	buf := transport.AcquireBuf(size)[:size]
 	k := copy(buf, p.buf[p.r:min(p.r+p.n, len(p.buf))])
 	copy(buf[k:p.n], p.buf)
-	if p.buf != nil {
-		giveLarge(p.box, p.buf)
-	}
-	p.buf, p.box, p.r = buf, box, 0
+	transport.ReleaseBuf(p.buf)
+	p.buf, p.r = buf, 0
 }
 
 // memConn is one end of a Mem connection: a buffered duplex byte stream

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -24,69 +23,14 @@ var errEncode = errors.New("rpc: encode body")
 // frames: the reader's own buffer, which holds frame headers and the small
 // frames a call mostly carries — IDs, keys, short posts — and the most a
 // writer keeps of its encode buffer. A frame larger than this is read into,
-// or encoded in, a pooled buffer borrowed for that frame alone. A client
-// holds a connection per concurrent call, so whatever a connection keeps is
-// paid per caller at peak, at both ends. History: at 32 KiB of read buffer
-// the ledger's social_mixed (209 connections) grew 58 to 69 MiB of peak RSS;
-// at 16 KiB, 496 reader ends held 7.9 MiB of a 36 MiB heap at the end of its
-// measured section. TestIdleConnFootprint holds the line.
+// or encoded in, a buffer borrowed from transport's pool for that frame
+// alone. A client holds a connection per concurrent call, so whatever a
+// connection keeps is paid per caller at peak, at both ends. History: at
+// 32 KiB of read buffer the ledger's social_mixed (209 connections) grew 58
+// to 69 MiB of peak RSS; at 16 KiB, 496 reader ends held 7.9 MiB of a 36 MiB
+// heap at the end of its measured section. TestIdleConnFootprint holds the
+// line.
 const readBufSize = 2 << 10
-
-// largeBufs holds the large buffers rpc borrows and returns itself — a
-// writer's encode buffer for a frame larger than readBufSize, a memPipe
-// ring — boxed so a Put does not allocate. They have a pool of their own:
-// in transport's, a handler's AcquireBuf(0) or a small reply's copy takes
-// whatever large buffer lies on top, and writers borrowing there found a
-// short one for two of every three large frames on social_mixed, 4 KB of
-// fresh encode buffer per operation. A frame read is borrowed from
-// transport's pool, since a client hands it on as a pooled Call.Reply.
-var largeBufs sync.Pool
-
-// maxLargeBuf bounds a buffer largeBufs keeps, so one jumbo frame or burst
-// does not pin megabytes in the pool.
-const maxLargeBuf = 64 << 10
-
-// borrow returns a buffer of length n from transport's pool for one frame
-// read. A pooled buffer too short for it is left to the collector, and the
-// new one is minted at the next power of two, so that back in the pool it
-// serves every frame up to that size.
-func borrow(n int) []byte {
-	b := transport.AcquireBuf(n)
-	if cap(b) < n {
-		c := n
-		if n <= maxLargeBuf {
-			c = 1 << bits.Len(uint(n-1))
-		}
-		b = make([]byte, 0, c)
-	}
-	return b[:n]
-}
-
-// takeLarge returns a box from largeBufs holding an empty buffer of at least
-// n bytes' capacity; giveLarge wants the box back with the buffer.
-func takeLarge(n int) *[]byte {
-	box, _ := largeBufs.Get().(*[]byte)
-	if box == nil {
-		box = new([]byte)
-	}
-	if cap(*box) < n {
-		*box = make([]byte, 0, n) // a short one is left to the collector
-	}
-	return box
-}
-
-// giveLarge puts b back in largeBufs in box, or in a new box when box is
-// nil.
-func giveLarge(box *[]byte, b []byte) {
-	if cap(b) > maxLargeBuf {
-		return
-	}
-	if box == nil {
-		box = new([]byte)
-	}
-	*box = b[:0]
-	largeBufs.Put(box)
-}
 
 // connWriter serializes frame writes onto one connection. A connection
 // carries one conversation, so the lock is uncontended on every call; what
@@ -96,7 +40,8 @@ func giveLarge(box *[]byte, b []byte) {
 // no per-call encode buffer ever exists — and written out at once, one Write
 // per frame. The writer keeps its encode buffer between frames only up to
 // readBufSize; after a larger frame, the next is encoded in a buffer
-// borrowed from largeBufs at that frame's size, and returned once written.
+// borrowed from transport's pool at that frame's size, and released once
+// written.
 type connWriter struct {
 	mu  sync.Mutex
 	w   io.Writer
@@ -119,10 +64,8 @@ func (cw *connWriter) write(f *frame) error {
 		return cw.err
 	}
 	buf := cw.buf[:0]
-	var box *[]byte
 	if cw.big > 0 {
-		box = takeLarge(cw.big)
-		buf = *box
+		buf = transport.AcquireBuf(cw.big)
 	}
 	buf, err := appendFrame(buf, f)
 	if err == nil {
@@ -136,7 +79,7 @@ func (cw *connWriter) write(f *frame) error {
 	if cap(buf) <= readBufSize {
 		cw.buf = buf[:0]
 	} else {
-		giveLarge(box, buf)
+		transport.ReleaseBuf(buf)
 	}
 	return err
 }
@@ -273,7 +216,7 @@ func (fr *frameReader) next() ([]byte, error) {
 		fr.lo += int(size)
 		return body, nil
 	}
-	fr.borrowed = borrow(int(size))
+	fr.borrowed = transport.AcquireBuf(int(size))[:size]
 	k := copy(fr.borrowed, fr.buf[fr.lo:fr.hi])
 	fr.lo += k
 	if _, err := io.ReadFull(fr.in, fr.borrowed[k:]); err != nil {
@@ -310,7 +253,9 @@ func (fr *frameReader) giveBack() {
 // keep hands over p, the payload of the frame last read, as a pooled buffer
 // the caller owns and releases with transport.ReleaseBuf: the borrowed
 // buffer p lies in, which the reader lets go of, with p moved to its front
-// so that it goes back to the pool whole — or else a pooled copy of p.
+// so that it goes back to the pool whole (the pool files a buffer by its
+// capacity, and one handed on from past its head would drop a class each
+// trip) — or else a pooled copy of p.
 func (fr *frameReader) keep(p []byte) []byte {
 	if b := fr.borrowed; b != nil {
 		fr.borrowed = nil

@@ -1,8 +1,6 @@
 package media
 
 import (
-	"sync"
-
 	"dsb/internal/rest"
 	"dsb/internal/services/accounts"
 	"dsb/internal/svcutil"
@@ -49,49 +47,29 @@ func registerFrontend(srv *rest.Server, d frontendDeps) {
 		var page MoviePage
 		page.Movie = movie.Movie
 
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		var firstErr error
-		fail := func(err error) {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
+		err := svcutil.Parallel(3, 3, func(i int) error {
+			switch i {
+			case 0:
+				var plot PlotResp
+				err := d.plot.Call(ctx, "Get", PlotReq{PlotID: movie.Movie.PlotID}, &plot)
+				page.Plot = plot.Text
+				return err
+			case 1:
+				var cast CastResp
+				err := d.movieDB.Call(ctx, "Cast", CastReq{MovieID: movie.Movie.ID}, &cast)
+				page.Cast = cast.Cast
+				return err
 			}
-			mu.Unlock()
-		}
-		wg.Add(3)
-		go func() {
-			defer wg.Done()
-			var plot PlotResp
-			if err := d.plot.Call(ctx, "Get", PlotReq{PlotID: movie.Movie.PlotID}, &plot); err != nil {
-				fail(err)
-				return
-			}
-			page.Plot = plot.Text
-		}()
-		go func() {
-			defer wg.Done()
-			var cast CastResp
-			if err := d.movieDB.Call(ctx, "Cast", CastReq{MovieID: movie.Movie.ID}, &cast); err != nil {
-				fail(err)
-				return
-			}
-			page.Cast = cast.Cast
-		}()
-		go func() {
-			defer wg.Done()
 			var reviews ReviewsResp
 			if err := svcutil.CallBounded(ctx, d.movieReview, "List", ReviewsByMovieReq{MovieID: movie.Movie.ID, Limit: 10}, &reviews); err != nil {
-				mu.Lock()
 				page.Degraded = true
-				mu.Unlock()
-				return
+			} else {
+				page.Reviews = reviews.Reviews
 			}
-			page.Reviews = reviews.Reviews
-		}()
-		wg.Wait()
-		if firstErr != nil {
-			return nil, firstErr
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		return page, nil
 	})

@@ -2,7 +2,6 @@ package socialnetwork
 
 import (
 	"strings"
-	"sync"
 	"time"
 
 	"dsb/internal/rpc"
@@ -75,57 +74,37 @@ func registerComposePost(srv *rpc.Server, deps composeDeps, degrade bool) {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "composePost: empty post")
 		}
 
-		// Phase 1: unique ID, text processing, and media uploads in parallel.
+		// Phase 1: unique ID, text processing, and one upload per image or
+		// video, in parallel; the media IDs keep the request's order.
 		var (
-			wg       sync.WaitGroup
-			mu       sync.Mutex
-			firstErr error
 			idResp   UniqueIDResp
 			txtResp  TextProcessResp
 			mediaIDs []string
 		)
-		fail := func(err error) {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
+		nImages, nMedia := len(req.Images), len(req.Images)+len(req.Videos)
+		if nMedia > 0 {
+			mediaIDs = make([]string, nMedia)
 		}
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			if err := deps.uniqueID.Call(ctx, "Next", UniqueIDReq{}, &idResp); err != nil {
-				fail(err)
+		err = svcutil.Parallel(2+nMedia, 2+nMedia, func(i int) error {
+			switch i {
+			case 0:
+				return deps.uniqueID.Call(ctx, "Next", UniqueIDReq{}, &idResp)
+			case 1:
+				return deps.text.Call(ctx, "Process", TextProcessReq{Text: text}, &txtResp)
 			}
-		}()
-		go func() {
-			defer wg.Done()
-			if err := deps.text.Call(ctx, "Process", TextProcessReq{Text: text}, &txtResp); err != nil {
-				fail(err)
+			up := UploadMediaReq{Kind: MediaImage}
+			if i -= 2; i < nImages {
+				up.Data = req.Images[i]
+			} else {
+				up.Kind, up.Data = MediaVideo, req.Videos[i-nImages]
 			}
-		}()
-		upload := func(kind string, data []byte) {
-			defer wg.Done()
 			var mr UploadMediaResp
-			if err := deps.media.Call(ctx, "Upload", UploadMediaReq{Kind: kind, Data: data}, &mr); err != nil {
-				fail(err)
-				return
-			}
-			mu.Lock()
-			mediaIDs = append(mediaIDs, mr.Media.ID)
-			mu.Unlock()
-		}
-		for _, img := range req.Images {
-			wg.Add(1)
-			go upload(MediaImage, img)
-		}
-		for _, vid := range req.Videos {
-			wg.Add(1)
-			go upload(MediaVideo, vid)
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return nil, firstErr
+			err := deps.media.Call(ctx, "Upload", up, &mr)
+			mediaIDs[i] = mr.Media.ID
+			return err
+		})
+		if err != nil {
+			return nil, err
 		}
 
 		post := Post{
@@ -143,33 +122,22 @@ func registerComposePost(srv *rpc.Server, deps composeDeps, degrade bool) {
 
 		// Phase 2: fan-out and indexing in parallel.
 		degraded := false
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			err := deps.timeline.Call(ctx, "Append", AppendTimelineReq{
-				Author: post.Author, PostID: post.ID, Ts: post.CreatedAt,
-			}, nil)
-			if err != nil {
-				fail(err)
+		err = svcutil.Parallel(2, 2, func(i int) error {
+			if i == 0 {
+				return deps.timeline.Call(ctx, "Append", AppendTimelineReq{
+					Author: post.Author, PostID: post.ID, Ts: post.CreatedAt,
+				}, nil)
 			}
-		}()
-		go func() {
-			defer wg.Done()
-			if err := callBounded(ctx, degrade, deps.search, "Index", IndexPostReq{PostID: post.ID, Text: post.Text}, nil); err != nil {
-				if degrade {
-					// Post is stored and fanned out; missing from search
-					// until the index tier recovers. Accept anyway.
-					mu.Lock()
-					degraded = true
-					mu.Unlock()
-					return
-				}
-				fail(err)
+			err := callBounded(ctx, degrade, deps.search, "Index", IndexPostReq{PostID: post.ID, Text: post.Text}, nil)
+			if err != nil && degrade {
+				// Post is stored and fanned out; missing from search until
+				// the index tier recovers. Accept anyway.
+				degraded, err = true, nil
 			}
-		}()
-		wg.Wait()
-		if firstErr != nil {
-			return nil, firstErr
+			return err
+		})
+		if err != nil {
+			return nil, err
 		}
 		if err := deps.user.Call(ctx, "BumpStat", BumpStatReq{Username: post.Author, Stat: "posts", Delta: 1}, nil); err != nil {
 			return nil, err

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dsb/internal/codec"
-	"dsb/internal/docstore"
 	"dsb/internal/rpc"
 	"dsb/internal/svcutil"
 )
@@ -102,23 +101,11 @@ func addEdge(ctx *rpc.Ctx, db svcutil.DB, key, member string) (bool, error) {
 	return db.ListPrependUnique(ctx, "graph", key, member, 0)
 }
 
-// removeEdge takes member out of the set at key with a Get and a Put, which
-// a concurrent add or remove on the same set can undo.
+// removeEdge takes member out of the set at key and reports whether it was
+// there: one store-side remove, so concurrent removes and adds on one set
+// all land, and of two racing removes of one member only one reports it.
 func removeEdge(ctx *rpc.Ctx, db svcutil.DB, key, member string) (bool, error) {
-	users, err := readEdges(ctx, db, key)
-	if err != nil {
-		return false, err
-	}
-	for i, u := range users {
-		if u == member {
-			body, err := codec.Marshal(append(users[:i], users[i+1:]...))
-			if err != nil {
-				return false, err
-			}
-			return true, db.Put(ctx, "graph", docstore.Doc{ID: key, Body: body})
-		}
-	}
-	return false, nil
+	return db.ListRemove(ctx, "graph", key, member)
 }
 
 // BlockReq blocks or unblocks an author for a user.

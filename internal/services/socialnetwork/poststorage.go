@@ -118,8 +118,13 @@ func registerPostStorage(srv *rpc.Server, db svcutil.DB, mc svcutil.KV, noCoales
 			defer hits.Release()
 		}
 		// The count is written for a full page and corrected below if the
-		// store no longer has some of the posts.
-		reply := codec.AppendLen(transport.AcquireBuf(0), len(keys))
+		// store no longer has some of the posts. The reply is sized for the
+		// hits; a miss's post grows it.
+		size := codec.LenSize(len(keys))
+		for _, h := range hits {
+			size += len(h.Value)
+		}
+		reply := codec.AppendLen(transport.AcquireBuf(size), len(keys))
 		head, found := len(reply), 0 // the list's elements start at head
 		for i, key := range keys {
 			if len(hits) > 0 && hits[0].Index == i {

@@ -170,28 +170,19 @@ func registerSearch(srv *rpc.Server, shards []svcutil.Caller) {
 		if limit <= 0 {
 			limit = 10
 		}
-		type result struct {
-			hits []SearchHit
-			err  error
-		}
-		results := make([]result, len(shards))
-		var wg sync.WaitGroup
-		for i, sh := range shards {
-			wg.Add(1)
-			go func(i int, sh svcutil.Caller) {
-				defer wg.Done()
-				var resp SearchResp
-				err := sh.Call(ctx, "Query", SearchReq{Query: req.Query, Limit: int64(limit)}, &resp)
-				results[i] = result{hits: resp.Hits, err: err}
-			}(i, sh)
-		}
-		wg.Wait()
+		// Errors by shard, so a failure reports the lowest failing shard.
+		resps := make([]SearchResp, len(shards))
+		errs := make([]error, len(shards))
+		svcutil.Parallel(len(shards), len(shards), func(i int) error {
+			errs[i] = shards[i].Call(ctx, "Query", SearchReq{Query: req.Query, Limit: int64(limit)}, &resps[i])
+			return nil
+		})
 		var merged []SearchHit
-		for _, r := range results {
-			if r.err != nil {
-				return nil, r.err
+		for i, r := range resps {
+			if errs[i] != nil {
+				return nil, errs[i]
 			}
-			merged = append(merged, r.hits...)
+			merged = append(merged, r.Hits...)
 		}
 		sort.Slice(merged, func(i, j int) bool {
 			if merged[i].Score != merged[j].Score {

@@ -168,6 +168,49 @@ func TestSearchFindsPosts(t *testing.T) {
 	}
 }
 
+// scriptedShard is a search shard whose Query runs call.
+type scriptedShard struct {
+	name string
+	call func() error
+}
+
+func (s scriptedShard) Call(context.Context, string, any, any) error { return s.call() }
+func (s scriptedShard) Target() string                               { return s.name }
+
+// TestSearchReportsLowestFailingShard pins the scatter's error rule: when
+// shards fail, the query reports the lowest-numbered one's error, whichever
+// finished first. Here shard 1 fails at once and shard 0 only after it.
+func TestSearchReportsLowestFailingShard(t *testing.T) {
+	net := rpc.NewMem()
+	for round := 0; round < 20; round++ {
+		shard1Done := make(chan struct{})
+		shards := []transport.Caller{
+			scriptedShard{"index0", func() error {
+				<-shard1Done
+				return rpc.Errorf(rpc.CodeUnavailable, "index0 down")
+			}},
+			scriptedShard{"index1", func() error {
+				defer close(shard1Done)
+				return rpc.Errorf(rpc.CodeUnavailable, "index1 down")
+			}},
+			scriptedShard{"index2", func() error { return nil }},
+		}
+		srv := rpc.NewServer("search")
+		registerSearch(srv, shards)
+		addr, err := srv.Start(net, fmt.Sprintf("search:%d", round))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := rpc.NewClient(net, "search", addr)
+		err = c.Call(context.Background(), "Query", SearchReq{Query: "coffee"}, &SearchResp{})
+		c.Close()
+		srv.Close()
+		if err == nil || !strings.Contains(err.Error(), "index0 down") {
+			t.Fatalf("round %d: err = %v, want index0's", round, err)
+		}
+	}
+}
+
 func TestBlockedAuthorFiltered(t *testing.T) {
 	sn, tokens := boot(t, "alice", "bob", "troll")
 	ctx := context.Background()
@@ -506,5 +549,86 @@ func TestFollowConcurrent(t *testing.T) {
 	}
 	if info.Info.Followers != int64(len(fans)) {
 		t.Fatalf("followers = %d after %d concurrent follows", info.Info.Followers, len(fans))
+	}
+}
+
+// TestUnfollowConcurrent races removals against removals and adds on the
+// same sets: hub unfollows every old followee — each edge twice at once —
+// while it follows new users and fans follow it. Nothing unfollowed may be
+// left, no new follow lost, and each counter must match its set.
+func TestUnfollowConcurrent(t *testing.T) {
+	const n = 40
+	names := func(prefix string) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = fmt.Sprintf("%s-%03d", prefix, i)
+		}
+		return out
+	}
+	olds, news, fans := names("old"), names("new"), names("fan")
+	sn, _ := boot(t, slices.Concat([]string{"hub"}, olds, news, fans)...)
+	ctx := context.Background()
+	call := func(method string, req FollowReq) error { return sn.Graph.Call(ctx, method, req, nil) }
+	for _, u := range olds {
+		if err := call("Follow", FollowReq{Follower: "hub", Followee: u}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4*n)
+	for i := 0; i < n; i++ {
+		for _, op := range []struct {
+			method string
+			req    FollowReq
+		}{
+			{"Unfollow", FollowReq{Follower: "hub", Followee: olds[i]}},
+			{"Unfollow", FollowReq{Follower: "hub", Followee: olds[i]}},
+			{"Follow", FollowReq{Follower: "hub", Followee: news[i]}},
+			{"Follow", FollowReq{Follower: fans[i], Followee: "hub"}},
+		} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := call(op.method, op.req); err != nil {
+					errs <- err
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	neighbors := func(method, user string) []string {
+		var resp NeighborsResp
+		if err := sn.Graph.Call(ctx, method, NeighborsReq{User: user}, &resp); err != nil {
+			t.Fatal(err)
+		}
+		return slices.Sorted(slices.Values(resp.Users))
+	}
+	info := func(user string) UserInfo {
+		var resp InfoResp
+		if err := sn.User.Call(ctx, "Info", InfoReq{Username: user}, &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp.Info
+	}
+	if got := neighbors("Followees", "hub"); !slices.Equal(got, news) {
+		t.Errorf("hub follows %d users after unfollowing %d and following %d at once: %v", len(got), n, n, got)
+	}
+	if got := neighbors("Followers", "hub"); !slices.Equal(got, fans) {
+		t.Errorf("hub has %d followers after %d concurrent follows, want each fan once", len(got), n)
+	}
+	if hub := info("hub"); hub.Followees != n || hub.Followers != n {
+		t.Errorf("hub's counters read %d followees and %d followers, want %d and %d", hub.Followees, hub.Followers, n, n)
+	}
+	for _, u := range olds {
+		if got := neighbors("Followers", u); len(got) != 0 {
+			t.Errorf("%s still has followers %v after hub unfollowed it", u, got)
+		}
+		if c := info(u).Followers; c != 0 {
+			t.Errorf("%s's followers counter reads %d after hub unfollowed it twice at once, want 0", u, c)
+		}
 	}
 }

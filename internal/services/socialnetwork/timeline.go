@@ -158,9 +158,8 @@ func registerReadTimeline(srv *rpc.Server, db svcutil.DB, mc svcutil.KV, readPos
 			return nil, err
 		}
 		ids := firstIDs(all, limit)
-		reply := transport.AcquireBuf(0)
 		if ids == nil {
-			return ctx.OwnReply(codec.AppendBool(codec.AppendLen(reply, 0), false)), nil
+			return ctx.OwnReply(codec.AppendBool(codec.AppendLen(transport.AcquireBuf(2), 0), false)), nil
 		}
 		page, err := readPage(ctx, degrade, readPost, ids)
 		if err != nil {
@@ -168,10 +167,9 @@ func registerReadTimeline(srv *rpc.Server, db svcutil.DB, mc svcutil.KV, readPos
 			// stale-posts cache rather than erroring the whole read.
 			if degrade {
 				if v, found, cerr := mc.Get(ctx, "tlp:"+req.User); cerr == nil && found && codec.Valid[[]Post](v) == nil {
-					return ctx.OwnReply(codec.AppendBool(append(reply, v...), true)), nil
+					return ctx.OwnReply(codec.AppendBool(append(transport.AcquireBuf(len(v)+1), v...), true)), nil
 				}
 			}
-			transport.ReleaseBuf(reply)
 			return nil, err
 		}
 		defer transport.ReleaseBuf(page)
@@ -179,7 +177,6 @@ func registerReadTimeline(srv *rpc.Server, db svcutil.DB, mc svcutil.KV, readPos
 		var bl BlockedListResp
 		if err := callBounded(ctx, degrade, blocked, "List", BlockedListReq{User: req.User}, &bl); err != nil {
 			if !degrade {
-				transport.ReleaseBuf(reply)
 				return nil, err
 			}
 			// Block list unreachable: an unfiltered timeline beats no
@@ -187,7 +184,9 @@ func registerReadTimeline(srv *rpc.Server, db svcutil.DB, mc svcutil.KV, readPos
 			degraded = true
 			bl.Users = nil
 		}
-		if reply, err = filterPage(reply, page, bl.Users); err != nil {
+		// The filtered page is at most the page, and the degraded flag.
+		reply, err := filterPage(transport.AcquireBuf(len(page)+1), page, bl.Users)
+		if err != nil {
 			transport.ReleaseBuf(reply)
 			return nil, rpc.Errorf(rpc.CodeInternal, "readTimeline: page from readPost: %v", err)
 		}

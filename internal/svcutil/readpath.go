@@ -108,6 +108,16 @@ func (d DB) listPrepend(ctx context.Context, collection, id, value string, max i
 		docstore.ListPrependReq{Collection: collection, ID: id, Value: value, Cap: int64(max), Unique: unique})
 }
 
+// ListRemove takes value out of the []string body of the document and
+// reports whether it was listed: a set remove in one hop, which concurrent
+// removes and unique prepends on the same list cannot undo, where a Get, a
+// delete and a Put can.
+func (d DB) ListRemove(ctx context.Context, collection, id, value string) (bool, error) {
+	resp, err := dbWrite[docstore.ListRemoveResp](ctx, d, id, "ListRemove",
+		docstore.ListRemoveReq{Collection: collection, ID: id, Value: value})
+	return resp.Removed, err
+}
+
 // AddNum atomically adds delta to a numeric field of the document unless
 // the sum would fall below floor (see docstore.Collection.AddNum). It is how
 // a replicated service keeps a balance or a counter: a Get, a check and a Put
@@ -121,8 +131,9 @@ func (d DB) AddNum(ctx context.Context, collection, id, field string, delta, flo
 // dbWrite sends a store-side read-modify-write of document id: to the one
 // backend, or sharded to every replica of id's owner group, the first ack
 // answering. Each replica applies the operation to its own copy, so replicas
-// that saw the same adds (they commute) or unique prepends (as sets; two
-// racing prepends may order differently) agree, where a Put pair need not.
+// that saw the same adds (they commute), or unique prepends and removes of
+// distinct members (as sets; two racing prepends may order differently),
+// agree, where a Put pair need not.
 func dbWrite[Resp any](ctx context.Context, d DB, id, method string, req any) (resp Resp, err error) {
 	if d.Shards != nil {
 		return firstAck[Resp](ctx, d.Shards, id, method, req)
@@ -131,12 +142,13 @@ func dbWrite[Resp any](ctx context.Context, d DB, id, method string, req any) (r
 	return resp, err
 }
 
-// Parallel runs fn(0..n-1) across at most workers goroutines and returns
-// the first error (every index still runs). It is the bounded fan-out
-// primitive for write paths that touch many downstream keys — pushing a
-// post onto each follower's timeline, invalidating a batch of cache
-// entries — where sequential calls serialize on per-call RPC latency and
-// unbounded goroutines overwhelm the downstream tier.
+// Parallel runs fn(0..n-1) across at most workers goroutines, the caller's
+// among them, and returns the first error (every index still runs). It is
+// the bounded fan-out primitive for write paths that touch many downstream
+// keys — pushing a post onto each follower's timeline, invalidating a batch
+// of cache entries — where sequential calls serialize on per-call RPC
+// latency and unbounded goroutines overwhelm the downstream tier, and the
+// one way a handler overlaps independent calls.
 func Parallel(workers, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -147,27 +159,29 @@ func Parallel(workers, n int, fn func(i int) error) error {
 	if workers > n {
 		workers = n
 	}
-	var (
+	// The caller is one of the workers, and the state the others share is
+	// one allocation.
+	var st struct {
 		next     atomic.Int64
 		wg       sync.WaitGroup
 		errOnce  sync.Once
 		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := fn(i); err != nil {
-					errOnce.Do(func() { firstErr = err })
-				}
+	}
+	work := func() {
+		for i := int(st.next.Add(1)) - 1; i < n; i = int(st.next.Add(1)) - 1 {
+			if err := fn(i); err != nil {
+				st.errOnce.Do(func() { st.firstErr = err })
 			}
+		}
+	}
+	st.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer st.wg.Done()
+			work()
 		}()
 	}
-	wg.Wait()
-	return firstErr
+	work()
+	st.wg.Wait()
+	return st.firstErr
 }

@@ -1,62 +1,77 @@
 package transport
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 // Pooled buffers and call descriptors for the wire hot path. The RPC layer
 // moves payload bytes through here so a steady request stream recirculates
-// a small working set of buffers instead of allocating per call. The pool
-// caches per P (sync.Pool), so tiers sharing a process never contend on it,
-// and the collector, not a fixed entry count, bounds what it retains: an
-// idle pool is emptied within two collections.
+// a small working set of buffers instead of allocating per call. The buffer
+// pool is one sync.Pool per power-of-two size class from minBufCap to
+// maxPooledBuf, so a caller that asks for a large buffer finds one that
+// small callers did not take first. Each class caches per P, so tiers
+// sharing a process never contend on it, and the collector, not a fixed
+// entry count, bounds what it retains: an idle pool is emptied within two
+// collections.
 //
 // Ownership rules (see DESIGN.md "wire speed"):
 //
-//   - AcquireBuf hands out exclusive ownership; exactly one ReleaseBuf (or
-//     none — dropping a buffer on the floor is safe, it just falls back to
-//     the garbage collector) per acquired buffer.
+//   - AcquireBuf(n) hands out exclusive ownership of an empty buffer whose
+//     capacity is at least n — every time, so no caller checks. Exactly
+//     one ReleaseBuf (or none — dropping a buffer on the floor is safe, it
+//     just falls back to the garbage collector) per acquired buffer; a
+//     buffer that grew past its class is filed by its new capacity.
 //   - ReleaseBuf must only be called once the contents are dead: after a
 //     decode (the codec never aliases its input) or after the bytes were
 //     copied to the wire.
 //   - Never release a slice you do not own end-to-end; a sub-slice of
-//     someone else's buffer poisons the pool.
+//     someone else's buffer poisons the pool. Release a buffer from its
+//     head: one resliced from past it has lost capacity and files a class
+//     lower.
 
 const (
 	// maxPooledBuf bounds a recyclable buffer so one jumbo payload does not
-	// pin megabytes in the pool.
+	// pin megabytes in the pool; a larger hint gets an exact, unpooled buffer.
 	maxPooledBuf = 64 << 10
 	// minBufCap is the smallest capacity AcquireBuf mints, so tiny first
 	// requests do not seed the pool with useless slivers.
 	minBufCap = 512
 )
 
-// A sync.Pool stores interface values, and putting a slice header into one
-// allocates, so buffers travel in *[]byte boxes: bufPool holds boxes that
-// carry a buffer, boxPool the empty ones AcquireBuf has unloaded.
-var bufPool, boxPool sync.Pool
+// classes[i] holds buffers of capacity minBufCap<<i up to, not including,
+// twice that: eight classes, 512 B to 64 KiB. A sync.Pool stores interface
+// values, and putting a slice header into one allocates, so buffers travel
+// in *[]byte boxes; boxPool holds the empty ones AcquireBuf has unloaded.
+var (
+	classes [8]sync.Pool
+	boxPool sync.Pool
+)
 
-// AcquireBuf returns a zero-length buffer with at least hint spare capacity
-// when freshly minted; a recycled buffer may be smaller (append will grow it
-// once, after which the grown buffer recirculates).
+// AcquireBuf returns an empty buffer with capacity at least hint: one from
+// the smallest class that holds hint, or a new one of that class's size.
 func AcquireBuf(hint int) []byte {
-	if box, _ := bufPool.Get().(*[]byte); box != nil {
+	if hint > maxPooledBuf {
+		return make([]byte, 0, hint)
+	}
+	c := 0
+	if hint > minBufCap {
+		c = bits.Len(uint(hint-1)) - bits.Len(minBufCap-1)
+	}
+	if box, _ := classes[c].Get().(*[]byte); box != nil {
 		b := *box
 		*box = nil
 		boxPool.Put(box)
 		return b
 	}
-	if hint < minBufCap {
-		hint = minBufCap
-	}
-	if hint > maxPooledBuf {
-		hint = maxPooledBuf
-	}
-	return make([]byte, 0, hint)
+	return make([]byte, 0, minBufCap<<c)
 }
 
-// ReleaseBuf returns a buffer to the pool. nil and oversized buffers are
-// dropped. The caller must not touch b afterwards.
+// ReleaseBuf files b under the class its capacity rounds down to. nil,
+// undersized and oversized buffers are dropped. The caller must not touch b
+// afterwards.
 func ReleaseBuf(b []byte) {
-	if b == nil || cap(b) > maxPooledBuf {
+	if cap(b) < minBufCap || cap(b) > maxPooledBuf {
 		return
 	}
 	box, _ := boxPool.Get().(*[]byte)
@@ -64,7 +79,7 @@ func ReleaseBuf(b []byte) {
 		box = new([]byte)
 	}
 	*box = b[:0]
-	bufPool.Put(box)
+	classes[bits.Len(uint(cap(b)))-bits.Len(minBufCap)].Put(box)
 }
 
 var callPool = sync.Pool{New: func() any { return new(Call) }}

@@ -49,13 +49,15 @@ func emptyBufPool() {
 
 func TestAcquireBufMintsWithinBounds(t *testing.T) {
 	emptyBufPool()
-	// Held, not released, so each acquire finds the pool still empty.
+	// Held, not released, so each acquire finds its class still empty.
 	for _, tc := range []struct{ hint, want int }{
 		{0, minBufCap},
 		{minBufCap - 1, minBufCap},
+		{minBufCap, minBufCap},
+		{minBufCap + 1, 2 * minBufCap},
 		{4096, 4096},
-		{maxPooledBuf + 1, maxPooledBuf},
-		{1 << 30, maxPooledBuf},
+		{maxPooledBuf, maxPooledBuf},
+		{maxPooledBuf + 1, maxPooledBuf + 1},
 	} {
 		if b := AcquireBuf(tc.hint); len(b) != 0 || cap(b) != tc.want {
 			t.Errorf("AcquireBuf(%d) on an empty pool: len %d cap %d, want 0 and %d", tc.hint, len(b), cap(b), tc.want)
@@ -63,11 +65,42 @@ func TestAcquireBufMintsWithinBounds(t *testing.T) {
 	}
 }
 
+// A large buffer waits in its own class for a caller that asks for one: a
+// large acquire recycles it instead of minting, though a small buffer was
+// released after it, and a small acquire does not take it.
+func TestAcquireBufTakesFromItsClass(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop a random share of releases")
+	}
+	// One P, so every release and acquire below meets the same per-P cache.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	emptyBufPool()
+	ReleaseBuf(make([]byte, 0, 32<<10))
+	ReleaseBuf(make([]byte, 0, minBufCap))
+	allocs := testing.AllocsPerRun(100, func() {
+		b := AcquireBuf(20 << 10)
+		if cap(b) < 20<<10 {
+			t.Fatalf("AcquireBuf(20 KiB) returned cap %d", cap(b))
+		}
+		ReleaseBuf(b)
+	})
+	if allocs != 0 {
+		t.Errorf("AcquireBuf(20 KiB) with a 32 KiB buffer pooled: %.1f allocs per call, want 0", allocs)
+	}
+	if b := AcquireBuf(100); cap(b) >= 20<<10 {
+		t.Errorf("AcquireBuf(100) took the large buffer: cap %d", cap(b))
+	}
+}
+
 func TestReleaseBufDropsNilAndOversized(t *testing.T) {
 	emptyBufPool()
 	ReleaseBuf(nil)
+	ReleaseBuf(make([]byte, 0, minBufCap-1))
 	ReleaseBuf(make([]byte, 0, maxPooledBuf+1))
 	if b := AcquireBuf(0); cap(b) != minBufCap {
-		t.Fatalf("after releasing nil and an oversized buffer, AcquireBuf(0) has cap %d: want a fresh %d", cap(b), minBufCap)
+		t.Fatalf("after releasing nil, an undersized and an oversized buffer, AcquireBuf(0) has cap %d: want a fresh %d", cap(b), minBufCap)
+	}
+	if b := AcquireBuf(maxPooledBuf); cap(b) != maxPooledBuf {
+		t.Fatalf("after releasing an oversized buffer, AcquireBuf(%d) has cap %d: want a fresh %d", maxPooledBuf, cap(b), maxPooledBuf)
 	}
 }
