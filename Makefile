@@ -77,7 +77,8 @@ codecgen-check:
 
 # Alloc-regression guards for the wire hot path: frame encode/decode has a
 # pinned budget (0 allocs/op encode; 0 to read a buffered frame, which the
-# connection's reader owns and parses in place), a full
+# connection's reader owns and parses in place — a request's deadline and
+# trace pair are fixed fields of its call header), a full
 # echo round trip over the in-memory network must allocate at most the
 # server-side request context, and WAL appends must reuse their encode
 # scratch instead of re-marshaling per record. The in-memory connection under

@@ -221,7 +221,7 @@ func TestInstanceFailureRecovery(t *testing.T) {
 // TestDeadlineBudgetShrinksAcrossTwoHops drives a root→mid→leaf RPC chain
 // with the resilience budget enabled and asserts each tier observes a
 // strictly tighter deadline than its caller — the per-hop budget propagated
-// via the deadline header, end to end.
+// in each request's call header, end to end.
 func TestDeadlineBudgetShrinksAcrossTwoHops(t *testing.T) {
 	app := NewApp("budget", Options{
 		Resilience: &transport.ResilienceConfig{Budget: &transport.BudgetConfig{Fraction: 0.5}},

@@ -110,7 +110,7 @@ const targetChars = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456
 // appendRequest appends call's request as it goes on the wire: the request
 // line with the request-target net/http would send for path — its URL's
 // RequestURI, so a space in a path segment goes out as %20 — then Host, the
-// body's type and length, the propagated deadline, call's headers and the
+// body's type and length, the propagated deadline, call's trace pair and the
 // body.
 func (c *Client) appendRequest(ctx context.Context, b []byte, method, path string, call *transport.Call) ([]byte, error) {
 	target := path
@@ -131,15 +131,13 @@ func (c *Client) appendRequest(ctx context.Context, b []byte, method, path strin
 		b = strconv.AppendInt(append(append(b, deadlineKey...), ": "...), dl.UnixNano(), 10)
 		b = append(b, "\r\n"...)
 	}
-	for k, v := range call.Headers {
-		// No CR or LF in a name or value may end the header block early.
-		b = append(append(append(b, headerText.Replace(k)...), ": "...), headerText.Replace(v)...)
+	if call.Trace.Valid() {
+		b = strconv.AppendUint(append(b, traceKey+": "...), uint64(call.Trace.TraceID), 16)
+		b = strconv.AppendUint(append(b, "\r\n"+spanKey+": "...), uint64(call.Trace.SpanID), 16)
 		b = append(b, "\r\n"...)
 	}
 	return append(append(b, "\r\n"...), call.Payload...), nil
 }
-
-var headerText = strings.NewReplacer("\r", " ", "\n", " ")
 
 // clientConn is a client connection's read side: the response parser's
 // buffered reader over the connection, behind the header bound.

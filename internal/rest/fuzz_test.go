@@ -29,11 +29,12 @@ func requestMethods(in []byte) []string {
 
 // FuzzRESTConn feeds a server connection over rpc.Mem whatever a peer could
 // send, and after it a line that never ends. The server must not panic; it
-// must answer only in well-formed HTTP/1.1, one response per request it read
-// (plus any interim 100 Continue, and one refusal of what it could not read);
-// and it must give up on the endless line once it passes the header bound
-// and end the connection, having read no more than the input, the largest
-// body it accepts and the bound.
+// must read a caller's span whole or not at all, whatever Dsb-Trace and
+// Dsb-Span hold; it must answer only in well-formed HTTP/1.1, one response
+// per request it read (plus any interim 100 Continue, and one refusal of
+// what it could not read); and it must give up on the endless line once it
+// passes the header bound and end the connection, having read no more than
+// the input, the largest body it accepts and the bound.
 //
 // The seeds are the shapes the server treats differently; `make check` runs
 // the target for ten seconds.
@@ -53,6 +54,10 @@ func FuzzRESTConn(f *testing.F) {
 		"GET /items/a HTTP/1.1\r\nX-Folded: a\r\n b\r\n\r\n",
 		"garbage\r\n\r\n",
 		"",
+		"GET /items/a HTTP/1.1\r\nDsb-Trace: zz\r\nDsb-Span: 1\r\n\r\n",
+		"GET /items/a HTTP/1.1\r\nDsb-Trace: 123456789abcdef01\r\nDsb-Span: 1\r\n\r\n",
+		"GET /items/a HTTP/1.1\r\nDsb-Trace: 0\r\nDsb-Span: 0\r\n\r\n",
+		"GET /items/a HTTP/1.1\r\nDsb-Trace: abc\r\nDsb-Span: def\r\nDsb-Deadline: soon\r\n\r\n",
 	} {
 		f.Add([]byte(seed))
 	}
@@ -63,7 +68,12 @@ func FuzzRESTConn(f *testing.F) {
 		n := &countingNet{Network: rpc.NewMem()}
 		s := NewServer("fuzz")
 		s.Handle("POST /echo", func(ctx *Ctx, body []byte) (any, error) { return string(body), nil })
-		s.Handle("GET /items/{id}", func(ctx *Ctx, body []byte) (any, error) { return ctx.PathValue("id"), nil })
+		s.Handle("GET /items/{id}", func(ctx *Ctx, body []byte) (any, error) {
+			if tr := ctx.Trace; (tr.TraceID == 0) != (tr.SpanID == 0) {
+				t.Errorf("the caller's span read as %+v: half a parent", tr)
+			}
+			return ctx.PathValue("id"), nil
+		})
 		s.Handle("GET /panic", func(ctx *Ctx, body []byte) (any, error) { panic("fuzz") })
 		addr, err := s.Start(n, "fuzz:1")
 		if err != nil {

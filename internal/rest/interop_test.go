@@ -18,11 +18,11 @@ import (
 	"dsb/internal/transport"
 )
 
-// headerMW sets a request header on every call.
-func headerMW(k, v string) transport.Middleware {
+// traceMW stamps sc on every call as the caller's span.
+func traceMW(sc transport.SpanContext) transport.Middleware {
 	return func(next transport.Invoker) transport.Invoker {
 		return func(ctx context.Context, call *transport.Call) error {
-			call.SetHeader(k, v)
+			call.Trace = sc
 			return next(ctx, call)
 		}
 	}
@@ -146,7 +146,7 @@ func TestClientAgainstNetHTTPServer(t *testing.T) {
 	var dials atomic.Int32
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /items/{id}", func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get("X-Req") != "ping" || r.Header.Get(deadlineKey) == "" {
+		if r.Header.Get("Dsb-Trace") != "abc" || r.Header.Get("Dsb-Span") != "def" || r.Header.Get("Dsb-Deadline") == "" {
 			http.Error(w, `{"code":3,"error":"headers lost"}`, http.StatusBadRequest)
 			return
 		}
@@ -170,7 +170,7 @@ func TestClientAgainstNetHTTPServer(t *testing.T) {
 	hs.Start()
 	defer hs.Close()
 
-	c := NewClient(rpc.TCP{}, "nethttp", strings.TrimPrefix(hs.URL, "http://"), WithMiddleware(headerMW("X-Req", "ping")))
+	c := NewClient(rpc.TCP{}, "nethttp", strings.TrimPrefix(hs.URL, "http://"), WithMiddleware(traceMW(transport.SpanContext{TraceID: 0xabc, SpanID: 0xdef})))
 	defer c.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

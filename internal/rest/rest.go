@@ -1,8 +1,9 @@
 // Package rest implements the suite's JSON-over-HTTP API layer, the role
 // REST plays at the applications' front doors. It reuses the rpc Network
 // abstraction so REST services run over real TCP or in-memory connections,
-// and it propagates the same header-based trace context and deadline as the
-// RPC layer, so traces cross RPC/REST boundaries intact.
+// and it propagates the same call header as the RPC layer — the deadline and
+// the caller's span, here as the Dsb-Deadline, Dsb-Trace and Dsb-Span
+// headers — so traces cross RPC/REST boundaries intact.
 //
 // It speaks HTTP/1.1 through net/http's parsers (http.ReadRequest,
 // http.ReadResponse) and router (http.ServeMux), not through its Server or
@@ -34,6 +35,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"dsb/internal/codec"
 	"dsb/internal/rpc"
@@ -56,9 +58,15 @@ const (
 	readBufSize    = 4 << 10
 )
 
-// deadlineKey is transport.DeadlineHeader in the form net/http stores header
-// names, so neither side canonicalises it again on every request.
-var deadlineKey = http.CanonicalHeaderKey(transport.DeadlineHeader)
+// The call header as HTTP headers, in the form net/http stores their names,
+// so neither side canonicalises them on every request: the deadline in
+// decimal unix nanoseconds, the caller's trace and span IDs in hex. This is
+// the one place either becomes text.
+const (
+	deadlineKey = "Dsb-Deadline"
+	traceKey    = "Dsb-Trace"
+	spanKey     = "Dsb-Span"
+)
 
 // readBody reads r to EOF into a pooled buffer sized from the declared
 // length (-1 when unknown); the caller releases it once the bytes are dead.
@@ -93,13 +101,13 @@ type Ctx struct {
 	Service string
 	// Request is the underlying HTTP request (path params, query).
 	Request *http.Request
+	// Trace is the caller's span, which this request's work is a child of;
+	// zero when the caller sent none, or a malformed or zero ID.
+	Trace transport.SpanContext
 
 	query url.Values // parsed by the first Query call
 	reply []byte     // the pooled body handed over with OwnReply
 }
-
-// Header returns a request header value.
-func (c *Ctx) Header(key string) string { return c.Request.Header.Get(key) }
 
 // PathValue returns a path wildcard value (Go 1.22 mux patterns).
 func (c *Ctx) PathValue(name string) string { return c.Request.PathValue(name) }
@@ -211,13 +219,11 @@ func (s *Server) serve(rt *route, w *response, r *http.Request) {
 		// may alias the body — is encoded.
 		defer transport.ReleaseBuf(body)
 	}
-	ctx := &Ctx{Context: context.Background(), Service: s.service, Request: r}
-	if v := r.Header[deadlineKey]; len(v) > 0 {
-		if dl, ok := transport.ParseDeadline(v[0]); ok {
-			var cancel context.CancelFunc
-			ctx.Context, cancel = context.WithDeadline(ctx.Context, dl)
-			defer cancel()
-		}
+	ctx := &Ctx{Context: context.Background(), Service: s.service, Request: r, Trace: parseTrace(r.Header)}
+	if dl, ok := parseDeadline(r.Header); ok {
+		var cancel context.CancelFunc
+		ctx.Context, cancel = context.WithDeadline(ctx.Context, dl)
+		defer cancel()
 	}
 	out, err := safeServe(*rt.chain.Load(), ctx, body)
 	if _, own := out.(ownedReply); own && err == nil {
@@ -240,6 +246,35 @@ func (s *Server) serve(rt *route, w *response, r *http.Request) {
 		}
 		w.json, w.body = true, data
 	}
+}
+
+// parseDeadline reads the caller's deadline from h, written as decimal unix
+// nanoseconds; ok is false when it is missing or malformed.
+func parseDeadline(h http.Header) (dl time.Time, ok bool) {
+	v := h[deadlineKey]
+	if len(v) == 0 {
+		return time.Time{}, false
+	}
+	ns, err := strconv.ParseInt(v[0], 10, 64)
+	if err != nil {
+		return time.Time{}, false
+	}
+	return time.Unix(0, ns), true
+}
+
+// parseTrace reads the caller's span from h: zero unless both IDs are
+// nonzero hex numbers that fit 64 bits.
+func parseTrace(h http.Header) transport.SpanContext {
+	t, s := h[traceKey], h[spanKey]
+	if len(t) == 0 || len(s) == 0 {
+		return transport.SpanContext{}
+	}
+	tid, err1 := strconv.ParseUint(t[0], 16, 64)
+	sid, err2 := strconv.ParseUint(s[0], 16, 64)
+	if err1 != nil || err2 != nil || tid == 0 || sid == 0 {
+		return transport.SpanContext{}
+	}
+	return transport.SpanContext{TraceID: transport.TraceID(tid), SpanID: transport.SpanID(sid)}
 }
 
 func safeServe(h Handler, ctx *Ctx, body []byte) (out any, err error) {

@@ -2,6 +2,7 @@ package rest
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -62,7 +63,8 @@ func startCatalogue(t testing.TB, n rpc.Network) (string, *Server) {
 		return nil, ctx.Err()
 	})
 	s.Handle("GET /headers", func(ctx *Ctx, body []byte) (any, error) {
-		return map[string]string{"got": ctx.Header("x-req")}, nil
+		dl, _ := ctx.Deadline()
+		return callHeader{Trace: ctx.Trace, Deadline: dl.UnixNano()}, nil
 	})
 	addr, err := s.Start(n, "127.0.0.1:0")
 	if err != nil {
@@ -153,23 +155,96 @@ func TestPanicBecomes500(t *testing.T) {
 	}
 }
 
+// callHeader is what the /headers route saw of a request's call header.
+type callHeader struct {
+	Trace    transport.SpanContext
+	Deadline int64
+}
+
+// TestHeaderPropagation: a call's trace pair and deadline cross the REST hop
+// and reach the handler as Ctx.Trace and its context's deadline.
 func TestHeaderPropagation(t *testing.T) {
 	n := rpc.NewMem()
 	addr, _ := startCatalogue(t, n)
-	c := NewClient(n, "catalogue", addr,
-		WithMiddleware(func(next transport.Invoker) transport.Invoker {
-			return func(ctx context.Context, call *transport.Call) error {
-				call.SetHeader("x-req", "ping")
-				return next(ctx, call)
-			}
-		}))
+	want := transport.SpanContext{TraceID: 0xabcdef0123456789, SpanID: 0x42}
+	c := NewClient(n, "catalogue", addr, WithMiddleware(traceMW(want)))
 	defer c.Close()
-	var out map[string]string
-	if err := c.Do(context.Background(), "GET", "/headers", nil, &out); err != nil {
+	deadline := time.Now().Add(time.Minute)
+	ctx, cancel := context.WithDeadline(context.Background(), deadline)
+	defer cancel()
+	var out callHeader
+	if err := c.Do(ctx, "GET", "/headers", nil, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out["got"] != "ping" {
-		t.Fatalf("header not propagated: %v", out)
+	if out.Trace != want || out.Deadline != deadline.UnixNano() {
+		t.Fatalf("handler saw %+v, want trace %+v and deadline %d", out, want, deadline.UnixNano())
+	}
+}
+
+// TestDeadlineHeaderText: the client writes the deadline as decimal unix
+// nanoseconds, which the server reads back as it was; a missing or
+// malformed deadline reads as none.
+func TestDeadlineHeaderText(t *testing.T) {
+	want := time.Unix(0, 1722470400123456789)
+	ctx, cancel := context.WithDeadline(context.Background(), want)
+	defer cancel()
+	wire, err := (&Client{host: "x"}).appendRequest(ctx, nil, "GET", "/p", &transport.Call{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.ReadRequest(bufio.NewReader(bytes.NewReader(wire)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if req.Header.Get(deadlineKey) != "1722470400123456789" {
+		t.Fatalf("wrote %q", wire)
+	}
+	if got, ok := parseDeadline(req.Header); !ok || !got.Equal(want) {
+		t.Fatalf("read back %v, %v, want %v", got, ok, want)
+	}
+	if _, ok := parseDeadline(http.Header{}); ok {
+		t.Error("no Dsb-Deadline read as a deadline")
+	}
+	for _, v := range []string{"bogus", "1.5", "0x10", "99999999999999999999"} {
+		if got, ok := parseDeadline(http.Header{deadlineKey: {v}}); ok {
+			t.Errorf("Dsb-Deadline %q read as %v, want none", v, got)
+		}
+	}
+}
+
+// TestTraceHeaderText: the client writes the trace pair as hex, which the
+// server reads back as it was; a missing, malformed, overlong or zero ID
+// reads as no parent.
+func TestTraceHeaderText(t *testing.T) {
+	want := transport.SpanContext{TraceID: 0xfedcba9876543210, SpanID: 0x1234}
+	wire, err := (&Client{host: "x"}).appendRequest(context.Background(), nil, "GET", "/p", &transport.Call{Trace: want})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.ReadRequest(bufio.NewReader(bytes.NewReader(wire)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if req.Header.Get(traceKey) != "fedcba9876543210" || req.Header.Get(spanKey) != "1234" {
+		t.Fatalf("wrote %q", wire)
+	}
+	if got := parseTrace(req.Header); got != want {
+		t.Fatalf("read back %+v, want %+v", got, want)
+	}
+	for _, tc := range []struct{ trace, span string }{
+		{"", "1"}, {"1", ""}, {"zz", "1"}, {"1", "0x2"}, {"-1", "1"},
+		{"0", "1"}, {"1", "0"}, {"10000000000000000", "1"}, {"1", "fffffffffffffffff"},
+	} {
+		h := http.Header{}
+		if tc.trace != "" {
+			h.Set(traceKey, tc.trace)
+		}
+		if tc.span != "" {
+			h.Set(spanKey, tc.span)
+		}
+		if got := parseTrace(h); got != (transport.SpanContext{}) {
+			t.Errorf("Dsb-Trace %q, Dsb-Span %q read as %+v, want no parent", tc.trace, tc.span, got)
+		}
 	}
 }
 

@@ -181,7 +181,7 @@ var _ transport.Streamer = (*Client)(nil)
 // flight on it. Cancelling ctx sends the server a coded End (waking its
 // handler) and tears the client side down.
 func (c *Client) openStream(ctx context.Context, call *transport.Call) error {
-	cn, err := c.send(kindStreamOpen, call)
+	cn, err := c.send(ctx, kindStreamOpen, call)
 	if err != nil {
 		return err
 	}
@@ -198,14 +198,11 @@ func (c *Client) openStream(ctx context.Context, call *transport.Call) error {
 	return nil
 }
 
-// exchangeCall is the terminal invoker: it stamps the deadline header from
-// the (possibly budget-shrunken) context and performs the wire exchange.
+// exchangeCall is the terminal invoker: the wire exchange for call, whose
+// frame carries the (possibly budget-shrunken) deadline of ctx.
 func (c *Client) exchangeCall(ctx context.Context, call *transport.Call) error {
-	if dl, ok := ctx.Deadline(); ok {
-		call.SetHeader(transport.DeadlineHeader, transport.EncodeDeadline(dl))
-	}
 	if call.OneWay {
-		return c.sendOneWay(call)
+		return c.sendOneWay(ctx, call)
 	}
 	if call.Stream {
 		return c.openStream(ctx, call)
@@ -217,8 +214,8 @@ func (c *Client) exchangeCall(ctx context.Context, call *transport.Call) error {
 // read, so the connection goes straight back on the stack — where a serial
 // caller's next call on the same P finds it first and queues behind the
 // frames just written.
-func (c *Client) sendOneWay(call *transport.Call) error {
-	cn, err := c.send(kindOneWay, call)
+func (c *Client) sendOneWay(ctx context.Context, call *transport.Call) error {
+	cn, err := c.send(ctx, kindOneWay, call)
 	if err != nil {
 		return err
 	}
@@ -233,7 +230,7 @@ func (c *Client) sendOneWay(call *transport.Call) error {
 // becomes call.Reply; a small one is copied out of the read buffer before the
 // connection is parked: the next caller to check it out reads over it.
 func (c *Client) exchange(ctx context.Context, call *transport.Call) error {
-	cn, err := c.send(kindRequest, call)
+	cn, err := c.send(ctx, kindRequest, call)
 	if err != nil {
 		return err
 	}
@@ -288,10 +285,14 @@ func (w *framing) readReply() (*frame, error) {
 }
 
 // send checks a connection out and writes call on it as a frame of the given
-// kind, returning it still checked out (see ConnStack.Send).
-func (c *Client) send(kind byte, call *transport.Call) (*conn, error) {
+// kind, with the deadline of ctx, returning it still checked out (see
+// ConnStack.Send).
+func (c *Client) send(ctx context.Context, kind byte, call *transport.Call) (*conn, error) {
 	// cw.write is synchronous: f is encoded (or rolled back) when it returns.
-	f := frame{kind: kind, method: call.Method, headers: call.Headers, payload: call.Payload, body: call.Body}
+	f := frame{kind: kind, method: call.Method, trace: call.Trace, payload: call.Payload, body: call.Body}
+	if dl, ok := ctx.Deadline(); ok {
+		f.deadline = dl.UnixNano()
+	}
 	cn, err := c.stack.Send(func(cn *conn) error {
 		cn.State.seq++
 		f.seq = cn.State.seq

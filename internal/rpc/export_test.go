@@ -1,8 +1,5 @@
 package rpc
 
-// Header returns a request header value, or "".
-func (c *Ctx) Header(key string) string { return c.Headers[key] }
-
 // Done is closed when the call completes.
 func (p *Pending) Done() <-chan struct{} { return p.done }
 

@@ -3,6 +3,8 @@ package rpc
 import (
 	"encoding/binary"
 	"fmt"
+
+	"dsb/internal/transport"
 )
 
 // Frame kinds. A request carries a method; a reply or error carries the
@@ -26,6 +28,15 @@ const (
 	kindStreamCredit = 7
 )
 
+// The call header: a request-shaped frame carries one flags byte after its
+// method, and after it the fields the flags announce, in this order. A frame
+// with any other bit set does not parse.
+const (
+	flagDeadline = 1 << 0 // varint: the call's deadline, in unix nanoseconds
+	flagTrace    = 1 << 1 // 8 + 8 bytes, little-endian: trace ID, span ID
+	callFlags    = flagDeadline | flagTrace
+)
+
 // maxFrameSize bounds a single frame; movie "video" payloads in the suite
 // stay within a few MB, mirroring production post-size limits.
 const maxFrameSize = 16 << 20
@@ -34,12 +45,15 @@ const maxFrameSize = 16 << 20
 // reads into (frameReader.read); a frame being written lives on its writer's
 // stack.
 type frame struct {
-	kind    byte
-	seq     uint64
-	method  string            // request-shaped frames only
-	code    int64             // error, stream-end, and stream-credit frames
-	headers map[string]string // requests and replies (trace context)
-	payload []byte
+	kind   byte
+	seq    uint64
+	method string // request-shaped frames only
+	code   int64  // error, stream-end, and stream-credit frames
+	// The call header, request-shaped frames only: the deadline in unix
+	// nanoseconds (0 = none) and the caller's span (zero = untraced).
+	deadline int64
+	trace    transport.SpanContext
+	payload  []byte
 	// body, when non-nil, is a typed request or reply value that the
 	// connWriter marshals directly into its write segment in place of
 	// payload — the zero-copy leg of transport.Call.Body and of a typed
@@ -48,7 +62,8 @@ type frame struct {
 	body any
 }
 
-// hasMethod reports whether kind carries a method name on the wire.
+// hasMethod reports whether kind carries a method name and the call header
+// on the wire.
 func hasMethod(kind byte) bool {
 	return kind == kindRequest || kind == kindOneWay || kind == kindStreamOpen
 }
@@ -78,15 +93,4 @@ func readVarint(b []byte) (int64, []byte, error) {
 		return 0, nil, fmt.Errorf("rpc: bad varint")
 	}
 	return x, b[n:], nil
-}
-
-func readString(b []byte) (string, []byte, error) {
-	n, rest, err := readUvarint64(b)
-	if err != nil {
-		return "", nil, err
-	}
-	if n > uint64(len(rest)) {
-		return "", nil, fmt.Errorf("rpc: string length %d exceeds frame", n)
-	}
-	return string(rest[:n]), rest[n:], nil
 }

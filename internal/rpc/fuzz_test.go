@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
-	"maps"
 	"math"
 	"testing"
 	"testing/iotest"
@@ -18,8 +17,9 @@ import (
 // goroutine of every hop, so the reader must hold four lines against any
 // input: it returns an error instead of panicking; it never sizes an
 // allocation from a length it has not checked against maxFrameSize (outer
-// length), the header cap, or the bytes actually present (method, header
-// strings, payload); what it does accept it understood — the frame
+// length) or the bytes actually present (method, call header, payload), and
+// takes no call header flag it does not know; what it does accept it
+// understood — the frame
 // re-encodes to bytes that parse back to the same frame; and nothing it
 // borrows is held between frames — a frame that fits the reader's own buffer
 // borrows nothing, a larger one only until the next read, and a failed read
@@ -36,7 +36,7 @@ import (
 func FuzzFrameReader(f *testing.F) {
 	f.Add(bytes.Join([][]byte{
 		encodeWire(f, &frame{kind: kindRequest, seq: 1, method: "ReadTimeline",
-			headers: map[string]string{"dsb-deadline": "1722470400000000000"}, payload: []byte("abc")}),
+			deadline: 1722470400000000000, payload: []byte("abc")}),
 		encodeWire(f, &frame{kind: kindStreamItem, seq: 2, payload: []byte("item")}),
 		encodeWire(f, &frame{kind: kindStreamCredit, seq: 2, code: 16}),
 		encodeWire(f, &frame{kind: kindError, seq: 3, code: int64(CodeNotFound), payload: []byte("no such method")}),
@@ -60,8 +60,23 @@ func FuzzFrameReader(f *testing.F) {
 		encodeWire(f, &frame{kind: kindReply, seq: 11, payload: []byte("small")}),
 		encodeWire(f, &frame{kind: kindOneWay, seq: 12, method: "Big", payload: bytes.Repeat([]byte("d"), 2*readBufSize)}),
 	}, nil), uint64(11))
+	// Each combination of call header flags, on each request-shaped kind.
+	trace := transport.SpanContext{TraceID: 0x1122334455667788, SpanID: 0x99aabbccddeeff00}
+	for _, hdr := range []frame{{}, {deadline: 1722470400000000000}, {trace: trace}, {deadline: -1, trace: trace}} {
+		var wire []byte
+		for i, kind := range []byte{kindRequest, kindOneWay, kindStreamOpen} {
+			hdr.kind, hdr.seq, hdr.method, hdr.payload = kind, uint64(13+i), "Call", []byte("p")
+			wire = append(wire, encodeWire(f, &hdr)...)
+		}
+		f.Add(wire, uint64(13))
+	}
+	// A trace pair with a zero trace ID names no trace: it reads as untraced.
+	zeroTrace := append([]byte{kindRequest, 14, 1, 'M', flagTrace}, make([]byte, 8)...)
+	zeroTrace = append(zeroTrace, 5, 0, 0, 0, 0, 0, 0, 0, 0) // span ID 5, no payload
+	f.Add(append([]byte{byte(len(zeroTrace))}, zeroTrace...), uint64(14))
 	// An outer length of exactly maxFrameSize, truncated, is the committed
-	// max-outer-length-truncated.
+	// max-outer-length-truncated; unknown flag bits, and a deadline or trace
+	// pair cut short, are committed too.
 
 	f.Fuzz(func(t *testing.T, wire []byte, seq uint64) {
 		readers := []*frameReader{
@@ -93,9 +108,13 @@ func FuzzFrameReader(f *testing.F) {
 					t.Fatalf("the readers disagree:\n reader 0 %+v\n reader %d %+v", got, i+1, want)
 				}
 			}
-			if len(got.payload) > len(wire) || len(got.method) > len(wire) || len(got.headers) > 1024 {
-				t.Fatalf("frame larger than its input: %d payload bytes, %d method bytes, %d headers from %d bytes",
-					len(got.payload), len(got.method), len(got.headers), len(wire))
+			if len(got.payload) > len(wire) || len(got.method) > len(wire) {
+				t.Fatalf("frame larger than its input: %d payload bytes, %d method bytes from %d bytes",
+					len(got.payload), len(got.method), len(wire))
+			}
+			if !hasMethod(got.kind) && (got.deadline != 0 || got.trace != (transport.SpanContext{})) ||
+				got.trace.SpanID != 0 && !got.trace.Valid() {
+				t.Fatalf("frame %+v: a call header on a kind without one, or a span with no trace", got)
 			}
 			again, err := parseBody(frameBody(t, got))
 			if err != nil {
@@ -123,7 +142,7 @@ func FuzzFrameReader(f *testing.F) {
 // sameFrame reports whether two parsed frames say the same thing.
 func sameFrame(a, b *frame) bool {
 	return a.kind == b.kind && a.seq == b.seq && a.method == b.method && a.code == b.code &&
-		maps.Equal(a.headers, b.headers) && bytes.Equal(a.payload, b.payload)
+		a.deadline == b.deadline && a.trace == b.trace && bytes.Equal(a.payload, b.payload)
 }
 
 // A FuzzStreamConn script is a run of three-byte steps — frame kind, sequence

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -279,8 +280,8 @@ func TestInterceptorsOrderAndHeaders(t *testing.T) {
 	})
 	s.Use(func(ctx *Ctx, payload []byte, next Handler) ([]byte, error) {
 		record("srv2-pre")
-		if ctx.Header("tag") != "v" {
-			return nil, Errorf(CodeBadRequest, "missing header")
+		if ctx.Trace != (transport.SpanContext{TraceID: 5, SpanID: 6}) {
+			return nil, Errorf(CodeBadRequest, "trace lost: %+v", ctx.Trace)
 		}
 		return next(ctx, payload)
 	})
@@ -298,7 +299,7 @@ func TestInterceptorsOrderAndHeaders(t *testing.T) {
 		WithMiddleware(func(next transport.Invoker) transport.Invoker {
 			return func(ctx context.Context, call *transport.Call) error {
 				record("cli1-pre")
-				call.SetHeader("tag", "v")
+				call.Trace = transport.SpanContext{TraceID: 5, SpanID: 6}
 				err := next(ctx, call)
 				record("cli1-post")
 				return err
@@ -461,17 +462,18 @@ func TestErrorHelpers(t *testing.T) {
 
 func TestFrameRoundTrip(t *testing.T) {
 	in := &frame{
-		kind:    kindRequest,
-		seq:     77,
-		method:  "Compose",
-		headers: map[string]string{"trace": "abc", "span": "1"},
-		payload: []byte{1, 2, 3},
+		kind:     kindRequest,
+		seq:      77,
+		method:   "Compose",
+		deadline: 1722470400000000000,
+		trace:    transport.SpanContext{TraceID: 0xabc, SpanID: 1},
+		payload:  []byte{1, 2, 3},
 	}
 	out, err := parseBody(frameBody(t, in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.seq != 77 || out.method != "Compose" || out.headers["trace"] != "abc" || len(out.payload) != 3 {
+	if out.seq != 77 || out.method != "Compose" || out.deadline != in.deadline || out.trace != in.trace || len(out.payload) != 3 {
 		t.Fatalf("parsed %+v", out)
 	}
 	// Error frame carries a code.
@@ -497,6 +499,20 @@ func TestParseFrameCorrupt(t *testing.T) {
 	}
 	if _, err := parseBody(nil); err == nil {
 		t.Fatal("empty frame parsed")
+	}
+	// A request-shaped frame without its flags byte, with a flag bit no
+	// field belongs to, or with a deadline or trace pair cut short does not
+	// parse, whichever of the three kinds carries it.
+	for name, body := range map[string][]byte{
+		"no flags":       {kindRequest, 1, 1, 'M'},
+		"unknown bit":    {kindRequest, 1, 1, 'M', 1 << 2, 0},
+		"high bit":       {kindOneWay, 1, 1, 'M', flagDeadline | 1<<7, 2, 0},
+		"short deadline": {kindOneWay, 1, 1, 'M', flagDeadline, 0x80},
+		"short trace":    append([]byte{kindStreamOpen, 1, 1, 'M', flagTrace}, make([]byte, 15)...),
+	} {
+		if f, err := parseBody(body); err == nil {
+			t.Errorf("%s: parsed as %+v", name, f)
+		}
 	}
 }
 
@@ -536,4 +552,90 @@ func BenchmarkCallMemParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestCallHeaderReachesHandler: a call's deadline and trace pair reach the
+// handler — as its context's deadline and as Ctx.Trace — over each
+// request-shaped frame (unary, one-way, stream open), and on a hedged
+// attempt, which runs on a clone of the call.
+func TestCallHeaderReachesHandler(t *testing.T) {
+	type seen struct {
+		deadline time.Time
+		ok       bool
+		trace    transport.SpanContext
+	}
+	got := make(chan seen, 4)
+	record := func(ctx *Ctx) {
+		dl, ok := ctx.Deadline()
+		got <- seen{dl, ok, ctx.Trace}
+	}
+	n := NewMem()
+	s := NewServer("svc")
+	s.Handle("Unary", func(ctx *Ctx, payload []byte) ([]byte, error) { record(ctx); return nil, nil })
+	s.Handle("OneWay", func(ctx *Ctx, payload []byte) ([]byte, error) { record(ctx); return nil, nil })
+	s.HandleStream("Open", func(ctx *Ctx, payload []byte, st *ServerStream) error { record(ctx); return nil })
+	hedged := make(chan struct{})
+	var attempts atomic.Int32
+	s.Handle("Hedged", func(ctx *Ctx, payload []byte) ([]byte, error) {
+		record(ctx)
+		if attempts.Add(1) == 1 {
+			<-hedged // the primary waits for its hedge
+		} else {
+			close(hedged)
+		}
+		return nil, nil
+	})
+	addr, err := s.Start(n, "svc:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	want := transport.SpanContext{TraceID: 0x1234abcd, SpanID: 0x5678}
+	stamp := func(next transport.Invoker) transport.Invoker {
+		return func(ctx context.Context, call *transport.Call) error {
+			call.Trace = want
+			return next(ctx, call)
+		}
+	}
+	c := NewClient(n, "svc", addr, WithMiddleware(stamp))
+	defer c.Close()
+	hc := NewClient(n, "svc", addr, WithMiddleware(stamp, transport.Hedge(transport.HedgeConfig{Delay: time.Millisecond})))
+	defer hc.Close()
+	deadline := time.Now().Add(time.Minute)
+	ctx, cancel := context.WithDeadline(context.Background(), deadline)
+	defer cancel()
+	check := func(how string) {
+		t.Helper()
+		select {
+		case s := <-got:
+			if !s.ok || !s.deadline.Equal(deadline) || s.trace != want {
+				t.Errorf("%s: handler saw deadline %v (set %v) and trace %+v, want %v and %+v", how, s.deadline, s.ok, s.trace, deadline, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: the handler never ran", how)
+		}
+	}
+
+	if err := c.Call(ctx, "Unary", nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	check("unary")
+	if err := c.CallOneWay(ctx, "OneWay", nil); err != nil {
+		t.Fatal(err)
+	}
+	check("one-way")
+	st, err := c.Stream(ctx, "Open", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Recv(nil); err != io.EOF {
+		t.Fatalf("stream: %v, want io.EOF", err)
+	}
+	check("stream open")
+	if err := hc.Call(ctx, "Hedged", nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	check("primary attempt")
+	check("hedged attempt")
 }

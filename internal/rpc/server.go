@@ -7,17 +7,15 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"dsb/internal/codec"
 	"dsb/internal/transport"
 )
 
-// deadlineHeader carries the absolute call deadline (unix nanoseconds) so
-// downstream tiers stop working on requests the client has abandoned.
-const deadlineHeader = transport.DeadlineHeader
-
 // Ctx is the per-request server context. It embeds a context.Context whose
-// deadline reflects the propagated client deadline.
+// deadline is the one the client sent, so a tier stops working on a request
+// its caller has abandoned.
 //
 // The Ctx itself is freshly allocated per request — handlers routinely
 // derive child contexts from it (context.WithTimeout and friends) whose
@@ -35,8 +33,9 @@ type Ctx struct {
 	// Service is the name the server was created with; tracing uses it to
 	// attribute spans to microservices.
 	Service string
-	// Headers are the request headers (trace context, deadline).
-	Headers map[string]string
+	// Trace is the caller's span, which this request's work is a child of;
+	// zero when the caller is not traced.
+	Trace transport.SpanContext
 
 	// reply is the typed reply (Reply), encoded by the connection writer.
 	reply any
@@ -325,13 +324,11 @@ func (s *Server) serveConn(conn net.Conn) {
 			// would silently drop it. The handler goroutine gets a
 			// copy of the open frame, whose payload the reader copied out.
 			base, cancel := context.WithCancel(context.Background())
-			if v, ok := f.headers[deadlineHeader]; ok {
-				if dl, ok := transport.ParseDeadline(v); ok {
-					inner := cancel
-					var cancelDL context.CancelFunc
-					base, cancelDL = context.WithDeadline(base, dl)
-					cancel = func() { cancelDL(); inner() }
-				}
+			if f.deadline != 0 {
+				inner := cancel
+				var cancelDL context.CancelFunc
+				base, cancelDL = context.WithDeadline(base, time.Unix(0, f.deadline))
+				cancel = func() { cancelDL(); inner() }
 			}
 			stream = &ServerStream{core: newStreamCore(f.seq, cw)}
 			stream.core.mute = &s.hung
@@ -394,7 +391,7 @@ func (s *Server) dispatchStream(st *ServerStream, base context.Context, f frame)
 		s.sem <- struct{}{}
 		defer func() { <-s.sem }()
 	}
-	ctx := &Ctx{Context: base, Method: f.method, Service: s.service, Headers: f.headers}
+	ctx := &Ctx{Context: base, Method: f.method, Service: s.service, Trace: f.trace}
 
 	s.mu.Lock()
 	h := s.streams[f.method]
@@ -422,13 +419,11 @@ func (s *Server) dispatch(conn net.Conn, cw *connWriter, f *frame) {
 		s.sem <- struct{}{}
 		defer func() { <-s.sem }()
 	}
-	ctx := &Ctx{Context: context.Background(), Method: f.method, Service: s.service, Headers: f.headers}
-	if v, ok := f.headers[deadlineHeader]; ok {
-		if dl, ok := transport.ParseDeadline(v); ok {
-			var cancel context.CancelFunc
-			ctx.Context, cancel = context.WithDeadline(ctx.Context, dl)
-			defer cancel()
-		}
+	ctx := &Ctx{Context: context.Background(), Method: f.method, Service: s.service, Trace: f.trace}
+	if f.deadline != 0 {
+		var cancel context.CancelFunc
+		ctx.Context, cancel = context.WithDeadline(ctx.Context, time.Unix(0, f.deadline))
+		defer cancel()
 	}
 	// The reply is on the wire (or the conn is dead) when this runs; the
 	// request payload — which the reply may alias (an echo handler returns

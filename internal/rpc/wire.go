@@ -96,16 +96,10 @@ func appendFrame(buf []byte, f *frame) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, f.seq)
 	if hasMethod(f.kind) {
 		buf = appendString(buf, f.method)
+		buf = appendCallHeader(buf, f)
 	}
 	if hasCode(f.kind) {
 		buf = binary.AppendVarint(buf, f.code)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(f.headers)))
-	// Header maps are tiny (trace context, deadline); ordering on the wire
-	// does not matter for correctness so we skip sorting here.
-	for k, v := range f.headers {
-		buf = appendString(buf, k)
-		buf = appendString(buf, v)
 	}
 	if f.body != nil {
 		buf = append(buf, 0, 0, 0, 0) // payload length, patched below
@@ -126,6 +120,22 @@ func appendFrame(buf []byte, f *frame) ([]byte, error) {
 	}
 	putPadded(buf[start-4:], uint64(size))
 	return buf, nil
+}
+
+// appendCallHeader appends the flags byte and the fields it announces.
+func appendCallHeader(buf []byte, f *frame) []byte {
+	at := len(buf)
+	buf = append(buf, 0)
+	if f.deadline != 0 {
+		buf[at] |= flagDeadline
+		buf = binary.AppendVarint(buf, f.deadline)
+	}
+	if f.trace.Valid() {
+		buf[at] |= flagTrace
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(f.trace.TraceID))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(f.trace.SpanID))
+	}
+	return buf
 }
 
 // putPadded writes x into dst[:4] as a fixed-width uvarint: the low three
@@ -264,6 +274,34 @@ func (fr *frameReader) keep(p []byte) []byte {
 	return append(transport.AcquireBuf(len(p)), p...)
 }
 
+// parseCallHeader reads the flags byte and the fields it announces into f. A
+// zero trace ID names no trace: the frame is read as untraced.
+func parseCallHeader(f *frame, b []byte) ([]byte, error) {
+	if len(b) == 0 {
+		return nil, errors.New("rpc: call header missing")
+	}
+	flags, rest := b[0], b[1:]
+	if flags&^callFlags != 0 {
+		return nil, fmt.Errorf("rpc: unknown call header flags %#x", flags)
+	}
+	var err error
+	if flags&flagDeadline != 0 {
+		if f.deadline, rest, err = readVarint(rest); err != nil {
+			return nil, err
+		}
+	}
+	if flags&flagTrace != 0 {
+		if len(rest) < 16 {
+			return nil, errors.New("rpc: trace IDs cut short")
+		}
+		if id := binary.LittleEndian.Uint64(rest); id != 0 {
+			f.trace = transport.SpanContext{TraceID: transport.TraceID(id), SpanID: transport.SpanID(binary.LittleEndian.Uint64(rest[8:]))}
+		}
+		rest = rest[16:]
+	}
+	return rest, nil
+}
+
 // parseInto decodes a frame body (excluding the outer length prefix) into f,
 // which it overwrites whole; the payload follows the ownership rules
 // documented on read.
@@ -298,30 +336,13 @@ func (fr *frameReader) parseInto(f *frame, body []byte) error {
 		if f.method == "" && mn > 0 {
 			f.method = string(mb)
 		}
+		if rest, err = parseCallHeader(f, rest); err != nil {
+			return err
+		}
 	}
 	if hasCode(f.kind) {
 		if f.code, rest, err = readVarint(rest); err != nil {
 			return err
-		}
-	}
-	var nh uint64
-	if nh, rest, err = readUvarint64(rest); err != nil {
-		return err
-	}
-	if nh > 1024 {
-		return fmt.Errorf("rpc: too many headers: %d", nh)
-	}
-	if nh > 0 {
-		f.headers = make(map[string]string, nh)
-		for i := uint64(0); i < nh; i++ {
-			var k, v string
-			if k, rest, err = readString(rest); err != nil {
-				return err
-			}
-			if v, rest, err = readString(rest); err != nil {
-				return err
-			}
-			f.headers[k] = v
 		}
 	}
 	var np uint64

@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"testing"
+
+	"dsb/internal/transport"
 )
 
 // encodeWire renders f as its on-the-wire bytes.
@@ -37,17 +40,21 @@ func parseBody(body []byte) (*frame, error) {
 //   - encode is allocation-free: the scratch buffer lives with the
 //     connWriter and is reused across frames (the seed code allocated a
 //     fresh encode buffer per call);
-//   - decode of a frame that sits whole in the read buffer allocates nothing
-//     without headers: the frame is the reader's own and the payload a view
-//     of the buffer (the seed code allocated the whole frame body per
-//     message, and later versions a pooled frame and a pooled payload copy).
+//   - decode of a frame that sits whole in the read buffer allocates nothing:
+//     the frame is the reader's own and the payload a view of the buffer
+//     (the seed code allocated the whole frame body per message, and later
+//     versions a pooled frame and a pooled payload copy); a request's
+//     deadline and trace pair are fixed fields of it (as a string header
+//     map they cost 8 allocations to read), and its method name is interned
+//     against the server's handler table.
 func TestFrameAllocGuard(t *testing.T) {
 	req := &frame{
-		kind:    kindRequest,
-		seq:     7,
-		method:  "ReadTimeline",
-		headers: map[string]string{"dsb-deadline": "1722470400000000000"},
-		payload: bytes.Repeat([]byte("x"), 256),
+		kind:     kindRequest,
+		seq:      7,
+		method:   "ReadTimeline",
+		deadline: 1722470400000000000,
+		trace:    transport.SpanContext{TraceID: 0x1234abcd5678ef90, SpanID: 0x0fedcba987654321},
+		payload:  bytes.Repeat([]byte("x"), 256),
 	}
 	cw := newConnWriter(bytes.NewBuffer(make([]byte, 0, 1<<20)))
 	if err := cw.write(req); err != nil { // warm the scratch buffer
@@ -92,6 +99,23 @@ func TestFrameAllocGuard(t *testing.T) {
 		}
 	}); allocs > 0 {
 		t.Errorf("payload decode allocs/op = %.1f, want 0 (the payload is parsed in place)", allocs)
+	}
+
+	// A request carrying a deadline and a trace pair adds nothing either.
+	reqWire := encodeWire(t, req)
+	src3 := bytes.NewReader(reqWire)
+	fr3 := newFrameReader(src3)
+	fr3.methods = new(atomic.Value)
+	fr3.methods.Store(map[string]string{req.method: req.method})
+	fr3.read() //nolint:errcheck
+	if allocs := testing.AllocsPerRun(200, func() {
+		src3.Reset(reqWire)
+		f, err := fr3.read()
+		if err != nil || f.method != req.method || f.deadline != req.deadline || f.trace != req.trace {
+			t.Fatalf("decode: %+v, %v", f, err)
+		}
+	}); allocs > 0 {
+		t.Errorf("request decode allocs/op = %.1f, want 0 (the call header is fixed fields)", allocs)
 	}
 }
 

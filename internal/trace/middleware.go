@@ -11,16 +11,16 @@ import (
 
 // ClientMiddleware instruments outgoing calls on the shared transport
 // chain, for RPC and REST clients alike: it opens a client span as a child
-// of the span in ctx, injects the span identity into the call headers, and
-// records the client-observed duration (which includes network and kernel
-// processing on both ends). The live span rides in the context, so inner
-// middleware (retry, hedge, breaker) can annotate it.
+// of the span in ctx, stamps the span's identity on the call (Call.Trace),
+// and records the client-observed duration (which includes network and
+// kernel processing on both ends). The live span rides in the context, so
+// inner middleware (retry, hedge, breaker) can annotate it.
 func ClientMiddleware(t *Tracer, service string) transport.Middleware {
 	return func(next transport.Invoker) transport.Invoker {
 		return func(ctx context.Context, call *transport.Call) error {
 			parent, _ := FromContext(ctx)
 			span := t.StartSpan(service, call.Method, KindClient, parent)
-			span.Context().Inject(call.HeaderMap())
+			call.Trace = span.Context()
 			span.Annotate("payload", strconv.Itoa(len(call.Payload)))
 			ctx = ContextWithSpan(NewContext(ctx, span.Context()), span)
 			err := next(ctx, call)
@@ -31,40 +31,37 @@ func ClientMiddleware(t *Tracer, service string) transport.Middleware {
 	}
 }
 
-// ServerInterceptor instruments incoming RPC requests: it extracts the
-// parent span from headers, opens a server span, and stores the span (and
-// its context) in the request context so handlers' downstream calls nest
-// underneath it.
+// ServerInterceptor instruments incoming RPC requests: it opens a server
+// span whose parent is the caller's span (Ctx.Trace), and stores the span
+// (and its context) in the request context so handlers' downstream calls
+// nest underneath it.
 func ServerInterceptor(t *Tracer) rpc.ServerInterceptor {
 	return func(ctx *rpc.Ctx, payload []byte, next rpc.Handler) ([]byte, error) {
-		parent, _ := Extract(ctx.Headers)
-		span := t.StartSpan(ctx.Service, ctx.Method, KindServer, parent)
-		if span != nil {
-			ctx.Context = ContextWithSpan(NewContext(ctx.Context, span.Context()), span)
-		}
-		resp, err := next(ctx, payload)
-		span.SetError(err)
-		span.Finish()
-		return resp, err
+		return serve(t, &ctx.Context, ctx.Service, ctx.Method, ctx.Trace, func() ([]byte, error) {
+			return next(ctx, payload)
+		})
 	}
 }
 
 // RESTServerInterceptor is ServerInterceptor for REST services.
 func RESTServerInterceptor(t *Tracer) rest.Interceptor {
 	return func(ctx *rest.Ctx, body []byte, next rest.Handler) (any, error) {
-		headers := map[string]string{
-			HeaderTrace: ctx.Header(HeaderTrace),
-			HeaderSpan:  ctx.Header(HeaderSpan),
-		}
-		parent, _ := Extract(headers)
 		op := ctx.Request.Method + " " + ctx.Request.URL.Path
-		span := t.StartSpan(ctx.Service, op, KindServer, parent)
-		if span != nil {
-			ctx.Context = ContextWithSpan(NewContext(ctx.Context, span.Context()), span)
-		}
-		out, err := next(ctx, body)
-		span.SetError(err)
-		span.Finish()
-		return out, err
+		return serve(t, &ctx.Context, ctx.Service, op, ctx.Trace, func() (any, error) {
+			return next(ctx, body)
+		})
 	}
+}
+
+// serve runs handle inside a server span for op, a child of parent, with
+// the span in *ctx while it runs.
+func serve[R any](t *Tracer, ctx *context.Context, service, op string, parent SpanContext, handle func() (R, error)) (R, error) {
+	span := t.StartSpan(service, op, KindServer, parent)
+	if span != nil {
+		*ctx = ContextWithSpan(NewContext(*ctx, span.Context()), span)
+	}
+	out, err := handle()
+	span.SetError(err)
+	span.Finish()
+	return out, err
 }

@@ -6,38 +6,38 @@
 // ours is an in-memory store with the same query surface).
 //
 // The convention is Dapper's: the caller opens a *client* span, propagates
-// (trace ID, span ID) in message headers, and the callee opens a *server*
-// span whose parent is the client span. The difference between a client
-// span and its child server span is time spent in the network and kernel
-// stack — the quantity Figures 3 and 15 of the paper are built from.
+// (trace ID, span ID) with the request — fixed fields of the rpc frame's call
+// header, or the Dsb-Trace and Dsb-Span headers of a REST hop — and the
+// callee opens a *server* span whose parent is the client span. The
+// difference between a client span and its child server span is time spent
+// in the network and kernel stack — the quantity Figures 3 and 15 of the
+// paper are built from.
 package trace
 
 import (
 	"context"
 	"math/rand/v2"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"dsb/internal/transport"
 )
 
 // TraceID identifies an end-to-end request.
-type TraceID uint64
+type TraceID = transport.TraceID
 
 // SpanID identifies one span within a trace.
-type SpanID uint64
+type SpanID = transport.SpanID
+
+// SpanContext is the propagated identity of an in-flight span, the one every
+// call carries as transport.Call.Trace.
+type SpanContext = transport.SpanContext
 
 // Span kinds.
 const (
 	KindClient = "client"
 	KindServer = "server"
-)
-
-// Header keys used for context propagation across RPC and REST hops.
-const (
-	HeaderTrace   = "dsb-trace"
-	HeaderSpan    = "dsb-span"
-	HeaderSampled = "dsb-sampled"
 )
 
 // Span is a finished span as recorded in the store.
@@ -53,47 +53,6 @@ type Span struct {
 	Err       string
 	// Annotations carry measurement tags, e.g. payload sizes.
 	Annotations map[string]string
-}
-
-// SpanContext is the propagated identity of an in-flight span. Dropped
-// reports the sampling decision made at the trace root: spans of a dropped
-// trace keep propagating identity (so the decision survives every hop) but
-// are never submitted to the collector.
-type SpanContext struct {
-	TraceID TraceID
-	SpanID  SpanID
-	Dropped bool
-}
-
-// Valid reports whether the context identifies a real trace.
-func (sc SpanContext) Valid() bool { return sc.TraceID != 0 }
-
-// Inject writes the span context into an outgoing header map.
-func (sc SpanContext) Inject(headers map[string]string) {
-	headers[HeaderTrace] = strconv.FormatUint(uint64(sc.TraceID), 16)
-	headers[HeaderSpan] = strconv.FormatUint(uint64(sc.SpanID), 16)
-	if sc.Dropped {
-		headers[HeaderSampled] = "0"
-	}
-}
-
-// Extract reads a span context from incoming headers.
-func Extract(headers map[string]string) (SpanContext, bool) {
-	t, ok := headers[HeaderTrace]
-	if !ok {
-		return SpanContext{}, false
-	}
-	s := headers[HeaderSpan]
-	tid, err1 := strconv.ParseUint(t, 16, 64)
-	sid, err2 := strconv.ParseUint(s, 16, 64)
-	if err1 != nil || err2 != nil || tid == 0 {
-		return SpanContext{}, false
-	}
-	return SpanContext{
-		TraceID: TraceID(tid),
-		SpanID:  SpanID(sid),
-		Dropped: headers[HeaderSampled] == "0",
-	}, true
 }
 
 type ctxKey struct{}
@@ -139,22 +98,15 @@ func Annotate(ctx context.Context, key, value string) {
 // unusable; use NewTracer. A nil *Tracer is a valid no-op tracer, so
 // services can be wired with tracing disabled at zero cost.
 type Tracer struct {
-	collector   *Collector
-	idBase      uint64
-	idCounter   atomic.Uint64
-	sampleMille uint32 // per-trace sampling rate in 1/1000ths (1000 = all)
+	collector *Collector
+	idBase    uint64
+	idCounter atomic.Uint64
 }
 
-// TracerOption configures a Tracer.
-type TracerOption func(*Tracer)
-
-// NewTracer returns a tracer feeding the given collector.
-func NewTracer(c *Collector, opts ...TracerOption) *Tracer {
-	t := &Tracer{collector: c, idBase: rand.Uint64() | 1, sampleMille: 1000}
-	for _, o := range opts {
-		o(t)
-	}
-	return t
+// NewTracer returns a tracer feeding the given collector. It records every
+// trace, as the paper's deployments do.
+func NewTracer(c *Collector) *Tracer {
+	return &Tracer{collector: c, idBase: rand.Uint64() | 1}
 }
 
 // nextID produces process-unique non-zero IDs without global locking.
@@ -171,16 +123,13 @@ func (t *Tracer) nextID() uint64 {
 
 // ActiveSpan is an in-flight span; Finish records it.
 type ActiveSpan struct {
-	tracer  *Tracer
-	span    Span
-	dropped bool
-	mu      sync.Mutex
-	done    bool
+	tracer *Tracer
+	span   Span
+	mu     sync.Mutex
+	done   bool
 }
 
-// StartSpan opens a span. If parent is invalid, a new trace is started and
-// the tracer's sampling decision is made; spans of dropped traces still
-// carry identity downstream but are never submitted.
+// StartSpan opens a span. If parent is invalid, a new trace is started.
 func (t *Tracer) StartSpan(service, operation, kind string, parent SpanContext) *ActiveSpan {
 	if t == nil {
 		return nil
@@ -194,14 +143,8 @@ func (t *Tracer) StartSpan(service, operation, kind string, parent SpanContext) 
 	if parent.Valid() {
 		s.span.TraceID = parent.TraceID
 		s.span.Parent = parent.SpanID
-		s.dropped = parent.Dropped
 	} else {
-		id := t.nextID()
-		s.span.TraceID = TraceID(id)
-		if t.sampleMille < 1000 {
-			// Deterministic per-trace decision from the trace ID.
-			s.dropped = uint32(id%1000) >= t.sampleMille
-		}
+		s.span.TraceID = TraceID(t.nextID())
 	}
 	return s
 }
@@ -211,7 +154,7 @@ func (s *ActiveSpan) Context() SpanContext {
 	if s == nil {
 		return SpanContext{}
 	}
-	return SpanContext{TraceID: s.span.TraceID, SpanID: s.span.SpanID, Dropped: s.dropped}
+	return SpanContext{TraceID: s.span.TraceID, SpanID: s.span.SpanID}
 }
 
 // Annotate attaches a key/value measurement tag. Safe on nil.
@@ -250,9 +193,6 @@ func (s *ActiveSpan) Finish() {
 	s.done = true
 	s.span.Duration = time.Since(s.span.Start)
 	span := s.span
-	dropped := s.dropped
 	s.mu.Unlock()
-	if !dropped {
-		s.tracer.collector.Submit(span)
-	}
+	s.tracer.collector.Submit(span)
 }

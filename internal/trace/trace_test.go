@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"dsb/internal/rest"
 	"dsb/internal/rpc"
 	"dsb/internal/vtime"
 )
@@ -68,22 +69,6 @@ func TestNilTracerSafe(t *testing.T) {
 		t.Fatal("nil tracer span context should be invalid")
 	}
 	s.Finish() // must not panic
-}
-
-func TestInjectExtract(t *testing.T) {
-	sc := SpanContext{TraceID: 0xABCD, SpanID: 0x1234}
-	h := map[string]string{}
-	sc.Inject(h)
-	got, ok := Extract(h)
-	if !ok || got != sc {
-		t.Fatalf("Extract = %+v, %v", got, ok)
-	}
-	if _, ok := Extract(map[string]string{}); ok {
-		t.Fatal("Extract on empty headers should fail")
-	}
-	if _, ok := Extract(map[string]string{HeaderTrace: "zz", HeaderSpan: "1"}); ok {
-		t.Fatal("Extract on garbage should fail")
-	}
 }
 
 func TestContextRoundTrip(t *testing.T) {
@@ -299,63 +284,74 @@ func TestRPCIntegration(t *testing.T) {
 	}
 }
 
-func TestSamplingDropsTraces(t *testing.T) {
+// TestRESTIntoRPCHop: a traced REST call whose handler calls an RPC tier
+// makes one trace of four spans, each the child of the one before, and the
+// caller's deadline reaches the RPC handler unchanged across both hops.
+func TestRESTIntoRPCHop(t *testing.T) {
 	store := NewStore()
-	col := NewCollector(store, 1<<14)
-	tr := NewTracer(col, WithSampleRate(0))
-	for i := 0; i < 100; i++ {
-		root := tr.StartSpan("svc", "op", KindServer, SpanContext{})
-		child := tr.StartSpan("svc2", "op2", KindClient, root.Context())
-		child.Finish()
-		root.Finish()
-	}
-	col.Close()
-	if store.Len() != 0 {
-		t.Fatalf("rate-0 tracer stored %d traces", store.Len())
-	}
-}
+	col := NewCollector(store, 1024)
+	tr := NewTracer(col)
+	n := rpc.NewMem()
 
-func TestSamplingKeepsFraction(t *testing.T) {
-	store := NewStore()
-	col := NewCollector(store, 1<<16)
-	tr := NewTracer(col, WithSampleRate(0.5))
-	const n = 2000
-	for i := 0; i < n; i++ {
-		root := tr.StartSpan("svc", "op", KindServer, SpanContext{})
-		root.Finish()
+	var backendDeadline time.Time
+	backend := rpc.NewServer("backend")
+	backend.Use(ServerInterceptor(tr))
+	backend.Handle("Do", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
+		backendDeadline, _ = ctx.Deadline()
+		return nil, nil
+	})
+	baddr, err := backend.Start(n, "backend:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	col.Close()
-	kept := store.Len()
-	if kept < n*35/100 || kept > n*65/100 {
-		t.Fatalf("rate-0.5 kept %d of %d", kept, n)
-	}
-}
+	defer backend.Close()
+	down := rpc.NewClient(n, "backend", baddr, rpc.WithMiddleware(ClientMiddleware(tr, "frontend")))
+	defer down.Close()
 
-func TestSamplingDecisionPropagatesViaHeaders(t *testing.T) {
-	store := NewStore()
-	col := NewCollector(store, 1<<14)
-	tr := NewTracer(col, WithSampleRate(0))
-	root := tr.StartSpan("svc", "op", KindServer, SpanContext{})
-	// Cross a process boundary: inject into headers, extract on the far
-	// side, and start a child there.
-	headers := map[string]string{}
-	root.Context().Inject(headers)
-	remote, ok := Extract(headers)
-	if !ok || !remote.Dropped {
-		t.Fatalf("dropped flag lost across headers: %+v, %v", remote, ok)
+	front := rest.NewServer("frontend")
+	front.Use(RESTServerInterceptor(tr))
+	front.Handle("GET /do", func(ctx *rest.Ctx, body []byte) (any, error) {
+		return nil, down.Call(ctx, "Do", nil, nil)
+	})
+	faddr, err := front.Start(n, "frontend:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	child := tr.StartSpan("remote", "op", KindServer, remote)
-	child.Finish()
-	root.Finish()
+	defer front.Close()
+	c := rest.NewClient(n, "frontend", faddr, rest.WithMiddleware(ClientMiddleware(tr, "user")))
+	defer c.Close()
+
+	deadline := time.Now().Add(time.Minute)
+	ctx, cancel := context.WithDeadline(context.Background(), deadline)
+	defer cancel()
+	if err := c.Do(ctx, "GET", "/do", nil, nil); err != nil {
+		t.Fatal(err)
+	}
 	col.Close()
-	if store.Len() != 0 {
-		t.Fatalf("dropped trace's remote child was stored")
+
+	if !backendDeadline.Equal(deadline) {
+		t.Errorf("backend deadline %v, want the caller's %v", backendDeadline, deadline)
 	}
-	// Sampled traces do not set the header.
-	tr2 := NewTracer(NewCollector(NewStore(), 16), WithSampleRate(1))
-	h2 := map[string]string{}
-	tr2.StartSpan("svc", "op", KindServer, SpanContext{}).Context().Inject(h2)
-	if h2[HeaderSampled] == "0" {
-		t.Fatal("sampled trace marked dropped")
+	if store.Len() != 1 {
+		t.Fatalf("traces = %d, want 1", store.Len())
+	}
+	spans := store.Spans(store.TraceIDs()[0])
+	if len(spans) != 4 {
+		t.Fatalf("spans = %d, want 4 (REST client and server, RPC client and server)", len(spans))
+	}
+	want := []struct{ service, op, kind string }{
+		{"user", "GET /do", KindClient},
+		{"frontend", "GET /do", KindServer},
+		{"frontend", "Do", KindClient},
+		{"backend", "Do", KindServer},
+	}
+	var parent SpanID
+	for i, w := range want {
+		sp := spans[i]
+		if sp.Service != w.service || sp.Operation != w.op || sp.Kind != w.kind || sp.Parent != parent {
+			t.Fatalf("span %d = %s %s %s under %x, want %s %s %s under %x",
+				i, sp.Service, sp.Operation, sp.Kind, sp.Parent, w.service, w.op, w.kind, parent)
+		}
+		parent = sp.SpanID
 	}
 }

@@ -33,9 +33,8 @@ func (cfg BudgetConfig) withDefaults() BudgetConfig {
 
 // DeadlineBudget returns a middleware that installs a shrunken per-hop
 // deadline on the call's context. The tightened deadline propagates to the
-// server via DeadlineHeader (written by the terminal invoker from the
-// context), so a leaf tier observes a strictly tighter budget than the
-// root — the mechanism that stops abandoned work from cascading down the
+// server with the request (the terminal invoker reads it from the context),
+// so a leaf tier observes a strictly tighter budget than the root — the mechanism that stops abandoned work from cascading down the
 // graph.
 func DeadlineBudget(cfg BudgetConfig) Middleware {
 	cfg = cfg.withDefaults()

@@ -3,6 +3,7 @@ package transport
 import (
 	"math/bits"
 	"sync"
+	"unsafe"
 )
 
 // Pooled buffers and call descriptors for the wire hot path. The RPC layer
@@ -41,12 +42,11 @@ const (
 
 // classes[i] holds buffers of capacity minBufCap<<i up to, not including,
 // twice that: eight classes, 512 B to 64 KiB. A sync.Pool stores interface
-// values, and putting a slice header into one allocates, so buffers travel
-// in *[]byte boxes; boxPool holds the empty ones AcquireBuf has unloaded.
-var (
-	classes [8]sync.Pool
-	boxPool sync.Pool
-)
+// values, and putting a slice header into one allocates, so a class keeps
+// only the pointer to a buffer's first byte, which fits an interface as it
+// is; AcquireBuf rebuilds the slice at the class size, which the buffer's
+// own capacity is at least.
+var classes [8]sync.Pool
 
 // AcquireBuf returns an empty buffer with capacity at least hint: one from
 // the smallest class that holds hint, or a new one of that class's size.
@@ -58,11 +58,8 @@ func AcquireBuf(hint int) []byte {
 	if hint > minBufCap {
 		c = bits.Len(uint(hint-1)) - bits.Len(minBufCap-1)
 	}
-	if box, _ := classes[c].Get().(*[]byte); box != nil {
-		b := *box
-		*box = nil
-		boxPool.Put(box)
-		return b
+	if p, _ := classes[c].Get().(*byte); p != nil {
+		return unsafe.Slice(p, minBufCap<<c)[:0]
 	}
 	return make([]byte, 0, minBufCap<<c)
 }
@@ -74,12 +71,7 @@ func ReleaseBuf(b []byte) {
 	if cap(b) < minBufCap || cap(b) > maxPooledBuf {
 		return
 	}
-	box, _ := boxPool.Get().(*[]byte)
-	if box == nil {
-		box = new([]byte)
-	}
-	*box = b[:0]
-	classes[bits.Len(uint(cap(b)))-bits.Len(minBufCap)].Put(box)
+	classes[bits.Len(uint(cap(b)))-bits.Len(minBufCap)].Put(unsafe.SliceData(b))
 }
 
 var callPool = sync.Pool{New: func() any { return new(Call) }}
@@ -94,17 +86,15 @@ func AcquireCall(target, method string) *Call {
 	return c
 }
 
-// ReleaseCall recycles a call descriptor obtained from AcquireCall. The
-// header map is retained (cleared) across uses so a deadline-stamping caller
-// allocates it once per pooled descriptor, not once per call.
+// ReleaseCall recycles a call descriptor obtained from AcquireCall.
 func ReleaseCall(c *Call) {
 	c.Target, c.Method = "", ""
 	c.Payload, c.Reply = nil, nil
 	c.Body = nil
+	c.Trace = SpanContext{}
 	c.Addr = ""
 	c.OneWay, c.Stream = false, false
 	c.StreamBody = nil
-	clear(c.Headers)
 	c.outrun.Store(false)
 	callPool.Put(c)
 }

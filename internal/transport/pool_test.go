@@ -104,3 +104,25 @@ func TestReleaseBufDropsNilAndOversized(t *testing.T) {
 		t.Fatalf("after releasing an oversized buffer, AcquireBuf(%d) has cap %d: want a fresh %d", maxPooledBuf, cap(b), maxPooledBuf)
 	}
 }
+
+// A recycled buffer comes back at its class size, which every buffer filed
+// in that class is at least: filled to its capacity, it writes only memory
+// it owns. Buffers of capacities across every class go round, with a
+// collection between rounds, so under -race checkptr sees each rebuilt slice.
+func TestRecycledBufCapacity(t *testing.T) {
+	for round := 0; round < 3; round++ {
+		for c := minBufCap; c <= maxPooledBuf; c = c*3/2 + 1 {
+			ReleaseBuf(make([]byte, 7, c))
+			b := AcquireBuf(c / 2)
+			if len(b) != 0 || cap(b) < c/2 {
+				t.Fatalf("AcquireBuf(%d): len %d cap %d", c/2, len(b), cap(b))
+			}
+			b = b[:cap(b)]
+			for i := range b {
+				b[i] = byte(i)
+			}
+			ReleaseBuf(b)
+		}
+		runtime.GC()
+	}
+}

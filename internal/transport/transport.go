@@ -17,36 +17,36 @@ package transport
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"sync/atomic"
 	"time"
 
 	"dsb/internal/codec"
 )
 
-// DeadlineHeader carries the absolute call deadline (unix nanoseconds) so
-// downstream tiers stop working on requests the client has abandoned. Both
-// the RPC and REST transports propagate it.
-const DeadlineHeader = "dsb-deadline"
+// TraceID identifies an end-to-end request.
+type TraceID uint64
 
-// EncodeDeadline renders an absolute deadline for the DeadlineHeader.
-func EncodeDeadline(t time.Time) string {
-	return strconv.FormatInt(t.UnixNano(), 10)
+// SpanID identifies one span within a trace.
+type SpanID uint64
+
+// SpanContext is the propagated identity of an in-flight span: the trace it
+// belongs to and the span a downstream hop becomes the child of. It rides
+// each call as Call.Trace and each request as fixed fields of the rpc frame
+// or, on a REST hop, as the Dsb-Trace and Dsb-Span headers. Package trace
+// re-exports it.
+type SpanContext struct {
+	TraceID TraceID
+	SpanID  SpanID
 }
 
-// ParseDeadline decodes a DeadlineHeader value.
-func ParseDeadline(v string) (time.Time, bool) {
-	ns, err := strconv.ParseInt(v, 10, 64)
-	if err != nil {
-		return time.Time{}, false
-	}
-	return time.Unix(0, ns), true
-}
+// Valid reports whether the context identifies a real trace.
+func (sc SpanContext) Valid() bool { return sc.TraceID != 0 }
 
 // Call describes one outgoing client call as it flows through the
-// middleware chain down to the wire exchange. Middlewares may mutate
-// headers (tracing injects span identity this way) and read the reply after
-// the inner invoker returns.
+// middleware chain down to the wire exchange. Middlewares may set Trace
+// (tracing stamps its client span there) and read the reply after the inner
+// invoker returns. The call's deadline is its context's: the terminal
+// invoker sends it with the request.
 type Call struct {
 	// Target is the downstream service name, for errors, tracing, and
 	// per-target middleware state.
@@ -65,10 +65,9 @@ type Call struct {
 	// Body points to until the call — including any still-running hedge
 	// attempts, which share it via Clone — has completed.
 	Body any
-	// Headers are propagated to the server. The map is lazily allocated —
-	// use SetHeader or HeaderMap; a call with no deadline, tracing, or
-	// custom metadata never allocates it.
-	Headers map[string]string
+	// Trace is the span the server's work becomes a child of; zero when
+	// the call is not traced.
+	Trace SpanContext
 	// Reply is the raw reply payload, set by the terminal invoker on
 	// success.
 	Reply []byte
@@ -110,23 +109,6 @@ func NewCall(target, method string, payload []byte) *Call {
 	return &Call{Target: target, Method: method, Payload: payload}
 }
 
-// SetHeader sets a propagated header, allocating the map on first use.
-func (c *Call) SetHeader(key, value string) {
-	if c.Headers == nil {
-		c.Headers = make(map[string]string, 4)
-	}
-	c.Headers[key] = value
-}
-
-// HeaderMap returns the (lazily allocated) header map for bulk injection,
-// e.g. trace-context propagation.
-func (c *Call) HeaderMap() map[string]string {
-	if c.Headers == nil {
-		c.Headers = make(map[string]string, 4)
-	}
-	return c.Headers
-}
-
 // MarkOutrun flags this attempt as having been outrun by a sibling hedge
 // attempt. Set before the loser is canceled, so the flag is visible when
 // the canceled attempt unwinds through the breaker.
@@ -137,17 +119,10 @@ func (c *Call) Outrun() bool { return c.outrun.Load() }
 
 // Clone returns an independent copy for a parallel or repeated attempt.
 // Hedging and retries clone the call so concurrent attempts never share the
-// header map or the reply slot; the payload (and the typed Body, when set)
-// is shared read-only.
+// reply slot; the payload (and the typed Body, when set) is shared
+// read-only.
 func (c *Call) Clone() *Call {
-	cp := &Call{Target: c.Target, Method: c.Method, Payload: c.Payload, Body: c.Body, Addr: c.Addr, OneWay: c.OneWay, Stream: c.Stream}
-	if c.Headers != nil {
-		cp.Headers = make(map[string]string, len(c.Headers))
-		for k, v := range c.Headers {
-			cp.Headers[k] = v
-		}
-	}
-	return cp
+	return &Call{Target: c.Target, Method: c.Method, Payload: c.Payload, Body: c.Body, Trace: c.Trace, Addr: c.Addr, OneWay: c.OneWay, Stream: c.Stream}
 }
 
 // Invoker performs one call attempt: the terminal invoker is the wire

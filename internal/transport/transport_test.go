@@ -42,34 +42,28 @@ func TestChainOrder(t *testing.T) {
 	}
 }
 
-func TestCallLazyHeadersAndClone(t *testing.T) {
+// A clone is an attempt of its own: it carries the trace identity and shares
+// the payload, and what it is given after does not reach the original; a
+// released call comes back from the pool with no trace.
+func TestCallCloneCopiesTrace(t *testing.T) {
 	call := NewCall("svc", "M", []byte("req"))
-	if call.Headers != nil {
-		t.Fatal("headers allocated up front")
-	}
+	call.Trace = SpanContext{TraceID: 7, SpanID: 8}
 	cp := call.Clone()
-	if cp.Headers != nil {
-		t.Fatal("clone allocated headers")
+	if cp.Trace != call.Trace {
+		t.Fatalf("clone trace = %+v, want %+v", cp.Trace, call.Trace)
 	}
-	call.SetHeader("k", "v")
-	cp2 := call.Clone()
-	cp2.SetHeader("k", "other")
-	if call.Headers["k"] != "v" {
-		t.Fatal("clone shares header map with original")
+	cp.Trace.SpanID = 9
+	if call.Trace.SpanID != 8 {
+		t.Fatal("a clone's trace is the original's")
 	}
-	if &call.Payload[0] != &cp2.Payload[0] {
+	if &call.Payload[0] != &cp.Payload[0] {
 		t.Fatal("clone copied the payload; it should share it read-only")
 	}
-}
-
-func TestDeadlineCodec(t *testing.T) {
-	want := time.Unix(0, 1234567890)
-	got, ok := ParseDeadline(EncodeDeadline(want))
-	if !ok || !got.Equal(want) {
-		t.Fatalf("roundtrip = %v, %v", got, ok)
-	}
-	if _, ok := ParseDeadline("bogus"); ok {
-		t.Fatal("parsed garbage")
+	pooled := AcquireCall("svc", "M")
+	pooled.Trace = call.Trace
+	ReleaseCall(pooled)
+	if pooled.Trace.Valid() {
+		t.Fatal("ReleaseCall kept the trace")
 	}
 }
 
