@@ -80,8 +80,9 @@ codecgen-check:
 # connection's reader owns and parses in place — a request's deadline and
 # trace pair are fixed fields of its call header), a full
 # echo round trip over the in-memory network must allocate at most the
-# server-side request context, and WAL appends must reuse their encode
-# scratch instead of re-marshaling per record. The in-memory connection under
+# server-side request context, which must stay within 96 bytes
+# (TestCtxSize), and WAL appends must reuse their encode scratch instead of
+# re-marshaling per record. The in-memory connection under
 # all of it must itself be allocation-free once its buffers have grown, and a
 # parked one must stay within its live-heap budget, as must an open idle
 # stream (heap and goroutines, both ends): an edge holds one per concurrent
@@ -95,13 +96,15 @@ codecgen-check:
 # A relay tier may add no more to a path than a typed hop does, a REST round
 # trip has a budget of its own, and one warmed timeline page through the REST
 # front door — eight hops, the page never decoded between the post cache and
-# the caller — has an end-to-end object budget.
+# the caller — has an end-to-end object budget. The search tier's index has a
+# live-heap budget per indexed post (TestSearchIndexFootprint): posting lists
+# over dense document numbers, not a map per term.
 alloc-guard:
-	$(GO) test -run 'TestFrameAllocGuard|TestEchoAllocGuard|TestMemConnAllocGuard|TestIdleConnFootprint|TestIdleStreamFootprint' -count=1 ./internal/rpc/
+	$(GO) test -run 'TestFrameAllocGuard|TestEchoAllocGuard|TestCtxSize|TestMemConnAllocGuard|TestIdleConnFootprint|TestIdleStreamFootprint' -count=1 ./internal/rpc/
 	$(GO) test -run 'TestWALAppendBufferReuse|TestServiceAllocGuard|TestStoredDocFootprint' -count=1 ./internal/docstore/
 	$(GO) test -run 'TestStoreHopAllocGuard|TestRelayHopAllocGuard' -count=1 ./internal/svcutil/
 	$(GO) test -run TestRESTAllocGuard -count=1 ./internal/rest/
-	$(GO) test -run TestTimelinePageAllocGuard -count=1 ./internal/services/socialnetwork/
+	$(GO) test -run 'TestTimelinePageAllocGuard|TestSearchIndexFootprint' -count=1 ./internal/services/socialnetwork/
 
 # Ring-imbalance guard: at the default 128 vnodes, the consistent-hash
 # ring must spread keys over 8 shards within +/-15% of even; a hash or

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+	"unsafe"
 
 	"dsb/internal/codec"
 	"dsb/internal/transport"
@@ -110,6 +111,14 @@ func TestEchoAllocGuard(t *testing.T) {
 	}
 	if best > 1 {
 		t.Fatalf("echo round trip allocates %d objects per call, want ≤1 (the server Ctx)", best)
+	}
+}
+
+// TestCtxSize pins that one allocation's size: every served request makes a
+// Ctx, and past 96 bytes it lands in the 112-byte size class.
+func TestCtxSize(t *testing.T) {
+	if size := unsafe.Sizeof(Ctx{}); size > 96 {
+		t.Fatalf("rpc.Ctx is %d bytes, want ≤ 96", size)
 	}
 }
 

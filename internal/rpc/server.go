@@ -39,9 +39,11 @@ type Ctx struct {
 
 	// reply is the typed reply (Reply), encoded by the connection writer.
 	reply any
-	// replyBuf is the pooled buffer behind the reply payload (OwnReply),
-	// recycled by the dispatcher once the reply frame is written.
-	replyBuf []byte
+	// ownReply says the handler's reply payload is a pooled buffer it handed
+	// over (OwnReply), which the dispatcher recycles once the reply frame is
+	// written. A flag, not the buffer: a 24-byte slice here would put every
+	// request's Ctx one size class up.
+	ownReply bool
 }
 
 // Reply makes v this request's reply and returns the (nil, nil) a handler
@@ -60,11 +62,11 @@ func (c *Ctx) TypedReply() any { return c.reply }
 
 // OwnReply makes buf — a pooled buffer the handler owns outright: one it
 // acquired and filled itself, or the pooled reply of a downstream call it
-// is relaying — this request's reply payload, and returns it. Ownership
-// passes to the dispatcher, which recycles it after the reply frame is
-// written; the handler must not touch it again.
+// is relaying — this request's reply payload, and returns it for the
+// handler to return. Ownership passes to the dispatcher, which recycles it
+// after the reply frame is written; the handler must not touch it again.
 func (c *Ctx) OwnReply(buf []byte) []byte {
-	c.replyBuf = buf
+	c.ownReply = true
 	return buf
 }
 
@@ -425,13 +427,12 @@ func (s *Server) dispatch(conn net.Conn, cw *connWriter, f *frame) {
 		ctx.Context, cancel = context.WithDeadline(ctx.Context, time.Unix(0, f.deadline))
 		defer cancel()
 	}
+	var resp []byte
+	var err error
 	// The reply is on the wire (or the conn is dead) when this runs; the
 	// request payload — which the reply may alias (an echo handler returns
 	// its input) — and any owned reply buffer are dead now, and only now.
-	defer release(ctx, f)
-
-	var resp []byte
-	var err error
+	defer func() { release(ctx, f, resp) }()
 	table, _ := s.dispatchTable.Load().(map[string]Handler)
 	if h := table[f.method]; h == nil {
 		err = Errorf(CodeNotFound, "%s: no such method %q", s.service, f.method)
@@ -472,13 +473,16 @@ func (s *Server) dispatch(conn net.Conn, cw *connWriter, f *frame) {
 }
 
 // release returns what a dispatch owns: a one-way frame's pooled payload and
-// any reply buffer handed over with OwnReply. (A request payload is the
-// reader's, and the Ctx itself is not pooled — see the Ctx doc comment.)
-func release(ctx *Ctx, f *frame) {
+// the reply payload resp when it was handed over with OwnReply. (A request
+// payload is the reader's, and the Ctx itself is not pooled — see the Ctx
+// doc comment.)
+func release(ctx *Ctx, f *frame, resp []byte) {
 	if f.kind == kindOneWay {
 		transport.ReleaseBuf(f.payload)
 	}
-	transport.ReleaseBuf(ctx.replyBuf)
+	if ctx.ownReply {
+		transport.ReleaseBuf(resp)
+	}
 }
 
 // safeCall converts a handler panic into a coded error so one bad request

@@ -580,3 +580,39 @@ func TestPipelinedCallsFailFastOnConnDeath(t *testing.T) {
 		}
 	})
 }
+
+// TestStreamThroughAttemptMiddleware: a middleware that runs its attempts
+// under a context of its own (a hedge, a deadline budget), which ends when
+// it returns, must still open a stream that lives on the caller's ctx.
+func TestStreamThroughAttemptMiddleware(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mws  []transport.Middleware
+	}{
+		{"hedge", []transport.Middleware{transport.Hedge(transport.HedgeConfig{Delay: time.Millisecond})}},
+		{"budget", []transport.Middleware{transport.DeadlineBudget(transport.BudgetConfig{})}},
+		{"resilience", transport.NewResilience().Stack()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := NewMem()
+			addr, _ := startStreamServer(t, n)
+			c := NewClient(n, "stream", addr, WithMiddleware(tc.mws...))
+			defer c.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			st, err := c.Stream(ctx, "Countdown", echoReq{Text: "x", N: 3})
+			if err != nil {
+				t.Fatalf("Stream: %v", err)
+			}
+			for i := int64(0); i < 3; i++ {
+				var item streamItem
+				if err := st.Recv(&item); err != nil || item.Seq != i {
+					t.Fatalf("Recv #%d: %+v, %v", i, item, err)
+				}
+			}
+			if err := st.Recv(nil); err != io.EOF {
+				t.Fatalf("after last item err = %v, want clean stream end", err)
+			}
+		})
+	}
+}

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"unicode"
+	"unicode/utf8"
 
 	"dsb/internal/rpc"
 	"dsb/internal/svcutil"
@@ -37,93 +39,135 @@ var stopwords = map[string]bool{
 	"at": true, "this": true, "that": true, "it": true, "my": true, "i": true,
 }
 
-// tokenize lowercases and splits on non-alphanumerics, dropping stopwords —
-// the Xapian-style normalization pipeline.
-func tokenize(text string) []string {
-	var out []string
-	var b strings.Builder
+// eachTerm runs fn on every index term of text, the Xapian-style
+// normalization pipeline: lowercase, split on non-alphanumerics, drop
+// stopwords and one-character tokens. The term is scratch memory, valid only
+// during the call.
+func eachTerm(text string, fn func(term []byte)) {
+	var buf [32]byte
+	tok := buf[:0]
 	flush := func() {
-		if b.Len() > 0 {
-			tok := b.String()
-			if !stopwords[tok] && len(tok) > 1 {
-				out = append(out, tok)
-			}
-			b.Reset()
+		if len(tok) > 1 && !stopwords[string(tok)] {
+			fn(tok)
 		}
+		tok = tok[:0]
 	}
-	for _, r := range strings.ToLower(text) {
+	for _, r := range text {
+		if r >= utf8.RuneSelf {
+			r = unicode.ToLower(r) // as strings.ToLower: U+212A KELVIN SIGN is a 'k'
+		} else if 'A' <= r && r <= 'Z' {
+			r += 'a' - 'A'
+		}
 		if (r >= 'a' && r <= 'z') || (r >= '0' && r <= '9') {
-			b.WriteRune(r)
+			tok = append(tok, byte(r))
 		} else {
 			flush()
 		}
 	}
 	flush()
+}
+
+// tokenize returns the index terms of text (see eachTerm).
+func tokenize(text string) []string {
+	var out []string
+	eachTerm(text, func(term []byte) { out = append(out, string(term)) })
 	return out
 }
 
+// posting is one document's entry in a term's posting list.
+type posting struct{ doc, tf int32 }
+
 // searchShard is one index partition: an in-memory inverted index with
-// per-document term frequencies for TF-IDF scoring.
+// per-document term frequencies for TF-IDF scoring. Documents are numbered
+// densely in indexing order, so a posting list is a slice in document order
+// and a new document only ever appends to the lists of its terms; post IDs
+// appear only at the edges, in ids and docOf. A term maps to a term number,
+// not to its list, so appending to a known term's list writes no map entry:
+// a map write keyed by the tokenizer's scratch bytes would allocate the key
+// on every term of every post.
 type searchShard struct {
 	mu       sync.RWMutex
-	postings map[string]map[string]int // term -> postID -> tf
-	docLen   map[string]int
+	ids      []string         // document number -> post ID
+	docLen   []int32          // document number -> term count
+	docOf    map[string]int32 // post ID -> document number
+	terms    map[string]int32 // term -> term number
+	postings [][]posting      // term number -> postings in document order
 }
 
 func newSearchShard() *searchShard {
-	return &searchShard{postings: make(map[string]map[string]int), docLen: make(map[string]int)}
+	return &searchShard{docOf: make(map[string]int32), terms: make(map[string]int32)}
 }
 
+// index adds a post to the shard; a post ID it already holds is a retried
+// Index, and a no-op.
 func (s *searchShard) index(postID, text string) {
-	terms := tokenize(text)
-	postID = strings.Clone(postID) // a decoded ID shares its request's memory
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.docLen[postID] = len(terms)
-	for _, t := range terms {
-		m, ok := s.postings[t]
-		if !ok {
-			m = make(map[string]int)
-			s.postings[t] = m
-		}
-		m[postID]++
+	if _, ok := s.docOf[postID]; ok {
+		return
 	}
+	doc := int32(len(s.ids))
+	postID = strings.Clone(postID) // a decoded ID shares its request's memory
+	s.ids = append(s.ids, postID)
+	s.docOf[postID] = doc
+	var n int32
+	eachTerm(text, func(term []byte) {
+		n++
+		t, ok := s.terms[string(term)]
+		if !ok {
+			t = int32(len(s.postings))
+			s.terms[string(term)] = t
+			s.postings = append(s.postings, nil)
+		}
+		ps := s.postings[t]
+		if last := len(ps) - 1; last >= 0 && ps[last].doc == doc {
+			ps[last].tf++
+			return
+		}
+		s.postings[t] = append(ps, posting{doc: doc, tf: 1})
+	})
+	s.docLen = append(s.docLen, n)
 }
 
 func (s *searchShard) query(terms []string, limit int) []SearchHit {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	n := len(s.docLen)
+	n := len(s.ids)
 	if n == 0 {
 		return nil
 	}
-	scores := make(map[string]float64)
-	for _, t := range terms {
-		posting := s.postings[t]
-		if len(posting) == 0 {
+	scores := make(map[int32]float64)
+	for _, term := range terms {
+		t, ok := s.terms[term]
+		if !ok {
 			continue
 		}
-		idf := math.Log(1 + float64(n)/float64(len(posting)))
-		for id, tf := range posting {
-			dl := s.docLen[id]
-			if dl == 0 {
-				dl = 1
-			}
-			scores[id] += (float64(tf) / float64(dl)) * idf
+		ps := s.postings[t]
+		idf := math.Log(1 + float64(n)/float64(len(ps)))
+		for _, p := range ps {
+			scores[p.doc] += (float64(p.tf) / float64(s.docLen[p.doc])) * idf
 		}
 	}
-	hits := make([]SearchHit, 0, len(scores))
-	for id, sc := range scores {
-		hits = append(hits, SearchHit{PostID: id, Score: sc})
+	type scored struct {
+		doc   int32
+		score float64
 	}
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score > hits[j].Score
+	ranked := make([]scored, 0, len(scores))
+	for doc, sc := range scores {
+		ranked = append(ranked, scored{doc, sc})
+	}
+	sort.Slice(ranked, func(i, j int) bool {
+		if ranked[i].score != ranked[j].score {
+			return ranked[i].score > ranked[j].score
 		}
-		return hits[i].PostID > hits[j].PostID // newer snowflake IDs first
+		return s.ids[ranked[i].doc] > s.ids[ranked[j].doc] // newer snowflake IDs first
 	})
-	if limit > 0 && len(hits) > limit {
-		hits = hits[:limit]
+	if limit > 0 && len(ranked) > limit {
+		ranked = ranked[:limit]
+	}
+	hits := make([]SearchHit, len(ranked))
+	for i, r := range ranked {
+		hits[i] = SearchHit{PostID: s.ids[r.doc], Score: r.score}
 	}
 	return hits
 }
@@ -148,22 +192,24 @@ func registerSearchShard(srv *rpc.Server) {
 	})
 }
 
+// shardOf is the index partition, of n, that holds postID (FNV-1a).
+func shardOf(postID string, n int) int {
+	h := uint32(2166136261)
+	for i := 0; i < len(postID); i++ {
+		h = (h ^ uint32(postID[i])) * 16777619
+	}
+	return int(h) % n
+}
+
 // registerSearch installs the search front service: documents are routed
 // to a shard by post-ID hash on writes, and queries fan out to every shard
 // in parallel with a merge by score.
 func registerSearch(srv *rpc.Server, shards []svcutil.Caller) {
-	pick := func(postID string) svcutil.Caller {
-		h := uint32(2166136261)
-		for i := 0; i < len(postID); i++ {
-			h = (h ^ uint32(postID[i])) * 16777619
-		}
-		return shards[int(h)%len(shards)]
-	}
 	svcutil.Handle(srv, "Index", func(ctx *rpc.Ctx, req *IndexPostReq) (*struct{}, error) {
 		if len(shards) == 0 {
 			return nil, rpc.Errorf(rpc.CodeUnavailable, "search: no shards")
 		}
-		return nil, pick(req.PostID).Call(ctx, "Index", *req, nil)
+		return nil, shards[shardOf(req.PostID, len(shards))].Call(ctx, "Index", *req, nil)
 	})
 	svcutil.Handle(srv, "Query", func(ctx *rpc.Ctx, req *SearchReq) (*SearchResp, error) {
 		limit := int(req.Limit)

@@ -35,13 +35,14 @@ func (cfg BudgetConfig) withDefaults() BudgetConfig {
 // deadline on the call's context. The tightened deadline propagates to the
 // server with the request (the terminal invoker reads it from the context),
 // so a leaf tier observes a strictly tighter budget than the root — the mechanism that stops abandoned work from cascading down the
-// graph.
+// graph. A stream open keeps the caller's ctx: it governs the stream's whole
+// life, and a shrunken one would end when the open returns.
 func DeadlineBudget(cfg BudgetConfig) Middleware {
 	cfg = cfg.withDefaults()
 	return func(next Invoker) Invoker {
 		return func(ctx context.Context, call *Call) error {
 			dl, ok := ctx.Deadline()
-			if !ok {
+			if !ok || call.Stream {
 				return next(ctx, call)
 			}
 			remaining := time.Until(dl)

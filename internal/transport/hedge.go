@@ -43,11 +43,16 @@ func (cfg HedgeConfig) withDefaults() HedgeConfig {
 // first successful response wins; the loser is canceled. Hedging converts
 // the tail of the latency distribution into a small amount of extra load —
 // the counter to the paper's finding that one slow server on any critical
-// path collapses end-to-end goodput.
+// path collapses end-to-end goodput. A stream open is not hedged: it goes to
+// next on the caller's ctx, which governs the stream's whole life, where an
+// attempt's context would end when Hedge returns.
 func Hedge(cfg HedgeConfig) Middleware {
 	cfg = cfg.withDefaults()
 	return func(next Invoker) Invoker {
 		return func(ctx context.Context, call *Call) error {
+			if call.Stream {
+				return next(ctx, call)
+			}
 			delay := cfg.Delay
 			if cfg.BudgetFraction > 0 {
 				if dl, ok := ctx.Deadline(); ok {
@@ -86,7 +91,6 @@ func Hedge(cfg HedgeConfig) Middleware {
 					inflight--
 					if r.err == nil {
 						call.Reply = r.att.Reply
-						call.StreamBody = r.att.StreamBody
 						// Mark the still-inflight losers before cancel fires
 						// (the deferred cancel runs after this), so their
 						// breakers see the outrun flag when they unwind.
