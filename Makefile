@@ -46,13 +46,22 @@ lines:
 		done | sort -n; \
 	fi
 
-# The reachability census (reach_test.go): what no non-test package reaches
-# under internal/, every Config field no code sets, and every unexported
-# struct field non-test code writes but never reads, must equal the
-# allowlist there, each entry with its reason. -v prints the allowlist and
-# the names only benchmark/ keeps alive; tier-1 runs the same test.
+# The two censuses, and the fixture module each is pinned on; tier-1 runs the
+# same tests. The reachability census (reach_test.go): what no non-test
+# package reaches under internal/, every Config field no code sets, and every
+# unexported struct field non-test code writes but never reads, must equal
+# the allowlist there, each entry with its reason. The call-graph census
+# (callgraph_test.go) reads each app's tiers, handlers and client calls off
+# the same type-check and fails on a handler no non-test call reaches (unless
+# allowlisted as the only read of its tier's state), a call of a method its
+# tier does not serve, a call site under internal/services whose target or
+# method is no constant it can resolve, and a stale allowlist entry. -v
+# prints both allowlists, the names only benchmark/ keeps alive, the
+# settable-values count, the per-app tier/edge table, the handler wire types
+# with no generated codec, and the call sites outside internal/services the
+# call-graph census counts on every tier.
 census:
-	$(GO) test -count=1 -run 'TestReachCensus' -v .
+	$(GO) test -count=1 -run 'TestReachCensus|TestCallGraphCensus' -v .
 
 # Every package under the race detector, not a hand-kept list: a package
 # left off a list is a package nobody checked. The pinned alloc budgets read
@@ -180,8 +189,10 @@ ledger:
 # perf claim is judged by. Builds BASE's and the working tree's benchmark, runs
 # N alternating pairs on shared seeds (--seconds 18 --trace 0), appends every
 # run's metric lines to .bench_build/PAIR_<base>_<W>.tsv and prints, per metric,
-# parent median [q1 .. q3], change median, delta, wins/N and whether the pair
-# rule holds. About a minute a pair.
+# parent median [q1 .. q3], change median, delta, wins/N, whether the change
+# held against BENCHMARK.json's bound (ok, WORSE, or unresolved when the
+# parent's own spread is wider than the bound) and whether the pair rule
+# holds. About a minute a pair.
 W ?= ecommerce_checkout
 N ?= 10
 S ?= 1

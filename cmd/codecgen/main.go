@@ -53,7 +53,6 @@ var targets = []target{
 			docstore.Doc{}, docstore.PutReq{}, docstore.GetReq{}, docstore.GetResp{},
 			docstore.FindReq{}, docstore.FindResp{},
 			docstore.ListPrependReq{}, docstore.ListPrependResp{}, docstore.WALRecord{},
-			docstore.ListRemoveReq{}, docstore.ListRemoveResp{},
 			docstore.AddNumReq{}, docstore.AddNumResp{},
 		},
 	},
@@ -76,7 +75,7 @@ var targets = []target{
 		dir: "internal/services/socialnetwork", pkgName: "socialnetwork",
 		roots: []any{
 			socialnetwork.ComposePostReq{}, socialnetwork.ComposePostResp{},
-			socialnetwork.StorePostReq{}, socialnetwork.ReadPostReq{}, socialnetwork.ReadPostResp{},
+			socialnetwork.StorePostReq{},
 			socialnetwork.ReadPostsReq{}, socialnetwork.ReadPostsResp{},
 			socialnetwork.AppendTimelineReq{}, socialnetwork.ReadTimelineReq{}, socialnetwork.ReadTimelineResp{},
 			socialnetwork.FanoutEvent{},

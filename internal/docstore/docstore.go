@@ -344,45 +344,6 @@ func (c *Collection) listPrepend(id, value string, max int, unique bool) (n int,
 	return n, true, c.commit(append(enc, elems[:keep]...))
 }
 
-// listRemove takes value out of the []string body of the document and
-// reports whether it was listed: the store's one-hop set remove, splicing as
-// listPrepend does. Only the first listing goes, which in a list kept by
-// unique prepends is the only one. A missing document, or one that does not
-// list value, is left as it is.
-func (c *Collection) listRemove(id, value string) (removed bool, err error) {
-	c.mutMu.Lock()
-	defer c.mutMu.Unlock()
-
-	old, ok := c.encoded(id)
-	if !ok {
-		return false, nil
-	}
-	p, _ := layoutOf(old)
-	body := reader{b: old[p.body:]}
-	list := reader{b: body.str()}
-	n := 0
-	if len(list.b) > 0 {
-		n = list.count()
-	}
-	elems, at, hi := list.b, -1, 0 // the first listing is elems[at:hi]
-	for i := 0; i < n && !list.bad; i++ {
-		from := len(elems) - len(list.b)
-		if string(list.str()) == value && at < 0 {
-			at, hi = from, len(elems)-len(list.b)
-		}
-	}
-	if list.bad || len(list.b) != 0 {
-		return false, fmt.Errorf("docstore: %s/%s body is not a list", c.name, id)
-	}
-	if at < 0 {
-		return false, nil
-	}
-	size := codec.LenSize(n-1) + len(elems) - (hi - at)
-	enc := make([]byte, 0, p.body+codec.LenSize(size)+size)
-	enc = codec.AppendLen(codec.AppendLen(append(enc, old[:p.body]...), size), n-1)
-	return true, c.commit(append(append(enc, elems[:at]...), elems[hi:]...))
-}
-
 // AddNum atomically adds delta to a numeric field (absent counts as 0) unless
 // the sum would fall below floor, and reports the field's value afterwards,
 // whether the document exists and whether the add applied. Adds commute, so

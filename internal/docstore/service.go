@@ -58,15 +58,6 @@ type ListPrependResp struct {
 	Inserted bool
 }
 
-// ListRemoveReq takes Value out of the []string body of a document, as a
-// set remove (see Collection.listRemove).
-type ListRemoveReq struct {
-	Collection, ID, Value string
-}
-
-// ListRemoveResp reports whether Value was listed, and so removed.
-type ListRemoveResp struct{ Removed bool }
-
 // AddNumReq atomically adds Delta to a numeric field of a document unless
 // the sum would fall below Floor (see Collection.AddNum).
 type AddNumReq struct {
@@ -81,7 +72,7 @@ type AddNumResp struct {
 }
 
 // RegisterService exposes store as an RPC microservice with methods Put,
-// Get, Find, ListPrepend, ListRemove and AddNum — the "mongodb" tier in the
+// Get, Find, ListPrepend and AddNum — the "mongodb" tier in the
 // application graphs. Documents cross it in wire form: Put validates and
 // stores the request's Doc bytes, and the reads append stored bytes to a
 // pooled reply sized for them, so no handler builds a Doc. Only Put and
@@ -116,13 +107,6 @@ func RegisterService(srv *rpc.Server, store *Store) {
 			return nil, err
 		}
 		return ctx.Reply(&ListPrependResp{Len: int64(n), Inserted: inserted})
-	})
-	rpc.HandleTyped(srv, "ListRemove", func(ctx *rpc.Ctx, req *ListRemoveReq) ([]byte, error) {
-		removed, err := store.collection(req.Collection, false).listRemove(req.ID, req.Value)
-		if err != nil {
-			return nil, err
-		}
-		return ctx.Reply(&ListRemoveResp{Removed: removed})
 	})
 	rpc.HandleTyped(srv, "AddNum", func(ctx *rpc.Ctx, req *AddNumReq) ([]byte, error) {
 		c := store.collection(req.Collection, false)

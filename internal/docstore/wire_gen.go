@@ -50,14 +50,6 @@ func init() {
 		m := v.(WALRecord)
 		return m.AppendTo(b)
 	})
-	codec.Register[ListRemoveReq](func(b []byte, v any) ([]byte, error) {
-		m := v.(ListRemoveReq)
-		return m.AppendTo(b)
-	})
-	codec.Register[ListRemoveResp](func(b []byte, v any) ([]byte, error) {
-		m := v.(ListRemoveResp)
-		return m.AppendTo(b)
-	})
 	codec.Register[AddNumReq](func(b []byte, v any) ([]byte, error) {
 		m := v.(AddNumReq)
 		return m.AppendTo(b)
@@ -746,113 +738,6 @@ func (*WALRecord) SkipFrom(b []byte) ([]byte, error) {
 		return nil, err
 	}
 	if b, err = (*Doc)(nil).SkipFrom(b); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// AppendTo appends m's wire encoding to b (codec.Message fast path).
-func (m *ListRemoveReq) AppendTo(b []byte) ([]byte, error) {
-	if m == nil {
-		return nil, codec.ErrNilMessage
-	}
-	b = codec.AppendString(b, string(m.Collection))
-	b = codec.AppendString(b, string(m.ID))
-	b = codec.AppendString(b, string(m.Value))
-	return b, nil
-}
-
-// DecodeFrom consumes m's wire encoding from b, returning the rest.
-// Every string it decodes is a substring of one copy of b.
-func (m *ListRemoveReq) DecodeFrom(b []byte) ([]byte, error) {
-	if m == nil {
-		return nil, codec.ErrNilMessage
-	}
-	return m.decodeFrom(b, string(b))
-}
-
-// decodeFrom is DecodeFrom within a decode whose copy of its input is s,
-// of which b is a suffix.
-func (m *ListRemoveReq) decodeFrom(b []byte, s string) ([]byte, error) {
-	{
-		v1, rest, derr := codec.DecStringOf(b, s)
-		if derr != nil {
-			return nil, derr
-		}
-		m.Collection = string(v1)
-		b = rest
-	}
-	{
-		v2, rest, derr := codec.DecStringOf(b, s)
-		if derr != nil {
-			return nil, derr
-		}
-		m.ID = string(v2)
-		b = rest
-	}
-	{
-		v3, rest, derr := codec.DecStringOf(b, s)
-		if derr != nil {
-			return nil, derr
-		}
-		m.Value = string(v3)
-		b = rest
-	}
-	return b, nil
-}
-
-// SkipFrom returns b past the ListRemoveReq encoding at its front: every check
-// DecodeFrom makes, nothing built (codec.Skip fast path).
-func (*ListRemoveReq) SkipFrom(b []byte) ([]byte, error) {
-	var err error
-	if _, b, err = codec.DecStringBytes(b); err != nil {
-		return nil, err
-	}
-	if _, b, err = codec.DecStringBytes(b); err != nil {
-		return nil, err
-	}
-	if _, b, err = codec.DecStringBytes(b); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// AppendTo appends m's wire encoding to b (codec.Message fast path).
-func (m *ListRemoveResp) AppendTo(b []byte) ([]byte, error) {
-	if m == nil {
-		return nil, codec.ErrNilMessage
-	}
-	b = codec.AppendBool(b, bool(m.Removed))
-	return b, nil
-}
-
-// DecodeFrom consumes m's wire encoding from b, returning the rest.
-func (m *ListRemoveResp) DecodeFrom(b []byte) ([]byte, error) {
-	if m == nil {
-		return nil, codec.ErrNilMessage
-	}
-	return m.decodeFrom(b, "")
-}
-
-// decodeFrom is DecodeFrom within a decode whose copy of its input is s,
-// of which b is a suffix.
-func (m *ListRemoveResp) decodeFrom(b []byte, s string) ([]byte, error) {
-	{
-		v1, rest, derr := codec.DecBool(b)
-		if derr != nil {
-			return nil, derr
-		}
-		m.Removed = bool(v1)
-		b = rest
-	}
-	return b, nil
-}
-
-// SkipFrom returns b past the ListRemoveResp encoding at its front: every check
-// DecodeFrom makes, nothing built (codec.Skip fast path).
-func (*ListRemoveResp) SkipFrom(b []byte) ([]byte, error) {
-	var err error
-	if _, b, err = codec.DecBool(b); err != nil {
 		return nil, err
 	}
 	return b, nil

@@ -254,21 +254,6 @@ func registerCreditCard(srv *rpc.Server, auth, customer, posting, acl svcutil.Ca
 		return &CardResp{Card: c, Found: true}, nil
 	})
 
-	svcutil.Handle(srv, "Get", func(ctx *rpc.Ctx, req *ChargeCardReq) (*CardResp, error) {
-		username, err := accounts.Verify(ctx, auth, req.Token)
-		if err != nil {
-			return nil, err
-		}
-		c, found, err := loadCard(ctx, req.Number)
-		if err != nil {
-			return nil, err
-		}
-		if found && c.Owner != username {
-			return nil, rpc.Errorf(rpc.CodeUnauthorized, "creditCard: not your card")
-		}
-		return &CardResp{Card: c, Found: found}, nil
-	})
-
 	svcutil.Handle(srv, "Charge", func(ctx *rpc.Ctx, req *ChargeCardReq) (*CardResp, error) {
 		username, err := accounts.Verify(ctx, auth, req.Token)
 		if err != nil {

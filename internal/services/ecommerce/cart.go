@@ -25,7 +25,7 @@ type CartResp struct{ Lines []CartLine }
 
 // registerCart installs the cart service (Java tier in Figure 6): a cart is
 // a document per user whose numbers are its lines, item ID to quantity, so
-// an add or a remove is one store-side add that no concurrent one can lose.
+// an add is one store-side add that no concurrent one can lose.
 func registerCart(srv *rpc.Server, db svcutil.DB) {
 	svcutil.Handle(srv, "Add", func(ctx *rpc.Ctx, req *CartAddReq) (*struct{}, error) {
 		if req.Username == "" || req.ItemID == "" || req.Quantity <= 0 {
@@ -41,16 +41,6 @@ func registerCart(srv *rpc.Server, db svcutil.DB) {
 			return nil, err
 		}
 		_, _, _, err = db.AddNum(ctx, "carts", req.Username, req.ItemID, req.Quantity, 0)
-		return nil, err
-	})
-
-	svcutil.Handle(srv, "Remove", func(ctx *rpc.Ctx, req *CartAddReq) (*struct{}, error) {
-		left, found, ok, err := db.AddNum(ctx, "carts", req.Username, req.ItemID, -req.Quantity, 0)
-		if err != nil || !found || ok {
-			return nil, err
-		}
-		// Fewer than Quantity in the cart: the line goes.
-		_, _, _, err = db.AddNum(ctx, "carts", req.Username, req.ItemID, -left, 0)
 		return nil, err
 	})
 

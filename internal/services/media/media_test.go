@@ -11,6 +11,7 @@ import (
 	"dsb/internal/core"
 	"dsb/internal/rpc"
 	"dsb/internal/services/accounts"
+	"dsb/internal/svcutil"
 )
 
 func bootMedia(t *testing.T) *Media {
@@ -122,12 +123,8 @@ func TestRentChargesAndStreams(t *testing.T) {
 	if err := m.Rent.Call(ctx, "Rent", RentReq{Token: token, MovieID: "mv-1"}, &rent); err != nil {
 		t.Fatal(err)
 	}
-	var bal BalanceResp
-	if err := m.User.Call(ctx, "Balance", BalanceReq{Username: "viewer"}, &bal); err != nil {
-		t.Fatal(err)
-	}
-	if bal.BalanceCents != 1000-rentalPriceCents {
-		t.Fatalf("balance = %d", bal.BalanceCents)
+	if bal := balance(t, m, "viewer"); bal != 1000-rentalPriceCents {
+		t.Fatalf("balance = %d", bal)
 	}
 
 	// Stream the whole movie through the HLS tier and verify integrity.
@@ -284,11 +281,22 @@ func TestConcurrentChargesNeverOverdraw(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	var bal BalanceResp
-	if err := m.User.Call(ctx, "Balance", BalanceReq{Username: "payer"}, &bal); err != nil {
+	if bal, want := balance(t, m, "payer"), opening-price*accepted.Load(); bal != want || bal < 0 {
+		t.Fatalf("balance %d after %d accepted charges of %d from %d, want %d", bal, accepted.Load(), price, opening, want)
+	}
+}
+
+// balance reads a user's balance where the user tier keeps it: the users
+// collection of its document store.
+func balance(t *testing.T, m *Media, username string) int64 {
+	t.Helper()
+	c, err := m.App.RPC("test", "media.db-users")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if want := opening - price*accepted.Load(); bal.BalanceCents != want || bal.BalanceCents < 0 {
-		t.Fatalf("balance %d after %d accepted charges of %d from %d, want %d", bal.BalanceCents, accepted.Load(), price, opening, want)
+	doc, found, err := svcutil.DB{C: c}.Get(context.Background(), "users", username)
+	if err != nil || !found {
+		t.Fatalf("user %q: found %v, %v", username, found, err)
 	}
+	return doc.Nums["balance"]
 }

@@ -10,10 +10,7 @@ import (
 	"dsb/internal/svcutil"
 )
 
-// BalanceReq fetches an account balance.
-type BalanceReq struct{ Username string }
-
-// BalanceResp returns the balance.
+// BalanceResp returns an account's balance after a charge.
 type BalanceResp struct{ BalanceCents int64 }
 
 // ChargeReq debits an account (payment authentication module).
@@ -27,16 +24,6 @@ type ChargeReq struct {
 // charged to.
 func registerUser(srv *rpc.Server, db svcutil.DB, mc svcutil.KV) {
 	accounts.Register(srv, db, mc, "users")
-	svcutil.Handle(srv, "Balance", func(ctx *rpc.Ctx, req *BalanceReq) (*BalanceResp, error) {
-		doc, found, err := db.Get(ctx, "users", req.Username)
-		if err != nil {
-			return nil, err
-		}
-		if !found {
-			return nil, rpc.NotFoundf("user: no user %q", req.Username)
-		}
-		return &BalanceResp{BalanceCents: doc.Nums["balance"]}, nil
-	})
 	svcutil.Handle(srv, "Charge", func(ctx *rpc.Ctx, req *ChargeReq) (*BalanceResp, error) {
 		if req.AmountCents <= 0 {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "user: charge must be positive")

@@ -132,10 +132,7 @@ func registerRecommender(srv *rpc.Server, graph svcutil.Caller) {
 // FavoriteReq marks a post as favorited by a user.
 type FavoriteReq struct{ User, PostID string }
 
-// FavoriteCountReq asks for a post's favorite count.
-type FavoriteCountReq struct{ PostID string }
-
-// FavoriteCountResp returns the count.
+// FavoriteCountResp returns a post's favorite count.
 type FavoriteCountResp struct{ Count int64 }
 
 // registerFavorite installs the favorite service: an idempotent per-user
@@ -158,15 +155,5 @@ func registerFavorite(srv *rpc.Server, db svcutil.DB, mc svcutil.KV) {
 			return nil, err
 		}
 		return &FavoriteCountResp{Count: n}, nil
-	})
-	svcutil.Handle(srv, "Count", func(ctx *rpc.Ctx, req *FavoriteCountReq) (*FavoriteCountResp, error) {
-		if n, err := mc.Incr(ctx, "favcount:"+req.PostID, 0); err == nil && n > 0 {
-			return &FavoriteCountResp{Count: n}, nil
-		}
-		users, err := readEdges(ctx, db, "fav:"+req.PostID)
-		if err != nil {
-			return nil, err
-		}
-		return &FavoriteCountResp{Count: int64(len(users))}, nil
 	})
 }

@@ -8,7 +8,7 @@ import (
 	"dsb/internal/svcutil"
 )
 
-// FollowReq creates or removes a follow edge.
+// FollowReq creates a follow edge.
 type FollowReq struct{ Follower, Followee string }
 
 // NeighborsReq asks for a user's followers or followees.
@@ -40,26 +40,6 @@ func registerSocialGraph(srv *rpc.Server, db svcutil.DB, user svcutil.Caller) {
 			return nil, err
 		}
 		if err := user.Call(ctx, "BumpStat", BumpStatReq{Username: req.Followee, Stat: "followers", Delta: 1}, nil); err != nil {
-			return nil, err
-		}
-		return nil, nil
-	})
-
-	svcutil.Handle(srv, "Unfollow", func(ctx *rpc.Ctx, req *FollowReq) (*struct{}, error) {
-		removed, err := removeEdge(ctx, db, "followees:"+req.Follower, req.Followee)
-		if err != nil {
-			return nil, err
-		}
-		if !removed {
-			return nil, nil
-		}
-		if _, err := removeEdge(ctx, db, "followers:"+req.Followee, req.Follower); err != nil {
-			return nil, err
-		}
-		if err := user.Call(ctx, "BumpStat", BumpStatReq{Username: req.Follower, Stat: "followees", Delta: -1}, nil); err != nil {
-			return nil, err
-		}
-		if err := user.Call(ctx, "BumpStat", BumpStatReq{Username: req.Followee, Stat: "followers", Delta: -1}, nil); err != nil {
 			return nil, err
 		}
 		return nil, nil
@@ -101,14 +81,7 @@ func addEdge(ctx *rpc.Ctx, db svcutil.DB, key, member string) (bool, error) {
 	return db.ListPrependUnique(ctx, "graph", key, member, 0)
 }
 
-// removeEdge takes member out of the set at key and reports whether it was
-// there: one store-side remove, so concurrent removes and adds on one set
-// all land, and of two racing removes of one member only one reports it.
-func removeEdge(ctx *rpc.Ctx, db svcutil.DB, key, member string) (bool, error) {
-	return db.ListRemove(ctx, "graph", key, member)
-}
-
-// BlockReq blocks or unblocks an author for a user.
+// BlockReq blocks an author for a user.
 type BlockReq struct{ User, Target string }
 
 // BlockedListReq asks for a user's block list.
@@ -125,10 +98,6 @@ func registerBlockedUsers(srv *rpc.Server, db svcutil.DB) {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "blocked: user and target required")
 		}
 		_, err := addEdge(ctx, db, "blocked:"+req.User, req.Target)
-		return nil, err
-	})
-	svcutil.Handle(srv, "Unblock", func(ctx *rpc.Ctx, req *BlockReq) (*struct{}, error) {
-		_, err := removeEdge(ctx, db, "blocked:"+req.User, req.Target)
 		return nil, err
 	})
 	svcutil.Handle(srv, "List", func(ctx *rpc.Ctx, req *BlockedListReq) (*BlockedListResp, error) {

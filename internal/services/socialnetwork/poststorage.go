@@ -17,15 +17,6 @@ import (
 // StorePostReq persists a composed post.
 type StorePostReq struct{ Post Post }
 
-// ReadPostReq fetches one post.
-type ReadPostReq struct{ ID string }
-
-// ReadPostResp returns the post if found.
-type ReadPostResp struct {
-	Post  Post
-	Found bool
-}
-
 // ReadPostsReq batch-fetches posts by ID.
 type ReadPostsReq struct{ IDs []string }
 
@@ -50,12 +41,7 @@ func registerPostStorage(srv *rpc.Server, db svcutil.DB, mc svcutil.KV, noCoales
 		if err != nil {
 			return nil, err
 		}
-		doc := docstore.Doc{
-			ID:     p.ID,
-			Fields: map[string]string{"author": p.Author},
-			Body:   body,
-		}
-		if err := db.Put(ctx, "posts", doc); err != nil {
+		if err := db.Put(ctx, "posts", docstore.Doc{ID: p.ID, Body: body}); err != nil {
 			return nil, err
 		}
 		// Write-through so immediate timeline reads hit the cache.
@@ -85,18 +71,6 @@ func registerPostStorage(srv *rpc.Server, db svcutil.DB, mc svcutil.KV, noCoales
 			return p, doc.Body, true, nil
 		},
 	}
-	readOne := func(ctx *rpc.Ctx, id string) (Post, bool, error) {
-		return postPath.Get(ctx, "post:"+id)
-	}
-
-	svcutil.Handle(srv, "Read", func(ctx *rpc.Ctx, req *ReadPostReq) (*ReadPostResp, error) {
-		p, found, err := readOne(ctx, req.ID)
-		if err != nil {
-			return nil, err
-		}
-		return &ReadPostResp{Post: p, Found: found}, nil
-	})
-
 	// ReadBatch hydrates a timeline: K posts at once. One MGet replaces K
 	// per-key cache RPCs (on a sharded cache, at most one call per shard),
 	// and the hits are neither decoded nor copied out of the MGet's reply: a
@@ -151,22 +125,6 @@ func registerPostStorage(srv *rpc.Server, db svcutil.DB, mc svcutil.KV, noCoales
 			}
 		}
 		return ctx.OwnReply(recount(reply, head, found)), nil
-	})
-
-	svcutil.Handle(srv, "AuthorPosts", func(ctx *rpc.Ctx, req *InfoReq) (*ReadPostsResp, error) {
-		docs, err := db.Find(ctx, "posts", "author", req.Username, 100)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]Post, 0, len(docs))
-		for _, d := range docs {
-			var p Post
-			if err := codec.Unmarshal(d.Body, &p); err != nil {
-				continue
-			}
-			out = append(out, p)
-		}
-		return &ReadPostsResp{Posts: out}, nil
 	})
 }
 

@@ -26,14 +26,6 @@ func init() {
 		m := v.(StorePostReq)
 		return m.AppendTo(b)
 	})
-	codec.Register[ReadPostReq](func(b []byte, v any) ([]byte, error) {
-		m := v.(ReadPostReq)
-		return m.AppendTo(b)
-	})
-	codec.Register[ReadPostResp](func(b []byte, v any) ([]byte, error) {
-		m := v.(ReadPostResp)
-		return m.AppendTo(b)
-	})
 	codec.Register[ReadPostsReq](func(b []byte, v any) ([]byte, error) {
 		m := v.(ReadPostsReq)
 		return m.AppendTo(b)
@@ -404,103 +396,6 @@ func (m *StorePostReq) decodeFrom(b []byte, s string) ([]byte, error) {
 func (*StorePostReq) SkipFrom(b []byte) ([]byte, error) {
 	var err error
 	if b, err = (*Post)(nil).SkipFrom(b); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// AppendTo appends m's wire encoding to b (codec.Message fast path).
-func (m *ReadPostReq) AppendTo(b []byte) ([]byte, error) {
-	if m == nil {
-		return nil, codec.ErrNilMessage
-	}
-	b = codec.AppendString(b, string(m.ID))
-	return b, nil
-}
-
-// DecodeFrom consumes m's wire encoding from b, returning the rest.
-// Every string it decodes is a substring of one copy of b.
-func (m *ReadPostReq) DecodeFrom(b []byte) ([]byte, error) {
-	if m == nil {
-		return nil, codec.ErrNilMessage
-	}
-	return m.decodeFrom(b, string(b))
-}
-
-// decodeFrom is DecodeFrom within a decode whose copy of its input is s,
-// of which b is a suffix.
-func (m *ReadPostReq) decodeFrom(b []byte, s string) ([]byte, error) {
-	{
-		v1, rest, derr := codec.DecStringOf(b, s)
-		if derr != nil {
-			return nil, derr
-		}
-		m.ID = string(v1)
-		b = rest
-	}
-	return b, nil
-}
-
-// SkipFrom returns b past the ReadPostReq encoding at its front: every check
-// DecodeFrom makes, nothing built (codec.Skip fast path).
-func (*ReadPostReq) SkipFrom(b []byte) ([]byte, error) {
-	var err error
-	if _, b, err = codec.DecStringBytes(b); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// AppendTo appends m's wire encoding to b (codec.Message fast path).
-func (m *ReadPostResp) AppendTo(b []byte) ([]byte, error) {
-	if m == nil {
-		return nil, codec.ErrNilMessage
-	}
-	var err error
-	_ = err
-	if b, err = m.Post.AppendTo(b); err != nil {
-		return nil, err
-	}
-	b = codec.AppendBool(b, bool(m.Found))
-	return b, nil
-}
-
-// DecodeFrom consumes m's wire encoding from b, returning the rest.
-// Every string it decodes is a substring of one copy of b.
-func (m *ReadPostResp) DecodeFrom(b []byte) ([]byte, error) {
-	if m == nil {
-		return nil, codec.ErrNilMessage
-	}
-	return m.decodeFrom(b, string(b))
-}
-
-// decodeFrom is DecodeFrom within a decode whose copy of its input is s,
-// of which b is a suffix.
-func (m *ReadPostResp) decodeFrom(b []byte, s string) ([]byte, error) {
-	var err error
-	_ = err
-	if b, err = m.Post.decodeFrom(b, s); err != nil {
-		return nil, err
-	}
-	{
-		v1, rest, derr := codec.DecBool(b)
-		if derr != nil {
-			return nil, derr
-		}
-		m.Found = bool(v1)
-		b = rest
-	}
-	return b, nil
-}
-
-// SkipFrom returns b past the ReadPostResp encoding at its front: every check
-// DecodeFrom makes, nothing built (codec.Skip fast path).
-func (*ReadPostResp) SkipFrom(b []byte) ([]byte, error) {
-	var err error
-	if b, err = (*Post)(nil).SkipFrom(b); err != nil {
-		return nil, err
-	}
-	if _, b, err = codec.DecBool(b); err != nil {
 		return nil, err
 	}
 	return b, nil

@@ -191,13 +191,6 @@ func registerTelemetry(srv *rpc.Server, db svcutil.DB) {
 			Body:   body,
 		})
 	})
-	svcutil.Handle(srv, "History", func(ctx *rpc.Ctx, req *SensorReport) (*struct{ Count int64 }, error) {
-		docs, err := db.Find(ctx, "location", "drone", req.DroneID, 0)
-		if err != nil {
-			return nil, err
-		}
-		return &struct{ Count int64 }{Count: int64(len(docs))}, nil
-	})
 }
 
 // LogReq appends a line to the on-drone diagnostics log (Log.js tier).

@@ -226,16 +226,12 @@ func TestMultiDroneFleetSharesWorld(t *testing.T) {
 		}
 	}
 	// All telemetry landed, attributed per drone.
-	tel, err := sw.App.RPC("test", "swarm.telemetry")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, d := range sw.Drones {
-		var hist struct{ Count int64 }
-		if err := tel.Call(ctx, "History", SensorReport{DroneID: d.ID}, &hist); err != nil {
+		docs, err := sw.Telemetry.Find(ctx, "location", "drone", d.ID, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if hist.Count == 0 {
+		if len(docs) == 0 {
 			t.Fatalf("no telemetry for %s", d.ID)
 		}
 	}

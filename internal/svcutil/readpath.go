@@ -108,16 +108,6 @@ func (d DB) listPrepend(ctx context.Context, collection, id, value string, max i
 		docstore.ListPrependReq{Collection: collection, ID: id, Value: value, Cap: int64(max), Unique: unique})
 }
 
-// ListRemove takes value out of the []string body of the document and
-// reports whether it was listed: a set remove in one hop, which concurrent
-// removes and unique prepends on the same list cannot undo, where a Get, a
-// delete and a Put can.
-func (d DB) ListRemove(ctx context.Context, collection, id, value string) (bool, error) {
-	resp, err := dbWrite[docstore.ListRemoveResp](ctx, d, id, "ListRemove",
-		docstore.ListRemoveReq{Collection: collection, ID: id, Value: value})
-	return resp.Removed, err
-}
-
 // AddNum atomically adds delta to a numeric field of the document unless
 // the sum would fall below floor (see docstore.Collection.AddNum). It is how
 // a replicated service keeps a balance or a counter: a Get, a check and a Put

@@ -18,6 +18,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -132,10 +133,29 @@ type checkedPackage struct {
 	bench bool
 }
 
-// reachCensus runs the census over the module rooted at dir. Names are the
-// import path below <module>/internal/, then the declaration, with a
-// method or field qualified by its type: "docstore.WAL.Append".
-func reachCensus(dir string) (*census, error) {
+// program is a module's non-test packages, type-checked once from source in
+// dependency order, so one object stands for each declaration wherever it
+// is used. Both censuses read it.
+type program struct {
+	fset   *token.FileSet
+	root   string // the module's directory
+	module string // the module path
+	pkgs   []*checkedPackage
+}
+
+var (
+	programsMu sync.Mutex
+	programs   = map[string]*program{}
+)
+
+// loadProgram type-checks the module rooted at dir, once per test binary:
+// TestReachCensus and TestCallGraphCensus share the load.
+func loadProgram(dir string) (*program, error) {
+	programsMu.Lock()
+	defer programsMu.Unlock()
+	if p, ok := programs[dir]; ok {
+		return p, nil
+	}
 	cmd := exec.Command("go", "list", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,Export,Standard,Module", "./...")
 	cmd.Dir = dir
 	cmd.Stderr = os.Stderr
@@ -164,8 +184,7 @@ func reachCensus(dir string) (*census, error) {
 		}
 		return std.Import(path)
 	})}
-	var module string
-	var pkgs []*checkedPackage
+	p := &program{fset: fset, root: root}
 	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
 		var lp listedPackage
 		if err := dec.Decode(&lp); errors.Is(err, io.EOF) {
@@ -177,10 +196,10 @@ func reachCensus(dir string) (*census, error) {
 			exports[lp.ImportPath] = lp.Export
 			continue
 		}
-		module = lp.Module.Path
+		p.module = lp.Module.Path
 		cp := &checkedPackage{
 			path:  lp.ImportPath,
-			bench: lp.ImportPath == module+"/benchmark" || strings.HasPrefix(lp.ImportPath, module+"/benchmark/"),
+			bench: lp.ImportPath == p.module+"/benchmark" || strings.HasPrefix(lp.ImportPath, p.module+"/benchmark/"),
 			info: &types.Info{
 				Defs:       map[*ast.Ident]types.Object{},
 				Uses:       map[*ast.Ident]types.Object{},
@@ -200,8 +219,21 @@ func reachCensus(dir string) (*census, error) {
 			return nil, err
 		}
 		checked[lp.ImportPath] = tp
-		pkgs = append(pkgs, cp)
+		p.pkgs = append(p.pkgs, cp)
 	}
+	programs[dir] = p
+	return p, nil
+}
+
+// reachCensus runs the census over the module rooted at dir. Names are the
+// import path below <module>/internal/, then the declaration, with a
+// method or field qualified by its type: "docstore.WAL.Append".
+func reachCensus(dir string) (*census, error) {
+	p, err := loadProgram(dir)
+	if err != nil {
+		return nil, err
+	}
+	fset, root, module, pkgs := p.fset, p.root, p.module, p.pkgs
 
 	ifaces := interfacesByMethod(pkgs)
 	r := &reachability{

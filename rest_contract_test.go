@@ -12,6 +12,7 @@ import (
 	"dsb/internal/services/banking"
 	"dsb/internal/services/ecommerce"
 	"dsb/internal/services/media"
+	"dsb/internal/svcutil"
 )
 
 // contractStep is one POST to a front door: the literal JSON a client sends
@@ -121,12 +122,16 @@ func TestRESTContract(t *testing.T) {
 				{path: "/rent", body: `{"token":"bogus","movie_id":"mv-3"}`, code: rpc.CodeUnauthorized},
 			},
 			after: func(t *testing.T, handle any) {
-				var bal media.BalanceResp
-				if err := handle.(*media.Media).User.Call(ctx, "Balance", media.BalanceReq{Username: "rest-user"}, &bal); err != nil {
+				users, err := handle.(*media.Media).App.RPC("test", "media.db-users")
+				if err != nil {
 					t.Fatal(err)
 				}
-				if bal.BalanceCents >= 2000 || bal.BalanceCents <= 0 {
-					t.Fatalf("rest-user's balance after one rental = %d, want under the 2000 opening", bal.BalanceCents)
+				doc, _, err := svcutil.DB{C: users}.Get(ctx, "users", "rest-user")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if bal := doc.Nums["balance"]; bal >= 2000 || bal <= 0 {
+					t.Fatalf("rest-user's balance after one rental = %d, want under the 2000 opening", bal)
 				}
 			},
 		},

@@ -2,7 +2,8 @@
 # make pair BASE=<ref> [W=<workload>] [N=10] [S=1]
 #
 # Alternating parent/change pairs of the benchmark, the protocol every perf
-# claim in this repo is judged by (benchmark/README.md, ROADMAP item 1a):
+# claim in this repo is judged by (benchmark/README.md, ROADMAP item 1a), and
+# the no-regression verdict a change that claims nothing is judged by:
 # BASE is checked out into .bench_build/pair/base, both trees' ./benchmark are
 # built with the settings benchmark/run.sh uses, and N pairs run with
 # --seconds 18 --trace 0, pair i on seed S+i-1 for both sides, the side that
@@ -52,11 +53,24 @@ while [ "$i" -le "$n" ]; do
 	i=$((i + 1))
 done
 
+# Each end-to-end metric's bound, from BENCHMARK.json: "name=bound ...".
+bounds=$(awk -F'"' '
+	/"end_to_end"/ { e2e = 1 } /"per_layer"/ { e2e = 0 }
+	e2e && $2 == "name" { name = $4 }
+	e2e && $2 == "bound" { v = $3; gsub(/[^0-9.eE+-]/, "", v); printf "%s=%s ", name, v }
+' "$root/BENCHMARK.json")
+
 # Per metric: the parent's median and quartiles, the change's median, the
 # difference, and in how many pairs the change read better (ties count for
-# neither side). The pair rule: better in at least nine tenths of the pairs,
-# and the medians further apart than the parent's own inter-quartile range.
-awk -F'\t' -v run="$run" -v base="$commit" -v w="$w" '
+# neither side). The pair rule, which a claimed gain must meet: better in at
+# least nine tenths of the pairs, and the medians further apart than the
+# parent's own inter-quartile range. The held verdict, which a change that
+# claims nothing must pass: ok when the change's median is not worse than the
+# parent's by more than the metric's bound, WORSE when it is, and unresolved
+# when the parent's own inter-quartile range is wider than the bound, so the
+# runs cannot tell (unless every change run reads better than every parent
+# run, which is ok).
+awk -F'\t' -v run="$run" -v base="$commit" -v w="$w" -v boundlist="$bounds" '
 	function sorted(src, n, dst,    i, j, v) {
 		for (i = 1; i <= n; i++) {
 			v = src[i]
@@ -77,8 +91,12 @@ awk -F'\t' -v run="$run" -v base="$commit" -v w="$w" '
 		if ($2 > pairs) pairs = $2
 	}
 	END {
+		nb = split(boundlist, kv, " ")
+		for (i = 1; i <= nb; i++) { split(kv[i], f, "="); bound[f[1]] = f[2] }
 		printf "%s: %d pairs, %s (parent) vs the working tree (change)%s\n", w, pairs, base, pairs < 10 ? "; a claim needs ten" : ""
-		printf "%-16s %12s %25s %12s %8s %6s  %s\n", "metric", "parent", "[q1 .. q3]", "change", "delta", "wins", "pair rule"
+		if (w == "wire_echo" && pairs < 10)
+			print "note: wire_echo has read -12 % and then +12 % throughput on pairs of the same code; fewer than ten pairs judge it loosely"
+		printf "%-16s %12s %25s %12s %8s %6s  %-10s %s\n", "metric", "parent", "[q1 .. q3]", "change", "delta", "wins", "held", "pair rule"
 		for (k = 1; k <= metrics; k++) {
 			m = order[k]
 			wins = 0
@@ -92,7 +110,14 @@ awk -F'\t' -v run="$run" -v base="$commit" -v w="$w" '
 			gap = mc - mb; if (gap < 0) gap = -gap
 			good = (better[m] == "higher" ? mc > mb : mc < mb)
 			met = (good && wins * 10 >= pairs * 9 && gap > q3 - q1) ? "met" : "not met"
-			printf "%-16s %12.4f %25s %12.4f %+7.1f%% %3d/%-2d  %s (%s, %s is better)\n", m, mb, sprintf("[%.4f .. %.4f]", q1, q3), mc, mb ? 100 * (mc - mb) / mb : 0, wins, pairs, met, unit[m], better[m]
+			held = "-"
+			if (m in bound) {
+				worse = (better[m] == "higher" ? mb - mc : mc - mb) / (mb ? (mb < 0 ? -mb : mb) : 1)
+				spread = (q3 - q1) / (mb ? (mb < 0 ? -mb : mb) : 1)
+				apart = (better[m] == "higher" ? sc[1] > sb[pairs] : sc[pairs] < sb[1])
+				held = apart ? "ok" : spread > bound[m] ? "unresolved" : worse > bound[m] ? "WORSE" : "ok"
+			}
+			printf "%-16s %12.4f %25s %12.4f %+7.1f%% %3d/%-2d  %-10s %s (%s, %s is better, bound %s)\n", m, mb, sprintf("[%.4f .. %.4f]", q1, q3), mc, mb ? 100 * (mc - mb) / mb : 0, wins, pairs, held, met, unit[m], better[m], m in bound ? bound[m] : "-"
 		}
 	}
 ' "$tsv"
