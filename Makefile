@@ -99,9 +99,11 @@ codecgen-check:
 # to a store tier (kv Get, docstore Get and Put through the svcutil clients)
 # has its own budget: a typed reply the connection writer encodes, one string
 # copy per decode and, for docstore, no Doc on the server's
-# side at all — its handlers' own allocations (Get, replacing Put, ListPrepend
-# onto a long list) and the live heap a stored document costs, indexes
-# included, are pinned next to the WAL's.
+# side at all — its handlers' own allocations (Get, a replacing Put, a Put of
+# a new ID, ListPrepend onto a long list) and the live heap a stored document
+# costs, with no index and once a Find has built one, are pinned next to the
+# WAL's. A push stream's broker-side wait leases a ready message with no
+# timer armed (TestReceiveWaitReadyAllocGuard).
 # A relay tier may add no more to a path than a typed hop does, a REST round
 # trip has a budget of its own, and one warmed timeline page through the REST
 # front door — eight hops, the page never decoded between the post cache and
@@ -111,6 +113,7 @@ codecgen-check:
 alloc-guard:
 	$(GO) test -run 'TestFrameAllocGuard|TestEchoAllocGuard|TestCtxSize|TestMemConnAllocGuard|TestIdleConnFootprint|TestIdleStreamFootprint' -count=1 ./internal/rpc/
 	$(GO) test -run 'TestWALAppendBufferReuse|TestServiceAllocGuard|TestStoredDocFootprint' -count=1 ./internal/docstore/
+	$(GO) test -run TestReceiveWaitReadyAllocGuard -count=1 ./internal/mq/
 	$(GO) test -run 'TestStoreHopAllocGuard|TestRelayHopAllocGuard' -count=1 ./internal/svcutil/
 	$(GO) test -run TestRESTAllocGuard -count=1 ./internal/rest/
 	$(GO) test -run 'TestTimelinePageAllocGuard|TestSearchIndexFootprint' -count=1 ./internal/services/socialnetwork/

@@ -1,10 +1,12 @@
 // Package docstore implements the suite's persistent document database —
 // the role MongoDB plays in DeathStarBench backends (posts, profiles,
 // orders, reviews, sensor data). Documents carry an opaque body (the
-// owning service's codec-encoded struct) plus string fields the store
-// indexes for equality lookups and numbers it adds to atomically, mirroring
-// how the suite's services keep queryable metadata next to blob-ish
-// payloads.
+// owning service's codec-encoded struct) plus string fields for equality
+// lookups and numbers the store adds to atomically, mirroring how the
+// suite's services keep queryable metadata next to blob-ish payloads. A
+// field is indexed once a Find reads it, and from then on: as MongoDB
+// indexes only the fields createIndex names, a field no Find reads costs no
+// index.
 //
 // Durability is optional: with a write-ahead log attached, every mutation
 // is appended to the log before being applied, and Open replays the log on
@@ -15,11 +17,11 @@ package docstore
 import (
 	"bytes"
 	"fmt"
-	"maps"
 	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"dsb/internal/codec"
 	"dsb/internal/rpc"
@@ -33,7 +35,8 @@ import (
 type Doc struct {
 	// ID is the primary key, unique within a collection.
 	ID string
-	// Fields are indexed string attributes (equality lookups).
+	// Fields are string attributes for equality lookups. The store indexes
+	// a field once a Find reads it.
 	Fields map[string]string
 	// Nums are numeric attributes, not indexed: the counters and balances
 	// AddNum adjusts in place.
@@ -80,22 +83,27 @@ func (s *Store) collection(name string, keep bool) *Collection {
 	return s.collections[own]
 }
 
-// Collection is one document collection with its field index.
+// Collection is one document collection with the indexes its Finds read.
 //
 // Each document is held as its canonical wire encoding (see stored.go), and
 // that slice is immutable once stored: every mutator installs a fresh one.
 // So a reader takes the slice under mu and copies from it under no lock, the
-// RPC service moves documents in and out without building a Doc, and nothing
-// a caller holds can alias what is stored.
+// RPC service moves documents in and out without building a Doc, nothing a
+// caller holds can alias what is stored, and a key may point into it.
 type Collection struct {
 	name  string
 	store *Store
 
-	mu   sync.RWMutex
-	docs map[string]stored
-	// fields maps the wire bytes of a (field, value) pair to the ascending
-	// IDs of the documents that carry it.
-	fields map[string]*[]string
+	mu sync.RWMutex
+	// encs holds the documents by number. Nothing deletes a document, so
+	// numbers are dense and a replace keeps its document's number.
+	encs [][]byte
+	// ids maps an ID to its document's number. A key is no copy but the
+	// ID's bytes inside the stored encoding, so a replace re-keys.
+	ids map[string]int32
+	// indexes holds an index for each field a Find has read, built on that
+	// field's first Find and kept by apply from then on.
+	indexes map[string]index
 
 	// mutMu serializes mutations: a read-modify-write (Update, ListPrepend,
 	// AddNum) cannot lose another's change, and because it is held across
@@ -105,21 +113,12 @@ type Collection struct {
 	mutMu sync.Mutex
 }
 
-// stored is one document: its encoding and its ID, the string that is its
-// docs key and that its index entries share (a map lookup does not hand the
-// key back).
-type stored struct {
-	id  string
-	enc []byte
-}
+// index maps each value of one field to the numbers of the documents that
+// carry it, in ID order.
+type index map[string]*[]int32
 
 func newCollection(name string, store *Store) *Collection {
-	return &Collection{
-		name:   name,
-		store:  store,
-		docs:   make(map[string]stored),
-		fields: make(map[string]*[]string),
-	}
+	return &Collection{name: name, store: store, ids: make(map[string]int32)}
 }
 
 // Put inserts or replaces a document by ID.
@@ -158,65 +157,128 @@ func (c *Collection) commit(enc []byte) error {
 	return nil
 }
 
-// apply installs enc under mu. A replace keeps the ID string it has and
-// re-indexes only when the fields' bytes changed.
+// apply installs enc under mu. A replace re-indexes only when the fields'
+// bytes changed.
 func (c *Collection) apply(enc []byte) {
 	p, _ := layoutOf(enc)
-	old, replaces := c.docs[string(enc[p.id:p.fields])]
-	id, reindex := old.id, true
+	id, fields := enc[p.id:p.fields], enc[p.fields:p.nums]
+	n, replaces := c.ids[string(id)]
 	if replaces {
-		q, _ := layoutOf(old.enc)
-		if reindex = !bytes.Equal(old.enc[q.fields:q.nums], enc[p.fields:p.nums]); reindex {
-			c.index(id, old.enc[q.fields:q.nums], false)
+		q, _ := layoutOf(c.encs[n])
+		if was := c.encs[n][q.fields:q.nums]; bytes.Equal(was, fields) {
+			fields = nil
+		} else {
+			c.index(n, was, false)
 		}
+		delete(c.ids, string(id)) // its key points into the outgoing encoding
 	} else {
-		id = string(enc[p.id:p.fields])
+		n = int32(len(c.encs))
+		c.encs = append(c.encs, nil)
 	}
-	c.docs[id] = stored{id, enc}
-	if reindex {
-		c.index(id, enc[p.fields:p.nums], true)
-	}
+	c.encs[n] = enc
+	c.ids[unsafe.String(unsafe.SliceData(id), len(id))] = n
+	c.index(n, fields, true)
 }
 
-// index adds id to, or removes it from, the field index entries the fields
-// section of an encoding names.
-func (c *Collection) index(id string, fields []byte, add bool) {
+// index adds document n to or removes it from the indexes of the fields an
+// encoding's fields section names; c.encs[n] holds an encoding with n's ID.
+func (c *Collection) index(n int32, fields []byte, add bool) {
 	r := reader{b: fields}
-	for n := r.count(); n > 0; n-- {
-		pair := r.b
-		r.str()
-		r.str()
-		update(c.fields, pair[:len(pair)-len(r.b)], id, add)
+	for k := r.count(); k > 0; k-- {
+		field, value := r.str(), r.str()
+		if idx := c.indexes[string(field)]; idx != nil {
+			c.post(idx, value, n, add)
+		}
 	}
 }
 
-// update adds id to, or removes it from, the ascending list m[k]. Only a key
-// not seen before is allocated, and a list's last entry takes the key along.
-func update(m map[string]*[]string, k []byte, id string, add bool) {
-	s := m[string(k)]
+// post adds n to, or removes it from, the list idx[value]. Only a value not
+// seen before is allocated, and a list's last entry takes the value along.
+func (c *Collection) post(idx index, value []byte, n int32, add bool) {
+	s := idx[string(value)]
 	if s == nil {
 		if !add {
 			return
 		}
-		s = new([]string)
-		m[string(k)] = s
+		s = new([]int32)
+		idx[string(value)] = s
 	}
-	i, found := slices.BinarySearch(*s, id)
+	i, found := slices.BinarySearchFunc(*s, c.idOf(n), func(m int32, id []byte) int { return bytes.Compare(c.idOf(m), id) })
 	if add && !found {
-		*s = slices.Insert(*s, i, id)
+		*s = slices.Insert(*s, i, n)
 	} else if !add && found {
 		if *s = slices.Delete(*s, i, i+1); len(*s) == 0 {
-			delete(m, string(k))
+			delete(idx, string(value))
 		}
 	}
+}
+
+// idOf returns document n's ID: the first string of its encoding.
+func (c *Collection) idOf(n int32) []byte {
+	r := reader{b: c.encs[n]}
+	return r.str()
+}
+
+// byID returns every document's number in ID order; mu is held.
+func (c *Collection) byID() []int32 {
+	ns := make([]int32, len(c.encs))
+	for i := range ns {
+		ns[i] = int32(i)
+	}
+	slices.SortFunc(ns, func(a, b int32) int { return bytes.Compare(c.idOf(a), c.idOf(b)) })
+	return ns
+}
+
+// valueOf returns the value an encoding gives field, if it gives one.
+func valueOf(enc []byte, field string) ([]byte, bool) {
+	p, _ := layoutOf(enc)
+	r := reader{b: enc[p.fields:p.nums]}
+	for k := r.count(); k > 0; k-- {
+		if f, v := r.str(), r.str(); string(f) == field {
+			return v, true
+		}
+	}
+	return nil, false
+}
+
+// carries reports whether some stored document has field; mu is held.
+func (c *Collection) carries(field string) bool {
+	for _, enc := range c.encs {
+		if _, ok := valueOf(enc, field); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// indexOf returns field's index, building it from the stored documents if
+// no Find has read the field before; mu is held for writing.
+func (c *Collection) indexOf(field string) index {
+	if idx := c.indexes[field]; idx != nil {
+		return idx
+	}
+	idx := index{}
+	for _, n := range c.byID() {
+		if v, ok := valueOf(c.encs[n], field); ok {
+			c.post(idx, v, n, true) // appends: n is last in ID order
+		}
+	}
+	if c.indexes == nil {
+		c.indexes = make(map[string]index)
+	}
+	c.indexes[strings.Clone(field)] = idx
+	return idx
 }
 
 // encoded returns the stored bytes of a document: read them, never write.
 func (c *Collection) encoded(id string) ([]byte, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	d, ok := c.docs[id]
-	return d.enc, ok
+	n, ok := c.ids[id]
+	if !ok {
+		return nil, false
+	}
+	return c.encs[n], true
 }
 
 // Get returns the document by ID.
@@ -238,26 +300,33 @@ func (c *Collection) Find(field, value string, limit int) []Doc {
 
 // find writes Find's result as FindResp encodes it — a count, then each
 // document's stored bytes — into a pooled buffer sized for it, which the
-// caller owns.
+// caller owns. A field no stored document carries finds nothing and gets no
+// index, so Finds, whose field a client may name, cannot grow the store.
 func (c *Collection) find(field, value string, limit int) []byte {
-	var scratch [64]byte
-	pair := codec.AppendString(codec.AppendString(scratch[:0], field), value)
 	c.mu.RLock()
+	idx := c.indexes[field]
+	if idx == nil && c.carries(field) {
+		c.mu.RUnlock()
+		c.mu.Lock()
+		idx = c.indexOf(field)
+		c.mu.Unlock()
+		c.mu.RLock()
+	}
 	defer c.mu.RUnlock()
-	var ids []string
-	if s := c.fields[string(pair)]; s != nil {
-		ids = *s
+	var ns []int32
+	if s := idx[value]; s != nil {
+		ns = *s
 	}
-	if limit > 0 && len(ids) > limit {
-		ids = ids[:limit]
+	if limit > 0 && len(ns) > limit {
+		ns = ns[:limit]
 	}
-	size := codec.LenSize(len(ids))
-	for _, id := range ids {
-		size += len(c.docs[id].enc)
+	size := codec.LenSize(len(ns))
+	for _, n := range ns {
+		size += len(c.encs[n])
 	}
-	b := codec.AppendLen(transport.AcquireBuf(size), len(ids))
-	for _, id := range ids {
-		b = append(b, c.docs[id].enc...)
+	b := codec.AppendLen(transport.AcquireBuf(size), len(ns))
+	for _, n := range ns {
+		b = append(b, c.encs[n]...)
 	}
 	return b
 }
@@ -389,19 +458,14 @@ func (c *Collection) AddNum(id, field string, delta, floor int64) (value int64, 
 // All returns every document, ID-sorted. Intended for tests and small
 // administrative scans.
 func (c *Collection) All() []Doc {
-	all := c.sorted()
-	out := make([]Doc, len(all))
-	for i, d := range all {
-		out[i] = decode(d.enc)
-	}
-	return out
-}
-
-// sorted returns every stored document in ID order.
-func (c *Collection) sorted() []stored {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return slices.SortedFunc(maps.Values(c.docs), func(a, b stored) int { return strings.Compare(a.id, b.id) })
+	ns := c.byID()
+	out := make([]Doc, len(ns))
+	for i, n := range ns {
+		out[i] = decode(c.encs[n])
+	}
+	return out
 }
 
 func (c *Collection) logPut(doc []byte) error {

@@ -16,5 +16,5 @@ func (s *Store) Collections() []string {
 func (c *Collection) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return len(c.docs)
+	return len(c.encs)
 }

@@ -62,43 +62,102 @@ func checkoutDocs(i int) (order, invoice Doc) {
 	return order, invoice
 }
 
+// credentialDoc is an accounts tier's login document: the username as ID, a
+// 16-hex-digit salt and a 64-hex-digit password hash as fields no Find reads.
+func credentialDoc(i int) Doc {
+	return Doc{ID: fmt.Sprintf("user_%d", i), Fields: map[string]string{
+		"salt": fmt.Sprintf("%016x", i),
+		"hash": fmt.Sprintf("%064x", i),
+	}}
+}
+
+// liveHeap is the heap still reachable after a full collection.
+func liveHeap() uint64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// storedCost stores payloads, PutReqs of distinct documents, through the
+// service and returns the live heap each document adds: stored, again once
+// finds have run and built the indexes they read, and again once every
+// document has been replaced by an equal one, which must free the old
+// encoding, keys into it included.
+func storedCost(t *testing.T, payloads [][]byte, finds ...FindReq) (stored, indexed, replaced float64) {
+	store := NewStore()
+	call := serveRaw(t, store)
+	queries := make([][]byte, len(finds))
+	for i, f := range finds {
+		queries[i] = mustMarshal(t, f)
+	}
+	before := liveHeap()
+	for _, p := range payloads {
+		transport.ReleaseBuf(call("Put", p))
+	}
+	stored = float64(liveHeap()-before) / float64(len(payloads))
+	for _, q := range queries {
+		transport.ReleaseBuf(call("Find", q))
+	}
+	indexed = float64(liveHeap()-before) / float64(len(payloads))
+	for _, p := range payloads {
+		transport.ReleaseBuf(call("Put", p))
+	}
+	replaced = float64(liveHeap()-before) / float64(len(payloads))
+	n := 0
+	for _, name := range store.Collections() {
+		n += store.Collection(name).Len()
+	}
+	if n != len(payloads) {
+		t.Fatalf("stored %d documents, want %d", n, len(payloads))
+	}
+	runtime.KeepAlive(payloads)
+	runtime.KeepAlive(queries)
+	return stored, indexed, replaced
+}
+
 // TestStoredDocFootprint pins what a stored document costs in live heap,
-// indexes included: the wire form plus sorted-slice indexes measured 395 B
-// per checkout-shaped document where a Doc with two maps, under a
-// map-of-sets index, cost 1 036.
+// each bound within 10 % of its measurement. A checkout-shaped document
+// measured 255 B: its encoding, its slot by number and an ID map key that
+// points into the encoding, and no index, since no Find has read a field.
+// A Find on orders' user and on invoices' order builds those two indexes,
+// 306 B a document with them, and as much once every document is replaced.
+// A credential document, whose fields no Find reads, measured 183 B.
 func TestStoredDocFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation changes heap accounting; pinned by the non-race run in make alloc-guard")
 	}
 	const docs = 20000
-	store := NewStore()
-	call := serveRaw(t, store)
-	payloads := make([][]byte, 0, docs)
+	checkout := make([][]byte, 0, docs)
+	credentials := make([][]byte, 0, docs)
 	for i := 0; i < docs/2; i++ {
 		order, invoice := checkoutDocs(i)
-		payloads = append(payloads,
+		checkout = append(checkout,
 			mustMarshal(t, PutReq{Collection: "orders", Doc: order}),
 			mustMarshal(t, PutReq{Collection: "invoices", Doc: invoice}))
 	}
-	heap := func() uint64 {
-		var m runtime.MemStats
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&m)
-		return m.HeapAlloc
+	for i := 0; i < docs; i++ {
+		credentials = append(credentials, mustMarshal(t, PutReq{Collection: "users", Doc: credentialDoc(i)}))
 	}
-	before := heap()
-	for _, p := range payloads {
-		transport.ReleaseBuf(call("Put", p))
-	}
-	perDoc := float64(heap()-before) / docs
-	if n := store.Collection("orders").Len() + store.Collection("invoices").Len(); n != docs {
-		t.Fatalf("stored %d documents, want %d", n, docs)
-	}
-	runtime.KeepAlive(payloads)
-	t.Logf("%.0f B of live heap per stored document", perDoc)
-	if perDoc > 450 {
-		t.Fatalf("a stored document costs %.0f B of live heap, want ≤ 450", perDoc)
+	order, invoice := checkoutDocs(1)
+	stored, indexed, replaced := storedCost(t, checkout,
+		FindReq{Collection: "orders", Field: "user", Value: order.Fields["user"], Limit: 1},
+		FindReq{Collection: "invoices", Field: "order", Value: invoice.Fields["order"], Limit: 1})
+	credential, _, _ := storedCost(t, credentials)
+	for _, c := range []struct {
+		what      string
+		got, want float64
+	}{
+		{"a checkout document", stored, 280},
+		{"a checkout document, once Finds index it", indexed, 335},
+		{"a checkout document, indexed and replaced", replaced, 335},
+		{"a credential document", credential, 200},
+	} {
+		t.Logf("%s: %.0f B of live heap", c.what, c.got)
+		if c.got > c.want {
+			t.Errorf("%s costs %.0f B of live heap, want ≤ %.0f", c.what, c.got, c.want)
+		}
 	}
 }
 
@@ -107,7 +166,8 @@ func TestStoredDocFootprint(t *testing.T) {
 // internal/rpc) plus the handler. Get makes its request struct and the two
 // strings in it and appends stored bytes to a pooled reply; a replacing Put
 // makes the stored copy and nothing else — no Doc, no ID string, no index
-// key; ListPrepend makes its request (struct, three strings), the spliced
+// key, and so does a Put of a new ID, whose ID map key points into that
+// copy; ListPrepend makes its request (struct, three strings), the spliced
 // encoding and the reply struct, however long the list is.
 func TestServiceAllocGuard(t *testing.T) {
 	if raceEnabled {
@@ -123,18 +183,30 @@ func TestServiceAllocGuard(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		call("ListPrepend", prepend)
 	}
+	// The insert run needs a new ID each time: its warm-up and five
+	// measured rounds of 200 runs, plus one each.
+	var inserts [][]byte
+	for i := 0; i < 2000+5*201; i++ {
+		order, _ := checkoutDocs(2 + i)
+		inserts = append(inserts, mustMarshal(t, PutReq{Collection: "orders", Doc: order}))
+	}
 
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, hop := range []struct {
-		method  string
-		payload []byte
-		budget  int
+		what, method string
+		payloads     [][]byte
+		budget       int
 	}{
-		{"Get", get, 1 + 3},
-		{"Put", put, 1 + 1},
-		{"ListPrepend", prepend, 1 + 6},
+		{"Get", "Get", [][]byte{get}, 1 + 3},
+		{"a replacing Put", "Put", [][]byte{put}, 1 + 1},
+		{"a Put of a new ID", "Put", inserts, 1 + 1},
+		{"ListPrepend", "ListPrepend", [][]byte{prepend}, 1 + 6},
 	} {
-		run := func() { transport.ReleaseBuf(call(hop.method, hop.payload)) }
+		next := 0
+		run := func() {
+			transport.ReleaseBuf(call(hop.method, hop.payloads[next%len(hop.payloads)]))
+			next++
+		}
 		for i := 0; i < 2000; i++ {
 			run()
 		}
@@ -145,8 +217,8 @@ func TestServiceAllocGuard(t *testing.T) {
 			}
 		}
 		if best > hop.budget {
-			t.Errorf("%s allocates %d objects per round trip, want ≤%d", hop.method, best, hop.budget)
+			t.Errorf("%s allocates %d objects per round trip, want ≤%d", hop.what, best, hop.budget)
 		}
-		t.Logf("%s: %d objects per round trip", hop.method, best)
+		t.Logf("%s: %d objects per round trip", hop.what, best)
 	}
 }

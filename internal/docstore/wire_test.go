@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -67,6 +69,33 @@ func TestReadsOfUnknownCollectionsCreateNothing(t *testing.T) {
 	}
 	if names := store.Collections(); !reflect.DeepEqual(names, []string{"real"}) {
 		t.Fatalf("reads of unknown names left %d collections behind: %v", len(names)-1, names)
+	}
+}
+
+func TestFindsOfUncarriedFieldsIndexNothing(t *testing.T) {
+	store := NewStore()
+	call := serveRaw(t, store)
+	for i := 0; i < 50; i++ {
+		doc := Doc{ID: fmt.Sprintf("item%02d", i), Fields: map[string]string{"all": "1", "tag-red": "1"}}
+		call("Put", mustMarshal(t, PutReq{Collection: "items", Doc: doc}))
+	}
+	var resp FindResp
+	for i := 0; i < 100; i++ {
+		reply := call("Find", mustMarshal(t, FindReq{Collection: "items", Field: fmt.Sprintf("tag-ghost-%d", i), Value: "1"}))
+		if _, err := resp.DecodeFrom(reply); err != nil || len(resp.Docs) != 0 {
+			t.Fatalf("Find of an uncarried field: %d docs, %v", len(resp.Docs), err)
+		}
+	}
+	c := store.Collection("items")
+	if n := len(c.indexes); n != 0 {
+		t.Fatalf("Finds of fields no document carries left %d indexes behind", n)
+	}
+	reply := call("Find", mustMarshal(t, FindReq{Collection: "items", Field: "tag-red", Value: "1"}))
+	if _, err := resp.DecodeFrom(reply); err != nil || len(resp.Docs) != 50 {
+		t.Fatalf("Find of tag-red: %d docs, %v; want 50", len(resp.Docs), err)
+	}
+	if got := slices.Sorted(maps.Keys(c.indexes)); !reflect.DeepEqual(got, []string{"tag-red"}) {
+		t.Fatalf("a Find of a carried field left indexes %v, want [tag-red]", got)
 	}
 }
 

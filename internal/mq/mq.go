@@ -339,6 +339,11 @@ func (q *Queue) ReceiveWait(leaseFor, wait time.Duration) (Message, bool) {
 }
 
 func (q *Queue) receiveWait(leaseFor, wait time.Duration, owner *Session) (Message, bool) {
+	// A ready message is leased without arming the timer.
+	expired := true
+	if msg, ok := q.receive(leaseFor, &expired, owner); ok {
+		return msg, true
+	}
 	timedOut := false
 	qq := q.q
 	// sync.Cond has no timed wait; a timer flips timedOut under the queue

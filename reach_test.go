@@ -41,7 +41,7 @@ var unreached = map[string]string{
 	"codec.JSONUint":      "cmd/codecgen emits it for an unsigned field of a JSON type",
 
 	// The one deliberate survivor.
-	"docstore.Open": "durability substrate ROADMAP item 5 records op IDs in; no tier boots it today",
+	"docstore.Open": "durability substrate ROADMAP item 9 records op IDs in (or that item 14(d) deletes); no tier boots it today",
 
 	// Seams other packages' tests need, so they cannot move into a _test.go.
 	"docstore.Collection.All":    "svcutil's WAL-replay test compares the live and the replayed store",
