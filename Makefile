@@ -55,11 +55,15 @@ lines:
 # the same type-check and fails on a handler no non-test call reaches (unless
 # allowlisted as the only read of its tier's state), a call of a method its
 # tier does not serve, a call site under internal/services whose target or
-# method is no constant it can resolve, and a stale allowlist entry. -v
-# prints both allowlists, the names only benchmark/ keeps alive, the
-# settable-values count, the per-app tier/edge table, the handler wire types
-# with no generated codec, and the call sites outside internal/services the
-# call-graph census counts on every tier.
+# method is no constant it can resolve, and a stale allowlist entry; and,
+# per store, cache and broker tier, on state code under internal/services
+# writes that no non-test code reads (a stored field, number or body, a
+# cache key prefix, a topic; unless allowlisted in unread with its reason),
+# a store write under internal/services with no constant collection, and a
+# stale unread entry. -v prints the allowlists, the names only benchmark/
+# keeps alive, the settable-values count, the per-app tier/edge and state
+# table, the handler wire types with no generated codec, and the call sites
+# outside internal/services the call-graph census counts on every tier.
 census:
 	$(GO) test -count=1 -run 'TestReachCensus|TestCallGraphCensus' -v .
 
@@ -90,8 +94,7 @@ codecgen-check:
 # trace pair are fixed fields of its call header), a full
 # echo round trip over the in-memory network must allocate at most the
 # server-side request context, which must stay within 96 bytes
-# (TestCtxSize), and WAL appends must reuse their encode scratch instead of
-# re-marshaling per record. The in-memory connection under
+# (TestCtxSize). The in-memory connection under
 # all of it must itself be allocation-free once its buffers have grown, and a
 # parked one must stay within its live-heap budget, as must an open idle
 # stream (heap and goroutines, both ends): an edge holds one per concurrent
@@ -101,9 +104,9 @@ codecgen-check:
 # copy per decode and, for docstore, no Doc on the server's
 # side at all — its handlers' own allocations (Get, a replacing Put, a Put of
 # a new ID, ListPrepend onto a long list) and the live heap a stored document
-# costs, with no index and once a Find has built one, are pinned next to the
-# WAL's. A push stream's broker-side wait leases a ready message with no
-# timer armed (TestReceiveWaitReadyAllocGuard).
+# costs, with no index and once a Find has built one, are pinned. A push
+# stream's broker-side wait leases a ready message with no timer armed
+# (TestReceiveWaitReadyAllocGuard).
 # A relay tier may add no more to a path than a typed hop does, a REST round
 # trip has a budget of its own, and one warmed timeline page through the REST
 # front door — eight hops, the page never decoded between the post cache and
@@ -112,7 +115,7 @@ codecgen-check:
 # over dense document numbers, not a map per term.
 alloc-guard:
 	$(GO) test -run 'TestFrameAllocGuard|TestEchoAllocGuard|TestCtxSize|TestMemConnAllocGuard|TestIdleConnFootprint|TestIdleStreamFootprint' -count=1 ./internal/rpc/
-	$(GO) test -run 'TestWALAppendBufferReuse|TestServiceAllocGuard|TestStoredDocFootprint' -count=1 ./internal/docstore/
+	$(GO) test -run 'TestServiceAllocGuard|TestStoredDocFootprint' -count=1 ./internal/docstore/
 	$(GO) test -run TestReceiveWaitReadyAllocGuard -count=1 ./internal/mq/
 	$(GO) test -run 'TestStoreHopAllocGuard|TestRelayHopAllocGuard' -count=1 ./internal/svcutil/
 	$(GO) test -run TestRESTAllocGuard -count=1 ./internal/rest/

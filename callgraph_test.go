@@ -18,6 +18,20 @@ import (
 // with the reason it stays. A handler that only tests call is deleted
 // instead, unless it is the only read of state its tier keeps: deleting it
 // would leave a write-only sink. The list may only shrink, as unreached does.
+// unread is every piece of state an app's code under internal/services
+// writes that no non-test code reads, each with the reason it stays: a
+// stored field, number or body, a cache key or a broker topic. State nothing
+// reads is deleted instead, unless deleting it would change what the paper's
+// app does or what a benchmark workload measures. The list may only shrink.
+var unread = map[string]string{
+	"bank.db-credentials/credentials Nums[balance]": "accounts.Register writes it only for a request that carries a balance, which no bank client sends",
+	"social.db-users/users Nums[balance]":           "accounts.Register writes it only for a request that carries a balance, which no social client sends",
+	"ecom.db-carts/carts Body":                      "the one-entry list a cart's first add leaves: a unique prepend is the store's only create-if-absent, and the cart's lines are its Nums",
+	"ecom.db-invoices/invoices Body":                "the paper's invoicing record, one db write per checkout that ecommerce_checkout measures; its fate belongs with that workload",
+	"swarm.db-telemetry/location Body":              "the archived sample itself: ArchivedSamples counts these documents by drone, and a sensor database of empty documents archives nothing",
+	"swarm.db-telemetry/images Body":                "the archived frame itself: ArchivedSamples counts these documents by drone, and an image database of empty documents archives nothing",
+}
+
 var uncalled = map[string]string{
 	"bank.transactionPosting.Ledger": "only read of transactionPosting's ledger entries",
 	"bank.userPreferences.Access":    "only read of userPreferences' stored preferences",
@@ -34,8 +48,12 @@ var uncalled = map[string]string{
 // handler has no non-test caller and is not in uncalled, when a call asks a
 // tier for a method it does not serve, when a call site under
 // internal/services has a target or method the pass cannot resolve to a
-// constant, and when an uncalled entry is stale. -v prints the per-app
-// tier/edge table, the call sites outside internal/services that count on
+// constant, and when an uncalled entry is stale. It holds state to the same
+// rule: per store, cache and broker tier it fails on a field, number, body,
+// cache key or topic code under internal/services writes and no non-test
+// code reads, unless unread lists it, on a store write with no constant
+// collection, and on a stale unread entry. -v prints the per-app tier/edge
+// and state table, the call sites outside internal/services that count on
 // every tier, and the handler wire types with no generated codec.
 func TestCallGraphCensus(t *testing.T) {
 	p, err := loadProgram(".")
@@ -43,11 +61,14 @@ func TestCallGraphCensus(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := callGraphCensus(p)
-	for _, d := range c.defects(uncalled) {
+	for _, d := range append(c.defects(uncalled), c.stateDefects(unread)...) {
 		t.Error(d)
 	}
 	for _, key := range slices.Sorted(maps.Keys(uncalled)) {
 		t.Logf("allowed %s: %s", key, uncalled[key])
+	}
+	for _, key := range slices.Sorted(maps.Keys(unread)) {
+		t.Logf("allowed unread %s: %s", key, unread[key])
 	}
 	c.log(t)
 }
@@ -58,14 +79,23 @@ func TestCallGraphCensus(t *testing.T) {
 // in a struct field, one only through a parameter, and a store handler only
 // through a typed client's method all count as called; a handler only its
 // test calls, a call of a method its tier does not serve and a call under
-// internal/services whose method is not a constant are the three defects.
+// internal/services whose method is not a constant are the three call
+// defects. A stored field read after a Get, one a Find reads, a map read
+// whole, a field only a Find by a name no constant gives reads, a number
+// only AddNum's sum reads, a cache key read back and a topic consumed all
+// count as read; a field and a cache key prefix nothing reads are the two
+// state defects.
 func TestCallGraphCensusFixture(t *testing.T) {
 	p, err := loadProgram(filepath.Join("testdata", "callgraph"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := callGraphCensus(p).defects(nil)
+	c := callGraphCensus(p)
+	got := append(c.defects(nil), c.stateDefects(nil)...)
+	slices.Sort(got)
 	want := []string{
+		"internal/services/notes/notes.go:42:12: notes.db/notes Fields[color]: state no non-test code reads",
+		"internal/services/notes/notes.go:51:12: notes.mc key seen:*: state no non-test code reads",
 		"internal/services/shop/shop.go:66:13: calls shop.stock.Hold, which shop.stock does not serve",
 		"internal/services/shop/shop.go:69:15: call site under internal/services with no constant method",
 		"internal/services/shop/shop.go:87:2: shop.stock.Restock: handler no non-test call reaches",
@@ -100,6 +130,27 @@ type callGraph struct {
 	bus      *types.TypeName
 	internal map[*cgFunc]bool // typed-client bodies: their calls count at the typed call
 	issued   map[*cgFunc]vals
+
+	docSets map[types.Object][]docSet // writes into a local Doc's Fields, Nums or Body
+	keyed   map[types.Object][]ast.Expr
+	elems   map[ast.Expr]bool // right-hand sides of m[k] = v: what assigns records for m is no map
+	settled map[ast.Node]bool // Doc selectors written to, or read under an index
+	unused  map[*ast.CallExpr]bool
+}
+
+// docSet is a write into a Doc-typed variable's field: d.Body = rhs,
+// d.Nums = rhs, or d.Fields[key] = rhs.
+type docSet struct {
+	field    string
+	key, rhs ast.Expr
+}
+
+// docRead is a read of a Doc's field: x.Body, the whole x.Fields or x.Nums
+// map (key nil), or one key of it, x.Fields[key].
+type docRead struct {
+	sel   *ast.SelectorExpr
+	field string
+	key   ast.Expr
 }
 
 // cgFunc is one function body: a declaration or a literal.
@@ -114,6 +165,7 @@ type cgFunc struct {
 	returns []*ast.ReturnStmt
 	calls   []*ast.CallExpr // written directly in this body, not in a nested literal
 	callers []callSite
+	reads   []docRead
 }
 
 type callSite struct {
@@ -159,10 +211,14 @@ type memoKey struct {
 type valKind uint8
 
 const (
-	vTier  valKind = iota // a service name
-	vStr                  // a string constant
-	vStack                // a svcutil.Stack, by its prefix
-	vFunc                 // a function, with its receiver if a method value
+	vTier   valKind = iota // a service name
+	vStr                   // a string constant
+	vStack                 // a svcutil.Stack, by its prefix
+	vFunc                  // a function, with its receiver if a method value
+	vPrefix                // a string built on a constant: s is the constant
+	vDyn                   // a string no constant names
+	vDoc                   // a document a store read returns: s is "tier\x00collection"
+	vItem                  // what a Doc built here holds: s is "Fields\x00name", "Body\x00", …, or "" for the Doc itself
 )
 
 type val struct {
@@ -206,6 +262,10 @@ const (
 // call site, and a Handle written in them registers a caller's handler.
 var plumbing = map[string]bool{"rpc": true, "rest": true, "core": true, "transport": true, "lb": true, "shard": true, "registry": true}
 
+// stores are the packages that implement the store, cache and broker tiers
+// and their typed clients: what they read and write is their callers'.
+var stores = map[string]bool{"svcutil": true, "docstore": true, "kv": true, "mq": true}
+
 func newCallGraph(p *program) *callGraph {
 	g := &callGraph{
 		p: p,
@@ -217,6 +277,8 @@ func newCallGraph(p *program) *callGraph {
 		params: map[*types.Var]paramRef{}, assigns: map[types.Object][]assignment{}, bind: map[*cgFunc]vals{},
 		frames:  map[frame]*frame{},
 		clients: map[*types.TypeName]bool{}, internal: map[*cgFunc]bool{}, issued: map[*cgFunc]vals{},
+		docSets: map[types.Object][]docSet{}, keyed: map[types.Object][]ast.Expr{}, elems: map[ast.Expr]bool{},
+		settled: map[ast.Node]bool{}, unused: map[*ast.CallExpr]bool{},
 	}
 	for _, cp := range p.pkgs {
 		maps.Copy(g.info.Defs, cp.info.Defs)
@@ -314,7 +376,30 @@ func (g *callGraph) walk(n ast.Node, cur *cgFunc) {
 			cur.calls = append(cur.calls, x)
 		case *ast.ReturnStmt:
 			cur.returns = append(cur.returns, x)
+		case *ast.ExprStmt:
+			g.discard(x.X)
+		case *ast.GoStmt:
+			g.discard(x.Call)
+		case *ast.DeferStmt:
+			g.discard(x.Call)
+		case *ast.IndexExpr:
+			if sel, ok := ast.Unparen(x.X).(*ast.SelectorExpr); ok && !g.settled[sel] {
+				if f := g.docField(sel); f != "" {
+					g.settled[sel] = true
+					cur.reads = append(cur.reads, docRead{sel, f, x.Index})
+				}
+			}
+		case *ast.SelectorExpr:
+			if f := g.docField(x); f != "" && !g.settled[x] {
+				cur.reads = append(cur.reads, docRead{sel: x, field: f})
+			}
 		case *ast.AssignStmt:
+			if len(x.Rhs) == 1 && isBlank(x.Lhs[0]) {
+				g.discard(x.Rhs[0])
+			}
+			for _, lhs := range x.Lhs {
+				g.setInto(lhs, len(x.Lhs) == len(x.Rhs), x)
+			}
 			if x.Tok != token.ASSIGN && x.Tok != token.DEFINE {
 				break
 			}
@@ -326,6 +411,9 @@ func (g *callGraph) walk(n ast.Node, cur *cgFunc) {
 				}
 			}
 		case *ast.ValueSpec:
+			if len(x.Values) == 1 && x.Names[0].Name == "_" {
+				g.discard(x.Values[0])
+			}
 			for i, id := range x.Names {
 				if len(x.Values) == len(x.Names) {
 					g.assign(id, x.Values[i], 0)
@@ -355,6 +443,70 @@ func (g *callGraph) walk(n ast.Node, cur *cgFunc) {
 		}
 		return true
 	})
+}
+
+// discard marks a call whose first result nothing reads.
+func (g *callGraph) discard(e ast.Expr) {
+	if call, ok := ast.Unparen(e).(*ast.CallExpr); ok {
+		g.unused[call] = true
+	}
+}
+
+func isBlank(e ast.Expr) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == "_"
+}
+
+// docField names the Doc field sel selects: "Fields", "Nums" or "Body".
+func (g *callGraph) docField(sel *ast.SelectorExpr) string {
+	s := g.info.Selections[sel]
+	if s == nil || s.Kind() != types.FieldVal || !g.isDoc(s.Recv()) {
+		return ""
+	}
+	switch name := s.Obj().Name(); name {
+	case "Fields", "Nums", "Body":
+		return name
+	}
+	return ""
+}
+
+func (g *callGraph) isDoc(t types.Type) bool {
+	named := namedOf(t)
+	return named != nil && g.key(named.Obj()) == "docstore.Doc"
+}
+
+// setInto records what an assignment's left side writes that a Doc's
+// contents are read from: a field of a Doc variable (d.Nums = …,
+// d.Fields[k] = …) or a key of a map variable (m[k] = …). The selectors it
+// writes through are no reads.
+func (g *callGraph) setInto(lhs ast.Expr, paired bool, as *ast.AssignStmt) {
+	var key, rhs ast.Expr
+	if paired {
+		rhs = as.Rhs[slices.Index(as.Lhs, lhs)]
+	}
+	if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
+		lhs, key = ast.Unparen(ix.X), ix.Index
+		if rhs != nil {
+			g.elems[rhs] = true
+		}
+	}
+	switch x := lhs.(type) {
+	case *ast.SelectorExpr:
+		f := g.docField(x)
+		if f == "" {
+			return
+		}
+		g.settled[x] = true
+		if id, ok := ast.Unparen(x.X).(*ast.Ident); ok {
+			if obj := g.info.Uses[id]; obj != nil {
+				g.docSets[obj] = append(g.docSets[obj], docSet{f, key, rhs})
+			}
+		}
+	case *ast.Ident:
+		if obj := g.info.Uses[x]; obj != nil && key != nil {
+			g.keyed[obj] = append(g.keyed[obj], key)
+		}
+	}
 }
 
 func deref(t types.Type) types.Type {
@@ -651,6 +803,9 @@ func (g *callGraph) evalN(e ast.Expr, idx int, ctx *frame) vals {
 	}
 	g.busy[k] = true
 	v := g.evalExpr(e, idx, ctx)
+	if len(v) == 0 && idx == 0 && isString(g.info.TypeOf(e)) {
+		v = vals{{kind: vDyn}: true}
+	}
 	delete(g.busy, k)
 	delete(g.pending, k)
 	if len(g.pending) == 0 {
@@ -659,10 +814,26 @@ func (g *callGraph) evalN(e ast.Expr, idx int, ctx *frame) vals {
 	return v
 }
 
+func isString(t types.Type) bool {
+	b, ok := t.(*types.Basic) // a named string type is a kind of value, not a name
+	return ok && b.Info()&types.IsString != 0
+}
+
 func (g *callGraph) evalExpr(e ast.Expr, idx int, ctx *frame) vals {
 	switch x := e.(type) {
 	case *ast.ParenExpr:
 		return g.evalN(x.X, idx, ctx)
+	case *ast.BinaryExpr:
+		// A string built on a constant is named by that constant.
+		var out vals
+		if x.Op == token.ADD && isString(g.info.TypeOf(x)) {
+			for v := range g.eval(x.X, ctx) {
+				if v.kind == vStr || v.kind == vPrefix {
+					out = out.add(vals{{kind: vPrefix, s: v.s}: true})
+				}
+			}
+		}
+		return out
 	case *ast.StarExpr:
 		return g.eval(x.X, ctx)
 	case *ast.UnaryExpr:
@@ -698,8 +869,26 @@ func (g *callGraph) evalExpr(e ast.Expr, idx int, ctx *frame) vals {
 		}
 		if _, ok := deref(g.info.TypeOf(x)).Underlying().(*types.Struct); ok {
 			// A struct's values live in its fields, but a typed client is the
-			// tier its caller or router reaches.
-			if named := namedOf(g.info.TypeOf(x)); named == nil || !g.clients[named.Obj()] {
+			// tier its caller or router reaches, a ReadPath the tier of its
+			// cache, and a Doc what it holds.
+			named := namedOf(g.info.TypeOf(x))
+			switch {
+			case named != nil && g.key(named.Obj()) == "svcutil.ReadPath":
+				for _, elt := range x.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok && kv.Key.(*ast.Ident).Name == "MC" {
+						return g.eval(kv.Value, ctx)
+					}
+				}
+				return nil
+			case named != nil && g.isDoc(named):
+				out := vals{{kind: vItem}: true}
+				for _, elt := range x.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						out = out.add(g.docItems(kv.Key.(*ast.Ident).Name, nil, kv.Value, ctx))
+					}
+				}
+				return out
+			case named == nil || !g.clients[named.Obj()]:
 				return nil
 			}
 			var out vals
@@ -761,6 +950,9 @@ func (g *callGraph) evalObj(obj types.Object, ctx *frame) vals {
 		}
 		for _, a := range g.assigns[o] {
 			out = out.add(g.evalN(a.rhs, a.index, ctx))
+		}
+		for _, d := range g.docSets[o] {
+			out = out.add(g.docItems(d.field, d.key, d.rhs, ctx))
 		}
 		return out
 	}
@@ -860,6 +1052,14 @@ func (g *callGraph) evalCall(call *ast.CallExpr, idx int, ctx *frame) vals {
 			}
 		case "shard.Router.Route": // a replica set of the router's tier
 			out = out.add(g.eval(c.recv, c.rctx))
+		case "svcutil.DB.Get", "svcutil.DB.Find": // the documents a store read returns
+			if idx == 0 {
+				for _, t := range orAny(g.eval(c.recv, c.rctx).strs(vTier)) {
+					for _, coll := range patterns(g.eval(call.Args[1], ctx)) {
+						out = out.add(vals{{kind: vDoc, s: t + "\x00" + coll}: true})
+					}
+				}
+			}
 		case "core.App.RPC", "core.App.ShardedRPC", "core.App.REST":
 			if idx == 0 {
 				for _, name := range g.eval(call.Args[1], ctx).strs(vStr) {
@@ -868,6 +1068,10 @@ func (g *callGraph) evalCall(call *ast.CallExpr, idx int, ctx *frame) vals {
 			}
 		default:
 			if c.fn == nil || !c.fn.hasBody {
+				continue
+			}
+			if g.pkgOf(c.fn) == "codec" { // a value decoded off the wire is no constant
+				out = out.add(vals{{kind: vDyn}: true})
 				continue
 			}
 			fr := g.frame(c.fn, call, c.recv, c.rctx, ctx)
@@ -1142,11 +1346,16 @@ type cgCensus struct {
 	edges    map[string]bool   // "from → to" from the wiring's constant client names
 	handlers []*cgHandler
 	sites    []*cgSite
+
+	written    map[stateItem]string // state code under internal/services writes → where first
+	read       map[stateItem]bool   // what non-test code reads, as patterns
+	stateBad   []string             // writes the pass cannot place
+	unfollowed []string             // Doc reads from no store read the pass can follow
 }
 
 func callGraphCensus(p *program) *cgCensus {
 	g := newCallGraph(p)
-	c := &cgCensus{g: g, tiers: map[string]string{}, edges: map[string]bool{}}
+	c := &cgCensus{g: g, tiers: map[string]string{}, edges: map[string]bool{}, written: map[stateItem]string{}, read: map[stateItem]bool{}}
 	g.startTiers(c)
 	for tn := range g.clients {
 		for i := range tn.Type().(*types.Named).NumMethods() {
@@ -1163,6 +1372,14 @@ func callGraphCensus(p *program) *cgCensus {
 			for _, ce := range g.staticCallees(call) {
 				g.register(c, handlers, fn, pkg, call, ce)
 				g.site(c, fn, pkg, call, ce)
+				if !stores[pkg] {
+					g.state(c, fn, pkg, call, ce)
+				}
+			}
+		}
+		if !stores[pkg] {
+			for _, r := range fn.reads {
+				g.docRead(c, fn, r)
 			}
 		}
 	}
@@ -1424,12 +1641,327 @@ func (c *cgCensus) log(t *testing.T) {
 		for _, e := range edges {
 			t.Logf("  edge %s", e)
 		}
+		var state []stateItem
+		for w := range c.written {
+			if app(w.tier) == a {
+				state = append(state, w)
+			}
+		}
+		slices.SortFunc(state, func(x, y stateItem) int { return strings.Compare(x.String(), y.String()) })
+		for _, w := range state {
+			status := "read"
+			if !c.readBy(w) {
+				status = "UNREAD"
+			}
+			t.Logf("  state %s: %s", w, status)
+		}
 		t.Logf("  %d handler wire types with no generated codec: %s", len(uncodec), strings.Join(slices.Sorted(maps.Keys(uncodec)), " "))
 	}
 	t.Logf("handler wire types with no generated codec, all apps: %d", len(total))
+	for _, pos := range slices.Sorted(slices.Values(c.unfollowed)) {
+		t.Logf("%s: a Doc read from no store read the census follows, counted on every tier", pos)
+	}
 	for _, s := range c.sites {
 		if !s.services && (s.noTier || s.noMethod) {
 			t.Logf("%s: unresolved outside internal/services, counted on every tier: tiers %v methods %v", s.pos, slices.Sorted(maps.Keys(s.tiers)), slices.Sorted(maps.Keys(s.methods)))
 		}
 	}
+}
+
+// patterns turns the values of a name — a collection, a field, a cache key,
+// a topic — into the names it can be: a constant, a constant prefix
+// ("tag-*": a string built on "tag-", or a constant format up to its first
+// verb), or "*" where some value is no constant.
+func patterns(v vals) []string {
+	var out []string
+	dyn := len(v) == 0
+	for x := range v {
+		switch x.kind {
+		case vStr:
+			if i := strings.IndexByte(x.s, '%'); i >= 0 {
+				out = append(out, x.s[:i]+"*")
+			} else {
+				out = append(out, x.s)
+			}
+		case vPrefix:
+			out = append(out, x.s+"*")
+		default:
+			dyn = true
+		}
+	}
+	if dyn {
+		out = append(out, "*")
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// orAny is names, or "*" — any — when there are none.
+func orAny(names []string) []string {
+	if len(names) == 0 {
+		return []string{"*"}
+	}
+	return names
+}
+
+// overlap reports whether two name patterns can name the same thing.
+func overlap(a, b string) bool {
+	pa, wa := strings.CutSuffix(a, "*")
+	pb, wb := strings.CutSuffix(b, "*")
+	switch {
+	case wa && wb:
+		return strings.HasPrefix(pa, pb) || strings.HasPrefix(pb, pa)
+	case wa:
+		return strings.HasPrefix(b, pa)
+	case wb:
+		return strings.HasPrefix(a, pb)
+	}
+	return a == b
+}
+
+// docItems is what setting a Doc's field writes: "Body", or each key its
+// Fields or Nums map can hold — key names it when one key is set, else the
+// map's keys are read off value.
+func (g *callGraph) docItems(field string, key, value ast.Expr, ctx *frame) vals {
+	var names []string
+	switch {
+	case field == "Body":
+		names = []string{""}
+	case field != "Fields" && field != "Nums":
+		return nil
+	case key != nil:
+		names = patterns(g.eval(key, ctx))
+	default:
+		names = g.mapKeys(value, ctx, 0)
+	}
+	var out vals
+	for _, n := range names {
+		out = out.add(vals{{kind: vItem, s: field + "\x00" + n}: true})
+	}
+	return out
+}
+
+// mapKeys is the keys a map expression can hold: a literal's, or a local
+// map's over its literals and its m[k] = v writes. A map from anywhere else
+// holds any key.
+func (g *callGraph) mapKeys(e ast.Expr, ctx *frame, depth int) []string {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.CompositeLit:
+		var out []string
+		for _, elt := range x.Elts {
+			if kv, ok := elt.(*ast.KeyValueExpr); ok {
+				out = append(out, patterns(g.eval(kv.Key, ctx))...)
+			}
+		}
+		return out
+	case *ast.Ident:
+		if x.Name == "nil" {
+			return nil
+		}
+		obj := g.info.Uses[x]
+		if v, ok := obj.(*types.Var); ok && !v.IsField() && depth < 4 {
+			if _, param := g.params[v]; !param {
+				var out []string
+				for _, a := range g.assigns[v] {
+					if !g.elems[a.rhs] {
+						out = append(out, g.mapKeys(a.rhs, ctx, depth+1)...)
+					}
+				}
+				for _, k := range g.keyed[v] {
+					out = append(out, patterns(g.eval(k, ctx))...)
+				}
+				return out
+			}
+		}
+	}
+	return []string{"*"}
+}
+
+// stateItem is one piece of state a tier keeps: a stored document's field,
+// number or body in one collection (kind "Fields", "Nums", "Body"), a cache
+// key (kind "key") or a broker topic (kind "topic"). A read names its tier,
+// collection and name as patterns: "*" is any.
+type stateItem struct{ tier, coll, kind, name string }
+
+// String names an item as unread keys it.
+func (s stateItem) String() string {
+	switch s.kind {
+	case "key", "topic":
+		return s.tier + " " + s.kind + " " + s.name
+	case "Body":
+		return s.tier + "/" + s.coll + " Body"
+	}
+	return fmt.Sprintf("%s/%s %s[%s]", s.tier, s.coll, s.kind, s.name)
+}
+
+// state records what a store, cache or broker call written in fn writes and
+// reads: Put writes what its Doc holds, AddNum a number, ListPrepend a body,
+// Set and Incr a key, Publish a topic; Find reads a field, Get, MGet and a
+// ReadPath's Get a key, Consume, Push and Serve a topic, and AddNum, Incr and
+// ListPrepend read what they return — the sum, the count, the list's length
+// or whether a unique prepend found its value — when something takes it. Only code under
+// internal/services counts as a writer; every non-test package reads.
+func (g *callGraph) state(c *cgCensus, fn *cgFunc, pkg string, call *ast.CallExpr, ce callee) {
+	if ce.obj == nil {
+		return
+	}
+	arg := func(i int) ast.Expr { return call.Args[min(i, len(call.Args)-1)] }
+	tier, kind := ce.recv, ""
+	var coll, name, doc ast.Expr
+	var write, read bool
+	switch k := g.key(ce.obj); k {
+	case "svcutil.DB.Put":
+		coll, doc, write = arg(1), arg(2), true
+	case "svcutil.DB.AddNum":
+		coll, kind, name, write, read = arg(1), "Nums", arg(3), true, !g.unused[call]
+	case "svcutil.DB.ListPrepend", "svcutil.DB.ListPrependUnique":
+		coll, kind, write, read = arg(1), "Body", true, !g.unused[call]
+	case "svcutil.DB.Find":
+		coll, kind, name, read = arg(1), "Fields", arg(2), true
+	case "svcutil.KV.Set":
+		kind, name, write = "key", arg(1), true
+	case "svcutil.KV.Incr":
+		kind, name, write, read = "key", arg(1), true, !g.unused[call]
+	case "svcutil.KV.Get", "svcutil.KV.MGet", "svcutil.ReadPath.Get":
+		kind, name, read = "key", arg(1), true
+	case "svcutil.Stack.Serve", "mq.Serve":
+		tier, kind, name, read = arg(1), "topic", arg(2), true
+	default:
+		tn := g.clientOf(ce.obj)
+		if tn == nil || g.bus == nil || tn.Pkg() != g.bus.Pkg() {
+			return
+		}
+		switch ce.obj.Name() {
+		case "Publish", "PublishKey":
+			kind, name, write = "topic", arg(1), true
+		case "Consume", "Push":
+			kind, name, read = "topic", arg(1), true
+		default:
+			return
+		}
+	}
+	write = write && strings.HasPrefix(pkg, "services/")
+	if !write && !read {
+		return
+	}
+	g.eachContext(fn, func(ctx *frame, last bool) bool {
+		tiers, colls := g.eval(tier, ctx).strs(vTier), []string{""}
+		if coll != nil {
+			colls = patterns(g.eval(coll, ctx))
+		}
+		constant := len(tiers) > 0 && !slices.ContainsFunc(colls, func(c string) bool { return strings.HasSuffix(c, "*") })
+		if !constant && !last {
+			return false
+		}
+		var items []stateItem // tier and collection filled in below
+		if doc != nil {
+			for v := range g.eval(doc, ctx) {
+				if k, n, ok := strings.Cut(v.s, "\x00"); v.kind == vItem && ok {
+					items = append(items, stateItem{kind: k, name: n})
+				}
+			}
+		} else if name != nil {
+			for _, n := range patterns(g.eval(name, ctx)) {
+				items = append(items, stateItem{kind: kind, name: n})
+			}
+		} else {
+			items = []stateItem{{kind: kind}}
+		}
+		if write && !constant {
+			c.stateBad = append(c.stateBad, fmt.Sprintf("%s: store write under internal/services with no constant tier or collection", g.pos(call)))
+			write = false
+		}
+		for _, t := range orAny(tiers) {
+			for _, cl := range colls {
+				for _, it := range items {
+					it.tier, it.coll = t, cl
+					if _, seen := c.written[it]; write && !seen {
+						c.written[it] = g.pos(call)
+					}
+					if read {
+						c.read[it] = true
+					}
+				}
+			}
+		}
+		return true
+	})
+}
+
+// docRead records a read of a stored document's field written in fn: under
+// each calling context, the documents r.sel.X holds are the ones the store
+// reads it came from returned. A Doc this code built is no store's; one
+// from nowhere the pass can follow is read on every tier.
+func (g *callGraph) docRead(c *cgCensus, fn *cgFunc, r docRead) {
+	g.eachContext(fn, func(ctx *frame, last bool) bool {
+		var from []string
+		built := false
+		for v := range g.eval(r.sel.X, ctx) {
+			switch v.kind {
+			case vDoc:
+				from = append(from, v.s)
+			case vItem:
+				built = true
+			}
+		}
+		if len(from) == 0 && !last {
+			return false
+		}
+		if len(from) == 0 {
+			if built {
+				return true
+			}
+			c.unfollowed = append(c.unfollowed, g.pos(r.sel))
+			from = []string{"*\x00*"}
+		}
+		names := []string{""}
+		if r.field != "Body" {
+			names = []string{"*"} // the whole map
+			if r.key != nil {
+				names = patterns(g.eval(r.key, ctx))
+			}
+		}
+		for _, f := range from {
+			t, cl, _ := strings.Cut(f, "\x00")
+			for _, n := range names {
+				c.read[stateItem{t, cl, r.field, n}] = true
+			}
+		}
+		return true
+	})
+}
+
+// readBy reports whether some read can name w.
+func (c *cgCensus) readBy(w stateItem) bool {
+	for r := range c.read {
+		if r.kind == w.kind && overlap(w.tier, r.tier) && overlap(w.coll, r.coll) && overlap(w.name, r.name) {
+			return true
+		}
+	}
+	return false
+}
+
+// stateDefects are the state census's failures, given the allowlist of
+// state no non-test code reads.
+func (c *cgCensus) stateDefects(allowed map[string]string) []string {
+	out := slices.Clone(c.stateBad)
+	found := map[string]bool{}
+	for w, pos := range c.written {
+		if c.readBy(w) {
+			continue
+		}
+		found[w.String()] = true
+		if reason, ok := allowed[w.String()]; !ok {
+			out = append(out, fmt.Sprintf("%s: %s: state no non-test code reads", pos, w))
+		} else if reason == "" {
+			out = append(out, fmt.Sprintf("unread[%q] has no reason", w.String()))
+		}
+	}
+	for key := range allowed {
+		if !found[key] {
+			out = append(out, fmt.Sprintf("unread[%q] is stale: the census finds it read or gone; delete the entry", key))
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }

@@ -52,7 +52,7 @@ var targets = []target{
 		roots: []any{
 			docstore.Doc{}, docstore.PutReq{}, docstore.GetReq{}, docstore.GetResp{},
 			docstore.FindReq{}, docstore.FindResp{},
-			docstore.ListPrependReq{}, docstore.ListPrependResp{}, docstore.WALRecord{},
+			docstore.ListPrependReq{}, docstore.ListPrependResp{},
 			docstore.AddNumReq{}, docstore.AddNumResp{},
 		},
 	},

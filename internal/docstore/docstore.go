@@ -8,10 +8,8 @@
 // indexes only the fields createIndex names, a field no Find reads costs no
 // index.
 //
-// Durability is optional: with a write-ahead log attached, every mutation
-// is appended to the log before being applied, and Open replays the log on
-// startup. No tier boots a WAL today: every application, tool and example
-// runs its stores in memory, and only the tests open one.
+// A store lives in memory, as every tier runs it: nothing is logged or
+// replayed, and a tier's documents last as long as its process.
 package docstore
 
 import (
@@ -20,7 +18,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"dsb/internal/codec"
@@ -49,7 +46,6 @@ type Doc struct {
 type Store struct {
 	mu          sync.RWMutex // guards collections; written only on first use of a name
 	collections map[string]*Collection
-	wal         atomic.Pointer[WAL]
 }
 
 // NewStore creates an in-memory store.
@@ -73,12 +69,12 @@ func (s *Store) collection(name string, keep bool) *Collection {
 	}
 	own := strings.Clone(name)
 	if !keep {
-		return newCollection(own, s)
+		return newCollection(own)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.collections[own] == nil {
-		s.collections[own] = newCollection(own, s)
+		s.collections[own] = newCollection(own)
 	}
 	return s.collections[own]
 }
@@ -91,8 +87,7 @@ func (s *Store) collection(name string, keep bool) *Collection {
 // RPC service moves documents in and out without building a Doc, nothing a
 // caller holds can alias what is stored, and a key may point into it.
 type Collection struct {
-	name  string
-	store *Store
+	name string
 
 	mu sync.RWMutex
 	// encs holds the documents by number. Nothing deletes a document, so
@@ -105,11 +100,10 @@ type Collection struct {
 	// field's first Find and kept by apply from then on.
 	indexes map[string]index
 
-	// mutMu serializes mutations: a read-modify-write (Update, ListPrepend,
-	// AddNum) cannot lose another's change, and because it is held across
-	// the WAL append and the apply, log order is apply order. Lock order is
-	// mutMu, then the WAL's own mutex inside logPut, then mu; logPut takes no
-	// store lock.
+	// mutMu serializes mutations: a read-modify-write (ListPrepend, AddNum)
+	// cannot lose another's change, and none holds mu while it builds the
+	// new encoding, so readers wait only for the install. Lock order is
+	// mutMu, then mu.
 	mutMu sync.Mutex
 }
 
@@ -117,8 +111,8 @@ type Collection struct {
 // carry it, in ID order.
 type index map[string]*[]int32
 
-func newCollection(name string, store *Store) *Collection {
-	return &Collection{name: name, store: store, ids: make(map[string]int32)}
+func newCollection(name string) *Collection {
+	return &Collection{name: name, ids: make(map[string]int32)}
 }
 
 // Put inserts or replaces a document by ID.
@@ -142,19 +136,15 @@ func (c *Collection) putWire(doc []byte) error {
 	enc := bytes.Clone(doc)
 	c.mutMu.Lock()
 	defer c.mutMu.Unlock()
-	return c.commit(enc)
+	c.commit(enc)
+	return nil
 }
 
-// commit logs and then stores enc, a canonical encoding the caller gives up;
-// mutMu is held.
-func (c *Collection) commit(enc []byte) error {
-	if err := c.logPut(enc); err != nil {
-		return err
-	}
+// commit stores enc, a canonical encoding the caller gives up; mutMu is held.
+func (c *Collection) commit(enc []byte) {
 	c.mu.Lock()
 	c.apply(enc)
 	c.mu.Unlock()
-	return nil
 }
 
 // apply installs enc under mu. A replace re-indexes only when the fields'
@@ -338,24 +328,6 @@ func decodeAll(b []byte) []Doc {
 	return resp.Docs
 }
 
-// Update atomically applies fn to the document: fn receives a copy and
-// returns the new version, and no other Update, ListPrepend or AddNum can
-// interleave between the read and the write. Returns NotFound if the
-// document does not exist. (Plain Put remains last-writer-wins, matching
-// the document stores the suite models.)
-func (c *Collection) Update(id string, fn func(Doc) Doc) error {
-	c.mutMu.Lock()
-	defer c.mutMu.Unlock()
-
-	enc, ok := c.encoded(id)
-	if !ok {
-		return rpc.NotFoundf("docstore: %s/%s", c.name, id)
-	}
-	updated := fn(decode(enc))
-	updated.ID = id
-	return c.commit(encode(&updated))
-}
-
 // ListPrepend atomically prepends value to the codec-encoded []string
 // stored in the document's body, creating the document if absent, and
 // truncating the list to max entries when max > 0. It returns the new list
@@ -410,7 +382,8 @@ func (c *Collection) listPrepend(id, value string, max int, unique bool) (n int,
 	enc := make([]byte, 0, p.body+codec.LenSize(size)+size)
 	enc = codec.AppendLen(append(enc, old[:p.body]...), size)
 	enc = codec.AppendString(codec.AppendLen(enc, n), value)
-	return n, true, c.commit(append(enc, elems[:keep]...))
+	c.commit(append(enc, elems[:keep]...))
+	return n, true, nil
 }
 
 // AddNum atomically adds delta to a numeric field (absent counts as 0) unless
@@ -418,13 +391,13 @@ func (c *Collection) listPrepend(id, value string, max int, unique bool) (n int,
 // whether the document exists and whether the add applied. Adds commute, so
 // replicas that apply the same ones agree. It splices, as listPrepend does:
 // field's entry among the nums is replaced, or inserted in key order.
-func (c *Collection) AddNum(id, field string, delta, floor int64) (value int64, found, ok bool, err error) {
+func (c *Collection) AddNum(id, field string, delta, floor int64) (value int64, found, ok bool) {
 	c.mutMu.Lock()
 	defer c.mutMu.Unlock()
 
 	old, found := c.encoded(id)
 	if !found {
-		return 0, false, false, nil
+		return 0, false, false
 	}
 	p, _ := layoutOf(old)
 	r := reader{b: old[p.nums:p.body]}
@@ -443,7 +416,7 @@ func (c *Collection) AddNum(id, field string, delta, floor int64) (value int64, 
 		break
 	}
 	if value += delta; value < floor {
-		return value - delta, true, false, nil
+		return value - delta, true, false
 	}
 	if lo == hi {
 		n++
@@ -452,27 +425,6 @@ func (c *Collection) AddNum(id, field string, delta, floor int64) (value int64, 
 	entry := codec.AppendInt(codec.AppendString(scratch[:0], field), value)
 	enc := make([]byte, 0, p.nums+codec.LenSize(n)+len(old)-first-(hi-lo)+len(entry))
 	enc = append(codec.AppendLen(append(enc, old[:p.nums]...), n), old[first:lo]...)
-	return value, true, true, c.commit(append(append(enc, entry...), old[hi:]...))
-}
-
-// All returns every document, ID-sorted. Intended for tests and small
-// administrative scans.
-func (c *Collection) All() []Doc {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	ns := c.byID()
-	out := make([]Doc, len(ns))
-	for i, n := range ns {
-		out[i] = decode(c.encs[n])
-	}
-	return out
-}
-
-func (c *Collection) logPut(doc []byte) error {
-	if wal := c.store.wal.Load(); wal != nil {
-		if err := wal.append(c.name, doc); err != nil {
-			return fmt.Errorf("docstore: wal append: %w", err)
-		}
-	}
-	return nil
+	c.commit(append(append(enc, entry...), old[hi:]...))
+	return value, true, true
 }

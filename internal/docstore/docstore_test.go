@@ -3,8 +3,6 @@ package docstore
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -87,56 +85,46 @@ func TestReindexOnUpdate(t *testing.T) {
 	}
 }
 
-func TestUpdateFn(t *testing.T) {
-	s := NewStore()
-	c := s.Collection("accounts")
-	c.Put(Doc{ID: "a", Nums: map[string]int64{"balance": 100}}) //nolint:errcheck
-	err := c.Update("a", func(d Doc) Doc {
-		d.Nums["balance"] -= 30
-		return d
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := c.Get("a")
-	if got.Nums["balance"] != 70 {
-		t.Fatalf("balance = %d", got.Nums["balance"])
-	}
-	if err := c.Update("ghost", func(d Doc) Doc { return d }); !rpc.IsCode(err, rpc.CodeNotFound) {
-		t.Fatalf("want NotFound, got %v", err)
-	}
-}
-
-// Regression: Update used to release the collection lock between running
-// fn and re-applying the result, so two concurrent Updates could both read
-// the same starting state and one increment would vanish. With mutMu
-// serializing read-modify-write ops, every increment must land.
+// A document's mutators are read-modify-writes on one encoding: AddNum
+// splices a number in, ListPrepend a new body. mutMu serializes them, so
+// adds and prepends racing on one document must all land; if either
+// re-encoded from a stale read, it would drop the other's change.
 func TestUpdateConcurrentAtomic(t *testing.T) {
 	s := NewStore()
 	c := s.Collection("accounts")
-	c.Put(Doc{ID: "a", Nums: map[string]int64{"n": 0}}) //nolint:errcheck
-	const workers, incrs = 8, 50
+	if _, err := c.ListPrepend("a", "seed", 0); err != nil {
+		t.Fatal(err)
+	}
+	const workers, steps = 8, 50
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < incrs; i++ {
-				err := c.Update("a", func(d Doc) Doc {
-					d.Nums["n"]++
-					return d
-				})
-				if err != nil {
+			for i := 0; i < steps; i++ {
+				if w%2 == 0 {
+					if _, found, ok := c.AddNum("a", "n", 1, 0); !found || !ok {
+						t.Errorf("AddNum = %v, %v", found, ok)
+						return
+					}
+				} else if _, err := c.ListPrepend("a", fmt.Sprintf("w%d-%d", w, i), 0); err != nil {
 					t.Error(err)
 					return
 				}
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
 	got, _ := c.Get("a")
-	if got.Nums["n"] != workers*incrs {
-		t.Fatalf("n = %d, want %d (lost updates)", got.Nums["n"], workers*incrs)
+	var list []string
+	if err := codec.Unmarshal(got.Body, &list); err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(workers / 2 * steps); got.Nums["n"] != want {
+		t.Errorf("n = %d, want %d (lost adds)", got.Nums["n"], want)
+	}
+	if want := 1 + workers/2*steps; len(list) != want {
+		t.Errorf("list holds %d entries, want %d (lost prepends)", len(list), want)
 	}
 }
 
@@ -327,79 +315,6 @@ func TestCollectionCreatedOnceUnderConcurrentFirstUse(t *testing.T) {
 	}
 	if names := s.Collections(); len(names) != 1 {
 		t.Fatalf("Collections() = %v", names)
-	}
-}
-
-func TestWALPersistence(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "store.wal")
-
-	s, w, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := s.Collection("posts")
-	for i := 0; i < 10; i++ {
-		if err := c.Put(Doc{ID: fmt.Sprintf("p%d", i), Fields: map[string]string{"parity": fmt.Sprint(i % 2)}, Body: []byte("body")}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Update("p4", func(d Doc) Doc { d.Body = []byte("updated"); return d }); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, w2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w2.Close()
-	c2 := s2.Collection("posts")
-	if c2.Len() != 10 {
-		t.Fatalf("recovered %d docs, want 10", c2.Len())
-	}
-	got, _ := c2.Get("p4")
-	if string(got.Body) != "updated" {
-		t.Fatalf("update lost: %q", got.Body)
-	}
-	// Index rebuilt from log.
-	if r := c2.Find("parity", "1", 0); len(r) != 5 {
-		t.Fatalf("recovered index finds %d odd posts, want 5", len(r))
-	}
-}
-
-func TestWALTornTailTolerated(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "store.wal")
-	s, w, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Collection("c").Put(Doc{ID: "keep", Body: []byte("x")}) //nolint:errcheck
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a crash mid-append: garbage half-record at the tail.
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write([]byte{200, 0, 0, 0, 1, 2, 3}) //nolint:errcheck
-	f.Close()
-
-	s2, w2, err := Open(path)
-	if err != nil {
-		t.Fatalf("recovery failed on torn tail: %v", err)
-	}
-	defer w2.Close()
-	if _, ok := s2.Collection("c").Get("keep"); !ok {
-		t.Fatal("intact record lost during torn-tail recovery")
-	}
-	// The store must accept new writes after truncating the tail.
-	if err := s2.Collection("c").Put(Doc{ID: "new", Body: []byte("y")}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -18,3 +18,15 @@ func (c *Collection) Len() int {
 	defer c.mu.RUnlock()
 	return len(c.encs)
 }
+
+// All returns every document, ID-sorted.
+func (c *Collection) All() []Doc {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	ns := c.byID()
+	out := make([]Doc, len(ns))
+	for i, n := range ns {
+		out[i] = decode(c.encs[n])
+	}
+	return out
+}

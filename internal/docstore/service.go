@@ -110,10 +110,7 @@ func RegisterService(srv *rpc.Server, store *Store) {
 	})
 	rpc.HandleTyped(srv, "AddNum", func(ctx *rpc.Ctx, req *AddNumReq) ([]byte, error) {
 		c := store.collection(req.Collection, false)
-		v, found, ok, err := c.AddNum(req.ID, req.Field, req.Delta, req.Floor)
-		if err != nil {
-			return nil, err
-		}
+		v, found, ok := c.AddNum(req.ID, req.Field, req.Delta, req.Floor)
 		return ctx.Reply(&AddNumResp{Value: v, Found: found, OK: ok})
 	})
 }

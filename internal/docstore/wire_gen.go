@@ -46,10 +46,6 @@ func init() {
 		m := v.(ListPrependResp)
 		return m.AppendTo(b)
 	})
-	codec.Register[WALRecord](func(b []byte, v any) ([]byte, error) {
-		m := v.(WALRecord)
-		return m.AppendTo(b)
-	})
 	codec.Register[AddNumReq](func(b []byte, v any) ([]byte, error) {
 		m := v.(AddNumReq)
 		return m.AppendTo(b)
@@ -671,73 +667,6 @@ func (*ListPrependResp) SkipFrom(b []byte) ([]byte, error) {
 		return nil, err
 	}
 	if _, b, err = codec.DecBool(b); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// AppendTo appends m's wire encoding to b (codec.Message fast path).
-func (m *WALRecord) AppendTo(b []byte) ([]byte, error) {
-	if m == nil {
-		return nil, codec.ErrNilMessage
-	}
-	var err error
-	_ = err
-	b = codec.AppendUint(b, uint64(m.Kind))
-	b = codec.AppendString(b, string(m.Collection))
-	if b, err = m.Doc.AppendTo(b); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// DecodeFrom consumes m's wire encoding from b, returning the rest.
-// Every string it decodes is a substring of one copy of b.
-func (m *WALRecord) DecodeFrom(b []byte) ([]byte, error) {
-	if m == nil {
-		return nil, codec.ErrNilMessage
-	}
-	return m.decodeFrom(b, string(b))
-}
-
-// decodeFrom is DecodeFrom within a decode whose copy of its input is s,
-// of which b is a suffix.
-func (m *WALRecord) decodeFrom(b []byte, s string) ([]byte, error) {
-	var err error
-	_ = err
-	{
-		v1, rest, derr := codec.DecUint8(b)
-		if derr != nil {
-			return nil, derr
-		}
-		m.Kind = uint8(v1)
-		b = rest
-	}
-	{
-		v2, rest, derr := codec.DecStringOf(b, s)
-		if derr != nil {
-			return nil, derr
-		}
-		m.Collection = string(v2)
-		b = rest
-	}
-	if b, err = m.Doc.decodeFrom(b, s); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// SkipFrom returns b past the WALRecord encoding at its front: every check
-// DecodeFrom makes, nothing built (codec.Skip fast path).
-func (*WALRecord) SkipFrom(b []byte) ([]byte, error) {
-	var err error
-	if _, b, err = codec.DecUint8(b); err != nil {
-		return nil, err
-	}
-	if _, b, err = codec.DecStringBytes(b); err != nil {
-		return nil, err
-	}
-	if b, err = (*Doc)(nil).SkipFrom(b); err != nil {
 		return nil, err
 	}
 	return b, nil

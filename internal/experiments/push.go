@@ -4,17 +4,16 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dsb/internal/codec"
+	"dsb/internal/core"
 	"dsb/internal/loadgen"
 	"dsb/internal/mq"
-	"dsb/internal/registry"
 	"dsb/internal/rpc"
-	"dsb/internal/shard"
+	"dsb/internal/svcutil"
 )
 
 // Push experiment: what does a standing push stream buy over a consume poll
@@ -54,10 +53,10 @@ type pushResult struct {
 	idlePolls   int // the subset that returned empty — pure polling tax
 }
 
-// pushRig is a bare partitioned broker tier (no app on top): brokers behind
-// RPC servers with a Consume-counting interceptor, grouped into shards.
+// pushRig is a bare partitioned broker tier (no app on top), booted as an
+// app boots one, with a Consume-counting interceptor on every broker server.
 type pushRig struct {
-	bus         *mq.Partitioned
+	bus         mq.Bus
 	consumeRPCs atomic.Int64
 	idlePolls   atomic.Int64
 	close       func()
@@ -65,12 +64,7 @@ type pushRig struct {
 
 func bootPushRig() (*pushRig, error) {
 	rig := &pushRig{}
-	net := rpc.NewMem()
-	reg := registry.New()
-	var servers []*rpc.Server
-	for s := 0; s < pushShards; s++ {
-		b := mq.NewBroker()
-		srv := rpc.NewServer("broker")
+	app := core.NewApp("push", core.Options{DisableTracing: true, RPCServerHook: func(_ string, srv *rpc.Server) {
 		srv.Use(func(ctx *rpc.Ctx, payload []byte, next rpc.Handler) ([]byte, error) {
 			out, err := next(ctx, payload)
 			if ctx.Method == "Consume" {
@@ -81,23 +75,15 @@ func bootPushRig() (*pushRig, error) {
 			}
 			return out, err
 		})
-		mq.RegisterService(srv, b)
-		addr, err := srv.Start(net, fmt.Sprintf("broker/s%d", s))
-		if err != nil {
-			return nil, err
-		}
-		reg.RegisterInstance("broker", addr, map[string]string{shard.MetaShard: strconv.Itoa(s)})
-		servers = append(servers, srv)
+	}})
+	st := &svcutil.Stack{App: app, Prefix: "push.", BrokerShards: pushShards}
+	st.StartBroker("broker", nil)
+	if err := st.Boot(); err != nil {
+		app.Close()
+		return nil, err
 	}
-	router := shard.NewRouter(net, "broker")
-	router.Sync(reg.Instances("broker"))
-	rig.bus = mq.NewPartitioned(router)
-	rig.close = func() {
-		for _, srv := range servers {
-			srv.Close()
-		}
-		router.Close()
-	}
+	rig.bus = st.MQ("consumer", "broker")
+	rig.close = func() { app.Close() }
 	return rig, nil
 }
 

@@ -43,7 +43,7 @@ func registerCustomerInfo(srv *rpc.Server, db svcutil.DB, mc svcutil.KV) {
 		if err != nil {
 			return nil, err
 		}
-		if err := db.Put(ctx, "customers", docstore.Doc{ID: c.Username, Fields: map[string]string{"segment": c.Segment}, Body: body}); err != nil {
+		if err := db.Put(ctx, "customers", docstore.Doc{ID: c.Username, Body: body}); err != nil {
 			return nil, err
 		}
 		mc.Delete(ctx, "cust:"+c.Username) //nolint:errcheck
@@ -147,7 +147,7 @@ func registerTransactionPosting(srv *rpc.Server, db svcutil.DB) {
 		if err != nil {
 			return err
 		}
-		return db.Put(ctx, "accounts", docstore.Doc{ID: a.ID, Fields: map[string]string{"owner": a.Owner, "kind": a.Kind}, Body: body})
+		return db.Put(ctx, "accounts", docstore.Doc{ID: a.ID, Fields: map[string]string{"owner": a.Owner}, Body: body})
 	}
 
 	svcutil.Handle(srv, "Open", func(ctx *rpc.Ctx, req *OpenAccountReq) (*OpenAccountResp, error) {

@@ -228,7 +228,7 @@ func registerCreditCard(srv *rpc.Server, auth, customer, posting, acl svcutil.Ca
 		if err != nil {
 			return err
 		}
-		return db.Put(ctx, "cards", docstore.Doc{ID: c.Number, Fields: map[string]string{"owner": c.Owner}, Body: body})
+		return db.Put(ctx, "cards", docstore.Doc{ID: c.Number, Body: body})
 	}
 
 	svcutil.Handle(srv, "Open", func(ctx *rpc.Ctx, req *OpenCardReq) (*CardResp, error) {

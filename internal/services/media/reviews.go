@@ -74,7 +74,6 @@ func registerReviewStorage(srv *rpc.Server, db svcutil.DB, mc svcutil.KV) {
 		if err := db.Put(ctx, "reviews", doc); err != nil {
 			return nil, err
 		}
-		mc.Set(ctx, "review:"+r.ID, body, reviewCacheTTL) //nolint:errcheck
 		// Invalidate the movie's cached review list.
 		mc.Delete(ctx, "movie-reviews:"+r.MovieID) //nolint:errcheck
 		return nil, nil

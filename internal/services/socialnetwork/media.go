@@ -68,7 +68,7 @@ func registerMedia(srv *rpc.Server, db svcutil.DB, uid svcutil.Caller) {
 		if err != nil {
 			return nil, err
 		}
-		if err := db.Put(ctx, "media", docstore.Doc{ID: m.ID, Fields: map[string]string{"kind": m.Kind}, Body: body}); err != nil {
+		if err := db.Put(ctx, "media", docstore.Doc{ID: m.ID, Body: body}); err != nil {
 			return nil, err
 		}
 		return &UploadMediaResp{Media: m}, nil

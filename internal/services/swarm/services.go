@@ -150,8 +150,9 @@ type StoreFrameReq struct {
 
 // registerTelemetry installs the cloud sensor databases (LocationDB,
 // SpeedDB, OrientationDB, LuminosityDB, ImageDB of Figure 8) behind one
-// RPC surface. The tier itself is stateless logic: samples persist into
-// per-sensor collections of the db-telemetry store tier, which shards like
+// RPC surface. The tier itself is stateless logic: a sample, which carries
+// every sensor's reading, persists once into the location collection and a
+// frame into images, both on the db-telemetry store tier, which shards like
 // every other stateful tier in the suite. Samples arrive as unary
 // Report/StoreFrame calls, one RTT each.
 func registerTelemetry(srv *rpc.Server, db svcutil.DB) {
@@ -167,18 +168,11 @@ func registerTelemetry(srv *rpc.Server, db svcutil.DB) {
 		if err != nil {
 			return nil, err
 		}
-		n := seq.Add(1)
-		for _, col := range []string{"location", "speed", "orientation", "luminosity"} {
-			doc := docstore.Doc{
-				ID:     fmt.Sprintf("%s-%d-%d", req.DroneID, req.At, n),
-				Fields: map[string]string{"drone": req.DroneID},
-				Body:   body,
-			}
-			if err := db.Put(ctx, col, doc); err != nil {
-				return nil, err
-			}
-		}
-		return nil, nil
+		return nil, db.Put(ctx, "location", docstore.Doc{
+			ID:     fmt.Sprintf("%s-%d-%d", req.DroneID, req.At, seq.Add(1)),
+			Fields: map[string]string{"drone": req.DroneID},
+			Body:   body,
+		})
 	})
 	svcutil.Handle(srv, "StoreFrame", func(ctx *rpc.Ctx, req *StoreFrameReq) (*struct{}, error) {
 		body, err := codec.Marshal(*req)
@@ -187,7 +181,7 @@ func registerTelemetry(srv *rpc.Server, db svcutil.DB) {
 		}
 		return nil, db.Put(ctx, "images", docstore.Doc{
 			ID:     fmt.Sprintf("%s-%d-%d-%d", req.DroneID, req.At.X, req.At.Y, time.Now().UnixNano()),
-			Fields: map[string]string{"drone": req.DroneID, "label": req.Label},
+			Fields: map[string]string{"drone": req.DroneID},
 			Body:   body,
 		})
 	})

@@ -40,15 +40,10 @@ var unreached = map[string]string{
 	"codec.JSONBool":      "cmd/codecgen emits it for a bool field of a JSON type",
 	"codec.JSONUint":      "cmd/codecgen emits it for an unsigned field of a JSON type",
 
-	// The one deliberate survivor.
-	"docstore.Open": "durability substrate ROADMAP item 9 records op IDs in (or that item 14(d) deletes); no tier boots it today",
-
 	// Seams other packages' tests need, so they cannot move into a _test.go.
-	"docstore.Collection.All":    "svcutil's WAL-replay test compares the live and the replayed store",
-	"docstore.Collection.Update": "svcutil's WAL-replay test mixes in-process read-modify-writes with RPC writes",
-	"loadgen.ConstantRate":       "deterministic arrivals for loadgen's and fault's open-loop tests",
-	"rpc.IsCode":                 "the coded-error predicate tests in thirteen packages assert with",
-	"rpc.Server.Resume":          "restarts a hung replica in core's Revive seam and ecommerce's hung-catalogue test",
+	"loadgen.ConstantRate": "deterministic arrivals for loadgen's and fault's open-loop tests",
+	"rpc.IsCode":           "the coded-error predicate tests in thirteen packages assert with",
+	"rpc.Server.Resume":    "restarts a hung replica in core's Revive seam and ecommerce's hung-catalogue test",
 
 	// State only a test reads.
 	"experiments.chaosResult.schedule": "the reproducibility witness TestChaosRecoveryShape compares across two same-seed live runs",
@@ -227,7 +222,7 @@ func loadProgram(dir string) (*program, error) {
 
 // reachCensus runs the census over the module rooted at dir. Names are the
 // import path below <module>/internal/, then the declaration, with a
-// method or field qualified by its type: "docstore.WAL.Append".
+// method or field qualified by its type: "docstore.Collection.Put".
 func reachCensus(dir string) (*census, error) {
 	p, err := loadProgram(dir)
 	if err != nil {

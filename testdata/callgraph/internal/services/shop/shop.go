@@ -79,7 +79,7 @@ func level(ctx context.Context, stock svcutil.Caller) error {
 // through the typed client's Get; only shop_test.go calls Restock.
 func registerStock(srv *rpc.Server, db svcutil.DB) {
 	svcutil.Handle(srv, "Reserve", func(ctx *rpc.Ctx, req *AddReq) (*struct{}, error) {
-		_, err := db.Get(ctx, req.Item)
+		_, _, err := db.Get(ctx, "stock", req.Item)
 		return nil, err
 	})
 	svcutil.Handle(srv, "Level", func(ctx *rpc.Ctx, req *struct{}) (*struct{}, error) { return nil, nil })
