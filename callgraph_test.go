@@ -26,7 +26,6 @@ import (
 var unread = map[string]string{
 	"bank.db-credentials/credentials Nums[balance]": "accounts.Register writes it only for a request that carries a balance, which no bank client sends",
 	"social.db-users/users Nums[balance]":           "accounts.Register writes it only for a request that carries a balance, which no social client sends",
-	"ecom.db-carts/carts Body":                      "the one-entry list a cart's first add leaves: a unique prepend is the store's only create-if-absent, and the cart's lines are its Nums",
 	"ecom.db-invoices/invoices Body":                "the paper's invoicing record, one db write per checkout that ecommerce_checkout measures; its fate belongs with that workload",
 	"swarm.db-telemetry/location Body":              "the archived sample itself: ArchivedSamples counts these documents by drone, and a sensor database of empty documents archives nothing",
 	"swarm.db-telemetry/images Body":                "the archived frame itself: ArchivedSamples counts these documents by drone, and an image database of empty documents archives nothing",
@@ -74,8 +73,8 @@ func TestCallGraphCensus(t *testing.T) {
 }
 
 // TestCallGraphCensusFixture pins the census's rules on a module built to
-// probe them: a handler reached only through a Relay's downstream method,
-// one only through a rest.Forward route, one only through a dependency kept
+// probe them: a handler reached only through a Relay's downstream method on
+// a tier core.App.Define registers, one only through a rest.Forward route, one only through a dependency kept
 // in a struct field, one only through a parameter, and a store handler only
 // through a typed client's method all count as called; a handler only its
 // test calls, a call of a method its tier does not serve and a call under
@@ -96,9 +95,9 @@ func TestCallGraphCensusFixture(t *testing.T) {
 	want := []string{
 		"internal/services/notes/notes.go:42:12: notes.db/notes Fields[color]: state no non-test code reads",
 		"internal/services/notes/notes.go:51:12: notes.mc key seen:*: state no non-test code reads",
-		"internal/services/shop/shop.go:66:13: calls shop.stock.Hold, which shop.stock does not serve",
-		"internal/services/shop/shop.go:69:15: call site under internal/services with no constant method",
-		"internal/services/shop/shop.go:87:2: shop.stock.Restock: handler no non-test call reaches",
+		"internal/services/shop/shop.go:70:13: calls shop.stock.Hold, which shop.stock does not serve",
+		"internal/services/shop/shop.go:73:15: call site under internal/services with no constant method",
+		"internal/services/shop/shop.go:91:2: shop.stock.Restock: handler no non-test call reaches",
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("census of the fixture:\n\t%s\nwant:\n\t%s", strings.Join(got, "\n\t"), strings.Join(want, "\n\t"))
@@ -1167,12 +1166,10 @@ func (g *callGraph) startTiers(c *cgCensus) {
 					regs = service("kv.RegisterService")
 				case "svcutil.Stack.StartBroker":
 					tiers, regs = prefixed(names(0)), service("mq.RegisterService")
-				case "core.App.StartRPC", "core.App.StartREST", "core.App.StartRPCInstance":
+				case "core.App.StartRPC", "core.App.StartREST", "core.App.Define":
 					tiers, regs = names(0), g.funcsOf(g.eval(args[1], nil), false)
-				case "core.App.StartRPCShard", "core.App.StartRPCShardInstance":
+				case "core.App.StartRPCShard":
 					tiers, regs = names(0), g.funcsOf(g.eval(args[2], nil), false)
-				case "svcutil.StartReplicas":
-					tiers, regs = names(1), g.funcsOf(g.eval(args[3], nil), true)
 				case "svcutil.StartShardReplicas":
 					tiers, regs = names(1), g.funcsOf(g.eval(args[4], nil), true)
 				case "rpc.NewServer":

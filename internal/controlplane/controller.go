@@ -11,10 +11,11 @@ import (
 	"dsb/internal/rpc"
 )
 
-// Spawner starts and stops live replicas of a service. core-based apps use
-// AppSpawner; tests use fakes. Spawn must register the new replica in the
-// registry before returning (AppSpawner does via core.App), and Stop must
-// deregister before draining, so balancers follow within one watch.
+// Spawner starts and stops live replicas of a service. A *core.App is one:
+// it spawns the tiers its app Defined (svcutil.Stack.Start does so for every
+// replicable tier) and stops only replicas it spawned; tests use fakes. Spawn
+// must register the new replica in the registry before returning, and Stop
+// must deregister before draining, so balancers follow within one watch.
 type Spawner interface {
 	Spawn(service string) (addr string, err error)
 	Stop(service, addr string) error

@@ -22,5 +22,7 @@
 //
 // Plane bundles them for core.App: install its hooks via
 // core.Options.RPCServerHook/RESTServerHook and every replica the app
-// starts gets admission control and a report endpoint automatically.
+// starts gets admission control and a report endpoint automatically. The
+// App is the Controller's Spawner too: every tier it has Defined can be
+// scaled, with no opt-in from the app built on it.
 package controlplane

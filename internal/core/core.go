@@ -49,6 +49,7 @@ type App struct {
 	servers   []*rpc.Server
 	rests     []*rest.Server
 	instances map[string][]*Instance
+	defined   map[string]func(*rpc.Server)
 	closed    bool
 }
 
@@ -92,6 +93,7 @@ func NewApp(name string, opts Options) *App {
 		rpcHook:  opts.RPCServerHook, restHook: opts.RESTServerHook,
 		leaseTTL:  opts.LeaseTTL,
 		instances: make(map[string][]*Instance),
+		defined:   make(map[string]func(*rpc.Server)),
 	}
 	if a.Net == nil {
 		a.Net = rpc.NewMem()
@@ -118,11 +120,59 @@ func NewApp(name string, opts Options) *App {
 // install handlers, then the server starts listening and is entered into
 // the registry. It returns the instance address.
 func (a *App) StartRPC(service string, register func(*rpc.Server)) (string, error) {
-	inst, err := a.StartRPCInstance(service, register)
+	inst, err := a.startRPCInstance(service, nil, register)
 	if err != nil {
 		return "", err
 	}
 	return inst.Addr, nil
+}
+
+// Define records how to build a replica of a stateless service, so Spawn can
+// start more of it at any time: every replica runs the same registration. A
+// tier nobody defines — a store, a cache, a replica that carries its own
+// identity or index shard — can never be cloned.
+func (a *App) Define(service string, register func(*rpc.Server)) {
+	a.mu.Lock()
+	a.defined[service] = register
+	a.mu.Unlock()
+}
+
+// Spawn starts one more replica of a service Define recorded and returns its
+// address; with Stop it is the Spawner the control plane scales through.
+func (a *App) Spawn(service string) (string, error) {
+	a.mu.Lock()
+	register, ok := a.defined[service]
+	a.mu.Unlock()
+	if !ok {
+		return "", fmt.Errorf("core: %q is not defined, so it cannot be spawned", service)
+	}
+	inst, err := a.startRPCInstance(service, nil, register)
+	if err != nil {
+		return "", err
+	}
+	a.mu.Lock()
+	inst.spawned = true
+	a.mu.Unlock()
+	return inst.Addr, nil
+}
+
+// Stop stops a replica Spawn started: it deregisters first, so balancers stop
+// routing to it, then drains and closes it. Any other replica is refused, so
+// a tier never shrinks below what booted it outside Spawn.
+func (a *App) Stop(service, addr string) error {
+	var inst *Instance
+	a.mu.Lock()
+	for _, i := range a.instances[service] {
+		if i.Addr == addr && i.spawned {
+			inst, i.spawned = i, false
+			break
+		}
+	}
+	a.mu.Unlock()
+	if inst == nil {
+		return fmt.Errorf("core: %s replica %s was not spawned", service, addr)
+	}
+	return inst.Stop()
 }
 
 // Instance is a handle to one running replica started through the app. Stop
@@ -135,8 +185,9 @@ type Instance struct {
 	Service string
 	Addr    string
 
-	srv  *rpc.Server
-	once sync.Once
+	srv     *rpc.Server
+	once    sync.Once
+	spawned bool // guarded by the App's mu; Stop clears it
 
 	mu      sync.Mutex
 	stopHB  func()
@@ -176,23 +227,12 @@ func (i *Instance) Kill() {
 // into replica sets. Every replica of every shard shares the one service
 // name; only the metadata tells them apart.
 func (a *App) StartRPCShard(service string, shardIdx int, register func(*rpc.Server)) (string, error) {
-	inst, err := a.StartRPCShardInstance(service, shardIdx, register)
+	meta := map[string]string{shard.MetaShard: strconv.Itoa(shardIdx)}
+	inst, err := a.startRPCInstance(service, meta, register)
 	if err != nil {
 		return "", err
 	}
 	return inst.Addr, nil
-}
-
-// StartRPCShardInstance is StartRPCShard returning the replica handle.
-func (a *App) StartRPCShardInstance(service string, shardIdx int, register func(*rpc.Server)) (*Instance, error) {
-	meta := map[string]string{shard.MetaShard: strconv.Itoa(shardIdx)}
-	return a.startRPCInstance(service, meta, register)
-}
-
-// StartRPCInstance is StartRPC returning a handle that can stop the replica
-// individually — the Spawner primitive the control plane scales with.
-func (a *App) StartRPCInstance(service string, register func(*rpc.Server)) (*Instance, error) {
-	return a.startRPCInstance(service, nil, register)
 }
 
 func (a *App) startRPCInstance(service string, meta map[string]string, register func(*rpc.Server)) (*Instance, error) {

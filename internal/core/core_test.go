@@ -335,7 +335,7 @@ func TestKillEvictsViaLeaseAndReviveReturns(t *testing.T) {
 			})
 		}
 		for i := 0; i < 2; i++ {
-			if _, err := app.StartRPCInstance("backend", register); err != nil {
+			if _, err := app.StartRPC("backend", register); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -394,4 +394,42 @@ func TestKillEvictsViaLeaseAndReviveReturns(t *testing.T) {
 			t.Fatalf("backends = %v after revive, want 2", got)
 		}
 	})
+}
+
+// TestSpawnAndStopKeepToDefinedReplicas pins the two rules the control plane
+// scales by: Spawn starts replicas only of a tier Define recorded, and Stop
+// stops only a replica Spawn started — never a StartRPC one, never twice.
+func TestSpawnAndStopKeepToDefinedReplicas(t *testing.T) {
+	app := NewApp("test", Options{})
+	defer app.Close()
+	register := func(s *rpc.Server) {
+		s.Handle("Ping", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) { return nil, nil })
+	}
+	if _, err := app.Spawn("backend"); err == nil {
+		t.Fatal("Spawn of a tier nobody defined succeeded")
+	}
+	static, err := app.StartRPC("backend", register)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := app.Stop("backend", static); err == nil {
+		t.Fatal("Stop of a StartRPC replica succeeded")
+	}
+	app.Define("backend", register)
+	spawned, err := app.Spawn("backend")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := app.Registry.Lookup("backend"); len(got) != 2 {
+		t.Fatalf("backend serves %v after a spawn, want two replicas", got)
+	}
+	if err := app.Stop("backend", spawned); err != nil {
+		t.Fatal(err)
+	}
+	if got := app.Registry.Lookup("backend"); len(got) != 1 || got[0] != static {
+		t.Fatalf("backend serves %v after stopping %s, want only %s", got, spawned, static)
+	}
+	if err := app.Stop("backend", spawned); err == nil {
+		t.Fatal("second Stop of one replica succeeded")
+	}
 }

@@ -388,16 +388,21 @@ func (c *Collection) listPrepend(id, value string, max int, unique bool) (n int,
 
 // AddNum atomically adds delta to a numeric field (absent counts as 0) unless
 // the sum would fall below floor, and reports the field's value afterwards,
-// whether the document exists and whether the add applied. Adds commute, so
-// replicas that apply the same ones agree. It splices, as listPrepend does:
-// field's entry among the nums is replaced, or inserted in key order.
-func (c *Collection) AddNum(id, field string, delta, floor int64) (value int64, found, ok bool) {
+// whether the document existed and whether the add applied. A missing
+// document is left missing, unless create is set: then it is created holding
+// just field, in the same step. Adds commute, so replicas that apply the same
+// ones agree. It splices, as listPrepend does: field's entry among the nums
+// is replaced, or inserted in key order.
+func (c *Collection) AddNum(id, field string, delta, floor int64, create bool) (value int64, found, ok bool) {
 	c.mutMu.Lock()
 	defer c.mutMu.Unlock()
 
 	old, found := c.encoded(id)
 	if !found {
-		return 0, false, false
+		if !create || id == "" {
+			return 0, false, false
+		}
+		old = encode(&Doc{ID: id})
 	}
 	p, _ := layoutOf(old)
 	r := reader{b: old[p.nums:p.body]}
@@ -416,7 +421,7 @@ func (c *Collection) AddNum(id, field string, delta, floor int64) (value int64, 
 		break
 	}
 	if value += delta; value < floor {
-		return value - delta, true, false
+		return value - delta, found, false
 	}
 	if lo == hi {
 		n++
@@ -426,5 +431,5 @@ func (c *Collection) AddNum(id, field string, delta, floor int64) (value int64, 
 	enc := make([]byte, 0, p.nums+codec.LenSize(n)+len(old)-first-(hi-lo)+len(entry))
 	enc = append(codec.AppendLen(append(enc, old[:p.nums]...), n), old[first:lo]...)
 	c.commit(append(append(enc, entry...), old[hi:]...))
-	return value, true, true
+	return value, found, true
 }

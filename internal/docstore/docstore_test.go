@@ -103,7 +103,7 @@ func TestUpdateConcurrentAtomic(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < steps; i++ {
 				if w%2 == 0 {
-					if _, found, ok := c.AddNum("a", "n", 1, 0); !found || !ok {
+					if _, found, ok := c.AddNum("a", "n", 1, 0, false); !found || !ok {
 						t.Errorf("AddNum = %v, %v", found, ok)
 						return
 					}
@@ -276,7 +276,7 @@ func TestConcurrentAccess(t *testing.T) {
 					c.Get(id)
 					c.Find("g", fmt.Sprint(g), 10)
 				case 2:
-					c.AddNum(id, "i", 1, 0) //nolint:errcheck
+					c.AddNum(id, "i", 1, 0, false) //nolint:errcheck
 				}
 			}
 		}(g)

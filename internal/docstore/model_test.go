@@ -18,7 +18,7 @@ type backend interface {
 	Put(d Doc) error
 	Get(id string) (Doc, bool)
 	Prepend(id, value string, max int, unique bool) (int, error)
-	AddNum(id, field string, delta, floor int64) (int64, bool, bool)
+	AddNum(id, field string, delta, floor int64, create bool) (int64, bool, bool)
 	Find(field, value string, limit int) []Doc
 }
 
@@ -63,16 +63,20 @@ func (m model) Prepend(id, value string, max int, unique bool) (int, error) {
 	return len(list), m.Put(d)
 }
 
-func (m model) AddNum(id, field string, delta, floor int64) (int64, bool, bool) {
+func (m model) AddNum(id, field string, delta, floor int64, create bool) (int64, bool, bool) {
 	d, ok := m[id]
-	if !ok {
+	if !ok && (!create || id == "") {
 		return 0, false, false
 	}
+	if !ok {
+		d = decode(encode(&Doc{ID: id}))
+	}
 	if d.Nums[field]+delta < floor {
-		return d.Nums[field], true, false
+		return d.Nums[field], ok, false
 	}
 	d.Nums[field] += delta
-	return d.Nums[field], true, true
+	m[id] = d
+	return d.Nums[field], ok, true
 }
 
 func (m model) scan(keep func(Doc) bool, less func(a, b Doc) bool, limit int) []Doc {
@@ -123,9 +127,9 @@ func (r remote) Prepend(id, value string, max int, unique bool) (int, error) {
 	return int(resp.Len), err
 }
 
-func (r remote) AddNum(id, field string, delta, floor int64) (int64, bool, bool) {
+func (r remote) AddNum(id, field string, delta, floor int64, create bool) (int64, bool, bool) {
 	var resp AddNumResp
-	if err := r.cl.Call(bg, "AddNum", AddNumReq{Collection: "c", ID: id, Field: field, Delta: delta, Floor: floor}, &resp); err != nil {
+	if err := r.cl.Call(bg, "AddNum", AddNumReq{Collection: "c", ID: id, Field: field, Delta: delta, Floor: floor, Create: create}, &resp); err != nil {
 		panic(err)
 	}
 	return resp.Value, resp.Found, resp.OK
@@ -220,9 +224,9 @@ func randomOp(rng *rand.Rand) (string, func(b backend) []any) {
 			return []any{n, err != nil}
 		}
 	case 6:
-		floor := int64(rng.Intn(5) - 6)
-		return fmt.Sprintf("AddNum(%q, %q, %d, %d)", id, num, n, floor), func(b backend) []any {
-			v, found, ok := b.AddNum(id, num, n, floor)
+		floor, create := int64(rng.Intn(5)-6), rng.Intn(2) == 0
+		return fmt.Sprintf("AddNum(%q, %q, %d, %d, %v)", id, num, n, floor, create), func(b backend) []any {
+			v, found, ok := b.AddNum(id, num, n, floor, create)
 			return []any{v, found, ok}
 		}
 	default:

@@ -59,10 +59,12 @@ type ListPrependResp struct {
 }
 
 // AddNumReq atomically adds Delta to a numeric field of a document unless
-// the sum would fall below Floor (see Collection.AddNum).
+// the sum would fall below Floor, creating a missing document when Create
+// is set (see Collection.AddNum).
 type AddNumReq struct {
 	Collection, ID, Field string
 	Delta, Floor          int64
+	Create                bool
 }
 
 // AddNumResp is the field's value after the call, and what AddNum reports.
@@ -75,9 +77,9 @@ type AddNumResp struct {
 // Get, Find, ListPrepend and AddNum — the "mongodb" tier in the
 // application graphs. Documents cross it in wire form: Put validates and
 // stores the request's Doc bytes, and the reads append stored bytes to a
-// pooled reply sized for them, so no handler builds a Doc. Only Put and
-// ListPrepend create a collection; asking about a name nobody has written
-// leaves nothing behind.
+// pooled reply sized for them, so no handler builds a Doc. Only Put,
+// ListPrepend and a creating AddNum create a collection; asking about a name
+// nobody has written leaves nothing behind.
 func RegisterService(srv *rpc.Server, store *Store) {
 	srv.Handle("Put", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
 		// A PutReq is the collection name, then the Doc.
@@ -109,8 +111,8 @@ func RegisterService(srv *rpc.Server, store *Store) {
 		return ctx.Reply(&ListPrependResp{Len: int64(n), Inserted: inserted})
 	})
 	rpc.HandleTyped(srv, "AddNum", func(ctx *rpc.Ctx, req *AddNumReq) ([]byte, error) {
-		c := store.collection(req.Collection, false)
-		v, found, ok := c.AddNum(req.ID, req.Field, req.Delta, req.Floor)
+		c := store.collection(req.Collection, req.Create)
+		v, found, ok := c.AddNum(req.ID, req.Field, req.Delta, req.Floor, req.Create)
 		return ctx.Reply(&AddNumResp{Value: v, Found: found, OK: ok})
 	})
 }

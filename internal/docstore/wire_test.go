@@ -97,7 +97,7 @@ func TestFindsOfUncarriedFieldsIndexNothing(t *testing.T) {
 
 func TestAddNum(t *testing.T) {
 	col := NewStore().Collection("accounts")
-	if _, found, _ := col.AddNum("a", "balance", 1, 0); found {
+	if _, found, _ := col.AddNum("a", "balance", 1, 0, false); found {
 		t.Fatal("AddNum found a document that is not there")
 	}
 	doc := Doc{ID: "a", Fields: map[string]string{"salt": "s"}, Nums: map[string]int64{"balance": 100, "zz": 7}, Body: []byte("b")}
@@ -119,7 +119,7 @@ func TestAddNum(t *testing.T) {
 		{"zzz", 1, 0, 1, true},   // absent, appended
 		{"zz", -8, 0, 7, false},
 	} {
-		v, found, ok := col.AddNum("a", step.field, step.delta, step.floor)
+		v, found, ok := col.AddNum("a", step.field, step.delta, step.floor, false)
 		if !found || v != step.value || ok != step.ok {
 			t.Fatalf("AddNum(%q, %d, floor %d) = %d, %v, %v; want %d, true, %v", step.field, step.delta, step.floor, v, found, ok, step.value, step.ok)
 		}
@@ -146,7 +146,7 @@ func TestAddNum(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < adds; i++ {
-				if _, _, ok := col.AddNum("a", "zz", 1, 0); !ok {
+				if _, _, ok := col.AddNum("a", "zz", 1, 0, false); !ok {
 					t.Error("AddNum did not apply")
 					return
 				}

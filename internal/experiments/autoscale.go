@@ -141,30 +141,34 @@ func runAutoscale(cfg aslConfig) aslResult {
 	}
 	app := core.NewApp("autoscale", opts)
 	defer app.Close()
-	sp := controlplane.NewAppSpawner(app)
 
-	// Without admission the worker bound lives in the server itself, with
-	// an unbounded queue in front — the collapse configuration.
+	// Without admission the worker bound is a semaphore around the handler,
+	// with an unbounded queue in front — the collapse configuration.
 	bound := func(s *rpc.Server, n int) {
 		if !cfg.admission {
-			s.SetConcurrency(n)
+			sem := make(chan struct{}, n)
+			s.Use(func(ctx *rpc.Ctx, payload []byte, next rpc.Handler) ([]byte, error) {
+				sem <- struct{}{}
+				defer func() { <-sem }()
+				return next(ctx, payload)
+			})
 		}
 	}
-	sp.Define("asl.text", func(s *rpc.Server) {
+	app.Define("asl.text", func(s *rpc.Server) {
 		bound(s, textWorkers)
 		s.Handle("Render", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
 			time.Sleep(textWork)
 			return nil, nil
 		})
 	})
-	if _, err := sp.Spawn("asl.text"); err != nil {
+	if _, err := app.Spawn("asl.text"); err != nil {
 		return aslResult{}
 	}
 	textCl, err := app.RPC("asl.compose", "asl.text")
 	if err != nil {
 		return aslResult{}
 	}
-	sp.Define("asl.compose", func(s *rpc.Server) {
+	app.Define("asl.compose", func(s *rpc.Server) {
 		bound(s, composeWorkers)
 		s.Handle("Compose", func(ctx *rpc.Ctx, payload []byte) ([]byte, error) {
 			time.Sleep(composeWork)
@@ -172,7 +176,7 @@ func runAutoscale(cfg aslConfig) aslResult {
 		})
 	})
 	for i := 0; i < 2; i++ {
-		if _, err := sp.Spawn("asl.compose"); err != nil {
+		if _, err := app.Spawn("asl.compose"); err != nil {
 			return aslResult{}
 		}
 	}
@@ -197,7 +201,7 @@ func runAutoscale(cfg aslConfig) aslResult {
 		ctrl = controlplane.NewController(controlplane.ControllerConfig{
 			Registry: app.Registry,
 			Network:  app.Net,
-			Spawner:  sp,
+			Spawner:  app,
 			Policy:   cfg.policy,
 			Interval: 100 * time.Millisecond,
 			Services: []controlplane.ManagedService{

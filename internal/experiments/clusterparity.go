@@ -16,7 +16,6 @@ import (
 	"dsb/internal/services/media"
 	"dsb/internal/services/socialnetwork"
 	"dsb/internal/services/swarm"
-	"dsb/internal/svcutil"
 	"dsb/internal/transport"
 )
 
@@ -301,33 +300,28 @@ func cpBoot(withPlane bool) (*cpCluster, error) {
 	// exactly the Fig 17 collapse channel when offered hops exceed capacity
 	// — and waiters give up when their request deadline expires.
 	mw := []transport.Middleware{fault.Capacity{Slots: cpMachineCores, ServiceTime: cpHopCost}.Middleware()}
-	sp := controlplane.NewAppSpawner(app)
-	var spawner svcutil.Definer
-	if withPlane {
-		spawner = sp
-	}
 
 	sn, err := socialnetwork.New(app, socialnetwork.Config{
-		Shards: 2, ShardReplicas: 2, Middleware: mw, Spawner: spawner,
+		Shards: 2, ShardReplicas: 2, Middleware: mw,
 	})
 	if err != nil {
 		return fail(fmt.Errorf("social: %w", err))
 	}
 	md, err := media.New(app, media.Config{
-		Shards: 2, ShardReplicas: 2, Middleware: mw, Spawner: spawner,
+		Shards: 2, ShardReplicas: 2, Middleware: mw,
 	})
 	if err != nil {
 		return fail(fmt.Errorf("media: %w", err))
 	}
 	ec, err := ecommerce.New(app, ecommerce.Config{
-		Shards: 2, ShardReplicas: 2, Middleware: mw, Spawner: spawner,
+		Shards: 2, ShardReplicas: 2, Middleware: mw,
 	})
 	if err != nil {
 		return fail(fmt.Errorf("ecommerce: %w", err))
 	}
 	cl.closers = append(cl.closers, ec.Close)
 	bk, err := banking.New(app, banking.Config{
-		Shards: 2, ShardReplicas: 2, Middleware: mw, Spawner: spawner,
+		Shards: 2, ShardReplicas: 2, Middleware: mw,
 	})
 	if err != nil {
 		return fail(fmt.Errorf("banking: %w", err))
@@ -335,7 +329,7 @@ func cpBoot(withPlane bool) (*cpCluster, error) {
 	sw, err := swarm.New(app, swarm.Config{
 		Placement: swarm.Edge, Drones: 1, WorldSize: 24, Seed: 7,
 		WifiRTT: 200 * time.Microsecond,
-		Shards:  2, ShardReplicas: 2, Middleware: mw, Spawner: spawner,
+		Shards:  2, ShardReplicas: 2, Middleware: mw,
 	})
 	if err != nil {
 		return fail(fmt.Errorf("swarm: %w", err))
@@ -428,7 +422,7 @@ func cpBoot(withPlane bool) (*cpCluster, error) {
 		cl.ctrl = controlplane.NewController(controlplane.ControllerConfig{
 			Registry: app.Registry,
 			Network:  app.Net,
-			Spawner:  sp,
+			Spawner:  app,
 			Policy:   controlplane.LatencyAware{QoS: cpQoS},
 			Interval: 100 * time.Millisecond,
 			Services: []controlplane.ManagedService{

@@ -365,46 +365,6 @@ func TestDispatchFollowsLateRegistration(t *testing.T) {
 	}
 }
 
-func TestConcurrencyLimit(t *testing.T) {
-	vtime.Run(t, func() {
-		n := NewMem()
-		var inflight, peak atomic.Int64
-		s := NewServer("limited")
-		s.SetConcurrency(2)
-		s.Handle("Work", func(ctx *Ctx, payload []byte) ([]byte, error) {
-			cur := inflight.Add(1)
-			for {
-				p := peak.Load()
-				if cur <= p || peak.CompareAndSwap(p, cur) {
-					break
-				}
-			}
-			vtime.Advance(20 * time.Millisecond)
-			inflight.Add(-1)
-			return nil, nil
-		})
-		addr, err := s.Start(n, "limited:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		c := NewClient(n, "limited", addr)
-		defer c.Close()
-		var wg sync.WaitGroup
-		for i := 0; i < 8; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				c.Call(context.Background(), "Work", nil, nil) //nolint:errcheck
-			}()
-		}
-		wg.Wait()
-		if p := peak.Load(); p != 2 {
-			t.Fatalf("peak concurrency %d, want the limit, 2", p)
-		}
-	})
-}
-
 func TestDuplicateHandlerPanics(t *testing.T) {
 	s := NewServer("dup")
 	s.Handle("M", func(ctx *Ctx, payload []byte) ([]byte, error) { return nil, nil })

@@ -101,7 +101,6 @@ type Server struct {
 	interceptors []ServerInterceptor
 	acc          Acceptor
 	wg           sync.WaitGroup // one per one-way frame and stream in flight
-	sem          chan struct{}  // nil = unlimited concurrency
 	hung         atomic.Bool
 	onClose      []func()
 	oneways      chan frame
@@ -137,19 +136,6 @@ func (s *Server) Use(i ServerInterceptor) {
 	defer s.mu.Unlock()
 	s.interceptors = append(s.interceptors, i)
 	s.publishDispatchLocked()
-}
-
-// SetConcurrency bounds the number of requests processed simultaneously.
-// Zero or negative means unlimited. Used by the backpressure experiments to
-// model a tier with fixed worker capacity.
-func (s *Server) SetConcurrency(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n <= 0 {
-		s.sem = nil
-		return
-	}
-	s.sem = make(chan struct{}, n)
 }
 
 // Hang switches the server into the failure mode of a crashed-but-connected
@@ -387,12 +373,6 @@ func composeChain(h Handler, chain []ServerInterceptor) Handler {
 // return value goes back as the End frame.
 func (s *Server) dispatchStream(st *ServerStream, base context.Context, f frame) {
 	defer s.wg.Done()
-	if s.sem != nil {
-		// A stream holds one concurrency slot for its lifetime, like the
-		// long-poll request it replaces.
-		s.sem <- struct{}{}
-		defer func() { <-s.sem }()
-	}
 	ctx := &Ctx{Context: base, Method: f.method, Service: s.service, Trace: f.trace}
 
 	s.mu.Lock()
@@ -417,10 +397,6 @@ func (s *Server) dispatchStream(st *ServerStream, base context.Context, f frame)
 // f is the connection reader's frame, or for a one-way a worker's copy of
 // it.
 func (s *Server) dispatch(conn net.Conn, cw *connWriter, f *frame) {
-	if s.sem != nil {
-		s.sem <- struct{}{}
-		defer func() { <-s.sem }()
-	}
 	ctx := &Ctx{Context: context.Background(), Method: f.method, Service: s.service, Trace: f.trace}
 	if f.deadline != 0 {
 		var cancel context.CancelFunc

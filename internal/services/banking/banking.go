@@ -27,9 +27,6 @@ type Config struct {
 	ShardReplicas int
 	// Middleware is installed on every inter-tier client wire.
 	Middleware []transport.Middleware
-	// Spawner, when set, receives replicable tier boots so the control plane
-	// can autoscale them.
-	Spawner svcutil.Definer
 }
 
 // replicable names the logic tiers safe to run multi-instance: their state
@@ -68,7 +65,6 @@ func New(app *core.App, cfg Config) (*Banking, error) {
 		ShardReplicas: cfg.ShardReplicas,
 		Middleware:    cfg.Middleware,
 		Replicable:    replicable,
-		Spawner:       cfg.Spawner,
 	}
 	if err := stack.StartStores("db-customers", "db-accounts", "db-credentials", "db-activity", "db-cards", "db-portfolios", "db-preferences"); err != nil {
 		return nil, err

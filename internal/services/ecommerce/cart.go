@@ -25,22 +25,14 @@ type CartResp struct{ Lines []CartLine }
 
 // registerCart installs the cart service (Java tier in Figure 6): a cart is
 // a document per user whose numbers are its lines, item ID to quantity, so
-// an add is one store-side add that no concurrent one can lose.
+// an add is one store-side add that no concurrent one can lose, and the
+// first one creates the cart in the same step.
 func registerCart(srv *rpc.Server, db svcutil.DB) {
 	svcutil.Handle(srv, "Add", func(ctx *rpc.Ctx, req *CartAddReq) (*struct{}, error) {
 		if req.Username == "" || req.ItemID == "" || req.Quantity <= 0 {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "cart: invalid add")
 		}
-		_, found, _, err := db.AddNum(ctx, "carts", req.Username, req.ItemID, req.Quantity, 0)
-		if err != nil || found {
-			return nil, err
-		}
-		// A first add creates the cart. A unique prepend is the store's one
-		// create-if-absent: a Put could wipe a concurrent first add's line.
-		if _, err := db.ListPrependUnique(ctx, "carts", req.Username, "", 1); err != nil {
-			return nil, err
-		}
-		_, _, _, err = db.AddNum(ctx, "carts", req.Username, req.ItemID, req.Quantity, 0)
+		_, _, _, err := db.AddNum(ctx, "carts", req.Username, req.ItemID, req.Quantity, 0, true)
 		return nil, err
 	})
 

@@ -139,7 +139,7 @@ func registerCatalogue(srv *rpc.Server, db svcutil.DB, mc svcutil.KV) {
 	})
 
 	svcutil.Handle(srv, "AdjustStock", func(ctx *rpc.Ctx, req *AdjustStockReq) (*struct{}, error) {
-		stock, found, ok, err := db.AddNum(ctx, "items", req.ItemID, "stock", req.Delta, 0)
+		stock, found, ok, err := db.AddNum(ctx, "items", req.ItemID, "stock", req.Delta, 0, false)
 		switch {
 		case err != nil:
 			return nil, err

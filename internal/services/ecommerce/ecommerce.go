@@ -33,9 +33,6 @@ type Config struct {
 	// consumer group, so raising it parallelizes commits without
 	// double-delivering orders.
 	OrderWorkers int
-	// Spawner, when set, receives replicable stage boots so the control
-	// plane can autoscale them.
-	Spawner svcutil.Definer
 }
 
 // replicable names the stages safe to run multi-instance: all their state
@@ -73,7 +70,6 @@ func New(app *core.App, cfg Config) (*Ecommerce, error) {
 		ShardReplicas: cfg.ShardReplicas,
 		Middleware:    cfg.Middleware,
 		Replicable:    replicable,
-		Spawner:       cfg.Spawner,
 	}
 	if err := stack.StartStores("db-catalogue", "db-carts", "db-orders", "db-accounts", "db-invoices", "db-wishlists"); err != nil {
 		return nil, err

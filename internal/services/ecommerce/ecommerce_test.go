@@ -2,7 +2,9 @@ package ecommerce
 
 import (
 	"context"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -450,6 +452,48 @@ func TestCartAddConcurrentNoLostUpdates(t *testing.T) {
 	}
 	if len(cart.Lines) != 1 || cart.Lines[0].Quantity != workers*adds {
 		t.Fatalf("cart = %+v after %d adds of one sock, want one line of %d", cart.Lines, workers*adds, workers*adds)
+	}
+}
+
+// A cart's first add creates the cart in the same store-side step: two first
+// adds of different items racing on one new cart keep both lines, and each
+// add costs the cart tier one store hop, where a missing add, a create and a
+// second add took three.
+func TestCartFirstAddsRaceKeepBothLines(t *testing.T) {
+	var hops atomic.Int64 // calls from the cart tier to its store
+	ec := bootEcom(t, func(next transport.Invoker) transport.Invoker {
+		return func(ctx context.Context, call *transport.Call) error {
+			if call.Target == "ecom.db-carts" {
+				hops.Add(1)
+			}
+			return next(ctx, call)
+		}
+	})
+	ctx := context.Background()
+	const carts = 20
+	for i := 0; i < carts; i++ {
+		user := fmt.Sprintf("pair-%d", i)
+		var wg sync.WaitGroup
+		for _, item := range []string{"sock-red", "hat-sun"} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := ec.Cart.Call(ctx, "Add", CartAddReq{Username: user, ItemID: item, Quantity: 1}, nil); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		var cart CartResp
+		if err := ec.Cart.Call(ctx, "Get", CartReq{Username: user}, &cart); err != nil {
+			t.Fatal(err)
+		}
+		if len(cart.Lines) != 2 {
+			t.Fatalf("cart %s = %+v after two racing first adds, want both lines", user, cart.Lines)
+		}
+	}
+	if got, want := hops.Load(), int64(3*carts); got != want {
+		t.Fatalf("cart tier made %d store calls for %d carts of two adds and a Get each, want %d", got, carts, want)
 	}
 }
 

@@ -39,7 +39,7 @@ func registerAccountInfo(srv *rpc.Server, db svcutil.DB, mc svcutil.KV) {
 	// One store-side AddNum: accountInfo is replicated, and a Get, a check and
 	// a Put from two replicas would both debit the same opening balance.
 	svcutil.Handle(srv, "Debit", func(ctx *rpc.Ctx, req *AuthorizePaymentReq) (*struct{}, error) {
-		_, found, ok, err := db.AddNum(ctx, "accounts", req.Username, "balance", -req.AmountCents, 0)
+		_, found, ok, err := db.AddNum(ctx, "accounts", req.Username, "balance", -req.AmountCents, 0, false)
 		switch {
 		case err != nil:
 			return nil, err

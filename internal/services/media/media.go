@@ -24,9 +24,6 @@ type Config struct {
 	ShardReplicas int
 	// Middleware is installed on every inter-tier client wire.
 	Middleware []transport.Middleware
-	// Spawner, when set, receives replicable tier boots so the control plane
-	// can autoscale them.
-	Spawner svcutil.Definer
 }
 
 // replicable names the logic tiers safe to run multi-instance: their state
@@ -69,7 +66,6 @@ func New(app *core.App, cfg Config) (*Media, error) {
 		ShardReplicas: cfg.ShardReplicas,
 		Middleware:    cfg.Middleware,
 		Replicable:    replicable,
-		Spawner:       cfg.Spawner,
 	}
 	if err := stack.StartStores("db-reviews", "db-users", "db-plots", "db-rentals"); err != nil {
 		return nil, err

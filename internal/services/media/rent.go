@@ -30,7 +30,7 @@ func registerUser(srv *rpc.Server, db svcutil.DB, mc svcutil.KV) {
 		}
 		// One store-side AddNum, as ecommerce's Debit: two rentals racing on
 		// one balance must not both pass the check.
-		balance, found, ok, err := db.AddNum(ctx, "users", req.Username, "balance", -req.AmountCents, 0)
+		balance, found, ok, err := db.AddNum(ctx, "users", req.Username, "balance", -req.AmountCents, 0, false)
 		switch {
 		case err != nil:
 			return nil, err

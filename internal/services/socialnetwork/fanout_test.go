@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"dsb/internal/controlplane"
 	"dsb/internal/core"
 	"dsb/internal/rpc"
 	"dsb/internal/vtime"
@@ -170,7 +169,7 @@ func TestAsyncFanoutClose(t *testing.T) {
 // TestScaledDownFanoutReplicaStopsConsuming: the control plane's scale-down
 // is deregister, drain, close the replica's server — and the consumer must
 // go with it, or the policy believes it removed capacity it did not. Two
-// fanout replicas boot through an AppSpawner; after one is stopped the
+// fanout replicas boot through the App's Spawn; after app.Stop takes one the
 // broker must hold exactly one open push session for the group (the
 // survivor's — a replica without a session is handed nothing), and the
 // survivor alone must still deliver every event.
@@ -192,8 +191,7 @@ func TestScaledDownFanoutReplicaStopsConsuming(t *testing.T) {
 				})
 			},
 		})
-		spawner := controlplane.NewAppSpawner(app)
-		sn, tokens, stop := bootAsyncOn(t, app, Config{FanoutConsumers: 2, Spawner: spawner}, "alice", "bob")
+		sn, tokens, stop := bootAsyncOn(t, app, Config{FanoutConsumers: 2}, "alice", "bob")
 		defer stop()
 		ctx := context.Background()
 		if err := sn.Graph.Call(ctx, "Follow", FollowReq{Follower: "bob", Followee: "alice"}, nil); err != nil {
@@ -211,7 +209,7 @@ func TestScaledDownFanoutReplicaStopsConsuming(t *testing.T) {
 		if err != nil || len(replicas) != 2 {
 			t.Fatalf("fanout replicas = %v, %v; want 2", replicas, err)
 		}
-		if err := spawner.Stop("social.fanout", replicas[0]); err != nil {
+		if err := app.Stop("social.fanout", replicas[0]); err != nil {
 			t.Fatal(err)
 		}
 		wantSessions(1)

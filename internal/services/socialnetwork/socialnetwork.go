@@ -27,8 +27,8 @@ type Config struct {
 	// ("composePost", "text", ...). Only tiers whose state lives in the
 	// db/mc stores may be scaled; entries for stateful tiers (the stores,
 	// caches, and search index shards) are ignored. Tiers default to one
-	// replica. The control plane scales tiers dynamically instead through a
-	// Spawner; this knob provides the static baseline.
+	// replica. The control plane scales tiers dynamically instead through
+	// the App's Spawn and Stop; this knob provides the static baseline.
 	Replicas map[string]int
 	// DisableDegradation turns off graceful degradation: readTimeline and
 	// composePost fail hard when a non-critical downstream (post hydration,
@@ -48,7 +48,7 @@ type Config struct {
 	AsyncFanout bool
 	// FanoutConsumers sizes the fanout consumer tier at boot (default 2).
 	// Only meaningful with AsyncFanout; the control plane can grow the tier
-	// further on lag through the Spawner.
+	// further on lag through the App's Spawn.
 	FanoutConsumers int
 	// BrokerShards partitions the broker tier into this many instances
 	// (default 1): each topic's traffic spreads across shards by message
@@ -76,11 +76,6 @@ type Config struct {
 	// ShardReplicas is the replica count per storage shard (default 1).
 	// Replicas converge by write-all and read-repair (see svcutil).
 	ShardReplicas int
-	// Spawner, when set, receives every index-independent replicable tier
-	// boot (Define + Spawn) so the control plane can autoscale those tiers
-	// at runtime. Stateful tiers and identity-bearing replicas (uniqueID)
-	// never route through it.
-	Spawner svcutil.Definer
 }
 
 // replicable names the logic tiers that are safe to run multi-instance:
@@ -170,7 +165,6 @@ func New(app *core.App, cfg Config) (*SocialNetwork, error) {
 		Middleware:     cfg.Middleware,
 		Replicable:     replicable,
 		Replicas:       replicas,
-		Spawner:        cfg.Spawner,
 	}
 
 	// Storage tiers: one cache and/or document store per backend group,

@@ -108,7 +108,7 @@ func registerUser(srv *rpc.Server, db svcutil.DB, mc svcutil.KV, noCoalesce bool
 		}
 		// One store-side AddNum: two follows of one user, or two composes by
 		// one author, must not both read the same count.
-		_, found, _, err := db.AddNum(ctx, "users", req.Username, req.Stat, req.Delta, math.MinInt64)
+		_, found, _, err := db.AddNum(ctx, "users", req.Username, req.Stat, req.Delta, math.MinInt64, false)
 		if err != nil {
 			return nil, err
 		}

@@ -31,9 +31,6 @@ type Config struct {
 	ShardReplicas int
 	// Middleware is installed on every inter-tier client wire.
 	Middleware []transport.Middleware
-	// Spawner, when set, receives replicable tier boots so the control plane
-	// can autoscale them.
-	Spawner svcutil.Definer
 }
 
 // swarmReplicable names the logic tiers safe to run multi-instance: their
@@ -79,7 +76,6 @@ func New(app *core.App, cfg Config) (*Swarm, error) {
 		ShardReplicas: cfg.ShardReplicas,
 		Middleware:    cfg.Middleware,
 		Replicable:    swarmReplicable,
-		Spawner:       cfg.Spawner,
 	}
 	if err := stack.StartStores("db-telemetry"); err != nil {
 		return nil, err

@@ -109,12 +109,13 @@ func (d DB) listPrepend(ctx context.Context, collection, id, value string, max i
 }
 
 // AddNum atomically adds delta to a numeric field of the document unless
-// the sum would fall below floor (see docstore.Collection.AddNum). It is how
-// a replicated service keeps a balance or a counter: a Get, a check and a Put
-// from two replicas lose an update.
-func (d DB) AddNum(ctx context.Context, collection, id, field string, delta, floor int64) (value int64, found, ok bool, err error) {
+// the sum would fall below floor, creating a missing document if create is
+// set (see docstore.Collection.AddNum). It is how a replicated service keeps
+// a balance or a counter: a Get, a check and a Put from two replicas lose an
+// update.
+func (d DB) AddNum(ctx context.Context, collection, id, field string, delta, floor int64, create bool) (value int64, found, ok bool, err error) {
 	resp, err := dbWrite[docstore.AddNumResp](ctx, d, id, "AddNum",
-		docstore.AddNumReq{Collection: collection, ID: id, Field: field, Delta: delta, Floor: floor})
+		docstore.AddNumReq{Collection: collection, ID: id, Field: field, Delta: delta, Floor: floor, Create: create})
 	return resp.Value, resp.Found, resp.OK, err
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dsb/internal/codec"
+	"dsb/internal/core"
 	"dsb/internal/docstore"
 	"dsb/internal/kv"
 	"dsb/internal/rpc"
@@ -35,21 +36,15 @@ import (
 // repairTTL bounds cache entries written by read-repair.
 const repairTTL = time.Minute
 
-// ShardStarter is the slice of core.App that boots shard replicas;
-// declared here so svcutil does not import the composition root.
-type ShardStarter interface {
-	StartRPCShard(service string, shard int, register func(*rpc.Server)) (string, error)
-}
-
 // StartShardReplicas boots shards×replicas instances of one stateful
 // service tier under a single service name. register(s, r) builds the
 // registration function for replica r of shard s — each (s, r) pair must
 // construct its *own* backing store, since the replicas are independent
-// copies converged only by write-all and read-repair. Unlike
-// StartReplicas, every instance registers with its shard index as
+// copies converged only by write-all and read-repair. Unlike a logic
+// tier's replicas, every instance registers with its shard index as
 // instance metadata, which is what lets shard routers reassemble the
 // anonymous pool into replica sets. Counts below 1 are raised to 1.
-func StartShardReplicas(app ShardStarter, service string, shards, replicas int, register func(shard, replica int) func(*rpc.Server)) error {
+func StartShardReplicas(app *core.App, service string, shards, replicas int, register func(shard, replica int) func(*rpc.Server)) error {
 	if shards < 1 {
 		shards = 1
 	}

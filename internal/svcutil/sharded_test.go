@@ -268,7 +268,7 @@ func TestShardedDB(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < adds; i++ {
-				if _, found, ok, err := db.AddNum(ctx, "posts", "doc-05", "likes", 1, 0); err != nil || !found || !ok {
+				if _, found, ok, err := db.AddNum(ctx, "posts", "doc-05", "likes", 1, 0, false); err != nil || !found || !ok {
 					t.Errorf("AddNum = %v, %v, %v", found, ok, err)
 					return
 				}
@@ -288,10 +288,10 @@ func TestShardedDB(t *testing.T) {
 	if copies != 2 {
 		t.Fatalf("doc-05 lives on %d replicas, want 2", copies)
 	}
-	if v, found, ok, err := db.AddNum(ctx, "posts", "doc-05", "likes", -adders*adds-1, 0); err != nil || !found || ok || v != adders*adds {
+	if v, found, ok, err := db.AddNum(ctx, "posts", "doc-05", "likes", -adders*adds-1, 0, false); err != nil || !found || ok || v != adders*adds {
 		t.Fatalf("AddNum below the floor = %d, %v, %v, %v", v, found, ok, err)
 	}
-	if _, found, _, err := db.AddNum(ctx, "posts", "no-such-doc", "likes", 1, 0); err != nil || found {
+	if _, found, _, err := db.AddNum(ctx, "posts", "no-such-doc", "likes", 1, 0, false); err != nil || found {
 		t.Fatalf("AddNum on a missing document: found=%v err=%v", found, err)
 	}
 }

@@ -5,36 +5,13 @@ import (
 	"sync"
 	"time"
 
+	"dsb/internal/core"
 	"dsb/internal/docstore"
 	"dsb/internal/kv"
-	"dsb/internal/lb"
 	"dsb/internal/mq"
 	"dsb/internal/rpc"
-	"dsb/internal/shard"
 	"dsb/internal/transport"
 )
-
-// AppWiring is the slice of the composition root (core.App) that the shared
-// service wiring drives: booting replicas, booting shard replicas, and
-// building load-balanced or shard-routed clients. Declared here so svcutil
-// never imports core.
-type AppWiring interface {
-	RPCStarter
-	ShardStarter
-	RPC(caller, target string, extra ...transport.Middleware) (*lb.Balanced, error)
-	ShardedRPC(caller, target string, extra ...transport.Middleware) (*shard.Router, error)
-}
-
-// Definer is the slice of controlplane.AppSpawner that a Stack can route
-// stateless-tier boots through: Define records how to build an instance of a
-// service, Spawn starts one. Tiers booted this way are visible to the
-// autoscaling controller, which can add and remove instances at runtime.
-// Only index-independent registrations may go through a Definer — every
-// spawned instance runs the same registration function.
-type Definer interface {
-	Define(service string, register func(*rpc.Server))
-	Spawn(service string) (addr string, err error)
-}
 
 // Stack is the shared deployment wiring every application in the suite boots
 // through. It holds the knobs that used to be copy-pasted into each app's
@@ -43,10 +20,12 @@ type Definer interface {
 // exposes the small vocabulary the constructors are written in: StartStores /
 // StartCaches for the stateful tiers, Start / StartN for logic tiers, and
 // Caller / DB / KV for clients that transparently pick load-balanced or
-// shard-routed mode to match the layout.
+// shard-routed mode to match the layout. Start Defines every Replicable tier
+// on the App, so a control plane can scale it without the app opting in.
 type Stack struct {
-	// App is the composition root (*core.App satisfies this).
-	App AppWiring
+	// App is the composition root every tier boots on and every client is
+	// wired through.
+	App *core.App
 	// Prefix namespaces every service this stack boots ("social.", "media.").
 	Prefix string
 	// Shards partitions every store/cache tier into this many consistent-hash
@@ -73,9 +52,6 @@ type Stack struct {
 	// Above 1, every publish is mirrored to the shard's other replicas before
 	// it is acked, so un-acked messages survive a broker crash.
 	BrokerReplicas int
-	// Spawner, when set, receives every index-independent replicable tier
-	// boot via Define+Spawn so the control plane can autoscale those tiers.
-	Spawner Definer
 
 	boot []func() error
 
@@ -296,35 +272,37 @@ func (st *Stack) KV(caller, target string) KV {
 // StartN queues a logic tier for boot with per-replica registration (the
 // replica index feeds identity derivation, e.g. unique-ID worker numbers).
 // The replica count is Replicas[name] when the tier is in Replicable, else 1.
-// Index-dependent tiers never route through the Spawner — spawned instances
-// cannot carry distinct identity.
+// Such a tier is never Defined on the App: a spawned replica could not carry
+// an identity of its own.
 func (st *Stack) StartN(name string, register func(i int) func(*rpc.Server)) {
-	n := st.replicaCount(name)
+	n, full := st.replicaCount(name), st.Name(name)
 	st.boot = append(st.boot, func() error {
-		return StartReplicas(st.App, st.Name(name), n, register)
+		for i := 0; i < n; i++ {
+			if _, err := st.App.StartRPC(full, register(i)); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 }
 
-// Start queues an index-independent logic tier for boot. When a Spawner is
-// configured and the tier is replicable, the registration is Defined there
-// and each boot replica Spawned, so the control plane can scale the tier.
+// Start queues an index-independent logic tier for boot. A tier in
+// Replicable is Defined on the App and its boot replicas Spawned, so the
+// control plane can scale it at runtime; any other tier boots one replica.
 func (st *Stack) Start(name string, register func(*rpc.Server)) {
-	n := st.replicaCount(name)
-	full := st.Name(name)
-	if st.Spawner != nil && st.Replicable[name] {
-		st.boot = append(st.boot, func() error {
-			st.Spawner.Define(full, register)
-			for i := 0; i < n; i++ {
-				if _, err := st.Spawner.Spawn(full); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
+	if !st.Replicable[name] {
+		st.StartN(name, func(int) func(*rpc.Server) { return register })
 		return
 	}
+	n, full := st.replicaCount(name), st.Name(name)
 	st.boot = append(st.boot, func() error {
-		return StartReplicas(st.App, full, n, func(int) func(*rpc.Server) { return register })
+		st.App.Define(full, register)
+		for i := 0; i < n; i++ {
+			if _, err := st.App.Spawn(full); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 }
 

@@ -33,34 +33,6 @@ type RawCaller interface {
 	Invoke(ctx context.Context, call *transport.Call) error
 }
 
-// RPCStarter is the slice of core.App that boots replicas; declared here so
-// svcutil does not import the composition root.
-type RPCStarter interface {
-	StartRPC(service string, register func(*rpc.Server)) (string, error)
-}
-
-// StartReplicas boots n interchangeable replicas of one *stateless*
-// service tier, calling register(i) to build each replica's registration
-// function — replicas that need distinct worker identity (a unique-ID
-// worker number) derive it from i. n < 1 starts one replica. The replicas
-// register without instance metadata, so balancers treat them as one
-// anonymous pool; a tier holding per-instance state booted this way would
-// silently scatter it across replicas with nothing to route by. Stateful
-// tiers go through StartShardReplicas instead, which attaches each
-// replica's shard index to its registry entry so shard routers can group
-// the pool into replica sets.
-func StartReplicas(app RPCStarter, service string, n int, register func(i int) func(*rpc.Server)) error {
-	if n < 1 {
-		n = 1
-	}
-	for i := 0; i < n; i++ {
-		if _, err := app.StartRPC(service, register(i)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Handle registers a typed handler: the payload is decoded into Req, and
 // the returned Resp is encoded as the reply. A nil Resp sends an empty
 // reply body. The reply is handed to the RPC dispatcher typed (rpc.Ctx.Reply)

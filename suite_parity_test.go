@@ -2,10 +2,12 @@ package dsb_test
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
 	"dsb/internal/core"
+	"dsb/internal/rpc"
 	"dsb/internal/services/banking"
 	"dsb/internal/services/ecommerce"
 	"dsb/internal/services/media"
@@ -25,17 +27,22 @@ const (
 // svcutil.Stack wiring — sharded stateful tiers (2x2) under registry
 // health leases — and asserts the live-stack invariants every app now
 // shares: shard labels in the registry metadata, lease heartbeats keeping
-// the serving set alive across several TTLs, and a Degraded flag that is
-// present and false on a healthy probe of the app's degradable read. It runs
-// in one bubble, which cannot return while anything an app started is still
-// running: every app booting, serving and closing here is also the proof that
-// no goroutine outlives Close.
+// the serving set alive across several TTLs, a Degraded flag that is
+// present and false on a healthy probe of the app's degradable read, and a
+// replicable logic tier the App can spawn while a store tier it cannot. It
+// runs in one bubble, which cannot return while anything an app started is
+// still running: every app booting, serving and closing here is also the
+// proof that no goroutine outlives Close.
 func TestSuiteParity(t *testing.T) {
 	vtime.Run(t, func() {
 		cases := []struct {
 			name string
 			// storeTier is one representative sharded stateful tier.
 			storeTier string
+			// logicTier is one replicable logic tier, and method and req a
+			// call its replicas answer.
+			logicTier, method string
+			req               any
 			// boot starts the app on the shared registry and returns a healthy
 			// probe of the degradable read, reporting its Degraded flag.
 			boot func(t *testing.T, app *core.App) func(ctx context.Context) (bool, error)
@@ -43,6 +50,8 @@ func TestSuiteParity(t *testing.T) {
 			{
 				name:      "social",
 				storeTier: "social.db-posts",
+				logicTier: "social.readTimeline", method: "Read",
+				req: socialnetwork.ReadTimelineReq{User: "nobody", Limit: 5},
 				boot: func(t *testing.T, app *core.App) func(ctx context.Context) (bool, error) {
 					sn, err := socialnetwork.New(app, socialnetwork.Config{
 						Shards: parityShards, ShardReplicas: parityReplicas,
@@ -60,6 +69,7 @@ func TestSuiteParity(t *testing.T) {
 			{
 				name:      "media",
 				storeTier: "media.db-reviews",
+				logicTier: "media.movieDB", method: "Get", req: media.GetMovieReq{ID: "mv-1"},
 				boot: func(t *testing.T, app *core.App) func(ctx context.Context) (bool, error) {
 					md, err := media.New(app, media.Config{
 						Shards: parityShards, ShardReplicas: parityReplicas,
@@ -82,6 +92,7 @@ func TestSuiteParity(t *testing.T) {
 			{
 				name:      "ecommerce",
 				storeTier: "ecom.db-catalogue",
+				logicTier: "ecom.catalogue", method: "Get", req: ecommerce.GetItemReq{ID: "nothing"},
 				boot: func(t *testing.T, app *core.App) func(ctx context.Context) (bool, error) {
 					ec, err := ecommerce.New(app, ecommerce.Config{
 						Shards: parityShards, ShardReplicas: parityReplicas,
@@ -109,6 +120,7 @@ func TestSuiteParity(t *testing.T) {
 			{
 				name:      "banking",
 				storeTier: "bank.db-accounts",
+				logicTier: "bank.customerInfo", method: "Get", req: banking.CustomerReq{Username: "pat"},
 				boot: func(t *testing.T, app *core.App) func(ctx context.Context) (bool, error) {
 					bk, err := banking.New(app, banking.Config{
 						Shards: parityShards, ShardReplicas: parityReplicas,
@@ -130,6 +142,8 @@ func TestSuiteParity(t *testing.T) {
 			{
 				name:      "swarm",
 				storeTier: "swarm.db-telemetry",
+				logicTier: "swarm.constructRoute", method: "Construct",
+				req: swarm.RouteReq{From: swarm.Point{X: 0, Y: 0}, To: swarm.Point{X: 3, Y: 2}},
 				boot: func(t *testing.T, app *core.App) func(ctx context.Context) (bool, error) {
 					sw, err := swarm.New(app, swarm.Config{
 						Placement: swarm.Edge, Drones: 1, WorldSize: 16, Seed: 11,
@@ -207,6 +221,26 @@ func TestSuiteParity(t *testing.T) {
 				}
 				if degraded {
 					t.Fatal("healthy probe reported Degraded")
+				}
+
+				// Spawning: with no Config field set, the App spawns a replica
+				// of a replicable logic tier that registers and serves, and
+				// refuses to clone a store tier.
+				before := len(app.Registry.Lookup(tc.logicTier))
+				addr, err := app.Spawn(tc.logicTier)
+				if err != nil {
+					t.Fatalf("spawn %s: %v", tc.logicTier, err)
+				}
+				if got := app.Registry.Lookup(tc.logicTier); len(got) != before+1 || !slices.Contains(got, addr) {
+					t.Fatalf("%s serves %v after spawning %s, want %d replicas", tc.logicTier, got, addr, before+1)
+				}
+				c := rpc.NewClient(app.Net, tc.logicTier, addr)
+				defer c.Close()
+				if err := c.Call(ctx, tc.method, tc.req, nil); err != nil {
+					t.Fatalf("spawned %s replica %s: %v", tc.logicTier, tc.method, err)
+				}
+				if _, err := app.Spawn(tc.storeTier); err == nil {
+					t.Fatalf("spawned a replica of store tier %s", tc.storeTier)
 				}
 			})
 		}

@@ -7,7 +7,7 @@ import (
 )
 
 // App boots tiers and builds clients.
-type App struct{}
+type App struct{ defined map[string]func(*rpc.Server) }
 
 // NewApp returns an app.
 func NewApp() *App { return &App{} }
@@ -16,6 +16,19 @@ func NewApp() *App { return &App{} }
 func (a *App) StartRPC(service string, register func(*rpc.Server)) (string, error) {
 	register(rpc.NewServer(service))
 	return service, nil
+}
+
+// Define records how to build a replica of a tier.
+func (a *App) Define(service string, register func(*rpc.Server)) {
+	if a.defined == nil {
+		a.defined = map[string]func(*rpc.Server){}
+	}
+	a.defined[service] = register
+}
+
+// Spawn boots one replica of a defined tier.
+func (a *App) Spawn(service string) (string, error) {
+	return a.StartRPC(service, a.defined[service])
 }
 
 // StartREST boots a front door.

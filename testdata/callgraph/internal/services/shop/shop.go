@@ -37,8 +37,12 @@ func New(app *core.App) (*Shop, error) {
 	cl, db := st.Caller, st.DB
 	st.Start("stock", func(s *rpc.Server) { registerStock(s, db("stock", "db")) })
 	st.Start("cart", func(s *rpc.Server) { registerCart(s, cartDeps{stock: cl("cart", "stock")}) })
-	// relay.Count is stock.Count's bytes, relayed.
-	st.Start("relay", func(s *rpc.Server) { svcutil.Relay(s, "Count", cl("relay", "stock"), "Count") })
+	// relay.Count is stock.Count's bytes, relayed, on a tier defined on the
+	// App itself rather than through the Stack.
+	app.Define("shop.relay", func(s *rpc.Server) { svcutil.Relay(s, "Count", cl("relay", "stock"), "Count") })
+	if _, err := app.Spawn("shop.relay"); err != nil {
+		return nil, err
+	}
 	// The front door's one route forwards to cart.Add.
 	if _, err := app.StartREST("shop.front", func(s *rest.Server) {
 		s.Handle("POST /add", rest.Forward[AddReq, struct{}](cl("front", "cart"), "Add", nil))

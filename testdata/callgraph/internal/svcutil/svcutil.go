@@ -27,9 +27,10 @@ type Stack struct {
 	Prefix string
 }
 
-// Start boots a logic tier.
+// Start defines a logic tier on the App and boots one replica of it.
 func (st *Stack) Start(name string, register func(*rpc.Server)) {
-	st.App.StartRPC(st.Prefix+name, register) //nolint:errcheck
+	st.App.Define(st.Prefix+name, register)
+	st.App.Spawn(st.Prefix + name) //nolint:errcheck
 }
 
 // StartStores boots one store tier per name.
