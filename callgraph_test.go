@@ -1033,7 +1033,7 @@ func (g *callGraph) evalCall(call *ast.CallExpr, idx int, ctx *frame) vals {
 			if tv := g.info.Types[call.Args[0]]; tv.Value != nil && idx == 0 {
 				out = out.add(vals{{kind: vStr, s: constant.StringVal(tv.Value)}: true})
 			}
-		case "svcutil.Stack.Caller", "svcutil.Stack.DB", "svcutil.Stack.KV", "svcutil.Stack.MQ":
+		case "svcutil.Stack.Caller", "svcutil.Stack.DB", "svcutil.Stack.KV", "svcutil.Stack.MQ", "svcutil.Stack.Router":
 			if idx == 0 {
 				for _, pre := range g.eval(c.recv, c.rctx).strs(vStack) {
 					for _, name := range g.eval(call.Args[1], ctx).strs(vStr) {
@@ -1049,7 +1049,7 @@ func (g *callGraph) evalCall(call *ast.CallExpr, idx int, ctx *frame) vals {
 			if idx == 0 {
 				out = out.add(g.tiersNamed(call.Args[1], ctx))
 			}
-		case "shard.Router.Route": // a replica set of the router's tier
+		case "shard.Router.Route", "shard.Router.Scatter": // replica sets of the router's tier
 			out = out.add(g.eval(c.recv, c.rctx))
 		case "svcutil.DB.Get", "svcutil.DB.Find": // the documents a store read returns
 			if idx == 0 {
@@ -1152,8 +1152,6 @@ func (g *callGraph) startTiers(c *cgCensus) {
 				switch g.key(ce.obj) {
 				case "svcutil.Stack.Start":
 					tiers, regs = prefixed(names(0)), g.funcsOf(g.eval(args[1], nil), false)
-				case "svcutil.Stack.StartN":
-					tiers, regs = prefixed(names(0)), g.funcsOf(g.eval(args[1], nil), true)
 				case "svcutil.Stack.StartStores":
 					for i := range args {
 						tiers = append(tiers, prefixed(names(i))...)
@@ -1174,7 +1172,7 @@ func (g *callGraph) startTiers(c *cgCensus) {
 					tiers, regs = names(1), g.funcsOf(g.eval(args[4], nil), true)
 				case "rpc.NewServer":
 					tiers = names(0)
-				case "svcutil.Stack.Caller", "svcutil.Stack.DB", "svcutil.Stack.KV", "svcutil.Stack.MQ":
+				case "svcutil.Stack.Caller", "svcutil.Stack.DB", "svcutil.Stack.KV", "svcutil.Stack.MQ", "svcutil.Stack.Router":
 					for _, from := range prefixed(names(0)) {
 						for _, to := range prefixed(names(1)) {
 							c.edges[from+" → "+to] = true

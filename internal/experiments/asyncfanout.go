@@ -184,16 +184,15 @@ func afRun(mode afMode, qps float64) (afLevelResult, error) {
 		cfg.FanoutWorkers = afStoreSlots
 	case afAsync, afAsyncCapped, afAsyncPart:
 		cfg.AsyncFanout = true
-		cfg.FanoutConsumers = 2
 		cfg.FanoutWorkers = afStoreSlots
 	}
 	if mode == afAsyncCapped || mode == afAsyncPart {
 		// The capacity pair isolates the broker's publish ceiling: keep the
-		// consumer tier small so the author's own prepend (on the measured
-		// ack path) is not queueing behind a full store's worth of consumer
-		// fan-out work — that contention is the *store* model's story, told
-		// by the first three arms.
-		cfg.FanoutConsumers = 1
+		// consumer tier small — the one consumer it boots, two workers — so
+		// the author's own prepend (on the measured ack path) is not queueing
+		// behind a full store's worth of consumer fan-out work — that
+		// contention is the *store* model's story, told by the first three
+		// arms.
 		cfg.FanoutWorkers = 2
 		// Broker publish-capacity model: each broker instance serves
 		// publishes one at a time at afBrokerRTT apiece (the shard router
@@ -212,6 +211,12 @@ func afRun(mode afMode, qps float64) (afLevelResult, error) {
 		return afLevelResult{}, err
 	}
 	defer sn.Close()
+	if mode == afAsync {
+		// The uncapped async arm runs two consumers.
+		if _, err := app.Spawn("social.fanout"); err != nil {
+			return afLevelResult{}, err
+		}
+	}
 	ctx := context.Background()
 	if err := seedAuthor(sn, afFollowers); err != nil {
 		return afLevelResult{}, err

@@ -90,10 +90,9 @@ func bcRun(replicated bool) (bcResult, error) {
 		SearchShards: 2,
 		Middleware: []transport.Middleware{fault.Capacity{Target: "social.db-timeline", Method: "ListPrepend",
 			Slots: bcStoreSlots, ServiceTime: bcStoreRTT}.Middleware()},
-		AsyncFanout:     true,
-		FanoutConsumers: 2,
-		FanoutWorkers:   bcStoreSlots,
-		BrokerShards:    2,
+		AsyncFanout:   true,
+		FanoutWorkers: bcStoreSlots,
+		BrokerShards:  2,
 	}
 	if replicated {
 		cfg.BrokerReplicas = 2
@@ -103,6 +102,9 @@ func bcRun(replicated bool) (bcResult, error) {
 		return bcResult{}, err
 	}
 	defer sn.Close()
+	if _, err := app.Spawn("social.fanout"); err != nil { // a second consumer
+		return bcResult{}, err
+	}
 	ctx := context.Background()
 	if err := seedAuthor(sn, bcFollowers); err != nil {
 		return bcResult{}, err

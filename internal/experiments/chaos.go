@@ -221,10 +221,12 @@ func runChaos(protected bool, seed int64) chaosResult {
 	defer app.Close()
 	sn, err := socialnetwork.New(app, socialnetwork.Config{
 		SearchShards:       2,
-		Replicas:           map[string]int{"readPost": 2},
 		DisableDegradation: !protected,
 	})
 	if err != nil {
+		return chaosResult{}
+	}
+	if _, err := app.Spawn("social.readPost"); err != nil {
 		return chaosResult{}
 	}
 

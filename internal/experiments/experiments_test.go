@@ -148,14 +148,24 @@ func TestFig21Shape(t *testing.T) {
 	}
 }
 
+// TestTable1CountsServices pins each app's booted service count, so
+// EXPERIMENTS.md's Table 1 cannot drift from the code unnoticed.
 func TestTable1CountsServices(t *testing.T) {
 	rep := Table1()
-	if len(rep.Rows) != 6 { // 5 apps + total
+	want := []struct {
+		app      string
+		services int
+	}{
+		{"Social Network", 31}, {"Media Service", 20}, {"E-commerce", 24},
+		{"Banking", 24}, {"Swarm (cloud+edge)", 7}, {"TOTAL", 106},
+	}
+	if len(rep.Rows) != len(want) {
 		t.Fatalf("rows = %d (notes: %v)", len(rep.Rows), rep.Notes)
 	}
-	total := rep.Rows[5]
-	if n := parseFloat(t, total[2]); n < 80 {
-		t.Fatalf("total services = %.0f, want 80+", n)
+	for i, w := range want {
+		if row := rep.Rows[i]; row[0] != w.app || parseFloat(t, row[2]) != float64(w.services) {
+			t.Errorf("row %d: %s boots %s services, want %s with %d", i, row[0], row[2], w.app, w.services)
+		}
 	}
 }
 

@@ -105,7 +105,7 @@ type tailResult struct {
 // under one service name, each single-threaded with a fixed service time —
 // the fixed-capacity server the paper's queueing figures assume.
 func bootTailKV(app *core.App, shards, replicas int) error {
-	return svcutil.StartShardReplicas(app, "tail.kv", shards, replicas, func(int, int) func(*rpc.Server) {
+	return svcutil.StartShardReplicas(app, "tail.kv", shards, replicas, func() func(*rpc.Server) {
 		cache := kv.New(16 << 20)
 		return func(srv *rpc.Server) {
 			kv.RegisterService(srv, cache)

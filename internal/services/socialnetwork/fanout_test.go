@@ -12,17 +12,18 @@ import (
 )
 
 // bootAsync boots a deployment with the broker-backed fan-out path and
-// registers + logs in the given users.
-func bootAsync(t *testing.T, cfg Config, users ...string) (*SocialNetwork, map[string]string) {
+// consumers fanout replicas (2 when 0), and registers + logs in the given
+// users.
+func bootAsync(t *testing.T, cfg Config, consumers int, users ...string) (*SocialNetwork, map[string]string) {
 	t.Helper()
-	sn, tokens, stop := bootAsyncOn(t, core.NewApp("social-async", core.Options{}), cfg, users...)
+	sn, tokens, stop := bootAsyncOn(t, core.NewApp("social-async", core.Options{}), cfg, consumers, users...)
 	t.Cleanup(stop)
 	return sn, tokens
 }
 
 // bootAsyncOn is bootAsync on an app the caller configured, and stops with
 // stop.
-func bootAsyncOn(t *testing.T, app *core.App, cfg Config, users ...string) (_ *SocialNetwork, _ map[string]string, stop func()) {
+func bootAsyncOn(t *testing.T, app *core.App, cfg Config, consumers int, users ...string) (_ *SocialNetwork, _ map[string]string, stop func()) {
 	t.Helper()
 	cfg.SearchShards = 2
 	cfg.AsyncFanout = true
@@ -30,6 +31,14 @@ func bootAsyncOn(t *testing.T, app *core.App, cfg Config, users ...string) (_ *S
 	if err != nil {
 		app.Close()
 		t.Fatalf("boot: %v", err)
+	}
+	if consumers <= 0 {
+		consumers = 2
+	}
+	for i := 1; i < consumers; i++ {
+		if _, err := app.Spawn("social.fanout"); err != nil {
+			t.Fatalf("spawn a fanout consumer: %v", err)
+		}
 	}
 	ctx := context.Background()
 	tokens := make(map[string]string, len(users))
@@ -51,7 +60,7 @@ func bootAsyncOn(t *testing.T, app *core.App, cfg Config, users ...string) (_ *S
 // must see their own post immediately (it is prepended synchronously), and
 // after the fanout group drains, every follower converges on it.
 func TestAsyncFanoutReadYourWrites(t *testing.T) {
-	sn, tokens := bootAsync(t, Config{}, "alice", "bob", "carol")
+	sn, tokens := bootAsync(t, Config{}, 0, "alice", "bob", "carol")
 	ctx := context.Background()
 	for _, f := range []string{"bob", "carol"} {
 		if err := sn.Graph.Call(ctx, "Follow", FollowReq{Follower: f, Followee: "alice"}, nil); err != nil {
@@ -83,11 +92,12 @@ func TestAsyncFanoutReadYourWrites(t *testing.T) {
 // partitioned session merges one stream per shard where the single broker's
 // is the stream itself.
 var brokerLayouts = []struct {
-	name string
-	cfg  Config
+	name      string
+	cfg       Config
+	consumers int
 }{
-	{"1-broker", Config{FanoutConsumers: 3}},
-	{"2-shards-2-consumers", Config{BrokerShards: 2, FanoutConsumers: 2}},
+	{"1-broker", Config{}, 3},
+	{"2-shards-2-consumers", Config{BrokerShards: 2}, 2},
 }
 
 // TestAsyncFanoutManyPosts pushes a burst of composes through the broker and
@@ -97,7 +107,7 @@ var brokerLayouts = []struct {
 func TestAsyncFanoutManyPosts(t *testing.T) {
 	for _, layout := range brokerLayouts {
 		t.Run(layout.name, func(t *testing.T) {
-			sn, tokens := bootAsync(t, layout.cfg, "alice", "bob", "carol")
+			sn, tokens := bootAsync(t, layout.cfg, layout.consumers, "alice", "bob", "carol")
 			ctx := context.Background()
 			for _, f := range []string{"bob", "carol"} {
 				if err := sn.Graph.Call(ctx, "Follow", FollowReq{Follower: f, Followee: "alice"}, nil); err != nil {
@@ -136,7 +146,7 @@ func TestAsyncFanoutManyPosts(t *testing.T) {
 func TestAsyncFanoutClose(t *testing.T) {
 	for _, layout := range brokerLayouts {
 		t.Run(layout.name, func(t *testing.T) {
-			sn, tokens := bootAsync(t, layout.cfg, "alice", "bob")
+			sn, tokens := bootAsync(t, layout.cfg, layout.consumers, "alice", "bob")
 			ctx := context.Background()
 			if err := sn.Graph.Call(ctx, "Follow", FollowReq{Follower: "bob", Followee: "alice"}, nil); err != nil {
 				t.Fatal(err)
@@ -191,7 +201,7 @@ func TestScaledDownFanoutReplicaStopsConsuming(t *testing.T) {
 				})
 			},
 		})
-		sn, tokens, stop := bootAsyncOn(t, app, Config{FanoutConsumers: 2}, "alice", "bob")
+		sn, tokens, stop := bootAsyncOn(t, app, Config{}, 2, "alice", "bob")
 		defer stop()
 		ctx := context.Background()
 		if err := sn.Graph.Call(ctx, "Follow", FollowReq{Follower: "bob", Followee: "alice"}, nil); err != nil {

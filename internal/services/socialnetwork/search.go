@@ -9,6 +9,7 @@ import (
 	"unicode/utf8"
 
 	"dsb/internal/rpc"
+	"dsb/internal/shard"
 	"dsb/internal/svcutil"
 )
 
@@ -172,15 +173,15 @@ func (s *searchShard) query(terms []string, limit int) []SearchHit {
 	return hits
 }
 
-// registerSearchShard installs one index partition service (index0..n in
-// Figure 4).
+// registerSearchShard installs one index partition: a shard group of the
+// search-index tier (index0..n in Figure 4).
 func registerSearchShard(srv *rpc.Server) {
-	shard := newSearchShard()
+	part := newSearchShard()
 	svcutil.Handle(srv, "Index", func(ctx *rpc.Ctx, req *IndexPostReq) (*struct{}, error) {
 		if req.PostID == "" {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "search: post ID required")
 		}
-		shard.index(req.PostID, req.Text)
+		part.index(req.PostID, req.Text)
 		return nil, nil
 	})
 	svcutil.Handle(srv, "Query", func(ctx *rpc.Ctx, req *SearchReq) (*SearchResp, error) {
@@ -188,39 +189,32 @@ func registerSearchShard(srv *rpc.Server) {
 		if limit <= 0 {
 			limit = 10
 		}
-		return &SearchResp{Hits: shard.query(tokenize(req.Query), limit)}, nil
+		return &SearchResp{Hits: part.query(tokenize(req.Query), limit)}, nil
 	})
 }
 
-// shardOf is the index partition, of n, that holds postID (FNV-1a).
-func shardOf(postID string, n int) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(postID); i++ {
-		h = (h ^ uint32(postID[i])) * 16777619
-	}
-	return int(h) % n
-}
-
-// registerSearch installs the search front service: documents are routed
-// to a shard by post-ID hash on writes, and queries fan out to every shard
-// in parallel with a merge by score.
-func registerSearch(srv *rpc.Server, shards []svcutil.Caller) {
+// registerSearch installs the search front service over the index tier's
+// router: a document goes to the shard group its post ID hashes to, and a
+// query fans out to every group in parallel with a merge by score.
+func registerSearch(srv *rpc.Server, index *shard.Router) {
 	svcutil.Handle(srv, "Index", func(ctx *rpc.Ctx, req *IndexPostReq) (*struct{}, error) {
-		if len(shards) == 0 {
+		reps := index.Route(req.PostID)
+		if len(reps) == 0 {
 			return nil, rpc.Errorf(rpc.CodeUnavailable, "search: no shards")
 		}
-		return nil, shards[shardOf(req.PostID, len(shards))].Call(ctx, "Index", *req, nil)
+		return nil, reps[0].Call(ctx, "Index", *req, nil)
 	})
 	svcutil.Handle(srv, "Query", func(ctx *rpc.Ctx, req *SearchReq) (*SearchResp, error) {
 		limit := int(req.Limit)
 		if limit <= 0 {
 			limit = 10
 		}
-		// Errors by shard, so a failure reports the lowest failing shard.
-		resps := make([]SearchResp, len(shards))
-		errs := make([]error, len(shards))
-		svcutil.Parallel(len(shards), len(shards), func(i int) error {
-			errs[i] = shards[i].Call(ctx, "Query", SearchReq{Query: req.Query, Limit: int64(limit)}, &resps[i])
+		// Errors by group, so a failure reports the lowest-labelled one.
+		groups := index.Scatter()
+		resps := make([]SearchResp, len(groups))
+		errs := make([]error, len(groups))
+		svcutil.Parallel(len(groups), len(groups), func(i int) error {
+			errs[i] = groups[i][0].Call(ctx, "Query", SearchReq{Query: req.Query, Limit: int64(limit)}, &resps[i])
 			return nil
 		})
 		var merged []SearchHit

@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"dsb/internal/shard"
 )
 
 // refShard is the reference index the posting-list shard is checked against:
@@ -177,10 +179,11 @@ func TestSearchIndexFootprint(t *testing.T) {
 		runtime.ReadMemStats(&m)
 		return m.HeapAlloc
 	}
+	ring := shard.NewRing(shard.DefaultVnodes, shard.Labels(3))
 	before := heap()
-	shards := []*searchShard{newSearchShard(), newSearchShard(), newSearchShard()}
+	shards := map[string]*searchShard{"0": newSearchShard(), "1": newSearchShard(), "2": newSearchShard()}
 	for i, id := range ids {
-		shards[shardOf(id, len(shards))].index(id, texts[i])
+		shards[ring.Owner(id)].index(id, texts[i])
 	}
 	perPost := float64(heap()-before) / posts
 	runtime.KeepAlive(shards)

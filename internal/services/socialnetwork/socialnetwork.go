@@ -1,7 +1,6 @@
 package socialnetwork
 
 import (
-	"fmt"
 	"time"
 
 	"dsb/internal/core"
@@ -17,19 +16,13 @@ const cacheBytes = 64 << 20
 
 // Config sizes the deployment.
 type Config struct {
-	// SearchShards is the number of index partitions (default 3).
+	// SearchShards is the number of shard groups the search-index tier
+	// boots as (default 3).
 	SearchShards int
 	// Middleware is installed on every inter-tier client wire (between
 	// tracing and the app's resilience stack): fault injection and
 	// per-experiment instrumentation hook in here.
 	Middleware []transport.Middleware
-	// Replicas scales stateless logic tiers out at boot, keyed by tier name
-	// ("composePost", "text", ...). Only tiers whose state lives in the
-	// db/mc stores may be scaled; entries for stateful tiers (the stores,
-	// caches, and search index shards) are ignored. Tiers default to one
-	// replica. The control plane scales tiers dynamically instead through
-	// the App's Spawn and Stop; this knob provides the static baseline.
-	Replicas map[string]int
 	// DisableDegradation turns off graceful degradation: readTimeline and
 	// composePost fail hard when a non-critical downstream (post hydration,
 	// block list, search index) is unreachable, instead of serving a
@@ -44,12 +37,9 @@ type Config struct {
 	// at broker ack; the "fanout" consumer-group tier hydrates follower
 	// timelines behind the write. Authors still read their own writes
 	// synchronously; followers converge within the group's drain time
-	// (bounded by DrainFanout in tests).
+	// (bounded by DrainFanout in tests). The fanout tier boots one
+	// consumer; App.Spawn("social.fanout") adds more.
 	AsyncFanout bool
-	// FanoutConsumers sizes the fanout consumer tier at boot (default 2).
-	// Only meaningful with AsyncFanout; the control plane can grow the tier
-	// further on lag through the App's Spawn.
-	FanoutConsumers int
 	// BrokerShards partitions the broker tier into this many instances
 	// (default 1): each topic's traffic spreads across shards by message
 	// key, and publishers/consumers route per key through the shard ring.
@@ -67,9 +57,9 @@ type Config struct {
 	DisableCoalescing bool
 	// Shards partitions every db/mc storage tier into this many
 	// consistent-hash shards (default 1 = the single-instance layout).
-	// With Shards > 1 or ShardReplicas > 1 the stores boot through
-	// svcutil.StartShardReplicas — each shard replica carries its shard
-	// index in registry metadata — and services reach them through shard
+	// The stores always boot through svcutil.StartShardReplicas — each
+	// shard replica carries its shard index in registry metadata — and with
+	// Shards > 1 or ShardReplicas > 1 services reach them through shard
 	// routers instead of load balancers, routing each key to its owning
 	// replica set.
 	Shards int
@@ -79,11 +69,11 @@ type Config struct {
 }
 
 // replicable names the logic tiers that are safe to run multi-instance:
-// their state is external (document stores, caches) or derived per replica
-// (the unique-ID worker number). Store, cache, and search-index tiers hold
-// per-instance state and must stay out of this set.
+// their state is external (document stores, caches). Store, cache and
+// search-index tiers hold per-instance state, and uniqueID's worker number
+// is its identity, so they stay out of this set and can never be cloned.
 var replicable = map[string]bool{
-	"uniqueID": true, "user": true, "urlShorten": true, "userTag": true,
+	"user": true, "urlShorten": true, "userTag": true,
 	"text": true, "media": true, "socialGraph": true, "blockedUsers": true,
 	"postStorage": true, "readPost": true, "writeTimeline": true,
 	"readTimeline": true, "search": true, "ads": true, "recommender": true,
@@ -135,25 +125,9 @@ func New(app *core.App, cfg Config) (*SocialNetwork, error) {
 		cfg.SearchShards = 3
 	}
 
-	// All deployment wiring — sharded storage boots, replica scaling,
-	// load-balanced vs. shard-routed clients — goes through the shared
-	// Stack, the same layout vocabulary every app in the suite uses.
-	replicas := cfg.Replicas
-	if cfg.AsyncFanout {
-		// The fanout tier's boot size rides the same replica map as every
-		// other tier; copy so the caller's map is never mutated.
-		replicas = make(map[string]int, len(cfg.Replicas)+1)
-		for k, v := range cfg.Replicas {
-			replicas[k] = v
-		}
-		if replicas["fanout"] <= 0 {
-			n := cfg.FanoutConsumers
-			if n <= 0 {
-				n = 2
-			}
-			replicas["fanout"] = n
-		}
-	}
+	// All deployment wiring — sharded storage boots, load-balanced vs.
+	// shard-routed clients — goes through the shared Stack, the same layout
+	// vocabulary every app in the suite uses.
 	stack := &svcutil.Stack{
 		App:            app,
 		Prefix:         "social.",
@@ -164,18 +138,24 @@ func New(app *core.App, cfg Config) (*SocialNetwork, error) {
 		CacheBytes:     cacheBytes,
 		Middleware:     cfg.Middleware,
 		Replicable:     replicable,
-		Replicas:       replicas,
 	}
 
 	// Storage tiers: one cache and/or document store per backend group,
-	// each its own microservice, as in Figure 4. In the sharded layout each
-	// backend group becomes Shards×ShardReplicas instances under the same
-	// service name — every (shard, replica) pair owns a *fresh* store, since
-	// replicas converge only through write-all and read-repair.
+	// each its own microservice, as in Figure 4. Each backend group is
+	// Shards×ShardReplicas instances under the same service name — every
+	// (shard, replica) pair owns a *fresh* store, since replicas converge
+	// only through write-all and read-repair.
 	if err := stack.StartStores("db-posts", "db-timeline", "db-graph", "db-users", "db-urls", "db-media", "db-favorites"); err != nil {
 		return nil, err
 	}
 	if err := stack.StartCaches("mc-posts", "mc-timeline", "mc-users", "mc-urls", "mc-favorites"); err != nil {
+		return nil, err
+	}
+	// The search index (index0..n in Figure 4): SearchShards shard groups of
+	// one service, each its own partition, routed by post ID.
+	if err := svcutil.StartShardReplicas(app, "social.search-index", cfg.SearchShards, 1, func() func(*rpc.Server) {
+		return registerSearchShard
+	}); err != nil {
 		return nil, err
 	}
 
@@ -184,15 +164,11 @@ func New(app *core.App, cfg Config) (*SocialNetwork, error) {
 
 	cl, db, mc := stack.Caller, stack.DB, stack.KV
 	// Boot order respects the dependency graph, so every client resolves.
-	// startN boots cfg.Replicas[name] replicas of a replicable tier (one
-	// otherwise), handing each replica its index for identity derivation.
-	startN, start := stack.StartN, stack.Start
+	start := stack.Start
 
-	// Each unique-ID replica gets its own worker number so IDs never
-	// collide across replicas.
-	startN("uniqueID", func(i int) func(*rpc.Server) {
-		return func(s *rpc.Server) { registerUniqueID(s, uint64(i+1)) }
-	})
+	// One unique-ID worker, number 1: a second would need a number of its
+	// own, so the tier is not replicable.
+	start("uniqueID", func(s *rpc.Server) { registerUniqueID(s, 1) })
 	start("user", func(s *rpc.Server) {
 		registerUser(s, db("user", "db-users"), mc("user", "mc-users"), cfg.DisableCoalescing)
 	})
@@ -250,16 +226,8 @@ func New(app *core.App, cfg Config) (*SocialNetwork, error) {
 			cl("readTimeline", "readPost").(svcutil.RawCaller), cl("readTimeline", "blockedUsers"),
 			degrade, cfg.DisableCoalescing)
 	})
-	for i := 0; i < cfg.SearchShards; i++ {
-		name := fmt.Sprintf("search-index%d", i)
-		start(name, registerSearchShard)
-	}
 	start("search", func(s *rpc.Server) {
-		shards := make([]svcutil.Caller, cfg.SearchShards)
-		for i := range shards {
-			shards[i] = cl("search", fmt.Sprintf("search-index%d", i))
-		}
-		registerSearch(s, shards)
+		registerSearch(s, stack.Router("search", "search-index"))
 	})
 	start("ads", func(s *rpc.Server) { registerAds(s, nil) })
 	start("recommender", func(s *rpc.Server) {

@@ -12,7 +12,10 @@ import (
 	"testing"
 
 	"dsb/internal/core"
+	"dsb/internal/registry"
 	"dsb/internal/rpc"
+	"dsb/internal/shard"
+	"dsb/internal/svcutil"
 	"dsb/internal/transport"
 )
 
@@ -168,35 +171,102 @@ func TestSearchFindsPosts(t *testing.T) {
 	}
 }
 
-// scriptedShard is a search shard whose Query runs call.
-type scriptedShard struct {
-	name string
-	call func() error
+// TestSearchRoutesThroughIndexGroups indexes posts through the search front
+// over three index shard groups and checks, through the index tier's router,
+// that each post lands on exactly the group its ID hashes to, that a query
+// merges hits from every group, and that the merge is in score order.
+func TestSearchRoutesThroughIndexGroups(t *testing.T) {
+	sn, _ := bootWith(t, core.Options{}, Config{SearchShards: 3})
+	ctx := context.Background()
+	router, err := sn.App.ShardedRPC("test", "social.search-index")
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := router.Scatter()
+	if len(groups) != 3 {
+		t.Fatalf("search-index serves %d shard groups, want 3", len(groups))
+	}
+	const posts = 30
+	for i := 0; i < posts; i++ {
+		// Each post has a term of its own, and "coffee" diluted by i%5
+		// filler terms, so the shared query scores the posts unevenly.
+		text := fmt.Sprintf("coffee tok%02d", i) + strings.Repeat(" filler", i%5)
+		if err := sn.Search.Call(ctx, "Index", IndexPostReq{PostID: fmt.Sprintf("p%02d", i), Text: text}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < posts; i++ {
+		id := fmt.Sprintf("p%02d", i)
+		var holders []string
+		for _, g := range groups {
+			var resp SearchResp
+			if err := g[0].Call(ctx, "Query", SearchReq{Query: fmt.Sprintf("tok%02d", i)}, &resp); err != nil {
+				t.Fatal(err)
+			}
+			if len(resp.Hits) > 0 {
+				holders = append(holders, g[0].Addr())
+			}
+		}
+		if owner := router.Group(router.Owner(id)); len(holders) != 1 || holders[0] != owner[0].Addr() {
+			t.Fatalf("%s is held by %v, want only its owner group's %s", id, holders, owner[0].Addr())
+		}
+	}
+	var resp SearchResp
+	if err := sn.Search.Call(ctx, "Query", SearchReq{Query: "coffee", Limit: posts}, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Hits) != posts {
+		t.Fatalf("coffee hits %d posts, want %d", len(resp.Hits), posts)
+	}
+	owners := map[string]bool{}
+	for i, h := range resp.Hits {
+		owners[router.Owner(h.PostID)] = true
+		if i > 0 && h.Score > resp.Hits[i-1].Score {
+			t.Fatalf("hit %d (%+v) outscores hit %d (%+v)", i, h, i-1, resp.Hits[i-1])
+		}
+	}
+	if len(owners) != 3 {
+		t.Fatalf("coffee hits come from groups %v, want all 3", owners)
+	}
 }
 
-func (s scriptedShard) Call(context.Context, string, any, any) error { return s.call() }
-func (s scriptedShard) Target() string                               { return s.name }
-
 // TestSearchReportsLowestFailingShard pins the scatter's error rule: when
-// shards fail, the query reports the lowest-numbered one's error, whichever
-// finished first. Here shard 1 fails at once and shard 0 only after it.
+// shard groups fail, the query reports the lowest-labelled one's error,
+// whichever finished first. Here group 1 fails at once and group 0 only
+// after it.
 func TestSearchReportsLowestFailingShard(t *testing.T) {
 	net := rpc.NewMem()
 	for round := 0; round < 20; round++ {
 		shard1Done := make(chan struct{})
-		shards := []transport.Caller{
-			scriptedShard{"index0", func() error {
+		scripts := []func() error{
+			func() error {
 				<-shard1Done
 				return rpc.Errorf(rpc.CodeUnavailable, "index0 down")
-			}},
-			scriptedShard{"index1", func() error {
+			},
+			func() error {
 				defer close(shard1Done)
 				return rpc.Errorf(rpc.CodeUnavailable, "index1 down")
-			}},
-			scriptedShard{"index2", func() error { return nil }},
+			},
+			func() error { return nil },
 		}
+		index := shard.NewRouter(net, "search-index")
+		var instances []registry.Instance
+		var servers []*rpc.Server
+		for i, script := range scripts {
+			srv := rpc.NewServer("search-index")
+			svcutil.Handle(srv, "Query", func(*rpc.Ctx, *SearchReq) (*SearchResp, error) {
+				return &SearchResp{}, script()
+			})
+			addr, err := srv.Start(net, fmt.Sprintf("search-index:%d-%d", round, i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			servers = append(servers, srv)
+			instances = append(instances, registry.Instance{Addr: addr, Meta: map[string]string{shard.MetaShard: fmt.Sprint(i)}})
+		}
+		index.Sync(instances)
 		srv := rpc.NewServer("search")
-		registerSearch(srv, shards)
+		registerSearch(srv, index)
 		addr, err := srv.Start(net, fmt.Sprintf("search:%d", round))
 		if err != nil {
 			t.Fatal(err)
@@ -205,6 +275,10 @@ func TestSearchReportsLowestFailingShard(t *testing.T) {
 		err = c.Call(context.Background(), "Query", SearchReq{Query: "coffee"}, &SearchResp{})
 		c.Close()
 		srv.Close()
+		index.Close()
+		for _, s := range servers {
+			s.Close()
+		}
 		if err == nil || !strings.Contains(err.Error(), "index0 down") {
 			t.Fatalf("round %d: err = %v, want index0's", round, err)
 		}

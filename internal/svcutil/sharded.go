@@ -37,14 +37,14 @@ import (
 const repairTTL = time.Minute
 
 // StartShardReplicas boots shards×replicas instances of one stateful
-// service tier under a single service name. register(s, r) builds the
-// registration function for replica r of shard s — each (s, r) pair must
-// construct its *own* backing store, since the replicas are independent
-// copies converged only by write-all and read-repair. Unlike a logic
-// tier's replicas, every instance registers with its shard index as
-// instance metadata, which is what lets shard routers reassemble the
-// anonymous pool into replica sets. Counts below 1 are raised to 1.
-func StartShardReplicas(app *core.App, service string, shards, replicas int, register func(shard, replica int) func(*rpc.Server)) error {
+// service tier under a single service name. register is called once per
+// instance to build its registration function, and each call must construct
+// its *own* backing store, since the replicas are independent copies
+// converged only by write-all and read-repair. Unlike a logic tier's
+// replicas, every instance registers with its shard index as instance
+// metadata, which is what lets shard routers reassemble the anonymous pool
+// into replica sets. Counts below 1 are raised to 1.
+func StartShardReplicas(app *core.App, service string, shards, replicas int, register func() func(*rpc.Server)) error {
 	if shards < 1 {
 		shards = 1
 	}
@@ -53,7 +53,7 @@ func StartShardReplicas(app *core.App, service string, shards, replicas int, reg
 	}
 	for s := 0; s < shards; s++ {
 		for r := 0; r < replicas; r++ {
-			if _, err := app.StartRPCShard(service, s, register(s, r)); err != nil {
+			if _, err := app.StartRPCShard(service, s, register()); err != nil {
 				return err
 			}
 		}

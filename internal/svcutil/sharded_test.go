@@ -24,7 +24,7 @@ func bootKVShards(t *testing.T, shards, replicas int) (*core.App, svcutil.KV) {
 	t.Helper()
 	app := core.NewApp("shardtest", core.Options{DisableTracing: true})
 	t.Cleanup(func() { app.Close() })
-	err := svcutil.StartShardReplicas(app, "store.kv", shards, replicas, func(s, r int) func(*rpc.Server) {
+	err := svcutil.StartShardReplicas(app, "store.kv", shards, replicas, func() func(*rpc.Server) {
 		return func(srv *rpc.Server) { kv.RegisterService(srv, kv.New(1<<20)) }
 	})
 	if err != nil {
@@ -204,7 +204,7 @@ func TestShardedDB(t *testing.T) {
 	app := core.NewApp("shardtest", core.Options{DisableTracing: true})
 	t.Cleanup(func() { app.Close() })
 	var stores []*docstore.Store
-	err := svcutil.StartShardReplicas(app, "store.db", 3, 2, func(s, r int) func(*rpc.Server) {
+	err := svcutil.StartShardReplicas(app, "store.db", 3, 2, func() func(*rpc.Server) {
 		store := docstore.NewStore()
 		stores = append(stores, store)
 		return func(srv *rpc.Server) { docstore.RegisterService(srv, store) }
@@ -305,7 +305,7 @@ func TestShardedKVLeaseFailover(t *testing.T) {
 		const ttl = 80 * time.Millisecond
 		app := core.NewApp("shardtest", core.Options{DisableTracing: true, LeaseTTL: ttl})
 		defer app.Close()
-		err := svcutil.StartShardReplicas(app, "store.kv", 2, 2, func(s, r int) func(*rpc.Server) {
+		err := svcutil.StartShardReplicas(app, "store.kv", 2, 2, func() func(*rpc.Server) {
 			return func(srv *rpc.Server) { kv.RegisterService(srv, kv.New(1<<20)) }
 		})
 		if err != nil {

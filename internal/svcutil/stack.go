@@ -10,18 +10,21 @@ import (
 	"dsb/internal/kv"
 	"dsb/internal/mq"
 	"dsb/internal/rpc"
+	"dsb/internal/shard"
 	"dsb/internal/transport"
 )
 
 // Stack is the shared deployment wiring every application in the suite boots
 // through. It holds the knobs that used to be copy-pasted into each app's
 // constructor — shard/replica counts for the storage tiers, cache sizing,
-// per-wire middleware, static replica counts for stateless tiers — and
-// exposes the small vocabulary the constructors are written in: StartStores /
-// StartCaches for the stateful tiers, Start / StartN for logic tiers, and
-// Caller / DB / KV for clients that transparently pick load-balanced or
-// shard-routed mode to match the layout. Start Defines every Replicable tier
-// on the App, so a control plane can scale it without the app opting in.
+// per-wire middleware — and exposes the small vocabulary the constructors
+// are written in: StartStores / StartCaches / StartBroker for the stateful
+// tiers, which always boot as shard groups, Start for logic tiers, and
+// Caller / DB / KV / MQ / Router for clients, the typed ones picking
+// load-balanced or shard-routed mode to match the layout. Start boots one
+// replica of every tier and Defines every Replicable one on the App, so
+// App.Spawn — the control plane's lever — is the only way a tier gets
+// another replica.
 type Stack struct {
 	// App is the composition root every tier boots on and every client is
 	// wired through.
@@ -39,11 +42,8 @@ type Stack struct {
 	// Middleware is installed on every inter-tier client wire.
 	Middleware []transport.Middleware
 	// Replicable names the logic tiers safe to run multi-instance (state
-	// external or derived per replica). Tiers absent from the set always boot
-	// exactly one replica regardless of Replicas.
+	// external). Tiers absent from the set can never be spawned.
 	Replicable map[string]bool
-	// Replicas scales replicable tiers out at boot, keyed by tier name.
-	Replicas map[string]int
 	// BrokerShards partitions the broker tier booted by StartBroker into this
 	// many consistent-hash shards — topics are partitioned by message key, so
 	// one hot topic spreads across all of them (default 1 = single instance).
@@ -59,101 +59,52 @@ type Stack struct {
 	consumers []*mq.Worker
 }
 
-func (st *Stack) shape() (shards, replicas int) {
-	shards, replicas = st.Shards, st.ShardReplicas
-	if shards < 1 {
-		shards = 1
-	}
-	if replicas < 1 {
-		replicas = 1
-	}
-	return shards, replicas
-}
-
-// Sharded reports whether the storage tiers run in the sharded layout.
-func (st *Stack) Sharded() bool {
-	shards, replicas := st.shape()
-	return shards > 1 || replicas > 1
-}
+// Sharded reports whether the storage tiers run more than one instance each.
+func (st *Stack) Sharded() bool { return st.Shards > 1 || st.ShardReplicas > 1 }
 
 // Name returns the fully-qualified service name for a tier.
 func (st *Stack) Name(tier string) string { return st.Prefix + tier }
 
-// StartStores boots one document-store tier per name. In the sharded layout
-// each tier becomes Shards×ShardReplicas instances under the same service
-// name, every (shard, replica) pair owning a *fresh* store — replicas
-// converge only through write-all and read-repair — with the shard index in
-// registry metadata for the routers. Otherwise each tier is one instance.
+// StartStores boots one document-store tier per name as Shards×
+// ShardReplicas instances under the one service name (1×1 by default), every
+// (shard, replica) pair owning a *fresh* store — replicas converge only
+// through write-all and read-repair — with the shard index in registry
+// metadata for the routers.
 func (st *Stack) StartStores(names ...string) error {
-	shards, replicas := st.shape()
-	for _, name := range names {
-		if st.Sharded() {
-			err := StartShardReplicas(st.App, st.Name(name), shards, replicas, func(int, int) func(*rpc.Server) {
-				store := docstore.NewStore()
-				return func(s *rpc.Server) { docstore.RegisterService(s, store) }
-			})
-			if err != nil {
-				return err
-			}
-			continue
-		}
+	return st.startShardGroups(names, func() func(*rpc.Server) {
 		store := docstore.NewStore()
-		if _, err := st.App.StartRPC(st.Name(name), func(s *rpc.Server) {
-			docstore.RegisterService(s, store)
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
+		return func(s *rpc.Server) { docstore.RegisterService(s, store) }
+	})
 }
 
 // StartCaches boots one kv cache tier per name, sharded exactly like
-// StartStores when the stack runs the sharded layout.
+// StartStores.
 func (st *Stack) StartCaches(names ...string) error {
-	shards, replicas := st.shape()
-	for _, name := range names {
-		if st.Sharded() {
-			err := StartShardReplicas(st.App, st.Name(name), shards, replicas, func(int, int) func(*rpc.Server) {
-				cache := kv.New(st.CacheBytes)
-				return func(s *rpc.Server) { kv.RegisterService(s, cache) }
-			})
-			if err != nil {
-				return err
-			}
-			continue
-		}
+	return st.startShardGroups(names, func() func(*rpc.Server) {
 		cache := kv.New(st.CacheBytes)
-		if _, err := st.App.StartRPC(st.Name(name), func(s *rpc.Server) {
-			kv.RegisterService(s, cache)
-		}); err != nil {
+		return func(s *rpc.Server) { kv.RegisterService(s, cache) }
+	})
+}
+
+// startShardGroups boots each named tier as Shards×ShardReplicas instances,
+// every one registered by a fresh call of register.
+func (st *Stack) startShardGroups(names []string, register func() func(*rpc.Server)) error {
+	for _, name := range names {
+		if err := StartShardReplicas(st.App, st.Name(name), st.Shards, st.ShardReplicas, register); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (st *Stack) brokerShape() (shards, replicas int) {
-	shards, replicas = st.BrokerShards, st.BrokerReplicas
-	if shards < 1 {
-		shards = 1
-	}
-	if replicas < 1 {
-		replicas = 1
-	}
-	return shards, replicas
-}
-
 // BrokerSharded reports whether the broker tier runs partitioned/replicated.
-func (st *Stack) BrokerSharded() bool {
-	shards, replicas := st.brokerShape()
-	return shards > 1 || replicas > 1
-}
+func (st *Stack) BrokerSharded() bool { return st.BrokerShards > 1 || st.BrokerReplicas > 1 }
 
 // StartBroker queues a message-broker tier for boot, serving the mq RPC
-// interface under the stack's prefix: one instance by default, or
-// BrokerShards×BrokerReplicas instances under shard.MetaShard labels —
-// topics partitioned by message key across shards, each shard's group
-// queues mirrored across its replicas (see mq.Partitioned for the
+// interface under the stack's prefix as BrokerShards×BrokerReplicas
+// instances under shard.MetaShard labels (1×1 by default) — topics
+// partitioned by message key across shards, each shard's group queues
+// mirrored across its replicas (see mq.Partitioned for the
 // publish/mirror/failover contract). configure — where topics are declared
 // and consumer groups subscribed — runs per broker instance at boot time,
 // before any producer or consumer tier starts; running it on every
@@ -163,23 +114,8 @@ func (st *Stack) BrokerSharded() bool {
 // as they boot.
 func (st *Stack) StartBroker(name string, configure func(*mq.Broker)) *mq.Cluster {
 	cluster := mq.NewCluster()
-	shards, replicas := st.brokerShape()
-	if !st.BrokerSharded() {
-		broker := mq.NewBroker()
-		cluster.Add(broker)
-		st.boot = append(st.boot, func() error {
-			if configure != nil {
-				configure(broker)
-			}
-			_, err := st.App.StartRPC(st.Name(name), func(s *rpc.Server) {
-				mq.RegisterService(s, broker)
-			})
-			return err
-		})
-		return cluster
-	}
 	st.boot = append(st.boot, func() error {
-		return StartShardReplicas(st.App, st.Name(name), shards, replicas, func(int, int) func(*rpc.Server) {
+		return StartShardReplicas(st.App, st.Name(name), st.BrokerShards, st.BrokerReplicas, func() func(*rpc.Server) {
 			broker := mq.NewBroker()
 			if configure != nil {
 				configure(broker)
@@ -199,11 +135,7 @@ func (st *Stack) MQ(caller, target string) mq.Bus {
 	if !st.BrokerSharded() {
 		return mq.Client{C: st.Caller(caller, target)}
 	}
-	router, err := st.App.ShardedRPC(st.Name(caller), st.Name(target), st.Middleware...)
-	if err != nil {
-		panic(err)
-	}
-	return mq.NewPartitioned(router)
+	return mq.NewPartitioned(st.Router(caller, target))
 }
 
 // Serve starts one mq.Serve worker for a consumer tier's replica on srv and
@@ -241,6 +173,17 @@ func (st *Stack) Caller(caller, target string) Caller {
 	return c
 }
 
+// Router builds a shard router from one tier to a tier booted as shard
+// groups, for a caller that routes by key or scatters over every group
+// itself. Wiring errors panic, as in Caller.
+func (st *Stack) Router(caller, target string) *shard.Router {
+	router, err := st.App.ShardedRPC(st.Name(caller), st.Name(target), st.Middleware...)
+	if err != nil {
+		panic(err)
+	}
+	return router
+}
+
 // DB wires a service to a document-store tier in whichever mode the
 // deployment runs: a load-balanced caller for the single-instance layout, a
 // consistent-hash shard router for the sharded one. The typed client keeps
@@ -250,11 +193,7 @@ func (st *Stack) DB(caller, target string) DB {
 	if !st.Sharded() {
 		return DB{C: st.Caller(caller, target)}
 	}
-	router, err := st.App.ShardedRPC(st.Name(caller), st.Name(target), st.Middleware...)
-	if err != nil {
-		panic(err)
-	}
-	return DB{Shards: router}
+	return DB{Shards: st.Router(caller, target)}
 }
 
 // KV is the cache-tier counterpart of DB.
@@ -262,58 +201,24 @@ func (st *Stack) KV(caller, target string) KV {
 	if !st.Sharded() {
 		return KV{C: st.Caller(caller, target).(RawCaller)}
 	}
-	router, err := st.App.ShardedRPC(st.Name(caller), st.Name(target), st.Middleware...)
-	if err != nil {
-		panic(err)
-	}
-	return KV{Shards: router}
+	return KV{Shards: st.Router(caller, target)}
 }
 
-// StartN queues a logic tier for boot with per-replica registration (the
-// replica index feeds identity derivation, e.g. unique-ID worker numbers).
-// The replica count is Replicas[name] when the tier is in Replicable, else 1.
-// Such a tier is never Defined on the App: a spawned replica could not carry
-// an identity of its own.
-func (st *Stack) StartN(name string, register func(i int) func(*rpc.Server)) {
-	n, full := st.replicaCount(name), st.Name(name)
-	st.boot = append(st.boot, func() error {
-		for i := 0; i < n; i++ {
-			if _, err := st.App.StartRPC(full, register(i)); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// Start queues an index-independent logic tier for boot. A tier in
-// Replicable is Defined on the App and its boot replicas Spawned, so the
-// control plane can scale it at runtime; any other tier boots one replica.
+// Start queues a logic tier for boot: one replica. A tier in Replicable is
+// Defined on the App and its replica Spawned, so the control plane — or a
+// deployment that wants more replicas, after New — can scale it with
+// App.Spawn; any other tier can never be cloned.
 func (st *Stack) Start(name string, register func(*rpc.Server)) {
-	if !st.Replicable[name] {
-		st.StartN(name, func(int) func(*rpc.Server) { return register })
-		return
-	}
-	n, full := st.replicaCount(name), st.Name(name)
+	full := st.Name(name)
 	st.boot = append(st.boot, func() error {
+		if !st.Replicable[name] {
+			_, err := st.App.StartRPC(full, register)
+			return err
+		}
 		st.App.Define(full, register)
-		for i := 0; i < n; i++ {
-			if _, err := st.App.Spawn(full); err != nil {
-				return err
-			}
-		}
-		return nil
+		_, err := st.App.Spawn(full)
+		return err
 	})
-}
-
-func (st *Stack) replicaCount(name string) int {
-	n := 1
-	if st.Replicable[name] {
-		if r := st.Replicas[name]; r > n {
-			n = r
-		}
-	}
-	return n
 }
 
 // Boot runs the queued tier boots in the order they were declared (the

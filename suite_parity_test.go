@@ -29,7 +29,8 @@ const (
 // shares: shard labels in the registry metadata, lease heartbeats keeping
 // the serving set alive across several TTLs, a Degraded flag that is
 // present and false on a healthy probe of the app's degradable read, and a
-// replicable logic tier the App can spawn while a store tier it cannot. It
+// replicable logic tier the App can spawn while a store tier — and any tier
+// the app keeps out of its replicable set — it cannot. It
 // runs in one bubble, which cannot return while anything an app started is
 // still running: every app booting, serving and closing here is also the
 // proof that no goroutine outlives Close.
@@ -43,6 +44,9 @@ func TestSuiteParity(t *testing.T) {
 			// call its replicas answer.
 			logicTier, method string
 			req               any
+			// unspawnable are tiers besides storeTier the App must refuse
+			// to clone.
+			unspawnable []string
 			// boot starts the app on the shared registry and returns a healthy
 			// probe of the degradable read, reporting its Degraded flag.
 			boot func(t *testing.T, app *core.App) func(ctx context.Context) (bool, error)
@@ -51,7 +55,8 @@ func TestSuiteParity(t *testing.T) {
 				name:      "social",
 				storeTier: "social.db-posts",
 				logicTier: "social.readTimeline", method: "Read",
-				req: socialnetwork.ReadTimelineReq{User: "nobody", Limit: 5},
+				req:         socialnetwork.ReadTimelineReq{User: "nobody", Limit: 5},
+				unspawnable: []string{"social.uniqueID", "social.search-index"},
 				boot: func(t *testing.T, app *core.App) func(ctx context.Context) (bool, error) {
 					sn, err := socialnetwork.New(app, socialnetwork.Config{
 						Shards: parityShards, ShardReplicas: parityReplicas,
@@ -225,7 +230,7 @@ func TestSuiteParity(t *testing.T) {
 
 				// Spawning: with no Config field set, the App spawns a replica
 				// of a replicable logic tier that registers and serves, and
-				// refuses to clone a store tier.
+				// refuses to clone a store tier or an unspawnable one.
 				before := len(app.Registry.Lookup(tc.logicTier))
 				addr, err := app.Spawn(tc.logicTier)
 				if err != nil {
@@ -239,8 +244,10 @@ func TestSuiteParity(t *testing.T) {
 				if err := c.Call(ctx, tc.method, tc.req, nil); err != nil {
 					t.Fatalf("spawned %s replica %s: %v", tc.logicTier, tc.method, err)
 				}
-				if _, err := app.Spawn(tc.storeTier); err == nil {
-					t.Fatalf("spawned a replica of store tier %s", tc.storeTier)
+				for _, tier := range append([]string{tc.storeTier}, tc.unspawnable...) {
+					if _, err := app.Spawn(tier); err == nil {
+						t.Fatalf("spawned a replica of %s", tier)
+					}
 				}
 			})
 		}
