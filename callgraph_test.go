@@ -74,9 +74,10 @@ func TestCallGraphCensus(t *testing.T) {
 
 // TestCallGraphCensusFixture pins the census's rules on a module built to
 // probe them: a handler reached only through a Relay's downstream method on
-// a tier core.App.Define registers, one only through a rest.Forward route, one only through a dependency kept
-// in a struct field, one only through a parameter, and a store handler only
-// through a typed client's method all count as called; a handler only its
+// a tier core.App.Define registers under a Stack.Name, one only through a
+// rest.Forward route, one only through a dependency kept in a struct field,
+// one only through a parameter, and a store handler only through a typed
+// client's method over a shard router all count as called; a handler only its
 // test calls, a call of a method its tier does not serve and a call under
 // internal/services whose method is not a constant are the three call
 // defects. A stored field read after a Get, one a Find reads, a map read
@@ -1038,6 +1039,14 @@ func (g *callGraph) evalCall(call *ast.CallExpr, idx int, ctx *frame) vals {
 				for _, pre := range g.eval(c.recv, c.rctx).strs(vStack) {
 					for _, name := range g.eval(call.Args[1], ctx).strs(vStr) {
 						out = out.add(vals{{kind: vTier, s: pre + name}: true})
+					}
+				}
+			}
+		case "svcutil.Stack.Name": // a tier's service name: the Stack's prefix and the constant
+			if idx == 0 {
+				for _, pre := range g.eval(c.recv, c.rctx).strs(vStack) {
+					for _, name := range g.eval(call.Args[0], ctx).strs(vStr) {
+						out = out.add(vals{{kind: vStr, s: pre + name}: true})
 					}
 				}
 			}

@@ -31,7 +31,7 @@ type App struct {
 	Tracer   *trace.Tracer
 	Traces   *trace.Store
 	// Resilience, when non-nil, is the tail-tolerance bundle installed on
-	// every load-balanced client the app wires (see Options.Resilience).
+	// every client the app wires (see Options.Resilience).
 	Resilience *transport.ResilienceConfig
 	// Transport exposes the resilience middleware counters (retries, hedge
 	// wins, breaker trips) when Resilience is enabled.
@@ -62,8 +62,8 @@ type Options struct {
 	// TraceBuffer sizes the collector channel (0 = default).
 	TraceBuffer int
 	// Resilience, when non-nil, installs the deadline-budget → retry →
-	// hedge stack on every load-balanced client the app wires, plus one
-	// circuit breaker per backend replica. Use transport.NewResilience()
+	// hedge stack on every client the app wires, load-balanced and
+	// shard-routed alike, plus one circuit breaker per backend replica. Use transport.NewResilience()
 	// for the all-defaults bundle.
 	Resilience *transport.ResilienceConfig
 	// ClientMiddleware is appended to every client the app wires, between

@@ -173,9 +173,11 @@ func afRun(mode afMode, qps float64) (afLevelResult, error) {
 	app := core.NewApp("asyncfanout", core.Options{DisableTracing: true})
 	defer app.Close()
 	cfg := socialnetwork.Config{
+		LayoutConfig: svcutil.LayoutConfig{
+			Middleware: []transport.Middleware{fault.Capacity{Target: "social.db-timeline", Method: "ListPrepend",
+				Slots: afStoreSlots, ServiceTime: afStoreRTT}.Middleware()},
+		},
 		SearchShards: 2,
-		Middleware: []transport.Middleware{fault.Capacity{Target: "social.db-timeline", Method: "ListPrepend",
-			Slots: afStoreSlots, ServiceTime: afStoreRTT}.Middleware()},
 	}
 	switch mode {
 	case afSync:
@@ -196,9 +198,8 @@ func afRun(mode afMode, qps float64) (afLevelResult, error) {
 		cfg.FanoutWorkers = 2
 		// Broker publish-capacity model: each broker instance serves
 		// publishes one at a time at afBrokerRTT apiece (the shard router
-		// stamps Call.Addr; the single-instance layout's load-balanced wire
-		// leaves it empty, which keys its one lane). Adding shards adds
-		// lanes: partitioning is the only way to scale the tier's aggregate
+		// stamps Call.Addr, which keys the lanes). Adding shards adds lanes:
+		// partitioning is the only way to scale the tier's aggregate
 		// publish throughput.
 		cfg.Middleware = append(cfg.Middleware, fault.Capacity{Target: "social.broker", Method: "Publish",
 			Slots: 1, ServiceTime: afBrokerRTT, PerAddr: true}.Middleware())
@@ -253,11 +254,11 @@ func afRun(mode afMode, qps float64) (afLevelResult, error) {
 		return res, err
 	}
 	res.drain = time.Since(t0)
-	dbCaller, err := app.RPC("asyncfanout", "social.db-timeline")
+	timelines, err := app.ShardedRPC("asyncfanout", "social.db-timeline")
 	if err != nil {
 		return res, err
 	}
-	ids, err := probeTimeline(svcutil.DB{C: dbCaller})
+	ids, err := probeTimeline(svcutil.DB{Shards: timelines})
 	if err != nil {
 		return res, err
 	}

@@ -87,12 +87,14 @@ func bcRun(replicated bool) (bcResult, error) {
 	})
 	defer app.Close()
 	cfg := socialnetwork.Config{
-		SearchShards: 2,
-		Middleware: []transport.Middleware{fault.Capacity{Target: "social.db-timeline", Method: "ListPrepend",
-			Slots: bcStoreSlots, ServiceTime: bcStoreRTT}.Middleware()},
+		LayoutConfig: svcutil.LayoutConfig{
+			Middleware: []transport.Middleware{fault.Capacity{Target: "social.db-timeline", Method: "ListPrepend",
+				Slots: bcStoreSlots, ServiceTime: bcStoreRTT}.Middleware()},
+		},
+		BrokerShards:  2,
+		SearchShards:  2,
 		AsyncFanout:   true,
 		FanoutWorkers: bcStoreSlots,
-		BrokerShards:  2,
 	}
 	if replicated {
 		cfg.BrokerReplicas = 2
@@ -188,11 +190,11 @@ func bcRun(replicated bool) (bcResult, error) {
 	// (whatever is still missing is lost). GroupLag is useless here — the
 	// corpse's orphaned copies keep cluster-wide lag nonzero forever — so
 	// completeness is judged on delivered state alone.
-	dbCaller, err := app.RPC("brokercrash", "social.db-timeline")
+	timelines, err := app.ShardedRPC("brokercrash", "social.db-timeline")
 	if err != nil {
 		return res, err
 	}
-	db := svcutil.DB{C: dbCaller}
+	db := svcutil.DB{Shards: timelines}
 	tally := func(ids []string) (delivered, dups int) {
 		seen := make(map[string]int, len(ids))
 		for _, id := range ids {

@@ -16,6 +16,7 @@ import (
 	"dsb/internal/services/media"
 	"dsb/internal/services/socialnetwork"
 	"dsb/internal/services/swarm"
+	"dsb/internal/svcutil"
 	"dsb/internal/transport"
 )
 
@@ -299,37 +300,32 @@ func cpBoot(withPlane bool) (*cpCluster, error) {
 	// cpHopCost before the call proceeds. Queueing for a core is unbounded —
 	// exactly the Fig 17 collapse channel when offered hops exceed capacity
 	// — and waiters give up when their request deadline expires.
-	mw := []transport.Middleware{fault.Capacity{Slots: cpMachineCores, ServiceTime: cpHopCost}.Middleware()}
+	layout := svcutil.LayoutConfig{
+		Shards: 2, ShardReplicas: 2,
+		Middleware: []transport.Middleware{fault.Capacity{Slots: cpMachineCores, ServiceTime: cpHopCost}.Middleware()},
+	}
 
-	sn, err := socialnetwork.New(app, socialnetwork.Config{
-		Shards: 2, ShardReplicas: 2, Middleware: mw,
-	})
+	sn, err := socialnetwork.New(app, socialnetwork.Config{LayoutConfig: layout})
 	if err != nil {
 		return fail(fmt.Errorf("social: %w", err))
 	}
-	md, err := media.New(app, media.Config{
-		Shards: 2, ShardReplicas: 2, Middleware: mw,
-	})
+	md, err := media.New(app, media.Config{LayoutConfig: layout})
 	if err != nil {
 		return fail(fmt.Errorf("media: %w", err))
 	}
-	ec, err := ecommerce.New(app, ecommerce.Config{
-		Shards: 2, ShardReplicas: 2, Middleware: mw,
-	})
+	ec, err := ecommerce.New(app, ecommerce.Config{LayoutConfig: layout})
 	if err != nil {
 		return fail(fmt.Errorf("ecommerce: %w", err))
 	}
 	cl.closers = append(cl.closers, ec.Close)
-	bk, err := banking.New(app, banking.Config{
-		Shards: 2, ShardReplicas: 2, Middleware: mw,
-	})
+	bk, err := banking.New(app, banking.Config{LayoutConfig: layout})
 	if err != nil {
 		return fail(fmt.Errorf("banking: %w", err))
 	}
 	sw, err := swarm.New(app, swarm.Config{
 		Placement: swarm.Edge, Drones: 1, WorldSize: 24, Seed: 7,
-		WifiRTT: 200 * time.Microsecond,
-		Shards:  2, ShardReplicas: 2, Middleware: mw,
+		WifiRTT:      200 * time.Microsecond,
+		LayoutConfig: layout,
 	})
 	if err != nil {
 		return fail(fmt.Errorf("swarm: %w", err))

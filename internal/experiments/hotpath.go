@@ -52,10 +52,10 @@ func hotpathStampede(disableCoalescing bool) (stampedeResult, error) {
 		}
 	}
 	sn, err := socialnetwork.New(app, socialnetwork.Config{
+		LayoutConfig: svcutil.LayoutConfig{Middleware: []transport.Middleware{count,
+			fault.Capacity{Target: "social.db-timeline", Method: "Get", ServiceTime: hotpathStoreRTT}.Middleware()}},
 		SearchShards:      2,
 		DisableCoalescing: disableCoalescing,
-		Middleware: []transport.Middleware{count,
-			fault.Capacity{Target: "social.db-timeline", Method: "Get", ServiceTime: hotpathStoreRTT}.Middleware()},
 	})
 	if err != nil {
 		return stampedeResult{}, err
@@ -71,11 +71,11 @@ func hotpathStampede(disableCoalescing bool) (stampedeResult, error) {
 	if err := sn.Compose.Call(ctx, "Compose", socialnetwork.ComposePostReq{Token: login.Token, Text: "the hot post"}, nil); err != nil {
 		return stampedeResult{}, err
 	}
-	mcCaller, err := app.RPC("hotpath", "social.mc-timeline")
+	mcRouter, err := app.ShardedRPC("hotpath", "social.mc-timeline")
 	if err != nil {
 		return stampedeResult{}, err
 	}
-	mc := svcutil.KV{C: mcCaller}
+	mc := svcutil.KV{Shards: mcRouter}
 
 	// Warm once, then count only the stampede traffic.
 	if err := sn.ReadTimeline.Call(ctx, "Read", socialnetwork.ReadTimelineReq{User: "celeb", Limit: 10}, nil); err != nil {
@@ -119,10 +119,10 @@ func hotpathFanout(workers int) (fanoutResult, error) {
 	app := core.NewApp("hotpath-fanout", core.Options{DisableTracing: true})
 	defer app.Close()
 	sn, err := socialnetwork.New(app, socialnetwork.Config{
+		LayoutConfig: svcutil.LayoutConfig{Middleware: []transport.Middleware{fault.Capacity{Target: "social.db-timeline", Method: "ListPrepend",
+			ServiceTime: hotpathFanoutRTT}.Middleware()}},
 		SearchShards:  2,
 		FanoutWorkers: workers,
-		Middleware: []transport.Middleware{fault.Capacity{Target: "social.db-timeline", Method: "ListPrepend",
-			ServiceTime: hotpathFanoutRTT}.Middleware()},
 	})
 	if err != nil {
 		return fanoutResult{}, err
@@ -148,11 +148,11 @@ func hotpathFanout(workers int) (fanoutResult, error) {
 
 	// Correctness probe: every append must be on a follower's stored
 	// timeline regardless of fan-out parallelism.
-	dbCaller, err := app.RPC("hotpath", "social.db-timeline")
+	timelines, err := app.ShardedRPC("hotpath", "social.db-timeline")
 	if err != nil {
 		return fanoutResult{}, err
 	}
-	ids, err := probeTimeline(svcutil.DB{C: dbCaller})
+	ids, err := probeTimeline(svcutil.DB{Shards: timelines})
 	if err != nil {
 		return fanoutResult{}, err
 	}

@@ -31,9 +31,10 @@ type Capacity struct {
 	// a pure service delay.
 	Slots       int
 	ServiceTime time.Duration
-	// PerAddr gives each replica address (transport.Call.Addr, stamped by
-	// the shard router; load-balanced calls share the "" lane) its own
-	// Slots instead of one pool for the whole Target.
+	// PerAddr gives each replica address (transport.Call.Addr, which every
+	// store, cache and broker call carries from its shard router;
+	// load-balanced logic-tier calls share the "" lane) its own Slots
+	// instead of one pool for the whole Target.
 	PerAddr bool
 }
 

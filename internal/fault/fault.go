@@ -34,10 +34,12 @@ type Rule struct {
 
 	// Addr narrows call-level faults (Latency, ErrCode, Blackhole) to calls
 	// pinned to one replica address — how a single shard replica of a
-	// sharded tier is made slow while its siblings stay healthy. Only the
-	// shard router stamps transport.Call.Addr, so Addr rules never match
-	// load-balanced calls; connection-level faults (Partition, Reset,
-	// Stall) ignore Addr. Empty matches any call.
+	// sharded tier is made slow while its siblings stay healthy. The shard
+	// router stamps transport.Call.Addr before the fault layer runs, so
+	// every store, cache and broker call carries it; a load-balanced
+	// logic-tier call picks its replica under the fault layer and reaches it
+	// with Addr empty, so Addr rules never match one. Connection-level
+	// faults (Partition, Reset, Stall) ignore Addr. Empty matches any call.
 	Addr string
 
 	// Latency delays matching calls; Jitter adds a uniformly distributed

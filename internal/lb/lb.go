@@ -68,28 +68,10 @@ func (b *Balanced) Call(ctx context.Context, method string, req, resp any) error
 	return transport.Unary(ctx, b.invoke, b.router.Target(), "", method, req, resp)
 }
 
-// CallOneWay issues a fire-and-forget call on a picked replica: the
-// balanced middleware chain runs with Call.OneWay set and the terminal
-// client completes at send. Only send-side errors come back; see
-// rpc.Client.CallOneWay for the contract.
-func (b *Balanced) CallOneWay(ctx context.Context, method string, req any) error {
-	return transport.OneWay(ctx, b.invoke, b.router.Target(), "", method, req)
-}
-
 // Invoke runs the balanced middleware chain for a caller-built call.
 func (b *Balanced) Invoke(ctx context.Context, call *transport.Call) error {
 	return b.invoke(ctx, call)
 }
-
-// Stream opens a streaming call on a picked replica. The open runs through
-// the balanced chain (so a dead instance fails over exactly like a unary
-// call); the stream then lives on that replica's connection until teardown
-// — it does not re-balance mid-stream.
-func (b *Balanced) Stream(ctx context.Context, method string, req any) (*transport.Stream, error) {
-	return transport.OpenStream(ctx, b.invoke, b.router.Target(), "", method, req)
-}
-
-var _ transport.Streamer = (*Balanced)(nil)
 
 // pick is the terminal invoker under the balanced middleware: take the next
 // replica in round-robin order and issue one attempt, stamped with its

@@ -3,7 +3,6 @@ package mq
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -11,10 +10,10 @@ import (
 	"dsb/internal/shard"
 )
 
-// Bus is the broker surface async producers and consumers program against,
-// satisfied by both the single-instance Client and the Partitioned client —
-// application tiers never know which broker layout they run on, mirroring
-// how svcutil.DB hides the sharded storage layout.
+// Bus is the broker surface async producers and consumers program against.
+// Every app's broker client is a Partitioned one (svcutil.Stack.MQ), which
+// runs the same code in every broker layout, 1 × 1 included; Client also
+// satisfies it.
 type Bus interface {
 	// Publish sends one message to a topic and returns after the broker tier
 	// has accepted it for every subscribed group.
@@ -63,8 +62,9 @@ var partNode atomic.Uint64
 //     a second delivery stream), rotating across shards and splitting the
 //     wait budget between them.
 //   - Ack/Nack settle by key on every replica of the owning shard, so the
-//     mirror copies retire with the primary's. Settles that race ahead of a
-//     still-propagating mirror are absorbed by the broker's tombstones.
+//     mirror copies retire with the primary's — Ack one-way, Nack waiting
+//     for an answer. Settles that race ahead of a still-propagating mirror
+//     are absorbed by the broker's tombstones.
 //
 // When a health lease evicts a dead broker the router's ring re-forms:
 // the surviving replica becomes primary, publishers fail over to it, and
@@ -224,50 +224,56 @@ func (p *Partitioned) Consume(ctx context.Context, topic, group string, lease, w
 	return ConsumeResp{}, nil
 }
 
-// settle sends an Ack or Nack by key to every replica of the owning shard
-// in parallel. Success requires reaching at least one replica: a settle
-// that reached only the survivor of a crashing pair did its job (the
-// corpse's copy dies with it), while a settle that reached no one must
-// surface so the consumer knows the redelivery is coming.
-func (p *Partitioned) settle(ctx context.Context, method, topic, group, key string) error {
-	if key == "" {
-		return rpc.Errorf(rpc.CodeBadRequest, "mq: partitioned %s requires a keyed message", method)
-	}
-	reps := p.router.Route(key)
-	if len(reps) == 0 {
-		return rpc.Errorf(rpc.CodeUnavailable, "mq: no live brokers for topic %q", topic)
-	}
-	req := AckReq{Topic: topic, Group: group, Key: key}
-	errs := make([]error, len(reps))
-	var wg sync.WaitGroup
-	for i, rep := range reps {
-		wg.Add(1)
-		go func(i int, rep *shard.Replica) {
-			defer wg.Done()
-			var resp AckResp
-			errs[i] = rep.Call(ctx, method, req, &resp)
-		}(i, rep)
-	}
-	wg.Wait()
-	var firstErr error
-	for _, err := range errs {
-		if err == nil {
-			return nil
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// Ack settles a consumed message on every replica of its owning shard.
+// Ack settles a consumed message by key, one-way, on every replica of its
+// owning shard, so the mirror copies retire with the primary's: it returns
+// at send, and a lost ack only costs a redelivery, which at-least-once
+// consumers already tolerate. It fails only when no replica could be sent
+// to.
 func (p *Partitioned) Ack(ctx context.Context, topic, group string, m ConsumeResp) error {
 	return p.settle(ctx, "Ack", topic, group, m.Key)
 }
 
 // Nack returns a consumed message for redelivery on whichever replicas
-// hold a live copy.
+// hold a live copy: synchronously, one replica after another, succeeding
+// when at least one answers — a nacking consumer is already off its hot
+// path, and a settle that reached only the survivor of a crashing pair did
+// its job (the corpse's copy dies with it).
 func (p *Partitioned) Nack(ctx context.Context, topic, group string, m ConsumeResp) error {
 	return p.settle(ctx, "Nack", topic, group, m.Key)
+}
+
+// settle sends a by-key settle to every replica of the key's owning shard
+// in address order, an Ack one-way, and succeeds when one was reached; a
+// settle that reached no one surfaces so the consumer knows the redelivery
+// is coming.
+func (p *Partitioned) settle(ctx context.Context, method, topic, group, key string) error {
+	if key == "" {
+		return rpc.Errorf(rpc.CodeBadRequest, "mq: partitioned %s requires a keyed message", method)
+	}
+	reps := p.router.Group(p.router.Owner(key))
+	if len(reps) == 0 {
+		return rpc.Errorf(rpc.CodeUnavailable, "mq: no live brokers for topic %q", topic)
+	}
+	req := AckReq{Topic: topic, Group: group, Key: key}
+	var firstErr error
+	reached := false
+	for _, rep := range reps {
+		var err error
+		if method == "Ack" {
+			err = rep.CallOneWay(ctx, method, req)
+		} else {
+			err = rep.Call(ctx, method, req, nil)
+		}
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
+		reached = true
+	}
+	if reached {
+		return nil
+	}
+	return firstErr
 }

@@ -10,6 +10,7 @@ import (
 	"dsb/internal/registry"
 	"dsb/internal/rpc"
 	"dsb/internal/shard"
+	"dsb/internal/vtime"
 )
 
 // partRig is a partitioned broker tier bootstrapped outside svcutil: real
@@ -94,64 +95,67 @@ func (rig *partRig) primary(s int) int {
 // every message exactly once across shard primaries, and key-addressed acks
 // retire primary and mirror copies alike.
 func TestPartitionedRoundTrip(t *testing.T) {
-	rig, bus := bootPartitioned(t, 2, 2)
-	defer rig.stop()
-	ctx := context.Background()
-	if err := bus.Subscribe(ctx, "t", "g", QueueConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	const n = 16
-	for i := 0; i < n; i++ {
-		if _, err := bus.PublishKey(ctx, "t", fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("m%d", i))); err != nil {
-			t.Fatalf("publish %d: %v", i, err)
+	vtime.Run(t, func() {
+		rig, bus := bootPartitioned(t, 2, 2)
+		defer rig.stop()
+		ctx := context.Background()
+		if err := bus.Subscribe(ctx, "t", "g", QueueConfig{}); err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Both shards should own a slice of the keyspace, and each copy must be
-	// mirrored: every replica of a shard holds its primary's messages.
-	for s := 0; s < 2; s++ {
-		lens := make([]int, 2)
-		for r := 0; r < 2; r++ {
-			lens[r] = rig.brokers[s][r].Queue("t@g").Len()
+		const n = 16
+		for i := 0; i < n; i++ {
+			if _, err := bus.PublishKey(ctx, "t", fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("m%d", i))); err != nil {
+				t.Fatalf("publish %d: %v", i, err)
+			}
 		}
-		if lens[0] != lens[1] {
-			t.Fatalf("shard %d replicas diverge: %v", s, lens)
+		// Both shards should own a slice of the keyspace, and each copy must be
+		// mirrored: every replica of a shard holds its primary's messages.
+		for s := 0; s < 2; s++ {
+			lens := make([]int, 2)
+			for r := 0; r < 2; r++ {
+				lens[r] = rig.brokers[s][r].Queue("t@g").Len()
+			}
+			if lens[0] != lens[1] {
+				t.Fatalf("shard %d replicas diverge: %v", s, lens)
+			}
+			if lens[0] == 0 {
+				t.Fatalf("shard %d owns no keys; partitioning is degenerate", s)
+			}
 		}
-		if lens[0] == 0 {
-			t.Fatalf("shard %d owns no keys; partitioning is degenerate", s)
-		}
-	}
 
-	got := make(map[string]string, n)
-	deadline := time.Now().Add(10 * time.Second)
-	for len(got) < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("drained %d/%d messages", len(got), n)
+		got := make(map[string]string, n)
+		deadline := time.Now().Add(10 * time.Second)
+		for len(got) < n {
+			if time.Now().After(deadline) {
+				t.Fatalf("drained %d/%d messages", len(got), n)
+			}
+			msg, err := bus.Consume(ctx, "t", "g", time.Minute, 200*time.Millisecond)
+			if err != nil {
+				t.Fatalf("consume: %v", err)
+			}
+			if !msg.OK {
+				continue
+			}
+			if _, dup := got[msg.Key]; dup {
+				t.Fatalf("key %q delivered twice", msg.Key)
+			}
+			got[msg.Key] = string(msg.Body)
+			if err := bus.Ack(ctx, "t", "g", msg); err != nil {
+				t.Fatalf("ack %q: %v", msg.Key, err)
+			}
 		}
-		msg, err := bus.Consume(ctx, "t", "g", time.Minute, 200*time.Millisecond)
-		if err != nil {
-			t.Fatalf("consume: %v", err)
+		for i := 0; i < n; i++ {
+			if got[fmt.Sprintf("k%d", i)] != fmt.Sprintf("m%d", i) {
+				t.Fatalf("key k%d = %q", i, got[fmt.Sprintf("k%d", i)])
+			}
 		}
-		if !msg.OK {
-			continue
+		// Acks settled on every replica: the whole tier — mirrors included — is
+		// empty, and each of a message's two copies was retired by its settle.
+		vtime.Wait() // Ack is one-way: let the settles land
+		if s := rig.cluster.GroupStats("t", "g"); s.Lag() != 0 || s.Acked != 2*n {
+			t.Fatalf("tier stats after drain = %+v, want lag 0 and %d acked", s, 2*n)
 		}
-		if _, dup := got[msg.Key]; dup {
-			t.Fatalf("key %q delivered twice", msg.Key)
-		}
-		got[msg.Key] = string(msg.Body)
-		if err := bus.Ack(ctx, "t", "g", msg); err != nil {
-			t.Fatalf("ack %q: %v", msg.Key, err)
-		}
-	}
-	for i := 0; i < n; i++ {
-		if got[fmt.Sprintf("k%d", i)] != fmt.Sprintf("m%d", i) {
-			t.Fatalf("key k%d = %q", i, got[fmt.Sprintf("k%d", i)])
-		}
-	}
-	// Acks settled on every replica: the whole tier — mirrors included — is
-	// empty, and each of a message's two copies was retired by its settle.
-	if s := rig.cluster.GroupStats("t", "g"); s.Lag() != 0 || s.Acked != 2*n {
-		t.Fatalf("tier stats after drain = %+v, want lag 0 and %d acked", s, 2*n)
-	}
+	})
 }
 
 // TestPartitionedPublishIdempotent pins broker-side dedup: republishing a
@@ -185,86 +189,90 @@ func TestPartitionedPublishIdempotent(t *testing.T) {
 // duplicated — and in the post-ack timing the key-addressed settle has
 // already retired the mirror copy, so nothing reappears.
 func TestPartitionedCrashRedelivery(t *testing.T) {
-	cases := []struct {
-		name string
-		// crashAt: 0 = before any consume (message queued on both),
-		// 1 = after consume, before ack (leased on the dying primary),
-		// 2 = after ack (settled everywhere).
-		crashAt       int
-		wantRedeliver bool
-	}{
-		{"queued-at-crash", 0, true},
-		{"leased-at-crash", 1, true},
-		{"acked-at-crash", 2, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			rig, bus := bootPartitioned(t, 1, 2)
-			defer rig.stop()
-			ctx := context.Background()
-			if err := bus.Subscribe(ctx, "t", "g", QueueConfig{}); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := bus.PublishKey(ctx, "t", "k", []byte("payload")); err != nil {
-				t.Fatal(err)
-			}
-			if tc.crashAt >= 1 {
-				msg, err := bus.Consume(ctx, "t", "g", time.Minute, 200*time.Millisecond)
-				if err != nil || !msg.OK || msg.Key != "k" {
-					t.Fatalf("pre-crash consume = %+v, %v", msg, err)
+	vtime.Run(t, func() {
+		cases := []struct {
+			name string
+			// crashAt: 0 = before any consume (message queued on both),
+			// 1 = after consume, before ack (leased on the dying primary),
+			// 2 = after ack (settled everywhere).
+			crashAt       int
+			wantRedeliver bool
+		}{
+			{"queued-at-crash", 0, true},
+			{"leased-at-crash", 1, true},
+			{"acked-at-crash", 2, false},
+		}
+		for _, tc := range cases {
+			t.Run(tc.name, func(t *testing.T) {
+				rig, bus := bootPartitioned(t, 1, 2)
+				defer rig.stop()
+				ctx := context.Background()
+				if err := bus.Subscribe(ctx, "t", "g", QueueConfig{}); err != nil {
+					t.Fatal(err)
 				}
-				if tc.crashAt == 2 {
-					if err := bus.Ack(ctx, "t", "g", msg); err != nil {
-						t.Fatal(err)
+				if _, err := bus.PublishKey(ctx, "t", "k", []byte("payload")); err != nil {
+					t.Fatal(err)
+				}
+				if tc.crashAt >= 1 {
+					msg, err := bus.Consume(ctx, "t", "g", time.Minute, 200*time.Millisecond)
+					if err != nil || !msg.OK || msg.Key != "k" {
+						t.Fatalf("pre-crash consume = %+v, %v", msg, err)
+					}
+					if tc.crashAt == 2 {
+						if err := bus.Ack(ctx, "t", "g", msg); err != nil {
+							t.Fatal(err)
+						}
+						vtime.Wait() // Ack is one-way: let the settles land
 					}
 				}
-			}
-			rig.crash(0, rig.primary(0))
+				rig.crash(0, rig.primary(0))
 
-			// Survivor is primary now. The mirror copy must redeliver exactly
-			// once pre-ack, and must stay gone post-ack.
-			redelivered := 0
-			deadline := time.Now().Add(5 * time.Second)
-			for time.Now().Before(deadline) && redelivered == 0 {
-				msg, err := bus.Consume(ctx, "t", "g", time.Minute, 100*time.Millisecond)
-				if err != nil {
-					t.Fatalf("post-crash consume: %v", err)
-				}
-				if !msg.OK {
-					if !tc.wantRedeliver {
-						break // nothing should come back; empty sweep is the pass
+				// Survivor is primary now. The mirror copy must redeliver exactly
+				// once pre-ack, and must stay gone post-ack.
+				redelivered := 0
+				deadline := time.Now().Add(5 * time.Second)
+				for time.Now().Before(deadline) && redelivered == 0 {
+					msg, err := bus.Consume(ctx, "t", "g", time.Minute, 100*time.Millisecond)
+					if err != nil {
+						t.Fatalf("post-crash consume: %v", err)
 					}
-					continue
+					if !msg.OK {
+						if !tc.wantRedeliver {
+							break // nothing should come back; empty sweep is the pass
+						}
+						continue
+					}
+					if msg.Key != "k" || string(msg.Body) != "payload" {
+						t.Fatalf("redelivered %+v", msg)
+					}
+					redelivered++
+					if err := bus.Ack(ctx, "t", "g", msg); err != nil {
+						t.Fatalf("ack redelivery: %v", err)
+					}
 				}
-				if msg.Key != "k" || string(msg.Body) != "payload" {
-					t.Fatalf("redelivered %+v", msg)
+				if tc.wantRedeliver && redelivered != 1 {
+					t.Fatalf("redelivered %d times, want 1", redelivered)
 				}
-				redelivered++
-				if err := bus.Ack(ctx, "t", "g", msg); err != nil {
-					t.Fatalf("ack redelivery: %v", err)
+				if !tc.wantRedeliver && redelivered != 0 {
+					t.Fatalf("acked message reappeared %d times", redelivered)
 				}
-			}
-			if tc.wantRedeliver && redelivered != 1 {
-				t.Fatalf("redelivered %d times, want 1", redelivered)
-			}
-			if !tc.wantRedeliver && redelivered != 0 {
-				t.Fatalf("acked message reappeared %d times", redelivered)
-			}
-			// Exactly once: a further sweep is empty either way.
-			msg, err := bus.Consume(ctx, "t", "g", time.Minute, 100*time.Millisecond)
-			if err != nil || msg.OK {
-				t.Fatalf("post-drain consume = %+v, %v", msg, err)
-			}
-			// The survivor's queue is fully retired. (Cluster.GroupLag would
-			// still count the corpse's orphaned copy — dead brokers keep
-			// their memory — which is why crash experiments assert on
-			// delivered state, not on drain.)
-			sq := rig.brokers[0][1-rig.primary(0)].Queue("t@g")
-			if sq.Len()+sq.InFlight() != 0 {
-				t.Fatalf("survivor lag = %d, want 0", sq.Len()+sq.InFlight())
-			}
-		})
-	}
+				// Exactly once: a further sweep is empty either way.
+				msg, err := bus.Consume(ctx, "t", "g", time.Minute, 100*time.Millisecond)
+				if err != nil || msg.OK {
+					t.Fatalf("post-drain consume = %+v, %v", msg, err)
+				}
+				vtime.Wait() // the redelivery's one-way Ack lands
+				// The survivor's queue is fully retired. (Cluster.GroupLag would
+				// still count the corpse's orphaned copy — dead brokers keep
+				// their memory — which is why crash experiments assert on
+				// delivered state, not on drain.)
+				sq := rig.brokers[0][1-rig.primary(0)].Queue("t@g")
+				if sq.Len()+sq.InFlight() != 0 {
+					t.Fatalf("survivor lag = %d, want 0", sq.Len()+sq.InFlight())
+				}
+			})
+		}
+	})
 }
 
 // TestPartitionedPublishFailover pins the producer contract through a crash

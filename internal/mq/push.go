@@ -50,8 +50,9 @@ type Deliveries interface {
 	Close()
 }
 
-// streamDeliveries is the single-broker session: one stream, no failover —
-// Next surfaces the stream's end and the consumer reopens.
+// streamDeliveries is Client's session: one stream, no failover — Next
+// surfaces the stream's end and the consumer reopens. It goes with Client
+// (see there).
 type streamDeliveries struct{ st *transport.Stream }
 
 func (d *streamDeliveries) Next() (ConsumeResp, error) {
@@ -65,8 +66,8 @@ func (d *streamDeliveries) Next() (ConsumeResp, error) {
 func (d *streamDeliveries) Close() { d.st.Cancel() }
 
 // Push opens a push stream on the broker. The underlying transport must
-// support streaming (rpc clients, balanced pools, and shard replicas all
-// do); callers get a coded error otherwise.
+// support streaming (rpc clients and shard replicas do); callers get a
+// coded error otherwise.
 func (c Client) Push(ctx context.Context, topic, group string, lease time.Duration) (Deliveries, error) {
 	sc, ok := c.C.(transport.Streamer)
 	if !ok {
@@ -79,11 +80,9 @@ func (c Client) Push(ctx context.Context, topic, group string, lease time.Durati
 	return &streamDeliveries{st: st}, nil
 }
 
-// partDeliveries is the partitioned session: one goroutine per shard keeps
-// a push stream open against that shard's primary, re-resolving and
-// reopening with backoff when the stream dies — which is exactly what a
-// primary crash looks like, so failover to the promoted mirror is just the
-// next reopen. Deliveries from all shards merge into one channel.
+// partDeliveries is the partitioned Deliveries session: the per-shard
+// loops of pushShards, merged into one channel for Next. Serve does not
+// use it; its workers handle each delivery on the shard's own loop.
 type partDeliveries struct {
 	out    chan ConsumeResp
 	ctx    context.Context
@@ -109,35 +108,54 @@ func (d *partDeliveries) Close() {
 // The session survives broker crashes: a shard whose primary dies reopens
 // against the survivor once the health lease re-forms the ring.
 func (p *Partitioned) Push(ctx context.Context, topic, group string, lease time.Duration) (Deliveries, error) {
-	shards := p.router.Shards()
-	if len(shards) == 0 {
-		return nil, rpc.Errorf(rpc.CodeUnavailable, "mq: no live brokers for topic %q", topic)
-	}
 	dctx, cancel := context.WithCancel(ctx)
 	d := &partDeliveries{out: make(chan ConsumeResp), ctx: dctx, cancel: cancel}
-	for _, label := range shards {
-		d.wg.Add(1)
-		go p.pushShard(d, label, topic, group, lease)
+	err := p.pushShards(dctx, &d.wg, topic, group, lease, func(m ConsumeResp) {
+		select {
+		case d.out <- m:
+		case <-dctx.Done(): // the stream's cancel hands m back with its other leases
+		}
+	})
+	if err != nil {
+		cancel()
+		return nil, err
 	}
 	return d, nil
 }
 
-// pushShard keeps one shard's push stream alive for the session: resolve
-// the primary (lowest live addr — the same rule publishers use), stream
-// deliveries into the merged channel, and on any stream death back off and
-// re-resolve.
-func (p *Partitioned) pushShard(d *partDeliveries, label, topic, group string, lease time.Duration) {
-	defer d.wg.Done()
+// pushShards starts one pushShard loop per shard of the broker tier, each
+// counted on wg, and fails when the ring has no shard yet.
+func (p *Partitioned) pushShards(ctx context.Context, wg *sync.WaitGroup, topic, group string, lease time.Duration, deliver func(ConsumeResp)) error {
+	shards := p.router.Shards()
+	if len(shards) == 0 {
+		return rpc.Errorf(rpc.CodeUnavailable, "mq: no live brokers for topic %q", topic)
+	}
+	for _, label := range shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.pushShard(ctx, label, topic, group, lease, deliver)
+		}()
+	}
+	return nil
+}
+
+// pushShard keeps one shard's push stream alive until ctx ends: resolve the
+// primary (lowest live addr — the same rule publishers use), hand each
+// delivery to deliver on this goroutine, and on any stream death back off
+// and re-resolve — which is exactly what a primary crash looks like, so
+// failover to the promoted mirror is just the next reopen.
+func (p *Partitioned) pushShard(ctx context.Context, label, topic, group string, lease time.Duration, deliver func(ConsumeResp)) {
 	backoff := pushReopenBase
-	for d.ctx.Err() == nil {
+	for ctx.Err() == nil {
 		reps := p.router.Group(label)
 		if len(reps) == 0 {
-			backoff = pushSleep(d.ctx, backoff)
+			backoff = pushSleep(ctx, backoff)
 			continue
 		}
-		st, err := reps[0].Stream(d.ctx, "Push", PushReq{Topic: topic, Group: group, LeaseNs: int64(lease)})
+		st, err := reps[0].Stream(ctx, "Push", PushReq{Topic: topic, Group: group, LeaseNs: int64(lease)})
 		if err != nil {
-			backoff = pushSleep(d.ctx, backoff)
+			backoff = pushSleep(ctx, backoff)
 			continue
 		}
 		for {
@@ -145,14 +163,13 @@ func (p *Partitioned) pushShard(d *partDeliveries, label, topic, group string, l
 			if err := st.Recv(&m); err != nil {
 				// Stream over: primary crash, broker shutdown, or session end.
 				// Back off and re-resolve; the ring may have a new primary.
-				backoff = pushSleep(d.ctx, backoff)
+				backoff = pushSleep(ctx, backoff)
 				break
 			}
 			backoff = pushReopenBase // a delivery proves the stream healthy
-			select {
-			case d.out <- m:
-			case <-d.ctx.Done():
-				st.Cancel() // the primary requeues m with the rest of the stream's leases
+			deliver(m)
+			if ctx.Err() != nil {
+				st.Cancel() // the primary requeues what the stream leased and nobody settled
 				return
 			}
 		}

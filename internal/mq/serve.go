@@ -2,6 +2,7 @@ package mq
 
 import (
 	"context"
+	"sync"
 	"time"
 
 	"dsb/internal/rpc"
@@ -29,54 +30,54 @@ type Worker struct {
 }
 
 // Serve starts one member of the group on the topic — the only standing
-// consumer in the suite: it holds a push session open (reopening with the
-// session's own backoff when it dies, which is what a single broker's
-// restart looks like; the partitioned session fails over inside itself),
-// hands deliveries to handle one at a time in delivery order, and settles
-// each by what handle returns. Members of one group share the partition, so
-// calling Serve n times gives n-way concurrency without double delivery.
+// consumer in the suite: it holds one push stream per broker shard open
+// (each reopening with backoff, and failing over to the promoted mirror,
+// when its primary dies), hands deliveries to handle one at a time on the
+// shard's own stream loop, so a delivery costs no hand-off between
+// goroutines, and settles each by what handle returns. Members of one
+// group share the partition, so calling Serve n times gives n-way
+// concurrency without double delivery.
 //
 // The worker stops when srv — the server that gives the consumer tier its
 // service identity — closes, so a replica the control plane scales down
 // stops consuming with it, or earlier through Close. Whatever it was sent
-// and has not settled by then goes back to the queue with its session.
-func Serve(srv *rpc.Server, bus Bus, topic, group string, lease time.Duration, handle Handler) *Worker {
+// and has not settled by then goes back to the queue with its streams.
+func Serve(srv *rpc.Server, bus *Partitioned, topic, group string, lease time.Duration, handle Handler) *Worker {
 	ctx, stop := context.WithCancel(context.Background())
 	// Settles outlive the session: an Ack for finished work issued on the
 	// context that was just cancelled never leaves, and the work is redone.
 	settle, expire := context.WithCancel(context.Background())
 	w := &Worker{stop: stop, expire: expire, done: make(chan struct{})}
 	srv.OnClose(w.Close)
+	// One delivery at a time across the shards' loops. A channel, not a
+	// mutex: a loop waiting its turn is durably blocked in a vtime bubble.
+	one := make(chan struct{}, 1)
+	deliver := func(m ConsumeResp) {
+		one <- struct{}{}
+		defer func() { <-one }()
+		if ctx.Err() != nil {
+			return // stopped while waiting its turn: m goes back with the stream
+		}
+		switch err := handle(ctx, m); {
+		case err == nil:
+			bus.Ack(settle, topic, group, m) //nolint:errcheck // a lost ack costs a redelivery
+		case ctx.Err() == nil:
+			bus.Nack(settle, topic, group, m) //nolint:errcheck // lease expiry redelivers anyway
+			pause(ctx, nackPause)
+		default:
+			// Failed while stopping: no Nack. The message goes back with
+			// the stream, and a Nack racing that could return a lease the
+			// broker has already handed to another member.
+		}
+	}
 	go func() {
 		defer close(w.done)
+		var loops sync.WaitGroup
 		backoff := pushReopenBase
-		for ctx.Err() == nil {
-			d, err := bus.Push(ctx, topic, group, lease)
-			if err != nil {
-				backoff = pushSleep(ctx, backoff)
-				continue
-			}
-			for ctx.Err() == nil {
-				m, err := d.Next()
-				if err != nil {
-					break
-				}
-				backoff = pushReopenBase // a delivery proves the session healthy
-				switch err := handle(ctx, m); {
-				case err == nil:
-					bus.Ack(settle, topic, group, m) //nolint:errcheck // a lost ack costs a redelivery
-				case ctx.Err() == nil:
-					bus.Nack(settle, topic, group, m) //nolint:errcheck // lease expiry redelivers anyway
-					pause(ctx, nackPause)
-				default:
-					// Failed while stopping: no Nack. The message goes back with
-					// the session, and a Nack racing that could return a lease
-					// the broker has already handed to another member.
-				}
-			}
-			d.Close()
+		for ctx.Err() == nil && bus.pushShards(ctx, &loops, topic, group, lease, deliver) != nil {
 			backoff = pushSleep(ctx, backoff)
 		}
+		loops.Wait()
 	}()
 	return w
 }

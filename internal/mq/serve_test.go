@@ -18,7 +18,7 @@ import (
 
 // serveRig is one broker layout as the worker sees it.
 type serveRig struct {
-	bus Bus
+	bus *Partitioned
 	// stats sums the t@g group queue over every live broker instance.
 	stats func() Stats
 	// failover kills the instance the worker's session is attached to and
@@ -32,41 +32,30 @@ var serveLayouts = []struct {
 	name string
 	boot func(t *testing.T) *serveRig
 }{
+	// One broker behind a 1 × 1 partitioned client, the layout every app
+	// boots by default; its failover restarts the broker in place.
 	{"single", func(t *testing.T) *serveRig {
-		n := rpc.NewMem()
-		var (
-			mu  sync.Mutex
-			b   *Broker
-			srv *rpc.Server
-		)
-		start := func() {
-			nb, ns := NewBroker(), rpc.NewServer("broker")
-			RegisterService(ns, nb)
-			if _, err := ns.Start(n, "broker:0"); err != nil {
-				t.Fatal(err)
-			}
-			mu.Lock()
-			b, srv = nb, ns
-			mu.Unlock()
-		}
-		stop := func() {
-			mu.Lock()
-			s := srv
-			mu.Unlock()
-			s.Close()
-		}
-		start()
-		t.Cleanup(stop)
-		c := rpc.NewClient(n, "broker", "broker:0")
-		t.Cleanup(func() { c.Close() })
+		rig, bus := bootPartitioned(t, 1, 1)
+		t.Cleanup(rig.stop)
+		var mu sync.Mutex // guards rig.brokers[0][0], rig.servers[0][0]
 		return &serveRig{
-			bus: Client{C: c},
+			bus: bus,
 			stats: func() Stats {
 				mu.Lock()
 				defer mu.Unlock()
-				return b.Topic("t").Subscribe("g").Stats()
+				return rig.brokers[0][0].Topic("t").Subscribe("g").Stats()
 			},
-			failover: func() { stop(); start() },
+			failover: func() {
+				mu.Lock()
+				defer mu.Unlock()
+				rig.servers[0][0].Close()
+				b, srv := NewBroker(), rpc.NewServer("broker")
+				RegisterService(srv, b)
+				if _, err := srv.Start(rig.net, rig.addrs[0][0]); err != nil {
+					t.Fatal(err)
+				}
+				rig.brokers[0][0], rig.servers[0][0] = b, srv
+			},
 		}
 	}},
 	// One shard keeps delivery order observable; two replicas give the
@@ -83,7 +72,7 @@ var serveLayouts = []struct {
 }
 
 // serveOn starts a worker on a server of its own, closed with the test.
-func serveOn(t *testing.T, bus Bus, handle Handler) (*Worker, *rpc.Server) {
+func serveOn(t *testing.T, bus *Partitioned, handle Handler) (*Worker, *rpc.Server) {
 	t.Helper()
 	srv := rpc.NewServer("consumer")
 	t.Cleanup(func() { srv.Close() })
@@ -319,6 +308,47 @@ func TestServeContract(t *testing.T) {
 				vtime.Wait()
 				closeWithin(t, "in the post-Nack pause", failing.Close)
 			})
+		}
+	})
+}
+
+// TestServeOneAtATimeAcrossShards: a worker runs one stream loop per broker
+// shard, and still hands its handler one delivery at a time.
+func TestServeOneAtATimeAcrossShards(t *testing.T) {
+	vtime.Run(t, func() {
+		rig, bus := bootPartitioned(t, 2, 1)
+		defer rig.stop()
+		if err := bus.Subscribe(context.Background(), "t", "g", QueueConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		const n = 40
+		publishKeys(t, bus, "k", n)
+		var mu sync.Mutex
+		running, most, handled := 0, 0, 0
+		srv := rpc.NewServer("consumer")
+		defer srv.Close()
+		w := Serve(srv, bus, "t", "g", time.Minute, func(context.Context, ConsumeResp) error {
+			mu.Lock()
+			running++
+			most = max(most, running)
+			mu.Unlock()
+			vtime.Advance(time.Millisecond) // a handler that takes time: the other shard's loop waits
+			mu.Lock()
+			running--
+			handled++
+			mu.Unlock()
+			return nil
+		})
+		defer w.Close()
+		vtime.Advance(2 * n * time.Millisecond)
+		quiet(t, "no lag", func() bool { return rig.cluster.GroupStats("t", "g").Lag() == 0 })
+		if most != 1 || handled != n {
+			t.Fatalf("handled %d of %d with up to %d at once, want all one at a time", handled, n, most)
+		}
+		for s := range rig.brokers {
+			if st := rig.brokers[s][0].Topic("t").Subscribe("g").Stats(); st.Acked == 0 {
+				t.Fatalf("shard %d delivered nothing: %+v", s, st)
+			}
 		}
 	})
 }

@@ -237,8 +237,11 @@ func RegisterService(srv *rpc.Server, broker *Broker) {
 	})
 }
 
-// Client is a typed view of the broker service over any transport.Caller
-// (an *lb.Balanced, an *rpc.Client, or a shard router).
+// Client is a typed view of the broker service over one transport.Caller.
+// No app runs it — every app's broker client is a Partitioned one — and it
+// is kept, with its push session streamDeliveries, only because
+// benchmark/ladder.go's mq rungs build Client{C: …}; the first change to
+// benchmark/ moves them to Partitioned and deletes both.
 type Client struct{ C transport.Caller }
 
 // Publish sends one message to a topic and returns after the broker has

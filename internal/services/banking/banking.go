@@ -10,7 +10,6 @@ import (
 	"dsb/internal/rpc"
 	"dsb/internal/services/accounts"
 	"dsb/internal/svcutil"
-	"dsb/internal/transport"
 )
 
 // SettlementAccount receives credit-card payments; it is opened at boot.
@@ -18,15 +17,9 @@ const settlementOwner = "__bank__"
 
 // Config sizes the deployment.
 type Config struct {
-	// Shards partitions every db/mc storage tier into this many
-	// consistent-hash shards (default 1 = single-instance layout); with
-	// Shards > 1 or ShardReplicas > 1 the tiers boot through
-	// svcutil.StartShardReplicas and services reach them via shard routers.
-	Shards int
-	// ShardReplicas is the replica count per storage shard (default 1).
-	ShardReplicas int
-	// Middleware is installed on every inter-tier client wire.
-	Middleware []transport.Middleware
+	// LayoutConfig shards and replicates the store and cache tiers and
+	// carries the inter-tier middleware.
+	svcutil.LayoutConfig
 }
 
 // replicable names the logic tiers safe to run multi-instance: their state
@@ -58,14 +51,7 @@ type Banking struct {
 
 // New boots the Banking System.
 func New(app *core.App, cfg Config) (*Banking, error) {
-	stack := &svcutil.Stack{
-		App:           app,
-		Prefix:        "bank.",
-		Shards:        cfg.Shards,
-		ShardReplicas: cfg.ShardReplicas,
-		Middleware:    cfg.Middleware,
-		Replicable:    replicable,
-	}
+	stack := cfg.Stack(app, "bank.", replicable)
 	if err := stack.StartStores("db-customers", "db-accounts", "db-credentials", "db-activity", "db-cards", "db-portfolios", "db-preferences"); err != nil {
 		return nil, err
 	}

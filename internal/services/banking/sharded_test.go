@@ -8,13 +8,14 @@ import (
 	"dsb/internal/fault"
 	"dsb/internal/rpc"
 	"dsb/internal/shard"
+	"dsb/internal/svcutil"
 )
 
 // bootShardedBank boots Banking with every docstore/kv tier running
 // shards×replicas instances behind consistent-hash routing.
 func bootShardedBank(t *testing.T, app *core.App, shards, replicas int) *Banking {
 	t.Helper()
-	b, err := New(app, Config{Shards: shards, ShardReplicas: replicas})
+	b, err := New(app, Config{LayoutConfig: svcutil.LayoutConfig{Shards: shards, ShardReplicas: replicas}})
 	if err != nil {
 		t.Fatalf("boot: %v", err)
 	}

@@ -10,24 +10,15 @@ import (
 	"dsb/internal/rest"
 	"dsb/internal/rpc"
 	"dsb/internal/svcutil"
-	"dsb/internal/transport"
 )
 
 func errNotFound(what string) error { return rpc.NotFoundf("no such resource %q", what) }
 
 // Config sizes the deployment.
 type Config struct {
-	// Middleware is installed on every inter-tier client wire (between
-	// tracing and the app's resilience stack): fault injection and
-	// per-experiment instrumentation hook in here.
-	Middleware []transport.Middleware
-	// Shards partitions every db/mc storage tier into this many
-	// consistent-hash shards (default 1 = single-instance layout); with
-	// Shards > 1 or ShardReplicas > 1 the tiers boot through
-	// svcutil.StartShardReplicas and services reach them via shard routers.
-	Shards int
-	// ShardReplicas is the replica count per storage shard (default 1).
-	ShardReplicas int
+	// LayoutConfig shards and replicates the store, cache and broker tiers
+	// and carries the inter-tier middleware.
+	svcutil.LayoutConfig
 	// OrderWorkers sizes the queueMaster commit pool (default 1, the
 	// paper's serialized layout). Workers are members of one broker
 	// consumer group, so raising it parallelizes commits without
@@ -63,14 +54,7 @@ type Ecommerce struct {
 
 // New boots the E-commerce application.
 func New(app *core.App, cfg Config) (*Ecommerce, error) {
-	stack := &svcutil.Stack{
-		App:           app,
-		Prefix:        "ecom.",
-		Shards:        cfg.Shards,
-		ShardReplicas: cfg.ShardReplicas,
-		Middleware:    cfg.Middleware,
-		Replicable:    replicable,
-	}
+	stack := cfg.Stack(app, "ecom.", replicable)
 	if err := stack.StartStores("db-catalogue", "db-carts", "db-orders", "db-accounts", "db-invoices", "db-wishlists"); err != nil {
 		return nil, err
 	}

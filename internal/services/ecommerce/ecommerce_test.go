@@ -11,6 +11,7 @@ import (
 	"dsb/internal/core"
 	"dsb/internal/graph"
 	"dsb/internal/rpc"
+	"dsb/internal/svcutil"
 	"dsb/internal/trace"
 	"dsb/internal/transport"
 )
@@ -18,7 +19,7 @@ import (
 func bootEcom(t *testing.T, mw ...transport.Middleware) *Ecommerce {
 	t.Helper()
 	app := core.NewApp("ecom-test", core.Options{})
-	ec, err := New(app, Config{Middleware: mw})
+	ec, err := New(app, Config{LayoutConfig: svcutil.LayoutConfig{Middleware: mw}})
 	if err != nil {
 		t.Fatalf("boot: %v", err)
 	}

@@ -67,12 +67,12 @@ func bootQueueRig(t *testing.T, adjust func(call int) error) *queueRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	busC, err := app.RPC("ecom.queueMaster", "ecom.broker")
+	brokers, err := app.ShardedRPC("ecom.queueMaster", "ecom.broker")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := app.StartRPC("ecom.queueMaster", func(s *rpc.Server) {
-		bus := mq.Client{C: busC}
+		bus := mq.NewPartitioned(brokers)
 		mq.Serve(s, bus, orderTopic, orderGroup, orderLease, registerQueueMaster(s, bus, rig.db, cat).commit)
 	}); err != nil {
 		t.Fatal(err)

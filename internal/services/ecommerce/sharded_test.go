@@ -9,6 +9,7 @@ import (
 	"dsb/internal/fault"
 	"dsb/internal/rpc"
 	"dsb/internal/shard"
+	"dsb/internal/svcutil"
 )
 
 // bootShardedEcom boots ecommerce with every docstore/kv tier running
@@ -16,7 +17,7 @@ import (
 // standard inventory.
 func bootShardedEcom(t *testing.T, app *core.App, shards, replicas int) *Ecommerce {
 	t.Helper()
-	ec, err := New(app, Config{Shards: shards, ShardReplicas: replicas})
+	ec, err := New(app, Config{LayoutConfig: svcutil.LayoutConfig{Shards: shards, ShardReplicas: replicas}})
 	if err != nil {
 		t.Fatalf("boot: %v", err)
 	}

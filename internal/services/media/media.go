@@ -10,20 +10,13 @@ import (
 	"dsb/internal/rest"
 	"dsb/internal/rpc"
 	"dsb/internal/svcutil"
-	"dsb/internal/transport"
 )
 
 // Config sizes the deployment.
 type Config struct {
-	// Shards partitions every db/mc storage tier into this many
-	// consistent-hash shards (default 1 = single-instance layout); with
-	// Shards > 1 or ShardReplicas > 1 the tiers boot through
-	// svcutil.StartShardReplicas and services reach them via shard routers.
-	Shards int
-	// ShardReplicas is the replica count per storage shard (default 1).
-	ShardReplicas int
-	// Middleware is installed on every inter-tier client wire.
-	Middleware []transport.Middleware
+	// LayoutConfig shards and replicates the store and cache tiers and
+	// carries the inter-tier middleware.
+	svcutil.LayoutConfig
 }
 
 // replicable names the logic tiers safe to run multi-instance: their state
@@ -59,14 +52,7 @@ func New(app *core.App, cfg Config) (*Media, error) {
 	if err != nil {
 		return nil, err
 	}
-	stack := &svcutil.Stack{
-		App:           app,
-		Prefix:        "media.",
-		Shards:        cfg.Shards,
-		ShardReplicas: cfg.ShardReplicas,
-		Middleware:    cfg.Middleware,
-		Replicable:    replicable,
-	}
+	stack := cfg.Stack(app, "media.", replicable)
 	if err := stack.StartStores("db-reviews", "db-users", "db-plots", "db-rentals"); err != nil {
 		return nil, err
 	}

@@ -9,6 +9,7 @@ import (
 	"dsb/internal/fault"
 	"dsb/internal/rpc"
 	"dsb/internal/shard"
+	"dsb/internal/svcutil"
 )
 
 // bootShardedMedia boots media with every docstore/kv tier running
@@ -16,7 +17,7 @@ import (
 // movie and one registered reviewer.
 func bootShardedMedia(t *testing.T, app *core.App, shards, replicas int) (*Media, string) {
 	t.Helper()
-	m, err := New(app, Config{Shards: shards, ShardReplicas: replicas})
+	m, err := New(app, Config{LayoutConfig: svcutil.LayoutConfig{Shards: shards, ShardReplicas: replicas}})
 	if err != nil {
 		t.Fatalf("boot: %v", err)
 	}

@@ -132,7 +132,7 @@ func TestCorruptPostInBatchIsPurged(t *testing.T) {
 			return next(ctx, call)
 		}
 	}
-	sn, tokens := bootWith(t, core.Options{}, Config{SearchShards: 2, Middleware: []transport.Middleware{record}}, "alice", "bob")
+	sn, tokens := bootWith(t, core.Options{}, Config{LayoutConfig: svcutil.LayoutConfig{Middleware: []transport.Middleware{record}}, SearchShards: 2}, "alice", "bob")
 	ctx := context.Background()
 	if err := sn.Graph.Call(ctx, "Follow", FollowReq{Follower: "bob", Followee: "alice"}, nil); err != nil {
 		t.Fatal(err)

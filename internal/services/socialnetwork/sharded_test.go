@@ -9,6 +9,7 @@ import (
 	"dsb/internal/fault"
 	"dsb/internal/rpc"
 	"dsb/internal/shard"
+	"dsb/internal/svcutil"
 )
 
 // bootSharded is boot with a sharded storage tier: every db/mc backend
@@ -17,7 +18,7 @@ func bootSharded(t *testing.T, shards, replicas int, users ...string) (*SocialNe
 	t.Helper()
 	app := core.NewApp("social-sharded", core.Options{})
 	t.Cleanup(func() { app.Close() })
-	sn, err := New(app, Config{SearchShards: 2, Shards: shards, ShardReplicas: replicas})
+	sn, err := New(app, Config{LayoutConfig: svcutil.LayoutConfig{Shards: shards, ShardReplicas: replicas}, SearchShards: 2})
 	if err != nil {
 		t.Fatalf("boot: %v", err)
 	}
@@ -107,7 +108,7 @@ func TestShardedSurvivesReplicaFault(t *testing.T) {
 	inj := fault.NewInjector(7)
 	app := core.NewApp("social-sharded-fault", core.Options{Network: inj.Wrap(rpc.NewMem())})
 	t.Cleanup(func() { app.Close() })
-	sn, err := New(app, Config{SearchShards: 2, Shards: 2, ShardReplicas: 2})
+	sn, err := New(app, Config{LayoutConfig: svcutil.LayoutConfig{Shards: 2, ShardReplicas: 2}, SearchShards: 2})
 	if err != nil {
 		t.Fatalf("boot: %v", err)
 	}

@@ -8,7 +8,6 @@ import (
 	"dsb/internal/rest"
 	"dsb/internal/rpc"
 	"dsb/internal/svcutil"
-	"dsb/internal/transport"
 )
 
 // cacheBytes bounds each cache tier.
@@ -16,13 +15,15 @@ const cacheBytes = 64 << 20
 
 // Config sizes the deployment.
 type Config struct {
+	// LayoutConfig shards and replicates the store and cache tiers and
+	// carries the inter-tier middleware.
+	svcutil.LayoutConfig
+	// BrokerShards and BrokerReplicas lay out the broker tier AsyncFanout
+	// boots (default 1 × 1; see svcutil.Stack's fields of the same names).
+	BrokerShards, BrokerReplicas int
 	// SearchShards is the number of shard groups the search-index tier
 	// boots as (default 3).
 	SearchShards int
-	// Middleware is installed on every inter-tier client wire (between
-	// tracing and the app's resilience stack): fault injection and
-	// per-experiment instrumentation hook in here.
-	Middleware []transport.Middleware
 	// DisableDegradation turns off graceful degradation: readTimeline and
 	// composePost fail hard when a non-critical downstream (post hydration,
 	// block list, search index) is unreachable, instead of serving a
@@ -40,32 +41,11 @@ type Config struct {
 	// (bounded by DrainFanout in tests). The fanout tier boots one
 	// consumer; App.Spawn("social.fanout") adds more.
 	AsyncFanout bool
-	// BrokerShards partitions the broker tier into this many instances
-	// (default 1): each topic's traffic spreads across shards by message
-	// key, and publishers/consumers route per key through the shard ring.
-	BrokerShards int
-	// BrokerReplicas is the replica count per broker shard (default 1).
-	// With BrokerReplicas > 1 every publish is mirrored to the shard's
-	// sibling brokers before it is acked, so un-acked messages survive a
-	// broker crash: when the ring evicts the dead instance, consumers fail
-	// over and leased-but-unacked messages redeliver from a mirror.
-	BrokerReplicas int
 	// DisableCoalescing turns off miss coalescing on the cache-aside read
 	// paths (timelines, posts, profiles), so every concurrent miss becomes
 	// its own backing-store read. Used by the hotpath experiment's
 	// stampede arm.
 	DisableCoalescing bool
-	// Shards partitions every db/mc storage tier into this many
-	// consistent-hash shards (default 1 = the single-instance layout).
-	// The stores always boot through svcutil.StartShardReplicas — each
-	// shard replica carries its shard index in registry metadata — and with
-	// Shards > 1 or ShardReplicas > 1 services reach them through shard
-	// routers instead of load balancers, routing each key to its owning
-	// replica set.
-	Shards int
-	// ShardReplicas is the replica count per storage shard (default 1).
-	// Replicas converge by write-all and read-repair (see svcutil).
-	ShardReplicas int
 }
 
 // replicable names the logic tiers that are safe to run multi-instance:
@@ -125,20 +105,12 @@ func New(app *core.App, cfg Config) (*SocialNetwork, error) {
 		cfg.SearchShards = 3
 	}
 
-	// All deployment wiring — sharded storage boots, load-balanced vs.
-	// shard-routed clients — goes through the shared Stack, the same layout
-	// vocabulary every app in the suite uses.
-	stack := &svcutil.Stack{
-		App:            app,
-		Prefix:         "social.",
-		Shards:         cfg.Shards,
-		ShardReplicas:  cfg.ShardReplicas,
-		BrokerShards:   cfg.BrokerShards,
-		BrokerReplicas: cfg.BrokerReplicas,
-		CacheBytes:     cacheBytes,
-		Middleware:     cfg.Middleware,
-		Replicable:     replicable,
-	}
+	// All deployment wiring — shard-group boots, shard-routed store clients
+	// — goes through the shared Stack, the same layout vocabulary every app
+	// in the suite uses.
+	stack := cfg.Stack(app, "social.", replicable)
+	stack.CacheBytes = cacheBytes
+	stack.BrokerShards, stack.BrokerReplicas = cfg.BrokerShards, cfg.BrokerReplicas
 
 	// Storage tiers: one cache and/or document store per backend group,
 	// each its own microservice, as in Figure 4. Each backend group is
@@ -153,7 +125,7 @@ func New(app *core.App, cfg Config) (*SocialNetwork, error) {
 	}
 	// The search index (index0..n in Figure 4): SearchShards shard groups of
 	// one service, each its own partition, routed by post ID.
-	if err := svcutil.StartShardReplicas(app, "social.search-index", cfg.SearchShards, 1, func() func(*rpc.Server) {
+	if err := svcutil.StartShardReplicas(app, stack.Name("search-index"), cfg.SearchShards, 1, func() func(*rpc.Server) {
 		return registerSearchShard
 	}); err != nil {
 		return nil, err

@@ -9,6 +9,8 @@ import (
 	"dsb/internal/fault"
 	"dsb/internal/rpc"
 	"dsb/internal/shard"
+	"dsb/internal/svcutil"
+	"dsb/internal/vtime"
 )
 
 // bootShardedSwarm boots the swarm with the telemetry store and route cache
@@ -17,8 +19,8 @@ func bootShardedSwarm(t *testing.T, app *core.App, shards, replicas int) *Swarm 
 	t.Helper()
 	sw, err := New(app, Config{
 		Placement: Edge, Drones: 2, WorldSize: 24, Seed: 7,
-		WifiRTT: 200 * time.Microsecond,
-		Shards:  shards, ShardReplicas: replicas,
+		WifiRTT:      200 * time.Microsecond,
+		LayoutConfig: svcutil.LayoutConfig{Shards: shards, ShardReplicas: replicas},
 	})
 	if err != nil {
 		t.Fatalf("boot: %v", err)
@@ -27,40 +29,45 @@ func bootShardedSwarm(t *testing.T, app *core.App, shards, replicas int) *Swarm 
 }
 
 // TestShardedMission flies a full mission on a 3-shard×2-replica telemetry
-// layout and checks the samples landed across the shards.
+// layout and checks the samples landed across the shards. It runs on
+// virtual time: on the wall clock a loaded host could stretch a telemetry
+// hop past its 40 ms NonCriticalBudget and read a healthy mission as
+// degraded.
 func TestShardedMission(t *testing.T) {
-	app := core.NewApp("swarm-sharded", core.Options{})
-	t.Cleanup(func() { app.Close() })
-	sw := bootShardedSwarm(t, app, 3, 2)
-	ctx := context.Background()
+	vtime.Run(t, func() {
+		app := core.NewApp("swarm-sharded", core.Options{})
+		defer app.Close()
+		sw := bootShardedSwarm(t, app, 3, 2)
+		ctx := context.Background()
 
-	instances := sw.App.Registry.Instances("swarm.db-telemetry")
-	if len(instances) != 6 {
-		t.Fatalf("db-telemetry has %d instances, want 6", len(instances))
-	}
-	labels := make(map[string]int)
-	for _, inst := range instances {
-		labels[inst.Meta[shard.MetaShard]]++
-	}
-	if len(labels) != 3 {
-		t.Fatalf("db-telemetry shard labels = %v, want 3 distinct", labels)
-	}
+		instances := sw.App.Registry.Instances("swarm.db-telemetry")
+		if len(instances) != 6 {
+			t.Fatalf("db-telemetry has %d instances, want 6", len(instances))
+		}
+		labels := make(map[string]int)
+		for _, inst := range instances {
+			labels[inst.Meta[shard.MetaShard]]++
+		}
+		if len(labels) != 3 {
+			t.Fatalf("db-telemetry shard labels = %v, want 3 distinct", labels)
+		}
 
-	target, wantLabel := anyTarget(t, sw.World)
-	res, err := sw.Drones[0].FlyTo(ctx, target)
-	if err != nil {
-		t.Fatalf("mission: %v", err)
-	}
-	if res.Label != wantLabel || res.Degraded {
-		t.Fatalf("res = %+v, want %q undegraded", res, wantLabel)
-	}
-	locs, err := sw.Telemetry.Find(ctx, "location", "drone", sw.Drones[0].ID, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(locs) < res.Steps {
-		t.Fatalf("location samples = %d, steps = %d", len(locs), res.Steps)
-	}
+		target, wantLabel := anyTarget(t, sw.World)
+		res, err := sw.Drones[0].FlyTo(ctx, target)
+		if err != nil {
+			t.Fatalf("mission: %v", err)
+		}
+		if res.Label != wantLabel || res.Degraded {
+			t.Fatalf("res = %+v, want %q undegraded", res, wantLabel)
+		}
+		locs, err := sw.Telemetry.Find(ctx, "location", "drone", sw.Drones[0].ID, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(locs) < res.Steps {
+			t.Fatalf("location samples = %d, steps = %d", len(locs), res.Steps)
+		}
+	})
 }
 
 // TestShardedSurvivesReplicaFault errors the first replica of each

@@ -24,13 +24,9 @@ type Config struct {
 	WifiRTT time.Duration
 	// Seed drives world generation and camera noise.
 	Seed uint64
-	// Shards partitions the telemetry/route storage tiers into this many
-	// consistent-hash shards (default 1 = single-instance layout).
-	Shards int
-	// ShardReplicas is the replica count per storage shard (default 1).
-	ShardReplicas int
-	// Middleware is installed on every inter-tier client wire.
-	Middleware []transport.Middleware
+	// LayoutConfig shards and replicates the telemetry and route storage
+	// tiers and carries the inter-tier middleware.
+	svcutil.LayoutConfig
 }
 
 // swarmReplicable names the logic tiers safe to run multi-instance: their
@@ -69,14 +65,7 @@ func New(app *core.App, cfg Config) (*Swarm, error) {
 	world := NewWorld(cfg.WorldSize, cfg.Seed)
 	stock := NewStockDB()
 
-	stack := &svcutil.Stack{
-		App:           app,
-		Prefix:        "swarm.",
-		Shards:        cfg.Shards,
-		ShardReplicas: cfg.ShardReplicas,
-		Middleware:    cfg.Middleware,
-		Replicable:    swarmReplicable,
-	}
+	stack := cfg.Stack(app, "swarm.", swarmReplicable)
 	if err := stack.StartStores("db-telemetry"); err != nil {
 		return nil, err
 	}

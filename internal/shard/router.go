@@ -108,6 +108,14 @@ func (r *Replica) Call(ctx context.Context, method string, req, resp any) error 
 	return transport.Unary(ctx, r.invoke, r.target, r.addr, method, req, resp)
 }
 
+// CallOneWay issues a fire-and-forget call to this replica through the
+// middleware chain, stamped with the replica address like Call: it
+// completes at send, and only send-side errors come back (see
+// rpc.Client.CallOneWay).
+func (r *Replica) CallOneWay(ctx context.Context, method string, req any) error {
+	return transport.OneWay(ctx, r.invoke, r.target, r.addr, method, req)
+}
+
 // Invoke stamps a caller-built call with the replica address and runs it
 // through the replica's chain — the terminal step of lb.Balanced's pick.
 func (r *Replica) Invoke(ctx context.Context, call *transport.Call) error {

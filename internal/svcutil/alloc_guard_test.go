@@ -25,11 +25,16 @@ import (
 // decode of the reply (the Doc's one string copy, two maps and the body); a
 // replacing Put is the client's encode (the request boxed into the codec's
 // interface, one key-sorting scratch per map), the server Ctx and the stored
-// copy. An MGet copies no value or key on either side: the server looks the
+// copy; an AddNum is a Put's hop with no document to copy and a reply to
+// decode. An MGet copies no value or key on either side: the server looks the
 // keys up where they lie and writes the values into its pooled reply, and
-// the client reads them there, so a batch is the client's hit list and boxed
-// request and the server's Ctx, plus, sharded, the grouping scratch and a
-// request and a Ctx per shard.
+// the client reads them there, so a batch whose keys share one owner group
+// is the client's hit list and boxed request and the server's Ctx, and a
+// batch over two groups adds the grouping scratch and a request and a Ctx
+// for the second group. The router clients every app runs hold the
+// single-backend budgets at 1 × 1, where a Router snapshot hands out its
+// read order without copying it and a Find scatters to its one shard on the
+// caller's goroutine.
 func TestStoreHopAllocGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; budget pinned by the non-race run in make alloc-guard")
@@ -47,22 +52,13 @@ func TestStoreHopAllocGuard(t *testing.T) {
 	db := serveDB(t, docstore.NewStore())
 	cache := KV{C: kvClient}
 
-	// The 2×2 layout social_mixed's stores run: two shards of two replicas
-	// behind one Router with no middleware.
-	var instances []registry.Instance
-	for i := 0; i < 4; i++ {
-		s := rpc.NewServer("smc")
-		kv.RegisterService(s, kv.New(0))
-		addr, err := s.Start(n, "smc:"+strconv.Itoa(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		instances = append(instances, registry.Instance{Addr: addr, Meta: map[string]string{shard.MetaShard: strconv.Itoa(i / 2)}})
-	}
-	router := shard.NewRouter(n, "smc")
-	defer router.Close()
-	router.Sync(instances)
+	// The layouts Stack wires: 1 × 1, one group labelled "0", as every app
+	// runs by default, and the 2 × 2 social_mixed's stores run — each behind
+	// one Router with no middleware.
+	router11 := shardGroups(t, n, "rmc", 1, 1, func(s *rpc.Server) { kv.RegisterService(s, kv.New(0)) })
+	routed := KV{Shards: router11}
+	routedDB := DB{Shards: shardGroups(t, n, "rdb", 1, 1, func(s *rpc.Server) { docstore.RegisterService(s, docstore.NewStore()) })}
+	router := shardGroups(t, n, "smc", 2, 2, func(s *rpc.Server) { kv.RegisterService(s, kv.New(0)) })
 	sharded := KV{Shards: router}
 	label := router.Owner("k")
 
@@ -75,14 +71,21 @@ func TestStoreHopAllocGuard(t *testing.T) {
 	}
 	value := make([]byte, 64)
 	batch := []string{"k", "k1", "k2", "k3"}
-	for _, c := range []KV{cache, sharded} {
-		for _, key := range batch {
+	// A batch of four keys that all share "k"'s group at 2 × 2.
+	oneGroup := []string{"k"}
+	for i := 0; len(oneGroup) < len(batch); i++ {
+		if key := "g" + strconv.Itoa(i); router.Owner(key) == label {
+			oneGroup = append(oneGroup, key)
+		}
+	}
+	for _, c := range []KV{cache, routed, sharded} {
+		for _, key := range append(batch, oneGroup...) {
 			if err := c.Set(ctx, key, value, time.Hour); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	mget := func(c KV) func() error {
+	mget := func(c KV, batch []string) func() error {
 		return func() error {
 			hits, err := c.MGet(ctx, batch)
 			if err == nil && len(hits) != len(batch) {
@@ -92,8 +95,23 @@ func TestStoreHopAllocGuard(t *testing.T) {
 			return err
 		}
 	}
-	if err := db.Put(ctx, "orders", doc); err != nil {
-		t.Fatal(err)
+	addNum := func(d DB) error {
+		_, _, _, err := d.AddNum(ctx, "orders", "order-1", "ts", 1, 0, false)
+		return err
+	}
+	find := func(d DB) func() error {
+		return func() error {
+			docs, err := d.Find(ctx, "orders", "user", "u17", 10)
+			if err == nil && len(docs) != 1 {
+				err = errMissed
+			}
+			return err
+		}
+	}
+	for _, d := range []DB{db, routedDB} {
+		if err := d.Put(ctx, "orders", doc); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -105,12 +123,19 @@ func TestStoreHopAllocGuard(t *testing.T) {
 		{"KV.Get hit", 6, func() error { _, _, err := cache.Get(ctx, "k"); return err }},
 		{"DB.Get", 11, func() error { _, _, err := db.Get(ctx, "orders", "order-1"); return err }},
 		{"DB.Put", 5, func() error { return db.Put(ctx, "orders", doc) }},
-		// The sharded hop is the unsharded one through a Router snapshot,
-		// which hands out its read order without copying it.
-		{"sharded KV.Get hit", 6, func() error { _, _, err := sharded.Get(ctx, "k"); return err }},
-		{"sharded KV.Set to two replicas", 8, func() error { return sharded.Set(ctx, "k", value, time.Hour) }},
-		{"KV.MGet of 4 hits", 3, mget(cache)},
-		{"sharded KV.MGet of 4 hits", 8, mget(sharded)},
+		{"DB.AddNum", 7, func() error { return addNum(db) }},
+		{"DB.Find", 12, find(db)},
+		{"KV.MGet of 4 hits", 3, mget(cache, batch)},
+		{"1x1 KV.Get hit", 6, func() error { _, _, err := routed.Get(ctx, "k"); return err }},
+		{"1x1 DB.Get", 11, func() error { _, _, err := routedDB.Get(ctx, "orders", "order-1"); return err }},
+		{"1x1 DB.Put", 5, func() error { return routedDB.Put(ctx, "orders", doc) }},
+		{"1x1 DB.AddNum", 7, func() error { return addNum(routedDB) }},
+		{"1x1 DB.Find", 12, find(routedDB)},
+		{"1x1 KV.MGet of 4 hits", 3, mget(routed, batch)},
+		{"2x2 KV.Get hit", 6, func() error { _, _, err := sharded.Get(ctx, "k"); return err }},
+		{"2x2 KV.Set to two replicas", 8, func() error { return sharded.Set(ctx, "k", value, time.Hour) }},
+		{"2x2 KV.MGet of 4 hits over two groups", 8, mget(sharded, batch)},
+		{"2x2 KV.MGet of 4 hits in one group", 3, mget(sharded, oneGroup)},
 		{"Router.Route", 0, func() error { return want2(router.Route("k")) }},
 		{"Router.GroupReplicas", 0, func() error { return want2(router.GroupReplicas(label)) }},
 	} {
@@ -130,10 +155,33 @@ func TestStoreHopAllocGuard(t *testing.T) {
 				best = got
 			}
 		}
+		t.Logf("%s: %d objects", hop.name, best)
 		if best > hop.budget {
 			t.Errorf("%s allocates %d objects per round trip, want ≤%d", hop.name, best, hop.budget)
 		}
 	}
+}
+
+// shardGroups serves shards×replicas instances of a tier on n, each
+// registered by register and labelled with its shard index as
+// StartShardReplicas labels them, and returns a Router over them.
+func shardGroups(t *testing.T, n rpc.Network, name string, shards, replicas int, register func(*rpc.Server)) *shard.Router {
+	t.Helper()
+	var instances []registry.Instance
+	for i := 0; i < shards*replicas; i++ {
+		s := rpc.NewServer(name)
+		register(s)
+		addr, err := s.Start(n, name+":"+strconv.Itoa(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		instances = append(instances, registry.Instance{Addr: addr, Meta: map[string]string{shard.MetaShard: strconv.Itoa(i / replicas)}})
+	}
+	router := shard.NewRouter(n, name)
+	t.Cleanup(func() { router.Close() })
+	router.Sync(instances)
+	return router
 }
 
 var (

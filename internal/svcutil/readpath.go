@@ -125,11 +125,12 @@ func (d DB) AddNum(ctx context.Context, collection, id, field string, delta, flo
 // that saw the same adds (they commute), or unique prepends and removes of
 // distinct members (as sets; two racing prepends may order differently),
 // agree, where a Put pair need not.
-func dbWrite[Resp any](ctx context.Context, d DB, id, method string, req any) (resp Resp, err error) {
+func dbWrite[Resp any](ctx context.Context, d DB, id, method string, req any) (Resp, error) {
 	if d.Shards != nil {
 		return firstAck[Resp](ctx, d.Shards, id, method, req)
 	}
-	err = d.C.Call(ctx, method, req, &resp)
+	var resp Resp // declared here, so only this path moves it to the heap
+	err := d.C.Call(ctx, method, req, &resp)
 	return resp, err
 }
 

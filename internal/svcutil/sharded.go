@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -92,7 +92,8 @@ func (k KV) shardedGet(ctx context.Context, key string) ([]byte, bool, error) {
 	if len(reps) == 0 {
 		return nil, false, noShards(k.Shards)
 	}
-	var missed []*shard.Replica
+	var buf [4]*shard.Replica
+	missed := buf[:0]
 	var lastErr error
 	for _, rep := range reps {
 		var resp kv.GetResp
@@ -192,15 +193,16 @@ func (h Hits) Release() {
 	}
 }
 
-// MGet fetches a batch of keys in one round trip per backend and returns the
-// found ones. Single-backend mode issues one MGet RPC; sharded mode groups the
-// keys by owning shard and issues one MGet per shard, one after another on the
-// caller's goroutine (with per-shard replica fallback on errors), so a K-key
-// batch costs at most one call per live shard instead of K calls. Batch reads
+// MGet fetches a batch of keys in one round trip per owner group and
+// returns the found ones. A batch whose keys all share one group — every
+// batch at 1 × 1 — goes to that group as it came; a mixed batch is grouped
+// by owner and asked one group after another on the caller's goroutine, so
+// a K-key batch costs at most one call per live group instead of K calls.
+// Each group's call falls back down its replicas on errors. Batch reads
 // skip read-repair — the point of the batch is bounding round trips, and a
-// missed entry is re-fetchable by the caller. No value is copied: each reply
-// is read in place, and a reply whose lists do not answer every key is a
-// CodeInternal error.
+// missed entry is re-fetchable by the caller. No value is copied: each
+// reply is read in place, and a reply whose lists do not answer every key
+// is a CodeInternal error.
 func (k KV) MGet(ctx context.Context, keys []string) (Hits, error) {
 	hits := make(Hits, 0, len(keys))
 	if len(keys) == 0 {
@@ -213,43 +215,60 @@ func (k KV) MGet(ctx context.Context, keys []string) (Hits, error) {
 		}
 		return hits, nil
 	}
+	first := k.Shards.Owner(keys[0])
+	same := 1
+	for same < len(keys) && k.Shards.Owner(keys[same]) == first {
+		same++
+	}
+	if same == len(keys) {
+		hits, err := k.groupMGet(ctx, first, keys, nil, hits)
+		if err != nil {
+			return nil, err
+		}
+		return hits, nil
+	}
 	owner := make([]string, len(keys))
 	for i, key := range keys {
 		owner[i] = k.Shards.Owner(key)
 	}
-	// Each shard's keys get their own stretch of grouped: a hedged attempt
-	// may still be encoding one shard's request while the next is asked.
+	// Each group's keys get their own stretch of grouped: a hedged attempt
+	// may still be encoding one group's request while the next is asked.
 	grouped, idx := make([]string, 0, len(keys)), make([]int, 0, len(keys))
-	for first, label := range owner {
-		if slices.Contains(owner[:first], label) {
-			continue // an earlier key's shard, already asked
+	for at, label := range owner {
+		if slices.Contains(owner[:at], label) {
+			continue // an earlier key's group, already asked
 		}
 		start := len(grouped)
 		idx = idx[:0]
-		for i := first; i < len(keys); i++ {
+		for i := at; i < len(keys); i++ {
 			if owner[i] == label {
 				grouped, idx = append(grouped, keys[i]), append(idx, i)
 			}
 		}
-		group := grouped[start:]
-		reps := k.Shards.GroupReplicas(label)
-		if len(reps) == 0 {
-			hits.Release()
-			return nil, noShards(k.Shards)
-		}
 		var err error
-		for _, rep := range reps {
-			if hits, err = mget(ctx, rep, group, idx, hits); err == nil {
-				break
-			}
-		}
-		if err != nil {
+		if hits, err = k.groupMGet(ctx, label, grouped[start:], idx, hits); err != nil {
 			hits.Release()
 			return nil, err
 		}
 	}
 	slices.SortFunc(hits, func(a, b Hit) int { return a.Index - b.Index })
 	return hits, nil
+}
+
+// groupMGet asks the replicas of group label, in read order, for keys until
+// one answers, appending its hits as mget does.
+func (k KV) groupMGet(ctx context.Context, label string, keys []string, idx []int, hits Hits) (Hits, error) {
+	reps := k.Shards.GroupReplicas(label)
+	if len(reps) == 0 {
+		return hits, noShards(k.Shards)
+	}
+	var err error
+	for _, rep := range reps {
+		if hits, err = mget(ctx, rep, keys, idx, hits); err == nil {
+			break
+		}
+	}
+	return hits, err
 }
 
 // mget asks one backend for keys and appends their hits to hits, the i-th
@@ -315,7 +334,8 @@ func (d DB) shardedGet(ctx context.Context, collection, id string) (docstore.Doc
 	if len(reps) == 0 {
 		return docstore.Doc{}, false, noShards(d.Shards)
 	}
-	var missed []*shard.Replica
+	var buf [4]*shard.Replica
+	missed := buf[:0]
 	var lastErr error
 	for _, rep := range reps {
 		var resp docstore.GetResp
@@ -338,51 +358,65 @@ func (d DB) shardedGet(ctx context.Context, collection, id string) (docstore.Doc
 	return docstore.Doc{}, false, lastErr
 }
 
-// scatterFind fans one query out per live shard (with per-shard replica
-// fallback) and concatenates the result sets. A document lives on exactly
-// one shard — Put routes by ID — so the union has no duplicates; ordering
-// and the global limit are reapplied by the caller.
-func (d DB) scatterFind(ctx context.Context, method string, req any) ([]docstore.Doc, error) {
-	sets := d.Shards.Scatter()
-	if len(sets) == 0 {
-		return nil, noShards(d.Shards)
-	}
-	var mu sync.Mutex
-	var docs []docstore.Doc
-	err := Parallel(len(sets), len(sets), func(i int) error {
-		var resp docstore.FindResp
-		var callErr error
-		for _, rep := range sets[i] {
-			resp = docstore.FindResp{}
-			if callErr = rep.Call(ctx, method, req, &resp); callErr == nil {
-				break
-			}
-		}
-		if callErr != nil {
-			return callErr
-		}
-		mu.Lock()
-		docs = append(docs, resp.Docs...)
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return docs, nil
+// findReply is one shard's answer to a scattered Find.
+type findReply struct {
+	docs []docstore.Doc
+	err  error
+	done sync.WaitGroup // released when the read returns
 }
 
+// shardedFind fans the query out to every live shard, the first read on
+// this goroutine and each other one on its own, and merges the replies. A
+// document lives on exactly one shard — Put routes by ID — so the union has
+// no duplicates; each shard returned its own top-limit sorted by ID, and
+// the merge restores the single-store contract (ID ascending, then the
+// global limit).
 func (d DB) shardedFind(ctx context.Context, collection, field, value string, limit int) ([]docstore.Doc, error) {
+	labels := d.Shards.Shards()
+	if len(labels) == 0 {
+		return nil, noShards(d.Shards)
+	}
 	req := docstore.FindReq{Collection: collection, Field: field, Value: value, Limit: int64(limit)}
-	docs, err := d.scatterFind(ctx, "Find", req)
+	others := make([]findReply, len(labels)-1)
+	for i := range others {
+		r := &others[i]
+		r.done.Add(1)
+		go func() {
+			defer r.done.Done()
+			r.docs, r.err = d.findOn(ctx, labels[i+1], req)
+		}()
+	}
+	docs, err := d.findOn(ctx, labels[0], req)
+	for i := range others {
+		r := &others[i]
+		r.done.Wait()
+		if err == nil {
+			err = r.err
+		}
+		docs = append(docs, r.docs...)
+	}
 	if err != nil {
 		return nil, err
 	}
-	// Each shard returned its own top-limit sorted by ID; merge preserves
-	// the single-store contract (ID ascending, then the global limit).
-	sort.Slice(docs, func(i, j int) bool { return docs[i].ID < docs[j].ID })
+	slices.SortFunc(docs, func(a, b docstore.Doc) int { return strings.Compare(a.ID, b.ID) })
 	if limit > 0 && len(docs) > limit {
 		docs = docs[:limit]
 	}
 	return docs, nil
+}
+
+// findOn runs one Find on a shard, falling back down its replicas.
+func (d DB) findOn(ctx context.Context, label string, req docstore.FindReq) ([]docstore.Doc, error) {
+	reps := d.Shards.GroupReplicas(label)
+	if len(reps) == 0 {
+		return nil, noShards(d.Shards)
+	}
+	var err error
+	for _, rep := range reps {
+		var resp docstore.FindResp
+		if err = rep.Call(ctx, "Find", req, &resp); err == nil {
+			return resp.Docs, nil
+		}
+	}
+	return nil, err
 }

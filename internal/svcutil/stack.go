@@ -14,53 +14,82 @@ import (
 	"dsb/internal/transport"
 )
 
+// LayoutConfig is the deployment layout every app's Config embeds: how the
+// app's store and cache tiers are sharded and replicated, and the
+// middleware on its inter-tier wires. The zero value is the 1 × 1 layout.
+// The broker tier's layout is the Stack's BrokerShards and BrokerReplicas,
+// which only the social network's Config exposes.
+type LayoutConfig struct {
+	// Shards partitions every store and cache tier into this many
+	// consistent-hash shard groups (default 1).
+	Shards int
+	// ShardReplicas is the replica count per store or cache shard group
+	// (default 1). Replicas converge by write-all and read-repair (see
+	// sharded.go).
+	ShardReplicas int
+	// Middleware is installed on every inter-tier client wire, between
+	// tracing and the app's resilience stack: fault injection and
+	// per-experiment instrumentation hook in here.
+	Middleware []transport.Middleware
+}
+
+// Stack builds the Stack an app boots on: its tiers named under prefix,
+// laid out as l says, with replicable naming the logic tiers it may clone.
+func (l LayoutConfig) Stack(app *core.App, prefix string, replicable map[string]bool) *Stack {
+	return &Stack{
+		App:           app,
+		Prefix:        prefix,
+		Shards:        l.Shards,
+		ShardReplicas: l.ShardReplicas,
+		Middleware:    l.Middleware,
+		Replicable:    replicable,
+	}
+}
+
 // Stack is the shared deployment wiring every application in the suite boots
-// through. It holds the knobs that used to be copy-pasted into each app's
-// constructor — shard/replica counts for the storage tiers, cache sizing,
-// per-wire middleware — and exposes the small vocabulary the constructors
-// are written in: StartStores / StartCaches / StartBroker for the stateful
-// tiers, which always boot as shard groups, Start for logic tiers, and
-// Caller / DB / KV / MQ / Router for clients, the typed ones picking
-// load-balanced or shard-routed mode to match the layout. Start boots one
-// replica of every tier and Defines every Replicable one on the App, so
-// App.Spawn — the control plane's lever — is the only way a tier gets
-// another replica.
+// through, built from the app's LayoutConfig. It exposes the small
+// vocabulary the constructors are written in: StartStores / StartCaches /
+// StartBroker for the stateful tiers, which always boot as shard groups,
+// Start for logic tiers, Caller for a load-balanced logic-tier client, and
+// Router / DB / KV / MQ for the stateful tiers, whose clients always route
+// through a shard.Router, so an app runs the same client code in every
+// layout. Start boots one replica of every tier and Defines every
+// Replicable one on the App, so App.Spawn — the control plane's lever — is
+// the only way a tier gets another replica.
 type Stack struct {
 	// App is the composition root every tier boots on and every client is
 	// wired through.
 	App *core.App
 	// Prefix namespaces every service this stack boots ("social.", "media.").
 	Prefix string
-	// Shards partitions every store/cache tier into this many consistent-hash
-	// shards (default 1 = single-instance layout).
-	Shards int
-	// ShardReplicas is the replica count per storage shard (default 1).
-	// Replicas converge by write-all and read-repair (see sharded.go).
+	// The store and cache layout and the wire middleware, copied from
+	// LayoutConfig (see its fields). Only benchmark/ladder.go still sets
+	// Shards, ShardReplicas and CacheBytes in a Stack literal; the first
+	// change to benchmark/ builds that Stack with LayoutConfig.Stack too.
+	Shards        int
 	ShardReplicas int
+	Middleware    []transport.Middleware
+	// BrokerShards partitions the broker tier into this many consistent-hash
+	// shard groups (default 1): topics are partitioned by message key, so
+	// one hot topic spreads across all of them.
+	BrokerShards int
+	// BrokerReplicas is the replica count per broker shard group (default
+	// 1). Every publish is mirrored to the group's other replicas before it
+	// is acked, so un-acked messages survive a broker crash: when the ring
+	// evicts the dead instance, consumers fail over and leased-but-unacked
+	// messages redeliver from a mirror.
+	BrokerReplicas int
 	// CacheBytes bounds each cache tier booted by StartCaches (0 = unbounded).
 	CacheBytes int64
-	// Middleware is installed on every inter-tier client wire.
-	Middleware []transport.Middleware
 	// Replicable names the logic tiers safe to run multi-instance (state
 	// external). Tiers absent from the set can never be spawned.
 	Replicable map[string]bool
-	// BrokerShards partitions the broker tier booted by StartBroker into this
-	// many consistent-hash shards — topics are partitioned by message key, so
-	// one hot topic spreads across all of them (default 1 = single instance).
-	BrokerShards int
-	// BrokerReplicas is the replica count per broker shard (default 1).
-	// Above 1, every publish is mirrored to the shard's other replicas before
-	// it is acked, so un-acked messages survive a broker crash.
-	BrokerReplicas int
 
 	boot []func() error
 
 	mu        sync.Mutex
 	consumers []*mq.Worker
 }
-
-// Sharded reports whether the storage tiers run more than one instance each.
-func (st *Stack) Sharded() bool { return st.Shards > 1 || st.ShardReplicas > 1 }
 
 // Name returns the fully-qualified service name for a tier.
 func (st *Stack) Name(tier string) string { return st.Prefix + tier }
@@ -97,9 +126,6 @@ func (st *Stack) startShardGroups(names []string, register func() func(*rpc.Serv
 	return nil
 }
 
-// BrokerSharded reports whether the broker tier runs partitioned/replicated.
-func (st *Stack) BrokerSharded() bool { return st.BrokerShards > 1 || st.BrokerReplicas > 1 }
-
 // StartBroker queues a message-broker tier for boot, serving the mq RPC
 // interface under the stack's prefix as BrokerShards×BrokerReplicas
 // instances under shard.MetaShard labels (1×1 by default) — topics
@@ -127,21 +153,17 @@ func (st *Stack) StartBroker(name string, configure func(*mq.Broker)) *mq.Cluste
 	return cluster
 }
 
-// MQ builds a typed broker client from one tier to the broker tier, in
-// whichever mode the deployment runs: a single-instance Client, or a
-// Partitioned client over the broker shard router. Acks ride the one-way
-// fast path automatically when the underlying wire supports it.
-func (st *Stack) MQ(caller, target string) mq.Bus {
-	if !st.BrokerSharded() {
-		return mq.Client{C: st.Caller(caller, target)}
-	}
+// MQ builds a typed broker client from one tier to the broker tier: a
+// Partitioned client over the broker's shard router, which publishes to
+// each key's group primary and mirrors, and acks one-way.
+func (st *Stack) MQ(caller, target string) *mq.Partitioned {
 	return mq.NewPartitioned(st.Router(caller, target))
 }
 
 // Serve starts one mq.Serve worker for a consumer tier's replica on srv and
 // records it for StopConsumers. The worker also stops with srv, so a
 // replica the control plane spawns at runtime is covered either way.
-func (st *Stack) Serve(srv *rpc.Server, bus mq.Bus, topic, group string, lease time.Duration, handle mq.Handler) {
+func (st *Stack) Serve(srv *rpc.Server, bus *mq.Partitioned, topic, group string, lease time.Duration, handle mq.Handler) {
 	w := mq.Serve(srv, bus, topic, group, lease, handle)
 	st.mu.Lock()
 	st.consumers = append(st.consumers, w)
@@ -161,7 +183,7 @@ func (st *Stack) StopConsumers() {
 	}
 }
 
-// Caller builds a load-balanced client from one tier to another. Wiring
+// Caller builds a load-balanced client from one tier to a logic tier. Wiring
 // errors panic: they are deterministic composition bugs (a typo'd service
 // name), not runtime conditions, and every constructor treated them that way
 // before the extraction.
@@ -184,23 +206,15 @@ func (st *Stack) Router(caller, target string) *shard.Router {
 	return router
 }
 
-// DB wires a service to a document-store tier in whichever mode the
-// deployment runs: a load-balanced caller for the single-instance layout, a
-// consistent-hash shard router for the sharded one. The typed client keeps
-// one method surface either way, so services never know which layout they
-// run on.
+// DB wires a service to a document-store tier through a shard router, which
+// routes each document to its owning replica group in every layout, 1 × 1
+// included.
 func (st *Stack) DB(caller, target string) DB {
-	if !st.Sharded() {
-		return DB{C: st.Caller(caller, target)}
-	}
 	return DB{Shards: st.Router(caller, target)}
 }
 
 // KV is the cache-tier counterpart of DB.
 func (st *Stack) KV(caller, target string) KV {
-	if !st.Sharded() {
-		return KV{C: st.Caller(caller, target).(RawCaller)}
-	}
 	return KV{Shards: st.Router(caller, target)}
 }
 

@@ -1,7 +1,8 @@
 // Package svcutil carries the small amount of shared plumbing the
 // application services use: typed RPC handler registration (the hand-written
-// half of what Thrift would generate) and typed clients for the cache and
-// document-store tiers.
+// half of what Thrift would generate), typed clients for the cache and
+// document-store tiers, which always route through a shard.Router, and the
+// Stack every app boots its tiers and wires its clients through.
 package svcutil
 
 import (
@@ -92,12 +93,15 @@ func Relay(srv *rpc.Server, method string, down Caller, downMethod string) {
 }
 
 // KV is a typed client for a cache tier exposed via kv.RegisterService.
-// It runs in one of two modes: with C set, every call goes to that single
-// (possibly load-balanced) backend, the original wrapper behavior; with
-// Shards set, keys route through the consistent-hash ring to the owning
-// replica set with read-one/write-all semantics and read-repair on
-// fallback (see sharded.go). Exactly one of C and Shards should be set. C is
-// a RawCaller because MGet reads its reply where it lands.
+// Apps get one from Stack.KV, with Shards set: keys route through the
+// consistent-hash ring to the owning replica group with read-one/write-all
+// semantics and read-repair on fallback (see sharded.go), in every layout
+// from 1 × 1 up. C — every call to one (possibly load-balanced) backend —
+// is kept only because benchmark/ladder.go builds KV{C: …} for its
+// single-backend rungs and reads KV.Shards of a Stack's client; the first
+// change to benchmark/ deletes C and the branches on it. Exactly one of C
+// and Shards should be set. C is a RawCaller because MGet reads its reply
+// where it lands.
 type KV struct {
 	C      RawCaller
 	Shards *shard.Router
@@ -145,10 +149,11 @@ func (k KV) Incr(ctx context.Context, key string, delta int64) (int64, error) {
 }
 
 // DB is a typed client for a document-store tier exposed via
-// docstore.RegisterService. Like KV it is dual-mode: C for the single
-// backend path, Shards for consistent-hash routing with replica sets —
-// point ops route by document ID, Find scatters to every shard and merges
-// (see sharded.go).
+// docstore.RegisterService. Like KV, apps get one from Stack.DB with Shards
+// set — point ops route by document ID to the owning replica group, Find
+// scatters to every group and merges (see sharded.go) — and C, one backend,
+// is kept only for benchmark/ladder.go's single-backend rung until the
+// first change to benchmark/ deletes it.
 type DB struct {
 	C      Caller
 	Shards *shard.Router

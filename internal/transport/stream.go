@@ -55,8 +55,8 @@ func (s *Stream) Recv(v any) error {
 // Cancel aborts the stream.
 func (s *Stream) Cancel() { s.raw.Cancel() }
 
-// Streamer is the optional streaming extension of Caller. *rpc.Client,
-// *lb.Balanced, and *shard.Replica implement it through OpenStream;
+// Streamer is the optional streaming extension of Caller. *rpc.Client and
+// *shard.Replica implement it through OpenStream;
 // adopters type-assert and fall back to their unary path (long-poll
 // consume) when the underlying caller is a fake or an older transport.
 type Streamer interface {

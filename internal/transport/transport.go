@@ -157,7 +157,7 @@ type Caller interface {
 }
 
 // OneWayCaller is the optional fire-and-forget extension of Caller.
-// *rpc.Client and *lb.Balanced implement it through OneWay; typed clients
+// *rpc.Client and *shard.Replica implement it through OneWay; typed clients
 // with a naturally idempotent method (e.g. the broker's Ack under
 // at-least-once delivery) type-assert for it and fall back to a synchronous
 // Call when the underlying caller is a fake or an older transport.

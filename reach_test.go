@@ -86,7 +86,7 @@ func TestReachCensus(t *testing.T) {
 // settablePin ratchets the settable-values count TestReachCensus logs: it
 // may fall freely, and a change that adds a knob must raise the pin where a
 // reviewer sees it.
-const settablePin = 82
+const settablePin = 70
 
 // TestReachCensusFixture pins the census's rules on a module built to probe
 // them: a method kept alive only by satisfying an interface, a generic

@@ -4,6 +4,7 @@ package core
 import (
 	"cgfixture/internal/rest"
 	"cgfixture/internal/rpc"
+	"cgfixture/internal/shard"
 )
 
 // App boots tiers and builds clients.
@@ -39,3 +40,8 @@ func (a *App) StartREST(service string, register func(*rest.Server)) (string, er
 
 // RPC returns a client from caller to target.
 func (a *App) RPC(caller, target string) (*rpc.Client, error) { return rpc.NewClient(target), nil }
+
+// ShardedRPC returns a router from caller to target's replica groups.
+func (a *App) ShardedRPC(caller, target string) (*shard.Router, error) {
+	return shard.NewRouter(target), nil
+}

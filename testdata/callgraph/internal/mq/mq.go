@@ -5,7 +5,7 @@ import (
 	"context"
 
 	"cgfixture/internal/rpc"
-	"cgfixture/internal/transport"
+	"cgfixture/internal/shard"
 )
 
 // RegisterService installs the broker's methods.
@@ -20,17 +20,20 @@ type Bus interface {
 	Consume(ctx context.Context, topic string) ([]byte, error)
 }
 
-// Client is the one Bus.
-type Client struct{ C transport.Caller }
+// Partitioned is the one Bus: a client of the broker's replica groups.
+type Partitioned struct{ router *shard.Router }
+
+// NewPartitioned returns a Bus over router.
+func NewPartitioned(router *shard.Router) *Partitioned { return &Partitioned{router: router} }
 
 // Publish sends body to topic.
-func (c Client) Publish(ctx context.Context, topic string, body []byte) error {
-	return c.C.Call(ctx, "Publish", topic, nil)
+func (p *Partitioned) Publish(ctx context.Context, topic string, body []byte) error {
+	return p.router.Route(topic)[0].Call(ctx, "Publish", topic, nil)
 }
 
 // Consume takes one message off topic.
-func (c Client) Consume(ctx context.Context, topic string) ([]byte, error) {
+func (p *Partitioned) Consume(ctx context.Context, topic string) ([]byte, error) {
 	var body []byte
-	err := c.C.Call(ctx, "Consume", topic, &body)
+	err := p.router.Route(topic)[0].Call(ctx, "Consume", topic, &body)
 	return body, err
 }

@@ -38,9 +38,9 @@ func New(app *core.App) (*Shop, error) {
 	st.Start("stock", func(s *rpc.Server) { registerStock(s, db("stock", "db")) })
 	st.Start("cart", func(s *rpc.Server) { registerCart(s, cartDeps{stock: cl("cart", "stock")}) })
 	// relay.Count is stock.Count's bytes, relayed, on a tier defined on the
-	// App itself rather than through the Stack.
-	app.Define("shop.relay", func(s *rpc.Server) { svcutil.Relay(s, "Count", cl("relay", "stock"), "Count") })
-	if _, err := app.Spawn("shop.relay"); err != nil {
+	// App itself, under the Stack's name for it, rather than through the Stack.
+	app.Define(st.Name("relay"), func(s *rpc.Server) { svcutil.Relay(s, "Count", cl("relay", "stock"), "Count") })
+	if _, err := app.Spawn(st.Name("relay")); err != nil {
 		return nil, err
 	}
 	// The front door's one route forwards to cart.Add.

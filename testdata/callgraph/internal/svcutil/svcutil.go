@@ -9,6 +9,7 @@ import (
 	"cgfixture/internal/kv"
 	"cgfixture/internal/mq"
 	"cgfixture/internal/rpc"
+	"cgfixture/internal/shard"
 	"cgfixture/internal/transport"
 )
 
@@ -26,6 +27,9 @@ type Stack struct {
 	App    *core.App
 	Prefix string
 }
+
+// Name is a tier's service name.
+func (st *Stack) Name(tier string) string { return st.Prefix + tier }
 
 // Start defines a logic tier on the App and boots one replica of it.
 func (st *Stack) Start(name string, register func(*rpc.Server)) {
@@ -64,57 +68,70 @@ func (st *Stack) Caller(caller, target string) Caller {
 	return c
 }
 
+// Router is a router of a stateful tier's replica groups.
+func (st *Stack) Router(caller, target string) *shard.Router {
+	r, _ := st.App.ShardedRPC(st.Name(caller), st.Name(target))
+	return r
+}
+
 // DB is a typed client of a store tier.
-func (st *Stack) DB(caller, target string) DB { return DB{C: st.Caller(caller, target)} }
+func (st *Stack) DB(caller, target string) DB { return DB{Shards: st.Router(caller, target)} }
 
 // KV is a typed client of a cache tier.
-func (st *Stack) KV(caller, target string) KV { return KV{C: st.Caller(caller, target)} }
+func (st *Stack) KV(caller, target string) KV { return KV{Shards: st.Router(caller, target)} }
 
 // MQ is a typed client of a broker tier.
-func (st *Stack) MQ(caller, target string) mq.Bus { return mq.Client{C: st.Caller(caller, target)} }
+func (st *Stack) MQ(caller, target string) mq.Bus {
+	return mq.NewPartitioned(st.Router(caller, target))
+}
 
 // DB is the store's typed client.
-type DB struct{ C Caller }
+type DB struct{ Shards *shard.Router }
 
 // Get reads a document.
 func (d DB) Get(ctx context.Context, collection, id string) (docstore.Doc, bool, error) {
 	var doc docstore.Doc
-	err := d.C.Call(ctx, "Get", id, &doc)
+	err := d.Shards.Route(id)[0].Call(ctx, "Get", id, &doc)
 	return doc, doc.ID != "", err
 }
 
-// Put stores a document.
+// Put stores a document on every replica of its group.
 func (d DB) Put(ctx context.Context, collection string, doc docstore.Doc) error {
-	return d.C.Call(ctx, "Put", doc, nil)
+	for _, rep := range d.Shards.Route(doc.ID) {
+		if err := rep.Call(ctx, "Put", doc, nil); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Find reads the documents whose field is value.
 func (d DB) Find(ctx context.Context, collection, field, value string) ([]docstore.Doc, error) {
 	var docs []docstore.Doc
-	err := d.C.Call(ctx, "Find", field, &docs)
+	err := d.Shards.Route("")[0].Call(ctx, "Find", field, &docs)
 	return docs, err
 }
 
 // AddNum adds delta to a document's number and returns the sum.
 func (d DB) AddNum(ctx context.Context, collection, id, field string, delta int64) (int64, error) {
 	var sum int64
-	err := d.C.Call(ctx, "AddNum", field, &sum)
+	err := d.Shards.Route(id)[0].Call(ctx, "AddNum", field, &sum)
 	return sum, err
 }
 
 // KV is the cache's typed client.
-type KV struct{ C Caller }
+type KV struct{ Shards *shard.Router }
 
 // Get reads a key.
 func (k KV) Get(ctx context.Context, key string) ([]byte, error) {
 	var v []byte
-	err := k.C.Call(ctx, "Get", key, &v)
+	err := k.Shards.Route(key)[0].Call(ctx, "Get", key, &v)
 	return v, err
 }
 
 // Set writes a key.
 func (k KV) Set(ctx context.Context, key string, v []byte) error {
-	return k.C.Call(ctx, "Set", key, nil)
+	return k.Shards.Route(key)[0].Call(ctx, "Set", key, nil)
 }
 
 // Handle registers a typed handler.
