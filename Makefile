@@ -129,17 +129,19 @@ shard-balance:
 
 # Every app, experiment and test rides rpc.Mem's connection, and its
 # wake-ups (close, deadline, capacity) are timing-dependent; every caller
-# goroutine of an edge, on whichever P it runs, shares its ConnStack's per-P
-# idle lists; a frame too large for a connection's read buffer is read into
-# a borrowed buffer, across reads it shares with the frames around it, while
-# the ring under it is borrowed and returned; and a stream's teardown races
-# its handler's Send, the client's credit grants and its Cancel on one
-# connection: repeat the net.Conn contract test, the per-P list test, the
-# split- and pipelined-frame tests and the stream teardown tests (client
-# cancel, conn death, Server.Close waking parked handlers, concurrent
-# send/recv/cancel) under the race detector.
+# goroutine of an edge, on whichever P it runs, parks on its P's idle list of
+# the edge's ConnStack under that list's own lock, and one that misses takes
+# every list's lock before it dials; a frame too large for a connection's
+# read buffer is read into a borrowed buffer, across reads it shares with the
+# frames around it, while the ring under it is borrowed and returned; and a
+# stream's teardown races its handler's Send, the client's credit grants and
+# its Cancel on one connection: repeat the net.Conn contract test, the per-P
+# list tests (3 Ps with 8 callers, 4 Ps with 16), the split- and
+# pipelined-frame tests and the stream teardown tests (client cancel, conn
+# death, Server.Close waking parked handlers, concurrent send/recv/cancel)
+# under the race detector.
 conn-stress:
-	$(GO) test -race -run 'TestMemConnContract|TestConnStackPerPLists|TestFramesSplitAcrossReads|TestPipelinedRawFramesAnsweredInOrder' -count=20 ./internal/rpc/
+	$(GO) test -race -run 'TestMemConnContract|TestConnStackPerPLists|TestConnStackBoundAcrossPs|TestFramesSplitAcrossReads|TestPipelinedRawFramesAnsweredInOrder' -count=20 ./internal/rpc/
 	$(GO) test -race -run 'TestStreamClientCancel|TestStreamConnDeathFailsBothEnds|TestServerCloseWakesParkedStreams|TestStreamSendRecvCancelConcurrent' -count=20 ./internal/rpc/
 
 # A call reads its own reply, so the frame reader parses a peer's bytes on

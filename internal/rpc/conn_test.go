@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"dsb/internal/codec"
 	"dsb/internal/transport"
@@ -116,11 +117,11 @@ func (c *Client) idleConns() int {
 
 // idleConns counts the parked connections, over every P's list.
 func (s *ConnStack[S]) idleConns() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lockAll()
+	defer s.unlockAll()
 	n := 0
-	for _, idle := range s.idle {
-		n += len(idle)
+	for i := range s.idle {
+		n += len(s.idle[i].conns)
 	}
 	return n
 }
@@ -226,6 +227,53 @@ func TestConnStackPerPLists(t *testing.T) {
 	wg.Wait()
 	if open, idle := len(s.conns), s.idleConns(); open > callers || idle != open {
 		t.Fatalf("%d callers: %d connections, %d parked", callers, open, idle)
+	}
+}
+
+// TestConnStackBoundAcrossPs is the concurrent phase of
+// TestConnStackPerPLists at more Ps and twice the callers per P: a caller
+// that misses its own list must not dial while a connection is parked on a
+// list it looked at before, so the edge never holds more connections than
+// callers. `make conn-stress` repeats it under -race.
+func TestConnStackBoundAcrossPs(t *testing.T) {
+	const lists, callers = 4, 16
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(lists))
+	mem := NewMem()
+	n := &countingNetwork{Network: mem}
+	startEchoAt(t, mem, "echo:0")
+	s := NewConnStack(n, "rpc", "echo", "echo:0", func(net.Conn) struct{} { return struct{}{} })
+	defer s.Close()
+	var wg sync.WaitGroup
+	for range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 200 {
+				cn, _, err := s.checkOut(procID())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				runtime.Gosched() // hand the P to another caller while this one holds a connection
+				s.park(procID(), cn)
+			}
+		}()
+	}
+	wg.Wait()
+	if open, idle := len(s.conns), s.idleConns(); open > callers || idle != open || n.dials.Load() != int64(open) {
+		t.Fatalf("%d callers on %d Ps: %d connections, %d parked, %d dials", callers, lists, open, idle, n.dials.Load())
+	}
+}
+
+// TestIdleListsOwnCacheLines pins the padding of the per-P idle lists: a
+// full 64-byte line lies between what one list's callers write (its lock and
+// slice header) and the next list's, so wherever the array starts — the
+// allocator puts an 8-byte header before a large one — no line holds both.
+// Unpadded, a list is 32 bytes and two Ps' lists share every line.
+func TestIdleListsOwnCacheLines(t *testing.T) {
+	written := unsafe.Sizeof(sync.Mutex{}) + unsafe.Sizeof([]*Conn[struct{}](nil))
+	if size := unsafe.Sizeof(idleList[struct{}]{}); size < written+cacheLine {
+		t.Fatalf("idleList is %d bytes, %d of them written: two Ps' lists can share a %d-byte line", size, written, cacheLine)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dsb/internal/transport"
@@ -16,20 +17,45 @@ import (
 // address. A call checks one out, writes its request, reads its own reply on
 // the calling goroutine and parks it again: one conversation per connection,
 // so an edge holds as many as its peak concurrency. Parked connections sit in
-// one LIFO list per P; a call takes the one parked last on its own P, else on
-// another, and dials only when every list is empty. So a caller reuses what
-// is hot in its core's cache — buffers, rings, the peer's server goroutine —
-// and the edge holds just what one shared stack would. S is the protocol's
-// state on a connection.
+// one LIFO list per P, each under its own lock on its own cache line; a call
+// takes the one parked last on its own P, else on another, and dials only
+// when every list is empty. So a caller reuses what is hot in its core's
+// cache — buffers, rings, the peer's server goroutine — writes nothing
+// another core's calls write, and the edge holds just what one shared stack
+// would. S is the protocol's state on a connection.
 type ConnStack[S any] struct {
 	network             Network
 	proto, target, addr string // proto prefixes errors: "rpc", "rest"
 	newState            func(net.Conn) S
 
-	mu     sync.Mutex
-	idle   [][]*Conn[S]          // parked connections, one list per P; last in, first out
-	conns  map[*Conn[S]]struct{} // every open one, parked or checked out: Close's list
-	closed bool
+	idle   []idleList[S] // parked connections, one list per P
+	closed atomic.Bool   // set by Close, before it empties the lists
+
+	mu    sync.Mutex
+	conns map[*Conn[S]]struct{} // every open one, parked or checked out: Close's list
+}
+
+// cacheLine is the span two cores contend for when either writes into it.
+const cacheLine = 64
+
+// idleList is one P's parked connections, last in, first out. A full cache
+// line of padding follows its lock and slice header, so wherever the
+// allocator places the array, no line holds what two Ps' calls write.
+type idleList[S any] struct {
+	mu    sync.Mutex
+	conns []*Conn[S]
+	_     [cacheLine]byte
+}
+
+// pop takes the connection parked last, or nil. The caller holds l.mu.
+func (l *idleList[S]) pop() *Conn[S] {
+	n := len(l.conns)
+	if n == 0 {
+		return nil
+	}
+	cn := l.conns[n-1]
+	l.conns[n-1], l.conns = nil, l.conns[:n-1]
+	return cn
 }
 
 // Conn is one connection of a ConnStack, used by whoever checked it out.
@@ -43,7 +69,7 @@ type Conn[S any] struct {
 // service at addr; newState builds each connection's state.
 func NewConnStack[S any](network Network, proto, target, addr string, newState func(net.Conn) S) *ConnStack[S] {
 	return &ConnStack[S]{network: network, proto: proto, target: target, addr: addr, newState: newState,
-		idle: make([][]*Conn[S], runtime.GOMAXPROCS(0)), conns: make(map[*Conn[S]]struct{})}
+		idle: make([]idleList[S], runtime.GOMAXPROCS(0)), conns: make(map[*Conn[S]]struct{})}
 }
 
 var errClientClosed = errors.New("client closed")
@@ -116,24 +142,22 @@ func answered(err error) bool {
 }
 
 // checkOut pops the connection parked last on P p's list (p wraps), else on
-// the next non-empty one, or dials outside the lock: a slow dial must not
+// the next non-empty one, or dials outside every lock: a slow dial must not
 // hold up callers that have one waiting.
 func (s *ConnStack[S]) checkOut(p int) (cn *Conn[S], dialed bool, err error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if s.closed.Load() {
 		return nil, false, errClientClosed
 	}
-	for i := range len(s.idle) {
-		l := &s.idle[(p+i)%len(s.idle)]
-		if n := len(*l); n > 0 {
-			cn, (*l)[n-1] = (*l)[n-1], nil
-			*l = (*l)[:n-1]
-			s.mu.Unlock()
-			return cn, false, nil
-		}
+	l := &s.idle[p%len(s.idle)]
+	l.mu.Lock()
+	cn = l.pop()
+	l.mu.Unlock()
+	if cn == nil {
+		cn = s.steal(p)
 	}
-	s.mu.Unlock()
+	if cn != nil {
+		return cn, false, nil
+	}
 
 	nc, err := s.network.Dial(s.addr)
 	if err != nil {
@@ -144,7 +168,7 @@ func (s *ConnStack[S]) checkOut(p int) (cn *Conn[S], dialed bool, err error) {
 	}}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		nc.Close()
 		return nil, false, errClientClosed
 	}
@@ -152,14 +176,43 @@ func (s *ConnStack[S]) checkOut(p int) (cn *Conn[S], dialed bool, err error) {
 	return cn, true, nil
 }
 
+// steal pops the connection parked last on the first non-empty list from P
+// p's on, or returns nil. It holds every list's lock at once, so no
+// connection can be parked on a list it has passed: it finds none only when
+// every open connection is checked out, and the edge dials no more than its
+// peak concurrency.
+func (s *ConnStack[S]) steal(p int) *Conn[S] {
+	s.lockAll()
+	defer s.unlockAll()
+	for i := range len(s.idle) {
+		if cn := s.idle[(p+i)%len(s.idle)].pop(); cn != nil {
+			return cn
+		}
+	}
+	return nil
+}
+
+// lockAll takes every list's lock, in index order; unlockAll releases them.
+func (s *ConnStack[S]) lockAll() {
+	for i := range s.idle {
+		s.idle[i].mu.Lock()
+	}
+}
+
+func (s *ConnStack[S]) unlockAll() {
+	for i := range s.idle {
+		s.idle[i].mu.Unlock()
+	}
+}
+
 // park returns a healthy connection to P p's idle list.
 func (s *ConnStack[S]) park(p int, cn *Conn[S]) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.closed { // else Close has closed it already
-		l := &s.idle[p%len(s.idle)]
-		*l = append(*l, cn)
+	l := &s.idle[p%len(s.idle)]
+	l.mu.Lock()
+	if !s.closed.Load() { // else Close has closed it already
+		l.conns = append(l.conns, cn)
 	}
+	l.mu.Unlock()
 }
 
 // drop closes a checked-out connection for good.
@@ -172,11 +225,14 @@ func (s *ConnStack[S]) drop(cn *Conn[S]) {
 
 // closeIdle closes every parked connection, on every P's list.
 func (s *ConnStack[S]) closeIdle() {
-	s.mu.Lock()
 	var idle []*Conn[S]
-	for p := range s.idle {
-		idle, s.idle[p] = append(idle, s.idle[p]...), nil
+	s.lockAll()
+	for i := range s.idle {
+		l := &s.idle[i]
+		idle, l.conns = append(idle, l.conns...), nil
 	}
+	s.unlockAll()
+	s.mu.Lock()
 	for _, cn := range idle {
 		delete(s.conns, cn)
 	}
@@ -190,10 +246,11 @@ func (s *ConnStack[S]) closeIdle() {
 // streams end when their readers do.
 func (s *ConnStack[S]) Close() {
 	s.mu.Lock()
-	s.closed = true
+	s.closed.Store(true)
 	conns := s.conns
-	s.conns, s.idle = nil, nil
+	s.conns = nil
 	s.mu.Unlock()
+	s.closeIdle() // no list takes a connection now, and each one is among conns
 	for cn := range conns {
 		cn.NC.Close()
 	}

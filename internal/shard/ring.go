@@ -11,6 +11,7 @@
 package shard
 
 import (
+	"math/bits"
 	"sort"
 	"strconv"
 )
@@ -34,6 +35,11 @@ const DefaultVnodes = 128
 type Ring struct {
 	points  []ringPoint
 	members []string
+	// first[b] is the index of the first point in or past bucket b, the
+	// hashes whose top bits read b. There are more buckets than points, so
+	// Owner steps past about one point from there, with no binary search.
+	first []uint32
+	shift uint // a hash's bucket is hash >> shift
 }
 
 type ringPoint struct {
@@ -72,6 +78,15 @@ func NewRing(vnodes int, members []string) *Ring {
 		}
 		return r.points[i].member < r.points[j].member
 	})
+	n := bits.Len(uint(len(r.points)))
+	r.first, r.shift = make([]uint32, 1<<n), uint(64-n)
+	i := 0
+	for b := range r.first {
+		for i < len(r.points) && r.points[i].hash>>r.shift < uint64(b) {
+			i++
+		}
+		r.first[b] = uint32(i)
+	}
 	return r
 }
 
@@ -81,7 +96,10 @@ func (r *Ring) Owner(key string) string {
 		return ""
 	}
 	h := hash64(key)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	i := int(r.first[h>>r.shift])
+	for i < len(r.points) && r.points[i].hash < h {
+		i++
+	}
 	if i == len(r.points) {
 		i = 0 // wrap past the last point to the first
 	}

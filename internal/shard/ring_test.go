@@ -2,6 +2,8 @@ package shard
 
 import (
 	"fmt"
+	"math/rand/v2"
+	"sort"
 	"testing"
 )
 
@@ -65,6 +67,29 @@ func TestRingRemovalOnlyRemapsRemoved(t *testing.T) {
 	}
 	if moved == 0 {
 		t.Fatal("no keys remapped after removing a shard; ring is not rebalancing")
+	}
+}
+
+// TestRingOwnerMatchesSearch holds Owner's bucket table to the binary search
+// over the sorted points it replaces: the first point at or past the key's
+// hash, wrapping past the last, for random keys on rings of several sizes.
+func TestRingOwnerMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for _, members := range []int{1, 2, 3, 8} {
+		r := NewRing(DefaultVnodes, Labels(members))
+		for range 10_000 {
+			key := make([]byte, 1+rng.IntN(24))
+			for i := range key {
+				key[i] = byte(rng.Uint32())
+			}
+			k := string(key)
+			h := hash64(k)
+			i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+			want := r.points[i%len(r.points)].member
+			if got := r.Owner(k); got != want {
+				t.Fatalf("%d members: Owner(%q) = %q, the search finds %q", members, k, got, want)
+			}
+		}
 	}
 }
 
