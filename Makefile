@@ -136,12 +136,13 @@ shard-balance:
 # frames around it, while the ring under it is borrowed and returned; and a
 # stream's teardown races its handler's Send, the client's credit grants and
 # its Cancel on one connection: repeat the net.Conn contract test, the per-P
-# list tests (3 Ps with 8 callers, 4 Ps with 16), the split- and
+# list tests (3 Ps with 8 callers, 4 Ps with 16, and a steal held between
+# two lists, which must keep the one it passed locked), the split- and
 # pipelined-frame tests and the stream teardown tests (client cancel, conn
 # death, Server.Close waking parked handlers, concurrent send/recv/cancel)
 # under the race detector.
 conn-stress:
-	$(GO) test -race -run 'TestMemConnContract|TestConnStackPerPLists|TestConnStackBoundAcrossPs|TestFramesSplitAcrossReads|TestPipelinedRawFramesAnsweredInOrder' -count=20 ./internal/rpc/
+	$(GO) test -race -run 'TestMemConnContract|TestConnStackPerPLists|TestConnStackBoundAcrossPs|TestStealHoldsListsItScanned|TestFramesSplitAcrossReads|TestPipelinedRawFramesAnsweredInOrder' -count=20 ./internal/rpc/
 	$(GO) test -race -run 'TestStreamClientCancel|TestStreamConnDeathFailsBothEnds|TestServerCloseWakesParkedStreams|TestStreamSendRecvCancelConcurrent' -count=20 ./internal/rpc/
 
 # A call reads its own reply, so the frame reader parses a peer's bytes on

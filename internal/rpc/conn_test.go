@@ -265,6 +265,49 @@ func TestConnStackBoundAcrossPs(t *testing.T) {
 	}
 }
 
+// TestStealHoldsListsItScanned stops a steal between two lists — the test
+// holds list 1's lock — and asserts that list 0, which the scan has passed,
+// stays locked by it until it decides: a connection parked there behind the
+// scan would be missed, and the edge would dial one more than its callers.
+// A steal that locks one list at a time fails here, where the concurrent
+// bound tests need two such misses to compound before they see one.
+func TestStealHoldsListsItScanned(t *testing.T) {
+	const lists = 2
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(lists))
+	s := NewConnStack(NewMem(), "rpc", "echo", "echo:0", func(net.Conn) struct{} { return struct{}{} })
+	defer s.Close()
+	s.idle[1].mu.Lock()
+	release := sync.OnceFunc(s.idle[1].mu.Unlock)
+	defer release() // before Close, which takes every list's lock
+	found := make(chan *Conn[struct{}], 1)
+	go func() { found <- s.steal(0) }()
+
+	// Wait for the scan to take list 0, then hold it to keeping it.
+	held := 0
+	for deadline := time.Now().Add(5 * time.Second); held < 1000 && time.Now().Before(deadline); runtime.Gosched() {
+		if s.idle[0].mu.TryLock() {
+			s.idle[0].mu.Unlock()
+			if held > 0 {
+				t.Fatalf("the scan let go of list 0 after %d probes, before it decided: a connection parked there now is missed", held)
+			}
+			continue
+		}
+		held++
+	}
+	if held == 0 {
+		t.Fatal("the scan never held list 0 while it waited on list 1")
+	}
+	select {
+	case <-found:
+		t.Fatal("the scan decided while list 1 was held")
+	default:
+	}
+	release()
+	if cn := <-found; cn != nil {
+		t.Fatalf("steal found %v on empty lists", cn)
+	}
+}
+
 // TestIdleListsOwnCacheLines pins the padding of the per-P idle lists: a
 // full 64-byte line lies between what one list's callers write (its lock and
 // slice header) and the next list's, so wherever the array starts — the
